@@ -31,7 +31,7 @@ from repro.algorithms.collectives import partition_array
 from repro.algorithms.sorting import SampleSort
 from repro.cgm.config import MachineConfig
 from repro.em.runner import make_engine
-from repro.pdm import fastpath
+from repro.tune.knobs import set_env
 from repro.util.rng import make_rng
 
 from conftest import print_table
@@ -60,13 +60,13 @@ def scale_cfg() -> MachineConfig:
 def _run_sort(cfg: MachineConfig, data: np.ndarray, kind: str) -> dict:
     """One seq-EM sample sort under an arena backend; returns observables."""
     was = os.environ.get("REPRO_ARENA")
-    fastpath.set_arena_kind(kind)
+    set_env("REPRO_ARENA", kind)
     try:
         eng = make_engine(cfg, "seq")
         t0 = time.perf_counter()
         res = eng.run(SampleSort(), partition_array(data, cfg.v))
         wall = time.perf_counter() - t0
-        arenas = [a._arena for a in eng.arrays.values() if a._arena is not None]
+        arenas = [a._arena for a in eng.arrays.values()]
         out = {
             "values": np.concatenate(res.outputs),
             "io": res.report.io.as_dict(),
@@ -79,10 +79,7 @@ def _run_sort(cfg: MachineConfig, data: np.ndarray, kind: str) -> dict:
             a.close()
         return out
     finally:
-        if was is None:
-            os.environ.pop("REPRO_ARENA", None)
-        else:
-            os.environ["REPRO_ARENA"] = was
+        set_env("REPRO_ARENA", was)
 
 
 def test_scale_sort_ram_vs_mmap_bit_identity(bench_store):

@@ -1,11 +1,13 @@
-"""Wall-clock speedup of the vectorized fast path vs the reference path.
+"""Wall-clock speedup of the vectorized run service vs the per-op loop.
 
 Every other bench gates *modeled* cost — parallel I/O counts, which are
 deterministic and machine-independent.  This one gates the *simulator's
-own* running time: the batched NumPy gather/scatter fast path
-(``REPRO_FASTPATH=1``, the default) against the per-block reference loop
-(``REPRO_FASTPATH=0``), on the same workloads two of the paper benches
-use, scaled up until the I/O layer dominates:
+own* running time: a clean run (whole runs serviced as batched NumPy
+gather/scatters) against the same run under an **empty**
+:class:`~repro.faults.plan.FaultPlan` (every access through the PDM
+specification loop, one ``parallel_io`` per batch, nothing injected), on
+the same workloads two of the paper benches use, scaled up until the I/O
+layer dominates:
 
 * ``fig5_sort`` — Figure 5 Group A sorting at N=2^18 (the group-A bench
   sweeps up to 2^16 with B=64; here B=16 so the stream has enough blocks
@@ -14,7 +16,7 @@ use, scaled up until the I/O layer dominates:
 * ``theorem3_p{2,4}`` — the Theorem 3 processor-scaling sort on the
   in-process parallel engine.
 
-Both paths must produce bit-identical outputs and logical ``IOStats`` —
+Both lanes must produce bit-identical outputs and logical ``IOStats`` —
 asserted here on every run, and the deterministic counters recorded in
 the store are gated exactly by ``repro bench --compare``.  The speedup
 ratio is recorded under ``timings`` so the perf-smoke CI lane can gate it
@@ -23,8 +25,8 @@ with the one-sided ``--timing-floor`` check (absolute seconds go to
 
 An in-test floor guards local runs too: ``REPRO_WALLCLOCK_FLOOR``
 (default 1.5) is deliberately far below the committed baseline's ratios —
-wall-clock is fuzzy, the floor only has to catch "fast path silently fell
-back to the reference loop".
+wall-clock is fuzzy, the floor only has to catch "bulk reads silently
+fell back to the per-track loop".
 
 The timings double as the telemetry bus's disabled-path perf smoke: the
 bench pins ``REPRO_TRACE`` off and asserts the engines run on the
@@ -43,8 +45,8 @@ import pytest
 
 from repro.cgm.config import MachineConfig
 from repro.em.runner import em_sort, make_engine
+from repro.faults.plan import FaultPlan
 from repro.obs.bench_store import measured_from_report
-from repro.pdm import fastpath
 from repro.util.rng import make_rng
 
 from conftest import print_table
@@ -52,8 +54,10 @@ from conftest import print_table
 
 @pytest.fixture(autouse=True)
 def _trace_pinned_off(monkeypatch):
-    """Timings gate the untraced path; a stray REPRO_TRACE would skew them."""
+    """Timings gate the untraced clean run; a stray REPRO_TRACE would skew
+    them and an ambient REPRO_FAULTS would put both lanes on the per-op loop."""
     monkeypatch.delenv("REPRO_TRACE", raising=False)
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
 
 V, D, B = 8, 2, 16
 REPS = 3
@@ -73,21 +77,17 @@ def _floor() -> float:
         return 1.5
 
 
-def _timed_run(data: np.ndarray, cfg: MachineConfig, engine: str, enabled: bool):
-    """Best-of-REPS wall time and the last result, with the path pinned."""
-    was = fastpath.enabled()
-    fastpath.set_enabled(enabled)
-    try:
-        em_sort(data, cfg, engine=engine)  # warmup (allocator, caches)
-        best = float("inf")
-        res = None
-        for _ in range(REPS):
-            t0 = time.perf_counter()
-            res = em_sort(data, cfg, engine=engine)
-            best = min(best, time.perf_counter() - t0)
-        return best, res
-    finally:
-        fastpath.set_enabled(was)
+def _timed_run(data: np.ndarray, cfg: MachineConfig, engine: str, per_op: bool):
+    """Best-of-REPS wall time and the last result on one service lane."""
+    faults = FaultPlan() if per_op else None
+    em_sort(data, cfg, engine=engine, faults=faults)  # warmup (allocator, caches)
+    best = float("inf")
+    res = None
+    for _ in range(REPS):
+        t0 = time.perf_counter()
+        res = em_sort(data, cfg, engine=engine, faults=faults)
+        best = min(best, time.perf_counter() - t0)
+    return best, res
 
 
 @pytest.mark.parametrize("name", sorted(CONFIGS))
@@ -102,26 +102,26 @@ def test_wallclock_speedup(name, bench_store):
         "wall-clock bench must run untraced (is REPRO_TRACE set?)"
     )
 
-    fast_s, fast = _timed_run(data, cfg, engine, enabled=True)
-    ref_s, ref = _timed_run(data, cfg, engine, enabled=False)
+    fast_s, fast = _timed_run(data, cfg, engine, per_op=False)
+    ref_s, ref = _timed_run(data, cfg, engine, per_op=True)
 
-    # the fast path is an implementation of the same model, not a variant:
+    # the run API is an implementation of the same model, not a variant:
     # outputs and every logical cost counter must be bit-identical
     assert np.array_equal(fast.values, ref.values)
     assert np.array_equal(fast.values, np.sort(data))
     fast_m = measured_from_report(fast.report)
     ref_m = measured_from_report(ref.report)
-    assert fast_m == ref_m, f"{name}: IOStats diverged between paths"
+    assert fast_m == ref_m, f"{name}: IOStats diverged between lanes"
     assert fast.report.io.as_dict() == ref.report.io.as_dict()
 
     speedup = ref_s / fast_s
     floor = _floor()
     print_table(
         f"wall-clock: {name} (N={N}, p={p}, B={B}, engine={engine})",
-        ["path", "best of {}".format(REPS), "speedup"],
+        ["lane", "best of {}".format(REPS), "speedup"],
         [
-            ["reference", f"{ref_s * 1e3:.1f} ms", ""],
-            ["fast", f"{fast_s * 1e3:.1f} ms", f"{speedup:.2f}x"],
+            ["per-op (empty plan)", f"{ref_s * 1e3:.1f} ms", ""],
+            ["clean", f"{fast_s * 1e3:.1f} ms", f"{speedup:.2f}x"],
         ],
     )
     bench_store.record(
@@ -132,6 +132,6 @@ def test_wallclock_speedup(name, bench_store):
         extra={"fast_s": fast_s, "ref_s": ref_s, "engine": engine, "reps": REPS},
     )
     assert speedup >= floor, (
-        f"{name}: fast path only {speedup:.2f}x over reference "
-        f"(floor {floor}) — did it fall back to the per-block loop?"
+        f"{name}: clean run only {speedup:.2f}x over the per-op lane "
+        f"(floor {floor}) — did bulk reads fall back to the per-track loop?"
     )

@@ -24,9 +24,8 @@ import sys
 import numpy as np
 
 from repro.cgm.config import MachineConfig
-from repro.pdm import fastpath
 from repro.pdm.io_stats import DiskServiceModel
-from repro.tune.knobs import KnobError
+from repro.tune.knobs import KnobError, set_env
 from repro.util.validation import ConfigurationError, SimulationError
 
 
@@ -1255,18 +1254,15 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "command", None) == "cc" and args.edges is None:
         args.edges = 2 * args.n
     try:
-        if getattr(args, "arena", None) is not None:
-            # written to the environment so the workers backend's processes
-            # inherit the same storage selection
-            fastpath.set_arena_kind(args.arena)
-        if getattr(args, "transport", None) is not None:
-            from repro.tune.knobs import set_env
-
-            set_env("REPRO_TRANSPORT", args.transport)
-        if getattr(args, "nodes", None) is not None:
-            from repro.tune.knobs import set_env
-
-            set_env("REPRO_NODES", args.nodes)
+        # written to the environment so the workers backend's processes
+        # inherit the same storage and transport selection
+        for flag, env in (
+            ("arena", "REPRO_ARENA"),
+            ("transport", "REPRO_TRANSPORT"),
+            ("nodes", "REPRO_NODES"),
+        ):
+            if getattr(args, flag, None) is not None:
+                set_env(env, getattr(args, flag))
         _apply_profile(args)
         return fn(args)
     except KnobError as exc:

@@ -48,7 +48,7 @@ def consecutive_addresses_np(
     """Vectorized :func:`consecutive_addresses`: ``(disks, tracks)`` arrays.
 
     Same index math as the per-q loop, evaluated once over an arange; the
-    fast path feeds these straight into
+    engines feed these straight into
     :meth:`~repro.pdm.disk_array.DiskArray.write_run` / ``read_run``.
     """
     lin = start_disk + np.arange(nblocks, dtype=np.int64)

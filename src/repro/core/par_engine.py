@@ -31,8 +31,6 @@ counters back into an identical :class:`CostReport`.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.cgm.config import MachineConfig
 from repro.cgm.engine import Engine
 from repro.cgm.message import Message
@@ -45,8 +43,8 @@ from repro.core.layouts import (
     consecutive_addresses_np,
 )
 from repro.faults.injector import FaultyDiskArray, collect_fault_stats, emit_fault_metrics
-from repro.pdm.block import blocks_for_bytes, pack_blocks, unpack_blocks
-from repro.pdm.disk_array import DiskArray
+from repro.pdm.block import blocks_for_bytes, unpack_blocks
+from repro.pdm.disk_array import DiskArray, Segment
 from repro.pdm.fastpath import BlockRun, BufferPool
 from repro.pdm.io_stats import IOStats
 from repro.pdm.pipeline import DoubleBufferedReader
@@ -109,16 +107,9 @@ class ParEMEngine(Engine):
 
             self._rt = current()
         rt = self._rt
-        # the vectorized fast path services whole runs as single NumPy
-        # gather/scatters; fault plans need per-op injection, so they pin
-        # the reference path (REPRO_FASTPATH=0 selects it explicitly).
-        # In ``auto`` mode _begin_superstep dispatches per round by the
-        # scheduled context-block count (granularity control); storage
-        # stays arena-backed so both paths address the same bytes.
-        self._fastpath_mode = rt.fastpath_mode if self.faults is None else "off"
-        self._auto_blocks = rt.fastpath_auto_blocks
-        self._fastpath = self._fastpath_mode != "off"
-        self._prefetch_on = self._fastpath and rt.prefetch
+        # a fault-injected array services every access per-op on the
+        # consuming thread, so a speculative gather could never hit
+        self._prefetch_on = rt.prefetch and self.faults is None
         self._block_bytes = cfg.B * ITEM_BYTES
         self._iopool = BufferPool()
         self._prefetch: DoubleBufferedReader | None = None
@@ -152,18 +143,15 @@ class ParEMEngine(Engine):
 
     def _make_array(self, real: int) -> DiskArray:
         """The disk array of one real processor — fault-injected when a
-        plan is active, plain otherwise (the zero-overhead fast path)."""
+        plan is active, plain otherwise."""
         cfg = self.cfg
+        # the tracer rides along for storage-level telemetry (the arena
+        # growth events of the out-of-core path) and the injector's
+        # io_fault events; logical I/O events stay at the engine layer
+        kw = dict(tracer=self.tracer, real=real, runtime=self._rt)
         if self.faults is None:
-            # the tracer rides along for storage-level telemetry (the
-            # arena growth events of the out-of-core path); logical I/O
-            # events stay at the engine layer
-            return DiskArray(
-                cfg.D, cfg.B, tracer=self.tracer, real=real, runtime=self._rt
-            )
-        return FaultyDiskArray(
-            cfg.D, cfg.B, self.faults.injector_for(real), tracer=self.tracer, real=real
-        )
+            return DiskArray(cfg.D, cfg.B, **kw)
+        return FaultyDiskArray(cfg.D, cfg.B, self.faults.injector_for(real), **kw)
 
     # ------------------------------------------------------------- ownership
 
@@ -188,17 +176,7 @@ class ParEMEngine(Engine):
         submitted up front and gathered concurrently with compute.  See
         :mod:`repro.pdm.pipeline` for the determinism argument.
         """
-        if self._fastpath_mode == "auto":
-            # granularity control: the batched path's setup overhead only
-            # pays off once a round schedules enough context blocks, so
-            # dispatch each superstep by its scheduled volume.  Both paths
-            # read/write the same arena-backed bytes with identical
-            # logical accounting, so flipping between them is free.
-            blocks = sum(
-                self._ctx_region[pid][2] for pid in pids if pid in self._ctx_region
-            )
-            self._fastpath = blocks >= self._auto_blocks
-        if not (self._fastpath and self._prefetch_on):
+        if not self._prefetch_on:
             return
         schedule = [pid for pid in pids if pid in self._ctx_region]
         if len(schedule) < 2:  # nothing to overlap
@@ -232,13 +210,8 @@ class ParEMEngine(Engine):
     def _store_context(self, pid: int, ctx: Context) -> None:
         owner = self._owner(pid)
         array, alloc = self.arrays[owner], self.allocators[owner]
-        if self._fastpath:
-            raw = serialize(dict(ctx))
-            blocks = None
-            nblocks = blocks_for_bytes(len(raw), self.cfg.B)
-        else:
-            blocks = pack_blocks(serialize(dict(ctx)), self.cfg.B)
-            nblocks = len(blocks)
+        raw = serialize(dict(ctx))
+        nblocks = blocks_for_bytes(len(raw), self.cfg.B)
         region = self._ctx_region.get(pid)
         if region is None or region[1] * self.cfg.D < nblocks:
             if region is not None:
@@ -252,14 +225,8 @@ class ParEMEngine(Engine):
         else:
             region = (region[0], region[1], nblocks)
         self._ctx_region[pid] = region
-        if blocks is None:
-            dd, tt = consecutive_addresses_np(nblocks, self.cfg.D, region[0])
-            array.write_run(dd, tt, BlockRun(raw, nblocks, self._block_bytes))
-        else:
-            addrs = consecutive_addresses(nblocks, self.cfg.D, region[0])
-            array.write_blocks(
-                list(zip((a for a, _ in addrs), (t for _, t in addrs), blocks))
-            )
+        dd, tt = consecutive_addresses_np(nblocks, self.cfg.D, region[0])
+        array.write_run(dd, tt, BlockRun(raw, nblocks, self._block_bytes))
         self._ctx_blocks_io += nblocks
         self._charge(pid, nblocks * self.cfg.B)
         if self.tracer.enabled:
@@ -283,13 +250,10 @@ class ParEMEngine(Engine):
         if pre is not None:
             self._prefetch_keys.discard(pid)
             flat, buf = pre.get(pid)
-        elif self._fastpath:
+        else:
             dd, tt = consecutive_addresses_np(nblocks, self.cfg.D, start)
             buf = self._iopool.take(nblocks * self._block_bytes)
             flat = array.read_run(dd, tt, out=buf)
-        else:
-            addrs = consecutive_addresses(nblocks, self.cfg.D, start)
-            blocks = array.read_blocks(addrs)
         self._ctx_blocks_io += nblocks
         self._charge(pid, nblocks * self.cfg.B)
         if self.tracer.enabled:
@@ -300,36 +264,33 @@ class ParEMEngine(Engine):
                 blocks=nblocks,
                 layout="consecutive",
             )
-        if self._fastpath:
-            # deserialize copies out of the buffer on both encodings, so
-            # the pooled staging area can be reused immediately
-            ctx = Context(deserialize(flat))
-            if pre is not None:
-                pre.release(buf)
-            else:
-                self._iopool.give(buf)
-            return ctx
-        return Context(deserialize(unpack_blocks(blocks)))
+        # deserialize copies out of the buffer on both encodings, so the
+        # pooled staging area can be reused immediately
+        ctx = Context(deserialize(flat))
+        if pre is not None:
+            pre.release(buf)
+        else:
+            self._iopool.give(buf)
+        return ctx
 
     # ------------------------------------------------------------- messages
 
     def _bundle_outbox(
         self, src_pid: int, msgs: list[Message]
-    ) -> list[tuple[int, list, "list[bytes] | BlockRun"]]:
+    ) -> list[tuple[int, list, BlockRun]]:
         """Coalesce an outbox into one serialized bundle per destination.
 
         One physical slot message per destination (the paper's msg_ij):
         several application messages to one destination share the slot.
         Returns ``(dest, parts, payload)`` triples in FIFO destination
-        order — the payload a block list on the reference path, a
-        zero-copy :class:`BlockRun` over the serialized bytes on the fast
-        path.  Serialization buffers are charged to the *source* real
-        processor's internal memory.
+        order — the payload a zero-copy :class:`BlockRun` over the
+        serialized bytes.  Serialization buffers are charged to the
+        *source* real processor's internal memory.
         """
         by_dest: dict[int, list[Message]] = {}
         for m in msgs:
             by_dest.setdefault(m.dest, []).append(m)
-        bundles: list[tuple[int, list, "list[bytes] | BlockRun"]] = []
+        bundles: list[tuple[int, list, BlockRun]] = []
         for dest in sorted(by_dest):
             group = by_dest[dest]
             if len(group) == 1:
@@ -337,28 +298,18 @@ class ParEMEngine(Engine):
             else:
                 payload_obj = [(m.tag, m.payload) for m in group]
             parts = [(m.tag, m.size_items) for m in group]
-            payload: "list[bytes] | BlockRun"
-            if self._fastpath:
-                raw = serialize(payload_obj)
-                nblocks = blocks_for_bytes(len(raw), self.cfg.B)
-                payload = BlockRun(raw, nblocks, self._block_bytes)
-            else:
-                payload = pack_blocks(serialize(payload_obj), self.cfg.B)
-                nblocks = len(payload)
+            raw = serialize(payload_obj)
+            nblocks = blocks_for_bytes(len(raw), self.cfg.B)
             self._charge(src_pid, nblocks * self.cfg.B)
-            bundles.append((dest, parts, payload))
+            bundles.append((dest, parts, BlockRun(raw, nblocks, self._block_bytes)))
         return bundles
 
-    @staticmethod
-    def _bundle_nblocks(payload: "list[bytes] | BlockRun") -> int:
-        return payload.nblocks if isinstance(payload, BlockRun) else len(payload)
-
     def _stage_bundles(
-        self, src_pid: int, bundles: list[tuple[int, list, list[bytes]]]
-    ) -> dict[int, list[tuple[int, int, bytes]]]:
+        self, src_pid: int, bundles: list[tuple[int, list, BlockRun]]
+    ) -> dict[int, list[Segment]]:
         """Address bundles on their destination's disks and record the
-        directory entries; returns the block placements grouped per
-        owning real processor (one DiskWrite batch each).
+        directory entries; returns the write segments grouped per owning
+        real processor (one DiskWrite stream each).
 
         Runs where the destination's storage lives: inline for the
         sequential backend, in the destination worker for the process
@@ -366,46 +317,21 @@ class ParEMEngine(Engine):
         ``parallel_ios``) identical in both modes.
         """
         cfg = self.cfg
-        by_owner: dict[int, list] = {}
+        by_owner: dict[int, list[Segment]] = {}
         for dest, parts, payload in bundles:
-            nblocks = self._bundle_nblocks(payload)
+            nblocks = payload.nblocks
             owner = self._owner(dest)
-            if self._fastpath:
-                if nblocks <= self.slot_blocks:
-                    dd, tt = self.matrices[owner].message_addresses_np(
-                        src_pid, self._local(dest), nblocks, self._staged_parity
-                    )
-                    overflow = None
-                else:
-                    start, _rows = self.allocators[owner].alloc(nblocks)
-                    dd, tt = consecutive_addresses_np(nblocks, cfg.D, start)
-                    overflow = list(zip(dd.tolist(), tt.tolist()))
-                    self._overflow_blocks += nblocks
-                if not isinstance(payload, BlockRun):
-                    # a reference-mode peer shipped packed blocks; rewrap
-                    payload = BlockRun(
-                        b"".join(payload), nblocks, self._block_bytes
-                    )
-                by_owner.setdefault(owner, []).append((dd, tt, payload))
+            if nblocks <= self.slot_blocks:
+                dd, tt = self.matrices[owner].message_addresses_np(
+                    src_pid, self._local(dest), nblocks, self._staged_parity
+                )
+                overflow = None
             else:
-                blocks = (
-                    payload.to_blocks()
-                    if isinstance(payload, BlockRun)
-                    else payload
-                )
-                if nblocks <= self.slot_blocks:
-                    addrs = self.matrices[owner].message_addresses(
-                        src_pid, self._local(dest), nblocks, self._staged_parity
-                    )
-                    overflow = None
-                else:
-                    start, _rows = self.allocators[owner].alloc(nblocks)
-                    addrs = consecutive_addresses(nblocks, cfg.D, start)
-                    overflow = addrs
-                    self._overflow_blocks += nblocks
-                by_owner.setdefault(owner, []).extend(
-                    (d, t, blk) for (d, t), blk in zip(addrs, blocks)
-                )
+                start, _rows = self.allocators[owner].alloc(nblocks)
+                dd, tt = consecutive_addresses_np(nblocks, cfg.D, start)
+                overflow = list(zip(dd.tolist(), tt.tolist()))
+                self._overflow_blocks += nblocks
+            by_owner.setdefault(owner, []).append((dd, tt, payload))
             self._staged_meta[dest].append(
                 _MetaEntry(src_pid, nblocks, parts, overflow)
             )
@@ -427,15 +353,12 @@ class ParEMEngine(Engine):
         self._write_staged(by_owner)
         self._release(src_pid)
 
-    def _write_staged(self, by_owner: dict[int, list]) -> None:
-        """Commit one source's staged placements, one FIFO stream per
-        owning real processor (batching spans bundle boundaries, exactly
-        as the reference path's concatenated placement list does)."""
+    def _write_staged(self, by_owner: dict[int, list[Segment]]) -> None:
+        """Commit one source's staged segments, one FIFO stream per owning
+        real processor (batching spans bundle boundaries, exactly as
+        ``write_blocks`` over the concatenated placement list does)."""
         for owner, batch in by_owner.items():
-            if self._fastpath:
-                self.arrays[owner].write_stream(batch)
-            else:
-                self.arrays[owner].write_blocks(batch)
+            self.arrays[owner].write_stream(batch)
 
     def _take_inbox(self, pid: int) -> list[Message]:
         cfg = self.cfg
@@ -449,20 +372,12 @@ class ParEMEngine(Engine):
         entries.sort(key=lambda e: e.src)
         slot_entries = [e for e in entries if e.overflow is None]
         by_src = [(e.src, e.nblocks) for e in slot_entries]
-        buf = None
-        if self._fastpath:
-            dd, tt = self.matrices[owner].inbox_addresses_np(
-                self._local(pid), by_src, self._ready_parity
-            )
-            total = int(dd.size)
-            buf = self._iopool.take(total * self._block_bytes)
-            flat = array.read_run(dd, tt, out=buf)
-        else:
-            addrs = self.matrices[owner].inbox_addresses(
-                self._local(pid), by_src, self._ready_parity
-            )
-            blocks = array.read_blocks(addrs)
-            total = len(blocks)
+        dd, tt = self.matrices[owner].inbox_addresses_np(
+            self._local(pid), by_src, self._ready_parity
+        )
+        total = int(dd.size)
+        buf = self._iopool.take(total * self._block_bytes)
+        flat = array.read_run(dd, tt, out=buf)
         self._msg_blocks_io += total
         if self.tracer.enabled and total:
             self.tracer.emit(
@@ -488,19 +403,10 @@ class ParEMEngine(Engine):
         cursor = 0
         bb = self._block_bytes
         for e in slot_entries:
-            if self._fastpath:
-                payload_obj = deserialize(
-                    flat[cursor * bb : (cursor + e.nblocks) * bb]
-                )
-            else:
-                payload_obj = deserialize(
-                    unpack_blocks(blocks[cursor : cursor + e.nblocks])
-                )
+            unbundle(e, deserialize(flat[cursor * bb : (cursor + e.nblocks) * bb]))
             cursor += e.nblocks
-            unbundle(e, payload_obj)
             self._charge(pid, e.nblocks * cfg.B)
-        if buf is not None:
-            self._iopool.give(buf)
+        self._iopool.give(buf)
         alloc = self.allocators[owner]
         for e in entries:
             if e.overflow is None:
@@ -542,9 +448,8 @@ class ParEMEngine(Engine):
 
     @staticmethod
     def _snapshot_array(arr: DiskArray) -> dict:
-        # snapshot_tracks yields the same dict[int, bytes] shape from both
-        # the dict-backed and arena-backed stores, so checkpoints stay
-        # portable across REPRO_FASTPATH settings
+        # snapshot_tracks yields plain dict[int, bytes] per disk whatever
+        # the arena backend, so checkpoints stay portable across them
         return {
             "tracks": [d.snapshot_tracks() for d in arr.disks],
             "reads": [d.blocks_read for d in arr.disks],

@@ -81,11 +81,7 @@ class ShmTransport(MemoryTransport):
         threshold = self.shm_threshold
         if threshold is None:
             return ("inl", items)
-        total = sum(
-            bundle[2].nbytes
-            for _src, bundle in items
-            if isinstance(bundle[2], BlockRun)
-        )
+        total = sum(bundle[2].nbytes for _src, bundle in items)
         if total < threshold:
             return ("inl", items)
         shm = shared_memory.SharedMemory(create=True, size=total)
@@ -94,14 +90,11 @@ class ShmTransport(MemoryTransport):
             off = 0
             wire_items = []
             for src_pid, (dest, parts, payload) in items:
-                if isinstance(payload, BlockRun):
-                    n = payload.nbytes
-                    view[off : off + n] = memoryview(payload.buf).cast("B")
-                    payload = (
-                        _SHM_REF, off, n, payload.nblocks, payload.block_bytes
-                    )
-                    off += n
-                wire_items.append((src_pid, (dest, parts, payload)))
+                n = payload.nbytes
+                view[off : off + n] = memoryview(payload.buf).cast("B")
+                ref = (_SHM_REF, off, n, payload.nblocks, payload.block_bytes)
+                off += n
+                wire_items.append((src_pid, (dest, parts, ref)))
             return ("shm", shm.name, wire_items)
         finally:
             # the receiver owns the segment's lifetime from here on

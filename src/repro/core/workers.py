@@ -79,7 +79,6 @@ from repro.core.transport import (
 )
 from repro.faults.injector import FaultStats, collect_fault_stats, emit_fault_metrics
 from repro.obs.trace import JsonlRecorder, replay_events
-from repro.pdm import fastpath
 from repro.pdm.io_stats import IOStats
 from repro.util.rng import spawn_rngs
 from repro.util.validation import SimulationError
@@ -349,13 +348,9 @@ def _worker_main(
         if transport_kind == "memory":
             net: Transport = MemoryTransport(worker_id, net_qs, abort)
         else:
-            runtime = session["runtime"]
-            threshold = (
-                runtime.shm_threshold
-                if runtime is not None
-                else fastpath.shm_threshold()
+            net = ShmTransport(
+                worker_id, net_qs, abort, session["runtime"].shm_bytes
             )
-            net = ShmTransport(worker_id, net_qs, abort, threshold)
         run_worker_session(
             worker_id,
             session,

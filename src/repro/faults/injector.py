@@ -27,12 +27,12 @@ degraded I/Os, migrated blocks and the parallelism width lost to remapping.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro.faults.plan import FaultPlan
-from repro.pdm.disk_array import DiskArray, IOOp
+from repro.pdm.disk_array import DiskArray, IOOp, Segment
 from repro.util.validation import SimulationError
 
 #: logical tracks remapped off a dead disk live in this shadow range on the
@@ -215,23 +215,33 @@ class FaultInjector:
 class FaultyDiskArray(DiskArray):
     """A disk array whose physical accesses obey a fault plan.
 
-    The logical PDM schedule (batch validation, :class:`IOStats`) is
-    inherited unchanged from :class:`DiskArray`; only the *service* of each
-    single-track access goes through the injector.
+    The logical PDM schedule (batch validation, :class:`IOStats`) and the
+    arena storage are inherited unchanged from :class:`DiskArray`; only the
+    *service* of each single-track access goes through the injector.  Faults
+    resolve, retry and tear every access individually, so the run API is
+    serviced by the per-op loop: the same placements, in the same order,
+    through :meth:`write_blocks` / :meth:`read_blocks`.
     """
 
     def __init__(
-        self, D: int, B: int, injector: FaultInjector, tracer=None, real: int = 0
+        self,
+        D: int,
+        B: int,
+        injector: FaultInjector,
+        tracer=None,
+        real: int = 0,
+        runtime=None,
     ) -> None:
-        super().__init__(D, B)
+        super().__init__(D, B, tracer=tracer, real=real, runtime=runtime)
         self.injector = injector
-        self.tracer = tracer
-        self.real = real
 
-    def _use_fastpath_storage(self) -> bool:
-        # fault injection resolves, retries and tears every track access
-        # individually, and remaps shadow tracks far outside any dense
-        # arena range — it always runs the per-op reference path
+    def write_stream(self, segments: Sequence[Segment]) -> int:
+        placements: list[tuple[int, int, bytes]] = []
+        for disks, tracks, run in segments:
+            placements.extend(zip(disks.tolist(), tracks.tolist(), run.to_blocks()))
+        return self.write_blocks(placements)
+
+    def _gather(self, disks: np.ndarray, tracks: np.ndarray, rows: np.ndarray) -> bool:
         return False
 
     # -- core operation ------------------------------------------------------
@@ -286,10 +296,10 @@ class FaultyDiskArray(DiskArray):
                 # retry (if granted) overwrites it with the full block
                 assert op.data is not None
                 self.disks[pdisk].write(ptrack, op.data[: max(1, len(op.data) // 2)])
-            if self.tracer is not None and self.tracer.enabled:
-                self.tracer.emit(
+            if self._tracer is not None and self._tracer.enabled:
+                self._tracer.emit(
                     "io_fault",
-                    real=self.real,
+                    real=self._real,
                     disk=op.disk,
                     track=op.track,
                     op=op_idx,
@@ -299,7 +309,7 @@ class FaultyDiskArray(DiskArray):
             if attempt >= inj.retry.max_retries:
                 raise DiskFault(
                     f"{kind} on disk {op.disk} track {op.track} of real "
-                    f"processor {self.real} persists after "
+                    f"processor {self._real} persists after "
                     f"{inj.retry.max_retries} retries (parallel I/O #{op_idx})"
                 )
             attempt += 1
@@ -315,34 +325,35 @@ class FaultyDiskArray(DiskArray):
         alive = inj.survivors(self.D)
         if not alive:
             raise DiskFault(
-                f"disk {dead} of real processor {self.real} died and no "
+                f"disk {dead} of real processor {self._real} died and no "
                 f"survivors remain (D={self.D})"
             )
-        disk = self.disks[dead]
+        tracks = self.disks[dead].snapshot_tracks()
         # every physical block on the dead device must move: its native
         # tracks plus any shadow blocks it hosted for earlier casualties
         victims: list[tuple[tuple[int, int], int]] = []
         for key, (pd, pt) in list(inj.remap.items()):
             if pd == dead:
                 victims.append((key, pt))
-        for t in disk._tracks:
+        for t in tracks:
             if t < SHADOW_BASE:
                 victims.append(((dead, t), t))
         victims.sort(key=lambda item: item[1])
+        # moved through the arena, not Disk.write: evacuation is modeled in
+        # FaultStats.migration_ios, never in the per-disk block counters
         for i, (key, ptrack) in enumerate(victims):
-            data = disk._tracks.pop(ptrack)
             new_disk = alive[i % len(alive)]
             new_track = inj.shadow_track(key[0], key[1], self.D)
-            self.disks[new_disk]._tracks[new_track] = data
+            self._arena.put(new_disk, new_track, tracks[ptrack])
             inj.remap[key] = (new_disk, new_track)
-        disk._tracks.clear()
+        self.disks[dead].restore_tracks({})
         inj.stats.dead_disks += 1
         inj.stats.migrated_blocks += len(victims)
         inj.stats.migration_ios += -(-len(victims) // len(alive)) if victims else 0
-        if self.tracer is not None and self.tracer.enabled:
-            self.tracer.emit(
+        if self._tracer is not None and self._tracer.enabled:
+            self._tracer.emit(
                 "disk_dead",
-                real=self.real,
+                real=self._real,
                 disk=dead,
                 op=op_idx,
                 migrated_blocks=len(victims),
@@ -358,7 +369,7 @@ class FaultyDiskArray(DiskArray):
 
 def collect_fault_stats(arrays) -> FaultStats | None:
     """Merged fault statistics of the fault-injected arrays, or ``None``
-    when no array carries an injector (the clean-run fast path)."""
+    when no array carries an injector (a clean run)."""
     merged: FaultStats | None = None
     for arr in arrays:
         inj = getattr(arr, "injector", None)

@@ -37,9 +37,10 @@ worker process of the multi-core backend are replayed on the coordinator's
 recorder with an extra ``worker`` tag (see :func:`replay_events`).
 
 ``prefetch`` and ``arena_grow`` are *physical* events: they describe how
-the fast path serviced the logical I/O (speculative reads, storage
-growth), so their presence depends on ``REPRO_FASTPATH``/``REPRO_ARENA``
-/``REPRO_PREFETCH`` — like ``io_fault``, they are excluded from
+the disk layer serviced the logical I/O (speculative reads, storage
+growth), so their presence depends on ``REPRO_ARENA``/``REPRO_PREFETCH``
+and on whether a fault plan is active — like ``io_fault``, they are
+excluded from
 cross-backend trace-identity comparisons.  ``span_*`` and ``model_drift``
 are produced by the live telemetry bus (:mod:`repro.obs.bus`), which
 additionally threads hierarchical ``span``/``parent`` ids through every

@@ -9,9 +9,11 @@ to ``D*B`` items at cost ``G``.
 The substrate is a faithful simulator, not a performance shim: the disks
 store real bytes, reads genuinely reconstruct what was written, and the
 :class:`IOStats` counters are the PDM cost measure the paper's theorems are
-stated in.  Two interchangeable executions exist — a per-op reference path
-and a vectorized arena-backed fast path (:mod:`repro.pdm.fastpath`) — with
-bit-identical counters, traces and stored bytes.
+stated in.  There is one I/O path: tracks live in a per-array arena
+(:mod:`repro.pdm.arena`), the engines move whole runs through it with
+vectorized scatter/gathers, and the per-op ``parallel_io`` loop over the
+same arena is the PDM specification — the fault injector's service loop,
+and the oracle the vectorized forms are held bit-identical to.
 """
 
 from repro.pdm.block import blocks_for_bytes, pack_blocks, unpack_blocks

@@ -1,26 +1,24 @@
-"""Preallocated per-disk track storage for the fast path.
+"""Preallocated per-disk track storage: the one block store.
 
-The reference :class:`~repro.pdm.disk.Disk` stores tracks in a
-``dict[int, bytes]`` — flexible, but every write allocates a ``bytes`` and
-every read hands back a Python object.  The arena replaces the dict with
-one 2-D ``uint8`` array per disk (rows = tracks, row stride = the block
-size in bytes) plus an occupancy mask and a per-track byte length, so a
-whole parallel-I/O stream scatters or gathers with a handful of NumPy
-fancy-indexing operations.
+A disk's tracks are, logically, a ``dict[int, bytes]``.  The arena keeps
+them as one 2-D ``uint8`` array per disk (rows = tracks, row stride = the
+block size in bytes) plus an occupancy mask and a per-track byte length,
+so a whole parallel-I/O stream scatters or gathers with a handful of
+NumPy fancy-indexing operations, while :class:`~repro.pdm.disk.Disk`
+serves single tracks out of the same rows.
 
-Invariants that keep the arena interchangeable with the dict:
+Invariants that keep the arena indistinguishable from that dict:
 
 * a track is either *occupied* (mask set, ``nbytes`` valid) or free —
-  reading a free track is the same ``SimulationError`` as the dict path;
-* rows are zero-padded past ``nbytes``, mirroring ``pack_blocks``;
-* writes that do not fit the row stride (odd-sized standalone-``Disk``
-  writes) or land on far-away tracks (the fault injector's shadow region
-  at ``1 << 40``) fall back to a per-disk side dict, so the arena never
-  needs to allocate rows for a sparse track space.
+  reading a free track is a ``SimulationError``;
+* rows are zero-padded past ``nbytes``, mirroring ``pack_blocks``; short
+  rows (a torn write's corrupt prefix) read back exactly ``nbytes`` long;
+* writes longer than the row stride or landing on far-away tracks (the
+  fault injector's shadow region at ``1 << 40``) go to a per-disk side
+  dict, so the arena never allocates rows for a sparse track space.
 
-``snapshot``/``restore`` produce and accept the reference representation
-(``dict[int, bytes]``), which keeps engine checkpoints portable between
-``REPRO_FASTPATH`` settings.
+``snapshot``/``restore`` produce and accept plain ``dict[int, bytes]``,
+which keeps engine checkpoints portable between storage backends.
 
 Storage backends: this class keeps the track matrices as preallocated
 in-memory arrays (``REPRO_ARENA=ram``, the default);
@@ -130,13 +128,13 @@ class TrackArena:
         self._side[disk].pop(track, None)
         self._free_row(disk, track)
 
-    # -- bulk operations (DiskArray fast path) -----------------------------
+    # -- bulk operations (DiskArray run API) -------------------------------
 
     def scatter(self, disks: np.ndarray, tracks: np.ndarray, rows: np.ndarray) -> None:
         """Store ``rows[i]`` (full block stride each) at ``(disks[i], tracks[i])``.
 
         Duplicate addresses within one call resolve last-wins, matching the
-        sequential reference loop.  Rows must already carry their padding;
+        sequential per-op loop.  Rows must already carry their padding;
         every stored track is marked full-stride.  Tracks at or beyond
         ``MAX_DIRECT_TRACK`` divert to the side dict exactly as
         :meth:`put` does — growing the dense matrix to reach them would
@@ -168,17 +166,18 @@ class TrackArena:
 
         Returns ``False`` (without touching *out*) when any requested track
         lives in a side dict or is shorter than the full stride — callers
-        fall back to the per-track reference loop, which handles those and
-        raises the canonical unwritten-track error.  Returns ``True`` on a
-        completed dense gather.
+        fall back to the per-track loop, which handles those and raises
+        the canonical unwritten-track error.  Returns ``True`` on a
+        completed dense gather.  A side-dict track never has its dense row
+        marked used (``put``/``scatter`` keep the two stores disjoint), so
+        the occupancy check below is what refuses it — other tracks of a
+        disk that holds side entries still gather.
         """
         bb = self.block_bytes
         for d in range(self.D):
             idx = np.flatnonzero(disks == d)
             if idx.size == 0:
                 continue
-            if self._side[d]:
-                return False
             tt = tracks[idx]
             used = self._used[d]
             if int(tt.max()) >= used.shape[0] or not used[tt].all():

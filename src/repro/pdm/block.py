@@ -29,9 +29,9 @@ def pack_blocks(data: bytes, B: int) -> list[bytes]:
 def blocks_for_bytes(nbytes: int, B: int) -> int:
     """Number of ``B``-item blocks :func:`pack_blocks` would produce.
 
-    The fast path sizes runs from this without materializing the block
+    The engines size runs from this without materializing the block
     list, so byte lengths — and therefore every I/O counter derived from
-    them — match the reference path exactly.
+    them — match the packed form exactly.
     """
     if B <= 0:
         raise ValueError(f"block size must be positive, got B={B}")

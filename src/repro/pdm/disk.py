@@ -9,28 +9,24 @@ from repro.util.validation import SimulationError
 class Disk:
     """One disk drive: tracks addressed by number, one block per track.
 
-    Storage has two modes with identical semantics:
-
-    * **dict mode** (default) — tracks materialized lazily in a
-      ``dict[int, bytes]``, so a simulation can use a sparse track space
-      without preallocating.  This is the reference path and what a
-      standalone ``Disk()`` always uses.
-    * **arena mode** — when constructed by a fast-path
-      :class:`~repro.pdm.disk_array.DiskArray`, reads and writes delegate
-      to the shared :class:`~repro.pdm.arena.TrackArena` so bulk
-      operations can bypass per-track Python entirely.
+    A disk is the per-track view of one disk's rows in a
+    :class:`~repro.pdm.arena.TrackArena`: the owning
+    :class:`~repro.pdm.disk_array.DiskArray` shares one arena among its
+    ``D`` disks, so bulk operations can bypass per-track Python entirely
+    while single-track reads and writes here address the same bytes.  The
+    arena's side dict keeps the track space sparse (far-away tracks and
+    over-long blocks never allocate dense rows).
 
     Per-disk read/write counters feed the load-balance assertions in the
     tests: the paper's layouts are only correct if every disk services the
     same number of blocks (±1).
     """
 
-    __slots__ = ("disk_id", "_tracks", "_arena", "blocks_read", "blocks_written")
+    __slots__ = ("disk_id", "_arena", "blocks_read", "blocks_written")
 
-    def __init__(self, disk_id: int, arena: TrackArena | None = None) -> None:
+    def __init__(self, disk_id: int, arena: TrackArena) -> None:
         self.disk_id = disk_id
         self._arena = arena
-        self._tracks: dict[int, bytes] = {}
         self.blocks_read = 0
         self.blocks_written = 0
 
@@ -38,59 +34,35 @@ class Disk:
         """Store one block at *track* (overwrites)."""
         if track < 0:
             raise SimulationError(f"negative track {track} on disk {self.disk_id}")
-        if self._arena is not None:
-            self._arena.put(self.disk_id, track, data)
-        else:
-            self._tracks[track] = data
+        self._arena.put(self.disk_id, track, data)
         self.blocks_written += 1
 
     def read(self, track: int) -> bytes:
         """Fetch the block at *track*; reading an unwritten track is a bug."""
-        if self._arena is not None:
-            hit = self._arena.get(self.disk_id, track)
-            if hit is None:
-                raise SimulationError(
-                    f"read of unwritten track {track} on disk {self.disk_id}"
-                )
-            self.blocks_read += 1
-            return hit
-        try:
-            block = self._tracks[track]
-        except KeyError:
+        hit = self._arena.get(self.disk_id, track)
+        if hit is None:
             raise SimulationError(
                 f"read of unwritten track {track} on disk {self.disk_id}"
-            ) from None
+            )
         self.blocks_read += 1
-        return block
+        return hit
 
     def free(self, track: int) -> None:
         """Discard the block at *track* (space reuse between supersteps)."""
-        if self._arena is not None:
-            self._arena.free(self.disk_id, track)
-        else:
-            self._tracks.pop(track, None)
+        self._arena.free(self.disk_id, track)
 
     @property
     def tracks_in_use(self) -> int:
-        if self._arena is not None:
-            return self._arena.tracks_in_use(self.disk_id)
-        return len(self._tracks)
+        return self._arena.tracks_in_use(self.disk_id)
 
     def max_track(self) -> int:
         """Highest track currently holding data, -1 if empty."""
-        if self._arena is not None:
-            return self._arena.max_track(self.disk_id)
-        return max(self._tracks, default=-1)
+        return self._arena.max_track(self.disk_id)
 
     def snapshot_tracks(self) -> dict[int, bytes]:
-        """Checkpoint view of the track store, identical in both modes."""
-        if self._arena is not None:
-            return self._arena.snapshot(self.disk_id)
-        return dict(self._tracks)
+        """Checkpoint view of the track store: ``{track: bytes}``."""
+        return self._arena.snapshot(self.disk_id)
 
     def restore_tracks(self, tracks: dict[int, bytes]) -> None:
         """Replace the track store from a :meth:`snapshot_tracks` dict."""
-        if self._arena is not None:
-            self._arena.restore(self.disk_id, tracks)
-        else:
-            self._tracks = dict(tracks)
+        self._arena.restore(self.disk_id, tracks)

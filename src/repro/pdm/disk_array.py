@@ -8,17 +8,21 @@ responsible for scheduling conflict-free batches; the array will refuse a
 batch that violates the rule, so a mis-scheduled layout fails loudly in the
 tests instead of silently undercounting I/O.
 
-Two execution paths service bulk streams:
+Bulk streams have one storage (the shared
+:class:`~repro.pdm.arena.TrackArena`) and two spellings:
 
-* :meth:`write_blocks` / :meth:`read_blocks` — the reference path: greedy
-  FIFO batching into per-op :class:`IOOp` lists, one Python iteration per
-  block.  This is the executable specification.
-* :meth:`write_run` / :meth:`write_stream` / :meth:`read_run` — the fast
-  path: the same greedy batch boundaries computed vectorially
+* :meth:`write_run` / :meth:`write_stream` / :meth:`read_run` — the run
+  API the engines use: greedy batch boundaries computed vectorially
   (:func:`greedy_batch_widths`), data moved as single NumPy scatter/gather
-  operations over the shared :class:`~repro.pdm.arena.TrackArena`, and the
-  aggregate recorded with :meth:`IOStats.record_batch`.  Counters, batch
-  widths and stored bytes are bit-identical to the reference path.
+  operations over the arena, the aggregate recorded with
+  :meth:`IOStats.record_batch`.
+* :meth:`write_blocks` / :meth:`read_blocks` — the PDM specification:
+  greedy FIFO batching into per-op :class:`IOOp` lists, one
+  :meth:`parallel_io` per batch, one Python iteration per block.  The
+  fault injector services every access through this loop, overflow runs
+  and the EM baselines call it directly, and the hypothesis suites hold
+  the run API to it: counters, batch widths and stored bytes are
+  bit-identical.
 """
 
 from __future__ import annotations
@@ -29,8 +33,6 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from repro.pdm import fastpath
-from repro.pdm.arena import TrackArena
 from repro.pdm.disk import Disk
 from repro.pdm.fastpath import BlockRun
 from repro.pdm.mmap_arena import make_arena
@@ -42,7 +44,7 @@ if TYPE_CHECKING:  # pragma: no cover - layering: pdm stays engine-free
     from repro.obs.trace import TraceRecorder
     from repro.tune.runtime import RuntimeConfig
 
-#: One fast-path write/read segment: parallel arrays of disk and track
+#: One run-API write/read segment: parallel arrays of disk and track
 #: indices plus the run of blocks addressed by them.
 Segment = tuple[np.ndarray, np.ndarray, BlockRun]
 
@@ -130,13 +132,8 @@ class DiskArray:
         self.block_bytes = B * ITEM_BYTES
         self._tracer = tracer
         self._real = int(real)
-        self._runtime = runtime
-        self._arena: TrackArena | None = (
-            make_arena(D, self.block_bytes, runtime=runtime)
-            if self._use_fastpath_storage()
-            else None
-        )
-        if self._arena is not None and tracer is not None and tracer.enabled:
+        self._arena = make_arena(D, self.block_bytes, runtime=runtime)
+        if tracer is not None and tracer.enabled:
             # storage telemetry: growth happens on the engine thread only
             # (scatters/writes; speculative gathers never grow), so the
             # callback emits without synchronization
@@ -147,7 +144,7 @@ class DiskArray:
     def _record_arena_grow(self, disk: int, cap: int) -> None:
         """Arena growth callback -> one ``arena_grow`` trace event."""
         arena, tracer = self._arena, self._tracer
-        if arena is None or tracer is None:
+        if tracer is None:
             return
         tracer.emit(
             "arena_grow",
@@ -159,18 +156,6 @@ class DiskArray:
             spill_nbytes=arena.spill_nbytes(),
             backend="mmap" if getattr(arena, "spill_dir", None) else "ram",
         )
-
-    def _use_fastpath_storage(self) -> bool:
-        """Whether to back the disks with a shared arena.
-
-        ``FaultyDiskArray`` overrides this to ``False``: fault injection
-        resolves and retries every op individually, so it always runs the
-        reference path (and its shadow-track remaps live far outside any
-        arena's dense range).
-        """
-        if self._runtime is not None:
-            return self._runtime.fastpath_storage
-        return fastpath.enabled()
 
     # -- core operation ----------------------------------------------------
 
@@ -276,14 +261,6 @@ class DiskArray:
         segments = [s for s in segments if s[2].nblocks]
         if not segments:
             return 0
-        if self._arena is None:
-            placements: list[tuple[int, int, bytes]] = []
-            for disks, tracks, run in segments:
-                placements.extend(
-                    zip(disks.tolist(), tracks.tolist(), run.to_blocks())
-                )
-            return self.write_blocks(placements)
-
         if len(segments) == 1:
             all_disks = np.asarray(segments[0][0], dtype=np.int64)
             all_tracks = np.asarray(segments[0][1], dtype=np.int64)
@@ -316,7 +293,7 @@ class DiskArray:
         Returns a ``uint8`` array of ``n * block_bytes`` bytes (a view of
         *out* when given, so callers can pool the allocation).  Batching
         and counters match :meth:`read_blocks` exactly; sparse or odd-sized
-        tracks fall back to the reference loop transparently.
+        tracks fall back to that per-track loop transparently.
         """
         disks = np.asarray(disks, dtype=np.int64)
         tracks = np.asarray(tracks, dtype=np.int64)
@@ -327,15 +304,13 @@ class DiskArray:
         flat = out[: n * bb]
         if n == 0:
             return flat
-        if self._arena is not None:
-            self._check_addresses(disks, tracks)
-            rows = flat.reshape(n, bb)
-            if self._arena.gather(disks, tracks, rows):
-                nops, widths = greedy_batch_widths(disks, self.D)
-                self._account_bulk(disks, nops, widths, n_read=n, n_written=0)
-                return flat
-        # Reference fallback: per-track loop (dict mode, side-dict tracks,
-        # short rows, and the canonical unwritten-track error).
+        self._check_addresses(disks, tracks)
+        if self._gather(disks, tracks, flat.reshape(n, bb)):
+            nops, widths = greedy_batch_widths(disks, self.D)
+            self._account_bulk(disks, nops, widths, n_read=n, n_written=0)
+            return flat
+        # Per-track loop: side-dict tracks, short rows, the canonical
+        # unwritten-track error, and every access of a fault-injected array.
         blocks = self.read_blocks(list(zip(disks.tolist(), tracks.tolist())))
         pos = 0
         for block in blocks:
@@ -358,19 +333,17 @@ class DiskArray:
         those are mutated by :meth:`finish_read` on the consuming thread,
         which keeps IOStats single-threaded and bit-identical to the
         synchronous path.  Returns ``True`` only when every block was
-        copied out of the dense arena; any fallback condition (reference
-        mode, side-dict tracks, bad addresses, unwritten tracks) returns
-        ``False`` and leaves the work to :meth:`finish_read`.
+        copied out of the dense arena; any fallback condition (side-dict
+        tracks, bad addresses, unwritten tracks) returns ``False`` and
+        leaves the work to :meth:`finish_read`.
         """
-        if self._arena is None:
-            return False
         try:
             self._check_addresses(disks, tracks)
         except SimulationError:
             return False
         n = int(disks.size)
         rows = out[: n * self.block_bytes].reshape(n, self.block_bytes)
-        return self._arena.gather(disks, tracks, rows)
+        return self._gather(disks, tracks, rows)
 
     def finish_read(
         self,
@@ -394,6 +367,13 @@ class DiskArray:
         self._account_bulk(disks, nops, widths, n_read=n, n_written=0)
         return out[: n * self.block_bytes]
 
+    def _gather(
+        self, disks: np.ndarray, tracks: np.ndarray, rows: np.ndarray
+    ) -> bool:
+        """Dense gather of whole runs; ``False`` sends the caller to the
+        per-track loop (which ``FaultyDiskArray`` does unconditionally)."""
+        return self._arena.gather(disks, tracks, rows)
+
     def _check_addresses(self, disks: np.ndarray, tracks: np.ndarray) -> None:
         if disks.size and (
             int(disks.min()) < 0 or int(disks.max()) >= self.D
@@ -409,7 +389,6 @@ class DiskArray:
     def _scatter_run(
         self, disks: np.ndarray, tracks: np.ndarray, run: BlockRun
     ) -> None:
-        assert self._arena is not None
         bb = self.block_bytes
         n = run.nblocks
         buf = run.buf
@@ -463,8 +442,7 @@ class DiskArray:
 
     def close(self) -> None:
         """Release arena storage (deletes mmap spill files, if any)."""
-        if self._arena is not None:
-            self._arena.close()
+        self._arena.close()
 
     @property
     def tracks_in_use(self) -> int:

@@ -1,117 +1,18 @@
-"""Runtime switch and zero-copy containers for the vectorized fast path.
+"""Zero-copy containers for the vectorized run API.
 
-The simulator has two executions of the *same* logical machine:
+Bulk I/O streams are serviced as single NumPy gather/scatter operations
+over a preallocated per-disk track arena (:mod:`repro.pdm.arena`); the
+engines hand data to and from that API in two containers:
 
-* the **reference path** — per-:class:`~repro.pdm.disk_array.IOOp` Python
-  loops over dict-backed tracks, kept as the executable specification and
-  selected with ``REPRO_FASTPATH=0``;
-* the **fast path** — whole parallel-I/O streams serviced as single NumPy
-  gather/scatter operations over a preallocated per-disk track arena
-  (:mod:`repro.pdm.arena`).
-
-Both must produce bit-identical outputs, ``IOStats`` and traces; the
-differential suite in ``tests/core/test_fastpath_differential.py`` pins
-this.  This module holds the pieces shared by both sides of the split:
-
-* :func:`enabled` / :func:`set_enabled` — the ``REPRO_FASTPATH`` switch
-  (default on).  ``set_enabled`` writes the environment variable too, so
-  worker processes spawned after the call agree with the parent.
-* :func:`arena_kind` / :func:`set_arena_kind` — the ``REPRO_ARENA``
-  storage selector for the fast path's track arena: ``ram`` (default,
-  preallocated NumPy) or ``mmap`` (file-backed
-  :class:`~repro.pdm.mmap_arena.MmapTrackArena` for out-of-core runs).
-* :func:`prefetch_enabled` — the ``REPRO_PREFETCH`` switch (default on)
-  for the double-buffered context prefetch pipeline
-  (:mod:`repro.pdm.pipeline`).
 * :class:`BlockRun` — a run of fixed-size blocks backed by one buffer,
-  the zero-copy replacement for a ``list[bytes]`` of packed blocks.
-* :class:`BufferPool` — bounded reuse of gather/scatter staging buffers,
-  killing the per-track allocations of the reference path.
-* :func:`shm_threshold` — payload size above which the workers backend
-  ships bundles via ``multiprocessing.shared_memory`` instead of pickle.
+  the wire and write format of every context and message bundle.
+* :class:`BufferPool` — bounded reuse of gather staging buffers, so a
+  long run does not allocate per parallel I/O.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.tune import knobs as _knobs
-from repro.tune.knobs import ARENA_KINDS, DEFAULT_SHM_THRESHOLD  # noqa: F401
-from repro.tune.runtime import current as _current
-
-
-def enabled() -> bool:
-    """True when the vectorized fast path is selected (``REPRO_FASTPATH``).
-
-    The knob accepts ``on``/``off`` spellings plus ``auto[:blocks]``
-    (per-superstep dispatch); both ``on`` and ``auto`` report True here —
-    arena-backed storage is shared by both.  Parsed by
-    :mod:`repro.tune.knobs`; malformed values raise a named
-    :class:`~repro.tune.knobs.KnobError`.  Read dynamically so tests can
-    flip the environment per-run; engines snapshot a
-    :class:`~repro.tune.runtime.RuntimeConfig` once per run instead.
-    """
-    return _current().fastpath_mode != "off"
-
-
-def set_enabled(flag: bool) -> None:
-    """Select the fast (True) or reference (False) path process-wide.
-
-    Writes ``REPRO_FASTPATH`` (via the centralized knob layer) so child
-    processes started afterwards (the workers backend) inherit the same
-    selection.
-    """
-    _knobs.set_env("REPRO_FASTPATH", "1" if flag else "0")
-
-
-def arena_kind() -> str:
-    """The arena storage backend selected by ``REPRO_ARENA``.
-
-    ``ram`` (the default) keeps each disk's track matrix as a
-    preallocated in-memory NumPy array; ``mmap`` backs it with per-disk
-    ``numpy.memmap`` files under a run-scoped spill directory, so the
-    simulated problem size is bounded by disk, not host memory.  An
-    unknown value fails loudly (named :class:`~repro.tune.knobs.KnobError`)
-    rather than silently running in the wrong mode.
-    """
-    return _current().arena
-
-
-def set_arena_kind(kind: str) -> None:
-    """Select the arena storage backend process-wide.
-
-    Writes ``REPRO_ARENA`` (via the centralized knob layer) so child
-    processes started afterwards (the workers backend) build the same
-    storage.
-    """
-    if kind not in ARENA_KINDS:
-        from repro.util.validation import ConfigurationError
-
-        raise ConfigurationError(
-            f"unknown arena kind {kind!r}; choose from {ARENA_KINDS}"
-        )
-    _knobs.set_env("REPRO_ARENA", kind)
-
-
-def prefetch_enabled() -> bool:
-    """True when the double-buffered context prefetcher is selected.
-
-    ``REPRO_PREFETCH`` — unset or truthy means *on*; the pipeline only
-    engages on the fast path (the reference path stays a strictly
-    sequential executable specification).
-    """
-    rt = _current()
-    return rt.fastpath_mode != "off" and rt.prefetch
-
-
-def shm_threshold() -> int | None:
-    """Payload bytes above which worker packets use shared memory.
-
-    ``None`` disables the shared-memory transport entirely: when the fast
-    path is off (payloads are ``list[bytes]``, the reference wire format)
-    or ``REPRO_SHM_BYTES`` is non-positive.
-    """
-    return _current().shm_threshold
 
 
 class BlockRun:
@@ -146,14 +47,14 @@ class BlockRun:
         return int(buf.nbytes) if isinstance(buf, np.ndarray) else len(buf)
 
     def to_blocks(self) -> list[bytes]:
-        """Materialize the reference representation (copies; fallback only)."""
+        """Materialize one ``bytes`` per block (copies; per-op service only)."""
         bb = self.block_bytes
         data = bytes(self.buf).ljust(self.nblocks * bb, b"\x00")
         return [data[i * bb : (i + 1) * bb] for i in range(self.nblocks)]
 
     def __reduce__(self) -> tuple:
-        # Pickling (Queue fallback in the workers backend) materializes the
-        # buffer; shared-memory transport avoids this entirely.
+        # Pickling (queue and tcp transports) materializes the buffer;
+        # the shared-memory transport avoids this entirely.
         return (BlockRun, (bytes(self.buf), self.nblocks, self.block_bytes))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -106,12 +106,12 @@ class IOStats:
     ) -> None:
         """Record the aggregate of *nops* parallel I/Os in one call.
 
-        The fast path computes batch boundaries vectorially and folds the
+        The run API computes batch boundaries vectorially and folds the
         whole stream into the counters at once; the per-field arithmetic is
-        exactly the sum of the per-op :meth:`record` calls the reference
-        path would have made.  ``per_disk[d]`` is the number of blocks
-        serviced by disk *d* and ``width_counts[w]`` the number of batches
-        touching exactly *w* disks.
+        exactly the sum of the per-op :meth:`record` calls the
+        ``parallel_io`` loop would have made.  ``per_disk[d]`` is the number
+        of blocks serviced by disk *d* and ``width_counts[w]`` the number
+        of batches touching exactly *w* disks.
         """
         if self.D is None:
             self.D = D

@@ -28,9 +28,9 @@ Spill-directory lifecycle:
   cannot leak spill files past interpreter exit.
 
 Snapshots need no special handling: ``snapshot``/``restore`` are inherited
-and produce/accept the reference ``dict[int, bytes]`` representation, so a
-checkpoint written under ``REPRO_ARENA=mmap`` restores under ``ram`` (or
-the dict-backed reference path) bit-identically, and vice versa.
+and produce/accept the plain ``dict[int, bytes]`` representation, so a
+checkpoint written under ``REPRO_ARENA=mmap`` restores under ``ram``
+bit-identically, and vice versa.
 """
 
 from __future__ import annotations

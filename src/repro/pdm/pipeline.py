@@ -1,4 +1,4 @@
-"""Double-buffered block prefetch for the fast path.
+"""Double-buffered block prefetch over the track arena.
 
 The EM engines spend each compound superstep alternating between disk
 reads (context, inbox) and compute (the program's round callback).  The
@@ -16,7 +16,7 @@ split that guarantees it:
 * the **worker thread** only performs *speculative, unaccounted* copies
   (:meth:`~repro.pdm.disk_array.DiskArray.try_gather`) — it never touches
   a counter, never raises, and degrades to a miss on anything unusual
-  (side-dict tracks, reference mode, bad addresses);
+  (side-dict tracks, a fault-injected array, bad addresses);
 * the **consuming thread** performs all accounting at :meth:`get` time via
   :meth:`~repro.pdm.disk_array.DiskArray.finish_read` — on a miss that is
   simply the synchronous ``read_run``, canonical errors included.  Since

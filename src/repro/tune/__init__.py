@@ -5,7 +5,7 @@ once in :mod:`repro.tune.knobs` (:class:`~repro.tune.knobs.KnobSpec`),
 parsed by one hardened validator, and resolved into a per-run
 :class:`~repro.tune.runtime.RuntimeConfig` snapshot with the precedence
 ``CLI flag > environment > tuned profile > default``.  Consumers
-(:mod:`repro.pdm.fastpath`, :mod:`repro.pdm.mmap_arena`,
+(:mod:`repro.pdm.mmap_arena`, :mod:`repro.core.workers`,
 :mod:`repro.em.runner`, :mod:`repro.obs.bus`) delegate here — a lint
 gate keeps raw ``os.environ`` knob reads out of the rest of the tree.
 
@@ -18,7 +18,6 @@ schema-versioned :mod:`repro.tune.profile` JSON document that
 
 from repro.tune.knobs import (
     KNOBS,
-    DEFAULT_AUTO_BLOCKS,
     DEFAULT_SHM_THRESHOLD,
     KnobError,
     KnobSpec,
@@ -28,7 +27,6 @@ from repro.tune.runtime import RuntimeConfig, current
 
 __all__ = [
     "KNOBS",
-    "DEFAULT_AUTO_BLOCKS",
     "DEFAULT_SHM_THRESHOLD",
     "KnobError",
     "KnobSpec",

@@ -40,12 +40,6 @@ _FALSE = frozenset({"0", "false", "no", "off"})
 #: is cheaper than creating and mapping a segment.
 DEFAULT_SHM_THRESHOLD = 1 << 16
 
-#: Default per-superstep block threshold for ``REPRO_FASTPATH=auto``: the
-#: vectorized path engages when a round schedules at least this many
-#: context blocks, otherwise the per-block reference loop runs (its setup
-#: overhead is lower at tiny sizes — the granularity-control tradeoff).
-DEFAULT_AUTO_BLOCKS = 32
-
 #: storage backends the track arena can use (see repro.pdm.mmap_arena).
 ARENA_KINDS = ("ram", "mmap")
 
@@ -74,27 +68,6 @@ def _parse_workers(raw: str) -> int:
     if val < 0:
         raise ValueError("must be >= 0 (0 = single-process simulation)")
     return val
-
-
-def _parse_fastpath(raw: str) -> str:
-    tok = raw.lower()
-    if tok in _TRUE:
-        return "on"
-    if tok in _FALSE:
-        return "off"
-    if tok == "auto":
-        return "auto"
-    if tok.startswith("auto:"):
-        try:
-            blocks = int(tok[5:])
-        except ValueError:
-            raise ValueError(
-                "auto threshold is not an integer (use auto:<blocks>)"
-            ) from None
-        if blocks < 0:
-            raise ValueError("auto threshold must be >= 0")
-        return f"auto:{blocks}"
-    raise ValueError(f"use {_bool_tokens()}, auto, or auto:<blocks>")
 
 
 def _parse_arena(raw: str) -> str:
@@ -190,13 +163,6 @@ KNOBS: tuple[KnobSpec, ...] = (
         invalid_example="two",
     ),
     KnobSpec(
-        "fastpath", "REPRO_FASTPATH", "on|off|auto[:blocks]", "on",
-        _parse_fastpath, "pdm.fastpath",
-        "vectorized fast path: on, off (per-block reference loop), or "
-        "auto — dispatch per superstep by scheduled context blocks",
-        invalid_example="sometimes",
-    ),
-    KnobSpec(
         "arena", "REPRO_ARENA", "ram|mmap", "ram", _parse_arena,
         "pdm.mmap_arena",
         "track-arena storage: preallocated host memory or memory-mapped "
@@ -206,7 +172,7 @@ KNOBS: tuple[KnobSpec, ...] = (
     KnobSpec(
         "prefetch", "REPRO_PREFETCH", "bool", True, _parse_bool,
         "pdm.pipeline",
-        "double-buffered superstep context prefetch (fast path only)",
+        "double-buffered superstep context prefetch (off under a fault plan)",
         invalid_example="maybe",
     ),
     KnobSpec(
@@ -278,7 +244,7 @@ def set_env(env: str, value: "str | None") -> None:
     """Write (or with ``None`` clear) one knob's environment variable.
 
     The single sanctioned ``os.environ`` write path for ``REPRO_*``
-    variables: callers like :func:`repro.pdm.fastpath.set_enabled` route
+    variables: callers like the CLI's ``--arena`` / ``--transport`` route
     through here so child processes (the workers backend) inherit the
     setting and the centralization lint stays clean.
     """

@@ -7,14 +7,15 @@ no timestamps, environment fingerprint stripped of per-invocation noise,
 keys sorted — so the same workload + hardware + seed always serializes
 to byte-identical JSON (a property test pins this).
 
-Layout (``SCHEMA_VERSION`` 1)::
+Layout (``SCHEMA_VERSION`` 2; version 1 profiles carried the retired
+``config.fastpath`` knob and are refused by the version check)::
 
     {
-      "schema_version": 1,
+      "schema_version": 2,
       "kind": "repro-tuned-profile",
       "workload": {"op": "sort", "n": 65536, "p": 4, "seed": 7},
       "machine": {"v": 8, "B": 256, "D": 2},
-      "config": {"workers": 0, "fastpath": "on", ...},
+      "config": {"workers": 0, "arena": "ram", ...},
       "rationale": ["analytic: pruned 21/27 candidates ...", ...],
       "search": {"candidates": 27, "pruned": 21, "probes": 6, ...},
       "env": {"python": "...", "platform": "...", ...},
@@ -34,7 +35,7 @@ from repro.obs.bench_store import env_fingerprint
 from repro.tune.knobs import KNOB_BY_NAME
 from repro.util.validation import ConfigurationError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 KIND = "repro-tuned-profile"
 
 _REQUIRED_DOC_KEYS = (

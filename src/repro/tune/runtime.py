@@ -3,8 +3,8 @@
 A :class:`RuntimeConfig` is frozen: engines resolve one at the top of
 ``run()`` and consult only the snapshot for the rest of the run, so
 flipping an environment variable mid-process affects the *next* run but
-never half-applies to one in flight (historically ``REPRO_FASTPATH``
-followed a flip while the arena choice, cached at import time, did not).
+never half-applies to one in flight (historically one knob followed a
+flip while the arena choice, cached at import time, did not).
 
 Precedence, lowest to highest: registry default < tuned-profile entry <
 environment variable < explicit override (CLI flag / API argument).
@@ -19,7 +19,6 @@ from typing import Any, Mapping
 
 from repro.tune import knobs
 from repro.tune.knobs import (
-    DEFAULT_AUTO_BLOCKS,
     DEFAULT_SHM_THRESHOLD,
     KNOB_BY_NAME,
     KNOBS,
@@ -37,7 +36,6 @@ class RuntimeConfig:
     """
 
     workers: int = 0
-    fastpath: str = "on"
     arena: str = "ram"
     prefetch: bool = True
     transport: str = "shm"
@@ -48,35 +46,6 @@ class RuntimeConfig:
     trace: "str | None" = None
     faults: "str | None" = None
     profile: "str | None" = None
-
-    @property
-    def fastpath_mode(self) -> str:
-        """``on``, ``off``, or ``auto`` (threshold stripped)."""
-        return "auto" if self.fastpath.startswith("auto") else self.fastpath
-
-    @property
-    def fastpath_auto_blocks(self) -> int:
-        """Block threshold for auto dispatch (``auto:N`` suffix or default)."""
-        if self.fastpath.startswith("auto:"):
-            return int(self.fastpath[5:])
-        return DEFAULT_AUTO_BLOCKS
-
-    @property
-    def fastpath_storage(self) -> bool:
-        """Whether disk arrays use arena-backed storage.
-
-        Storage is mode-independent of per-superstep dispatch: ``auto``
-        keeps the arena so supersteps can flip between paths over the
-        same bytes.
-        """
-        return self.fastpath_mode != "off"
-
-    @property
-    def shm_threshold(self) -> "int | None":
-        """Effective shared-memory threshold (None = shm transport off)."""
-        if self.fastpath_mode == "off":
-            return None
-        return self.shm_bytes
 
     def replace(self, **changes: Any) -> "RuntimeConfig":
         return dataclasses.replace(self, **changes)
@@ -135,9 +104,8 @@ class RuntimeConfig:
 def current() -> RuntimeConfig:
     """The knob snapshot the current environment resolves to.
 
-    Deliberately uncached — engines capture the result once per run;
-    module-level callers (legacy ``fastpath.enabled()`` style accessors)
-    always see fresh environment state.
+    Deliberately uncached — engines capture the result once per run, so
+    callers without a snapshot always see fresh environment state.
     """
     return RuntimeConfig.from_env()
 

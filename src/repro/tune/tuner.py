@@ -10,11 +10,7 @@ factors (NumPy batch width, process spawn cost, shm transport) are
 exactly what the asymptotic model cannot see.
 
 The all-defaults configuration is always probed, so the winner's
-measured probe time is ≤ the defaults' by construction.  A final
-calibration probes the winner with the fast path disabled; when the
-per-block reference loop is faster at probe scale the profile records
-``fastpath=auto:<blocks>`` so small supersteps dispatch to the reference
-path and large ones to the vectorized one.
+measured probe time is ≤ the defaults' by construction.
 
 Probes pin their configuration via per-run :class:`RuntimeConfig`
 snapshots (``make_engine(..., runtime=...)``) — nothing is written to
@@ -23,7 +19,6 @@ snapshots (``make_engine(..., runtime=...)``) — nothing is written to
 
 from __future__ import annotations
 
-import dataclasses
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -92,18 +87,13 @@ class Candidate:
     B: int
     D: int
     workers: int = 0
-    fastpath: str = "on"
 
     def label(self) -> str:
-        return (
-            f"v={self.v} B={self.B} D={self.D} "
-            f"workers={self.workers} fastpath={self.fastpath}"
-        )
+        return f"v={self.v} B={self.B} D={self.D} workers={self.workers}"
 
     def runtime(self) -> RuntimeConfig:
         return RuntimeConfig(
             workers=self.workers,
-            fastpath=self.fastpath,
             arena="ram",
             prefetch=True,
             shm_bytes=DEFAULT_SHM_THRESHOLD,
@@ -114,7 +104,6 @@ class Candidate:
         rt = self.runtime()
         return {
             "workers": rt.workers,
-            "fastpath": rt.fastpath,
             "arena": rt.arena,
             "prefetch": rt.prefetch,
             "shm_bytes": rt.shm_bytes,
@@ -227,12 +216,6 @@ def analytic_cost(spec: WorkloadSpec, cand: Candidate) -> float:
     )
 
 
-def _auto_threshold(spec: WorkloadSpec, cand: Candidate, probe_n: int) -> int:
-    """Auto-dispatch block threshold just above the probe's round size."""
-    mu_blocks = -(-(-(-probe_n // cand.v)) // cand.B)
-    return 2 * max(1, mu_blocks) * (cand.v // spec.p)
-
-
 MeasureFn = Callable[[WorkloadSpec, Candidate, int, int], float]
 
 
@@ -241,7 +224,6 @@ def tune(
     probe_n: "int | None" = None,
     reps: int = 2,
     top_k: int = 4,
-    calibrate: bool = True,
     measure: "MeasureFn | None" = None,
     tracer: Any = None,
 ) -> TuneResult:
@@ -298,24 +280,6 @@ def tune(
     best_i = min(range(len(probes)), key=lambda i: (probes[i][1], i))
     chosen = probes[best_i][0]
     rationale.append(f"chose {chosen.label()}: fastest measured probe")
-
-    if calibrate and chosen.fastpath == "on":
-        ref = dataclasses.replace(chosen, fastpath="off")
-        ref_cost = measure_fn(spec, ref, n_probe, reps)
-        if ref_cost < probes[best_i][1]:
-            threshold = _auto_threshold(spec, chosen, n_probe)
-            chosen = dataclasses.replace(chosen, fastpath=f"auto:{threshold}")
-            rationale.append(
-                f"calibration: reference path faster at probe scale "
-                f"({ref_cost * 1e3:.3f} ms < {probes[best_i][1] * 1e3:.3f} ms); "
-                f"fastpath=auto:{threshold} dispatches small supersteps to it"
-            )
-        else:
-            rationale.append(
-                f"calibration: fast path holds at probe scale "
-                f"({probes[best_i][1] * 1e3:.3f} ms <= {ref_cost * 1e3:.3f} ms); "
-                f"fastpath=on"
-            )
 
     profile = TunedProfile(
         workload=spec.as_dict(),

@@ -1,13 +1,17 @@
-"""Differential testing: fast path vs reference path, whole programs.
+"""Differential testing: vectorized run service vs per-op service, whole
+programs.
 
-``REPRO_FASTPATH=0`` must be a pure implementation switch — same outputs,
-same logical ``IOStats``, same trace *event streams* (modulo wall-clock
-tags), on every engine, in balanced and direct routing, and under fault
-injection (where the engine drops to the reference path internally but
-must still behave identically whichever way the flag points).
+There is one I/O path; what differs between a clean run and a run under
+a fault plan is only how the disk array *services* it — whole runs as
+NumPy scatter/gathers, or every access through the PDM specification
+loop (``parallel_io`` per batch) with the injector in between.  An
+**empty** :class:`FaultPlan` injects nothing, so that run is the per-op
+reference lane: same outputs, same logical ``IOStats``, same trace
+*event streams* (modulo wall-clock tags), on every engine, in balanced
+and direct routing, in-process and across worker processes.
 
 Hypothesis drives the workload shape (seed, size) with a small example
-budget — each example runs full simulations on both paths.
+budget — each example runs full simulations on both lanes.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ from hypothesis import strategies as st
 
 from repro.cgm.config import MachineConfig
 from repro.em.runner import em_sort, em_transpose
+from repro.faults.plan import FaultPlan
 from repro.obs.bench_store import measured_from_report
 from repro.obs.trace import JsonlRecorder
-from repro.pdm import fastpath
 
 FAULT_PLAN = str(
     Path(__file__).resolve().parents[2] / "benchmarks" / "fault_plans" / "ci_transient.json"
@@ -31,24 +35,27 @@ FAULT_PLAN = str(
 
 #: tags that legitimately differ between two runs (timing, filesystem)
 #: "seq" joined the fuzzy tags when physical kinds (below) appeared: the
-#: fast path's extra physical events shift later sequence numbers, while
+#: clean lane's extra physical events shift later sequence numbers, while
 #: the *relative* order of logical events — what seq pinned — is still
 #: asserted by the normalized list order.
 _FUZZY_TAGS = ("seq", "ts", "wall_s", "path", "backoff_s")
 
 #: *physical* event kinds describe how a backend serviced the logical
-#: I/O (speculative prefetch batches, arena storage growth), so they
-#: exist only on the fast path — like the fuzzy tags, they are excluded
-#: from the identity comparison, which pins the *logical* event stream
-#: (same precedent as io_fault in tests/core/test_workers.py).
+#: I/O (speculative prefetch batches, arena storage growth) — prefetch
+#: is off under a plan — so like the fuzzy tags they are excluded from
+#: the identity comparison, which pins the *logical* event stream (same
+#: precedent as io_fault in tests/core/test_workers.py).
 _PHYSICAL_KINDS = ("prefetch", "arena_grow")
+
+#: the per-op reference lane: every access through the injector's
+#: parallel_io loop, nothing injected
+PER_OP = FaultPlan()
 
 
 @pytest.fixture(autouse=True)
-def _restore_fastpath_env():
-    was = fastpath.enabled()
-    yield
-    fastpath.set_enabled(was)
+def _no_ambient_plan(monkeypatch):
+    # under the CI injection lane the "clean" run would not be clean
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)
 
 
 def _normalize(events):
@@ -60,12 +67,11 @@ def _normalize(events):
 
 
 def _sort_both(cfg: MachineConfig, data: np.ndarray, engine: str, **kw):
-    """Run em_sort on both paths; returns (fast, ref, fast_trace, ref_trace)."""
+    """Run em_sort on both lanes; returns (fast, ref, fast_trace, ref_trace)."""
     out = []
-    for enabled in (True, False):
-        fastpath.set_enabled(enabled)
+    for faults in (None, PER_OP):
         tracer = JsonlRecorder()
-        res = em_sort(data, cfg, engine=engine, tracer=tracer, **kw)
+        res = em_sort(data, cfg, engine=engine, tracer=tracer, faults=faults, **kw)
         out.append((res, tracer.events))
     (fast, t_fast), (ref, t_ref) = out
     return fast, ref, t_fast, t_ref
@@ -97,10 +103,9 @@ def test_transpose_identity_seq():
     mat = np.arange(64 * 64, dtype=np.int64).reshape(64, 64)
     cfg = MachineConfig(N=mat.size, v=4, D=2, B=64)
     out = []
-    for enabled in (True, False):
-        fastpath.set_enabled(enabled)
+    for faults in (None, PER_OP):
         tracer = JsonlRecorder()
-        res = em_transpose(mat, cfg, engine="seq", tracer=tracer)
+        res = em_transpose(mat, cfg, engine="seq", tracer=tracer, faults=faults)
         out.append((res, tracer.events))
     (fast, t_fast), (ref, t_ref) = out
     _assert_identical(fast, ref, t_fast, t_ref)
@@ -114,25 +119,43 @@ class TestProcessEngineIdentity:
         n = 1 << 12
         data = np.random.default_rng(7).integers(0, 2**50, n)
         cfg = MachineConfig(N=n, v=4, p=2, D=2, B=64, workers=2)
-        fast, ref, t_fast, t_ref = _sort_both(cfg, data, "par")
-        _assert_identical(fast, ref, t_fast, t_ref)
+        for balanced in (False, True):
+            _assert_identical(*_sort_both(cfg, data, "par", balanced=balanced))
 
     def test_fast_process_matches_reference_inprocess(self):
-        """Cross-backend too: worker fast path == in-process reference."""
+        """Cross-backend too: worker run service == in-process per-op."""
         n = 1 << 12
         data = np.random.default_rng(8).integers(0, 2**50, n)
         cfg = MachineConfig(N=n, v=4, p=2, D=2, B=64)
-        fastpath.set_enabled(True)
         proc = em_sort(data, cfg.with_(workers=2), engine="par")
-        fastpath.set_enabled(False)
-        inproc = em_sort(data, cfg, engine="par")
+        inproc = em_sort(data, cfg, engine="par", faults=PER_OP)
         assert np.array_equal(proc.values, inproc.values)
         assert measured_from_report(proc.report) == measured_from_report(inproc.report)
 
 
+def _logical(events):
+    return [e for e in _normalize(events) if "fault" not in str(e.get("kind", ""))]
+
+
 class TestFaultsIdentity:
-    """Under a fault plan the engine pins itself to the reference disk
-    machinery; the env flag must then change nothing at all."""
+    """A plan that does inject changes only the physical ledger: logical
+    outputs, counters and events equal the clean run's, and the fault
+    sequence is the same whichever arena backend holds the tracks."""
+
+    def _three(self, cfg, data, engine, monkeypatch):
+        clean_tr = JsonlRecorder()
+        clean = em_sort(data, cfg, engine=engine, tracer=clean_tr)
+        runs = []
+        for arena in ("ram", "mmap"):
+            monkeypatch.setenv("REPRO_ARENA", arena)
+            tracer = JsonlRecorder()
+            res = em_sort(data, cfg, engine=engine, tracer=tracer, faults=FAULT_PLAN)
+            runs.append((res, tracer.events))
+        (ram, t_ram), (mm, t_mm) = runs
+        _assert_identical(ram, mm, t_ram, t_mm)
+        assert ram.report.fault_stats.as_dict() == mm.report.fault_stats.as_dict()
+        _assert_identical(clean, ram, clean_tr.events, _logical(t_ram))
+        return t_ram
 
     @settings(max_examples=4)
     @given(seed=st.integers(min_value=0, max_value=2**31))
@@ -140,15 +163,12 @@ class TestFaultsIdentity:
         n = 1 << 11
         data = np.random.default_rng(seed).integers(0, 2**50, n)
         cfg = MachineConfig(N=n, v=4, D=2, B=64)
-        fast, ref, t_fast, t_ref = _sort_both(cfg, data, "seq", faults=FAULT_PLAN)
-        _assert_identical(fast, ref, t_fast, t_ref)
-        f_fast = [e for e in _normalize(t_fast) if "fault" in str(e.get("kind", ""))]
-        f_ref = [e for e in _normalize(t_ref) if "fault" in str(e.get("kind", ""))]
-        assert f_fast == f_ref
+        with pytest.MonkeyPatch.context() as mp:
+            self._three(cfg, data, "seq", mp)
 
-    def test_par_engine_under_faults(self):
+    def test_par_engine_under_faults(self, monkeypatch):
         n = 1 << 11
         data = np.random.default_rng(3).integers(0, 2**50, n)
         cfg = MachineConfig(N=n, v=4, p=2, D=2, B=64)
-        fast, ref, t_fast, t_ref = _sort_both(cfg, data, "par", faults=FAULT_PLAN)
-        _assert_identical(fast, ref, t_fast, t_ref)
+        t_ram = self._three(cfg, data, "par", monkeypatch)
+        assert any(e["kind"] == "io_fault" for e in t_ram)

@@ -129,7 +129,7 @@ class TestTornWrites:
             arr.parallel_io([IOOp(0, 0, block)])
         # the half-written prefix is on the platter — the crash hazard
         # checkpoint verification exists for
-        assert arr.disks[0]._tracks[0] == block[: len(block) // 2]
+        assert arr.disks[0].snapshot_tracks()[0] == block[: len(block) // 2]
 
 
 class TestDiskDeath:
@@ -149,7 +149,7 @@ class TestDiskDeath:
         arr = make_array(self.PLAN)
         data = fill(arr)
         arr.read_blocks([(i % D, i // D) for i in range(len(data))])
-        assert arr.disks[1]._tracks == {}
+        assert arr.disks[1].snapshot_tracks() == {}
 
     def test_shadow_tracks_live_on_survivors(self):
         arr = make_array(self.PLAN)
@@ -158,7 +158,7 @@ class TestDiskDeath:
         inj = arr.injector
         pdisk, ptrack = inj.remap[(1, 0)]
         assert pdisk != 1 and ptrack >= SHADOW_BASE
-        assert ptrack in arr.disks[pdisk]._tracks
+        assert ptrack in arr.disks[pdisk].snapshot_tracks()
 
     def test_lost_width_accounting(self):
         arr = make_array(self.PLAN)
@@ -183,7 +183,7 @@ class TestDiskDeath:
         got = arr.read_blocks([(i % D, i // D) for i in range(len(data))])
         assert got == data
         assert arr.injector.stats.dead_disks == 2
-        assert arr.disks[1]._tracks == {} and arr.disks[2]._tracks == {}
+        assert arr.disks[1].snapshot_tracks() == {} and arr.disks[2].snapshot_tracks() == {}
 
     def test_all_disks_dead_raises(self):
         plan = FaultPlan(
@@ -199,7 +199,7 @@ class TestDiskDeath:
         arr.read_blocks([(1, 0)])  # forces the remap entry
         pdisk, ptrack = arr.injector.remap[(1, 0)]
         arr.free_blocks([(1, 0)])
-        assert ptrack not in arr.disks[pdisk]._tracks
+        assert ptrack not in arr.disks[pdisk].snapshot_tracks()
 
 
 class TestBatchRulesStillEnforced:
@@ -225,7 +225,7 @@ class TestStateRoundTrip:
         a = make_array(self.PLAN)
         data = fill(a)
         saved = a.injector.state()
-        tracks_before = [dict(d._tracks) for d in a.disks]
+        tracks_before = [d.snapshot_tracks() for d in a.disks]
 
         first = a.read_blocks([(i % D, i // D) for i in range(len(data))])
         stats_first = a.injector.stats.as_dict()
@@ -234,7 +234,7 @@ class TestStateRoundTrip:
         b = make_array(self.PLAN)
         b.injector.restore(saved)
         for disk, tracks in zip(b.disks, tracks_before):
-            disk._tracks.update(tracks)
+            disk.restore_tracks(tracks)
         second = b.read_blocks([(i % D, i // D) for i in range(len(data))])
         assert second == first
         assert b.injector.stats.as_dict() == stats_first

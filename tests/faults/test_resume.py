@@ -5,6 +5,7 @@ after crashes, and mismatched resumes are refused."""
 from __future__ import annotations
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +22,10 @@ from repro.util.validation import ConfigurationError, SimulationError
 V, D, B = 8, 2, 64
 N = 1 << 13
 KILL_ROUND = 2
+
+CI_PLAN = str(
+    Path(__file__).resolve().parents[2] / "benchmarks" / "fault_plans" / "ci_transient.json"
+)
 
 
 def make_data() -> np.ndarray:
@@ -97,6 +102,27 @@ class CrashySort(SampleSort):
                 with open(self.counter_path, "w") as fh:
                     fh.write(str(n - 1))
                 os._exit(13)
+        return super().round(r, ctx, env)
+
+
+class SpillProbeSort(SampleSort):
+    """Sample sort that records, mid-run, the spill files under a base
+    directory (written to *out_path* so worker processes can report)."""
+
+    def __init__(self, spill_base: str, out_path: str) -> None:
+        super().__init__()
+        self.spill_base = spill_base
+        self.out_path = out_path
+
+    def round(self, r, ctx, env):
+        if r == 1 and env.pid == 0:
+            found = sorted(
+                f"{os.path.basename(root)}/{name}:{os.path.getsize(os.path.join(root, name))}"
+                for root, _dirs, names in os.walk(self.spill_base)
+                for name in names
+            )
+            with open(self.out_path, "w") as fh:
+                fh.write("\n".join(found))
         return super().round(r, ctx, env)
 
 
@@ -261,26 +287,69 @@ class TestCrossArenaResume:
         assert stripped(tr.events) == tail
         assert tr.counts().get("resume") == 1
 
+    def test_fault_plan_honours_the_mmap_arena(self, tmp_path, monkeypatch):
+        """Regression: a fault plan used to force host-RAM dict storage and
+        drop tracer/runtime on the floor, so ``arena=mmap`` was silently
+        ignored — no spill files, no quota, no ``arena_grow`` events."""
+        monkeypatch.setenv("REPRO_ARENA", "ram")
+        ram = run_sort(self.CFG, faults=CI_PLAN)
+
+        spill = tmp_path / "spill"
+        probe = str(tmp_path / "probe.txt")
+        monkeypatch.setenv("REPRO_ARENA", "mmap")
+        monkeypatch.setenv("REPRO_SPILL_DIR", str(spill))
+        tr = JsonlRecorder()
+        mm = run_sort(
+            self.CFG, program=SpillProbeSort(str(spill), probe),
+            faults=CI_PLAN, tracer=tr,
+        )
+        # every disk of every real processor had a non-empty spill file
+        # while the run was in flight
+        files = open(probe).read().split()
+        assert len(files) == self.CFG.p * D
+        assert all(int(f.rsplit(":", 1)[1]) > 0 for f in files)
+        grows = [ev for ev in tr.events if ev["kind"] == "arena_grow"]
+        assert grows and {ev["backend"] for ev in grows} == {"mmap"}
+        assert all(ev["spill_nbytes"] > 0 for ev in grows)
+
+        for a, b in zip(ram.outputs, mm.outputs):
+            assert np.array_equal(a, b)
+        assert counters(ram.report) == counters(mm.report)
+        assert ram.report.fault_stats.retries > 0
+        assert ram.report.fault_stats.as_dict() == mm.report.fault_stats.as_dict()
+
+        # the quota binds too
+        monkeypatch.setenv("REPRO_SPILL_QUOTA", "4096")
+        with pytest.raises(SimulationError, match="spill quota exceeded"):
+            run_sort(self.CFG, faults=CI_PLAN)
+
     def test_mmap_checkpoint_restores_on_reference_path(
         self, tmp_path, monkeypatch
     ):
-        """The extreme cross: killed on the mmap arena, resumed with the
-        fast path disabled entirely (dict-backed reference storage)."""
-        clean = run_sort(self.CFG)
-        ck = str(tmp_path / "ck")
-        flag = str(tmp_path / "kill.flag")
-        open(flag, "w").write("1")
-        monkeypatch.setenv("REPRO_ARENA", "mmap")
-        with pytest.raises((KeyboardInterrupt, SimulationError)):
-            run_sort(
-                self.CFG, program=KillableSort(KILL_ROUND, flag), checkpoint=ck
+        """The extreme cross: killed and resumed on different arenas under
+        a fault plan, i.e. with every access serviced per-op by the
+        injector — outputs, counters and FaultStats stay bit-identical."""
+        clean = run_sort(self.CFG, faults=CI_PLAN)
+        for kill_arena, resume_arena in (("mmap", "ram"), ("ram", "mmap")):
+            ck = str(tmp_path / f"ck-{kill_arena}")
+            flag = str(tmp_path / "kill.flag")
+            open(flag, "w").write("1")
+            monkeypatch.setenv("REPRO_ARENA", kill_arena)
+            with pytest.raises((KeyboardInterrupt, SimulationError)):
+                run_sort(
+                    self.CFG, program=KillableSort(KILL_ROUND, flag),
+                    checkpoint=ck, faults=CI_PLAN,
+                )
+            assert not os.path.exists(flag), "the kill never fired"
+            monkeypatch.setenv("REPRO_ARENA", resume_arena)
+            resumed = run_sort(self.CFG, checkpoint=ck, resume=True, faults=CI_PLAN)
+            for x, y in zip(clean.outputs, resumed.outputs):
+                assert np.array_equal(x, y)
+            assert counters(clean.report) == counters(resumed.report)
+            assert (
+                clean.report.fault_stats.as_dict()
+                == resumed.report.fault_stats.as_dict()
             )
-        monkeypatch.delenv("REPRO_ARENA")
-        monkeypatch.setenv("REPRO_FASTPATH", "0")
-        resumed = run_sort(self.CFG, checkpoint=ck, resume=True)
-        for a, b in zip(clean.outputs, resumed.outputs):
-            assert np.array_equal(a, b)
-        assert counters(clean.report) == counters(resumed.report)
 
 
 #: test hook consumed by NodeKillerSort.round (set per-test, one-shot);

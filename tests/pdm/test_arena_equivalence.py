@@ -1,8 +1,9 @@
-"""Three-way storage-backend equivalence: dict Disk, RAM arena, mmap arena.
+"""Storage-backend equivalence: a dict model, the RAM arena, the mmap arena.
 
-One logical track store, three implementations.  The hypothesis suites
-drive the *same* randomized operation sequence through all three and
-assert that every observable — returned bytes, ``SimulationError`` parity
+One logical track store — ``dict[int, bytes]`` per disk — and the two
+arena backends that implement it.  The hypothesis suites drive the *same*
+randomized operation sequence through a plain-dict model and both arenas
+and assert that every observable — returned bytes, ``SimulationError`` parity
 on free-track reads, occupancy, snapshots, side-dict fallbacks for
 odd-sized and shadow-region tracks — is identical.  The boundary classes
 pin the exact ``MAX_DIRECT_TRACK`` edge, where a track one below must stay
@@ -20,20 +21,61 @@ from hypothesis import strategies as st
 
 from repro.pdm.arena import MAX_DIRECT_TRACK, TrackArena
 from repro.pdm.disk import Disk
+from repro.pdm.disk_array import DiskArray
+from repro.pdm.fastpath import BlockRun
 from repro.pdm.mmap_arena import MmapTrackArena
+from repro.tune.runtime import RuntimeConfig
 from repro.util.validation import SimulationError
 
 D = 2
 BB = 8  # block bytes
 
 
+class _DictDisk:
+    """The model a :class:`Disk` must be indistinguishable from: one
+    ``dict[int, bytes]``, with the same counters and the same errors."""
+
+    def __init__(self, disk_id: int) -> None:
+        self.disk_id = disk_id
+        self.tracks: dict[int, bytes] = {}
+        self.blocks_read = self.blocks_written = 0
+
+    def write(self, track: int, data: bytes) -> None:
+        self.tracks[track] = data
+        self.blocks_written += 1
+
+    def read(self, track: int) -> bytes:
+        if track not in self.tracks:
+            raise SimulationError(
+                f"read of unwritten track {track} on disk {self.disk_id}"
+            )
+        self.blocks_read += 1
+        return self.tracks[track]
+
+    def free(self, track: int) -> None:
+        self.tracks.pop(track, None)
+
+    def snapshot_tracks(self) -> dict[int, bytes]:
+        return dict(self.tracks)
+
+    def restore_tracks(self, tracks: dict[int, bytes]) -> None:
+        self.tracks = dict(tracks)
+
+    @property
+    def tracks_in_use(self) -> int:
+        return len(self.tracks)
+
+    def max_track(self) -> int:
+        return max(self.tracks, default=-1)
+
+
 @pytest.fixture
 def trio():
-    """One dict-backed disk bank plus RAM- and mmap-arena banks."""
+    """One dict-model disk bank plus RAM- and mmap-arena banks."""
     ram = TrackArena(D, BB)
     mm = MmapTrackArena(D, BB)
     banks = (
-        [Disk(d) for d in range(D)],
+        [_DictDisk(d) for d in range(D)],
         [Disk(d, arena=ram) for d in range(D)],
         [Disk(d, arena=mm) for d in range(D)],
     )
@@ -84,7 +126,7 @@ def test_randomized_sequences_are_equivalent(ops):
     mm = MmapTrackArena(D, BB)
     try:
         banks = (
-            [Disk(d) for d in range(D)],
+            [_DictDisk(d) for d in range(D)],
             [Disk(d, arena=ram) for d in range(D)],
             [Disk(d, arena=mm) for d in range(D)],
         )
@@ -130,7 +172,7 @@ def test_batch_scatter_gather_matches_dict_writes(addrs, payload):
     disks = np.asarray([a for a, _ in addrs], dtype=np.int64)
     tracks = np.asarray([t for _, t in addrs], dtype=np.int64)
 
-    ref = [Disk(d) for d in range(D)]
+    ref = [_DictDisk(d) for d in range(D)]
     for (d, t), i in zip(addrs, range(n)):
         ref[d].write(t, rows[i].tobytes())
 
@@ -182,6 +224,40 @@ def test_snapshots_port_across_all_backends(trio):
         assert dest_bank[0].snapshot_tracks() == snap
         assert dest_bank[0].read(MAX_DIRECT_TRACK + 1) == b"far"
         assert dest_bank[0].read(5) == b"odd-size-payload"
+
+
+@pytest.mark.parametrize("kind", ["ram", "mmap"])
+def test_far_track_does_not_demote_dense_gathers(kind):
+    """Regression: ``gather`` used to refuse a whole disk as soon as it
+    held *any* side-dict entry, so one track past ``MAX_DIRECT_TRACK``
+    sent every later bulk read on that disk through the per-track loop.
+    Only a *requested* side-dict track may refuse the dense gather."""
+    rt = RuntimeConfig(arena=kind)
+    far, plain = DiskArray(D, 1, runtime=rt), DiskArray(D, 1, runtime=rt)
+    try:
+        dd = np.asarray([0, 1, 0, 1], dtype=np.int64)
+        tt = np.asarray([0, 0, 1, 1], dtype=np.int64)
+        payload = bytes(range(4 * BB))
+        for arr in (far, plain):
+            arr.write_run(dd, tt, BlockRun(payload, 4, BB))
+        far._arena.put(0, MAX_DIRECT_TRACK + 3, b"F" * BB)
+
+        out = np.empty(4 * BB, dtype=np.uint8)
+        assert far.try_gather(dd, tt, out)
+        assert out.tobytes() == payload
+        assert far.read_run(dd, tt).tobytes() == plain.read_run(dd, tt).tobytes()
+        assert far.stats.as_dict() == plain.stats.as_dict()
+        for d in range(D):
+            assert far.disks[d].blocks_read == plain.disks[d].blocks_read
+
+        # the far track itself still reads through the per-track loop
+        fd = np.zeros(1, dtype=np.int64)
+        ft = np.asarray([MAX_DIRECT_TRACK + 3], dtype=np.int64)
+        assert not far.try_gather(fd, ft, out)
+        assert far.read_run(fd, ft).tobytes() == b"F" * BB
+    finally:
+        far.close()
+        plain.close()
 
 
 # --------------------------------------------- MAX_DIRECT_TRACK boundary

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.pdm.arena import TrackArena
 from repro.pdm.block import pack_blocks, unpack_blocks
 from repro.pdm.disk import Disk
 from repro.pdm.disk_array import DiskArray, IOOp
@@ -15,23 +16,27 @@ def blk(byte: int, B: int = 4) -> bytes:
     return bytes([byte]) * (B * 8)
 
 
+def one_disk() -> Disk:
+    return Disk(0, TrackArena(1, 8))
+
+
 class TestDisk:
     def test_write_read_roundtrip(self):
-        d = Disk(0)
+        d = one_disk()
         d.write(3, b"abc")
         assert d.read(3) == b"abc"
 
     def test_read_unwritten_track_is_error(self):
-        d = Disk(0)
+        d = one_disk()
         with pytest.raises(SimulationError, match="unwritten track"):
             d.read(7)
 
     def test_negative_track_rejected(self):
         with pytest.raises(SimulationError):
-            Disk(0).write(-1, b"x")
+            one_disk().write(-1, b"x")
 
     def test_counters(self):
-        d = Disk(0)
+        d = one_disk()
         d.write(0, b"a")
         d.write(1, b"b")
         d.read(0)
@@ -40,7 +45,7 @@ class TestDisk:
         assert d.tracks_in_use == 2
 
     def test_free_releases_track(self):
-        d = Disk(0)
+        d = one_disk()
         d.write(0, b"a")
         d.free(0)
         assert d.tracks_in_use == 0
@@ -48,7 +53,7 @@ class TestDisk:
             d.read(0)
 
     def test_max_track(self):
-        d = Disk(0)
+        d = one_disk()
         assert d.max_track() == -1
         d.write(9, b"x")
         assert d.max_track() == 9

@@ -1,13 +1,13 @@
-"""The vectorized fast path's building blocks, proved against the
-reference machinery.
+"""The vectorized run API's building blocks, proved against the per-op
+PDM specification.
 
-The fast path (:mod:`repro.pdm.fastpath`, :mod:`repro.pdm.arena`, the
-``write_stream``/``read_run`` bulk APIs) is an *implementation* of the
-same PDM, not a looser variant: every observable — batch widths, IOStats,
-per-disk counters, stored bytes, raised errors — must be bit-identical to
-the per-block reference loop.  The hypothesis suites here drive both
-implementations with the same arbitrary placement streams and compare
-everything observable.
+The run API (:mod:`repro.pdm.fastpath` containers, :mod:`repro.pdm.arena`,
+``write_stream``/``read_run``) is an *implementation* of the same PDM, not
+a looser variant: every observable — batch widths, IOStats, per-disk
+counters, stored bytes, raised errors — must be bit-identical to
+``write_blocks``/``read_blocks``, the one-``parallel_io``-per-batch loop.
+The hypothesis suites here drive both spellings with the same arbitrary
+placement streams and compare everything observable.
 """
 
 from __future__ import annotations
@@ -19,28 +19,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pdm import fastpath
+from repro.faults.injector import FaultyDiskArray
+from repro.faults.plan import FaultPlan
 from repro.pdm.arena import MAX_DIRECT_TRACK, TrackArena
 from repro.pdm.block import blocks_for_bytes
 from repro.pdm.disk_array import DiskArray, greedy_batch_widths
 from repro.pdm.fastpath import BlockRun, BufferPool
-from repro.tune.knobs import KnobError
+from repro.tune.knobs import DEFAULT_SHM_THRESHOLD, KNOB_BY_ENV, KnobError, set_env
+from repro.tune.runtime import RuntimeConfig, current
 from repro.util.items import ITEM_BYTES
 from repro.util.validation import SimulationError
 
 
-@pytest.fixture(autouse=True)
-def _restore_fastpath_env():
-    was = fastpath.enabled()
-    yield
-    fastpath.set_enabled(was)
-
-
-def _make_array(D: int, B: int, fast: bool) -> DiskArray:
-    fastpath.set_enabled(fast)
-    arr = DiskArray(D=D, B=B)
-    assert (arr._arena is not None) == fast
-    return arr
+def _per_op_array(D: int, B: int) -> FaultyDiskArray:
+    """The per-op service of the run API: an empty plan injects nothing."""
+    return FaultyDiskArray(D, B, FaultPlan().injector_for(0))
 
 
 # ------------------------------------------------------------------ BlockRun
@@ -174,7 +167,7 @@ class TestTrackArena:
         assert b.tracks_in_use(0) == 1
 
 
-# ------------------------------------------- DiskArray fast/reference identity
+# ----------------------------------------------- DiskArray run/per-op identity
 
 
 def _segment_stream(draw):
@@ -213,15 +206,17 @@ def test_write_stream_matches_write_blocks(stream):
     disks = np.asarray([d for d, _ in addrs], dtype=np.int64)
     tracks = np.asarray([t for _, t in addrs], dtype=np.int64)
 
-    fast = _make_array(D, B, fast=True)
-    ref = _make_array(D, B, fast=False)
+    fast = DiskArray(D, B)
+    ref = DiskArray(D, B)
+    per_op = _per_op_array(D, B)
     ops_fast = fast.write_run(disks, tracks, run)
     ops_ref = ref.write_blocks(list(zip(disks.tolist(), tracks.tolist(), run.to_blocks())))
 
-    assert ops_fast == ops_ref
-    assert fast.stats.as_dict() == ref.stats.as_dict()
+    assert ops_fast == ops_ref == per_op.write_run(disks, tracks, run)
+    assert fast.stats.as_dict() == ref.stats.as_dict() == per_op.stats.as_dict()
     for d in range(D):
         assert fast.disks[d].snapshot_tracks() == ref.disks[d].snapshot_tracks()
+        assert fast.disks[d].snapshot_tracks() == per_op.disks[d].snapshot_tracks()
         assert fast.disks[d].blocks_written == ref.disks[d].blocks_written
 
     # read everything back through both paths (dedup keeps batching valid)
@@ -232,15 +227,15 @@ def test_write_stream_matches_write_blocks(stream):
     got_ref = b"".join(
         blk.ljust(bb, b"\x00") for blk in ref.read_blocks(uniq)
     )
-    assert bytes(got_fast) == got_ref
-    assert fast.stats.as_dict() == ref.stats.as_dict()
+    assert bytes(got_fast) == got_ref == bytes(per_op.read_run(rd, rt))
+    assert fast.stats.as_dict() == ref.stats.as_dict() == per_op.stats.as_dict()
     for d in range(D):
         assert fast.disks[d].blocks_read == ref.disks[d].blocks_read
 
 
 def test_read_run_unwritten_track_raises_canonical_error():
-    fast = _make_array(2, 1, fast=True)
-    ref = _make_array(2, 1, fast=False)
+    fast = DiskArray(2, 1)
+    ref = DiskArray(2, 1)
     with pytest.raises(SimulationError) as e_fast:
         fast.read_run(np.asarray([0]), np.asarray([3]))
     with pytest.raises(SimulationError) as e_ref:
@@ -250,8 +245,7 @@ def test_read_run_unwritten_track_raises_canonical_error():
 
 def test_write_stream_rejects_bad_addresses_both_paths():
     run = BlockRun(b"\x00" * ITEM_BYTES, 1, ITEM_BYTES)
-    for fast in (True, False):
-        arr = _make_array(2, 1, fast=fast)
+    for arr in (DiskArray(2, 1), _per_op_array(2, 1)):
         with pytest.raises(SimulationError):
             arr.write_run(np.asarray([5]), np.asarray([0]), run)
         with pytest.raises(SimulationError):
@@ -259,44 +253,50 @@ def test_write_stream_rejects_bad_addresses_both_paths():
 
 
 def test_snapshot_restore_portable_across_storage_modes():
-    """A checkpoint taken in one storage mode restores into the other."""
-    fast = _make_array(2, 1, fast=True)
+    """A checkpoint taken on one arena backend restores into the other,
+    and into a fault-injected array (the snapshot is a plain dict)."""
+    fast = DiskArray(2, 1)
     run = BlockRun(b"12345678" * 3, 3, ITEM_BYTES)
     fast.write_run(np.asarray([0, 1, 0]), np.asarray([0, 0, 1]), run)
     snap = {d: fast.disks[d].snapshot_tracks() for d in range(2)}
+    assert snap == {0: {0: b"12345678", 1: b"12345678"}, 1: {0: b"12345678"}}
 
-    ref = _make_array(2, 1, fast=False)
-    for d in range(2):
-        ref.disks[d].restore_tracks(snap[d])
-    assert ref.read_blocks([(0, 0), (1, 0), (0, 1)]) == [b"12345678"] * 3
+    mm = DiskArray(2, 1, runtime=RuntimeConfig(arena="mmap"))
+    try:
+        for ref in (mm, _per_op_array(2, 1)):
+            for d in range(2):
+                ref.disks[d].restore_tracks(snap[d])
+            assert ref.read_blocks([(0, 0), (1, 0), (0, 1)]) == [b"12345678"] * 3
+    finally:
+        mm.close()
 
 
 # ------------------------------------------------------------------ env knobs
 
 
 def test_fastpath_env_flag(monkeypatch):
+    """There is one I/O path: the retired switch is not a knob, a stale
+    value in the environment is ignored, and nothing can install it."""
+    assert "REPRO_FASTPATH" not in KNOB_BY_ENV
+    before = current()
     monkeypatch.setenv("REPRO_FASTPATH", "0")
-    assert not fastpath.enabled()
-    monkeypatch.setenv("REPRO_FASTPATH", "off")
-    assert not fastpath.enabled()
-    monkeypatch.setenv("REPRO_FASTPATH", "1")
-    assert fastpath.enabled()
-    monkeypatch.delenv("REPRO_FASTPATH")
-    assert fastpath.enabled()  # default on
+    assert current() == before
+    arr = DiskArray(2, 1)
+    run = BlockRun(b"12345678", 1, ITEM_BYTES)
+    arr.write_run(np.asarray([0]), np.asarray([0]), run)
+    assert arr.try_gather(np.asarray([0]), np.asarray([0]), np.empty(8, np.uint8))
+    with pytest.raises(KnobError, match="REPRO_FASTPATH"):
+        set_env("REPRO_FASTPATH", "0")
 
 
 def test_shm_threshold_knob(monkeypatch):
     monkeypatch.delenv("REPRO_SHM_BYTES", raising=False)
-    monkeypatch.setenv("REPRO_FASTPATH", "1")
-    assert fastpath.shm_threshold() == fastpath.DEFAULT_SHM_THRESHOLD
+    assert current().shm_bytes == DEFAULT_SHM_THRESHOLD
     monkeypatch.setenv("REPRO_SHM_BYTES", "4096")
-    assert fastpath.shm_threshold() == 4096
+    assert current().shm_bytes == 4096
     monkeypatch.setenv("REPRO_SHM_BYTES", "0")
-    assert fastpath.shm_threshold() is None
+    assert current().shm_bytes is None
     # malformed values are a hard, named error now (not a silent default)
     monkeypatch.setenv("REPRO_SHM_BYTES", "nonsense")
     with pytest.raises(KnobError, match="REPRO_SHM_BYTES"):
-        fastpath.shm_threshold()
-    monkeypatch.setenv("REPRO_SHM_BYTES", "4096")
-    monkeypatch.setenv("REPRO_FASTPATH", "0")
-    assert fastpath.shm_threshold() is None
+        current()

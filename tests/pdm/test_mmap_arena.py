@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 from repro.cgm.config import MachineConfig
-from repro.pdm import fastpath
 from repro.pdm.arena import TrackArena
 from repro.pdm.disk_array import DiskArray
 from repro.pdm.fastpath import BlockRun
 from repro.pdm.mmap_arena import MmapTrackArena, make_arena
+from repro.tune.knobs import set_env
+from repro.tune.runtime import current
 from repro.util.items import ITEM_BYTES
 from repro.util.validation import ConfigurationError, SimulationError
 
@@ -126,15 +127,16 @@ class TestSelection:
     def test_unknown_kind_fails_loudly(self, monkeypatch):
         monkeypatch.setenv("REPRO_ARENA", "tape")
         with pytest.raises(ConfigurationError, match="REPRO_ARENA"):
-            fastpath.arena_kind()
-        with pytest.raises(ConfigurationError, match="arena kind"):
-            fastpath.set_arena_kind("tape")
+            current()
+        with pytest.raises(ConfigurationError, match="REPRO_ARENA"):
+            set_env("REPRO_ARENA", "tape")
 
     def test_set_arena_kind_writes_env(self, monkeypatch):
+        """``set_env`` is how the CLI's ``--arena`` selects the backend."""
         monkeypatch.setenv("REPRO_ARENA", "ram")
-        fastpath.set_arena_kind("mmap")
+        set_env("REPRO_ARENA", "mmap")
         assert os.environ["REPRO_ARENA"] == "mmap"
-        assert fastpath.arena_kind() == "mmap"
+        assert current().arena == "mmap"
 
     def test_disk_array_bit_identity_across_arenas(self, monkeypatch):
         """The same write/read stream produces identical IOStats, counters

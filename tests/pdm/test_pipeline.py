@@ -1,7 +1,7 @@
 """The double-buffered prefetch pipeline: ordering, buffer discipline,
 drain semantics, error parity, and engine-level bit-identity with the
-synchronous path (including under fault injection, which pins the
-reference path and must bypass the pipeline entirely)."""
+synchronous path (including under fault injection, which services every
+access per-op and must bypass the pipeline entirely)."""
 
 from __future__ import annotations
 
@@ -12,18 +12,23 @@ from repro.algorithms.collectives import partition_array
 from repro.algorithms.sorting import SampleSort
 from repro.cgm.config import MachineConfig
 from repro.em.runner import em_run
+from repro.faults.injector import FaultyDiskArray
 from repro.faults.plan import FaultPlan, RetryPolicy
-from repro.pdm import fastpath
 from repro.pdm.disk_array import DiskArray
 from repro.pdm.fastpath import BlockRun
 from repro.pdm.pipeline import DoubleBufferedReader
+from repro.tune.runtime import current
 from repro.util.validation import SimulationError
 
 BB_ITEMS = 2
 
 
-def make_array(ntracks: int = 16, D: int = 2) -> DiskArray:
-    arr = DiskArray(D=D, B=BB_ITEMS)
+def make_array(ntracks: int = 16, D: int = 2, per_op: bool = False) -> DiskArray:
+    arr = (
+        FaultyDiskArray(D, BB_ITEMS, FaultPlan().injector_for(0))
+        if per_op
+        else DiskArray(D=D, B=BB_ITEMS)
+    )
     bb = arr.block_bytes
     n = D * ntracks
     payload = bytes(range(256)) * (n * bb // 256 + 1)
@@ -134,19 +139,19 @@ class TestReader:
             reader.get("bad")
         reader.close()
 
-    def test_reference_mode_degrades_to_synchronous(self, monkeypatch):
-        """With REPRO_FASTPATH=0 there is no arena: every prefetch is a
-        miss and get() serves the read through the reference loop with
-        identical results and counters."""
-        monkeypatch.setenv("REPRO_FASTPATH", "0")
-        arr, disks, tracks = make_array()
-        assert arr._arena is None
+    def test_reference_mode_degrades_to_synchronous(self):
+        """A fault-injected array never answers a speculative gather:
+        every prefetch is a miss and get() serves the read through the
+        per-op loop with identical results and counters."""
+        arr, disks, tracks = make_array(per_op=True)
+        assert not arr.try_gather(disks[:6], tracks[:6], np.empty(6 * arr.block_bytes, np.uint8))
         ref, _, _ = make_array()
         reader = DoubleBufferedReader()
         reader.submit(arr, disks[:6], tracks[:6], key=0)
         flat, buf = reader.get(0)
         assert bytes(flat) == bytes(ref.read_run(disks[:6], tracks[:6]))
         assert arr.stats.as_dict() == ref.stats.as_dict()
+        assert (reader.hits, reader.misses) == (0, 1)
         reader.release(buf)
         reader.close()
 
@@ -174,15 +179,12 @@ def _sort(**kw):
 
 class TestEnginePrefetch:
     def test_prefetch_env_knob(self, monkeypatch):
-        monkeypatch.delenv("REPRO_FASTPATH", raising=False)
         monkeypatch.setenv("REPRO_PREFETCH", "0")
-        assert not fastpath.prefetch_enabled()
+        assert not current().prefetch
         monkeypatch.setenv("REPRO_PREFETCH", "1")
-        assert fastpath.prefetch_enabled()
+        assert current().prefetch
         monkeypatch.delenv("REPRO_PREFETCH")
-        assert fastpath.prefetch_enabled()  # default on
-        monkeypatch.setenv("REPRO_FASTPATH", "0")
-        assert not fastpath.prefetch_enabled()  # requires the fast path
+        assert current().prefetch  # default on
 
     def test_prefetch_bit_identity(self, monkeypatch):
         monkeypatch.setenv("REPRO_PREFETCH", "1")
@@ -193,7 +195,7 @@ class TestEnginePrefetch:
 
     def test_prefetch_engages(self, monkeypatch):
         """The pipeline really runs: the reader sees every local pid once
-        per round on the fast path, and is torn down between rounds."""
+        per round, and is torn down between rounds."""
         import repro.core.par_engine as pe
 
         created = []
@@ -204,19 +206,18 @@ class TestEnginePrefetch:
                 super().__init__(*a, **kw)
                 created.append(self)
 
-        monkeypatch.delenv("REPRO_FASTPATH", raising=False)
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)  # plans pin the reference path
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)  # plans bypass the pipeline
         monkeypatch.delenv("REPRO_WORKERS", raising=False)  # Spy can't see into workers
         monkeypatch.setenv("REPRO_PREFETCH", "1")
         monkeypatch.setattr(pe, "DoubleBufferedReader", Spy)
         _sort()
-        assert created, "prefetcher never engaged on the fast path"
+        assert created, "prefetcher never engaged"
         assert all(r._closed for r in created)
         assert all(not r._pending for r in created)
 
     def test_fault_plans_bypass_the_pipeline(self, monkeypatch):
-        """Fault injection pins the reference path; with prefetch enabled
-        the run must stay green, bit-identical, and pipeline-free."""
+        """Fault injection services every access per-op; with prefetch
+        enabled the run must stay green, bit-identical, and pipeline-free."""
         import repro.core.par_engine as pe
 
         created = []

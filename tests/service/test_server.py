@@ -76,6 +76,12 @@ class TestSubmitAndResult:
         status, _, body = submit_job(served.url, {"op": "merge", "n": 0})
         assert status == 400
         assert "op" in body["error"] and "n" in body["error"]
+        # the retired I/O-path switch is answered by the unknown-knob error
+        status, _, body = submit_job(
+            served.url, {**SPEC, "config": {"fastpath": "off"}}
+        )
+        assert status == 400
+        assert "config.fastpath is not a settable knob" in body["error"]
 
     def test_non_json_body_400(self, served):
         req = urllib.request.Request(

@@ -62,9 +62,14 @@ class TestValidation:
         assert any("config.prefetch" in e for e in errs)
 
     def test_config_allowlist_accepted(self):
-        config = {"fastpath": "off", "prefetch": "0"}
+        config = {"arena": "mmap", "prefetch": "0"}
         assert set(config) <= CONFIG_KNOBS
         assert validate_spec({**GOOD, "config": config}) == []
+
+    def test_retired_fastpath_knob_is_unknown(self):
+        errs = validate_spec({**GOOD, "config": {"fastpath": "off"}})
+        assert len(errs) == 1 and "config.fastpath is not a settable knob" in errs[0]
+        assert "fastpath" not in CONFIG_KNOBS
 
     def test_bad_faults_section(self):
         errs = validate_spec({**GOOD, "faults": {"p_transient_read": 2.0}})
@@ -91,7 +96,7 @@ class TestValidation:
 
     def test_round_trip(self):
         spec = JobSpec.from_dict(
-            {**GOOD, "engine": "seq", "config": {"fastpath": "off"},
+            {**GOOD, "engine": "seq", "config": {"prefetch": "off"},
              "tenant": "t1", "priority": 3}
         )
         assert JobSpec.from_dict(spec.to_dict()) == spec
@@ -121,7 +126,7 @@ class TestFingerprint:
         # bit-identity-preserving knobs must share the cache entry
         base = JobSpec.from_dict(GOOD).fingerprint()
         tuned = JobSpec.from_dict(
-            {**GOOD, "config": {"fastpath": "off", "prefetch": "0"}}
+            {**GOOD, "config": {"arena": "mmap", "prefetch": "0"}}
         )
         assert tuned.fingerprint() == base
 

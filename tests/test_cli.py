@@ -384,7 +384,8 @@ class TestTuneCommand:
     def test_list_knobs(self, capsys):
         assert main(["tune", "--list-knobs"]) == 0
         out = capsys.readouterr().out
-        assert "| Variable |" in out and "`REPRO_FASTPATH`" in out
+        assert "| Variable |" in out and "`REPRO_ARENA`" in out
+        assert "FASTPATH" not in out and out.count("`REPRO_") == 11
 
     def test_profile_fills_machine_args(self, tmp_path, capsys):
         path = self._tuned(tmp_path, capsys)
@@ -421,7 +422,6 @@ class TestKnobErrors:
         "var,raw",
         [
             ("REPRO_WORKERS", "two"),
-            ("REPRO_FASTPATH", "sometimes"),
             ("REPRO_ARENA", "tape"),
             ("REPRO_PREFETCH", "maybe"),
             ("REPRO_SHM_BYTES", "nonsense"),
@@ -440,9 +440,22 @@ class TestKnobErrors:
         assert err.count("\n") == 1  # exactly one line
 
     def test_well_formed_knob_still_runs(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_FASTPATH", "auto:16")
+        monkeypatch.setenv("REPRO_SHM_BYTES", "4096")
+        monkeypatch.setenv("REPRO_FASTPATH", "sometimes")  # retired: ignored
         assert main(self.BASE) == 0
         assert "sorted 2048 items: OK" in capsys.readouterr().out
+
+
+def test_arena_flag_goes_through_the_knob_layer(monkeypatch, capsys):
+    """``--arena`` is ``set_env("REPRO_ARENA", ...)``, like ``--transport``:
+    written to the environment so worker processes inherit it."""
+    import os
+
+    monkeypatch.setenv("REPRO_ARENA", "ram")  # restored on teardown
+    argv = ["sort", "--n", "2048", "--v", "4", "--b", "64", "--arena", "mmap"]
+    assert main(argv) == 0
+    assert os.environ["REPRO_ARENA"] == "mmap"
+    assert "sorted 2048 items: OK" in capsys.readouterr().out
 
 
 class TestServeBindErrors:

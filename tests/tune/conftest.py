@@ -1,7 +1,7 @@
 """Hermetic environment for the tuning tests.
 
-CI runs the whole suite under knob lanes (``REPRO_FASTPATH=0``,
-``REPRO_WORKERS=2``, ``REPRO_ARENA=mmap``, ``REPRO_FAULTS=...``).  These
+CI runs the whole suite under knob lanes (``REPRO_WORKERS=2``,
+``REPRO_ARENA=mmap``, ``REPRO_FAULTS=...``).  These
 tests pin exact precedence and resolution semantics, so every inherited
 ``REPRO_*`` variable is cleared around each of them — what a lane
 exports must not change what ``RuntimeConfig.resolve`` is asserted to

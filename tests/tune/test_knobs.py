@@ -12,7 +12,6 @@ import pytest
 
 from repro.tune.knobs import (
     ARENA_KINDS,
-    DEFAULT_AUTO_BLOCKS,
     DEFAULT_SHM_THRESHOLD,
     KNOB_BY_ENV,
     KNOB_BY_NAME,
@@ -67,15 +66,16 @@ def test_bool_tokens():
 
 
 def test_fastpath_grammar():
-    spec = KNOB_BY_ENV["REPRO_FASTPATH"]
-    assert spec.coerce("1") == "on"
-    assert spec.coerce("off") == "off"
-    assert spec.coerce("AUTO") == "auto"
-    assert spec.coerce("auto:128") == "auto:128"
+    """The retired I/O-path switch has no grammar left: it is not in the
+    registry (12 knobs -> 11), so no spelling can be read or installed."""
+    assert len(KNOBS) == 11
+    assert "REPRO_FASTPATH" not in KNOB_BY_ENV and "fastpath" not in KNOB_BY_NAME
+    assert "FASTPATH" not in render_knob_table()
+    for name in ("fastpath", "REPRO_FASTPATH"):
+        with pytest.raises(KnobError, match="unknown knob"):
+            read_knob(name, environ={"REPRO_FASTPATH": "auto:128"})
     with pytest.raises(KnobError, match="REPRO_FASTPATH"):
-        spec.coerce("auto:lots")
-    with pytest.raises(KnobError, match="REPRO_FASTPATH"):
-        spec.coerce("auto:-1")
+        set_env("REPRO_FASTPATH", "1")
 
 
 def test_arena_kinds():
@@ -135,10 +135,6 @@ def test_render_knob_table_covers_every_knob():
     assert len(lines) == 2 + len(KNOBS)
     for spec in KNOBS:
         assert f"`{spec.env}`" in table
-
-
-def test_default_auto_blocks_is_positive():
-    assert DEFAULT_AUTO_BLOCKS > 0
 
 
 def test_readme_knob_table_matches_registry():

@@ -23,7 +23,7 @@ def _profile() -> TunedProfile:
     return TunedProfile(
         workload={"op": "sort", "n": 4096, "p": 1, "seed": 0},
         machine={"v": 4, "B": 512, "D": 4},
-        config={"workers": 0, "fastpath": "on", "arena": "ram",
+        config={"workers": 0, "arena": "ram",
                 "prefetch": True, "shm_bytes": 65536},
         rationale=["probe: ..."],
         search={"candidates": 27},
@@ -53,7 +53,7 @@ def test_save_and_load_roundtrip(tmp_path):
     _profile().save(path)
     doc = load_profile(path)
     assert validate_profile(doc) == []
-    assert config_from_profile(doc)["fastpath"] == "on"
+    assert config_from_profile(doc)["arena"] == "ram"
 
 
 def test_validate_rejects_non_object():
@@ -73,6 +73,23 @@ def test_validate_rejects_wrong_schema_version():
     assert any("schema_version" in e for e in validate_profile(doc))
 
 
+def test_v1_profile_with_fastpath_is_refused(tmp_path):
+    """Schema 1 profiles carried the retired ``config.fastpath`` knob; the
+    version check refuses them (re-run ``repro tune``)."""
+    assert SCHEMA_VERSION == 2
+    doc = _profile().document()
+    doc["schema_version"] = 1
+    doc["config"]["fastpath"] = "auto:64"
+    assert validate_profile(doc) == ["schema_version 1 != supported 2"]
+    doc["schema_version"] = SCHEMA_VERSION  # even relabelled, the knob is gone
+    assert validate_profile(doc) == ["config.fastpath is not a registered knob"]
+    doc["schema_version"] = 1
+    path = tmp_path / "v1.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigurationError, match="schema_version 1 != supported 2"):
+        load_profile(str(path))
+
+
 def test_validate_rejects_bad_machine_shape():
     doc = _profile().document()
     doc["machine"]["v"] = 0
@@ -87,8 +104,8 @@ def test_validate_rejects_unknown_and_malformed_knobs():
     doc["config"]["bogus"] = 1
     assert any("config.bogus" in e for e in validate_profile(doc))
     doc = _profile().document()
-    doc["config"]["fastpath"] = "sideways"
-    assert any("config.fastpath" in e for e in validate_profile(doc))
+    doc["config"]["arena"] = "sideways"
+    assert any("config.arena" in e for e in validate_profile(doc))
 
 
 def test_validate_rejects_fingerprint_mismatch():

@@ -1,8 +1,8 @@
 """RuntimeConfig resolution: precedence and per-run snapshot consistency.
 
 The ISSUE's second bugfix: knob state used to be read at different times
-by different subsystems (``REPRO_FASTPATH`` followed a mid-process flip
-while the arena choice, cached at import, did not), so back-to-back runs
+by different subsystems (one knob followed a mid-process flip while the
+arena choice, cached at import, did not), so back-to-back runs
 could observe a half-applied environment.  Engines now resolve one
 frozen snapshot per run; the regression tests here flip knobs between
 runs and assert each run was internally consistent.
@@ -14,10 +14,10 @@ import numpy as np
 import pytest
 
 from repro.cgm.config import MachineConfig
-from repro.em.runner import em_sort, make_engine
+from repro.em.runner import make_engine
 from repro.pdm.arena import TrackArena
 from repro.pdm.mmap_arena import MmapTrackArena
-from repro.tune.knobs import DEFAULT_AUTO_BLOCKS, DEFAULT_SHM_THRESHOLD, KnobError
+from repro.tune.knobs import DEFAULT_SHM_THRESHOLD, KnobError
 from repro.tune.runtime import RuntimeConfig, apply_to_env, current
 
 
@@ -26,7 +26,7 @@ class TestResolve:
         rt = RuntimeConfig.resolve(environ={})
         assert rt == RuntimeConfig()
         assert rt.workers == 0
-        assert rt.fastpath == "on"
+        assert rt.prefetch is True
         assert rt.arena == "ram"
         assert rt.shm_bytes == DEFAULT_SHM_THRESHOLD
 
@@ -57,16 +57,21 @@ class TestResolve:
         assert rt.workers == 2
 
     def test_string_overrides_are_parsed(self):
-        rt = RuntimeConfig.resolve(overrides={"fastpath": "auto:7"}, environ={})
-        assert rt.fastpath == "auto:7"
-        with pytest.raises(KnobError, match="REPRO_FASTPATH"):
-            RuntimeConfig.resolve(overrides={"fastpath": "sideways"}, environ={})
+        rt = RuntimeConfig.resolve(overrides={"arena": "MMAP"}, environ={})
+        assert rt.arena == "mmap"
+        with pytest.raises(KnobError, match="REPRO_ARENA"):
+            RuntimeConfig.resolve(overrides={"arena": "sideways"}, environ={})
 
     def test_unknown_keys_are_named_errors(self):
         with pytest.raises(KnobError, match="bogus"):
             RuntimeConfig.resolve(profile={"bogus": 1}, environ={})
         with pytest.raises(KnobError, match="bogus"):
             RuntimeConfig.resolve(overrides={"bogus": 1}, environ={})
+        # the retired I/O-path switch is just another unknown key
+        with pytest.raises(KnobError, match="fastpath"):
+            RuntimeConfig.resolve(profile={"fastpath": "on"}, environ={})
+        with pytest.raises(TypeError):
+            RuntimeConfig(fastpath="on")
 
     def test_malformed_env_is_a_named_error(self):
         with pytest.raises(KnobError, match="REPRO_ARENA"):
@@ -78,27 +83,8 @@ class TestResolve:
 
 
 class TestDerivedProperties:
-    def test_fastpath_mode_and_threshold(self):
-        assert RuntimeConfig(fastpath="on").fastpath_mode == "on"
-        assert RuntimeConfig(fastpath="auto").fastpath_mode == "auto"
-        assert RuntimeConfig(fastpath="auto").fastpath_auto_blocks == (
-            DEFAULT_AUTO_BLOCKS
-        )
-        assert RuntimeConfig(fastpath="auto:9").fastpath_auto_blocks == 9
-
-    def test_storage_follows_mode_not_dispatch(self):
-        # auto keeps arena-backed storage so supersteps can flip paths
-        # over the same bytes
-        assert RuntimeConfig(fastpath="auto").fastpath_storage
-        assert RuntimeConfig(fastpath="on").fastpath_storage
-        assert not RuntimeConfig(fastpath="off").fastpath_storage
-
-    def test_shm_threshold_gated_by_fastpath(self):
-        assert RuntimeConfig(fastpath="off").shm_threshold is None
-        assert RuntimeConfig(shm_bytes=4096).shm_threshold == 4096
-
     def test_knob_values_roundtrip_through_resolve(self):
-        rt = RuntimeConfig(workers=2, fastpath="auto:5", arena="mmap")
+        rt = RuntimeConfig(workers=2, shm_bytes=None, arena="mmap")
         again = RuntimeConfig.resolve(profile=rt.knob_values(), environ={})
         assert again == rt
 
@@ -110,7 +96,7 @@ def test_current_is_uncached(monkeypatch):
 
 
 def test_apply_to_env_roundtrip(monkeypatch):
-    rt = RuntimeConfig(workers=2, fastpath="auto:5", arena="mmap", prefetch=False)
+    rt = RuntimeConfig(workers=2, shm_bytes=4096, arena="mmap", prefetch=False)
     apply_to_env(rt)
     assert current() == rt
     apply_to_env(RuntimeConfig())
@@ -121,16 +107,14 @@ def test_apply_to_env_roundtrip(monkeypatch):
 
 
 def _engine_snapshot_state(eng):
-    """(arena kind, fastpath storage) the run actually used."""
-    arr = next(iter(eng.arrays.values()))
-    arena = arr._arena
-    storage = arena is not None
+    """(arena kind, prefetch) the run actually used."""
+    arena = next(iter(eng.arrays.values()))._arena
     kind = (
         "mmap" if isinstance(arena, MmapTrackArena)
         else "ram" if isinstance(arena, TrackArena)
         else None
     )
-    return kind, storage
+    return kind, eng._prefetch_on
 
 
 @pytest.mark.parametrize("first,second", [("ram", "mmap"), ("mmap", "ram")])
@@ -140,8 +124,8 @@ def test_back_to_back_runs_each_internally_consistent(
     """Flipping REPRO_ARENA between runs re-resolves cleanly per run.
 
     Regression for the inconsistent-caching bug: every subsystem of one
-    run (storage arena, fast path, prefetch) must observe the same
-    snapshot, and the next run must observe the flipped one.
+    run (storage arena, prefetch) must observe the same snapshot, and
+    the next run must observe the flipped one.
     """
     cfg = MachineConfig(N=1 << 10, v=4, D=2, B=32)
     data = rng.integers(0, 1 << 40, 1 << 10)
@@ -169,17 +153,9 @@ def _sort_workload(data, cfg):
 def test_env_flip_mid_process_does_not_leak_into_resolved_engine(monkeypatch):
     """An engine holds its snapshot; later env flips affect later runs only."""
     cfg = MachineConfig(N=1 << 10, v=4, D=2, B=32)
-    monkeypatch.setenv("REPRO_FASTPATH", "on")
+    monkeypatch.setenv("REPRO_PREFETCH", "on")
     rt = RuntimeConfig.resolve()
     eng = make_engine(cfg, runtime=rt)
-    monkeypatch.setenv("REPRO_FASTPATH", "off")
-    assert eng.runtime.fastpath == "on"
-    assert current().fastpath == "off"
-
-
-def test_em_sort_respects_fastpath_off_lane(monkeypatch, rng):
-    monkeypatch.setenv("REPRO_FASTPATH", "0")
-    cfg = MachineConfig(N=1 << 10, v=4, D=2, B=32)
-    data = rng.integers(0, 1 << 40, 1 << 10)
-    out = em_sort(data, cfg)
-    assert np.array_equal(out.values, np.sort(data))
+    monkeypatch.setenv("REPRO_PREFETCH", "off")
+    assert eng.runtime.prefetch is True
+    assert current().prefetch is False

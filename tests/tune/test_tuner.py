@@ -88,39 +88,38 @@ class TestDeterminism:
     @given(spec=workloads())
     def test_profiles_are_byte_identical(self, spec):
         """Same workload + measure + seed -> byte-identical profile JSON."""
-        a = tune(spec, probe_n=256, measure=fake_measure, calibrate=False)
-        b = tune(spec, probe_n=256, measure=fake_measure, calibrate=False)
+        a = tune(spec, probe_n=256, measure=fake_measure)
+        b = tune(spec, probe_n=256, measure=fake_measure)
         assert a.profile.dumps() == b.profile.dumps()
         assert validate_profile(a.profile.document()) == []
 
     def test_defaults_candidate_always_probed(self):
         spec = WorkloadSpec(op="sort", n=1 << 12)
-        res = tune(spec, probe_n=256, top_k=1, measure=fake_measure,
-                   calibrate=False)
+        res = tune(spec, probe_n=256, top_k=1, measure=fake_measure)
         probed = [c for c, _ in res.probes]
         assert Candidate(**DEFAULTS) in probed
 
     def test_chosen_never_slower_than_defaults(self):
         spec = WorkloadSpec(op="sort", n=1 << 12)
-        res = tune(spec, probe_n=256, measure=fake_measure, calibrate=False)
+        res = tune(spec, probe_n=256, measure=fake_measure)
         costs = dict((c.label(), cost) for c, cost in res.probes)
         default_cost = costs[Candidate(**DEFAULTS).label()]
         assert min(costs.values()) <= default_cost
         assert costs[res.chosen.label()] == min(costs.values())
 
-    def test_calibration_switches_to_auto_when_reference_wins(self):
-        def ref_wins(spec, cand, n, reps):
-            base = fake_measure(spec, cand, n, reps)
-            return base * 0.5 if cand.fastpath == "off" else base
-
+    def test_profile_config_is_registered_knobs_only(self):
+        """One I/O path: nothing in a profile selects one (the retired
+        ``fastpath`` entry and its calibration verdict are gone)."""
         spec = WorkloadSpec(op="sort", n=1 << 12)
-        res = tune(spec, probe_n=256, measure=ref_wins)
-        assert res.chosen.fastpath.startswith("auto:")
-        assert any("calibration" in line for line in res.profile.rationale)
+        res = tune(spec, probe_n=256, measure=fake_measure)
+        assert sorted(res.profile.config) == [
+            "arena", "prefetch", "shm_bytes", "workers",
+        ]
+        assert not any("fastpath" in line for line in res.profile.rationale)
 
     def test_rationale_records_every_probe(self):
         spec = WorkloadSpec(op="sort", n=1 << 12)
-        res = tune(spec, probe_n=256, measure=fake_measure, calibrate=False)
+        res = tune(spec, probe_n=256, measure=fake_measure)
         probe_lines = [r for r in res.profile.rationale if r.startswith("probe:")]
         assert len(probe_lines) == len(res.probes)
 
@@ -144,7 +143,7 @@ class TestProfileApplication:
         """Applying a profile never changes logical IOStats vs the same
         config set by hand (satellite 3's contract)."""
         spec = WorkloadSpec(op="sort", n=1 << 10)
-        res = tune(spec, probe_n=256, measure=fake_measure, calibrate=False)
+        res = tune(spec, probe_n=256, measure=fake_measure)
         path = str(tmp_path / "p.json")
         res.profile.save(path)
 
@@ -161,15 +160,15 @@ class TestProfileApplication:
 
     def test_repro_profile_env_applies(self, tmp_path, monkeypatch):
         spec = WorkloadSpec(op="sort", n=1 << 10)
-        res = tune(spec, probe_n=256, measure=fake_measure, calibrate=False)
+        res = tune(spec, probe_n=256, measure=fake_measure)
         path = str(tmp_path / "p.json")
         res.profile.save(path)
         monkeypatch.setenv("REPRO_PROFILE", path)
         cfg = MachineConfig(N=spec.n, v=res.chosen.v, D=res.chosen.D,
                             B=res.chosen.B)
         eng = make_engine(cfg)
-        assert eng.runtime.fastpath == res.chosen.fastpath
         assert eng.runtime.workers == res.chosen.workers
+        assert eng.runtime.profile == path
 
 
 @pytest.mark.slow
@@ -182,20 +181,13 @@ def test_acceptance_fig5_group_a_tuning():
     res = tune(spec, probe_n=1 << 12, reps=2)
     costs = {c.label(): cost for c, cost in res.probes}
     default_cost = costs[Candidate(**DEFAULTS).label()]
-    chosen_base = res.chosen.label()
-    # calibration may have rewritten fastpath on the chosen candidate;
-    # compare by the probed (pre-calibration) label
-    probed_chosen = min(costs.values())
-    assert probed_chosen <= default_cost
-    assert chosen_base  # decision recorded
+    assert costs[res.chosen.label()] == min(costs.values()) <= default_cost
 
     cfg = MachineConfig(N=spec.n, v=res.chosen.v, p=1, D=res.chosen.D,
                         B=res.chosen.B, seed=spec.seed)
     program, inputs = build_workload(spec, cfg)
     tuned = make_engine(cfg, runtime=res.chosen.runtime()).run(program, inputs)
-    untuned = make_engine(
-        cfg, runtime=res.chosen.runtime().replace(fastpath="on")
-    ).run(program, inputs)
+    untuned = make_engine(cfg, runtime=RuntimeConfig()).run(program, inputs)
     assert tuned.report.io.as_dict() == untuned.report.io.as_dict()
     assert np.concatenate(tuned.outputs).tolist() == (
         np.concatenate(untuned.outputs).tolist()
