@@ -171,8 +171,12 @@ class Engine:
         """Any messages awaiting delivery (read side, after a flip)?"""
         raise NotImplementedError
 
-    def _round_boundary(self, r: int) -> None:
-        """Called after each CGM round (superstep bookkeeping)."""
+    def _exchange(self, r: int, phase: int) -> None:
+        """Called immediately before each :meth:`_flip` of round *r*
+        (*phase* 0 after the compound-superstep loop, 1 after the balanced
+        relay).  A machine slice with peers moves step (d)'s traffic for
+        the other slices here (:meth:`ParEMEngine._exchange`); a machine
+        held whole by one interpreter has nothing to exchange."""
 
     def _begin_superstep(self, pids: "list[int]") -> None:
         """Called with the pid schedule before a round's compound-superstep
@@ -223,12 +227,9 @@ class Engine:
         return None
 
     def _local_pids(self) -> "range | list[int]":
-        """Virtual processors simulated by *this* interpreter.
-
-        All of them for in-process backends; a worker process of the
-        multi-core backend overrides this with the pids of the real
-        processors it owns.
-        """
+        """Virtual processors simulated by *this* interpreter: all of
+        them, unless the backend is one slice of a partitioned machine
+        (:class:`~repro.core.par_engine.ParEMEngine` with a plan)."""
         return range(self.cfg.v)
 
     # ------------------------------------------------- per-round execution
@@ -303,10 +304,12 @@ class Engine:
         self._put_messages(pid, outbox)
 
     def _execute_round(self, program: CGMProgram, r: int, rngs: list) -> RoundStep:
-        """Run one full CGM round: every virtual processor's compound
-        superstep, the superstep barrier, and (in balanced mode) the relay
-        superstep.  The multi-process backend overrides this to fan the
-        per-real-processor work out to worker processes."""
+        """Run one full CGM round over this interpreter's virtual
+        processors: begin superstep -> their compound supersteps ->
+        exchange -> flip, then (in balanced mode) relay -> exchange ->
+        flip.  This is the only round loop: a worker process runs it over
+        its slice, and the multi-process *coordinator* overrides it only
+        to fan the round out to those workers."""
         cfg = self.cfg
         step = RoundStep.empty(cfg.v, cfg.p)
         io_before = self._io_totals()
@@ -317,9 +320,11 @@ class Engine:
                 self._run_vproc(program, r, pid, rngs[pid], step)
         finally:
             self._end_superstep()
+        self._exchange(r, 0)
         self._flip()
         if self.balanced:
             self._relay_superstep()
+            self._exchange(r, 1)
             self._flip()
         io_after = self._io_totals()
         if io_after is not None:
@@ -525,7 +530,6 @@ class Engine:
                 ).labels(**labels, superstep=report.supersteps, round=r).set(
                     rm.io.parallel_ios
                 )
-            self._round_boundary(r)
             finished = all_done and not self._pending_messages()
             self._write_checkpoint(program, r, report, rngs, finished)
             if not finished and self.preempt is not None and self.preempt():

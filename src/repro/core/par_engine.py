@@ -22,11 +22,17 @@ consecutive-format *overflow run*; the spilled blocks are counted in
 eliminates them.
 
 All cost accounting is per-real-processor with per-superstep maxima, so
-the reported parallel times are what a true p-machine would exhibit.  By
-default the simulation runs in one interpreter loop; with
-``cfg.workers > 1`` the :mod:`repro.core.workers` backend runs each real
-processor's share in its own OS process and merges the per-worker
-counters back into an identical :class:`CostReport`.
+the reported parallel times are what a true p-machine would exhibit.
+
+A :class:`ParEMEngine` is one *slice* of that machine: the real
+processors ``plan[worker_id]``, their disks and their virtual processors.
+By default the plan has one slice owning every real, step (d) never leaves
+the interpreter and :meth:`ParEMEngine._exchange` has nothing to do.  With
+``cfg.workers > 1`` the :mod:`repro.core.workers` coordinator builds one
+slice per worker process, hands each a transport as ``net``, and folds the
+slices' counters back into an identical :class:`CostReport` — the round
+loop (:meth:`Engine._execute_round`), the routing and the stats fold are
+the same code either way.
 """
 
 from __future__ import annotations
@@ -42,7 +48,12 @@ from repro.core.layouts import (
     consecutive_addresses,
     consecutive_addresses_np,
 )
-from repro.faults.injector import FaultyDiskArray, collect_fault_stats, emit_fault_metrics
+from repro.faults.injector import (
+    FaultStats,
+    FaultyDiskArray,
+    collect_fault_stats,
+    emit_fault_metrics,
+)
 from repro.pdm.block import blocks_for_bytes, unpack_blocks
 from repro.pdm.disk_array import DiskArray, Segment
 from repro.pdm.fastpath import BlockRun, BufferPool
@@ -76,11 +87,50 @@ class _MetaEntry:
 
 
 class ParEMEngine(Engine):
-    """p-processor external-memory backend (Algorithm 3)."""
+    """p-processor external-memory backend (Algorithm 3).
+
+    *plan* partitions the real processors over machine slices and
+    *worker_id* names the slice this engine simulates; *net* is the
+    :class:`~repro.core.transport.base.Transport` joining it to the
+    others.  The defaults are the whole machine in one slice, which has
+    no peers and needs no transport.
+    """
 
     name = "par-em"
     supports_checkpoint = True
     supports_faults = True
+
+    def __init__(
+        self,
+        cfg: MachineConfig,
+        balanced: bool = False,
+        validate: bool = True,
+        tracer=None,
+        metrics=None,
+        plan: "list[list[int]] | None" = None,
+        worker_id: int = 0,
+        net=None,
+    ) -> None:
+        super().__init__(
+            cfg, balanced=balanced, validate=validate, tracer=tracer, metrics=metrics
+        )
+        if plan is None:
+            plan = [list(range(cfg.p))]
+        self.worker_id = worker_id
+        self.net = net
+        #: real processors whose disks/memory live in this interpreter,
+        #: and the virtual processors they simulate
+        self._reals = list(plan[worker_id])
+        vpr = cfg.vprocs_per_real
+        self._pids = [
+            pid for r in self._reals for pid in range(r * vpr, (r + 1) * vpr)
+        ]
+        self._real_worker = {r: w for w, reals in enumerate(plan) for r in reals}
+        #: bundles for other slices' reals buffered until the next
+        #: exchange, per peer (no peers, no entries, with one slice)
+        self._outgoing: dict[int, list] = {
+            w: [] for w in range(len(plan)) if w != worker_id
+        }
 
     # ----------------------------------------------------------------- set-up
 
@@ -102,10 +152,6 @@ class ParEMEngine(Engine):
         # per-run knob snapshot: Engine.run() resolves it before _start;
         # the workers backend ships the coordinator's snapshot instead
         # (see repro.core.workers), so one run can never see two values
-        if self._rt is None:
-            from repro.tune.runtime import current
-
-            self._rt = current()
         rt = self._rt
         # a fault-injected array services every access per-op on the
         # consuming thread, so a speculative gather could never hit
@@ -114,9 +160,9 @@ class ParEMEngine(Engine):
         self._iopool = BufferPool()
         self._prefetch: DoubleBufferedReader | None = None
 
-        # storage is keyed by real-processor id so a worker process can
-        # instantiate only the reals it owns (see repro.core.workers)
-        reals = list(self._storage_reals())
+        # storage is keyed by real-processor id: a slice instantiates
+        # only the reals it owns
+        reals = self._reals
         self.arrays = {r: self._make_array(r) for r in reals}
         self.memories = {r: InternalMemory(cfg.M, strict=False) for r in reals}
         self.matrices = {
@@ -155,9 +201,8 @@ class ParEMEngine(Engine):
 
     # ------------------------------------------------------------- ownership
 
-    def _storage_reals(self) -> "range | list[int]":
-        """Real processors whose disks/memory live in this interpreter."""
-        return range(self.cfg.p)
+    def _local_pids(self) -> list[int]:
+        return self._pids
 
     def _owner(self, pid: int) -> int:
         return pid // self.vpr
@@ -311,10 +356,10 @@ class ParEMEngine(Engine):
         directory entries; returns the write segments grouped per owning
         real processor (one DiskWrite stream each).
 
-        Runs where the destination's storage lives: inline for the
-        sequential backend, in the destination worker for the process
-        backend — which keeps the per-owner write batching (and hence
-        ``parallel_ios``) identical in both modes.
+        Runs where the destination's storage lives — in the source's
+        own slice from :meth:`_put_messages`, in the destination's slice
+        from :meth:`_exchange` — which keeps the per-owner write batching
+        (and hence ``parallel_ios``) identical under any plan.
         """
         cfg = self.cfg
         by_owner: dict[int, list[Segment]] = {}
@@ -349,9 +394,48 @@ class ParEMEngine(Engine):
         return by_owner
 
     def _put_messages(self, src_pid: int, msgs: list[Message]) -> None:
-        by_owner = self._stage_bundles(src_pid, self._bundle_outbox(src_pid, msgs))
-        self._write_staged(by_owner)
+        """Step (d): bundles for this slice's reals are staged on their
+        disks now; a bundle for another slice's real — serialized here,
+        *at the source*, memory charged to the source real — waits in
+        ``_outgoing`` for the next :meth:`_exchange`."""
+        local = []
+        for bundle in self._bundle_outbox(src_pid, msgs):
+            w = self._real_worker[self._owner(bundle[0])]
+            if w == self.worker_id:
+                local.append(bundle)
+            else:
+                self._outgoing[w].append((src_pid, bundle))
+        self._write_staged(self._stage_bundles(src_pid, local))
         self._release(src_pid)
+
+    def _exchange(self, r: int, phase: int) -> None:
+        """Where step (d) leaves the process: send each peer slice exactly
+        one packet, tagged ``(round, phase, src_worker)`` (empty packets
+        included), wait for one from each — the barrier that stands in for
+        the paper's network — and stage what arrived."""
+        net = self.net
+        if net is None:
+            return
+        outgoing = self._outgoing
+        self._outgoing = {w: [] for w in outgoing}
+        self._stage_remote(net.exchange(outgoing, r, phase))
+        # staging copied every shared-memory payload into the arena and
+        # the last views of them died with _stage_remote's frame; the
+        # segments backing this phase's packets can go away now
+        net.release()
+
+    def _stage_remote(self, items: list) -> None:
+        """Stage bundles shipped from peer slices.
+
+        Grouped per source pid in ascending order, one DiskWrite batch
+        per destination real — exactly the batches the one-slice machine
+        issues for that source's outbox restricted to these reals.
+        """
+        by_src: dict[int, list] = {}
+        for src_pid, bundle in items:
+            by_src.setdefault(src_pid, []).append(bundle)
+        for src_pid in sorted(by_src):
+            self._write_staged(self._stage_bundles(src_pid, by_src[src_pid]))
 
     def _write_staged(self, by_owner: dict[int, list[Segment]]) -> None:
         """Commit one source's staged segments, one FIFO stream per owning
@@ -561,75 +645,73 @@ class ParEMEngine(Engine):
             total.merge(array.stats)
         return total
 
-    @staticmethod
-    def _fold_stats(
-        report: CostReport,
-        io_by_real: list[IOStats],
-        mem_peaks: list[int],
-        ctx_io: int,
-        msg_io: int,
-        ovf: int,
-    ) -> None:
-        """Fold per-real-processor counters into *report*.
-
-        *io_by_real* must be in ascending real-id order so the io_max
-        tie-break (first strict maximum) matches across backends.
-        """
-        io_max = None
-        for st in io_by_real:
-            report.io.merge(st)
-            if io_max is None or st.parallel_ios > io_max.parallel_ios:
-                io_max = st
-        report.io_max = io_max.snapshot() if io_max else report.io.snapshot()
-        report.peak_memory_items = max(mem_peaks, default=0)
-        report.context_blocks_io = ctx_io
-        report.message_blocks_io = msg_io
-        report.overflow_blocks = ovf
-
-    def _finalize(self, report: CostReport) -> None:
+    def _final_stats(self) -> dict:
+        """This slice's end-of-run counters, the unit :func:`fold_final_stats`
+        folds: per-real ``IOStats`` and memory peaks, the block totals and
+        the merged fault statistics (``None`` on a clean run).  Call it
+        after the outputs are collected: it ends the memory accounting."""
         # release anything still charged (finish() loads contexts)
         for pid in list(self._charged):
             self._release(pid)
-        self._fold_stats(
-            report,
-            [self.arrays[r].stats for r in sorted(self.arrays)],
-            [m.peak for m in self.memories.values()],
-            self._ctx_blocks_io,
-            self._msg_blocks_io,
-            self._overflow_blocks,
-        )
-        emit_block_metrics(
-            self.metrics,
-            self.name,
-            self.cfg,
-            self._ctx_blocks_io,
-            self._msg_blocks_io,
-            self._overflow_blocks,
-        )
-        fstats = collect_fault_stats(self.arrays.values())
-        if fstats is not None:
-            report.fault_stats = fstats
-            emit_fault_metrics(self.metrics, self.name, self.cfg, fstats)
+        return {
+            "io_by_real": {r: a.stats for r, a in self.arrays.items()},
+            "mem_peaks": {r: m.peak for r, m in self.memories.items()},
+            "ctx_io": self._ctx_blocks_io,
+            "msg_io": self._msg_blocks_io,
+            "ovf": self._overflow_blocks,
+            "fault_stats": collect_fault_stats(self.arrays.values()),
+        }
+
+    def _finalize(self, report: CostReport) -> None:
+        fold_final_stats(self, report, [self._final_stats()])
 
 
-def emit_block_metrics(metrics, name, cfg, ctx_io, msg_io, ovf) -> None:
-    """Emit the EM backends' block-level counters to a metrics registry.
-
-    Shared by :class:`ParEMEngine` and the multi-core coordinator, which
-    merges the same counters from its worker processes.
-    """
-    if not metrics.enabled:
-        return
-    labels = dict(engine=name, p=cfg.p, D=cfg.D, B=cfg.B)
-    metrics.counter(
-        "repro_context_blocks_total", "blocks moved for context swapping"
-    ).labels(**labels).inc(ctx_io)
-    metrics.counter(
-        "repro_message_blocks_total", "blocks moved for message traffic"
-    ).labels(**labels).inc(msg_io)
-    metrics.counter(
-        "repro_overflow_blocks_total", "staggered-slot overflow spills"
-    ).labels(**labels).inc(ovf)
+def fold_final_stats(eng: Engine, report: CostReport, parts: list[dict]) -> None:
+    """Fold the slices' :meth:`ParEMEngine._final_stats` into *report* and
+    *eng*'s metrics registry: one part for the in-process run, one per
+    worker for the coordinator."""
+    io_by_real: dict[int, IOStats] = {}
+    mem_peaks: dict[int, int] = {}
+    ctx_io = msg_io = ovf = 0
+    fstats: FaultStats | None = None
+    for part in parts:
+        io_by_real.update(part["io_by_real"])
+        mem_peaks.update(part["mem_peaks"])
+        ctx_io += part["ctx_io"]
+        msg_io += part["msg_io"]
+        ovf += part["ovf"]
+        if part["fault_stats"] is not None:
+            if fstats is None:
+                fstats = FaultStats()
+            fstats.merge(part["fault_stats"])
+    # ascending real-id order, so the io_max tie-break (first strict
+    # maximum) is the same however the reals were partitioned
+    io_max = None
+    for r in sorted(io_by_real):
+        st = io_by_real[r]
+        report.io.merge(st)
+        if io_max is None or st.parallel_ios > io_max.parallel_ios:
+            io_max = st
+    report.io_max = io_max.snapshot() if io_max else report.io.snapshot()
+    report.peak_memory_items = max(mem_peaks.values(), default=0)
+    report.context_blocks_io = ctx_io
+    report.message_blocks_io = msg_io
+    report.overflow_blocks = ovf
+    metrics, cfg = eng.metrics, eng.cfg
+    if metrics.enabled:
+        labels = dict(engine=eng.name, p=cfg.p, D=cfg.D, B=cfg.B)
+        metrics.counter(
+            "repro_context_blocks_total", "blocks moved for context swapping"
+        ).labels(**labels).inc(ctx_io)
+        metrics.counter(
+            "repro_message_blocks_total", "blocks moved for message traffic"
+        ).labels(**labels).inc(msg_io)
+        metrics.counter(
+            "repro_overflow_blocks_total", "staggered-slot overflow spills"
+        ).labels(**labels).inc(ovf)
+    if fstats is not None:
+        report.fault_stats = fstats
+        emit_fault_metrics(metrics, eng.name, cfg, fstats)
 
 
 class SeqEMEngine(ParEMEngine):

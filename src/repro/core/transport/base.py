@@ -4,9 +4,10 @@ Algorithm 3's real processors exchange exactly one packet per peer per
 phase — that all-to-all is both the data plane and the superstep
 barrier.  A :class:`Transport` owns how those packets move between the
 OS processes (or machines) hosting the reals; everything above it (the
-bundling, staging, and cost accounting in
-:mod:`repro.core.workers`) is transport-agnostic, which is what keeps
-logical ``IOStats`` bit-identical across backends.
+bundling, staging, and cost accounting of the
+:class:`~repro.core.par_engine.ParEMEngine` slice that receives it as
+``net``) is transport-agnostic, which is what keeps logical ``IOStats``
+bit-identical across backends.
 
 Concrete transports:
 
@@ -21,8 +22,7 @@ Concrete transports:
 The exchange protocol (:meth:`Transport.exchange`) is shared: send one
 encoded packet to every peer, then block until one packet per peer of
 the *same* ``(round, phase)`` has arrived, buffering any packet from a
-peer that raced ahead into a later phase.  :meth:`Transport.barrier` is
-the degenerate exchange with empty payloads.
+peer that raced ahead into a later phase.
 """
 
 from __future__ import annotations
@@ -113,8 +113,8 @@ class Transport:
     :meth:`send_packet`, :meth:`recv_packet`, :meth:`close`) plus
     optionally the packet codec (:meth:`_encode` / :meth:`_decode`, the
     shm bulk path) and :meth:`release` (post-staging segment cleanup).
-    ``exchange``/``barrier`` are shared and define the one-packet-per-
-    peer-per-phase semantics every backend must preserve.
+    ``exchange`` is shared and defines the one-packet-per-peer-per-phase
+    semantics every backend must preserve.
     """
 
     #: registry name ("memory" | "shm" | "tcp"), for traces and metrics
@@ -178,8 +178,3 @@ class Transport:
         for src in sorted(got):
             merged.extend(self._decode(got[src]))
         return merged
-
-    def barrier(self, peers: list[int], r: int, phase: int) -> None:
-        """Synchronize with *peers* without moving data: the degenerate
-        one-empty-packet-per-peer exchange."""
-        self.exchange({w: [] for w in peers}, r, phase)

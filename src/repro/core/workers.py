@@ -4,32 +4,27 @@ group.
 :class:`ProcessParEngine` is the opt-in (``cfg.workers > 1``) backend that
 finally runs the p real processors of ParCompoundSuperstep concurrently:
 the coordinator partitions the reals contiguously over ``min(workers, p)``
-worker processes, and each worker instantiates only its share of the
-machine — its own :class:`~repro.pdm.disk_array.DiskArray`,
-:class:`~repro.pdm.memory.InternalMemory`,
-:class:`~repro.core.layouts.MessageMatrix` and
-:class:`~repro.core.layouts.RegionAllocator` — and simulates its virtual
-processors with the exact :class:`~repro.core.par_engine.ParEMEngine`
-machinery.
+worker processes, and each worker builds one
+:class:`~repro.core.par_engine.ParEMEngine` *slice* of the machine — the
+same engine the in-process run uses, constructed with the coordinator's
+``plan``, its ``worker_id`` and a transport, so it instantiates only its
+share of the disks, memories, message matrices and allocators.
 
 Round protocol (one iteration of the driver loop):
 
 1. the coordinator broadcasts ``("round", r)`` to every worker;
-2. each worker runs its local virtual processors' compound supersteps;
-   step (d) traffic whose destination real lives in another worker is
-   serialized *at the source* (blocks packed once, memory charged to the
-   source real) and buffered per destination worker;
-3. **exchange** — every worker sends exactly one packet, tagged
-   ``(round, phase, src_worker)``, to every other worker (empty packets
-   included), then waits for one packet from each peer: the inter-process
-   barrier that stands in for the paper's network;
-4. received bundles are staged on the destination's disks grouped per
-   source virtual processor in ascending-pid order, replaying the
-   sequential backend's per-owner DiskWrite batches;
-5. ``_flip()`` everywhere (twice, with a second exchange in between, in
-   balanced mode), and each worker ships its :class:`RoundStep` delta —
-   I/O counters, h-relation sizes, wall times, drained trace events — to
-   the coordinator, which merges them into one per-round record.
+2. each worker runs :meth:`Engine._execute_round` over its slice — the one
+   round loop; its ``_exchange`` hook
+   (:meth:`ParEMEngine._exchange <repro.core.par_engine.ParEMEngine._exchange>`)
+   is where step (d) traffic for another worker's reals leaves the
+   process, once before each ``_flip()``;
+3. each worker ships its :class:`RoundStep` delta — I/O counters,
+   h-relation sizes, wall times, drained trace events — to the
+   coordinator, which merges them into one per-round record.
+
+The coordinator is a different *role*, not a different machine: fan-out,
+reply gathering, crash recovery and snapshot scatter/gather live here;
+everything that simulates lives in the slice.
 
 Determinism: every ``CostReport`` counter the coordinator reports is
 bit-identical to the single-process simulation.  The staggered-slot
@@ -64,10 +59,9 @@ from typing import Any
 
 from repro.cgm.config import MachineConfig
 from repro.cgm.engine import Engine, RoundStep
-from repro.cgm.message import Message
 from repro.cgm.metrics import CostReport
 from repro.cgm.program import CGMProgram
-from repro.core.par_engine import ParEMEngine, emit_block_metrics
+from repro.core.par_engine import ParEMEngine, fold_final_stats
 from repro.core.transport import (
     MemoryTransport,
     ShmTransport,
@@ -77,7 +71,6 @@ from repro.core.transport import (
     poll_get,
     require_nodes,
 )
-from repro.faults.injector import FaultStats, collect_fault_stats, emit_fault_metrics
 from repro.obs.trace import JsonlRecorder, replay_events
 from repro.pdm.io_stats import IOStats
 from repro.util.rng import spawn_rngs
@@ -122,109 +115,6 @@ class WorkerCrashed(SimulationError):
         self.workers = workers
 
 
-class _WorkerEngine(ParEMEngine):
-    """The slice of the p-processor machine owned by one worker process.
-
-    Inherits every storage and accounting mechanism of
-    :class:`ParEMEngine`; only message routing is split between the local
-    disks and the network.  ``name`` stays ``"par-em"`` so cost
-    cross-checks treat worker-produced reports like sequential ones.
-    """
-
-    def __init__(
-        self,
-        cfg: MachineConfig,
-        balanced: bool,
-        worker_id: int,
-        plan: list[list[int]],
-        tracer=None,
-    ) -> None:
-        super().__init__(cfg, balanced=balanced, validate=False, tracer=tracer)
-        self.worker_id = worker_id
-        self._reals = list(plan[worker_id])
-        self._real_worker = {r: w for w, reals in enumerate(plan) for r in reals}
-        self.n_workers = len(plan)
-        #: remote bundles buffered during the current phase, per worker.
-        self._outgoing: dict[int, list] | None = None
-
-    # ------------------------------------------------------------ topology
-
-    def _storage_reals(self):
-        return self._reals
-
-    def _local_pids(self):
-        vpr = self.cfg.vprocs_per_real
-        return [pid for r in self._reals for pid in range(r * vpr, (r + 1) * vpr)]
-
-    # ------------------------------------------------------------- routing
-
-    def _put_messages(self, src_pid: int, msgs: list[Message]) -> None:
-        bundles = self._bundle_outbox(src_pid, msgs)
-        local = []
-        for bundle in bundles:
-            w = self._real_worker[self._owner(bundle[0])]
-            if w == self.worker_id:
-                local.append(bundle)
-            else:
-                self._outgoing[w].append((src_pid, bundle))
-        self._write_staged(self._stage_bundles(src_pid, local))
-        self._release(src_pid)
-
-    def _apply_remote(self, items: list) -> None:
-        """Stage bundles shipped from peer workers.
-
-        Grouped per source pid in ascending order, one DiskWrite batch
-        per destination real — exactly the batches the sequential backend
-        issues for that source's outbox restricted to these reals.
-        """
-        by_src: dict[int, list] = {}
-        for src_pid, bundle in items:
-            by_src.setdefault(src_pid, []).append(bundle)
-        for src_pid in sorted(by_src):
-            self._write_staged(self._stage_bundles(src_pid, by_src[src_pid]))
-
-    def _exchange_phase(self, net: Transport, r: int, phase: int) -> None:
-        outgoing = self._outgoing
-        self._outgoing = None
-        self._apply_remote(net.exchange(outgoing, r, phase))
-        # staging copied every shared-memory payload into the arena; the
-        # segments backing this phase's packets can go away now
-        net.release()
-
-    def _begin_phase(self) -> None:
-        self._outgoing = {
-            w: [] for w in range(self.n_workers) if w != self.worker_id
-        }
-
-    # ------------------------------------------------------------ per round
-
-    def execute_local_round(
-        self, program: CGMProgram, r: int, rngs: list, net: Transport
-    ) -> RoundStep:
-        """This worker's share of one CGM round, including both network
-        exchanges; mirrors :meth:`Engine._execute_round`."""
-        cfg = self.cfg
-        step = RoundStep.empty(cfg.v, cfg.p)
-        io_before = self._io_totals()
-        self._begin_phase()
-        pids = list(self._local_pids())
-        self._begin_superstep(pids)
-        try:
-            for pid in pids:
-                self._run_vproc(program, r, pid, rngs[pid], step)
-        finally:
-            self._end_superstep()
-        self._exchange_phase(net, r, 0)
-        self._flip()
-        if self.balanced:
-            self._begin_phase()
-            self._relay_superstep()
-            self._exchange_phase(net, r, 1)
-            self._flip()
-        step.io = self._io_totals().delta_since(io_before)
-        return step
-
-
 def run_worker_session(
     worker_id: int,
     session: dict[str, Any],
@@ -254,8 +144,14 @@ def run_worker_session(
     program: CGMProgram = session["program"]
     runtime = session["runtime"]
     tracer = JsonlRecorder() if session["trace_enabled"] else None
-    eng = _WorkerEngine(
-        cfg, session["balanced"], worker_id, session["plan"], tracer=tracer
+    eng = ParEMEngine(
+        cfg,
+        session["balanced"],
+        validate=False,
+        tracer=tracer,
+        plan=session["plan"],
+        worker_id=worker_id,
+        net=net,
     )
     eng._max_message_items = session["max_message_items"]
     eng.faults = session["faults"]
@@ -263,74 +159,76 @@ def run_worker_session(
     eng._rt = runtime
     eng._start(program)
     rngs = spawn_rngs(cfg.seed, cfg.v)
-    while True:
-        cmd = cmd_get()
-        op = cmd[0]
-        if op == "setup":
-            eng._setup_contexts(program, cmd[1])
-            reply("setup", None)
-        elif op == "round":
-            r = cmd[1]
-            step = eng.execute_local_round(program, r, rngs, net)
-            payload = {
-                "sent": [(pid, n) for pid, n in enumerate(step.sent) if n],
-                "recv": [(pid, n) for pid, n in enumerate(step.recv) if n],
-                "wall": [
-                    (real, s)
-                    for real, s in enumerate(step.per_real_wall)
-                    if s
-                ],
-                "messages": step.messages,
-                "comm_items": step.comm_items,
-                "cross_items": step.cross_items,
-                "all_done": step.all_done,
-                "io": step.io,
-                "pending": eng._pending_messages(),
-                "events": tracer.drain() if tracer else [],
-            }
-            reply("round", payload)
-        elif op == "finish":
-            outputs = {
-                pid: program.finish(eng._load_context(pid))
-                for pid in eng._local_pids()
-            }
-            for pid in list(eng._charged):
-                eng._release(pid)
-            payload = {
-                "outputs": outputs,
-                "io_by_real": {rl: eng.arrays[rl].stats for rl in eng._reals},
-                "mem_peaks": {rl: eng.memories[rl].peak for rl in eng._reals},
-                "ctx_io": eng._ctx_blocks_io,
-                "msg_io": eng._msg_blocks_io,
-                "ovf": eng._overflow_blocks,
-                "fault_stats": collect_fault_stats(eng.arrays.values()),
-                "transport": {
-                    "kind": net.kind,
-                    "sent": net.packets_sent,
-                    "recv": net.packets_received,
-                },
-                "events": tracer.drain() if tracer else [],
-            }
-            reply("final", payload)
-        elif op == "snapshot":
-            payload = {
-                "backend": eng._snapshot_backend(),
-                "rng": {
-                    pid: rngs[pid].bit_generator.state
+    try:
+        while True:
+            cmd = cmd_get()
+            op = cmd[0]
+            if op == "setup":
+                eng._setup_contexts(program, cmd[1])
+                reply("setup", None)
+            elif op == "round":
+                # the one round loop, over this slice; its _exchange hook
+                # is where the slice meets its peers
+                step = eng._execute_round(program, cmd[1], rngs)
+                payload = {
+                    "sent": [(pid, n) for pid, n in enumerate(step.sent) if n],
+                    "recv": [(pid, n) for pid, n in enumerate(step.recv) if n],
+                    "wall": [
+                        (real, s)
+                        for real, s in enumerate(step.per_real_wall)
+                        if s
+                    ],
+                    "messages": step.messages,
+                    "comm_items": step.comm_items,
+                    "cross_items": step.cross_items,
+                    "all_done": step.all_done,
+                    "io": step.io,
+                    "pending": eng._pending_messages(),
+                    "events": tracer.drain() if tracer else [],
+                }
+                reply("round", payload)
+            elif op == "finish":
+                outputs = {
+                    pid: program.finish(eng._load_context(pid))
                     for pid in eng._local_pids()
-                },
-            }
-            reply("snapshot", payload)
-        elif op == "restore":
-            eng._restore_backend(cmd[1])
-            for pid, state in cmd[2].items():
-                rngs[pid].bit_generator.state = state
-            reply("restore", None)
-        elif op == "stop":
-            net.close()
-            return
-        else:  # pragma: no cover - protocol bug
-            raise SimulationError(f"unknown worker command {op!r}")
+                }
+                payload = {
+                    "outputs": outputs,
+                    **eng._final_stats(),
+                    "transport": {
+                        "kind": net.kind,
+                        "sent": net.packets_sent,
+                        "recv": net.packets_received,
+                    },
+                    "events": tracer.drain() if tracer else [],
+                }
+                reply("final", payload)
+            elif op == "snapshot":
+                payload = {
+                    "backend": eng._snapshot_backend(),
+                    "rng": {
+                        pid: rngs[pid].bit_generator.state
+                        for pid in eng._local_pids()
+                    },
+                }
+                reply("snapshot", payload)
+            elif op == "restore":
+                eng._restore_backend(cmd[1])
+                for pid, state in cmd[2].items():
+                    rngs[pid].bit_generator.state = state
+                reply("restore", None)
+            elif op == "stop":
+                net.close()
+                return
+            else:  # pragma: no cover - protocol bug
+                raise SimulationError(f"unknown worker command {op!r}")
+    finally:
+        # nobody else will: a forked child leaves through os._exit and a
+        # node daemon lives on, so an mmap arena's spill dir would outlast
+        # the session (the tracer's on_grow hook makes an array<->arena
+        # cycle that refcounting alone never frees)
+        for array in eng.arrays.values():
+            array.close()
 
 
 def _worker_main(
@@ -503,10 +401,6 @@ class ProcessParEngine(Engine):
     def _start(self, program: CGMProgram) -> None:
         cfg = self.cfg
         self._plan = partition_reals(cfg.p, self.n_workers)
-        if self._rt is None:
-            from repro.tune.runtime import current
-
-            self._rt = current()
         session = {
             "cfg": cfg,
             "balanced": self.balanced,
@@ -653,9 +547,6 @@ class ProcessParEngine(Engine):
         # Lemma 4, same as ParEMEngine: v/p real supersteps per CGM round.
         return self.cfg.vprocs_per_real
 
-    def _round_boundary(self, r: int) -> None:
-        pass
-
     # ---------------------------------------------------------- checkpointing
 
     def _snapshot_state(self, rngs: list) -> dict[str, Any]:
@@ -729,37 +620,10 @@ class ProcessParEngine(Engine):
         return [outputs[pid] for pid in range(self.cfg.v)]
 
     def _finalize(self, report: CostReport) -> None:
-        io_by_real: dict[int, IOStats] = {}
-        mem_peaks: dict[int, int] = {}
-        ctx_io = msg_io = ovf = 0
-        for w in sorted(self._finals):
-            payload = self._finals[w]
-            io_by_real.update(payload["io_by_real"])
-            mem_peaks.update(payload["mem_peaks"])
-            ctx_io += payload["ctx_io"]
-            msg_io += payload["msg_io"]
-            ovf += payload["ovf"]
-        ParEMEngine._fold_stats(
-            report,
-            [io_by_real[r] for r in sorted(io_by_real)],
-            [mem_peaks[r] for r in sorted(mem_peaks)],
-            ctx_io,
-            msg_io,
-            ovf,
+        fold_final_stats(
+            self, report, [self._finals[w] for w in sorted(self._finals)]
         )
-        emit_block_metrics(self.metrics, self.name, self.cfg, ctx_io, msg_io, ovf)
         self._emit_transport_metrics()
-        fstats = None
-        for w in sorted(self._finals):
-            part = self._finals[w].get("fault_stats")
-            if part is None:
-                continue
-            if fstats is None:
-                fstats = FaultStats()
-            fstats.merge(part)
-        if fstats is not None:
-            report.fault_stats = fstats
-            emit_fault_metrics(self.metrics, self.name, self.cfg, fstats)
 
     def _emit_transport_metrics(self) -> None:
         """``repro_transport_*``: per-node packet counts (all transports)

@@ -48,13 +48,7 @@ This package makes those claims observable:
   stream of the bus.
 """
 
-from repro.obs.bus import (
-    NULL_BUS,
-    EventBus,
-    NullBus,
-    Subscription,
-    bus_from_env,
-)
+from repro.obs.bus import EventBus, Subscription, bus_from_env
 from repro.obs.chrome import to_chrome_events, write_chrome_trace
 from repro.obs.metrics import (
     NULL_REGISTRY,
@@ -120,9 +114,7 @@ __all__ = [
     "compare",
     "load",
     "EventBus",
-    "NullBus",
     "Subscription",
-    "NULL_BUS",
     "bus_from_env",
     "ConformanceMonitor",
     "TopView",

@@ -30,10 +30,10 @@ live instrument:
   (and flush) each event as a JSON line the moment it is emitted, so
   ``repro top --follow`` can tail a live run.
 
-The disabled path stays strictly no-op: :data:`NULL_BUS` (a
-:class:`~repro.obs.trace.NullRecorder`) allocates no queues, no span
-stack and no events, and engines guard every call site on
-``tracer.enabled`` — identical cost to the pre-bus ``NULL_RECORDER``.
+The disabled path is not a bus at all: engines default to
+:data:`~repro.obs.trace.NULL_RECORDER`, which allocates no queues, no
+span stack and no events, and guard every call site on
+``tracer.enabled``; :func:`bus_from_env` returns ``None`` when off.
 
 The ``REPRO_TRACE`` environment variable turns the bus on without code
 changes: any truthy value installs an :class:`EventBus` as the default
@@ -50,7 +50,7 @@ import time
 from collections import deque
 from typing import TYPE_CHECKING, Any, Callable, Iterator, TextIO
 
-from repro.obs.trace import JsonlRecorder, NullRecorder, _jsonable
+from repro.obs.trace import JsonlRecorder, _jsonable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.conformance import ConformanceMonitor
@@ -280,27 +280,6 @@ class EventBus(JsonlRecorder):
         if sink is not None and self._own_sink:
             self._sink = None
             sink.close()
-
-
-class NullBus(NullRecorder):
-    """The disabled bus: no queues, no span stack, no events — ever.
-
-    Subscribing to a disabled bus is a caller bug (the events would never
-    come), so it raises instead of returning a queue that silently stays
-    empty.
-    """
-
-    def subscribe(
-        self, maxlen: int = 1024, kinds: "frozenset[str] | set[str] | None" = None
-    ) -> Subscription:
-        raise RuntimeError("cannot subscribe to the disabled NULL_BUS")
-
-    def add_listener(self, cb: Callable[[dict[str, Any]], None]) -> None:
-        raise RuntimeError("cannot attach a listener to the disabled NULL_BUS")
-
-
-#: shared disabled bus — interchangeable with NULL_RECORDER.
-NULL_BUS = NullBus()
 
 
 def trace_env_spec() -> "str | None":

@@ -18,6 +18,11 @@ never blocks the simulation: SSE clients consume through a bounded
 :class:`~repro.obs.bus.Subscription`.  :meth:`ObsServer.close` wakes
 streaming handlers (their subscriptions close and a poll flag flips) and
 shuts the listener down cleanly.
+
+This module also holds the repo's one HTTP/SSE skeleton —
+:class:`HttpHandler` (response helpers and the SSE stream loop) and
+:class:`HttpListener` (the daemon-thread lifecycle) — which
+:class:`repro.service.server.JobServer` builds on too.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 from urllib.parse import parse_qs, urlparse
 
-from repro.obs.bus import EventBus
+from repro.obs.bus import EventBus, Subscription
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import _jsonable
 
@@ -39,85 +44,52 @@ _SSE_POLL_S = 0.5
 _SSE_KEEPALIVE_POLLS = 10
 
 
-class _ObsHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying the bus/registry for its handlers."""
-
-    daemon_threads = True
-
-    def __init__(
-        self,
-        addr: tuple[str, int],
-        bus: "EventBus | None",
-        registry: "MetricsRegistry | None",
-    ) -> None:
-        super().__init__(addr, _Handler)
-        self.obs_bus = bus
-        self.obs_registry = registry
-        self.obs_closing = threading.Event()
-
-
-class _Handler(BaseHTTPRequestHandler):
-    server: _ObsHTTPServer
+class HttpHandler(BaseHTTPRequestHandler):
+    """Response helpers shared by every endpoint; ``self.server.owner`` is
+    the :class:`HttpListener` serving the request."""
 
     # CI smoke and tests scrape repeatedly; default request logging would
     # drown the run's own output
     def log_message(self, format: str, *args: Any) -> None:
         pass
 
-    def _text(self, code: int, body: str, content_type: str) -> None:
+    def _text(
+        self,
+        code: int,
+        body: str,
+        content_type: str = "text/plain; charset=utf-8",
+        headers: "dict[str, str] | None" = None,
+    ) -> None:
         payload = body.encode("utf-8")
         self.send_response(code)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(payload)
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        url = urlparse(self.path)
-        try:
-            if url.path == "/metrics":
-                self._metrics()
-            elif url.path == "/events":
-                self._events(parse_qs(url.query))
-            elif url.path in ("/", "/healthz"):
-                self._healthz()
-            else:
-                self._text(404, "not found\n", "text/plain; charset=utf-8")
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away mid-response; nothing to salvage
+    def _json(
+        self, code: int, doc: Any, headers: "dict[str, str] | None" = None
+    ) -> None:
+        self._text(code, json.dumps(doc) + "\n", "application/json", headers)
 
-    def _metrics(self) -> None:
-        registry = self.server.obs_registry
-        if registry is None:
-            self._text(503, "no metrics registry attached\n",
-                       "text/plain; charset=utf-8")
-            return
-        self._text(
-            200, registry.render_prometheus(),
-            "text/plain; version=0.0.4; charset=utf-8",
+    def _frame(self, ev: dict[str, Any]) -> None:
+        data = json.dumps(ev, default=_jsonable)
+        self.wfile.write(
+            f"id: {ev.get('seq', 0)}\nevent: trace\ndata: {data}\n\n".encode()
         )
+        self.wfile.flush()
 
-    def _healthz(self) -> None:
-        bus = self.server.obs_bus
-        body = json.dumps(
-            {
-                "status": "ok",
-                "events": len(bus.events) if bus is not None else 0,
-                "subscribers": bus.subscriptions if bus is not None else 0,
-            }
-        )
-        self._text(200, body + "\n", "application/json")
-
-    def _events(self, query: dict[str, list[str]]) -> None:
-        bus = self.server.obs_bus
-        if bus is None:
-            self._text(503, "no event bus attached\n",
-                       "text/plain; charset=utf-8")
-            return
-        replay = query.get("replay", ["1"])[0] not in ("0", "false", "no")
-        # subscribe *before* snapshotting the buffer so no event falls in
-        # the gap; the seq guard below drops any overlap
-        sub = bus.subscribe()
+    def _stream(
+        self, bus: EventBus, sub: "Subscription | None", replay: bool = True
+    ) -> None:
+        """Answer with an SSE stream of *bus*: the buffered events first
+        (when *replay*), then live ones from *sub* until it closes — an
+        ``event: end`` frame — or the listener does.  ``sub=None`` is the
+        replay-only stream.  The caller subscribes *before* calling, so no
+        event falls between the buffer snapshot and the subscription; the
+        seq guard drops the overlap."""
         try:
             self.send_response(200)
             self.send_header("Content-Type", "text/event-stream")
@@ -129,14 +101,15 @@ class _Handler(BaseHTTPRequestHandler):
                 for ev in list(bus.events):
                     self._frame(ev)
                     last_seq = int(ev.get("seq", last_seq))
+            closing = self.server.owner.closing
             idle = 0
-            while not self.server.obs_closing.is_set():
+            while sub is not None:
+                if closing.is_set():
+                    return
                 ev = sub.get(timeout=_SSE_POLL_S)
                 if ev is None:
                     if sub.closed:
-                        self.wfile.write(b"event: end\ndata: {}\n\n")
-                        self.wfile.flush()
-                        return
+                        break
                     idle += 1
                     if idle >= _SSE_KEEPALIVE_POLLS:
                         # comment frame: keeps proxies open, detects a
@@ -149,23 +122,103 @@ class _Handler(BaseHTTPRequestHandler):
                 if int(ev.get("seq", -1)) <= last_seq:
                     continue  # already replayed from the buffer
                 self._frame(ev)
+            self.wfile.write(b"event: end\ndata: {}\n\n")
+            self.wfile.flush()
         finally:
-            sub.close()
+            if sub is not None:
+                sub.close()
 
-    def _frame(self, ev: dict[str, Any]) -> None:
-        data = json.dumps(ev, default=_jsonable)
-        self.wfile.write(
-            f"id: {ev.get('seq', 0)}\nevent: trace\ndata: {data}\n\n".encode()
+
+class HttpListener:
+    """A :class:`ThreadingHTTPServer` answering with :attr:`handler` on a
+    daemon thread.  ``port=0`` picks a free port — read :attr:`port` /
+    :attr:`url` after construction."""
+
+    handler: type[HttpHandler]
+    thread_name = "repro-http"
+
+    def __init__(self, host: str, port: int) -> None:
+        self._httpd = ThreadingHTTPServer((host, port), self.handler)
+        self._httpd.owner = self  # type: ignore[attr-defined]
+        #: set by close(); streaming handlers poll it
+        self.closing = threading.Event()
+        self.host = self._httpd.server_address[0]
+        self.port = int(self._httpd.server_address[1])
+        self._thread: "threading.Thread | None" = None
+
+    @property
+    def url(self) -> str:
+        return f"http://{self.host}:{self.port}"
+
+    def start(self):
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, name=self.thread_name, daemon=True
         )
-        self.wfile.flush()
+        self._thread.start()
+        return self
+
+    def close(self) -> None:
+        """Stop serving: wake SSE streams, shut the listener down (idempotent)."""
+        if self.closing.is_set():
+            return
+        self.closing.set()
+        self._httpd.shutdown()
+        self._httpd.server_close()
+        if self._thread is not None:
+            self._thread.join(timeout=5.0)
+            self._thread = None
 
 
-class ObsServer:
-    """The live-telemetry HTTP endpoint; see the module docstring.
+class _Handler(HttpHandler):
+    def do_GET(self) -> None:  # noqa: N802 - http.server API
+        url = urlparse(self.path)
+        try:
+            if url.path == "/metrics":
+                self._metrics()
+            elif url.path == "/events":
+                self._events(parse_qs(url.query))
+            elif url.path in ("/", "/healthz"):
+                self._healthz()
+            else:
+                self._text(404, "not found\n")
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # client went away mid-response; nothing to salvage
 
-    ``port=0`` (the default) picks a free port — read :attr:`port` /
-    :attr:`url` after construction.
-    """
+    def _metrics(self) -> None:
+        registry = self.server.owner.registry
+        if registry is None:
+            self._text(503, "no metrics registry attached\n")
+            return
+        self._text(
+            200, registry.render_prometheus(),
+            "text/plain; version=0.0.4; charset=utf-8",
+        )
+
+    def _healthz(self) -> None:
+        bus = self.server.owner.bus
+        self._json(
+            200,
+            {
+                "status": "ok",
+                "events": len(bus.events) if bus is not None else 0,
+                "subscribers": bus.subscriptions if bus is not None else 0,
+            },
+        )
+
+    def _events(self, query: dict[str, list[str]]) -> None:
+        bus = self.server.owner.bus
+        if bus is None:
+            self._text(503, "no event bus attached\n")
+            return
+        replay = query.get("replay", ["1"])[0] not in ("0", "false", "no")
+        self._stream(bus, bus.subscribe(), replay)
+
+
+class ObsServer(HttpListener):
+    """The live-telemetry HTTP endpoint; see the module docstring."""
+
+    handler = _Handler
+    thread_name = "repro-obs-http"
 
     def __init__(
         self,
@@ -176,31 +229,4 @@ class ObsServer:
     ) -> None:
         self.bus = bus
         self.registry = registry
-        self._httpd = _ObsHTTPServer((host, port), bus, registry)
-        self.host = self._httpd.server_address[0]
-        self.port = int(self._httpd.server_address[1])
-        self._thread: "threading.Thread | None" = None
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "ObsServer":
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever,
-            name="repro-obs-http",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def close(self) -> None:
-        """Stop serving: wake SSE streams, shut the listener down (idempotent)."""
-        if self._httpd.obs_closing.is_set():
-            return
-        self._httpd.obs_closing.set()
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+        super().__init__(host, port)

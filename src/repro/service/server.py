@@ -4,8 +4,9 @@ Split in two so everything interesting is testable without sockets:
 
 * :class:`ServiceCore` — submit / status / cancel / drain over the
   queue, pool, cache and metrics (no HTTP anywhere);
-* :class:`JobServer` — a :class:`ThreadingHTTPServer` (same skeleton as
-  :class:`repro.obs.server.ObsServer`) translating HTTP to core calls.
+* :class:`JobServer` — an :class:`~repro.obs.server.HttpListener` (the
+  one HTTP/SSE skeleton, shared with :class:`repro.obs.server.ObsServer`)
+  translating HTTP to core calls.
 
 Endpoints::
 
@@ -32,11 +33,11 @@ import itertools
 import json
 import os
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 from urllib.parse import urlparse
 
 from repro.obs.metrics import MetricsRegistry
+from repro.obs.server import HttpHandler, HttpListener
 from repro.obs.trace import _jsonable
 from repro.service.cache import ResultCache
 from repro.service.jobs import CANCELLED, DONE, PREEMPTED, QUEUED, Job, ServiceError
@@ -44,10 +45,6 @@ from repro.service.pool import WorkerPool
 from repro.service.queue import BackpressureError, JobQueue
 from repro.service.spec import JobSpec
 from repro.util.validation import ConfigurationError
-
-#: seconds an idle SSE stream waits between polls (close() latency bound)
-_SSE_POLL_S = 0.5
-_SSE_KEEPALIVE_POLLS = 10
 
 #: submissions beyond this many retained finished jobs evict the oldest
 _MAX_FINISHED = 1024
@@ -313,45 +310,7 @@ class ServiceCore:
         self._refresh_gauges()
 
 
-class _ServiceHTTPServer(ThreadingHTTPServer):
-    """ThreadingHTTPServer carrying the core for its handlers."""
-
-    daemon_threads = True
-
-    def __init__(self, addr: tuple[str, int], core: ServiceCore) -> None:
-        super().__init__(addr, _Handler)
-        self.core = core
-        self.closing = threading.Event()
-
-
-class _Handler(BaseHTTPRequestHandler):
-    server: _ServiceHTTPServer
-
-    def log_message(self, format: str, *args: Any) -> None:
-        pass  # tests and CI hammer the API; default logging drowns stdout
-
-    # -- response helpers ----------------------------------------------------
-
-    def _json(
-        self, code: int, doc: Any, headers: dict[str, str] | None = None
-    ) -> None:
-        payload = (json.dumps(doc) + "\n").encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(payload)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(payload)
-
-    def _text(self, code: int, body: str, content_type: str) -> None:
-        payload = body.encode("utf-8")
-        self.send_response(code)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(payload)))
-        self.end_headers()
-        self.wfile.write(payload)
-
+class _Handler(HttpHandler):
     # -- routing -------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
@@ -401,7 +360,7 @@ class _Handler(BaseHTTPRequestHandler):
             raise ConfigurationError(f"request body is not JSON: {exc}") from None
 
     def _submit(self) -> None:
-        core = self.server.core
+        core = self.server.owner.core
         try:
             job, cached = core.submit(self._read_body())
         except DrainingError as exc:
@@ -423,11 +382,11 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _cancel(self, job_id: str) -> None:
-        job = self.server.core.cancel(job_id)
+        job = self.server.owner.core.cancel(job_id)
         self._json(200, job.to_doc())
 
     def _list_jobs(self) -> None:
-        core = self.server.core
+        core = self.server.owner.core
         self._json(
             200,
             {
@@ -439,10 +398,10 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _job_doc(self, job_id: str) -> None:
-        self._json(200, self.server.core.get(job_id).to_doc())
+        self._json(200, self.server.owner.core.get(job_id).to_doc())
 
     def _healthz(self) -> None:
-        core = self.server.core
+        core = self.server.owner.core
         self._json(
             200,
             {
@@ -453,7 +412,7 @@ class _Handler(BaseHTTPRequestHandler):
         )
 
     def _metrics(self) -> None:
-        core = self.server.core
+        core = self.server.owner.core
         core._refresh_gauges()
         self._text(
             200, core.registry.render_prometheus(),
@@ -463,93 +422,29 @@ class _Handler(BaseHTTPRequestHandler):
     def _events(self, job_id: str) -> None:
         """Per-job SSE: replay the bus buffer, then stream live events
         until the job reaches a terminal state (bus closed -> end frame)."""
-        job = self.server.core.get(job_id)
-        bus = job.bus
+        job = self.server.owner.core.get(job_id)
         # subscribe *before* the terminal check: set_state flips the state
         # first and closes the bus after, so either we see terminal here
         # (replay-only) or our subscription is registered in time for
         # close() to end the stream — no hang window either way
-        sub: Any = bus.subscribe()
+        sub = job.bus.subscribe()
         if job.terminal:
             sub.close()
             sub = None
-        try:
-            self.send_response(200)
-            self.send_header("Content-Type", "text/event-stream")
-            self.send_header("Cache-Control", "no-store")
-            self.send_header("Connection", "close")
-            self.end_headers()
-            last_seq = -1
-            for ev in list(bus.events):
-                self._frame(ev)
-                last_seq = int(ev.get("seq", last_seq))
-            if sub is None:
-                self.wfile.write(b"event: end\ndata: {}\n\n")
-                self.wfile.flush()
-                return
-            idle = 0
-            while not self.server.closing.is_set():
-                ev = sub.get(timeout=_SSE_POLL_S)
-                if ev is None:
-                    if sub.closed:
-                        self.wfile.write(b"event: end\ndata: {}\n\n")
-                        self.wfile.flush()
-                        return
-                    idle += 1
-                    if idle >= _SSE_KEEPALIVE_POLLS:
-                        self.wfile.write(b": keepalive\n\n")
-                        self.wfile.flush()
-                        idle = 0
-                    continue
-                idle = 0
-                if int(ev.get("seq", -1)) <= last_seq:
-                    continue  # already replayed from the buffer
-                self._frame(ev)
-        except (BrokenPipeError, ConnectionResetError):
-            pass
-        finally:
-            if sub is not None:
-                sub.close()
-
-    def _frame(self, ev: dict[str, Any]) -> None:
-        data = json.dumps(ev, default=_jsonable)
-        self.wfile.write(
-            f"id: {ev.get('seq', 0)}\nevent: trace\ndata: {data}\n\n".encode()
-        )
-        self.wfile.flush()
+        self._stream(job.bus, sub)
 
 
-class JobServer:
-    """The HTTP front of a :class:`ServiceCore`; ``port=0`` picks freely."""
+class JobServer(HttpListener):
+    """The HTTP front of a :class:`ServiceCore`; ``port=0`` picks freely.
+
+    Call :meth:`ServiceCore.drain` before :meth:`close` for the SIGTERM
+    semantics — close alone does not persist."""
+
+    handler = _Handler
+    thread_name = "repro-serve-http"
 
     def __init__(
         self, core: ServiceCore, host: str = "127.0.0.1", port: int = 0
     ) -> None:
         self.core = core
-        self._httpd = _ServiceHTTPServer((host, port), core)
-        self.host = self._httpd.server_address[0]
-        self.port = int(self._httpd.server_address[1])
-        self._thread: threading.Thread | None = None
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def start(self) -> "JobServer":
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="repro-serve-http", daemon=True
-        )
-        self._thread.start()
-        return self
-
-    def close(self) -> None:
-        """Stop the listener (idempotent).  Call :meth:`ServiceCore.drain`
-        first for the SIGTERM semantics — close alone does not persist."""
-        if self._httpd.closing.is_set():
-            return
-        self._httpd.closing.set()
-        self._httpd.shutdown()
-        self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
+        super().__init__(host, port)

@@ -1,18 +1,32 @@
 """The multi-core worker backend (repro.core.workers): partitioning,
 counter bit-identity vs. the single-process simulation, trace merging,
-output correctness, and failure propagation."""
+output correctness, failure propagation, spill-dir cleanup — and the
+machine *slices* themselves, driven in threads without any process."""
 
 from __future__ import annotations
+
+import os
+import queue
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from repro.algorithms.collectives import partition_array
+from repro.algorithms.sorting import SampleSort
 from repro.cgm.config import MachineConfig
+from repro.cgm.metrics import CostReport
 from repro.cgm.program import CGMProgram
+from repro.core.par_engine import ParEMEngine, fold_final_stats
+from repro.core.transport import MemoryTransport, TransportAbort
 from repro.core.workers import ProcessParEngine, partition_reals
 from repro.em.runner import em_run, em_sort, make_engine
 from repro.obs.trace import JsonlRecorder
-from repro.util.rng import make_rng
+from repro.pdm.io_stats import IOStats
+from repro.tune.runtime import RuntimeConfig, current
+from repro.util.rng import make_rng, spawn_rngs
+from repro.util.validation import SimulationError
 
 V, D, B = 8, 2, 64
 N = 1 << 14
@@ -190,8 +204,6 @@ def assert_workers_reaped(eng) -> None:
 
 class TestFailureHandling:
     def test_worker_exception_propagates_and_cleans_up(self):
-        from repro.util.validation import SimulationError
-
         cfg = MachineConfig(N=1 << 12, v=4, p=4, D=D, B=32, workers=4)
         eng = make_engine(cfg, "par")
         with pytest.raises(SimulationError, match="deliberate failure"):
@@ -202,9 +214,6 @@ class TestFailureHandling:
         cfg = MachineConfig(N=1 << 12, v=4, p=2, D=D, B=32, workers=2)
         eng = make_engine(cfg, "par")
         data = make_rng(6).integers(0, 2**40, 1 << 12)
-        from repro.algorithms.collectives import partition_array
-        from repro.algorithms.sorting import SampleSort
-
         eng.run(SampleSort(), partition_array(data, 4))
         assert_workers_reaped(eng)
 
@@ -282,3 +291,265 @@ class TestSharedMemoryTransport:
         queued = em_sort(data, cfg, engine="par")
         assert np.array_equal(shm.values, queued.values)
         assert _counters(shm.report) == _counters(queued.report)
+
+
+class _BoomInRoundOne(_Boom):
+    name = "boom-in-round-one"
+
+    def round(self, r, ctx, env):
+        if r == 0:
+            return False
+        return super().round(r, ctx, env)
+
+
+class TestSpillDirs:
+    """Worker sessions close their arenas on every exit path: a forked
+    child leaves through ``os._exit``, so nothing else would delete an
+    mmap arena's spill dir — and with a tracer attached the arena's
+    ``on_grow`` hook makes an array<->arena cycle, so refcounting alone
+    never would either."""
+
+    def _runtime(self, spill_dir):
+        return RuntimeConfig.resolve(
+            overrides={"workers": 2, "transport": "shm", "arena": "mmap",
+                       "spill_dir": str(spill_dir)},
+            environ={},
+        )
+
+    @pytest.mark.parametrize("traced", [False, True], ids=["untraced", "traced"])
+    def test_worker_sessions_leave_no_spill_dirs(self, tmp_path, traced):
+        cfg = MachineConfig(N=N, v=V, p=2, D=D, B=B)
+        data = make_rng(13).integers(0, 2**40, N)
+        res = em_run(
+            SampleSort(), partition_array(data, V), cfg, "par",
+            runtime=self._runtime(tmp_path),
+            tracer=JsonlRecorder() if traced else None,
+        )
+        assert np.array_equal(np.concatenate(res.outputs), np.sort(data))
+        assert os.listdir(tmp_path) == []
+
+    def test_failing_program_leaves_no_spill_dirs(self, tmp_path):
+        cfg = MachineConfig(N=1 << 12, v=4, p=2, D=D, B=32)
+        with pytest.raises(SimulationError, match="deliberate failure"):
+            em_run(
+                _BoomInRoundOne(), [None] * 4, cfg, "par",
+                runtime=self._runtime(tmp_path), tracer=JsonlRecorder(),
+            )
+        assert os.listdir(tmp_path) == []
+
+
+# ---------------------------------------------------------------- slices
+#
+# A worker is nothing but a ParEMEngine built with a plan, a worker id and
+# a transport, so the exchange code is reachable without forking: the
+# harness below plays the coordinator for slices living in threads of this
+# process, joined by MemoryTransport over plain queue.Queues.
+
+
+def _run_slices(program, inputs, cfg, plan, balanced):
+    """Drive one :class:`ParEMEngine` slice per *plan* entry, each round in
+    one thread per slice -> (outputs, per-round merged steps, report)."""
+    abort = threading.Event()
+    inboxes = [queue.Queue() for _ in plan]
+    rt = current()
+    engines, rngs = [], []
+    for w in range(len(plan)):
+        eng = ParEMEngine(
+            cfg, balanced, validate=False, plan=plan, worker_id=w,
+            net=MemoryTransport(w, inboxes, abort),
+        )
+        eng._max_message_items = program.max_message_items(cfg)
+        eng._rt = rt
+        eng._start(program)
+        eng._setup_contexts(program, inputs)
+        engines.append(eng)
+        rngs.append(spawn_rngs(cfg.seed, cfg.v))
+
+    def one_round(w, r):
+        try:
+            return engines[w]._execute_round(program, r, rngs[w])
+        except BaseException:
+            abort.set()  # wake the peers blocked in their exchange
+            raise
+
+    rounds = []
+    try:
+        with ThreadPoolExecutor(len(plan)) as pool:
+            r = 0
+            while True:
+                futures = [pool.submit(one_round, w, r) for w in range(len(plan))]
+                try:
+                    excs = [f.exception(timeout=60) for f in futures]
+                except TimeoutError:
+                    abort.set()  # a stuck exchange: free the pool, then fail
+                    raise
+                # the root cause, not the TransportAbort it woke the peers with
+                for exc in excs:
+                    if exc is not None and not isinstance(exc, TransportAbort):
+                        raise exc
+                steps = [f.result() for f in futures]
+                io = IOStats(D=cfg.D)
+                for st in steps:
+                    io.merge(st.io)
+                recv = [sum(col) for col in zip(*(st.recv for st in steps))]
+                sent = [sum(col) for col in zip(*(st.sent for st in steps))]
+                rounds.append({
+                    "io": io.as_dict(),
+                    "h_in": max(recv),
+                    "h_out": max(sent),
+                    "messages": sum(st.messages for st in steps),
+                    "comm_items": sum(st.comm_items for st in steps),
+                    "cross_items": sum(st.cross_items for st in steps),
+                })
+                if all(st.all_done for st in steps) and not any(
+                    e._pending_messages() for e in engines
+                ):
+                    break
+                r += 1
+        outputs = [out for e in engines for out in e._collect_outputs(program)]
+        report = CostReport(engine="par-em")
+        fold_final_stats(engines[0], report, [e._final_stats() for e in engines])
+    finally:
+        for e in engines:
+            for array in e.arrays.values():
+                array.close()
+    packets = [(e.net.packets_sent, e.net.packets_received) for e in engines]
+    return outputs, rounds, report, packets
+
+
+def _reference(program, inputs, cfg, balanced):
+    """The one-slice machine under the real driver loop."""
+    eng = ParEMEngine(cfg, balanced)
+    eng.runtime = current()
+    try:
+        res = eng.run(program, inputs)
+    finally:
+        for array in eng.arrays.values():
+            array.close()
+    rounds = [
+        {
+            "io": rm.io.as_dict(), "h_in": rm.h_in, "h_out": rm.h_out,
+            "messages": rm.messages, "comm_items": rm.comm_items,
+            "cross_items": rm.cross_items,
+        }
+        for rm in res.report.per_round
+    ]
+    return res.outputs, rounds, res.report
+
+
+def _final_counters(report) -> dict:
+    return {
+        "io": report.io.as_dict(),
+        "io_max": report.io_max.as_dict(),
+        "context_blocks_io": report.context_blocks_io,
+        "message_blocks_io": report.message_blocks_io,
+        "overflow_blocks": report.overflow_blocks,
+        "peak_memory": report.peak_memory_items,
+    }
+
+
+def _same_outputs(a, b) -> bool:
+    return len(a) == len(b) and all(
+        np.array_equal(x, y) if isinstance(x, np.ndarray) else x == y
+        for x, y in zip(a, b)
+    )
+
+
+class _Quiet(CGMProgram):
+    """Two rounds, no message ever: every exchange packet is empty."""
+
+    name = "quiet"
+    kappa = 1.0
+
+    def max_message_items(self, cfg):
+        return 8
+
+    def setup(self, ctx, pid, cfg, local_input):
+        ctx["pid"] = pid
+
+    def round(self, r, ctx, env):
+        ctx["rounds"] = r + 1
+        return r == 1
+
+    def finish(self, ctx):
+        return (ctx["pid"], ctx["rounds"])
+
+
+class _AllToOne(CGMProgram):
+    """Everybody sends to virtual processor 0: one slice receives it all."""
+
+    name = "all-to-one"
+    kappa = 1.0
+
+    def max_message_items(self, cfg):
+        return 32
+
+    def setup(self, ctx, pid, cfg, local_input):
+        ctx["pid"] = pid
+
+    def round(self, r, ctx, env):
+        if r == 0:
+            env.send(0, np.arange(32) + ctx["pid"], tag="to-zero")
+            return False
+        ctx["inbox"] = sorted(
+            (m.src, m.tag, m.payload.tobytes()) for m in env.messages()
+        )
+        return True
+
+    def finish(self, ctx):
+        return ctx["inbox"]
+
+
+class TestSlicesInThreads:
+    """Two slices of a p=2 machine in two threads == the one-slice run."""
+
+    CFG = MachineConfig(N=1 << 12, v=4, p=2, D=D, B=32)
+    PLAN = [[0], [1]]
+
+    def _check(self, program, inputs, balanced):
+        cfg = self.CFG
+        ref_out, ref_rounds, ref_report = _reference(program, inputs, cfg, balanced)
+        out, rounds, report, packets = _run_slices(
+            program, inputs, cfg, self.PLAN, balanced
+        )
+        assert _same_outputs(out, ref_out)
+        assert rounds == ref_rounds
+        assert _final_counters(report) == _final_counters(ref_report)
+        # one packet per peer per phase, sent and received, empty or not
+        phases = len(rounds) * (2 if balanced else 1)
+        assert packets == [(phases, phases)] * len(self.PLAN)
+        return out, rounds
+
+    @pytest.mark.parametrize("balanced", [False, True], ids=["direct", "balanced"])
+    def test_sample_sort(self, balanced):
+        data = make_rng(21).integers(0, 2**40, self.CFG.N)
+        out, _ = self._check(SampleSort(), partition_array(data, 4), balanced)
+        assert np.array_equal(np.concatenate(out), np.sort(data))
+
+    @pytest.mark.parametrize("balanced", [False, True], ids=["direct", "balanced"])
+    def test_tricky_outbox(self, balanced):
+        self._check(_InboxRecorder(), [None] * 4, balanced)
+
+    @pytest.mark.parametrize("balanced", [False, True], ids=["direct", "balanced"])
+    def test_empty_outboxes(self, balanced):
+        out, rounds = self._check(_Quiet(), [None] * 4, balanced)
+        assert out == [(pid, 2) for pid in range(4)]
+        assert all(rd["messages"] == rd["comm_items"] == 0 for rd in rounds)
+
+    @pytest.mark.parametrize("balanced", [False, True], ids=["direct", "balanced"])
+    def test_all_to_one(self, balanced):
+        out, rounds = self._check(_AllToOne(), [None] * 4, balanced)
+        assert [src for src, _tag, _raw in out[0]] == [0, 1, 2, 3]
+        assert out[1:] == [[], [], []]
+        assert rounds[0]["cross_items"] == 2 * 32  # pids 2, 3 live on real 1
+
+    def test_one_slice_plan_never_touches_the_transport(self):
+        """The default plan has no peers: nothing is buffered for an
+        exchange, and ``net=None`` is never dereferenced."""
+        eng = ParEMEngine(self.CFG)
+        assert (eng._reals, eng._outgoing, eng.net) == ([0, 1], {}, None)
+        assert list(eng._local_pids()) == [0, 1, 2, 3]
+
+    def test_a_failing_slice_aborts_its_peers(self):
+        with pytest.raises(RuntimeError, match="deliberate failure"):
+            _run_slices(_Boom(), [None] * 4, self.CFG, self.PLAN, False)

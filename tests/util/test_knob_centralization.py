@@ -1,5 +1,6 @@
 """Lint: every ``REPRO_*`` environment read goes through the knob registry,
-and the retired I/O-path switch stays retired.
+the retired I/O-path switch stays retired, and there is one compound
+superstep (one round loop, one routing step, no worker engine class).
 
 The tentpole's centralization contract — ad-hoc ``os.environ`` reads of
 runtime knobs are how the inconsistent-caching bug happened, so outside
@@ -20,6 +21,12 @@ _PATTERN = re.compile(r"os\.environ(\.get)?\s*[(\[]\s*[\"']REPRO_")
 #: the reference/fast-path fork: its knob, engine flags and module setters
 _IO_FORK = re.compile(r"REPRO_FASTPATH|_fastpath|set_enabled|set_arena_kind")
 
+#: the second round loop and what came with it, plus the fifth recorder class
+_ROUND_FORK = re.compile(
+    r"_WorkerEngine|execute_local_round|_round_boundary|_storage_reals"
+    r"|NullBus|NULL_BUS"
+)
+
 
 def _offenders(pattern: re.Pattern, skip_tune: bool) -> list[str]:
     src_root = Path(repro.__file__).resolve().parent
@@ -39,6 +46,30 @@ def test_one_io_path_no_fastpath_switch_anywhere():
         "the reference/fast-path fork was retired (one I/O path; the per-op "
         "lane is an empty FaultPlan):\n" + "\n".join(offenders)
     )
+
+
+def test_one_compound_superstep():
+    from repro.cgm.engine import Engine
+    from repro.core import par_engine, workers
+
+    offenders = _offenders(_ROUND_FORK, skip_tune=False)
+    assert not offenders, (
+        "the worker slice is ParEMEngine and the exchange is a hook of "
+        "Engine._execute_round:\n" + "\n".join(offenders)
+    )
+    # the worker runs the very loop the in-process run does ...
+    assert par_engine.ParEMEngine._execute_round is Engine._execute_round
+    # ... routes with the one _put_messages (VMEngine's is a different
+    # machine, in a different module) ...
+    sources = [Path(m.__file__).read_text() for m in (par_engine, workers)]
+    assert sum(src.count("def _put_messages") for src in sources) == 1
+    # ... and the only engine workers.py defines is the coordinator
+    engines = [
+        c for c in vars(workers).values()
+        if isinstance(c, type) and issubclass(c, Engine)
+        and c.__module__ == workers.__name__
+    ]
+    assert engines == [workers.ProcessParEngine]
 
 
 def test_no_raw_repro_environ_access_outside_tune():
