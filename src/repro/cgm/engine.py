@@ -83,6 +83,24 @@ class RoundStep:
     def empty(cls, v: int, p: int) -> "RoundStep":
         return cls(sent=[0] * v, recv=[0] * v, per_real_wall=[0.0] * p)
 
+    def merge(self, other: "RoundStep") -> None:
+        """Fold another slice's step of the same round into this one."""
+        for mine, theirs in (
+            (self.sent, other.sent),
+            (self.recv, other.recv),
+            (self.per_real_wall, other.per_real_wall),
+        ):
+            for i, x in enumerate(theirs):
+                mine[i] += x
+        self.messages += other.messages
+        self.comm_items += other.comm_items
+        self.cross_items += other.cross_items
+        self.all_done &= other.all_done
+        if self.io is None:
+            self.io = other.io
+        elif other.io is not None:
+            self.io.merge(other.io)
+
 
 class Engine:
     """Template driver; subclasses provide the storage backend."""

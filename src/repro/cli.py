@@ -4,7 +4,7 @@ Usage (after ``pip install -e .``):
 
     python -m repro sort      --n 65536 --v 8 --d 2 --b 512 --engine seq
     python -m repro permute   --n 32768 --v 8 --engine seq --balanced
-    python -m repro transpose --rows 128 --cols 256 --v 8
+    python -m repro transpose --n 32768 --v 8          # or --rows 128 --cols 256
     python -m repro delaunay  --n 2000 --v 4
     python -m repro cc        --n 1000 --edges 2000 --v 8
     python -m repro listrank  --n 5000 --v 8 --engine par --p 2
@@ -14,6 +14,15 @@ Usage (after ``pip install -e .``):
 Every run prints the PDM cost accounting (parallel I/Os, rounds,
 supersteps, h-relation history) and verifies the output against an
 independent reference before reporting success.
+
+``sort`` / ``permute`` / ``transpose`` are one handler (``cmd_run``)
+driven by :data:`repro.em.runner.OPS`: the input comes from the table's
+generator, so ``repro sort --n N --seed S ...`` is the same run — same
+data, counters and output hash — as ``repro submit --local`` of the
+spec ``{"op": "sort", "n": N, "seed": S, ...}``; ``serve-metrics``
+reuses its run step with a bus and registry attached.  Flags are
+registered in groups (machine, backend, run, output), and a command
+registers only the groups it reads.
 """
 
 from __future__ import annotations
@@ -48,7 +57,8 @@ class _TrackedStore(argparse.Action):
         explicit.add(self.dest)
 
 
-def _add_machine_args(p: argparse.ArgumentParser, n_default: int = 1 << 16) -> None:
+def _machine_options(p: argparse.ArgumentParser, n_default: int = 1 << 14) -> None:
+    """The simulated machine and its input: what ``_config`` reads."""
     p.add_argument("--n", type=int, default=n_default, help="problem size (items)")
     p.add_argument(
         "--v", type=int, default=8, action=_TrackedStore, help="virtual processors"
@@ -72,57 +82,22 @@ def _add_machine_args(p: argparse.ArgumentParser, n_default: int = 1 << 16) -> N
     )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
+        "--profile",
+        metavar="PROFILE.json",
+        default=None,
+        help="apply a tuned profile written by 'repro tune': fills "
+        "--v/--d/--b/--workers you did not give explicitly and applies "
+        "its runtime knobs (explicit flags and env vars still win)",
+    )
+
+
+def _backend_options(p: argparse.ArgumentParser) -> None:
+    """Which engine simulates the machine, and its storage and transport."""
+    p.add_argument(
         "--engine",
         choices=["memory", "vm", "seq", "par"],
         default=None,
         help="backend (default: seq for p=1, par otherwise)",
-    )
-    p.add_argument("--balanced", action="store_true", help="route via Algorithm 1")
-    p.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="record a superstep/I/O/network event trace to PATH",
-    )
-    p.add_argument(
-        "--trace-format",
-        choices=["jsonl", "chrome"],
-        default="jsonl",
-        help="trace output format: JSON-lines events or a Chrome "
-        "trace-event array for chrome://tracing (default: jsonl)",
-    )
-    p.add_argument(
-        "--crosscheck",
-        action="store_true",
-        help="check measured costs against the Theorem 2/3 predictions "
-        "and print the per-disk parallelism histograms",
-    )
-    p.add_argument(
-        "--metrics",
-        metavar="PATH",
-        default=None,
-        help="write the run's metrics registry to PATH "
-        "(.json -> JSON snapshot, anything else -> Prometheus text)",
-    )
-    p.add_argument(
-        "--faults",
-        metavar="PLAN.json",
-        default=None,
-        help="inject disk faults from a JSON fault plan (seq/par engines; "
-        "see repro.faults.FaultPlan)",
-    )
-    p.add_argument(
-        "--checkpoint",
-        metavar="DIR",
-        default=None,
-        help="snapshot the run into DIR at every round boundary so a "
-        "killed run can be resumed (seq/par engines)",
-    )
-    p.add_argument(
-        "--resume",
-        action="store_true",
-        help="restore the newest snapshot in --checkpoint DIR and "
-        "continue instead of starting over",
     )
     p.add_argument(
         "--arena",
@@ -148,13 +123,64 @@ def _add_machine_args(p: argparse.ArgumentParser, n_default: int = 1 << 16) -> N
         help="node daemons the tcp transport dials, one per worker; "
         "equivalent to setting REPRO_NODES",
     )
+
+
+def _run_options(p: argparse.ArgumentParser) -> None:
+    """Routing and resilience of an op-table run (``make_engine`` options)."""
+    p.add_argument("--balanced", action="store_true", help="route via Algorithm 1")
     p.add_argument(
-        "--profile",
-        metavar="PROFILE.json",
+        "--faults",
+        metavar="PLAN.json",
         default=None,
-        help="apply a tuned profile written by 'repro tune': fills "
-        "--v/--d/--b/--workers you did not give explicitly and applies "
-        "its runtime knobs (explicit flags and env vars still win)",
+        help="inject disk faults from a JSON fault plan (seq/par engines; "
+        "see repro.faults.FaultPlan)",
+    )
+    p.add_argument(
+        "--checkpoint",
+        metavar="DIR",
+        default=None,
+        help="snapshot the run into DIR at every round boundary so a "
+        "killed run can be resumed (seq/par engines)",
+    )
+    p.add_argument(
+        "--resume",
+        action="store_true",
+        help="restore the newest snapshot in --checkpoint DIR and "
+        "continue instead of starting over",
+    )
+
+
+def _listen_options(p: argparse.ArgumentParser, port: int, port_help: str) -> None:
+    p.add_argument("--host", default="127.0.0.1", help="bind address")
+    p.add_argument("--port", type=int, default=port, help=port_help)
+
+
+def _trace_options(p: argparse.ArgumentParser, what: str) -> None:
+    p.add_argument("--trace", metavar="PATH", default=None, help=what)
+    p.add_argument(
+        "--trace-format",
+        choices=["jsonl", "chrome"],
+        default="jsonl",
+        help="trace output format: JSON-lines events or a Chrome "
+        "trace-event array for chrome://tracing (default: jsonl)",
+    )
+
+
+def _output_options(p: argparse.ArgumentParser) -> None:
+    """What an op-table run writes besides its report."""
+    _trace_options(p, "record a superstep/I/O/network event trace to PATH")
+    p.add_argument(
+        "--crosscheck",
+        action="store_true",
+        help="check measured costs against the Theorem 2/3 predictions "
+        "and print the per-disk parallelism histograms",
+    )
+    p.add_argument(
+        "--metrics",
+        metavar="PATH",
+        default=None,
+        help="write the run's metrics registry to PATH "
+        "(.json -> JSON snapshot, anything else -> Prometheus text)",
     )
 
 
@@ -174,17 +200,12 @@ def _apply_profile(args) -> None:
     explicit = getattr(args, "_explicit", set())
     machine = doc["machine"]
     for dest, key in (("v", "v"), ("d", "D"), ("b", "B")):
-        if dest not in explicit and hasattr(args, dest):
+        if dest not in explicit:
             setattr(args, dest, int(machine[key]))
-    if "workers" not in explicit and hasattr(args, "workers"):
+    if "workers" not in explicit:
         workers = doc["config"].get("workers")
         if workers is not None:
             args.workers = int(workers)
-
-
-def _profile_kwargs(args) -> dict:
-    doc = getattr(args, "_profile_doc", None)
-    return {"profile": doc} if doc is not None else {}
 
 
 def _config(args, n: int | None = None) -> MachineConfig:
@@ -196,7 +217,7 @@ def _config(args, n: int | None = None) -> MachineConfig:
         B=args.b,
         M=args.m,
         seed=args.seed,
-        workers=getattr(args, "workers", 0),
+        workers=args.workers,
     )
 
 
@@ -207,7 +228,7 @@ def _make_tracer(args):
     span threading and the streaming model-conformance monitor, so every
     ``--trace`` run gets drift detection for free.
     """
-    if getattr(args, "trace", None) is None:
+    if args.trace is None:
         return None
     try:
         # fail before the run, not after: a long simulation shouldn't
@@ -231,18 +252,9 @@ def _write_trace(args, tracer) -> None:
     print(f"  trace            : {n} events -> {args.trace} ({args.trace_format})")
 
 
-def _resilience(args) -> dict:
-    """``faults``/``checkpoint``/``resume`` kwargs for the em_* helpers."""
-    return {
-        "faults": getattr(args, "faults", None),
-        "checkpoint": getattr(args, "checkpoint", None),
-        "resume": getattr(args, "resume", False),
-    }
-
-
 def _make_metrics(args):
     """A live MetricsRegistry when --metrics was given, else None."""
-    if getattr(args, "metrics", None) is None:
+    if args.metrics is None:
         return None
     from repro.obs.metrics import MetricsRegistry
 
@@ -258,7 +270,7 @@ def _write_metrics(args, registry) -> None:
 
 
 def _crosscheck(args, report, cfg: MachineConfig) -> None:
-    if not getattr(args, "crosscheck", False):
+    if not args.crosscheck:
         return
     from repro.obs.costcheck import crosscheck_report
     from repro.obs.histograms import DiskHistograms
@@ -302,81 +314,47 @@ def _report(label: str, report, cfg: MachineConfig) -> None:
         print(f"  injected faults  : {report.fault_stats.summary()}")
 
 
-def cmd_sort(args) -> int:
-    from repro.em.runner import em_sort
+def _run_op(args, tracer=None, metrics=None):
+    """The run step of ``sort`` / ``permute`` / ``transpose`` (and of
+    ``serve-metrics``): generate ``OPS[args.op]``'s input from ``(seed,
+    n)``, run it, check it against the row's reference.  The data, the
+    counters and the output hash are those of ``repro submit --local``
+    for the same ``(op, n, seed, machine)``.  Returns ``(result, ok,
+    label)``."""
+    from repro.em.runner import OPS, em_op
+    from repro.util.rng import make_rng
 
-    rng = np.random.default_rng(args.seed)
-    data = rng.integers(0, 2**48, args.n)
-    cfg = _config(args)
+    op = OPS[args.op]
+    n, shape = args.n, {}
+    rows, cols = getattr(args, "rows", None), getattr(args, "cols", None)
+    if (rows is None) != (cols is None):
+        raise ConfigurationError("--rows and --cols go together")
+    if rows is not None:
+        n, shape = rows * cols, {"rows": rows}
+    raw = op.generate(make_rng(args.seed), n, **shape)
+    res = em_op(
+        args.op, raw, _config(args, n), args.engine, args.balanced,
+        tracer=tracer, metrics=metrics, faults=args.faults,
+        checkpoint=args.checkpoint, resume=args.resume,
+        profile=getattr(args, "_profile_doc", None),
+    )
+    ok = bool(np.array_equal(res.values, op.reference(*raw)))
+    dims = "x".join(map(str, raw[0].shape))
+    return res, ok, f"{op.past} {dims}" + (" items" if raw[0].ndim == 1 else "")
+
+
+def cmd_run(args) -> int:
+    from repro.em.runner import output_sha256
+
     tracer = _make_tracer(args)
     registry = _make_metrics(args)
-    res = em_sort(
-        data, cfg, engine=args.engine, balanced=args.balanced,
-        tracer=tracer, metrics=registry, **_resilience(args), **_profile_kwargs(args),
-    )
-    ok = np.array_equal(res.values, np.sort(data))
-    _report(f"sorted {args.n} items: {'OK' if ok else 'MISMATCH'}", res.report, cfg)
+    res, ok, label = _run_op(args, tracer, registry)
+    _report(f"{label}: {'OK' if ok else 'MISMATCH'}", res.report, res.cfg)
+    print(f"  output sha256    : {output_sha256(res.values)}")
     _write_trace(args, tracer)
     _write_metrics(args, registry)
-    _crosscheck(args, res.report, cfg)
+    _crosscheck(args, res.report, res.cfg)
     return 0 if ok else 1
-
-
-def cmd_permute(args) -> int:
-    from repro.em.runner import em_permute
-
-    rng = np.random.default_rng(args.seed)
-    values = rng.integers(0, 2**48, args.n)
-    perm = rng.permutation(args.n)
-    cfg = _config(args)
-    tracer = _make_tracer(args)
-    registry = _make_metrics(args)
-    res = em_permute(
-        values, perm, cfg, engine=args.engine, balanced=args.balanced,
-        tracer=tracer, metrics=registry, **_resilience(args), **_profile_kwargs(args),
-    )
-    expect = np.zeros(args.n, dtype=np.int64)
-    expect[perm] = values
-    ok = np.array_equal(res.values, expect)
-    _report(f"permuted {args.n} items: {'OK' if ok else 'MISMATCH'}", res.report, cfg)
-    _write_trace(args, tracer)
-    _write_metrics(args, registry)
-    _crosscheck(args, res.report, cfg)
-    return 0 if ok else 1
-
-
-def cmd_transpose(args) -> int:
-    from repro.em.runner import em_transpose
-
-    rng = np.random.default_rng(args.seed)
-    mat = rng.integers(0, 2**31, (args.rows, args.cols))
-    cfg = _config(args, n=mat.size)
-    tracer = _make_tracer(args)
-    registry = _make_metrics(args)
-    res = em_transpose(
-        mat, cfg, engine=args.engine, balanced=args.balanced,
-        tracer=tracer, metrics=registry, **_resilience(args), **_profile_kwargs(args),
-    )
-    ok = np.array_equal(res.values, mat.T)
-    _report(
-        f"transposed {args.rows}x{args.cols}: {'OK' if ok else 'MISMATCH'}",
-        res.report,
-        cfg,
-    )
-    _write_trace(args, tracer)
-    _write_metrics(args, registry)
-    _crosscheck(args, res.report, cfg)
-    return 0 if ok else 1
-
-
-def _note_trace_unsupported(args) -> None:
-    for flag in ("trace", "metrics", "faults", "checkpoint"):
-        if getattr(args, flag, None) is not None:
-            print(
-                f"note: --{flag} is wired for sort/permute/transpose; "
-                f"this command runs without it",
-                file=sys.stderr,
-            )
 
 
 def cmd_delaunay(args) -> int:
@@ -384,7 +362,6 @@ def cmd_delaunay(args) -> int:
 
     import repro.algorithms.geometry as geo
 
-    _note_trace_unsupported(args)
     rng = np.random.default_rng(args.seed)
     pts = rng.random((args.n, 2))
     cfg = _config(args, n=3 * args.n)
@@ -406,12 +383,13 @@ def cmd_cc(args) -> int:
 
     from repro.algorithms.graphs import connected_components
 
-    _note_trace_unsupported(args)
+    if args.edges is None:
+        args.edges = 2 * args.n
     G = nx.gnm_random_graph(args.n, args.edges, seed=args.seed)
     edges = (
         np.array(G.edges()) if G.number_of_edges() else np.zeros((0, 2), dtype=np.int64)
     )
-    cfg = _config(args, n=args.n)
+    cfg = _config(args)
     res = connected_components(edges, args.n, cfg, engine=args.engine)
     ok = all(
         {res.values[u] for u in cc} == {min(cc)} for cc in nx.connected_components(G)
@@ -429,13 +407,12 @@ def cmd_cc(args) -> int:
 def cmd_listrank(args) -> int:
     from repro.algorithms.graphs import list_rank
 
-    _note_trace_unsupported(args)
     rng = np.random.default_rng(args.seed)
     order = rng.permutation(args.n)
     succ = np.full(args.n, -1, dtype=np.int64)
     for a, b in zip(order[:-1], order[1:]):
         succ[a] = b
-    cfg = _config(args, n=args.n)
+    cfg = _config(args)
     res = list_rank(succ, cfg, engine=args.engine)
     expect = np.empty(args.n)
     for i, node in enumerate(order):
@@ -534,14 +511,11 @@ def cmd_top(args) -> int:
     except KeyboardInterrupt:
         pass
     except BrokenPipeError:
-        return _exit_broken_pipe()
+        raise  # main() ends the command quietly; not an I/O error to report
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        _print_frame(view, clear=not args.once)
-    except BrokenPipeError:
-        return _exit_broken_pipe()
+    _print_frame(view, clear=not args.once)
     return 0
 
 
@@ -583,16 +557,25 @@ def cmd_node(args) -> int:
         return _bind_error(args.host, args.port, exc)
 
 
-def cmd_serve_metrics(args) -> int:
+def _stop_on_signal():
+    """An Event that SIGINT/SIGTERM set: what the serving commands wait on."""
     import signal
     import threading
 
-    from repro.em.runner import em_sort
+    stop = threading.Event()
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(sig, lambda signum, frame: stop.set())
+    return stop
+
+
+def cmd_serve_metrics(args) -> int:
+    import threading
+
     from repro.obs.bus import EventBus
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.server import ObsServer
 
-    cfg = _config(args)
+    _config(args)  # a bad machine shape is a usage error, not a failed workload
     bus = EventBus()
     registry = MetricsRegistry()
     try:
@@ -602,20 +585,12 @@ def cmd_serve_metrics(args) -> int:
     except OSError as exc:
         return _bind_error(args.host, args.port, exc)
 
-    stop = threading.Event()
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(sig, lambda signum, frame: stop.set())
-
-    rng = np.random.default_rng(args.seed)
-    data = rng.integers(0, 2**48, args.n)
+    stop = _stop_on_signal()
     outcome: dict = {}
 
     def _run() -> None:
         try:
-            outcome["res"] = em_sort(
-                data, cfg, engine=args.engine, balanced=args.balanced,
-                tracer=bus, metrics=registry,
-            )
+            outcome["res"] = _run_op(args, bus, registry)[0]
         except Exception as exc:
             outcome["error"] = exc
         finally:
@@ -640,7 +615,7 @@ def cmd_serve_metrics(args) -> int:
         return 1
     res = outcome.get("res")
     if res is not None:
-        _report(f"served sort of {args.n} items", res.report, cfg)
+        _report(f"served {args.op} of {args.n} items", res.report, res.cfg)
         drifts = sum(1 for ev in bus.events if ev.get("kind") == "model_drift")
         if drifts:
             print(f"  model drift      : {drifts} superstep(s) over budget")
@@ -649,9 +624,6 @@ def cmd_serve_metrics(args) -> int:
 
 def cmd_serve(args) -> int:
     """The multi-tenant job server (``repro serve``); SIGTERM drains."""
-    import signal
-    import threading
-
     from repro.service.server import JobServer, ServiceCore
 
     core = ServiceCore(
@@ -667,10 +639,7 @@ def cmd_serve(args) -> int:
         core.drain(timeout=5.0)
         return _bind_error(args.host, args.port, exc)
 
-    stop = threading.Event()
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(sig, lambda signum, frame: stop.set())
-
+    stop = _stop_on_signal()
     print(
         f"serving on {server.url}  "
         f"(submit: POST {server.url}/jobs, metrics: {server.url}/metrics)",
@@ -914,6 +883,7 @@ def cmd_tune(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     from repro import __version__
+    from repro.em.runner import OPS
 
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -925,25 +895,36 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, fn, extra in [
-        ("sort", cmd_sort, None),
-        ("permute", cmd_permute, None),
-        ("delaunay", cmd_delaunay, None),
-        ("cc", cmd_cc, None),
-        ("listrank", cmd_listrank, None),
-        ("machine", cmd_machine, None),
+    for name in OPS:
+        p = sub.add_parser(name)
+        _machine_options(p)
+        _backend_options(p)
+        _run_options(p)
+        _output_options(p)
+        p.set_defaults(fn=cmd_run, op=name)
+    p = sub.choices["transpose"]
+    p.add_argument("--rows", type=int, default=None, help="matrix rows (with --cols)")
+    p.add_argument(
+        "--cols", type=int, default=None,
+        help="matrix columns; --rows x --cols replaces --n and its default shape",
+    )
+
+    for name, fn in [
+        ("delaunay", cmd_delaunay),
+        ("cc", cmd_cc),
+        ("listrank", cmd_listrank),
     ]:
         p = sub.add_parser(name)
-        _add_machine_args(p, n_default=1 << 14 if name != "machine" else 1 << 16)
+        _machine_options(p)
+        _backend_options(p)
         p.set_defaults(fn=fn)
-        if name == "cc":
-            p.add_argument("--edges", type=int, default=None)
+    sub.choices["cc"].add_argument(
+        "--edges", type=int, default=None, help="edge count (default: 2n)"
+    )
 
-    p = sub.add_parser("transpose")
-    _add_machine_args(p)
-    p.add_argument("--rows", type=int, default=128)
-    p.add_argument("--cols", type=int, default=256)
-    p.set_defaults(fn=cmd_transpose)
+    p = sub.add_parser("machine")
+    _machine_options(p, n_default=1 << 16)
+    p.set_defaults(fn=cmd_machine)
 
     p = sub.add_parser("theory")
     p.add_argument("--v", type=int, nargs="+", default=[10, 100, 1000, 10000])
@@ -1030,18 +1011,17 @@ def build_parser() -> argparse.ArgumentParser:
         "serve live /metrics (Prometheus) and /events (SSE) over HTTP "
         "until SIGINT/SIGTERM",
     )
-    _add_machine_args(p)
-    p.add_argument("--host", default="127.0.0.1", help="bind address")
-    p.add_argument(
-        "--port", type=int, default=8765, help="bind port (0 = auto-pick)"
-    )
+    _machine_options(p, n_default=1 << 16)
+    _backend_options(p)
+    _run_options(p)
+    _listen_options(p, 8765, "bind port (0 = auto-pick)")
     p.add_argument(
         "--exit-after-run",
         action="store_true",
         help="shut down when the workload finishes instead of serving "
         "until a signal arrives",
     )
-    p.set_defaults(fn=cmd_serve_metrics)
+    p.set_defaults(fn=cmd_serve_metrics, op="sort")
 
     p = sub.add_parser(
         "node",
@@ -1050,11 +1030,7 @@ def build_parser() -> argparse.ArgumentParser:
         "handshake (protocol, release, RuntimeConfig fingerprint), and "
         "runs the worker command loop; SIGTERM exits 0 cleanly",
     )
-    p.add_argument("--host", default="127.0.0.1", help="bind address")
-    p.add_argument(
-        "--port", type=int, default=9876,
-        help="bind port (0 = auto-pick; the chosen port is printed)",
-    )
+    _listen_options(p, 9876, "bind port (0 = auto-pick; the chosen port is printed)")
     p.set_defaults(fn=cmd_node)
 
     p = sub.add_parser(
@@ -1064,10 +1040,7 @@ def build_parser() -> argparse.ArgumentParser:
         "worker pool, fingerprint result cache, per-job SSE streams; "
         "SIGTERM drains (checkpoint + persist the queue) and exits 0",
     )
-    p.add_argument("--host", default="127.0.0.1", help="bind address")
-    p.add_argument(
-        "--port", type=int, default=8799, help="bind port (0 = auto-pick)"
-    )
+    _listen_options(p, 8799, "bind port (0 = auto-pick)")
     p.add_argument(
         "--pool", type=int, default=2, metavar="N",
         help="worker threads executing jobs (default 2)",
@@ -1135,7 +1108,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--op",
-        choices=["sort", "permute", "transpose"],
+        choices=list(OPS),
         default="sort",
         help="workload operation to tune for (default: sort)",
     )
@@ -1176,18 +1149,8 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="print the registry of every REPRO_* knob and exit",
     )
-    p.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="record the tuner's decision events (tune_begin/tune_probe/"
-        "tune_end) to PATH",
-    )
-    p.add_argument(
-        "--trace-format",
-        choices=["jsonl", "chrome"],
-        default="jsonl",
-        help=argparse.SUPPRESS,
+    _trace_options(
+        p, "record the tuner's decision events (tune_begin/tune_probe/tune_end) to PATH"
     )
     p.set_defaults(fn=cmd_tune)
 
@@ -1251,8 +1214,6 @@ def main(argv: list[str] | None = None) -> int:
         # abbreviation match) must not fall through to an AttributeError
         parser.print_usage(sys.stderr)
         return 2
-    if getattr(args, "command", None) == "cc" and args.edges is None:
-        args.edges = 2 * args.n
     try:
         # written to the environment so the workers backend's processes
         # inherit the same storage and transport selection
@@ -1264,7 +1225,11 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(args, flag, None) is not None:
                 set_env(env, getattr(args, flag))
         _apply_profile(args)
-        return fn(args)
+        rc = fn(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return rc
+    except BrokenPipeError:
+        return _exit_broken_pipe()
     except KnobError as exc:
         # a malformed REPRO_* value (or profile entry) is a usage error:
         # one line naming the variable, exit code 2, never a traceback

@@ -255,9 +255,12 @@ class TcpFleet:
 
     def _reader(self, conn: _NodeConn) -> None:
         """Demultiplex one node's frames: results up, packets across."""
+        # read once: stop()/request_abort() clear conn.sock under this
+        # thread, and the closed socket then ends the stream with OSError
+        sock = conn.sock
         try:
-            while True:
-                frame = recv_frame(conn.sock)
+            while sock is not None:
+                frame = recv_frame(sock)
                 tag = frame[0]
                 if tag == "result":
                     self._results.put((frame[1], frame[2], frame[3]))

@@ -18,9 +18,10 @@ Round protocol (one iteration of the driver loop):
    (:meth:`ParEMEngine._exchange <repro.core.par_engine.ParEMEngine._exchange>`)
    is where step (d) traffic for another worker's reals leaves the
    process, once before each ``_flip()``;
-3. each worker ships its :class:`RoundStep` delta — I/O counters,
-   h-relation sizes, wall times, drained trace events — to the
-   coordinator, which merges them into one per-round record.
+3. each worker ships its :class:`RoundStep` (I/O counters, h-relation
+   sizes, wall times) and its drained trace events to the coordinator,
+   which folds the steps with :meth:`RoundStep.merge` in ascending
+   worker order into one per-round record.
 
 The coordinator is a different *role*, not a different machine: fan-out,
 reply gathering, crash recovery and snapshot scatter/gather live here;
@@ -169,20 +170,8 @@ def run_worker_session(
             elif op == "round":
                 # the one round loop, over this slice; its _exchange hook
                 # is where the slice meets its peers
-                step = eng._execute_round(program, cmd[1], rngs)
                 payload = {
-                    "sent": [(pid, n) for pid, n in enumerate(step.sent) if n],
-                    "recv": [(pid, n) for pid, n in enumerate(step.recv) if n],
-                    "wall": [
-                        (real, s)
-                        for real, s in enumerate(step.per_real_wall)
-                        if s
-                    ],
-                    "messages": step.messages,
-                    "comm_items": step.comm_items,
-                    "cross_items": step.cross_items,
-                    "all_done": step.all_done,
-                    "io": step.io,
+                    "step": eng._execute_round(program, cmd[1], rngs),
                     "pending": eng._pending_messages(),
                     "events": tracer.drain() if tracer else [],
                 }
@@ -517,27 +506,16 @@ class ProcessParEngine(Engine):
         self._broadcast(("round", r))
         results = self._gather("round")
         step = RoundStep.empty(cfg.v, cfg.p)
-        io = IOStats(D=cfg.D)
+        step.io = IOStats(D=cfg.D)
         self._pending = False
         for w in sorted(results):
             payload = results[w]
-            for pid, n in payload["sent"]:
-                step.sent[pid] += n
-            for pid, n in payload["recv"]:
-                step.recv[pid] += n
-            for real, s in payload["wall"]:
-                step.per_real_wall[real] += s
-            step.messages += payload["messages"]
-            step.comm_items += payload["comm_items"]
-            step.cross_items += payload["cross_items"]
-            step.all_done &= payload["all_done"]
-            io.merge(payload["io"])
+            step.merge(payload["step"])
             self._pending |= payload["pending"]
             replay_events(
                 self.tracer, payload["events"], worker=w,
                 **self._fleet.event_tags(w),
             )
-        step.io = io
         return step
 
     def _pending_messages(self) -> bool:

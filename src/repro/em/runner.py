@@ -9,13 +9,27 @@ These are the functions a downstream user calls::
 
 ``engine=`` selects the backend: ``"seq"`` (Algorithm 2, default when
 p == 1), ``"par"`` (Algorithm 3), ``"memory"`` (pure CGM reference), or
-``"vm"`` (the Figure 3 LRU-paging baseline).
+``"vm"`` (the Figure 3 LRU-paging baseline).  Every other run option
+(tracer, metrics, faults, checkpoint, resume, runtime, profile,
+validate) is declared once, on :func:`make_engine`; ``em_run`` and the
+``em_*`` helpers forward them.
+
+The paper's Section 3 obtains sort / permute / transpose "by simulating
+known CGM algorithms": an operation is a CGM program plus a
+distribution of its input over the v virtual processors.  :data:`OPS`
+is that definition, one row per Figure-5 Group-A operation — program,
+estimated round count, seeded input generator, splitter, assembler and
+NumPy reference.  ``em_sort`` / ``em_permute`` / ``em_transpose``, the
+tuner's ``build_workload``, the service's ``execute_spec`` and the CLI's
+``sort`` / ``permute`` / ``transpose`` commands are all lookups in it,
+so a fourth operation is one more row.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -44,6 +58,12 @@ _ENGINES = {
 }
 
 
+def default_engine(p: int) -> str:
+    """The backend a run gets when none is named: Algorithm 2 on one real
+    processor, Algorithm 3 on several."""
+    return "seq" if p == 1 else "par"
+
+
 def make_engine(
     cfg: MachineConfig,
     engine: str | None = None,
@@ -57,7 +77,7 @@ def make_engine(
     runtime: RuntimeConfig | None = None,
     profile: str | dict | None = None,
 ) -> Engine:
-    """Engine factory; ``None`` picks seq/par EM from ``cfg.p``.
+    """Engine factory; ``None`` picks seq/par EM (:func:`default_engine`).
 
     Every ``REPRO_*`` knob is resolved here, once, into one per-run
     :class:`~repro.tune.runtime.RuntimeConfig` snapshot (precedence: CLI
@@ -108,7 +128,7 @@ def make_engine(
 
         tracer = bus_from_env()
     if engine is None:
-        engine = "seq" if cfg.p == 1 else "par"
+        engine = default_engine(cfg.p)
     try:
         cls = _ENGINES[engine]
     except KeyError:
@@ -181,6 +201,120 @@ def make_engine(
     return eng
 
 
+def em_run(
+    program: CGMProgram,
+    inputs: list[Any],
+    cfg: MachineConfig,
+    engine: str | None = None,
+    balanced: bool = False,
+    **options: Any,
+) -> RunResult:
+    """Run any CGM program on the selected backend (*options* are
+    :func:`make_engine`'s)."""
+    return make_engine(cfg, engine, balanced, **options).run(program, inputs)
+
+
+# ------------------------------------------------------------ the op table
+
+#: generated Group-A items are drawn from [0, _HIGH)
+_HIGH = 2**50
+
+
+def _values(rng: np.random.Generator, n: int) -> tuple[np.ndarray]:
+    return (rng.integers(0, _HIGH, n),)
+
+
+def _values_and_destinations(
+    rng: np.random.Generator, n: int
+) -> tuple[np.ndarray, np.ndarray]:
+    return rng.integers(0, _HIGH, n), rng.permutation(n).astype(np.int64)
+
+
+def _matrix(
+    rng: np.random.Generator, n: int, rows: int | None = None
+) -> tuple[np.ndarray]:
+    """An n-item matrix of *rows* rows (default: the largest power of two
+    that is at most sqrt(n) and divides n)."""
+    if rows is None:
+        rows = 1 << ((max(n, 2).bit_length() - 1) // 2)
+        while n % rows:
+            rows >>= 1
+    return (rng.integers(0, _HIGH, (rows, n // rows)),)
+
+
+def _split_pairs(values: np.ndarray, destinations: np.ndarray, v: int) -> list[Any]:
+    return list(zip(partition_array(values, v), partition_array(destinations, v)))
+
+
+def _split_bands(matrix: np.ndarray, v: int) -> list[Any]:
+    k, ell = matrix.shape
+    inputs = []
+    row0 = 0
+    for band in np.array_split(matrix, v, axis=0):
+        inputs.append((band, row0, k, ell))
+        row0 += band.shape[0]
+    return inputs
+
+
+def _concatenate(outputs: list[Any], *raw: np.ndarray) -> np.ndarray:
+    return np.concatenate(outputs)
+
+
+def _stack_bands(outputs: list[Any], matrix: np.ndarray) -> np.ndarray:
+    bands = [o for o in outputs if o.size]
+    return np.vstack(bands) if bands else np.zeros(matrix.shape[::-1], dtype=np.int64)
+
+
+def _permuted(values: np.ndarray, destinations: np.ndarray) -> np.ndarray:
+    out = np.empty_like(values)
+    out[destinations] = values
+    return out
+
+
+@dataclass(frozen=True)
+class Op:
+    """One Group-A operation: its CGM program and the four decisions that
+    turn ``(seed, n)`` into a verified run.  *raw* below is the tuple of
+    arrays the matching ``em_<op>`` takes (``(data,)``, ``(values,
+    destinations)``, ``(matrix,)``)."""
+
+    program: type[CGMProgram]
+    #: estimated CGM rounds (ranks the tuner's candidates; need not be exact)
+    rounds: int
+    #: past participle for report lines ("sorted 4096 items")
+    past: str
+    #: ``generate(rng, n) -> raw``: the deterministic input
+    generate: Callable[..., tuple]
+    #: ``split(*raw, v)``: one input per virtual processor
+    split: Callable[..., list[Any]]
+    #: ``assemble(outputs, *raw)``: the per-processor outputs as one array
+    assemble: Callable[..., np.ndarray]
+    #: ``reference(*raw)``: the expected result, from NumPy alone
+    reference: Callable[..., np.ndarray]
+
+
+OPS: dict[str, Op] = {
+    "sort": Op(SampleSort, 3, "sorted", _values, partition_array, _concatenate, np.sort),
+    "permute": Op(
+        CGMPermute, 2, "permuted", _values_and_destinations, _split_pairs,
+        _concatenate, _permuted,
+    ),
+    "transpose": Op(
+        CGMTranspose, 2, "transposed", _matrix, _split_bands, _stack_bands,
+        np.transpose,
+    ),
+}
+
+
+def output_sha256(values: np.ndarray) -> str:
+    """Canonical content hash of a result: dtype + shape + C-order bytes."""
+    arr = np.ascontiguousarray(values)
+    h = hashlib.sha256()
+    h.update(f"{arr.dtype.str}:{arr.shape}".encode("ascii"))
+    h.update(arr.tobytes())
+    return h.hexdigest()
+
+
 @dataclass
 class EMResult:
     """An EM operation's output plus its full cost accounting."""
@@ -197,27 +331,18 @@ class EMResult:
         return self.result.cfg
 
 
-def em_run(
-    program: CGMProgram,
-    inputs: list[Any],
+def em_op(
+    name: str,
+    raw: tuple,
     cfg: MachineConfig,
     engine: str | None = None,
     balanced: bool = False,
-    validate: bool = True,
-    tracer: TraceRecorder | None = None,
-    metrics: MetricsRegistry | None = None,
-    faults: FaultPlan | str | None = None,
-    checkpoint: CheckpointManager | str | None = None,
-    resume: bool = False,
-    runtime: RuntimeConfig | None = None,
-    profile: str | dict | None = None,
-) -> RunResult:
-    """Run any CGM program on the selected backend."""
-    return make_engine(
-        cfg, engine, balanced, validate, tracer, metrics,
-        faults=faults, checkpoint=checkpoint, resume=resume,
-        runtime=runtime, profile=profile,
-    ).run(program, inputs)
+    **options: Any,
+) -> EMResult:
+    """Run ``OPS[name]`` on the *raw* arrays: split, simulate, assemble."""
+    op = OPS[name]
+    res = em_run(op.program(), op.split(*raw, cfg.v), cfg, engine, balanced, **options)
+    return EMResult(op.assemble(res.outputs, *raw), res)
 
 
 def em_sort(
@@ -225,21 +350,10 @@ def em_sort(
     cfg: MachineConfig,
     engine: str | None = None,
     balanced: bool = False,
-    tracer: TraceRecorder | None = None,
-    metrics: MetricsRegistry | None = None,
-    faults: FaultPlan | str | None = None,
-    checkpoint: CheckpointManager | str | None = None,
-    resume: bool = False,
-    profile: str | dict | None = None,
+    **options: Any,
 ) -> EMResult:
     """Sort *data* with the simulated CGM sample sort (O(N/(pDB)) I/Os)."""
-    data = np.asarray(data)
-    res = em_run(
-        SampleSort(), partition_array(data, cfg.v), cfg, engine, balanced,
-        tracer=tracer, metrics=metrics,
-        faults=faults, checkpoint=checkpoint, resume=resume, profile=profile,
-    )
-    return EMResult(np.concatenate(res.outputs), res)
+    return em_op("sort", (np.asarray(data),), cfg, engine, balanced, **options)
 
 
 def em_permute(
@@ -248,12 +362,7 @@ def em_permute(
     cfg: MachineConfig,
     engine: str | None = None,
     balanced: bool = False,
-    tracer: TraceRecorder | None = None,
-    metrics: MetricsRegistry | None = None,
-    faults: FaultPlan | str | None = None,
-    checkpoint: CheckpointManager | str | None = None,
-    resume: bool = False,
-    profile: str | dict | None = None,
+    **options: Any,
 ) -> EMResult:
     """Permute int64 *values*: output[destinations[i]] = values[i].
 
@@ -264,14 +373,7 @@ def em_permute(
     destinations = np.asarray(destinations, dtype=np.int64)
     if values.shape != destinations.shape:
         raise ConfigurationError("values and destinations must have equal length")
-    inputs = list(
-        zip(partition_array(values, cfg.v), partition_array(destinations, cfg.v))
-    )
-    res = em_run(
-        CGMPermute(), inputs, cfg, engine, balanced, tracer=tracer, metrics=metrics,
-        faults=faults, checkpoint=checkpoint, resume=resume, profile=profile,
-    )
-    return EMResult(np.concatenate(res.outputs), res)
+    return em_op("permute", (values, destinations), cfg, engine, balanced, **options)
 
 
 def em_transpose(
@@ -279,27 +381,10 @@ def em_transpose(
     cfg: MachineConfig,
     engine: str | None = None,
     balanced: bool = False,
-    tracer: TraceRecorder | None = None,
-    metrics: MetricsRegistry | None = None,
-    faults: FaultPlan | str | None = None,
-    checkpoint: CheckpointManager | str | None = None,
-    resume: bool = False,
-    profile: str | dict | None = None,
+    **options: Any,
 ) -> EMResult:
     """Transpose a k x ell int64 matrix (O(N/(pDB)) I/Os)."""
     matrix = np.asarray(matrix)
     if matrix.ndim != 2:
         raise ConfigurationError("em_transpose needs a 2-D matrix")
-    k, ell = matrix.shape
-    bands = np.array_split(matrix, cfg.v, axis=0)
-    row0 = 0
-    inputs = []
-    for band in bands:
-        inputs.append((band, row0, k, ell))
-        row0 += band.shape[0]
-    res = em_run(
-        CGMTranspose(), inputs, cfg, engine, balanced, tracer=tracer, metrics=metrics,
-        faults=faults, checkpoint=checkpoint, resume=resume, profile=profile,
-    )
-    out = np.vstack([o for o in res.outputs if o.size]) if any(o.size for o in res.outputs) else np.zeros((ell, k), dtype=np.int64)
-    return EMResult(out, res)
+    return em_op("transpose", (matrix,), cfg, engine, balanced, **options)

@@ -1,11 +1,12 @@
 """Spec execution and the preemptible worker pool.
 
 :func:`execute_spec` is the one place a :class:`~repro.service.spec.JobSpec`
-becomes an engine run: it rebuilds the deterministic tuner workload,
-resolves the spec's knobs into a frozen per-run
-:class:`~repro.tune.runtime.RuntimeConfig`, runs the selected EM
-backend, independently verifies the output (NumPy reference), and folds
-everything into a small JSON-able **result document** — counters,
+becomes an engine run: it generates the spec's input once from the
+operation's row of :data:`repro.em.runner.OPS`, resolves the spec's
+knobs into a frozen per-run :class:`~repro.tune.runtime.RuntimeConfig`,
+runs the selected EM backend on the row's split of that input, verifies
+the row's assembly of the outputs against the row's NumPy reference,
+and folds everything into a small JSON-able **result document** — counters,
 output hash, verification verdict, wall time.  The CI service lane
 compares this document byte for byte against a direct in-process run of
 the same spec; nothing backend- or schedule-dependent may appear in it.
@@ -23,13 +24,13 @@ and continues bit-identically.
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from typing import Any, Callable
 
 import numpy as np
 
+from repro.em.runner import OPS, make_engine, output_sha256
 from repro.faults.checkpoint import CheckpointManager
 from repro.obs.metrics import MetricsRegistry, ScopedRegistry
 from repro.obs.trace import TraceRecorder
@@ -46,53 +47,11 @@ from repro.service.jobs import (
 from repro.service.queue import JobQueue
 from repro.service.spec import JobSpec
 from repro.tune.runtime import RuntimeConfig
-from repro.tune.tuner import build_workload
 from repro.util.rng import make_rng
 from repro.util.validation import PreemptedError
 
 #: how long an idle worker blocks on the queue before re-checking stop
 _POP_TIMEOUT_S = 0.1
-
-
-def _output_sha256(values: np.ndarray) -> str:
-    """Canonical content hash: dtype + shape + C-order bytes."""
-    arr = np.ascontiguousarray(values)
-    h = hashlib.sha256()
-    h.update(f"{arr.dtype.str}:{arr.shape}".encode("ascii"))
-    h.update(arr.tobytes())
-    return h.hexdigest()
-
-
-def _assemble(op: str, outputs: list[Any]) -> np.ndarray:
-    if op == "transpose":
-        nonempty = [o for o in outputs if getattr(o, "size", 0)]
-        return np.vstack(nonempty) if nonempty else np.zeros((0, 0), dtype=np.int64)
-    return np.concatenate([np.asarray(o) for o in outputs])
-
-
-def reference_output(spec: JobSpec) -> np.ndarray:
-    """The expected result, computed independently of any engine.
-
-    Mirrors :func:`repro.tune.tuner.build_workload`'s RNG consumption
-    exactly so verification never depends on simulator state.
-    """
-    rng = make_rng(spec.seed)
-    if spec.op == "sort":
-        return np.sort(rng.integers(0, 2**50, spec.n))
-    if spec.op == "permute":
-        values = rng.integers(0, 2**50, spec.n)
-        dests = rng.permutation(spec.n).astype(np.int64)
-        out = np.empty_like(values)
-        out[dests] = values
-        return out
-    # transpose: same k/ell derivation as build_workload
-    size = spec.n
-    k = 1 << ((max(size, 2).bit_length() - 1) // 2)
-    while size % k:
-        k >>= 1
-    ell = size // k
-    matrix = rng.integers(0, 2**50, (k, ell))
-    return matrix.T
 
 
 def _counters(report: Any) -> dict[str, Any]:
@@ -128,10 +87,9 @@ def execute_spec(
     fires at a round boundary (the checkpoint, if any, is already on
     disk) — callers decide whether that means requeue or shutdown.
     """
-    from repro.em.runner import make_engine
-
     cfg = spec.machine_config()
-    program, inputs = build_workload(spec.workload(), cfg)
+    op = OPS[spec.op]
+    raw = op.generate(make_rng(spec.seed), spec.n)
     runtime = RuntimeConfig.resolve(overrides=dict(spec.config) or None)
     engine = make_engine(
         cfg,
@@ -146,14 +104,12 @@ def execute_spec(
     )
     engine.preempt = preempt
     t0 = time.perf_counter()
-    res = engine.run(program, inputs)
+    res = engine.run(op.program(), op.split(*raw, cfg.v))
     elapsed = time.perf_counter() - t0
-    values = _assemble(spec.op, res.outputs)
-    expected = reference_output(spec)
-    ok = bool(np.array_equal(values, expected))
+    values = op.assemble(res.outputs, *raw)
     return {
-        "ok": ok,
-        "output_sha256": _output_sha256(values),
+        "ok": bool(np.array_equal(values, op.reference(*raw))),
+        "output_sha256": output_sha256(values),
         "counters": _counters(res.report),
         "engine": res.report.engine,
         "elapsed_s": elapsed,

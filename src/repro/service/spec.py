@@ -30,20 +30,21 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from typing import Any
 
 from repro.cgm.config import MachineConfig
+from repro.em.runner import OPS, default_engine
 from repro.faults.plan import FaultPlan
 from repro.tune.knobs import KNOB_BY_NAME, KnobError
 from repro.tune.profile import profile_fingerprint, stable_env_fingerprint
 from repro.tune.tuner import WorkloadSpec
 from repro.util.validation import ConfigurationError
 
-#: operations a spec may request (the deterministic tuner workloads)
-SPEC_OPS = ("sort", "permute", "transpose")
+#: operations a spec may request: the rows of the op table
+SPEC_OPS = tuple(OPS)
 
 #: engines a spec may request (checkpoint-capable EM backends only;
-#: ``None`` resolves like :func:`repro.em.runner.make_engine` does)
+#: ``None`` resolves through :func:`repro.em.runner.default_engine`)
 SPEC_ENGINES = ("seq", "par")
 
 #: per-job problem-size ceiling — one tenant must not OOM the server
@@ -217,10 +218,8 @@ class JobSpec:
     # -- derived views -------------------------------------------------------
 
     def resolved_engine(self) -> str:
-        """The backend that will actually run (mirrors ``make_engine``)."""
-        if self.engine is not None:
-            return self.engine
-        return "seq" if self.p == 1 else "par"
+        """The backend that will actually run."""
+        return self.engine if self.engine is not None else default_engine(self.p)
 
     def machine_config(self) -> MachineConfig:
         return MachineConfig(
@@ -276,8 +275,3 @@ class JobSpec:
         if self.faults is not None:
             doc["faults"] = self.faults
         return doc
-
-
-def spec_from_mapping(doc: Mapping[str, Any]) -> JobSpec:
-    """Convenience wrapper accepting any mapping."""
-    return JobSpec.from_dict(dict(doc))

@@ -12,6 +12,12 @@ exactly what the asymptotic model cannot see.
 The all-defaults configuration is always probed, so the winner's
 measured probe time is ≤ the defaults' by construction.
 
+What a workload *is* — its program, seeded input, split over v and
+estimated round count — is its row of :data:`repro.em.runner.OPS`:
+:class:`WorkloadSpec` accepts the table's keys, :func:`build_workload`
+is the row's ``generate`` + ``split``, :func:`analytic_cost` reads its
+``rounds``.
+
 Probes pin their configuration via per-run :class:`RuntimeConfig`
 snapshots (``make_engine(..., runtime=...)``) — nothing is written to
 ``os.environ``, so tuning is hermetic even under the CI env lanes.
@@ -23,10 +29,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-import numpy as np
-
 from repro.cgm.config import MachineConfig
 from repro.core.theory import predicted_parallel_ios
+from repro.em.runner import OPS, make_engine
 from repro.tune.knobs import DEFAULT_SHM_THRESHOLD
 from repro.tune.profile import TunedProfile
 from repro.tune.runtime import RuntimeConfig
@@ -37,9 +42,6 @@ from repro.util.rng import make_rng
 V_GRID = (4, 8, 16)
 B_GRID = (64, 256, 512)
 D_GRID = (1, 2, 4)
-
-#: estimated CGM rounds per operation (ranks candidates; need not be exact)
-_ROUNDS = {"sort": 3, "permute": 2, "transpose": 2}
 
 #: the committed defaults (MachineConfig + knob registry) as one candidate
 DEFAULTS = {"v": 8, "B": 256, "D": 2, "workers": 0}
@@ -63,9 +65,9 @@ class WorkloadSpec:
     p: int = 1
 
     def __post_init__(self) -> None:
-        if self.op not in _ROUNDS:
+        if self.op not in OPS:
             raise ConfigurationError(
-                f"unknown workload op {self.op!r}; choose from {sorted(_ROUNDS)}"
+                f"unknown workload op {self.op!r}; choose from {sorted(OPS)}"
             )
         if self.n < 1:
             raise ConfigurationError(f"workload n must be positive, got {self.n}")
@@ -127,36 +129,11 @@ class TuneResult:
 def build_workload(
     spec: WorkloadSpec, cfg: MachineConfig, n: "int | None" = None
 ) -> tuple[Any, list[Any]]:
-    """Deterministic (program, inputs) for *spec* at size *n* on *cfg*."""
-    from repro.algorithms.collectives import partition_array
-    from repro.algorithms.permutation import CGMPermute
-    from repro.algorithms.sorting import SampleSort
-    from repro.algorithms.transpose import CGMTranspose
-
-    size = spec.n if n is None else n
-    rng = make_rng(spec.seed)
-    if spec.op == "sort":
-        data = rng.integers(0, 2**50, size)
-        return SampleSort(), partition_array(data, cfg.v)
-    if spec.op == "permute":
-        values = rng.integers(0, 2**50, size)
-        dests = rng.permutation(size).astype(np.int64)
-        return CGMPermute(), list(
-            zip(partition_array(values, cfg.v), partition_array(dests, cfg.v))
-        )
-    # transpose: the largest power-of-two row count that divides size
-    k = 1 << ((max(size, 2).bit_length() - 1) // 2)
-    while size % k:
-        k >>= 1
-    ell = size // k
-    matrix = rng.integers(0, 2**50, (k, ell))
-    bands = np.array_split(matrix, cfg.v, axis=0)
-    inputs: list[Any] = []
-    row0 = 0
-    for band in bands:
-        inputs.append((band, row0, k, ell))
-        row0 += band.shape[0]
-    return CGMTranspose(), inputs
+    """Deterministic (program, inputs) for *spec* at size *n* on *cfg*:
+    the op table's generator and splitter."""
+    op = OPS[spec.op]
+    raw = op.generate(make_rng(spec.seed), spec.n if n is None else n)
+    return op.program(), op.split(*raw, cfg.v)
 
 
 def probe_config(spec: WorkloadSpec, cand: Candidate, n: int) -> MachineConfig:
@@ -170,8 +147,6 @@ def _measure_wallclock(
     spec: WorkloadSpec, cand: Candidate, n: int, reps: int
 ) -> float:
     """Best-of-*reps* run time of the probe workload under *cand*."""
-    from repro.em.runner import make_engine
-
     cfg = probe_config(spec, cand, n)
     program, inputs = build_workload(spec, cfg, n)
     rt = cand.runtime()
@@ -212,7 +187,7 @@ def analytic_cost(spec: WorkloadSpec, cand: Candidate) -> float:
     mu = -(-spec.n // cand.v)
     return predicted_parallel_ios(
         cand.v, spec.p, cand.D, cand.B,
-        rounds=_ROUNDS[spec.op], mu_items=mu, h_items=mu,
+        rounds=OPS[spec.op].rounds, mu_items=mu, h_items=mu,
     )
 
 

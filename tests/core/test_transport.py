@@ -252,6 +252,64 @@ class TestFleetValidation:
         assert eng.cfg.workers == 2
 
 
+class TestReaderTeardown:
+    """``stop()`` clears ``conn.sock`` under the reader thread; the reader
+    must treat that as end-of-stream, not die with AttributeError."""
+
+    def reader(self, fleet):
+        """A reader thread on a socketpair, plus the peer end and the list
+        any uncaught exception of the thread lands in."""
+        import threading
+
+        ours, peer = socket.socketpair()
+        conn = fleet._conns[0]
+        conn.sock, conn.alive = ours, True
+        errors = []
+
+        def run():
+            try:
+                fleet._reader(conn)
+            except BaseException as exc:  # noqa: BLE001 - reported by the test
+                errors.append(exc)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        return conn, peer, thread, errors
+
+    def test_close_under_a_parked_reader(self):
+        fleet = TcpFleet([("127.0.0.1", 1)], 1)
+        conn, peer, thread, errors = self.reader(fleet)
+        try:
+            conn.close()  # the reader is blocked in recv on the old socket
+            thread.join(timeout=10.0)
+        finally:
+            peer.close()
+        assert not thread.is_alive() and errors == []
+        assert conn.alive is False
+
+    def test_close_between_two_frames(self):
+        """The race itself, made deterministic: the connection is closed
+        while the reader is handing a result up, so its next loop turn
+        used to evaluate ``recv_frame(None)``."""
+        fleet = TcpFleet([("127.0.0.1", 1)], 1)
+
+        class CloseOnPut:
+            def put(self, item):
+                self.item = item
+                fleet._conns[0].close()
+
+        fleet._results = results = CloseOnPut()
+        conn, peer, thread, errors = self.reader(fleet)
+        try:
+            send_frame(peer, ("result", 0, "round", {"ok": True}))
+            thread.join(timeout=10.0)
+        finally:
+            peer.close()
+        assert not thread.is_alive() and errors == []
+        assert results.item == (0, "round", {"ok": True})
+        assert conn.alive is False
+
+
 class TestBitIdentity:
     """The acceptance gate: logical IOStats and outputs are identical no
     matter which transport carried the worker exchange."""

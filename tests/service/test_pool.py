@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.service.pool import execute_spec, reference_output
+from repro.em.runner import OPS
+from repro.service.pool import execute_spec
 from repro.service.spec import JobSpec
 from repro.util.validation import PreemptedError
 
@@ -37,11 +38,11 @@ class TestExecuteSpec:
 
         spec = spec_for("sort")
         doc = execute_spec(spec)
-        data = make_rng(spec.seed).integers(0, 2**50, spec.n)
+        (data,) = OPS["sort"].generate(make_rng(spec.seed), spec.n)
         res = em_sort(data, spec.machine_config())
         assert doc["counters"]["io"]["parallel_ios"] == res.report.io.parallel_ios
         assert doc["counters"]["rounds"] == res.report.rounds
-        assert np.array_equal(res.values, reference_output(spec))
+        assert np.array_equal(res.values, OPS["sort"].reference(data))
 
     def test_fault_plan_keeps_logical_counters(self):
         clean = execute_spec(spec_for("sort"))

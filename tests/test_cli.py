@@ -37,6 +37,20 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sort", "--engine", "quantum"])
 
+    @pytest.mark.parametrize("cmd", ["delaunay", "cc", "listrank", "machine"])
+    @pytest.mark.parametrize(
+        "flag",
+        [["--trace", "x.jsonl"], ["--metrics", "m.prom"], ["--faults", "p.json"],
+         ["--checkpoint", "ck"], ["--resume"], ["--crosscheck"], ["--balanced"]],
+    )
+    def test_commands_reject_flags_they_never_read(self, cmd, flag, capsys):
+        """A command registers only the option groups it reads: the
+        graph/geometry commands used to accept these and ignore them."""
+        with pytest.raises(SystemExit) as exc:
+            main([cmd, "--n", "200", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_sort(self, capsys):
@@ -230,6 +244,31 @@ class TestLiveCommands:
         out = capsys.readouterr().out
         assert "serving on http://127.0.0.1:" in out
         assert "served sort of 4096 items" in out
+
+
+def test_closed_stdout_is_not_an_error():
+    """``repro sort ... | head`` must not end in a BrokenPipeError traceback:
+    with the read end of stdout already closed the command exits 0, silently."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "sort", "--n", "4096", "--v", "4",
+             "--b", "64"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
 
 
 class TestBenchCommand:
@@ -514,6 +553,33 @@ class TestSubmitCommand:
         finally:
             core.drain(timeout=60)
             server.close()
+
+    def test_local_result_documents_match_the_recorded_ones(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """``submit --local --json`` reproduces, byte for byte, the result
+        documents recorded at PR 14 (before the op table) for sort / permute
+        / transpose on seq and par — so persisted result-cache entries and
+        the e2e benchmark's verification stay valid.  ``elapsed_s`` and the
+        host-dependent ``fingerprint`` were dropped when recording."""
+        import os
+
+        monkeypatch.delenv("REPRO_FAULTS", raising=False)  # adds fault_stats
+        here = os.path.dirname(os.path.abspath(__file__))
+        with open(os.path.join(here, "service", "data", "result_docs_pr14.json")) as fh:
+            recorded = json.load(fh)
+        assert {entry["spec"]["op"] for entry in recorded.values()} == {
+            "sort", "permute", "transpose"
+        }
+        for name, entry in recorded.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(entry["spec"]))
+            assert main(["submit", str(path), "--local", "--json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            doc.pop("fingerprint")
+            doc["result"].pop("fingerprint")
+            doc["result"].pop("elapsed_s")
+            assert doc == entry["document"], name
 
     def test_local_run_verifies(self, spec_file, capsys):
         assert main(["submit", spec_file, "--local", "--json"]) == 0

@@ -1,6 +1,7 @@
 """Lint: every ``REPRO_*`` environment read goes through the knob registry,
-the retired I/O-path switch stays retired, and there is one compound
-superstep (one round loop, one routing step, no worker engine class).
+the retired I/O-path switch stays retired, there is one compound
+superstep (one round loop, one routing step, no worker engine class), and
+the Figure-5 Group-A operations have one definition (the op table).
 
 The tentpole's centralization contract — ad-hoc ``os.environ`` reads of
 runtime knobs are how the inconsistent-caching bug happened, so outside
@@ -25,6 +26,12 @@ _IO_FORK = re.compile(r"REPRO_FASTPATH|_fastpath|set_enabled|set_arena_kind")
 _ROUND_FORK = re.compile(
     r"_WorkerEngine|execute_local_round|_round_boundary|_storage_reals"
     r"|NullBus|NULL_BUS"
+)
+
+#: the per-package spellings of a Group-A operation the op table replaced
+_OP_FORK = re.compile(
+    r"reference_output|\b_assemble\b|_note_trace_unsupported"
+    r"|cmd_sort|cmd_permute|cmd_transpose"
 )
 
 
@@ -70,6 +77,32 @@ def test_one_compound_superstep():
         and c.__module__ == workers.__name__
     ]
     assert engines == [workers.ProcessParEngine]
+
+
+def test_one_definition_of_the_group_a_operations():
+    from repro.em import runner
+    from repro.tune.knobs import KNOBS
+
+    offenders = _offenders(_OP_FORK, skip_tune=False)
+    assert not offenders, (
+        "sort/permute/transpose are rows of repro.em.runner.OPS; the CLI "
+        "runs them with one handler:\n" + "\n".join(offenders)
+    )
+    # the transpose band split and the generated value range are decisions
+    # of the table alone (the graph/geometry commands' own generators in
+    # repro.algorithms are not Group-A operations)
+    src_root = Path(repro.__file__).resolve().parent
+    files = [src_root / "cli.py"] + sorted(
+        path for pkg in ("em", "tune", "service")
+        for path in (src_root / pkg).rglob("*.py")
+    )
+    band_split = re.compile(r"np\.array_split\(.*axis=0")
+    value_range = re.compile(r"2\s*\*\*\s*(50|48)\b")
+    for pattern in (band_split, value_range):
+        holders = [p for p in files if pattern.search(p.read_text())]
+        assert holders == [Path(runner.__file__).resolve()], (pattern.pattern, holders)
+    # ... and the table added nothing to the configuration surface
+    assert len(KNOBS) == 11
 
 
 def test_no_raw_repro_environ_access_outside_tune():
