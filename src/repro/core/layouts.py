@@ -27,8 +27,16 @@ band-set ``(r-1) mod 2``.
 from __future__ import annotations
 
 import bisect
+from functools import lru_cache
 
 import numpy as np
+
+#: The layouts alternate with period two (Observation 2), so a run asks for
+#: the same few address patterns every round: each is computed once per
+#: distinct integer argument tuple.  Runs longer than this are recomputed
+#: instead — the memo removes a fixed per-call cost that moving a long run
+#: dwarfs — which bounds each memo at 1024 entries of 16 KiB.
+ADDRESS_MEMO_MAX_BLOCKS = 1024
 
 
 def consecutive_addresses(
@@ -42,17 +50,45 @@ def consecutive_addresses(
     return out
 
 
+def _frozen(lin: np.ndarray, D: int, start_track: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(disks, tracks)`` of linear offsets, read-only: the arrays are
+    shared by every caller that asks for the same addresses."""
+    disks, tracks = lin % D, start_track + lin // D
+    disks.flags.writeable = tracks.flags.writeable = False
+    return disks, tracks
+
+
+@lru_cache(maxsize=1024)
+def _consecutive(nblocks: int, D: int, start_track: int, start_disk: int):
+    return _frozen(start_disk + np.arange(nblocks, dtype=np.int64), D, start_track)
+
+
+@lru_cache(maxsize=1024)
+def _inbox(D: int, start_track: int, slot_blocks: int, d_j: int, blocks_by_src: tuple):
+    srcs = np.asarray([s for s, _ in blocks_by_src], dtype=np.int64)
+    counts = np.asarray([n for _, n in blocks_by_src], dtype=np.int64)
+    if int(counts.max(initial=0)) > slot_blocks:
+        bad = int(counts[counts > slot_blocks][0])
+        raise ValueError(f"message of {bad} blocks exceeds slot of {slot_blocks}")
+    total = int(counts.sum())
+    starts = d_j + srcs * slot_blocks
+    ends = np.cumsum(counts)
+    # within-slot block index q for every output position
+    q = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
+    return _frozen(np.repeat(starts, counts) + q, D, start_track)
+
+
 def consecutive_addresses_np(
     nblocks: int, D: int, start_track: int, start_disk: int = 0
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized :func:`consecutive_addresses`: ``(disks, tracks)`` arrays.
 
-    Same index math as the per-q loop, evaluated once over an arange; the
-    engines feed these straight into
+    Same index math as the per-q loop, evaluated once over an arange and
+    memoised; the engines feed the (read-only) arrays straight into
     :meth:`~repro.pdm.disk_array.DiskArray.write_run` / ``read_run``.
     """
-    lin = start_disk + np.arange(nblocks, dtype=np.int64)
-    return lin % D, start_track + lin // D
+    fn = _consecutive if nblocks <= ADDRESS_MEMO_MAX_BLOCKS else _consecutive.__wrapped__
+    return fn(nblocks, D, start_track, start_disk)
 
 
 class MessageMatrix:
@@ -116,8 +152,10 @@ class MessageMatrix:
             )
         d_j = (dest * self.slot_blocks) % self.D
         T_j = self.copy_base(parity) + dest * self.band_height
-        lin = d_j + src * self.slot_blocks + np.arange(nblocks, dtype=np.int64)
-        return lin % self.D, T_j + lin // self.D
+        # a slot message is a consecutive run entered at its slot's offset
+        return consecutive_addresses_np(
+            nblocks, self.D, T_j, d_j + src * self.slot_blocks
+        )
 
     def inbox_addresses_np(
         self, dest: int, blocks_by_src: list[tuple[int, int]], parity: int
@@ -126,27 +164,15 @@ class MessageMatrix:
 
         One linear-offset array covers every slot: offsets are the
         concatenated per-source aranges built with the repeat/cumsum trick,
-        so no Python loop runs per block.
+        so no Python loop runs per block.  Memoised like
+        :func:`consecutive_addresses_np`.
         """
-        if not blocks_by_src:
-            empty = np.zeros(0, dtype=np.int64)
-            return empty, empty.copy()
         d_j = (dest * self.slot_blocks) % self.D
         T_j = self.copy_base(parity) + dest * self.band_height
-        srcs = np.asarray([s for s, _ in blocks_by_src], dtype=np.int64)
-        counts = np.asarray([n for _, n in blocks_by_src], dtype=np.int64)
-        if int(counts.max(initial=0)) > self.slot_blocks:
-            bad = int(counts[counts > self.slot_blocks][0])
-            raise ValueError(
-                f"message of {bad} blocks exceeds slot of {self.slot_blocks}"
-            )
-        total = int(counts.sum())
-        starts = d_j + srcs * self.slot_blocks
-        ends = np.cumsum(counts)
-        # within-slot block index q for every output position
-        q = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-        lin = np.repeat(starts, counts) + q
-        return lin % self.D, T_j + lin // self.D
+        key = tuple(map(tuple, blocks_by_src))
+        short = sum(n for _, n in key) <= ADDRESS_MEMO_MAX_BLOCKS
+        fn = _inbox if short else _inbox.__wrapped__
+        return fn(self.D, T_j, self.slot_blocks, d_j, key)
 
     def inbox_addresses(
         self, dest: int, blocks_by_src: list[tuple[int, int]], parity: int

@@ -58,7 +58,7 @@ from repro.pdm.block import blocks_for_bytes, unpack_blocks
 from repro.pdm.disk_array import DiskArray, Segment
 from repro.pdm.fastpath import BlockRun, BufferPool
 from repro.pdm.io_stats import IOStats
-from repro.pdm.pipeline import DoubleBufferedReader
+from repro.pdm.pipeline import PREFETCH_BREAK_EVEN_BYTES, DoubleBufferedReader
 from repro.pdm.memory import InternalMemory
 from repro.util.items import ITEM_BYTES, deserialize, serialize
 from repro.util.validation import require
@@ -219,12 +219,16 @@ class ParEMEngine(Engine):
         loop runs, and a pid's tracks are only rewritten by its *own*
         store (strictly after its load) — so the whole schedule can be
         submitted up front and gathered concurrently with compute.  See
-        :mod:`repro.pdm.pipeline` for the determinism argument.
+        :mod:`repro.pdm.pipeline` for the determinism argument — and for
+        why a round of small contexts starts no reader at all.
         """
         if not self._prefetch_on:
             return
         schedule = [pid for pid in pids if pid in self._ctx_region]
         if len(schedule) < 2:  # nothing to overlap
+            return
+        blocks = sum(self._ctx_region[pid][2] for pid in schedule)
+        if blocks * self._block_bytes < PREFETCH_BREAK_EVEN_BYTES * len(schedule):
             return
         reader = DoubleBufferedReader()
         for pid in schedule:

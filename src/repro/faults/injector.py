@@ -32,7 +32,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.faults.plan import FaultPlan
-from repro.pdm.disk_array import DiskArray, IOOp, Segment
+from repro.pdm.disk_array import DiskArray, IOOp, Segment, check_segments
 from repro.util.validation import SimulationError
 
 #: logical tracks remapped off a dead disk live in this shadow range on the
@@ -236,6 +236,7 @@ class FaultyDiskArray(DiskArray):
         self.injector = injector
 
     def write_stream(self, segments: Sequence[Segment]) -> int:
+        check_segments(segments)
         placements: list[tuple[int, int, bytes]] = []
         for disks, tracks, run in segments:
             placements.extend(zip(disks.tolist(), tracks.tolist(), run.to_blocks()))

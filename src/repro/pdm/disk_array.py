@@ -12,10 +12,11 @@ Bulk streams have one storage (the shared
 :class:`~repro.pdm.arena.TrackArena`) and two spellings:
 
 * :meth:`write_run` / :meth:`write_stream` / :meth:`read_run` — the run
-  API the engines use: greedy batch boundaries computed vectorially
-  (:func:`greedy_batch_widths`), data moved as single NumPy scatter/gather
-  operations over the arena, the aggregate recorded with
-  :meth:`IOStats.record_batch`.
+  API the engines use: the stream's :class:`BatchPlan` (greedy batch
+  boundaries via :func:`greedy_batch_widths` plus the per-disk and width
+  histograms) is planned once per distinct disk-index stream and
+  memoised, data moves as one NumPy scatter/gather over the arena, and
+  the plan is folded in with :meth:`IOStats.record_batch`.
 * :meth:`write_blocks` / :meth:`read_blocks` — the PDM specification:
   greedy FIFO batching into per-op :class:`IOOp` lists, one
   :meth:`parallel_io` per batch, one Python iteration per block.  The
@@ -29,7 +30,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from functools import lru_cache
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -114,6 +116,49 @@ def greedy_batch_widths(disks: np.ndarray, D: int) -> tuple[int, np.ndarray]:
     return len(bounds) - 1, np.diff(np.asarray(bounds, dtype=np.int64))
 
 
+class BatchPlan(NamedTuple):
+    """What one disk-index stream costs: the accounting delta of its
+    greedy FIFO batching, a pure function of ``(D, disks)``."""
+
+    nops: int                       #: parallel I/Os
+    per_disk: tuple[int, ...]       #: blocks serviced by each disk
+    width_counts: tuple[int, ...]   #: batches touching exactly w disks
+
+
+def _build_plan(D: int, stream: bytes) -> BatchPlan:
+    disks = np.frombuffer(stream, dtype=np.int64)
+    if disks.size and (int(disks.min()) < 0 or int(disks.max()) >= D):
+        bad = int(disks[(disks < 0) | (disks >= D)][0])
+        raise SimulationError(f"disk index {bad} out of range 0..{D - 1}")
+    nops, widths = greedy_batch_widths(disks, D)
+    per_disk = np.bincount(disks, minlength=D)
+    width_counts = np.bincount(widths, minlength=D + 1)[: D + 1]
+    return BatchPlan(nops, tuple(per_disk.tolist()), tuple(width_counts.tolist()))
+
+
+#: ``(D, disks.tobytes()) -> BatchPlan``.  The layouts alternate with period
+#: two (Observation 2), so a run replays few distinct streams (126 in the
+#: 1,624 calls of a ``rounds_listrank`` op); a hit means these exact bytes
+#: already passed the disk-range check, so only the track check (tracks are
+#: not part of the key) runs per call.  A raising build stores nothing.
+batch_plan = lru_cache(maxsize=256)(_build_plan)
+
+#: Longer streams are planned afresh: their keys would dominate the memo
+#: (256 x 32 KiB at most as it is) and planning is small beside moving them.
+PLAN_MEMO_MAX_BLOCKS = 4096
+
+
+def check_segments(segments: Sequence[Segment]) -> None:
+    """Refuse a write stream whose address arrays and run disagree in
+    length, naming the segment, before anything is stored or counted."""
+    for i, (disks, tracks, run) in enumerate(segments):
+        if not len(disks) == len(tracks) == run.nblocks:
+            raise SimulationError(
+                f"write_stream segment {i}: {len(disks)} disks and "
+                f"{len(tracks)} tracks address a run of {run.nblocks} blocks"
+            )
+
+
 class DiskArray:
     """D simulated disks owned by one (real) processor."""
 
@@ -140,6 +185,8 @@ class DiskArray:
             self._arena.on_grow = self._record_arena_grow
         self.disks = [Disk(d, arena=self._arena) for d in range(D)]
         self.stats = IOStats(D=D)
+        #: write_stream's staging rows; grows to the longest stream written
+        self._stage = np.empty(0, dtype=np.uint8)
 
     def _record_arena_grow(self, disk: int, cap: int) -> None:
         """Arena growth callback -> one ``arena_grow`` trace event."""
@@ -255,9 +302,12 @@ class DiskArray:
         """Write several runs as **one** FIFO stream.
 
         Greedy batching spans segment boundaries (the engine concatenates
-        all bundles destined for one owner before batching), but each run
-        scatters from its own buffer.  Returns parallel I/Os used.
+        all bundles destined for one owner before batching).  The runs are
+        copied into one staging buffer — each run's implicit tail
+        zero-filled, as ``pack_blocks`` pads it — and stored with a single
+        arena scatter.  Returns parallel I/Os used.
         """
+        check_segments(segments)
         segments = [s for s in segments if s[2].nblocks]
         if not segments:
             return 0
@@ -271,19 +321,26 @@ class DiskArray:
             all_tracks = np.concatenate(
                 [np.asarray(s[1], dtype=np.int64) for s in segments]
             )
-        self._check_addresses(all_disks, all_tracks)
+        plan = self._plan(all_disks, all_tracks)
 
-        nops, widths = greedy_batch_widths(all_disks, self.D)
-        for disks, tracks, run in segments:
-            self._scatter_run(
-                np.asarray(disks, dtype=np.int64),
-                np.asarray(tracks, dtype=np.int64),
-                run,
-            )
-        self._account_bulk(
-            all_disks, nops, widths, n_read=0, n_written=int(all_disks.size)
-        )
-        return nops
+        bb = self.block_bytes
+        total = int(all_disks.size)
+        if self._stage.size < total * bb:
+            self._stage = np.empty(total * bb, dtype=np.uint8)
+        flat = self._stage[: total * bb]
+        pos = 0
+        for _disks, _tracks, run in segments:
+            buf = run.buf
+            view = (
+                buf if isinstance(buf, np.ndarray) else np.frombuffer(buf, dtype=np.uint8)
+            ).reshape(-1)
+            end = pos + run.nblocks * bb
+            flat[pos : pos + view.size] = view
+            flat[pos + view.size : end] = 0
+            pos = end
+        self._arena.scatter(all_disks, all_tracks, flat.reshape(total, bb))
+        self._record(plan, total, write=True)
+        return plan.nops
 
     def read_run(
         self, disks: np.ndarray, tracks: np.ndarray, out: np.ndarray | None = None
@@ -301,13 +358,17 @@ class DiskArray:
         bb = self.block_bytes
         if out is None:
             out = np.empty(n * bb, dtype=np.uint8)
+        elif out.size < n * bb:
+            raise SimulationError(
+                f"read_run: out buffer of {out.size} bytes cannot hold "
+                f"{n} blocks of {bb} bytes"
+            )
         flat = out[: n * bb]
+        plan = self._plan(disks, tracks)
         if n == 0:
             return flat
-        self._check_addresses(disks, tracks)
         if self._gather(disks, tracks, flat.reshape(n, bb)):
-            nops, widths = greedy_batch_widths(disks, self.D)
-            self._account_bulk(disks, nops, widths, n_read=n, n_written=0)
+            self._record(plan, n, write=False)
             return flat
         # Per-track loop: side-dict tracks, short rows, the canonical
         # unwritten-track error, and every access of a fault-injected array.
@@ -338,7 +399,7 @@ class DiskArray:
         leaves the work to :meth:`finish_read`.
         """
         try:
-            self._check_addresses(disks, tracks)
+            self._plan(disks, tracks)
         except SimulationError:
             return False
         n = int(disks.size)
@@ -355,16 +416,14 @@ class DiskArray:
         """Complete a speculative gather on the consuming thread.
 
         On a *hit* the data already sits in *out*; only the deferred
-        accounting runs (same address checks, batch widths and counter
+        accounting runs (same address checks, batch plan and counter
         updates as :meth:`read_run`).  On a miss this simply performs the
         synchronous :meth:`read_run`, which re-raises canonical errors.
         """
         if not hit:
             return self.read_run(disks, tracks, out=out)
         n = int(disks.size)
-        self._check_addresses(disks, tracks)
-        nops, widths = greedy_batch_widths(disks, self.D)
-        self._account_bulk(disks, nops, widths, n_read=n, n_written=0)
+        self._record(self._plan(disks, tracks), n, write=False)
         return out[: n * self.block_bytes]
 
     def _gather(
@@ -374,69 +433,43 @@ class DiskArray:
         per-track loop (which ``FaultyDiskArray`` does unconditionally)."""
         return self._arena.gather(disks, tracks, rows)
 
-    def _check_addresses(self, disks: np.ndarray, tracks: np.ndarray) -> None:
-        if disks.size and (
-            int(disks.min()) < 0 or int(disks.max()) >= self.D
-        ):
-            bad = int(disks[(disks < 0) | (disks >= self.D)][0])
-            raise SimulationError(f"disk index {bad} out of range 0..{self.D - 1}")
+    def _plan(self, disks: np.ndarray, tracks: np.ndarray) -> BatchPlan:
+        """Validate one address stream and return its memoised plan.
+
+        Raises before anything is stored or counted: a length mismatch,
+        then the first out-of-range disk, then the first negative track.
+        """
+        if disks.size != tracks.size:
+            raise SimulationError(
+                f"address stream of {disks.size} disks but {tracks.size} tracks"
+            )
+        build = batch_plan if disks.size <= PLAN_MEMO_MAX_BLOCKS else _build_plan
+        plan = build(self.D, np.asarray(disks, dtype=np.int64).tobytes())
         if tracks.size and int(tracks.min()) < 0:
             bad_i = int(np.flatnonzero(tracks < 0)[0])
             raise SimulationError(
                 f"negative track {int(tracks[bad_i])} on disk {int(disks[bad_i])}"
             )
+        return plan
 
-    def _scatter_run(
-        self, disks: np.ndarray, tracks: np.ndarray, run: BlockRun
-    ) -> None:
-        bb = self.block_bytes
-        n = run.nblocks
-        buf = run.buf
-        view = (
-            buf if isinstance(buf, np.ndarray) else np.frombuffer(buf, dtype=np.uint8)
-        )
-        view = view.reshape(-1)
-        full = min(n, int(view.size) // bb)
-        if full:
-            rows = view[: full * bb].reshape(full, bb)
-            self._arena.scatter(disks[:full], tracks[:full], rows)
-        if n > full:
-            # the (usually single, usually partial) tail block is padded out,
-            # as pack_blocks does; blocks entirely past the buffer are zeros
-            tail = view[full * bb :].tobytes()
-            self._arena.put(int(disks[full]), int(tracks[full]), tail.ljust(bb, b"\x00"))
-            for q in range(full + 1, n):
-                self._arena.put(int(disks[q]), int(tracks[q]), b"\x00" * bb)
-        counts = np.bincount(disks, minlength=self.D)
-        for d in range(self.D):
-            if counts[d]:
-                self.disks[d].blocks_written += int(counts[d])
-
-    def _account_bulk(
-        self,
-        disks: np.ndarray,
-        nops: int,
-        widths: np.ndarray,
-        *,
-        n_read: int,
-        n_written: int,
-    ) -> None:
-        per_disk = np.bincount(disks, minlength=self.D)
-        width_counts = np.bincount(widths, minlength=self.D + 1)[: self.D + 1]
+    def _record(self, plan: BatchPlan, n: int, *, write: bool) -> None:
+        """Fold one serviced stream of *n* blocks into the counters."""
+        nops = plan.nops
         self.stats.record_batch(
             nops=nops,
-            n_read=n_read,
-            n_written=n_written,
-            read_ops=nops if n_read else 0,
-            write_ops=nops if n_written else 0,
-            per_disk=per_disk.tolist(),
-            width_counts=width_counts.tolist(),
+            n_read=0 if write else n,
+            n_written=n if write else 0,
+            read_ops=0 if write else nops,
+            write_ops=nops if write else 0,
+            per_disk=plan.per_disk,
+            width_counts=plan.width_counts,
             D=self.D,
         )
-        if n_read:
-            for d in range(self.D):
-                if per_disk[d]:
-                    self.disks[d].blocks_read += int(per_disk[d])
+        for disk, count in zip(self.disks, plan.per_disk):
+            if write:
+                disk.blocks_written += count
+            else:
+                disk.blocks_read += count
 
     # -- lifecycle / inspection ----------------------------------------------
 

@@ -16,6 +16,7 @@ the raw transfer rate once the fixed positioning overhead is amortized.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.util.items import ITEM_BYTES
 
@@ -100,8 +101,8 @@ class IOStats:
         n_written: int,
         read_ops: int,
         write_ops: int,
-        per_disk: list[int],
-        width_counts: list[int],
+        per_disk: Sequence[int],
+        width_counts: Sequence[int],
         D: int,
     ) -> None:
         """Record the aggregate of *nops* parallel I/Os in one call.

@@ -55,6 +55,18 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only import
 #: classic double buffering: one buffer being consumed, one being filled.
 DEFAULT_DEPTH = 2
 
+#: Smallest mean read (bytes) worth handing to the worker thread.  One
+#: request costs the consumer ~140 us whatever its size (a semaphore and an
+#: Event handshake, two thread switches under the interpreter lock, its
+#: share of a thread start/join per round); what the overlap can hide is
+#: the gather, bytes / throughput.  At the 1.5-4 GB/s the arenas gather at
+#: the two meet at 210-560 KB, and measured in the engine a prefetched read
+#: lost to a synchronous one at every context size from 8 to 512 KiB on
+#: both arenas (DESIGN.md section 10).  1 MiB is the next power of two:
+#: below it the round reads synchronously and no thread is started.
+#: Callers decide from the sizes they already schedule.
+PREFETCH_BREAK_EVEN_BYTES = 1 << 20
+
 
 class _Request:
     """One submitted read: addresses in, a filled buffer + hit flag out."""

@@ -5,17 +5,22 @@ items and one parallel I/O moves ``D*B`` items.  We fix an item at 8 bytes
 (one 64-bit word — the granularity Algorithm 1 of the paper distributes in
 its round-robin binning).
 
-Serialization has a fast path for numpy arrays (raw buffer + tiny header)
-because contexts and message payloads are overwhelmingly numpy data; other
-objects fall back to pickle.  The encoding is self-describing so the disk
-engines can round-trip arbitrary context dictionaries through the simulated
-block store.
+Serialization has a fast path for numpy arrays (raw buffer + a pickled
+``(dtype, shape)`` header) because contexts and message payloads are
+overwhelmingly numpy data; other objects fall back to pickle.  The header
+is ~75 bytes and, for the few-hundred-byte messages of a many-round
+program, cost more to pickle than the body to copy — so both directions
+memoise it (same bytes on the wire, packed or parsed once per distinct
+``(dtype, shape)``).  The encoding is self-describing so the disk engines
+can round-trip arbitrary context dictionaries through the simulated block
+store.
 """
 
 from __future__ import annotations
 
 import pickle
 import struct
+from functools import lru_cache
 from typing import Any
 
 import numpy as np
@@ -30,6 +35,21 @@ _TAG_NDARRAY = b"N"
 _HEADER = struct.Struct("<cQ")  # tag, payload byte length
 
 
+@lru_cache(maxsize=256)
+def _pack_ndarray_header(dtype: np.dtype, shape: tuple) -> bytes:
+    # The dtype object itself is pickled so structured dtypes survive.
+    meta = pickle.dumps((dtype, shape), protocol=5)
+    return _HEADER.pack(_TAG_NDARRAY, len(meta)) + meta
+
+
+@lru_cache(maxsize=256)
+def _parse_ndarray_meta(meta: bytes) -> tuple[np.dtype, tuple, int]:
+    dtype_spec, shape = pickle.loads(meta)
+    dtype = np.dtype(dtype_spec)
+    nbytes = dtype.itemsize * int(np.prod(shape)) if shape else dtype.itemsize
+    return dtype, shape, nbytes
+
+
 def serialize(obj: Any) -> bytes:
     """Encode *obj* to a self-describing byte string.
 
@@ -39,15 +59,16 @@ def serialize(obj: Any) -> bytes:
     """
     if isinstance(obj, np.ndarray) and obj.dtype != object:
         arr = np.ascontiguousarray(obj)
+        dtype = arr.dtype
         # ascontiguousarray promotes 0-d to 1-d; keep the original shape.
-        # The dtype object itself is pickled so structured dtypes survive.
-        meta = pickle.dumps((arr.dtype, obj.shape), protocol=5)
-        body = arr.tobytes()
-        return (
-            _HEADER.pack(_TAG_NDARRAY, len(meta))
-            + meta
-            + body
-        )
+        # Only NumPy's interned dtypes go through the memo: equal dtypes
+        # that are not the same object (metadata, aligned structs) can
+        # pickle to different bytes, and the format may not depend on
+        # which of them was seen first.
+        pack = _pack_ndarray_header
+        if dtype.isbuiltin != 1:
+            pack = pack.__wrapped__
+        return pack(dtype, obj.shape) + arr.tobytes()
     body = pickle.dumps(obj, protocol=5)
     return _HEADER.pack(_TAG_PICKLE, len(body)) + body
 
@@ -61,10 +82,7 @@ def deserialize(data: bytes) -> Any:
     tag, length = _HEADER.unpack_from(data, 0)
     off = _HEADER.size
     if tag == _TAG_NDARRAY:
-        meta = pickle.loads(data[off : off + length])
-        dtype_spec, shape = meta
-        dtype = np.dtype(dtype_spec)
-        nbytes = dtype.itemsize * int(np.prod(shape)) if shape else dtype.itemsize
+        dtype, shape, nbytes = _parse_ndarray_meta(bytes(data[off : off + length]))
         body_off = off + length
         arr = np.frombuffer(data[body_off : body_off + nbytes], dtype=dtype)
         return arr.reshape(shape).copy()

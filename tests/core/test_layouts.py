@@ -3,11 +3,18 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.layouts import MessageMatrix, RegionAllocator, consecutive_addresses
+from repro.core.layouts import (
+    ADDRESS_MEMO_MAX_BLOCKS,
+    MessageMatrix,
+    RegionAllocator,
+    consecutive_addresses,
+    consecutive_addresses_np,
+)
 
 
 class TestConsecutiveFormat:
@@ -121,6 +128,74 @@ class TestMessageMatrixGeometry:
                     seen.add(a)
         # everything stays inside the copy's track span
         assert all(t < mm.tracks_per_copy for _, t in seen)
+
+
+def _pairs(addresses) -> list[tuple[int, int]]:
+    disks, tracks = addresses
+    return list(zip(disks.tolist(), tracks.tolist()))
+
+
+class TestMemoisedAddressArrays:
+    """The ``_np`` spellings are computed once per argument tuple: equal
+    to the list-returning definitions, shared, and therefore read-only."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        v=st.integers(2, 6), D=st.integers(1, 5), slot=st.integers(1, 4),
+        parity=st.integers(0, 1), start=st.integers(0, 40), data=st.data(),
+    )
+    def test_equal_to_the_list_definitions(self, v, D, slot, parity, start, data):
+        mm = MessageMatrix(v, v, D, slot, base_track=3)
+        src, dest = data.draw(st.integers(0, v - 1)), data.draw(st.integers(0, v - 1))
+        n = data.draw(st.integers(0, slot))
+        by_src = [(i, data.draw(st.integers(0, slot))) for i in range(v)]
+        for _hit in range(2):
+            assert _pairs(consecutive_addresses_np(n + 5, D, start, src)) == (
+                consecutive_addresses(n + 5, D, start, src)
+            )
+            assert _pairs(mm.message_addresses_np(src, dest, n, parity)) == (
+                mm.message_addresses(src, dest, n, parity)
+            )
+            assert _pairs(mm.inbox_addresses_np(dest, by_src, parity)) == (
+                mm.inbox_addresses(dest, by_src, parity)
+            )
+
+    def test_arrays_are_shared_and_read_only(self):
+        mm = MessageMatrix(4, 4, 2, slot_blocks=3)
+        for addresses in (
+            consecutive_addresses_np(7, 3, 5, 1),
+            mm.message_addresses_np(1, 2, 3, 0),
+            mm.inbox_addresses_np(2, [(0, 3), (1, 1), (3, 2)], 1),
+            mm.inbox_addresses_np(2, [], 1),
+        ):
+            for arr in addresses:
+                assert arr.dtype == np.int64
+                with pytest.raises(ValueError, match="read-only"):
+                    arr[:1] = 1
+        again = consecutive_addresses_np(7, 3, 5, 1)
+        assert again[0] is consecutive_addresses_np(7, 3, 5, 1)[0]
+
+    def test_long_runs_are_recomputed_not_kept(self):
+        n = ADDRESS_MEMO_MAX_BLOCKS + 1
+        mm = MessageMatrix(2, 2, 3, slot_blocks=n)
+        for ask, definition in (
+            (lambda: consecutive_addresses_np(n, 3, 5, 1),
+             lambda: consecutive_addresses(n, 3, 5, 1)),
+            (lambda: mm.inbox_addresses_np(1, [(0, n), (1, 2)], 0),
+             lambda: mm.inbox_addresses(1, [(0, n), (1, 2)], 0)),
+        ):
+            first, again = ask(), ask()
+            assert _pairs(first) == _pairs(again) == definition()
+            assert first[0] is not again[0] and not first[0].flags.writeable
+
+    def test_slot_check_fires_on_every_request(self):
+        mm = MessageMatrix(4, 4, 2, slot_blocks=2)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="message of 3 blocks exceeds slot of 2"):
+                mm.message_addresses_np(0, 0, 3, 0)
+            with pytest.raises(ValueError, match="message of 3 blocks exceeds slot of 2"):
+                mm.inbox_addresses_np(0, [(0, 1), (1, 3)], 0)
+        assert _pairs(mm.message_addresses_np(0, 0, 2, 0)) == mm.message_addresses(0, 0, 2, 0)
 
 
 class TestRegionAllocator:

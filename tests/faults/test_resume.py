@@ -619,3 +619,40 @@ class TestRefusals:
                 "vm",
                 checkpoint=str(tmp_path / "ck"),
             )
+
+
+def test_checkpoint_written_before_the_plan_memos_resumes_identically(tmp_path):
+    """``data/listrank_ckpt_pr15`` holds a checkpoint written by commit
+    8b0477d (ListRanking at a reduced ``rounds_listrank`` shape, preempted
+    after round 6) and the uninterrupted run's hash and counters from the
+    same commit.  The memoised plans, the staged scatter and the header
+    memo store the same bytes and count the same I/Os, so the old snapshot
+    resumes here with the old result.  (The payload is this repo's own
+    pickle; a later codec change replaces the fixture, not this claim.)"""
+    import json
+    import shutil
+
+    from repro.algorithms.graphs.list_ranking import ListRanking
+    from repro.em.runner import output_sha256
+
+    fixture = Path(__file__).parent / "data" / "listrank_ckpt_pr15"
+    want = json.loads((fixture / "expected.json").read_text())
+    ck = tmp_path / "ck"
+    ck.mkdir()
+    shutil.copy(fixture / "ckpt_000007.bin", ck)
+
+    n = want["n"]
+    order = np.random.default_rng(want["seed"]).permutation(n)
+    succ = np.full(n, -1, dtype=np.int64)
+    succ[order[:-1]] = order[1:]
+    weights = (succ >= 0).astype(np.float64)
+    cfg = MachineConfig(N=n, v=V, D=D, B=B).with_(M=None)
+    inputs = list(zip(partition_array(succ, V), partition_array(weights, V)))
+    tracer = JsonlRecorder()
+    res = em_run(
+        ListRanking(), inputs, cfg, "seq", checkpoint=str(ck), resume=True, tracer=tracer
+    )
+    resumes = [ev for ev in tracer.events if ev["kind"] == "resume"]
+    assert [ev["round"] for ev in resumes] == [want["preempted_after_round"]]
+    assert output_sha256(np.concatenate(res.outputs)) == want["output_sha256"]
+    assert counters(res.report) == want["counters"]

@@ -233,6 +233,66 @@ def test_write_stream_matches_write_blocks(stream):
         assert fast.disks[d].blocks_read == ref.disks[d].blocks_read
 
 
+@st.composite
+def multi_run_streams(draw):
+    """Several runs written as one stream: short buffers (implicit tails up
+    to whole missing blocks), an ndarray-backed run, addresses repeated
+    across runs, and tracks far enough to divert to the side dict."""
+    D = draw(st.integers(min_value=1, max_value=4))
+    B = draw(st.integers(min_value=1, max_value=2))
+    bb = B * ITEM_BYTES
+    track = st.one_of(
+        st.integers(0, 6), st.sampled_from([MAX_DIRECT_TRACK, MAX_DIRECT_TRACK + 4])
+    )
+    segments = []
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.integers(0, 7))
+        addrs = draw(
+            st.lists(st.tuples(st.integers(0, D - 1), track), min_size=n, max_size=n)
+        )
+        payload = draw(st.binary(min_size=0, max_size=n * bb))
+        buf = np.frombuffer(payload, np.uint8) if draw(st.booleans()) else payload
+        segments.append((addrs, BlockRun(buf, n, bb)))
+    return D, B, segments
+
+
+@settings(max_examples=80, deadline=None)
+@given(multi_run_streams())
+def test_staged_scatter_matches_write_blocks(stream):
+    """One staging buffer and one arena scatter per stream store, count
+    and batch exactly what the per-op loop does over the concatenated
+    placements — padding, side-dict diversion and last-wins included."""
+    D, B, segments = stream
+    fast, ref, per_op = DiskArray(D, B), DiskArray(D, B), _per_op_array(D, B)
+    as_arrays = [
+        (
+            np.asarray([d for d, _ in addrs], dtype=np.int64),
+            np.asarray([t for _, t in addrs], dtype=np.int64),
+            run,
+        )
+        for addrs, run in segments
+    ]
+    placements = [
+        (d, t, blk)
+        for addrs, run in segments
+        for (d, t), blk in zip(addrs, run.to_blocks())
+    ]
+    for _again in range(2):  # the second pass overwrites through a warm plan
+        assert (
+            fast.write_stream(as_arrays)
+            == ref.write_blocks(placements)
+            == per_op.write_stream(as_arrays)
+        )
+        assert fast.stats.as_dict() == ref.stats.as_dict() == per_op.stats.as_dict()
+        for d in range(D):
+            want = ref.disks[d].snapshot_tracks()
+            assert fast.disks[d].snapshot_tracks() == want
+            assert per_op.disks[d].snapshot_tracks() == want
+            assert fast.disks[d].blocks_written == ref.disks[d].blocks_written
+            assert fast._arena._side[d] == ref._arena._side[d]
+            assert (fast._arena._nbytes[d] == ref._arena._nbytes[d]).all()
+
+
 def test_read_run_unwritten_track_raises_canonical_error():
     fast = DiskArray(2, 1)
     ref = DiskArray(2, 1)

@@ -16,7 +16,7 @@ from repro.faults.injector import FaultyDiskArray
 from repro.faults.plan import FaultPlan, RetryPolicy
 from repro.pdm.disk_array import DiskArray
 from repro.pdm.fastpath import BlockRun
-from repro.pdm.pipeline import DoubleBufferedReader
+from repro.pdm.pipeline import PREFETCH_BREAK_EVEN_BYTES, DoubleBufferedReader
 from repro.tune.runtime import current
 from repro.util.validation import SimulationError
 
@@ -162,19 +162,56 @@ class TestReader:
 
 # ------------------------------------------------------------ engine level
 
+#: contexts of N/v items: 8 KiB and 128 KiB, both below the pipeline's
+#: break-even (tests that want a reader at N_BIG lower the constant);
+#: N_ABOVE over v=4 puts them a quarter above it
 N = 1 << 13
-CFG = MachineConfig(N=N, v=8, p=2, D=2, B=64)
+N_BIG = 1 << 17
+N_ABOVE = 5 * PREFETCH_BREAK_EVEN_BYTES // 8
 
 
-def _sort(**kw):
-    data = np.random.default_rng(11).integers(0, 1 << 30, N, dtype=np.int64)
-    res = em_run(SampleSort(), partition_array(data, CFG.v), CFG, "par", **kw)
+@pytest.fixture
+def low_break_even(monkeypatch):
+    """Put the 128 KiB contexts of ``N_BIG`` above the break-even."""
+    import repro.core.par_engine as pe
+
+    monkeypatch.setattr(pe, "PREFETCH_BREAK_EVEN_BYTES", 64 << 10)
+
+
+def _sort(n=N, v=8, **kw):
+    cfg = MachineConfig(N=n, v=v, p=2, D=2, B=64)
+    data = np.random.default_rng(11).integers(0, 1 << 30, n, dtype=np.int64)
+    res = em_run(SampleSort(), partition_array(data, cfg.v), cfg, "par", **kw)
     return (
         [o.tobytes() for o in res.outputs],
         res.report.io.as_dict(),
         res.report.context_blocks_io,
         res.report.message_blocks_io,
     )
+
+
+@pytest.fixture
+def spy_readers(monkeypatch):
+    """Every ``DoubleBufferedReader`` the in-process engine constructs, and
+    the names of the ``repro-prefetch`` threads alive right after each."""
+    import threading
+
+    import repro.core.par_engine as pe
+
+    created, threads = [], []
+
+    class Spy(pe.DoubleBufferedReader):
+        def __init__(self, *a, **kw):
+            super().__init__(*a, **kw)
+            created.append(self)
+            threads.extend(
+                t.name for t in threading.enumerate() if t.name == "repro-prefetch"
+            )
+
+    monkeypatch.delenv("REPRO_FAULTS", raising=False)  # plans bypass the pipeline
+    monkeypatch.delenv("REPRO_WORKERS", raising=False)  # Spy can't see into workers
+    monkeypatch.setattr(pe, "DoubleBufferedReader", Spy)
+    return created, threads
 
 
 class TestEnginePrefetch:
@@ -186,56 +223,68 @@ class TestEnginePrefetch:
         monkeypatch.delenv("REPRO_PREFETCH")
         assert current().prefetch  # default on
 
-    def test_prefetch_bit_identity(self, monkeypatch):
+    def test_prefetch_bit_identity(self, monkeypatch, spy_readers, low_break_even):
         monkeypatch.setenv("REPRO_PREFETCH", "1")
-        on = _sort()
+        on = _sort(N_BIG)
+        assert spy_readers[0]
         monkeypatch.setenv("REPRO_PREFETCH", "0")
-        off = _sort()
+        off = _sort(N_BIG)
         assert on == off
 
-    def test_prefetch_engages(self, monkeypatch):
-        """The pipeline really runs: the reader sees every local pid once
-        per round, and is torn down between rounds."""
-        import repro.core.par_engine as pe
-
-        created = []
-        orig = pe.DoubleBufferedReader
-
-        class Spy(orig):
-            def __init__(self, *a, **kw):
-                super().__init__(*a, **kw)
-                created.append(self)
-
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)  # plans bypass the pipeline
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)  # Spy can't see into workers
+    def test_prefetch_engages(self, monkeypatch, spy_readers):
+        """The pipeline really runs at the shipped constant: the reader sees
+        every local pid once per round, and is torn down between rounds."""
+        created, _threads = spy_readers
         monkeypatch.setenv("REPRO_PREFETCH", "1")
-        monkeypatch.setattr(pe, "DoubleBufferedReader", Spy)
-        _sort()
+        _sort(N_ABOVE, v=4)
         assert created, "prefetcher never engaged"
         assert all(r._closed for r in created)
         assert all(not r._pending for r in created)
 
-    def test_fault_plans_bypass_the_pipeline(self, monkeypatch):
-        """Fault injection services every access per-op; with prefetch
-        enabled the run must stay green, bit-identical, and pipeline-free."""
+    @pytest.mark.parametrize("break_even", [1, None, 1 << 30])
+    def test_break_even_decides_whether_a_reader_starts(
+        self, monkeypatch, spy_readers, break_even
+    ):
+        """Granularity control: a round whose mean context read is below the
+        break-even (``None``: the shipped constant, which the 8 KiB contexts
+        of this run are under) constructs no reader, starts no thread and
+        emits no ``prefetch`` event — and on either side of the constant the
+        run is the synchronous run."""
+        import threading
+
         import repro.core.par_engine as pe
+        from repro.obs import JsonlRecorder
 
-        created = []
-        orig = pe.DoubleBufferedReader
+        assert pe.PREFETCH_BREAK_EVEN_BYTES == PREFETCH_BREAK_EVEN_BYTES
+        created, threads = spy_readers
+        if break_even is not None:
+            monkeypatch.setattr(pe, "PREFETCH_BREAK_EVEN_BYTES", break_even)
+        monkeypatch.setenv("REPRO_PREFETCH", "1")
+        tracer = JsonlRecorder()
+        on = _sort(tracer=tracer)
+        events = tracer.counts().get("prefetch", 0)
+        if break_even == 1:  # every round is above it
+            assert created and threads and events == len(created)
+        else:
+            assert not created and not threads and not events
+        assert not [t for t in threading.enumerate() if t.name == "repro-prefetch"]
+        monkeypatch.setenv("REPRO_PREFETCH", "0")
+        assert on == _sort()
 
-        class Spy(orig):
-            def __init__(self, *a, **kw):
-                super().__init__(*a, **kw)
-                created.append(self)
-
-        monkeypatch.setattr(pe, "DoubleBufferedReader", Spy)
+    def test_fault_plans_bypass_the_pipeline(
+        self, monkeypatch, spy_readers, low_break_even
+    ):
+        """Fault injection services every access per-op; with prefetch
+        enabled the run must stay green, bit-identical, and pipeline-free
+        (at a size whose contexts are above the break-even)."""
+        created, _threads = spy_readers
         plan = FaultPlan(
             seed=13, p_transient_read=0.02, p_transient_write=0.02,
             retry=RetryPolicy(max_retries=6),
         )
         monkeypatch.setenv("REPRO_PREFETCH", "1")
-        faulty_on = _sort(faults=plan)
+        faulty_on = _sort(N_BIG, faults=plan)
         assert not created, "fault-injected run must not start a prefetcher"
         monkeypatch.setenv("REPRO_PREFETCH", "0")
-        faulty_off = _sort(faults=plan)
+        faulty_off = _sort(N_BIG, faults=plan)
         assert faulty_on == faulty_off

@@ -1,0 +1,51 @@
+"""The verdict arithmetic of ``scripts/claim_pairs.py`` (the README's
+"Rules for later claims"); the script itself only shells out to the
+frozen benchmark."""
+
+from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
+
+_spec = importlib.util.spec_from_file_location(
+    "claim_pairs", Path(__file__).resolve().parents[2] / "scripts" / "claim_pairs.py"
+)
+claim_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(claim_pairs)
+
+TIME = {"name": "op_p50_s", "unit": "s", "better": "lower", "bound": 0.2}
+COUNT = {"name": "sim_parallel_ios", "unit": "count", "better": "lower", "bound": 0.01}
+
+
+def test_gain_needs_nine_wins_in_ten_and_a_gap_beyond_the_parent_iqr():
+    parent = [0.40, 0.41, 0.42, 0.43, 0.44, 0.40, 0.41, 0.42, 0.43, 0.44]
+    clear = [p - 0.1 for p in parent]
+    v = claim_pairs.judge(TIME, parent, clear)
+    assert v["wins"] == 10 and v["gain"] and v["regression"] == "within bound"
+    # nine wins and one loss still carry it; eight do not
+    nine = clear[:9] + [parent[9] + 0.01]
+    assert claim_pairs.judge(TIME, parent, nine)["gain"]
+    eight = clear[:8] + [p + 0.01 for p in parent[8:]]
+    assert not claim_pairs.judge(TIME, parent, eight)["gain"]
+    # ten wins by less than the parent's own spread are not a gain
+    hair = [p - 0.001 for p in parent]
+    v = claim_pairs.judge(TIME, parent, hair)
+    assert v["wins"] == 10 and not v["gain"]
+    # ties count for neither side
+    v = claim_pairs.judge(TIME, parent, parent[:2] + clear[2:])
+    assert (v["wins"], v["ties"], v["gain"]) == (8, 2, False)
+
+
+def test_regression_verdicts():
+    parent = [1.0, 1.01, 0.99, 1.0]
+    assert claim_pairs.judge(TIME, parent, [1.3, 1.31, 1.29, 1.3])["regression"] == "worse"
+    assert claim_pairs.judge(TIME, parent, [1.1, 1.1, 1.1, 1.1])["regression"] == "within bound"
+    noisy = [0.7, 1.4, 0.8, 1.3]
+    assert claim_pairs.judge(TIME, parent, noisy)["regression"] == "unresolved"
+    # a wide spread that still beats every parent run is resolved
+    assert claim_pairs.judge(TIME, parent, [0.2, 0.9, 0.3, 0.8])["regression"] == "within bound"
+    higher = {**TIME, "better": "higher"}
+    assert claim_pairs.judge(higher, parent, [0.7, 0.7, 0.7, 0.7])["regression"] == "worse"
+    assert claim_pairs.judge(higher, parent, [1.5, 1.5, 1.5, 1.5])["gain"]
+    assert claim_pairs.judge(COUNT, [5, 5], [5, 5])["regression"] == "identical"
+    assert claim_pairs.judge(COUNT, [5, 5], [5, 6])["regression"] == "DIFFERS"

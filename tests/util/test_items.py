@@ -18,6 +18,47 @@ from repro.util.items import (
 )
 
 
+GOLDEN_ARRAYS = {
+    "zero_d": np.array(7.5),
+    "empty": np.zeros((0, 3), dtype=np.int32),
+    "non_contiguous": np.arange(24, dtype=np.int64).reshape(4, 6)[::2, 1::2],
+    "structured": np.array([(1, 2.5), (3, -4.0)], dtype=[("a", "i1"), ("b", ">f8")]),
+    "big_endian": np.arange(5, dtype=">u4"),
+}
+#: ``serialize(GOLDEN_ARRAYS[name]).hex()`` as printed by commit 8b0477d
+GOLDEN = {
+    "zero_d": (
+        "4e45000000000000008005953a000000000000008c056e756d7079948c05647479706594"
+        "93948c02663894898887945294284b038c013c944e4e4e4affffffff4affffffff4b0074"
+        "94622986942e0000000000001e40"
+    ),
+    "empty": (
+        "4e4a000000000000008005953f000000000000008c056e756d7079948c05647479706594"
+        "93948c02693494898887945294284b038c013c944e4e4e4affffffff4affffffff4b0074"
+        "94624b004b03869486942e"
+    ),
+    "non_contiguous": (
+        "4e4a000000000000008005953f000000000000008c056e756d7079948c05647479706594"
+        "93948c02693894898887945294284b038c013c944e4e4e4affffffff4affffffff4b0074"
+        "94624b024b03869486942e0100000000000000030000000000000005000000000000000d"
+        "000000000000000f000000000000001100000000000000"
+    ),
+    "structured": (
+        "4ea40000000000000080059599000000000000008c056e756d7079948c05647479706594"
+        "93948c02563994898887945294284b038c017c944e8c0161948c01629486947d94286807"
+        "68028c02693194898887945294284b0368064e4e4e4affffffff4affffffff4b00749462"
+        "4b008694680868028c02663894898887945294284b038c013e944e4e4e4affffffff4aff"
+        "ffffff4b007494624b018694754b094b014b107494624b02859486942e01400400000000"
+        "000003c010000000000000"
+    ),
+    "big_endian": (
+        "4e48000000000000008005953d000000000000008c056e756d7079948c05647479706594"
+        "93948c02753494898887945294284b038c013e944e4e4e4affffffff4affffffff4b0074"
+        "94624b05859486942e0000000000000001000000020000000300000004"
+    ),
+}
+
+
 class TestSerializeRoundTrip:
     def test_int64_array(self):
         arr = np.arange(1000, dtype=np.int64)
@@ -72,6 +113,26 @@ class TestSerializeRoundTrip:
         arr["a"] = [1, 2, 3, 4]
         out = deserialize(serialize(arr))
         assert np.array_equal(out["a"], arr["a"])
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_ndarray_bytes_are_those_of_the_unmemoised_codec(self, name):
+        """Recorded at commit 8b0477d, before the header memo: the wire and
+        disk format may not move by one byte (block counts depend on it)."""
+        arr = GOLDEN_ARRAYS[name]
+        for _hit in range(2):
+            assert serialize(arr).hex() == GOLDEN[name]
+            out = deserialize(bytes.fromhex(GOLDEN[name]) + b"\x00" * 13)
+            assert out.dtype == arr.dtype and out.shape == arr.shape
+            assert out.tobytes() == np.ascontiguousarray(arr).tobytes()
+
+    def test_equal_dtypes_that_pickle_differently_bypass_the_memo(self):
+        plain = np.arange(3, dtype=np.int64)
+        tagged = plain.astype(np.dtype(np.int64, metadata={"unit": "m"}))
+        assert tagged.dtype == plain.dtype
+        first, second = serialize(tagged), serialize(plain)
+        assert first != second  # the metadata is on the wire
+        assert serialize(plain) == second and serialize(tagged) == first
+        assert deserialize(first).dtype.metadata == {"unit": "m"}
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError, match="unknown serialization tag"):
