@@ -196,16 +196,6 @@ class Engine:
         the other slices here (:meth:`ParEMEngine._exchange`); a machine
         held whole by one interpreter has nothing to exchange."""
 
-    def _begin_superstep(self, pids: "list[int]") -> None:
-        """Called with the pid schedule before a round's compound-superstep
-        loop.  Backends that overlap I/O with compute (the EM engines'
-        double-buffered context prefetch) start their pipelines here; the
-        default is a no-op."""
-
-    def _end_superstep(self) -> None:
-        """Called after the compound-superstep loop, including on error —
-        pipelines started in :meth:`_begin_superstep` must drain here."""
-
     def _finalize(self, report: CostReport) -> None:
         """Fold backend counters into the report."""
 
@@ -323,21 +313,16 @@ class Engine:
 
     def _execute_round(self, program: CGMProgram, r: int, rngs: list) -> RoundStep:
         """Run one full CGM round over this interpreter's virtual
-        processors: begin superstep -> their compound supersteps ->
-        exchange -> flip, then (in balanced mode) relay -> exchange ->
-        flip.  This is the only round loop: a worker process runs it over
-        its slice, and the multi-process *coordinator* overrides it only
-        to fan the round out to those workers."""
+        processors: their compound supersteps -> exchange -> flip, then
+        (in balanced mode) relay -> exchange -> flip.  This is the only
+        round loop: a worker process runs it over its slice, and the
+        multi-process *coordinator* overrides it only to fan the round
+        out to those workers."""
         cfg = self.cfg
         step = RoundStep.empty(cfg.v, cfg.p)
         io_before = self._io_totals()
-        pids = list(self._local_pids())
-        self._begin_superstep(pids)
-        try:
-            for pid in pids:
-                self._run_vproc(program, r, pid, rngs[pid], step)
-        finally:
-            self._end_superstep()
+        for pid in self._local_pids():
+            self._run_vproc(program, r, pid, rngs[pid], step)
         self._exchange(r, 0)
         self._flip()
         if self.balanced:

@@ -58,7 +58,6 @@ from repro.pdm.block import blocks_for_bytes, unpack_blocks
 from repro.pdm.disk_array import DiskArray, Segment
 from repro.pdm.fastpath import BlockRun, BufferPool
 from repro.pdm.io_stats import IOStats
-from repro.pdm.pipeline import PREFETCH_BREAK_EVEN_BYTES, DoubleBufferedReader
 from repro.pdm.memory import InternalMemory
 from repro.util.items import ITEM_BYTES, deserialize, serialize
 from repro.util.validation import require
@@ -149,16 +148,8 @@ class ParEMEngine(Engine):
         max_msg_bytes = slot_items * ITEM_BYTES + envelope
         self.slot_blocks = max(1, -(-max_msg_bytes // (cfg.B * ITEM_BYTES)))
 
-        # per-run knob snapshot: Engine.run() resolves it before _start;
-        # the workers backend ships the coordinator's snapshot instead
-        # (see repro.core.workers), so one run can never see two values
-        rt = self._rt
-        # a fault-injected array services every access per-op on the
-        # consuming thread, so a speculative gather could never hit
-        self._prefetch_on = rt.prefetch and self.faults is None
         self._block_bytes = cfg.B * ITEM_BYTES
         self._iopool = BufferPool()
-        self._prefetch: DoubleBufferedReader | None = None
 
         # storage is keyed by real-processor id: a slice instantiates
         # only the reals it owns
@@ -212,50 +203,6 @@ class ParEMEngine(Engine):
 
     # ------------------------------------------------------------- contexts
 
-    def _begin_superstep(self, pids: "list[int]") -> None:
-        """Start the double-buffered context prefetch for one round.
-
-        The context directory fixes every pid's read addresses before the
-        loop runs, and a pid's tracks are only rewritten by its *own*
-        store (strictly after its load) — so the whole schedule can be
-        submitted up front and gathered concurrently with compute.  See
-        :mod:`repro.pdm.pipeline` for the determinism argument — and for
-        why a round of small contexts starts no reader at all.
-        """
-        if not self._prefetch_on:
-            return
-        schedule = [pid for pid in pids if pid in self._ctx_region]
-        if len(schedule) < 2:  # nothing to overlap
-            return
-        blocks = sum(self._ctx_region[pid][2] for pid in schedule)
-        if blocks * self._block_bytes < PREFETCH_BREAK_EVEN_BYTES * len(schedule):
-            return
-        reader = DoubleBufferedReader()
-        for pid in schedule:
-            start, _rows, nblocks = self._ctx_region[pid]
-            dd, tt = consecutive_addresses_np(nblocks, self.cfg.D, start)
-            reader.submit(self.arrays[self._owner(pid)], dd, tt, key=pid)
-        self._prefetch = reader
-        self._prefetch_keys = set(schedule)
-
-    def _end_superstep(self) -> None:
-        reader = self._prefetch
-        if reader is None:
-            return
-        self._prefetch = None
-        reader.close()
-        if self.tracer.enabled:
-            # physical telemetry: how the speculative pipeline serviced
-            # the round's context reads.  Counter *values* may vary run to
-            # run (a gather racing storage growth degrades to a clean
-            # miss), but one event per prefetched round is deterministic.
-            self.tracer.emit(
-                "prefetch",
-                submitted=reader.submitted,
-                hits=reader.hits,
-                misses=reader.misses,
-            )
-
     def _store_context(self, pid: int, ctx: Context) -> None:
         owner = self._owner(pid)
         array, alloc = self.arrays[owner], self.allocators[owner]
@@ -291,18 +238,9 @@ class ParEMEngine(Engine):
         owner = self._owner(pid)
         array = self.arrays[owner]
         start, _rows, nblocks = self._ctx_region[pid]
-        pre = (
-            self._prefetch
-            if self._prefetch is not None and pid in self._prefetch_keys
-            else None
-        )
-        if pre is not None:
-            self._prefetch_keys.discard(pid)
-            flat, buf = pre.get(pid)
-        else:
-            dd, tt = consecutive_addresses_np(nblocks, self.cfg.D, start)
-            buf = self._iopool.take(nblocks * self._block_bytes)
-            flat = array.read_run(dd, tt, out=buf)
+        dd, tt = consecutive_addresses_np(nblocks, self.cfg.D, start)
+        buf = self._iopool.take(nblocks * self._block_bytes)
+        flat = array.read_run(dd, tt, out=buf)
         self._ctx_blocks_io += nblocks
         self._charge(pid, nblocks * self.cfg.B)
         if self.tracer.enabled:
@@ -316,10 +254,7 @@ class ParEMEngine(Engine):
         # deserialize copies out of the buffer on both encodings, so the
         # pooled staging area can be reused immediately
         ctx = Context(deserialize(flat))
-        if pre is not None:
-            pre.release(buf)
-        else:
-            self._iopool.give(buf)
+        self._iopool.give(buf)
         return ctx
 
     # ------------------------------------------------------------- messages
@@ -594,6 +529,35 @@ class ParEMEngine(Engine):
             "msg_io": self._msg_blocks_io,
             "ovf": self._overflow_blocks,
         }
+
+    @staticmethod
+    def merge_backends(parts: "list[dict]") -> dict:
+        """Fold the slices' :meth:`_snapshot_backend` dicts (ascending
+        slice order) into the one-slice shape.  The rule reads the value,
+        not the key: the per-real and per-pid maps of different slices are
+        disjoint and union, the block totals add, and what every slice
+        agrees on (the parities) passes through."""
+        merged: dict = {}
+        for part in parts:
+            for key, val in part.items():
+                if isinstance(val, dict):
+                    merged.setdefault(key, {}).update(val)
+                elif isinstance(val, int):
+                    merged[key] = merged.get(key, 0) + val
+                else:
+                    merged[key] = val
+        return merged
+
+    @staticmethod
+    def split_backend(backend: dict, worker: int) -> dict:
+        """What slice *worker* restores from a merged snapshot.  The maps
+        go to every slice whole (:meth:`_restore_backend` keeps its own
+        reals and pids); the block totals cannot be split per real, so
+        slice 0 carries them and the others start at zero — the final
+        sums stay exact under any worker count."""
+        if worker == 0:
+            return backend
+        return {k: 0 if isinstance(v, int) else v for k, v in backend.items()}
 
     def _restore_backend(self, backend: dict) -> None:
         for r, arr in self.arrays.items():

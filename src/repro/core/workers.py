@@ -531,48 +531,20 @@ class ProcessParEngine(Engine):
         """Gather each worker's backend slice and RNG states and merge
         them into the same canonical shape :class:`ParEMEngine` produces."""
         self._broadcast(("snapshot",))
-        results = self._gather("snapshot")
-        backend: dict[str, Any] = {
-            "arrays": {},
-            "memories": {},
-            "allocators": {},
-            "ctx_region": {},
-            "staged_meta": {},
-            "ready_meta": {},
-            "parities": None,
-            "charged": {},
-            "ctx_io": 0,
-            "msg_io": 0,
-            "ovf": 0,
-        }
+        results = [reply for _w, reply in sorted(self._gather("snapshot").items())]
         rng_states: list = [None] * self.cfg.v
-        for w in sorted(results):
-            part = results[w]["backend"]
-            for key in ("arrays", "memories", "allocators", "ctx_region",
-                        "staged_meta", "ready_meta", "charged"):
-                backend[key].update(part[key])
-            backend["parities"] = part["parities"]
-            backend["ctx_io"] += part["ctx_io"]
-            backend["msg_io"] += part["msg_io"]
-            backend["ovf"] += part["ovf"]
-            for pid, state in results[w]["rng"].items():
+        for reply in results:
+            for pid, state in reply["rng"].items():
                 rng_states[pid] = state
+        backend = ParEMEngine.merge_backends([reply["backend"] for reply in results])
         return {"backend": backend, "rng_states": rng_states}
 
     def _restore_state(self, snap: dict[str, Any], rngs: list) -> None:
-        """Scatter a merged snapshot back over the worker fleet.
-
-        Every worker receives the full backend dict and filters to its own
-        reals/pids; the ``ctx_io``/``msg_io``/``ovf`` totals cannot be
-        split per real, so worker 0 carries them and the rest start at
-        zero — the final sums stay exact under any worker count.
-        """
+        """Scatter a merged snapshot back over the worker fleet."""
         backend = snap["backend"]
         vpr = self.cfg.vprocs_per_real
         for w in range(self.n_workers):
-            part = dict(backend)
-            if w != 0:
-                part["ctx_io"] = part["msg_io"] = part["ovf"] = 0
+            part = ParEMEngine.split_backend(backend, w)
             local_rng = {
                 pid: snap["rng_states"][pid]
                 for real in self._plan[w]

@@ -94,14 +94,11 @@ class TraceAnalysis:
     real_worker: dict[int, int] = field(default_factory=dict)
     #: real processor -> node address, from node-tagged events (tcp runs)
     real_node: dict[int, str] = field(default_factory=dict)
-    #: out-of-core telemetry (arena_grow / prefetch events)
+    #: out-of-core telemetry (arena_grow events)
     arena_grows: int = 0
     arena_resident_peak: int = 0
     arena_spill_peak: int = 0
     arena_backend: str | None = None
-    prefetch_submitted: int = 0
-    prefetch_hits: int = 0
-    prefetch_misses: int = 0
     #: model_drift events the streaming conformance monitor emitted
     drift_count: int = 0
     #: the tuned-profile announcement make_engine emitted before run_begin
@@ -336,11 +333,6 @@ class TraceAnalysis:
                 "spill_peak_nbytes": self.arena_spill_peak,
                 "backend": self.arena_backend,
             },
-            "prefetch": {
-                "submitted": self.prefetch_submitted,
-                "hits": self.prefetch_hits,
-                "misses": self.prefetch_misses,
-            },
             "critical_path": self.critical_path(),
             "supersteps": [
                 {
@@ -422,11 +414,6 @@ class TraceAnalysis:
                 f"[{self.arena_backend or 'ram'}], resident peak "
                 f"{self.arena_resident_peak / 1e6:.1f} MB, spill peak "
                 f"{self.arena_spill_peak / 1e6:.1f} MB"
-            )
-        if self.prefetch_submitted:
-            foot.append(
-                f"prefetch: {self.prefetch_submitted} submitted, "
-                f"{self.prefetch_hits} hit(s), {self.prefetch_misses} miss(es)"
             )
         if self.drift_count:
             foot.append(
@@ -534,17 +521,16 @@ def analyze_events(
             backend = ev.get("backend")
             if backend:
                 out.arena_backend = str(backend)
-        elif kind == "prefetch":
-            out.prefetch_submitted += int(ev.get("submitted", 0) or 0)
-            out.prefetch_hits += int(ev.get("hits", 0) or 0)
-            out.prefetch_misses += int(ev.get("misses", 0) or 0)
         elif cur is not None:
             real = int(ev.get("real", ev.get("src_real", 0)) or 0)
+            # an event that names no real processor (a kind this version
+            # does not know, from an older trace) places nothing
+            placed = "real" in ev or "src_real" in ev
             worker = ev.get("worker")
-            if worker is not None:
+            if placed and worker is not None:
                 out.real_worker[real] = int(worker)
             node = ev.get("node")
-            if node is not None:
+            if placed and node is not None:
                 out.real_node[real] = str(node)
             if kind in ("context_read", "context_write"):
                 blocks = int(ev.get("blocks", 0) or 0)

@@ -12,7 +12,7 @@ Mapping:
   ``B``/``E`` pairs on the same track, nesting inside their superstep;
 * ``compute_round`` becomes a complete ``X`` event whose duration is the
   measured callback wall time, on the virtual processor's own track;
-* context/message/network/prefetch/arena/drift events become instant
+* context/message/network/arena/drift events become instant
   ``i`` events carrying their tags in ``args``.
 
 Lane assignment: single-process traces use one Chrome *process* per real
@@ -41,7 +41,6 @@ _INSTANT_KINDS = {
     "network_transfer",
     "run_begin",
     "run_end",
-    "prefetch",
     "arena_grow",
     "model_drift",
 }
@@ -52,7 +51,7 @@ def _us(ev: dict[str, Any]) -> float:
 
 
 def _cat(kind: str) -> str:
-    if "message" in kind or "context" in kind or kind in ("prefetch", "arena_grow"):
+    if "message" in kind or "context" in kind or kind == "arena_grow":
         return "io"
     if kind == "model_drift":
         return "model"

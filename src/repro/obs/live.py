@@ -4,7 +4,7 @@
 a time (:meth:`TopView.feed`) and :meth:`TopView.render` produces a
 compact dashboard at any point mid-run — machine shape, the last few
 supersteps with their parallel-I/O and wall-clock cost, running totals,
-prefetch/arena health and any ``model_drift`` alarms.  It never holds
+arena health and any ``model_drift`` alarms.  It never holds
 the full trace, so it can watch arbitrarily long runs at O(window)
 memory.
 
@@ -113,9 +113,6 @@ class TopView:
         self.run_total_ios: "int | None" = None
         self.events_seen = 0
         self.drifts: list[dict[str, Any]] = []
-        self.prefetch_submitted = 0
-        self.prefetch_hits = 0
-        self.prefetch_misses = 0
         self.arena_grows = 0
         self.arena_resident_peak = 0
         self.arena_spill_peak = 0
@@ -150,10 +147,6 @@ class TopView:
                 if row["round"] == ev.get("round"):
                     row["drift"] = True
                     break
-        elif kind == "prefetch":
-            self.prefetch_submitted += int(ev.get("submitted", 0) or 0)
-            self.prefetch_hits += int(ev.get("hits", 0) or 0)
-            self.prefetch_misses += int(ev.get("misses", 0) or 0)
         elif kind == "arena_grow":
             self.arena_grows += 1
             self.arena_resident_peak = max(
@@ -199,11 +192,6 @@ class TopView:
                     f"{row['wall_s']:>9.4f}  "
                     f"{'DRIFT' if row['drift'] else ''}"
                 )
-        if self.prefetch_submitted:
-            lines.append(
-                f"prefetch: {self.prefetch_submitted} submitted, "
-                f"{self.prefetch_hits} hits, {self.prefetch_misses} misses"
-            )
         if self.arena_grows:
             spill = (
                 f", spill peak {self.arena_spill_peak} B"

@@ -23,7 +23,6 @@ kind               tags
 ``worker_redispatch`` round, dead_workers, restart, from_round
 ``span_begin``     name, free-form tags (see :meth:`TraceRecorder.span`)
 ``span_end``       name
-``prefetch``       submitted, hits, misses (one per prefetched superstep)
 ``arena_grow``     real, disk, tracks, nbytes, resident_nbytes,
                    spill_nbytes, backend
 ``model_drift``    round, superstep, parallel_ios, predicted_ios, budget,
@@ -36,12 +35,10 @@ or ``"paged"`` (the VM baseline's 4 KB pager).  Events recorded inside a
 worker process of the multi-core backend are replayed on the coordinator's
 recorder with an extra ``worker`` tag (see :func:`replay_events`).
 
-``prefetch`` and ``arena_grow`` are *physical* events: they describe how
-the disk layer serviced the logical I/O (speculative reads, storage
-growth), so their presence depends on ``REPRO_ARENA``/``REPRO_PREFETCH``
-and on whether a fault plan is active — like ``io_fault``, they are
-excluded from
-cross-backend trace-identity comparisons.  ``span_*`` and ``model_drift``
+``arena_grow`` is a *physical* event: it describes how the disk layer
+serviced the logical I/O (storage growth), so its presence depends on
+``REPRO_ARENA`` — like ``io_fault``, it is excluded from cross-backend
+trace-identity comparisons.  ``span_*`` and ``model_drift``
 are produced by the live telemetry bus (:mod:`repro.obs.bus`), which
 additionally threads hierarchical ``span``/``parent`` ids through every
 ``*_begin``/``*_end`` pair it sees.

@@ -179,9 +179,7 @@ class DiskArray:
         self._real = int(real)
         self._arena = make_arena(D, self.block_bytes, runtime=runtime)
         if tracer is not None and tracer.enabled:
-            # storage telemetry: growth happens on the engine thread only
-            # (scatters/writes; speculative gathers never grow), so the
-            # callback emits without synchronization
+            # storage telemetry: one event per growth of a disk's rows
             self._arena.on_grow = self._record_arena_grow
         self.disks = [Disk(d, arena=self._arena) for d in range(D)]
         self.stats = IOStats(D=D)
@@ -382,7 +380,7 @@ class DiskArray:
             pos += bb
         return flat
 
-    # -- speculative reads (double-buffered prefetch) -----------------------
+    # -- unused here: benchmarks/e2e/layers.py::_DISK_ARRAY_IO getattrs these two
 
     def try_gather(
         self, disks: np.ndarray, tracks: np.ndarray, out: np.ndarray

@@ -17,7 +17,7 @@ excludes everything that cannot change the result:
 * ``workers`` — the multi-process backend is bit-identical to the
   in-process one by construction (the same reason
   ``repro.faults``' checkpoint metadata omits it);
-* ``config`` knobs — arena/prefetch/shm only change *how*
+* ``config`` knobs — arena/shm only change *how*
   bytes move, never the logical outputs or IOStats.
 
 What remains (op, n, seed, machine shape, resolved engine, balanced
@@ -61,7 +61,7 @@ PRIORITY_RANGE = (0, 9)
 #: ``faults`` (use the ``faults`` section), ``trace`` (the server owns
 #: the tracer), ``profile`` and ``spill_dir`` (host paths are not
 #: tenant-controllable).
-CONFIG_KNOBS = frozenset({"arena", "prefetch", "shm_bytes", "spill_quota"})
+CONFIG_KNOBS = frozenset({"arena", "shm_bytes", "spill_quota"})
 
 _TOP_KEYS = frozenset(
     {

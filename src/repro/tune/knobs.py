@@ -32,7 +32,6 @@ class KnobError(ConfigurationError):
     """A ``REPRO_*`` knob (env var, CLI flag, or profile entry) is malformed."""
 
 
-_TRUE = frozenset({"1", "true", "yes", "on"})
 _FALSE = frozenset({"0", "false", "no", "off"})
 
 #: Default payload size (bytes) above which worker packets travel through
@@ -45,19 +44,6 @@ ARENA_KINDS = ("ram", "mmap")
 
 #: worker-exchange transports (see repro.core.transport).
 TRANSPORT_KINDS = ("memory", "shm", "tcp")
-
-
-def _bool_tokens() -> str:
-    return "/".join(sorted(_TRUE)) + " or " + "/".join(sorted(_FALSE))
-
-
-def _parse_bool(raw: str) -> bool:
-    tok = raw.lower()
-    if tok in _TRUE:
-        return True
-    if tok in _FALSE:
-        return False
-    raise ValueError(f"not a boolean (use {_bool_tokens()})")
 
 
 def _parse_workers(raw: str) -> int:
@@ -170,12 +156,6 @@ KNOBS: tuple[KnobSpec, ...] = (
         invalid_example="tape",
     ),
     KnobSpec(
-        "prefetch", "REPRO_PREFETCH", "bool", True, _parse_bool,
-        "pdm.pipeline",
-        "double-buffered superstep context prefetch (off under a fault plan)",
-        invalid_example="maybe",
-    ),
-    KnobSpec(
         "transport", "REPRO_TRANSPORT", "memory|shm|tcp", "shm",
         _parse_transport, "core.transport",
         "worker-exchange transport: queue pickling, queue + shared-memory "
@@ -258,13 +238,7 @@ def set_env(env: str, value: "str | None") -> None:
 
 
 def _fmt_default(val: Any) -> str:
-    if val is None:
-        return "unset"
-    if val is True:
-        return "1"
-    if val is False:
-        return "0"
-    return str(val)
+    return "unset" if val is None else str(val)
 
 
 def render_knob_table() -> str:

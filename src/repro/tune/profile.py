@@ -7,11 +7,12 @@ no timestamps, environment fingerprint stripped of per-invocation noise,
 keys sorted — so the same workload + hardware + seed always serializes
 to byte-identical JSON (a property test pins this).
 
-Layout (``SCHEMA_VERSION`` 2; version 1 profiles carried the retired
-``config.fastpath`` knob and are refused by the version check)::
+Layout (``SCHEMA_VERSION`` 3; versions 1 and 2 carried the retired
+``config.fastpath`` / ``config.prefetch`` knobs and are refused by the
+version check)::
 
     {
-      "schema_version": 2,
+      "schema_version": 3,
       "kind": "repro-tuned-profile",
       "workload": {"op": "sort", "n": 65536, "p": 4, "seed": 7},
       "machine": {"v": 8, "B": 256, "D": 2},
@@ -35,7 +36,7 @@ from repro.obs.bench_store import env_fingerprint
 from repro.tune.knobs import KNOB_BY_NAME
 from repro.util.validation import ConfigurationError
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 KIND = "repro-tuned-profile"
 
 _REQUIRED_DOC_KEYS = (

@@ -37,7 +37,6 @@ class RuntimeConfig:
 
     workers: int = 0
     arena: str = "ram"
-    prefetch: bool = True
     transport: str = "shm"
     nodes: "str | None" = None
     shm_bytes: "int | None" = DEFAULT_SHM_THRESHOLD
@@ -121,12 +120,4 @@ def apply_to_env(rt: RuntimeConfig) -> None:
         if val is None or val == spec.default:
             knobs.set_env(spec.env, None)
         else:
-            knobs.set_env(spec.env, _render(val))
-
-
-def _render(val: Any) -> str:
-    if val is True:
-        return "1"
-    if val is False:
-        return "0"
-    return str(val)
+            knobs.set_env(spec.env, str(val))

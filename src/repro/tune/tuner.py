@@ -97,7 +97,6 @@ class Candidate:
         return RuntimeConfig(
             workers=self.workers,
             arena="ram",
-            prefetch=True,
             shm_bytes=DEFAULT_SHM_THRESHOLD,
         )
 
@@ -107,7 +106,6 @@ class Candidate:
         return {
             "workers": rt.workers,
             "arena": rt.arena,
-            "prefetch": rt.prefetch,
             "shm_bytes": rt.shm_bytes,
         }
 

@@ -41,11 +41,10 @@ FAULT_PLAN = str(
 _FUZZY_TAGS = ("seq", "ts", "wall_s", "path", "backoff_s")
 
 #: *physical* event kinds describe how a backend serviced the logical
-#: I/O (speculative prefetch batches, arena storage growth) — prefetch
-#: is off under a plan — so like the fuzzy tags they are excluded from
-#: the identity comparison, which pins the *logical* event stream (same
-#: precedent as io_fault in tests/core/test_workers.py).
-_PHYSICAL_KINDS = ("prefetch", "arena_grow")
+#: I/O (arena storage growth), so like the fuzzy tags they are excluded
+#: from the identity comparison, which pins the *logical* event stream
+#: (same precedent as io_fault in tests/core/test_workers.py).
+_PHYSICAL_KINDS = ("arena_grow",)
 
 #: the per-op reference lane: every access through the injector's
 #: parallel_io loop, nothing injected

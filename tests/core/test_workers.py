@@ -151,17 +151,16 @@ class TestTraces:
         # part of the logical schedule: allocation order inside a shared
         # message region differs across backends, so the per-attempt fault
         # draws — unlike every logical counter — may diverge slightly.
-        # prefetch/arena_grow are likewise physical: the in-process engine
-        # runs one prefetcher and D*p shared arenas per round while each
-        # worker process runs its own, so their event counts differ by
-        # construction
+        # arena_grow is likewise physical: the in-process engine grows D*p
+        # arenas in one interpreter while each worker process grows its
+        # own, so the event counts differ by construction
         for c in (a, b):
-            for kind in ("io_fault", "prefetch", "arena_grow"):
+            for kind in ("io_fault", "arena_grow"):
                 c.pop(kind, None)
         assert a == b
         worker_side = {"compute_round", "context_read", "context_write",
                        "message_read", "message_write", "network_transfer",
-                       "io_fault", "disk_dead", "prefetch", "arena_grow"}
+                       "io_fault", "disk_dead", "arena_grow"}
         for ev in t_par.events:
             assert ("worker" in ev) == (ev["kind"] in worker_side), ev
         workers_seen = {ev["worker"] for ev in t_par.events if "worker" in ev}

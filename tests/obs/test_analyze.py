@@ -136,6 +136,24 @@ class TestExportAndFiles:
         )
         assert 0 < sum(r.parallel_ios for r in out.rows) <= res.report.io.parallel_ios
 
+    def test_older_trace_with_a_retired_kind_loads(self, tmp_path):
+        """A jsonl trace written before the ``prefetch`` kind was retired
+        loads; the kind is skipped — it reaches neither the report nor,
+        worker-tagged as the coordinator replayed it, the real->worker map."""
+        path = tmp_path / "old.jsonl"
+        events = [
+            {"seq": 0, "kind": "superstep_begin", "superstep": 1, "round": 0},
+            {"seq": 1, "kind": "prefetch", "submitted": 4, "hits": 3,
+             "misses": 1, "worker": 1},
+            {"seq": 2, "kind": "superstep_end", "superstep": 1, "round": 0,
+             "parallel_ios": 7, "blocks": 7},
+        ]
+        path.write_text("".join(json.dumps(ev) + "\n" for ev in events))
+        out = analyze_file(str(path))
+        assert out.total_events == 3 and out.rows[0].parallel_ios == 7
+        assert out.real_worker == {}
+        assert "prefetch" not in out.to_dict() and "prefetch" not in out.render()
+
     def test_analyze_file_rejects_chrome_format(self, tmp_path):
         path = tmp_path / "chrome.json"
         path.write_text(json.dumps([{"ph": "B", "ts": 0, "name": "superstep 1"}]))

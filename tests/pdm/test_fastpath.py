@@ -331,6 +331,54 @@ def test_snapshot_restore_portable_across_storage_modes():
         mm.close()
 
 
+# ------------------------------------------- the engine stays on the bulk path
+
+_PER_TRACK = ("read_blocks", "write_blocks", "parallel_io")
+
+
+@pytest.mark.parametrize("balanced", [False, True], ids=["plain", "balanced"])
+@pytest.mark.parametrize("arena", ["ram", "mmap"])
+@pytest.mark.parametrize("engine", ["seq", "par"])
+def test_clean_sort_never_enters_the_per_track_loop(
+    monkeypatch, engine, arena, balanced
+):
+    """A clean ``em_sort`` services every run with one gather or scatter:
+    zero ``read_blocks`` / ``write_blocks`` / ``parallel_io`` calls, on the
+    disabled recorder.  (What a wall-clock floor used to stand in for: bulk
+    reads silently falling back to the per-track loop.)  The same sort
+    under an empty fault plan takes that loop on every access, which shows
+    the counter is live."""
+    from repro.cgm.config import MachineConfig
+    from repro.em.runner import OPS, make_engine
+    from repro.obs.trace import NULL_RECORDER
+
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
+    calls = dict.fromkeys(_PER_TRACK, 0)
+    for name in _PER_TRACK:
+        def counted(self, *args, _name=name, _inner=getattr(DiskArray, name)):
+            calls[_name] += 1
+            return _inner(self, *args)
+
+        monkeypatch.setattr(DiskArray, name, counted)
+
+    n = 1 << 16
+    cfg = MachineConfig(N=n, v=8, p=2 if engine == "par" else 1, D=2, B=16)
+    data = np.random.default_rng(5).integers(0, 1 << 50, n)
+    rt = RuntimeConfig.resolve(overrides={"arena": arena}, environ={})
+
+    def sort(faults):
+        eng = make_engine(cfg, engine, balanced, runtime=rt, faults=faults)
+        assert eng.tracer is NULL_RECORDER
+        res = eng.run(OPS["sort"].program(), OPS["sort"].split(data, cfg.v))
+        return np.concatenate(res.outputs), res.report.io.as_dict()
+
+    values, io = sort(None)
+    assert calls == dict.fromkeys(_PER_TRACK, 0)
+    per_op_values, per_op_io = sort(FaultPlan())
+    assert calls["read_blocks"] > 0 and calls["write_blocks"] > 0
+    assert np.array_equal(values, per_op_values) and io == per_op_io
+
+
 # ------------------------------------------------------------------ env knobs
 
 

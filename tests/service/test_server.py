@@ -82,6 +82,12 @@ class TestSubmitAndResult:
         )
         assert status == 400
         assert "config.fastpath is not a settable knob" in body["error"]
+        # ... and so is the retired prefetch switch
+        status, _, body = submit_job(
+            served.url, {**SPEC, "config": {"prefetch": "0"}}
+        )
+        assert status == 400
+        assert "config.prefetch is not a settable knob" in body["error"]
 
     def test_non_json_body_400(self, served):
         req = urllib.request.Request(

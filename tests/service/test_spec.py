@@ -58,11 +58,11 @@ class TestValidation:
         assert any("config.spill_dir" in e for e in errs)
 
     def test_config_malformed_value_named(self):
-        errs = validate_spec({**GOOD, "config": {"prefetch": "maybe"}})
-        assert any("config.prefetch" in e for e in errs)
+        errs = validate_spec({**GOOD, "config": {"arena": "tape"}})
+        assert any("config.arena" in e for e in errs)
 
     def test_config_allowlist_accepted(self):
-        config = {"arena": "mmap", "prefetch": "0"}
+        config = {"arena": "mmap", "shm_bytes": "0"}
         assert set(config) <= CONFIG_KNOBS
         assert validate_spec({**GOOD, "config": config}) == []
 
@@ -70,6 +70,11 @@ class TestValidation:
         errs = validate_spec({**GOOD, "config": {"fastpath": "off"}})
         assert len(errs) == 1 and "config.fastpath is not a settable knob" in errs[0]
         assert "fastpath" not in CONFIG_KNOBS
+
+    def test_retired_prefetch_knob_is_unknown(self):
+        errs = validate_spec({**GOOD, "config": {"prefetch": "0"}})
+        assert len(errs) == 1 and "config.prefetch is not a settable knob" in errs[0]
+        assert "prefetch" not in CONFIG_KNOBS
 
     def test_bad_faults_section(self):
         errs = validate_spec({**GOOD, "faults": {"p_transient_read": 2.0}})
@@ -96,7 +101,7 @@ class TestValidation:
 
     def test_round_trip(self):
         spec = JobSpec.from_dict(
-            {**GOOD, "engine": "seq", "config": {"prefetch": "off"},
+            {**GOOD, "engine": "seq", "config": {"shm_bytes": "4096"},
              "tenant": "t1", "priority": 3}
         )
         assert JobSpec.from_dict(spec.to_dict()) == spec
@@ -126,7 +131,7 @@ class TestFingerprint:
         # bit-identity-preserving knobs must share the cache entry
         base = JobSpec.from_dict(GOOD).fingerprint()
         tuned = JobSpec.from_dict(
-            {**GOOD, "config": {"arena": "mmap", "prefetch": "0"}}
+            {**GOOD, "config": {"arena": "mmap", "shm_bytes": "0"}}
         )
         assert tuned.fingerprint() == base
 

@@ -405,6 +405,28 @@ class TestTuneCommand:
         doc = json.loads(open(path).read())
         assert validate_profile(doc) == []
         assert doc["workload"] == {"op": "sort", "n": 2048, "p": 1, "seed": 0}
+        assert doc["schema_version"] == 3 and "prefetch" not in doc["config"]
+
+    def test_schema_2_profile_is_refused_by_flag_and_env(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """A profile tuned before the ``prefetch`` knob was retired: an
+        error naming the version, exit 3 — from ``--profile`` and from
+        ``REPRO_PROFILE`` alike."""
+        path = self._tuned(tmp_path, capsys)
+        doc = json.loads(open(path).read())
+        doc["schema_version"] = 2
+        doc["config"]["prefetch"] = True
+        with open(path, "w") as fh:
+            json.dump(doc, fh)
+        run = ["sort", "--n", "2048"]
+        assert main(run + ["--profile", path]) == 3
+        monkeypatch.setenv("REPRO_PROFILE", path)
+        assert main(run + ["--v", "4", "--b", "64"]) == 3
+        err = capsys.readouterr().err
+        assert err.count("error: invalid tuned profile") == 2
+        assert err.count("schema_version 2 != supported 3") == 2
+        assert "Traceback" not in err
 
     def test_tune_json_output(self, tmp_path, capsys):
         path = str(tmp_path / "profile.json")
@@ -424,7 +446,8 @@ class TestTuneCommand:
         assert main(["tune", "--list-knobs"]) == 0
         out = capsys.readouterr().out
         assert "| Variable |" in out and "`REPRO_ARENA`" in out
-        assert "FASTPATH" not in out and out.count("`REPRO_") == 11
+        assert "FASTPATH" not in out and "PREFETCH" not in out
+        assert out.count("`REPRO_") == 10
 
     def test_profile_fills_machine_args(self, tmp_path, capsys):
         path = self._tuned(tmp_path, capsys)
@@ -462,7 +485,6 @@ class TestKnobErrors:
         [
             ("REPRO_WORKERS", "two"),
             ("REPRO_ARENA", "tape"),
-            ("REPRO_PREFETCH", "maybe"),
             ("REPRO_SHM_BYTES", "nonsense"),
             ("REPRO_SPILL_QUOTA", "lots"),
         ],
@@ -481,6 +503,7 @@ class TestKnobErrors:
     def test_well_formed_knob_still_runs(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_SHM_BYTES", "4096")
         monkeypatch.setenv("REPRO_FASTPATH", "sometimes")  # retired: ignored
+        monkeypatch.setenv("REPRO_PREFETCH", "maybe")  # retired: ignored
         assert main(self.BASE) == 0
         assert "sorted 2048 items: OK" in capsys.readouterr().out
 
@@ -620,6 +643,21 @@ class TestSubmitCommand:
         assert main(["submit", spec_file,
                      "--url", "http://127.0.0.1:9", "--timeout", "2"]) == 3
         assert "error:" in capsys.readouterr().err
+
+    def test_retired_prefetch_knob_in_a_spec_is_refused(
+        self, served, tmp_path, capsys
+    ):
+        """One line, no traceback: exit 3 locally (an invalid spec is a
+        ``ConfigurationError``), exit 2 when the server answers 400."""
+        path = tmp_path / "old_spec.json"
+        path.write_text(json.dumps({**self.SPEC, "config": {"prefetch": "0"}}))
+        assert main(["submit", str(path), "--local"]) == 3
+        assert main(["submit", str(path), "--url", served.url]) == 2
+        local, remote = capsys.readouterr().err.splitlines()
+        assert local.startswith("error: invalid job spec: ")
+        assert remote.startswith("error: server refused the job (400): ")
+        for line in (local, remote):
+            assert "config.prefetch is not a settable knob" in line
 
     def test_rejected_spec_exits_2_with_server_error(self, served, tmp_path, capsys):
         path = tmp_path / "bad_spec.json"

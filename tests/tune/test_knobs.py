@@ -58,17 +58,19 @@ def test_unset_and_empty_mean_default():
 
 
 def test_bool_tokens():
-    spec = KNOB_BY_ENV["REPRO_PREFETCH"]
+    """The one knob that still takes a boolean: a false token switches the
+    trace off, a true token is kept for the bus (record in memory)."""
+    spec = KNOB_BY_ENV["REPRO_TRACE"]
     for raw in ("1", "true", "YES", "On"):
-        assert spec.coerce(raw) is True
+        assert spec.coerce(raw) == raw
     for raw in ("0", "false", "NO", "Off"):
-        assert spec.coerce(raw) is False
+        assert spec.coerce(raw) is None
 
 
 def test_fastpath_grammar():
     """The retired I/O-path switch has no grammar left: it is not in the
     registry (12 knobs -> 11), so no spelling can be read or installed."""
-    assert len(KNOBS) == 11
+    assert len(KNOBS) == 10
     assert "REPRO_FASTPATH" not in KNOB_BY_ENV and "fastpath" not in KNOB_BY_NAME
     assert "FASTPATH" not in render_knob_table()
     for name in ("fastpath", "REPRO_FASTPATH"):
@@ -76,6 +78,17 @@ def test_fastpath_grammar():
             read_knob(name, environ={"REPRO_FASTPATH": "auto:128"})
     with pytest.raises(KnobError, match="REPRO_FASTPATH"):
         set_env("REPRO_FASTPATH", "1")
+
+
+def test_prefetch_knob_is_retired():
+    """11 knobs -> 10: no reader thread, so nothing to switch."""
+    assert "REPRO_PREFETCH" not in KNOB_BY_ENV and "prefetch" not in KNOB_BY_NAME
+    assert "PREFETCH" not in render_knob_table()
+    for name in ("prefetch", "REPRO_PREFETCH"):
+        with pytest.raises(KnobError, match="unknown knob"):
+            read_knob(name, environ={"REPRO_PREFETCH": "0"})
+    with pytest.raises(KnobError, match="REPRO_PREFETCH"):
+        set_env("REPRO_PREFETCH", "0")
 
 
 def test_arena_kinds():

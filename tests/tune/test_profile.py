@@ -23,8 +23,7 @@ def _profile() -> TunedProfile:
     return TunedProfile(
         workload={"op": "sort", "n": 4096, "p": 1, "seed": 0},
         machine={"v": 4, "B": 512, "D": 4},
-        config={"workers": 0, "arena": "ram",
-                "prefetch": True, "shm_bytes": 65536},
+        config={"workers": 0, "arena": "ram", "shm_bytes": 65536},
         rationale=["probe: ..."],
         search={"candidates": 27},
     )
@@ -73,21 +72,31 @@ def test_validate_rejects_wrong_schema_version():
     assert any("schema_version" in e for e in validate_profile(doc))
 
 
+def _refused(tmp_path, version, knob, value):
+    assert SCHEMA_VERSION == 3
+    message = f"schema_version {version} != supported 3"
+    doc = _profile().document()
+    doc["schema_version"] = version
+    doc["config"][knob] = value
+    assert validate_profile(doc) == [message]
+    doc["schema_version"] = SCHEMA_VERSION  # even relabelled, the knob is gone
+    assert validate_profile(doc) == [f"config.{knob} is not a registered knob"]
+    doc["schema_version"] = version
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigurationError, match=message):
+        load_profile(str(path))
+
+
 def test_v1_profile_with_fastpath_is_refused(tmp_path):
     """Schema 1 profiles carried the retired ``config.fastpath`` knob; the
     version check refuses them (re-run ``repro tune``)."""
-    assert SCHEMA_VERSION == 2
-    doc = _profile().document()
-    doc["schema_version"] = 1
-    doc["config"]["fastpath"] = "auto:64"
-    assert validate_profile(doc) == ["schema_version 1 != supported 2"]
-    doc["schema_version"] = SCHEMA_VERSION  # even relabelled, the knob is gone
-    assert validate_profile(doc) == ["config.fastpath is not a registered knob"]
-    doc["schema_version"] = 1
-    path = tmp_path / "v1.json"
-    path.write_text(json.dumps(doc))
-    with pytest.raises(ConfigurationError, match="schema_version 1 != supported 2"):
-        load_profile(str(path))
+    _refused(tmp_path, 1, "fastpath", "auto:64")
+
+
+def test_v2_profile_with_prefetch_is_refused(tmp_path):
+    """Schema 2 profiles carried the retired ``config.prefetch`` knob."""
+    _refused(tmp_path, 2, "prefetch", True)
 
 
 def test_validate_rejects_bad_machine_shape():

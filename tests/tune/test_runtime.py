@@ -26,7 +26,6 @@ class TestResolve:
         rt = RuntimeConfig.resolve(environ={})
         assert rt == RuntimeConfig()
         assert rt.workers == 0
-        assert rt.prefetch is True
         assert rt.arena == "ram"
         assert rt.shm_bytes == DEFAULT_SHM_THRESHOLD
 
@@ -72,6 +71,16 @@ class TestResolve:
             RuntimeConfig.resolve(profile={"fastpath": "on"}, environ={})
         with pytest.raises(TypeError):
             RuntimeConfig(fastpath="on")
+        # ... and so is the retired prefetch switch
+        with pytest.raises(KnobError, match="unknown knob override 'prefetch'"):
+            RuntimeConfig.resolve(overrides={"prefetch": True}, environ={})
+        with pytest.raises(KnobError, match="unknown knob 'prefetch' in tuned"):
+            RuntimeConfig.resolve(profile={"prefetch": True}, environ={})
+        assert not hasattr(RuntimeConfig(), "prefetch")
+
+    def test_stale_env_of_a_retired_knob_is_never_read(self):
+        for env in ("REPRO_PREFETCH", "REPRO_FASTPATH"):
+            assert RuntimeConfig.resolve(environ={env: "maybe"}) == RuntimeConfig()
 
     def test_malformed_env_is_a_named_error(self):
         with pytest.raises(KnobError, match="REPRO_ARENA"):
@@ -96,7 +105,7 @@ def test_current_is_uncached(monkeypatch):
 
 
 def test_apply_to_env_roundtrip(monkeypatch):
-    rt = RuntimeConfig(workers=2, shm_bytes=4096, arena="mmap", prefetch=False)
+    rt = RuntimeConfig(workers=2, shm_bytes=4096, arena="mmap")
     apply_to_env(rt)
     assert current() == rt
     apply_to_env(RuntimeConfig())
@@ -106,39 +115,44 @@ def test_apply_to_env_roundtrip(monkeypatch):
 # ------------------------------------------------- per-run snapshot regression
 
 
+_SHM = {"ram": 4096, "mmap": 8192}
+
+
 def _engine_snapshot_state(eng):
-    """(arena kind, prefetch) the run actually used."""
+    """(arena kind, shm threshold) the run actually used."""
     arena = next(iter(eng.arrays.values()))._arena
     kind = (
         "mmap" if isinstance(arena, MmapTrackArena)
         else "ram" if isinstance(arena, TrackArena)
         else None
     )
-    return kind, eng._prefetch_on
+    return kind, eng._rt.shm_bytes
 
 
 @pytest.mark.parametrize("first,second", [("ram", "mmap"), ("mmap", "ram")])
 def test_back_to_back_runs_each_internally_consistent(
     monkeypatch, first, second, rng
 ):
-    """Flipping REPRO_ARENA between runs re-resolves cleanly per run.
+    """Flipping REPRO_ARENA and REPRO_SHM_BYTES between runs re-resolves
+    cleanly per run.
 
     Regression for the inconsistent-caching bug: every subsystem of one
-    run (storage arena, prefetch) must observe the same snapshot, and
-    the next run must observe the flipped one.
+    run (storage arena, exchange threshold) must observe the same
+    snapshot, and the next run must observe the flipped one.
     """
     cfg = MachineConfig(N=1 << 10, v=4, D=2, B=32)
     data = rng.integers(0, 1 << 40, 1 << 10)
     seen = []
     for kind in (first, second):
         monkeypatch.setenv("REPRO_ARENA", kind)
+        monkeypatch.setenv("REPRO_SHM_BYTES", str(_SHM[kind]))
         eng = make_engine(cfg)
         res = eng.run(*_sort_workload(data, cfg))
         seen.append((_engine_snapshot_state(eng), res.report.io.parallel_ios))
     (k1, s1), ios1 = seen[0]
     (k2, s2), ios2 = seen[1]
     assert (k1, k2) == (first, second)
-    assert s1 and s2
+    assert (s1, s2) == (_SHM[first], _SHM[second])
     # storage backend is a physical concern: logical I/O counts identical
     assert ios1 == ios2
 
@@ -153,9 +167,9 @@ def _sort_workload(data, cfg):
 def test_env_flip_mid_process_does_not_leak_into_resolved_engine(monkeypatch):
     """An engine holds its snapshot; later env flips affect later runs only."""
     cfg = MachineConfig(N=1 << 10, v=4, D=2, B=32)
-    monkeypatch.setenv("REPRO_PREFETCH", "on")
+    monkeypatch.setenv("REPRO_SHM_BYTES", "4096")
     rt = RuntimeConfig.resolve()
     eng = make_engine(cfg, runtime=rt)
-    monkeypatch.setenv("REPRO_PREFETCH", "off")
-    assert eng.runtime.prefetch is True
-    assert current().prefetch is False
+    monkeypatch.setenv("REPRO_SHM_BYTES", "0")
+    assert eng.runtime.shm_bytes == 4096
+    assert current().shm_bytes is None

@@ -109,12 +109,10 @@ class TestDeterminism:
 
     def test_profile_config_is_registered_knobs_only(self):
         """One I/O path: nothing in a profile selects one (the retired
-        ``fastpath`` entry and its calibration verdict are gone)."""
+        ``fastpath`` and ``prefetch`` entries are gone)."""
         spec = WorkloadSpec(op="sort", n=1 << 12)
         res = tune(spec, probe_n=256, measure=fake_measure)
-        assert sorted(res.profile.config) == [
-            "arena", "prefetch", "shm_bytes", "workers",
-        ]
+        assert sorted(res.profile.config) == ["arena", "shm_bytes", "workers"]
         assert not any("fastpath" in line for line in res.profile.rationale)
 
     def test_rationale_records_every_probe(self):

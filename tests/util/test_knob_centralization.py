@@ -1,7 +1,8 @@
 """Lint: every ``REPRO_*`` environment read goes through the knob registry,
-the retired I/O-path switch stays retired, there is one compound
-superstep (one round loop, one routing step, no worker engine class), and
-the Figure-5 Group-A operations have one definition (the op table).
+the retired I/O-path switch and prefetch thread stay retired, there is
+one compound superstep (one round loop, one routing step, no worker engine
+class), and the Figure-5 Group-A operations have one definition (the op
+table).
 
 The tentpole's centralization contract — ad-hoc ``os.environ`` reads of
 runtime knobs are how the inconsistent-caching bug happened, so outside
@@ -21,6 +22,12 @@ _PATTERN = re.compile(r"os\.environ(\.get)?\s*[(\[]\s*[\"']REPRO_")
 
 #: the reference/fast-path fork: its knob, engine flags and module setters
 _IO_FORK = re.compile(r"REPRO_FASTPATH|_fastpath|set_enabled|set_arena_kind")
+
+#: the prefetch pipeline: its knob, reader, threshold and superstep hooks
+_READ_FORK = re.compile(
+    r"REPRO_PREFETCH|DoubleBufferedReader|PREFETCH_BREAK_EVEN"
+    r"|_begin_superstep|_end_superstep|_prefetch_on"
+)
 
 #: the second round loop and what came with it, plus the fifth recorder class
 _ROUND_FORK = re.compile(
@@ -53,6 +60,20 @@ def test_one_io_path_no_fastpath_switch_anywhere():
         "the reference/fast-path fork was retired (one I/O path; the per-op "
         "lane is an empty FaultPlan):\n" + "\n".join(offenders)
     )
+
+
+def test_one_synchronous_read_path_no_prefetch_thread():
+    offenders = _offenders(_READ_FORK, skip_tune=False)
+    assert not offenders, (
+        "context reads are synchronous read_run calls; Engine._execute_round "
+        "calls nothing around the vproc loop for a backend:\n"
+        + "\n".join(offenders)
+    )
+    src_root = Path(repro.__file__).resolve().parent
+    threadless = sorted((src_root / "pdm").rglob("*.py")) + [
+        src_root / "core" / "par_engine.py"
+    ]
+    assert not [p for p in threadless if "threading" in p.read_text()]
 
 
 def test_one_compound_superstep():
@@ -102,7 +123,7 @@ def test_one_definition_of_the_group_a_operations():
         holders = [p for p in files if pattern.search(p.read_text())]
         assert holders == [Path(runner.__file__).resolve()], (pattern.pattern, holders)
     # ... and the table added nothing to the configuration surface
-    assert len(KNOBS) == 11
+    assert len(KNOBS) == 10
 
 
 def test_no_raw_repro_environ_access_outside_tune():
