@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """Measure a claimed gain the way ``benchmarks/e2e/README.md`` asks.
 
-    python scripts/claim_pairs.py PARENT_DIR CHANGE_DIR \\
-        --workload rounds_listrank --pairs 10 --seed 31 [--json runs.json]
+    python scripts/claim_pairs.py PARENT_DIR CHANGE_DIR --pairs 10 --seed 31 \\
+        [--workload rounds_listrank ...] [--claim op_p50_s@rounds_listrank] \\
+        [--json runs.json]
 
 Runs the frozen benchmark (the ``command`` of each checkout's own
 ``BENCHMARK.json``, ``--trace 0``) from two checkouts in alternating order
@@ -18,6 +19,11 @@ won, and two verdicts:
   bound, ``unresolved`` when either side's spread is wider than the bound
   (unless every change run beats every parent run), else ``within bound``;
   counts must be identical.
+
+Without ``--workload`` every workload named in ``BENCHMARK.json`` runs.
+``--claim METRIC@WORKLOAD`` turns the table into a verdict: exit code 1
+unless that cell's ``gain`` is ``yes`` and no other cell reads ``worse`` or
+``DIFFERS`` (``unresolved`` cells are listed but do not fail).
 
 It only invokes the benchmark; it never imports or edits it.  Use a seed
 that was not used while the change was written.  Exit code 1 when a run
@@ -82,11 +88,33 @@ def judge(spec: dict, parent: list[float], change: list[float]) -> dict:
             "ties": ties, "gain": gain, "regression": regression}
 
 
+def claim_verdict(claim: str, table: dict[str, dict[str, dict]]) -> tuple[int, list[str]]:
+    """Exit code and summary lines for ``--claim METRIC@WORKLOAD`` over
+    ``table[workload][metric]`` (the :func:`judge` results of every cell)."""
+    metric, _, workload = claim.partition("@")
+    cell = table.get(workload, {}).get(metric)
+    met = bool(cell and cell["gain"])
+    lines = [f"claim {claim}: " + ("gain" if met else
+                                   "NOT met" if cell else "NOT measured")]
+    failed = not met
+    for w, rows in table.items():
+        for m, v in rows.items():
+            if (m, w) != (metric, workload) and v["regression"] in (
+                "worse", "DIFFERS", "unresolved"
+            ):
+                lines.append(f"  {m}@{w}: {v['regression']}")
+                failed |= v["regression"] != "unresolved"
+    return int(failed), lines
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("parent_dir")
     ap.add_argument("change_dir")
-    ap.add_argument("--workload", action="append", required=True)
+    ap.add_argument("--workload", action="append",
+                    help="repeatable; default: every workload of BENCHMARK.json")
+    ap.add_argument("--claim", metavar="METRIC@WORKLOAD",
+                    help="exit 1 unless this cell is a gain and no other is worse")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--json", help="also write every run's metrics here")
@@ -98,8 +126,16 @@ def main(argv: list[str] | None = None) -> int:
         with open(os.path.join(path, "BENCHMARK.json")) as fh:
             benches[side] = json.load(fh)
 
+    workloads = args.workload or [w["name"] for w in benches["change"]["workloads"]]
+    if args.claim is not None:  # a typo must not cost the whole session
+        metric, _, workload = args.claim.partition("@")
+        metrics = [spec["name"] for spec in benches["change"]["end_to_end"]]
+        if metric not in metrics or workload not in workloads:
+            ap.error(f"--claim {args.claim}: want METRIC@WORKLOAD with METRIC in "
+                     f"{metrics} and WORKLOAD in {workloads}")
     everything: dict[str, dict[str, list[dict]]] = {}
-    for workload in args.workload:
+    table: dict[str, dict[str, dict]] = {}
+    for workload in workloads:
         runs: dict[str, list[dict]] = {"parent": [], "change": []}
         for k in range(args.pairs):
             for side in ("parent", "change") if k % 2 == 0 else ("change", "parent"):
@@ -114,8 +150,9 @@ def main(argv: list[str] | None = None) -> int:
               f"{'ties':>4s}  {'gain':4s}  regression")
         for spec in benches["change"]["end_to_end"]:
             name = spec["name"]
-            v = judge(spec, [r[name] for r in runs["parent"]],
-                      [r[name] for r in runs["change"]])
+            v = table.setdefault(workload, {})[name] = judge(
+                spec, [r[name] for r in runs["parent"]],
+                [r[name] for r in runs["change"]])
             print(f"{name:18s} {show(v['parent']):>32s} {show(v['change']):>32s} "
                   f"{v['wins']:5d} {v['ties']:4d}  {'yes' if v['gain'] else 'no':4s}  "
                   f"{v['regression']}")
@@ -123,7 +160,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.json:  # after every workload: an interrupted session keeps its runs
             with open(args.json, "w") as fh:
                 json.dump({"seed": args.seed, "runs": everything}, fh, indent=1)
-    return 0
+    if args.claim is None:
+        return 0
+    rc, lines = claim_verdict(args.claim, table)
+    print("\n".join(lines))
+    return rc
 
 
 if __name__ == "__main__":

@@ -48,6 +48,15 @@ class SampleSort(CGMProgram):
     def _keys(self, data: np.ndarray) -> np.ndarray:
         return data if data.ndim == 1 else data[:, self.key_column]
 
+    def _sorted(self, data: np.ndarray) -> np.ndarray:
+        """A copy of *data* in stable key order.  Equal integers (and bools)
+        are indistinguishable, so sorting the 1-D values directly yields the
+        bytes the stable permutation would; rows, floats (-0.0/NaN order)
+        and structured dtypes keep the permutation."""
+        if data.ndim == 1 and data.dtype.kind in "biu":
+            return np.sort(data)
+        return data[np.argsort(self._keys(data), kind="stable")]
+
     def setup(self, ctx: Context, pid: int, cfg: MachineConfig, local_input: Any) -> None:
         data = np.asarray(local_input)
         ctx["pid"] = pid
@@ -63,12 +72,8 @@ class SampleSort(CGMProgram):
     def round(self, r: int, ctx: Context, env: RoundEnv) -> bool:
         pid, v = ctx["pid"], env.v
         if r == 0:
-            data = ctx["data"]
-            keys = self._keys(data)
-            order = np.argsort(keys, kind="stable")
-            data = data[order]
-            ctx["data"] = data
-            n = keys.size
+            data = ctx["data"] = self._sorted(ctx["data"])
+            n = data.shape[0]
             if n:
                 # v regular samples: elements at ranks floor(k*n/v), k=0..v-1
                 idx = (np.arange(v, dtype=np.int64) * n) // v
@@ -111,9 +116,7 @@ class SampleSort(CGMProgram):
 
         runs = [m.payload for m in env.messages(tag="bucket")]
         if runs:
-            merged = np.concatenate(runs)
-            order = np.argsort(self._keys(merged), kind="stable")
-            merged = merged[order]
+            merged = self._sorted(np.concatenate(runs))
         else:
             merged = ctx["data"][:0]
         ctx["sorted"] = merged

@@ -32,6 +32,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.faults.plan import FaultPlan
+from repro.pdm.arena import Extent
 from repro.pdm.disk_array import DiskArray, IOOp, Segment, check_segments
 from repro.util.validation import SimulationError
 
@@ -242,7 +243,9 @@ class FaultyDiskArray(DiskArray):
             placements.extend(zip(disks.tolist(), tracks.tolist(), run.to_blocks()))
         return self.write_blocks(placements)
 
-    def _gather(self, disks: np.ndarray, tracks: np.ndarray, rows: np.ndarray) -> bool:
+    def _gather(
+        self, split: Sequence[Extent], tracks: np.ndarray, rows: np.ndarray
+    ) -> bool:
         return False
 
     # -- core operation ------------------------------------------------------

@@ -3,9 +3,13 @@
 A disk's tracks are, logically, a ``dict[int, bytes]``.  The arena keeps
 them as one 2-D ``uint8`` array per disk (rows = tracks, row stride = the
 block size in bytes) plus an occupancy mask and a per-track byte length,
-so a whole parallel-I/O stream scatters or gathers with a handful of
-NumPy fancy-indexing operations, while :class:`~repro.pdm.disk.Disk`
-serves single tracks out of the same rows.
+so a whole parallel-I/O stream scatters or gathers as one move per disk:
+the stream's planned per-disk :data:`Extent` picks the rows, and when
+the disk's tracks are one ascending run — every context and every
+single-extent run of the consecutive and staggered layouts — they move
+as a strided block copy (basic slicing), otherwise through index arrays
+in the same statements.  :class:`~repro.pdm.disk.Disk` serves single
+tracks out of the same rows.
 
 Invariants that keep the arena indistinguishable from that dict:
 
@@ -30,7 +34,7 @@ operation, invariant and snapshot shape is shared.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Sequence, Union
 
 import numpy as np
 
@@ -39,6 +43,22 @@ import numpy as np
 MAX_DIRECT_TRACK = 1 << 20
 
 _INITIAL_ROWS = 64
+
+#: One disk's positions in an address stream: a ``slice`` when they form an
+#: arithmetic progression, an index array otherwise, ``None`` when the stream
+#: never touches the disk.  Planned once per stream by ``disk_array.BatchPlan``.
+Extent = Union[slice, np.ndarray, None]
+
+
+def _as_run(tt: np.ndarray) -> "tuple[slice | np.ndarray, int]":
+    """What to index one disk's arrays with for tracks *tt*, and the rows
+    that needs: a basic slice when the tracks are one ascending run — rows
+    then move as a strided block copy — else *tt* itself, for the same
+    statements.  Checked per call: tracks are no part of a plan's key."""
+    t0, k = int(tt[0]), tt.size
+    if int(tt[-1]) - t0 == k - 1 and (k < 3 or (tt[1:] - tt[:-1] == 1).all()):
+        return slice(t0, t0 + k), t0 + k
+    return tt, int(tt.max()) + 1
 
 
 class TrackArena:
@@ -130,39 +150,54 @@ class TrackArena:
 
     # -- bulk operations (DiskArray run API) -------------------------------
 
-    def scatter(self, disks: np.ndarray, tracks: np.ndarray, rows: np.ndarray) -> None:
-        """Store ``rows[i]`` (full block stride each) at ``(disks[i], tracks[i])``.
+    def scatter(
+        self, split: Sequence[Extent], tracks: np.ndarray, rows: np.ndarray
+    ) -> None:
+        """Store ``rows[i]`` (full block stride each) at track ``tracks[i]`` of
+        the disk whose extent ``split[d]`` holds position ``i``.
 
         Duplicate addresses within one call resolve last-wins, matching the
         sequential per-op loop.  Rows must already carry their padding;
         every stored track is marked full-stride.  Tracks at or beyond
         ``MAX_DIRECT_TRACK`` divert to the side dict exactly as
         :meth:`put` does — growing the dense matrix to reach them would
-        allocate rows for the whole gap.
+        allocate rows for the whole gap.  Every touched disk is grown
+        before anything is stored, so a refused growth (the mmap spill
+        quota) leaves the tracks as they were.
         """
-        if tracks.size and int(tracks.max()) >= MAX_DIRECT_TRACK:
-            far = tracks >= MAX_DIRECT_TRACK
-            for i in np.flatnonzero(far).tolist():
-                self.put(int(disks[i]), int(tracks[i]), rows[i].tobytes())
-            near = ~far
-            disks, tracks, rows = disks[near], tracks[near], rows[near]
         bb = self.block_bytes
-        for d in range(self.D):
-            idx = np.flatnonzero(disks == d)
-            if idx.size == 0:
+        far: list[tuple[int, int]] = []
+        moves = []
+        for d, sel in enumerate(split):
+            if sel is None:
                 continue
-            tt = tracks[idx]
-            self._ensure_rows(d, int(tt.max()) + 1)
-            self._data[d][tt] = rows[idx]
-            self._used[d][tt] = True
-            self._nbytes[d][tt] = bb
+            tt, need = _as_run(tracks[sel])
+            if need > MAX_DIRECT_TRACK:
+                pos = np.arange(tracks.size)[sel]
+                near = tracks[pos] < MAX_DIRECT_TRACK
+                far += [(d, i) for i in pos[~near].tolist()]
+                sel = pos[near]
+                if sel.size == 0:
+                    continue
+                tt, need = _as_run(tracks[sel])
+            self._ensure_rows(d, need)
+            moves.append((d, sel, tt))
+        for d, i in far:
+            self.put(d, int(tracks[i]), rows[i].tobytes())
+        for d, sel, tt in moves:
             side = self._side[d]
             if side:
-                for t in tt.tolist():
+                for t in tracks[sel].tolist():
                     side.pop(t, None)
+            self._data[d][tt] = rows[sel]
+            self._used[d][tt] = True
+            self._nbytes[d][tt] = bb
 
-    def gather(self, disks: np.ndarray, tracks: np.ndarray, out: np.ndarray) -> bool:
-        """Fill ``out[i]`` with the block at ``(disks[i], tracks[i])``.
+    def gather(
+        self, split: Sequence[Extent], tracks: np.ndarray, out: np.ndarray
+    ) -> bool:
+        """Fill ``out[i]`` with the block at track ``tracks[i]`` of the disk
+        whose extent ``split[d]`` holds position ``i``.
 
         Returns ``False`` (without touching *out*) when any requested track
         lives in a side dict or is shorter than the full stride — callers
@@ -174,17 +209,19 @@ class TrackArena:
         disk that holds side entries still gather.
         """
         bb = self.block_bytes
-        for d in range(self.D):
-            idx = np.flatnonzero(disks == d)
-            if idx.size == 0:
+        moves = []
+        for d, sel in enumerate(split):
+            if sel is None:
                 continue
-            tt = tracks[idx]
+            tt, need = _as_run(tracks[sel])
             used = self._used[d]
-            if int(tt.max()) >= used.shape[0] or not used[tt].all():
+            if need > used.shape[0] or not (
+                used[tt].all() and (self._nbytes[d][tt] == bb).all()
+            ):
                 return False
-            if not (self._nbytes[d][tt] == bb).all():
-                return False
-            out[idx] = self._data[d][tt]
+            moves.append((d, sel, tt))
+        for d, sel, tt in moves:
+            out[sel] = self._data[d][tt]
         return True
 
     # -- inspection / checkpointing ----------------------------------------

@@ -13,10 +13,11 @@ Bulk streams have one storage (the shared
 
 * :meth:`write_run` / :meth:`write_stream` / :meth:`read_run` — the run
   API the engines use: the stream's :class:`BatchPlan` (greedy batch
-  boundaries via :func:`greedy_batch_widths` plus the per-disk and width
-  histograms) is planned once per distinct disk-index stream and
-  memoised, data moves as one NumPy scatter/gather over the arena, and
-  the plan is folded in with :meth:`IOStats.record_batch`.
+  boundaries via :func:`greedy_batch_widths`, the per-disk and width
+  histograms, and each disk's positions in the stream as one extent) is
+  planned once per distinct disk-index stream and memoised, data moves
+  as one arena scatter/gather over those extents, and the plan is folded
+  in with :meth:`IOStats.record_batch`.
 * :meth:`write_blocks` / :meth:`read_blocks` — the PDM specification:
   greedy FIFO batching into per-op :class:`IOOp` lists, one
   :meth:`parallel_io` per batch, one Python iteration per block.  The
@@ -29,13 +30,14 @@ Bulk streams have one storage (the shared
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from repro.pdm.disk import Disk
+from repro.pdm.arena import Extent
 from repro.pdm.fastpath import BlockRun
 from repro.pdm.mmap_arena import make_arena
 from repro.pdm.io_stats import IOStats
@@ -116,13 +118,30 @@ def greedy_batch_widths(disks: np.ndarray, D: int) -> tuple[int, np.ndarray]:
     return len(bounds) - 1, np.diff(np.asarray(bounds, dtype=np.int64))
 
 
-class BatchPlan(NamedTuple):
-    """What one disk-index stream costs: the accounting delta of its
-    greedy FIFO batching, a pure function of ``(D, disks)``."""
+@dataclass(frozen=True)
+class BatchPlan:
+    """What one disk-index stream costs and where it goes: the accounting
+    delta of its greedy FIFO batching plus each disk's positions in the
+    stream, both pure functions of ``(D, disks)``."""
 
     nops: int                       #: parallel I/Os
     per_disk: tuple[int, ...]       #: blocks serviced by each disk
     width_counts: tuple[int, ...]   #: batches touching exactly w disks
+    #: stream positions per disk, for the arena; no part of a plan's identity
+    split: tuple[Extent, ...] = field(default=(), compare=False)
+
+
+def _extent(idx: np.ndarray) -> Extent:
+    """Ascending stream positions as a slice when they are evenly spaced
+    (every single-extent stream of the consecutive and staggered layouts),
+    else as a read-only index array: memoised plans are shared."""
+    if idx.size == 0:
+        return None
+    step = int(idx[1] - idx[0]) if idx.size > 1 else 1
+    if (np.diff(idx) == step).all():
+        return slice(int(idx[0]), int(idx[-1]) + 1, step)
+    idx.flags.writeable = False
+    return idx
 
 
 def _build_plan(D: int, stream: bytes) -> BatchPlan:
@@ -133,7 +152,10 @@ def _build_plan(D: int, stream: bytes) -> BatchPlan:
     nops, widths = greedy_batch_widths(disks, D)
     per_disk = np.bincount(disks, minlength=D)
     width_counts = np.bincount(widths, minlength=D + 1)[: D + 1]
-    return BatchPlan(nops, tuple(per_disk.tolist()), tuple(width_counts.tolist()))
+    split = tuple(_extent(np.flatnonzero(disks == d)) for d in range(D))
+    return BatchPlan(
+        nops, tuple(per_disk.tolist()), tuple(width_counts.tolist()), split
+    )
 
 
 #: ``(D, disks.tobytes()) -> BatchPlan``.  The layouts alternate with period
@@ -143,8 +165,9 @@ def _build_plan(D: int, stream: bytes) -> BatchPlan:
 #: not part of the key) runs per call.  A raising build stores nothing.
 batch_plan = lru_cache(maxsize=256)(_build_plan)
 
-#: Longer streams are planned afresh: their keys would dominate the memo
-#: (256 x 32 KiB at most as it is) and planning is small beside moving them.
+#: Longer streams are planned afresh: their keys and index-array extents
+#: would dominate the memo (256 x 2 x 32 KiB at most as it is) and planning
+#: is small beside moving them.
 PLAN_MEMO_MAX_BLOCKS = 4096
 
 
@@ -336,7 +359,7 @@ class DiskArray:
             flat[pos : pos + view.size] = view
             flat[pos + view.size : end] = 0
             pos = end
-        self._arena.scatter(all_disks, all_tracks, flat.reshape(total, bb))
+        self._arena.scatter(plan.split, all_tracks, flat.reshape(total, bb))
         self._record(plan, total, write=True)
         return plan.nops
 
@@ -365,7 +388,7 @@ class DiskArray:
         plan = self._plan(disks, tracks)
         if n == 0:
             return flat
-        if self._gather(disks, tracks, flat.reshape(n, bb)):
+        if self._gather(plan.split, tracks, flat.reshape(n, bb)):
             self._record(plan, n, write=False)
             return flat
         # Per-track loop: side-dict tracks, short rows, the canonical
@@ -397,12 +420,12 @@ class DiskArray:
         leaves the work to :meth:`finish_read`.
         """
         try:
-            self._plan(disks, tracks)
+            plan = self._plan(disks, tracks)
         except SimulationError:
             return False
         n = int(disks.size)
         rows = out[: n * self.block_bytes].reshape(n, self.block_bytes)
-        return self._gather(disks, tracks, rows)
+        return self._gather(plan.split, tracks, rows)
 
     def finish_read(
         self,
@@ -425,11 +448,11 @@ class DiskArray:
         return out[: n * self.block_bytes]
 
     def _gather(
-        self, disks: np.ndarray, tracks: np.ndarray, rows: np.ndarray
+        self, split: Sequence[Extent], tracks: np.ndarray, rows: np.ndarray
     ) -> bool:
         """Dense gather of whole runs; ``False`` sends the caller to the
         per-track loop (which ``FaultyDiskArray`` does unconditionally)."""
-        return self._arena.gather(disks, tracks, rows)
+        return self._arena.gather(split, tracks, rows)
 
     def _plan(self, disks: np.ndarray, tracks: np.ndarray) -> BatchPlan:
         """Validate one address stream and return its memoised plan.

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from repro.cgm.config import MachineConfig
 from repro.core.theory import predicted_parallel_ios
-from repro.em.runner import em_permute, em_sort, em_transpose
+from repro.algorithms.sorting import SampleSort
+from repro.em.runner import em_permute, em_sort, em_transpose, make_engine
 
 from tests.conftest import all_engine_kinds, cfg_for
 
@@ -252,3 +253,65 @@ class TestTranspose:
         cfg2 = base_cfg(mat.size)
         twice = em_transpose(once, cfg2, engine="seq").values
         assert np.array_equal(twice, mat)
+
+
+class _PermutationSort(SampleSort):
+    """The kernel the value sort replaced: always the stable permutation."""
+
+    def _sorted(self, data):
+        return data[np.argsort(self._keys(data), kind="stable")]
+
+
+def _kernel_inputs():
+    rng = np.random.default_rng(7)
+    n = 512
+    floats = rng.choice([-0.0, 0.0, np.nan, 1.5, -2.5, np.inf], n)
+    rows = np.stack([rng.integers(0, 6, n), np.arange(n)], axis=1)
+    records = np.zeros(n, dtype=[("k", "i4"), ("seq", "i4")])
+    records["k"], records["seq"] = rng.integers(0, 6, n), np.arange(n)
+    return {
+        "int64": rng.integers(-(1 << 40), 1 << 40, n),
+        "uint8": rng.integers(0, 256, n).astype(np.uint8),
+        "bool": rng.integers(0, 2, n).astype(bool),
+        "float64-signed-zeros-nan": floats,
+        "rows-duplicate-keys": rows,
+        "structured": records,
+    }
+
+
+class TestSortKernelIdentity:
+    """``SampleSort`` sorts 1-D integer/bool values directly; everything
+    else keeps the stable permutation.  Either way the output bytes, dtype
+    and ``IOStats`` are those of the permutation kernel."""
+
+    @pytest.mark.parametrize("empty_slice", [False, True], ids=["full", "empty-slice"])
+    @pytest.mark.parametrize("name", list(_kernel_inputs()))
+    def test_bytes_and_iostats_equal_the_stable_permutation(self, name, empty_slice):
+        data = _kernel_inputs()[name]
+        cfg = MachineConfig(N=len(data), v=4, D=2, B=8)
+        parts = np.array_split(data, cfg.v)
+        if empty_slice:
+            parts = [parts[0][:0]] + [np.concatenate(parts[:2])] + parts[2:]
+        got, want = (
+            make_engine(cfg, "seq").run(program, parts)
+            for program in (SampleSort(), _PermutationSort())
+        )
+        for g, w in zip(got.outputs, want.outputs):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            assert g.tobytes() == w.tobytes()
+        assert got.report.io.as_dict() == want.report.io.as_dict()
+        assert got.report.rounds == want.report.rounds
+
+    def test_row_sort_is_visibly_stable(self):
+        rows = _kernel_inputs()["rows-duplicate-keys"]
+        cfg = MachineConfig(N=len(rows), v=4, D=2, B=8)
+        res = make_engine(cfg, "seq").run(SampleSort(), np.array_split(rows, cfg.v))
+        out = np.concatenate(res.outputs)
+        assert np.array_equal(out, rows[np.argsort(rows[:, 0], kind="stable")])
+
+    def test_the_input_is_not_sorted_in_place(self):
+        data = _kernel_inputs()["int64"]
+        before = data.copy()
+        cfg = MachineConfig(N=len(data), v=4, D=2, B=8)
+        make_engine(cfg, "seq").run(SampleSort(), np.array_split(data, cfg.v))
+        assert np.array_equal(data, before)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 
 from repro.pdm.arena import MAX_DIRECT_TRACK, TrackArena
 from repro.pdm.disk import Disk
-from repro.pdm.disk_array import DiskArray
+from repro.pdm.disk_array import PLAN_MEMO_MAX_BLOCKS, DiskArray, _build_plan
 from repro.pdm.fastpath import BlockRun
 from repro.pdm.mmap_arena import MmapTrackArena
 from repro.tune.runtime import RuntimeConfig
@@ -29,6 +29,11 @@ from repro.util.validation import SimulationError
 
 D = 2
 BB = 8  # block bytes
+
+
+def _split(disks: np.ndarray, D: int = 1):
+    """The per-disk extents the arena's bulk movers take, as planned."""
+    return _build_plan(D, disks.tobytes()).split
 
 
 class _DictDisk:
@@ -180,14 +185,14 @@ def test_batch_scatter_gather_matches_dict_writes(addrs, payload):
     mm = MmapTrackArena(D, BB)
     try:
         for arena in (ram, mm):
-            arena.scatter(disks, tracks, rows)
+            arena.scatter(_split(disks, D), tracks, rows)
             for d in range(D):
                 assert arena.snapshot(d) == ref[d].snapshot_tracks()
             uniq = sorted(set(addrs))
             ud = np.asarray([a for a, _ in uniq], dtype=np.int64)
             ut = np.asarray([t for _, t in uniq], dtype=np.int64)
             out = np.empty((len(uniq), BB), dtype=np.uint8)
-            assert arena.gather(ud, ut, out)
+            assert arena.gather(_split(ud, D), ut, out)
             expect = b"".join(ref[d].read(t) for d, t in uniq)
             assert out.tobytes() == expect
     finally:
@@ -260,6 +265,118 @@ def test_far_track_does_not_demote_dense_gathers(kind):
         plain.close()
 
 
+# ------------------------------------------- all-or-nothing bulk movers
+
+
+@pytest.mark.parametrize("kind", ["ram", "mmap"])
+def test_refused_gather_leaves_out_untouched(kind):
+    """Regression: ``gather`` copied each disk as it went, so a stream
+    whose disk 0 was written and disk 1 was not returned ``False`` with
+    ``out[0]`` already filled."""
+    arena = TrackArena(D, BB) if kind == "ram" else MmapTrackArena(D, BB)
+    try:
+        arena.put(0, 0, b"A" * BB)
+        arena.put(1, 0, b"short")  # not full-stride: the other refusal
+        out = np.zeros((2, BB), dtype=np.uint8)
+        for t1 in (0, 1):  # short row, then unwritten row
+            tracks = np.asarray([0, t1], dtype=np.int64)
+            assert not arena.gather(_split(np.asarray([0, 1]), D), tracks, out)
+            assert not out.any()
+    finally:
+        arena.close()
+
+
+def test_quota_error_stores_nothing():
+    """Regression: ``scatter`` stored disk 0's rows before disk 1's growth
+    hit ``REPRO_SPILL_QUOTA``.  Every touched disk grows first now, so the
+    refused stream leaves tracks and counters as they were."""
+    rows64 = 64 * BB  # one disk's first growth
+    rt = RuntimeConfig(arena="mmap", spill_quota=rows64 + BB)
+    arr = DiskArray(D, 1, runtime=rt)
+    try:
+        arr.write_run(np.zeros(2, np.int64), np.arange(2), BlockRun(b"x" * 16, 2, BB))
+        before = [d.snapshot_tracks() for d in arr.disks], arr.stats.as_dict()
+        dd = np.asarray([0, 1, 0], dtype=np.int64)
+        tt = np.asarray([1, 0, 2], dtype=np.int64)
+        with pytest.raises(SimulationError, match="spill quota exceeded"):
+            arr.write_run(dd, tt, BlockRun(b"y" * 24, 3, BB))
+        assert ([d.snapshot_tracks() for d in arr.disks], arr.stats.as_dict()) == before
+    finally:
+        arr.close()
+
+
+# ------------------------------------- planned extents vs per-track model
+
+_FAR = MAX_DIRECT_TRACK - 2  # a run from here straddles the side-dict edge
+
+
+@st.composite
+def _segments(draw):
+    """A multi-segment write stream as ``(disk, track)`` lists: consecutive
+    runs from random start disks (the slice case), strided and scattered
+    ones, repeats of earlier addresses, runs across ``MAX_DIRECT_TRACK`` and
+    past the first growth, and now and then one run too long for the memo."""
+    segments = []
+    for _ in range(draw(st.integers(1, 4))):
+        shape = draw(st.sampled_from(["run", "run", "gaps", "random", "long"]))
+        n = PLAN_MEMO_MAX_BLOCKS + 5 if shape == "long" else draw(st.integers(1, 24))
+        base = draw(st.sampled_from([0, 3, 60, 130, _FAR]))
+        if shape == "random":
+            seg = draw(st.lists(
+                st.tuples(st.integers(0, D - 1), st.integers(base, base + 6)),
+                min_size=n, max_size=n,
+            ))
+        else:
+            lin = draw(st.integers(0, D - 1)) + np.arange(n)
+            if shape == "gaps":
+                lin = lin * draw(st.integers(2, 3))
+            seg = list(zip((lin % D).tolist(), (base + lin // D).tolist()))
+        segments.append(seg)
+    if draw(st.booleans()):  # duplicate addresses: last write wins
+        segments.append(segments[0][: draw(st.integers(1, 8))][::-1])
+    return segments
+
+
+@settings(max_examples=40, deadline=None)
+@given(segments=_segments(), seed=st.integers(0, 2**16))
+@pytest.mark.parametrize("kind", ["ram", "mmap"])
+def test_planned_extents_match_the_per_track_model(kind, segments, seed):
+    """``write_stream``/``read_run`` move a stream by its planned per-disk
+    extents; the model stores and fetches the same stream one ``put``/``get``
+    at a time.  Same tracks, same side dicts, same bytes read back."""
+    rng = np.random.default_rng(seed)
+    arr = DiskArray(D, 1, runtime=RuntimeConfig(arena=kind))
+    model = TrackArena(D, BB)
+    try:
+        flat = [addr for seg in segments for addr in seg]
+        # an odd-sized track under the stream must leave the side dict
+        for arena in (arr._arena, model):
+            arena.put(*flat[0], b"oversize-payload")
+        stream = []
+        for seg in segments:
+            raw = rng.integers(0, 256, len(seg) * BB - 3, dtype=np.uint8).tobytes()
+            run = BlockRun(raw, len(seg), BB)  # the tail block is zero-padded
+            dd, tt = (np.asarray(x, dtype=np.int64) for x in zip(*seg))
+            stream.append((dd, tt, run))
+            for (d, t), block in zip(seg, run.to_blocks()):
+                model.put(d, t, block)
+        arr.write_stream(stream)
+        for d in range(D):
+            assert arr._arena.snapshot(d) == model.snapshot(d)
+            assert arr._arena._side[d] == model._side[d]
+
+        order = rng.permutation(len(flat))  # re-reads included
+        dd, tt = (np.asarray(x, dtype=np.int64)[order] for x in zip(*flat))
+        want = b"".join(model.get(d, t) for d, t in zip(dd.tolist(), tt.tolist()))
+        assert arr.read_run(dd, tt).tobytes() == want
+        for seg in segments:  # and segment by segment, as the engines read
+            dd, tt = (np.asarray(x, dtype=np.int64) for x in zip(*seg))
+            want = b"".join(model.get(d, t) for d, t in seg)
+            assert arr.read_run(dd, tt).tobytes() == want
+    finally:
+        arr.close()
+
+
 # --------------------------------------------- MAX_DIRECT_TRACK boundary
 
 
@@ -310,7 +427,7 @@ class _Boundary:
                 dtype=np.int64,
             )
             rows = np.frombuffer(b"abc", dtype=np.uint8).reshape(3, 1)
-            a.scatter(disks, tracks, rows)
+            a.scatter(_split(disks), tracks, rows)
             assert a.get(0, MAX_DIRECT_TRACK - 1) == b"a"
             assert a.get(0, MAX_DIRECT_TRACK) == b"b"
             assert a.get(0, MAX_DIRECT_TRACK + 2) == b"c"
@@ -330,7 +447,7 @@ class _Boundary:
         try:
             a.put(0, MAX_DIRECT_TRACK, b"old")
             a.scatter(
-                np.zeros(1, dtype=np.int64),
+                _split(np.zeros(1, dtype=np.int64)),
                 np.asarray([MAX_DIRECT_TRACK], dtype=np.int64),
                 np.frombuffer(b"n", dtype=np.uint8).reshape(1, 1),
             )
@@ -345,7 +462,7 @@ class _Boundary:
             a.put(0, MAX_DIRECT_TRACK, b"w")
             out = np.empty((1, 1), dtype=np.uint8)
             assert not a.gather(
-                np.zeros(1, dtype=np.int64),
+                _split(np.zeros(1, dtype=np.int64)),
                 np.asarray([MAX_DIRECT_TRACK], dtype=np.int64),
                 out,
             )

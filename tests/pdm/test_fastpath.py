@@ -23,7 +23,7 @@ from repro.faults.injector import FaultyDiskArray
 from repro.faults.plan import FaultPlan
 from repro.pdm.arena import MAX_DIRECT_TRACK, TrackArena
 from repro.pdm.block import blocks_for_bytes
-from repro.pdm.disk_array import DiskArray, greedy_batch_widths
+from repro.pdm.disk_array import DiskArray, _build_plan, greedy_batch_widths
 from repro.pdm.fastpath import BlockRun, BufferPool
 from repro.tune.knobs import DEFAULT_SHM_THRESHOLD, KNOB_BY_ENV, KnobError, set_env
 from repro.tune.runtime import RuntimeConfig, current
@@ -145,7 +145,7 @@ class TestTrackArena:
         assert a.max_track(0) == MAX_DIRECT_TRACK + 7
         out = np.empty((1, 8), dtype=np.uint8)
         assert not a.gather(
-            np.zeros(1, dtype=np.int64),
+            _build_plan(1, np.zeros(1, dtype=np.int64).tobytes()).split,
             np.asarray([MAX_DIRECT_TRACK + 7], dtype=np.int64),
             out,
         )
@@ -153,7 +153,8 @@ class TestTrackArena:
     def test_scatter_last_wins_on_duplicates(self):
         a = TrackArena(D=1, block_bytes=4)
         rows = np.frombuffer(b"AAAABBBB", dtype=np.uint8).reshape(2, 4)
-        a.scatter(np.zeros(2, dtype=np.int64), np.zeros(2, dtype=np.int64), rows)
+        split = _build_plan(1, np.zeros(2, dtype=np.int64).tobytes()).split
+        a.scatter(split, np.zeros(2, dtype=np.int64), rows)
         assert a.get(0, 0) == b"BBBB"
 
     def test_snapshot_restore(self):
@@ -336,6 +337,22 @@ def test_snapshot_restore_portable_across_storage_modes():
 _PER_TRACK = ("read_blocks", "write_blocks", "parallel_io")
 
 
+def _fig5_sort(engine, arena, balanced, n, faults=None):
+    """One ``em_sort`` of *n* items at the fig5 shape on the disabled
+    recorder: ``(cfg, values, IOStats dict)``."""
+    from repro.cgm.config import MachineConfig
+    from repro.em.runner import OPS, make_engine
+    from repro.obs.trace import NULL_RECORDER
+
+    cfg = MachineConfig(N=n, v=8, p=2 if engine == "par" else 1, D=2, B=16)
+    data = np.random.default_rng(5).integers(0, 1 << 50, n)
+    rt = RuntimeConfig.resolve(overrides={"arena": arena}, environ={})
+    eng = make_engine(cfg, engine, balanced, runtime=rt, faults=faults)
+    assert eng.tracer is NULL_RECORDER
+    res = eng.run(OPS["sort"].program(), OPS["sort"].split(data, cfg.v))
+    return cfg, np.concatenate(res.outputs), res.report.io.as_dict()
+
+
 @pytest.mark.parametrize("balanced", [False, True], ids=["plain", "balanced"])
 @pytest.mark.parametrize("arena", ["ram", "mmap"])
 @pytest.mark.parametrize("engine", ["seq", "par"])
@@ -348,10 +365,6 @@ def test_clean_sort_never_enters_the_per_track_loop(
     reads silently falling back to the per-track loop.)  The same sort
     under an empty fault plan takes that loop on every access, which shows
     the counter is live."""
-    from repro.cgm.config import MachineConfig
-    from repro.em.runner import OPS, make_engine
-    from repro.obs.trace import NULL_RECORDER
-
     monkeypatch.delenv("REPRO_TRACE", raising=False)
     calls = dict.fromkeys(_PER_TRACK, 0)
     for name in _PER_TRACK:
@@ -361,22 +374,59 @@ def test_clean_sort_never_enters_the_per_track_loop(
 
         monkeypatch.setattr(DiskArray, name, counted)
 
-    n = 1 << 16
-    cfg = MachineConfig(N=n, v=8, p=2 if engine == "par" else 1, D=2, B=16)
-    data = np.random.default_rng(5).integers(0, 1 << 50, n)
-    rt = RuntimeConfig.resolve(overrides={"arena": arena}, environ={})
-
     def sort(faults):
-        eng = make_engine(cfg, engine, balanced, runtime=rt, faults=faults)
-        assert eng.tracer is NULL_RECORDER
-        res = eng.run(OPS["sort"].program(), OPS["sort"].split(data, cfg.v))
-        return np.concatenate(res.outputs), res.report.io.as_dict()
+        return _fig5_sort(engine, arena, balanced, 1 << 16, faults)[1:]
 
     values, io = sort(None)
     assert calls == dict.fromkeys(_PER_TRACK, 0)
     per_op_values, per_op_io = sort(FaultPlan())
     assert calls["read_blocks"] > 0 and calls["write_blocks"] > 0
     assert np.array_equal(values, per_op_values) and io == per_op_io
+
+
+@pytest.mark.parametrize("balanced", [False, True], ids=["plain", "balanced"])
+@pytest.mark.parametrize("arena", ["ram", "mmap"])
+@pytest.mark.parametrize("engine", ["seq", "par"])
+def test_clean_sort_moves_every_context_as_slices(monkeypatch, engine, arena, balanced):
+    """Every context read and write of a clean ``em_sort`` is one strided
+    block copy per disk — the planned extent a slice, the tracks one
+    ascending run: zero index-array moves.  The message matrix's
+    multi-extent streams do take index arrays, which shows the counter is
+    live."""
+    from collections import Counter
+
+    from repro.core.par_engine import ParEMEngine
+    from repro.pdm.arena import _as_run
+
+    monkeypatch.delenv("REPRO_TRACE", raising=False)
+    moves = {"context": Counter(), "messages": Counter()}
+    where = ["messages"]
+    for name in ("_store_context", "_load_context"):
+        def in_context(self, *args, _inner=getattr(ParEMEngine, name)):
+            where[0] = "context"
+            try:
+                return _inner(self, *args)
+            finally:
+                where[0] = "messages"
+
+        monkeypatch.setattr(ParEMEngine, name, in_context)
+    for name in ("scatter", "gather"):
+        def counted(self, split, tracks, rows, _inner=getattr(TrackArena, name)):
+            for sel in split:
+                if sel is not None:
+                    sliced = isinstance(sel, slice) and isinstance(
+                        _as_run(tracks[sel])[0], slice
+                    )
+                    moves[where[0]]["slice" if sliced else "index"] += 1
+            return _inner(self, split, tracks, rows)
+
+        monkeypatch.setattr(TrackArena, name, counted)
+
+    cfg, values, _io = _fig5_sort(engine, arena, balanced, 1 << 14)
+    assert (values[:-1] <= values[1:]).all()
+    # v contexts x (setup write, 4 rounds of read + write, final read) x D disks
+    assert moves["context"] == {"slice": cfg.v * 10 * cfg.D}
+    assert moves["messages"]["index"] > 0
 
 
 # ------------------------------------------------------------------ env knobs

@@ -5,7 +5,10 @@ frozen benchmark."""
 from __future__ import annotations
 
 import importlib.util
+import json
 from pathlib import Path
+
+import pytest
 
 _spec = importlib.util.spec_from_file_location(
     "claim_pairs", Path(__file__).resolve().parents[2] / "scripts" / "claim_pairs.py"
@@ -49,3 +52,52 @@ def test_regression_verdicts():
     assert claim_pairs.judge(higher, parent, [1.5, 1.5, 1.5, 1.5])["gain"]
     assert claim_pairs.judge(COUNT, [5, 5], [5, 5])["regression"] == "identical"
     assert claim_pairs.judge(COUNT, [5, 5], [5, 6])["regression"] == "DIFFERS"
+
+
+def _cell(gain=False, regression="within bound"):
+    return {"gain": gain, "regression": regression}
+
+
+def test_claim_exit_code_arithmetic():
+    """``--claim METRIC@WORKLOAD``: 0 only when that cell is a gain and no
+    other cell reads ``worse`` or ``DIFFERS``; ``unresolved`` is listed but
+    does not fail."""
+    verdict = claim_pairs.claim_verdict
+    table = {
+        "sort_io": {"op_p50_s": _cell(gain=True), "setup_s": _cell()},
+        "scale_out": {
+            "op_p50_s": _cell(gain=True),
+            "sim_parallel_ios": _cell(regression="identical"),
+        },
+    }
+    rc, lines = verdict("op_p50_s@sort_io", table)
+    assert rc == 0 and lines == ["claim op_p50_s@sort_io: gain"]
+    # an unclaimed gain elsewhere neither helps nor hurts; a missing one fails
+    assert verdict("setup_s@sort_io", table)[0] == 1
+    assert verdict("op_p50_s@service_mix", table) == (
+        1, ["claim op_p50_s@service_mix: NOT measured"]
+    )
+    # unresolved elsewhere: listed, still 0
+    table["scale_out"]["setup_s"] = _cell(regression="unresolved")
+    rc, lines = verdict("op_p50_s@sort_io", table)
+    assert rc == 0 and "  setup_s@scale_out: unresolved" in lines
+    # worse or DIFFERS anywhere else: 1, and named
+    for bad in ("worse", "DIFFERS"):
+        table["scale_out"]["sim_parallel_ios"] = _cell(regression=bad)
+        rc, lines = verdict("op_p50_s@sort_io", table)
+        assert rc == 1 and f"  sim_parallel_ios@scale_out: {bad}" in lines
+    # the claimed cell is judged by the gain rule alone
+    table = {"sort_io": {"op_p50_s": _cell(gain=True, regression="unresolved")}}
+    assert verdict("op_p50_s@sort_io", table)[0] == 0
+
+
+def test_a_mistyped_claim_is_refused_before_any_run(tmp_path, capsys):
+    bench = {"command": ["false"], "run_seconds": 1,
+             "workloads": [{"name": "sort_io"}], "end_to_end": [TIME]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
+    for claim in ("op_p50@sort_io", "op_p50_s@sort", "op_p50_s"):
+        with pytest.raises(SystemExit) as err:
+            claim_pairs.main([str(tmp_path), str(tmp_path), "--seed", "1",
+                              "--claim", claim])
+        assert err.value.code == 2
+        assert "METRIC@WORKLOAD" in capsys.readouterr().err

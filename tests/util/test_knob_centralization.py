@@ -76,6 +76,25 @@ def test_one_synchronous_read_path_no_prefetch_thread():
     assert not [p for p in threadless if "threading" in p.read_text()]
 
 
+def test_the_per_disk_split_is_planned_not_recomputed():
+    """``TrackArena.scatter``/``gather`` take each disk's stream positions
+    from the memoised ``BatchPlan``; the ``flatnonzero(disks == d)`` compare
+    they used to redo on every call lives only where the plan is built."""
+    import inspect
+
+    from repro.pdm import arena, disk_array
+
+    for mover in (arena.TrackArena.scatter, arena.TrackArena.gather):
+        assert "flatnonzero" not in inspect.getsource(mover), mover
+    holders = [
+        path.name
+        for path in sorted(Path(arena.__file__).parent.glob("*.py"))
+        if re.search(r"flatnonzero\(\s*disks\s*==", path.read_text())
+    ]
+    assert holders == ["disk_array.py"]
+    assert "flatnonzero(disks ==" in inspect.getsource(disk_array._build_plan)
+
+
 def test_one_compound_superstep():
     from repro.cgm.engine import Engine
     from repro.core import par_engine, workers
