@@ -31,7 +31,6 @@ from repro.algorithms.collectives import partition_array
 from repro.algorithms.sorting import SampleSort
 from repro.cgm.config import MachineConfig
 from repro.em.runner import make_engine
-from repro.tune.knobs import set_env
 from repro.util.rng import make_rng
 
 from conftest import print_table
@@ -59,27 +58,22 @@ def scale_cfg() -> MachineConfig:
 
 def _run_sort(cfg: MachineConfig, data: np.ndarray, kind: str) -> dict:
     """One seq-EM sample sort under an arena backend; returns observables."""
-    was = os.environ.get("REPRO_ARENA")
-    set_env("REPRO_ARENA", kind)
-    try:
-        eng = make_engine(cfg, "seq")
-        t0 = time.perf_counter()
-        res = eng.run(SampleSort(), partition_array(data, cfg.v))
-        wall = time.perf_counter() - t0
-        arenas = [a._arena for a in eng.arrays.values()]
-        out = {
-            "values": np.concatenate(res.outputs),
-            "io": res.report.io.as_dict(),
-            "report": res.report,
-            "wall_s": wall,
-            "resident_bytes": sum(a.resident_nbytes() for a in arenas),
-            "spill_bytes": sum(a.spill_nbytes() for a in arenas),
-        }
-        for a in arenas:
-            a.close()
-        return out
-    finally:
-        set_env("REPRO_ARENA", was)
+    eng = make_engine(cfg, "seq", overrides={"arena": kind})
+    t0 = time.perf_counter()
+    res = eng.run(SampleSort(), partition_array(data, cfg.v))
+    wall = time.perf_counter() - t0
+    arenas = [a._arena for a in eng.arrays.values()]
+    out = {
+        "values": np.concatenate(res.outputs),
+        "io": res.report.io.as_dict(),
+        "report": res.report,
+        "wall_s": wall,
+        "resident_bytes": sum(a.resident_nbytes() for a in arenas),
+        "spill_bytes": sum(a.spill_nbytes() for a in arenas),
+    }
+    for a in arenas:
+        a.close()
+    return out
 
 
 def test_scale_sort_ram_vs_mmap_bit_identity(bench_store):

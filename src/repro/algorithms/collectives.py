@@ -6,16 +6,24 @@ directly in tests/examples and serve as the smallest non-trivial loads for
 the engines; the helpers (:func:`partition_array`, :func:`bucket_by_dest`)
 are the partitioning idioms every Figure 5 algorithm uses inside its round
 callbacks.
+
+The Group B/C one-call wrappers (:mod:`repro.algorithms.geometry.api`,
+:mod:`repro.algorithms.graphs.api`) share the last section: every engine
+run they make goes through :func:`run_stage`, and all of them return a
+:class:`StageResult`.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
 from repro.cgm.config import MachineConfig
+from repro.cgm.metrics import CostReport
 from repro.cgm.program import CGMProgram, Context, RoundEnv
+from repro.util.validation import ConfigurationError
 
 
 def partition_array(arr: np.ndarray, v: int) -> list[np.ndarray]:
@@ -185,3 +193,80 @@ class AllToAll(CGMProgram):
 
     def finish(self, ctx: Context) -> Any:
         return ctx["received"]
+
+
+# ------------------------------------------------- Group B/C wrapper stages
+
+
+@dataclass
+class StageResult:
+    """Assembled output of a Group B/C wrapper, with one cost report and
+    one machine config (the one that actually ran) per engine run.
+
+    Chained CGM algorithms are themselves CGM algorithms, so the stages'
+    lambdas (and hence I/O counts) add.
+    """
+
+    values: Any
+    reports: list[CostReport] = field(default_factory=list)
+    extra: dict[str, Any] = field(default_factory=dict)
+    cfgs: list[MachineConfig] = field(default_factory=list)
+
+    @classmethod
+    def of(cls, values: Any, *stages: "StageResult", **extra: Any) -> "StageResult":
+        """*values* with the accounting of *stages*, in run order."""
+        return cls(
+            values,
+            [r for s in stages for r in s.reports],
+            extra,
+            [c for s in stages for c in s.cfgs],
+        )
+
+    @property
+    def total_parallel_ios(self) -> int:
+        return sum(r.io.parallel_ios for r in self.reports)
+
+    @property
+    def total_rounds(self) -> int:
+        return sum(r.rounds for r in self.reports)
+
+
+def run_stage(
+    program: CGMProgram,
+    arrays: np.ndarray | tuple[np.ndarray, ...],
+    cfg: MachineConfig,
+    engine: str | None = None,
+    n: int | None = None,
+    **options: Any,
+) -> StageResult:
+    """One engine run of a wrapper; ``values`` are the per-processor outputs.
+
+    *arrays* is the stage's input, split evenly over the v virtual
+    processors (a tuple of arrays gives each processor a tuple of slices).
+    The caller's machine is re-targeted at the stage's id-space size *n*
+    (default: the size of the first array; it may be smaller than v — tiny
+    stages leave some processors empty) and ``M`` goes back to its default
+    for that size.  *options* are :func:`repro.em.runner.make_engine`'s.
+    """
+    from repro.em.runner import em_run  # imports this module
+
+    if isinstance(arrays, tuple):
+        first = arrays[0]
+        inputs = list(zip(*(partition_array(a, cfg.v) for a in arrays)))
+    else:
+        first = arrays
+        inputs = partition_array(arrays, cfg.v)
+    stage_cfg = cfg.with_(N=max(1, int(first.size if n is None else n)), M=None)
+    res = em_run(program, inputs, stage_cfg, engine, **options)
+    return StageResult(res.outputs, [res.report], {}, [res.cfg])
+
+
+def refuse_checkpoint(wrapper: str, options: dict[str, Any]) -> None:
+    """Wrappers that make several engine runs take no checkpoint: a snapshot
+    is fingerprinted by program and machine shape, not by input, so two
+    stages running the same program would resume each other's."""
+    if options.get("checkpoint") is not None or options.get("resume"):
+        raise ConfigurationError(
+            f"{wrapper} is several engine runs and takes no checkpoint=/resume=; "
+            "checkpoint its single-run stages, one directory each"
+        )

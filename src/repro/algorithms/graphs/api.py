@@ -1,53 +1,27 @@
 """One-call wrappers composing the Group C building blocks.
 
 Each wrapper partitions its input across the ``v`` virtual processors,
-runs one or more CGM programs through the selected engine, and assembles
-the distributed outputs.  The :class:`GraphResult` carries the combined
-cost reports so benchmarks can sum parallel I/Os across pipeline stages —
-chained CGM algorithms are themselves CGM algorithms, so the stages'
-lambdas (and hence I/O counts) add.
+runs one or more CGM programs through the selected engine
+(:func:`~repro.algorithms.collectives.run_stage`; ``**options`` are
+:func:`repro.em.runner.make_engine`'s), and assembles the distributed
+outputs.  The :class:`~repro.algorithms.collectives.StageResult` carries
+the combined cost reports so benchmarks can sum parallel I/Os across
+pipeline stages.  Wrappers that chain several runs forward every option
+but ``checkpoint=`` / ``resume=``
+(:func:`~repro.algorithms.collectives.refuse_checkpoint`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
 
-from repro.algorithms.collectives import partition_array
+from repro.algorithms.collectives import StageResult, refuse_checkpoint, run_stage
 from repro.algorithms.graphs.euler_tour import EulerTourBuild
 from repro.algorithms.graphs.list_ranking import ListRanking
 from repro.cgm.config import MachineConfig
-from repro.cgm.metrics import CostReport
-from repro.em.runner import em_run
 from repro.util.validation import ConfigurationError, require
-
-
-@dataclass
-class GraphResult:
-    """Assembled output of a (possibly multi-stage) graph computation."""
-
-    values: Any
-    reports: list[CostReport] = field(default_factory=list)
-    extra: dict[str, Any] = field(default_factory=dict)
-
-    @property
-    def total_parallel_ios(self) -> int:
-        return sum(r.io.parallel_ios for r in self.reports)
-
-    @property
-    def total_rounds(self) -> int:
-        return sum(r.rounds for r in self.reports)
-
-
-def _adapt_cfg(cfg: MachineConfig, N: int) -> MachineConfig:
-    """Re-target a machine config at a stage's id-space size.
-
-    N may be smaller than v (tiny stages simply leave some virtual
-    processors with empty slices).
-    """
-    return cfg.with_(N=max(N, 1), M=None)
 
 
 def list_rank(
@@ -55,7 +29,8 @@ def list_rank(
     cfg: MachineConfig,
     weights: np.ndarray | None = None,
     engine: str | None = None,
-) -> GraphResult:
+    **options: Any,
+) -> StageResult:
     """Weighted list ranking: rank[i] = sum of weights from i to the tail.
 
     *succ* is the full successor array (-1 terminates); unit weights (with
@@ -67,10 +42,8 @@ def list_rank(
         weights = (succ >= 0).astype(np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     require(weights.size == n, "weights must match succ", ConfigurationError)
-    stage_cfg = _adapt_cfg(cfg, n)
-    inputs = list(zip(partition_array(succ, cfg.v), partition_array(weights, cfg.v)))
-    res = em_run(ListRanking(), inputs, stage_cfg, engine)
-    return GraphResult(np.concatenate(res.outputs), [res.report])
+    run = run_stage(ListRanking(), (succ, weights), cfg, engine, **options)
+    return StageResult.of(np.concatenate(run.values), run)
 
 
 def euler_tour_positions(
@@ -79,35 +52,29 @@ def euler_tour_positions(
     cfg: MachineConfig,
     root: int = 0,
     engine: str | None = None,
-) -> GraphResult:
+    **options: Any,
+) -> StageResult:
     """Euler tour of a tree: position of each directed edge in the tour.
 
     *edges* is an (E, 2) array of undirected tree edges; directed edge
     ``2e`` is edges[e] traversed u->v and ``2e+1`` the reverse.  Returns
     positions in [0, 2E), starting at the root.
     """
+    refuse_checkpoint("euler_tour_positions", options)
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     E = edges.shape[0]
     require(E >= 1, "need at least one edge", ConfigurationError)
     n_dir = 2 * E
     rows = np.column_stack((np.arange(E), edges))
-    stage_cfg = _adapt_cfg(cfg, n_dir)
 
-    build = em_run(
-        EulerTourBuild(n_vertices, root),
-        partition_array(rows, cfg.v),
-        stage_cfg,
-        engine,
+    build = run_stage(
+        EulerTourBuild(n_vertices, root), rows, cfg, engine, n=n_dir, **options
     )
-    succ = np.concatenate(build.outputs)
+    succ = np.concatenate(build.values)
 
-    rank = list_rank(succ, cfg, engine=engine)
+    rank = list_rank(succ, cfg, engine=engine, **options)
     positions = (n_dir - 1) - rank.values.astype(np.int64)
-    return GraphResult(
-        positions,
-        [build.report, *rank.reports],
-        extra={"succ": succ},
-    )
+    return StageResult.of(positions, build, rank, succ=succ)
 
 
 def tree_measures(
@@ -116,16 +83,18 @@ def tree_measures(
     cfg: MachineConfig,
     root: int = 0,
     engine: str | None = None,
-) -> GraphResult:
+    **options: Any,
+) -> StageResult:
     """Depth, preorder number, subtree size and parent of every vertex.
 
     Three list-ranking passes over the Euler tour (positions, depth
     prefix-sums, preorder prefix-sums) — the standard reduction, each pass
     an O(log v)-round CGM computation.
     """
+    refuse_checkpoint("tree_measures", options)
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     E = edges.shape[0]
-    tour = euler_tour_positions(edges, n_vertices, cfg, root, engine)
+    tour = euler_tour_positions(edges, n_vertices, cfg, root, engine, **options)
     pos = tour.values
     succ = tour.extra["succ"]
     n_dir = 2 * E
@@ -135,13 +104,13 @@ def tree_measures(
 
     # depth prefix sums: +1 on down edges, -1 on up edges
     depth_w = np.where(down, 1.0, -1.0)
-    depth_rank = list_rank(succ, cfg, weights=depth_w, engine=engine)
+    depth_rank = list_rank(succ, cfg, weights=depth_w, engine=engine, **options)
     # inclusive prefix at edge i = total - rank(i) + w(i); total = 0
     depth_prefix = -depth_rank.values + depth_w
 
     # preorder prefix sums: count down edges
     pre_w = down.astype(np.float64)
-    pre_rank = list_rank(succ, cfg, weights=pre_w, engine=engine)
+    pre_rank = list_rank(succ, cfg, weights=pre_w, engine=engine, **options)
     pre_prefix = E - pre_rank.values + pre_w
 
     heads = np.empty(n_dir, dtype=np.int64)  # head vertex of each directed edge
@@ -167,7 +136,7 @@ def tree_measures(
     preorder[root] = 0
     depth[root] = 0
 
-    return GraphResult(
+    return StageResult.of(
         {
             "depth": depth,
             "preorder": preorder,
@@ -176,7 +145,9 @@ def tree_measures(
             "positions": pos,
             "down": down,
         },
-        tour.reports + depth_rank.reports + pre_rank.reports,
+        tour,
+        depth_rank,
+        pre_rank,
     )
 
 
@@ -185,7 +156,8 @@ def connected_components(
     n_vertices: int,
     cfg: MachineConfig,
     engine: str | None = None,
-) -> GraphResult:
+    **options: Any,
+) -> StageResult:
     """Component id (= minimum vertex id of the component) per vertex.
 
     *edges* is an (E, 2) array of undirected edges; isolated vertices get
@@ -197,16 +169,12 @@ def connected_components(
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     E = edges.shape[0]
     rows = np.column_stack((np.arange(E), edges))
-    stage_cfg = _adapt_cfg(cfg, n_vertices)
-    res = em_run(
-        ConnectedComponents(n_vertices),
-        partition_array(rows, cfg.v),
-        stage_cfg,
-        engine,
+    run = run_stage(
+        ConnectedComponents(n_vertices), rows, cfg, engine, n=n_vertices, **options
     )
-    comp = np.concatenate([out[0] for out in res.outputs])
-    forest = sorted(eid for out in res.outputs for eid in out[1])
-    return GraphResult(comp, [res.report], extra={"forest": forest})
+    comp = np.concatenate([out[0] for out in run.values])
+    forest = sorted(eid for out in run.values for eid in out[1])
+    return StageResult.of(comp, run, forest=forest)
 
 
 def spanning_forest(
@@ -214,11 +182,12 @@ def spanning_forest(
     n_vertices: int,
     cfg: MachineConfig,
     engine: str | None = None,
-) -> GraphResult:
+    **options: Any,
+) -> StageResult:
     """Indices into *edges* forming a spanning forest (one tree per
     component)."""
-    res = connected_components(edges, n_vertices, cfg, engine)
-    return GraphResult(res.extra["forest"], res.reports, extra={"comp": res.values})
+    res = connected_components(edges, n_vertices, cfg, engine, **options)
+    return StageResult.of(res.extra["forest"], res, comp=res.values)
 
 
 def scatter_reduce(
@@ -227,14 +196,14 @@ def scatter_reduce(
     cfg: MachineConfig,
     op: str = "min",
     engine: str | None = None,
-) -> GraphResult:
+    **options: Any,
+) -> StageResult:
     """Fold int64 (key, value) pairs per key (min/max/sum); one round."""
     from repro.algorithms.graphs.scatter import ScatterReduce
 
     rows = np.asarray(rows, dtype=np.int64).reshape(-1, 2)
-    stage_cfg = _adapt_cfg(cfg, n_keys)
-    res = em_run(ScatterReduce(op), partition_array(rows, cfg.v), stage_cfg, engine)
-    return GraphResult(np.concatenate(res.outputs)[:n_keys], [res.report])
+    run = run_stage(ScatterReduce(op), rows, cfg, engine, n=n_keys, **options)
+    return StageResult.of(np.concatenate(run.values)[:n_keys], run)
 
 
 def range_min_queries(
@@ -243,7 +212,8 @@ def range_min_queries(
     cfg: MachineConfig,
     payload: np.ndarray | None = None,
     engine: str | None = None,
-) -> GraphResult:
+    **options: Any,
+) -> StageResult:
     """Batched RMQ: queries (qid, l, r) -> (qid, min value, payload@argmin)."""
     from repro.algorithms.graphs.rmq import RangeMin
 
@@ -251,18 +221,10 @@ def range_min_queries(
     queries = np.asarray(queries, dtype=np.int64).reshape(-1, 3)
     if payload is None:
         payload = np.zeros_like(values)
-    stage_cfg = _adapt_cfg(cfg, values.size)
-    inputs = list(
-        zip(
-            partition_array(values, cfg.v),
-            partition_array(payload, cfg.v),
-            partition_array(queries, cfg.v),
-        )
-    )
-    res = em_run(RangeMin(), inputs, stage_cfg, engine)
-    rows = np.vstack([o for o in res.outputs if o.size]) if queries.size else np.zeros((0, 3), np.int64)
+    run = run_stage(RangeMin(), (values, payload, queries), cfg, engine, **options)
+    rows = np.vstack([o for o in run.values if o.size]) if queries.size else np.zeros((0, 3), np.int64)
     order = np.argsort(rows[:, 0], kind="stable") if rows.size else slice(None)
-    return GraphResult(rows[order] if rows.size else rows, [res.report])
+    return StageResult.of(rows[order] if rows.size else rows, run)
 
 
 def lowest_common_ancestors(
@@ -272,17 +234,19 @@ def lowest_common_ancestors(
     cfg: MachineConfig,
     root: int = 0,
     engine: str | None = None,
-) -> GraphResult:
+    **options: Any,
+) -> StageResult:
     """Batched LCA on a tree: queries (u, w) -> lca vertex.
 
     The standard reduction: Euler tour -> depth sequence -> range-minimum
     between first occurrences.  Both stages are O(1)/O(log v)-round CGM
     computations.
     """
+    refuse_checkpoint("lowest_common_ancestors", options)
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     queries = np.asarray(queries, dtype=np.int64).reshape(-1, 2)
     E = edges.shape[0]
-    tm = tree_measures(edges, n_vertices, cfg, root, engine)
+    tm = tree_measures(edges, n_vertices, cfg, root, engine, **options)
     vals = tm.values
     pos, down = vals["positions"], vals["down"]
     depth = vals["depth"]
@@ -309,9 +273,10 @@ def lowest_common_ancestors(
     hi = np.maximum(first[queries[:, 0]], first[queries[:, 1]])
     qrows = np.column_stack((np.arange(queries.shape[0]), lo, hi))
 
-    rmq = range_min_queries(depth_seq, qrows, cfg, payload=seq, engine=engine)
-    lca = rmq.values[:, 2]
-    return GraphResult(lca, tm.reports + rmq.reports, extra={"measures": vals})
+    rmq = range_min_queries(
+        depth_seq, qrows, cfg, payload=seq, engine=engine, **options
+    )
+    return StageResult.of(rmq.values[:, 2], tm, rmq, measures=vals)
 
 
 def expression_eval(
@@ -320,22 +285,16 @@ def expression_eval(
     leaf_value: np.ndarray,
     cfg: MachineConfig,
     engine: str | None = None,
-) -> GraphResult:
+    **options: Any,
+) -> StageResult:
     """Evaluate a (+, *) expression tree by CGM rake-and-compress.
 
     ``parent[i] = -1`` marks the root; ``op`` uses OP_ADD / OP_MUL from
     :mod:`repro.algorithms.graphs.tree_contraction`; ``leaf_value`` is
     read at the leaves.
     """
-    from repro.algorithms.collectives import slice_bounds
     from repro.algorithms.graphs.tree_contraction import ExpressionEval
 
-    parent = np.asarray(parent, dtype=np.int64)
-    n = parent.size
-    stage_cfg = _adapt_cfg(cfg, n)
-    inputs = []
-    for pid in range(cfg.v):
-        lo, hi = slice_bounds(n, cfg.v, pid)
-        inputs.append((parent[lo:hi], np.asarray(op)[lo:hi], np.asarray(leaf_value)[lo:hi]))
-    res = em_run(ExpressionEval(), inputs, stage_cfg, engine)
-    return GraphResult(res.outputs[0], [res.report])
+    arrays = (np.asarray(parent, dtype=np.int64), np.asarray(op), np.asarray(leaf_value))
+    run = run_stage(ExpressionEval(), arrays, cfg, engine, **options)
+    return StageResult.of(run.values[0], run)

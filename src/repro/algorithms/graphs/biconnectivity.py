@@ -17,15 +17,19 @@ provides — exactly the composition the paper's Figure 5 relies on:
    another scatter-reduce + subtree range-min.
 
 Each numbered step is one or more CGM program runs; the glue between
-them (index arithmetic on assembled arrays) is O(N) local work.
+them (index arithmetic on assembled arrays) is O(N) local work.  All
+three wrappers chain several runs: ``**options`` are
+:func:`repro.em.runner.make_engine`'s, minus ``checkpoint=`` / ``resume=``.
 """
 
 from __future__ import annotations
 
+from typing import Any
+
 import numpy as np
 
+from repro.algorithms.collectives import StageResult, refuse_checkpoint
 from repro.algorithms.graphs.api import (
-    GraphResult,
     connected_components,
     lowest_common_ancestors,
     range_min_queries,
@@ -51,12 +55,15 @@ def low_high(
     engine: str | None = None,
     measures: dict | None = None,
     tree_mask: np.ndarray | None = None,
-) -> GraphResult:
+    **options: Any,
+) -> StageResult:
     """low(v)/high(v): min/max preorder reachable from subtree(v) via one
     non-tree edge (including subtree(v)'s own preorders)."""
+    refuse_checkpoint("low_high", options)
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    stages: list[StageResult] = []
     if measures is None or tree_mask is None:
-        cc = connected_components(edges, n_vertices, cfg, engine)
+        cc = connected_components(edges, n_vertices, cfg, engine, **options)
         require(
             np.all(cc.values == cc.values[0]),
             "low/high requires a connected graph",
@@ -65,11 +72,11 @@ def low_high(
         forest = np.asarray(cc.extra["forest"], dtype=np.int64)
         tree_mask = np.zeros(edges.shape[0], dtype=bool)
         tree_mask[forest] = True
-        tm = tree_measures(edges[forest], n_vertices, cfg, root=0, engine=engine)
+        tm = tree_measures(
+            edges[forest], n_vertices, cfg, root=0, engine=engine, **options
+        )
         measures = tm.values
-        reports = cc.reports + tm.reports
-    else:
-        reports = []
+        stages = [cc, tm]
 
     pre, size = measures["preorder"], measures["size"]
     nt = edges[~tree_mask]
@@ -85,23 +92,22 @@ def low_high(
         rows_min.append(np.column_stack((pre[w], pre[u])))
         rows_max = rows_min.copy()
         rows_max[0] = ident
-    amin = scatter_reduce(np.vstack(rows_min), n_vertices, cfg, "min", engine)
-    amax = scatter_reduce(np.vstack(rows_max), n_vertices, cfg, "max", engine)
-    reports = reports + amin.reports + amax.reports
+    amin = scatter_reduce(np.vstack(rows_min), n_vertices, cfg, "min", engine, **options)
+    amax = scatter_reduce(np.vstack(rows_max), n_vertices, cfg, "max", engine, **options)
 
     queries = _subtree_queries(pre, size)
-    low_q = range_min_queries(amin.values, queries, cfg, engine=engine)
-    high_q = range_min_queries(-amax.values, queries, cfg, engine=engine)
-    reports = reports + low_q.reports + high_q.reports
+    low_q = range_min_queries(amin.values, queries, cfg, engine=engine, **options)
+    high_q = range_min_queries(-amax.values, queries, cfg, engine=engine, **options)
 
     low = np.empty(n_vertices, dtype=np.int64)
     high = np.empty(n_vertices, dtype=np.int64)
     low[low_q.values[:, 0]] = low_q.values[:, 1]
     high[high_q.values[:, 0]] = -high_q.values[:, 1]
-    return GraphResult(
+    return StageResult.of(
         {"low": low, "high": high},
-        reports,
-        extra={"measures": measures, "tree_mask": tree_mask},
+        *stages, amin, amax, low_q, high_q,
+        measures=measures,
+        tree_mask=tree_mask,
     )
 
 
@@ -110,22 +116,23 @@ def biconnected_components(
     n_vertices: int,
     cfg: MachineConfig,
     engine: str | None = None,
-) -> GraphResult:
+    **options: Any,
+) -> StageResult:
     """Biconnected components of a connected graph.
 
     Returns per-edge component labels (arbitrary but consistent ints);
     ``extra`` carries articulation points and bridges.
     """
+    refuse_checkpoint("biconnected_components", options)
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     E = edges.shape[0]
     require(E >= 1, "need at least one edge", ConfigurationError)
 
-    lh = low_high(edges, n_vertices, cfg, engine)
+    lh = low_high(edges, n_vertices, cfg, engine, **options)
     measures = lh.extra["measures"]
     tree_mask = lh.extra["tree_mask"]
     pre, size, parent = measures["preorder"], measures["size"], measures["parent"]
     low, high = lh.values["low"], lh.values["high"]
-    reports = list(lh.reports)
 
     def is_ancestor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return (pre[a] <= pre[b]) & (pre[b] < pre[a] + size[a])
@@ -153,8 +160,7 @@ def biconnected_components(
     )
     # aux vertices are vertex ids (standing for their parent tree edge);
     # run CC over the full vertex space — unused ids become singletons
-    aux_cc = connected_components(aux, n_vertices, cfg, engine)
-    reports += aux_cc.reports
+    aux_cc = connected_components(aux, n_vertices, cfg, engine, **options)
     comp_of_vertex = aux_cc.values
 
     # per-edge component labels
@@ -183,15 +189,14 @@ def biconnected_components(
     single = set(labels[counts == 1].tolist())
     bridges = sorted(int(i) for i in range(E) if int(edge_comp[i]) in single)
 
-    return GraphResult(
+    return StageResult.of(
         edge_comp,
-        reports,
-        extra={
-            "articulation_points": articulation,
-            "bridges": bridges,
-            "tree_mask": tree_mask,
-            "measures": measures,
-        },
+        lh,
+        aux_cc,
+        articulation_points=articulation,
+        bridges=bridges,
+        tree_mask=tree_mask,
+        measures=measures,
     )
 
 
@@ -200,7 +205,8 @@ def ear_decomposition(
     n_vertices: int,
     cfg: MachineConfig,
     engine: str | None = None,
-) -> GraphResult:
+    **options: Any,
+) -> StageResult:
     """Ear decomposition of a biconnected graph: ear index per edge.
 
     Non-tree edges are numbered by (depth of their endpoints' LCA, edge
@@ -208,10 +214,11 @@ def ear_decomposition(
     is the minimum cover of (Maon–Schieber–Vishkin).  Ear 0 is a cycle;
     every other ear is a simple path whose endpoints lie on smaller ears.
     """
+    refuse_checkpoint("ear_decomposition", options)
     edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     E = edges.shape[0]
 
-    cc = connected_components(edges, n_vertices, cfg, engine)
+    cc = connected_components(edges, n_vertices, cfg, engine, **options)
     require(
         np.all(cc.values == cc.values[0]),
         "ear decomposition requires a connected graph",
@@ -220,17 +227,17 @@ def ear_decomposition(
     forest = np.asarray(cc.extra["forest"], dtype=np.int64)
     tree_mask = np.zeros(E, dtype=bool)
     tree_mask[forest] = True
-    tm = tree_measures(edges[forest], n_vertices, cfg, root=0, engine=engine)
+    tm = tree_measures(edges[forest], n_vertices, cfg, root=0, engine=engine, **options)
     measures = tm.values
     pre, size, depth = measures["preorder"], measures["size"], measures["depth"]
-    reports = cc.reports + tm.reports
 
     nt_idx = np.nonzero(~tree_mask)[0]
     require(nt_idx.size >= 1, "a biconnected graph has a non-tree edge", ConfigurationError)
     nt = edges[nt_idx]
 
-    lca = lowest_common_ancestors(edges[forest], nt, n_vertices, cfg, engine=engine)
-    reports += lca.reports
+    lca = lowest_common_ancestors(
+        edges[forest], nt, n_vertices, cfg, engine=engine, **options
+    )
     lca_depth = depth[lca.values]
 
     # ear numbering: sort non-tree edges by (lca depth, edge id)
@@ -242,12 +249,12 @@ def ear_decomposition(
     rows = [np.column_stack((pre, np.full(n_vertices, _INF)))]
     rows.append(np.column_stack((pre[nt[:, 0]], ear_of_nt)))
     rows.append(np.column_stack((pre[nt[:, 1]], ear_of_nt)))
-    h = scatter_reduce(np.vstack(rows), n_vertices, cfg, "min", engine)
-    reports += h.reports
+    h = scatter_reduce(np.vstack(rows), n_vertices, cfg, "min", engine, **options)
 
     # ear(tree edge into w) = min h over subtree(w)
-    sub = range_min_queries(h.values, _subtree_queries(pre, size), cfg, engine=engine)
-    reports += sub.reports
+    sub = range_min_queries(
+        h.values, _subtree_queries(pre, size), cfg, engine=engine, **options
+    )
     min_ear = np.empty(n_vertices, dtype=np.int64)
     min_ear[sub.values[:, 0]] = sub.values[:, 1]
 
@@ -265,4 +272,4 @@ def ear_decomposition(
         )
         ear[i] = min_ear[child]
 
-    return GraphResult(ear, reports, extra={"tree_mask": tree_mask})
+    return StageResult.of(ear, cc, tm, lca, h, sub, tree_mask=tree_mask)

@@ -15,14 +15,17 @@ Every run prints the PDM cost accounting (parallel I/Os, rounds,
 supersteps, h-relation history) and verifies the output against an
 independent reference before reporting success.
 
-``sort`` / ``permute`` / ``transpose`` are one handler (``cmd_run``)
-driven by :data:`repro.em.runner.OPS`: the input comes from the table's
-generator, so ``repro sort --n N --seed S ...`` is the same run — same
-data, counters and output hash — as ``repro submit --local`` of the
-spec ``{"op": "sort", "n": N, "seed": S, ...}``; ``serve-metrics``
-reuses its run step with a bus and registry attached.  Flags are
-registered in groups (machine, backend, run, output), and a command
-registers only the groups it reads.
+The six run commands are one handler (``cmd_run``) over one flag set
+(machine, backend, run, output); each brings only its run step — input
+generator, the call, the reference check.  ``sort`` / ``permute`` /
+``transpose`` share the step driven by :data:`repro.em.runner.OPS`: the
+input comes from the table's generator, so ``repro sort --n N --seed S
+...`` is the same run — same data, counters and output hash — as ``repro
+submit --local`` of the spec ``{"op": "sort", "n": N, "seed": S, ...}``;
+``serve-metrics`` reuses it with a bus and registry attached.  Flags
+reach the run as ``make_engine`` options (``_engine_options``); nothing
+here writes ``os.environ``.  Flags are registered in groups, and a
+command registers only the groups it reads.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ import numpy as np
 
 from repro.cgm.config import MachineConfig
 from repro.pdm.io_stats import DiskServiceModel
-from repro.tune.knobs import KnobError, set_env
+from repro.tune.knobs import ARENA_KINDS, TRANSPORT_KINDS, KnobError
 from repro.util.validation import ConfigurationError, SimulationError
 
 
@@ -101,32 +104,32 @@ def _backend_options(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument(
         "--arena",
-        choices=["ram", "mmap"],
+        choices=ARENA_KINDS,
         default=None,
         help="track-arena storage backend: preallocated host memory (ram, "
         "the default) or memory-mapped spill files for out-of-core runs "
-        "(mmap); equivalent to setting REPRO_ARENA",
+        "(mmap); overrides REPRO_ARENA for this run",
     )
     p.add_argument(
         "--transport",
-        choices=["memory", "shm", "tcp"],
+        choices=TRANSPORT_KINDS,
         default=None,
         help="worker-exchange transport for the multi-process backend: "
         "queue pickling (memory), queue + shared-memory bulk segments "
         "(shm, the default), or framed TCP to 'repro node' daemons "
-        "(tcp); equivalent to setting REPRO_TRANSPORT",
+        "(tcp); overrides REPRO_TRANSPORT for this run",
     )
     p.add_argument(
         "--nodes",
         metavar="HOST:PORT,...",
         default=None,
         help="node daemons the tcp transport dials, one per worker; "
-        "equivalent to setting REPRO_NODES",
+        "overrides REPRO_NODES for this run",
     )
 
 
 def _run_options(p: argparse.ArgumentParser) -> None:
-    """Routing and resilience of an op-table run (``make_engine`` options)."""
+    """Routing and resilience of a run (``make_engine`` options)."""
     p.add_argument("--balanced", action="store_true", help="route via Algorithm 1")
     p.add_argument(
         "--faults",
@@ -167,7 +170,7 @@ def _trace_options(p: argparse.ArgumentParser, what: str) -> None:
 
 
 def _output_options(p: argparse.ArgumentParser) -> None:
-    """What an op-table run writes besides its report."""
+    """What a run writes besides its report."""
     _trace_options(p, "record a superstep/I/O/network event trace to PATH")
     p.add_argument(
         "--crosscheck",
@@ -188,7 +191,7 @@ def _apply_profile(args) -> None:
     """Fill non-explicit machine parameters from ``--profile``.
 
     The loaded document is stashed on the namespace so the run also
-    applies the profile's knob section (via ``em_run(profile=...)``).
+    applies the profile's knob section (``_engine_options``).
     """
     path = getattr(args, "profile", None)
     if path is None:
@@ -314,13 +317,36 @@ def _report(label: str, report, cfg: MachineConfig) -> None:
         print(f"  injected faults  : {report.fault_stats.summary()}")
 
 
+def _engine_options(args, tracer=None, metrics=None) -> dict:
+    """``make_engine``'s options as a run command's flags give them: the
+    backend flags are explicit knob overrides of this one run."""
+    return dict(
+        balanced=args.balanced,
+        tracer=tracer,
+        metrics=metrics,
+        faults=args.faults,
+        checkpoint=args.checkpoint,
+        resume=args.resume,
+        profile=getattr(args, "_profile_doc", None),
+        overrides={
+            "arena": args.arena, "transport": args.transport, "nodes": args.nodes,
+        },
+    )
+
+
+def _verdict(ok: bool) -> str:
+    return "OK" if ok else "MISMATCH"
+
+
+# A run step generates its input from (seed, n), runs it as the flags say and
+# checks the output against a reference computed without the simulator.
+# Returns (values, report, config that ran, ok, headline).
+
+
 def _run_op(args, tracer=None, metrics=None):
-    """The run step of ``sort`` / ``permute`` / ``transpose`` (and of
-    ``serve-metrics``): generate ``OPS[args.op]``'s input from ``(seed,
-    n)``, run it, check it against the row's reference.  The data, the
-    counters and the output hash are those of ``repro submit --local``
-    for the same ``(op, n, seed, machine)``.  Returns ``(result, ok,
-    label)``."""
+    """``sort`` / ``permute`` / ``transpose`` (and ``serve-metrics``):
+    ``OPS[args.op]``.  The data, the counters and the output hash are those
+    of ``repro submit --local`` for the same ``(op, n, seed, machine)``."""
     from repro.em.runner import OPS, em_op
     from repro.util.rng import make_rng
 
@@ -333,14 +359,73 @@ def _run_op(args, tracer=None, metrics=None):
         n, shape = rows * cols, {"rows": rows}
     raw = op.generate(make_rng(args.seed), n, **shape)
     res = em_op(
-        args.op, raw, _config(args, n), args.engine, args.balanced,
-        tracer=tracer, metrics=metrics, faults=args.faults,
-        checkpoint=args.checkpoint, resume=args.resume,
-        profile=getattr(args, "_profile_doc", None),
+        args.op, raw, _config(args, n), args.engine,
+        **_engine_options(args, tracer, metrics),
     )
     ok = bool(np.array_equal(res.values, op.reference(*raw)))
     dims = "x".join(map(str, raw[0].shape))
-    return res, ok, f"{op.past} {dims}" + (" items" if raw[0].ndim == 1 else "")
+    what = f"{op.past} {dims}" + (" items" if raw[0].ndim == 1 else "")
+    return res.values, res.report, res.cfg, ok, f"{what}: {_verdict(ok)}"
+
+
+def _run_delaunay(args, tracer=None, metrics=None):
+    from scipy.spatial import Delaunay
+
+    import repro.algorithms.geometry as geo
+
+    pts = np.random.default_rng(args.seed).random((args.n, 2))
+    res = geo.delaunay_2d(
+        pts, _config(args, n=3 * args.n), args.engine,
+        **_engine_options(args, tracer, metrics),
+    )
+    ref = {tuple(sorted(map(int, t))) for t in Delaunay(pts).simplices}
+    ok = {tuple(t) for t in res.values} == ref
+    headline = (
+        f"Delaunay of {args.n} points -> {len(res.values)} triangles: {_verdict(ok)}"
+        + (" [exact fallback fired]" if res.extra["fallback"] else "")
+    )
+    return res.values, res.reports[0], res.cfgs[0], ok, headline
+
+
+def _run_cc(args, tracer=None, metrics=None):
+    import networkx as nx
+
+    from repro.algorithms.graphs import connected_components
+
+    n_edges = 2 * args.n if args.edges is None else args.edges
+    G = nx.gnm_random_graph(args.n, n_edges, seed=args.seed)
+    edges = (
+        np.array(G.edges()) if G.number_of_edges() else np.zeros((0, 2), dtype=np.int64)
+    )
+    res = connected_components(
+        edges, args.n, _config(args), args.engine,
+        **_engine_options(args, tracer, metrics),
+    )
+    ok = all(
+        {res.values[u] for u in cc} == {min(cc)} for cc in nx.connected_components(G)
+    )
+    headline = (
+        f"connected components of G({args.n}, {n_edges}) -> "
+        f"{len(set(res.values.tolist()))} components: {_verdict(ok)}"
+    )
+    return res.values, res.reports[0], res.cfgs[0], ok, headline
+
+
+def _run_listrank(args, tracer=None, metrics=None):
+    from repro.algorithms.graphs import list_rank
+
+    order = np.random.default_rng(args.seed).permutation(args.n)
+    succ = np.full(args.n, -1, dtype=np.int64)
+    succ[order[:-1]] = order[1:]
+    res = list_rank(
+        succ, _config(args), engine=args.engine,
+        **_engine_options(args, tracer, metrics),
+    )
+    expect = np.empty(args.n)
+    expect[order] = np.arange(args.n - 1, -1, -1)
+    ok = bool(np.array_equal(res.values, expect))
+    headline = f"list ranking of {args.n} nodes: {_verdict(ok)}"
+    return res.values, res.reports[0], res.cfgs[0], ok, headline
 
 
 def cmd_run(args) -> int:
@@ -348,81 +433,12 @@ def cmd_run(args) -> int:
 
     tracer = _make_tracer(args)
     registry = _make_metrics(args)
-    res, ok, label = _run_op(args, tracer, registry)
-    _report(f"{label}: {'OK' if ok else 'MISMATCH'}", res.report, res.cfg)
-    print(f"  output sha256    : {output_sha256(res.values)}")
+    values, report, cfg, ok, headline = args.run(args, tracer, registry)
+    _report(headline, report, cfg)
+    print(f"  output sha256    : {output_sha256(values)}")
     _write_trace(args, tracer)
     _write_metrics(args, registry)
-    _crosscheck(args, res.report, res.cfg)
-    return 0 if ok else 1
-
-
-def cmd_delaunay(args) -> int:
-    from scipy.spatial import Delaunay
-
-    import repro.algorithms.geometry as geo
-
-    rng = np.random.default_rng(args.seed)
-    pts = rng.random((args.n, 2))
-    cfg = _config(args, n=3 * args.n)
-    res = geo.delaunay_2d(pts, cfg, engine=args.engine)
-    ref = {tuple(sorted(map(int, t))) for t in Delaunay(pts).simplices}
-    ok = {tuple(t) for t in res.values} == ref
-    _report(
-        f"Delaunay of {args.n} points -> {len(res.values)} triangles: "
-        f"{'OK' if ok else 'MISMATCH'}"
-        + (" [exact fallback fired]" if res.extra["fallback"] else ""),
-        res.reports[0],
-        cfg,
-    )
-    return 0 if ok else 1
-
-
-def cmd_cc(args) -> int:
-    import networkx as nx
-
-    from repro.algorithms.graphs import connected_components
-
-    if args.edges is None:
-        args.edges = 2 * args.n
-    G = nx.gnm_random_graph(args.n, args.edges, seed=args.seed)
-    edges = (
-        np.array(G.edges()) if G.number_of_edges() else np.zeros((0, 2), dtype=np.int64)
-    )
-    cfg = _config(args)
-    res = connected_components(edges, args.n, cfg, engine=args.engine)
-    ok = all(
-        {res.values[u] for u in cc} == {min(cc)} for cc in nx.connected_components(G)
-    )
-    n_comp = len(set(res.values.tolist()))
-    _report(
-        f"connected components of G({args.n}, {args.edges}) -> {n_comp} components: "
-        f"{'OK' if ok else 'MISMATCH'}",
-        res.reports[0],
-        cfg,
-    )
-    return 0 if ok else 1
-
-
-def cmd_listrank(args) -> int:
-    from repro.algorithms.graphs import list_rank
-
-    rng = np.random.default_rng(args.seed)
-    order = rng.permutation(args.n)
-    succ = np.full(args.n, -1, dtype=np.int64)
-    for a, b in zip(order[:-1], order[1:]):
-        succ[a] = b
-    cfg = _config(args)
-    res = list_rank(succ, cfg, engine=args.engine)
-    expect = np.empty(args.n)
-    for i, node in enumerate(order):
-        expect[node] = args.n - 1 - i
-    ok = np.array_equal(res.values, expect)
-    _report(
-        f"list ranking of {args.n} nodes: {'OK' if ok else 'MISMATCH'}",
-        res.reports[0],
-        cfg,
-    )
+    _crosscheck(args, report, cfg)
     return 0 if ok else 1
 
 
@@ -590,7 +606,7 @@ def cmd_serve_metrics(args) -> int:
 
     def _run() -> None:
         try:
-            outcome["res"] = _run_op(args, bus, registry)[0]
+            outcome["ran"] = _run_op(args, bus, registry)
         except Exception as exc:
             outcome["error"] = exc
         finally:
@@ -613,9 +629,9 @@ def cmd_serve_metrics(args) -> int:
     if err is not None:
         print(f"error: workload failed: {err}", file=sys.stderr)
         return 1
-    res = outcome.get("res")
-    if res is not None:
-        _report(f"served {args.op} of {args.n} items", res.report, res.cfg)
+    if "ran" in outcome:
+        _, report, cfg, _, _ = outcome["ran"]
+        _report(f"served {args.op} of {args.n} items", report, cfg)
         drifts = sum(1 for ev in bus.events if ev.get("kind") == "model_drift")
         if drifts:
             print(f"  model drift      : {drifts} superstep(s) over budget")
@@ -798,7 +814,6 @@ def cmd_bench(args) -> int:
                 new,
                 io_rtol=args.io_rtol,
                 time_rtol=None if args.ignore_timings else args.time_rtol,
-                timing_floor=args.timing_floor,
             )
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
@@ -895,29 +910,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in OPS:
+    run_steps = dict.fromkeys(OPS, _run_op) | {
+        "delaunay": _run_delaunay, "cc": _run_cc, "listrank": _run_listrank,
+    }
+    for name, run in run_steps.items():
         p = sub.add_parser(name)
         _machine_options(p)
         _backend_options(p)
         _run_options(p)
         _output_options(p)
-        p.set_defaults(fn=cmd_run, op=name)
+        p.set_defaults(fn=cmd_run, run=run, op=name)
     p = sub.choices["transpose"]
     p.add_argument("--rows", type=int, default=None, help="matrix rows (with --cols)")
     p.add_argument(
         "--cols", type=int, default=None,
         help="matrix columns; --rows x --cols replaces --n and its default shape",
     )
-
-    for name, fn in [
-        ("delaunay", cmd_delaunay),
-        ("cc", cmd_cc),
-        ("listrank", cmd_listrank),
-    ]:
-        p = sub.add_parser(name)
-        _machine_options(p)
-        _backend_options(p)
-        p.set_defaults(fn=fn)
     sub.choices["cc"].add_argument(
         "--edges", type=int, default=None, help="edge count (default: 2n)"
     )
@@ -1192,14 +1200,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="skip timing comparisons (cross-machine gating)",
     )
-    p.add_argument(
-        "--timing-floor",
-        type=float,
-        default=None,
-        metavar="RTOL",
-        help="one-sided timing gate for higher-is-better metrics (speedup "
-        "ratios): fail only when new < old*(1-RTOL); improvements always pass",
-    )
     p.set_defaults(fn=cmd_bench)
 
     return parser
@@ -1215,15 +1215,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        # written to the environment so the workers backend's processes
-        # inherit the same storage and transport selection
-        for flag, env in (
-            ("arena", "REPRO_ARENA"),
-            ("transport", "REPRO_TRANSPORT"),
-            ("nodes", "REPRO_NODES"),
-        ):
-            if getattr(args, flag, None) is not None:
-                set_env(env, getattr(args, flag))
         _apply_profile(args)
         rc = fn(args)
         sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
@@ -1231,8 +1222,8 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:
         return _exit_broken_pipe()
     except KnobError as exc:
-        # a malformed REPRO_* value (or profile entry) is a usage error:
-        # one line naming the variable, exit code 2, never a traceback
+        # a malformed REPRO_* value (flag or profile entry too) is a usage
+        # error: one line naming the variable, exit code 2, never a traceback
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (SimulationError, ConfigurationError) as exc:

@@ -20,9 +20,7 @@ from repro.core.transport.base import (
 )
 from repro.core.transport.local import MemoryTransport, ShmTransport
 from repro.core.transport.tcp import TcpFleet, TcpWorkerTransport
-
-#: the REPRO_TRANSPORT vocabulary
-TRANSPORT_KINDS = ("memory", "shm", "tcp")
+from repro.tune.knobs import TRANSPORT_KINDS  # the REPRO_TRANSPORT vocabulary
 
 __all__ = [
     "POLL_S",

@@ -11,8 +11,10 @@ These are the functions a downstream user calls::
 p == 1), ``"par"`` (Algorithm 3), ``"memory"`` (pure CGM reference), or
 ``"vm"`` (the Figure 3 LRU-paging baseline).  Every other run option
 (tracer, metrics, faults, checkpoint, resume, runtime, profile,
-validate) is declared once, on :func:`make_engine`; ``em_run`` and the
-``em_*`` helpers forward them.
+overrides, validate) is declared once, on :func:`make_engine`;
+``em_run``, the ``em_*`` helpers and the Group B/C wrappers of
+:mod:`repro.algorithms` forward them, so a knob chosen for one run is an
+argument of that run and never a write to ``os.environ``.
 
 The paper's Section 3 obtains sort / permute / transpose "by simulating
 known CGM algorithms": an operation is a CGM program plus a
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -76,21 +78,24 @@ def make_engine(
     resume: bool = False,
     runtime: RuntimeConfig | None = None,
     profile: str | dict | None = None,
+    overrides: Mapping[str, Any] | None = None,
 ) -> Engine:
     """Engine factory; ``None`` picks seq/par EM (:func:`default_engine`).
 
     Every ``REPRO_*`` knob is resolved here, once, into one per-run
-    :class:`~repro.tune.runtime.RuntimeConfig` snapshot (precedence: CLI
-    flag > environment > tuned profile > default) that the engine and all
-    its storage hold for the whole run — flipping an environment variable
-    between two runs re-resolves cleanly, never half-applies.  Malformed
-    knob values raise a named :class:`~repro.tune.knobs.KnobError` instead
-    of a bare traceback.
+    :class:`~repro.tune.runtime.RuntimeConfig` snapshot (precedence:
+    *overrides* > environment > tuned profile > default) that the engine,
+    all its storage and its worker processes hold for the whole run —
+    flipping an environment variable between two runs re-resolves cleanly,
+    never half-applies.  Malformed knob values raise a named
+    :class:`~repro.tune.knobs.KnobError` instead of a bare traceback.
 
-    *runtime* pins an explicit pre-resolved snapshot (the tuner's probes);
-    *profile* applies a tuned-profile JSON document (path or loaded dict)
-    under the environment, as does ``REPRO_PROFILE`` when neither argument
-    is given.
+    *overrides* maps knob field names to explicit values for this run
+    (the CLI's ``--arena`` / ``--transport`` / ``--nodes``; ``None``
+    entries are skipped); *runtime* pins an explicit pre-resolved snapshot
+    (the tuner's probes), with *overrides* applied on top of it; *profile*
+    applies a tuned-profile JSON document (path or loaded dict) under the
+    environment, as does ``REPRO_PROFILE`` when neither argument is given.
 
     The ``par`` backend switches to the multi-core worker implementation
     when ``cfg.workers > 1`` (or the ``REPRO_WORKERS`` knob requests it
@@ -113,16 +118,16 @@ def make_engine(
     """
     prof_doc: dict | None = None
     if runtime is not None:
-        rt = runtime
+        rt = runtime.with_overrides(overrides)
     else:
-        rt = RuntimeConfig.resolve()
+        rt = RuntimeConfig.resolve(overrides)
         if profile is None and rt.profile:
             profile = rt.profile
         if profile is not None:
             from repro.tune.profile import config_from_profile, load_profile
 
             prof_doc = load_profile(profile) if isinstance(profile, str) else profile
-            rt = RuntimeConfig.resolve(profile=config_from_profile(prof_doc))
+            rt = RuntimeConfig.resolve(overrides, profile=config_from_profile(prof_doc))
     if tracer is None:
         from repro.obs.bus import bus_from_env
 

@@ -259,20 +259,15 @@ class Mismatch:
     old: float
     new: float
     rtol: float
-    kind: str  # "measured" | "timing" | "timing-floor" | "missing"
+    kind: str  # "measured" | "timing" | "missing"
 
     def describe(self) -> str:
         if self.kind == "missing":
             return f"[{self.point}] {self.key}"
         delta = (self.new - self.old) / self.old if self.old else float("inf")
-        bound = (
-            f"floor {self.old * (1 - self.rtol):g}"
-            if self.kind == "timing-floor"
-            else f"tolerance {self.rtol:.1%}"
-        )
         return (
             f"[{self.point}] {self.kind} {self.key}: {self.old:g} -> {self.new:g} "
-            f"({delta:+.1%}, {bound})"
+            f"({delta:+.1%}, tolerance {self.rtol:.1%})"
         )
 
 
@@ -320,7 +315,6 @@ def compare(
     new: dict[str, Any],
     io_rtol: float = 0.0,
     time_rtol: float | None = 0.5,
-    timing_floor: float | None = None,
 ) -> CompareResult:
     """Gate *new* against baseline *old*.
 
@@ -330,11 +324,6 @@ def compare(
     is ``None``.  Points present in the baseline but absent from the new
     run are regressions (coverage must not silently shrink); new extra
     points are fine.
-
-    When ``timing_floor`` is given it replaces the symmetric timing check
-    with a one-sided one for higher-is-better timing metrics (speedup
-    ratios): a timing regresses only when ``new < old * (1 -
-    timing_floor)``.  Arbitrarily large improvements never fail the gate.
     """
     for doc in (old, new):
         errors = validate_document(doc)
@@ -370,28 +359,14 @@ def compare(
                 out.regressions.append(
                     Mismatch(name, key, float(old_val), float(new_val), io_rtol, "measured")
                 )
-        if time_rtol is None and timing_floor is None:
+        if time_rtol is None:
             continue
         for key, old_val in old_point.get("timings", {}).items():
             new_val = new_point.get("timings", {}).get(key)
             if new_val is None:
                 continue  # timing coverage may vary with hardware counters
             out.compared_values += 1
-            if timing_floor is not None:
-                if float(new_val) < float(old_val) * (1 - timing_floor):
-                    out.regressions.append(
-                        Mismatch(
-                            name,
-                            key,
-                            float(old_val),
-                            float(new_val),
-                            timing_floor,
-                            "timing-floor",
-                        )
-                    )
-            elif time_rtol is not None and not _within(
-                float(old_val), float(new_val), time_rtol
-            ):
+            if not _within(float(old_val), float(new_val), time_rtol):
                 out.regressions.append(
                     Mismatch(name, key, float(old_val), float(new_val), time_rtol, "timing")
                 )

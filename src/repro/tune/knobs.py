@@ -2,11 +2,12 @@
 
 Each knob is one :class:`KnobSpec`: its environment variable, value type,
 default, owning subsystem, and a hardened parser.  All environment reads
-and writes of ``REPRO_*`` variables live in this package — consumers call
+of ``REPRO_*`` variables live in this package — consumers call
 :func:`repro.tune.runtime.current` (or hold a per-run
 :class:`~repro.tune.runtime.RuntimeConfig` snapshot) instead of touching
 ``os.environ``, and a lint test greps the rest of the tree to keep it
-that way.
+that way.  Nothing under ``src/repro`` writes the environment: a CLI flag
+or API argument reaches a run as ``make_engine(overrides=...)``.
 
 Malformed values never escape as raw ``ValueError`` tracebacks: every
 parser failure becomes a :class:`KnobError` naming the variable, the
@@ -218,23 +219,6 @@ def read_knob(name: str, environ: "Mapping[str, str] | None" = None) -> Any:
     if spec is None:
         raise KnobError(f"unknown knob {name!r}")
     return spec.read(environ)
-
-
-def set_env(env: str, value: "str | None") -> None:
-    """Write (or with ``None`` clear) one knob's environment variable.
-
-    The single sanctioned ``os.environ`` write path for ``REPRO_*``
-    variables: callers like the CLI's ``--arena`` / ``--transport`` route
-    through here so child processes (the workers backend) inherit the
-    setting and the centralization lint stays clean.
-    """
-    if env not in KNOB_BY_ENV:
-        raise KnobError(f"unknown knob environment variable {env!r}")
-    if value is None:
-        os.environ.pop(env, None)
-    else:
-        KNOB_BY_ENV[env].coerce(value)  # refuse to install a malformed value
-        os.environ[env] = value
 
 
 def _fmt_default(val: Any) -> str:

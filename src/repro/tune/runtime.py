@@ -8,6 +8,9 @@ flip while the arena choice, cached at import time, did not).
 
 Precedence, lowest to highest: registry default < tuned-profile entry <
 environment variable < explicit override (CLI flag / API argument).
+Resolution only ever reads the environment: an override is an argument
+(``make_engine(overrides=...)``), and worker processes get the
+coordinator's snapshot shipped to them, not an edited environ.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ import os
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from repro.tune import knobs
 from repro.tune.knobs import (
     DEFAULT_SHM_THRESHOLD,
     KNOB_BY_NAME,
@@ -53,6 +55,24 @@ class RuntimeConfig:
         """Field-name → value for every registered knob."""
         return {spec.name: getattr(self, spec.name) for spec in KNOBS}
 
+    def with_overrides(
+        self, overrides: "Mapping[str, Any] | None"
+    ) -> "RuntimeConfig":
+        """This snapshot with explicit (CLI/API) values applied on top.
+
+        ``None`` entries are ignored so callers can pass optional flags
+        straight through; strings go through the knob's parser, so a
+        malformed one raises a :class:`KnobError` naming the variable.
+        """
+        changes: dict[str, Any] = {}
+        for name, val in (overrides or {}).items():
+            spec = KNOB_BY_NAME.get(name)
+            if spec is None:
+                raise KnobError(f"unknown knob override {name!r}")
+            if val is not None:
+                changes[name] = spec.coerce(val) if isinstance(val, str) else val
+        return self.replace(**changes) if changes else self
+
     @classmethod
     def resolve(
         cls,
@@ -65,8 +85,7 @@ class RuntimeConfig:
         *profile* maps knob field names to values as found in a tuned
         profile's ``config`` section; entries are validated through the
         same parsers as environment input.  *overrides* are explicit
-        (CLI/API) values applied last; ``None`` entries are ignored so
-        callers can pass optional flags straight through.
+        (CLI/API) values applied last (:meth:`with_overrides`).
         """
         env = os.environ if environ is None else environ
         values: dict[str, Any] = {s.name: s.default for s in KNOBS}
@@ -83,15 +102,7 @@ class RuntimeConfig:
             raw = env.get(spec.env)
             if raw is not None and raw.strip():
                 values[spec.name] = spec.coerce(raw)
-        if overrides:
-            for name, val in overrides.items():
-                spec = KNOB_BY_NAME.get(name)
-                if spec is None:
-                    raise KnobError(f"unknown knob override {name!r}")
-                if val is None:
-                    continue
-                values[name] = spec.coerce(str(val)) if isinstance(val, str) else val
-        return cls(**values)
+        return cls(**values).with_overrides(overrides)
 
     @classmethod
     def from_env(
@@ -108,16 +119,3 @@ def current() -> RuntimeConfig:
     """
     return RuntimeConfig.from_env()
 
-
-def apply_to_env(rt: RuntimeConfig) -> None:
-    """Mirror a snapshot into ``os.environ`` for child processes.
-
-    Only used by test helpers and the tuner's subprocess probes; the
-    engines themselves pass snapshots explicitly.
-    """
-    for spec in KNOBS:
-        val = getattr(rt, spec.name)
-        if val is None or val == spec.default:
-            knobs.set_env(spec.env, None)
-        else:
-            knobs.set_env(spec.env, str(val))

@@ -14,9 +14,8 @@ import numpy as np
 import pytest
 from scipy.spatial import Delaunay
 
-from repro.algorithms.collectives import partition_array
 from repro.cgm.config import MachineConfig
-from repro.em.runner import em_run, em_sort
+from repro.em.runner import em_sort
 
 
 class TestBalancedGroupA:
@@ -42,60 +41,39 @@ class TestBalancedGroupB:
     def test_delaunay_balanced(self, rng):
         pts = rng.random((500, 2))
         import repro.algorithms.geometry as geo
-        from repro.algorithms.geometry.delaunay import DelaunayCGM
 
         cfg = MachineConfig(N=3 * 500, v=4, D=2, B=32)
-        rows = np.column_stack((pts, np.arange(500, dtype=np.float64)))
-        res = em_run(
-            DelaunayCGM(n_points=500),
-            partition_array(rows, 4),
-            cfg,
-            engine="seq",
-            balanced=True,
-        )
+        res = geo.delaunay_2d(pts, cfg, engine="seq", balanced=True)
         ref = {tuple(sorted(map(int, t))) for t in Delaunay(pts).simplices}
-        assert {tuple(t) for t in res.outputs[0]["triangles"]} == ref
+        assert {tuple(t) for t in res.values} == ref
 
     def test_dominance_balanced(self, rng):
         import repro.algorithms.geometry as geo
-        from repro.algorithms.geometry.dominance import DominanceCount, dominance_reference
+        from repro.algorithms.geometry.dominance import dominance_reference
 
         pts = rng.random((200, 2))
         w = rng.random(200)
-        rows = np.column_stack((pts, w, np.arange(200, dtype=np.float64)))
-        cfg = MachineConfig(N=rows.size, v=4, D=2, B=32)
-        res = em_run(DominanceCount(), partition_array(rows, 4), cfg, "seq", balanced=True)
-        out = np.zeros(200)
-        for o in res.outputs:
-            for gid, val in o:
-                out[int(gid)] = val
-        assert np.allclose(out, dominance_reference(pts, w))
+        cfg = MachineConfig(N=4 * 200, v=4, D=2, B=32)
+        res = geo.dominance_counts(pts, w, cfg, "seq", balanced=True)
+        assert np.allclose(res.values, dominance_reference(pts, w))
 
 
 class TestBalancedGroupC:
     def test_connected_components_balanced(self):
         import networkx as nx
 
-        from repro.algorithms.graphs.connectivity import ConnectedComponents
+        from repro.algorithms.graphs import connected_components
 
         n = 200
         G = nx.gnm_random_graph(n, 300, seed=2)
-        edges = np.array(G.edges())
-        rows = np.column_stack((np.arange(len(edges)), edges))
         cfg = MachineConfig(N=n, v=4, D=2, B=16)
-        res = em_run(
-            ConnectedComponents(n), partition_array(rows, 4), cfg, "seq", balanced=True
-        )
-        comp = np.concatenate([o[0] for o in res.outputs])
+        res = connected_components(np.array(G.edges()), n, cfg, "seq", balanced=True)
         for cc in nx.connected_components(G):
-            assert {comp[u] for u in cc} == {min(cc)}
+            assert {res.values[u] for u in cc} == {min(cc)}
 
     def test_expression_eval_balanced(self, rng):
-        from repro.algorithms.collectives import slice_bounds
-        from repro.algorithms.graphs.tree_contraction import (
-            ExpressionEval,
-            eval_expression_direct,
-        )
+        from repro.algorithms.graphs import expression_eval
+        from repro.algorithms.graphs.tree_contraction import eval_expression_direct
 
         n = 150
         parent = np.full(n, -1, dtype=np.int64)
@@ -112,13 +90,9 @@ class TestBalancedGroupC:
                 avail.pop(k)
             avail.append(u)
         cfg = MachineConfig(N=n, v=4, D=2, B=16)
-        inputs = []
-        for pid in range(4):
-            lo, hi = slice_bounds(n, 4, pid)
-            inputs.append((parent[lo:hi], op[lo:hi], val[lo:hi]))
-        res = em_run(ExpressionEval(), inputs, cfg, "seq", balanced=True)
+        res = expression_eval(parent, op, val, cfg, "seq", balanced=True)
         expect = eval_expression_direct(parent, op, val, 0)
-        assert res.outputs[0] == pytest.approx(expect, rel=1e-9)
+        assert res.values == pytest.approx(expect, rel=1e-9)
 
     def test_balanced_on_par_engine(self, rng):
         n = 1 << 12

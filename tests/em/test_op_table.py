@@ -30,7 +30,7 @@ def _without_ambient_faults(counters: dict) -> dict:
 def test_cli_spec_and_direct_call_are_the_same_run(op, engine, p):
     argv = [op, "--n", str(N), "--seed", str(SEED), "--v", "8", "--p", str(p),
             "--b", "64", "--engine", engine]
-    cli_res, cli_ok, _label = _run_op(build_parser().parse_args(argv))
+    cli_values, cli_report, cli_cfg, cli_ok, _ = _run_op(build_parser().parse_args(argv))
 
     local = run_spec_local({
         "op": op, "n": N, "seed": SEED, "engine": engine,
@@ -38,17 +38,17 @@ def test_cli_spec_and_direct_call_are_the_same_run(op, engine, p):
     })["result"]
 
     raw = OPS[op].generate(make_rng(SEED), N)
-    direct = getattr(runner, f"em_{op}")(*raw, cli_res.cfg, engine=engine)
+    direct = getattr(runner, f"em_{op}")(*raw, cli_cfg, engine=engine)
 
     assert cli_ok and local["ok"]
     assert np.array_equal(direct.values, OPS[op].reference(*raw))
     assert (
-        output_sha256(cli_res.values)
+        output_sha256(cli_values)
         == output_sha256(direct.values)
         == local["output_sha256"]
     )
     want = _without_ambient_faults(local["counters"])
-    assert _without_ambient_faults(_counters(cli_res.report)) == want
+    assert _without_ambient_faults(_counters(cli_report)) == want
     assert _without_ambient_faults(_counters(direct.report)) == want
 
 
@@ -80,11 +80,13 @@ def test_transpose_rows_cols_is_the_tables_shape():
     default row count; an explicit shape overrides it."""
     parse = build_parser().parse_args
     base = ["transpose", "--v", "4", "--b", "32", "--seed", "3"]
-    by_n, ok_n, label_n = _run_op(parse(base + ["--n", "8192"]))
-    by_shape, ok_shape, label_shape = _run_op(parse(base + ["--rows", "64", "--cols", "128"]))
-    assert ok_n and ok_shape and label_n == label_shape == "transposed 64x128"
-    assert output_sha256(by_n.values) == output_sha256(by_shape.values)
-    wide, ok_wide, label_wide = _run_op(parse(base + ["--rows", "16", "--cols", "512"]))
-    assert ok_wide and label_wide == "transposed 16x512" and wide.values.shape == (512, 16)
+    by_n, *_, ok_n, line_n = _run_op(parse(base + ["--n", "8192"]))
+    by_shape, *_, ok_shape, line_shape = _run_op(
+        parse(base + ["--rows", "64", "--cols", "128"])
+    )
+    assert ok_n and ok_shape and line_n == line_shape == "transposed 64x128: OK"
+    assert output_sha256(by_n) == output_sha256(by_shape)
+    wide, *_, ok_wide, line_wide = _run_op(parse(base + ["--rows", "16", "--cols", "512"]))
+    assert ok_wide and line_wide == "transposed 16x512: OK" and wide.shape == (512, 16)
     with pytest.raises(ConfigurationError, match="go together"):
         _run_op(parse(base + ["--rows", "16"]))

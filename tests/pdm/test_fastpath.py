@@ -25,7 +25,7 @@ from repro.pdm.arena import MAX_DIRECT_TRACK, TrackArena
 from repro.pdm.block import blocks_for_bytes
 from repro.pdm.disk_array import DiskArray, _build_plan, greedy_batch_widths
 from repro.pdm.fastpath import BlockRun, BufferPool
-from repro.tune.knobs import DEFAULT_SHM_THRESHOLD, KNOB_BY_ENV, KnobError, set_env
+from repro.tune.knobs import DEFAULT_SHM_THRESHOLD, KNOB_BY_ENV, KnobError
 from repro.tune.runtime import RuntimeConfig, current
 from repro.util.items import ITEM_BYTES
 from repro.util.validation import SimulationError
@@ -434,7 +434,7 @@ def test_clean_sort_moves_every_context_as_slices(monkeypatch, engine, arena, ba
 
 def test_fastpath_env_flag(monkeypatch):
     """There is one I/O path: the retired switch is not a knob, a stale
-    value in the environment is ignored, and nothing can install it."""
+    value in the environment is ignored, and no override can name it."""
     assert "REPRO_FASTPATH" not in KNOB_BY_ENV
     before = current()
     monkeypatch.setenv("REPRO_FASTPATH", "0")
@@ -443,8 +443,8 @@ def test_fastpath_env_flag(monkeypatch):
     run = BlockRun(b"12345678", 1, ITEM_BYTES)
     arr.write_run(np.asarray([0]), np.asarray([0]), run)
     assert arr.try_gather(np.asarray([0]), np.asarray([0]), np.empty(8, np.uint8))
-    with pytest.raises(KnobError, match="REPRO_FASTPATH"):
-        set_env("REPRO_FASTPATH", "0")
+    with pytest.raises(KnobError, match="fastpath"):
+        before.with_overrides({"fastpath": "0"})
 
 
 def test_shm_threshold_knob(monkeypatch):

@@ -15,8 +15,7 @@ from repro.pdm.arena import TrackArena
 from repro.pdm.disk_array import DiskArray
 from repro.pdm.fastpath import BlockRun
 from repro.pdm.mmap_arena import MmapTrackArena, make_arena
-from repro.tune.knobs import set_env
-from repro.tune.runtime import current
+from repro.tune.runtime import RuntimeConfig, current
 from repro.util.items import ITEM_BYTES
 from repro.util.validation import ConfigurationError, SimulationError
 
@@ -128,15 +127,18 @@ class TestSelection:
         monkeypatch.setenv("REPRO_ARENA", "tape")
         with pytest.raises(ConfigurationError, match="REPRO_ARENA"):
             current()
-        with pytest.raises(ConfigurationError, match="REPRO_ARENA"):
-            set_env("REPRO_ARENA", "tape")
+        monkeypatch.delenv("REPRO_ARENA")
+        with pytest.raises(ConfigurationError, match="REPRO_ARENA.*tape"):
+            RuntimeConfig.resolve(overrides={"arena": "tape"})
 
     def test_set_arena_kind_writes_env(self, monkeypatch):
-        """``set_env`` is how the CLI's ``--arena`` selects the backend."""
+        """(Named for the retired ``set_env``.)  The CLI's ``--arena``
+        selects the backend as an override of one resolution: it beats the
+        variable and leaves the environment as it was."""
         monkeypatch.setenv("REPRO_ARENA", "ram")
-        set_env("REPRO_ARENA", "mmap")
-        assert os.environ["REPRO_ARENA"] == "mmap"
-        assert current().arena == "mmap"
+        assert RuntimeConfig.resolve(overrides={"arena": "mmap"}).arena == "mmap"
+        assert os.environ["REPRO_ARENA"] == "ram"
+        assert current().arena == "ram"
 
     def test_disk_array_bit_identity_across_arenas(self, monkeypatch):
         """The same write/read stream produces identical IOStats, counters

@@ -44,12 +44,23 @@ class TestParser:
          ["--checkpoint", "ck"], ["--resume"], ["--crosscheck"], ["--balanced"]],
     )
     def test_commands_reject_flags_they_never_read(self, cmd, flag, capsys):
-        """A command registers only the option groups it reads: the
-        graph/geometry commands used to accept these and ignore them."""
-        with pytest.raises(SystemExit) as exc:
-            main([cmd, "--n", "200", *flag])
-        assert exc.value.code == 2
-        assert "unrecognized arguments" in capsys.readouterr().err
+        """A command registers only the option groups it reads.  ``machine``
+        reads none of these; the graph/geometry commands once accepted and
+        ignored them, then rejected them, and now read every one — they are
+        ``cmd_run`` with the flag set of sort/permute/transpose."""
+        if cmd == "machine":
+            with pytest.raises(SystemExit) as exc:
+                main([cmd, "--n", "200", *flag])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+            return
+
+        def parsed(command):
+            args = build_parser().parse_args([command, "--n", "200", *flag])
+            own = ("command", "op", "run", "edges")  # its name, run step, cc's extra
+            return {k: v for k, v in vars(args).items() if k not in own}
+
+        assert parsed(cmd) == parsed("sort")
 
 
 class TestCommands:
@@ -508,16 +519,183 @@ class TestKnobErrors:
         assert "sorted 2048 items: OK" in capsys.readouterr().out
 
 
+def _spy_on_make_engine(monkeypatch) -> list:
+    """Record ``(keyword arguments, resolved RuntimeConfig)`` per engine."""
+    from repro.em import runner
+
+    calls = []
+    real = runner.make_engine
+
+    def spy(*args, **kwargs):
+        eng = real(*args, **kwargs)
+        calls.append((kwargs, eng.runtime))
+        return eng
+
+    monkeypatch.setattr(runner, "make_engine", spy)
+    return calls
+
+
 def test_arena_flag_goes_through_the_knob_layer(monkeypatch, capsys):
-    """``--arena`` is ``set_env("REPRO_ARENA", ...)``, like ``--transport``:
-    written to the environment so worker processes inherit it."""
+    """``--arena`` / ``--transport`` / ``--nodes`` are the explicit level of
+    one ``RuntimeConfig`` resolution, not writes to the environment: the
+    CLI is re-entrant.  (It used to ``set_env`` all three, so a flagless
+    ``main()`` after this one ran on mmap/memory.)"""
     import os
 
-    monkeypatch.setenv("REPRO_ARENA", "ram")  # restored on teardown
-    argv = ["sort", "--n", "2048", "--v", "4", "--b", "64", "--arena", "mmap"]
-    assert main(argv) == 0
-    assert os.environ["REPRO_ARENA"] == "mmap"
+    from repro.tune.runtime import current
+
+    calls = _spy_on_make_engine(monkeypatch)
+    ambient = {k: v for k, v in os.environ.items() if k.startswith("REPRO_")}
+    flags = ["--arena", "mmap", "--transport", "memory", "--nodes", "127.0.0.1:1"]
+    assert main(["sort", "--n", "2048", "--v", "4", "--b", "64", *flags]) == 0
     assert "sorted 2048 items: OK" in capsys.readouterr().out
+    assert {k: v for k, v in os.environ.items() if k.startswith("REPRO_")} == ambient
+    assert main(["listrank", "--n", "512", "--v", "4", "--b", "32"]) == 0
+    (_, flagged), (_, flagless) = calls
+    assert (flagged.arena, flagged.transport, flagged.nodes) == (
+        "mmap", "memory", "127.0.0.1:1"
+    )
+    assert flagless == current()  # ram/shm unless a CI lane's variable says otherwise
+
+
+class TestBackendFlagsAreArguments:
+    """The positive half of re-entrancy: what the flags still reach."""
+
+    SORT = ["sort", "--n", "8192", "--v", "8", "--b", "64", "--p", "2", "--engine", "par"]
+
+    def test_workers_get_the_arena_from_the_shipped_snapshot(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """Worker processes never inherited the flag through their environ
+        alone — the coordinator ships its snapshot — so with the write gone
+        they still build mmap arenas, and close them."""
+        spill = tmp_path / "spill"
+        spill.mkdir()
+        monkeypatch.setenv("REPRO_SPILL_DIR", str(spill))
+        trace = tmp_path / "t.jsonl"
+        argv = self.SORT + ["--workers", "2", "--arena", "mmap", "--trace", str(trace)]
+        assert main(argv) == 0
+        grows = [e for e in read_jsonl(str(trace)) if e["kind"] == "arena_grow"]
+        assert {e["worker"] for e in grows} == {0, 1}
+        assert {e["backend"] for e in grows} == {"mmap"}
+        assert list(spill.iterdir()) == []
+
+    def test_tcp_without_nodes_is_one_line_rc_3(self, monkeypatch, capsys):
+        monkeypatch.delenv("REPRO_NODES", raising=False)
+        assert main(self.SORT + ["--transport", "tcp"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "REPRO_NODES" in err and "Traceback" not in err
+
+    def test_malformed_nodes_flag_is_a_named_rc_2(self, capsys):
+        assert main(self.SORT + ["--nodes", "localhost:notaport"]) == 2
+        err = capsys.readouterr().err
+        assert "REPRO_NODES" in err and err.count("\n") == 1
+
+    def test_flag_beats_env_beats_profile(self, tmp_path, monkeypatch, capsys):
+        from repro.tune.profile import TunedProfile
+
+        calls = _spy_on_make_engine(monkeypatch)
+        profile = str(tmp_path / "p.json")
+        TunedProfile(
+            workload={"op": "sort", "n": 2048, "p": 1, "seed": 0},
+            machine={"v": 4, "D": 2, "B": 64},
+            config={"arena": "mmap", "shm_bytes": 4096},
+        ).save(profile)
+        run = ["sort", "--n", "2048", "--profile", profile]
+        monkeypatch.delenv("REPRO_ARENA", raising=False)
+        monkeypatch.delenv("REPRO_SHM_BYTES", raising=False)
+        assert main(run) == 0  # the profile alone
+        monkeypatch.setenv("REPRO_ARENA", "ram")
+        assert main(run) == 0  # the variable over the profile
+        assert main(run + ["--arena", "mmap"]) == 0  # the flag over both
+        assert [rt.arena for _, rt in calls] == ["mmap", "ram", "mmap"]
+        assert [rt.shm_bytes for _, rt in calls] == [4096] * 3
+
+
+class TestGraphGeometryCommandsShareTheFrontDoor:
+    """``delaunay`` / ``cc`` / ``listrank`` keep their generator and check
+    and run through ``cmd_run``: same flags, same option forwarding, same
+    report / trace / metrics / crosscheck tail as sort/permute/transpose."""
+
+    RUNS = {
+        "listrank": ["listrank", "--n", "512", "--v", "4", "--b", "32"],
+        "cc": ["cc", "--n", "200", "--edges", "300", "--v", "4", "--b", "32"],
+        "delaunay": ["delaunay", "--n", "300", "--v", "4", "--b", "32"],
+    }
+
+    def test_the_six_run_commands_list_one_flag_set(self, capsys):
+        import re
+
+        flags = {}
+        for cmd in ("sort", "permute", "transpose", *self.RUNS):
+            with pytest.raises(SystemExit):
+                main([cmd, "--help"])
+            flags[cmd] = set(re.findall(r"^  (--[a-z-]+)", capsys.readouterr().out, re.M))
+        assert {"--balanced", "--faults", "--trace", "--metrics", "--arena"} <= flags["sort"]
+        assert flags.pop("transpose") - flags["sort"] == {"--rows", "--cols"}
+        assert flags.pop("cc") - flags["sort"] == {"--edges"}
+        assert all(f == flags["sort"] for f in flags.values())
+
+    @pytest.mark.parametrize("cmd", RUNS)
+    def test_profile_knob_section_reaches_make_engine(
+        self, cmd, tmp_path, monkeypatch, capsys
+    ):
+        """``--profile`` used to fill --v/--d/--b and stop there on these
+        three: the knob section never got to ``make_engine``."""
+        from repro.tune.profile import TunedProfile
+
+        monkeypatch.delenv("REPRO_SHM_BYTES", raising=False)
+        calls = _spy_on_make_engine(monkeypatch)
+        profile, trace = str(tmp_path / "p.json"), str(tmp_path / "t.jsonl")
+        TunedProfile(
+            workload={"op": "sort", "n": 2048, "p": 1, "seed": 0},
+            machine={"v": 4, "D": 2, "B": 32},
+            config={"shm_bytes": 4096},
+        ).save(profile)
+        assert main(self.RUNS[cmd] + ["--profile", profile, "--trace", trace]) == 0
+        ((options, runtime),) = calls
+        assert options["profile"]["config"] == {"shm_bytes": 4096}
+        assert runtime.shm_bytes == 4096
+        kinds = [e["kind"] for e in read_jsonl(trace)]
+        assert kinds.index("tuned_config") < kinds.index("run_begin")
+
+    def test_machine_line_is_the_config_that_ran(self, capsys):
+        """The wrappers size ``M`` for the stage; the report used to echo
+        ``--m`` for a run that never saw it."""
+        from repro.cgm.config import MachineConfig
+
+        assert main(["listrank", "--n", "512", "--v", "4", "--b", "16", "--m", "600"]) == 0
+        out = capsys.readouterr().out
+        assert "M=600" not in out
+        assert f"M={MachineConfig(N=512, v=4, D=2, B=16).M}," in out
+
+    def test_balanced_faulted_checkpoint_then_resume(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text(json.dumps({
+            "seed": 7, "p_transient_read": 0.05, "p_transient_write": 0.05,
+            "retry": {"max_retries": 6},
+        }))
+        argv = self.RUNS["listrank"] + [
+            "--balanced", "--faults", str(plan), "--checkpoint", str(tmp_path / "ck"),
+        ]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert "list ranking of 512 nodes: OK" in first and "injected faults" in first
+        assert main(argv + ["--resume"]) == 0
+        resumed = capsys.readouterr().out
+        assert [ln for ln in first.splitlines() if "I/Os" in ln] == [
+            ln for ln in resumed.splitlines() if "I/Os" in ln
+        ]
+
+    def test_output_tail(self, tmp_path, capsys):
+        prom = tmp_path / "m.prom"
+        argv = self.RUNS["cc"] + ["--balanced", "--crosscheck", "--metrics", str(prom)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "components: OK" in out and "output sha256" in out
+        assert "all checks passed" in out
+        assert "repro_parallel_ios_total" in prom.read_text()
 
 
 class TestServeBindErrors:

@@ -56,18 +56,13 @@ class TestParallelEnginePipelines:
         for a, b in zip(order[:-1], order[1:]):
             succ[a] = b
         cfg = MachineConfig(N=n, v=8, p=2, D=2, B=16)
-        from repro.algorithms.collectives import partition_array
-        from repro.algorithms.graphs.list_ranking import ListRanking
-        from repro.em.runner import em_run
+        from repro.algorithms.graphs import list_rank
 
-        weights = (succ >= 0).astype(np.float64)
-        inputs = list(zip(partition_array(succ, 8), partition_array(weights, 8)))
-        res = em_run(ListRanking(), inputs, cfg, engine="par", balanced=True)
-        ranks = np.concatenate(res.outputs)
+        res = list_rank(succ, cfg, engine="par", balanced=True)
         expect = np.empty(n)
         for i, node in enumerate(order):
             expect[node] = n - 1 - i
-        assert np.array_equal(ranks, expect)
+        assert np.array_equal(res.values, expect)
 
 
 class TestBSPConversionAgreesWithEngine:

@@ -19,8 +19,8 @@ from repro.tune.knobs import (
     KnobError,
     read_knob,
     render_knob_table,
-    set_env,
 )
+from repro.tune.runtime import current
 from repro.util.validation import ConfigurationError
 
 
@@ -43,6 +43,11 @@ def test_every_knob_rejects_malformed_input_by_name(spec):
     msg = str(err.value)
     assert "\n" not in msg
     assert spec.invalid_example in msg
+    # the same spelling as an explicit override (a CLI flag, an API
+    # argument) is refused with the same line, before anything runs
+    with pytest.raises(KnobError) as again:
+        current().with_overrides({spec.name: spec.invalid_example})
+    assert str(again.value) == msg
 
 
 def test_knob_error_is_a_configuration_error():
@@ -69,15 +74,15 @@ def test_bool_tokens():
 
 def test_fastpath_grammar():
     """The retired I/O-path switch has no grammar left: it is not in the
-    registry (12 knobs -> 11), so no spelling can be read or installed."""
+    registry (12 knobs -> 11), so no spelling can be read or overridden."""
     assert len(KNOBS) == 10
     assert "REPRO_FASTPATH" not in KNOB_BY_ENV and "fastpath" not in KNOB_BY_NAME
     assert "FASTPATH" not in render_knob_table()
     for name in ("fastpath", "REPRO_FASTPATH"):
         with pytest.raises(KnobError, match="unknown knob"):
             read_knob(name, environ={"REPRO_FASTPATH": "auto:128"})
-    with pytest.raises(KnobError, match="REPRO_FASTPATH"):
-        set_env("REPRO_FASTPATH", "1")
+    with pytest.raises(KnobError, match="unknown knob override 'fastpath'"):
+        current().with_overrides({"fastpath": "1"})
 
 
 def test_prefetch_knob_is_retired():
@@ -87,8 +92,8 @@ def test_prefetch_knob_is_retired():
     for name in ("prefetch", "REPRO_PREFETCH"):
         with pytest.raises(KnobError, match="unknown knob"):
             read_knob(name, environ={"REPRO_PREFETCH": "0"})
-    with pytest.raises(KnobError, match="REPRO_PREFETCH"):
-        set_env("REPRO_PREFETCH", "0")
+    with pytest.raises(KnobError, match="unknown knob override 'prefetch'"):
+        current().with_overrides({"prefetch": "0"})
 
 
 def test_arena_kinds():
@@ -125,20 +130,6 @@ def test_read_knob_by_name_and_env(monkeypatch):
     assert read_knob("workers", environ={}) == 0
     with pytest.raises(KnobError, match="unknown knob"):
         read_knob("REPRO_BOGUS")
-
-
-def test_set_env_validates_before_writing(monkeypatch):
-    import os
-
-    with pytest.raises(KnobError, match="REPRO_WORKERS"):
-        set_env("REPRO_WORKERS", "two")
-    assert "REPRO_WORKERS" not in os.environ
-    set_env("REPRO_WORKERS", "2")
-    assert os.environ["REPRO_WORKERS"] == "2"
-    set_env("REPRO_WORKERS", None)
-    assert "REPRO_WORKERS" not in os.environ
-    with pytest.raises(KnobError, match="REPRO_BOGUS"):
-        set_env("REPRO_BOGUS", "1")
 
 
 def test_render_knob_table_covers_every_knob():

@@ -18,7 +18,7 @@ from repro.em.runner import make_engine
 from repro.pdm.arena import TrackArena
 from repro.pdm.mmap_arena import MmapTrackArena
 from repro.tune.knobs import DEFAULT_SHM_THRESHOLD, KnobError
-from repro.tune.runtime import RuntimeConfig, apply_to_env, current
+from repro.tune.runtime import RuntimeConfig, current
 
 
 class TestResolve:
@@ -104,14 +104,6 @@ def test_current_is_uncached(monkeypatch):
     assert current().arena == "mmap"
 
 
-def test_apply_to_env_roundtrip(monkeypatch):
-    rt = RuntimeConfig(workers=2, shm_bytes=4096, arena="mmap")
-    apply_to_env(rt)
-    assert current() == rt
-    apply_to_env(RuntimeConfig())
-    assert current() == RuntimeConfig()
-
-
 # ------------------------------------------------- per-run snapshot regression
 
 
@@ -173,3 +165,22 @@ def test_env_flip_mid_process_does_not_leak_into_resolved_engine(monkeypatch):
     monkeypatch.setenv("REPRO_SHM_BYTES", "0")
     assert eng.runtime.shm_bytes == 4096
     assert current().shm_bytes is None
+
+
+def test_make_engine_overrides_beat_the_env_and_ride_on_a_pinned_runtime(monkeypatch):
+    """``overrides=`` is the explicit level of the precedence chain: above
+    the variable, on top of a pinned ``runtime=`` (never silently dropped),
+    validated by the knob's parser, and never written anywhere."""
+    import os
+
+    cfg = MachineConfig(N=1 << 10, v=4, D=2, B=32)
+    monkeypatch.setenv("REPRO_ARENA", "ram")
+    eng = make_engine(cfg, overrides={"arena": "mmap", "nodes": None})
+    assert (eng.runtime.arena, eng.runtime.nodes) == ("mmap", None)
+    assert os.environ["REPRO_ARENA"] == "ram"
+    pinned = RuntimeConfig(shm_bytes=4096)
+    rt = make_engine(cfg, runtime=pinned, overrides={"arena": "mmap"}).runtime
+    assert (rt.arena, rt.shm_bytes) == ("mmap", 4096)
+    assert make_engine(cfg, runtime=pinned, overrides={}).runtime is pinned
+    with pytest.raises(KnobError, match="REPRO_ARENA"):
+        make_engine(cfg, runtime=pinned, overrides={"arena": "tape"})

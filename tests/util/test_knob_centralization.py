@@ -1,8 +1,10 @@
-"""Lint: every ``REPRO_*`` environment read goes through the knob registry,
-the retired I/O-path switch and prefetch thread stay retired, there is
-one compound superstep (one round loop, one routing step, no worker engine
-class), and the Figure-5 Group-A operations have one definition (the op
-table).
+"""Lint: every ``REPRO_*`` environment read goes through the knob registry
+and nothing writes the environment, the retired I/O-path switch and
+prefetch thread stay retired, there is one compound superstep (one round
+loop, one routing step, no worker engine class), the Figure-5 Group-A
+operations have one definition (the op table), and every Figure-5 run has
+one front door (options are ``make_engine`` arguments the wrappers forward;
+one CLI run handler).
 
 The tentpole's centralization contract — ad-hoc ``os.environ`` reads of
 runtime knobs are how the inconsistent-caching bug happened, so outside
@@ -39,6 +41,19 @@ _ROUND_FORK = re.compile(
 _OP_FORK = re.compile(
     r"reference_output|\b_assemble\b|_note_trace_unsupported"
     r"|cmd_sort|cmd_permute|cmd_transpose"
+)
+
+#: the environment write path, the per-command B/C handlers, the per-module
+#: stage-config helpers and result classes, and the one-sided timing gate
+_SIDE_DOORS = re.compile(
+    r"set_env|apply_to_env|cmd_delaunay|cmd_cc|cmd_listrank|_stage_cfg|_adapt_cfg"
+    r"|class GeoResult|timing_floor"
+)
+
+#: an assignment into os.environ (subscript store, or the mutating methods)
+_ENV_WRITE = re.compile(
+    r"os\.environ\[[^]]*\]\s*=[^=]|os\.environ\.(update|setdefault|pop)\b"
+    r"|\bos\.putenv\b"
 )
 
 
@@ -145,10 +160,43 @@ def test_one_definition_of_the_group_a_operations():
     assert len(KNOBS) == 10
 
 
+def test_one_front_door_for_every_figure_5_run():
+    import inspect
+
+    from repro import algorithms, cli
+    from repro.algorithms import collectives
+
+    offenders = _offenders(_SIDE_DOORS, skip_tune=False)
+    assert not offenders, (
+        "run options are make_engine arguments (overrides=, not os.environ), "
+        "forwarded by every Group B/C wrapper through collectives.run_stage, "
+        "and all six CLI run commands are cmd_run:\n" + "\n".join(offenders)
+    )
+    assert not _offenders(_ENV_WRITE, skip_tune=False)
+    # every engine run of a wrapper goes through the one stage helper ...
+    algo_root = Path(algorithms.__file__).resolve().parent
+    callers = [
+        str(path.relative_to(algo_root))
+        for path in sorted(algo_root.rglob("*.py"))
+        if re.search(r"\bem_run\(", path.read_text())
+    ]
+    assert callers == ["collectives.py"]
+    assert inspect.getsource(collectives).count("em_run(") == 1
+    # ... one class holds values/reports/extra ...
+    holders = [
+        path.name
+        for path in sorted(algo_root.rglob("*.py"))
+        if re.search(r"^\s+reports: list\[", path.read_text(), re.M)
+    ]
+    assert holders == ["collectives.py"]
+    # ... and the six run commands share one handler
+    assert inspect.getsource(cli).count("def cmd_") == 11
+
+
 def test_no_raw_repro_environ_access_outside_tune():
     offenders = _offenders(_PATTERN, skip_tune=True)
     assert not offenders, (
         "raw REPRO_* environment access outside repro.tune (use "
-        "repro.tune.runtime.current()/RuntimeConfig or knobs.set_env):\n"
-        + "\n".join(offenders)
+        "repro.tune.runtime.current(), or make_engine(overrides=...) to set "
+        "one for a run):\n" + "\n".join(offenders)
     )
