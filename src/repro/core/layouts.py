@@ -27,16 +27,8 @@ band-set ``(r-1) mod 2``.
 from __future__ import annotations
 
 import bisect
-from functools import lru_cache
 
-import numpy as np
-
-#: The layouts alternate with period two (Observation 2), so a run asks for
-#: the same few address patterns every round: each is computed once per
-#: distinct integer argument tuple.  Runs longer than this are recomputed
-#: instead — the memo removes a fixed per-call cost that moving a long run
-#: dwarfs — which bounds each memo at 1024 entries of 16 KiB.
-ADDRESS_MEMO_MAX_BLOCKS = 1024
+from repro.pdm.block import Runs
 
 
 def consecutive_addresses(
@@ -50,45 +42,17 @@ def consecutive_addresses(
     return out
 
 
-def _frozen(lin: np.ndarray, D: int, start_track: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(disks, tracks)`` of linear offsets, read-only: the arrays are
-    shared by every caller that asks for the same addresses."""
-    disks, tracks = lin % D, start_track + lin // D
-    disks.flags.writeable = tracks.flags.writeable = False
-    return disks, tracks
-
-
-@lru_cache(maxsize=1024)
-def _consecutive(nblocks: int, D: int, start_track: int, start_disk: int):
-    return _frozen(start_disk + np.arange(nblocks, dtype=np.int64), D, start_track)
-
-
-@lru_cache(maxsize=1024)
-def _inbox(D: int, start_track: int, slot_blocks: int, d_j: int, blocks_by_src: tuple):
-    srcs = np.asarray([s for s, _ in blocks_by_src], dtype=np.int64)
-    counts = np.asarray([n for _, n in blocks_by_src], dtype=np.int64)
-    if int(counts.max(initial=0)) > slot_blocks:
-        bad = int(counts[counts > slot_blocks][0])
-        raise ValueError(f"message of {bad} blocks exceeds slot of {slot_blocks}")
-    total = int(counts.sum())
-    starts = d_j + srcs * slot_blocks
-    ends = np.cumsum(counts)
-    # within-slot block index q for every output position
-    q = np.arange(total, dtype=np.int64) - np.repeat(ends - counts, counts)
-    return _frozen(np.repeat(starts, counts) + q, D, start_track)
-
-
 def consecutive_addresses_np(
-    nblocks: int, D: int, start_track: int, start_disk: int = 0
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`consecutive_addresses`: ``(disks, tracks)`` arrays.
+    nblocks: int, start_track: int, start_disk: int = 0
+) -> Runs:
+    """:func:`consecutive_addresses` as arithmetic: one linear run.
 
-    Same index math as the per-q loop, evaluated once over an arange and
-    memoised; the engines feed the (read-only) arrays straight into
-    :meth:`~repro.pdm.disk_array.DiskArray.write_run` / ``read_run``.
+    The engines hand the value straight to
+    :meth:`~repro.pdm.disk_array.DiskArray.write_run` / ``read_run``, whose
+    ``D`` turns it into disks and tracks; ``Runs.expand(D)`` equals the
+    per-q loop above.
     """
-    fn = _consecutive if nblocks <= ADDRESS_MEMO_MAX_BLOCKS else _consecutive.__wrapped__
-    return fn(nblocks, D, start_track, start_disk)
+    return Runs(start_track, ((start_disk, nblocks),))
 
 
 class MessageMatrix:
@@ -144,35 +108,29 @@ class MessageMatrix:
 
     def message_addresses_np(
         self, src: int, dest: int, nblocks: int, parity: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`message_addresses`: ``(disks, tracks)`` arrays."""
+    ) -> Runs:
+        """:meth:`message_addresses` as arithmetic: a slot message is a
+        consecutive run entered at its slot's offset in the band."""
         if nblocks > self.slot_blocks:
             raise ValueError(
                 f"message of {nblocks} blocks exceeds slot of {self.slot_blocks}"
             )
         d_j = (dest * self.slot_blocks) % self.D
         T_j = self.copy_base(parity) + dest * self.band_height
-        # a slot message is a consecutive run entered at its slot's offset
-        return consecutive_addresses_np(
-            nblocks, self.D, T_j, d_j + src * self.slot_blocks
-        )
+        return Runs(T_j, ((d_j + src * self.slot_blocks, nblocks),))
 
     def inbox_addresses_np(
         self, dest: int, blocks_by_src: list[tuple[int, int]], parity: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized :meth:`inbox_addresses` for a whole inbox at once.
-
-        One linear-offset array covers every slot: offsets are the
-        concatenated per-source aranges built with the repeat/cumsum trick,
-        so no Python loop runs per block.  Memoised like
-        :func:`consecutive_addresses_np`.
-        """
-        d_j = (dest * self.slot_blocks) % self.D
+    ) -> Runs:
+        """:meth:`inbox_addresses` as arithmetic: one run per source, in
+        the order given, all counted from the band's base track."""
+        slot = self.slot_blocks
+        d_j = (dest * slot) % self.D
         T_j = self.copy_base(parity) + dest * self.band_height
-        key = tuple(map(tuple, blocks_by_src))
-        short = sum(n for _, n in key) <= ADDRESS_MEMO_MAX_BLOCKS
-        fn = _inbox if short else _inbox.__wrapped__
-        return fn(self.D, T_j, self.slot_blocks, d_j, key)
+        for _src, nblocks in blocks_by_src:
+            if nblocks > slot:
+                raise ValueError(f"message of {nblocks} blocks exceeds slot of {slot}")
+        return Runs(T_j, tuple((d_j + src * slot, n) for src, n in blocks_by_src))
 
     def inbox_addresses(
         self, dest: int, blocks_by_src: list[tuple[int, int]], parity: int

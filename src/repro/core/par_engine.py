@@ -54,9 +54,8 @@ from repro.faults.injector import (
     collect_fault_stats,
     emit_fault_metrics,
 )
-from repro.pdm.block import blocks_for_bytes, unpack_blocks
+from repro.pdm.block import BlockRun, BufferPool, blocks_for_bytes, unpack_blocks
 from repro.pdm.disk_array import DiskArray, Segment
-from repro.pdm.fastpath import BlockRun, BufferPool
 from repro.pdm.io_stats import IOStats
 from repro.pdm.memory import InternalMemory
 from repro.util.items import ITEM_BYTES, deserialize, serialize
@@ -221,8 +220,10 @@ class ParEMEngine(Engine):
         else:
             region = (region[0], region[1], nblocks)
         self._ctx_region[pid] = region
-        dd, tt = consecutive_addresses_np(nblocks, self.cfg.D, region[0])
-        array.write_run(dd, tt, BlockRun(raw, nblocks, self._block_bytes))
+        array.write_run(
+            consecutive_addresses_np(nblocks, region[0]),
+            BlockRun(raw, nblocks, self._block_bytes),
+        )
         self._ctx_blocks_io += nblocks
         self._charge(pid, nblocks * self.cfg.B)
         if self.tracer.enabled:
@@ -238,9 +239,8 @@ class ParEMEngine(Engine):
         owner = self._owner(pid)
         array = self.arrays[owner]
         start, _rows, nblocks = self._ctx_region[pid]
-        dd, tt = consecutive_addresses_np(nblocks, self.cfg.D, start)
         buf = self._iopool.take(nblocks * self._block_bytes)
-        flat = array.read_run(dd, tt, out=buf)
+        flat = array.read_run(consecutive_addresses_np(nblocks, start), out=buf)
         self._ctx_blocks_io += nblocks
         self._charge(pid, nblocks * self.cfg.B)
         if self.tracer.enabled:
@@ -306,16 +306,16 @@ class ParEMEngine(Engine):
             nblocks = payload.nblocks
             owner = self._owner(dest)
             if nblocks <= self.slot_blocks:
-                dd, tt = self.matrices[owner].message_addresses_np(
+                runs = self.matrices[owner].message_addresses_np(
                     src_pid, self._local(dest), nblocks, self._staged_parity
                 )
                 overflow = None
             else:
                 start, _rows = self.allocators[owner].alloc(nblocks)
-                dd, tt = consecutive_addresses_np(nblocks, cfg.D, start)
-                overflow = list(zip(dd.tolist(), tt.tolist()))
+                runs = consecutive_addresses_np(nblocks, start)
+                overflow = consecutive_addresses(nblocks, cfg.D, start)
                 self._overflow_blocks += nblocks
-            by_owner.setdefault(owner, []).append((dd, tt, payload))
+            by_owner.setdefault(owner, []).append((runs, payload))
             self._staged_meta[dest].append(
                 _MetaEntry(src_pid, nblocks, parts, overflow)
             )
@@ -395,12 +395,12 @@ class ParEMEngine(Engine):
         entries.sort(key=lambda e: e.src)
         slot_entries = [e for e in entries if e.overflow is None]
         by_src = [(e.src, e.nblocks) for e in slot_entries]
-        dd, tt = self.matrices[owner].inbox_addresses_np(
+        runs = self.matrices[owner].inbox_addresses_np(
             self._local(pid), by_src, self._ready_parity
         )
-        total = int(dd.size)
+        total = runs.nblocks
         buf = self._iopool.take(total * self._block_bytes)
-        flat = array.read_run(dd, tt, out=buf)
+        flat = array.read_run(runs, out=buf)
         self._msg_blocks_io += total
         if self.tracer.enabled and total:
             self.tracer.emit(

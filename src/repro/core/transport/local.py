@@ -19,7 +19,7 @@ from __future__ import annotations
 from multiprocessing import resource_tracker, shared_memory
 
 from repro.core.transport.base import Transport, poll_get
-from repro.pdm.fastpath import BlockRun
+from repro.pdm.block import BlockRun
 
 #: payload placeholder in a shared-memory packet: the receiver rebuilds a
 #: BlockRun view over the mapped segment from these coordinates.

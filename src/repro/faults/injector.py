@@ -239,13 +239,12 @@ class FaultyDiskArray(DiskArray):
     def write_stream(self, segments: Sequence[Segment]) -> int:
         check_segments(segments)
         placements: list[tuple[int, int, bytes]] = []
-        for disks, tracks, run in segments:
+        for runs, run in segments:
+            disks, tracks = runs.expand(self.D)
             placements.extend(zip(disks.tolist(), tracks.tolist(), run.to_blocks()))
         return self.write_blocks(placements)
 
-    def _gather(
-        self, split: Sequence[Extent], tracks: np.ndarray, rows: np.ndarray
-    ) -> bool:
+    def _gather(self, extents: Sequence[Extent], base: int, rows: np.ndarray) -> bool:
         return False
 
     # -- core operation ------------------------------------------------------

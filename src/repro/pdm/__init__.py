@@ -16,10 +16,16 @@ same arena is the PDM specification — the fault injector's service loop,
 and the oracle the vectorized forms are held bit-identical to.
 """
 
-from repro.pdm.block import blocks_for_bytes, pack_blocks, unpack_blocks
+from repro.pdm.block import (
+    BlockRun,
+    BufferPool,
+    Runs,
+    blocks_for_bytes,
+    pack_blocks,
+    unpack_blocks,
+)
 from repro.pdm.disk import Disk
 from repro.pdm.disk_array import DiskArray, IOOp, greedy_batch_widths
-from repro.pdm.fastpath import BlockRun, BufferPool
 from repro.pdm.io_stats import DiskServiceModel, IOStats
 from repro.pdm.memory import InternalMemory
 from repro.pdm.vm import LRUPager
@@ -34,6 +40,7 @@ __all__ = [
     "greedy_batch_widths",
     "BlockRun",
     "BufferPool",
+    "Runs",
     "DiskServiceModel",
     "IOStats",
     "InternalMemory",

@@ -3,20 +3,25 @@
 A disk's tracks are, logically, a ``dict[int, bytes]``.  The arena keeps
 them as one 2-D ``uint8`` array per disk (rows = tracks, row stride = the
 block size in bytes) plus an occupancy mask and a per-track byte length,
-so a whole parallel-I/O stream scatters or gathers as one move per disk:
-the stream's planned per-disk :data:`Extent` picks the rows, and when
-the disk's tracks are one ascending run — every context and every
-single-extent run of the consecutive and staggered layouts — they move
-as a strided block copy (basic slicing), otherwise through index arrays
-in the same statements.  :class:`~repro.pdm.disk.Disk` serves single
-tracks out of the same rows.
+so a whole parallel-I/O stream scatters or gathers as strided block copies
+(basic slicing, no index array): the stream's planned per-disk
+:data:`Extent` says which stream rows go to which evenly spaced tracks
+above the stream's base track — one copy per disk for every context, every
+single-run stream of the consecutive and staggered layouts and every inbox
+of equal messages, at most one per run and disk otherwise.
+:class:`~repro.pdm.disk.Disk` serves single tracks out of the same rows.
 
 Invariants that keep the arena indistinguishable from that dict:
 
 * a track is either *occupied* (mask set, ``nbytes`` valid) or free —
   reading a free track is a ``SimulationError``;
-* rows are zero-padded past ``nbytes``, mirroring ``pack_blocks``; short
-  rows (a torn write's corrupt prefix) read back exactly ``nbytes`` long;
+* **a row is observable only while its occupancy bit is set**: ``get``,
+  ``gather`` and ``snapshot`` all check the bit before they touch the
+  bytes, so a grown matrix comes uncleared (``np.empty``; a sparse hole in
+  the mmap backend) and whatever a free row holds is never read;
+* a written row is zero-padded past ``nbytes``, mirroring ``pack_blocks``;
+  short rows (a torn write's corrupt prefix) read back exactly ``nbytes``
+  long;
 * writes longer than the row stride or landing on far-away tracks (the
   fault injector's shadow region at ``1 << 40``) go to a per-disk side
   dict, so the arena never allocates rows for a sparse track space.
@@ -34,7 +39,7 @@ operation, invariant and snapshot shape is shared.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -44,21 +49,12 @@ MAX_DIRECT_TRACK = 1 << 20
 
 _INITIAL_ROWS = 64
 
-#: One disk's positions in an address stream: a ``slice`` when they form an
-#: arithmetic progression, an index array otherwise, ``None`` when the stream
-#: never touches the disk.  Planned once per stream by ``disk_array.BatchPlan``.
-Extent = Union[slice, np.ndarray, None]
-
-
-def _as_run(tt: np.ndarray) -> "tuple[slice | np.ndarray, int]":
-    """What to index one disk's arrays with for tracks *tt*, and the rows
-    that needs: a basic slice when the tracks are one ascending run — rows
-    then move as a strided block copy — else *tt* itself, for the same
-    statements.  Checked per call: tracks are no part of a plan's key."""
-    t0, k = int(tt[0]), tt.size
-    if int(tt[-1]) - t0 == k - 1 and (k < 3 or (tt[1:] - tt[:-1] == 1).all()):
-        return slice(t0, t0 + k), t0 + k
-    return tt, int(tt.max()) + 1
+#: One disk's share of an address stream, as linear pieces in stream order:
+#: ``(rows, tracks)`` sends the stream rows ``rows`` to the tracks ``tracks``
+#: counted from the stream's base track — both plain slices of equal length,
+#: the tracks ascending.  Empty when the stream never touches the disk.
+#: Planned once per run pattern by ``disk_array.BatchPlan``.
+Extent = tuple[tuple[slice, slice], ...]
 
 
 class TrackArena:
@@ -101,10 +97,11 @@ class TrackArena:
 
     def _grow_data(self, disk: int, cap: int, have: int) -> None:
         """Grow one disk's track matrix to *cap* rows, preserving the
-        first *have* rows and zero-filling the rest.  The storage-backend
-        hook: the base class reallocates in RAM, the mmap subclass
-        extends its spill file with ``ftruncate`` and remaps."""
-        data = np.zeros((cap, self.block_bytes), dtype=np.uint8)
+        first *have*; the new rows come uncleared (their occupancy bits
+        are off, so nothing reads them before it writes them).  The
+        storage-backend hook: the base class reallocates in RAM, the mmap
+        subclass extends its spill file with ``ftruncate`` and remaps."""
+        data = np.empty((cap, self.block_bytes), dtype=np.uint8)
         data[:have] = self._data[disk]
         self._data[disk] = data
 
@@ -137,7 +134,7 @@ class TrackArena:
         if not self._used[disk][track]:
             return None
         n = int(self._nbytes[disk][track])
-        return self._data[disk][track, :n].tobytes()
+        return bytes(self._data[disk][track, :n])
 
     def _free_row(self, disk: int, track: int) -> None:
         if 0 <= track < self._used[disk].shape[0]:
@@ -150,78 +147,75 @@ class TrackArena:
 
     # -- bulk operations (DiskArray run API) -------------------------------
 
-    def scatter(
-        self, split: Sequence[Extent], tracks: np.ndarray, rows: np.ndarray
-    ) -> None:
-        """Store ``rows[i]`` (full block stride each) at track ``tracks[i]`` of
-        the disk whose extent ``split[d]`` holds position ``i``.
+    def scatter(self, extents: Sequence[Extent], base: int, rows: np.ndarray) -> None:
+        """Store the stream ``rows`` (full block stride each) where its
+        planned per-disk *extents* say, counted from track *base*.
 
         Duplicate addresses within one call resolve last-wins, matching the
-        sequential per-op loop.  Rows must already carry their padding;
-        every stored track is marked full-stride.  Tracks at or beyond
-        ``MAX_DIRECT_TRACK`` divert to the side dict exactly as
-        :meth:`put` does — growing the dense matrix to reach them would
-        allocate rows for the whole gap.  Every touched disk is grown
-        before anything is stored, so a refused growth (the mmap spill
-        quota) leaves the tracks as they were.
+        sequential per-op loop (pieces are stored in stream order).  Rows
+        must already carry their padding; every stored track is marked
+        full-stride.  Tracks at or beyond ``MAX_DIRECT_TRACK`` divert to
+        the side dict exactly as :meth:`put` does — growing the dense
+        matrix to reach them would allocate rows for the whole gap.  Every
+        touched disk is grown before anything is stored, so a refused
+        growth (the mmap spill quota) leaves the tracks as they were.
         """
         bb = self.block_bytes
-        far: list[tuple[int, int]] = []
+        far: list[tuple[int, int, int]] = []
         moves = []
-        for d, sel in enumerate(split):
-            if sel is None:
-                continue
-            tt, need = _as_run(tracks[sel])
-            if need > MAX_DIRECT_TRACK:
-                pos = np.arange(tracks.size)[sel]
-                near = tracks[pos] < MAX_DIRECT_TRACK
-                far += [(d, i) for i in pos[~near].tolist()]
-                sel = pos[near]
-                if sel.size == 0:
-                    continue
-                tt, need = _as_run(tracks[sel])
+        for d, pieces in enumerate(extents):
+            need = 0
+            for sel, tracks in pieces:
+                tt = range(base + tracks.start, base + tracks.stop, tracks.step)
+                if tt.stop > MAX_DIRECT_TRACK:
+                    pos = range(sel.start, sel.stop, sel.step)
+                    near = len(range(tt.start, min(tt.stop, MAX_DIRECT_TRACK), tt.step))
+                    far += [(d, t, i) for t, i in zip(tt[near:], pos[near:])]
+                    if not near:
+                        continue
+                    tt, pos = tt[:near], pos[:near]
+                    sel = slice(pos.start, pos.stop, pos.step)
+                moves.append((d, sel, tt))
+                need = max(need, tt[-1] + 1)
             self._ensure_rows(d, need)
-            moves.append((d, sel, tt))
-        for d, i in far:
-            self.put(d, int(tracks[i]), rows[i].tobytes())
+        for d, t, i in far:
+            self.put(d, t, bytes(rows[i]))
         for d, sel, tt in moves:
             side = self._side[d]
             if side:
-                for t in tracks[sel].tolist():
+                for t in tt:
                     side.pop(t, None)
-            self._data[d][tt] = rows[sel]
-            self._used[d][tt] = True
-            self._nbytes[d][tt] = bb
+            where = slice(tt.start, tt.stop, tt.step)
+            self._data[d][where] = rows[sel]
+            self._used[d][where] = True
+            self._nbytes[d][where] = bb
 
-    def gather(
-        self, split: Sequence[Extent], tracks: np.ndarray, out: np.ndarray
-    ) -> bool:
-        """Fill ``out[i]`` with the block at track ``tracks[i]`` of the disk
-        whose extent ``split[d]`` holds position ``i``.
+    def gather(self, extents: Sequence[Extent], base: int, out: np.ndarray) -> bool:
+        """Fill the stream ``out`` from where its planned per-disk *extents*
+        say, counted from track *base*.
 
         Returns ``False`` (without touching *out*) when any requested track
-        lives in a side dict or is shorter than the full stride — callers
-        fall back to the per-track loop, which handles those and raises
-        the canonical unwritten-track error.  Returns ``True`` on a
-        completed dense gather.  A side-dict track never has its dense row
-        marked used (``put``/``scatter`` keep the two stores disjoint), so
-        the occupancy check below is what refuses it — other tracks of a
-        disk that holds side entries still gather.
+        lives in a side dict, is unwritten or is shorter than the full
+        stride — callers fall back to the per-track loop, which handles
+        those and raises the canonical unwritten-track error.  Returns
+        ``True`` on a completed dense gather.  A side-dict track never has
+        its dense row marked used (``put``/``scatter`` keep the two stores
+        disjoint), so the occupancy check below is what refuses it — other
+        tracks of a disk that holds side entries still gather.
         """
         bb = self.block_bytes
         moves = []
-        for d, sel in enumerate(split):
-            if sel is None:
-                continue
-            tt, need = _as_run(tracks[sel])
-            used = self._used[d]
-            if need > used.shape[0] or not (
-                used[tt].all() and (self._nbytes[d][tt] == bb).all()
-            ):
-                return False
-            moves.append((d, sel, tt))
-        for d, sel, tt in moves:
-            out[sel] = self._data[d][tt]
+        for d, pieces in enumerate(extents):
+            used, nbytes, data = self._used[d], self._nbytes[d], self._data[d]
+            for sel, tracks in pieces:
+                where = slice(base + tracks.start, base + tracks.stop, tracks.step)
+                if where.stop > used.shape[0] or not (
+                    used[where].all() and (nbytes[where] == bb).all()
+                ):
+                    return False
+                moves.append((sel, data[where]))
+        for sel, blocks in moves:
+            out[sel] = blocks
         return True
 
     # -- inspection / checkpointing ----------------------------------------
@@ -269,7 +263,7 @@ class TrackArena:
         out: dict[int, bytes] = {}
         for t in np.flatnonzero(self._used[disk]).tolist():
             n = int(self._nbytes[disk][t])
-            out[t] = self._data[disk][t, :n].tobytes()
+            out[t] = bytes(self._data[disk][t, :n])
         out.update(self._side[disk])
         return out
 

@@ -1,14 +1,31 @@
-"""Cutting byte strings into fixed-size disk blocks and back.
+"""Disk blocks: cutting bytes into them, carrying runs of them, and saying
+where a run sits on the disks.
 
 A track stores exactly one block of ``B`` items (``B * ITEM_BYTES`` bytes).
 Objects are serialized, zero-padded to a whole number of blocks, and cut;
 :func:`unpack_blocks` concatenates and the self-describing serialization
 header makes the padding harmless.
+
+Bulk streams move as single NumPy gather/scatter operations over the
+per-disk track arena (:mod:`repro.pdm.arena`); the engines hand data and
+addresses to that API in three small values:
+
+* :class:`BlockRun` — a run of fixed-size blocks backed by one buffer,
+  the wire and write format of every context and message bundle.
+* :class:`Runs` — where such a run goes: a base track and a short list of
+  linear runs, the address of every stream the layouts produce.
+* :class:`BufferPool` — bounded reuse of gather staging buffers, so a
+  long run does not allocate per parallel I/O.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
+
+import numpy as np
+
 from repro.util.items import ITEM_BYTES
+from repro.util.validation import SimulationError
 
 
 def pack_blocks(data: bytes, B: int) -> list[bytes]:
@@ -43,3 +60,133 @@ def blocks_for_bytes(nbytes: int, B: int) -> int:
 def unpack_blocks(blocks: list[bytes]) -> bytes:
     """Concatenate blocks back into one byte string (padding included)."""
     return b"".join(blocks)
+
+
+class BlockRun:
+    """``nblocks`` fixed-size blocks backed by a single buffer.
+
+    The buffer may be up to one block shorter than ``nblocks *
+    block_bytes``; the missing tail is implicit zero padding, exactly as
+    :func:`pack_blocks` pads the last block.  Keeping the padding implicit
+    is what makes the container zero-copy: a serialized payload is wrapped
+    as-is, and the scatter into the arena pads only the final track in
+    place.
+    """
+
+    __slots__ = ("buf", "nblocks", "block_bytes")
+
+    def __init__(
+        self, buf: bytes | bytearray | memoryview | np.ndarray, nblocks: int, block_bytes: int
+    ) -> None:
+        nbytes = len(buf) if not isinstance(buf, np.ndarray) else int(buf.nbytes)
+        if nbytes > nblocks * block_bytes:
+            raise ValueError(
+                f"buffer of {nbytes} bytes does not fit {nblocks} blocks "
+                f"of {block_bytes} bytes"
+            )
+        self.buf = buf
+        self.nblocks = nblocks
+        self.block_bytes = block_bytes
+
+    @property
+    def nbytes(self) -> int:
+        buf = self.buf
+        return int(buf.nbytes) if isinstance(buf, np.ndarray) else len(buf)
+
+    def to_blocks(self) -> list[bytes]:
+        """Materialize one ``bytes`` per block (copies; per-op service only)."""
+        bb = self.block_bytes
+        data = bytes(self.buf).ljust(self.nblocks * bb, b"\x00")
+        return [data[i * bb : (i + 1) * bb] for i in range(self.nblocks)]
+
+    def __reduce__(self) -> tuple:
+        # Pickling (queue and tcp transports) materializes the buffer;
+        # the shared-memory transport avoids this entirely.
+        return (BlockRun, (bytes(self.buf), self.nblocks, self.block_bytes))
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"BlockRun(nblocks={self.nblocks}, block_bytes={self.block_bytes}, "
+            f"nbytes={self.nbytes})"
+        )
+
+
+@dataclass(frozen=True, slots=True)
+class Runs:
+    """Where a bulk stream sits on ``D`` disks: a base track and, in stream
+    order, linear runs ``(lin0, nblocks)``.
+
+    Block ``q`` of a run is at disk ``(lin0 + q) mod D`` on track
+    ``base + (lin0 + q) div D`` — the consecutive format entered at linear
+    offset ``lin0``.  Every stream the layouts produce is such a list: a
+    context or overflow run is one run at ``lin0 = 0``, a slot message one
+    run at its slot's offset, an inbox one run per source.  ``D`` belongs
+    to the disk array the value is handed to, so no address can name a
+    disk the array does not have; the rest is checked here, once.
+    """
+
+    base: int
+    runs: tuple[tuple[int, int], ...]
+    nblocks: int = field(init=False)  #: blocks addressed, all runs together
+
+    def __post_init__(self) -> None:
+        if self.base < 0:
+            raise SimulationError(f"negative track {self.base}")
+        total = 0
+        for lin0, n in self.runs:
+            if lin0 < 0 or n < 0:
+                raise SimulationError(
+                    f"run of {n} blocks at linear offset {lin0}: both must be >= 0"
+                )
+            total += n
+        object.__setattr__(self, "nblocks", total)
+
+    def expand(self, D: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(disks, tracks)`` of every block, in stream order.
+
+        The only place an address array is made: a batch plan is built
+        from it once per distinct run pattern, and the per-track loop (the
+        fault lane's service, the bulk read's fallback) zips it into
+        placements.
+        """
+        starts = np.asarray([lin0 for lin0, _ in self.runs], dtype=np.int64)
+        counts = np.asarray([n for _, n in self.runs], dtype=np.int64)
+        # offset of each run's first block in the stream, then one arange
+        first = np.cumsum(counts) - counts
+        lin = np.repeat(starts - first, counts) + np.arange(self.nblocks, dtype=np.int64)
+        return lin % D, self.base + lin // D
+
+
+class BufferPool:
+    """Bounded pool of reusable ``uint8`` staging buffers.
+
+    ``take`` hands out a buffer of at least the requested size (callers
+    slice to exact length); ``give`` returns it for reuse.  The pool keeps
+    at most ``max_buffers`` and grows sizes geometrically so a long run
+    converges on a handful of right-sized arenas instead of allocating per
+    parallel I/O.
+    """
+
+    __slots__ = ("_free", "max_buffers")
+
+    def __init__(self, max_buffers: int = 8) -> None:
+        self._free: list[np.ndarray] = []
+        self.max_buffers = max_buffers
+
+    def take(self, nbytes: int) -> np.ndarray:
+        best = -1
+        for i, buf in enumerate(self._free):
+            if buf.size >= nbytes and (best < 0 or buf.size < self._free[best].size):
+                best = i
+        if best >= 0:
+            return self._free.pop(best)
+        cap = 256
+        while cap < nbytes:
+            cap *= 2
+        return np.empty(cap, dtype=np.uint8)
+
+    def give(self, buf: np.ndarray) -> None:
+        if buf.base is not None:  # only whole buffers come back
+            return
+        if len(self._free) < self.max_buffers:
+            self._free.append(buf)

@@ -12,19 +12,22 @@ Bulk streams have one storage (the shared
 :class:`~repro.pdm.arena.TrackArena`) and two spellings:
 
 * :meth:`write_run` / :meth:`write_stream` / :meth:`read_run` — the run
-  API the engines use: the stream's :class:`BatchPlan` (greedy batch
-  boundaries via :func:`greedy_batch_widths`, the per-disk and width
-  histograms, and each disk's positions in the stream as one extent) is
-  planned once per distinct disk-index stream and memoised, data moves
-  as one arena scatter/gather over those extents, and the plan is folded
-  in with :meth:`IOStats.record_batch`.
-* :meth:`write_blocks` / :meth:`read_blocks` — the PDM specification:
-  greedy FIFO batching into per-op :class:`IOOp` lists, one
-  :meth:`parallel_io` per batch, one Python iteration per block.  The
-  fault injector services every access through this loop, overflow runs
-  and the EM baselines call it directly, and the hypothesis suites hold
-  the run API to it: counters, batch widths and stored bytes are
-  bit-identical.
+  API the engines use.  A stream is addressed by
+  :class:`~repro.pdm.block.Runs` — a base track and a short list of linear
+  runs, which is all the consecutive and staggered layouts ever produce —
+  so its address is arithmetic: the stream's :class:`BatchPlan` (greedy
+  batch boundaries via :func:`greedy_batch_widths`, the per-disk and width
+  histograms, and each disk's share of the stream as slices) is planned
+  once per distinct run pattern and memoised on that small key, data moves
+  as one arena scatter/gather over those slices, and the plan is folded in
+  with :meth:`IOStats.record_batch`.
+* :meth:`write_blocks` / :meth:`read_blocks` — the PDM specification, at
+  arbitrary ``(disk, track)`` placements: greedy FIFO batching into per-op
+  :class:`IOOp` lists, one :meth:`parallel_io` per batch, one Python
+  iteration per block.  The fault injector services every access through
+  this loop, overflow runs and the EM baselines call it directly, and the
+  hypothesis suites hold the run API to it: counters, batch widths and
+  stored bytes are bit-identical.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 
 from repro.pdm.disk import Disk
 from repro.pdm.arena import Extent
-from repro.pdm.fastpath import BlockRun
+from repro.pdm.block import BlockRun, Runs
 from repro.pdm.mmap_arena import make_arena
 from repro.pdm.io_stats import IOStats
 from repro.util.items import ITEM_BYTES
@@ -48,9 +51,8 @@ if TYPE_CHECKING:  # pragma: no cover - layering: pdm stays engine-free
     from repro.obs.trace import TraceRecorder
     from repro.tune.runtime import RuntimeConfig
 
-#: One run-API write/read segment: parallel arrays of disk and track
-#: indices plus the run of blocks addressed by them.
-Segment = tuple[np.ndarray, np.ndarray, BlockRun]
+#: One run-API write segment: where the blocks go and the run holding them.
+Segment = tuple[Runs, BlockRun]
 
 
 @dataclass(frozen=True)
@@ -120,65 +122,70 @@ def greedy_batch_widths(disks: np.ndarray, D: int) -> tuple[int, np.ndarray]:
 
 @dataclass(frozen=True)
 class BatchPlan:
-    """What one disk-index stream costs and where it goes: the accounting
-    delta of its greedy FIFO batching plus each disk's positions in the
-    stream, both pure functions of ``(D, disks)``."""
+    """What one run pattern costs and where it goes: the accounting delta
+    of its greedy FIFO batching plus each disk's share of the stream, both
+    pure functions of ``(D, runs)``."""
 
     nops: int                       #: parallel I/Os
     per_disk: tuple[int, ...]       #: blocks serviced by each disk
     width_counts: tuple[int, ...]   #: batches touching exactly w disks
-    #: stream positions per disk, for the arena; no part of a plan's identity
-    split: tuple[Extent, ...] = field(default=(), compare=False)
+    #: per disk, the stream rows and the tracks (relative to the stream's
+    #: base) they move between, for the arena; no part of a plan's identity
+    extents: tuple[Extent, ...] = field(default=(), compare=False)
 
 
-def _extent(idx: np.ndarray) -> Extent:
-    """Ascending stream positions as a slice when they are evenly spaced
-    (every single-extent stream of the consecutive and staggered layouts),
-    else as a read-only index array: memoised plans are shared."""
-    if idx.size == 0:
-        return None
-    step = int(idx[1] - idx[0]) if idx.size > 1 else 1
-    if (np.diff(idx) == step).all():
-        return slice(int(idx[0]), int(idx[-1]) + 1, step)
-    idx.flags.writeable = False
-    return idx
+def _extent(idx: np.ndarray, tracks: np.ndarray) -> Extent:
+    """One disk's stream positions *idx* as linear pieces.  Inside a run a
+    disk's blocks sit ``D`` stream rows and one track apart, and equal
+    messages in equal slots repeat at a fixed stride too, so a piece is a
+    maximal stretch of one ``(row step, track step)``: a slice of rows and
+    an ascending slice of tracks — one piece per disk for a single run."""
+    k = idx.size
+    tt = tracks[idx]
+    steps = np.stack([np.diff(idx), np.diff(tt)], axis=1)
+    # steps[a : change[i]] are equal for the first change[i] > a
+    change = (np.flatnonzero((steps[1:] != steps[:-1]).any(axis=1)) + 1).tolist()
+    change.append(k - 1)
+    pieces, a = [], 0
+    while a < k:
+        b, rs, ts = a, 1, 1
+        if a < k - 1 and steps[a, 1] > 0:
+            b = change[bisect.bisect_right(change, a)]
+            rs, ts = steps[a].tolist()
+        pieces.append(
+            (slice(int(idx[a]), int(idx[b]) + 1, rs), slice(int(tt[a]), int(tt[b]) + 1, ts))
+        )
+        a = b + 1
+    return tuple(pieces)
 
 
-def _build_plan(D: int, stream: bytes) -> BatchPlan:
-    disks = np.frombuffer(stream, dtype=np.int64)
-    if disks.size and (int(disks.min()) < 0 or int(disks.max()) >= D):
-        bad = int(disks[(disks < 0) | (disks >= D)][0])
-        raise SimulationError(f"disk index {bad} out of range 0..{D - 1}")
+def _build_plan(D: int, runs: tuple[tuple[int, int], ...]) -> BatchPlan:
+    disks, tracks = Runs(0, runs).expand(D)
     nops, widths = greedy_batch_widths(disks, D)
     per_disk = np.bincount(disks, minlength=D)
     width_counts = np.bincount(widths, minlength=D + 1)[: D + 1]
-    split = tuple(_extent(np.flatnonzero(disks == d)) for d in range(D))
+    extents = tuple(_extent(np.flatnonzero(disks == d), tracks) for d in range(D))
     return BatchPlan(
-        nops, tuple(per_disk.tolist()), tuple(width_counts.tolist()), split
+        nops, tuple(per_disk.tolist()), tuple(width_counts.tolist()), extents
     )
 
 
-#: ``(D, disks.tobytes()) -> BatchPlan``.  The layouts alternate with period
-#: two (Observation 2), so a run replays few distinct streams (126 in the
-#: 1,624 calls of a ``rounds_listrank`` op); a hit means these exact bytes
-#: already passed the disk-range check, so only the track check (tracks are
-#: not part of the key) runs per call.  A raising build stores nothing.
+#: ``(D, ((lin0, nblocks), ...)) -> BatchPlan``, the runs shifted down by
+#: whole tracks until the lowest starts in track 0 (``lin0 mod D`` for a
+#: single run).  The layouts alternate with period two (Observation 2), so a
+#: run replays few distinct patterns; key and plan are O(runs) whatever the
+#: stream's length, so every stream is memoised.
 batch_plan = lru_cache(maxsize=256)(_build_plan)
-
-#: Longer streams are planned afresh: their keys and index-array extents
-#: would dominate the memo (256 x 2 x 32 KiB at most as it is) and planning
-#: is small beside moving them.
-PLAN_MEMO_MAX_BLOCKS = 4096
 
 
 def check_segments(segments: Sequence[Segment]) -> None:
-    """Refuse a write stream whose address arrays and run disagree in
-    length, naming the segment, before anything is stored or counted."""
-    for i, (disks, tracks, run) in enumerate(segments):
-        if not len(disks) == len(tracks) == run.nblocks:
+    """Refuse a write stream whose addresses and run disagree in length,
+    naming the segment, before anything is stored or counted."""
+    for i, (runs, run) in enumerate(segments):
+        if runs.nblocks != run.nblocks:
             raise SimulationError(
-                f"write_stream segment {i}: {len(disks)} disks and "
-                f"{len(tracks)} tracks address a run of {run.nblocks} blocks"
+                f"write_stream segment {i}: {runs.nblocks} addresses "
+                f"for a run of {run.nblocks} blocks"
             )
 
 
@@ -311,13 +318,13 @@ class DiskArray:
 
     # -- vectorized bulk path ----------------------------------------------
 
-    def write_run(self, disks: np.ndarray, tracks: np.ndarray, run: BlockRun) -> int:
-        """Write one :class:`BlockRun` at vectorized addresses.
+    def write_run(self, runs: Runs, run: BlockRun) -> int:
+        """Write one :class:`BlockRun` at the addresses *runs*.
 
-        Semantically identical to :meth:`write_blocks` over the zipped
+        Semantically identical to :meth:`write_blocks` over the expanded
         placements; returns the number of parallel I/Os used.
         """
-        return self.write_stream([(disks, tracks, run)])
+        return self.write_stream([(runs, run)])
 
     def write_stream(self, segments: Sequence[Segment]) -> int:
         """Write several runs as **one** FIFO stream.
@@ -329,28 +336,18 @@ class DiskArray:
         arena scatter.  Returns parallel I/Os used.
         """
         check_segments(segments)
-        segments = [s for s in segments if s[2].nblocks]
+        segments = [s for s in segments if s[1].nblocks]
         if not segments:
             return 0
-        if len(segments) == 1:
-            all_disks = np.asarray(segments[0][0], dtype=np.int64)
-            all_tracks = np.asarray(segments[0][1], dtype=np.int64)
-        else:
-            all_disks = np.concatenate(
-                [np.asarray(s[0], dtype=np.int64) for s in segments]
-            )
-            all_tracks = np.concatenate(
-                [np.asarray(s[1], dtype=np.int64) for s in segments]
-            )
-        plan = self._plan(all_disks, all_tracks)
+        plan, base = self._plan([runs for runs, _run in segments])
 
         bb = self.block_bytes
-        total = int(all_disks.size)
+        total = sum(run.nblocks for _runs, run in segments)
         if self._stage.size < total * bb:
             self._stage = np.empty(total * bb, dtype=np.uint8)
         flat = self._stage[: total * bb]
         pos = 0
-        for _disks, _tracks, run in segments:
+        for _runs, run in segments:
             buf = run.buf
             view = (
                 buf if isinstance(buf, np.ndarray) else np.frombuffer(buf, dtype=np.uint8)
@@ -359,23 +356,19 @@ class DiskArray:
             flat[pos : pos + view.size] = view
             flat[pos + view.size : end] = 0
             pos = end
-        self._arena.scatter(plan.split, all_tracks, flat.reshape(total, bb))
+        self._arena.scatter(plan.extents, base, flat.reshape(total, bb))
         self._record(plan, total, write=True)
         return plan.nops
 
-    def read_run(
-        self, disks: np.ndarray, tracks: np.ndarray, out: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Read blocks at vectorized addresses into one contiguous buffer.
+    def read_run(self, runs: Runs, out: np.ndarray | None = None) -> np.ndarray:
+        """Read the blocks at *runs* into one contiguous buffer.
 
         Returns a ``uint8`` array of ``n * block_bytes`` bytes (a view of
         *out* when given, so callers can pool the allocation).  Batching
         and counters match :meth:`read_blocks` exactly; sparse or odd-sized
         tracks fall back to that per-track loop transparently.
         """
-        disks = np.asarray(disks, dtype=np.int64)
-        tracks = np.asarray(tracks, dtype=np.int64)
-        n = int(disks.size)
+        n = runs.nblocks
         bb = self.block_bytes
         if out is None:
             out = np.empty(n * bb, dtype=np.uint8)
@@ -385,14 +378,15 @@ class DiskArray:
                 f"{n} blocks of {bb} bytes"
             )
         flat = out[: n * bb]
-        plan = self._plan(disks, tracks)
         if n == 0:
             return flat
-        if self._gather(plan.split, tracks, flat.reshape(n, bb)):
+        plan, base = self._plan([runs])
+        if self._gather(plan.extents, base, flat.reshape(n, bb)):
             self._record(plan, n, write=False)
             return flat
         # Per-track loop: side-dict tracks, short rows, the canonical
         # unwritten-track error, and every access of a fault-injected array.
+        disks, tracks = runs.expand(self.D)
         blocks = self.read_blocks(list(zip(disks.tolist(), tracks.tolist())))
         pos = 0
         for block in blocks:
@@ -405,73 +399,50 @@ class DiskArray:
 
     # -- unused here: benchmarks/e2e/layers.py::_DISK_ARRAY_IO getattrs these two
 
-    def try_gather(
-        self, disks: np.ndarray, tracks: np.ndarray, out: np.ndarray
-    ) -> bool:
+    def try_gather(self, runs: Runs, out: np.ndarray) -> bool:
         """Speculatively gather blocks into *out* without any accounting.
 
-        The prefetch worker thread calls this off the main thread, so it
-        must never raise and never touch ``stats`` or per-disk counters —
-        those are mutated by :meth:`finish_read` on the consuming thread,
-        which keeps IOStats single-threaded and bit-identical to the
-        synchronous path.  Returns ``True`` only when every block was
+        Never touches ``stats`` or per-disk counters — those are mutated
+        by :meth:`finish_read`.  Returns ``True`` only when every block was
         copied out of the dense arena; any fallback condition (side-dict
-        tracks, bad addresses, unwritten tracks) returns ``False`` and
-        leaves the work to :meth:`finish_read`.
+        tracks, short or unwritten tracks) returns ``False`` and leaves the
+        work to :meth:`finish_read`.
         """
-        try:
-            plan = self._plan(disks, tracks)
-        except SimulationError:
-            return False
-        n = int(disks.size)
+        n = runs.nblocks
+        plan, base = self._plan([runs])
         rows = out[: n * self.block_bytes].reshape(n, self.block_bytes)
-        return self._gather(plan.split, tracks, rows)
+        return self._gather(plan.extents, base, rows)
 
-    def finish_read(
-        self,
-        disks: np.ndarray,
-        tracks: np.ndarray,
-        out: np.ndarray,
-        hit: bool,
-    ) -> np.ndarray:
-        """Complete a speculative gather on the consuming thread.
+    def finish_read(self, runs: Runs, out: np.ndarray, hit: bool) -> np.ndarray:
+        """Complete a speculative gather.
 
         On a *hit* the data already sits in *out*; only the deferred
-        accounting runs (same address checks, batch plan and counter
-        updates as :meth:`read_run`).  On a miss this simply performs the
-        synchronous :meth:`read_run`, which re-raises canonical errors.
+        accounting runs (same batch plan and counter updates as
+        :meth:`read_run`).  On a miss this simply performs the synchronous
+        :meth:`read_run`, which re-raises canonical errors.
         """
         if not hit:
-            return self.read_run(disks, tracks, out=out)
-        n = int(disks.size)
-        self._record(self._plan(disks, tracks), n, write=False)
+            return self.read_run(runs, out=out)
+        n = runs.nblocks
+        self._record(self._plan([runs])[0], n, write=False)
         return out[: n * self.block_bytes]
 
-    def _gather(
-        self, split: Sequence[Extent], tracks: np.ndarray, rows: np.ndarray
-    ) -> bool:
+    def _gather(self, extents: Sequence[Extent], base: int, rows: np.ndarray) -> bool:
         """Dense gather of whole runs; ``False`` sends the caller to the
         per-track loop (which ``FaultyDiskArray`` does unconditionally)."""
-        return self._arena.gather(split, tracks, rows)
+        return self._arena.gather(extents, base, rows)
 
-    def _plan(self, disks: np.ndarray, tracks: np.ndarray) -> BatchPlan:
-        """Validate one address stream and return its memoised plan.
-
-        Raises before anything is stored or counted: a length mismatch,
-        then the first out-of-range disk, then the first negative track.
-        """
-        if disks.size != tracks.size:
-            raise SimulationError(
-                f"address stream of {disks.size} disks but {tracks.size} tracks"
-            )
-        build = batch_plan if disks.size <= PLAN_MEMO_MAX_BLOCKS else _build_plan
-        plan = build(self.D, np.asarray(disks, dtype=np.int64).tobytes())
-        if tracks.size and int(tracks.min()) < 0:
-            bad_i = int(np.flatnonzero(tracks < 0)[0])
-            raise SimulationError(
-                f"negative track {int(tracks[bad_i])} on disk {int(disks[bad_i])}"
-            )
-        return plan
+    def _plan(self, stream: Sequence[Runs]) -> tuple[BatchPlan, int]:
+        """The memoised plan of one address stream and the track its
+        extents count from.  Nothing here can fail: a :class:`Runs` was
+        checked when it was built, and its disks are ``mod D`` of this
+        array's own ``D``."""
+        D = self.D
+        lins = [
+            (runs.base * D + lin0, n) for runs in stream for lin0, n in runs.runs if n
+        ]
+        base = min(lins)[0] // D if lins else 0
+        return batch_plan(D, tuple((lin - base * D, n) for lin, n in lins)), base
 
     def _record(self, plan: BatchPlan, n: int, *, write: bool) -> None:
         """Fold one serviced stream of *n* blocks into the counters."""

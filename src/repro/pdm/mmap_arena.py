@@ -17,9 +17,9 @@ Spill-directory lifecycle:
   disk — worker processes of the multi-core backend each build their own
   arenas, so directories never collide across processes;
 * growth is by doubling, implemented as ``ftruncate`` + remap — the
-  extension is a sparse hole, so untouched tracks cost no physical disk
-  and read back as zeros, exactly matching the RAM arena's ``np.zeros``
-  rows;
+  extension is a sparse hole, so untouched tracks cost no physical disk;
+  what a hole holds is as unobservable as the RAM arena's uncleared rows
+  (a row is read only while its occupancy bit is set);
 * ``$REPRO_SPILL_QUOTA`` (bytes, optional) bounds the total mapped size
   per arena; growth past it raises :class:`SimulationError` instead of
   filling the volume;
@@ -116,8 +116,8 @@ class MmapTrackArena(TrackArena):
         f = self._files[disk]
         f.truncate(new_bytes)
         f.flush()
-        # remap over the grown file; the extension is a sparse zero hole,
-        # so old rows are preserved in place and new rows read as zeros.
+        # remap over the grown file: old rows are preserved in place, the
+        # extension is a sparse hole that nothing reads before writing it.
         # A gather still holding the previous (smaller) memmap keeps a
         # valid view of the same file until it drops the reference.
         self._data[disk] = np.memmap(

@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.layouts import (
-    ADDRESS_MEMO_MAX_BLOCKS,
     MessageMatrix,
     RegionAllocator,
     consecutive_addresses,
     consecutive_addresses_np,
 )
+from repro.pdm.block import Runs
+from repro.util.validation import SimulationError
 
 
 class TestConsecutiveFormat:
@@ -130,14 +131,15 @@ class TestMessageMatrixGeometry:
         assert all(t < mm.tracks_per_copy for _, t in seen)
 
 
-def _pairs(addresses) -> list[tuple[int, int]]:
-    disks, tracks = addresses
+def _pairs(runs: Runs, D: int) -> list[tuple[int, int]]:
+    disks, tracks = runs.expand(D)
     return list(zip(disks.tolist(), tracks.tolist()))
 
 
 class TestMemoisedAddressArrays:
-    """The ``_np`` spellings are computed once per argument tuple: equal
-    to the list-returning definitions, shared, and therefore read-only."""
+    """(Named for what the ``_np`` spellings used to return.)  They return
+    :class:`Runs` — a base track and linear runs — whose expansion equals
+    the list-returning Figure-2 definitions block for block."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -149,44 +151,47 @@ class TestMemoisedAddressArrays:
         src, dest = data.draw(st.integers(0, v - 1)), data.draw(st.integers(0, v - 1))
         n = data.draw(st.integers(0, slot))
         by_src = [(i, data.draw(st.integers(0, slot))) for i in range(v)]
-        for _hit in range(2):
-            assert _pairs(consecutive_addresses_np(n + 5, D, start, src)) == (
-                consecutive_addresses(n + 5, D, start, src)
-            )
-            assert _pairs(mm.message_addresses_np(src, dest, n, parity)) == (
-                mm.message_addresses(src, dest, n, parity)
-            )
-            assert _pairs(mm.inbox_addresses_np(dest, by_src, parity)) == (
-                mm.inbox_addresses(dest, by_src, parity)
-            )
+        assert _pairs(consecutive_addresses_np(n + 5, start, src), D) == (
+            consecutive_addresses(n + 5, D, start, src)
+        )
+        assert _pairs(mm.message_addresses_np(src, dest, n, parity), D) == (
+            mm.message_addresses(src, dest, n, parity)
+        )
+        inbox = mm.inbox_addresses_np(dest, by_src, parity)
+        assert _pairs(inbox, D) == mm.inbox_addresses(dest, by_src, parity)
+        assert inbox.nblocks == sum(n for _, n in by_src)
+        assert len(inbox.runs) == v  # one run per source, however long
 
     def test_arrays_are_shared_and_read_only(self):
+        """No array is shared any more: an address is an immutable,
+        hashable value, equal whenever its arithmetic is."""
         mm = MessageMatrix(4, 4, 2, slot_blocks=3)
-        for addresses in (
-            consecutive_addresses_np(7, 3, 5, 1),
+        for runs in (
+            consecutive_addresses_np(7, 5, 1),
             mm.message_addresses_np(1, 2, 3, 0),
             mm.inbox_addresses_np(2, [(0, 3), (1, 1), (3, 2)], 1),
             mm.inbox_addresses_np(2, [], 1),
         ):
-            for arr in addresses:
-                assert arr.dtype == np.int64
-                with pytest.raises(ValueError, match="read-only"):
-                    arr[:1] = 1
-        again = consecutive_addresses_np(7, 3, 5, 1)
-        assert again[0] is consecutive_addresses_np(7, 3, 5, 1)[0]
+            with pytest.raises(AttributeError):
+                runs.base = 0
+            assert hash(runs) == hash(Runs(runs.base, runs.runs))
+            for arr in runs.expand(2):
+                assert arr.dtype == np.int64 and arr.size == runs.nblocks
+        assert consecutive_addresses_np(7, 5, 1) == Runs(5, ((1, 7),))
+        assert mm.inbox_addresses_np(2, [], 1).nblocks == 0
 
     def test_long_runs_are_recomputed_not_kept(self):
-        n = ADDRESS_MEMO_MAX_BLOCKS + 1
+        """Nothing is kept and nothing needs to be: a run of a million
+        blocks is the same three integers as a run of one."""
+        n = 1 << 20
         mm = MessageMatrix(2, 2, 3, slot_blocks=n)
-        for ask, definition in (
-            (lambda: consecutive_addresses_np(n, 3, 5, 1),
-             lambda: consecutive_addresses(n, 3, 5, 1)),
-            (lambda: mm.inbox_addresses_np(1, [(0, n), (1, 2)], 0),
-             lambda: mm.inbox_addresses(1, [(0, n), (1, 2)], 0)),
-        ):
-            first, again = ask(), ask()
-            assert _pairs(first) == _pairs(again) == definition()
-            assert first[0] is not again[0] and not first[0].flags.writeable
+        assert consecutive_addresses_np(n, 5, 1) == Runs(5, ((1, n),))
+        inbox = mm.inbox_addresses_np(1, [(0, n), (1, 2)], 0)
+        assert inbox.runs == ((n % 3, n), (n % 3 + n, 2)) and inbox.nblocks == n + 2
+        short = MessageMatrix(2, 2, 3, slot_blocks=40)
+        assert _pairs(short.inbox_addresses_np(1, [(0, 40), (1, 2)], 0), 3) == (
+            short.inbox_addresses(1, [(0, 40), (1, 2)], 0)
+        )
 
     def test_slot_check_fires_on_every_request(self):
         mm = MessageMatrix(4, 4, 2, slot_blocks=2)
@@ -195,7 +200,19 @@ class TestMemoisedAddressArrays:
                 mm.message_addresses_np(0, 0, 3, 0)
             with pytest.raises(ValueError, match="message of 3 blocks exceeds slot of 2"):
                 mm.inbox_addresses_np(0, [(0, 1), (1, 3)], 0)
-        assert _pairs(mm.message_addresses_np(0, 0, 2, 0)) == mm.message_addresses(0, 0, 2, 0)
+        assert _pairs(mm.message_addresses_np(0, 0, 2, 0), 2) == mm.message_addresses(0, 0, 2, 0)
+
+    @pytest.mark.parametrize(
+        "base, runs, text",
+        [
+            (-3, ((0, 2),), "negative track -3"),
+            (0, ((-1, 2),), "run of 2 blocks at linear offset -1"),
+            (0, ((0, 2), (4, -1)), "run of -1 blocks at linear offset 4"),
+        ],
+    )
+    def test_a_hand_built_runs_is_checked_at_construction(self, base, runs, text):
+        with pytest.raises(SimulationError, match=text):
+            Runs(base, runs)
 
 
 class TestRegionAllocator:

@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 
 from repro.pdm.arena import MAX_DIRECT_TRACK, TrackArena
 from repro.pdm.disk import Disk
-from repro.pdm.disk_array import PLAN_MEMO_MAX_BLOCKS, DiskArray, _build_plan
-from repro.pdm.fastpath import BlockRun
+from repro.pdm.block import BlockRun, Runs
+from repro.pdm.disk_array import DiskArray, _extent, batch_plan
 from repro.pdm.mmap_arena import MmapTrackArena
 from repro.tune.runtime import RuntimeConfig
 from repro.util.validation import SimulationError
@@ -31,9 +31,16 @@ D = 2
 BB = 8  # block bytes
 
 
-def _split(disks: np.ndarray, D: int = 1):
-    """The per-disk extents the arena's bulk movers take, as planned."""
-    return _build_plan(D, disks.tobytes()).split
+def _extents(disks, tracks, D: int = 1):
+    """The per-disk extents the arena's bulk movers take, cut by the
+    planner's own helper from arbitrary placements (base track 0)."""
+    disks, tracks = np.asarray(disks, dtype=np.int64), np.asarray(tracks, dtype=np.int64)
+    return tuple(_extent(np.flatnonzero(disks == d), tracks) for d in range(D))
+
+
+def _single_blocks(placements, D: int = D) -> Runs:
+    """Arbitrary ``(disk, track)`` placements as one-block runs."""
+    return Runs(0, tuple((t * D + d, 1) for d, t in placements))
 
 
 class _DictDisk:
@@ -185,14 +192,14 @@ def test_batch_scatter_gather_matches_dict_writes(addrs, payload):
     mm = MmapTrackArena(D, BB)
     try:
         for arena in (ram, mm):
-            arena.scatter(_split(disks, D), tracks, rows)
+            arena.scatter(_extents(disks, tracks, D), 0, rows)
             for d in range(D):
                 assert arena.snapshot(d) == ref[d].snapshot_tracks()
             uniq = sorted(set(addrs))
             ud = np.asarray([a for a, _ in uniq], dtype=np.int64)
             ut = np.asarray([t for _, t in uniq], dtype=np.int64)
             out = np.empty((len(uniq), BB), dtype=np.uint8)
-            assert arena.gather(_split(ud, D), ut, out)
+            assert arena.gather(_extents(ud, ut, D), 0, out)
             expect = b"".join(ref[d].read(t) for d, t in uniq)
             assert out.tobytes() == expect
     finally:
@@ -240,26 +247,24 @@ def test_far_track_does_not_demote_dense_gathers(kind):
     rt = RuntimeConfig(arena=kind)
     far, plain = DiskArray(D, 1, runtime=rt), DiskArray(D, 1, runtime=rt)
     try:
-        dd = np.asarray([0, 1, 0, 1], dtype=np.int64)
-        tt = np.asarray([0, 0, 1, 1], dtype=np.int64)
+        runs = Runs(0, ((0, 4),))
         payload = bytes(range(4 * BB))
         for arr in (far, plain):
-            arr.write_run(dd, tt, BlockRun(payload, 4, BB))
+            arr.write_run(runs, BlockRun(payload, 4, BB))
         far._arena.put(0, MAX_DIRECT_TRACK + 3, b"F" * BB)
 
         out = np.empty(4 * BB, dtype=np.uint8)
-        assert far.try_gather(dd, tt, out)
+        assert far.try_gather(runs, out)
         assert out.tobytes() == payload
-        assert far.read_run(dd, tt).tobytes() == plain.read_run(dd, tt).tobytes()
+        assert far.read_run(runs).tobytes() == plain.read_run(runs).tobytes()
         assert far.stats.as_dict() == plain.stats.as_dict()
         for d in range(D):
             assert far.disks[d].blocks_read == plain.disks[d].blocks_read
 
         # the far track itself still reads through the per-track loop
-        fd = np.zeros(1, dtype=np.int64)
-        ft = np.asarray([MAX_DIRECT_TRACK + 3], dtype=np.int64)
-        assert not far.try_gather(fd, ft, out)
-        assert far.read_run(fd, ft).tobytes() == b"F" * BB
+        beyond = Runs(MAX_DIRECT_TRACK + 3, ((0, 1),))
+        assert not far.try_gather(beyond, out)
+        assert far.read_run(beyond).tobytes() == b"F" * BB
     finally:
         far.close()
         plain.close()
@@ -279,8 +284,7 @@ def test_refused_gather_leaves_out_untouched(kind):
         arena.put(1, 0, b"short")  # not full-stride: the other refusal
         out = np.zeros((2, BB), dtype=np.uint8)
         for t1 in (0, 1):  # short row, then unwritten row
-            tracks = np.asarray([0, t1], dtype=np.int64)
-            assert not arena.gather(_split(np.asarray([0, 1]), D), tracks, out)
+            assert not arena.gather(_extents([0, 1], [0, t1], D), 0, out)
             assert not out.any()
     finally:
         arena.close()
@@ -294,12 +298,10 @@ def test_quota_error_stores_nothing():
     rt = RuntimeConfig(arena="mmap", spill_quota=rows64 + BB)
     arr = DiskArray(D, 1, runtime=rt)
     try:
-        arr.write_run(np.zeros(2, np.int64), np.arange(2), BlockRun(b"x" * 16, 2, BB))
+        arr.write_run(_single_blocks([(0, 0), (0, 1)]), BlockRun(b"x" * 16, 2, BB))
         before = [d.snapshot_tracks() for d in arr.disks], arr.stats.as_dict()
-        dd = np.asarray([0, 1, 0], dtype=np.int64)
-        tt = np.asarray([1, 0, 2], dtype=np.int64)
         with pytest.raises(SimulationError, match="spill quota exceeded"):
-            arr.write_run(dd, tt, BlockRun(b"y" * 24, 3, BB))
+            arr.write_run(_single_blocks([(0, 1), (1, 0), (0, 2)]), BlockRun(b"y" * 24, 3, BB))
         assert ([d.snapshot_tracks() for d in arr.disks], arr.stats.as_dict()) == before
     finally:
         arr.close()
@@ -312,29 +314,37 @@ _FAR = MAX_DIRECT_TRACK - 2  # a run from here straddles the side-dict edge
 
 @st.composite
 def _segments(draw):
-    """A multi-segment write stream as ``(disk, track)`` lists: consecutive
-    runs from random start disks (the slice case), strided and scattered
-    ones, repeats of earlier addresses, runs across ``MAX_DIRECT_TRACK`` and
-    past the first growth, and now and then one run too long for the memo."""
+    """A multi-segment write stream as :class:`Runs`: consecutive runs from
+    random start disks (one slice pair per disk), strided and scattered
+    one-block runs, repeats of earlier addresses, runs across
+    ``MAX_DIRECT_TRACK`` and past the first growth, and now and then one
+    run far longer than the rest."""
     segments = []
     for _ in range(draw(st.integers(1, 4))):
         shape = draw(st.sampled_from(["run", "run", "gaps", "random", "long"]))
-        n = PLAN_MEMO_MAX_BLOCKS + 5 if shape == "long" else draw(st.integers(1, 24))
+        n = 4101 if shape == "long" else draw(st.integers(1, 24))
         base = draw(st.sampled_from([0, 3, 60, 130, _FAR]))
+        start = draw(st.integers(0, D - 1))
         if shape == "random":
-            seg = draw(st.lists(
+            seg = _single_blocks(draw(st.lists(
                 st.tuples(st.integers(0, D - 1), st.integers(base, base + 6)),
                 min_size=n, max_size=n,
-            ))
+            )))
+        elif shape == "gaps":
+            gap = draw(st.integers(2, 3))
+            seg = Runs(base, tuple(((start + q) * gap, 1) for q in range(n)))
         else:
-            lin = draw(st.integers(0, D - 1)) + np.arange(n)
-            if shape == "gaps":
-                lin = lin * draw(st.integers(2, 3))
-            seg = list(zip((lin % D).tolist(), (base + lin // D).tolist()))
+            seg = Runs(base, ((start, n),))
         segments.append(seg)
     if draw(st.booleans()):  # duplicate addresses: last write wins
-        segments.append(segments[0][: draw(st.integers(1, 8))][::-1])
+        k = draw(st.integers(1, 8))
+        segments.append(_single_blocks(_placements(segments[0])[:k][::-1]))
     return segments
+
+
+def _placements(runs: Runs) -> list[tuple[int, int]]:
+    disks, tracks = runs.expand(D)
+    return list(zip(disks.tolist(), tracks.tolist()))
 
 
 @settings(max_examples=40, deadline=None)
@@ -348,31 +358,29 @@ def test_planned_extents_match_the_per_track_model(kind, segments, seed):
     arr = DiskArray(D, 1, runtime=RuntimeConfig(arena=kind))
     model = TrackArena(D, BB)
     try:
-        flat = [addr for seg in segments for addr in seg]
+        flat = [addr for seg in segments for addr in _placements(seg)]
         # an odd-sized track under the stream must leave the side dict
         for arena in (arr._arena, model):
             arena.put(*flat[0], b"oversize-payload")
         stream = []
         for seg in segments:
-            raw = rng.integers(0, 256, len(seg) * BB - 3, dtype=np.uint8).tobytes()
-            run = BlockRun(raw, len(seg), BB)  # the tail block is zero-padded
-            dd, tt = (np.asarray(x, dtype=np.int64) for x in zip(*seg))
-            stream.append((dd, tt, run))
-            for (d, t), block in zip(seg, run.to_blocks()):
+            raw = rng.integers(0, 256, seg.nblocks * BB - 3, dtype=np.uint8).tobytes()
+            run = BlockRun(raw, seg.nblocks, BB)  # the tail block is zero-padded
+            stream.append((seg, run))
+            for (d, t), block in zip(_placements(seg), run.to_blocks()):
                 model.put(d, t, block)
         arr.write_stream(stream)
         for d in range(D):
             assert arr._arena.snapshot(d) == model.snapshot(d)
             assert arr._arena._side[d] == model._side[d]
 
-        order = rng.permutation(len(flat))  # re-reads included
-        dd, tt = (np.asarray(x, dtype=np.int64)[order] for x in zip(*flat))
-        want = b"".join(model.get(d, t) for d, t in zip(dd.tolist(), tt.tolist()))
-        assert arr.read_run(dd, tt).tobytes() == want
+        order = rng.permutation(len(flat)).tolist()  # re-reads included
+        shuffled = [flat[i] for i in order]
+        want = b"".join(model.get(d, t) for d, t in shuffled)
+        assert arr.read_run(_single_blocks(shuffled)).tobytes() == want
         for seg in segments:  # and segment by segment, as the engines read
-            dd, tt = (np.asarray(x, dtype=np.int64) for x in zip(*seg))
-            want = b"".join(model.get(d, t) for d, t in seg)
-            assert arr.read_run(dd, tt).tobytes() == want
+            want = b"".join(model.get(d, t) for d, t in _placements(seg))
+            assert arr.read_run(seg).tobytes() == want
     finally:
         arr.close()
 
@@ -427,7 +435,7 @@ class _Boundary:
                 dtype=np.int64,
             )
             rows = np.frombuffer(b"abc", dtype=np.uint8).reshape(3, 1)
-            a.scatter(_split(disks), tracks, rows)
+            a.scatter(_extents(disks, tracks), 0, rows)
             assert a.get(0, MAX_DIRECT_TRACK - 1) == b"a"
             assert a.get(0, MAX_DIRECT_TRACK) == b"b"
             assert a.get(0, MAX_DIRECT_TRACK + 2) == b"c"
@@ -447,8 +455,8 @@ class _Boundary:
         try:
             a.put(0, MAX_DIRECT_TRACK, b"old")
             a.scatter(
-                _split(np.zeros(1, dtype=np.int64)),
-                np.asarray([MAX_DIRECT_TRACK], dtype=np.int64),
+                _extents([0], [MAX_DIRECT_TRACK]),
+                0,
                 np.frombuffer(b"n", dtype=np.uint8).reshape(1, 1),
             )
             assert a.get(0, MAX_DIRECT_TRACK) == b"n"
@@ -461,11 +469,31 @@ class _Boundary:
         try:
             a.put(0, MAX_DIRECT_TRACK, b"w")
             out = np.empty((1, 1), dtype=np.uint8)
-            assert not a.gather(
-                _split(np.zeros(1, dtype=np.int64)),
-                np.asarray([MAX_DIRECT_TRACK], dtype=np.int64),
-                out,
-            )
+            assert not a.gather(_extents([0], [MAX_DIRECT_TRACK]), 0, out)
+        finally:
+            self.teardown_arena(a)
+
+    @pytest.mark.parametrize("base", [MAX_DIRECT_TRACK - 2, 1 << 40])
+    @pytest.mark.parametrize("stride", [1, 3])
+    def test_a_planned_run_crossing_the_boundary_diverts_its_far_tracks(self, base, stride):
+        """One piece moved by its memoised plan — a linear run, or equal
+        messages *stride* tracks apart: the tracks below
+        ``MAX_DIRECT_TRACK`` stay dense, the rest go to the side dict (all
+        of them in the injector's shadow region at ``1 << 40``), and the
+        dense gather refuses the piece without touching *out*."""
+        a = self.make()
+        try:
+            extents = batch_plan(1, tuple((q * stride, 1) for q in range(5))).extents
+            assert len(extents[0]) == 1
+            tracks = [base + q * stride for q in range(5)]
+            rows = np.frombuffer(b"abcde", dtype=np.uint8).reshape(5, 1)
+            a.put(0, tracks[4], b"old")
+            a.scatter(extents, base, rows)
+            assert [a.get(0, t) for t in tracks] == [b"a", b"b", b"c", b"d", b"e"]
+            assert sorted(a._side[0]) == [t for t in tracks if t >= MAX_DIRECT_TRACK]
+            assert a.tracks_in_use(0) == 5 and a._data[0].shape[0] <= MAX_DIRECT_TRACK
+            out = np.zeros((5, 1), dtype=np.uint8)
+            assert not a.gather(extents, base, out) and not out.any()
         finally:
             self.teardown_arena(a)
 

@@ -1,13 +1,14 @@
 """The vectorized run API's building blocks, proved against the per-op
 PDM specification.
 
-The run API (:mod:`repro.pdm.fastpath` containers, :mod:`repro.pdm.arena`,
+The run API (:mod:`repro.pdm.block` containers, :mod:`repro.pdm.arena`,
 ``write_stream``/``read_run``) is an *implementation* of the same PDM, not
 a looser variant: every observable — batch widths, IOStats, per-disk
 counters, stored bytes, raised errors — must be bit-identical to
 ``write_blocks``/``read_blocks``, the one-``parallel_io``-per-batch loop.
-The hypothesis suites here drive both spellings with the same arbitrary
-placement streams and compare everything observable.
+The hypothesis suites here drive both spellings with the same address
+streams — arbitrary placements reach the run API as one-block runs — and
+compare everything observable.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ from hypothesis import strategies as st
 from repro.faults.injector import FaultyDiskArray
 from repro.faults.plan import FaultPlan
 from repro.pdm.arena import MAX_DIRECT_TRACK, TrackArena
-from repro.pdm.block import blocks_for_bytes
-from repro.pdm.disk_array import DiskArray, _build_plan, greedy_batch_widths
-from repro.pdm.fastpath import BlockRun, BufferPool
+from repro.pdm.block import BlockRun, BufferPool, Runs, blocks_for_bytes
+from repro.pdm.disk_array import DiskArray, batch_plan, greedy_batch_widths
 from repro.tune.knobs import DEFAULT_SHM_THRESHOLD, KNOB_BY_ENV, KnobError
 from repro.tune.runtime import RuntimeConfig, current
 from repro.util.items import ITEM_BYTES
@@ -34,6 +34,11 @@ from repro.util.validation import SimulationError
 def _per_op_array(D: int, B: int) -> FaultyDiskArray:
     """The per-op service of the run API: an empty plan injects nothing."""
     return FaultyDiskArray(D, B, FaultPlan().injector_for(0))
+
+
+def _single_blocks(addrs, D: int) -> Runs:
+    """Arbitrary ``(disk, track)`` placements as one-block runs."""
+    return Runs(0, tuple((t * D + d, 1) for d, t in addrs))
 
 
 # ------------------------------------------------------------------ BlockRun
@@ -144,17 +149,12 @@ class TestTrackArena:
         assert a.get(0, MAX_DIRECT_TRACK + 7) == b"deadbeef"
         assert a.max_track(0) == MAX_DIRECT_TRACK + 7
         out = np.empty((1, 8), dtype=np.uint8)
-        assert not a.gather(
-            _build_plan(1, np.zeros(1, dtype=np.int64).tobytes()).split,
-            np.asarray([MAX_DIRECT_TRACK + 7], dtype=np.int64),
-            out,
-        )
+        assert not a.gather(batch_plan(1, ((0, 1),)).extents, MAX_DIRECT_TRACK + 7, out)
 
     def test_scatter_last_wins_on_duplicates(self):
         a = TrackArena(D=1, block_bytes=4)
         rows = np.frombuffer(b"AAAABBBB", dtype=np.uint8).reshape(2, 4)
-        split = _build_plan(1, np.zeros(2, dtype=np.int64).tobytes()).split
-        a.scatter(split, np.zeros(2, dtype=np.int64), rows)
+        a.scatter(batch_plan(1, ((0, 1), (0, 1))).extents, 0, rows)
         assert a.get(0, 0) == b"BBBB"
 
     def test_snapshot_restore(self):
@@ -204,16 +204,15 @@ def test_write_stream_matches_write_blocks(stream):
     nblocks = len(addrs)
     payload = payload.ljust(0)  # may be shorter than the run: zero-padded tail
     run = BlockRun(payload[: nblocks * bb], nblocks=nblocks, block_bytes=bb)
-    disks = np.asarray([d for d, _ in addrs], dtype=np.int64)
-    tracks = np.asarray([t for _, t in addrs], dtype=np.int64)
+    runs = _single_blocks(addrs, D)
 
     fast = DiskArray(D, B)
     ref = DiskArray(D, B)
     per_op = _per_op_array(D, B)
-    ops_fast = fast.write_run(disks, tracks, run)
-    ops_ref = ref.write_blocks(list(zip(disks.tolist(), tracks.tolist(), run.to_blocks())))
+    ops_fast = fast.write_run(runs, run)
+    ops_ref = ref.write_blocks([(d, t, blk) for (d, t), blk in zip(addrs, run.to_blocks())])
 
-    assert ops_fast == ops_ref == per_op.write_run(disks, tracks, run)
+    assert ops_fast == ops_ref == per_op.write_run(runs, run)
     assert fast.stats.as_dict() == ref.stats.as_dict() == per_op.stats.as_dict()
     for d in range(D):
         assert fast.disks[d].snapshot_tracks() == ref.disks[d].snapshot_tracks()
@@ -222,13 +221,12 @@ def test_write_stream_matches_write_blocks(stream):
 
     # read everything back through both paths (dedup keeps batching valid)
     uniq = sorted(set(addrs))
-    rd = np.asarray([d for d, _ in uniq], dtype=np.int64)
-    rt = np.asarray([t for _, t in uniq], dtype=np.int64)
-    got_fast = fast.read_run(rd, rt)
+    back = _single_blocks(uniq, D)
+    got_fast = fast.read_run(back)
     got_ref = b"".join(
         blk.ljust(bb, b"\x00") for blk in ref.read_blocks(uniq)
     )
-    assert bytes(got_fast) == got_ref == bytes(per_op.read_run(rd, rt))
+    assert bytes(got_fast) == got_ref == bytes(per_op.read_run(back))
     assert fast.stats.as_dict() == ref.stats.as_dict() == per_op.stats.as_dict()
     for d in range(D):
         assert fast.disks[d].blocks_read == ref.disks[d].blocks_read
@@ -238,7 +236,8 @@ def test_write_stream_matches_write_blocks(stream):
 def multi_run_streams(draw):
     """Several runs written as one stream: short buffers (implicit tails up
     to whole missing blocks), an ndarray-backed run, addresses repeated
-    across runs, and tracks far enough to divert to the side dict."""
+    across runs, tracks far enough to divert to the side dict, and linear
+    runs that cross ``MAX_DIRECT_TRACK`` on their way."""
     D = draw(st.integers(min_value=1, max_value=4))
     B = draw(st.integers(min_value=1, max_value=2))
     bb = B * ITEM_BYTES
@@ -248,12 +247,18 @@ def multi_run_streams(draw):
     segments = []
     for _ in range(draw(st.integers(1, 4))):
         n = draw(st.integers(0, 7))
-        addrs = draw(
-            st.lists(st.tuples(st.integers(0, D - 1), track), min_size=n, max_size=n)
-        )
+        if draw(st.booleans()):
+            addrs = draw(
+                st.lists(st.tuples(st.integers(0, D - 1), track), min_size=n, max_size=n)
+            )
+            runs = _single_blocks(addrs, D)
+        else:
+            base = draw(st.sampled_from([0, 5, MAX_DIRECT_TRACK - 1]))
+            runs = Runs(base, ((draw(st.integers(0, D)), n),))
+            addrs = list(zip(*(a.tolist() for a in runs.expand(D))))
         payload = draw(st.binary(min_size=0, max_size=n * bb))
         buf = np.frombuffer(payload, np.uint8) if draw(st.booleans()) else payload
-        segments.append((addrs, BlockRun(buf, n, bb)))
+        segments.append((addrs, runs, BlockRun(buf, n, bb)))
     return D, B, segments
 
 
@@ -265,17 +270,10 @@ def test_staged_scatter_matches_write_blocks(stream):
     placements — padding, side-dict diversion and last-wins included."""
     D, B, segments = stream
     fast, ref, per_op = DiskArray(D, B), DiskArray(D, B), _per_op_array(D, B)
-    as_arrays = [
-        (
-            np.asarray([d for d, _ in addrs], dtype=np.int64),
-            np.asarray([t for _, t in addrs], dtype=np.int64),
-            run,
-        )
-        for addrs, run in segments
-    ]
+    as_arrays = [(runs, run) for _addrs, runs, run in segments]
     placements = [
         (d, t, blk)
-        for addrs, run in segments
+        for addrs, _runs, run in segments
         for (d, t), blk in zip(addrs, run.to_blocks())
     ]
     for _again in range(2):  # the second pass overwrites through a warm plan
@@ -298,7 +296,7 @@ def test_read_run_unwritten_track_raises_canonical_error():
     fast = DiskArray(2, 1)
     ref = DiskArray(2, 1)
     with pytest.raises(SimulationError) as e_fast:
-        fast.read_run(np.asarray([0]), np.asarray([3]))
+        fast.read_run(Runs(3, ((0, 1),)))
     with pytest.raises(SimulationError) as e_ref:
         ref.read_blocks([(0, 3)])
     assert str(e_fast.value) == str(e_ref.value)
@@ -307,10 +305,14 @@ def test_read_run_unwritten_track_raises_canonical_error():
 def test_write_stream_rejects_bad_addresses_both_paths():
     run = BlockRun(b"\x00" * ITEM_BYTES, 1, ITEM_BYTES)
     for arr in (DiskArray(2, 1), _per_op_array(2, 1)):
-        with pytest.raises(SimulationError):
-            arr.write_run(np.asarray([5]), np.asarray([0]), run)
-        with pytest.raises(SimulationError):
-            arr.write_run(np.asarray([0]), np.asarray([-1]), run)
+        with pytest.raises(SimulationError, match="negative track -1"):
+            arr.write_run(Runs(-1, ((0, 1),)), run)
+        with pytest.raises(SimulationError, match="2 addresses for a run of 1 blocks"):
+            arr.write_run(Runs(0, ((0, 2),)), run)
+        # a disk the array lacks cannot be spelled as a run, only as a placement
+        with pytest.raises(SimulationError, match="disk index 5 out of range 0..1"):
+            arr.write_blocks([(5, 0, b"\x00" * ITEM_BYTES)])
+        assert arr.tracks_in_use == 0 and arr.stats.parallel_ios == 0
 
 
 def test_snapshot_restore_portable_across_storage_modes():
@@ -318,7 +320,7 @@ def test_snapshot_restore_portable_across_storage_modes():
     and into a fault-injected array (the snapshot is a plain dict)."""
     fast = DiskArray(2, 1)
     run = BlockRun(b"12345678" * 3, 3, ITEM_BYTES)
-    fast.write_run(np.asarray([0, 1, 0]), np.asarray([0, 0, 1]), run)
+    fast.write_run(Runs(0, ((0, 3),)), run)
     snap = {d: fast.disks[d].snapshot_tracks() for d in range(2)}
     assert snap == {0: {0: b"12345678", 1: b"12345678"}, 1: {0: b"12345678"}}
 
@@ -388,45 +390,44 @@ def test_clean_sort_never_enters_the_per_track_loop(
 @pytest.mark.parametrize("arena", ["ram", "mmap"])
 @pytest.mark.parametrize("engine", ["seq", "par"])
 def test_clean_sort_moves_every_context_as_slices(monkeypatch, engine, arena, balanced):
-    """Every context read and write of a clean ``em_sort`` is one strided
-    block copy per disk — the planned extent a slice, the tracks one
-    ascending run: zero index-array moves.  The message matrix's
-    multi-extent streams do take index arrays, which shows the counter is
-    live."""
+    """Counted over the planned extents, nothing re-derived: every context
+    and every single-run stream of a clean ``em_sort`` moves as one slice
+    pair per disk, a whole inbox as at most one per source and disk — and
+    no index array exists to move anything else.  Address arrays are made
+    by ``Runs.expand`` alone, once per plan-memo miss: a second, identical
+    run (the steady state) makes none at all."""
     from collections import Counter
 
-    from repro.core.par_engine import ParEMEngine
-    from repro.pdm.arena import _as_run
-
     monkeypatch.delenv("REPRO_TRACE", raising=False)
-    moves = {"context": Counter(), "messages": Counter()}
-    where = ["messages"]
-    for name in ("_store_context", "_load_context"):
-        def in_context(self, *args, _inner=getattr(ParEMEngine, name)):
-            where[0] = "context"
-            try:
-                return _inner(self, *args)
-            finally:
-                where[0] = "messages"
-
-        monkeypatch.setattr(ParEMEngine, name, in_context)
+    pieces = Counter()
+    expands = []
     for name in ("scatter", "gather"):
-        def counted(self, split, tracks, rows, _inner=getattr(TrackArena, name)):
-            for sel in split:
-                if sel is not None:
-                    sliced = isinstance(sel, slice) and isinstance(
-                        _as_run(tracks[sel])[0], slice
-                    )
-                    moves[where[0]]["slice" if sliced else "index"] += 1
-            return _inner(self, split, tracks, rows)
+        def counted(self, extents, base, rows, _inner=getattr(TrackArena, name)):
+            for sel, tt in (p for ext in extents for p in ext):
+                assert type(sel) is type(tt) is slice
+            pieces[max(map(len, extents))] += 1
+            return _inner(self, extents, base, rows)
 
         monkeypatch.setattr(TrackArena, name, counted)
 
+    def counting_expand(self, D, _inner=Runs.expand):
+        expands.append(self)
+        return _inner(self, D)
+
+    monkeypatch.setattr(Runs, "expand", counting_expand)
+
+    batch_plan.cache_clear()
     cfg, values, _io = _fig5_sort(engine, arena, balanced, 1 << 14)
     assert (values[:-1] <= values[1:]).all()
-    # v contexts x (setup write, 4 rounds of read + write, final read) x D disks
-    assert moves["context"] == {"slice": cfg.v * 10 * cfg.D}
-    assert moves["messages"]["index"] > 0
+    info = batch_plan.cache_info()
+    assert 0 < info.misses == len(expands) <= info.maxsize
+    # v contexts x (setup write, 4 rounds of read + write, final read): one
+    # slice pair per disk each, like every other single-run stream
+    assert pieces[1] >= cfg.v * 10 and max(pieces) <= cfg.v
+    moves = sum(pieces.values())
+    _fig5_sort(engine, arena, balanced, 1 << 14)
+    assert len(expands) == info.misses and sum(pieces.values()) == 2 * moves
+    assert batch_plan.cache_info().misses == info.misses
 
 
 # ------------------------------------------------------------------ env knobs
@@ -441,8 +442,8 @@ def test_fastpath_env_flag(monkeypatch):
     assert current() == before
     arr = DiskArray(2, 1)
     run = BlockRun(b"12345678", 1, ITEM_BYTES)
-    arr.write_run(np.asarray([0]), np.asarray([0]), run)
-    assert arr.try_gather(np.asarray([0]), np.asarray([0]), np.empty(8, np.uint8))
+    arr.write_run(Runs(0, ((0, 1),)), run)
+    assert arr.try_gather(Runs(0, ((0, 1),)), np.empty(8, np.uint8))
     with pytest.raises(KnobError, match="fastpath"):
         before.with_overrides({"fastpath": "0"})
 

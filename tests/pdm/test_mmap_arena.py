@@ -13,7 +13,7 @@ import pytest
 from repro.cgm.config import MachineConfig
 from repro.pdm.arena import TrackArena
 from repro.pdm.disk_array import DiskArray
-from repro.pdm.fastpath import BlockRun
+from repro.pdm.block import BlockRun, Runs
 from repro.pdm.mmap_arena import MmapTrackArena, make_arena
 from repro.tune.runtime import RuntimeConfig, current
 from repro.util.items import ITEM_BYTES
@@ -149,14 +149,14 @@ class TestSelection:
             bb = arr.block_bytes
             n = 40
             rng = np.random.default_rng(42)
-            disks = rng.integers(0, 3, n).astype(np.int64)
-            tracks = rng.integers(0, 12, n).astype(np.int64)
+            placed = list(zip(rng.integers(0, 3, n).tolist(), rng.integers(0, 12, n).tolist()))
             raw = rng.integers(0, 256, n * bb, dtype=np.uint8).tobytes()
-            arr.write_run(disks, tracks, BlockRun(raw, n, bb))
-            uniq = sorted(set(zip(disks.tolist(), tracks.tolist())))
-            rd = np.asarray([d for d, _ in uniq], dtype=np.int64)
-            rt = np.asarray([t for _, t in uniq], dtype=np.int64)
-            got = bytes(arr.read_run(rd, rt))
+            # random placements as one-block runs, then one long linear run
+            arr.write_run(Runs(0, tuple((t * 3 + d, 1) for d, t in placed)), BlockRun(raw, n, bb))
+            arr.write_run(Runs(9, ((2, n),)), BlockRun(raw[::-1], n, bb))
+            uniq = sorted(set(placed))
+            got = bytes(arr.read_run(Runs(0, tuple((t * 3 + d, 1) for d, t in uniq))))
+            got += bytes(arr.read_run(Runs(9, ((2, n),))))
             state = (
                 got,
                 arr.stats.as_dict(),

@@ -25,6 +25,13 @@ _PATTERN = re.compile(r"os\.environ(\.get)?\s*[(\[]\s*[\"']REPRO_")
 #: the reference/fast-path fork: its knob, engine flags and module setters
 _IO_FORK = re.compile(r"REPRO_FASTPATH|_fastpath|set_enabled|set_arena_kind")
 
+#: addresses as arrays: the per-call run check, the two memo size cliffs, the
+#: expanded-bytes plan key and the module that outlived its fork
+_ADDRESS_ARRAYS = re.compile(
+    r"_as_run|ADDRESS_MEMO_MAX_BLOCKS|PLAN_MEMO_MAX_BLOCKS|disks\.tobytes\(\)"
+    r"|pdm\.fastpath"
+)
+
 #: the prefetch pipeline: its knob, reader, threshold and superstep hooks
 _READ_FORK = re.compile(
     r"REPRO_PREFETCH|DoubleBufferedReader|PREFETCH_BREAK_EVEN"
@@ -108,6 +115,17 @@ def test_the_per_disk_split_is_planned_not_recomputed():
     ]
     assert holders == ["disk_array.py"]
     assert "flatnonzero(disks ==" in inspect.getsource(disk_array._build_plan)
+
+
+def test_addresses_are_arithmetic_and_arenas_come_uncleared():
+    offenders = _offenders(_ADDRESS_ARRAYS, skip_tune=False)
+    assert not offenders, (
+        "a bulk stream is addressed by pdm.block.Runs and planned from that "
+        "small key; BlockRun/BufferPool live in pdm.block:\n" + "\n".join(offenders)
+    )
+    pdm = Path(repro.__file__).resolve().parent / "pdm"
+    cleared = [p.name for p in sorted(pdm.glob("*.py")) if "np.zeros((cap" in p.read_text()]
+    assert not cleared, f"a grown track matrix is np.empty (unused rows are never read): {cleared}"
 
 
 def test_one_compound_superstep():
