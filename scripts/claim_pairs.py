@@ -17,13 +17,15 @@ won, and two verdicts:
 * ``regression``: the rule for every *other* metric — ``worse`` when the
   change's median is worse than the parent's by more than the metric's
   bound, ``unresolved`` when either side's spread is wider than the bound
-  (unless every change run beats every parent run), else ``within bound``;
-  counts must be identical.
+  (unless every change run beats every parent run), else ``within bound``.
+  A count reads ``identical``, or ``improved`` when both sides are constant
+  across their runs and the change's constant is strictly better, or
+  ``DIFFERS`` for anything else (a count that rises, or that varies).
 
 Without ``--workload`` every workload named in ``BENCHMARK.json`` runs.
 ``--claim METRIC@WORKLOAD`` turns the table into a verdict: exit code 1
 unless that cell's ``gain`` is ``yes`` and no other cell reads ``worse`` or
-``DIFFERS`` (``unresolved`` cells are listed but do not fail).
+``DIFFERS`` (``unresolved`` and ``improved`` cells are listed but do not fail).
 
 It only invokes the benchmark; it never imports or edits it.  Use a seed
 that was not used while the change was written.  Exit code 1 when a run
@@ -76,7 +78,12 @@ def judge(spec: dict, parent: list[float], change: list[float]) -> dict:
     gap = sign * (pm - cm)  # positive: the change is better
     gain = wins >= 0.9 * len(parent) and gap > p3 - p1
     if spec["unit"] == "count":
-        regression = "identical" if parent == change else "DIFFERS"
+        if parent == change:
+            regression = "identical"
+        elif len({*parent}) == len({*change}) == 1 and sign * change[0] < sign * parent[0]:
+            regression = "improved"
+        else:
+            regression = "DIFFERS"
     elif -gap > spec["bound"] * abs(pm):
         regression = "worse"
     elif (max(p3 - p1, c3 - c1) > spec["bound"] * abs(pm)
@@ -100,10 +107,10 @@ def claim_verdict(claim: str, table: dict[str, dict[str, dict]]) -> tuple[int, l
     for w, rows in table.items():
         for m, v in rows.items():
             if (m, w) != (metric, workload) and v["regression"] in (
-                "worse", "DIFFERS", "unresolved"
+                "worse", "DIFFERS", "unresolved", "improved"
             ):
                 lines.append(f"  {m}@{w}: {v['regression']}")
-                failed |= v["regression"] != "unresolved"
+                failed |= v["regression"] in ("worse", "DIFFERS")
     return int(failed), lines
 
 

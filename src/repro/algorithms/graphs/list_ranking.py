@@ -66,7 +66,12 @@ class ListRanking(CGMProgram):
         ctx["w"] = np.asarray(weight, dtype=np.float64).copy()
         ctx["alive"] = np.ones(succ.size, dtype=bool)
         ctx["rank"] = np.full(succ.size, np.nan)
-        ctx["removed"] = {}          # local idx -> (level, succ_at_removal, w_at_removal)
+        # contraction level at which the node was spliced out, -1 = never.
+        # A spliced node is never written again (its predecessor stays
+        # alive — the independent-set rule never selects two neighbours —
+        # and after the splice nobody points at it), so succ[i] / w[i]
+        # stay its successor and weight at removal.
+        ctx["removed"] = np.full(succ.size, -1, dtype=np.int16)
         ctx["phase"] = "setup"
         ctx["level"] = 0             # contraction iteration counter
         threshold = self.gather_threshold
@@ -85,7 +90,7 @@ class ListRanking(CGMProgram):
         """Route rows to the owners of the node ids in column *key_col*."""
         if rows.size == 0:
             return
-        owners = owner_of_index(rows[:, key_col], ctx["n_nodes"], env.v)
+        owners = owner_of_index(rows[:, key_col].astype(np.int64), ctx["n_nodes"], env.v)
         order = np.argsort(owners, kind="stable")
         rows = rows[order]
         owners = np.asarray(owners)[order]
@@ -186,12 +191,8 @@ class ListRanking(CGMProgram):
             & (succ >= 0)                # not the tail
         )
         sel = np.nonzero(selected)[0]
-        level = ctx["level"]
-        removed = ctx["removed"]
         if sel.size:
-            # records for the expansion phase
-            for i in sel:
-                removed[int(i)] = (level, int(succ[i]), float(w[i]))
+            ctx["removed"][sel] = ctx["level"]  # read back by the expansion
             # pred.succ <- succ(u); pred.w += w(u)
             pred_rows = np.column_stack((pred[sel], succ[sel], w[sel]))
             self._send_grouped(env, ctx, pred_rows, tag="fix-succ")
@@ -266,20 +267,9 @@ class ListRanking(CGMProgram):
                 out_rows = np.column_stack(
                     (ids.astype(np.float64), np.array([ranks[int(u)] for u in ids]))
                 )
-                self._send_grouped_float(env, ctx, out_rows, tag="rank")
+                self._send_grouped(env, ctx, out_rows, tag="rank")
         ctx["phase"] = "ranks"
         return False
-
-    def _send_grouped_float(self, env: RoundEnv, ctx: Context, rows: np.ndarray, tag: str) -> None:
-        owners = owner_of_index(rows[:, 0].astype(np.int64), ctx["n_nodes"], env.v)
-        order = np.argsort(owners, kind="stable")
-        rows = rows[order]
-        owners = np.asarray(owners)[order]
-        bounds = np.searchsorted(owners, np.arange(env.v + 1))
-        for d in range(env.v):
-            a, b = bounds[d], bounds[d + 1]
-            if b > a:
-                env.send(d, rows[a:b], tag=tag)
 
     # phase: ranks — receive base ranks; begin the expansion
     def _phase_ranks(self, ctx: Context, env: RoundEnv) -> bool:
@@ -296,14 +286,9 @@ class ListRanking(CGMProgram):
         if level < 0:
             ctx["phase"] = "done"
             return True
-        lo = ctx["lo"]
-        queries = [
-            (s, i + lo)
-            for i, (lvl, s, _w) in ctx["removed"].items()
-            if lvl == level
-        ]
-        if queries:
-            rows = np.array(queries, dtype=np.int64)
+        idx = np.nonzero(ctx["removed"] == level)[0]
+        if idx.size:
+            rows = np.column_stack((ctx["succ"][idx], idx + ctx["lo"]))
             self._send_grouped(env, ctx, rows, tag="rank-query")
         ctx["phase"] = "expand_reply"
         return False
@@ -317,7 +302,7 @@ class ListRanking(CGMProgram):
             if np.isnan(ranks).any():
                 raise SimulationError("rank queried before it was computed")
             reply = np.column_stack((rows[:, 1].astype(np.float64), ranks))
-            self._send_grouped_float(env, ctx, reply, tag="rank-reply")
+            self._send_grouped(env, ctx, reply, tag="rank-reply")
         ctx["phase"] = "expand_apply"
         return False
 
@@ -328,9 +313,7 @@ class ListRanking(CGMProgram):
         if rows.size:
             idx = rows[:, 0].astype(np.int64) - lo
             # rank(u) = rank(succ at removal) + weight at removal
-            for k, i in enumerate(idx):
-                _lvl, _s, w = ctx["removed"][int(i)]
-                ctx["rank"][i] = rows[k, 1] + w
+            ctx["rank"][idx] = rows[:, 1] + ctx["w"][idx]
         ctx["expand_level"] -= 1
         return self._expand_send(ctx, env)
 

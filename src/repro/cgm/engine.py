@@ -5,7 +5,7 @@ only implement *where contexts and messages live between rounds*:
 
 * :class:`InMemoryEngine` (here) keeps everything in Python objects — this
   is the reference CGM machine with unbounded memory;
-* :class:`repro.core.seq_engine.SeqEMEngine` implements Algorithm 2
+* :class:`repro.core.par_engine.SeqEMEngine` implements Algorithm 2
   (single-processor external-memory simulation);
 * :class:`repro.core.par_engine.ParEMEngine` implements Algorithm 3
   (p-processor external-memory simulation);
@@ -37,6 +37,7 @@ from repro.cgm.metrics import CostReport, RoundMetrics
 from repro.cgm.program import CGMProgram, Context, RoundEnv
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
+from repro.util.items import ITEM_FORMAT_VERSION
 from repro.util.rng import spawn_rngs
 from repro.util.validation import ConfigurationError, PreemptedError, SimulationError
 
@@ -350,10 +351,13 @@ class Engine:
         fault plan.  ``workers`` is deliberately excluded: the in-process
         and multi-process par backends simulate the identical machine
         (both are named ``par-em``), so snapshots are portable between
-        them and across worker counts.
+        them and across worker counts.  ``item_format`` is the version of
+        the bytes on the snapshotted disks: a checkpoint written under
+        another format is refused here, before any track is decoded.
         """
         cfg = self.cfg
         return {
+            "item_format": ITEM_FORMAT_VERSION,
             "engine": self.name,
             "program": program.name,
             "balanced": self.balanced,

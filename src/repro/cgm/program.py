@@ -36,8 +36,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class Context(dict):
     """Per-virtual-processor persistent store.
 
-    A plain dict (string keys -> picklable/numpy values) so the EM engines
-    can serialize it.  Attribute access is provided for readability:
+    A plain dict so the EM engines can serialize it: string keys, and
+    values from the closed set of :mod:`repro.util.items` (scalars, str,
+    bytes, NumPy scalars and non-object arrays, tuples/lists/dicts of
+    those) — keep it flat: an array costs one header, a Python container
+    one node per element, every round.  Attribute access is provided for readability:
     ``ctx.keys_`` style is avoided; use ``ctx["name"]``.
     """
 

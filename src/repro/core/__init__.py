@@ -4,10 +4,9 @@
   Theorem 1 / Lemma 1 / Lemma 2 bounds;
 * :mod:`repro.core.layouts` — consecutive and staggered disk formats
   (Figure 2) and the DiskWrite FIFO scheduler;
-* :mod:`repro.core.seq_engine` — Algorithm 2 (SeqCompoundSuperstep):
-  single-processor external-memory simulation;
 * :mod:`repro.core.par_engine` — Algorithm 3 (ParCompoundSuperstep):
-  p-processor external-memory simulation;
+  p-processor external-memory simulation, and Algorithm 2
+  (SeqCompoundSuperstep) as its p = 1 case;
 * :mod:`repro.core.vm_engine` — the Figure 3 virtual-memory baseline;
 * :mod:`repro.core.optimality` — c-optimality / work-optimality /
   I/O-efficiency predicates (appendix 6.4);
@@ -23,8 +22,7 @@ from repro.core.balanced import (
     regroup_phase_b,
     split_phase_a,
 )
-from repro.core.par_engine import ParEMEngine
-from repro.core.seq_engine import SeqEMEngine
+from repro.core.par_engine import ParEMEngine, SeqEMEngine
 from repro.core.vm_engine import VMEngine
 
 __all__ = [

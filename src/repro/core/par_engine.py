@@ -205,7 +205,8 @@ class ParEMEngine(Engine):
     def _store_context(self, pid: int, ctx: Context) -> None:
         owner = self._owner(pid)
         array, alloc = self.arrays[owner], self.allocators[owner]
-        raw = serialize(dict(ctx))
+        # an unsupported value raises here, before a block is written
+        raw = serialize(ctx)
         nblocks = blocks_for_bytes(len(raw), self.cfg.B)
         region = self._ctx_region.get(pid)
         if region is None or region[1] * self.cfg.D < nblocks:
@@ -251,8 +252,8 @@ class ParEMEngine(Engine):
                 blocks=nblocks,
                 layout="consecutive",
             )
-        # deserialize copies out of the buffer on both encodings, so the
-        # pooled staging area can be reused immediately
+        # deserialize copies every leaf out of the buffer, so the pooled
+        # staging area can be reused immediately
         ctx = Context(deserialize(flat))
         self._iopool.give(buf)
         return ctx
@@ -284,8 +285,11 @@ class ParEMEngine(Engine):
             parts = [(m.tag, m.size_items) for m in group]
             raw = serialize(payload_obj)
             nblocks = blocks_for_bytes(len(raw), self.cfg.B)
-            self._charge(src_pid, nblocks * self.cfg.B)
             bundles.append((dest, parts, BlockRun(raw, nblocks, self._block_bytes)))
+        # charged only once the whole outbox has encoded: an unsupported
+        # payload raises above with no counter advanced
+        for _dest, _parts, payload in bundles:
+            self._charge(src_pid, payload.nblocks * self.cfg.B)
         return bundles
 
     def _stage_bundles(

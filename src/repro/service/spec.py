@@ -38,6 +38,7 @@ from repro.faults.plan import FaultPlan
 from repro.tune.knobs import KNOB_BY_NAME, KnobError
 from repro.tune.profile import profile_fingerprint, stable_env_fingerprint
 from repro.tune.tuner import WorkloadSpec
+from repro.util.items import ITEM_FORMAT_VERSION
 from repro.util.validation import ConfigurationError
 
 #: operations a spec may request: the rows of the op table
@@ -240,6 +241,9 @@ class JobSpec:
         what is excluded and why)."""
         return {
             "kind": "repro-service-job",
+            # counters depend on serialized lengths: results cached under
+            # another item format must miss, not be served
+            "item_format": ITEM_FORMAT_VERSION,
             "op": self.op,
             "n": self.n,
             "seed": self.seed,

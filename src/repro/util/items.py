@@ -1,94 +1,424 @@
-"""Item accounting and serialization.
+"""Item accounting and the one byte format of the simulated disks.
 
 The PDM counts cost in units of fixed-size *items*; a block holds ``B``
 items and one parallel I/O moves ``D*B`` items.  We fix an item at 8 bytes
 (one 64-bit word — the granularity Algorithm 1 of the paper distributes in
 its round-robin binning).
 
-Serialization has a fast path for numpy arrays (raw buffer + a pickled
-``(dtype, shape)`` header) because contexts and message payloads are
-overwhelmingly numpy data; other objects fall back to pickle.  The header
-is ~75 bytes and, for the few-hundred-byte messages of a many-round
-program, cost more to pickle than the body to copy — so both directions
-memoise it (same bytes on the wire, packed or parsed once per distinct
-``(dtype, shape)``).  The encoding is self-describing so the disk engines
-can round-trip arbitrary context dictionaries through the simulated block
-store.
+Every context and every message bundle the disk engines store is one
+*item*: a ``<cQ`` header (tag ``T``, body length) and a body holding one
+self-describing node.  A node is a tag byte and what the tag implies:
+
+======  ==========================================================
+``n``   ``None``
+``t f`` ``True`` / ``False``
+``1 2`` unsigned 1- and 2-byte ``int``
+``4 8`` signed 4- and 8-byte ``int``
+``I``   any other ``int``: count, signed little-endian bytes
+``d``   ``float`` (IEEE double)
+``s``   ``str``: count, UTF-8 bytes
+``b``   ``bytes``: count, raw bytes
+``g``   NumPy scalar: dtype spec, its ``itemsize`` raw bytes
+``a``   ``ndarray``: dtype spec, ``ndim`` byte, ``u64`` dims, C-order
+        buffer
+``( [`` ``tuple`` / ``list``: count, that many nodes
+``{``   ``dict``: count, that many key and value nodes
+``C``   :class:`repro.core.balanced.Chunk`: eight ``i64`` fields and
+        the word count, the tag node, the raw ``uint64`` words
+======  ==========================================================
+
+A *count* is one byte, or ``0xFF`` and a ``u32``.  A *dtype spec* is a
+node: the ``dtype.str`` of a plain dtype (byte order included, metadata
+not — equal dtypes give equal bytes) or the ``dtype.descr`` list of a
+structured one.  Array buffers go from the array straight into the one
+``join`` that builds the item, and come back as a copy, so a decoded value
+never aliases the buffer it was read from.
+
+Nothing is reconstructed by name: the decoder builds only the types above,
+so bytes read back from a disk, a snapshot or a peer cannot run code.  It
+checks every length against the enclosing item before it reads or
+allocates, bounds the nesting depth, and answers anything else — object
+dtypes, unknown tags, truncated items, the ``P``/``N`` items written
+before format 2 — with a one-line ``ValueError``.  Encoding anything
+outside the table (a ``set``, a class instance, an object array, a
+``tuple`` subclass) is a one-line ``TypeError`` naming the type.
 """
 
 from __future__ import annotations
 
-import pickle
+import math
 import struct
 from functools import lru_cache
-from typing import Any
+from typing import Any, NoReturn
 
 import numpy as np
 
 #: Size of one PDM application item in bytes (a 64-bit word).
 ITEM_BYTES = 8
 
-# One-byte format tags.
-_TAG_PICKLE = b"P"
-_TAG_NDARRAY = b"N"
+#: Version of the byte format below.  Checkpoint headers and result-cache
+#: keys carry it, so state written under another format is refused or
+#: missed instead of decoded.
+ITEM_FORMAT_VERSION = 2
 
-_HEADER = struct.Struct("<cQ")  # tag, payload byte length
+_HEADER = struct.Struct("<cQ")  # tag, body byte length
+_TAG_ITEM = b"T"
+
+#: containers nested deeper than this are refused on both sides; a
+#: self-referential list therefore ends in an error, not a crash
+_MAX_DEPTH = 32
+
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+_I32 = struct.Struct("<i")
+_I64 = struct.Struct("<q")
+_F64 = struct.Struct("<d")
+_CHUNK = struct.Struct("<8qQ")
+
+(_NONE, _TRUE, _FALSE, _INT1, _INT2, _INT4, _INT8, _BIGINT, _FLOAT, _STR, _BYTES,
+ _SCALAR, _ARRAY, _TUPLE, _LIST, _DICT, _CHUNK_TAG) = b"ntf1248Idsbga([{C"
+_FIXED = {_INT2: _U16, _INT4: _I32, _INT8: _I64, _FLOAT: _F64}
 
 
-@lru_cache(maxsize=256)
-def _pack_ndarray_header(dtype: np.dtype, shape: tuple) -> bytes:
-    # The dtype object itself is pickled so structured dtypes survive.
-    meta = pickle.dumps((dtype, shape), protocol=5)
-    return _HEADER.pack(_TAG_NDARRAY, len(meta)) + meta
+@lru_cache(maxsize=None)
+def _chunk_type() -> type:
+    # resolved on first use: core.balanced itself imports this module
+    from repro.core.balanced import Chunk
+
+    return Chunk
 
 
-@lru_cache(maxsize=256)
-def _parse_ndarray_meta(meta: bytes) -> tuple[np.dtype, tuple, int]:
-    dtype_spec, shape = pickle.loads(meta)
-    dtype = np.dtype(dtype_spec)
-    nbytes = dtype.itemsize * int(np.prod(shape)) if shape else dtype.itemsize
-    return dtype, shape, nbytes
+# ------------------------------------------------------------------ encoding
+
+
+def _count(n: int) -> bytes:
+    return bytes((n,)) if n < 0xFF else b"\xff" + _U32.pack(n)
+
+
+def _enc_int(obj: int, parts: list, depth: int) -> None:
+    if 0 <= obj < 0x100:
+        parts.append(bytes((_INT1, obj)))
+    elif 0 <= obj < 0x10000:
+        parts.append(b"2" + _U16.pack(obj))
+    elif -0x80000000 <= obj < 0x80000000:
+        parts.append(b"4" + _I32.pack(obj))
+    elif -0x8000000000000000 <= obj < 0x8000000000000000:
+        parts.append(b"8" + _I64.pack(obj))
+    else:
+        raw = obj.to_bytes(obj.bit_length() // 8 + 1, "little", signed=True)
+        parts.append(b"I" + _count(len(raw)) + raw)
+
+
+def _enc_str(obj: str, parts: list, depth: int) -> None:
+    raw = obj.encode("utf-8", "surrogatepass")
+    parts.append(b"s" + _count(len(raw)) + raw)
+
+
+def _enc_bytes(obj: bytes, parts: list, depth: int) -> None:
+    parts.append(b"b" + _count(len(obj)))
+    parts.append(obj)
+
+
+@lru_cache(maxsize=1024)
+def _array_header(dtype: np.dtype, shape: tuple) -> bytes:
+    """Everything of an ``a`` node but the buffer.  Packed once per
+    ``(dtype, shape)``: for the few-hundred-byte arrays of a many-round
+    program the header costs more to build than the body to copy."""
+    if dtype.hasobject or dtype.itemsize == 0:
+        raise TypeError(f"cannot serialize arrays of dtype {dtype!r}")
+    spec = dtype.str if dtype.names is None else dtype.descr
+    if np.dtype(spec) != dtype:  # padded/aligned layouts do not survive descr
+        raise TypeError(f"cannot serialize arrays of dtype {dtype!r}")
+    meta = [struct.pack(f"<B{len(shape)}Q", len(shape), *shape)]
+    _encode(spec, meta, 0)
+    return b"a" + _count(sum(map(len, meta))) + b"".join(meta)
+
+
+def _buffer(arr: np.ndarray) -> "memoryview | bytes":
+    """*arr*'s C-order bytes — the array's own memory when it is
+    contiguous, so the one ``join`` is the only copy."""
+    if not arr.flags.c_contiguous:
+        arr = np.ascontiguousarray(arr)
+    try:
+        return memoryview(arr).cast("B")
+    except (TypeError, ValueError):  # a zero in the shape; datetime64 has no format
+        return arr.tobytes()
+
+
+def _enc_array(obj: np.ndarray, parts: list, depth: int) -> None:
+    parts.append(_array_header(obj.dtype, obj.shape))
+    parts.append(_buffer(obj))
+
+
+def _enc_scalar(obj: np.generic, parts: list, depth: int) -> None:
+    parts.append(b"g" + _array_header(obj.dtype, ())[1:])
+    parts.append(obj.tobytes())
+
+
+def _enc_seq(tag: bytes):
+    def enc(obj, parts: list, depth: int) -> None:
+        if depth >= _MAX_DEPTH:
+            raise ValueError(f"cannot serialize: nested deeper than {_MAX_DEPTH}")
+        parts.append(tag + _count(len(obj)))
+        depth += 1
+        for x in obj:
+            tp = type(x)  # _encode, in line: this loop is the encoder's hot path
+            (_ENCODERS.get(tp) or _subclass_encoder(tp))(x, parts, depth)
+
+    return enc
+
+
+def _enc_dict(obj: dict, parts: list, depth: int) -> None:
+    if depth >= _MAX_DEPTH:
+        raise ValueError(f"cannot serialize: nested deeper than {_MAX_DEPTH}")
+    parts.append(b"{" + _count(len(obj)))
+    depth += 1
+    for k, x in obj.items():
+        (_ENCODERS.get(type(k)) or _subclass_encoder(type(k)))(k, parts, depth)
+        (_ENCODERS.get(type(x)) or _subclass_encoder(type(x)))(x, parts, depth)
+
+
+def _enc_chunk(c, parts: list, depth: int) -> None:
+    words = c.words
+    if not (
+        isinstance(words, np.ndarray) and words.dtype == np.uint64 and words.ndim == 1
+    ) or not (c.tag is None or type(c.tag) is str):
+        raise TypeError("cannot serialize a Chunk whose words are not a 1-d "
+                        "uint64 array or whose tag is not a str or None")
+    try:
+        head = _CHUNK.pack(c.src, c.fdest, c.msg_seq, c.first, c.stride,
+                           c.total_words, c.nbytes, c.size_items, words.size)
+    except struct.error as exc:
+        raise TypeError(f"cannot serialize Chunk fields: {exc}") from None
+    parts.append(b"C" + head)
+    _encode(c.tag, parts, depth)
+    parts.append(_buffer(words))
+
+
+_ENCODERS = {
+    type(None): lambda obj, parts, depth: parts.append(b"n"),
+    bool: lambda obj, parts, depth: parts.append(b"t" if obj else b"f"),
+    int: _enc_int,
+    float: lambda obj, parts, depth: parts.append(b"d" + _F64.pack(obj)),
+    str: _enc_str,
+    bytes: _enc_bytes,
+    np.ndarray: _enc_array,
+    tuple: _enc_seq(b"("),
+    list: _enc_seq(b"["),
+    dict: _enc_dict,
+}
+
+
+def _subclass_encoder(tp: type):
+    """Encoder of a type that is not itself a row of the table: NumPy's
+    scalar and array subclasses and ``dict`` subclasses (a ``Context``)
+    encode as their base, a ``Chunk`` as its record.  Subclasses of the
+    other rows would come back as a different type, so they are refused
+    like any foreign class."""
+    if issubclass(tp, np.generic):
+        return _enc_scalar
+    if issubclass(tp, np.ndarray):
+        return _enc_array
+    if issubclass(tp, dict):
+        return _enc_dict
+    if tp is _chunk_type():
+        return _enc_chunk
+    raise TypeError(
+        f"cannot serialize {tp.__module__}.{tp.__qualname__}: contexts and "
+        "messages hold None, bool, int, float, str, bytes, NumPy scalars and "
+        "non-object arrays, and tuples, lists and dicts of those"
+    )
+
+
+def _encode(obj: Any, parts: list, depth: int) -> None:
+    tp = type(obj)
+    (_ENCODERS.get(tp) or _subclass_encoder(tp))(obj, parts, depth)
 
 
 def serialize(obj: Any) -> bytes:
-    """Encode *obj* to a self-describing byte string.
+    """Encode *obj* to one self-describing item (module docstring).
 
-    Contiguous numpy arrays are encoded as a raw buffer plus a pickled
-    (dtype, shape) header — roughly 40x faster than pickling the array for
-    the large payloads the simulators move around.
-    """
-    if isinstance(obj, np.ndarray) and obj.dtype != object:
-        arr = np.ascontiguousarray(obj)
-        dtype = arr.dtype
-        # ascontiguousarray promotes 0-d to 1-d; keep the original shape.
-        # Only NumPy's interned dtypes go through the memo: equal dtypes
-        # that are not the same object (metadata, aligned structs) can
-        # pickle to different bytes, and the format may not depend on
-        # which of them was seen first.
-        pack = _pack_ndarray_header
-        if dtype.isbuiltin != 1:
-            pack = pack.__wrapped__
-        return pack(dtype, obj.shape) + arr.tobytes()
-    body = pickle.dumps(obj, protocol=5)
-    return _HEADER.pack(_TAG_PICKLE, len(body)) + body
+    Raises ``TypeError`` naming the first unsupported type met, before
+    any byte is produced."""
+    parts: list = [b""]
+    _encode(obj, parts, 0)
+    parts[0] = _HEADER.pack(_TAG_ITEM, sum(map(len, parts)))
+    return b"".join(parts)
 
 
-def deserialize(data: bytes) -> Any:
-    """Decode a byte string produced by :func:`serialize`.
+# ------------------------------------------------------------------ decoding
+
+
+def _fail(what: str) -> NoReturn:
+    raise ValueError(f"corrupt item: {what}")
+
+
+def _dec_count(mv: memoryview, off: int, end: int) -> tuple[int, int]:
+    if off < end:
+        n = mv[off]
+        if n < 0xFF:
+            return n, off + 1
+        if off + 5 <= end:
+            return _U32.unpack_from(mv, off + 1)[0], off + 5
+    _fail("truncated count")
+
+
+def _dec_raw(mv: memoryview, off: int, end: int) -> tuple[memoryview, int]:
+    """A count and that many bytes → (the bytes, offset past them).
+    (Once per str, bytes and array node: the count is read in line.)"""
+    if off >= end:
+        _fail("truncated count")
+    n = mv[off]
+    off += 1
+    if n == 0xFF:
+        if off + 4 > end:
+            _fail("truncated count")
+        n = _U32.unpack_from(mv, off)[0]
+        off += 4
+    if off + n > end:
+        _fail(f"{n} bytes announced, {end - off} left")
+    return mv[off : off + n], off + n
+
+
+@lru_cache(maxsize=256)
+def _array_meta(meta: bytes) -> tuple[np.dtype, tuple, int]:
+    """Parse what :func:`_array_header` packed → (dtype, shape, nbytes);
+    once per distinct header, like the packing."""
+    mv = memoryview(meta)
+    end = len(meta)
+    if not end or 1 + 8 * mv[0] > end:
+        _fail("truncated array shape")
+    shape = struct.unpack_from(f"<{mv[0]}Q", mv, 1)
+    spec, off = _decode(mv, 1 + 8 * len(shape), end, 0)
+    if off != end or type(spec) not in (str, list):
+        _fail("array header is not a shape and a dtype spec")
+    try:
+        dtype = np.dtype(spec)
+    except (TypeError, ValueError, SyntaxError, OverflowError, Warning) as exc:
+        # Warning: a deprecated spelling, when warnings are errors
+        _fail(f"bad dtype spec {spec!r} ({exc})")
+    if dtype.hasobject or dtype.itemsize == 0:
+        _fail(f"refused dtype {dtype!r}")
+    return dtype, shape, dtype.itemsize * math.prod(shape)
+
+
+def _dec_array(mv: memoryview, off: int, end: int) -> tuple[np.ndarray, int]:
+    meta, off = _dec_raw(mv, off, end)
+    # only one-byte-count headers are memoised, so the memo's keys are short
+    parse = _array_meta if len(meta) < 0xFF else _array_meta.__wrapped__
+    dtype, shape, nbytes = parse(bytes(meta))
+    if off + nbytes > end:
+        _fail(f"array of {nbytes} bytes announced, {end - off} left")
+    try:
+        arr = np.ndarray(shape, dtype, mv, off).copy()
+    except (TypeError, ValueError, OverflowError) as exc:
+        _fail(f"bad array shape {shape!r} ({exc})")
+    return arr, off + nbytes
+
+
+def _decode(mv: memoryview, off: int, end: int, depth: int) -> tuple[Any, int]:
+    """Decode the node at ``mv[off:end]`` → (value, offset past it)."""
+    if off >= end:
+        _fail("truncated node")
+    tag = mv[off]
+    off += 1
+    if tag == _INT1:
+        if off >= end:
+            _fail("truncated number")
+        return mv[off], off + 1
+    if tag == _STR:
+        raw, off = _dec_raw(mv, off, end)
+        try:
+            return str(raw, "utf-8", "surrogatepass"), off
+        except UnicodeDecodeError:
+            _fail("str is not UTF-8")
+    if tag == _ARRAY:
+        return _dec_array(mv, off, end)
+    if tag in _FIXED:
+        st = _FIXED[tag]
+        if off + st.size > end:
+            _fail("truncated number")
+        return st.unpack_from(mv, off)[0], off + st.size
+    if tag == _TUPLE or tag == _LIST or tag == _DICT:
+        if depth >= _MAX_DEPTH:
+            _fail(f"nested deeper than {_MAX_DEPTH}")
+        n, off = _dec_count(mv, off, end)
+        if n * (2 if tag == _DICT else 1) > end - off:
+            _fail(f"{n} entries announced, {end - off} bytes left")
+        depth += 1
+        if tag == _DICT:
+            out: dict = {}
+            for _ in range(n):
+                k, off = _decode(mv, off, end, depth)
+                v, off = _decode(mv, off, end, depth)
+                try:
+                    out[k] = v
+                except TypeError:
+                    _fail(f"unhashable dict key of type {type(k).__name__}")
+            return out, off
+        items = []
+        for _ in range(n):
+            x, off = _decode(mv, off, end, depth)
+            items.append(x)
+        return (tuple(items) if tag == _TUPLE else items), off
+    if tag == _NONE:
+        return None, off
+    if tag == _TRUE:
+        return True, off
+    if tag == _FALSE:
+        return False, off
+    if tag == _BYTES:
+        raw, off = _dec_raw(mv, off, end)
+        return bytes(raw), off
+    if tag == _BIGINT:
+        raw, off = _dec_raw(mv, off, end)
+        return int.from_bytes(raw, "little", signed=True), off
+    if tag == _SCALAR:
+        arr, off = _dec_array(mv, off, end)
+        if arr.ndim:
+            _fail("NumPy scalar with a shape")
+        return arr[()], off
+    if tag == _CHUNK_TAG:
+        if off + _CHUNK.size > end:
+            _fail("truncated Chunk")
+        *fields, n_words = _CHUNK.unpack_from(mv, off)
+        ctag, off = _decode(mv, off + _CHUNK.size, end, depth)
+        if not (ctag is None or type(ctag) is str):
+            _fail("Chunk tag is neither a str nor None")
+        if off + 8 * n_words > end:
+            _fail(f"Chunk of {n_words} words announced, {end - off} bytes left")
+        words = np.frombuffer(mv[off : off + 8 * n_words], dtype=np.uint64).copy()
+        *head, size_items = fields
+        return _chunk_type()(*head, ctag, size_items, words), off + 8 * n_words
+    _fail(f"unknown node tag {bytes((tag,))!r}")
+
+
+def deserialize(data) -> Any:
+    """Decode an item produced by :func:`serialize` from any bytes-like
+    *data*; every array in the result is a copy.
 
     Trailing padding (zero bytes appended to reach a block boundary) is
     ignored, which lets the disk engines store objects in whole blocks.
+    Anything that is not a whole, well-formed item raises ``ValueError``.
     """
-    tag, length = _HEADER.unpack_from(data, 0)
-    off = _HEADER.size
-    if tag == _TAG_NDARRAY:
-        dtype, shape, nbytes = _parse_ndarray_meta(bytes(data[off : off + length]))
-        body_off = off + length
-        arr = np.frombuffer(data[body_off : body_off + nbytes], dtype=dtype)
-        return arr.reshape(shape).copy()
-    if tag == _TAG_PICKLE:
-        return pickle.loads(data[off : off + length])
-    raise ValueError(f"unknown serialization tag {tag!r}")
+    mv = memoryview(data)
+    if mv.nbytes < _HEADER.size:
+        _fail("shorter than its header")
+    tag, length = _HEADER.unpack_from(mv, 0)
+    if tag != _TAG_ITEM:
+        if tag in (b"P", b"N"):
+            raise ValueError(
+                f"item written in the retired item format 1 (tag {tag!r}); "
+                f"this build reads item format {ITEM_FORMAT_VERSION} only"
+            )
+        raise ValueError(f"unknown serialization tag {tag!r}")
+    end = _HEADER.size + length
+    if end > mv.nbytes:
+        _fail(f"body of {length} bytes announced, {mv.nbytes - _HEADER.size} present")
+    obj, off = _decode(mv, _HEADER.size, end, 0)
+    if off != end:
+        _fail(f"{end - off} stray bytes after the value")
+    return obj
 
 
 def bytes_to_items(nbytes: int) -> int:

@@ -237,3 +237,57 @@ class TestMixedTraffic:
             cfg = MachineConfig(N=1 << 10, v=4, D=2, B=16)
             res = make_engine(cfg, kind).run(prog, [None] * 4)
             assert res.outputs == [(2, 1, 780)] * 4, kind
+
+
+class TestUnsupportedValues:
+    """A value outside the item codec's closed type set is a ``TypeError``
+    naming the type, raised before a block is written or a counter moves."""
+
+    @staticmethod
+    def _io(eng) -> tuple:
+        return (
+            sum(a.stats.parallel_ios for a in eng.arrays.values()),
+            sum(d.blocks_written for a in eng.arrays.values() for d in a.disks),
+            sum(m.used for m in eng.memories.values()),
+            eng._ctx_blocks_io,
+            eng._msg_blocks_io,
+        )
+
+    @pytest.mark.parametrize("kind", ["seq", "par"])
+    @pytest.mark.parametrize(
+        "leaf", [{1, 2}, object(), np.array([None, 1], dtype=object)],
+        ids=["set", "instance", "object-array"],
+    )
+    def test_context_refused_at_store_time(self, kind, leaf):
+        def setup(ctx, pid, cfg, local_input):
+            ctx["ok"] = np.arange(4)
+            ctx["bad"] = {"nested": [leaf]}
+
+        prog = FunctionalProgram(setup, [], lambda ctx: 0)
+        cfg = MachineConfig(N=64, v=4, p=2 if kind == "par" else 1, D=2, B=4)
+        eng = make_engine(cfg, kind, validate=False)
+        with pytest.raises(TypeError, match="cannot serialize") as err:
+            eng.run(prog, [None] * 4)
+        assert "\n" not in str(err.value)
+        assert self._io(eng) == (0, 0, 0, 0, 0)
+        assert eng._ctx_region == {}
+
+    @pytest.mark.parametrize("kind", ["seq", "par"])
+    def test_bundle_refused_before_any_of_the_outbox_is_charged(self, kind):
+        from repro.cgm.message import Message
+
+        cfg = MachineConfig(N=64, v=4, p=2 if kind == "par" else 1, D=2, B=4)
+        eng = make_engine(cfg, kind, validate=False)
+        eng.run(FunctionalProgram(lambda ctx, pid, cfg, x: None, [], lambda ctx: 0),
+                [None] * 4)
+        before = self._io(eng)
+        # size_items given, as for a payload item_count measures by length:
+        # the set is first seen by the bundle encoder
+        outbox = [
+            Message(0, 1, np.arange(8), "fine"),
+            Message(0, 2, [0] * 8 + [{1}], "bad", size_items=9),
+        ]
+        with pytest.raises(TypeError, match=r"builtins\.set"):
+            eng._put_messages(0, outbox)
+        assert self._io(eng) == before
+        assert not any(eng._staged_meta.values())

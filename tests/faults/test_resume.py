@@ -621,21 +621,13 @@ class TestRefusals:
             )
 
 
-def test_checkpoint_written_before_the_plan_memos_resumes_identically(tmp_path):
-    """``data/listrank_ckpt_pr15`` holds a checkpoint written by commit
-    8b0477d (ListRanking at a reduced ``rounds_listrank`` shape, preempted
-    after round 6) and the uninterrupted run's hash and counters from the
-    same commit.  The memoised plans, the staged scatter and the header
-    memo store the same bytes and count the same I/Os, so the old snapshot
-    resumes here with the old result.  (The payload is this repo's own
-    pickle; a later codec change replaces the fixture, not this claim.)"""
+def _listrank_fixture(name: str, tmp_path):
+    """Copy ``data/<name>`` into a scratch checkpoint dir → (its
+    ``expected.json``, the dir, the run's cfg and inputs)."""
     import json
     import shutil
 
-    from repro.algorithms.graphs.list_ranking import ListRanking
-    from repro.em.runner import output_sha256
-
-    fixture = Path(__file__).parent / "data" / "listrank_ckpt_pr15"
+    fixture = Path(__file__).parent / "data" / name
     want = json.loads((fixture / "expected.json").read_text())
     ck = tmp_path / "ck"
     ck.mkdir()
@@ -648,6 +640,23 @@ def test_checkpoint_written_before_the_plan_memos_resumes_identically(tmp_path):
     weights = (succ >= 0).astype(np.float64)
     cfg = MachineConfig(N=n, v=V, D=D, B=B).with_(M=None)
     inputs = list(zip(partition_array(succ, V), partition_array(weights, V)))
+    return want, ck, cfg, inputs
+
+
+def test_checkpoint_written_before_the_plan_memos_resumes_identically(tmp_path):
+    """``data/listrank_ckpt_pr22`` holds a checkpoint written by the commit
+    that introduced item format 2 (ListRanking at a reduced
+    ``rounds_listrank`` shape, preempted after round 6) and the
+    uninterrupted run's hash and counters from the same commit.  Whatever
+    later changes plan, stage or memoise the I/O must store the same bytes
+    and count the same I/Os, so the recorded snapshot resumes here with the
+    recorded result.  (First recorded at 8b0477d, before the plan memos;
+    re-recorded by ``scripts/rerecord_fixtures.py`` when the item format
+    changed — the output hash is the 8b0477d one.)"""
+    from repro.algorithms.graphs.list_ranking import ListRanking
+    from repro.em.runner import output_sha256
+
+    want, ck, cfg, inputs = _listrank_fixture("listrank_ckpt_pr22", tmp_path)
     tracer = JsonlRecorder()
     res = em_run(
         ListRanking(), inputs, cfg, "seq", checkpoint=str(ck), resume=True, tracer=tracer
@@ -656,3 +665,47 @@ def test_checkpoint_written_before_the_plan_memos_resumes_identically(tmp_path):
     assert [ev["round"] for ev in resumes] == [want["preempted_after_round"]]
     assert output_sha256(np.concatenate(res.outputs)) == want["output_sha256"]
     assert counters(res.report) == want["counters"]
+    assert want["output_sha256"] == (
+        "2e8eb693395dd709fa49f0e0ab758e5d3618eb2fa76c070540f3f40a8842ea0e"
+    )
+
+
+def test_checkpoint_of_the_pickle_item_format_is_refused_before_any_decode(
+    tmp_path, monkeypatch
+):
+    """``data/listrank_ckpt_pr15`` was written when the simulated disks held
+    pickles.  Its header fingerprint has no ``item_format``, so resume stops
+    at the fingerprint comparison: one line, and neither the snapshot nor a
+    track is ever decoded."""
+    import pickle
+
+    from repro.algorithms.graphs.list_ranking import ListRanking
+    from repro.util import items
+
+    def never(*_a, **_k):
+        raise AssertionError("a stale checkpoint was decoded")
+
+    monkeypatch.setattr(pickle, "loads", never)
+    monkeypatch.setattr(items, "deserialize", never)
+    _want, ck, cfg, inputs = _listrank_fixture("listrank_ckpt_pr15", tmp_path)
+    with pytest.raises(CheckpointError, match="different run") as err:
+        em_run(ListRanking(), inputs, cfg, "seq", checkpoint=str(ck), resume=True)
+    assert "item_format" in str(err.value) and "\n" not in str(err.value)
+
+
+def test_cli_resume_of_a_stale_checkpoint_exits_3_with_one_line(tmp_path, capsys):
+    import shutil
+
+    from repro.cli import main
+
+    ck = tmp_path / "ck"
+    ck.mkdir()
+    shutil.copy(
+        Path(__file__).parent / "data" / "listrank_ckpt_pr15" / "ckpt_000007.bin", ck
+    )
+    rc = main(["listrank", "--n", "512", "--v", str(V), "--d", str(D), "--b", str(B),
+               "--engine", "seq", "--checkpoint", str(ck), "--resume"])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err

@@ -313,6 +313,33 @@ class TestDrain:
         finally:
             restarted.drain(timeout=WAIT_S)
 
+    def test_cache_persisted_under_another_item_format_misses(
+        self, tmp_path, monkeypatch
+    ):
+        """Counters depend on serialized lengths, so the item-format version
+        is part of the cache key: a state dir written by a build with another
+        format reloads, but its entries are never served for today's specs."""
+        from repro.service import spec as spec_mod
+        from repro.util.items import ITEM_FORMAT_VERSION
+
+        state = str(tmp_path / "state")
+        monkeypatch.setattr(spec_mod, "ITEM_FORMAT_VERSION", ITEM_FORMAT_VERSION - 1)
+        old = ServiceCore(state_dir=state, pool_size=1)
+        job, _ = old.submit(SPEC)
+        assert job.finished.wait(WAIT_S)
+        assert old.submit(SPEC)[1]  # a hit for the build that wrote it
+        old.drain(timeout=WAIT_S)
+        monkeypatch.undo()
+
+        restarted = ServiceCore(state_dir=state, pool_size=1)
+        try:
+            assert len(restarted.cache) == 1
+            again, hit = restarted.submit(SPEC)
+            assert not hit and again.fingerprint != job.fingerprint
+            assert again.finished.wait(WAIT_S) and again.cache == "miss"
+        finally:
+            restarted.drain(timeout=WAIT_S)
+
     def test_cache_reload_respects_capacity(self, tmp_path):
         from repro.service.cache import ResultCache
 

@@ -759,15 +759,17 @@ class TestSubmitCommand:
         self, tmp_path, capsys, monkeypatch
     ):
         """``submit --local --json`` reproduces, byte for byte, the result
-        documents recorded at PR 14 (before the op table) for sort / permute
-        / transpose on seq and par — so persisted result-cache entries and
-        the e2e benchmark's verification stay valid.  ``elapsed_s`` and the
-        host-dependent ``fingerprint`` were dropped when recording."""
+        documents recorded for sort / permute / transpose on seq and par —
+        first at PR 14 (before the op table), again at PR 22, whose item
+        format moved the counters and none of the six ``output_sha256``
+        (``scripts/rerecord_fixtures.py`` refuses to record a changed
+        hash).  ``elapsed_s`` and the host-dependent ``fingerprint`` were
+        dropped when recording."""
         import os
 
         monkeypatch.delenv("REPRO_FAULTS", raising=False)  # adds fault_stats
         here = os.path.dirname(os.path.abspath(__file__))
-        with open(os.path.join(here, "service", "data", "result_docs_pr14.json")) as fh:
+        with open(os.path.join(here, "service", "data", "result_docs_pr22.json")) as fh:
             recorded = json.load(fh)
         assert {entry["spec"]["op"] for entry in recorded.values()} == {
             "sort", "permute", "transpose"

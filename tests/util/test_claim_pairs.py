@@ -54,6 +54,21 @@ def test_regression_verdicts():
     assert claim_pairs.judge(COUNT, [5, 5], [5, 6])["regression"] == "DIFFERS"
 
 
+def test_a_count_cell_reads_identical_improved_or_differs():
+    def judge(parent, change, spec=COUNT):
+        return claim_pairs.judge(spec, parent, change)["regression"]
+
+    assert judge([23753] * 3, [23753] * 3) == "identical"
+    # both sides constant, the change strictly better: the one explained move
+    assert judge([23753] * 3, [18585] * 3) == "improved"
+    assert judge([3, 3], [4, 4], {**COUNT, "better": "higher"}) == "improved"
+    # any rise, and any count that is not one number per side, still fails
+    assert judge([18585] * 3, [23753] * 3) == "DIFFERS"
+    assert judge([3, 3], [2, 2], {**COUNT, "better": "higher"}) == "DIFFERS"
+    assert judge([23753] * 3, [18585, 18585, 18584]) == "DIFFERS"
+    assert judge([23753, 23754, 23753], [18585] * 3) == "DIFFERS"
+
+
 def _cell(gain=False, regression="within bound"):
     return {"gain": gain, "regression": regression}
 
@@ -86,6 +101,10 @@ def test_claim_exit_code_arithmetic():
         table["scale_out"]["sim_parallel_ios"] = _cell(regression=bad)
         rc, lines = verdict("op_p50_s@sort_io", table)
         assert rc == 1 and f"  sim_parallel_ios@scale_out: {bad}" in lines
+    # an improved count elsewhere is listed and does not fail
+    table["scale_out"]["sim_parallel_ios"] = _cell(regression="improved")
+    rc, lines = verdict("op_p50_s@sort_io", table)
+    assert rc == 0 and "  sim_parallel_ios@scale_out: improved" in lines
     # the claimed cell is judged by the gain rule alone
     table = {"sort_io": {"op_p50_s": _cell(gain=True, regression="unresolved")}}
     assert verdict("op_p50_s@sort_io", table)[0] == 0

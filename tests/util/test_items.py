@@ -25,36 +25,27 @@ GOLDEN_ARRAYS = {
     "structured": np.array([(1, 2.5), (3, -4.0)], dtype=[("a", "i1"), ("b", ">f8")]),
     "big_endian": np.arange(5, dtype=">u4"),
 }
-#: ``serialize(GOLDEN_ARRAYS[name]).hex()`` as printed by commit 8b0477d
+#: ``serialize(GOLDEN_ARRAYS[name]).hex()`` as printed by the commit that
+#: introduced item format 2 (PR 22)
 GOLDEN = {
     "zero_d": (
-        "4e45000000000000008005953a000000000000008c056e756d7079948c05647479706594"
-        "93948c02663894898887945294284b038c013c944e4e4e4affffffff4affffffff4b0074"
-        "94622986942e0000000000001e40"
+        "54100000000000000061060073033c66380000000000001e40"
     ),
     "empty": (
-        "4e4a000000000000008005953f000000000000008c056e756d7079948c05647479706594"
-        "93948c02693494898887945294284b038c013c944e4e4e4affffffff4affffffff4b0074"
-        "94624b004b03869486942e"
+        "5418000000000000006116020000000000000000030000000000000073033c6934"
     ),
     "non_contiguous": (
-        "4e4a000000000000008005953f000000000000008c056e756d7079948c05647479706594"
-        "93948c02693894898887945294284b038c013c944e4e4e4affffffff4affffffff4b0074"
-        "94624b024b03869486942e0100000000000000030000000000000005000000000000000d"
-        "000000000000000f000000000000001100000000000000"
+        "5448000000000000006116020200000000000000030000000000000073033c6938010000"
+        "0000000000030000000000000005000000000000000d000000000000000f000000000000"
+        "001100000000000000"
     ),
     "structured": (
-        "4ea40000000000000080059599000000000000008c056e756d7079948c05647479706594"
-        "93948c02563994898887945294284b038c017c944e8c0161948c01629486947d94286807"
-        "68028c02693194898887945294284b0368064e4e4e4affffffff4affffffff4b00749462"
-        "4b008694680868028c02663894898887945294284b038c013e944e4e4e4affffffff4aff"
-        "ffffff4b007494624b018694754b094b014b107494624b02859486942e01400400000000"
-        "000003c010000000000000"
+        "543300000000000000611f0102000000000000005b02280273016173037c693128027301"
+        "6273033e663801400400000000000003c010000000000000"
     ),
     "big_endian": (
-        "4e48000000000000008005953d000000000000008c056e756d7079948c05647479706594"
-        "93948c02753494898887945294284b038c013e944e4e4e4affffffff4affffffff4b0074"
-        "94624b05859486942e0000000000000001000000020000000300000004"
+        "542400000000000000610e01050000000000000073033e75340000000000000001000000"
+        "020000000300000004"
     ),
 }
 
@@ -96,7 +87,7 @@ class TestSerializeRoundTrip:
         obj = {"a": [1, 2, 3], "b": "text", "c": (4.5, None)}
         assert deserialize(serialize(obj)) == obj
 
-    def test_nested_with_arrays_uses_pickle_path(self):
+    def test_nested_with_arrays(self):
         obj = {"x": np.arange(5), "y": "meta"}
         out = deserialize(serialize(obj))
         assert np.array_equal(out["x"], np.arange(5))
@@ -116,8 +107,9 @@ class TestSerializeRoundTrip:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_ndarray_bytes_are_those_of_the_unmemoised_codec(self, name):
-        """Recorded at commit 8b0477d, before the header memo: the wire and
-        disk format may not move by one byte (block counts depend on it)."""
+        """Recorded when item format 2 was introduced: the disk format may
+        not move by one byte (block counts depend on it), on a header-memo
+        miss or a hit."""
         arr = GOLDEN_ARRAYS[name]
         for _hit in range(2):
             assert serialize(arr).hex() == GOLDEN[name]
@@ -126,13 +118,19 @@ class TestSerializeRoundTrip:
             assert out.tobytes() == np.ascontiguousarray(arr).tobytes()
 
     def test_equal_dtypes_that_pickle_differently_bypass_the_memo(self):
+        """Format 2 spells a dtype as ``dtype.str``: equal dtypes give equal
+        bytes whichever of them the header memo saw first, and the metadata
+        one of them carries is neither written nor handed to the other."""
         plain = np.arange(3, dtype=np.int64)
         tagged = plain.astype(np.dtype(np.int64, metadata={"unit": "m"}))
         assert tagged.dtype == plain.dtype
         first, second = serialize(tagged), serialize(plain)
-        assert first != second  # the metadata is on the wire
-        assert serialize(plain) == second and serialize(tagged) == first
-        assert deserialize(first).dtype.metadata == {"unit": "m"}
+        assert first == second
+        assert b"unit" not in first
+        for raw in (first, second):
+            assert deserialize(raw).dtype.metadata is None
+        # a different dtype of the same width is a different spelling
+        assert serialize(plain.view(np.uint64)) != second
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError, match="unknown serialization tag"):
@@ -187,3 +185,337 @@ class TestBlockArithmetic:
 
     def test_item_is_eight_bytes(self):
         assert ITEM_BYTES == 8
+
+
+# --------------------------------------------------------------------------
+# Item format 2 under generated trees and hostile bytes
+# --------------------------------------------------------------------------
+
+import pickle  # noqa: E402  (what format 2 replaced: the size yardstick)
+import struct  # noqa: E402
+
+from repro.core.balanced import Chunk  # noqa: E402
+
+CLOSED_SET = (type(None), bool, int, float, str, bytes, np.generic, np.ndarray,
+              tuple, list, dict, Chunk)
+
+INT_EDGES = [
+    e + d
+    for e in (0, 0xFF, 0x100, 0xFFFF, 0x10000, 2**31, -(2**31), 2**63, -(2**63),
+              2**64, 2**200, -(2**200))
+    for d in (-1, 0, 1)
+]
+DTYPES = [
+    np.dtype(t)
+    for t in ("?", "i1", "<i2", ">i4", "<i8", "u1", ">u2", "<u8", "<f4", ">f8", "<c16",
+              "S3", "<U2", "<M8[ns]", "<m8[s]", [("a", "i1"), ("b", ">f8")],
+              [("p", "<u2", (2,)), ("q", [("r", "?"), ("s", "<f4")])])
+]
+
+
+def same(a, b) -> bool:
+    """Type-exact, bit-exact equality over the closed set."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    if isinstance(a, np.generic):
+        return a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(same, a, b))
+    if isinstance(a, dict):
+        return len(a) == len(b) and all(
+            same(ka, kb) and same(va, vb)
+            for (ka, va), (kb, vb) in zip(a.items(), b.items())
+        )
+    if isinstance(a, Chunk):
+        return same(list(vars(a).values()), list(vars(b).values()))
+    return a == b
+
+
+def footprint(obj) -> int:
+    """Bytes of payload a decoded value holds (the allocation bound)."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.nbytes
+    if isinstance(obj, (str, bytes)):
+        return len(obj)
+    if isinstance(obj, (tuple, list)):
+        return len(obj) + sum(map(footprint, obj))
+    if isinstance(obj, dict):
+        return len(obj) + sum(footprint(k) + footprint(v) for k, v in obj.items())
+    if isinstance(obj, Chunk):
+        return footprint(obj.words)
+    return 1
+
+
+def in_closed_set(obj) -> bool:
+    if isinstance(obj, (tuple, list)):
+        return all(map(in_closed_set, obj))
+    if isinstance(obj, dict):
+        return all(in_closed_set(k) and in_closed_set(v) for k, v in obj.items())
+    if isinstance(obj, np.ndarray):
+        return not obj.dtype.hasobject
+    return isinstance(obj, CLOSED_SET)
+
+
+def _views(arr: np.ndarray):
+    """The array itself and its non-contiguous faces."""
+    yield arr
+    if arr.ndim:
+        yield arr[::2]
+        yield arr[::-1]
+    if arr.ndim > 1:
+        yield arr.T
+
+
+arrays = st.sampled_from(DTYPES).flatmap(
+    lambda dt: hnp.arrays(
+        dt, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
+    )
+).flatmap(lambda arr: st.sampled_from(list(_views(arr))))
+scalars = st.sampled_from(DTYPES[:-2]).flatmap(hnp.from_dtype)
+words = hnp.arrays(np.uint64, st.integers(0, 5))
+small = st.integers(0, 2**62)
+chunks = st.builds(
+    Chunk, small, small, small, small, small, small, small,
+    st.none() | st.text(max_size=5), small, words,
+)
+hashable = (
+    st.none() | st.booleans() | st.integers() | st.sampled_from(INT_EDGES)
+    | st.floats(allow_nan=False) | st.text(max_size=8) | st.binary(max_size=8)
+)
+leaves = (
+    hashable | st.floats() | st.text(max_size=300) | st.binary(max_size=300)
+    | arrays | scalars | st.lists(chunks, max_size=3)
+)
+trees = st.recursive(
+    leaves,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.lists(inner, max_size=4).map(tuple)
+        | st.dictionaries(hashable, inner, max_size=4)
+    ),
+    max_leaves=12,
+)
+
+#: valid items the hostile-bytes tests mutate: a ListRanking-shaped context,
+#: a multi-part bundle, a balanced-routing bundle, a deep scalar tree
+VICTIMS = [
+    {"pid": 3, "phase": "splice", "level": -1, "w": np.linspace(0, 1, 5),
+     "removed": np.full(5, -1, np.int16), "alive": np.ones(5, bool)},
+    [("coin", np.arange(6).reshape(3, 2)), ("count", 70000), (None, 2.5)],
+    [Chunk(1, 2, 0, 3, 8, 40, 317, None, 40, np.arange(5, dtype=np.uint64)),
+     Chunk(7, 2, 1, 0, 8, 9, 70, "pred", 9, np.zeros(2, dtype=np.uint64))],
+    {"k": [(), [], {}, b"\x00\xff", 2**70, np.float32(1.5), True, None],
+     2: GOLDEN_ARRAYS["structured"]},
+]
+
+
+def item(body: bytes, tag: bytes = b"T") -> bytes:
+    return struct.pack("<cQ", tag, len(body)) + body
+
+
+class TestFormat2RoundTrip:
+    @given(trees, st.integers(0, 40))
+    def test_generated_trees_round_trip(self, tree, pad):
+        raw = serialize(tree)
+        assert type(raw) is bytes
+        out = deserialize(raw + b"\x00" * pad)
+        assert same(out, tree)
+        assert same(deserialize(memoryview(raw)), tree)
+
+    @pytest.mark.parametrize("n", INT_EDGES)
+    def test_ints_at_every_width_boundary(self, n):
+        out = deserialize(serialize(n))
+        assert type(out) is int and out == n
+
+    def test_int_widths_are_those_pickle_uses(self):
+        sizes = [len(serialize(n)) - 9 for n in (0xFF, 0xFFFF, 2**31 - 1, -1, 2**63 - 1)]
+        assert sizes == [2, 3, 5, 5, 9]
+
+    def test_decoded_arrays_own_their_memory(self):
+        buf = bytearray(serialize({"a": np.arange(4)}))
+        out = deserialize(buf)
+        buf[:] = bytes(len(buf))
+        assert np.array_equal(out["a"], np.arange(4)) and out["a"].flags.writeable
+
+    def test_dict_subclass_and_array_subclass_encode_as_their_base(self):
+        from repro.cgm.program import Context
+
+        ctx = Context(a=1, b=np.arange(3).view(np.recarray))
+        out = deserialize(serialize(ctx))
+        assert type(out) is dict and type(out["b"]) is np.ndarray
+        assert serialize(ctx) == serialize({"a": 1, "b": np.arange(3)})
+
+
+class TestFormat2Refusals:
+    @pytest.mark.parametrize("bad", [
+        {1, 2}, frozenset(), object(), 1j, range(3), bytearray(b"x"),
+        np.array([None, "x"], dtype=object), np.zeros(2, dtype=[("a", "O")]),
+        np.zeros(2, dtype=np.dtype([("a", "i1"), ("b", "f8")], align=True)),
+        np.zeros(2, dtype="V0"), type("Point", (tuple,), {})((1, 2)),
+        Chunk(0, 0, 0, 0, 1, 1, 8, None, 1, np.zeros(1, dtype=np.int64)),
+        Chunk(0, 0, 0, 0, 1, 1, 8, 5, 1, np.zeros(1, dtype=np.uint64)),
+        Chunk(0, 0, 0, 0, 1, 2**70, 8, None, 1, np.zeros(1, dtype=np.uint64)),
+    ], ids=lambda b: type(b).__name__)
+    def test_unsupported_values_are_one_line_type_errors(self, bad):
+        for wrapped in (bad, {"ok": 1, "nested": [0, (bad,)]}):
+            with pytest.raises(TypeError, match="cannot serialize") as err:
+                serialize(wrapped)
+            assert "\n" not in str(err.value)
+
+    def test_the_error_names_the_type(self):
+        class Point:
+            pass
+
+        with pytest.raises(TypeError, match=r"Point"):
+            serialize([Point()])
+        with pytest.raises(TypeError, match=r"builtins\.set"):
+            serialize({"s": set()})
+
+    def test_self_reference_and_depth_are_bounded(self):
+        loop: list = []
+        loop.append(loop)
+        with pytest.raises(ValueError, match="nested deeper"):
+            serialize(loop)
+        deep: list = []
+        for _ in range(31):
+            deep = [deep]
+        assert deserialize(serialize(deep)) == deep
+        with pytest.raises(ValueError, match="nested deeper"):
+            serialize([deep])
+
+    @pytest.mark.parametrize("victim", range(len(VICTIMS)))
+    def test_every_truncation_is_a_value_error(self, victim):
+        raw = serialize(VICTIMS[victim])
+        for cut in range(len(raw)):
+            with pytest.raises(ValueError):
+                deserialize(raw[:cut])
+            # ... and so is a body cut short under an honest header
+            if cut >= 9:
+                with pytest.raises(ValueError):
+                    deserialize(item(raw[9:cut]))
+
+    @pytest.mark.parametrize("body", [
+        b"[\xff\xff\xff\xff\xff",                         # 4 G entries, none present
+        b"{\xfe" + b"n" * 20,                             # 254 pairs in 20 bytes
+        b"s\xff\x00\x00\x00\x10abc",                      # 256 MiB of text in 3 bytes
+        b"b\x09abc",
+        b"I\xff\xff\xff\xff\x7f",
+        b"a\x0e\x01" + struct.pack("<Q", 2**61) + b"s\x03<i8" + bytes(64),
+        b"a\x16\x02" + struct.pack("<QQ", 2**40, 2**40) + b"s\x03<i8",
+        b"a\x0e\x01" + struct.pack("<Q", 2**63) + b"s\x03<V0",   # no bytes, huge shape
+        b"a\x05\xffs\x03<i8",                             # ndim 255, no dims
+        b"a\x04\x00s\x01O" + bytes(8),                    # object dtype
+        b"a\x0c\x00[\x01(\x02s\x01as\x01O" + bytes(8),    # object field
+        b"a\x06\x00s\x03zzz",                             # no such dtype
+        b"a\x03\x00\x31\x05",                             # dtype spec is an int
+        b"g\x0e\x01" + struct.pack("<Q", 1) + b"s\x03<i8" + bytes(8),  # scalar with shape
+        b"C" + struct.pack("<8qQ", *[0] * 8, 2**60) + b"n",
+        b"C" + struct.pack("<8qQ", *[0] * 8, 0) + b"\x31\x05",      # tag is an int
+        b"{\x01[\x00n",                                   # unhashable key
+        b"s\x02\xff\xfe",                                 # not UTF-8
+        b"n" + b"n",                                      # stray bytes inside the item
+        b"Z",
+        b"",
+    ], ids=repr)
+    def test_oversized_and_malformed_bodies_are_value_errors(self, body):
+        with pytest.raises(ValueError) as err:
+            deserialize(item(body) + bytes(7))
+        assert "\n" not in str(err.value)
+
+    def test_depth_bomb_is_a_value_error_not_a_recursion_error(self):
+        with pytest.raises(ValueError, match="nested deeper"):
+            deserialize(item(b"[\x01" * 100_000 + b"n"))
+        with pytest.raises(ValueError, match="nested deeper"):
+            deserialize(item(b"a\xff" + struct.pack("<I", 100_006) + b"\x00"
+                             + b"[\x01" * 50_000 + b"s\x03<i8"))
+
+    def test_items_of_the_retired_format_are_refused_not_unpickled(self):
+        body = pickle.dumps({"k": 1}, protocol=5)
+        with pytest.raises(ValueError, match="retired item format 1"):
+            deserialize(item(body, b"P"))
+        meta = pickle.dumps((np.dtype("<i8"), (2,)), protocol=5)
+        with pytest.raises(ValueError, match="retired item format 1"):
+            deserialize(item(meta, b"N") + bytes(16))
+
+    @pytest.mark.filterwarnings("ignore:Data type alias:DeprecationWarning")
+    @pytest.mark.parametrize("victim", range(len(VICTIMS)))
+    def test_every_single_byte_flip_decodes_to_the_closed_set_or_raises(self, victim):
+        raw = serialize(VICTIMS[victim])
+        for pos in range(len(raw)):
+            for mask in (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0xFF):
+                bent = bytearray(raw)
+                bent[pos] ^= mask
+                try:
+                    out = deserialize(bent)
+                except ValueError:
+                    continue
+                assert in_closed_set(out), (pos, mask)
+                assert footprint(out) <= len(raw), (pos, mask)
+
+
+class TestFormat2IsNeverLonger:
+    """``len(serialize(x))`` against the parent's bytes — header + protocol-5
+    pickle, or header + pickled ``(dtype, shape)`` + buffer for a bare array
+    — for every context and bundle of one op of each e2e workload."""
+
+    @staticmethod
+    def _parent_len(obj) -> int:
+        if isinstance(obj, np.ndarray) and obj.dtype != object:
+            return 9 + len(pickle.dumps((obj.dtype, obj.shape), protocol=5)) + obj.nbytes
+        return 9 + len(pickle.dumps(dict(obj) if isinstance(obj, dict) else obj, protocol=5))
+
+    @pytest.fixture
+    def captured(self, monkeypatch):
+        from repro.core import par_engine
+
+        seen: list[tuple[int, int]] = []
+
+        def spy(obj):
+            raw = serialize(obj)
+            seen.append((len(raw), self._parent_len(obj)))
+            return raw
+
+        monkeypatch.setattr(par_engine, "serialize", spy)
+        return seen
+
+    @staticmethod
+    def _one_op(workload: str) -> None:
+        from repro.algorithms.collectives import partition_array
+        from repro.algorithms.graphs.api import list_rank
+        from repro.algorithms.sorting import SampleSort
+        from repro.cgm.config import MachineConfig
+        from repro.em.runner import em_run, em_sort
+        from repro.service.client import run_spec_local
+
+        rng = np.random.default_rng(22)
+        if workload == "sort_io":
+            n = 1 << 18
+            em_sort(rng.integers(0, 2**40, n), MachineConfig(N=n, v=8, D=2, B=16), "seq")
+        elif workload == "rounds_listrank":
+            n = 4096
+            order = rng.permutation(n)
+            succ = np.full(n, -1, dtype=np.int64)
+            succ[order[:-1]] = order[1:]
+            list_rank(succ, MachineConfig(N=n, v=8, D=2, B=64), engine="seq")
+        elif workload == "scale_out":  # in-process: the spy lives in this interpreter
+            n = 1 << 20
+            cfg = MachineConfig(N=n, v=16, p=4, D=4, B=1024)
+            data = rng.integers(0, 2**40, n)
+            em_run(SampleSort(), partition_array(data, 16), cfg, "par", balanced=True)
+        else:
+            for op in ("sort", "permute", "transpose"):
+                run_spec_local({"op": op, "n": 8192, "seed": 22,
+                                "machine": {"v": 8, "D": 2, "B": 64}})
+
+    @pytest.mark.parametrize(
+        "workload", ["sort_io", "rounds_listrank", "scale_out", "service_mix"]
+    )
+    def test_no_context_or_bundle_grew(self, captured, workload):
+        self._one_op(workload)
+        assert len(captured) > 50
+        assert [pair for pair in captured if pair[0] > pair[1]] == []
+        assert sum(new for new, _ in captured) < sum(old for _, old in captured)

@@ -4,7 +4,8 @@ prefetch thread stay retired, there is one compound superstep (one round
 loop, one routing step, no worker engine class), the Figure-5 Group-A
 operations have one definition (the op table), and every Figure-5 run has
 one front door (options are ``make_engine`` arguments the wrappers forward;
-one CLI run handler).
+one CLI run handler), and what the simulated disks hold is one tagged
+format that nothing on its path pickles.
 
 The tentpole's centralization contract — ad-hoc ``os.environ`` reads of
 runtime knobs are how the inconsistent-caching bug happened, so outside
@@ -62,6 +63,10 @@ _ENV_WRITE = re.compile(
     r"os\.environ\[[^]]*\]\s*=[^=]|os\.environ\.(update|setdefault|pop)\b"
     r"|\bos\.putenv\b"
 )
+
+
+#: ListRanking's second sender, the seq_engine re-export, the pickle item tag
+_CODEC_FORK = re.compile(r"_send_grouped_float|core\.seq_engine|_TAG_PICKLE")
 
 
 def _offenders(pattern: re.Pattern, skip_tune: bool) -> list[str]:
@@ -126,6 +131,30 @@ def test_addresses_are_arithmetic_and_arenas_come_uncleared():
     pdm = Path(repro.__file__).resolve().parent / "pdm"
     cleared = [p.name for p in sorted(pdm.glob("*.py")) if "np.zeros((cap" in p.read_text()]
     assert not cleared, f"a grown track matrix is np.empty (unused rows are never read): {cleared}"
+
+
+def test_one_disk_codec_and_nothing_on_its_path_pickles():
+    offenders = _offenders(_CODEC_FORK, skip_tune=False)
+    assert not offenders, (
+        "ListRanking has one grouped sender, SeqEMEngine lives in "
+        "core.par_engine, items have one format:\n" + "\n".join(offenders)
+    )
+    src_root = Path(repro.__file__).resolve().parent
+    codec_path = [
+        src_root / "util" / "items.py",
+        src_root / "core" / "balanced.py",
+        src_root / "core" / "par_engine.py",
+        *sorted((src_root / "cgm").rglob("*.py")),
+        *sorted((src_root / "algorithms").rglob("*.py")),
+    ]
+    pickling = [
+        str(p.relative_to(src_root)) for p in codec_path if "pickle" in p.read_text()
+    ]
+    assert not pickling, (
+        "contexts and bundles are encoded by repro.util.items (tagged tree, "
+        f"no object reconstruction): {pickling}"
+    )
+    assert not (src_root / "core" / "seq_engine.py").exists()
 
 
 def test_one_compound_superstep():
