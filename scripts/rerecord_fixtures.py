@@ -118,7 +118,7 @@ def listrank_checkpoint(tag: str) -> None:
             eng.run(ListRanking(), inputs)
         except PreemptedError:
             pass
-        (newest,) = sorted(Path(tmp).glob("ckpt_*.bin"))[-1:]
+        newest = sorted(Path(tmp).glob("ckpt_*.bin"))[-1]
         assert newest.name == f"ckpt_{stop + 1:06d}.bin", newest
         shutil.copy(newest, target / newest.name)
     _dump(target / "expected.json", {

@@ -90,7 +90,8 @@ class ListRanking(CGMProgram):
         """Route rows to the owners of the node ids in column *key_col*."""
         if rows.size == 0:
             return
-        owners = owner_of_index(rows[:, key_col].astype(np.int64), ctx["n_nodes"], env.v)
+        keys = np.asarray(rows[:, key_col], dtype=np.int64)  # float rows carry ids too
+        owners = owner_of_index(keys, ctx["n_nodes"], env.v)
         order = np.argsort(owners, kind="stable")
         rows = rows[order]
         owners = np.asarray(owners)[order]

@@ -18,9 +18,9 @@ self-describing node.  A node is a tag byte and what the tag implies:
 ``d``   ``float`` (IEEE double)
 ``s``   ``str``: count, UTF-8 bytes
 ``b``   ``bytes``: count, raw bytes
-``g``   NumPy scalar: dtype spec, its ``itemsize`` raw bytes
-``a``   ``ndarray``: dtype spec, ``ndim`` byte, ``u64`` dims, C-order
-        buffer
+``a``   ``ndarray``: count, that many bytes of *array header* (``ndim``
+        byte, ``u64`` dims, dtype spec), then the C-order buffer
+``g``   NumPy scalar: the same with ``ndim`` 0
 ``( [`` ``tuple`` / ``list``: count, that many nodes
 ``{``   ``dict``: count, that many key and value nodes
 ``C``   :class:`repro.core.balanced.Chunk`: eight ``i64`` fields and
@@ -120,9 +120,9 @@ def _enc_bytes(obj: bytes, parts: list, depth: int) -> None:
 
 
 @lru_cache(maxsize=1024)
-def _array_header(dtype: np.dtype, shape: tuple) -> bytes:
-    """Everything of an ``a`` node but the buffer.  Packed once per
-    ``(dtype, shape)``: for the few-hundred-byte arrays of a many-round
+def _array_header(dtype: np.dtype, shape: tuple, tag: bytes = b"a") -> bytes:
+    """Everything of an ``a`` (or ``g``) node but the buffer.  Packed once
+    per ``(dtype, shape)``: for the few-hundred-byte arrays of a many-round
     program the header costs more to build than the body to copy."""
     if dtype.hasobject or dtype.itemsize == 0:
         raise TypeError(f"cannot serialize arrays of dtype {dtype!r}")
@@ -131,7 +131,7 @@ def _array_header(dtype: np.dtype, shape: tuple) -> bytes:
         raise TypeError(f"cannot serialize arrays of dtype {dtype!r}")
     meta = [struct.pack(f"<B{len(shape)}Q", len(shape), *shape)]
     _encode(spec, meta, 0)
-    return b"a" + _count(sum(map(len, meta))) + b"".join(meta)
+    return tag + _count(sum(map(len, meta))) + b"".join(meta)
 
 
 def _buffer(arr: np.ndarray) -> "memoryview | bytes":
@@ -151,7 +151,7 @@ def _enc_array(obj: np.ndarray, parts: list, depth: int) -> None:
 
 
 def _enc_scalar(obj: np.generic, parts: list, depth: int) -> None:
-    parts.append(b"g" + _array_header(obj.dtype, ())[1:])
+    parts.append(_array_header(obj.dtype, (), b"g"))
     parts.append(obj.tobytes())
 
 
@@ -160,10 +160,8 @@ def _enc_seq(tag: bytes):
         if depth >= _MAX_DEPTH:
             raise ValueError(f"cannot serialize: nested deeper than {_MAX_DEPTH}")
         parts.append(tag + _count(len(obj)))
-        depth += 1
         for x in obj:
-            tp = type(x)  # _encode, in line: this loop is the encoder's hot path
-            (_ENCODERS.get(tp) or _subclass_encoder(tp))(x, parts, depth)
+            _encode(x, parts, depth + 1)
 
     return enc
 
@@ -172,10 +170,9 @@ def _enc_dict(obj: dict, parts: list, depth: int) -> None:
     if depth >= _MAX_DEPTH:
         raise ValueError(f"cannot serialize: nested deeper than {_MAX_DEPTH}")
     parts.append(b"{" + _count(len(obj)))
-    depth += 1
     for k, x in obj.items():
-        (_ENCODERS.get(type(k)) or _subclass_encoder(type(k)))(k, parts, depth)
-        (_ENCODERS.get(type(x)) or _subclass_encoder(type(x)))(x, parts, depth)
+        _encode(k, parts, depth + 1)
+        _encode(x, parts, depth + 1)
 
 
 def _enc_chunk(c, parts: list, depth: int) -> None:
@@ -264,17 +261,8 @@ def _dec_count(mv: memoryview, off: int, end: int) -> tuple[int, int]:
 
 
 def _dec_raw(mv: memoryview, off: int, end: int) -> tuple[memoryview, int]:
-    """A count and that many bytes → (the bytes, offset past them).
-    (Once per str, bytes and array node: the count is read in line.)"""
-    if off >= end:
-        _fail("truncated count")
-    n = mv[off]
-    off += 1
-    if n == 0xFF:
-        if off + 4 > end:
-            _fail("truncated count")
-        n = _U32.unpack_from(mv, off)[0]
-        off += 4
+    """A count and that many bytes → (the bytes, offset past them)."""
+    n, off = _dec_count(mv, off, end)
     if off + n > end:
         _fail(f"{n} bytes announced, {end - off} left")
     return mv[off : off + n], off + n

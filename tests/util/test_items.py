@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import pickle  # what format 2 replaced: the size yardstick of the last class
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core.balanced import Chunk
 from repro.util.items import (
     ITEM_BYTES,
     blocks_needed,
@@ -190,11 +194,6 @@ class TestBlockArithmetic:
 # --------------------------------------------------------------------------
 # Item format 2 under generated trees and hostile bytes
 # --------------------------------------------------------------------------
-
-import pickle  # noqa: E402  (what format 2 replaced: the size yardstick)
-import struct  # noqa: E402
-
-from repro.core.balanced import Chunk  # noqa: E402
 
 CLOSED_SET = (type(None), bool, int, float, str, bytes, np.generic, np.ndarray,
               tuple, list, dict, Chunk)
