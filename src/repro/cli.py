@@ -115,8 +115,8 @@ def _backend_options(p: argparse.ArgumentParser) -> None:
         choices=TRANSPORT_KINDS,
         default=None,
         help="worker-exchange transport for the multi-process backend: "
-        "queue pickling (memory), queue + shared-memory bulk segments "
-        "(shm, the default), or framed TCP to 'repro node' daemons "
+        "forked workers on socketpairs (memory), the same + shared-memory "
+        "bulk segments (shm, the default), or 'repro node' daemons over TCP "
         "(tcp); overrides REPRO_TRANSPORT for this run",
     )
     p.add_argument(

@@ -1,4 +1,4 @@
-"""The worker-exchange :class:`Transport` interface.
+"""The worker-exchange contract and the one wire it rides.
 
 Algorithm 3's real processors exchange exactly one packet per peer per
 phase — that all-to-all is both the data plane and the superstep
@@ -7,33 +7,37 @@ OS processes (or machines) hosting the reals; everything above it (the
 bundling, staging, and cost accounting of the
 :class:`~repro.core.par_engine.ParEMEngine` slice that receives it as
 ``net``) is transport-agnostic, which is what keeps logical ``IOStats``
-bit-identical across backends.
+bit-identical across backends.  :meth:`Transport.exchange` defines the
+protocol; the simulator runs one implementation,
+:class:`~repro.core.transport.session.SessionTransport`, and tests drive
+slices over a queue-backed stand-in built on the same primitives.
 
-Concrete transports:
-
-* :class:`~repro.core.transport.local.MemoryTransport` — per-worker
-  ``multiprocessing`` queues, payloads pickled inline;
-* :class:`~repro.core.transport.local.ShmTransport` — the queue path
-  plus one ``shared_memory`` segment per bulk packet (the PR-5 path);
-* :class:`~repro.core.transport.tcp.TcpWorkerTransport` — length-
-  prefixed, checksummed frames over a socket to the coordinator, which
-  relays peer packets between ``repro node`` daemons.
-
-The exchange protocol (:meth:`Transport.exchange`) is shared: send one
-encoded packet to every peer, then block until one packet per peer of
-the *same* ``(round, phase)`` has arrived, buffering any packet from a
-peer that raced ahead into a later phase.
+Wire format of a session socket (both directions, socketpair or TCP): a
+12-byte header ``>4sII`` of magic ``RPTP``, CRC-32 of the payload, and
+payload length, then the pickled payload — :func:`send_frame` /
+:func:`recv_frame`, the only two functions under ``repro.core`` that
+pickle.
 """
 
 from __future__ import annotations
 
-import queue
+import contextlib
+import pickle
+import socket
+import struct
+import zlib
 from typing import Any
 
 from repro.util.validation import ConfigurationError, SimulationError
 
-#: seconds a blocked packet/command read waits between abort-flag polls.
+#: seconds the coordinator waits for a reply between liveness checks.
 POLL_S = 0.25
+
+_MAGIC = b"RPTP"
+_HEADER = struct.Struct(">4sII")
+#: refuse absurd frame lengths before allocating (corrupt/foreign peer).
+MAX_FRAME_BYTES = 1 << 31
+_UNLOCKED = contextlib.nullcontext()
 
 
 class TransportError(SimulationError):
@@ -47,7 +51,7 @@ class TransportError(SimulationError):
 
 
 class TransportAbort(SimulationError):
-    """Raised inside a worker when the coordinator signalled shutdown."""
+    """Raised inside a worker when the coordinator hung up on it."""
 
 
 def parse_nodes(raw: str) -> list[tuple[str, int]]:
@@ -95,30 +99,70 @@ def require_nodes(nodes: "str | None") -> list[tuple[str, int]]:
         raise ConfigurationError(f"invalid REPRO_NODES: {exc}") from None
 
 
-def poll_get(q: Any, abort: Any, what: str) -> Any:
-    """Blocking queue read that honours the shared abort flag."""
-    while True:
-        if abort.is_set():
-            raise TransportAbort(f"aborted while waiting for {what}")
-        try:
-            return q.get(timeout=POLL_S)
-        except queue.Empty:
-            continue
+def send_frame(sock: socket.socket, obj: Any, lock=None) -> int:
+    """Pickle *obj*, frame it, write it; returns bytes on the wire.
+
+    Header and payload go out as one gather write (no concatenated
+    copy of a multi-megabyte payload); *lock* serializes the writers of
+    one socket so frames never interleave.
+    """
+    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    header = _HEADER.pack(_MAGIC, zlib.crc32(payload) & 0xFFFFFFFF, len(payload))
+    with lock or _UNLOCKED:
+        sent = sock.sendmsg([header, payload])
+        if sent < len(header):  # pragma: no cover - a 12-byte short write
+            sock.sendall(header[sent:])
+            sent = len(header)
+        if sent < len(header) + len(payload):
+            sock.sendall(memoryview(payload)[sent - len(header) :])
+    return len(header) + len(payload)
+
+
+def _recv_exact(sock: socket.socket, n: int, what: str) -> bytearray:
+    buf = bytearray(n)
+    view = memoryview(buf)
+    got = 0
+    while got < n:
+        k = sock.recv_into(view[got:])
+        if not k:
+            raise TransportError(
+                f"connection closed while reading {what}"
+                + (" (mid-frame)" if got else "")
+            )
+        got += k
+    return buf
+
+
+def recv_frame(sock: socket.socket, max_bytes: int = MAX_FRAME_BYTES) -> Any:
+    """One framed object off the socket; validates magic, length (at most
+    *max_bytes*, checked before anything is allocated) and checksum."""
+    magic, crc, length = _HEADER.unpack(
+        _recv_exact(sock, _HEADER.size, "a frame header")
+    )
+    if magic != _MAGIC:
+        raise TransportError(
+            f"bad frame magic {magic!r} (not a repro transport peer?)"
+        )
+    if length > max_bytes:
+        raise TransportError(
+            f"frame length {length} exceeds the {max_bytes}-byte bound"
+        )
+    payload = _recv_exact(sock, length, f"a {length}-byte frame payload")
+    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
+        raise TransportError("frame checksum mismatch (corrupt stream)")
+    return pickle.loads(payload)
 
 
 class Transport:
     """One worker's view of the simulated network.
 
-    Subclasses implement the four primitives (:meth:`connect`,
-    :meth:`send_packet`, :meth:`recv_packet`, :meth:`close`) plus
-    optionally the packet codec (:meth:`_encode` / :meth:`_decode`, the
-    shm bulk path) and :meth:`release` (post-staging segment cleanup).
+    Subclasses implement the two primitives (:meth:`send_packet`,
+    :meth:`recv_packet`) plus optionally the packet codec
+    (:meth:`_encode` / :meth:`_decode`, the shm bulk path) and
+    :meth:`release` (post-staging segment cleanup).
     ``exchange`` is shared and defines the one-packet-per-peer-per-phase
-    semantics every backend must preserve.
+    semantics every implementation must preserve.
     """
-
-    #: registry name ("memory" | "shm" | "tcp"), for traces and metrics
-    kind = "abstract"
 
     def __init__(self, worker_id: int) -> None:
         self.worker_id = worker_id
@@ -129,18 +173,12 @@ class Transport:
 
     # ------------------------------------------------------------ primitives
 
-    def connect(self) -> None:
-        """Establish the link to every peer (no-op for local transports)."""
-
     def send_packet(self, dest: int, r: int, phase: int, wire: tuple) -> None:
         raise NotImplementedError
 
     def recv_packet(self, what: str) -> tuple:
         """One ``(round, phase, src, wire)`` from any peer (blocking)."""
         raise NotImplementedError
-
-    def close(self) -> None:
-        """Tear the link down (idempotent)."""
 
     # ----------------------------------------------------------------- codec
 

@@ -3,18 +3,19 @@
 A node binds one port, accepts coordinator connections, and runs one
 worker session per connection (sessions may overlap while an aborted
 one drains, so a respawning coordinator never waits on a zombie).  Each
-session validates the handshake — protocol version, repro release, and
-the fingerprint of the shipped :class:`~repro.tune.runtime.RuntimeConfig`
-— then enters the exact command loop the multiprocessing backend runs
-(:func:`repro.core.workers.run_worker_session`), with a
-:class:`~repro.core.transport.tcp.TcpWorkerTransport` as its network.
+connection must complete the handshake — a ``hello`` of bounded size
+within :data:`HANDSHAKE_TIMEOUT_S`, carrying a matching protocol
+version, repro release, and fingerprint of the shipped
+:class:`~repro.tune.runtime.RuntimeConfig` — and is then handed to
+:func:`repro.core.workers.serve_session`, the same function a forked
+local worker runs on its socketpair.
 
-Lifecycle: SIGTERM/SIGINT stop the accept loop and abort any in-flight
-session; the daemon exits 0 — the CI ``distributed`` lane asserts this
-clean shutdown leaves no orphan processes.  A coordinator vanishing
-(EOF on the socket) aborts only that session; the node goes straight
-back to accepting, which is what lets a respawned coordinator reconnect
-during crash recovery.
+Lifecycle: SIGTERM/SIGINT stop the accept loop and hang up on any
+in-flight session (EOF is what ends a session); the daemon exits 0 —
+the CI ``distributed`` lane asserts this clean shutdown leaves no orphan
+processes.  A coordinator vanishing (EOF on the socket) aborts only that
+session; the node goes straight back to accepting, which is what lets a
+respawned coordinator reconnect during crash recovery.
 
 The session payload arrives pickled, so the CGM program class must be
 importable on the node — ship the same code tree (and ``PYTHONPATH``)
@@ -23,32 +24,21 @@ to every machine.
 
 from __future__ import annotations
 
-import queue
 import signal
 import socket
 import threading
 import traceback
-from typing import Any, Callable
+from typing import Callable
 
-from repro.core.transport.base import POLL_S, TransportAbort, TransportError, poll_get
-from repro.core.transport.tcp import (
-    PROTOCOL_VERSION,
-    TcpWorkerTransport,
-    recv_frame,
-    runtime_fingerprint,
-    send_frame,
-)
+from repro.core.transport.base import TransportError, recv_frame, send_frame
+from repro.core.transport.tcp import PROTOCOL_VERSION, hang_up, runtime_fingerprint
 
-
-class _AnyEvent:
-    """`is_set` over several events: a session aborts when either its own
-    socket dies or the whole daemon is asked to stop."""
-
-    def __init__(self, *events: Any) -> None:
-        self.events = events
-
-    def is_set(self) -> bool:
-        return any(e.is_set() for e in self.events)
+#: seconds an accepted connection may stay silent before its ``hello``
+#: is complete; cleared once ``ready`` is sent.
+HANDSHAKE_TIMEOUT_S = 10.0
+#: largest ``hello`` frame read from a peer that has proven nothing yet
+#: (it carries the session: config, program, fault plan — no input data).
+HELLO_MAX_BYTES = 1 << 24
 
 
 class NodeServer:
@@ -101,14 +91,7 @@ class NodeServer:
         with self._lock:
             victims, self._live = self._live, []
         for sock in victims:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:
-                pass
+            hang_up(sock)
         return len(victims)
 
     # --------------------------------------------------------------- serve
@@ -135,6 +118,7 @@ class NodeServer:
                 t.start()
         finally:
             self._srv.close()
+            self.kill_session()  # one accepted while the stop was being set
         emit("repro node: clean shutdown")
         return 0
 
@@ -159,10 +143,14 @@ class NodeServer:
 
     def _run_session(self, conn: socket.socket, addr, emit) -> None:
         from repro import __version__
-        from repro.core.workers import run_worker_session
+        from repro.core.workers import serve_session
 
-        hello = recv_frame(conn)
-        if not (isinstance(hello, tuple) and hello and hello[0] == "hello"):
+        conn.settimeout(HANDSHAKE_TIMEOUT_S)
+        try:
+            hello = recv_frame(conn, HELLO_MAX_BYTES)
+        except socket.timeout:
+            raise TransportError(f"no hello within {HANDSHAKE_TIMEOUT_S:g} s") from None
+        if not (isinstance(hello, tuple) and len(hello) == 6 and hello[0] == "hello"):
             raise TransportError(f"expected a hello frame, got {hello!r:.80}")
         _tag, proto, version, fp, worker_id, session = hello
         reason = None
@@ -181,65 +169,14 @@ class NodeServer:
                 "RuntimeConfig fingerprint mismatch: the shipped knob snapshot "
                 "does not hash to the coordinator's value (corrupt or tampered)"
             )
-        wlock = threading.Lock()
         if reason is not None:
             emit(f"rejecting session from {addr[0]}:{addr[1]}: {reason}")
-            send_frame(conn, ("reject", reason), wlock)
+            send_frame(conn, ("reject", reason))
             return
-        send_frame(conn, ("ready", worker_id, __version__), wlock)
+        send_frame(conn, ("ready", worker_id, __version__))
+        conn.settimeout(None)
         emit(f"worker {worker_id} session from {addr[0]}:{addr[1]} started")
-
-        cmd_q: queue.Queue = queue.Queue()
-        inbox: queue.Queue = queue.Queue()
-        gone = threading.Event()
-        abort = _AnyEvent(gone, self.stop_event)
-
-        def read_loop() -> None:
-            try:
-                while True:
-                    frame = recv_frame(conn)
-                    tag = frame[0]
-                    if tag == "cmd":
-                        cmd_q.put(frame[1])
-                    elif tag == "pkt":
-                        inbox.put((frame[1], frame[2], frame[3], frame[4]))
-            except (TransportError, OSError):
-                gone.set()
-
-        reader = threading.Thread(
-            target=read_loop, daemon=True, name=f"repro-node-reader-{worker_id}"
-        )
-        reader.start()
-        net = TcpWorkerTransport(worker_id, conn, wlock, inbox, abort)
-        try:
-            run_worker_session(
-                worker_id,
-                session,
-                cmd_get=lambda: poll_get(cmd_q, abort, "a coordinator command"),
-                reply=lambda kind, payload: send_frame(
-                    conn, ("result", worker_id, kind, payload), wlock
-                ),
-                net=net,
-            )
-        except TransportAbort:
-            pass
-        except BaseException:
-            try:
-                send_frame(
-                    conn,
-                    ("result", worker_id, "error", traceback.format_exc()),
-                    wlock,
-                )
-            except (TransportError, OSError):
-                pass
-        finally:
-            gone.set()
-            self._forget(conn)
-            try:
-                conn.close()
-            except OSError:
-                pass
-            reader.join(timeout=2.0)
+        serve_session(conn, worker_id, session)
         emit(f"worker {worker_id} session finished")
 
 
@@ -256,7 +193,3 @@ def serve_node(host: str = "127.0.0.1", port: int = 0) -> int:
         signal.signal(signal.SIGTERM, _stop)
         signal.signal(signal.SIGINT, _stop)
     return server.serve_forever()
-
-
-# imported for re-export convenience by the CLI
-__all__ = ["NodeServer", "serve_node", "POLL_S"]

@@ -1,26 +1,25 @@
-"""Networked worker exchange: the coordinator relays packets between
-``repro node`` daemons over length-prefixed, checksummed TCP frames.
+"""The coordinator end of the worker sessions: one fleet, opened two ways.
 
-Topology is a star: the coordinator holds exactly one socket per node
-(one node per worker), and a peer-to-peer packet from worker *i* to
-worker *j* travels ``node i -> coordinator -> node j``.  The relay adds
-a hop but changes nothing the simulation can observe — the packets, and
-the one-packet-per-peer-per-phase barrier they implement, are the same
-objects the local transports move, so every logical ``IOStats`` counter
-stays bit-identical (DESIGN.md §12 gives the full argument).
+Topology is a star: the coordinator holds one socket per worker session,
+and a packet from worker *i* to worker *j* travels ``i -> coordinator ->
+j``.  The relay adds a hop but changes nothing the simulation can
+observe (DESIGN.md §12 gives the argument).  :class:`Fleet` is that
+coordinator end; what differs between fleets is only how a session's
+socket is opened: :class:`TcpFleet` (here) dials a ``repro node`` daemon
+and shakes hands, :class:`repro.core.workers.LocalFleet` forks a child
+onto one end of a ``socket.socketpair()``.
 
-Wire format (both directions): a 12-byte header ``>4sII`` of magic
-``RPTP``, CRC-32 of the payload, and payload length, followed by the
-pickled payload.  Frames::
+Frames on a session socket (:func:`~repro.core.transport.base.send_frame`)::
 
     ("hello", proto, version, fingerprint, worker_id, session)  C -> N
     ("ready", worker_id, version) | ("reject", reason)          N -> C
-    ("cmd", command_tuple)                                      C -> N
-    ("result", worker_id, kind, payload)                        N -> C
-    ("pkt", dest, r, phase, src, wire)                          N -> C
-    ("pkt", r, phase, src, wire)                                C -> N
+    ("cmd", command_tuple)                                      C -> W
+    ("result", worker_id, kind, payload)                        W -> C
+    ("pkt", dest, r, phase, src, wire)                          W -> C
+    ("pkt", r, phase, src, wire)                                C -> W
 
-The handshake ships the coordinator's frozen per-run
+The first two are the node handshake (a forked worker inherits its
+session instead).  It ships the coordinator's frozen per-run
 :class:`~repro.tune.runtime.RuntimeConfig`; the node re-fingerprints it
 and rejects on protocol, release, or fingerprint mismatch so two
 machines can never silently disagree on knob values mid-run.
@@ -28,25 +27,18 @@ machines can never silently disagree on knob values mid-run.
 
 from __future__ import annotations
 
-import pickle
 import queue
 import socket
-import struct
 import threading
 import time
-import zlib
 from typing import Any
 
-from repro.core.transport.base import Transport, TransportError, poll_get
+from repro.core.transport.base import TransportError, recv_frame, send_frame
+from repro.core.transport.session import unlink_segment
 from repro.util.validation import ConfigurationError
 
 #: bumped whenever a frame or handshake shape changes incompatibly.
 PROTOCOL_VERSION = 1
-
-_MAGIC = b"RPTP"
-_HEADER = struct.Struct(">4sII")
-#: refuse absurd frame lengths before allocating (corrupt/foreign peer).
-MAX_FRAME_BYTES = 1 << 31
 
 #: connect retry policy (tests shrink these via monkeypatch).
 CONNECT_RETRIES = 6
@@ -62,49 +54,6 @@ def runtime_fingerprint(rt: Any) -> str:
     doc = rt.knob_values() if rt is not None else {}
     canon = json.dumps(doc, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
-
-
-def send_frame(sock: socket.socket, obj: Any, lock=None) -> int:
-    """Pickle *obj*, frame it, write it; returns bytes on the wire."""
-    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    header = _HEADER.pack(_MAGIC, zlib.crc32(payload) & 0xFFFFFFFF, len(payload))
-    data = header + payload
-    if lock is not None:
-        with lock:
-            sock.sendall(data)
-    else:
-        sock.sendall(data)
-    return len(data)
-
-
-def _recv_exact(sock: socket.socket, n: int, what: str) -> bytes:
-    buf = bytearray()
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            raise TransportError(
-                f"connection closed while reading {what}"
-                + (" (mid-frame)" if buf else "")
-            )
-        buf += chunk
-    return bytes(buf)
-
-
-def recv_frame(sock: socket.socket) -> Any:
-    """One framed object off the socket; validates magic and checksum."""
-    magic, crc, length = _HEADER.unpack(
-        _recv_exact(sock, _HEADER.size, "a frame header")
-    )
-    if magic != _MAGIC:
-        raise TransportError(
-            f"bad frame magic {magic!r} (not a repro transport peer?)"
-        )
-    if length > MAX_FRAME_BYTES:
-        raise TransportError(f"frame length {length} exceeds the sanity bound")
-    payload = _recv_exact(sock, length, f"a {length}-byte frame payload")
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc:
-        raise TransportError("frame checksum mismatch (corrupt stream)")
-    return pickle.loads(payload)
 
 
 def dial(host: str, port: int) -> socket.socket:
@@ -127,134 +76,94 @@ def dial(host: str, port: int) -> socket.socket:
     )
 
 
-class TcpWorkerTransport(Transport):
-    """A node-side worker's exchange endpoint: one socket to the coordinator.
+def hang_up(sock: socket.socket) -> None:
+    """``shutdown`` then ``close``, both quietly.
 
-    Outbound packets are framed ``("pkt", dest, ...)`` for the coordinator
-    to relay; inbound packets arrive on *inbox*, fed by the node's socket
-    reader thread (which demultiplexes them from command frames).
+    ``shutdown`` is what the peer sees as EOF: it acts on the socket
+    itself, so it works even when another process still holds a
+    duplicate of this descriptor (a child forked by some other fleet of
+    the same process inherits every socket open at that moment), where a
+    bare ``close`` would only drop this process's reference.
     """
-
-    kind = "tcp"
-
-    def __init__(self, worker_id: int, sock, wlock, inbox, abort) -> None:
-        super().__init__(worker_id)
-        self.sock = sock
-        self.wlock = wlock
-        self.inbox = inbox
-        self.abort = abort
-
-    def send_packet(self, dest: int, r: int, phase: int, wire: tuple) -> None:
-        try:
-            send_frame(
-                self.sock, ("pkt", dest, r, phase, self.worker_id, wire), self.wlock
-            )
-        except OSError as exc:
-            raise TransportError(f"packet send to worker {dest} failed: {exc}")
-
-    def recv_packet(self, what: str) -> tuple:
-        return poll_get(self.inbox, self.abort, what)
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass
+    try:
+        sock.close()
+    except OSError:
+        pass
 
 
-class _NodeConn:
-    """Coordinator-side state for one node: socket, writer lock, counters."""
+class _Conn:
+    """Coordinator-side state for one session: socket, writer lock, counters."""
 
-    def __init__(self, worker_id: int, host: str, port: int) -> None:
+    def __init__(self, worker_id: int, label: str) -> None:
         self.worker_id = worker_id
-        self.host = host
-        self.port = port
-        self.label = f"{host}:{port}"
+        self.label = label
         self.sock: socket.socket | None = None
         self.wlock = threading.Lock()
         self.alive = False
-        self.packets = 0  # packet frames relayed *to* this node
+        self.packets = 0  # packet frames relayed *to* this worker
         self.bytes = 0  # bytes of those frames
 
     def close(self) -> None:
         sock, self.sock, self.alive = self.sock, None, False
         if sock is not None:
-            try:
-                sock.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            try:
-                sock.close()
-            except OSError:
-                pass
+            hang_up(sock)
 
 
-class TcpFleet:
-    """The coordinator's worker fleet when workers are ``repro node``
-    daemons: dial + handshake each node, then relay their peer packets
-    and funnel their result frames into one queue.
+class Fleet:
+    """The coordinator's end of ``len(labels)`` worker sessions.
 
-    Presents the same surface :class:`repro.core.workers.LocalFleet` does
-    (``start/send/broadcast/result/alive/stop``), so the coordinator's
-    round protocol — including checkpointed crash recovery, which maps a
-    dead connection onto the existing respawn-and-redispatch path — is
-    transport-blind.
+    :meth:`start` opens every session socket (:meth:`_open`, the one
+    thing a subclass must supply), then starts one reader thread per
+    session that funnels result frames into one queue and relays peer
+    packets.  Relaying every packet makes the fleet the one owner of
+    in-flight shared-memory segment names: whatever a receiver did not
+    live to release is unlinked when the sessions end.
     """
 
-    kind = "tcp"
+    #: the ``transport`` knob value this fleet serves (metrics label)
+    kind = "abstract"
 
-    def __init__(self, nodes: list[tuple[str, int]], n_workers: int) -> None:
-        if not nodes:
-            raise ConfigurationError(
-                "transport 'tcp' needs at least one node in REPRO_NODES"
-            )
-        self.n_workers = n_workers
-        # round-robin workers over nodes: a daemon hosts one session per
-        # connection, so fewer nodes than workers just means co-tenancy
-        self._conns = [
-            _NodeConn(w, *nodes[w % len(nodes)]) for w in range(n_workers)
-        ]
+    def __init__(self, labels: list[str]) -> None:
+        self.n_workers = len(labels)
+        self._conns = [_Conn(w, label) for w, label in enumerate(labels)]
         self._results: queue.Queue = queue.Queue()
         self._threads: list[threading.Thread] = []
-        self._stopping = False
+        self._segments: set[str] = set()
 
     # ----------------------------------------------------------- lifecycle
 
-    def start(self, session: dict[str, Any]) -> None:
-        from repro import __version__
+    def _open(self, session: dict[str, Any]) -> None:
+        """Give every ``_Conn`` a connected socket whose far end runs
+        :func:`repro.core.workers.serve_session` for *session*."""
+        raise NotImplementedError
 
-        self._stopping = False
-        self._threads = []
-        fp = runtime_fingerprint(session.get("runtime"))
+    def _reap(self) -> None:
+        """Collect what :meth:`_open` left behind besides the sockets."""
+
+    def start(self, session: dict[str, Any]) -> None:
+        try:
+            self._open(session)
+        except BaseException:
+            self.stop(force=True)
+            raise
+        # readers start only once every session is open: a fleet that
+        # forks must not do so from a process that already runs threads
         for conn in self._conns:
-            conn.sock = dial(conn.host, conn.port)
             conn.alive = True
             conn.packets = conn.bytes = 0
-            send_frame(
-                conn.sock,
-                ("hello", PROTOCOL_VERSION, __version__, fp, conn.worker_id, session),
-                conn.wlock,
-            )
-        for conn in self._conns:
-            try:
-                reply = recv_frame(conn.sock)
-            except TransportError as exc:
-                self.stop(force=True)
-                raise TransportError(
-                    f"node {conn.label} closed during handshake: {exc}"
-                ) from None
-            if reply[0] == "reject":
-                self.stop(force=True)
-                raise TransportError(f"node {conn.label} rejected the run: {reply[1]}")
-            if reply[0] != "ready" or reply[1] != conn.worker_id:
-                self.stop(force=True)
-                raise TransportError(
-                    f"node {conn.label} sent an unexpected handshake reply {reply[:2]!r}"
-                )
-        for conn in self._conns:
             t = threading.Thread(
                 target=self._reader, args=(conn,), daemon=True,
-                name=f"repro-tcp-reader-{conn.worker_id}",
+                name=f"repro-fleet-reader-{conn.worker_id}",
             )
             t.start()
             self._threads.append(t)
 
-    def _reader(self, conn: _NodeConn) -> None:
-        """Demultiplex one node's frames: results up, packets across."""
+    def _reader(self, conn: _Conn) -> None:
+        """Demultiplex one session's frames: results up, packets across."""
         # read once: stop()/request_abort() clear conn.sock under this
         # thread, and the closed socket then ends the stream with OSError
         sock = conn.sock
@@ -266,32 +175,41 @@ class TcpFleet:
                     self._results.put((frame[1], frame[2], frame[3]))
                 elif tag == "pkt":
                     _tag, dest, r, phase, src, wire = frame
+                    if wire[0] == "shm":
+                        self._segments.add(wire[1])
                     self._relay(dest, (r, phase, src, wire))
                 # anything else: a protocol bug; drop rather than wedge
         except (TransportError, OSError):
             conn.alive = False
 
+    def _write(self, conn: _Conn, frame: tuple) -> int:
+        try:
+            return send_frame(conn.sock, frame, conn.wlock)
+        except (OSError, AttributeError):
+            # hung up (no socket) or the worker died; the latter surfaces
+            # as WorkerCrashed in the coordinator's _gather
+            conn.alive = False
+            return 0
+
     def _relay(self, dest: int, pkt: tuple) -> None:
         dc = self._conns[dest]
-        try:
-            n = send_frame(dc.sock, ("pkt",) + pkt, dc.wlock)
-        except (OSError, AttributeError):
-            # dest died; its absence surfaces as WorkerCrashed in _gather
-            dc.alive = False
-            return
-        dc.packets += 1
-        dc.bytes += n
+        n = self._write(dc, ("pkt",) + pkt)
+        if n:
+            dc.packets += 1
+            dc.bytes += n
+
+    def _hang_up(self) -> None:
+        for conn in self._conns:
+            conn.close()
+
+    def _sweep_segments(self) -> None:
+        while self._segments:
+            unlink_segment(self._segments.pop())
 
     # ------------------------------------------------------------- commands
 
     def send(self, w: int, cmd: tuple) -> None:
-        conn = self._conns[w]
-        if conn.sock is None:
-            return
-        try:
-            send_frame(conn.sock, ("cmd", cmd), conn.wlock)
-        except OSError:
-            conn.alive = False
+        self._write(self._conns[w], ("cmd", cmd))
 
     def broadcast(self, cmd: tuple) -> None:
         for w in range(self.n_workers):
@@ -305,27 +223,24 @@ class TcpFleet:
         return self._conns[w].alive
 
     def request_abort(self) -> None:
-        """Unblock every worker: closing the sockets EOFs the node readers,
-        which trip each session's abort flag."""
-        self._stopping = True
-        for conn in self._conns:
-            conn.close()
+        """Unblock every worker: EOF on its socket trips the session's
+        abort flag, wherever it is blocked."""
+        self._hang_up()
+        self._sweep_segments()
 
     def stop(self, force: bool = False) -> None:
-        self._stopping = True
         if not force:
             self.broadcast(("stop",))
-        for conn in self._conns:
-            conn.close()
+        # EOF ends a session wherever it waits — mid-exchange on a dead
+        # peer's packet, say — so nobody eats a join timeout
+        self._hang_up()
+        self._reap()
+        # joined before anyone may start() (and fork) again
         for t in self._threads:
             t.join(timeout=5.0)
         self._threads = []
-        # drain stale replies so a restart's _gather never sees them
-        try:
-            while True:
-                self._results.get_nowait()
-        except queue.Empty:
-            pass
+        self._sweep_segments()
+        self._results = queue.Queue()  # a restart's _gather sees no stale reply
 
     # ------------------------------------------------------------ telemetry
 
@@ -333,11 +248,56 @@ class TcpFleet:
         return self._conns[w].label
 
     def event_tags(self, w: int) -> dict[str, Any]:
-        return {"node": self._conns[w].label}
+        """Extra fields for worker *w*'s replayed trace events."""
+        return {}
 
     def stats(self) -> dict[str, dict[str, int]]:
-        """Per-node relay traffic: packet frames and bytes sent to it."""
+        """Per-worker relay traffic: packet frames and bytes sent to it."""
         return {
             conn.label: {"packets": conn.packets, "bytes": conn.bytes}
             for conn in self._conns
         }
+
+
+class TcpFleet(Fleet):
+    """Sessions on ``repro node`` daemons: dial + handshake each node."""
+
+    kind = "tcp"
+
+    def __init__(self, nodes: list[tuple[str, int]], n_workers: int) -> None:
+        if not nodes:
+            raise ConfigurationError(
+                "transport 'tcp' needs at least one node in REPRO_NODES"
+            )
+        # round-robin workers over nodes: a daemon hosts one session per
+        # connection, so fewer nodes than workers just means co-tenancy
+        self._nodes = [nodes[w % len(nodes)] for w in range(n_workers)]
+        super().__init__([f"{host}:{port}" for host, port in self._nodes])
+
+    def _open(self, session: dict[str, Any]) -> None:
+        from repro import __version__
+
+        fp = runtime_fingerprint(session.get("runtime"))
+        for conn, (host, port) in zip(self._conns, self._nodes):
+            conn.sock = dial(host, port)
+            send_frame(
+                conn.sock,
+                ("hello", PROTOCOL_VERSION, __version__, fp, conn.worker_id, session),
+                conn.wlock,
+            )
+        for conn in self._conns:
+            try:
+                reply = recv_frame(conn.sock)
+            except TransportError as exc:
+                raise TransportError(
+                    f"node {conn.label} closed during handshake: {exc}"
+                ) from None
+            if reply[0] == "reject":
+                raise TransportError(f"node {conn.label} rejected the run: {reply[1]}")
+            if reply[0] != "ready" or reply[1] != conn.worker_id:
+                raise TransportError(
+                    f"node {conn.label} sent an unexpected handshake reply {reply[:2]!r}"
+                )
+
+    def event_tags(self, w: int) -> dict[str, Any]:
+        return {"node": self._conns[w].label}

@@ -36,25 +36,28 @@ which track the allocator handed out; inbox delivery is sorted by source
 pid; and all remaining counters are order-independent sums or per-real
 maxima.  The different allocator interleaving across processes can move
 regions to different tracks, but no counter observes track numbers.
-The ``fork`` start method is preferred (workers inherit the interpreter
-state, so serialization is byte-identical and programs need not be
-picklable); ``spawn`` is the fallback elsewhere.
+Workers are forked (``fork`` is required: a platform without it gets a
+one-line :class:`~repro.util.validation.ConfigurationError`), so a
+worker inherits the interpreter state — serialization is byte-identical
+and programs need not be picklable.
 
-Transports: how the exchange packets physically move is delegated to
-:mod:`repro.core.transport` — ``REPRO_TRANSPORT`` selects per-worker
-queues (``memory``), queues plus shared-memory bulk segments (``shm``,
-the default), or framed TCP to ``repro node`` daemons (``tcp``,
-spanning machines).  The coordinator drives whichever
-fleet (:class:`LocalFleet` of forked processes or
-:class:`~repro.core.transport.tcp.TcpFleet` of remote nodes) through one
-command protocol, so checkpoints, fault recovery, and every logical
-counter are transport-blind.
+One worker session: what a worker *is* does not depend on where it runs.
+:func:`serve_session` is a worker; a forked child runs it on its end of a
+``socket.socketpair()`` (:class:`LocalFleet`), a ``repro node`` daemon on
+an accepted TCP connection after the handshake
+(:class:`~repro.core.transport.tcp.TcpFleet`), and the coordinator's end
+is one class (:class:`~repro.core.transport.tcp.Fleet`) either way — so
+checkpoints, fault recovery and every logical counter cannot depend on
+the ``REPRO_TRANSPORT`` spelling: ``memory`` and ``shm`` are the local
+fleet without and with shared-memory bulk segments, ``tcp`` the remote.
 """
 
 from __future__ import annotations
 
 import multiprocessing as mp
 import queue
+import socket
+import threading
 import traceback
 from typing import Any
 
@@ -63,23 +66,23 @@ from repro.cgm.engine import Engine, RoundStep
 from repro.cgm.metrics import CostReport
 from repro.cgm.program import CGMProgram
 from repro.core.par_engine import ParEMEngine, fold_final_stats
-from repro.core.transport import (
-    MemoryTransport,
-    ShmTransport,
-    TcpFleet,
+from repro.core.transport.base import (
+    POLL_S,
     Transport,
     TransportAbort,
-    poll_get,
+    TransportError,
+    recv_frame,
     require_nodes,
+    send_frame,
 )
+from repro.core.transport.session import SessionTransport
+from repro.core.transport.tcp import Fleet, TcpFleet, hang_up
 from repro.obs.trace import JsonlRecorder, replay_events
 from repro.pdm.io_stats import IOStats
 from repro.util.rng import spawn_rngs
-from repro.util.validation import SimulationError
+from repro.util.validation import ConfigurationError, SimulationError
 
-#: seconds a blocked queue read waits between abort-flag polls.
-_POLL_S = 0.25
-#: empty poll cycles tolerated after a peer process is seen dead.
+#: empty poll cycles tolerated after a worker is seen dead.
 _DEAD_GRACE = 8
 
 
@@ -92,13 +95,6 @@ def partition_reals(p: int, n_workers: int) -> list[list[int]]:
         plan.append(list(range(nxt, nxt + k)))
         nxt += k
     return plan
-
-
-def _mp_context():
-    try:
-        return mp.get_context("fork")
-    except ValueError:  # pragma: no cover - non-POSIX fallback
-        return mp.get_context("spawn")
 
 
 class WorkerCrashed(SimulationError):
@@ -123,16 +119,13 @@ def run_worker_session(
     reply,
     net: Transport,
 ) -> None:
-    """One worker's command loop, transport-agnostic.
+    """One worker's command loop (called by :func:`serve_session` only).
 
     Commands: ``("setup", {pid: input})``, ``("round", r)``, ``("finish",)``,
     ``("snapshot",)``, ``("restore", backend, rng_states)``, ``("stop",)``.
     *cmd_get* blocks for the next coordinator command, *reply(kind,
     payload)* ships a result back, and *net* is this worker's
-    :class:`~repro.core.transport.base.Transport`.  The same loop runs in
-    a forked process (:class:`LocalFleet`) and in a ``repro node``
-    daemon's session thread — the commands and replies are identical, so
-    the coordinator cannot tell the transports apart.
+    :class:`~repro.core.transport.base.Transport`.
 
     ``session["runtime"]`` is the coordinator's per-run
     :class:`~repro.tune.runtime.RuntimeConfig` snapshot — workers never
@@ -185,7 +178,6 @@ def run_worker_session(
                     "outputs": outputs,
                     **eng._final_stats(),
                     "transport": {
-                        "kind": net.kind,
                         "sent": net.packets_sent,
                         "recv": net.packets_received,
                     },
@@ -207,7 +199,6 @@ def run_worker_session(
                     rngs[pid].bit_generator.state = state
                 reply("restore", None)
             elif op == "stop":
-                net.close()
                 return
             else:  # pragma: no cover - protocol bug
                 raise SimulationError(f"unknown worker command {op!r}")
@@ -220,134 +211,144 @@ def run_worker_session(
             array.close()
 
 
-def _worker_main(
-    worker_id: int,
-    session: dict[str, Any],
-    transport_kind: str,
-    cmd_q,
-    result_q,
-    net_qs,
-    abort,
+def serve_session(
+    sock: socket.socket, worker_id: int, session: dict[str, Any]
 ) -> None:
-    """Forked-process entry point: build the local transport, run the
-    session loop, report any failure as an ``("error", traceback)``."""
+    """Be worker *worker_id* of *session* on *sock* until told to stop.
+
+    A reader thread splits the coordinator's frames into commands and
+    peer packets; the command loop answers with ``("result", ...)``
+    frames and exchanges through the one
+    :class:`~repro.core.transport.session.SessionTransport`.  EOF on the
+    socket — the coordinator (or the hosting daemon) hanging up — ends
+    the session wherever it waits; any other failure is reported as an
+    ``("error", traceback)`` result.  The socket is closed on every path.
+    """
+    wlock = threading.Lock()
+    cmd_q: queue.Queue = queue.Queue()
+    inbox: queue.Queue = queue.Queue()
+
+    def read_loop() -> None:
+        try:
+            while True:
+                frame = recv_frame(sock)
+                if frame[0] == "cmd":
+                    cmd_q.put(frame[1])
+                elif frame[0] == "pkt":
+                    inbox.put(frame[1:])
+        except (TransportError, OSError):
+            pass
+        finally:
+            cmd_q.put(None)
+            inbox.put(None)
+
+    def next_command() -> tuple:
+        cmd = cmd_q.get()
+        if cmd is None:
+            raise TransportAbort("coordinator hung up")
+        return cmd
+
+    reader = threading.Thread(
+        target=read_loop, daemon=True, name=f"repro-session-reader-{worker_id}"
+    )
+    reader.start()
     try:
-        if transport_kind == "memory":
-            net: Transport = MemoryTransport(worker_id, net_qs, abort)
-        else:
-            net = ShmTransport(
-                worker_id, net_qs, abort, session["runtime"].shm_bytes
-            )
+        rt = session["runtime"]
+        net = SessionTransport(
+            worker_id, sock, wlock, inbox,
+            shm_threshold=rt.shm_bytes if rt.transport == "shm" else None,
+        )
         run_worker_session(
             worker_id,
             session,
-            cmd_get=lambda: poll_get(cmd_q, abort, "a coordinator command"),
-            reply=lambda kind, payload: result_q.put((worker_id, kind, payload)),
+            cmd_get=next_command,
+            reply=lambda kind, payload: send_frame(
+                sock, ("result", worker_id, kind, payload), wlock
+            ),
             net=net,
         )
     except TransportAbort:
         pass
     except BaseException:
         try:
-            result_q.put((worker_id, "error", traceback.format_exc()))
-        except Exception:  # pragma: no cover - queue already torn down
+            send_frame(
+                sock, ("result", worker_id, "error", traceback.format_exc()), wlock
+            )
+        except (TransportError, OSError):
             pass
+    finally:
+        hang_up(sock)
+        reader.join(timeout=2.0)
 
 
-class LocalFleet:
-    """Forked worker processes wired with multiprocessing queues.
+#: held while a fleet creates its sockets and forks, so that no other
+#: fleet of this process (the service pool runs jobs on threads) forks in
+#: between and hands *its* children a copy of a worker-side socket end
+_FORK_LOCK = threading.Lock()
 
-    The single-machine fleet: one daemonic process per worker, a shared
-    result queue, one command queue per worker, and the per-worker inbox
-    queues the memory/shm transports exchange packets on.  Mirrors
-    :class:`~repro.core.transport.tcp.TcpFleet`'s surface so the
-    coordinator never branches on locality.
-    """
+
+def _forked_worker(worker_id: int, session: dict[str, Any], pairs: list) -> None:
+    """Child entry point: keep only this worker's end of its own pair."""
+    for w, (ours, theirs) in enumerate(pairs):
+        ours.close()
+        if w != worker_id:
+            theirs.close()
+    serve_session(pairs[worker_id][1], worker_id, session)
+
+
+class LocalFleet(Fleet):
+    """Sessions in forked children of this process, one per worker, each
+    on one end of a ``socket.socketpair()``; *transport_kind* is
+    ``memory`` or ``shm`` (the latter moves bulk payloads through
+    shared-memory segments instead of the socket)."""
 
     def __init__(self, n_workers: int, transport_kind: str) -> None:
-        self.n_workers = n_workers
+        super().__init__([f"local/{w}" for w in range(n_workers)])
         self.kind = transport_kind
         self._procs: list = []
 
-    def start(self, session: dict[str, Any]) -> None:
-        ctx = _mp_context()
-        self._abort = ctx.Event()
-        self._result_q = ctx.Queue()
-        self._cmd_qs = [ctx.Queue() for _ in range(self.n_workers)]
-        net_qs = [ctx.Queue() for _ in range(self.n_workers)]
-        self._procs = []
-        for w in range(self.n_workers):
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(
-                    w,
-                    session,
-                    self.kind,
-                    self._cmd_qs[w],
-                    self._result_q,
-                    net_qs,
-                    self._abort,
-                ),
-                daemon=True,
-            )
-            proc.start()
-            self._procs.append(proc)
-
-    def send(self, w: int, cmd: tuple) -> None:
+    def _open(self, session: dict[str, Any]) -> None:
         try:
-            self._cmd_qs[w].put(cmd)
-        except Exception:  # pragma: no cover - queue torn down
-            pass
+            ctx = mp.get_context("fork")
+        except ValueError:
+            raise ConfigurationError(
+                "workers > 1 needs the 'fork' start method, which this platform lacks"
+            ) from None
+        with _FORK_LOCK:
+            pairs = [socket.socketpair() for _ in self._conns]
+            for conn, (ours, _theirs) in zip(self._conns, pairs):
+                conn.sock = ours
+            try:
+                for conn in self._conns:
+                    proc = ctx.Process(
+                        target=_forked_worker,
+                        args=(conn.worker_id, session, pairs),
+                        daemon=True,
+                    )
+                    proc.start()
+                    self._procs.append(proc)
+            finally:
+                for _ours, theirs in pairs:
+                    theirs.close()
 
-    def broadcast(self, cmd: tuple) -> None:
-        for w in range(self.n_workers):
-            self.send(w, cmd)
-
-    def result(self, timeout: float):
-        """One ``(worker, kind, payload)`` reply; raises ``queue.Empty``."""
-        return self._result_q.get(timeout=timeout)
-
-    def alive(self, w: int) -> bool:
-        return bool(self._procs) and self._procs[w].is_alive()
-
-    def request_abort(self) -> None:
-        self._abort.set()
-
-    def stop(self, force: bool = False) -> None:
-        if not self._procs:
-            return
-        if force:
-            # crash recovery: peers may be blocked mid-exchange waiting on
-            # a dead worker's packet, so abort first instead of asking
-            # politely and eating the join timeout
-            self._abort.set()
-        else:
-            self.broadcast(("stop",))
+    def _reap(self) -> None:
         for proc in self._procs:
             proc.join(timeout=5.0)
         for proc in self._procs:
             if proc.is_alive():  # pragma: no cover - stuck worker
-                self._abort.set()
+                proc.terminate()
                 proc.join(timeout=2.0)
-                if proc.is_alive():
-                    proc.terminate()
         self._procs = []
 
-    # ------------------------------------------------------------ telemetry
-
-    def node_label(self, w: int) -> str:
-        return f"local/{w}"
-
-    def event_tags(self, w: int) -> dict[str, Any]:
-        return {}
-
-    def stats(self) -> dict[str, dict[str, int]]:
-        return {}
+    def alive(self, w: int) -> bool:
+        # the process is asked too: EOF alone cannot be trusted while any
+        # other process may hold a duplicate of the worker's socket end
+        return super().alive(w) and bool(self._procs) and self._procs[w].is_alive()
 
 
-def make_fleet(runtime, n_workers: int):
-    """Fleet for the run's ``REPRO_TRANSPORT``: local processes, or TCP
-    connections to the ``REPRO_NODES`` daemons."""
+def make_fleet(runtime, n_workers: int) -> Fleet:
+    """Fleet for the run's ``REPRO_TRANSPORT``: forked local sessions, or
+    sessions on the ``REPRO_NODES`` daemons."""
     kind = getattr(runtime, "transport", None) or "shm"
     if kind == "tcp":
         return TcpFleet(require_nodes(runtime.nodes), n_workers)
@@ -401,8 +402,7 @@ class ProcessParEngine(Engine):
             "runtime": self._rt,
         }
         if self._fleet is None:
-            # the fleet survives crash recovery (_shutdown + _start), so
-            # relay statistics accumulate across restarts of one run
+            # one fleet per run: crash recovery stops and starts it again
             self._fleet = make_fleet(self._rt, self.n_workers)
         self._fleet.start(session)
         if self.tracer.enabled and self._fleet.kind == "tcp":
@@ -424,16 +424,13 @@ class ProcessParEngine(Engine):
 
     # ---------------------------------------------------------- round hooks
 
-    def _broadcast(self, cmd: tuple) -> None:
-        self._fleet.broadcast(cmd)
-
     def _gather(self, kind: str) -> dict[int, Any]:
         """One reply of *kind* from every worker, keyed by worker id."""
         got: dict[int, Any] = {}
         dead_cycles = 0
         while len(got) < self.n_workers:
             try:
-                w, k, payload = self._fleet.result(timeout=_POLL_S)
+                w, k, payload = self._fleet.result(timeout=POLL_S)
             except queue.Empty:
                 awaited_dead = [
                     w
@@ -503,7 +500,7 @@ class ProcessParEngine(Engine):
 
     def _dispatch_round(self, r: int) -> RoundStep:
         cfg = self.cfg
-        self._broadcast(("round", r))
+        self._fleet.broadcast(("round", r))
         results = self._gather("round")
         step = RoundStep.empty(cfg.v, cfg.p)
         step.io = IOStats(D=cfg.D)
@@ -530,7 +527,7 @@ class ProcessParEngine(Engine):
     def _snapshot_state(self, rngs: list) -> dict[str, Any]:
         """Gather each worker's backend slice and RNG states and merge
         them into the same canonical shape :class:`ParEMEngine` produces."""
-        self._broadcast(("snapshot",))
+        self._fleet.broadcast(("snapshot",))
         results = [reply for _w, reply in sorted(self._gather("snapshot").items())]
         rng_states: list = [None] * self.cfg.v
         for reply in results:
@@ -557,7 +554,7 @@ class ProcessParEngine(Engine):
     # ------------------------------------------------------------- wrap-up
 
     def _collect_outputs(self, program: CGMProgram) -> list[Any]:
-        self._broadcast(("finish",))
+        self._fleet.broadcast(("finish",))
         finals = self._gather("final")
         outputs: dict[int, Any] = {}
         self._finals = finals
@@ -576,8 +573,8 @@ class ProcessParEngine(Engine):
         self._emit_transport_metrics()
 
     def _emit_transport_metrics(self) -> None:
-        """``repro_transport_*``: per-node packet counts (all transports)
-        and relayed bytes (tcp, from the coordinator's relay counters)."""
+        """``repro_transport_*``: per-worker packet counts and relayed
+        bytes (the fleet's relay counters), labelled by node."""
         mx = self.metrics
         if not mx.enabled or self._fleet is None:
             return
@@ -596,11 +593,11 @@ class ProcessParEngine(Engine):
             packets.labels(transport=kind, node=node, direction="recv").inc(
                 tp["recv"]
             )
-        relayed = self._fleet.stats()
-        if relayed:
-            bytes_total = mx.counter(
-                "repro_transport_bytes_total",
-                "bytes of relayed exchange frames by destination node",
-            )
-            for node, s in relayed.items():
-                bytes_total.labels(transport=kind, node=node).inc(s["bytes"])
+        bytes_total = mx.counter(
+            "repro_transport_bytes_total",
+            "bytes of relayed exchange frames by destination node "
+            "(host:port, or local/<w> for a forked worker; under shm only "
+            "segment references are relayed)",
+        )
+        for node, s in self._fleet.stats().items():
+            bytes_total.labels(transport=kind, node=node).inc(s["bytes"])

@@ -100,8 +100,8 @@ class BlockRun:
         return [data[i * bb : (i + 1) * bb] for i in range(self.nblocks)]
 
     def __reduce__(self) -> tuple:
-        # Pickling (queue and tcp transports) materializes the buffer;
-        # the shared-memory transport avoids this entirely.
+        # Pickling (a packet framed inline on a session socket)
+        # materializes the buffer; the shared-memory bulk path avoids it.
         return (BlockRun, (bytes(self.buf), self.nblocks, self.block_bytes))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

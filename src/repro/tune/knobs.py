@@ -36,8 +36,8 @@ class KnobError(ConfigurationError):
 _FALSE = frozenset({"0", "false", "no", "off"})
 
 #: Default payload size (bytes) above which worker packets travel through
-#: shared memory.  Small packets stay on the Queue: one pickle of a few KB
-#: is cheaper than creating and mapping a segment.
+#: shared memory.  Small packets stay inline in their frame: one pickle of
+#: a few KB is cheaper than creating and mapping a segment.
 DEFAULT_SHM_THRESHOLD = 1 << 16
 
 #: storage backends the track arena can use (see repro.pdm.mmap_arena).
@@ -159,8 +159,8 @@ KNOBS: tuple[KnobSpec, ...] = (
     KnobSpec(
         "transport", "REPRO_TRANSPORT", "memory|shm|tcp", "shm",
         _parse_transport, "core.transport",
-        "worker-exchange transport: queue pickling, queue + shared-memory "
-        "bulk segments, or framed TCP to `repro node` daemons",
+        "worker-exchange transport: forked workers on socketpairs, the same "
+        "+ shared-memory bulk segments, or `repro node` daemons over TCP",
         invalid_example="carrier-pigeon",
     ),
     KnobSpec(
@@ -174,7 +174,7 @@ KNOBS: tuple[KnobSpec, ...] = (
         "shm_bytes", "REPRO_SHM_BYTES", "int bytes (<= 0 disables)",
         DEFAULT_SHM_THRESHOLD, _parse_shm_bytes, "core.workers",
         "payload size above which worker packets use shared memory "
-        "instead of pickling through the queue",
+        "instead of being pickled into their frame",
         invalid_example="nonsense",
     ),
     KnobSpec(

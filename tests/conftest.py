@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import gc
 import os
+import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -41,3 +44,80 @@ def cfg_for(kind: str, base: MachineConfig) -> MachineConfig:
     if kind == "par":
         return base.with_(p=max(2, min(4, base.v)))
     return base
+
+
+# ------------------------------------------------------------ leak guard
+
+
+def _child_pids() -> set[int]:
+    """Direct children of this process (all threads), zombies included."""
+    pids: set[int] = set()
+    for tid in os.listdir("/proc/self/task"):
+        try:
+            with open(f"/proc/self/task/{tid}/children") as fh:
+                pids.update(int(p) for p in fh.read().split())
+        except OSError:
+            continue  # thread exited between listdir and open
+    return pids
+
+
+def _socket_fds() -> set[str]:
+    """``socket:[inode]`` of every socket this process has open."""
+    found = set()
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{fd}")
+        except OSError:
+            continue  # closed between listdir and readlink
+        if target.startswith("socket:"):
+            found.add(target)
+    return found
+
+
+def _arena_dirs() -> set[str]:
+    bases = {tempfile.gettempdir(), os.environ.get("REPRO_SPILL_DIR") or ""}
+    return {
+        os.path.join(base, name)
+        for base in bases
+        if os.path.isdir(base)
+        for name in os.listdir(base)
+        if name.startswith("repro-arena-")
+    }
+
+
+def _worker_surface() -> dict[str, set]:
+    return {
+        "child process": _child_pids(),
+        "socket": _socket_fds(),
+        "/dev/shm entry": set(os.listdir("/dev/shm")),
+        "spill dir": _arena_dirs(),
+    }
+
+
+@pytest.fixture
+def worker_leak_guard():
+    """What a test of the worker surface may not leave behind: a child
+    process, an open socket, a shared-memory segment or an mmap-arena
+    spill directory — on success, failure, kill and crash paths alike.
+
+    Requested through ``pytestmark = pytest.mark.usefixtures(...)`` so it
+    is set up before (and torn down after) a test's own fixtures, e.g.
+    the in-process node daemons.  Daemon session threads finish closing
+    their sockets a moment after ``shutdown()`` returns, hence the short
+    settle loop.
+    """
+    before = _worker_surface()
+    yield
+    deadline = time.monotonic() + 5.0
+    while True:
+        gc.collect()  # an engine's array<->arena cycle holds its spill dir
+        after = _worker_surface()
+        leaks = {
+            what: sorted(after[what] - before[what])
+            for what in after
+            if after[what] - before[what]
+        }
+        if not leaks or time.monotonic() > deadline:
+            break
+        time.sleep(0.05)
+    assert not leaks, f"left behind: {leaks}"

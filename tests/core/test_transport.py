@@ -1,11 +1,13 @@
 """The worker-exchange transport layer (repro.core.transport): wire
 framing and checksums, node-list parsing, connect retry policy, handshake
-validation, and logical bit-identity across memory / shm / tcp."""
+validation and its bounds, and logical bit-identity across memory / shm /
+tcp."""
 
 from __future__ import annotations
 
 import socket
 import struct
+import time
 
 import numpy as np
 import pytest
@@ -32,6 +34,8 @@ from repro.em.runner import em_run
 from repro.tune.knobs import KnobError
 from repro.tune.runtime import RuntimeConfig
 from repro.util.validation import ConfigurationError
+
+pytestmark = pytest.mark.usefixtures("worker_leak_guard")
 
 V, D, B = 8, 2, 64
 N = 1 << 13
@@ -93,6 +97,35 @@ class TestFraming:
             a.sendall(b"GET / HTTP/1.1\r\n" + b"\x00" * 32)
             with pytest.raises(TransportError, match="magic"):
                 recv_frame(b)
+        finally:
+            a.close()
+            b.close()
+
+    def test_large_frame_round_trip(self):
+        """Bigger than any socket buffer: the gather write falls back to
+        finishing the payload, the reader fills one buffer in pieces."""
+        import threading
+
+        a, b = socket.socketpair()
+        try:
+            blob = np.random.default_rng(0).integers(0, 256, 1 << 22, dtype=np.uint8)
+            got = []
+            reader = threading.Thread(target=lambda: got.append(recv_frame(b)))
+            reader.start()
+            n = send_frame(a, ("result", 0, "final", blob))
+            reader.join(timeout=30.0)
+            assert not reader.is_alive()
+            assert n > blob.nbytes and np.array_equal(got[0][3], blob)
+        finally:
+            a.close()
+            b.close()
+
+    def test_per_call_length_bound(self):
+        a, b = socket.socketpair()
+        try:
+            send_frame(a, ("hello", "x" * 4096))
+            with pytest.raises(TransportError, match="exceeds the 1024-byte bound"):
+                recv_frame(b, max_bytes=1024)
         finally:
             a.close()
             b.close()
@@ -220,6 +253,69 @@ class TestHandshake:
         with pytest.raises(TransportError, match="rejected the run"):
             fleet.start(session_doc())
         fleet.stop(force=True)
+
+
+class TestHandshakeBounds:
+    """A connection that has proven nothing gets a deadline and a size
+    bound; either way the daemon drops it with one line and goes back to
+    accepting."""
+
+    @pytest.fixture
+    def node(self, monkeypatch):
+        import repro.core.transport.node as node_mod
+
+        monkeypatch.setattr(node_mod, "HANDSHAKE_TIMEOUT_S", 0.3)
+        lines = []
+        server = NodeServer()
+        import threading
+
+        thread = threading.Thread(
+            target=server.serve_forever, kwargs={"log": lines.append}, daemon=True
+        )
+        thread.start()
+        yield server, lines
+        server.shutdown()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+
+    def wait_dropped(self, server, lines, needle):
+        deadline = time.monotonic() + 5.0
+        while time.monotonic() < deadline:
+            if not server._live and any(needle in line for line in lines):
+                return
+            time.sleep(0.02)
+        raise AssertionError(f"not dropped ({needle!r}): {lines}, live={server._live}")
+
+    def assert_still_serving(self, server):
+        reply = TestHandshake().hello(server)
+        assert reply[0] == "ready"
+
+    def test_silent_client_is_dropped(self, node):
+        server, lines = node
+        sock = dial(*tuple_addr(server))
+        try:
+            self.wait_dropped(server, lines, "no hello within")
+            assert not sock.recv(1)  # EOF: the daemon hung up on us
+        finally:
+            sock.close()
+        self.assert_still_serving(server)
+        self.wait_dropped(server, lines, "session finished")
+        assert server.sessions == 2
+
+    def test_oversized_hello_is_dropped(self, node):
+        from repro.core.transport.node import HELLO_MAX_BYTES
+
+        server, lines = node
+        sock = dial(*tuple_addr(server))
+        try:
+            # a well-formed header promising more than a hello may carry
+            sock.sendall(struct.pack(">4sII", b"RPTP", 0, HELLO_MAX_BYTES + 1))
+            self.wait_dropped(server, lines, "exceeds the")
+        finally:
+            sock.close()
+        self.assert_still_serving(server)
+        self.wait_dropped(server, lines, "session finished")
+        assert server.sessions == 2
 
 
 def tuple_addr(server) -> tuple[str, int]:

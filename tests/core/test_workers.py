@@ -1,13 +1,18 @@
 """The multi-core worker backend (repro.core.workers): partitioning,
 counter bit-identity vs. the single-process simulation, trace merging,
-output correctness, failure propagation, spill-dir cleanup — and the
-machine *slices* themselves, driven in threads without any process."""
+output correctness, failure propagation, spill-dir and shared-memory
+cleanup, what fork + sockets can get wrong — and the machine *slices*
+themselves, driven in threads without any process."""
 
 from __future__ import annotations
 
 import os
 import queue
+import signal
+import socket
 import threading
+import time
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -19,7 +24,9 @@ from repro.cgm.config import MachineConfig
 from repro.cgm.metrics import CostReport
 from repro.cgm.program import CGMProgram
 from repro.core.par_engine import ParEMEngine, fold_final_stats
-from repro.core.transport import MemoryTransport, TransportAbort
+from repro.core.transport import Transport, TransportAbort
+from repro.core import workers
+from repro.core.transport.base import POLL_S
 from repro.core.workers import ProcessParEngine, partition_reals
 from repro.em.runner import em_run, em_sort, make_engine
 from repro.obs.trace import JsonlRecorder
@@ -27,6 +34,8 @@ from repro.pdm.io_stats import IOStats
 from repro.tune.runtime import RuntimeConfig, current
 from repro.util.rng import make_rng, spawn_rngs
 from repro.util.validation import SimulationError
+
+pytestmark = pytest.mark.usefixtures("worker_leak_guard")
 
 V, D, B = 8, 2, 64
 N = 1 << 14
@@ -342,7 +351,28 @@ class TestSpillDirs:
 # A worker is nothing but a ParEMEngine built with a plan, a worker id and
 # a transport, so the exchange code is reachable without forking: the
 # harness below plays the coordinator for slices living in threads of this
-# process, joined by MemoryTransport over plain queue.Queues.
+# process, joined by a stand-in transport over plain queue.Queues — no
+# process, no socket, only Transport's two primitives.
+
+
+class QueueTransport(Transport):
+    """Peer-to-peer ``queue.Queue`` inboxes shared by the slices' threads."""
+
+    def __init__(self, worker_id, inboxes, abort):
+        super().__init__(worker_id)
+        self.inboxes = inboxes
+        self.abort = abort
+
+    def send_packet(self, dest, r, phase, wire):
+        self.inboxes[dest].put((r, phase, self.worker_id, wire))
+
+    def recv_packet(self, what):
+        while not self.abort.is_set():
+            try:
+                return self.inboxes[self.worker_id].get(timeout=0.05)
+            except queue.Empty:
+                continue
+        raise TransportAbort(f"aborted while waiting for {what}")
 
 
 def _run_slices(program, inputs, cfg, plan, balanced):
@@ -355,7 +385,7 @@ def _run_slices(program, inputs, cfg, plan, balanced):
     for w in range(len(plan)):
         eng = ParEMEngine(
             cfg, balanced, validate=False, plan=plan, worker_id=w,
-            net=MemoryTransport(w, inboxes, abort),
+            net=QueueTransport(w, inboxes, abort),
         )
         eng._max_message_items = program.max_message_items(cfg)
         eng._rt = rt
@@ -552,3 +582,209 @@ class TestSlicesInThreads:
     def test_a_failing_slice_aborts_its_peers(self):
         with pytest.raises(RuntimeError, match="deliberate failure"):
             _run_slices(_Boom(), [None] * 4, self.CFG, self.PLAN, False)
+
+
+# ------------------------------------------------- crashes, forks, sockets
+
+
+class _DiesOnce(SampleSort):
+    """Sample sort whose hosting process dies hard (``os._exit``) when
+    virtual processor *pid* enters round *crash_round* — once: the flag
+    file is consumed first, so the re-dispatched round runs clean."""
+
+    def __init__(self, crash_round: int, pid: int, flag_path: str) -> None:
+        super().__init__()
+        self.crash_round = crash_round
+        self.pid = pid
+        self.flag_path = flag_path
+
+    def round(self, r, ctx, env):
+        if r == self.crash_round and env.pid == self.pid:
+            if os.path.exists(self.flag_path):
+                os.unlink(self.flag_path)
+                os._exit(13)
+        return super().round(r, ctx, env)
+
+
+def _local_runtime(**overrides):
+    """A two-worker local-fleet runtime, whatever the ambient lane says."""
+    return RuntimeConfig.resolve(
+        overrides={"workers": 2, "transport": "shm", **overrides}, environ={}
+    )
+
+
+class TestCrashLeavesNoSegments:
+    """Every packet rides a shared-memory segment (``shm_bytes=1``) and a
+    worker dies mid-round: its peer has already shipped segments the dead
+    worker will never release.  The fleet relayed their names, so it
+    unlinks them when it hangs up; the run heals from its checkpoint."""
+
+    CFG = MachineConfig(N=1 << 12, v=8, p=2, D=D, B=32)
+    DATA = make_rng(31).integers(0, 2**40, 1 << 12)
+
+    def run_sort(self, balanced, program=None, **options):
+        return em_run(
+            program or SampleSort(), partition_array(self.DATA, 8), self.CFG,
+            "par", balanced=balanced, runtime=_local_runtime(shm_bytes=1),
+            **options,
+        )
+
+    @pytest.fixture(scope="class")
+    def clean(self):
+        return {b: _counters(self.run_sort(b).report) for b in (False, True)}
+
+    @pytest.mark.parametrize("balanced", [False, True], ids=["direct", "balanced"])
+    @pytest.mark.parametrize("pid", [0, 3, 7])
+    @pytest.mark.parametrize("crash_round", [0, 1, 2])
+    def test_self_healed_crash(
+        self, tmp_path, monkeypatch, clean, crash_round, pid, balanced
+    ):
+        # the dead process stays dead: two empty polls are proof enough
+        monkeypatch.setattr(workers, "_DEAD_GRACE", 2)
+        flag = tmp_path / "die"
+        flag.write_text("1")
+        shm_before = sorted(os.listdir("/dev/shm"))
+        tracer = JsonlRecorder()
+        healed = self.run_sort(
+            balanced, _DiesOnce(crash_round, pid, str(flag)),
+            checkpoint=str(tmp_path / "ck"), tracer=tracer,
+        )
+        assert not flag.exists(), "the crash never fired"
+        assert tracer.counts().get("worker_redispatch") == 1
+        assert np.array_equal(np.concatenate(healed.outputs), np.sort(self.DATA))
+        assert _counters(healed.report) == clean[balanced]
+        assert sorted(os.listdir("/dev/shm")) == shm_before
+
+
+class _Rendezvous(SampleSort):
+    """Sample sort that touches *mine* in round 0 and, from round 1 on,
+    waits (bounded) for *theirs* — two runs held alive side by side."""
+
+    def __init__(self, mine: str, theirs: str, die: bool = False) -> None:
+        super().__init__()
+        self.mine, self.theirs, self.die = mine, theirs, die
+
+    def round(self, r, ctx, env):
+        if r == 0 and env.pid == 0:
+            open(self.mine, "w").close()
+        if r == 1 and env.pid == 0:
+            deadline = time.monotonic() + 30.0
+            while not os.path.exists(self.theirs) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            if self.die:
+                os._exit(13)
+        return super().round(r, ctx, env)
+
+
+class TestForkAndSockets:
+    CFG = MachineConfig(N=1 << 12, v=4, p=2, D=D, B=32)
+    DATA = make_rng(32).integers(0, 2**40, 1 << 12)
+
+    def run_sort(self, program=None, **options):
+        return em_run(
+            program or SampleSort(), partition_array(self.DATA, 4), self.CFG,
+            "par", runtime=_local_runtime(), **options,
+        )
+
+    def test_every_fork_precedes_every_thread(self, tmp_path, monkeypatch):
+        """Children are forked before any reader thread starts, and the
+        readers are joined before crash recovery forks again: no fork
+        ever happens in a multi-threaded coordinator."""
+        monkeypatch.setattr(workers, "_DEAD_GRACE", 2)
+        baseline = set(threading.enumerate())
+        extra_at_fork = []
+        real_fork = os.fork
+
+        def spy():
+            extra_at_fork.append(set(threading.enumerate()) - baseline)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", spy)
+        flag = tmp_path / "die"
+        flag.write_text("1")
+        with warnings.catch_warnings(record=True) as caught:
+            # recorded, not -W error: CPython clears the exception an
+            # error filter makes of this warning (the fork already happened)
+            warnings.simplefilter("always")
+            healed = self.run_sort(
+                _DiesOnce(1, 0, str(flag)), checkpoint=str(tmp_path / "ck")
+            )
+        assert np.array_equal(np.concatenate(healed.outputs), np.sort(self.DATA))
+        assert len(extra_at_fork) == 4  # two workers, forked twice
+        assert extra_at_fork == [set()] * 4
+        assert not [w for w in caught if "fork" in str(w.message)]
+
+    def test_alive_asks_the_process(self, monkeypatch):
+        """EOF cannot be trusted while some other process holds a copy of
+        a worker's socket end (a child forked by another fleet at the wrong
+        moment would): the crash is still seen, through the process."""
+        held = []
+        real_socketpair = socket.socketpair
+
+        def spy():
+            ours, theirs = real_socketpair()
+            held.append(theirs.dup())
+            return ours, theirs
+
+        monkeypatch.setattr(socket, "socketpair", spy)
+        eng = make_engine(self.CFG, "par", runtime=_local_runtime())
+        eng._max_message_items = SampleSort().max_message_items(self.CFG)
+        eng._rt = eng.runtime
+        try:
+            eng._start(SampleSort())
+            fleet = eng._fleet
+            victim = fleet._procs[0]
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=10.0)
+            assert not victim.is_alive()
+            assert [fleet.alive(w) for w in range(2)] == [False, True]
+            started = time.monotonic()
+            with pytest.raises(workers.WorkerCrashed):
+                eng._gather("setup")
+            assert time.monotonic() - started < (workers._DEAD_GRACE + 4) * POLL_S
+        finally:
+            eng._shutdown(force=True)
+            for sock in held:
+                sock.close()
+        assert_workers_reaped(eng)
+
+    def test_two_fleets_alive_in_one_process(self, tmp_path):
+        """The service pool's shape: two ``workers=2`` runs on two threads.
+        B's children are forked while A's sessions are open, so they hold
+        copies of A's coordinator-side sockets; when a worker of A dies, A
+        must still see it, and A's hang-up must still reach the surviving
+        peer (``shutdown``, not just ``close``) — while B, untouched,
+        finishes bit-identical."""
+        a_up, b_up, a_done = (str(tmp_path / n) for n in ("a_up", "b_up", "a_done"))
+        reference = self.run_sort()
+        results = {}
+
+        def run_a():
+            try:
+                self.run_sort(_Rendezvous(a_up, b_up, die=True))
+            except SimulationError as exc:
+                results["a"] = exc
+            results["a_finished"] = time.time()
+            open(a_done, "w").close()
+
+        def run_b():
+            deadline = time.monotonic() + 30.0
+            while not os.path.exists(a_up) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            results["b"] = self.run_sort(_Rendezvous(b_up, a_done))
+
+        threads = [threading.Thread(target=run_a), threading.Thread(target=run_b)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=90.0)
+        assert not any(t.is_alive() for t in threads)
+        assert isinstance(results["a"], workers.WorkerCrashed)
+        # A died once B was up: from then, _DEAD_GRACE polls to the verdict
+        # and no 5 s join timeout on a peer that never saw the hang-up
+        assert results["a_finished"] - os.path.getmtime(b_up) < (
+            (workers._DEAD_GRACE + 4) * POLL_S + 2.0
+        )
+        b = results["b"]
+        assert _same_outputs(b.outputs, reference.outputs)
+        assert _counters(b.report) == _counters(reference.report)

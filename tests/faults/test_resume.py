@@ -19,6 +19,8 @@ from repro.faults.plan import FaultPlan, RetryPolicy
 from repro.obs.trace import JsonlRecorder
 from repro.util.validation import ConfigurationError, SimulationError
 
+pytestmark = pytest.mark.usefixtures("worker_leak_guard")
+
 V, D, B = 8, 2, 64
 N = 1 << 13
 KILL_ROUND = 2

@@ -274,7 +274,12 @@ arrays = st.sampled_from(DTYPES).flatmap(
         dt, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)
     )
 ).flatmap(lambda arr: st.sampled_from(list(_views(arr))))
-scalars = st.sampled_from(DTYPES[:-2]).flatmap(hnp.from_dtype)
+# an empty np.bytes_ / np.str_ has a zero-itemsize dtype, which the codec
+# refuses on purpose (TypeError at store time), so it is not a round-trip case
+scalars = (
+    st.sampled_from(DTYPES[:-2]).flatmap(hnp.from_dtype)
+    .filter(lambda s: s.dtype.itemsize > 0)
+)
 words = hnp.arrays(np.uint64, st.integers(0, 5))
 small = st.integers(0, 2**62)
 chunks = st.builds(

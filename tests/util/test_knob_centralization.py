@@ -4,8 +4,9 @@ prefetch thread stay retired, there is one compound superstep (one round
 loop, one routing step, no worker engine class), the Figure-5 Group-A
 operations have one definition (the op table), and every Figure-5 run has
 one front door (options are ``make_engine`` arguments the wrappers forward;
-one CLI run handler), and what the simulated disks hold is one tagged
-format that nothing on its path pickles.
+one CLI run handler), what the simulated disks hold is one tagged format
+that nothing on its path pickles, and a worker is one session on one wire
+(no multiprocessing queue or event, one ``dumps``/``loads`` pair).
 
 The tentpole's centralization contract — ad-hoc ``os.environ`` reads of
 runtime knobs are how the inconsistent-caching bug happened, so outside
@@ -67,6 +68,15 @@ _ENV_WRITE = re.compile(
 
 #: ListRanking's second sender, the seq_engine re-export, the pickle item tag
 _CODEC_FORK = re.compile(r"_send_grouped_float|core\.seq_engine|_TAG_PICKLE")
+
+
+#: the second worker plumbing: multiprocessing queues and events, the three
+#: transport classes, the queue-fed process entry point, the spawn fallback
+_WIRE_FORK = re.compile(
+    r"ctx\.Queue|multiprocessing\.Queue|mp\.Queue|ctx\.Event|mp\.Event"
+    r"|MemoryTransport|ShmTransport|TcpWorkerTransport|_worker_main"
+    r"|get_context\(\"spawn\"\)"
+)
 
 
 def _offenders(pattern: re.Pattern, skip_tune: bool) -> list[str]:
@@ -155,6 +165,49 @@ def test_one_disk_codec_and_nothing_on_its_path_pickles():
         f"no object reconstruction): {pickling}"
     )
     assert not (src_root / "core" / "seq_engine.py").exists()
+
+
+def test_one_worker_session_on_one_wire():
+    import inspect
+
+    from repro.core import workers
+    from repro.core.transport import base, tcp
+
+    offenders = _offenders(_WIRE_FORK, skip_tune=False)
+    assert not offenders, (
+        "a worker is serve_session on a socket, local or remote; the fleet "
+        "relays frames:\n" + "\n".join(offenders)
+    )
+    # the only two calls under repro.core that pickle are the frame
+    # writer's dumps and the frame reader's loads
+    core = Path(repro.__file__).resolve().parent / "core"
+    calls = [
+        call for path in sorted(core.rglob("*.py"))
+        for call in re.findall(r"pickle\.(?:dumps|loads)\(", path.read_text())
+    ]
+    assert sorted(calls) == ["pickle.dumps(", "pickle.loads("]
+    assert "pickle.dumps(" in inspect.getsource(base.send_frame)
+    assert "pickle.loads(" in inspect.getsource(base.recv_frame)
+    # one command loop with one caller ...
+    callers = [
+        path.name for path in sorted(core.rglob("*.py"))
+        if re.search(r"(?<!def )\brun_worker_session\(", path.read_text())
+    ]
+    assert callers == ["workers.py"]
+    assert inspect.getsource(workers).count("run_worker_session(") == 2  # def + call
+    assert "run_worker_session(" in inspect.getsource(workers.serve_session)
+    # ... and one fleet: the two spellings only say how a session is
+    # opened (and what opening it left to collect), whether it still
+    # lives, and what it is called
+    for fleet, allowed in (
+        (workers.LocalFleet, {"_open", "_reap", "alive"}),
+        (tcp.TcpFleet, {"_open", "event_tags"}),
+    ):
+        own = {
+            name for name, member in vars(fleet).items()
+            if inspect.isfunction(member) and name != "__init__"
+        }
+        assert own == allowed, (fleet.__name__, own)
 
 
 def test_one_compound_superstep():
