@@ -112,6 +112,11 @@ class Engine:
     supports_checkpoint = False
     #: backends whose disk arrays accept a fault plan set this True.
     supports_faults = False
+    #: backends that recover from the *previous* boundary's snapshot while
+    #: a run is live (the process backend re-dispatches a round after a
+    #: worker death) set this True: the run loop then takes the snapshot
+    #: at every boundary even when nothing asks for it on disk.
+    snapshot_every_round = False
 
     def __init__(
         self,
@@ -147,13 +152,17 @@ class Engine:
         #: never half-apply.
         self.runtime: "RuntimeConfig | None" = None
         self._rt: "RuntimeConfig | None" = None
-        #: last snapshot written this run (crash recovery re-reads it).
+        #: last snapshot taken this run (crash recovery re-reads it).
         self._last_ckpt: dict[str, Any] | None = None
         #: optional preemption probe, set post-construction (the job
-        #: server's worker pool).  Polled at every round boundary *after*
-        #: the checkpoint write; returning true aborts the run with
+        #: server's worker pool).  Polled at every round boundary; a run
+        #: that carries one persists a snapshot only when it fires — all
+        #: state is on the simulated disks at a boundary, so the snapshot
+        #: taken then is the one a resume needs — and then aborts with
         #: :class:`~repro.util.validation.PreemptedError`, so with a
         #: checkpoint manager attached the run resumes bit-identically.
+        #: A run without a probe cannot be asked, so it persists every
+        #: boundary.
         self.preempt: "Callable[[], bool] | None" = None
 
     # ------------------------------------------------------------------ hooks
@@ -375,14 +384,20 @@ class Engine:
         report: CostReport,
         rngs: list,
         finished: bool,
+        persist: bool,
     ) -> None:
+        """Snapshot the boundary after round *r* and, when *persist*, write
+        it through the checkpoint manager.  Without *persist* only a
+        ``snapshot_every_round`` backend takes the snapshot (in memory)."""
         cm = self.checkpoint
-        if cm is None:
+        if cm is None or not (persist or self.snapshot_every_round):
             return
         snap: dict[str, Any] = {"round": r, "finished": finished, "report": report}
         snap.update(self._snapshot_state(rngs))
-        path = cm.save(r, snap, self._ckpt_meta(program))
         self._last_ckpt = snap
+        if not persist:
+            return
+        path = cm.save(r, snap, self._ckpt_meta(program))
         if self.tracer.enabled:
             self.tracer.emit("checkpoint", round=r, finished=finished, path=path)
 
@@ -475,7 +490,9 @@ class Engine:
             self._setup_contexts(program, inputs)
             # an initial snapshot (round -1) makes even a crash in the
             # very first round recoverable
-            self._write_checkpoint(program, -1, report, rngs, finished=False)
+            self._write_checkpoint(
+                program, -1, report, rngs, False, persist=self.preempt is None
+            )
 
         while not finished:
             if tr.enabled:
@@ -538,9 +555,13 @@ class Engine:
                     rm.io.parallel_ios
                 )
             finished = all_done and not self._pending_messages()
-            self._write_checkpoint(program, r, report, rngs, finished)
-            if not finished and self.preempt is not None and self.preempt():
-                # the snapshot for round r is already on disk, so the
+            preempted = not finished and self.preempt is not None and self.preempt()
+            self._write_checkpoint(
+                program, r, report, rngs, finished,
+                persist=self.preempt is None or preempted,
+            )
+            if preempted:
+                # the snapshot for round r is on disk now, so the
                 # preempted run resumes bit-identically from round r + 1
                 if tr.enabled:
                     tr.emit(

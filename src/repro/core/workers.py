@@ -369,6 +369,8 @@ class ProcessParEngine(Engine):
     name = "par-em"
     supports_checkpoint = True
     supports_faults = True
+    #: ``_recover`` rewinds a respawned fleet to ``_last_ckpt``
+    snapshot_every_round = True
 
     def __init__(
         self,

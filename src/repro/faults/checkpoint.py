@@ -4,8 +4,10 @@ Between compound supersteps the *entire* simulation state lives on the D
 disks (contexts in consecutive format, the message matrix in staggered
 format) plus a small amount of engine bookkeeping — which makes round
 boundaries the natural consistency point.  :class:`CheckpointManager`
-persists a snapshot of that state after every round; a killed run restarts
-from the newest snapshot and replays bit-identically.
+persists the snapshots of that state the engine hands it — one per round
+boundary for a run nobody can ask to stop (so a killed run restarts from
+the newest and replays bit-identically), one at the moment of preemption
+for a served job.
 
 On-disk format (one file per round, written atomically via ``os.replace``):
 
@@ -47,7 +49,8 @@ class CheckpointManager:
 
     ``keep`` bounds how many snapshots stay on disk (the newest survive);
     ``max_restarts`` bounds how many times the process backend may respawn
-    crashed workers before giving up.
+    crashed workers before giving up.  The directory is created by the
+    first :meth:`save`: a manager that never saves leaves nothing behind.
     """
 
     def __init__(self, directory: str, keep: int = 2, max_restarts: int = 3) -> None:
@@ -56,7 +59,6 @@ class CheckpointManager:
         self.directory = directory
         self.keep = keep
         self.max_restarts = max_restarts
-        os.makedirs(directory, exist_ok=True)
 
     # -- writing -------------------------------------------------------------
 
@@ -72,6 +74,7 @@ class CheckpointManager:
             "payload_bytes": len(payload),
             "meta": meta,
         }
+        os.makedirs(self.directory, exist_ok=True)
         path = self.path_for(round_no)
         tmp = path + ".tmp"
         with open(tmp, "wb") as fh:

@@ -8,11 +8,12 @@ States (see DESIGN.md §11 for the full diagram)::
       |  (cache)   |          |
       `----------> cancelled <'
 
-``done``, ``failed`` and ``cancelled`` are terminal: the job's
-:class:`~repro.obs.bus.EventBus` is closed (ending any SSE streams) and
-:attr:`Job.finished` is set.  ``preempted`` is *not* terminal — the
-checkpoint written at the preempting round boundary makes the next
-``running`` attempt a bit-identical continuation.
+``done``, ``failed`` and ``cancelled`` are terminal: the job's checkpoint
+directory is removed, its :class:`~repro.obs.bus.EventBus` is closed
+(ending any SSE streams) and :attr:`Job.finished` is set.  ``preempted``
+is *not* terminal — the checkpoint written at the preempting round
+boundary (the only one a served job writes) makes the next ``running``
+attempt a bit-identical continuation, so its directory stays.
 
 Every transition is emitted on the job's bus as a ``job_state`` event,
 so an SSE client sees the lifecycle interleaved with the engine's own
@@ -21,10 +22,12 @@ trace events.
 
 from __future__ import annotations
 
+import shutil
 import threading
 import time
 from typing import Any
 
+from repro.faults.checkpoint import CheckpointManager
 from repro.obs.bus import EventBus
 from repro.service.spec import JobSpec
 from repro.util.validation import SimulationError
@@ -114,6 +117,7 @@ class Job:
                 )
             if new in TERMINAL:
                 self.finished_s = time.time()
+                shutil.rmtree(self.ckpt_dir, ignore_errors=True)
                 self.bus.close()
                 self.finished.set()
 
@@ -179,6 +183,8 @@ class Job:
             "spec": self.spec.to_dict(),
             "attempts": self.attempts,
             "preemptions": self.preemptions,
-            "resume": self.resume or self.attempts > 0,
+            # from the disk, not from the history: only a preempted
+            # attempt leaves a snapshot, and only a snapshot can resume
+            "resume": CheckpointManager(self.ckpt_dir).has_checkpoint,
             "ckpt_dir": self.ckpt_dir,
         }

@@ -15,11 +15,14 @@ the same spec; nothing backend- or schedule-dependent may appear in it.
 on plain threads (each job's engine may itself fan out to worker
 *processes* via the spec's ``workers`` field).  Preemption rides the
 engine's checkpoint machinery: the pool installs a per-job probe as
-``Engine.preempt``, the engine polls it at every round boundary *after*
-the checkpoint write, and the resulting
+``Engine.preempt`` (the only place that attribute is assigned), the
+engine polls it at every round boundary and writes that boundary's
+snapshot only when it fires, and the resulting
 :class:`~repro.util.validation.PreemptedError` sends the job back to
 the queue with ``resume=True`` — its next attempt restores the snapshot
-and continues bit-identically.
+and continues bit-identically.  A job that is never preempted never
+creates its checkpoint directory; a job that was loses it on reaching a
+terminal state (:meth:`Job.set_state`).
 """
 
 from __future__ import annotations
@@ -84,8 +87,9 @@ def execute_spec(
     """Run *spec* once and return its result document.
 
     Raises :class:`~repro.util.validation.PreemptedError` when *preempt*
-    fires at a round boundary (the checkpoint, if any, is already on
-    disk) — callers decide whether that means requeue or shutdown.
+    fires at a round boundary (that boundary's snapshot, if *checkpoint*
+    is given, is on disk by then — the only one a run with a probe
+    writes) — callers decide whether that means requeue or shutdown.
     """
     cfg = spec.machine_config()
     op = OPS[spec.op]

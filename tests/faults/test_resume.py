@@ -14,7 +14,7 @@ from repro.algorithms.collectives import partition_array
 from repro.algorithms.sorting import SampleSort
 from repro.cgm.config import MachineConfig
 from repro.em.runner import em_run
-from repro.faults.checkpoint import CheckpointError
+from repro.faults.checkpoint import CheckpointError, CheckpointManager
 from repro.faults.plan import FaultPlan, RetryPolicy
 from repro.obs.trace import JsonlRecorder
 from repro.util.validation import ConfigurationError, SimulationError
@@ -574,6 +574,56 @@ class TestServicePath:
         resumed = execute_spec(JobSpec.from_dict(doc), checkpoint=ck, resume=True)
         assert resumed["counters"] == clean["counters"]
         assert resumed["output_sha256"] == clean["output_sha256"]
+
+    @pytest.mark.slow
+    def test_served_job_heals_a_killed_worker_without_a_snapshot_file(
+        self, tmp_path, monkeypatch
+    ):
+        """A served job writes no snapshot until it is preempted, but the
+        process backend still holds the previous boundary's snapshot in
+        memory: a worker SIGKILLed mid-round is respawned from it and the
+        job ends ``done`` with the clean document.  (Skipping the snapshot
+        under a probe, rather than only its disk write, fails here.)"""
+        import dataclasses
+        import signal
+
+        from repro.em.runner import OPS
+        from repro.service.client import run_spec_local
+        from repro.service.server import ServiceCore
+
+        flag = str(tmp_path / "kill.flag")
+
+        class KilledSort(SampleSort):
+            def round(self, r, ctx, env):
+                if r == KILL_ROUND and env.pid == 0 and os.path.exists(flag):
+                    os.unlink(flag)
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return super().round(r, ctx, env)
+
+        spec = {**self.PAR, "workers": 2}
+        clean = run_spec_local(spec)["result"]
+        open(flag, "w").write("1")
+        monkeypatch.setitem(
+            OPS, "sort", dataclasses.replace(OPS["sort"], program=KilledSort)
+        )
+        written = []
+        save = CheckpointManager.save
+        monkeypatch.setattr(
+            CheckpointManager, "save",
+            lambda self, r, *a: written.append(r) or save(self, r, *a),
+        )
+        core = ServiceCore(state_dir=str(tmp_path / "state"), pool_size=1)
+        try:
+            job, _ = core.submit(spec)
+            assert job.finished.wait(120)
+        finally:
+            core.drain(timeout=60)
+        assert not os.path.exists(flag), "the kill never fired"
+        assert job.state == "done", job.error
+        assert job.bus.counts().get("worker_redispatch") == 1
+        assert written == [] and not os.path.exists(job.ckpt_dir)
+        for key in ("ok", "counters", "output_sha256", "fingerprint"):
+            assert job.result[key] == clean[key]
 
 
 class TestRefusals:

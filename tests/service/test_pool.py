@@ -3,6 +3,8 @@
 import pytest
 
 from repro.em.runner import OPS
+from repro.faults.checkpoint import CheckpointManager
+from repro.obs.trace import JsonlRecorder
 from repro.service.pool import execute_spec
 from repro.service.spec import JobSpec
 from repro.util.validation import PreemptedError
@@ -97,3 +99,76 @@ class TestPreemption:
         assert final["output_sha256"] == clean["output_sha256"]
         assert final["counters"] == clean["counters"]
         assert rounds == clean["counters"]["rounds"] - 1
+
+
+class CountingManager(CheckpointManager):
+    """Records the round of every ``save`` (deterministic: no wall clock)."""
+
+    def __init__(self, directory):
+        super().__init__(directory)
+        self.saved = []
+
+    def save(self, round_no, snapshot, meta):
+        self.saved.append(round_no)
+        return super().save(round_no, snapshot, meta)
+
+
+def _doc(doc):
+    return {k: v for k, v in doc.items() if k != "elapsed_s"}
+
+
+class TestSnapshotWhenAsked:
+    """A run with a probe persists a snapshot when the probe fires and at no
+    other time; a run without one persists every boundary."""
+
+    SPEC = spec_for("sort", n=1 << 13)
+
+    def test_probe_that_never_fires_writes_nothing(self, tmp_path):
+        cm = CountingManager(str(tmp_path / "ck"))
+        tr = JsonlRecorder()
+        doc = execute_spec(self.SPEC, tracer=tr, checkpoint=cm, preempt=lambda: False)
+        assert cm.saved == []
+        assert "checkpoint" not in tr.counts()
+        assert not (tmp_path / "ck").exists()
+        assert _doc(doc) == _doc(execute_spec(self.SPEC))
+
+    def test_probe_firing_after_round_k_writes_round_k_only(self, tmp_path):
+        clean = execute_spec(self.SPEC)
+        rounds = clean["counters"]["rounds"]
+        assert rounds >= 3
+        for k in range(rounds - 1):  # the final boundary is never polled
+            cm = CountingManager(str(tmp_path / f"ck{k}"))
+            tr = JsonlRecorder()
+            polls = iter(range(rounds))
+            with pytest.raises(PreemptedError, match="resume to continue"):
+                execute_spec(
+                    self.SPEC, tracer=tr, checkpoint=cm,
+                    preempt=lambda: next(polls) == k,
+                )
+            assert cm.saved == [k]
+            tail = [
+                (ev["kind"], ev["round"]) for ev in tr.events
+                if ev["kind"] in ("checkpoint", "preempt")
+            ]
+            assert tail == [("checkpoint", k), ("preempt", k)]
+            resumed = execute_spec(self.SPEC, checkpoint=cm.directory, resume=True)
+            assert _doc(resumed) == _doc(clean)
+
+    def test_no_probe_writes_every_boundary(self, tmp_path, monkeypatch):
+        """The CLI / ``em_run`` contract: setup, then every round."""
+        from repro import cli
+
+        saved = []
+        save = CheckpointManager.save
+        monkeypatch.setattr(
+            CheckpointManager, "save",
+            lambda self, r, *a: saved.append(r) or save(self, r, *a),
+        )
+        doc = execute_spec(self.SPEC, checkpoint=str(tmp_path / "ck"))
+        every_boundary = list(range(-1, doc["counters"]["rounds"]))
+        assert saved == every_boundary
+
+        del saved[:]
+        args = ["--n", "8192", "--v", "8", "--d", "2", "--b", "64"]
+        assert cli.main(["sort", *args, "--checkpoint", str(tmp_path / "cli")]) == 0
+        assert saved == every_boundary

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.faults.checkpoint import CheckpointManager
 from repro.service.cache import ResultCache
 from repro.service.jobs import Job
 from repro.service.queue import BackpressureError, JobQueue
@@ -96,7 +97,8 @@ class TestPersistence:
         for j in jobs:
             q.submit(j)
         extra = make_job(tmp_path, 9)
-        extra.attempts = 1  # preempted in-flight job
+        extra.attempts = 1  # preempted in-flight job: its snapshot is on disk
+        CheckpointManager(extra.ckpt_dir).save(0, {"round": 0}, {})
         path = str(tmp_path / "queue.json")
         assert q.persist(path, extra=[extra]) == 3
         docs = JobQueue.load_persisted(path)
@@ -107,6 +109,16 @@ class TestPersistence:
         # documents reconstruct valid specs
         for doc in docs:
             JobSpec.from_dict(doc["spec"])
+
+    def test_resume_is_read_from_the_disk_not_the_history(self, tmp_path):
+        """Only a snapshot can resume: a job that has run before but left
+        none (a served job writes one only when preempted) is persisted
+        ``resume: false``, whatever its counters say."""
+        job = make_job(tmp_path, 3)
+        job.attempts, job.preemptions = 2, 1
+        assert job.persist_doc()["resume"] is False
+        CheckpointManager(job.ckpt_dir).save(1, {"round": 1}, {})
+        assert job.persist_doc()["resume"] is True
 
     def test_load_missing_file_is_empty(self, tmp_path):
         assert JobQueue.load_persisted(str(tmp_path / "nope.json")) == []

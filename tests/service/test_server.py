@@ -1,6 +1,8 @@
 """HTTP integration: the full submit/cache/stream/preempt/drain surface."""
 
+import glob
 import json
+import os
 import threading
 import time
 import urllib.request
@@ -14,7 +16,10 @@ from repro.service.client import (
     submit_job,
     wait_job,
 )
-from repro.service.server import JobServer, ServiceCore
+from repro.service.jobs import Job
+from repro.service.queue import JobQueue
+from repro.service.server import QUEUE_STATE_FILE, JobServer, ServiceCore
+from repro.service.spec import JobSpec
 
 MACHINE = {"v": 8, "D": 2, "B": 64}
 SPEC = {"op": "sort", "n": 4096, "seed": 1, "machine": MACHINE, "tenant": "alice"}
@@ -33,6 +38,10 @@ def served(tmp_path):
         server.close()
 
 
+def _sans_elapsed(result):
+    return {k: v for k, v in result.items() if k != "elapsed_s"}
+
+
 def _get(url):
     with urllib.request.urlopen(url, timeout=10) as resp:
         return resp.status, json.loads(resp.read().decode())
@@ -47,6 +56,15 @@ class TestSubmitAndResult:
         final = wait_job(served.url, doc["id"], timeout_s=WAIT_S)
         assert final["state"] == "done"
         assert final["result"]["ok"] is True
+
+    def test_unpreempted_job_never_creates_its_checkpoint_dir(self, served):
+        """A served job writes a snapshot when it is preempted, not before:
+        a job nobody preempts leaves nothing under ``<state_dir>/ckpt`` —
+        not even the directory (it used to leave ``rounds + 1`` files there
+        forever)."""
+        _, _, doc = submit_job(served.url, SPEC)
+        assert wait_job(served.url, doc["id"], timeout_s=WAIT_S)["state"] == "done"
+        assert not os.path.exists(os.path.join(served.core.state_dir, "ckpt"))
 
     def test_served_result_bit_identical_to_local_run(self, served):
         status, _, doc = submit_job(served.url, SPEC)
@@ -236,6 +254,8 @@ class TestPreemptionThroughService:
                 == clean["result"]["output_sha256"]
             )
             assert victim.result["ok"] is True
+            # the snapshot lived from the preemption to the terminal state
+            assert os.listdir(os.path.join(core.state_dir, "ckpt")) == []
         finally:
             core.drain(timeout=WAIT_S)
 
@@ -254,34 +274,72 @@ class TestPreemptionThroughService:
             core.drain(timeout=WAIT_S)
 
 
+def _hold_first_round_until_stopping(core, job):
+    """Sequence a drain deterministically: a synchronous bus listener sets
+    the returned event at *job*'s first ``superstep_end`` and keeps the
+    engine thread there until the pool is stopping, so the probe polled at
+    that round boundary is guaranteed to fire (the job is a few ms long and
+    writes nothing that would slow it down)."""
+    started = threading.Event()
+
+    def on_event(ev):
+        if ev.get("kind") == "superstep_end" and not started.is_set():
+            started.set()
+            deadline = time.monotonic() + WAIT_S
+            while not core.pool.stopping and time.monotonic() < deadline:
+                time.sleep(0.001)
+
+    job.bus.add_listener(on_event)
+    return started
+
+
 class TestDrain:
     def test_drain_persists_inflight_and_restart_resumes(self, tmp_path):
         state = str(tmp_path / "state")
         core = ServiceCore(state_dir=state, pool_size=1, start=False)
         spec = {"op": "sort", "n": 1 << 13, "machine": MACHINE}
         job, _ = core.submit(spec)
-        started = threading.Event()
-        job.bus.add_listener(
-            lambda ev: started.set() if ev.get("kind") == "superstep_end" else None
-        )
+        started = _hold_first_round_until_stopping(core, job)
         core.start()
         assert started.wait(WAIT_S)
         saved = core.drain(timeout=WAIT_S)
         assert saved == 1
         assert job.state == "preempted"
         assert job.attempts == 1
+        # the drain wrote the one snapshot this job ever had, and says so
+        (entry,) = JobQueue.load_persisted(os.path.join(state, QUEUE_STATE_FILE))
+        assert entry["id"] == job.id and entry["resume"] is True
+        assert len(glob.glob(os.path.join(state, "ckpt", "*", "ckpt_*.bin"))) == 1
 
         restarted = ServiceCore(state_dir=state, pool_size=1)
         try:
             resumed = restarted.get(job.id)
             assert resumed.finished.wait(WAIT_S)
             assert resumed.state == "done"
-            clean = run_spec_local(spec)
-            assert resumed.result["counters"] == clean["result"]["counters"]
-            assert (
-                resumed.result["output_sha256"]
-                == clean["result"]["output_sha256"]
-            )
+            clean = run_spec_local(spec)["result"]
+            assert _sans_elapsed(resumed.result) == _sans_elapsed(clean)
+            assert os.listdir(os.path.join(state, "ckpt")) == []
+        finally:
+            restarted.drain(timeout=WAIT_S)
+
+    def test_requeued_job_without_a_snapshot_reruns_from_scratch(self, tmp_path):
+        """``resume`` is what the disk says: an entry that has run before
+        (``attempts > 0``) but has no snapshot used to be persisted
+        ``resume: true`` and then failed with "no checkpoint found"."""
+        state = str(tmp_path / "state")
+        spec = {"op": "sort", "n": 4096, "machine": MACHINE}
+        stale = Job("j00007", JobSpec.from_dict(spec), os.path.join(state, "ckpt", "j00007"))
+        stale.attempts = 1
+        os.makedirs(stale.ckpt_dir)
+        JobQueue().persist(os.path.join(state, QUEUE_STATE_FILE), extra=[stale])
+
+        restarted = ServiceCore(state_dir=state, pool_size=1)
+        try:
+            job = restarted.get("j00007")
+            assert job.finished.wait(WAIT_S)
+            assert job.state == "done", job.error
+            clean = run_spec_local(spec)["result"]
+            assert _sans_elapsed(job.result) == _sans_elapsed(clean)
         finally:
             restarted.drain(timeout=WAIT_S)
 

@@ -6,7 +6,9 @@ operations have one definition (the op table), and every Figure-5 run has
 one front door (options are ``make_engine`` arguments the wrappers forward;
 one CLI run handler), what the simulated disks hold is one tagged format
 that nothing on its path pickles, and a worker is one session on one wire
-(no multiprocessing queue or event, one ``dumps``/``loads`` pair).
+(no multiprocessing queue or event, one ``dumps``/``loads`` pair), and a
+preemption probe — which turns per-round checkpoint writes into one write
+on demand — is installed by the job service's pool alone.
 
 The tentpole's centralization contract — ad-hoc ``os.environ`` reads of
 runtime knobs are how the inconsistent-caching bug happened, so outside
@@ -208,6 +210,18 @@ def test_one_worker_session_on_one_wire():
             if inspect.isfunction(member) and name != "__init__"
         }
         assert own == allowed, (fleet.__name__, own)
+
+
+def test_only_the_served_job_carries_a_preempt_probe():
+    """A run with a probe persists a snapshot only when the probe fires; a
+    run without one persists every boundary.  The CLI, ``em_run``, the
+    fault lane and the benchmark suites keep the second contract because
+    the one assignment of ``Engine.preempt`` is ``execute_spec``'s."""
+    stores = _offenders(re.compile(r"\.preempt\s*(:[^=]+)?=[^=]"), skip_tune=False)
+    # the attribute's declaration (``= None``) and the pool's one store
+    assert [s.split(":")[0] for s in stores] == [
+        "cgm/engine.py", "service/pool.py"
+    ], stores
 
 
 def test_one_compound_superstep():
