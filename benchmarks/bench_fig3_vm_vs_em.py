@@ -113,7 +113,7 @@ def test_fig3_disabled_tracing_sanity():
     """
     import time
 
-    from repro.obs.trace import NullRecorder
+    from repro.obs.bus import NullRecorder
 
     class ExplodingRecorder(NullRecorder):
         def emit(self, kind, **tags):  # pragma: no cover - must not run

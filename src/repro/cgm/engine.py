@@ -35,8 +35,8 @@ from repro.cgm.config import MachineConfig
 from repro.cgm.message import Message
 from repro.cgm.metrics import CostReport, RoundMetrics
 from repro.cgm.program import CGMProgram, Context, RoundEnv
+from repro.obs.bus import NULL_RECORDER, EventBus, NullRecorder
 from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
-from repro.obs.trace import NULL_RECORDER, TraceRecorder
 from repro.util.items import ITEM_FORMAT_VERSION
 from repro.util.rng import spawn_rngs
 from repro.util.validation import ConfigurationError, PreemptedError, SimulationError
@@ -123,7 +123,7 @@ class Engine:
         cfg: MachineConfig,
         balanced: bool = False,
         validate: bool = True,
-        tracer: TraceRecorder | None = None,
+        tracer: EventBus | NullRecorder | None = None,
         metrics: MetricsRegistry | None = None,
     ) -> None:
         self.cfg = cfg

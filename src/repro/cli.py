@@ -21,9 +21,8 @@ generator, the call, the reference check.  ``sort`` / ``permute`` /
 ``transpose`` share the step driven by :data:`repro.em.runner.OPS`: the
 input comes from the table's generator, so ``repro sort --n N --seed S
 ...`` is the same run — same data, counters and output hash — as ``repro
-submit --local`` of the spec ``{"op": "sort", "n": N, "seed": S, ...}``;
-``serve-metrics`` reuses it with a bus and registry attached.  Flags
-reach the run as ``make_engine`` options (``_engine_options``); nothing
+submit --local`` of the spec ``{"op": "sort", "n": N, "seed": S, ...}``.
+Flags reach the run as ``make_engine`` options (``_engine_options``); nothing
 here writes ``os.environ``.  Flags are registered in groups, and a
 command registers only the groups it reads.
 """
@@ -227,9 +226,9 @@ def _config(args, n: int | None = None) -> MachineConfig:
 def _make_tracer(args):
     """An EventBus when --trace was given, else None (zero-cost path).
 
-    The bus is a drop-in JsonlRecorder upgrade: same export paths, plus
-    span threading and the streaming model-conformance monitor, so every
-    ``--trace`` run gets drift detection for free.
+    The bus exports the run as JSON lines or a Chrome trace and carries
+    the streaming model-conformance monitor, so every ``--trace`` run
+    gets drift detection for free.
     """
     if args.trace is None:
         return None
@@ -344,9 +343,9 @@ def _verdict(ok: bool) -> str:
 
 
 def _run_op(args, tracer=None, metrics=None):
-    """``sort`` / ``permute`` / ``transpose`` (and ``serve-metrics``):
-    ``OPS[args.op]``.  The data, the counters and the output hash are those
-    of ``repro submit --local`` for the same ``(op, n, seed, machine)``."""
+    """``sort`` / ``permute`` / ``transpose``: ``OPS[args.op]``.  The data,
+    the counters and the output hash are those of ``repro submit --local``
+    for the same ``(op, n, seed, machine)``."""
     from repro.em.runner import OPS, em_op
     from repro.util.rng import make_rng
 
@@ -507,7 +506,7 @@ def cmd_top(args) -> int:
         return 2
     view = TopView(window=args.window)
     if args.url is not None:
-        events = iter_sse(args.url.rstrip("/") + "/events")
+        events = iter_sse(args.url)
     else:
         events = iter_jsonl(
             args.trace, follow=args.follow, idle_timeout_s=args.idle_timeout
@@ -528,7 +527,7 @@ def cmd_top(args) -> int:
         pass
     except BrokenPipeError:
         raise  # main() ends the command quietly; not an I/O error to report
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     _print_frame(view, clear=not args.once)
@@ -573,73 +572,11 @@ def cmd_node(args) -> int:
         return _bind_error(args.host, args.port, exc)
 
 
-def _stop_on_signal():
-    """An Event that SIGINT/SIGTERM set: what the serving commands wait on."""
+def cmd_serve(args) -> int:
+    """The multi-tenant job server (``repro serve``); SIGTERM drains."""
     import signal
     import threading
 
-    stop = threading.Event()
-    for sig in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(sig, lambda signum, frame: stop.set())
-    return stop
-
-
-def cmd_serve_metrics(args) -> int:
-    import threading
-
-    from repro.obs.bus import EventBus
-    from repro.obs.metrics import MetricsRegistry
-    from repro.obs.server import ObsServer
-
-    _config(args)  # a bad machine shape is a usage error, not a failed workload
-    bus = EventBus()
-    registry = MetricsRegistry()
-    try:
-        server = ObsServer(
-            bus=bus, registry=registry, host=args.host, port=args.port
-        ).start()
-    except OSError as exc:
-        return _bind_error(args.host, args.port, exc)
-
-    stop = _stop_on_signal()
-    outcome: dict = {}
-
-    def _run() -> None:
-        try:
-            outcome["ran"] = _run_op(args, bus, registry)
-        except Exception as exc:
-            outcome["error"] = exc
-        finally:
-            if args.exit_after_run:
-                stop.set()
-
-    print(
-        f"serving on {server.url}  "
-        f"(metrics: {server.url}/metrics, events: {server.url}/events)",
-        flush=True,
-    )
-    worker = threading.Thread(target=_run, name="repro-serve-run", daemon=True)
-    worker.start()
-    while not stop.is_set():
-        stop.wait(0.5)
-    worker.join(timeout=10.0)
-    server.close()
-    bus.close()
-    err = outcome.get("error")
-    if err is not None:
-        print(f"error: workload failed: {err}", file=sys.stderr)
-        return 1
-    if "ran" in outcome:
-        _, report, cfg, _, _ = outcome["ran"]
-        _report(f"served {args.op} of {args.n} items", report, cfg)
-        drifts = sum(1 for ev in bus.events if ev.get("kind") == "model_drift")
-        if drifts:
-            print(f"  model drift      : {drifts} superstep(s) over budget")
-    return 0
-
-
-def cmd_serve(args) -> int:
-    """The multi-tenant job server (``repro serve``); SIGTERM drains."""
     from repro.service.server import JobServer, ServiceCore
 
     core = ServiceCore(
@@ -655,7 +592,9 @@ def cmd_serve(args) -> int:
         core.drain(timeout=5.0)
         return _bind_error(args.host, args.port, exc)
 
-    stop = _stop_on_signal()
+    stop = threading.Event()
+    for sig in (signal.SIGINT, signal.SIGTERM):
+        signal.signal(sig, lambda signum, frame: stop.set())
     print(
         f"serving on {server.url}  "
         f"(submit: POST {server.url}/jobs, metrics: {server.url}/metrics)",
@@ -982,8 +921,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--url",
         default=None,
-        help="base URL of a 'repro serve-metrics' endpoint (reads its "
-        "/events SSE stream instead of a file)",
+        help="SSE stream to read instead of a file, taken as given: a "
+        "served job's events, e.g. http://127.0.0.1:8799/jobs/j00001/events",
     )
     p.add_argument(
         "--follow",
@@ -1012,24 +951,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="with --follow: stop after S seconds without new events",
     )
     p.set_defaults(fn=cmd_top)
-
-    p = sub.add_parser(
-        "serve-metrics",
-        help="run a sort workload with the telemetry bus attached and "
-        "serve live /metrics (Prometheus) and /events (SSE) over HTTP "
-        "until SIGINT/SIGTERM",
-    )
-    _machine_options(p, n_default=1 << 16)
-    _backend_options(p)
-    _run_options(p)
-    _listen_options(p, 8765, "bind port (0 = auto-pick)")
-    p.add_argument(
-        "--exit-after-run",
-        action="store_true",
-        help="shut down when the workload finishes instead of serving "
-        "until a signal arrives",
-    )
-    p.set_defaults(fn=cmd_serve_metrics, op="sort")
 
     p = sub.add_parser(
         "node",

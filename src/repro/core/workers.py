@@ -55,8 +55,11 @@ fleet without and with shared-memory bulk segments, ``tcp`` the remote.
 from __future__ import annotations
 
 import multiprocessing as mp
+import os
 import queue
+import shutil
 import socket
+import tempfile
 import threading
 import traceback
 from typing import Any
@@ -77,7 +80,7 @@ from repro.core.transport.base import (
 )
 from repro.core.transport.session import SessionTransport
 from repro.core.transport.tcp import Fleet, TcpFleet, hang_up
-from repro.obs.trace import JsonlRecorder, replay_events
+from repro.obs.bus import EventBus, replay_events
 from repro.pdm.io_stats import IOStats
 from repro.util.rng import spawn_rngs
 from repro.util.validation import ConfigurationError, SimulationError
@@ -137,7 +140,9 @@ def run_worker_session(
     cfg: MachineConfig = session["cfg"]
     program: CGMProgram = session["program"]
     runtime = session["runtime"]
-    tracer = JsonlRecorder() if session["trace_enabled"] else None
+    # no opener event is emitted here, so the bus ships the same flat
+    # dicts the coordinator threads into its own spans
+    tracer = EventBus(monitor=False) if session["trace_enabled"] else None
     eng = ParEMEngine(
         cfg,
         session["balanced"],
@@ -300,12 +305,17 @@ class LocalFleet(Fleet):
     """Sessions in forked children of this process, one per worker, each
     on one end of a ``socket.socketpair()``; *transport_kind* is
     ``memory`` or ``shm`` (the latter moves bulk payloads through
-    shared-memory segments instead of the socket)."""
+    shared-memory segments instead of the socket).
+
+    Under the mmap arena the fleet owns one spill base per start, and the
+    children's spill dirs go under it: a child killed hard never removes
+    its own, so :meth:`_reap` removes the base once they are joined."""
 
     def __init__(self, n_workers: int, transport_kind: str) -> None:
         super().__init__([f"local/{w}" for w in range(n_workers)])
         self.kind = transport_kind
         self._procs: list = []
+        self._spill_base: "str | None" = None
 
     def _open(self, session: dict[str, Any]) -> None:
         try:
@@ -314,6 +324,12 @@ class LocalFleet(Fleet):
             raise ConfigurationError(
                 "workers > 1 needs the 'fork' start method, which this platform lacks"
             ) from None
+        rt = session["runtime"]
+        if rt.arena == "mmap":
+            if rt.spill_dir:
+                os.makedirs(rt.spill_dir, exist_ok=True)
+            self._spill_base = tempfile.mkdtemp(prefix="repro-arena-", dir=rt.spill_dir)
+            session = {**session, "runtime": rt.replace(spill_dir=self._spill_base)}
         with _FORK_LOCK:
             pairs = [socket.socketpair() for _ in self._conns]
             for conn, (ours, _theirs) in zip(self._conns, pairs):
@@ -339,6 +355,9 @@ class LocalFleet(Fleet):
                 proc.terminate()
                 proc.join(timeout=2.0)
         self._procs = []
+        if self._spill_base is not None:
+            shutil.rmtree(self._spill_base, ignore_errors=True)
+            self._spill_base = None
 
     def alive(self, w: int) -> bool:
         # the process is asked too: EOF alone cannot be trusted while any

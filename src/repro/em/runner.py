@@ -47,8 +47,8 @@ from repro.core.par_engine import ParEMEngine, SeqEMEngine
 from repro.core.vm_engine import VMEngine
 from repro.faults.checkpoint import CheckpointManager
 from repro.faults.plan import FaultPlan
+from repro.obs.bus import EventBus, NullRecorder
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import TraceRecorder
 from repro.tune.runtime import RuntimeConfig
 from repro.util.validation import ConfigurationError
 
@@ -71,7 +71,7 @@ def make_engine(
     engine: str | None = None,
     balanced: bool = False,
     validate: bool = True,
-    tracer: TraceRecorder | None = None,
+    tracer: EventBus | NullRecorder | None = None,
     metrics: MetricsRegistry | None = None,
     faults: FaultPlan | str | None = None,
     checkpoint: CheckpointManager | str | None = None,
@@ -111,10 +111,11 @@ def make_engine(
     given, the ``REPRO_FAULTS`` knob applies one to every fault-capable
     engine (the CI whole-suite injection lane).
 
-    When no *tracer* is passed, the ``REPRO_TRACE`` knob can install a
-    live :class:`~repro.obs.bus.EventBus` (a truthy value records in
-    memory; a path value streams JSON lines there) — unset, the default
-    stays the zero-cost :data:`~repro.obs.trace.NULL_RECORDER`.
+    When no *tracer* is passed, the resolved ``trace`` knob (``REPRO_TRACE``,
+    or ``overrides={"trace": ...}``) can install a live
+    :class:`~repro.obs.bus.EventBus` (a true token records in memory; a
+    path value streams JSON lines there) — off, the default stays the
+    zero-cost :data:`~repro.obs.bus.NULL_RECORDER`.
     """
     prof_doc: dict | None = None
     if runtime is not None:
@@ -128,10 +129,9 @@ def make_engine(
 
             prof_doc = load_profile(profile) if isinstance(profile, str) else profile
             rt = RuntimeConfig.resolve(overrides, profile=config_from_profile(prof_doc))
-    if tracer is None:
-        from repro.obs.bus import bus_from_env
-
-        tracer = bus_from_env()
+    if tracer is None and rt.trace is not None:
+        in_memory = rt.trace.lower() in ("1", "true", "yes", "on")
+        tracer = EventBus(sink=None if in_memory else rt.trace)
     if engine is None:
         engine = default_engine(cfg.p)
     try:

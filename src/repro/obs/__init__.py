@@ -6,11 +6,15 @@ Theorems 2/3's ``(v/p) * G * O(lambda*mu/(D*B))`` I/O accounting, Figure
 *where* I/Os happen or whether the predicted costs hold per superstep.
 This package makes those claims observable:
 
-* :mod:`repro.obs.trace` — a structured trace recorder.  Engines emit
-  JSON-lines events (superstep begin/end, context read/write, message
+* :mod:`repro.obs.bus` — the one event recorder, :class:`EventBus`.
+  Engines emit events (superstep begin/end, context read/write, message
   read/write, compute round, network transfer) tagged with real/virtual
-  processor, superstep index, layout format and block counts.  The
-  :data:`~repro.obs.trace.NULL_RECORDER` is a disabled no-op and every
+  processor, superstep index, layout format and block counts; the bus
+  exports them as JSON lines or a Chrome trace, threads hierarchical
+  span ids through them, feeds bounded-queue subscribers and synchronous
+  listeners, and can stream every event to a JSON-lines sink as it
+  happens (``REPRO_TRACE`` installs one as the default engine tracer).
+  The :data:`~repro.obs.bus.NULL_RECORDER` is a disabled no-op and every
   engine call site is guarded on ``tracer.enabled``, so tracing is
   zero-cost when off.
 * :mod:`repro.obs.chrome` — exports a recorded trace as a Chrome
@@ -32,40 +36,32 @@ This package makes those claims observable:
 * :mod:`repro.obs.bench_store` — the ``BENCH_<suite>.json`` benchmark
   result store (schema-versioned, env-fingerprinted) and the
   :func:`~repro.obs.bench_store.compare` regression gate.
-* :mod:`repro.obs.bus` — the live telemetry bus: a drop-in
-  :class:`~repro.obs.trace.JsonlRecorder` upgrade with hierarchical span
-  threading, bounded-queue subscribers, synchronous listeners and an
-  optional streaming JSON-lines sink; ``REPRO_TRACE`` installs one as the
-  default engine tracer.
 * :mod:`repro.obs.conformance` — the streaming model-conformance monitor:
   a bus listener comparing each superstep's measured parallel I/Os
   against the Theorem 2/3 budget *during* the run, emitting
   ``model_drift`` the moment a superstep exceeds it.
 * :mod:`repro.obs.live` — ``repro top``: an incremental run dashboard
-  fed from a trace file (optionally tailed) or an SSE stream.
-* :mod:`repro.obs.server` — ``repro serve-metrics``: a stdlib HTTP
-  endpoint serving live Prometheus ``/metrics`` and an SSE ``/events``
-  stream of the bus.
+  fed from a trace file (optionally tailed) or the per-job SSE stream of
+  ``repro serve``; its :func:`~repro.obs.live.iter_jsonl` is the one
+  JSON-lines reader ``repro analyze`` reads through too.
+
+The one HTTP surface is the job server (:mod:`repro.service.server`):
+Prometheus ``/metrics``, per-job SSE ``/jobs/<id>/events`` and
+``/healthz``.
 """
 
-from repro.obs.bus import EventBus, Subscription, bus_from_env
+from repro.obs.bus import NULL_RECORDER, EventBus, NullRecorder, Subscription
 from repro.obs.chrome import to_chrome_events, write_chrome_trace
 from repro.obs.metrics import (
     NULL_REGISTRY,
     MetricsRegistry,
     NullRegistry,
 )
-from repro.obs.trace import (
-    NULL_RECORDER,
-    JsonlRecorder,
-    NullRecorder,
-    TraceRecorder,
-)
 
 # costcheck/histograms/analyze/bench_store/conformance pull in the engine
-# stack; the engines import repro.obs.{trace,metrics,bus} — import these
-# lazily to keep the package cycle-free.  live/server are lazy to keep the
-# urllib/http.server machinery out of engine runs that never serve.
+# stack; the engines import repro.obs.{bus,metrics} — import these
+# lazily to keep the package cycle-free.  live is lazy to keep the urllib
+# machinery out of engine runs that never read a stream.
 _LAZY = {
     "CostCheck": "repro.obs.costcheck",
     "CostCrossCheck": "repro.obs.costcheck",
@@ -81,7 +77,6 @@ _LAZY = {
     "TopView": "repro.obs.live",
     "iter_jsonl": "repro.obs.live",
     "iter_sse": "repro.obs.live",
-    "ObsServer": "repro.obs.server",
 }
 
 
@@ -94,9 +89,9 @@ def __getattr__(name: str):
     return getattr(importlib.import_module(mod), name)
 
 __all__ = [
-    "TraceRecorder",
+    "EventBus",
+    "Subscription",
     "NullRecorder",
-    "JsonlRecorder",
     "NULL_RECORDER",
     "MetricsRegistry",
     "NullRegistry",
@@ -113,12 +108,8 @@ __all__ = [
     "BenchStore",
     "compare",
     "load",
-    "EventBus",
-    "Subscription",
-    "bus_from_env",
     "ConformanceMonitor",
     "TopView",
     "iter_jsonl",
     "iter_sse",
-    "ObsServer",
 ]

@@ -452,7 +452,7 @@ def _machine_from_run_begin(ev: dict[str, Any]) -> dict[str, Any]:
 def analyze_events(
     events: list[dict[str, Any]], envelope_c: float = 8.0
 ) -> TraceAnalysis:
-    """Aggregate recorder *events* (see :mod:`repro.obs.trace`) per superstep."""
+    """Aggregate recorder *events* (see :mod:`repro.obs.bus`) per superstep."""
     out = TraceAnalysis(envelope_c=envelope_c, total_events=len(events))
     cur: SuperstepAgg | None = None
     seen_first = False
@@ -583,10 +583,10 @@ def _attach_predictions(out: TraceAnalysis) -> None:
 
 def analyze_file(path: str, envelope_c: float = 8.0) -> TraceAnalysis:
     """Analyze a ``--trace`` JSON-lines file (jsonl format, not chrome)."""
-    from repro.obs.trace import read_jsonl
+    from repro.obs.live import iter_jsonl
 
     try:
-        events = read_jsonl(path)
+        events = list(iter_jsonl(path))
     except Exception as exc:
         raise ValueError(f"{path}: not a readable JSON-lines trace: {exc}") from exc
     if events and not any(isinstance(e, dict) and "kind" in e for e in events):

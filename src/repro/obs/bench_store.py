@@ -39,6 +39,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
+from repro.obs.bus import _jsonable
+
 SCHEMA_VERSION = 1
 
 #: measured keys gated exactly (deterministic counters); everything else in
@@ -183,12 +185,6 @@ class BenchStore:
             json.dump(self.document(), fh, indent=2, sort_keys=True, default=_jsonable)
             fh.write("\n")
         return path
-
-
-def _jsonable(obj: Any) -> Any:
-    if hasattr(obj, "item"):  # numpy scalars
-        return obj.item()
-    return str(obj)
 
 
 # ------------------------------------------------------------------ validation

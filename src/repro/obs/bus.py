@@ -1,45 +1,75 @@
-"""Live telemetry: an in-process structured event bus with spans.
+"""The engines' event recorder: one live telemetry bus, one disabled path.
 
-:class:`EventBus` is a drop-in :class:`~repro.obs.trace.TraceRecorder`
-(it subclasses :class:`~repro.obs.trace.JsonlRecorder`, so every export
-path — ``--trace`` jsonl/chrome files, ``repro analyze``, the worker
-replay protocol — keeps working), upgraded from a flight recorder into a
-live instrument:
+Engines emit flat event dicts via ``tracer.emit(kind, **tags)``.  Event
+kinds and their tags (all optional except ``kind``):
+
+================== ======================================================
+kind               tags
+================== ======================================================
+``run_begin``      engine, N, v, p, D, B, M, workers, balanced
+``superstep_begin`` superstep (real-machine index), round (CGM round)
+``superstep_end``  superstep, round, parallel_ios, blocks (deltas)
+``compute_round``  pid, real, round, wall_s, done
+``context_read``   pid, real, blocks, layout
+``context_write``  pid, real, blocks, layout
+``message_write``  src, dest, real, blocks, layout, parity
+``message_read``   pid, real, blocks, layout, sources
+``network_transfer`` src, dest, src_real, dest_real, items
+``run_end``        engine, rounds, supersteps, parallel_ios
+``io_fault``       real, disk, track, op, fault, attempt
+``disk_dead``      real, disk, op, migrated_blocks, survivors
+``checkpoint``     round, finished, path
+``resume``         round, finished, path
+``worker_redispatch`` round, dead_workers, restart, from_round
+``span_begin``     name, free-form tags (see :meth:`EventBus.span`)
+``span_end``       name
+``arena_grow``     real, disk, tracks, nbytes, resident_nbytes,
+                   spill_nbytes, backend
+``model_drift``    round, superstep, parallel_ios, predicted_ios, budget,
+                   envelope_c
+================== ======================================================
+
+``layout`` is the disk format the blocks moved through: ``"consecutive"``
+(contexts, overflow runs), ``"staggered"`` (the Figure 2 message matrix)
+or ``"paged"`` (the VM baseline's 4 KB pager).  ``arena_grow`` is a
+*physical* event (how the disk layer serviced the logical I/O), so its
+presence depends on ``REPRO_ARENA`` — like ``io_fault``, it is excluded
+from cross-backend trace-identity comparisons.  The ``io_fault`` ..
+``worker_redispatch`` kinds come from the resilience subsystem
+(:mod:`repro.faults`); ``model_drift`` from the streaming
+:class:`~repro.obs.conformance.ConformanceMonitor`.
+
+:class:`EventBus` records every event with a monotonically increasing
+``seq`` and a ``ts`` (seconds since the bus was created), exports the
+record as JSON lines or a Chrome trace, and is a live instrument too:
 
 * **hierarchical spans** — every ``*_begin``/``*_end`` pair the bus sees
-  (``run``, ``superstep``, explicit :meth:`~repro.obs.trace.TraceRecorder.span`
-  regions) is threaded with a deterministic ``span`` id and its
-  ``parent``, and every other event is tagged with the span it happened
-  inside.  Worker events replayed by the coordinator (see
-  :func:`repro.obs.trace.replay_events`) arrive between the round's
-  ``superstep_begin``/``superstep_end`` and are parented into the round's
-  span, merging the per-worker streams into one causally-ordered
-  timeline.
+  (``run``, ``superstep``, explicit :meth:`EventBus.span` regions) is
+  threaded with a deterministic ``span`` id and its ``parent``, and every
+  other event is tagged with the span it happened inside.  Worker events
+  replayed by the coordinator (:func:`replay_events`) arrive between the
+  round's ``superstep_begin``/``superstep_end`` and are parented into the
+  round's span, merging the per-worker streams into one causally-ordered
+  timeline;
 * **subscribers with bounded-queue backpressure** — :meth:`EventBus.subscribe`
   returns a :class:`Subscription`: a bounded queue that drops its
   *oldest* event (and counts the drop) rather than blocking the engine.
-  The SSE endpoint of :mod:`repro.obs.server` and ``repro top`` are
-  subscribers.
+  The per-job SSE stream of ``repro serve`` is a subscriber;
 * **synchronous listeners** — :meth:`EventBus.add_listener` callbacks run
   in-stream on the emitting thread; the streaming
   :class:`~repro.obs.conformance.ConformanceMonitor` (attached by
   default) uses this to emit ``model_drift`` the moment a superstep
-  exceeds its Theorem 2/3 parallel-I/O budget, deterministically before
-  the run ends.
-* **optional streaming sink** — pass ``sink=<path or file>`` to write
-  (and flush) each event as a JSON line the moment it is emitted, so
+  exceeds its Theorem 2/3 parallel-I/O budget;
+* **optional streaming sink** — ``sink=<path or file>`` writes (and
+  flushes) each event as a JSON line the moment it is emitted, so
   ``repro top --follow`` can tail a live run.
 
 The disabled path is not a bus at all: engines default to
-:data:`~repro.obs.trace.NULL_RECORDER`, which allocates no queues, no
-span stack and no events, and guard every call site on
-``tracer.enabled``; :func:`bus_from_env` returns ``None`` when off.
-
-The ``REPRO_TRACE`` environment variable turns the bus on without code
-changes: any truthy value installs an :class:`EventBus` as the default
-tracer of :func:`repro.em.runner.make_engine`; a value that is not a bare
-boolean token is treated as a sink path (``REPRO_TRACE=/tmp/run.jsonl``
-streams the trace there live).
+:data:`NULL_RECORDER`, which allocates no queues, no span stack and no
+events, and guard every call site on ``tracer.enabled`` — a run with it
+never builds an event dict.  The ``REPRO_TRACE`` knob installs a bus in
+:func:`repro.em.runner.make_engine` (a true token records in memory, any
+other value is a sink path).
 """
 
 from __future__ import annotations
@@ -48,9 +78,8 @@ import json
 import threading
 import time
 from collections import deque
+from contextlib import contextmanager, nullcontext
 from typing import TYPE_CHECKING, Any, Callable, Iterator, TextIO
-
-from repro.obs.trace import JsonlRecorder, _jsonable
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.conformance import ConformanceMonitor
@@ -59,7 +88,25 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 _OPENERS = frozenset({"run_begin", "superstep_begin", "span_begin"})
 _CLOSERS = frozenset({"run_end", "superstep_end", "span_end"})
 
-_TRUE = frozenset({"1", "true", "yes", "on"})
+
+class NullRecorder:
+    """The disabled recorder: records nothing, costs nothing.
+
+    Engines check ``tracer.enabled`` before building event payloads, so
+    with this recorder installed no event dict is ever allocated.
+    """
+
+    enabled = False
+
+    def emit(self, kind: str, **tags: Any) -> None:
+        pass
+
+    def span(self, name: str, **tags: Any) -> "nullcontext[None]":
+        return nullcontext()
+
+
+#: shared disabled recorder — engines default to this singleton.
+NULL_RECORDER = NullRecorder()
 
 
 class Subscription:
@@ -149,30 +196,32 @@ class Subscription:
             bus._unsubscribe(self)
 
 
-class EventBus(JsonlRecorder):
-    """The live telemetry bus — see the module docstring.
+class EventBus:
+    """The event recorder and live telemetry bus — see the module docstring.
 
     Parameters:
 
     * *sink* — optional path or file object; every event is written (and
       flushed) as a JSON line the moment it is emitted.
     * *monitor* — attach the streaming
-      :class:`~repro.obs.conformance.ConformanceMonitor` (default on).
+      :class:`~repro.obs.conformance.ConformanceMonitor` (default on; a
+      worker process's bus and a served job's run without it).
     * *envelope_c* — the monitor's Theorem 2/3 envelope constant
       (default :data:`repro.obs.costcheck.DEFAULT_ENVELOPE`).
-    * *record* — keep events in :attr:`events` for post-run export
-      (default on; turn off for unbounded streaming-only runs).
     """
+
+    #: call sites skip event construction entirely when False.
+    enabled = True
 
     def __init__(
         self,
         sink: "str | TextIO | None" = None,
         monitor: bool = True,
         envelope_c: "float | None" = None,
-        record: bool = True,
     ) -> None:
-        super().__init__()
-        self._record = record
+        self.events: list[dict[str, Any]] = []
+        self._t0 = time.perf_counter()
+        self._seq = 0
         self._listeners: list[Callable[[dict[str, Any]], None]] = []
         self._subs: tuple[Subscription, ...] = ()
         self._subs_lock = threading.Lock()
@@ -220,8 +269,7 @@ class EventBus(JsonlRecorder):
                     ev["parent"] = stack[-1]
         elif stack:
             ev["span"] = stack[-1]
-        if self._record:
-            self.events.append(ev)
+        self.events.append(ev)
         sink = self._sink
         if sink is not None:
             sink.write(json.dumps(ev, default=_jsonable) + "\n")
@@ -236,6 +284,55 @@ class EventBus(JsonlRecorder):
                 cb(ev)
             except Exception:
                 self.listener_errors += 1
+
+    @contextmanager
+    def span(self, name: str, **tags: Any) -> Iterator[None]:
+        """Emit a ``span_begin``/``span_end`` pair around a code region;
+        events emitted inside it are parented into the span."""
+        self.emit("span_begin", name=name, **tags)
+        try:
+            yield
+        finally:
+            self.emit("span_end", name=name)
+
+    # -- export ------------------------------------------------------------
+
+    def write_jsonl(self, path_or_file: str | TextIO) -> int:
+        """Write one JSON object per line; returns the event count."""
+        if hasattr(path_or_file, "write"):
+            self._dump_jsonl(path_or_file)  # type: ignore[arg-type]
+        else:
+            with open(path_or_file, "w", encoding="utf-8") as fh:
+                self._dump_jsonl(fh)
+        return len(self.events)
+
+    def _dump_jsonl(self, fh: TextIO) -> None:
+        for ev in self.events:
+            fh.write(json.dumps(ev, default=_jsonable) + "\n")
+
+    def write_chrome(self, path_or_file: str | TextIO) -> int:
+        """Write the Chrome trace-event JSON array; returns event count."""
+        from repro.obs.chrome import write_chrome_trace
+
+        return write_chrome_trace(self.events, path_or_file)
+
+    def counts(self) -> dict[str, int]:
+        """Number of recorded events per kind (handy in tests/CLI)."""
+        out: dict[str, int] = {}
+        for ev in self.events:
+            out[ev["kind"]] = out.get(ev["kind"], 0) + 1
+        return out
+
+    def drain(self) -> list[dict[str, Any]]:
+        """Return and clear the recorded events.
+
+        Worker processes of the multi-core backend drain their bus after
+        every round and ship the events to the coordinator, which
+        re-emits them via :func:`replay_events`.
+        """
+        out = self.events
+        self.events = []
+        return out
 
     # -- subscribers and listeners ----------------------------------------
 
@@ -282,26 +379,27 @@ class EventBus(JsonlRecorder):
             sink.close()
 
 
-def trace_env_spec() -> "str | None":
-    """The ``REPRO_TRACE`` setting, or ``None`` when tracing is off.
+def _jsonable(obj: Any) -> Any:
+    """JSON fallback for numpy scalars and other simple objects."""
+    if hasattr(obj, "item"):
+        return obj.item()
+    return str(obj)
 
-    Off (the default) when unset or a false token (``0/false/no/off``);
-    any other value enables the bus.  Read through the centralized knob
-    layer (:mod:`repro.tune.knobs`).
+
+def replay_events(
+    recorder: "EventBus | NullRecorder",
+    events: list[dict[str, Any]],
+    **extra_tags: Any,
+) -> None:
+    """Re-emit *events* (drained from another bus) on *recorder*.
+
+    The source bus's ``seq``/``ts`` bookkeeping is stripped — the
+    receiving recorder assigns its own ordering — and *extra_tags* (e.g.
+    ``worker=3``) are attached to every event.
     """
-    from repro.tune.runtime import current
-
-    return current().trace
-
-
-def bus_from_env() -> "EventBus | None":
-    """An :class:`EventBus` per ``REPRO_TRACE``, or ``None`` when off.
-
-    A bare boolean token (``1/true/yes/on``) records in memory; anything
-    else is a sink path the trace streams to as JSON lines.
-    """
-    spec = trace_env_spec()
-    if spec is None:
-        return None
-    sink = None if spec.lower() in _TRUE else spec
-    return EventBus(sink=sink)
+    if not recorder.enabled:
+        return
+    for ev in events:
+        tags = {k: v for k, v in ev.items() if k not in ("seq", "ts", "kind")}
+        tags.update(extra_tags)
+        recorder.emit(ev["kind"], **tags)

@@ -1,6 +1,6 @@
 """Chrome trace-event export: visual timelines of an engine run.
 
-Converts the flat events of :class:`repro.obs.trace.JsonlRecorder` into
+Converts the flat events of :class:`repro.obs.bus.EventBus` into
 the Chrome trace-event format (the JSON-array flavour), loadable in
 ``chrome://tracing`` or https://ui.perfetto.dev.
 
@@ -17,7 +17,7 @@ Mapping:
 
 Lane assignment: single-process traces use one Chrome *process* per real
 processor (``pid = real``), as before.  Traces from the multi-process
-backend carry ``worker`` tags (see :func:`repro.obs.trace.replay_events`)
+backend carry ``worker`` tags (see :func:`repro.obs.bus.replay_events`)
 and get one Chrome process lane per OS worker — ``pid = 1 + worker``,
 with the coordinator's own events (superstep boundaries, checkpoints) on
 ``pid 0`` — plus ``process_name`` metadata so the viewer labels the

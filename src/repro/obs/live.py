@@ -12,9 +12,10 @@ Two stdlib event sources feed it:
 
 * :func:`iter_jsonl` — read a JSON-lines trace file, optionally in
   ``follow`` mode (tail a live ``REPRO_TRACE=<path>`` / ``EventBus``
-  sink as the engine appends to it);
-* :func:`iter_sse` — consume the ``/events`` Server-Sent-Events stream
-  of :class:`repro.obs.server.ObsServer` over HTTP.
+  sink as the engine appends to it); the one JSON-lines reader, which
+  ``repro analyze`` reads through as well;
+* :func:`iter_sse` — consume a Server-Sent-Events stream over HTTP: the
+  per-job ``/jobs/<id>/events`` stream of ``repro serve``.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ def iter_jsonl(
     With ``follow=True`` the iterator tails the file like ``tail -f``,
     sleeping *poll_s* between attempts; it stops after a ``run_end``
     event, or once *idle_timeout_s* passes with no new data (``None`` =
-    wait forever).  Partial trailing lines (a writer mid-flush) are
-    retried, not dropped.
+    wait forever).  A partial trailing line (a writer mid-flush) is
+    retried in follow mode, and read as the last event otherwise.
     """
     with open(path, "r", encoding="utf-8") as fh:
         buf = ""
@@ -59,6 +60,8 @@ def iter_jsonl(
                     return
                 continue
             if not follow:
+                if buf.strip():
+                    yield json.loads(buf)
                 return
             if (
                 idle_timeout_s is not None
@@ -69,7 +72,7 @@ def iter_jsonl(
 
 
 def iter_sse(url: str, timeout_s: float = 30.0) -> Iterator[dict[str, Any]]:
-    """Yield events from an SSE endpoint (``/events`` of the obs server).
+    """Yield events from the SSE stream at *url* (a job's ``/jobs/<id>/events``).
 
     Parses ``data:`` frames as JSON, skips comments/keepalives, and
     stops on an ``event: end`` frame, a closed connection, or a socket

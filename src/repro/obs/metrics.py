@@ -1,6 +1,6 @@
 """Lightweight labeled metrics: counters, gauges, timers, high-water marks.
 
-The trace recorder (:mod:`repro.obs.trace`) answers *what happened when*;
+The event recorder (:mod:`repro.obs.bus`) answers *what happened when*;
 this module answers *how much, per dimension*: every engine run folds its
 cost accounting into a :class:`MetricsRegistry` as labeled series keyed by
 engine, program and machine shape (v/p/D/B), so repeated runs — a

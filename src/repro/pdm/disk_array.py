@@ -48,7 +48,7 @@ from repro.util.items import ITEM_BYTES
 from repro.util.validation import SimulationError, require
 
 if TYPE_CHECKING:  # pragma: no cover - layering: pdm stays engine-free
-    from repro.obs.trace import TraceRecorder
+    from repro.obs.bus import EventBus, NullRecorder
     from repro.tune.runtime import RuntimeConfig
 
 #: One run-API write segment: where the blocks go and the run holding them.
@@ -196,7 +196,7 @@ class DiskArray:
         self,
         D: int,
         B: int,
-        tracer: "TraceRecorder | None" = None,
+        tracer: "EventBus | NullRecorder | None" = None,
         real: int = 0,
         runtime: "RuntimeConfig | None" = None,
     ) -> None:

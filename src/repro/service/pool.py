@@ -35,8 +35,8 @@ import numpy as np
 
 from repro.em.runner import OPS, make_engine, output_sha256
 from repro.faults.checkpoint import CheckpointManager
+from repro.obs.bus import EventBus
 from repro.obs.metrics import MetricsRegistry, ScopedRegistry
-from repro.obs.trace import TraceRecorder
 from repro.service.cache import ResultCache
 from repro.service.jobs import (
     CANCELLED,
@@ -78,7 +78,7 @@ def _counters(report: Any) -> dict[str, Any]:
 
 def execute_spec(
     spec: JobSpec,
-    tracer: TraceRecorder | None = None,
+    tracer: EventBus | None = None,
     metrics: MetricsRegistry | None = None,
     checkpoint: CheckpointManager | str | None = None,
     resume: bool = False,

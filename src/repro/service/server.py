@@ -4,9 +4,8 @@ Split in two so everything interesting is testable without sockets:
 
 * :class:`ServiceCore` — submit / status / cancel / drain over the
   queue, pool, cache and metrics (no HTTP anywhere);
-* :class:`JobServer` — an :class:`~repro.obs.server.HttpListener` (the
-  one HTTP/SSE skeleton, shared with :class:`repro.obs.server.ObsServer`)
-  translating HTTP to core calls.
+* :class:`JobServer` — a stdlib :class:`ThreadingHTTPServer` on a daemon
+  thread translating HTTP to core calls; the repo's one HTTP surface.
 
 Endpoints::
 
@@ -15,9 +14,13 @@ Endpoints::
                              400 invalid | 429 + Retry-After | 503 draining
     GET  /jobs               queue + job summaries
     GET  /jobs/<id>          full job document (result when done)
-    GET  /jobs/<id>/events   per-job SSE stream (engine trace + lifecycle)
+    GET  /jobs/<id>/events   per-job SSE stream (engine trace + lifecycle):
+                             buffered events replayed, then live ones;
+                             "id:" is the event seq, ": keepalive" when
+                             idle, "event: end" at a terminal state
     POST /jobs/<id>/cancel   cancel (queued dies now, running at boundary)
-    GET  /metrics            Prometheus text, per-tenant labels
+    GET  /metrics            Prometheus text, per-tenant labels, engine
+                             counters updated every round
     GET  /healthz            liveness + depth + drain flag
 
 SIGTERM drain (the CLI wires the signal): stop admitting (503), preempt
@@ -33,12 +36,12 @@ import itertools
 import json
 import os
 import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 from urllib.parse import urlparse
 
+from repro.obs.bus import EventBus, Subscription, _jsonable
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.server import HttpHandler, HttpListener
-from repro.obs.trace import _jsonable
 from repro.service.cache import ResultCache
 from repro.service.jobs import CANCELLED, DONE, PREEMPTED, QUEUED, Job, ServiceError
 from repro.service.pool import WorkerPool
@@ -51,6 +54,12 @@ _MAX_FINISHED = 1024
 
 QUEUE_STATE_FILE = "queue.json"
 CACHE_STATE_FILE = "result_cache.json"
+
+#: seconds an idle SSE stream waits between keepalive checks; short so
+#: close() is observed promptly even without traffic.
+_SSE_POLL_S = 0.5
+#: one keepalive comment roughly every this many idle polls.
+_SSE_KEEPALIVE_POLLS = 10
 
 
 class DrainingError(ServiceError):
@@ -310,7 +319,88 @@ class ServiceCore:
         self._refresh_gauges()
 
 
-class _Handler(HttpHandler):
+class _Handler(BaseHTTPRequestHandler):
+    """``self.server.owner`` is the :class:`JobServer` serving the request."""
+
+    # CI smoke and tests poll repeatedly; default request logging would
+    # drown the server's own output
+    def log_message(self, format: str, *args: Any) -> None:
+        pass
+
+    # -- responses -----------------------------------------------------------
+
+    def _text(
+        self,
+        code: int,
+        body: str,
+        content_type: str = "text/plain; charset=utf-8",
+        headers: "dict[str, str] | None" = None,
+    ) -> None:
+        payload = body.encode("utf-8")
+        self.send_response(code)
+        self.send_header("Content-Type", content_type)
+        self.send_header("Content-Length", str(len(payload)))
+        for name, value in (headers or {}).items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def _json(
+        self, code: int, doc: Any, headers: "dict[str, str] | None" = None
+    ) -> None:
+        self._text(code, json.dumps(doc) + "\n", "application/json", headers)
+
+    def _frame(self, ev: dict[str, Any]) -> None:
+        data = json.dumps(ev, default=_jsonable)
+        self.wfile.write(
+            f"id: {ev.get('seq', 0)}\nevent: trace\ndata: {data}\n\n".encode()
+        )
+        self.wfile.flush()
+
+    def _stream(self, bus: EventBus, sub: "Subscription | None") -> None:
+        """Answer with an SSE stream of *bus*: the buffered events first,
+        then live ones from *sub* until it closes — an ``event: end``
+        frame — or the server does.  ``sub=None`` is the replay-only
+        stream.  The caller subscribes *before* calling, so no event falls
+        between the buffer snapshot and the subscription; the seq guard
+        drops the overlap."""
+        try:
+            self.send_response(200)
+            self.send_header("Content-Type", "text/event-stream")
+            self.send_header("Cache-Control", "no-store")
+            self.send_header("Connection", "close")
+            self.end_headers()
+            last_seq = -1
+            for ev in list(bus.events):
+                self._frame(ev)
+                last_seq = int(ev.get("seq", last_seq))
+            closing = self.server.owner.closing
+            idle = 0
+            while sub is not None:
+                if closing.is_set():
+                    return
+                ev = sub.get(timeout=_SSE_POLL_S)
+                if ev is None:
+                    if sub.closed:
+                        break
+                    idle += 1
+                    if idle >= _SSE_KEEPALIVE_POLLS:
+                        # comment frame: keeps proxies open, detects a
+                        # dead client via the raised BrokenPipeError
+                        self.wfile.write(b": keepalive\n\n")
+                        self.wfile.flush()
+                        idle = 0
+                    continue
+                idle = 0
+                if int(ev.get("seq", -1)) <= last_seq:
+                    continue  # already replayed from the buffer
+                self._frame(ev)
+            self.wfile.write(b"event: end\ndata: {}\n\n")
+            self.wfile.flush()
+        finally:
+            if sub is not None:
+                sub.close()
+
     # -- routing -------------------------------------------------------------
 
     def do_GET(self) -> None:  # noqa: N802 - http.server API
@@ -434,17 +524,44 @@ class _Handler(HttpHandler):
         self._stream(job.bus, sub)
 
 
-class JobServer(HttpListener):
-    """The HTTP front of a :class:`ServiceCore`; ``port=0`` picks freely.
+class JobServer:
+    """The HTTP front of a :class:`ServiceCore`, answering on a daemon
+    thread; ``port=0`` picks a free port — read :attr:`port` / :attr:`url`
+    after construction.
 
     Call :meth:`ServiceCore.drain` before :meth:`close` for the SIGTERM
     semantics — close alone does not persist."""
-
-    handler = _Handler
-    thread_name = "repro-serve-http"
 
     def __init__(
         self, core: ServiceCore, host: str = "127.0.0.1", port: int = 0
     ) -> None:
         self.core = core
-        super().__init__(host, port)
+        self._httpd = ThreadingHTTPServer((host, port), _Handler)
+        self._httpd.owner = self  # type: ignore[attr-defined]
+        #: set by close(); streaming handlers poll it
+        self.closing = threading.Event()
+        self.host = self._httpd.server_address[0]
+        self.port = int(self._httpd.server_address[1])
+        self._thread: "threading.Thread | None" = None
+
+    @property
+    def url(self) -> str:
+        return f"http://{self.host}:{self.port}"
+
+    def start(self) -> "JobServer":
+        self._thread = threading.Thread(
+            target=self._httpd.serve_forever, name="repro-serve-http", daemon=True
+        )
+        self._thread.start()
+        return self
+
+    def close(self) -> None:
+        """Stop serving: wake SSE streams, shut the listener down (idempotent)."""
+        if self.closing.is_set():
+            return
+        self.closing.set()
+        self._httpd.shutdown()
+        self._httpd.server_close()
+        if self._thread is not None:
+            self._thread.join(timeout=5.0)
+            self._thread = None

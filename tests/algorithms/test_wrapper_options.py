@@ -18,7 +18,7 @@ from repro.algorithms.collectives import partition_array
 from repro.cgm.config import MachineConfig
 from repro.em import runner
 from repro.em.runner import em_run
-from repro.obs.trace import JsonlRecorder
+from repro.obs.bus import EventBus
 from repro.tune.runtime import RuntimeConfig
 from repro.util.validation import ConfigurationError
 
@@ -131,7 +131,7 @@ class TestSingleRunWrapperForwardsEveryOption:
             {"runtime": RuntimeConfig.resolve(knobs)} if how == "runtime"
             else {"overrides": knobs}
         )
-        tracer = JsonlRecorder()
+        tracer = EventBus(monitor=False)
         got = wrapper(tracer=tracer, **options)
         _agree(got, *by_hand(**options))
         assert got.reports[0].io.as_dict() == wrapper().reports[0].io.as_dict()
@@ -143,7 +143,7 @@ class TestSingleRunWrapperForwardsEveryOption:
         wrapper, by_hand = case(rng)
         first = wrapper(checkpoint=str(tmp_path / "wrapper"))
         _agree(first, *by_hand(checkpoint=str(tmp_path / "by_hand")))
-        tracer = JsonlRecorder()
+        tracer = EventBus(monitor=False)
         resumed = wrapper(
             checkpoint=str(tmp_path / "wrapper"), resume=True, tracer=tracer
         )
@@ -203,7 +203,7 @@ class TestCompositeWrappers:
             COMPOSITES[name](rng, **option)
 
     def test_forwards_the_tracer_and_balanced_to_every_stage(self, name, rng):
-        tracer = JsonlRecorder()
+        tracer = EventBus(monitor=False)
         plain = COMPOSITES[name](rng)
         res = COMPOSITES[name](rng, tracer=tracer, balanced=True)
         stages = len(res.reports)

@@ -27,7 +27,7 @@ from repro.cgm.config import MachineConfig
 from repro.em.runner import em_sort, em_transpose
 from repro.faults.plan import FaultPlan
 from repro.obs.bench_store import measured_from_report
-from repro.obs.trace import JsonlRecorder
+from repro.obs.bus import EventBus
 
 FAULT_PLAN = str(
     Path(__file__).resolve().parents[2] / "benchmarks" / "fault_plans" / "ci_transient.json"
@@ -69,7 +69,7 @@ def _sort_both(cfg: MachineConfig, data: np.ndarray, engine: str, **kw):
     """Run em_sort on both lanes; returns (fast, ref, fast_trace, ref_trace)."""
     out = []
     for faults in (None, PER_OP):
-        tracer = JsonlRecorder()
+        tracer = EventBus(monitor=False)
         res = em_sort(data, cfg, engine=engine, tracer=tracer, faults=faults, **kw)
         out.append((res, tracer.events))
     (fast, t_fast), (ref, t_ref) = out
@@ -103,7 +103,7 @@ def test_transpose_identity_seq():
     cfg = MachineConfig(N=mat.size, v=4, D=2, B=64)
     out = []
     for faults in (None, PER_OP):
-        tracer = JsonlRecorder()
+        tracer = EventBus(monitor=False)
         res = em_transpose(mat, cfg, engine="seq", tracer=tracer, faults=faults)
         out.append((res, tracer.events))
     (fast, t_fast), (ref, t_ref) = out
@@ -142,12 +142,12 @@ class TestFaultsIdentity:
     sequence is the same whichever arena backend holds the tracks."""
 
     def _three(self, cfg, data, engine, monkeypatch):
-        clean_tr = JsonlRecorder()
+        clean_tr = EventBus(monitor=False)
         clean = em_sort(data, cfg, engine=engine, tracer=clean_tr)
         runs = []
         for arena in ("ram", "mmap"):
             monkeypatch.setenv("REPRO_ARENA", arena)
-            tracer = JsonlRecorder()
+            tracer = EventBus(monitor=False)
             res = em_sort(data, cfg, engine=engine, tracer=tracer, faults=FAULT_PLAN)
             runs.append((res, tracer.events))
         (ram, t_ram), (mm, t_mm) = runs

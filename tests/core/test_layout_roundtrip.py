@@ -155,12 +155,12 @@ class TestOverflowRun:
             assert np.array_equal(out, inputs[(pid - 1) % cfg.v])
 
     def test_overflow_is_traced_with_its_layout(self):
-        from repro.obs.trace import JsonlRecorder
+        from repro.obs.bus import EventBus
 
         cfg = MachineConfig(N=1 << 12, v=4, D=2, B=16)
         rng = np.random.default_rng(9)
         inputs = [rng.integers(0, 2**40, cfg.N // cfg.v) for _ in range(cfg.v)]
-        tr = JsonlRecorder()
+        tr = EventBus(monitor=False)
         make_engine(cfg, "seq", tracer=tr).run(_Oversized(), inputs)
         layouts = {
             e.get("layout")

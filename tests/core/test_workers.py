@@ -29,7 +29,7 @@ from repro.core import workers
 from repro.core.transport.base import POLL_S
 from repro.core.workers import ProcessParEngine, partition_reals
 from repro.em.runner import em_run, em_sort, make_engine
-from repro.obs.trace import JsonlRecorder
+from repro.obs.bus import EventBus
 from repro.pdm.io_stats import IOStats
 from repro.tune.runtime import RuntimeConfig, current
 from repro.util.rng import make_rng, spawn_rngs
@@ -152,7 +152,7 @@ class TestTraces:
     def test_event_counts_match_and_workers_are_tagged(self):
         data = make_rng(4).integers(0, 2**50, N)
         cfg = MachineConfig(N=N, v=V, p=4, D=D, B=B)
-        t_seq, t_par = JsonlRecorder(), JsonlRecorder()
+        t_seq, t_par = EventBus(monitor=False), EventBus(monitor=False)
         em_sort(data, cfg, engine="par", tracer=t_seq)
         em_sort(data, cfg.with_(workers=4), engine="par", tracer=t_par)
         a, b = t_seq.counts(), t_par.counts()
@@ -176,7 +176,7 @@ class TestTraces:
         assert workers_seen == {0, 1, 2, 3}
 
     def test_run_begin_records_workers(self):
-        tr = JsonlRecorder()
+        tr = EventBus(monitor=False)
         cfg = MachineConfig(N=N, v=V, p=2, D=D, B=B, workers=2)
         em_sort(make_rng(5).integers(0, 2**40, N), cfg, engine="par", tracer=tr)
         begin = [ev for ev in tr.events if ev["kind"] == "run_begin"]
@@ -331,7 +331,7 @@ class TestSpillDirs:
         res = em_run(
             SampleSort(), partition_array(data, V), cfg, "par",
             runtime=self._runtime(tmp_path),
-            tracer=JsonlRecorder() if traced else None,
+            tracer=EventBus(monitor=False) if traced else None,
         )
         assert np.array_equal(np.concatenate(res.outputs), np.sort(data))
         assert os.listdir(tmp_path) == []
@@ -341,9 +341,26 @@ class TestSpillDirs:
         with pytest.raises(SimulationError, match="deliberate failure"):
             em_run(
                 _BoomInRoundOne(), [None] * 4, cfg, "par",
-                runtime=self._runtime(tmp_path), tracer=JsonlRecorder(),
+                runtime=self._runtime(tmp_path), tracer=EventBus(monitor=False),
             )
         assert os.listdir(tmp_path) == []
+
+    def test_a_killed_worker_leaves_no_spill_dir(self, tmp_path, monkeypatch):
+        """A child that dies hard runs no ``finally`` and only it knew its
+        ``mkdtemp`` names: its spill dir lives under the fleet's base,
+        which the fleet removes once its children are joined."""
+        monkeypatch.setattr(workers, "_DEAD_GRACE", 2)
+        spill, flag = tmp_path / "spill", tmp_path / "die"
+        flag.write_text("1")
+        cfg = MachineConfig(N=N, v=V, p=2, D=D, B=B)
+        data = make_rng(13).integers(0, 2**40, N)
+        res = em_run(
+            _DiesOnce(1, 0, str(flag)), partition_array(data, V), cfg, "par",
+            runtime=self._runtime(spill), checkpoint=str(tmp_path / "ck"),
+        )
+        assert not flag.exists(), "the crash never fired"
+        assert np.array_equal(np.concatenate(res.outputs), np.sort(data))
+        assert os.listdir(spill) == []
 
 
 # ---------------------------------------------------------------- slices
@@ -644,7 +661,7 @@ class TestCrashLeavesNoSegments:
         flag = tmp_path / "die"
         flag.write_text("1")
         shm_before = sorted(os.listdir("/dev/shm"))
-        tracer = JsonlRecorder()
+        tracer = EventBus(monitor=False)
         healed = self.run_sort(
             balanced, _DiesOnce(crash_round, pid, str(flag)),
             checkpoint=str(tmp_path / "ck"), tracer=tracer,

@@ -16,7 +16,7 @@ from repro.cgm.config import MachineConfig
 from repro.em.runner import em_run
 from repro.faults.checkpoint import CheckpointError, CheckpointManager
 from repro.faults.plan import FaultPlan, RetryPolicy
-from repro.obs.trace import JsonlRecorder
+from repro.obs.bus import EventBus
 from repro.util.validation import ConfigurationError, SimulationError
 
 pytestmark = pytest.mark.usefixtures("worker_leak_guard")
@@ -138,7 +138,7 @@ def kill_and_resume(cfg, tmp_path, **kw):
             cfg, program=KillableSort(KILL_ROUND, flag), checkpoint=ck, **kw
         )
     assert not os.path.exists(flag), "the kill never fired"
-    tracer = JsonlRecorder()
+    tracer = EventBus(monitor=False)
     res = run_sort(cfg, checkpoint=ck, resume=True, tracer=tracer, **kw)
     return res, tracer
 
@@ -147,7 +147,7 @@ class TestResumeInProcess:
     CFG = MachineConfig(N=N, v=V, p=2, D=D, B=B)
 
     def test_bit_identical_after_kill(self, tmp_path):
-        clean_tr = JsonlRecorder()
+        clean_tr = EventBus(monitor=False)
         clean = run_sort(self.CFG, tracer=clean_tr)
         resumed, tr = kill_and_resume(self.CFG, tmp_path)
 
@@ -227,7 +227,7 @@ class TestResumeWorkers:
         checkpoint and the round is re-dispatched — the run self-heals."""
         counter = str(tmp_path / "crashes")
         open(counter, "w").write("2")
-        tracer = JsonlRecorder()
+        tracer = EventBus(monitor=False)
         healed = run_sort(
             self.CFG,
             program=CrashySort(KILL_ROUND, counter),
@@ -262,7 +262,7 @@ class TestCrossArenaResume:
     def test_checkpoint_ports_across_arenas(
         self, tmp_path, monkeypatch, kill_arena, resume_arena
     ):
-        clean_tr = JsonlRecorder()
+        clean_tr = EventBus(monitor=False)
         clean = run_sort(self.CFG, tracer=clean_tr)  # default-arena baseline
 
         ck = str(tmp_path / "ck")
@@ -276,7 +276,7 @@ class TestCrossArenaResume:
         assert not os.path.exists(flag), "the kill never fired"
 
         monkeypatch.setenv("REPRO_ARENA", resume_arena)
-        tr = JsonlRecorder()
+        tr = EventBus(monitor=False)
         resumed = run_sort(self.CFG, checkpoint=ck, resume=True, tracer=tr)
 
         for a, b in zip(clean.outputs, resumed.outputs):
@@ -300,7 +300,7 @@ class TestCrossArenaResume:
         probe = str(tmp_path / "probe.txt")
         monkeypatch.setenv("REPRO_ARENA", "mmap")
         monkeypatch.setenv("REPRO_SPILL_DIR", str(spill))
-        tr = JsonlRecorder()
+        tr = EventBus(monitor=False)
         mm = run_sort(
             self.CFG, program=SpillProbeSort(str(spill), probe),
             faults=CI_PLAN, tracer=tr,
@@ -439,7 +439,7 @@ class TestCrossTransportResume:
         assert not os.path.exists(flag), "the kill never fired"
 
         self.set_transport(monkeypatch, resume_transport, node_pair)
-        tr = JsonlRecorder()
+        tr = EventBus(monitor=False)
         resumed = run_sort(self.CFG, checkpoint=ck, resume=True, tracer=tr)
         for a, b in zip(clean.outputs, resumed.outputs):
             assert np.array_equal(a, b)
@@ -458,7 +458,7 @@ class TestCrossTransportResume:
         clean = run_sort(self.CFG)
 
         self.set_transport(monkeypatch, "tcp", node_pair)
-        tracer = JsonlRecorder()
+        tracer = EventBus(monitor=False)
         _NODE_KILL = node_pair[0].kill_session
         try:
             healed = run_sort(
@@ -709,7 +709,7 @@ def test_checkpoint_written_before_the_plan_memos_resumes_identically(tmp_path):
     from repro.em.runner import output_sha256
 
     want, ck, cfg, inputs = _listrank_fixture("listrank_ckpt_pr22", tmp_path)
-    tracer = JsonlRecorder()
+    tracer = EventBus(monitor=False)
     res = em_run(
         ListRanking(), inputs, cfg, "seq", checkpoint=str(ck), resume=True, tracer=tracer
     )

@@ -10,13 +10,13 @@ import pytest
 from repro.cgm.config import MachineConfig
 from repro.em.runner import em_sort
 from repro.obs.analyze import analyze_events, analyze_file
-from repro.obs.trace import JsonlRecorder
+from repro.obs.bus import EventBus
 
 
 def _traced_sort(p=1, **kw):
     cfg = MachineConfig(N=1 << 12, v=4, p=p, D=2, B=64)
     data = np.random.default_rng(11).integers(0, 2**50, cfg.N)
-    tr = JsonlRecorder()
+    tr = EventBus(monitor=False)
     res = em_sort(data, cfg, engine="par" if p > 1 else "seq", tracer=tr, **kw)
     return tr, res, cfg
 
@@ -94,7 +94,7 @@ class TestRobustness:
         assert out.rows == []
 
     def test_non_em_engine_skips_envelope(self):
-        tr = JsonlRecorder()
+        tr = EventBus(monitor=False)
         cfg = MachineConfig(N=1 << 12, v=4, D=2, B=64)
         data = np.random.default_rng(1).integers(0, 2**50, cfg.N)
         em_sort(data, cfg, engine="memory", tracer=tr)

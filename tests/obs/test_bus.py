@@ -1,5 +1,5 @@
 """The telemetry bus: span threading, subscriptions, backpressure, the
-disabled path's no-op guarantee, and the REPRO_TRACE knob."""
+disabled path's no-op guarantee, and the trace knob."""
 
 from __future__ import annotations
 
@@ -11,9 +11,11 @@ import pytest
 
 from repro.cgm.config import MachineConfig
 from repro.em.runner import em_sort, make_engine
-from repro.obs.bus import EventBus, Subscription, bus_from_env
-from repro.obs.trace import NULL_RECORDER, JsonlRecorder, NullRecorder
+from repro.obs.bus import NULL_RECORDER, EventBus, NullRecorder, Subscription
+from repro.tune.runtime import RuntimeConfig
 from repro.util.rng import make_rng
+
+_CFG = MachineConfig(N=1 << 12, v=4, D=2, B=64)
 
 
 def _bus(**kw) -> EventBus:
@@ -56,9 +58,8 @@ class TestSpanThreading:
         assert [e["span"] for e in a.events] == [e["span"] for e in b.events]
 
     def test_drop_in_recorder_compat(self, tmp_path):
-        """EventBus must behave as a JsonlRecorder for every export path."""
+        """The bus is the recorder: jsonl export and per-kind counts."""
         bus = _bus()
-        assert isinstance(bus, JsonlRecorder)
         bus.emit("run_begin")
         bus.emit("run_end")
         p = tmp_path / "t.jsonl"
@@ -175,11 +176,6 @@ class TestSink:
         assert len(lines) == 1 and json.loads(lines[0])["kind"] == "run_begin"
         bus.close()
 
-    def test_record_off_keeps_nothing(self):
-        bus = _bus(record=False)
-        bus.emit("k")
-        assert bus.events == []
-
 
 class TestDisabledPath:
     """Tentpole guarantee: bus off == pre-bus NULL_RECORDER, exactly —
@@ -213,35 +209,55 @@ class TestDisabledPath:
 
 
 class TestEnvKnob:
+    """``make_engine`` builds the bus from the resolved ``trace`` knob."""
+
     @pytest.mark.parametrize("val", ["", "0", "false", "off", "no"])
     def test_false_tokens_stay_off(self, monkeypatch, val):
         monkeypatch.setenv("REPRO_TRACE", val)
-        assert bus_from_env() is None
+        assert make_engine(_CFG, "seq").tracer is NULL_RECORDER
 
     def test_unset_stays_off(self, monkeypatch):
         monkeypatch.delenv("REPRO_TRACE", raising=False)
-        assert bus_from_env() is None
+        assert make_engine(_CFG, "seq").tracer is NULL_RECORDER
 
     @pytest.mark.parametrize("val", ["1", "true", "on"])
     def test_true_tokens_record_in_memory(self, monkeypatch, val):
         monkeypatch.setenv("REPRO_TRACE", val)
-        bus = bus_from_env()
+        bus = make_engine(_CFG, "seq").tracer
         assert isinstance(bus, EventBus) and bus._sink is None
         bus.close()
 
     def test_other_value_is_a_sink_path(self, monkeypatch, tmp_path):
         p = tmp_path / "stream.jsonl"
         monkeypatch.setenv("REPRO_TRACE", str(p))
-        bus = bus_from_env()
+        bus = make_engine(_CFG, "seq").tracer
         bus.emit("k")
         bus.close()
         assert json.loads(p.read_text())["kind"] == "k"
 
     def test_make_engine_installs_bus_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "1")
-        cfg = MachineConfig(N=1 << 12, v=4, D=2, B=64)
-        eng = make_engine(cfg, "seq")
+        eng = make_engine(_CFG, "seq")
         assert isinstance(eng.tracer, EventBus)
+
+    def test_the_knob_comes_from_the_resolved_snapshot(self, monkeypatch, tmp_path):
+        """An override and a pinned runtime are the run's knob values: the
+        environment used to be read behind the snapshot's back, so
+        ``overrides={"trace": "1"}`` traced nothing and ``"0"`` could not
+        switch off an environment that said on."""
+        monkeypatch.delenv("REPRO_TRACE", raising=False)
+        traced = make_engine(_CFG, "seq", overrides={"trace": "1"})
+        assert isinstance(traced.tracer, EventBus)
+        monkeypatch.setenv("REPRO_TRACE", "1")
+        silenced = make_engine(_CFG, "seq", overrides={"trace": "0"})
+        assert silenced.tracer is NULL_RECORDER
+        monkeypatch.delenv("REPRO_TRACE")
+        path = tmp_path / "pinned.jsonl"
+        pinned = RuntimeConfig.resolve(overrides={"trace": str(path)}, environ={})
+        data = make_rng(5).integers(0, 2**40, 1 << 12)
+        em_sort(data, _CFG, runtime=pinned)
+        kinds = [json.loads(line)["kind"] for line in path.read_text().splitlines()]
+        assert kinds[0] == "run_begin" and kinds[-1] == "run_end"
 
     def test_env_traced_run_records_events(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "1")
@@ -252,7 +268,7 @@ class TestEnvKnob:
 
     def test_explicit_tracer_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE", "1")
-        tr = JsonlRecorder()
+        tr = _bus()
         cfg = MachineConfig(N=1 << 12, v=4, D=2, B=64)
         eng = make_engine(cfg, "seq", tracer=tr)
         assert eng.tracer is tr

@@ -94,6 +94,14 @@ class TestIterJsonl:
         got = list(iter_jsonl(str(p)))
         assert [e["kind"] for e in got] == [e["kind"] for e in _events()]
 
+    def test_keeps_a_final_unterminated_line(self, tmp_path):
+        """Without ``follow`` nothing more will arrive: a last line with no
+        newline is the last event, not a partial one to wait for."""
+        p = tmp_path / "cut.jsonl"
+        first, last = _events()[0], _events()[-1]
+        p.write_text(json.dumps(first) + "\n" + json.dumps(last))
+        assert [e["kind"] for e in iter_jsonl(str(p))] == ["run_begin", "run_end"]
+
     def test_follow_tails_a_live_writer_and_stops_at_run_end(self, tmp_path):
         p = tmp_path / "live.jsonl"
         p.write_text("")

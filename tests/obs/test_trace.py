@@ -1,4 +1,4 @@
-"""The trace recorder, its exporters, and the engines' event emission."""
+"""The event recorder, its exporters, and the engines' event emission."""
 
 from __future__ import annotations
 
@@ -9,19 +9,15 @@ import numpy as np
 
 from repro.cgm.config import MachineConfig
 from repro.em.runner import em_run, em_sort
+from repro.obs.bus import NULL_RECORDER, EventBus, NullRecorder
 from repro.obs.chrome import to_chrome_events
-from repro.obs.trace import (
-    NULL_RECORDER,
-    JsonlRecorder,
-    NullRecorder,
-    read_jsonl,
-)
+from repro.obs.live import iter_jsonl
 
 
 def _traced_sort(cfg=None, **kw):
     cfg = cfg or MachineConfig(N=1 << 12, v=4, D=2, B=64)
     data = np.random.default_rng(5).integers(0, 2**50, cfg.N)
-    tr = JsonlRecorder()
+    tr = EventBus(monitor=False)
     out = em_sort(data, cfg, tracer=tr, **kw)
     return tr, out
 
@@ -32,7 +28,7 @@ class TestRecorderSemantics:
         NULL_RECORDER.emit("anything", x=1)  # no-op, no error
 
     def test_jsonl_recorder_orders_events(self):
-        tr = JsonlRecorder()
+        tr = EventBus(monitor=False)
         tr.emit("a", x=1)
         tr.emit("b", y=None)
         assert [e["seq"] for e in tr.events] == [0, 1]
@@ -40,11 +36,11 @@ class TestRecorderSemantics:
         assert tr.counts() == {"a": 1, "b": 1}
 
     def test_numpy_tags_serialize(self, tmp_path):
-        tr = JsonlRecorder()
+        tr = EventBus(monitor=False)
         tr.emit("k", n=np.int64(7), f=np.float64(0.5))
         p = tmp_path / "t.jsonl"
         assert tr.write_jsonl(str(p)) == 1
-        (ev,) = read_jsonl(str(p))
+        (ev,) = iter_jsonl(str(p))
         assert ev["n"] == 7 and ev["f"] == 0.5
 
 
@@ -115,7 +111,7 @@ class TestEngineEmission:
     def test_vm_engine_uses_paged_layout(self):
         cfg = MachineConfig(N=1 << 12, v=4, D=2, B=64)
         data = np.random.default_rng(5).integers(0, 2**50, cfg.N)
-        tr = JsonlRecorder()
+        tr = EventBus(monitor=False)
         em_sort(data, cfg, engine="vm", tracer=tr)
         layouts = {e.get("layout") for e in tr.events if "layout" in e}
         assert layouts == {"paged"}
@@ -123,7 +119,7 @@ class TestEngineEmission:
     def test_par_engine_emits_network_transfers(self):
         cfg = MachineConfig(N=1 << 12, v=4, p=2, D=2, B=64)
         data = np.random.default_rng(5).integers(0, 2**50, cfg.N)
-        tr = JsonlRecorder()
+        tr = EventBus(monitor=False)
         out = em_sort(data, cfg, engine="par", tracer=tr)
         net = [e for e in tr.events if e["kind"] == "network_transfer"]
         assert net, "p=2 sort sent no cross-processor messages?"
@@ -134,7 +130,7 @@ class TestEngineEmission:
         from repro.algorithms.collectives import PrefixSum
 
         cfg = MachineConfig(N=4, v=4)
-        tr = JsonlRecorder()
+        tr = EventBus(monitor=False)
         em_run(PrefixSum(), [1.0, 2.0, 3.0, 4.0], cfg, engine="memory", tracer=tr)
         kinds = set(tr.counts())
         assert {"run_begin", "superstep_begin", "compute_round", "run_end"} <= kinds
@@ -157,7 +153,7 @@ class TestDisabledPathIsInert:
         cfg = MachineConfig(N=1 << 12, v=4, D=2, B=64)
         data = np.random.default_rng(5).integers(0, 2**50, cfg.N)
         plain = em_sort(data, cfg)
-        traced = em_sort(data, cfg, tracer=JsonlRecorder())
+        traced = em_sort(data, cfg, tracer=EventBus(monitor=False))
         assert np.array_equal(plain.values, traced.values)
         assert plain.report.io.parallel_ios == traced.report.io.parallel_ios
         assert plain.report.supersteps == traced.report.supersteps
@@ -168,7 +164,7 @@ class TestExport:
         tr, _ = _traced_sort()
         p = tmp_path / "trace.jsonl"
         n = tr.write_jsonl(str(p))
-        loaded = read_jsonl(str(p))
+        loaded = list(iter_jsonl(str(p)))
         assert len(loaded) == n == len(tr.events)
         assert loaded[0]["kind"] == "run_begin"
         assert loaded[-1]["kind"] == "run_end"
@@ -193,7 +189,7 @@ class TestExport:
         assert b == e_ == out.report.supersteps
 
     def test_chrome_drops_unknown_kinds(self):
-        tr = JsonlRecorder()
+        tr = EventBus(monitor=False)
         tr.emit("mystery_kind", x=1)
         assert to_chrome_events(tr.events) == []
 

@@ -344,7 +344,7 @@ def _fig5_sort(engine, arena, balanced, n, faults=None):
     recorder: ``(cfg, values, IOStats dict)``."""
     from repro.cgm.config import MachineConfig
     from repro.em.runner import OPS, make_engine
-    from repro.obs.trace import NULL_RECORDER
+    from repro.obs.bus import NULL_RECORDER
 
     cfg = MachineConfig(N=n, v=8, p=2 if engine == "par" else 1, D=2, B=16)
     data = np.random.default_rng(5).integers(0, 1 << 50, n)

@@ -21,7 +21,7 @@ import pytest
 
 from repro.cgm.config import MachineConfig
 from repro.em.runner import em_sort, output_sha256
-from repro.obs import JsonlRecorder
+from repro.obs import EventBus
 from repro.tune.runtime import RuntimeConfig
 
 GOLDEN = Path(__file__).parent / "data" / "read_path_golden.json"
@@ -38,7 +38,7 @@ def _run(engine: str, arena: str, **options):
 
 
 def record(engine: str, arena: str) -> dict:
-    tracer = JsonlRecorder()
+    tracer = EventBus(monitor=False)
     res = _run(engine, arena, tracer=tracer)
     return {
         "output_sha256": output_sha256(res.values),

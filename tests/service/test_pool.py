@@ -4,7 +4,7 @@ import pytest
 
 from repro.em.runner import OPS
 from repro.faults.checkpoint import CheckpointManager
-from repro.obs.trace import JsonlRecorder
+from repro.obs.bus import EventBus
 from repro.service.pool import execute_spec
 from repro.service.spec import JobSpec
 from repro.util.validation import PreemptedError
@@ -125,7 +125,7 @@ class TestSnapshotWhenAsked:
 
     def test_probe_that_never_fires_writes_nothing(self, tmp_path):
         cm = CountingManager(str(tmp_path / "ck"))
-        tr = JsonlRecorder()
+        tr = EventBus(monitor=False)
         doc = execute_spec(self.SPEC, tracer=tr, checkpoint=cm, preempt=lambda: False)
         assert cm.saved == []
         assert "checkpoint" not in tr.counts()
@@ -138,7 +138,7 @@ class TestSnapshotWhenAsked:
         assert rounds >= 3
         for k in range(rounds - 1):  # the final boundary is never polled
             cm = CountingManager(str(tmp_path / f"ck{k}"))
-            tr = JsonlRecorder()
+            tr = EventBus(monitor=False)
             polls = iter(range(rounds))
             with pytest.raises(PreemptedError, match="resume to continue"):
                 execute_spec(

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.cli import build_parser, main
-from repro.obs.trace import read_jsonl
+from repro.obs.live import iter_jsonl
 
 
 class TestParser:
@@ -122,7 +122,7 @@ class TestObservabilityFlags:
         assert main(self.BASE + ["--trace", str(path)]) == 0
         out = capsys.readouterr().out
         assert "trace" in out and str(path) in out
-        events = read_jsonl(str(path))
+        events = list(iter_jsonl(str(path)))
         kinds = {e["kind"] for e in events}
         assert {"run_begin", "superstep_begin", "compute_round", "run_end"} <= kinds
 
@@ -148,7 +148,7 @@ class TestObservabilityFlags:
         args = ["sort", "--n", "4096", "--v", "4", "--p", "2", "--b", "64",
                 "--trace", str(path)]
         assert main(args) == 0
-        kinds = {e["kind"] for e in read_jsonl(str(path))}
+        kinds = {e["kind"] for e in iter_jsonl(str(path))}
         assert "network_transfer" in kinds
         assert {"superstep_begin", "context_read", "message_write"} <= kinds
 
@@ -157,7 +157,7 @@ class TestObservabilityFlags:
         args = ["transpose", "--rows", "32", "--cols", "64", "--v", "4",
                 "--b", "32", "--trace", str(path)]
         assert main(args) == 0
-        assert read_jsonl(str(path))
+        assert list(iter_jsonl(str(path)))
 
     def test_full_width_report_line(self, capsys):
         assert main(self.BASE) == 0
@@ -241,20 +241,24 @@ class TestLiveCommands:
         assert main(["top"]) == 2
         assert main(["top", "x.jsonl", "--url", "http://h"]) == 2
 
-    def test_serve_metrics_exit_after_run(self, capsys):
-        import signal
+    def test_top_reads_a_final_unterminated_line(self, tmp_path, capsys):
+        """The last event of a trace cut before its newline is an event:
+        ``top --once`` used to drop it and report a finished run as running."""
+        path = tmp_path / "cut.jsonl"
+        path.write_text(
+            json.dumps({"seq": 0, "kind": "run_begin", "engine": "seq-em"}) + "\n"
+            + json.dumps({"seq": 1, "kind": "run_end", "parallel_ios": 7})
+        )
+        assert main(["top", str(path), "--once"]) == 0
+        assert "status: finished" in capsys.readouterr().out
 
-        old_int = signal.getsignal(signal.SIGINT)
-        old_term = signal.getsignal(signal.SIGTERM)
-        try:
-            assert main(["serve-metrics", "--n", "4096", "--v", "4",
-                         "--b", "64", "--port", "0", "--exit-after-run"]) == 0
-        finally:
-            signal.signal(signal.SIGINT, old_int)
-            signal.signal(signal.SIGTERM, old_term)
-        out = capsys.readouterr().out
-        assert "serving on http://127.0.0.1:" in out
-        assert "served sort of 4096 items" in out
+    def test_serve_metrics_is_retired(self, capsys):
+        """``repro serve`` is the one HTTP surface; the old command is a
+        usage error like any unknown one."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serve-metrics", "--port", "0"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'serve-metrics'" in capsys.readouterr().err
 
 
 def test_closed_stdout_is_not_an_error():
@@ -449,7 +453,7 @@ class TestTuneCommand:
         path = str(tmp_path / "profile.json")
         trace = str(tmp_path / "t.jsonl")
         assert main(self.TUNE + ["--out", path, "--trace", trace]) == 0
-        kinds = [e.get("kind") for e in read_jsonl(trace)]
+        kinds = [e.get("kind") for e in iter_jsonl(trace)]
         assert "tune_begin" in kinds and "tune_probe" in kinds
         assert kinds[-1] == "tune_end"
 
@@ -575,7 +579,7 @@ class TestBackendFlagsAreArguments:
         trace = tmp_path / "t.jsonl"
         argv = self.SORT + ["--workers", "2", "--arena", "mmap", "--trace", str(trace)]
         assert main(argv) == 0
-        grows = [e for e in read_jsonl(str(trace)) if e["kind"] == "arena_grow"]
+        grows = [e for e in iter_jsonl(str(trace)) if e["kind"] == "arena_grow"]
         assert {e["worker"] for e in grows} == {0, 1}
         assert {e["backend"] for e in grows} == {"mmap"}
         assert list(spill.iterdir()) == []
@@ -657,7 +661,7 @@ class TestGraphGeometryCommandsShareTheFrontDoor:
         ((options, runtime),) = calls
         assert options["profile"]["config"] == {"shm_bytes": 4096}
         assert runtime.shm_bytes == 4096
-        kinds = [e["kind"] for e in read_jsonl(trace)]
+        kinds = [e["kind"] for e in iter_jsonl(trace)]
         assert kinds.index("tuned_config") < kinds.index("run_begin")
 
     def test_machine_line_is_the_config_that_ran(self, capsys):
@@ -700,7 +704,7 @@ class TestGraphGeometryCommandsShareTheFrontDoor:
 
 class TestServeBindErrors:
     """Regression: a busy port must yield one named error line and exit 2,
-    not a traceback (both the metrics server and the job server)."""
+    not a traceback."""
 
     @pytest.fixture
     def busy_port(self):
@@ -719,12 +723,6 @@ class TestServeBindErrors:
         assert f"port {port} on 127.0.0.1 is already in use" in err
         assert "Traceback" not in err
         assert err.count("\n") == 1
-
-    def test_serve_metrics_port_in_use(self, busy_port, capsys):
-        rc = main(["serve-metrics", "--n", "1024", "--v", "4", "--b", "64",
-                   "--port", str(busy_port)])
-        assert rc == 2
-        self._assert_one_line_port_error(capsys, busy_port)
 
     def test_serve_port_in_use(self, busy_port, capsys, tmp_path):
         rc = main(["serve", "--port", str(busy_port),
@@ -808,6 +806,21 @@ class TestSubmitCommand:
                  for line in capsys.readouterr().out.splitlines()
                  if line.startswith("{")]
         assert "run_end" in kinds
+
+    def test_top_once_reads_the_served_job_stream(self, served, capsys):
+        """``top --url`` takes the job's SSE URL as given and renders the
+        finished run from the replayed buffer."""
+        from repro.service.client import submit_job, wait_job
+
+        _, _, doc = submit_job(served.url, self.SPEC)
+        final = wait_job(served.url, doc["id"], timeout_s=60)
+        supersteps = final["result"]["counters"]["supersteps"]
+        url = f"{served.url}/jobs/{doc['id']}/events"
+        assert main(["top", "--once", "--url", url]) == 0
+        out = capsys.readouterr().out
+        assert "repro top — sample-sort" in out
+        assert f"supersteps: {supersteps} " in out
+        assert "status: finished" in out
 
     def test_missing_spec_file_exits_2(self, capsys):
         assert main(["submit", "/nonexistent/spec.json"]) == 2

@@ -6,9 +6,10 @@ operations have one definition (the op table), and every Figure-5 run has
 one front door (options are ``make_engine`` arguments the wrappers forward;
 one CLI run handler), what the simulated disks hold is one tagged format
 that nothing on its path pickles, and a worker is one session on one wire
-(no multiprocessing queue or event, one ``dumps``/``loads`` pair), and a
+(no multiprocessing queue or event, one ``dumps``/``loads`` pair), a
 preemption probe — which turns per-round checkpoint writes into one write
-on demand — is installed by the job service's pool alone.
+on demand — is installed by the job service's pool alone, and telemetry
+has one recorder class, one HTTP server and one JSON-lines reader.
 
 The tentpole's centralization contract — ad-hoc ``os.environ`` reads of
 runtime knobs are how the inconsistent-caching bug happened, so outside
@@ -78,6 +79,14 @@ _WIRE_FORK = re.compile(
     r"ctx\.Queue|multiprocessing\.Queue|mp\.Queue|ctx\.Event|mp\.Event"
     r"|MemoryTransport|ShmTransport|TcpWorkerTransport|_worker_main"
     r"|get_context\(\"spawn\"\)"
+)
+
+
+#: the retired recorder classes, the second HTTP server and its skeleton,
+#: the environment-side trace switch and the second JSON-lines reader
+_TELEMETRY_FORK = re.compile(
+    r"JsonlRecorder|TraceRecorder|ObsServer|HttpListener|HttpHandler"
+    r"|serve-metrics|serve_metrics|bus_from_env|trace_env_spec|read_jsonl"
 )
 
 
@@ -304,7 +313,19 @@ def test_one_front_door_for_every_figure_5_run():
     ]
     assert holders == ["collectives.py"]
     # ... and the six run commands share one handler
-    assert inspect.getsource(cli).count("def cmd_") == 11
+    assert inspect.getsource(cli).count("def cmd_") == 10
+
+
+def test_one_telemetry_surface():
+    offenders = _offenders(_TELEMETRY_FORK, skip_tune=False)
+    assert not offenders, (
+        "EventBus is the one recorder (NULL_RECORDER the disabled path), "
+        "repro serve the one HTTP server, obs.live.iter_jsonl the one "
+        "JSON-lines reader:\n" + "\n".join(offenders)
+    )
+    obs = Path(repro.__file__).resolve().parent / "obs"
+    assert not (obs / "server.py").exists()
+    assert not (obs / "trace.py").exists()
 
 
 def test_no_raw_repro_environ_access_outside_tune():
