@@ -114,9 +114,9 @@ def _backend_options(p: argparse.ArgumentParser) -> None:
         choices=TRANSPORT_KINDS,
         default=None,
         help="worker-exchange transport for the multi-process backend: "
-        "forked workers on socketpairs (memory), the same + shared-memory "
-        "bulk segments (shm, the default), or 'repro node' daemons over TCP "
-        "(tcp); overrides REPRO_TRANSPORT for this run",
+        "forked workers on socketpairs (memory, the default; shm is another "
+        "spelling of it) or 'repro node' daemons over TCP (tcp); overrides "
+        "REPRO_TRANSPORT for this run",
     )
     p.add_argument(
         "--nodes",

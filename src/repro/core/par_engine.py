@@ -362,10 +362,6 @@ class ParEMEngine(Engine):
         outgoing = self._outgoing
         self._outgoing = {w: [] for w in outgoing}
         self._stage_remote(net.exchange(outgoing, r, phase))
-        # staging copied every shared-memory payload into the arena and
-        # the last views of them died with _stage_remote's frame; the
-        # segments backing this phase's packets can go away now
-        net.release()
 
     def _stage_remote(self, items: list) -> None:
         """Stage bundles shipped from peer slices.

@@ -104,9 +104,15 @@ def send_frame(sock: socket.socket, obj: Any, lock=None) -> int:
 
     Header and payload go out as one gather write (no concatenated
     copy of a multi-megabyte payload); *lock* serializes the writers of
-    one socket so frames never interleave.
+    one socket so frames never interleave.  A payload over
+    :data:`MAX_FRAME_BYTES`, which every receiver refuses, raises
+    :class:`TransportError` before a byte is written.
     """
     payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
+    if len(payload) > MAX_FRAME_BYTES:
+        raise TransportError(
+            f"frame length {len(payload)} exceeds the {MAX_FRAME_BYTES}-byte bound"
+        )
     header = _HEADER.pack(_MAGIC, zlib.crc32(payload) & 0xFFFFFFFF, len(payload))
     with lock or _UNLOCKED:
         sent = sock.sendmsg([header, payload])
@@ -157,43 +163,26 @@ class Transport:
     """One worker's view of the simulated network.
 
     Subclasses implement the two primitives (:meth:`send_packet`,
-    :meth:`recv_packet`) plus optionally the packet codec
-    (:meth:`_encode` / :meth:`_decode`, the shm bulk path) and
-    :meth:`release` (post-staging segment cleanup).
-    ``exchange`` is shared and defines the one-packet-per-peer-per-phase
-    semantics every implementation must preserve.
+    :meth:`recv_packet`); ``exchange`` is shared and defines the
+    one-packet-per-peer-per-phase semantics every implementation must
+    preserve.  A packet's wire form is its items list itself.
     """
 
     def __init__(self, worker_id: int) -> None:
         self.worker_id = worker_id
         #: packets from peers that raced ahead, keyed by (round, phase)
-        self._buffer: dict[tuple[int, int], dict[int, tuple]] = {}
+        self._buffer: dict[tuple[int, int], dict[int, list]] = {}
         self.packets_sent = 0
         self.packets_received = 0
 
     # ------------------------------------------------------------ primitives
 
-    def send_packet(self, dest: int, r: int, phase: int, wire: tuple) -> None:
+    def send_packet(self, dest: int, r: int, phase: int, wire: list) -> None:
         raise NotImplementedError
 
     def recv_packet(self, what: str) -> tuple:
         """One ``(round, phase, src, wire)`` from any peer (blocking)."""
         raise NotImplementedError
-
-    # ----------------------------------------------------------------- codec
-
-    def _encode(self, items: list) -> tuple:
-        """Wire form of one packet; the default inlines the items."""
-        return ("inl", items)
-
-    def _decode(self, wire: tuple) -> list:
-        kind = wire[0]
-        if kind != "inl":  # pragma: no cover - protocol bug
-            raise TransportError(f"unknown wire packet kind {kind!r}")
-        return wire[1]
-
-    def release(self) -> None:
-        """Free resources backing packets whose payloads have been staged."""
 
     # -------------------------------------------------------------- protocol
 
@@ -201,7 +190,7 @@ class Transport:
         """Send one packet to every peer, receive one from each; returns
         the concatenated remote items in ascending-peer order."""
         for w in sorted(outgoing):
-            self.send_packet(w, r, phase, self._encode(outgoing[w]))
+            self.send_packet(w, r, phase, outgoing[w])
             self.packets_sent += 1
         expected = set(outgoing)
         got = self._buffer.pop((r, phase), {})
@@ -214,5 +203,5 @@ class Transport:
                 self._buffer.setdefault((rr, pp), {})[src] = wire
         merged: list = []
         for src in sorted(got):
-            merged.extend(self._decode(got[src]))
+            merged.extend(got[src])
         return merged

@@ -34,7 +34,6 @@ import time
 from typing import Any
 
 from repro.core.transport.base import TransportError, recv_frame, send_frame
-from repro.core.transport.session import unlink_segment
 from repro.util.validation import ConfigurationError
 
 #: bumped whenever a frame or handshake shape changes incompatibly.
@@ -119,9 +118,8 @@ class Fleet:
     :meth:`start` opens every session socket (:meth:`_open`, the one
     thing a subclass must supply), then starts one reader thread per
     session that funnels result frames into one queue and relays peer
-    packets.  Relaying every packet makes the fleet the one owner of
-    in-flight shared-memory segment names: whatever a receiver did not
-    live to release is unlinked when the sessions end.
+    packets.  A packet frame carries its payloads, so nothing a session
+    sent outlives the sockets.
     """
 
     #: the ``transport`` knob value this fleet serves (metrics label)
@@ -132,7 +130,6 @@ class Fleet:
         self._conns = [_Conn(w, label) for w, label in enumerate(labels)]
         self._results: queue.Queue = queue.Queue()
         self._threads: list[threading.Thread] = []
-        self._segments: set[str] = set()
 
     # ----------------------------------------------------------- lifecycle
 
@@ -174,10 +171,7 @@ class Fleet:
                 if tag == "result":
                     self._results.put((frame[1], frame[2], frame[3]))
                 elif tag == "pkt":
-                    _tag, dest, r, phase, src, wire = frame
-                    if wire[0] == "shm":
-                        self._segments.add(wire[1])
-                    self._relay(dest, (r, phase, src, wire))
+                    self._relay(frame[1], frame[2:])  # (r, phase, src, wire)
                 # anything else: a protocol bug; drop rather than wedge
         except (TransportError, OSError):
             conn.alive = False
@@ -198,14 +192,6 @@ class Fleet:
             dc.packets += 1
             dc.bytes += n
 
-    def _hang_up(self) -> None:
-        for conn in self._conns:
-            conn.close()
-
-    def _sweep_segments(self) -> None:
-        while self._segments:
-            unlink_segment(self._segments.pop())
-
     # ------------------------------------------------------------- commands
 
     def send(self, w: int, cmd: tuple) -> None:
@@ -225,21 +211,20 @@ class Fleet:
     def request_abort(self) -> None:
         """Unblock every worker: EOF on its socket trips the session's
         abort flag, wherever it is blocked."""
-        self._hang_up()
-        self._sweep_segments()
+        for conn in self._conns:
+            conn.close()
 
     def stop(self, force: bool = False) -> None:
         if not force:
             self.broadcast(("stop",))
         # EOF ends a session wherever it waits — mid-exchange on a dead
         # peer's packet, say — so nobody eats a join timeout
-        self._hang_up()
+        self.request_abort()
         self._reap()
         # joined before anyone may start() (and fork) again
         for t in self._threads:
             t.join(timeout=5.0)
         self._threads = []
-        self._sweep_segments()
         self._results = queue.Queue()  # a restart's _gather sees no stale reply
 
     # ------------------------------------------------------------ telemetry

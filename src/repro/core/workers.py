@@ -48,8 +48,9 @@ an accepted TCP connection after the handshake
 (:class:`~repro.core.transport.tcp.TcpFleet`), and the coordinator's end
 is one class (:class:`~repro.core.transport.tcp.Fleet`) either way — so
 checkpoints, fault recovery and every logical counter cannot depend on
-the ``REPRO_TRANSPORT`` spelling: ``memory`` and ``shm`` are the local
-fleet without and with shared-memory bulk segments, ``tcp`` the remote.
+the ``REPRO_TRANSPORT`` spelling: ``memory`` (also spelled ``shm``) is
+the local fleet, ``tcp`` the remote.  There is one local carrier: every
+packet, bulk payloads included, rides its frame through the relay.
 """
 
 from __future__ import annotations
@@ -258,11 +259,6 @@ def serve_session(
     )
     reader.start()
     try:
-        rt = session["runtime"]
-        net = SessionTransport(
-            worker_id, sock, wlock, inbox,
-            shm_threshold=rt.shm_bytes if rt.transport == "shm" else None,
-        )
         run_worker_session(
             worker_id,
             session,
@@ -270,7 +266,7 @@ def serve_session(
             reply=lambda kind, payload: send_frame(
                 sock, ("result", worker_id, kind, payload), wlock
             ),
-            net=net,
+            net=SessionTransport(worker_id, sock, wlock, inbox),
         )
     except TransportAbort:
         pass
@@ -303,17 +299,17 @@ def _forked_worker(worker_id: int, session: dict[str, Any], pairs: list) -> None
 
 class LocalFleet(Fleet):
     """Sessions in forked children of this process, one per worker, each
-    on one end of a ``socket.socketpair()``; *transport_kind* is
-    ``memory`` or ``shm`` (the latter moves bulk payloads through
-    shared-memory segments instead of the socket).
+    on one end of a ``socket.socketpair()``.  This is the one local
+    carrier: bulk payloads ride their packet frames like everything else.
 
     Under the mmap arena the fleet owns one spill base per start, and the
     children's spill dirs go under it: a child killed hard never removes
     its own, so :meth:`_reap` removes the base once they are joined."""
 
-    def __init__(self, n_workers: int, transport_kind: str) -> None:
+    kind = "memory"
+
+    def __init__(self, n_workers: int) -> None:
         super().__init__([f"local/{w}" for w in range(n_workers)])
-        self.kind = transport_kind
         self._procs: list = []
         self._spill_base: "str | None" = None
 
@@ -368,10 +364,9 @@ class LocalFleet(Fleet):
 def make_fleet(runtime, n_workers: int) -> Fleet:
     """Fleet for the run's ``REPRO_TRANSPORT``: forked local sessions, or
     sessions on the ``REPRO_NODES`` daemons."""
-    kind = getattr(runtime, "transport", None) or "shm"
-    if kind == "tcp":
+    if getattr(runtime, "transport", None) == "tcp":
         return TcpFleet(require_nodes(runtime.nodes), n_workers)
-    return LocalFleet(n_workers, kind)
+    return LocalFleet(n_workers)
 
 
 class ProcessParEngine(Engine):
@@ -617,8 +612,7 @@ class ProcessParEngine(Engine):
         bytes_total = mx.counter(
             "repro_transport_bytes_total",
             "bytes of relayed exchange frames by destination node "
-            "(host:port, or local/<w> for a forked worker; under shm only "
-            "segment references are relayed)",
+            "(host:port, or local/<w> for a forked worker)",
         )
         for node, s in self._fleet.stats().items():
             bytes_total.labels(transport=kind, node=node).inc(s["bytes"])

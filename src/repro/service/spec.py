@@ -17,8 +17,8 @@ excludes everything that cannot change the result:
 * ``workers`` — the multi-process backend is bit-identical to the
   in-process one by construction (the same reason
   ``repro.faults``' checkpoint metadata omits it);
-* ``config`` knobs — arena/shm only change *how*
-  bytes move, never the logical outputs or IOStats.
+* ``config`` knobs — arena and spill quota only change *how*
+  bytes are stored, never the logical outputs or IOStats.
 
 What remains (op, n, seed, machine shape, resolved engine, balanced
 routing, fault plan) is exactly the set of inputs that determine the
@@ -62,7 +62,7 @@ PRIORITY_RANGE = (0, 9)
 #: ``faults`` (use the ``faults`` section), ``trace`` (the server owns
 #: the tracer), ``profile`` and ``spill_dir`` (host paths are not
 #: tenant-controllable).
-CONFIG_KNOBS = frozenset({"arena", "shm_bytes", "spill_quota"})
+CONFIG_KNOBS = frozenset({"arena", "spill_quota"})
 
 _TOP_KEYS = frozenset(
     {

@@ -18,7 +18,6 @@ schema-versioned :mod:`repro.tune.profile` JSON document that
 
 from repro.tune.knobs import (
     KNOBS,
-    DEFAULT_SHM_THRESHOLD,
     KnobError,
     KnobSpec,
     render_knob_table,
@@ -27,7 +26,6 @@ from repro.tune.runtime import RuntimeConfig, current
 
 __all__ = [
     "KNOBS",
-    "DEFAULT_SHM_THRESHOLD",
     "KnobError",
     "KnobSpec",
     "RuntimeConfig",

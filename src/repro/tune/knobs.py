@@ -35,15 +35,11 @@ class KnobError(ConfigurationError):
 
 _FALSE = frozenset({"0", "false", "no", "off"})
 
-#: Default payload size (bytes) above which worker packets travel through
-#: shared memory.  Small packets stay inline in their frame: one pickle of
-#: a few KB is cheaper than creating and mapping a segment.
-DEFAULT_SHM_THRESHOLD = 1 << 16
-
 #: storage backends the track arena can use (see repro.pdm.mmap_arena).
 ARENA_KINDS = ("ram", "mmap")
 
-#: worker-exchange transports (see repro.core.transport).
+#: worker-exchange transport spellings (see repro.core.transport); ``shm``
+#: names the one local carrier, like ``memory``
 TRANSPORT_KINDS = ("memory", "shm", "tcp")
 
 
@@ -68,7 +64,7 @@ def _parse_transport(raw: str) -> str:
     tok = raw.lower()
     if tok not in TRANSPORT_KINDS:
         raise ValueError(f"choose from {TRANSPORT_KINDS}")
-    return tok
+    return "memory" if tok == "shm" else tok
 
 
 def _parse_nodes(raw: str) -> str:
@@ -76,14 +72,6 @@ def _parse_nodes(raw: str) -> str:
     from repro.core.transport.base import parse_nodes, render_nodes
 
     return render_nodes(parse_nodes(raw))
-
-
-def _parse_shm_bytes(raw: str) -> "int | None":
-    try:
-        val = int(raw)
-    except ValueError:
-        raise ValueError("not an integer byte count (<= 0 disables)") from None
-    return val if val > 0 else None
 
 
 def _parse_spill_quota(raw: str) -> "int | None":
@@ -157,10 +145,10 @@ KNOBS: tuple[KnobSpec, ...] = (
         invalid_example="tape",
     ),
     KnobSpec(
-        "transport", "REPRO_TRANSPORT", "memory|shm|tcp", "shm",
+        "transport", "REPRO_TRANSPORT", "memory|shm|tcp", "memory",
         _parse_transport, "core.transport",
-        "worker-exchange transport: forked workers on socketpairs, the same "
-        "+ shared-memory bulk segments, or `repro node` daemons over TCP",
+        "worker-exchange transport: forked workers on socketpairs (`shm` "
+        "is the same carrier) or `repro node` daemons over TCP",
         invalid_example="carrier-pigeon",
     ),
     KnobSpec(
@@ -169,13 +157,6 @@ KNOBS: tuple[KnobSpec, ...] = (
         "node daemons the tcp transport dials, one per worker "
         "(comma-separated host:port list)",
         invalid_example="localhost:notaport",
-    ),
-    KnobSpec(
-        "shm_bytes", "REPRO_SHM_BYTES", "int bytes (<= 0 disables)",
-        DEFAULT_SHM_THRESHOLD, _parse_shm_bytes, "core.workers",
-        "payload size above which worker packets use shared memory "
-        "instead of being pickled into their frame",
-        invalid_example="nonsense",
     ),
     KnobSpec(
         "spill_quota", "REPRO_SPILL_QUOTA", "int bytes (<= 0 disables)",

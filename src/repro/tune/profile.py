@@ -7,12 +7,12 @@ no timestamps, environment fingerprint stripped of per-invocation noise,
 keys sorted — so the same workload + hardware + seed always serializes
 to byte-identical JSON (a property test pins this).
 
-Layout (``SCHEMA_VERSION`` 3; versions 1 and 2 carried the retired
-``config.fastpath`` / ``config.prefetch`` knobs and are refused by the
-version check)::
+Layout (``SCHEMA_VERSION`` 4; versions 1, 2 and 3 carried the retired
+fast-path, prefetch and shared-memory threshold knobs in ``config`` and
+are refused by the version check)::
 
     {
-      "schema_version": 3,
+      "schema_version": 4,
       "kind": "repro-tuned-profile",
       "workload": {"op": "sort", "n": 65536, "p": 4, "seed": 7},
       "machine": {"v": 8, "B": 256, "D": 2},
@@ -36,7 +36,7 @@ from repro.obs.bench_store import env_fingerprint
 from repro.tune.knobs import KNOB_BY_NAME
 from repro.util.validation import ConfigurationError
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 KIND = "repro-tuned-profile"
 
 _REQUIRED_DOC_KEYS = (

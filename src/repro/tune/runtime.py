@@ -20,12 +20,7 @@ import os
 from dataclasses import dataclass
 from typing import Any, Mapping
 
-from repro.tune.knobs import (
-    DEFAULT_SHM_THRESHOLD,
-    KNOB_BY_NAME,
-    KNOBS,
-    KnobError,
-)
+from repro.tune.knobs import KNOB_BY_NAME, KNOBS, KnobError
 
 
 @dataclass(frozen=True)
@@ -39,9 +34,8 @@ class RuntimeConfig:
 
     workers: int = 0
     arena: str = "ram"
-    transport: str = "shm"
+    transport: str = "memory"
     nodes: "str | None" = None
-    shm_bytes: "int | None" = DEFAULT_SHM_THRESHOLD
     spill_quota: "int | None" = None
     spill_dir: "str | None" = None
     trace: "str | None" = None

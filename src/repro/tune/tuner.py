@@ -6,7 +6,7 @@ the whole (v, B, D, workers) candidate grid and prunes it to a short
 list — the model is exact for the simulation's I/O counts, so most of
 the space never needs to be run — then short measured wall-clock probes
 at a reduced problem size decide among the survivors, because constant
-factors (NumPy batch width, process spawn cost, shm transport) are
+factors (NumPy batch width, process spawn cost, the worker relay) are
 exactly what the asymptotic model cannot see.
 
 The all-defaults configuration is always probed, so the winner's
@@ -32,7 +32,6 @@ from typing import Any, Callable
 from repro.cgm.config import MachineConfig
 from repro.core.theory import predicted_parallel_ios
 from repro.em.runner import OPS, make_engine
-from repro.tune.knobs import DEFAULT_SHM_THRESHOLD
 from repro.tune.profile import TunedProfile
 from repro.tune.runtime import RuntimeConfig
 from repro.util.validation import ConfigurationError
@@ -94,20 +93,12 @@ class Candidate:
         return f"v={self.v} B={self.B} D={self.D} workers={self.workers}"
 
     def runtime(self) -> RuntimeConfig:
-        return RuntimeConfig(
-            workers=self.workers,
-            arena="ram",
-            shm_bytes=DEFAULT_SHM_THRESHOLD,
-        )
+        return RuntimeConfig(workers=self.workers, arena="ram")
 
     def knob_config(self) -> dict[str, Any]:
         """The profile's ``config`` section for this candidate."""
         rt = self.runtime()
-        return {
-            "workers": rt.workers,
-            "arena": rt.arena,
-            "shm_bytes": rt.shm_bytes,
-        }
+        return {"workers": rt.workers, "arena": rt.arena}
 
 
 @dataclass

@@ -265,7 +265,8 @@ class TestUnsupportedValues:
 
         prog = FunctionalProgram(setup, [], lambda ctx: 0)
         cfg = MachineConfig(N=64, v=4, p=2 if kind == "par" else 1, D=2, B=4)
-        eng = make_engine(cfg, kind, validate=False)
+        # in-process under every lane: the assertions read the engine's disks
+        eng = make_engine(cfg, kind, validate=False, overrides={"workers": 0})
         with pytest.raises(TypeError, match="cannot serialize") as err:
             eng.run(prog, [None] * 4)
         assert "\n" not in str(err.value)
@@ -277,7 +278,7 @@ class TestUnsupportedValues:
         from repro.cgm.message import Message
 
         cfg = MachineConfig(N=64, v=4, p=2 if kind == "par" else 1, D=2, B=4)
-        eng = make_engine(cfg, kind, validate=False)
+        eng = make_engine(cfg, kind, validate=False, overrides={"workers": 0})
         eng.run(FunctionalProgram(lambda ctx, pid, cfg, x: None, [], lambda ctx: 0),
                 [None] * 4)
         before = self._io(eng)

@@ -1,7 +1,7 @@
 """The worker-exchange transport layer (repro.core.transport): wire
 framing and checksums, node-list parsing, connect retry policy, handshake
-validation and its bounds, and logical bit-identity across memory / shm /
-tcp."""
+validation and its bounds, and logical bit-identity across the memory /
+shm / tcp spellings."""
 
 from __future__ import annotations
 
@@ -126,6 +126,28 @@ class TestFraming:
             send_frame(a, ("hello", "x" * 4096))
             with pytest.raises(TransportError, match="exceeds the 1024-byte bound"):
                 recv_frame(b, max_bytes=1024)
+        finally:
+            a.close()
+            b.close()
+
+    def test_send_side_length_bound(self, monkeypatch):
+        """A frame every receiver would refuse is refused before a byte
+        is written, so the stream stays in step for the next frame."""
+        from repro.core.transport import base
+
+        monkeypatch.setattr(base, "MAX_FRAME_BYTES", 1024)
+        a, b = socket.socketpair()
+        try:
+            with pytest.raises(
+                TransportError, match=r"frame length \d+ exceeds the 1024-byte bound"
+            ):
+                send_frame(a, ("hello", "x" * 4096))
+            b.setblocking(False)
+            with pytest.raises(BlockingIOError):
+                b.recv(1)  # nothing reached the peer
+            b.setblocking(True)
+            send_frame(a, ("hello", "x" * 100))
+            assert recv_frame(b) == ("hello", "x" * 100)
         finally:
             a.close()
             b.close()

@@ -270,35 +270,23 @@ class TestDelivery:
         assert got.report.io.as_dict() == ref.report.io.as_dict()
 
 
-class TestSharedMemoryTransport:
-    """The bulk payload transport (multiprocessing.shared_memory).
+class TestTransportSpellingIsInvisible:
+    """``memory`` and ``shm`` spell the one local carrier: forked workers
+    on socketpairs, every packet, bulk payloads included, framed through
+    the coordinator's relay.  Either spelling must be indistinguishable
+    from the in-process run, and from the other."""
 
-    ``REPRO_SHM_BYTES`` sets the per-exchange byte threshold above which
-    worker message payloads travel through a shared-memory segment instead
-    of the queue pickle stream.  Forcing it to 1 routes essentially every
-    exchange through the segment; the result must be indistinguishable
-    from the queue path.
-    """
-
-    @pytest.mark.parametrize("shm_bytes", ["1", "0"], ids=["forced-shm", "no-shm"])
-    def test_transport_choice_is_invisible(self, monkeypatch, shm_bytes):
-        monkeypatch.setenv("REPRO_SHM_BYTES", shm_bytes)
+    @pytest.mark.parametrize("transport", ["memory", "shm"])
+    def test_transport_choice_is_invisible(self, transport):
         data = make_rng(11).integers(0, 2**40, N)
         cfg = MachineConfig(N=N, v=V, p=4, D=D, B=B)
         ref = em_sort(data, cfg, engine="par")
-        got = em_sort(data, cfg.with_(workers=4), engine="par")
+        got = em_sort(
+            data, cfg.with_(workers=4), engine="par",
+            overrides={"transport": transport},
+        )
         assert np.array_equal(got.values, ref.values)
         assert _counters(got.report) == _counters(ref.report)
-
-    def test_forced_shm_matches_forced_queue(self, monkeypatch):
-        data = make_rng(12).integers(0, 2**40, N)
-        cfg = MachineConfig(N=N, v=V, p=2, D=D, B=B, workers=2)
-        monkeypatch.setenv("REPRO_SHM_BYTES", "1")
-        shm = em_sort(data, cfg, engine="par")
-        monkeypatch.setenv("REPRO_SHM_BYTES", "0")
-        queued = em_sort(data, cfg, engine="par")
-        assert np.array_equal(shm.values, queued.values)
-        assert _counters(shm.report) == _counters(queued.report)
 
 
 class _BoomInRoundOne(_Boom):
@@ -373,7 +361,8 @@ class TestSpillDirs:
 
 
 class QueueTransport(Transport):
-    """Peer-to-peer ``queue.Queue`` inboxes shared by the slices' threads."""
+    """Peer-to-peer ``queue.Queue`` inboxes shared by the slices' threads;
+    a packet is the bare items list, as on a session socket."""
 
     def __init__(self, worker_id, inboxes, abort):
         super().__init__(worker_id)
@@ -631,10 +620,10 @@ def _local_runtime(**overrides):
 
 
 class TestCrashLeavesNoSegments:
-    """Every packet rides a shared-memory segment (``shm_bytes=1``) and a
-    worker dies mid-round: its peer has already shipped segments the dead
-    worker will never release.  The fleet relayed their names, so it
-    unlinks them when it hangs up; the run heals from its checkpoint."""
+    """A worker dies mid-round, after its peer has already shipped it
+    packets it will never stage.  Those packets rode their frames, so
+    nothing outlives the sockets: ``/dev/shm`` ends as it began, and the
+    run heals from its checkpoint."""
 
     CFG = MachineConfig(N=1 << 12, v=8, p=2, D=D, B=32)
     DATA = make_rng(31).integers(0, 2**40, 1 << 12)
@@ -642,7 +631,7 @@ class TestCrashLeavesNoSegments:
     def run_sort(self, balanced, program=None, **options):
         return em_run(
             program or SampleSort(), partition_array(self.DATA, 8), self.CFG,
-            "par", balanced=balanced, runtime=_local_runtime(shm_bytes=1),
+            "par", balanced=balanced, runtime=_local_runtime(),
             **options,
         )
 

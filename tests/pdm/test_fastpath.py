@@ -25,7 +25,7 @@ from repro.faults.plan import FaultPlan
 from repro.pdm.arena import MAX_DIRECT_TRACK, TrackArena
 from repro.pdm.block import BlockRun, BufferPool, Runs, blocks_for_bytes
 from repro.pdm.disk_array import DiskArray, batch_plan, greedy_batch_widths
-from repro.tune.knobs import DEFAULT_SHM_THRESHOLD, KNOB_BY_ENV, KnobError
+from repro.tune.knobs import KNOB_BY_ENV, KnobError
 from repro.tune.runtime import RuntimeConfig, current
 from repro.util.items import ITEM_BYTES
 from repro.util.validation import SimulationError
@@ -446,16 +446,3 @@ def test_fastpath_env_flag(monkeypatch):
     assert arr.try_gather(Runs(0, ((0, 1),)), np.empty(8, np.uint8))
     with pytest.raises(KnobError, match="fastpath"):
         before.with_overrides({"fastpath": "0"})
-
-
-def test_shm_threshold_knob(monkeypatch):
-    monkeypatch.delenv("REPRO_SHM_BYTES", raising=False)
-    assert current().shm_bytes == DEFAULT_SHM_THRESHOLD
-    monkeypatch.setenv("REPRO_SHM_BYTES", "4096")
-    assert current().shm_bytes == 4096
-    monkeypatch.setenv("REPRO_SHM_BYTES", "0")
-    assert current().shm_bytes is None
-    # malformed values are a hard, named error now (not a silent default)
-    monkeypatch.setenv("REPRO_SHM_BYTES", "nonsense")
-    with pytest.raises(KnobError, match="REPRO_SHM_BYTES"):
-        current()

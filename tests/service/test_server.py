@@ -142,6 +142,12 @@ class TestSubmitAndResult:
         )
         assert status == 400
         assert "config.prefetch is not a settable knob" in body["error"]
+        # ... and the retired shared-memory threshold
+        status, _, body = submit_job(
+            served.url, {**SPEC, "config": {"shm_bytes": "4096"}}
+        )
+        assert status == 400
+        assert "config.shm_bytes is not a settable knob" in body["error"]
 
     def test_non_json_body_400(self, served):
         req = urllib.request.Request(

@@ -62,7 +62,7 @@ class TestValidation:
         assert any("config.arena" in e for e in errs)
 
     def test_config_allowlist_accepted(self):
-        config = {"arena": "mmap", "shm_bytes": "0"}
+        config = {"arena": "mmap", "spill_quota": "0"}
         assert set(config) <= CONFIG_KNOBS
         assert validate_spec({**GOOD, "config": config}) == []
 
@@ -75,6 +75,11 @@ class TestValidation:
         errs = validate_spec({**GOOD, "config": {"prefetch": "0"}})
         assert len(errs) == 1 and "config.prefetch is not a settable knob" in errs[0]
         assert "prefetch" not in CONFIG_KNOBS
+
+    def test_retired_shm_bytes_knob_is_unknown(self):
+        errs = validate_spec({**GOOD, "config": {"shm_bytes": "4096"}})
+        assert len(errs) == 1 and "config.shm_bytes is not a settable knob" in errs[0]
+        assert "shm_bytes" not in CONFIG_KNOBS
 
     def test_bad_faults_section(self):
         errs = validate_spec({**GOOD, "faults": {"p_transient_read": 2.0}})
@@ -101,7 +106,7 @@ class TestValidation:
 
     def test_round_trip(self):
         spec = JobSpec.from_dict(
-            {**GOOD, "engine": "seq", "config": {"shm_bytes": "4096"},
+            {**GOOD, "engine": "seq", "config": {"spill_quota": "4096"},
              "tenant": "t1", "priority": 3}
         )
         assert JobSpec.from_dict(spec.to_dict()) == spec
@@ -131,7 +136,7 @@ class TestFingerprint:
         # bit-identity-preserving knobs must share the cache entry
         base = JobSpec.from_dict(GOOD).fingerprint()
         tuned = JobSpec.from_dict(
-            {**GOOD, "config": {"arena": "mmap", "shm_bytes": "0"}}
+            {**GOOD, "config": {"arena": "mmap", "spill_quota": "0"}}
         )
         assert tuned.fingerprint() == base
 

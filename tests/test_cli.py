@@ -420,7 +420,8 @@ class TestTuneCommand:
         doc = json.loads(open(path).read())
         assert validate_profile(doc) == []
         assert doc["workload"] == {"op": "sort", "n": 2048, "p": 1, "seed": 0}
-        assert doc["schema_version"] == 3 and "prefetch" not in doc["config"]
+        assert doc["schema_version"] == 4
+        assert "prefetch" not in doc["config"] and "shm_bytes" not in doc["config"]
 
     def test_schema_2_profile_is_refused_by_flag_and_env(
         self, tmp_path, capsys, monkeypatch
@@ -440,7 +441,7 @@ class TestTuneCommand:
         assert main(run + ["--v", "4", "--b", "64"]) == 3
         err = capsys.readouterr().err
         assert err.count("error: invalid tuned profile") == 2
-        assert err.count("schema_version 2 != supported 3") == 2
+        assert err.count("schema_version 2 != supported 4") == 2
         assert "Traceback" not in err
 
     def test_tune_json_output(self, tmp_path, capsys):
@@ -462,7 +463,8 @@ class TestTuneCommand:
         out = capsys.readouterr().out
         assert "| Variable |" in out and "`REPRO_ARENA`" in out
         assert "FASTPATH" not in out and "PREFETCH" not in out
-        assert out.count("`REPRO_") == 10
+        assert "SHM_BYTES" not in out
+        assert out.count("`REPRO_") == 9
 
     def test_profile_fills_machine_args(self, tmp_path, capsys):
         path = self._tuned(tmp_path, capsys)
@@ -500,7 +502,7 @@ class TestKnobErrors:
         [
             ("REPRO_WORKERS", "two"),
             ("REPRO_ARENA", "tape"),
-            ("REPRO_SHM_BYTES", "nonsense"),
+            ("REPRO_TRANSPORT", "pigeon"),
             ("REPRO_SPILL_QUOTA", "lots"),
         ],
     )
@@ -516,8 +518,9 @@ class TestKnobErrors:
         assert err.count("\n") == 1  # exactly one line
 
     def test_well_formed_knob_still_runs(self, monkeypatch, capsys):
-        monkeypatch.setenv("REPRO_SHM_BYTES", "4096")
+        monkeypatch.setenv("REPRO_SPILL_QUOTA", str(1 << 30))
         monkeypatch.setenv("REPRO_FASTPATH", "sometimes")  # retired: ignored
+        monkeypatch.setenv("REPRO_SHM_BYTES", "nonsense")  # retired: ignored
         monkeypatch.setenv("REPRO_PREFETCH", "maybe")  # retired: ignored
         assert main(self.BASE) == 0
         assert "sorted 2048 items: OK" in capsys.readouterr().out
@@ -559,7 +562,7 @@ def test_arena_flag_goes_through_the_knob_layer(monkeypatch, capsys):
     assert (flagged.arena, flagged.transport, flagged.nodes) == (
         "mmap", "memory", "127.0.0.1:1"
     )
-    assert flagless == current()  # ram/shm unless a CI lane's variable says otherwise
+    assert flagless == current()  # ram/memory unless a CI lane's variable says otherwise
 
 
 class TestBackendFlagsAreArguments:
@@ -604,17 +607,17 @@ class TestBackendFlagsAreArguments:
         TunedProfile(
             workload={"op": "sort", "n": 2048, "p": 1, "seed": 0},
             machine={"v": 4, "D": 2, "B": 64},
-            config={"arena": "mmap", "shm_bytes": 4096},
+            config={"arena": "mmap", "spill_quota": 1 << 30},
         ).save(profile)
         run = ["sort", "--n", "2048", "--profile", profile]
         monkeypatch.delenv("REPRO_ARENA", raising=False)
-        monkeypatch.delenv("REPRO_SHM_BYTES", raising=False)
+        monkeypatch.delenv("REPRO_SPILL_QUOTA", raising=False)
         assert main(run) == 0  # the profile alone
         monkeypatch.setenv("REPRO_ARENA", "ram")
         assert main(run) == 0  # the variable over the profile
         assert main(run + ["--arena", "mmap"]) == 0  # the flag over both
         assert [rt.arena for _, rt in calls] == ["mmap", "ram", "mmap"]
-        assert [rt.shm_bytes for _, rt in calls] == [4096] * 3
+        assert [rt.spill_quota for _, rt in calls] == [1 << 30] * 3
 
 
 class TestGraphGeometryCommandsShareTheFrontDoor:
@@ -649,18 +652,18 @@ class TestGraphGeometryCommandsShareTheFrontDoor:
         three: the knob section never got to ``make_engine``."""
         from repro.tune.profile import TunedProfile
 
-        monkeypatch.delenv("REPRO_SHM_BYTES", raising=False)
+        monkeypatch.delenv("REPRO_SPILL_QUOTA", raising=False)
         calls = _spy_on_make_engine(monkeypatch)
         profile, trace = str(tmp_path / "p.json"), str(tmp_path / "t.jsonl")
         TunedProfile(
             workload={"op": "sort", "n": 2048, "p": 1, "seed": 0},
             machine={"v": 4, "D": 2, "B": 32},
-            config={"shm_bytes": 4096},
+            config={"spill_quota": 1 << 30},
         ).save(profile)
         assert main(self.RUNS[cmd] + ["--profile", profile, "--trace", trace]) == 0
         ((options, runtime),) = calls
-        assert options["profile"]["config"] == {"shm_bytes": 4096}
-        assert runtime.shm_bytes == 4096
+        assert options["profile"]["config"] == {"spill_quota": 1 << 30}
+        assert runtime.spill_quota == 1 << 30
         kinds = [e["kind"] for e in iter_jsonl(trace)]
         assert kinds.index("tuned_config") < kinds.index("run_begin")
 

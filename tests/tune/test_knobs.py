@@ -12,7 +12,6 @@ import pytest
 
 from repro.tune.knobs import (
     ARENA_KINDS,
-    DEFAULT_SHM_THRESHOLD,
     KNOB_BY_ENV,
     KNOB_BY_NAME,
     KNOBS,
@@ -20,7 +19,7 @@ from repro.tune.knobs import (
     read_knob,
     render_knob_table,
 )
-from repro.tune.runtime import current
+from repro.tune.runtime import RuntimeConfig, current
 from repro.util.validation import ConfigurationError
 
 
@@ -75,7 +74,7 @@ def test_bool_tokens():
 def test_fastpath_grammar():
     """The retired I/O-path switch has no grammar left: it is not in the
     registry (12 knobs -> 11), so no spelling can be read or overridden."""
-    assert len(KNOBS) == 10
+    assert len(KNOBS) == 9
     assert "REPRO_FASTPATH" not in KNOB_BY_ENV and "fastpath" not in KNOB_BY_NAME
     assert "FASTPATH" not in render_knob_table()
     for name in ("fastpath", "REPRO_FASTPATH"):
@@ -103,12 +102,32 @@ def test_arena_kinds():
     assert spec.coerce("MMAP") == "mmap"
 
 
-def test_shm_bytes_nonpositive_disables():
-    spec = KNOB_BY_ENV["REPRO_SHM_BYTES"]
-    assert spec.coerce("4096") == 4096
-    assert spec.coerce("0") is None
-    assert spec.coerce("-1") is None
-    assert spec.default == DEFAULT_SHM_THRESHOLD
+def test_shm_spells_the_one_local_carrier():
+    """``shm`` is accepted everywhere ``memory`` is and resolves to the
+    same snapshot: env var, ``overrides=``, CLI flag and profile entry."""
+    from repro.cli import build_parser
+
+    memory = RuntimeConfig.resolve(overrides={"transport": "memory"}, environ={})
+    assert memory.transport == "memory" == KNOB_BY_ENV["REPRO_TRANSPORT"].default
+    assert RuntimeConfig.resolve(environ={}) == memory
+    assert RuntimeConfig.resolve(environ={"REPRO_TRANSPORT": "shm"}) == memory
+    assert RuntimeConfig.resolve(overrides={"transport": "shm"}, environ={}) == memory
+    assert RuntimeConfig.resolve(profile={"transport": "shm"}, environ={}) == memory
+    args = build_parser().parse_args(["sort", "--n", "64", "--transport", "shm"])
+    assert RuntimeConfig.resolve(
+        overrides={"transport": args.transport}, environ={}
+    ) == memory
+
+
+def test_the_shared_memory_threshold_is_retired():
+    """``shm_bytes`` is no knob: an override or profile entry naming it is
+    refused in one line, and a leftover ``REPRO_SHM_BYTES`` is ignored."""
+    assert "shm_bytes" not in KNOB_BY_NAME and "REPRO_SHM_BYTES" not in KNOB_BY_ENV
+    with pytest.raises(KnobError, match="unknown knob override 'shm_bytes'"):
+        current().with_overrides({"shm_bytes": 4096})
+    with pytest.raises(KnobError, match="unknown knob 'shm_bytes' in tuned profile"):
+        RuntimeConfig.resolve(profile={"shm_bytes": 4096}, environ={})
+    assert RuntimeConfig.resolve(environ={"REPRO_SHM_BYTES": "1"}) == RuntimeConfig()
 
 
 def test_workers_rejects_negative():

@@ -23,7 +23,7 @@ def _profile() -> TunedProfile:
     return TunedProfile(
         workload={"op": "sort", "n": 4096, "p": 1, "seed": 0},
         machine={"v": 4, "B": 512, "D": 4},
-        config={"workers": 0, "arena": "ram", "shm_bytes": 65536},
+        config={"workers": 0, "arena": "ram"},
         rationale=["probe: ..."],
         search={"candidates": 27},
     )
@@ -73,8 +73,8 @@ def test_validate_rejects_wrong_schema_version():
 
 
 def _refused(tmp_path, version, knob, value):
-    assert SCHEMA_VERSION == 3
-    message = f"schema_version {version} != supported 3"
+    assert SCHEMA_VERSION == 4
+    message = f"schema_version {version} != supported 4"
     doc = _profile().document()
     doc["schema_version"] = version
     doc["config"][knob] = value
@@ -97,6 +97,11 @@ def test_v1_profile_with_fastpath_is_refused(tmp_path):
 def test_v2_profile_with_prefetch_is_refused(tmp_path):
     """Schema 2 profiles carried the retired ``config.prefetch`` knob."""
     _refused(tmp_path, 2, "prefetch", True)
+
+
+def test_v3_profile_with_shm_bytes_is_refused(tmp_path):
+    """Schema 3 profiles carried the retired ``config.shm_bytes`` knob."""
+    _refused(tmp_path, 3, "shm_bytes", 65536)
 
 
 def test_validate_rejects_bad_machine_shape():

@@ -17,7 +17,7 @@ from repro.cgm.config import MachineConfig
 from repro.em.runner import make_engine
 from repro.pdm.arena import TrackArena
 from repro.pdm.mmap_arena import MmapTrackArena
-from repro.tune.knobs import DEFAULT_SHM_THRESHOLD, KnobError
+from repro.tune.knobs import KnobError
 from repro.tune.runtime import RuntimeConfig, current
 
 
@@ -27,7 +27,7 @@ class TestResolve:
         assert rt == RuntimeConfig()
         assert rt.workers == 0
         assert rt.arena == "ram"
-        assert rt.shm_bytes == DEFAULT_SHM_THRESHOLD
+        assert rt.transport == "memory"
 
     def test_env_beats_default(self):
         rt = RuntimeConfig.resolve(environ={"REPRO_WORKERS": "3"})
@@ -93,7 +93,7 @@ class TestResolve:
 
 class TestDerivedProperties:
     def test_knob_values_roundtrip_through_resolve(self):
-        rt = RuntimeConfig(workers=2, shm_bytes=None, arena="mmap")
+        rt = RuntimeConfig(workers=2, spill_quota=None, arena="mmap")
         again = RuntimeConfig.resolve(profile=rt.knob_values(), environ={})
         assert again == rt
 
@@ -107,29 +107,29 @@ def test_current_is_uncached(monkeypatch):
 # ------------------------------------------------- per-run snapshot regression
 
 
-_SHM = {"ram": 4096, "mmap": 8192}
+_QUOTA = {"ram": 1 << 30, "mmap": 1 << 31}
 
 
 def _engine_snapshot_state(eng):
-    """(arena kind, shm threshold) the run actually used."""
+    """(arena kind, spill quota) the run actually used."""
     arena = next(iter(eng.arrays.values()))._arena
     kind = (
         "mmap" if isinstance(arena, MmapTrackArena)
         else "ram" if isinstance(arena, TrackArena)
         else None
     )
-    return kind, eng._rt.shm_bytes
+    return kind, eng._rt.spill_quota
 
 
 @pytest.mark.parametrize("first,second", [("ram", "mmap"), ("mmap", "ram")])
 def test_back_to_back_runs_each_internally_consistent(
     monkeypatch, first, second, rng
 ):
-    """Flipping REPRO_ARENA and REPRO_SHM_BYTES between runs re-resolves
+    """Flipping REPRO_ARENA and REPRO_SPILL_QUOTA between runs re-resolves
     cleanly per run.
 
     Regression for the inconsistent-caching bug: every subsystem of one
-    run (storage arena, exchange threshold) must observe the same
+    run (storage arena, spill quota) must observe the same
     snapshot, and the next run must observe the flipped one.
     """
     cfg = MachineConfig(N=1 << 10, v=4, D=2, B=32)
@@ -137,14 +137,14 @@ def test_back_to_back_runs_each_internally_consistent(
     seen = []
     for kind in (first, second):
         monkeypatch.setenv("REPRO_ARENA", kind)
-        monkeypatch.setenv("REPRO_SHM_BYTES", str(_SHM[kind]))
+        monkeypatch.setenv("REPRO_SPILL_QUOTA", str(_QUOTA[kind]))
         eng = make_engine(cfg)
         res = eng.run(*_sort_workload(data, cfg))
         seen.append((_engine_snapshot_state(eng), res.report.io.parallel_ios))
     (k1, s1), ios1 = seen[0]
     (k2, s2), ios2 = seen[1]
     assert (k1, k2) == (first, second)
-    assert (s1, s2) == (_SHM[first], _SHM[second])
+    assert (s1, s2) == (_QUOTA[first], _QUOTA[second])
     # storage backend is a physical concern: logical I/O counts identical
     assert ios1 == ios2
 
@@ -159,12 +159,12 @@ def _sort_workload(data, cfg):
 def test_env_flip_mid_process_does_not_leak_into_resolved_engine(monkeypatch):
     """An engine holds its snapshot; later env flips affect later runs only."""
     cfg = MachineConfig(N=1 << 10, v=4, D=2, B=32)
-    monkeypatch.setenv("REPRO_SHM_BYTES", "4096")
+    monkeypatch.setenv("REPRO_SPILL_QUOTA", "4096")
     rt = RuntimeConfig.resolve()
     eng = make_engine(cfg, runtime=rt)
-    monkeypatch.setenv("REPRO_SHM_BYTES", "0")
-    assert eng.runtime.shm_bytes == 4096
-    assert current().shm_bytes is None
+    monkeypatch.setenv("REPRO_SPILL_QUOTA", "0")
+    assert eng.runtime.spill_quota == 4096
+    assert current().spill_quota is None
 
 
 def test_make_engine_overrides_beat_the_env_and_ride_on_a_pinned_runtime(monkeypatch):
@@ -178,9 +178,9 @@ def test_make_engine_overrides_beat_the_env_and_ride_on_a_pinned_runtime(monkeyp
     eng = make_engine(cfg, overrides={"arena": "mmap", "nodes": None})
     assert (eng.runtime.arena, eng.runtime.nodes) == ("mmap", None)
     assert os.environ["REPRO_ARENA"] == "ram"
-    pinned = RuntimeConfig(shm_bytes=4096)
+    pinned = RuntimeConfig(spill_quota=1 << 30)
     rt = make_engine(cfg, runtime=pinned, overrides={"arena": "mmap"}).runtime
-    assert (rt.arena, rt.shm_bytes) == ("mmap", 4096)
+    assert (rt.arena, rt.spill_quota) == ("mmap", 1 << 30)
     assert make_engine(cfg, runtime=pinned, overrides={}).runtime is pinned
     with pytest.raises(KnobError, match="REPRO_ARENA"):
         make_engine(cfg, runtime=pinned, overrides={"arena": "tape"})

@@ -509,7 +509,8 @@ class TestFormat2IsNeverLonger:
             n = 1 << 20
             cfg = MachineConfig(N=n, v=16, p=4, D=4, B=1024)
             data = rng.integers(0, 2**40, n)
-            em_run(SampleSort(), partition_array(data, 16), cfg, "par", balanced=True)
+            em_run(SampleSort(), partition_array(data, 16), cfg, "par", balanced=True,
+                   overrides={"workers": 0})
         else:
             for op in ("sort", "permute", "transpose"):
                 run_spec_local({"op": op, "n": 8192, "seed": 22,

@@ -9,8 +9,9 @@ that nothing on its path pickles, and a worker is one session on one wire
 (no multiprocessing queue or event, one ``dumps``/``loads`` pair), a
 preemption probe — which turns per-round checkpoint writes into one write
 on demand — is installed by the job service's pool alone, and telemetry
-has one recorder class, one HTTP server and one JSON-lines reader, and a
-subscription one consumer method (a batch per wake-up).
+has one recorder class, one HTTP server and one JSON-lines reader, a
+subscription one consumer method (a batch per wake-up), and a local
+worker packet one carrier (its frame; no shared-memory segment).
 
 The tentpole's centralization contract — ad-hoc ``os.environ`` reads of
 runtime knobs are how the inconsistent-caching bug happened, so outside
@@ -92,6 +93,12 @@ _TELEMETRY_FORK = re.compile(
 
 #: the per-event subscription reader
 _PER_EVENT_READ = re.compile(r"Subscription\.get|\bsub\.get\(")
+
+#: the shared-memory bulk path: its module, threshold knob and segment sweep
+_SECOND_CARRIER = re.compile(
+    r"shared_memory|SharedMemory|_posixshmem|shm_threshold|shm_bytes"
+    r"|REPRO_SHM_BYTES|unlink_segment|_sweep_segments"
+)
 
 
 def _offenders(pattern: re.Pattern, skip_tune: bool) -> list[str]:
@@ -284,7 +291,7 @@ def test_one_definition_of_the_group_a_operations():
         holders = [p for p in files if pattern.search(p.read_text())]
         assert holders == [Path(runner.__file__).resolve()], (pattern.pattern, holders)
     # ... and the table added nothing to the configuration surface
-    assert len(KNOBS) == 10
+    assert len(KNOBS) == 9
 
 
 def test_one_front_door_for_every_figure_5_run():
@@ -343,6 +350,21 @@ def test_a_subscription_has_one_consumer_method():
         + "\n".join(offenders)
     )
     assert not hasattr(Subscription, "get") and not hasattr(Subscription, "__iter__")
+
+
+def test_one_local_carrier():
+    """Every local packet rides its frame through the relay: no segment to
+    create, name, unlink or sweep, no codec hooks on ``Transport``, and no
+    threshold knob (``memory`` and ``shm`` spell one carrier)."""
+    from repro.core.transport.base import Transport
+    from repro.tune.knobs import KNOBS
+
+    offenders = _offenders(_SECOND_CARRIER, skip_tune=False)
+    assert not offenders, (
+        "a local worker packet has one carrier, its frame:\n" + "\n".join(offenders)
+    )
+    assert not {"_encode", "_decode", "release"} & set(dir(Transport))
+    assert len(KNOBS) == 9
 
 
 def test_no_raw_repro_environ_access_outside_tune():
