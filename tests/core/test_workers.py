@@ -270,13 +270,15 @@ class TestDelivery:
         assert got.report.io.as_dict() == ref.report.io.as_dict()
 
 
-class TestTransportSpellingIsInvisible:
-    """``memory`` and ``shm`` spell the one local carrier: forked workers
-    on socketpairs, every packet, bulk payloads included, framed through
-    the coordinator's relay.  Either spelling must be indistinguishable
-    from the in-process run, and from the other."""
+class TestSharedMemoryTransport:
+    """``shm`` is kept as a spelling of the one local carrier, ``memory``:
+    forked workers on socketpairs, every packet, bulk payloads included,
+    framed through the coordinator's relay.  Asking for ``shm`` must be
+    indistinguishable from the in-process run and from ``memory``."""
 
-    @pytest.mark.parametrize("transport", ["memory", "shm"])
+    @pytest.mark.parametrize(
+        "transport", ["shm", "memory"], ids=["forced-shm", "no-shm"]
+    )
     def test_transport_choice_is_invisible(self, transport):
         data = make_rng(11).integers(0, 2**40, N)
         cfg = MachineConfig(N=N, v=V, p=4, D=D, B=B)
@@ -287,6 +289,16 @@ class TestTransportSpellingIsInvisible:
         )
         assert np.array_equal(got.values, ref.values)
         assert _counters(got.report) == _counters(ref.report)
+
+    def test_forced_shm_matches_forced_queue(self):
+        data = make_rng(12).integers(0, 2**40, N)
+        cfg = MachineConfig(N=N, v=V, p=2, D=D, B=B, workers=2)
+        shm = em_sort(data, cfg, engine="par", overrides={"transport": "shm"})
+        queued = em_sort(
+            data, cfg, engine="par", overrides={"transport": "memory"}
+        )
+        assert np.array_equal(shm.values, queued.values)
+        assert _counters(shm.report) == _counters(queued.report)
 
 
 class _BoomInRoundOne(_Boom):
