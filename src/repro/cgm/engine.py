@@ -36,7 +36,6 @@ from repro.cgm.message import Message
 from repro.cgm.metrics import CostReport, RoundMetrics
 from repro.cgm.program import CGMProgram, Context, RoundEnv
 from repro.obs.bus import NULL_RECORDER, EventBus, NullRecorder
-from repro.obs.metrics import NULL_REGISTRY, MetricsRegistry
 from repro.util.items import ITEM_FORMAT_VERSION
 from repro.util.rng import spawn_rngs
 from repro.util.validation import ConfigurationError, PreemptedError, SimulationError
@@ -79,6 +78,8 @@ class RoundStep:
     cross_items: int = 0         #: items crossing real-processor boundaries
     all_done: bool = True        #: every executed processor returned True
     io: Any = None               #: IOStats delta of the round, or None
+    #: a worker fleet's exchange traffic this round, per node (traced runs)
+    transport: Any = None
 
     @classmethod
     def empty(cls, v: int, p: int) -> "RoundStep":
@@ -124,7 +125,6 @@ class Engine:
         balanced: bool = False,
         validate: bool = True,
         tracer: EventBus | NullRecorder | None = None,
-        metrics: MetricsRegistry | None = None,
     ) -> None:
         self.cfg = cfg
         self.balanced = balanced
@@ -134,9 +134,6 @@ class Engine:
         #: Call sites must guard on ``self.tracer.enabled`` so the disabled
         #: path never constructs an event payload.
         self.tracer = tracer if tracer is not None else NULL_RECORDER
-        #: metrics registry; same contract as the tracer — guard every
-        #: emission on ``self.metrics.enabled``.
-        self.metrics = metrics if metrics is not None else NULL_REGISTRY
         #: resilience knobs, set post-construction (see repro.em.runner):
         #: the fault plan applied to the disk arrays, the checkpoint
         #: manager persisting round-boundary snapshots, and whether this
@@ -208,6 +205,10 @@ class Engine:
 
     def _finalize(self, report: CostReport) -> None:
         """Fold backend counters into the report."""
+
+    def _run_end_tags(self) -> dict[str, int]:
+        """Backend-specific tags for ``run_end`` (the VM pager's page size)."""
+        return {}
 
     def _snapshot_backend(self) -> dict[str, Any]:
         """Canonical picklable snapshot of all between-round backend state."""
@@ -452,19 +453,6 @@ class Engine:
 
             self._rt = current()
         self._start(program)
-        mx = self.metrics
-        labels = (
-            dict(
-                engine=self.name,
-                algorithm=program.name,
-                v=cfg.v,
-                p=cfg.p,
-                D=cfg.D,
-                B=cfg.B,
-            )
-            if mx.enabled
-            else {}
-        )
         tr = self.tracer
         if tr.enabled:
             tr.emit(
@@ -523,36 +511,11 @@ class Engine:
                     h_out=rm.h_out,
                     parallel_ios=rm.io.parallel_ios,
                     blocks=rm.io.blocks_total,
+                    comm_items=rm.comm_items,
+                    cross_items=rm.cross_items,
                     width_hist=list(rm.io.width_histogram) or None,
                     wall_s=round_wall_s,
-                )
-            if mx.enabled:
-                mx.counter(
-                    "repro_rounds_total", "CGM rounds executed"
-                ).labels(**labels).inc()
-                mx.counter(
-                    "repro_parallel_ios_total", "PDM parallel I/O operations"
-                ).labels(**labels).inc(rm.io.parallel_ios)
-                mx.counter(
-                    "repro_blocks_total", "disk blocks moved"
-                ).labels(**labels).inc(rm.io.blocks_total)
-                mx.counter(
-                    "repro_comm_items_total", "items communicated"
-                ).labels(**labels).inc(rm.comm_items)
-                mx.counter(
-                    "repro_cross_items_total", "items over the real network"
-                ).labels(**labels).inc(rm.cross_items)
-                mx.timer(
-                    "repro_compute_seconds", "measured round-callback wall time"
-                ).labels(**labels).observe(rm.comp_wall_s)
-                mx.highwater(
-                    "repro_h_relation_max_items", "largest h-relation seen"
-                ).labels(**labels).update(rm.h)
-                mx.gauge(
-                    "repro_superstep_parallel_ios",
-                    "parallel I/Os per superstep group (one CGM round)",
-                ).labels(**labels, superstep=report.supersteps, round=r).set(
-                    rm.io.parallel_ios
+                    **({"transport": step.transport} if step.transport else {}),
                 )
             finished = all_done and not self._pending_messages()
             preempted = not finished and self.preempt is not None and self.preempt()
@@ -586,15 +549,12 @@ class Engine:
 
         outputs = self._collect_outputs(program)
         self._finalize(report)
-        if mx.enabled:
-            mx.counter("repro_runs_total", "engine executions").labels(**labels).inc()
-            mx.gauge(
-                "repro_supersteps", "real-machine supersteps of the last run"
-            ).labels(**labels).set(report.supersteps)
-            mx.highwater(
-                "repro_peak_memory_items", "peak internal-memory footprint"
-            ).labels(**labels).update(report.peak_memory_items)
         if tr.enabled:
+            fs = report.fault_stats
+            if fs is not None and fs.any:
+                # physical, like io_fault: a plan that injected nothing
+                # leaves the event stream of a clean run
+                tr.emit("fault_stats", **fs.as_dict())
             tr.emit(
                 "run_end",
                 engine=self.name,
@@ -602,6 +562,12 @@ class Engine:
                 supersteps=report.supersteps,
                 parallel_ios=report.io.parallel_ios,
                 cross_items=report.cross_items,
+                peak_memory_items=report.peak_memory_items,
+                context_blocks=report.context_blocks_io,
+                message_blocks=report.message_blocks_io,
+                overflow_blocks=report.overflow_blocks,
+                page_faults=report.page_faults,
+                **self._run_end_tags(),
             )
         return RunResult(outputs, report, cfg)
 

@@ -52,7 +52,6 @@ from repro.faults.injector import (
     FaultStats,
     FaultyDiskArray,
     collect_fault_stats,
-    emit_fault_metrics,
 )
 from repro.pdm.block import BlockRun, BufferPool, blocks_for_bytes, unpack_blocks
 from repro.pdm.disk_array import DiskArray, Segment
@@ -104,14 +103,11 @@ class ParEMEngine(Engine):
         balanced: bool = False,
         validate: bool = True,
         tracer=None,
-        metrics=None,
         plan: "list[list[int]] | None" = None,
         worker_id: int = 0,
         net=None,
     ) -> None:
-        super().__init__(
-            cfg, balanced=balanced, validate=validate, tracer=tracer, metrics=metrics
-        )
+        super().__init__(cfg, balanced=balanced, validate=validate, tracer=tracer)
         if plan is None:
             plan = [list(range(cfg.p))]
         self.worker_id = worker_id
@@ -631,13 +627,13 @@ class ParEMEngine(Engine):
         }
 
     def _finalize(self, report: CostReport) -> None:
-        fold_final_stats(self, report, [self._final_stats()])
+        fold_final_stats(report, [self._final_stats()])
 
 
-def fold_final_stats(eng: Engine, report: CostReport, parts: list[dict]) -> None:
-    """Fold the slices' :meth:`ParEMEngine._final_stats` into *report* and
-    *eng*'s metrics registry: one part for the in-process run, one per
-    worker for the coordinator."""
+
+def fold_final_stats(report: CostReport, parts: list[dict]) -> None:
+    """Fold the slices' :meth:`ParEMEngine._final_stats` into *report*:
+    one part for the in-process run, one per worker for the coordinator."""
     io_by_real: dict[int, IOStats] = {}
     mem_peaks: dict[int, int] = {}
     ctx_io = msg_io = ovf = 0
@@ -665,21 +661,8 @@ def fold_final_stats(eng: Engine, report: CostReport, parts: list[dict]) -> None
     report.context_blocks_io = ctx_io
     report.message_blocks_io = msg_io
     report.overflow_blocks = ovf
-    metrics, cfg = eng.metrics, eng.cfg
-    if metrics.enabled:
-        labels = dict(engine=eng.name, p=cfg.p, D=cfg.D, B=cfg.B)
-        metrics.counter(
-            "repro_context_blocks_total", "blocks moved for context swapping"
-        ).labels(**labels).inc(ctx_io)
-        metrics.counter(
-            "repro_message_blocks_total", "blocks moved for message traffic"
-        ).labels(**labels).inc(msg_io)
-        metrics.counter(
-            "repro_overflow_blocks_total", "staggered-slot overflow spills"
-        ).labels(**labels).inc(ovf)
     if fstats is not None:
         report.fault_stats = fstats
-        emit_fault_metrics(metrics, eng.name, cfg, fstats)
 
 
 class SeqEMEngine(ParEMEngine):
@@ -697,12 +680,9 @@ class SeqEMEngine(ParEMEngine):
         balanced: bool = False,
         validate: bool = True,
         tracer=None,
-        metrics=None,
     ) -> None:
         require(cfg.p == 1, f"SeqEMEngine requires p=1, got p={cfg.p}")
-        super().__init__(
-            cfg, balanced=balanced, validate=validate, tracer=tracer, metrics=metrics
-        )
+        super().__init__(cfg, balanced=balanced, validate=validate, tracer=tracer)
 
     def _supersteps_per_round(self) -> int:
         return 1

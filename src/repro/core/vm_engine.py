@@ -44,11 +44,8 @@ class VMEngine(InMemoryEngine):
         validate: bool = True,
         page_items: int = 512,
         tracer=None,
-        metrics=None,
     ):
-        super().__init__(
-            cfg, balanced=balanced, validate=validate, tracer=tracer, metrics=metrics
-        )
+        super().__init__(cfg, balanced=balanced, validate=validate, tracer=tracer)
         self.page_items = page_items
 
     def _start(self, program: CGMProgram) -> None:
@@ -144,9 +141,6 @@ class VMEngine(InMemoryEngine):
     def _finalize(self, report: CostReport) -> None:
         report.page_faults = self.pager.faults
         report.peak_memory_items = self._addr_cursor
-        if self.metrics.enabled:
-            self.metrics.counter(
-                "repro_page_faults_total", "LRU pager faults (VM baseline)"
-            ).labels(engine=self.name, page_items=self.page_items).inc(
-                self.pager.faults
-            )
+
+    def _run_end_tags(self) -> dict[str, int]:
+        return {"page_items": self.page_items}

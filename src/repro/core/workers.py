@@ -169,10 +169,15 @@ def run_worker_session(
             elif op == "round":
                 # the one round loop, over this slice; its _exchange hook
                 # is where the slice meets its peers
+                sent, recv = net.packets_sent, net.packets_received
                 payload = {
                     "step": eng._execute_round(program, cmd[1], rngs),
                     "pending": eng._pending_messages(),
                     "events": tracer.drain() if tracer else [],
+                }
+                payload["packets"] = {
+                    "sent": net.packets_sent - sent,
+                    "recv": net.packets_received - recv,
                 }
                 reply("round", payload)
             elif op == "finish":
@@ -183,10 +188,6 @@ def run_worker_session(
                 payload = {
                     "outputs": outputs,
                     **eng._final_stats(),
-                    "transport": {
-                        "sent": net.packets_sent,
-                        "recv": net.packets_received,
-                    },
                     "events": tracer.drain() if tracer else [],
                 }
                 reply("final", payload)
@@ -211,8 +212,7 @@ def run_worker_session(
     finally:
         # nobody else will: a forked child leaves through os._exit and a
         # node daemon lives on, so an mmap arena's spill dir would outlast
-        # the session (the tracer's on_grow hook makes an array<->arena
-        # cycle that refcounting alone never frees)
+        # the session
         for array in eng.arrays.values():
             array.close()
 
@@ -392,11 +392,8 @@ class ProcessParEngine(Engine):
         balanced: bool = False,
         validate: bool = True,
         tracer=None,
-        metrics=None,
     ) -> None:
-        super().__init__(
-            cfg, balanced=balanced, validate=validate, tracer=tracer, metrics=metrics
-        )
+        super().__init__(cfg, balanced=balanced, validate=validate, tracer=tracer)
         self.n_workers = max(1, min(cfg.workers or cfg.p, cfg.p))
         self._fleet = None
         self._pending = False
@@ -421,6 +418,8 @@ class ProcessParEngine(Engine):
             # one fleet per run: crash recovery stops and starts it again
             self._fleet = make_fleet(self._rt, self.n_workers)
         self._fleet.start(session)
+        #: relayed bytes per node so far; the fleet's counters restart with it
+        self._bytes_seen: dict[str, int] = {}
         if self.tracer.enabled and self._fleet.kind == "tcp":
             self.tracer.emit(
                 "transport_connect",
@@ -529,7 +528,26 @@ class ProcessParEngine(Engine):
                 self.tracer, payload["events"], worker=w,
                 **self._fleet.event_tags(w),
             )
+        if self.tracer.enabled:
+            step.transport = self._round_traffic(results)
         return step
+
+    def _round_traffic(self, results: dict[int, Any]) -> dict[str, Any]:
+        """The round's packets per worker node (the workers' counts) and
+        relayed bytes per destination node (the fleet's).  A worker's
+        packets precede its round reply on the reader thread that relays
+        them, so with every reply in, every relay of the round is counted."""
+        fleet = self._fleet
+        packets: dict[str, dict[str, int]] = {}
+        for w in sorted(results):
+            node = packets.setdefault(fleet.node_label(w), {"sent": 0, "recv": 0})
+            for direction, n in results[w]["packets"].items():
+                node[direction] += n
+        nbytes: dict[str, int] = {}
+        for node, s in fleet.stats().items():
+            nbytes[node] = s["bytes"] - self._bytes_seen.get(node, 0)
+            self._bytes_seen[node] = s["bytes"]
+        return {"kind": fleet.kind, "packets": packets, "bytes": nbytes}
 
     def _pending_messages(self) -> bool:
         return self._pending
@@ -583,36 +601,5 @@ class ProcessParEngine(Engine):
         return [outputs[pid] for pid in range(self.cfg.v)]
 
     def _finalize(self, report: CostReport) -> None:
-        fold_final_stats(
-            self, report, [self._finals[w] for w in sorted(self._finals)]
-        )
-        self._emit_transport_metrics()
+        fold_final_stats(report, [self._finals[w] for w in sorted(self._finals)])
 
-    def _emit_transport_metrics(self) -> None:
-        """``repro_transport_*``: per-worker packet counts and relayed
-        bytes (the fleet's relay counters), labelled by node."""
-        mx = self.metrics
-        if not mx.enabled or self._fleet is None:
-            return
-        kind = self._fleet.kind
-        packets = mx.counter(
-            "repro_transport_packets_total", "worker-exchange packets by node"
-        )
-        for w in sorted(self._finals):
-            tp = self._finals[w].get("transport")
-            if not tp:
-                continue
-            node = self._fleet.node_label(w)
-            packets.labels(transport=kind, node=node, direction="sent").inc(
-                tp["sent"]
-            )
-            packets.labels(transport=kind, node=node, direction="recv").inc(
-                tp["recv"]
-            )
-        bytes_total = mx.counter(
-            "repro_transport_bytes_total",
-            "bytes of relayed exchange frames by destination node "
-            "(host:port, or local/<w> for a forked worker)",
-        )
-        for node, s in self._fleet.stats().items():
-            bytes_total.labels(transport=kind, node=node).inc(s["bytes"])

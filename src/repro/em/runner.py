@@ -115,7 +115,10 @@ def make_engine(
     or ``overrides={"trace": ...}``) can install a live
     :class:`~repro.obs.bus.EventBus` (a true token records in memory; a
     path value streams JSON lines there) — off, the default stays the
-    zero-cost :data:`~repro.obs.bus.NULL_RECORDER`.
+    zero-cost :data:`~repro.obs.bus.NULL_RECORDER`.  A *metrics* registry
+    is attached to the run's bus (:meth:`MetricsRegistry.attach
+    <repro.obs.metrics.MetricsRegistry.attach>`), so with no tracer the run
+    records into an in-memory bus the registry folds.
     """
     prof_doc: dict | None = None
     if runtime is not None:
@@ -132,6 +135,10 @@ def make_engine(
     if tracer is None and rt.trace is not None:
         in_memory = rt.trace.lower() in ("1", "true", "yes", "on")
         tracer = EventBus(sink=None if in_memory else rt.trace)
+    if metrics is not None:
+        if tracer is None or not tracer.enabled:
+            tracer = EventBus(monitor=False)
+        metrics.attach(tracer)
     if engine is None:
         engine = default_engine(cfg.p)
     try:
@@ -161,12 +168,9 @@ def make_engine(
                 balanced=balanced,
                 validate=validate,
                 tracer=tracer,
-                metrics=metrics,
             )
     if eng is None:
-        eng = cls(
-            cfg, balanced=balanced, validate=validate, tracer=tracer, metrics=metrics
-        )
+        eng = cls(cfg, balanced=balanced, validate=validate, tracer=tracer)
     eng.runtime = rt
     if isinstance(faults, str):
         faults = FaultPlan.from_json(faults)

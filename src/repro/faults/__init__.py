@@ -12,7 +12,6 @@ from repro.faults.injector import (
     FaultStats,
     FaultyDiskArray,
     collect_fault_stats,
-    emit_fault_metrics,
 )
 from repro.faults.plan import (
     FAULT_KINDS,
@@ -35,5 +34,4 @@ __all__ = [
     "RetryPolicy",
     "ScheduledFault",
     "collect_fault_stats",
-    "emit_fault_metrics",
 ]

@@ -382,33 +382,3 @@ def collect_fault_stats(arrays) -> FaultStats | None:
             merged = FaultStats()
         merged.merge(inj.stats)
     return merged
-
-
-def emit_fault_metrics(metrics, name: str, cfg, stats: FaultStats | None) -> None:
-    """Publish fault counters to a metrics registry (no-op when disabled)."""
-    if stats is None or not metrics.enabled:
-        return
-    labels = dict(engine=name, p=cfg.p, D=cfg.D, B=cfg.B)
-    metrics.counter(
-        "repro_io_retries_total", "single-track accesses re-attempted"
-    ).labels(**labels).inc(stats.retries)
-    for kind, n in (
-        ("transient_read", stats.transient_read_faults),
-        ("transient_write", stats.transient_write_faults),
-        ("torn_write", stats.torn_writes),
-    ):
-        metrics.counter(
-            "repro_io_faults_total", "injected disk faults"
-        ).labels(**labels, kind=kind).inc(n)
-    metrics.counter(
-        "repro_disk_deaths_total", "disks declared dead"
-    ).labels(**labels).inc(stats.dead_disks)
-    metrics.counter(
-        "repro_degraded_ios_total", "parallel I/Os served by remapped survivors"
-    ).labels(**labels).inc(stats.degraded_ios)
-    metrics.counter(
-        "repro_lost_width_total", "disk-parallelism width lost to remapping"
-    ).labels(**labels).inc(stats.lost_width)
-    metrics.counter(
-        "repro_migrated_blocks_total", "blocks evacuated from dead disks"
-    ).labels(**labels).inc(stats.migrated_blocks)

@@ -26,9 +26,12 @@ This package makes those claims observable:
   :class:`repro.cgm.metrics.CostReport` against the Theorem 2/3 cost
   predictions derived from the :class:`repro.cgm.config.MachineConfig`.
 * :mod:`repro.obs.metrics` — a labeled metrics registry (counters,
-  gauges, timers, high-water marks) every engine run folds its accounting
-  into; exports Prometheus text and JSON snapshots.  The
-  :data:`~repro.obs.metrics.NULL_REGISTRY` default is a zero-cost no-op.
+  gauges, timers, high-water marks).  It is a fold over the bus, not a
+  second sink: :meth:`~repro.obs.metrics.MetricsRegistry.attach` adds one
+  listener that turns each run's ``superstep_end``, ``fault_stats`` and
+  ``run_end`` events into series; exports Prometheus text and JSON
+  snapshots.  Engines take
+  no registry.
 * :mod:`repro.obs.analyze` — per-superstep aggregation of a recorded
   trace (context vs. message blocks, width distribution, compute/I/O/
   network split, critical-path processor) with measured-vs-predicted
@@ -52,14 +55,10 @@ Prometheus ``/metrics``, per-job SSE ``/jobs/<id>/events`` and
 
 from repro.obs.bus import NULL_RECORDER, EventBus, NullRecorder, Subscription
 from repro.obs.chrome import to_chrome_events, write_chrome_trace
-from repro.obs.metrics import (
-    NULL_REGISTRY,
-    MetricsRegistry,
-    NullRegistry,
-)
+from repro.obs.metrics import MetricsRegistry
 
 # costcheck/histograms/analyze/bench_store/conformance pull in the engine
-# stack; the engines import repro.obs.{bus,metrics} — import these
+# stack; the engines import repro.obs.bus — import these
 # lazily to keep the package cycle-free.  live is lazy to keep the urllib
 # machinery out of engine runs that never read a stream.
 _LAZY = {
@@ -94,8 +93,6 @@ __all__ = [
     "NullRecorder",
     "NULL_RECORDER",
     "MetricsRegistry",
-    "NullRegistry",
-    "NULL_REGISTRY",
     "to_chrome_events",
     "write_chrome_trace",
     "DiskHistograms",

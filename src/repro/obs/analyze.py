@@ -559,22 +559,11 @@ def _attach_predictions(out: TraceAnalysis) -> None:
     """Per-superstep Theorem 2/3 envelopes, when the trace names an EM run."""
     if not out.is_em:
         return
-    mach = out.machine
-    if not all(isinstance(mach.get(k), int) for k in ("N", "v", "p", "D", "B")):
-        return
-    from repro.cgm.config import MachineConfig
-    from repro.obs.costcheck import theorem3_predicted_ios
+    from repro.obs.costcheck import superstep_io_budget
 
-    try:
-        cfg = MachineConfig(
-            N=mach["N"], v=mach["v"], p=mach["p"], D=mach["D"], B=mach["B"],
-            M=mach.get("M"),
-        )
-    except Exception:
+    pred = superstep_io_budget(out.machine, out.balanced)
+    if pred is None:
         return  # malformed/hand-edited trace header: report without envelopes
-    # per-round prediction, summed over the p real processors because the
-    # superstep_end counters aggregate every processor's disk array
-    pred = theorem3_predicted_ios(cfg, 1, out.balanced) * cfg.p
     for row in out.rows:
         row.predicted_ios = pred
         row.io_lo = pred / out.envelope_c

@@ -6,16 +6,23 @@ kinds and their tags (all optional except ``kind``):
 ================== ======================================================
 kind               tags
 ================== ======================================================
-``run_begin``      engine, N, v, p, D, B, M, workers, balanced
+``run_begin``      engine, program, N, v, p, D, B, M, workers, balanced
 ``superstep_begin`` superstep (real-machine index), round (CGM round)
-``superstep_end``  superstep, round, parallel_ios, blocks (deltas)
+``superstep_end``  superstep, round, h_in, h_out, parallel_ios, blocks,
+                   comm_items, cross_items (deltas), width_hist, wall_s;
+                   a worker fleet adds transport (kind, packets: node ->
+                   sent/recv, bytes: node -> relayed bytes)
 ``compute_round``  pid, real, round, wall_s, done
 ``context_read``   pid, real, blocks, layout
 ``context_write``  pid, real, blocks, layout
 ``message_write``  src, dest, real, blocks, layout, parity
 ``message_read``   pid, real, blocks, layout, sources
 ``network_transfer`` src, dest, src_real, dest_real, items
-``run_end``        engine, rounds, supersteps, parallel_ios
+``run_end``        engine, rounds, supersteps, parallel_ios, cross_items,
+                   peak_memory_items, context_blocks, message_blocks,
+                   overflow_blocks, page_faults (+ page_items: the VM)
+``fault_stats``    the run's ``FaultStats`` fields, before ``run_end``,
+                   when a fault plan injected anything
 ``io_fault``       real, disk, track, op, fault, attempt
 ``disk_dead``      real, disk, op, migrated_blocks, survivors
 ``checkpoint``     round, finished, path
@@ -29,12 +36,18 @@ kind               tags
                    envelope_c
 ================== ======================================================
 
+A :class:`~repro.obs.metrics.MetricsRegistry` is a fold over these events
+(:meth:`~repro.obs.metrics.MetricsRegistry.attach`), not a second sink.
+``superstep_end`` and ``run_end`` carry counters that are equal across a
+kill and resume (``wall_s`` aside); fault statistics, which a resumed
+session cannot reproduce, ride on ``fault_stats``.
+
 ``layout`` is the disk format the blocks moved through: ``"consecutive"``
 (contexts, overflow runs), ``"staggered"`` (the Figure 2 message matrix)
 or ``"paged"`` (the VM baseline's 4 KB pager).  ``arena_grow`` is a
 *physical* event (how the disk layer serviced the logical I/O), so its
 presence depends on ``REPRO_ARENA`` — like ``io_fault``, it is excluded
-from cross-backend trace-identity comparisons.  The ``io_fault`` ..
+from cross-backend trace-identity comparisons.  The ``fault_stats`` ..
 ``worker_redispatch`` kinds come from the resilience subsystem
 (:mod:`repro.faults`); ``model_drift`` from the streaming
 :class:`~repro.obs.conformance.ConformanceMonitor`.

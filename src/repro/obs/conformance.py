@@ -33,11 +33,10 @@ _EM_ENGINES = ("seq-em", "par-em")
 class ConformanceMonitor:
     """Per-run streaming budget check; attach via ``bus.add_listener``.
 
-    The budget is ``theorem3_predicted_ios(cfg, 1, balanced) * p *
-    envelope_c``: the Theorem 2/3 per-round prediction summed over the
-    ``p`` real processors (the trace counters aggregate every
-    processor's disks), scaled by the same constant-factor envelope
-    ``repro analyze`` uses.
+    The budget is :func:`~repro.obs.costcheck.superstep_io_budget` of the
+    run header — the Theorem 2/3 per-round prediction summed over the
+    ``p`` real processors — times ``envelope_c``, the same
+    constant-factor envelope ``repro analyze`` uses.
     """
 
     def __init__(
@@ -81,18 +80,8 @@ class ConformanceMonitor:
         self.drift_events = 0
         if str(ev.get("engine")) not in _EM_ENGINES:
             return
-        if not all(isinstance(ev.get(k), int) for k in ("N", "v", "p", "D", "B")):
-            return
-        from repro.cgm.config import MachineConfig
-        from repro.obs.costcheck import theorem3_predicted_ios
+        from repro.obs.costcheck import superstep_io_budget
 
-        try:
-            cfg = MachineConfig(
-                N=ev["N"], v=ev["v"], p=ev["p"], D=ev["D"], B=ev["B"],
-                M=ev.get("M"),
-            )
-        except Exception:
-            return  # replayed/hand-edited header: observe, don't judge
-        balanced = bool(ev.get("balanced", False))
-        self.predicted_ios = theorem3_predicted_ios(cfg, 1, balanced) * cfg.p
-        self.budget = self.predicted_ios * self.envelope_c
+        self.predicted_ios = superstep_io_budget(ev, bool(ev.get("balanced", False)))
+        if self.predicted_ios is not None:
+            self.budget = self.predicted_ios * self.envelope_c

@@ -25,6 +25,7 @@ pushes measured I/O outside the envelope.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Any, Mapping
 
 from repro.cgm.config import MachineConfig
 from repro.cgm.metrics import CostReport
@@ -117,6 +118,22 @@ def theorem3_predicted_ios(
         msg_only = predicted_parallel_ios(cfg.v, cfg.p, cfg.D, cfg.B, rounds, 0, cfg.h)
         base += msg_only
     return base
+
+
+def superstep_io_budget(machine: Mapping[str, Any], balanced: bool) -> float | None:
+    """Theorem 2/3 parallel I/Os of one CGM round of the run whose
+    ``run_begin`` header gives *machine* (N, v, p, D, B, M), summed over the
+    p reals as ``superstep_end`` counts them; ``None`` for a bad header."""
+    if not all(isinstance(machine.get(k), int) for k in ("N", "v", "p", "D", "B")):
+        return None
+    try:
+        cfg = MachineConfig(
+            N=machine["N"], v=machine["v"], p=machine["p"], D=machine["D"],
+            B=machine["B"], M=machine.get("M"),
+        )
+    except Exception:
+        return None  # replayed or hand-edited header: observe, don't judge
+    return theorem3_predicted_ios(cfg, 1, balanced) * cfg.p
 
 
 def theorem3_io_envelope(

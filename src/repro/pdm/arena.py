@@ -65,10 +65,11 @@ class TrackArena:
     def __init__(self, D: int, block_bytes: int) -> None:
         self.D = D
         self.block_bytes = block_bytes
-        #: optional observer called as ``on_grow(disk, cap)`` after one
-        #: disk's track matrix grew (telemetry hook; never pickled — the
-        #: owner re-attaches it when rebuilding an arena)
-        self.on_grow: "Callable[[int, int], None] | None" = None
+        #: optional observer called as ``on_grow(arena, disk, cap)`` after
+        #: one disk's track matrix grew (telemetry hook; never pickled — the
+        #: owner re-attaches it when rebuilding an arena).  It is handed the
+        #: arena instead of holding it, so the hook closes no reference cycle
+        self.on_grow: "Callable[[TrackArena, int, int], None] | None" = None
         self._data: list[np.ndarray] = [
             np.zeros((0, block_bytes), dtype=np.uint8) for _ in range(D)
         ]
@@ -93,7 +94,7 @@ class TrackArena:
         self._used[disk] = used
         self._nbytes[disk] = nbytes
         if self.on_grow is not None:
-            self.on_grow(disk, cap)
+            self.on_grow(self, disk, cap)
 
     def _grow_data(self, disk: int, cap: int, have: int) -> None:
         """Grow one disk's track matrix to *cap* rows, preserving the

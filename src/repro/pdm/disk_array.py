@@ -34,13 +34,13 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from repro.pdm.disk import Disk
-from repro.pdm.arena import Extent
+from repro.pdm.arena import Extent, TrackArena
 from repro.pdm.block import BlockRun, Runs
 from repro.pdm.mmap_arena import make_arena
 from repro.pdm.io_stats import IOStats
@@ -189,6 +189,23 @@ def check_segments(segments: Sequence[Segment]) -> None:
             )
 
 
+def _arena_grow_event(
+    tracer: "EventBus | NullRecorder", real: int, arena: TrackArena, disk: int,
+    cap: int,
+) -> None:
+    """Arena growth hook -> one ``arena_grow`` trace event."""
+    tracer.emit(
+        "arena_grow",
+        real=real,
+        disk=disk,
+        tracks=cap,
+        nbytes=cap * arena.block_bytes,
+        resident_nbytes=arena.resident_nbytes(),
+        spill_nbytes=arena.spill_nbytes(),
+        backend="mmap" if getattr(arena, "spill_dir", None) else "ram",
+    )
+
+
 class DiskArray:
     """D simulated disks owned by one (real) processor."""
 
@@ -209,28 +226,14 @@ class DiskArray:
         self._real = int(real)
         self._arena = make_arena(D, self.block_bytes, runtime=runtime)
         if tracer is not None and tracer.enabled:
-            # storage telemetry: one event per growth of a disk's rows
-            self._arena.on_grow = self._record_arena_grow
+            # storage telemetry: one event per growth of a disk's rows.  The
+            # hook holds no reference to this array: an array<->arena cycle
+            # would keep a traced run's tracks alive until a cyclic collection
+            self._arena.on_grow = partial(_arena_grow_event, tracer, self._real)
         self.disks = [Disk(d, arena=self._arena) for d in range(D)]
         self.stats = IOStats(D=D)
         #: write_stream's staging rows; grows to the longest stream written
         self._stage = np.empty(0, dtype=np.uint8)
-
-    def _record_arena_grow(self, disk: int, cap: int) -> None:
-        """Arena growth callback -> one ``arena_grow`` trace event."""
-        arena, tracer = self._arena, self._tracer
-        if tracer is None:
-            return
-        tracer.emit(
-            "arena_grow",
-            real=self._real,
-            disk=disk,
-            tracks=cap,
-            nbytes=cap * self.block_bytes,
-            resident_nbytes=arena.resident_nbytes(),
-            spill_nbytes=arena.spill_nbytes(),
-            backend="mmap" if getattr(arena, "spill_dir", None) else "ram",
-        )
 
     # -- core operation ----------------------------------------------------
 

@@ -36,7 +36,7 @@ import numpy as np
 from repro.em.runner import OPS, make_engine, output_sha256
 from repro.faults.checkpoint import CheckpointManager
 from repro.obs.bus import EventBus
-from repro.obs.metrics import MetricsRegistry, ScopedRegistry
+from repro.obs.metrics import MetricsRegistry
 from repro.service.cache import ResultCache
 from repro.service.jobs import (
     CANCELLED,
@@ -79,7 +79,6 @@ def _counters(report: Any) -> dict[str, Any]:
 def execute_spec(
     spec: JobSpec,
     tracer: EventBus | None = None,
-    metrics: MetricsRegistry | None = None,
     checkpoint: CheckpointManager | str | None = None,
     resume: bool = False,
     preempt: Callable[[], bool] | None = None,
@@ -100,7 +99,6 @@ def execute_spec(
         spec.resolved_engine(),
         spec.balanced,
         tracer=tracer,
-        metrics=metrics,
         faults=spec.fault_plan(),
         checkpoint=checkpoint,
         resume=resume,
@@ -237,17 +235,17 @@ class WorkerPool:
             if cached is not None:
                 job.result = cached
                 job.cache = "hit"
-                if self.registry.enabled:
-                    self.registry.counter(
-                        "repro_service_cache_hits_total",
-                        "jobs served from the result cache",
-                    ).labels(tenant=job.spec.tenant).inc()
+                self.registry.counter(
+                    "repro_service_cache_hits_total",
+                    "jobs served from the result cache",
+                ).labels(tenant=job.spec.tenant).inc()
                 job.set_state(DONE)
                 self._terminal(job)
                 return
         job.set_state(RUNNING)
         job.attempts += 1
-        scoped = ScopedRegistry(self.registry, tenant=job.spec.tenant, job=job.id)
+        # a requeued job keeps its bus, and the attach its one listener
+        self.registry.attach(job.bus, tenant=job.spec.tenant, job=job.id)
         manager = CheckpointManager(job.ckpt_dir, keep=2)
         stop = self._stop
 
@@ -258,7 +256,6 @@ class WorkerPool:
             doc = execute_spec(
                 job.spec,
                 tracer=job.bus,
-                metrics=scoped,
                 checkpoint=manager,
                 resume=job.resume,
                 preempt=probe,

@@ -109,12 +109,9 @@ class ServiceCore:
     # -- metrics helpers -----------------------------------------------------
 
     def _counter(self, name: str, help: str, **labels: Any) -> None:
-        if self.registry.enabled:
-            self.registry.counter(name, help).labels(**labels).inc()
+        self.registry.counter(name, help).labels(**labels).inc()
 
     def _refresh_gauges(self) -> None:
-        if not self.registry.enabled:
-            return
         self.registry.gauge(
             "repro_service_queue_depth", "jobs waiting for a worker"
         ).labels().set(self.queue.depth)
@@ -229,7 +226,7 @@ class ServiceCore:
             "repro_service_jobs_total", "jobs by terminal state",
             tenant=job.spec.tenant, state=job.state,
         )
-        if self.registry.enabled and job.finished_s is not None:
+        if job.finished_s is not None:
             self.registry.timer(
                 "repro_service_job_seconds", "submit-to-terminal latency"
             ).labels(tenant=job.spec.tenant).observe(

@@ -313,9 +313,7 @@ class _BoomInRoundOne(_Boom):
 class TestSpillDirs:
     """Worker sessions close their arenas on every exit path: a forked
     child leaves through ``os._exit``, so nothing else would delete an
-    mmap arena's spill dir — and with a tracer attached the arena's
-    ``on_grow`` hook makes an array<->arena cycle, so refcounting alone
-    never would either."""
+    mmap arena's spill dir, traced or not."""
 
     def _runtime(self, spill_dir):
         return RuntimeConfig.resolve(
@@ -455,7 +453,7 @@ def _run_slices(program, inputs, cfg, plan, balanced):
                 r += 1
         outputs = [out for e in engines for out in e._collect_outputs(program)]
         report = CostReport(engine="par-em")
-        fold_final_stats(engines[0], report, [e._final_stats() for e in engines])
+        fold_final_stats(report, [e._final_stats() for e in engines])
     finally:
         for e in engines:
             for array in e.arrays.values():

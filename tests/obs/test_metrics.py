@@ -1,4 +1,4 @@
-"""The metrics registry: series kinds, exporters, and the null default."""
+"""The metrics registry: series kinds, exporters, and the engine fold."""
 
 from __future__ import annotations
 
@@ -10,11 +10,7 @@ import pytest
 
 from repro.cgm.config import MachineConfig
 from repro.em.runner import em_sort
-from repro.obs.metrics import (
-    NULL_REGISTRY,
-    MetricsRegistry,
-    NullRegistry,
-)
+from repro.obs.metrics import MetricsRegistry
 
 
 class TestSeriesKinds:
@@ -131,32 +127,23 @@ class TestExport:
         assert json.loads(jpath.read_text())["repro_ios_total"]["kind"] == "counter"
         assert "# TYPE repro_ios_total counter" in ppath.read_text()
 
+    def test_prometheus_prints_counts_exactly(self):
+        reg = MetricsRegistry()
+        reg.counter("repro_blocks_total").labels().inc(1_234_567)
+        reg.counter("repro_parallel_ios_total").labels().inc(1048747)
+        t = reg.timer("repro_compute_seconds").labels()
+        t.observe(0.1)
+        t.observe(1234.000123456789)
+        lines = reg.render_prometheus().splitlines()
+        assert "repro_blocks_total 1234567" in lines
+        assert "repro_parallel_ios_total 1048747" in lines
+        assert f"repro_compute_seconds_sum {t.value!r}" in lines
+        assert float(lines[-2].split()[-1]) == t.value
+
     def test_write_file_object(self):
         buf = io.StringIO()
         self._populated().write(buf)
         assert "repro_ios_total" in buf.getvalue()
-
-
-class TestNullRegistry:
-    def test_disabled_and_silent(self):
-        assert NULL_REGISTRY.enabled is False
-        assert isinstance(NULL_REGISTRY, NullRegistry)
-        # every kind/mutation is accepted and recorded nowhere
-        NULL_REGISTRY.counter("c").labels(a=1).inc(5)
-        NULL_REGISTRY.gauge("g").labels().set(3)
-        NULL_REGISTRY.timer("t").labels().observe(0.1)
-        NULL_REGISTRY.highwater("h").labels().update(9)
-        assert NULL_REGISTRY.snapshot() == {}
-        assert NULL_REGISTRY.render_prometheus() == ""
-
-
-class ExplodingRegistry(MetricsRegistry):
-    """Fails on any family access: proves call sites guard on .enabled."""
-
-    enabled = False
-
-    def _get(self, name, cls, help):  # pragma: no cover - should never run
-        raise AssertionError("metrics accessed while disabled")
 
 
 class TestEngineIntegration:
@@ -196,9 +183,3 @@ class TestEngineIntegration:
         self._sort(reg)
         self._sort(reg)
         assert reg["repro_runs_total"].series[0].value == 2
-
-    def test_disabled_metrics_never_touched(self):
-        # default engines run with NULL_REGISTRY; an ExplodingRegistry with
-        # enabled=False proves no family is created on the guarded paths.
-        _, res = self._sort(ExplodingRegistry())
-        assert res.report.io.parallel_ios > 0

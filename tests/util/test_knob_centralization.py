@@ -100,6 +100,13 @@ _SECOND_CARRIER = re.compile(
     r"|REPRO_SHM_BYTES|unlink_segment|_sweep_segments"
 )
 
+#: the engines' second telemetry sink: the null and scoped registries, the
+#: backend-specific emitters and an engine-held registry
+_SECOND_SINK = re.compile(
+    r"NULL_REGISTRY|NullRegistry|ScopedRegistry|_ScopedMetric|emit_fault_metrics"
+    r"|_emit_transport_metrics|self\.metrics\b|eng\.metrics"
+)
+
 
 def _offenders(pattern: re.Pattern, skip_tune: bool) -> list[str]:
     src_root = Path(repro.__file__).resolve().parent
@@ -365,6 +372,26 @@ def test_one_local_carrier():
     )
     assert not {"_encode", "_decode", "release"} & set(dir(Transport))
     assert len(KNOBS) == 9
+
+
+def test_one_telemetry_stream_out_of_the_engines():
+    """Engines emit one stream; a metrics registry is a fold over it
+    (``MetricsRegistry.attach``), so no engine constructor takes one."""
+    import inspect
+
+    from repro.cgm.engine import Engine, InMemoryEngine
+    from repro.core.par_engine import ParEMEngine, SeqEMEngine
+    from repro.core.vm_engine import VMEngine
+    from repro.core.workers import ProcessParEngine
+
+    offenders = _offenders(_SECOND_SINK, skip_tune=False)
+    assert not offenders, (
+        "engines emit one telemetry stream; metrics are a fold over the "
+        "bus:\n" + "\n".join(offenders)
+    )
+    for cls in (Engine, InMemoryEngine, ParEMEngine, SeqEMEngine, VMEngine,
+                ProcessParEngine):
+        assert "metrics" not in inspect.signature(cls).parameters, cls
 
 
 def test_no_raw_repro_environ_access_outside_tune():
