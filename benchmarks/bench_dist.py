@@ -9,9 +9,10 @@ to CI):
   sorted bytes and the same IOStats dict whether the exchange rides the
   in-process memory transport or a real socket pair.  The network moves
   bytes, never logical cost.
-* **accounted traffic** — the coordinator's relay counters see every
-  exchanged packet; the wire byte count is reported alongside wall time
-  so nightly artifacts track framing overhead over time.
+* **accounted traffic** — every session counts the packet frames it
+  receives (``repro_transport_bytes_total``); the wire byte count is
+  reported alongside wall time so nightly artifacts track framing
+  overhead over time.
 
 Nodes come from ``REPRO_NODES`` when the workflow started real
 ``repro node`` daemons (the nightly 2-node step); otherwise the module
@@ -19,7 +20,7 @@ hosts two in-process :class:`~repro.core.transport.node.NodeServer`
 threads so ``pytest benchmarks/`` works standalone.  ``REPRO_SCALE``
 multiplies the fig5 ceiling (default 2 -> N = 2^17).
 
-``BENCH_dist.json`` records I/O counts, wall time and relayed bytes; it
+``BENCH_dist.json`` records I/O counts, wall time and packet bytes; it
 is deliberately *not* a committed baseline — wall time and wire bytes
 are machine- and transport-buffer-dependent, so gating would be noise.
 """
@@ -35,6 +36,7 @@ from repro.algorithms.collectives import partition_array
 from repro.algorithms.sorting import SampleSort
 from repro.cgm.config import MachineConfig
 from repro.em.runner import make_engine
+from repro.obs.metrics import MetricsRegistry
 from repro.tune.runtime import RuntimeConfig
 from repro.util.rng import make_rng
 
@@ -70,19 +72,24 @@ def _node_list():
 
 
 def _run_sort(cfg: MachineConfig, data: np.ndarray, rt: RuntimeConfig) -> dict:
-    eng = make_engine(cfg, "par", runtime=rt)
+    registry = MetricsRegistry()
+    eng = make_engine(cfg, "par", runtime=rt, metrics=registry)
     t0 = time.perf_counter()
     res = eng.run(SampleSort(), partition_array(data, cfg.v))
     wall = time.perf_counter() - t0
-    relayed = getattr(eng, "_fleet", None)
-    stats = relayed.stats() if relayed is not None else {}
+    received = {
+        s["labels"]["node"]: s["value"]
+        for s in registry.snapshot()
+        .get("repro_transport_bytes_total", {})
+        .get("series", [])
+    }
     return {
         "values": np.concatenate(res.outputs),
         "io": res.report.io.as_dict(),
         "report": res.report,
         "wall_s": wall,
-        "wire_bytes": sum(s["bytes"] for s in stats.values()),
-        "nodes": sorted(stats),
+        "wire_bytes": sum(received.values()),
+        "nodes": sorted(received),
     }
 
 

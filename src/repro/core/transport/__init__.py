@@ -1,14 +1,13 @@
 """The worker exchange of the multi-process backend: one session
-protocol (:func:`repro.core.workers.serve_session` on a socket, relayed
-by the coordinator's :class:`~repro.core.transport.tcp.Fleet`), opened
-two ways.
+protocol (:func:`repro.core.workers.serve_session` on a socket to the
+coordinator's :class:`~repro.core.transport.tcp.Fleet`), opened two ways.
 
 ``REPRO_TRANSPORT`` selects how the sockets are opened: ``memory``
-(forked workers on socketpairs, the default; ``shm`` is another spelling
-of it) or ``tcp`` (``repro node`` daemons on ``REPRO_NODES``, spanning
-machines).  Every packet rides its frame on either, under the same
-one-per-peer-per-phase barrier, so logical cost counters are
-bit-identical across them.
+(forked workers on socketpairs, packets peer to peer, the default;
+``shm`` is another spelling of it) or ``tcp`` (``repro node`` daemons on
+``REPRO_NODES``, packets relayed).  Every packet rides its frame on
+either, under the same one-per-peer-per-phase barrier, so logical cost
+counters are bit-identical across them.
 """
 
 from repro.core.transport.base import (

@@ -13,15 +13,20 @@ protocol; the simulator runs one implementation,
 slices over a queue-backed stand-in built on the same primitives.
 
 Wire format of a session socket (both directions, socketpair or TCP): a
-12-byte header ``>4sII`` of magic ``RPTP``, CRC-32 of the payload, and
-payload length, then the pickled payload — :func:`send_frame` /
-:func:`recv_frame`, the only two functions under ``repro.core`` that
-pickle.
+12-byte header ``>4sII`` of magic ``RPT2``, CRC-32 of the payload, and
+payload length, then the payload: an index of little-endian u64 words
+(buffer count *k*, pickle-stream length, *k* buffer lengths), the
+protocol-5 pickle stream, and the *k* out-of-band buffers (arrays,
+``BlockRun`` payloads), every piece zero-padded to 8 bytes so each
+buffer comes back as an aligned view of the one received payload —
+:func:`send_frame` / :func:`recv_frame`, the only two functions under
+``repro.core`` that pickle.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
 import pickle
 import socket
 import struct
@@ -33,8 +38,10 @@ from repro.util.validation import ConfigurationError, SimulationError
 #: seconds the coordinator waits for a reply between liveness checks.
 POLL_S = 0.25
 
-_MAGIC = b"RPTP"
+_MAGIC = b"RPT2"
 _HEADER = struct.Struct(">4sII")
+_PAD = memoryview(bytes(8))
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
 #: refuse absurd frame lengths before allocating (corrupt/foreign peer).
 MAX_FRAME_BYTES = 1 << 31
 _UNLOCKED = contextlib.nullcontext()
@@ -102,26 +109,41 @@ def require_nodes(nodes: "str | None") -> list[tuple[str, int]]:
 def send_frame(sock: socket.socket, obj: Any, lock=None) -> int:
     """Pickle *obj*, frame it, write it; returns bytes on the wire.
 
-    Header and payload go out as one gather write (no concatenated
-    copy of a multi-megabyte payload); *lock* serializes the writers of
-    one socket so frames never interleave.  A payload over
-    :data:`MAX_FRAME_BYTES`, which every receiver refuses, raises
-    :class:`TransportError` before a byte is written.
+    Arrays and ``BlockRun`` payloads leave as their own buffers, never
+    copied into the pickle stream; header, index, stream and buffers go
+    out as gather writes of at most ``IOV_MAX`` pieces.  *lock*
+    serializes the writers of one socket so frames never interleave.  A
+    payload over :data:`MAX_FRAME_BYTES`, which every receiver refuses,
+    raises :class:`TransportError` before a byte is written.
     """
-    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    if len(payload) > MAX_FRAME_BYTES:
+    bufs: list = []
+    meta = pickle.dumps(obj, protocol=5, buffer_callback=bufs.append)
+    pieces = [memoryview(meta)] + [b.raw() for b in bufs]
+    sizes = [p.nbytes for p in pieces]
+    iov = [memoryview(struct.pack(f"<{len(sizes) + 1}Q", len(bufs), *sizes))]
+    for piece in pieces:
+        iov.append(piece)
+        if piece.nbytes % 8:
+            iov.append(_PAD[: -piece.nbytes % 8])
+    length = sum(v.nbytes for v in iov)
+    if length > MAX_FRAME_BYTES:
         raise TransportError(
-            f"frame length {len(payload)} exceeds the {MAX_FRAME_BYTES}-byte bound"
+            f"frame length {length} exceeds the {MAX_FRAME_BYTES}-byte bound"
         )
-    header = _HEADER.pack(_MAGIC, zlib.crc32(payload) & 0xFFFFFFFF, len(payload))
+    crc = 0
+    for v in iov:
+        crc = zlib.crc32(v, crc)
+    iov.insert(0, memoryview(_HEADER.pack(_MAGIC, crc, length)))
     with lock or _UNLOCKED:
-        sent = sock.sendmsg([header, payload])
-        if sent < len(header):  # pragma: no cover - a 12-byte short write
-            sock.sendall(header[sent:])
-            sent = len(header)
-        if sent < len(header) + len(payload):
-            sock.sendall(memoryview(payload)[sent - len(header) :])
-    return len(header) + len(payload)
+        i = 0
+        while i < len(iov):
+            sent = sock.sendmsg(iov[i : i + _IOV_MAX])
+            while i < len(iov) and sent >= iov[i].nbytes:
+                sent -= iov[i].nbytes
+                i += 1
+            if sent:
+                iov[i] = iov[i][sent:]
+    return _HEADER.size + length
 
 
 def _recv_exact(sock: socket.socket, n: int, what: str) -> bytearray:
@@ -139,24 +161,39 @@ def _recv_exact(sock: socket.socket, n: int, what: str) -> bytearray:
     return buf
 
 
-def recv_frame(sock: socket.socket, max_bytes: int = MAX_FRAME_BYTES) -> Any:
-    """One framed object off the socket; validates magic, length (at most
-    *max_bytes*, checked before anything is allocated) and checksum."""
+def recv_frame(
+    sock: socket.socket, max_bytes: int = MAX_FRAME_BYTES, sized: bool = False
+) -> Any:
+    """One framed object off the socket (with its bytes on the wire if
+    *sized*); validates length (at most *max_bytes*, checked before
+    anything is allocated), magic, checksum and index.  Every buffer the
+    object holds is a view of the one payload this read allocates."""
     magic, crc, length = _HEADER.unpack(
         _recv_exact(sock, _HEADER.size, "a frame header")
     )
-    if magic != _MAGIC:
-        raise TransportError(
-            f"bad frame magic {magic!r} (not a repro transport peer?)"
-        )
     if length > max_bytes:
         raise TransportError(
             f"frame length {length} exceeds the {max_bytes}-byte bound"
         )
+    if magic != _MAGIC:
+        raise TransportError(
+            f"bad frame magic {magic!r}, want {_MAGIC!r} "
+            "(not a repro transport peer, or another release)"
+        )
     payload = _recv_exact(sock, length, f"a {length}-byte frame payload")
     if zlib.crc32(payload) & 0xFFFFFFFF != crc:
         raise TransportError("frame checksum mismatch (corrupt stream)")
-    return pickle.loads(payload)
+    count = struct.unpack_from("<Q", payload)[0] if length >= 16 else None
+    if count is None or count > length // 8 - 2:
+        raise TransportError(f"frame index does not fit its {length}-byte payload")
+    view, pos, pieces = memoryview(payload), 8 * (count + 2), []
+    for size in struct.unpack_from(f"<{count + 1}Q", payload, 8):
+        if pos + size > length:
+            raise TransportError(f"frame index does not fit its {length}-byte payload")
+        pieces.append(view[pos : pos + size])
+        pos += size + (-size % 8)
+    obj = pickle.loads(pieces[0], buffers=pieces[1:])
+    return (obj, _HEADER.size + length) if sized else obj
 
 
 class Transport:

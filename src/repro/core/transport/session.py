@@ -1,10 +1,11 @@
-"""The worker end of a session: one socket to the coordinator.
+"""The worker end of a session: one socket to the coordinator, and on a
+forked fleet one socket per peer.
 
-Every packet of :class:`SessionTransport` leaves as a ``("pkt", dest,
-...)`` frame for the coordinator to relay and arrives on the inbox the
-session's socket reader feeds — on a socketpair end or a TCP connection
-alike.  A packet's bulk payloads ride inside its frame: there is one
-local carrier, so nothing outlives the socket that carried it.
+A packet of :class:`SessionTransport` leaves as a ``("pkt", r, phase,
+src, wire)`` frame on its destination's socket (a forked fleet's mesh),
+or as a ``("pkt", dest, ...)`` frame for the coordinator to relay (tcp),
+and arrives on the inbox the session's socket readers feed.  Its bulk
+payloads ride inside the frame, so nothing outlives the socket.
 """
 
 from __future__ import annotations
@@ -18,28 +19,38 @@ from repro.core.transport.base import (
 
 
 class SessionTransport(Transport):
-    """One socket to the coordinator.
+    """One socket to the coordinator, plus *peers* (``{worker: socket}``).
 
-    *inbox* is fed by the session's socket reader (which demultiplexes
-    packet frames from command frames, and posts ``None`` at EOF).
+    *inbox* is fed by the session's socket readers with ``(packet,
+    frame bytes)`` pairs, and ``None`` when a socket ends; the bytes of
+    the packet frames taken off it are counted in ``bytes_received``.
     """
 
-    def __init__(self, worker_id: int, sock, wlock, inbox) -> None:
+    def __init__(self, worker_id: int, sock, wlock, inbox, peers: dict) -> None:
         super().__init__(worker_id)
         self.sock = sock
         self.wlock = wlock
         self.inbox = inbox
+        self.peers = peers
+        self.bytes_received = 0
 
     def send_packet(self, dest: int, r: int, phase: int, wire: list) -> None:
+        peer = self.peers.get(dest)
         try:
-            send_frame(
-                self.sock, ("pkt", dest, r, phase, self.worker_id, wire), self.wlock
-            )
+            if peer is None:
+                frame = ("pkt", dest, r, phase, self.worker_id, wire)
+                send_frame(self.sock, frame, self.wlock)
+            else:
+                send_frame(peer, ("pkt", r, phase, self.worker_id, wire))
         except OSError as exc:
+            if peer is not None:  # a dead peer: the coordinator sees a crash
+                raise TransportAbort(f"worker {dest} hung up: {exc}") from None
             raise TransportError(f"packet send to worker {dest} failed: {exc}")
 
     def recv_packet(self, what: str) -> tuple:
-        pkt = self.inbox.get()
-        if pkt is None:
-            raise TransportAbort(f"coordinator hung up while waiting for {what}")
+        got = self.inbox.get()
+        if got is None:
+            raise TransportAbort(f"a session socket closed while waiting for {what}")
+        pkt, nbytes = got
+        self.bytes_received += nbytes
         return pkt

@@ -1,13 +1,14 @@
 """The coordinator end of the worker sessions: one fleet, opened two ways.
 
-Topology is a star: the coordinator holds one socket per worker session,
-and a packet from worker *i* to worker *j* travels ``i -> coordinator ->
-j``.  The relay adds a hop but changes nothing the simulation can
-observe (DESIGN.md §12 gives the argument).  :class:`Fleet` is that
-coordinator end; what differs between fleets is only how a session's
-socket is opened: :class:`TcpFleet` (here) dials a ``repro node`` daemon
-and shakes hands, :class:`repro.core.workers.LocalFleet` forks a child
-onto one end of a ``socket.socketpair()``.
+The coordinator holds one socket per worker session.  :class:`Fleet` is
+that end; what differs between fleets is only how a session's socket is
+opened: :class:`TcpFleet` (here) dials a ``repro node`` daemon and shakes
+hands, :class:`repro.core.workers.LocalFleet` forks a child onto one end
+of a ``socket.socketpair()``.  Forked workers also get one socketpair per
+pair of workers and exchange packets on it directly (a mesh); tcp
+workers have no such path, so a packet from worker *i* to worker *j*
+travels ``i -> coordinator -> j`` (a star).  The relay adds a hop but
+changes nothing the simulation can observe (DESIGN.md §12).
 
 Frames on a session socket (:func:`~repro.core.transport.base.send_frame`)::
 
@@ -16,7 +17,7 @@ Frames on a session socket (:func:`~repro.core.transport.base.send_frame`)::
     ("cmd", command_tuple)                                      C -> W
     ("result", worker_id, kind, payload)                        W -> C
     ("pkt", dest, r, phase, src, wire)                          W -> C
-    ("pkt", r, phase, src, wire)                                C -> W
+    ("pkt", r, phase, src, wire)                     C -> W, W -> W
 
 The first two are the node handshake (a forked worker inherits its
 session instead).  It ships the coordinator's frozen per-run
@@ -37,7 +38,7 @@ from repro.core.transport.base import TransportError, recv_frame, send_frame
 from repro.util.validation import ConfigurationError
 
 #: bumped whenever a frame or handshake shape changes incompatibly.
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 
 #: connect retry policy (tests shrink these via monkeypatch).
 CONNECT_RETRIES = 6
@@ -95,7 +96,7 @@ def hang_up(sock: socket.socket) -> None:
 
 
 class _Conn:
-    """Coordinator-side state for one session: socket, writer lock, counters."""
+    """Coordinator-side state for one session: socket, writer lock, liveness."""
 
     def __init__(self, worker_id: int, label: str) -> None:
         self.worker_id = worker_id
@@ -103,8 +104,6 @@ class _Conn:
         self.sock: socket.socket | None = None
         self.wlock = threading.Lock()
         self.alive = False
-        self.packets = 0  # packet frames relayed *to* this worker
-        self.bytes = 0  # bytes of those frames
 
     def close(self) -> None:
         sock, self.sock, self.alive = self.sock, None, False
@@ -117,9 +116,10 @@ class Fleet:
 
     :meth:`start` opens every session socket (:meth:`_open`, the one
     thing a subclass must supply), then starts one reader thread per
-    session that funnels result frames into one queue and relays peer
-    packets.  A packet frame carries its payloads, so nothing a session
-    sent outlives the sockets.
+    session that funnels result frames into one queue and relays the
+    packets of workers with no direct path to their peers.  A packet
+    frame carries its payloads, so nothing a session sent outlives the
+    sockets.
     """
 
     #: the ``transport`` knob value this fleet serves (metrics label)
@@ -151,7 +151,6 @@ class Fleet:
         # forks must not do so from a process that already runs threads
         for conn in self._conns:
             conn.alive = True
-            conn.packets = conn.bytes = 0
             t = threading.Thread(
                 target=self._reader, args=(conn,), daemon=True,
                 name=f"repro-fleet-reader-{conn.worker_id}",
@@ -176,21 +175,16 @@ class Fleet:
         except (TransportError, OSError):
             conn.alive = False
 
-    def _write(self, conn: _Conn, frame: tuple) -> int:
+    def _write(self, conn: _Conn, frame: tuple) -> None:
         try:
-            return send_frame(conn.sock, frame, conn.wlock)
+            send_frame(conn.sock, frame, conn.wlock)
         except (OSError, AttributeError):
             # hung up (no socket) or the worker died; the latter surfaces
             # as WorkerCrashed in the coordinator's _gather
             conn.alive = False
-            return 0
 
     def _relay(self, dest: int, pkt: tuple) -> None:
-        dc = self._conns[dest]
-        n = self._write(dc, ("pkt",) + pkt)
-        if n:
-            dc.packets += 1
-            dc.bytes += n
+        self._write(self._conns[dest], ("pkt",) + pkt)
 
     # ------------------------------------------------------------- commands
 
@@ -235,13 +229,6 @@ class Fleet:
     def event_tags(self, w: int) -> dict[str, Any]:
         """Extra fields for worker *w*'s replayed trace events."""
         return {}
-
-    def stats(self) -> dict[str, dict[str, int]]:
-        """Per-worker relay traffic: packet frames and bytes sent to it."""
-        return {
-            conn.label: {"packets": conn.packets, "bytes": conn.bytes}
-            for conn in self._conns
-        }
 
 
 class TcpFleet(Fleet):

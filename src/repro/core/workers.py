@@ -49,12 +49,14 @@ an accepted TCP connection after the handshake
 is one class (:class:`~repro.core.transport.tcp.Fleet`) either way — so
 checkpoints, fault recovery and every logical counter cannot depend on
 the ``REPRO_TRANSPORT`` spelling: ``memory`` (also spelled ``shm``) is
-the local fleet, ``tcp`` the remote.  There is one local carrier: every
-packet, bulk payloads included, rides its frame through the relay.
+the local fleet, ``tcp`` the remote.  Every packet, bulk payloads
+included, rides its frame: a forked worker's straight to its peer on
+their own socketpair, a tcp worker's through the coordinator's relay.
 """
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing as mp
 import os
 import queue
@@ -72,7 +74,6 @@ from repro.cgm.program import CGMProgram
 from repro.core.par_engine import ParEMEngine, fold_final_stats
 from repro.core.transport.base import (
     POLL_S,
-    Transport,
     TransportAbort,
     TransportError,
     recv_frame,
@@ -121,7 +122,7 @@ def run_worker_session(
     session: dict[str, Any],
     cmd_get,
     reply,
-    net: Transport,
+    net: SessionTransport,
 ) -> None:
     """One worker's command loop (called by :func:`serve_session` only).
 
@@ -129,7 +130,7 @@ def run_worker_session(
     ``("snapshot",)``, ``("restore", backend, rng_states)``, ``("stop",)``.
     *cmd_get* blocks for the next coordinator command, *reply(kind,
     payload)* ships a result back, and *net* is this worker's
-    :class:`~repro.core.transport.base.Transport`.
+    :class:`~repro.core.transport.session.SessionTransport`.
 
     ``session["runtime"]`` is the coordinator's per-run
     :class:`~repro.tune.runtime.RuntimeConfig` snapshot — workers never
@@ -170,6 +171,7 @@ def run_worker_session(
                 # the one round loop, over this slice; its _exchange hook
                 # is where the slice meets its peers
                 sent, recv = net.packets_sent, net.packets_received
+                nbytes = net.bytes_received
                 payload = {
                     "step": eng._execute_round(program, cmd[1], rngs),
                     "pending": eng._pending_messages(),
@@ -179,6 +181,7 @@ def run_worker_session(
                     "sent": net.packets_sent - sent,
                     "recv": net.packets_received - recv,
                 }
+                payload["bytes"] = net.bytes_received - nbytes
                 reply("round", payload)
             elif op == "finish":
                 outputs = {
@@ -218,35 +221,38 @@ def run_worker_session(
 
 
 def serve_session(
-    sock: socket.socket, worker_id: int, session: dict[str, Any]
+    sock: socket.socket, worker_id: int, session: dict[str, Any], peers=None
 ) -> None:
     """Be worker *worker_id* of *session* on *sock* until told to stop.
 
-    A reader thread splits the coordinator's frames into commands and
-    peer packets; the command loop answers with ``("result", ...)``
-    frames and exchanges through the one
-    :class:`~repro.core.transport.session.SessionTransport`.  EOF on the
-    socket — the coordinator (or the hosting daemon) hanging up — ends
-    the session wherever it waits; any other failure is reported as an
-    ``("error", traceback)`` result.  The socket is closed on every path.
+    One reader thread per socket (*sock*, and each of a forked worker's
+    *peers*, ``{worker: socket}``) splits frames into commands and
+    packets; the command loop answers with ``("result", ...)`` frames and
+    exchanges through the one
+    :class:`~repro.core.transport.session.SessionTransport`.  EOF on
+    *sock* ends the session wherever it waits, EOF on a peer socket once
+    it waits for a packet, and neither replies — a dead peer reads as a
+    crash.  Any other failure is reported as an ``("error", traceback)``
+    result.  Every socket is closed on every path.
     """
+    peers = peers or {}
     wlock = threading.Lock()
     cmd_q: queue.Queue = queue.Queue()
     inbox: queue.Queue = queue.Queue()
 
-    def read_loop() -> None:
+    def read_loop(conn: socket.socket, ends: tuple) -> None:
         try:
             while True:
-                frame = recv_frame(sock)
+                frame, nbytes = recv_frame(conn, sized=True)
                 if frame[0] == "cmd":
                     cmd_q.put(frame[1])
                 elif frame[0] == "pkt":
-                    inbox.put(frame[1:])
+                    inbox.put((frame[1:], nbytes))
         except (TransportError, OSError):
             pass
         finally:
-            cmd_q.put(None)
-            inbox.put(None)
+            for q in ends:
+                q.put(None)
 
     def next_command() -> tuple:
         cmd = cmd_q.get()
@@ -254,10 +260,14 @@ def serve_session(
             raise TransportAbort("coordinator hung up")
         return cmd
 
-    reader = threading.Thread(
-        target=read_loop, daemon=True, name=f"repro-session-reader-{worker_id}"
-    )
-    reader.start()
+    sources = [(sock, (cmd_q, inbox))] + [(p, (inbox,)) for p in peers.values()]
+    readers = [
+        threading.Thread(target=read_loop, args=src, daemon=True,
+                         name=f"repro-session-reader-{worker_id}")
+        for src in sources
+    ]
+    for reader in readers:
+        reader.start()
     try:
         run_worker_session(
             worker_id,
@@ -266,7 +276,7 @@ def serve_session(
             reply=lambda kind, payload: send_frame(
                 sock, ("result", worker_id, kind, payload), wlock
             ),
-            net=SessionTransport(worker_id, sock, wlock, inbox),
+            net=SessionTransport(worker_id, sock, wlock, inbox, peers),
         )
     except TransportAbort:
         pass
@@ -278,8 +288,10 @@ def serve_session(
         except (TransportError, OSError):
             pass
     finally:
-        hang_up(sock)
-        reader.join(timeout=2.0)
+        for conn in [sock, *peers.values()]:
+            hang_up(conn)
+        for reader in readers:
+            reader.join(timeout=2.0)
 
 
 #: held while a fleet creates its sockets and forks, so that no other
@@ -288,19 +300,23 @@ def serve_session(
 _FORK_LOCK = threading.Lock()
 
 
-def _forked_worker(worker_id: int, session: dict[str, Any], pairs: list) -> None:
-    """Child entry point: keep only this worker's end of its own pair."""
+def _forked_worker(
+    worker_id: int, session: dict[str, Any], pairs: list, mesh: list
+) -> None:
+    """Child entry point: keep only this worker's ends of its own pairs."""
     for w, (ours, theirs) in enumerate(pairs):
         ours.close()
         if w != worker_id:
-            theirs.close()
-    serve_session(pairs[worker_id][1], worker_id, session)
+            for end in [theirs, *mesh[w].values()]:
+                end.close()
+    serve_session(pairs[worker_id][1], worker_id, session, mesh[worker_id])
 
 
 class LocalFleet(Fleet):
     """Sessions in forked children of this process, one per worker, each
-    on one end of a ``socket.socketpair()``.  This is the one local
-    carrier: bulk payloads ride their packet frames like everything else.
+    on one end of a ``socket.socketpair()``, plus one socketpair per pair
+    of workers that carries their packet frames directly (bulk payloads
+    included), so the coordinator relays nothing.
 
     Under the mmap arena the fleet owns one spill base per start, and the
     children's spill dirs go under it: a child killed hard never removes
@@ -328,20 +344,25 @@ class LocalFleet(Fleet):
             session = {**session, "runtime": rt.replace(spill_dir=self._spill_base)}
         with _FORK_LOCK:
             pairs = [socket.socketpair() for _ in self._conns]
+            #: mesh[i][j] is worker i's end of its socketpair with worker j
+            mesh: list[dict] = [{} for _ in self._conns]
+            for i, j in itertools.combinations(range(self.n_workers), 2):
+                mesh[i][j], mesh[j][i] = socket.socketpair()
             for conn, (ours, _theirs) in zip(self._conns, pairs):
                 conn.sock = ours
             try:
                 for conn in self._conns:
                     proc = ctx.Process(
                         target=_forked_worker,
-                        args=(conn.worker_id, session, pairs),
+                        args=(conn.worker_id, session, pairs, mesh),
                         daemon=True,
                     )
                     proc.start()
                     self._procs.append(proc)
             finally:
-                for _ours, theirs in pairs:
-                    theirs.close()
+                for (_ours, theirs), ends in zip(pairs, mesh):
+                    for end in [theirs, *ends.values()]:
+                        end.close()
 
     def _reap(self) -> None:
         for proc in self._procs:
@@ -418,8 +439,6 @@ class ProcessParEngine(Engine):
             # one fleet per run: crash recovery stops and starts it again
             self._fleet = make_fleet(self._rt, self.n_workers)
         self._fleet.start(session)
-        #: relayed bytes per node so far; the fleet's counters restart with it
-        self._bytes_seen: dict[str, int] = {}
         if self.tracer.enabled and self._fleet.kind == "tcp":
             self.tracer.emit(
                 "transport_connect",
@@ -533,20 +552,17 @@ class ProcessParEngine(Engine):
         return step
 
     def _round_traffic(self, results: dict[int, Any]) -> dict[str, Any]:
-        """The round's packets per worker node (the workers' counts) and
-        relayed bytes per destination node (the fleet's).  A worker's
-        packets precede its round reply on the reader thread that relays
-        them, so with every reply in, every relay of the round is counted."""
+        """The round's packets and received packet-frame bytes per worker
+        node, as the sessions counted them."""
         fleet = self._fleet
         packets: dict[str, dict[str, int]] = {}
+        nbytes: dict[str, int] = {}
         for w in sorted(results):
-            node = packets.setdefault(fleet.node_label(w), {"sent": 0, "recv": 0})
+            label = fleet.node_label(w)
+            node = packets.setdefault(label, {"sent": 0, "recv": 0})
             for direction, n in results[w]["packets"].items():
                 node[direction] += n
-        nbytes: dict[str, int] = {}
-        for node, s in fleet.stats().items():
-            nbytes[node] = s["bytes"] - self._bytes_seen.get(node, 0)
-            self._bytes_seen[node] = s["bytes"]
+            nbytes[label] = nbytes.get(label, 0) + results[w]["bytes"]
         return {"kind": fleet.kind, "packets": packets, "bytes": nbytes}
 
     def _pending_messages(self) -> bool:

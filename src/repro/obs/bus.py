@@ -11,7 +11,7 @@ kind               tags
 ``superstep_end``  superstep, round, h_in, h_out, parallel_ios, blocks,
                    comm_items, cross_items (deltas), width_hist, wall_s;
                    a worker fleet adds transport (kind, packets: node ->
-                   sent/recv, bytes: node -> relayed bytes)
+                   sent/recv, bytes: node -> packet-frame bytes received)
 ``compute_round``  pid, real, round, wall_s, done
 ``context_read``   pid, real, blocks, layout
 ``context_write``  pid, real, blocks, layout

@@ -32,6 +32,7 @@ Usage::
 from __future__ import annotations
 
 import json
+import threading
 import weakref
 from typing import TYPE_CHECKING, Any, TextIO
 
@@ -48,11 +49,12 @@ def _label_key(labels: dict[str, Any]) -> _LabelKey:
 class _Series:
     """One (metric, label-set) time series."""
 
-    __slots__ = ("labels", "value")
+    __slots__ = ("labels", "value", "_lock")
 
     def __init__(self, labels: dict[str, str]) -> None:
         self.labels = labels
         self.value: float = 0.0
+        self._lock = threading.Lock()
 
     def as_dict(self) -> dict[str, Any]:
         return {"labels": self.labels, "value": self.value}
@@ -62,7 +64,8 @@ class Counter(_Series):
     def inc(self, amount: float = 1) -> None:
         if amount < 0:
             raise ValueError(f"counter increment must be >= 0, got {amount}")
-        self.value += amount
+        with self._lock:  # pool and HTTP threads fold into one series
+            self.value += amount
 
 
 class Gauge(_Series):
@@ -72,8 +75,8 @@ class Gauge(_Series):
 
 class HighWaterMark(_Series):
     def update(self, value: float) -> None:
-        if value > self.value:
-            self.value = float(value)
+        with self._lock:
+            self.value = max(self.value, float(value))
 
 
 class Timer(_Series):
@@ -86,8 +89,8 @@ class Timer(_Series):
         self.count: int = 0
 
     def observe(self, seconds: float) -> None:
-        self.value += float(seconds)
-        self.count += 1
+        with self._lock:
+            self.value, self.count = self.value + float(seconds), self.count + 1
 
     def as_dict(self) -> dict[str, Any]:
         return {"labels": self.labels, "sum": self.value, "count": self.count}
@@ -106,14 +109,17 @@ class Metric:
         self.help = help
         self.series_cls = series_cls
         self._series: dict[_LabelKey, _Series] = {}
+        self._lock = threading.Lock()
 
     def labels(self, **labels: Any) -> Any:
         """The child series for this label set (created on first use)."""
         key = _label_key(labels)
         child = self._series.get(key)
         if child is None:
-            child = self.series_cls({k: v for k, v in key})
-            self._series[key] = child
+            with self._lock:
+                child = self._series.setdefault(
+                    key, self.series_cls({k: v for k, v in key})
+                )
         return child
 
     @property
@@ -156,6 +162,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: dict[str, Metric] = {}
         self._buses: "weakref.WeakSet[EventBus]" = weakref.WeakSet()
+        self._lock = threading.Lock()
 
     def attach(self, bus: "EventBus", **scope: Any) -> None:
         """Fold every run *bus* carries into this registry.
@@ -175,9 +182,9 @@ class MetricsRegistry:
     def _get(self, name: str, cls: type[_Series], help: str) -> Metric:
         m = self._metrics.get(name)
         if m is None:
-            m = Metric(name, cls, help)
-            self._metrics[name] = m
-        elif m.series_cls is not cls:
+            with self._lock:
+                m = self._metrics.setdefault(name, Metric(name, cls, help))
+        if m.series_cls is not cls:
             raise ValueError(
                 f"metric {name!r} already registered as {m.kind}, "
                 f"cannot re-register as {_PROM_TYPE[cls]}"
@@ -279,7 +286,7 @@ _FAMILIES = {
     "repro_transport_packets_total": ("counter", "worker-exchange packets by node"),
     "repro_transport_bytes_total": (
         "counter",
-        "bytes of relayed exchange frames by destination node "
+        "bytes of the exchange packet frames a node received "
         "(host:port, or local/<w> for a forked worker)",
     ),
     "repro_runs_total": ("counter", "engine executions"),

@@ -20,6 +20,7 @@ addresses to that API in three small values:
 
 from __future__ import annotations
 
+import pickle
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,10 +100,11 @@ class BlockRun:
         data = bytes(self.buf).ljust(self.nblocks * bb, b"\x00")
         return [data[i * bb : (i + 1) * bb] for i in range(self.nblocks)]
 
-    def __reduce__(self) -> tuple:
-        # Pickling (a packet framed on a session socket) materializes
-        # the buffer.
-        return (BlockRun, (bytes(self.buf), self.nblocks, self.block_bytes))
+    def __reduce_ex__(self, protocol) -> tuple:
+        # A session frame (protocol 5) ships the buffer out of band and
+        # the receiver wraps a view of its payload; older protocols copy.
+        buf = pickle.PickleBuffer(self.buf) if protocol >= 5 else bytes(self.buf)
+        return (BlockRun, (buf, self.nblocks, self.block_bytes))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

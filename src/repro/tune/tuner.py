@@ -6,7 +6,7 @@ the whole (v, B, D, workers) candidate grid and prunes it to a short
 list — the model is exact for the simulation's I/O counts, so most of
 the space never needs to be run — then short measured wall-clock probes
 at a reduced problem size decide among the survivors, because constant
-factors (NumPy batch width, process spawn cost, the worker relay) are
+factors (NumPy batch width, process spawn cost, the worker exchange) are
 exactly what the asymptotic model cannot see.
 
 The all-defaults configuration is always probed, so the winner's

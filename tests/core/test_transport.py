@@ -1,13 +1,16 @@
 """The worker-exchange transport layer (repro.core.transport): wire
-framing and checksums, node-list parsing, connect retry policy, handshake
-validation and its bounds, and logical bit-identity across the memory /
-shm / tcp spellings."""
+framing and checksums, the copy-free frame layout and its index checks,
+node-list parsing, connect retry policy, handshake validation and its
+bounds, per-node traffic counters, and logical bit-identity across the
+memory / shm / tcp spellings."""
 
 from __future__ import annotations
 
+import pickle
 import socket
 import struct
 import time
+import zlib
 
 import numpy as np
 import pytest
@@ -30,7 +33,9 @@ from repro.core.transport.tcp import (
     runtime_fingerprint,
     send_frame,
 )
-from repro.em.runner import em_run
+from repro.em.runner import em_run, em_sort
+from repro.obs.metrics import MetricsRegistry
+from repro.pdm.block import BlockRun
 from repro.tune.knobs import KnobError
 from repro.tune.runtime import RuntimeConfig
 from repro.util.validation import ConfigurationError
@@ -168,6 +173,112 @@ class TestFraming:
             b.close()
 
 
+def _payload_of(buf):
+    """The object a received array or buffer is ultimately a view of."""
+    while not isinstance(buf, memoryview):
+        buf = buf.base
+    return buf.obj
+
+
+class TestWireFormat:
+    """Frame v2: ``>4sII`` header, then an index of u64 words, the pickle
+    stream and the out-of-band buffers, each piece padded to 8 bytes."""
+
+    def raw_frame(self, obj) -> bytes:
+        a, b = socket.socketpair()
+        try:
+            n = send_frame(a, obj)
+            return b.recv(n, socket.MSG_WAITALL)
+        finally:
+            a.close()
+            b.close()
+
+    def test_golden_layout(self):
+        x = np.arange(3, dtype=np.int64)
+        y = np.arange(5, dtype=np.int32)  # 20 bytes: 4 of padding follow
+        raw = self.raw_frame(("pkt", 0, 1, 2, [x, y, BlockRun(b"abc", 1, 16)]))
+        magic, crc, length = struct.unpack(">4sII", raw[:12])
+        payload = raw[12:]
+        assert (magic, length, crc) == (b"RPT2", len(payload), zlib.crc32(payload))
+        count, meta_len, *sizes = struct.unpack_from("<5Q", payload)
+        assert (count, sizes) == (3, [24, 20, 3])
+        pos, pieces = 5 * 8, []
+        for size in [meta_len, *sizes]:
+            assert pos % 8 == 0
+            pieces.append(payload[pos : pos + size])
+            pad = payload[pos + size : pos + size + -size % 8]
+            assert pad == bytes(-size % 8)
+            pos += size + -size % 8
+        assert pos == length
+        meta, *bufs = pieces
+        assert bufs == [x.tobytes(), y.tobytes(), b"abc"]
+        assert x.tobytes() not in meta and y.tobytes() not in meta
+
+    def test_buffers_are_aligned_views_of_one_payload(self):
+        a, b = socket.socketpair()
+        try:
+            sent = [
+                np.arange(3, dtype=np.int64),
+                np.arange(5, dtype=np.int32),
+                np.arange(7, dtype=np.int64).reshape(7, 1),
+            ]
+            run = BlockRun(np.arange(9, dtype=np.uint8), 1, 16)
+            send_frame(a, ("result", 0, "final", (sent, run)))
+            arrays, got_run = recv_frame(b)[3]
+        finally:
+            a.close()
+            b.close()
+        for want, got in zip(sent, arrays):
+            assert np.array_equal(want, got) and got.dtype == want.dtype
+            assert got.ctypes.data % 8 == 0 and got.flags.writeable
+        assert bytes(got_run.buf) == bytes(range(9)) and got_run.nblocks == 1
+        owners = {id(_payload_of(x)) for x in [*arrays, got_run.buf]}
+        assert len(owners) == 1
+        assert isinstance(_payload_of(arrays[0]), bytearray)
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"",
+            struct.pack("<2Q", 2**64 - 1, 0),  # more buffers than bytes left
+            struct.pack("<4Q", 2, 8, 8, 1 << 20) + bytes(16),  # sum past the end
+            struct.pack("<4Q", 2, 8, 2**64 - 8, 16) + bytes(32),  # u64 wrap
+        ],
+        ids=["empty", "count", "sum", "overflow"],
+    )
+    def test_hostile_index_is_one_line(self, payload):
+        a, b = socket.socketpair()
+        try:
+            header = struct.pack(">4sII", b"RPT2", zlib.crc32(payload), len(payload))
+            a.sendall(header + payload)
+            with pytest.raises(TransportError, match="frame index does not fit") as err:
+                recv_frame(b)
+        finally:
+            a.close()
+            b.close()
+        assert "\n" not in str(err.value)
+
+    def test_v1_frame_is_refused(self):
+        a, b = socket.socketpair()
+        try:
+            payload = pickle.dumps(("hello",), protocol=4)
+            a.sendall(
+                struct.pack(">4sII", b"RPTP", zlib.crc32(payload), len(payload))
+                + payload
+            )
+            with pytest.raises(TransportError, match="bad frame magic b'RPTP'"):
+                recv_frame(b)
+        finally:
+            a.close()
+            b.close()
+
+    @pytest.mark.parametrize("protocol", [4, 5])
+    def test_block_run_pickles_in_band(self, protocol):
+        run = BlockRun(np.arange(5, dtype=np.uint8), 1, 8)
+        got = pickle.loads(pickle.dumps(run, protocol=protocol))
+        assert (bytes(got.buf), got.nblocks, got.block_bytes) == (bytes(range(5)), 1, 8)
+
+
 class TestNodeLists:
     def test_parse_and_render(self):
         nodes = parse_nodes(" alpha:9876 , 10.0.0.2:1 ")
@@ -260,6 +371,10 @@ class TestHandshake:
     def test_release_mismatch_rejected(self, node_pair):
         reply = self.hello(node_pair[0], version="0.0.0-not-this")
         assert reply[0] == "reject" and "release mismatch" in reply[1]
+
+    def test_v1_hello_rejected(self, node_pair):
+        reply = self.hello(node_pair[0], proto=1)
+        assert reply[0] == "reject" and "protocol version mismatch" in reply[1]
 
     def test_fingerprint_mismatch_rejected(self, node_pair):
         reply = self.hello(node_pair[0], fp="0" * 16)
@@ -469,3 +584,42 @@ class TestBitIdentity:
         second = self.run_sort(monkeypatch, "tcp", nodes)
         assert counters(first.report) == counters(second.report)
         assert node_pair[0].sessions >= 2
+
+
+class TestTrafficCounters:
+    """Each session counts the packet frames it receives; the fold writes
+    them per node under the names and labels the relay used to."""
+
+    def traffic(self, monkeypatch, workers, transport, nodes=None):
+        monkeypatch.setenv("REPRO_TRANSPORT", transport)
+        if nodes:
+            monkeypatch.setenv("REPRO_NODES", nodes)
+        else:
+            monkeypatch.delenv("REPRO_NODES", raising=False)
+        reg = MetricsRegistry()
+        cfg = MachineConfig(N=N, v=V, p=4, D=D, B=B, workers=workers)
+        out = em_sort(make_data(), cfg, "par", metrics=reg)
+        assert np.array_equal(out.values, np.sort(make_data()))
+        snap = reg.snapshot()
+        totals = {}
+        for family in ("repro_transport_packets_total", "repro_transport_bytes_total"):
+            for series in snap[family]["series"]:
+                labels = series["labels"]
+                assert labels["transport"] == transport
+                key = (family, labels["node"], labels.get("direction"))
+                totals[key] = totals.get(key, 0) + series["value"]
+        return totals
+
+    def test_every_local_node_counts(self, monkeypatch):
+        totals = self.traffic(monkeypatch, 3, "memory")
+        for w in range(3):
+            node = f"local/{w}"
+            assert totals[("repro_transport_bytes_total", node, None)] > 0
+            for direction in ("sent", "recv"):
+                assert totals[("repro_transport_packets_total", node, direction)] > 0
+
+    def test_a_tcp_node_counts(self, monkeypatch, node_pair):
+        totals = self.traffic(monkeypatch, 2, "tcp", node_pair[0].address)
+        node = node_pair[0].address
+        assert totals[("repro_transport_bytes_total", node, None)] > 0
+        assert totals[("repro_transport_packets_total", node, "sent")] > 0

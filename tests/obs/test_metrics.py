@@ -4,6 +4,9 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -82,6 +85,36 @@ class TestRegistry:
         reg.gauge("b")
         assert "a" in reg and "b" in reg and "c" not in reg
         assert [m.name for m in reg.metrics] == ["a", "b"]
+
+    def test_threaded_folds_are_exact(self):
+        """More threads than cores, switching every microsecond, all
+        creating each family and series on first use at the same time:
+        none is created twice and no increment is lost."""
+        reg = MetricsRegistry()
+        n_threads, families, incs = 4 * (os.cpu_count() or 1), 2000, 6
+        gate = threading.Barrier(n_threads)
+
+        def work() -> None:
+            gate.wait()
+            for f in range(families):
+                for i in range(incs):
+                    reg.counter(f"c{f}_total").labels(k=i % 3).inc(2)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(n_threads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for f in range(families):
+            series = reg[f"c{f}_total"].series
+            assert len(series) == 3
+            assert sum(s.value for s in series) == 2 * incs * n_threads
 
 
 class TestExport:
