@@ -53,7 +53,7 @@ from repro.faults.injector import (
     FaultyDiskArray,
     collect_fault_stats,
 )
-from repro.pdm.block import BlockRun, BufferPool, blocks_for_bytes, unpack_blocks
+from repro.pdm.block import BlockRun, BufferPool, blocks_for_bytes
 from repro.pdm.disk_array import DiskArray, Segment
 from repro.pdm.io_stats import IOStats
 from repro.pdm.memory import InternalMemory
@@ -430,11 +430,13 @@ class ParEMEngine(Engine):
         for e in entries:
             if e.overflow is None:
                 continue
-            chunk = array.read_blocks(e.overflow)
-            array.free_blocks(e.overflow)
             # overflow runs start on disk 0, so the first address carries
-            # the run's start track; return its rows for reuse
-            alloc.free(e.overflow[0][1], alloc.rows_for(e.nblocks))
+            # the run's start track
+            start = e.overflow[0][1]
+            buf = self._iopool.take(e.nblocks * bb)
+            flat = array.read_run(consecutive_addresses_np(e.nblocks, start), out=buf)
+            array.free_blocks(e.overflow)
+            alloc.free(start, alloc.rows_for(e.nblocks))
             self._msg_blocks_io += e.nblocks
             if self.tracer.enabled:
                 self.tracer.emit(
@@ -445,7 +447,8 @@ class ParEMEngine(Engine):
                     layout="overflow",
                     sources=1,
                 )
-            unbundle(e, deserialize(unpack_blocks(chunk)))
+            unbundle(e, deserialize(flat))
+            self._iopool.give(buf)
             self._charge(pid, e.nblocks * cfg.B)
         msgs.sort(key=lambda m: (m.src, m.tag or ""))
         return msgs

@@ -11,9 +11,9 @@ store real bytes, reads genuinely reconstruct what was written, and the
 :class:`IOStats` counters are the PDM cost measure the paper's theorems are
 stated in.  There is one I/O path: tracks live in a per-array arena
 (:mod:`repro.pdm.arena`), the engines move whole runs through it with
-vectorized scatter/gathers, and the per-op ``parallel_io`` loop over the
-same arena is the PDM specification — the fault injector's service loop,
-and the oracle the vectorized forms are held bit-identical to.
+vectorized scatter/gathers, fault-injected or not, and the per-op
+``parallel_io`` loop over the same arena is the PDM specification — the
+oracle the vectorized forms are held bit-identical to.
 """
 
 from repro.pdm.block import (

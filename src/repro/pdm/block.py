@@ -95,7 +95,7 @@ class BlockRun:
         return int(buf.nbytes) if isinstance(buf, np.ndarray) else len(buf)
 
     def to_blocks(self) -> list[bytes]:
-        """Materialize one ``bytes`` per block (copies; per-op service only)."""
+        """Materialize one ``bytes`` per block (copies; per-op callers only)."""
         bb = self.block_bytes
         data = bytes(self.buf).ljust(self.nblocks * bb, b"\x00")
         return [data[i * bb : (i + 1) * bb] for i in range(self.nblocks)]
@@ -147,9 +147,8 @@ class Runs:
         """``(disks, tracks)`` of every block, in stream order.
 
         The only place an address array is made: a batch plan is built
-        from it once per distinct run pattern, and the per-track loop (the
-        fault lane's service, the bulk read's fallback) zips it into
-        placements.
+        from it once per distinct run pattern and keeps it, for a fault
+        plan to decide over and for the bulk read's per-track fallback.
         """
         starts = np.asarray([lin0 for lin0, _ in self.runs], dtype=np.int64)
         counts = np.asarray([n for _, n in self.runs], dtype=np.int64)

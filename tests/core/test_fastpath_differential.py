@@ -1,14 +1,14 @@
 """Differential testing: vectorized run service vs per-op service, whole
 programs.
 
-There is one I/O path; what differs between a clean run and a run under
-a fault plan is only how the disk array *services* it — whole runs as
-NumPy scatter/gathers, or every access through the PDM specification
-loop (``parallel_io`` per batch) with the injector in between.  An
-**empty** :class:`FaultPlan` injects nothing, so that run is the per-op
-reference lane: same outputs, same logical ``IOStats``, same trace
-*event streams* (modulo wall-clock tags), on every engine, in balanced
-and direct routing, in-process and across worker processes.
+There is one I/O path: a clean run and a run under a fault plan both move
+whole runs as NumPy scatter/gathers.  The reference lane is the PDM
+specification loop (``parallel_io`` per batch) behind the same run API —
+the test-side :class:`~tests.spec_array.SpecDiskArray`, installed in the
+engines by :func:`~tests.spec_array.spec_arrays` — and both lanes give the
+same outputs, the same logical ``IOStats`` and the same trace *event
+streams* (modulo wall-clock tags), on every engine, in balanced and
+direct routing, in-process and across worker processes.
 
 Hypothesis drives the workload shape (seed, size) with a small example
 budget — each example runs full simulations on both lanes.
@@ -16,6 +16,7 @@ budget — each example runs full simulations on both lanes.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -25,9 +26,9 @@ from hypothesis import strategies as st
 
 from repro.cgm.config import MachineConfig
 from repro.em.runner import em_sort, em_transpose
-from repro.faults.plan import FaultPlan
 from repro.obs.bench_store import measured_from_report
 from repro.obs.bus import EventBus
+from tests.spec_array import spec_arrays
 
 FAULT_PLAN = str(
     Path(__file__).resolve().parents[2] / "benchmarks" / "fault_plans" / "ci_transient.json"
@@ -45,10 +46,6 @@ _FUZZY_TAGS = ("seq", "ts", "wall_s", "path", "backoff_s")
 #: from the identity comparison, which pins the *logical* event stream
 #: (same precedent as io_fault in tests/core/test_workers.py).
 _PHYSICAL_KINDS = ("arena_grow",)
-
-#: the per-op reference lane: every access through the injector's
-#: parallel_io loop, nothing injected
-PER_OP = FaultPlan()
 
 
 @pytest.fixture(autouse=True)
@@ -68,9 +65,10 @@ def _normalize(events):
 def _sort_both(cfg: MachineConfig, data: np.ndarray, engine: str, **kw):
     """Run em_sort on both lanes; returns (fast, ref, fast_trace, ref_trace)."""
     out = []
-    for faults in (None, PER_OP):
+    for lane in (nullcontext, spec_arrays):
         tracer = EventBus(monitor=False)
-        res = em_sort(data, cfg, engine=engine, tracer=tracer, faults=faults, **kw)
+        with lane():
+            res = em_sort(data, cfg, engine=engine, tracer=tracer, **kw)
         out.append((res, tracer.events))
     (fast, t_fast), (ref, t_ref) = out
     return fast, ref, t_fast, t_ref
@@ -102,9 +100,10 @@ def test_transpose_identity_seq():
     mat = np.arange(64 * 64, dtype=np.int64).reshape(64, 64)
     cfg = MachineConfig(N=mat.size, v=4, D=2, B=64)
     out = []
-    for faults in (None, PER_OP):
+    for lane in (nullcontext, spec_arrays):
         tracer = EventBus(monitor=False)
-        res = em_transpose(mat, cfg, engine="seq", tracer=tracer, faults=faults)
+        with lane():
+            res = em_transpose(mat, cfg, engine="seq", tracer=tracer)
         out.append((res, tracer.events))
     (fast, t_fast), (ref, t_ref) = out
     _assert_identical(fast, ref, t_fast, t_ref)
@@ -127,7 +126,8 @@ class TestProcessEngineIdentity:
         data = np.random.default_rng(8).integers(0, 2**50, n)
         cfg = MachineConfig(N=n, v=4, p=2, D=2, B=64)
         proc = em_sort(data, cfg.with_(workers=2), engine="par")
-        inproc = em_sort(data, cfg, engine="par", faults=PER_OP)
+        with spec_arrays():
+            inproc = em_sort(data, cfg, engine="par")
         assert np.array_equal(proc.values, inproc.values)
         assert measured_from_report(proc.report) == measured_from_report(inproc.report)
 

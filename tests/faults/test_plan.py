@@ -119,3 +119,44 @@ class TestProperties:
         assert [a._rng.random() for _ in range(20)] == [
             b._rng.random() for _ in range(20)
         ]
+
+
+@pytest.mark.parametrize(
+    "doc, text",
+    [
+        ({"seed": "abc"}, "seed must be an integer >= 0, got 'abc'"),
+        ({"seed": -1, "p_transient_read": 0.1}, "seed must be an integer >= 0, got -1"),
+        ({"seed": 1.7}, "seed must be an integer >= 0, got 1.7"),
+        ({"seed": True}, "seed must be an integer >= 0, got True"),
+        ({"p_transient_read": None}, "p_transient_read must be in [0, 1], got None"),
+        ({"p_torn_write": "0.1"}, "p_torn_write must be in [0, 1], got '0.1'"),
+        ({"p_transient_write": False}, "p_transient_write must be in [0, 1], got False"),
+        ({"retry": {"max_retries": 2.5}}, "max_retries must be an integer >= 0, got 2.5"),
+        ({"retry": {"max_retries": None}}, "max_retries must be an integer >= 0, got None"),
+        ({"retry": {"backoff_s": "1"}}, "backoff_s must be a number >= 0, got '1'"),
+    ],
+)
+def test_hostile_plan_values_are_refused_in_one_line(doc, text):
+    with pytest.raises(ConfigurationError) as err:
+        FaultPlan.from_dict(doc)
+    assert str(err.value) == text
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"seed": "abc"}, {"seed": -1, "p_transient_read": 0.1}, {"p_transient_read": None}],
+)
+def test_hostile_plan_through_the_cli_exits_3(tmp_path, capsys, doc):
+    from repro.cli import main
+
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc))
+    rc = main(["sort", "--n", "1024", "--v", "4", "--b", "16", "--faults", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 3 and err.startswith("error: ") and "Traceback" not in err
+
+
+def test_accepted_numbers_are_normalised():
+    plan = FaultPlan.from_dict({"seed": 3, "p_transient_read": 0, "p_torn_write": 1})
+    assert plan == FaultPlan(seed=3, p_transient_read=0.0, p_torn_write=1.0)
+    assert type(plan.p_transient_read) is float and type(plan.seed) is int

@@ -27,6 +27,7 @@ from repro.pdm.disk_array import (
     greedy_batch_widths,
 )
 from repro.util.validation import SimulationError
+from tests.spec_array import SpecDiskArray
 
 
 def _fresh_plan(D: int, disks: np.ndarray) -> BatchPlan:
@@ -222,6 +223,10 @@ def _bulk(D: int, B: int) -> DiskArray:
 
 
 def _per_op(D: int, B: int) -> DiskArray:
+    return SpecDiskArray(D, B)
+
+
+def _faulty(D: int, B: int) -> DiskArray:
     return FaultyDiskArray(D, B, FaultPlan().injector_for(0))
 
 
@@ -230,7 +235,7 @@ class TestLengthMismatch:
     used to be counted by its addresses and stored by its run (the per-op
     array silently dropped the unmatched blocks or addresses)."""
 
-    @pytest.mark.parametrize("make", [_bulk, _per_op])
+    @pytest.mark.parametrize("make", [_bulk, _per_op, _faulty])
     @pytest.mark.parametrize("n_addr", [2, 5])
     def test_write_stream_refuses_addresses_that_do_not_match_the_run(self, make, n_addr):
         arr = make(2, 1)
@@ -244,7 +249,7 @@ class TestLengthMismatch:
         assert arr.tracks_in_use == 0
         assert [d.blocks_written for d in arr.disks] == [0, 0]
 
-    @pytest.mark.parametrize("make", [_bulk, _per_op])
+    @pytest.mark.parametrize("make", [_bulk, _per_op, _faulty])
     def test_write_stream_refuses_disks_without_tracks(self, make):
         """(Named for the two arrays an address used to be.)  The runs of
         one ``Runs`` are counted together against the segment's blocks."""

@@ -29,11 +29,12 @@ from repro.tune.knobs import KNOB_BY_ENV, KnobError
 from repro.tune.runtime import RuntimeConfig, current
 from repro.util.items import ITEM_BYTES
 from repro.util.validation import SimulationError
+from tests.spec_array import SpecDiskArray, spec_arrays
 
 
-def _per_op_array(D: int, B: int) -> FaultyDiskArray:
-    """The per-op service of the run API: an empty plan injects nothing."""
-    return FaultyDiskArray(D, B, FaultPlan().injector_for(0))
+def _per_op_array(D: int, B: int) -> SpecDiskArray:
+    """The per-op service of the run API: the PDM specification loop."""
+    return SpecDiskArray(D, B)
 
 
 def _single_blocks(addrs, D: int) -> Runs:
@@ -326,7 +327,7 @@ def test_snapshot_restore_portable_across_storage_modes():
 
     mm = DiskArray(2, 1, runtime=RuntimeConfig(arena="mmap"))
     try:
-        for ref in (mm, _per_op_array(2, 1)):
+        for ref in (mm, FaultyDiskArray(2, 1, FaultPlan().injector_for(0))):
             for d in range(2):
                 ref.disks[d].restore_tracks(snap[d])
             assert ref.read_blocks([(0, 0), (1, 0), (0, 1)]) == [b"12345678"] * 3
@@ -364,9 +365,9 @@ def test_clean_sort_never_enters_the_per_track_loop(
     """A clean ``em_sort`` services every run with one gather or scatter:
     zero ``read_blocks`` / ``write_blocks`` / ``parallel_io`` calls, on the
     disabled recorder.  (What a wall-clock floor used to stand in for: bulk
-    reads silently falling back to the per-track loop.)  The same sort
-    under an empty fault plan takes that loop on every access, which shows
-    the counter is live."""
+    reads silently falling back to the per-track loop.)  So does the same
+    sort under an empty fault plan; on the specification arrays it takes
+    that loop on every access, which shows the counter is live."""
     monkeypatch.delenv("REPRO_TRACE", raising=False)
     calls = dict.fromkeys(_PER_TRACK, 0)
     for name in _PER_TRACK:
@@ -381,7 +382,11 @@ def test_clean_sort_never_enters_the_per_track_loop(
 
     values, io = sort(None)
     assert calls == dict.fromkeys(_PER_TRACK, 0)
-    per_op_values, per_op_io = sort(FaultPlan())
+    empty_values, empty_io = sort(FaultPlan())
+    assert calls == dict.fromkeys(_PER_TRACK, 0)
+    assert np.array_equal(values, empty_values) and io == empty_io
+    with spec_arrays():
+        per_op_values, per_op_io = sort(None)
     assert calls["read_blocks"] > 0 and calls["write_blocks"] > 0
     assert np.array_equal(values, per_op_values) and io == per_op_io
 

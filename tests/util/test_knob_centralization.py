@@ -124,8 +124,16 @@ def test_one_io_path_no_fastpath_switch_anywhere():
     offenders = _offenders(_IO_FORK, skip_tune=False)
     assert not offenders, (
         "the reference/fast-path fork was retired (one I/O path; the per-op "
-        "lane is an empty FaultPlan):\n" + "\n".join(offenders)
+        "lane is tests/spec_array.py):\n" + "\n".join(offenders)
     )
+    # nor does a fault plan bring a second path: no per-access service
+    # loop in the injector, no gather hook for it to override
+    src_root = Path(repro.__file__).resolve().parent
+    for pkg, pattern in (("faults", r"def _service\b"), ("pdm", r"def _gather\("),
+                         ("faults", r"def _gather\(")):
+        holders = [p.name for p in sorted((src_root / pkg).rglob("*.py"))
+                   if re.search(pattern, p.read_text())]
+        assert not holders, (pattern, holders)
 
 
 def test_one_synchronous_read_path_no_prefetch_thread():
