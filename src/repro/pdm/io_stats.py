@@ -16,9 +16,12 @@ the raw transfer rate once the fixed positioning overhead is amortized.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING
 
 from repro.util.items import ITEM_BYTES
+
+if TYPE_CHECKING:
+    from repro.pdm.disk_array import BatchPlan
 
 
 def _sub(a: list[int], b: list[int]) -> list[int]:
@@ -93,26 +96,16 @@ class IOStats:
             self.per_disk_blocks[d] += 1
         self.width_histogram[len(touched)] += 1
 
-    def record_batch(
-        self,
-        *,
-        nops: int,
-        n_read: int,
-        n_written: int,
-        read_ops: int,
-        write_ops: int,
-        per_disk: Sequence[int],
-        width_counts: Sequence[int],
-        D: int,
-    ) -> None:
-        """Record the aggregate of *nops* parallel I/Os in one call.
+    def record_batch(self, plan: "BatchPlan", n: int, *, write: bool, D: int) -> None:
+        """Record one planned stream of *n* blocks: *plan*'s ``nops``
+        parallel I/Os in one call.
 
         The run API computes batch boundaries vectorially and folds the
         whole stream into the counters at once; the per-field arithmetic is
         exactly the sum of the per-op :meth:`record` calls the
-        ``parallel_io`` loop would have made.  ``per_disk[d]`` is the number
-        of blocks serviced by disk *d* and ``width_counts[w]`` the number
-        of batches touching exactly *w* disks.
+        ``parallel_io`` loop would have made.  ``plan.per_disk[d]`` is the
+        number of blocks serviced by disk *d* and ``plan.width_counts[w]``
+        the number of batches touching exactly *w* disks.
         """
         if self.D is None:
             self.D = D
@@ -122,15 +115,17 @@ class IOStats:
                 f"parallel I/O recorded with D={D} on stats sized for "
                 f"D={self.D} disks"
             )
-        self.parallel_ios += nops
-        self.blocks_read += n_read
-        self.blocks_written += n_written
-        self.read_ops += read_ops
-        self.write_ops += write_ops
-        for d, c in enumerate(per_disk):
+        self.parallel_ios += plan.nops
+        if write:
+            self.blocks_written += n
+            self.write_ops += plan.nops
+        else:
+            self.blocks_read += n
+            self.read_ops += plan.nops
+        for d, c in enumerate(plan.per_disk):
             if c:
                 self.per_disk_blocks[d] += int(c)
-        for w, c in enumerate(width_counts):
+        for w, c in enumerate(plan.width_counts):
             if c:
                 self.width_histogram[w] += int(c)
 
