@@ -226,9 +226,9 @@ def _config(args, n: int | None = None) -> MachineConfig:
 def _make_tracer(args):
     """An EventBus when --trace was given, else None (zero-cost path).
 
-    The bus exports the run as JSON lines or a Chrome trace and carries
-    the streaming model-conformance monitor, so every ``--trace`` run
-    gets drift detection for free.
+    The bus exports the run as JSON lines or a Chrome trace and folds its
+    own events into a ``TraceAnalysis``, so every ``--trace`` run gets the
+    in-stream drift check for free.
     """
     if args.trace is None:
         return None
@@ -490,21 +490,22 @@ def cmd_analyze(args) -> int:
     return 0 if analysis.ok else 1
 
 
-def _print_frame(view, clear: bool) -> None:
+def _print_frame(frame: str, clear: bool) -> None:
     if clear and sys.stdout.isatty():
         print("\x1b[2J\x1b[H", end="")
-    print(view.render(), flush=True)
+    print(frame, flush=True)
 
 
 def cmd_top(args) -> int:
     import time
 
-    from repro.obs.live import TopView, iter_jsonl, iter_sse
+    from repro.obs.analyze import TraceAnalysis
+    from repro.obs.live import iter_jsonl, iter_sse
 
     if (args.trace is None) == (args.url is None):
         print("error: give a trace file or --url (exactly one)", file=sys.stderr)
         return 2
-    view = TopView(window=args.window)
+    view = TraceAnalysis()
     if args.url is not None:
         events = iter_sse(args.url)
     else:
@@ -521,7 +522,7 @@ def cmd_top(args) -> int:
                 continue
             now = time.monotonic()
             if now - last >= args.interval:
-                _print_frame(view, clear=True)
+                _print_frame(view.render_top(args.window), clear=True)
                 last = now
     except KeyboardInterrupt:
         pass
@@ -530,7 +531,7 @@ def cmd_top(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _print_frame(view, clear=not args.once)
+    _print_frame(view.render_top(args.window), clear=not args.once)
     return 0
 
 
@@ -748,12 +749,7 @@ def cmd_bench(args) -> int:
 
         try:
             old, new = load(args.compare[0]), load(args.compare[1])
-            result = compare(
-                old,
-                new,
-                io_rtol=args.io_rtol,
-                time_rtol=None if args.ignore_timings else args.time_rtol,
-            )
+            result = compare(old, new, io_rtol=args.io_rtol)
         except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
@@ -1109,17 +1105,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         help="relative tolerance on measured counters (default 0 = exact)",
-    )
-    p.add_argument(
-        "--time-rtol",
-        type=float,
-        default=0.5,
-        help="relative tolerance on timings (default 0.5)",
-    )
-    p.add_argument(
-        "--ignore-timings",
-        action="store_true",
-        help="skip timing comparisons (cross-machine gating)",
     )
     p.set_defaults(fn=cmd_bench)
 

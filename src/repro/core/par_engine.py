@@ -150,7 +150,7 @@ class ParEMEngine(Engine):
         # only the reals it owns
         reals = self._reals
         self.arrays = {r: self._make_array(r) for r in reals}
-        self.memories = {r: InternalMemory(cfg.M, strict=False) for r in reals}
+        self.memories = {r: InternalMemory(cfg.M) for r in reals}
         self.matrices = {
             r: MessageMatrix(cfg.v, self.vpr, cfg.D, self.slot_blocks, base_track=0)
             for r in reals

@@ -32,21 +32,19 @@ This package makes those claims observable:
   ``run_end`` events into series; exports Prometheus text and JSON
   snapshots.  Engines take
   no registry.
-* :mod:`repro.obs.analyze` — per-superstep aggregation of a recorded
-  trace (context vs. message blocks, width distribution, compute/I/O/
-  network split, critical-path processor) with measured-vs-predicted
-  Theorem 2/3 I/O envelopes per superstep.
+* :mod:`repro.obs.analyze` — :class:`TraceAnalysis`, the one fold over
+  the event stream: per-superstep aggregation (context vs. message
+  blocks, width distribution, compute/I/O/network split, critical-path
+  processor) with each round held to its own run's Theorem 2/3 I/O
+  envelope.  ``repro analyze``, ``repro top`` and the bus's in-stream
+  drift check (``model_drift``) all read it.
 * :mod:`repro.obs.bench_store` — the ``BENCH_<suite>.json`` benchmark
   result store (schema-versioned, env-fingerprinted) and the
   :func:`~repro.obs.bench_store.compare` regression gate.
-* :mod:`repro.obs.conformance` — the streaming model-conformance monitor:
-  a bus listener comparing each superstep's measured parallel I/Os
-  against the Theorem 2/3 budget *during* the run, emitting
-  ``model_drift`` the moment a superstep exceeds it.
-* :mod:`repro.obs.live` — ``repro top``: an incremental run dashboard
-  fed from a trace file (optionally tailed) or the per-job SSE stream of
-  ``repro serve``; its :func:`~repro.obs.live.iter_jsonl` is the one
-  JSON-lines reader ``repro analyze`` reads through too.
+* :mod:`repro.obs.live` — the event sources of ``repro top``: a trace
+  file (optionally tailed) or the per-job SSE stream of ``repro serve``;
+  its :func:`~repro.obs.live.iter_jsonl` is the one JSON-lines reader
+  ``repro analyze`` reads through too.
 
 The one HTTP surface is the job server (:mod:`repro.service.server`):
 Prometheus ``/metrics``, per-job SSE ``/jobs/<id>/events`` and
@@ -57,7 +55,7 @@ from repro.obs.bus import NULL_RECORDER, EventBus, NullRecorder, Subscription
 from repro.obs.chrome import to_chrome_events, write_chrome_trace
 from repro.obs.metrics import MetricsRegistry
 
-# costcheck/histograms/analyze/bench_store/conformance pull in the engine
+# costcheck/histograms/analyze/bench_store pull in the engine
 # stack; the engines import repro.obs.bus — import these
 # lazily to keep the package cycle-free.  live is lazy to keep the urllib
 # machinery out of engine runs that never read a stream.
@@ -72,8 +70,6 @@ _LAZY = {
     "BenchStore": "repro.obs.bench_store",
     "compare": "repro.obs.bench_store",
     "load": "repro.obs.bench_store",
-    "ConformanceMonitor": "repro.obs.conformance",
-    "TopView": "repro.obs.live",
     "iter_jsonl": "repro.obs.live",
     "iter_sse": "repro.obs.live",
 }
@@ -105,8 +101,6 @@ __all__ = [
     "BenchStore",
     "compare",
     "load",
-    "ConformanceMonitor",
-    "TopView",
     "iter_jsonl",
     "iter_sse",
 ]

@@ -14,19 +14,28 @@ the quantities the paper argues about, per real-machine superstep group
 * the **critical-path real processor** — the processor whose callbacks
   dominated each superstep's wall time;
 * measured-vs-predicted per-superstep I/O: each round is held to the
-  Theorem 2/3 envelope ``[pred/c, pred*c]`` (scaled by ``p`` because the
+  Theorem 2/3 envelope ``[pred/c, pred*c]`` of the run it belongs to (the
+  ``run_begin`` in force when the round closes, scaled by ``p`` because the
   trace's counters sum over real processors), and violations are flagged.
 
-Use :func:`analyze_file` on a ``--trace`` JSON-lines file, or
-:func:`analyze_events` on in-memory recorder events.
+:meth:`TraceAnalysis.feed` is the one fold over the event stream: every
+verdict and view reads it.  :func:`analyze_events` and :func:`analyze_file`
+feed a finished trace, ``repro top`` feeds a live one and prints
+:meth:`TraceAnalysis.render_top`, and ``EventBus(monitor=True)`` feeds its
+own events in-stream, emitting ``model_drift`` the moment a closing round
+exceeds its budget ``pred*c``.  The fold holds one small row per round,
+so at most :data:`~repro.cgm.engine.MAX_ROUNDS` (10,000) rows per run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 from repro.util.tables import format_table
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.obs.bus import EventBus
 
 #: engines whose I/O counters are meaningful PDM costs.
 _EM_ENGINES = ("seq-em", "par-em")
@@ -77,12 +86,19 @@ class SuperstepAgg:
 
 @dataclass
 class TraceAnalysis:
-    """Everything :func:`analyze_events` extracted from one run's trace."""
+    """The fold over a trace: :meth:`feed` it events, read it any time.
+
+    Header fields describe the latest ``run_begin``; rows accumulate over
+    every run of the stream, each with its own run's envelope.  With
+    *drift_bus* set, a row closing above its envelope emits ``model_drift``
+    on that bus (which feeds it back here, right after its row).
+    """
 
     engine: str = "?"
     program: str = "?"
     balanced: bool = False
     machine: dict[str, Any] = field(default_factory=dict)
+    workers: int | None = None
     envelope_c: float = 8.0
     rows: list[SuperstepAgg] = field(default_factory=list)
     setup_events: int = 0           #: events before the first superstep_begin
@@ -99,11 +115,149 @@ class TraceAnalysis:
     arena_resident_peak: int = 0
     arena_spill_peak: int = 0
     arena_backend: str | None = None
-    #: model_drift events the streaming conformance monitor emitted
+    #: model_drift events seen in the stream
     drift_count: int = 0
     #: the tuned-profile announcement make_engine emitted before run_begin
     #: (config/machine/rationale/fingerprint), None for untuned runs
     tuned: dict[str, Any] | None = None
+    #: the bus a closing row over budget raises ``model_drift`` on
+    drift_bus: "EventBus | None" = field(default=None, repr=False)
+    #: fold state: the open round and the current run's Theorem 2/3 budget
+    _cur: SuperstepAgg | None = field(default=None, repr=False)
+    _seen_first: bool = field(default=False, repr=False)
+    _pred: float | None = field(default=None, repr=False)
+
+    # -- the fold -------------------------------------------------------------
+
+    def feed(self, ev: dict[str, Any]) -> None:
+        """Fold one recorder event (see :mod:`repro.obs.bus`) into the view."""
+        self.total_events += 1
+        kind = ev.get("kind")
+        cur = self._cur
+        if kind == "run_begin":
+            self.engine = str(ev.get("engine", "?"))
+            self.program = str(ev.get("program", "?"))
+            self.balanced = bool(ev.get("balanced", False))
+            self.machine = {k: ev.get(k) for k in ("N", "v", "p", "D", "B", "M")}
+            self.workers = ev.get("workers")
+            self._pred = None
+            if self.is_em:
+                from repro.obs.costcheck import superstep_io_budget
+
+                # None for a malformed/hand-edited header: rows go unjudged
+                self._pred = superstep_io_budget(self.machine, self.balanced)
+        elif kind == "superstep_begin":
+            self._seen_first = True
+            self._cur = SuperstepAgg(
+                round=int(ev.get("round", len(self.rows))),
+                superstep=int(ev.get("superstep", len(self.rows))),
+            )
+        elif kind == "superstep_end":
+            if cur is None:
+                # end without begin: synthesize a group so nothing is lost
+                cur = SuperstepAgg(
+                    round=int(ev.get("round", len(self.rows))),
+                    superstep=int(ev.get("superstep", len(self.rows))),
+                )
+            self._close(cur, ev)
+        elif kind == "run_end":
+            self.total_parallel_ios = int(ev.get("parallel_ios", 0) or 0)
+            self.run_supersteps = int(ev.get("supersteps", 0) or 0)
+        elif kind == "tuned_config":
+            self.tuned = {
+                "config": dict(ev.get("config", {}) or {}),
+                "machine": dict(ev.get("machine", {}) or {}),
+                "rationale": [str(x) for x in (ev.get("rationale", []) or [])],
+                "fingerprint": str(ev.get("fingerprint", "") or ""),
+            }
+            if not self._seen_first:
+                self.setup_events += 1
+        elif kind == "model_drift":
+            # sequenced just after the superstep_end it reacted to
+            self.drift_count += 1
+            if self.rows:
+                self.rows[-1].drift = True
+        elif kind == "arena_grow":
+            self.arena_grows += 1
+            self.arena_resident_peak = max(
+                self.arena_resident_peak, int(ev.get("resident_nbytes", 0) or 0)
+            )
+            self.arena_spill_peak = max(
+                self.arena_spill_peak, int(ev.get("spill_nbytes", 0) or 0)
+            )
+            backend = ev.get("backend")
+            if backend:
+                self.arena_backend = str(backend)
+        elif cur is not None:
+            self._place(cur, kind, ev)
+        elif not self._seen_first:
+            self.setup_events += 1
+
+    def _close(self, cur: SuperstepAgg, ev: dict[str, Any]) -> None:
+        """Finish a round at its ``superstep_end`` and judge it."""
+        self._cur = None
+        cur.superstep = int(ev.get("superstep", cur.superstep))
+        cur.parallel_ios = int(ev.get("parallel_ios", 0) or 0)
+        cur.blocks = int(ev.get("blocks", 0) or 0)
+        cur.h_in = int(ev.get("h_in", 0) or 0)
+        cur.h_out = int(ev.get("h_out", 0) or 0)
+        cur.round_wall_s = float(ev.get("wall_s", 0.0) or 0.0)
+        wh = ev.get("width_hist")
+        if isinstance(wh, list):
+            cur.width_hist = [int(x) for x in wh]
+        walls = cur.per_real_wall
+        if walls:
+            cur.critical_real = max(walls.items(), key=lambda kv: kv[1])[0]
+            cur.compute_s = walls[cur.critical_real]
+        self.rows.append(cur)
+        pred = self._pred
+        if pred is None:
+            return
+        cur.predicted_ios = pred
+        cur.io_lo = pred / self.envelope_c
+        cur.io_hi = budget = pred * self.envelope_c
+        # only the upper edge is an alarm: a round cheaper than predicted is
+        # not worth interrupting a run for (the verdicts stay two-sided)
+        if self.drift_bus is not None and cur.parallel_ios > budget:
+            self.drift_bus.emit(
+                "model_drift",
+                round=ev.get("round"),
+                superstep=ev.get("superstep"),
+                parallel_ios=cur.parallel_ios,
+                predicted_ios=pred,
+                budget=budget,
+                envelope_c=self.envelope_c,
+            )
+
+    def _place(self, cur: SuperstepAgg, kind: Any, ev: dict[str, Any]) -> None:
+        """Charge an event inside an open round to its real processor."""
+        real = int(ev.get("real", ev.get("src_real", 0)) or 0)
+        # an event that names no real processor (a kind this version
+        # does not know, from an older trace) places nothing
+        placed = "real" in ev or "src_real" in ev
+        worker = ev.get("worker")
+        if placed and worker is not None:
+            self.real_worker[real] = int(worker)
+        node = ev.get("node")
+        if placed and node is not None:
+            self.real_node[real] = str(node)
+        if kind in ("context_read", "context_write"):
+            blocks = int(ev.get("blocks", 0) or 0)
+            cur.ctx_blocks += blocks
+            cur.per_real_ctx[real] = cur.per_real_ctx.get(real, 0) + blocks
+        elif kind in ("message_read", "message_write"):
+            blocks = int(ev.get("blocks", 0) or 0)
+            cur.msg_blocks += blocks
+            cur.per_real_msg[real] = cur.per_real_msg.get(real, 0) + blocks
+        elif kind == "network_transfer":
+            items = int(ev.get("items", 0) or 0)
+            cur.net_items += items
+            cur.net_events += 1
+            cur.per_real_net[real] = cur.per_real_net.get(real, 0) + items
+        elif kind == "compute_round":
+            wall = float(ev.get("wall_s", 0.0) or 0.0)
+            cur.per_real_wall[real] = cur.per_real_wall.get(real, 0.0) + wall
+            cur.compute_sum_s += wall
 
     # -- verdicts -------------------------------------------------------------
 
@@ -444,130 +598,65 @@ class TraceAnalysis:
             )
         return head + "\n\n" + table + "\n" + "\n".join(foot)
 
+    # -- repro top --------------------------------------------------------------
 
-def _machine_from_run_begin(ev: dict[str, Any]) -> dict[str, Any]:
-    return {k: ev.get(k) for k in ("N", "v", "p", "D", "B", "M")}
+    @property
+    def finished(self) -> bool:
+        """A ``run_end`` has been folded."""
+        return self.run_supersteps is not None
+
+    def render_top(self, window: int = 8) -> str:
+        """The ``repro top`` dashboard: machine shape, the last *window*
+        rounds with their parallel I/Os and wall time, running totals,
+        arena health and any ``model_drift`` alarms."""
+        head = f"repro top — {self.program} on {self.engine}"
+        if self.workers:
+            head += f" ({self.workers} workers)"
+        lines = [head]
+        shape = {k: v for k, v in self.machine.items() if k != "M" and v is not None}
+        if shape:
+            lines.append("machine: " + "  ".join(f"{k}={v}" for k, v in shape.items()))
+        total = self.total_parallel_ios
+        lines.append(
+            f"supersteps: {len(self.rows)}   parallel I/Os: "
+            f"{sum(r.parallel_ios for r in self.rows)}"
+            + (f" / {total} total" if total is not None else "")
+            + f"   events: {self.total_events}"
+        )
+        shown = self.rows[-window:] if window > 0 else []
+        if shown:
+            lines.append("")
+            lines.append(f"{'round':>6} {'superstep':>9} {'par I/Os':>9} "
+                         f"{'wall (s)':>9}  flags")
+            for r in shown:
+                lines.append(
+                    f"{r.round:>6} {r.superstep:>9} {r.parallel_ios:>9} "
+                    f"{r.round_wall_s:>9.4f}  {'DRIFT' if r.drift else ''}"
+                )
+        if self.arena_grows:
+            spill_peak = self.arena_spill_peak
+            spill = f", spill peak {spill_peak} B" if spill_peak else ""
+            lines.append(
+                f"arena: {self.arena_grows} growth events, resident peak "
+                f"{self.arena_resident_peak} B{spill}"
+            )
+        if self.drift_count:
+            lines.append(
+                f"model drift: {self.drift_count} superstep(s) exceeded the "
+                "Theorem 2/3 I/O envelope"
+            )
+        lines.append("status: " + ("finished" if self.finished else "running"))
+        return "\n".join(lines) + "\n"
 
 
 def analyze_events(
     events: list[dict[str, Any]], envelope_c: float = 8.0
 ) -> TraceAnalysis:
     """Aggregate recorder *events* (see :mod:`repro.obs.bus`) per superstep."""
-    out = TraceAnalysis(envelope_c=envelope_c, total_events=len(events))
-    cur: SuperstepAgg | None = None
-    seen_first = False
+    out = TraceAnalysis(envelope_c=envelope_c)
     for ev in events:
-        kind = ev.get("kind")
-        if kind == "run_begin":
-            out.engine = str(ev.get("engine", "?"))
-            out.program = str(ev.get("program", "?"))
-            out.balanced = bool(ev.get("balanced", False))
-            out.machine = _machine_from_run_begin(ev)
-        elif kind == "superstep_begin":
-            seen_first = True
-            cur = SuperstepAgg(
-                round=int(ev.get("round", len(out.rows))),
-                superstep=int(ev.get("superstep", len(out.rows))),
-            )
-        elif kind == "superstep_end":
-            if cur is None:
-                # end without begin: synthesize a group so nothing is lost
-                cur = SuperstepAgg(
-                    round=int(ev.get("round", len(out.rows))),
-                    superstep=int(ev.get("superstep", len(out.rows))),
-                )
-            cur.superstep = int(ev.get("superstep", cur.superstep))
-            cur.parallel_ios = int(ev.get("parallel_ios", 0) or 0)
-            cur.blocks = int(ev.get("blocks", 0) or 0)
-            cur.h_in = int(ev.get("h_in", 0) or 0)
-            cur.h_out = int(ev.get("h_out", 0) or 0)
-            cur.round_wall_s = float(ev.get("wall_s", 0.0) or 0.0)
-            wh = ev.get("width_hist")
-            if isinstance(wh, list):
-                cur.width_hist = [int(x) for x in wh]
-            if cur.per_real_wall:
-                cur.critical_real = max(
-                    cur.per_real_wall.items(), key=lambda kv: kv[1]
-                )[0]
-                cur.compute_s = cur.per_real_wall[cur.critical_real]
-            out.rows.append(cur)
-            cur = None
-        elif kind == "run_end":
-            out.total_parallel_ios = int(ev.get("parallel_ios", 0) or 0)
-            out.run_supersteps = int(ev.get("supersteps", 0) or 0)
-        elif kind == "tuned_config":
-            out.tuned = {
-                "config": dict(ev.get("config", {}) or {}),
-                "machine": dict(ev.get("machine", {}) or {}),
-                "rationale": [str(x) for x in (ev.get("rationale", []) or [])],
-                "fingerprint": str(ev.get("fingerprint", "") or ""),
-            }
-            if not seen_first:
-                out.setup_events += 1
-        elif kind == "model_drift":
-            # emitted in-stream by the conformance monitor, sequenced just
-            # after the superstep_end it reacted to
-            out.drift_count += 1
-            if out.rows:
-                out.rows[-1].drift = True
-        elif kind == "arena_grow":
-            out.arena_grows += 1
-            out.arena_resident_peak = max(
-                out.arena_resident_peak, int(ev.get("resident_nbytes", 0) or 0)
-            )
-            out.arena_spill_peak = max(
-                out.arena_spill_peak, int(ev.get("spill_nbytes", 0) or 0)
-            )
-            backend = ev.get("backend")
-            if backend:
-                out.arena_backend = str(backend)
-        elif cur is not None:
-            real = int(ev.get("real", ev.get("src_real", 0)) or 0)
-            # an event that names no real processor (a kind this version
-            # does not know, from an older trace) places nothing
-            placed = "real" in ev or "src_real" in ev
-            worker = ev.get("worker")
-            if placed and worker is not None:
-                out.real_worker[real] = int(worker)
-            node = ev.get("node")
-            if placed and node is not None:
-                out.real_node[real] = str(node)
-            if kind in ("context_read", "context_write"):
-                blocks = int(ev.get("blocks", 0) or 0)
-                cur.ctx_blocks += blocks
-                cur.per_real_ctx[real] = cur.per_real_ctx.get(real, 0) + blocks
-            elif kind in ("message_read", "message_write"):
-                blocks = int(ev.get("blocks", 0) or 0)
-                cur.msg_blocks += blocks
-                cur.per_real_msg[real] = cur.per_real_msg.get(real, 0) + blocks
-            elif kind == "network_transfer":
-                items = int(ev.get("items", 0) or 0)
-                cur.net_items += items
-                cur.net_events += 1
-                cur.per_real_net[real] = cur.per_real_net.get(real, 0) + items
-            elif kind == "compute_round":
-                wall = float(ev.get("wall_s", 0.0) or 0.0)
-                cur.per_real_wall[real] = cur.per_real_wall.get(real, 0.0) + wall
-                cur.compute_sum_s += wall
-        elif not seen_first:
-            out.setup_events += 1
-    _attach_predictions(out)
+        out.feed(ev)
     return out
-
-
-def _attach_predictions(out: TraceAnalysis) -> None:
-    """Per-superstep Theorem 2/3 envelopes, when the trace names an EM run."""
-    if not out.is_em:
-        return
-    from repro.obs.costcheck import superstep_io_budget
-
-    pred = superstep_io_budget(out.machine, out.balanced)
-    if pred is None:
-        return  # malformed/hand-edited trace header: report without envelopes
-    for row in out.rows:
-        row.predicted_ios = pred
-        row.io_lo = pred / out.envelope_c
-        row.io_hi = pred * out.envelope_c
 
 
 def analyze_file(path: str, envelope_c: float = 8.0) -> TraceAnalysis:

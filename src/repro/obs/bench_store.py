@@ -8,8 +8,8 @@ Theorem 2/3 predicted envelopes and any wall-clock timings (fuzzy, this
 machine's) — and writes them as one schema-versioned JSON document with an
 environment fingerprint.  :func:`compare` is the regression gate: I/O
 counts are deterministic simulation outputs and must match within
-``io_rtol`` (default exact); timings are hardware-dependent and are
-checked within ``time_rtol`` or skipped.
+``io_rtol`` (default exact); timings are provenance and never gate
+(``benchmarks/e2e`` owns time).
 
 Document layout (``SCHEMA_VERSION`` 1)::
 
@@ -255,7 +255,7 @@ class Mismatch:
     old: float
     new: float
     rtol: float
-    kind: str  # "measured" | "timing" | "missing"
+    kind: str  # "measured" | "missing"
 
     def describe(self) -> str:
         if self.kind == "missing":
@@ -307,19 +307,15 @@ def _within(old: float, new: float, rtol: float) -> bool:
 
 
 def compare(
-    old: dict[str, Any],
-    new: dict[str, Any],
-    io_rtol: float = 0.0,
-    time_rtol: float | None = 0.5,
+    old: dict[str, Any], new: dict[str, Any], io_rtol: float = 0.0
 ) -> CompareResult:
     """Gate *new* against baseline *old*.
 
     Every numeric key in each point's ``measured`` dict must agree within
     ``io_rtol`` (relative; 0.0 = exact — the simulation is deterministic).
-    ``timings`` values are checked within ``time_rtol``, or ignored when it
-    is ``None``.  Points present in the baseline but absent from the new
-    run are regressions (coverage must not silently shrink); new extra
-    points are fine.
+    ``timings`` are not compared.  Points present in the baseline but
+    absent from the new run are regressions (coverage must not silently
+    shrink); new extra points are fine.
     """
     for doc in (old, new):
         errors = validate_document(doc)
@@ -354,16 +350,5 @@ def compare(
             if not _within(float(old_val), float(new_val), io_rtol):
                 out.regressions.append(
                     Mismatch(name, key, float(old_val), float(new_val), io_rtol, "measured")
-                )
-        if time_rtol is None:
-            continue
-        for key, old_val in old_point.get("timings", {}).items():
-            new_val = new_point.get("timings", {}).get(key)
-            if new_val is None:
-                continue  # timing coverage may vary with hardware counters
-            out.compared_values += 1
-            if not _within(float(old_val), float(new_val), time_rtol):
-                out.regressions.append(
-                    Mismatch(name, key, float(old_val), float(new_val), time_rtol, "timing")
                 )
     return out

@@ -34,6 +34,14 @@ kind               tags
                    spill_nbytes, backend
 ``model_drift``    round, superstep, parallel_ios, predicted_ios, budget,
                    envelope_c
+``preempt``        round, resumable
+``tuned_config``   config, machine, rationale, fingerprint (before
+                   ``run_begin``, when a tuned profile was applied)
+``transport_connect`` transport, nodes (a tcp fleet, at start)
+``tune_begin``     workload, candidates, probed, probe_n
+``tune_probe``     candidate, wall_s, predicted_ios
+``tune_end``       chosen, config, machine
+``job_state``      job, state, attempts, preemptions (a served job's bus)
 ================== ======================================================
 
 A :class:`~repro.obs.metrics.MetricsRegistry` is a fold over these events
@@ -49,8 +57,9 @@ or ``"paged"`` (the VM baseline's 4 KB pager).  ``arena_grow`` is a
 presence depends on ``REPRO_ARENA`` — like ``io_fault``, it is excluded
 from cross-backend trace-identity comparisons.  The ``fault_stats`` ..
 ``worker_redispatch`` kinds come from the resilience subsystem
-(:mod:`repro.faults`); ``model_drift`` from the streaming
-:class:`~repro.obs.conformance.ConformanceMonitor`.
+(:mod:`repro.faults`); ``model_drift`` from the bus's own
+:class:`~repro.obs.analyze.TraceAnalysis` (``monitor=True``), the one fold
+over this stream that ``repro analyze`` and ``repro top`` read too.
 
 :class:`EventBus` records every event with a monotonically increasing
 ``seq`` and a ``ts`` (seconds since the bus was created), exports the
@@ -70,10 +79,10 @@ record as JSON lines or a Chrome trace, and is a live instrument too:
   read a batch at a time (:meth:`Subscription.take`).  The per-job SSE
   stream of ``repro serve`` is a subscriber;
 * **synchronous listeners** — :meth:`EventBus.add_listener` callbacks run
-  in-stream on the emitting thread; the streaming
-  :class:`~repro.obs.conformance.ConformanceMonitor` (attached by
-  default) uses this to emit ``model_drift`` the moment a superstep
-  exceeds its Theorem 2/3 parallel-I/O budget;
+  in-stream on the emitting thread; the bus's
+  :class:`~repro.obs.analyze.TraceAnalysis` (attached by default) uses
+  this to emit ``model_drift`` the moment a superstep exceeds its
+  Theorem 2/3 parallel-I/O budget;
 * **optional streaming sink** — ``sink=<path or file>`` writes (and
   flushes) each event as a JSON line the moment it is emitted, so
   ``repro top --follow`` can tail a live run.
@@ -96,7 +105,7 @@ from contextlib import contextmanager, nullcontext
 from typing import TYPE_CHECKING, Any, Callable, Iterator, TextIO
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.obs.conformance import ConformanceMonitor
+    from repro.obs.analyze import TraceAnalysis
 
 #: event kinds that open / close a hierarchical span.
 _OPENERS = frozenset({"run_begin", "superstep_begin", "span_begin"})
@@ -225,9 +234,10 @@ class EventBus:
 
     * *sink* — optional path or file object; every event is written (and
       flushed) as a JSON line the moment it is emitted.
-    * *monitor* — attach the streaming
-      :class:`~repro.obs.conformance.ConformanceMonitor` (default on; a
-      worker process's bus and a served job's run without it).
+    * *monitor* — fold every event into a
+      :class:`~repro.obs.analyze.TraceAnalysis` (:attr:`monitor`) that
+      raises ``model_drift`` on this bus (default on; a worker process's
+      bus and a served job's run without it).
     * *envelope_c* — the monitor's Theorem 2/3 envelope constant
       (default :data:`repro.obs.costcheck.DEFAULT_ENVELOPE`).
     """
@@ -259,12 +269,14 @@ class EventBus:
             else:
                 self._sink = open(sink, "w", encoding="utf-8")  # type: ignore[arg-type]
                 self._own_sink = True
-        self.monitor: "ConformanceMonitor | None" = None
+        self.monitor: "TraceAnalysis | None" = None
         if monitor:
-            from repro.obs.conformance import ConformanceMonitor
+            from repro.obs.analyze import TraceAnalysis
+            from repro.obs.costcheck import DEFAULT_ENVELOPE
 
-            self.monitor = ConformanceMonitor(self, envelope_c=envelope_c)
-            self._listeners.append(self.monitor.on_event)
+            c = DEFAULT_ENVELOPE if envelope_c is None else envelope_c
+            self.monitor = TraceAnalysis(envelope_c=float(c), drift_bus=self)
+            self._listeners.append(self.monitor.feed)
 
     # -- emission ----------------------------------------------------------
 
@@ -298,8 +310,7 @@ class EventBus:
             sink.flush()
         for sub in self._subs:
             sub._put(ev)
-        # listeners last: a listener that emits (the conformance monitor's
-        # model_drift) produces events sequenced *after* the one it reacts
+        # listeners last: a listener that emits (the monitor's model_drift) produces events sequenced *after* the one it reacts
         # to, for recorders and subscribers alike
         for cb in tuple(self._listeners):
             try:

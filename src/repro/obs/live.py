@@ -1,12 +1,9 @@
-"""``repro top``: a live textual view of a running simulation.
+"""The event sources of ``repro top`` and ``repro analyze``.
 
-:class:`TopView` is an incremental aggregator: feed it bus events one at
-a time (:meth:`TopView.feed`) and :meth:`TopView.render` produces a
-compact dashboard at any point mid-run — machine shape, the last few
-supersteps with their parallel-I/O and wall-clock cost, running totals,
-arena health and any ``model_drift`` alarms.  It never holds
-the full trace, so it can watch arbitrarily long runs at O(window)
-memory.
+``repro top`` feeds a :class:`~repro.obs.analyze.TraceAnalysis` one event
+at a time and prints :meth:`~repro.obs.analyze.TraceAnalysis.render_top`
+at any point mid-run.  It holds one small row per round, not the trace:
+at most :data:`~repro.cgm.engine.MAX_ROUNDS` (10,000) rows per run.
 
 Two stdlib event sources feed it:
 
@@ -23,7 +20,6 @@ from __future__ import annotations
 import json
 import time
 import urllib.request
-from collections import deque
 from typing import Any, Iterator
 
 
@@ -99,116 +95,3 @@ def iter_sse(url: str, timeout_s: float = 30.0) -> Iterator[dict[str, Any]]:
                     yield json.loads("\n".join(data_lines))
                 event_type = "trace"
                 data_lines = []
-
-
-class TopView:
-    """Incremental run dashboard; ``feed`` events, ``render`` anytime."""
-
-    def __init__(self, window: int = 8) -> None:
-        self.window = window
-        self.machine: dict[str, Any] = {}
-        self.engine: "str | None" = None
-        self.program: "str | None" = None
-        self.workers: "int | None" = None
-        self.rounds: deque[dict[str, Any]] = deque(maxlen=window)
-        self.supersteps = 0
-        self.total_ios = 0
-        self.run_total_ios: "int | None" = None
-        self.events_seen = 0
-        self.drifts: list[dict[str, Any]] = []
-        self.arena_grows = 0
-        self.arena_resident_peak = 0
-        self.arena_spill_peak = 0
-        self.finished = False
-
-    def feed(self, ev: dict[str, Any]) -> None:
-        self.events_seen += 1
-        kind = ev.get("kind")
-        if kind == "run_begin":
-            self.engine = ev.get("engine")
-            self.program = ev.get("program")
-            self.workers = ev.get("workers")
-            self.machine = {
-                k: ev[k] for k in ("N", "v", "p", "D", "B") if k in ev
-            }
-        elif kind == "superstep_end":
-            self.supersteps += 1
-            ios = int(ev.get("parallel_ios", 0) or 0)
-            self.total_ios += ios
-            self.rounds.append(
-                {
-                    "round": ev.get("round"),
-                    "superstep": ev.get("superstep"),
-                    "parallel_ios": ios,
-                    "wall_s": float(ev.get("wall_s", 0.0) or 0.0),
-                    "drift": False,
-                }
-            )
-        elif kind == "model_drift":
-            self.drifts.append(ev)
-            for row in reversed(self.rounds):
-                if row["round"] == ev.get("round"):
-                    row["drift"] = True
-                    break
-        elif kind == "arena_grow":
-            self.arena_grows += 1
-            self.arena_resident_peak = max(
-                self.arena_resident_peak, int(ev.get("resident_nbytes", 0) or 0)
-            )
-            self.arena_spill_peak = max(
-                self.arena_spill_peak, int(ev.get("spill_nbytes", 0) or 0)
-            )
-        elif kind == "run_end":
-            self.finished = True
-            total = ev.get("parallel_ios")
-            if total is not None:
-                self.run_total_ios = int(total)
-
-    def render(self) -> str:
-        head = f"repro top — {self.program or '?'} on {self.engine or '?'}"
-        if self.workers:
-            head += f" ({self.workers} workers)"
-        lines = [head]
-        if self.machine:
-            lines.append(
-                "machine: "
-                + "  ".join(f"{k}={v}" for k, v in self.machine.items())
-            )
-        lines.append(
-            f"supersteps: {self.supersteps}   parallel I/Os: {self.total_ios}"
-            + (
-                f" / {self.run_total_ios} total"
-                if self.run_total_ios is not None
-                else ""
-            )
-            + f"   events: {self.events_seen}"
-        )
-        if self.rounds:
-            lines.append("")
-            lines.append(f"{'round':>6} {'superstep':>9} {'par I/Os':>9} "
-                         f"{'wall (s)':>9}  flags")
-            for row in self.rounds:
-                lines.append(
-                    f"{row['round'] if row['round'] is not None else '?':>6} "
-                    f"{row['superstep'] if row['superstep'] is not None else '?':>9} "
-                    f"{row['parallel_ios']:>9} "
-                    f"{row['wall_s']:>9.4f}  "
-                    f"{'DRIFT' if row['drift'] else ''}"
-                )
-        if self.arena_grows:
-            spill = (
-                f", spill peak {self.arena_spill_peak} B"
-                if self.arena_spill_peak
-                else ""
-            )
-            lines.append(
-                f"arena: {self.arena_grows} growth events, resident peak "
-                f"{self.arena_resident_peak} B{spill}"
-            )
-        if self.drifts:
-            lines.append(
-                f"model drift: {len(self.drifts)} superstep(s) exceeded the "
-                "Theorem 2/3 I/O envelope"
-            )
-        lines.append("status: " + ("finished" if self.finished else "running"))
-        return "\n".join(lines) + "\n"

@@ -28,7 +28,6 @@ from repro.pdm.disk import Disk
 from repro.pdm.disk_array import DiskArray, IOOp, greedy_batch_widths
 from repro.pdm.io_stats import DiskServiceModel, IOStats
 from repro.pdm.memory import InternalMemory
-from repro.pdm.vm import LRUPager
 
 __all__ = [
     "blocks_for_bytes",
@@ -44,5 +43,4 @@ __all__ = [
     "DiskServiceModel",
     "IOStats",
     "InternalMemory",
-    "LRUPager",
 ]

@@ -3,26 +3,22 @@
 The PDM requires that a processor can hold at least one block per disk
 (``M >= D*B``) and the simulation theorems require ``M = Theta(mu)`` where
 ``mu`` is the largest virtual-processor context.  The engines charge every
-context, inbox and staging buffer against this budget; in strict mode an
-overflow is an error (the algorithm does not fit the machine), otherwise
-the high-water mark is recorded so benchmarks can report it.
+context, inbox and staging buffer against this budget and record the
+high-water mark, so benchmarks can report it (and whether it overflowed).
 """
 
 from __future__ import annotations
-
-from repro.util.validation import SimulationError
 
 
 class InternalMemory:
     """Capacity counter in items, with peak tracking."""
 
-    __slots__ = ("capacity", "used", "peak", "strict")
+    __slots__ = ("capacity", "used", "peak")
 
-    def __init__(self, capacity_items: int, strict: bool = False) -> None:
+    def __init__(self, capacity_items: int) -> None:
         self.capacity = int(capacity_items)
         self.used = 0
         self.peak = 0
-        self.strict = strict
 
     def charge(self, n_items: int) -> None:
         """Allocate *n_items* items of internal memory."""
@@ -31,11 +27,6 @@ class InternalMemory:
         self.used += n_items
         if self.used > self.peak:
             self.peak = self.used
-        if self.strict and self.used > self.capacity:
-            raise SimulationError(
-                f"internal memory overflow: {self.used} items used, "
-                f"capacity M={self.capacity}"
-            )
 
     def release(self, n_items: int) -> None:
         """Free *n_items* items."""
@@ -48,5 +39,5 @@ class InternalMemory:
 
     @property
     def overflowed(self) -> bool:
-        """Did the run ever exceed capacity (relevant in non-strict mode)?"""
+        """Did the run ever exceed capacity?"""
         return self.peak > self.capacity

@@ -78,7 +78,7 @@ class Job:
             fingerprint if fingerprint is not None else spec.fingerprint()
         )
         #: per-job telemetry: the engine's tracer plus lifecycle events;
-        #: conformance monitoring stays with the one-shot CLI paths
+        #: the in-stream drift check stays with the one-shot CLI paths
         self.bus = EventBus(monitor=False)
         self.state: str = QUEUED
         self.attempts = 0

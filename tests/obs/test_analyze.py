@@ -11,6 +11,8 @@ from repro.cgm.config import MachineConfig
 from repro.em.runner import em_sort
 from repro.obs.analyze import analyze_events, analyze_file
 from repro.obs.bus import EventBus
+from repro.obs.costcheck import superstep_io_budget
+from tests.obs.test_fold_goldens import biconnected_trace
 
 
 def _traced_sort(p=1, **kw):
@@ -74,6 +76,34 @@ class TestAggregation:
         tr, res, _ = _traced_sort(p=4)
         out = analyze_events(tr.events)
         assert sum(r.net_items for r in out.rows) == res.report.cross_items
+
+
+class TestMultiRunTrace:
+    def test_each_row_is_held_to_its_own_runs_envelope(self):
+        """One ``biconnected_components`` call is ten engine runs on one bus,
+        on machines of N = 120 and N = 238.  Every round is priced by the
+        ``run_begin`` in force when it closed, and ``analyze`` finds over
+        budget exactly the rounds the in-stream check flagged."""
+        bus = biconnected_trace(envelope_c=0.01)
+        out = analyze_events(bus.events, envelope_c=0.01)
+        expected = []
+        budget = None
+        for ev in bus.events:
+            if ev["kind"] == "run_begin":
+                budget = superstep_io_budget(ev, bool(ev["balanced"]))
+            elif ev["kind"] == "superstep_end":
+                expected.append(budget)
+        assert len(out.rows) == len(expected) > 200
+        assert len(set(expected)) > 1  # the runs' budgets differ ...
+        assert [r.predicted_ios for r in out.rows] == expected  # ... and each row
+        over = [(r.round, r.superstep) for r in out.rows if r.parallel_ios > r.io_hi]
+        drifted = [
+            (ev["round"], ev["superstep"])
+            for ev in bus.events
+            if ev["kind"] == "model_drift"
+        ]
+        assert over and over == drifted
+        assert [r.round for r in out.rows if r.drift] == [r for r, _ in drifted]
 
 
 class TestRobustness:

@@ -397,3 +397,27 @@ class TestEngineIntegration:
         assert np.array_equal(a.values, b.values)
         assert np.array_equal(a.values, c.values)
         assert a.report.io.as_dict() == b.report.io.as_dict() == c.report.io.as_dict()
+
+
+class TestEventTable:
+    def test_every_emitted_kind_is_in_the_table(self):
+        """The module docstring's table names every kind ``src/repro``
+        emits, so a new kind cannot ship undocumented."""
+        import re
+        from pathlib import Path
+
+        import repro
+        import repro.obs.bus as bus_mod
+
+        rules = [i for i, line in enumerate(bus_mod.__doc__.splitlines())
+                 if line.startswith("=====")]
+        rows = bus_mod.__doc__.splitlines()[rules[1] + 1:rules[2]]
+        table = {m.group(1) for line in rows if (m := re.match(r"``(\w+)``", line))}
+        src = Path(repro.__file__).resolve().parent
+        emitted = {
+            kind
+            for path in src.rglob("*.py")
+            for kind in re.findall(r'emit\(\s*"(\w+)"', path.read_text())
+        }
+        assert len(emitted) > 20
+        assert emitted <= table, sorted(emitted - table)

@@ -1,4 +1,4 @@
-"""The repro-top dashboard aggregator and its event sources."""
+"""The repro-top dashboard over the trace fold, and its event sources."""
 
 from __future__ import annotations
 
@@ -8,8 +8,9 @@ import time
 
 from repro.cgm.config import MachineConfig
 from repro.em.runner import em_sort
+from repro.obs.analyze import TraceAnalysis
 from repro.obs.bus import EventBus
-from repro.obs.live import TopView, iter_jsonl
+from repro.obs.live import iter_jsonl
 from repro.util.rng import make_rng
 
 
@@ -35,22 +36,27 @@ def _events():
 
 
 class TestTopView:
+    """``repro top`` is ``TraceAnalysis.render_top`` over the fold."""
+
     def test_aggregates_the_run(self):
-        view = TopView()
+        view = TraceAnalysis()
         for ev in _events():
             view.feed(ev)
-        assert view.machine == {"N": 1 << 14, "v": 8, "p": 2, "D": 2, "B": 64}
-        assert view.supersteps == 2 and view.total_ios == 140
-        assert view.run_total_ios == 180
-        assert view.events_seen == 7 and not hasattr(view, "prefetch_hits")
+        assert {k: view.machine[k] for k in "NvpDB"} == {
+            "N": 1 << 14, "v": 8, "p": 2, "D": 2, "B": 64
+        }
+        assert len(view.rows) == 2
+        assert sum(r.parallel_ios for r in view.rows) == 140
+        assert view.total_parallel_ios == 180
+        assert view.total_events == 7 and not hasattr(view, "prefetch_hits")
         assert view.arena_resident_peak == 4096 and view.arena_spill_peak == 512
-        assert len(view.drifts) == 1 and view.finished
+        assert view.drift_count == 1 and view.rows[0].drift and view.finished
 
     def test_render_surfaces_everything(self):
-        view = TopView()
+        view = TraceAnalysis()
         for ev in _events():
             view.feed(ev)
-        out = view.render()
+        out = view.render_top()
         assert "sample-sort on par-em (2 workers)" in out
         assert "supersteps: 2" in out and "140 / 180 total" in out
         assert "DRIFT" in out
@@ -59,30 +65,33 @@ class TestTopView:
         assert "status: finished" in out
 
     def test_window_bounds_memory(self):
-        view = TopView(window=3)
+        """The fold keeps one small row per round (a run has at most
+        ``MAX_ROUNDS``); the window bounds what a frame shows."""
+        view = TraceAnalysis()
         for r in range(100):
             view.feed({"kind": "superstep_end", "round": r, "superstep": r,
                        "parallel_ios": 1, "wall_s": 0.0})
-        assert len(view.rounds) == 3
-        assert [row["round"] for row in view.rounds] == [97, 98, 99]
-        assert view.supersteps == 100 and view.total_ios == 100
+        frame = [line.split() for line in view.render_top(window=3).splitlines()]
+        assert [int(w[0]) for w in frame if w and w[0].isdigit()] == [97, 98, 99]
+        assert "supersteps: 100   parallel I/Os: 100" in view.render_top(window=3)
+        assert "round" not in view.render_top(window=0)
 
     def test_running_status_before_run_end(self):
-        view = TopView()
+        view = TraceAnalysis()
         view.feed({"kind": "run_begin", "engine": "seq-em"})
-        assert "status: running" in view.render()
+        assert "status: running" in view.render_top()
 
     def test_real_engine_feed(self):
         bus = EventBus()
         data = make_rng(0).integers(0, 2**50, 1 << 13)
         cfg = MachineConfig(N=1 << 13, v=8, p=2, D=2, B=64)
         res = em_sort(data, cfg, engine="par", tracer=bus)
-        view = TopView()
+        view = TraceAnalysis()
         for ev in bus.events:
             view.feed(ev)
         assert view.finished
-        assert view.run_total_ios == res.report.io.parallel_ios
-        assert view.total_ios == sum(
+        assert view.total_parallel_ios == res.report.io.parallel_ios
+        assert sum(r.parallel_ios for r in view.rows) == sum(
             e["parallel_ios"] for e in bus.events if e["kind"] == "superstep_end"
         )
 

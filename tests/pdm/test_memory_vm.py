@@ -1,14 +1,13 @@
-"""Tests for internal-memory accounting, the LRU pager, and the disk
-service-time model."""
+"""Tests for internal-memory accounting, the VM baseline's LRU pager, and
+the disk service-time model."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.core.vm_engine import lru_pager
 from repro.pdm.io_stats import DiskServiceModel, IOStats
 from repro.pdm.memory import InternalMemory
-from repro.pdm.vm import LRUPager
-from repro.util.validation import SimulationError
 
 
 class TestInternalMemory:
@@ -20,11 +19,6 @@ class TestInternalMemory:
         assert m.used == 40
         assert m.peak == 90
         assert not m.overflowed
-
-    def test_strict_overflow_raises(self):
-        m = InternalMemory(10, strict=True)
-        with pytest.raises(SimulationError, match="memory overflow"):
-            m.charge(11)
 
     def test_nonstrict_overflow_recorded(self):
         m = InternalMemory(10)
@@ -47,49 +41,53 @@ class TestInternalMemory:
 
 
 class TestLRUPager:
+    """``lru_pager`` is ``CacheSim`` with one set: misses are page faults."""
+
     def test_working_set_fits_only_compulsory_faults(self):
-        pager = LRUPager(memory_items=10 * 512, page_items=512)
+        pager = lru_pager(memory_items=10 * 512, page_items=512)
         for _ in range(5):
-            pager.touch_range(0, 8 * 512)  # 8 pages, 10 frames
-        assert pager.faults == 8  # compulsory only
+            pager.access_range(0, 8 * 512)  # 8 pages, 10 frames
+        assert pager.misses == 8  # compulsory only
 
     def test_cyclic_sweep_beyond_memory_thrashes(self):
         """LRU's pathological case: cyclic scan of M+1 pages faults on
         every access — the Figure 3 mechanism."""
-        pager = LRUPager(memory_items=4 * 512, page_items=512)
+        pager = lru_pager(memory_items=4 * 512, page_items=512)
         for _ in range(3):
-            pager.touch_range(0, 8 * 512)  # 8 pages into 4 frames
-        assert pager.faults == 3 * 8
-        assert pager.hit_rate == 0.0
+            pager.access_range(0, 8 * 512)  # 8 pages into 4 frames
+        assert pager.misses == 3 * 8
+        assert pager.miss_rate == 1.0
 
     def test_partial_page_access_touches_whole_page(self):
-        pager = LRUPager(memory_items=16 * 512)
-        pager.touch_range(100, 10)  # inside page 0
-        assert pager.faults == 1
-        pager.touch_range(500, 50)  # spans pages 0 and 1
-        assert pager.faults == 2
+        pager = lru_pager(memory_items=16 * 512)
+        pager.access_range(100, 10)  # inside page 0
+        assert pager.misses == 1
+        pager.access_range(500, 50)  # spans pages 0 and 1
+        assert pager.misses == 2
 
     def test_recency_updates(self):
-        pager = LRUPager(memory_items=2 * 512, page_items=512)
-        pager.touch_range(0 * 512, 1)      # page 0
-        pager.touch_range(1 * 512, 1)      # page 1
-        pager.touch_range(0 * 512, 1)      # refresh page 0
-        pager.touch_range(2 * 512, 1)      # evicts page 1 (LRU)
-        pager.touch_range(0 * 512, 1)      # page 0 still resident
-        assert pager.faults == 3
+        pager = lru_pager(memory_items=2 * 512, page_items=512)
+        pager.access_range(0 * 512, 1)      # page 0
+        pager.access_range(1 * 512, 1)      # page 1
+        pager.access_range(0 * 512, 1)      # refresh page 0
+        pager.access_range(2 * 512, 1)      # evicts page 1 (LRU)
+        pager.access_range(0 * 512, 1)      # page 0 still resident
+        assert pager.misses == 3
 
     def test_empty_touch_free(self):
-        pager = LRUPager(memory_items=512)
-        assert pager.touch_range(0, 0) == 0
+        pager = lru_pager(memory_items=512)
+        assert pager.access_range(0, 0) == 0
 
-    def test_io_time_scales_with_faults(self):
-        pager = LRUPager(memory_items=512, page_items=512)
-        pager.touch_range(0, 512 * 5)
-        assert pager.io_time(0.01) == pytest.approx(0.05)
+    def test_memory_below_one_page_keeps_one_frame(self):
+        pager = lru_pager(memory_items=100, page_items=512)
+        assert pager.n_sets == 1 and pager.ways == 1
+        pager.access_range(0, 512 * 5)
+        pager.access_range(4 * 512, 1)  # the one frame holds the last page
+        assert pager.misses == 5
 
     def test_bad_page_size(self):
         with pytest.raises(ValueError):
-            LRUPager(1024, page_items=0)
+            lru_pager(1024, page_items=0)
 
 
 class TestDiskServiceModel:

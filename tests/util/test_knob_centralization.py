@@ -10,8 +10,9 @@ that nothing on its path pickles, and a worker is one session on one wire
 preemption probe — which turns per-round checkpoint writes into one write
 on demand — is installed by the job service's pool alone, and telemetry
 has one recorder class, one HTTP server and one JSON-lines reader, a
-subscription one consumer method (a batch per wake-up), and a local
-worker packet one carrier (its frame; no shared-memory segment).
+subscription one consumer method (a batch per wake-up), a local worker
+packet one carrier (its frame; no shared-memory segment), and the trace
+one fold that every view and the drift check read.
 
 The tentpole's centralization contract — ad-hoc ``os.environ`` reads of
 runtime knobs are how the inconsistent-caching bug happened, so outside
@@ -99,6 +100,10 @@ _SECOND_CARRIER = re.compile(
     r"shared_memory|SharedMemory|_posixshmem|shm_threshold|shm_bytes"
     r"|REPRO_SHM_BYTES|unlink_segment|_sweep_segments"
 )
+
+#: the second and third folds over the event stream: the dashboard
+#: aggregator, the conformance monitor and the post-hoc envelope pass
+_SECOND_FOLD = re.compile(r"class TopView|ConformanceMonitor|_attach_predictions")
 
 #: the engines' second telemetry sink: the null and scoped registries, the
 #: backend-specific emitters and an engine-held registry
@@ -409,3 +414,19 @@ def test_no_raw_repro_environ_access_outside_tune():
         "repro.tune.runtime.current(), or make_engine(overrides=...) to set "
         "one for a run):\n" + "\n".join(offenders)
     )
+
+
+def test_one_fold_over_the_event_stream():
+    """``repro analyze``, ``repro top`` and the in-stream drift check all
+    read ``TraceAnalysis.feed``; the bus's monitor is that fold."""
+    from repro.obs.analyze import TraceAnalysis
+    from repro.obs.bus import EventBus
+
+    offenders = _offenders(_SECOND_FOLD, skip_tune=False)
+    assert not offenders, (
+        "the trace has one fold, obs.analyze.TraceAnalysis.feed:\n"
+        + "\n".join(offenders)
+    )
+    obs = Path(repro.__file__).resolve().parent / "obs"
+    assert not (obs / "conformance.py").exists()
+    assert isinstance(EventBus().monitor, TraceAnalysis)
