@@ -56,8 +56,7 @@ def scale_factor() -> int:
 
 
 def dist_cfg() -> MachineConfig:
-    return MachineConfig(N=FIG5_N * scale_factor(), v=V, p=4, D=D, B=B,
-                         workers=WORKERS)
+    return MachineConfig(N=FIG5_N * scale_factor(), v=V, p=4, D=D, B=B)
 
 
 def _node_list():
@@ -96,7 +95,7 @@ def _run_sort(cfg: MachineConfig, data: np.ndarray, rt: RuntimeConfig) -> dict:
 def test_dist_sort_tcp_vs_memory_bit_identity(bench_store):
     cfg = dist_cfg()
     data = make_rng(cfg.N).integers(0, 2**50, cfg.N)
-    base_rt = RuntimeConfig.from_env()
+    base_rt = RuntimeConfig.from_env().replace(workers=WORKERS)
 
     nodes, servers = _node_list()
     try:

@@ -88,7 +88,7 @@ def test_theorem3_workers_backend_bit_identical():
     for p in (2, 4):
         cfg = MachineConfig(N=N, v=V, p=p, D=D, B=B)
         seq = em_sort(data, cfg, engine="par")
-        par = em_sort(data, cfg.with_(workers=p), engine="par")
+        par = em_sort(data, cfg, engine="par", overrides={"workers": p})
         assert np.array_equal(par.values, np.sort(data))
         assert par.report.io.parallel_ios == seq.report.io.parallel_ios
         assert par.report.io.blocks_total == seq.report.io.blocks_total

@@ -9,7 +9,8 @@ superstep pays the synchronization latency ``L``.
 ``v`` is the number of *virtual* processors of the simulated CGM algorithm
 (``p <= v``, ``p | v``).  The theorems hold only inside a parameter region;
 :meth:`MachineConfig.constraint_report` evaluates every condition the paper
-states so engines and benchmarks can enforce or display them.
+states: ``repro machine`` displays them and ``validate(strict=True)``
+enforces them for a caller that wants to.
 """
 
 from __future__ import annotations
@@ -26,7 +27,9 @@ class MachineConfig:
 
     All sizes are in *items* (8-byte words).  Cost parameters follow the
     paper: ``g`` per item communicated, ``G`` per parallel I/O operation,
-    ``L`` per superstep barrier.
+    ``L`` per superstep barrier.  How many OS processes simulate the p
+    real processors is a choice of the run (the ``workers`` knob), not a
+    parameter of the machine.
     """
 
     N: int                  #: problem size in items
@@ -39,12 +42,9 @@ class MachineConfig:
     G: float = 1000.0       #: cost of one parallel I/O operation
     L: float = 100.0        #: synchronization cost per superstep
     seed: int = 0           #: RNG seed for randomized algorithms
-    strict: bool = False    #: raise (vs warn) on constraint violations
-    workers: int = 0        #: OS processes for the par backend (0 = in-process)
 
     def __post_init__(self) -> None:
         require(self.N >= 1, f"N must be positive, got {self.N}")
-        require(self.workers >= 0, f"workers must be >= 0, got {self.workers}")
         require(self.v >= 1, f"v must be positive, got {self.v}")
         require(self.p >= 1, f"p must be positive, got {self.p}")
         require(self.p <= self.v, f"need p <= v, got p={self.p}, v={self.v}")
@@ -146,14 +146,14 @@ class MachineConfig:
         add("p <= v and p | v", p <= v and v % p == 0, f"p={p}, v={v}")
         return checks
 
-    def validate(self, kappa: float = 2.0, strict: bool | None = None) -> list[str]:
+    def validate(self, kappa: float = 2.0, strict: bool = False) -> list[str]:
         """Check constraints; return the list of violated ones.
 
-        Raises :class:`ConstraintViolation` in strict mode.
+        Raises :class:`ConstraintViolation` when *strict*.
         """
         report = self.constraint_report(kappa)
         bad = [f"{k}: {d['detail']}" for k, d in report.items() if not d["ok"]]
-        if bad and (self.strict if strict is None else strict):
+        if bad and strict:
             raise ConstraintViolation(
                 "machine configuration violates paper constraints:\n  "
                 + "\n  ".join(bad)

@@ -118,18 +118,18 @@ class Engine:
     #: worker death) set this True: the run loop then takes the snapshot
     #: at every boundary even when nothing asks for it on disk.
     snapshot_every_round = False
+    #: OS worker processes simulating the reals (``run_begin``'s
+    #: ``workers`` tag): 0 means this interpreter holds the whole machine.
+    n_workers = 0
 
     def __init__(
         self,
         cfg: MachineConfig,
         balanced: bool = False,
-        validate: bool = True,
         tracer: EventBus | NullRecorder | None = None,
     ) -> None:
         self.cfg = cfg
         self.balanced = balanced
-        self.validate = validate
-        self.constraint_warnings: list[str] = []
         #: trace recorder; defaults to the zero-cost disabled singleton.
         #: Call sites must guard on ``self.tracer.enabled`` so the disabled
         #: path never constructs an event payload.
@@ -440,8 +440,6 @@ class Engine:
             )
         if self.resume and self.checkpoint is None:
             raise ConfigurationError("--resume requires a checkpoint directory")
-        if self.validate:
-            self.constraint_warnings = cfg.validate(kappa=program.kappa)
 
         rngs = spawn_rngs(cfg.seed, v)
         report = CostReport(engine=self.name)
@@ -465,7 +463,7 @@ class Engine:
                 D=cfg.D,
                 B=cfg.B,
                 M=cfg.M,
-                workers=cfg.workers,
+                workers=self.n_workers,
                 balanced=self.balanced,
             )
 

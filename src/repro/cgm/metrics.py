@@ -39,6 +39,11 @@ class RoundMetrics:
         return max(self.h_in, self.h_out)
 
 
+#: names of the external-memory engines (Algorithms 2 and 3), whose I/O
+#: counters are the paper's PDM costs
+EM_ENGINES = ("seq-em", "par-em")
+
+
 @dataclass
 class CostReport:
     """Whole-run accounting for one engine execution."""

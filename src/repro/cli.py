@@ -74,22 +74,15 @@ def _machine_options(p: argparse.ArgumentParser, n_default: int = 1 << 14) -> No
         help="block size (items)",
     )
     p.add_argument("--m", type=int, default=None, help="memory per processor (items)")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        action=_TrackedStore,
-        help="run the par backend's real processors in this many OS "
-        "processes (0 = single-process simulation; capped at p)",
-    )
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--profile",
         metavar="PROFILE.json",
         default=None,
         help="apply a tuned profile written by 'repro tune': fills "
-        "--v/--d/--b/--workers you did not give explicitly and applies "
-        "its runtime knobs (explicit flags and env vars still win)",
+        "--v/--d/--b you did not give explicitly and applies its runtime "
+        "knobs, the worker count included (explicit flags and env vars "
+        "still win)",
     )
 
 
@@ -100,6 +93,14 @@ def _backend_options(p: argparse.ArgumentParser) -> None:
         choices=["memory", "vm", "seq", "par"],
         default=None,
         help="backend (default: seq for p=1, par otherwise)",
+    )
+    p.add_argument(
+        "--workers",
+        type=int,
+        default=None,
+        help="run the par backend's real processors in this many OS "
+        "processes (0 = single-process simulation; capped at p); "
+        "overrides REPRO_WORKERS for this run",
     )
     p.add_argument(
         "--arena",
@@ -204,10 +205,6 @@ def _apply_profile(args) -> None:
     for dest, key in (("v", "v"), ("d", "D"), ("b", "B")):
         if dest not in explicit:
             setattr(args, dest, int(machine[key]))
-    if "workers" not in explicit:
-        workers = doc["config"].get("workers")
-        if workers is not None:
-            args.workers = int(workers)
 
 
 def _config(args, n: int | None = None) -> MachineConfig:
@@ -219,7 +216,6 @@ def _config(args, n: int | None = None) -> MachineConfig:
         B=args.b,
         M=args.m,
         seed=args.seed,
-        workers=args.workers,
     )
 
 
@@ -328,7 +324,8 @@ def _engine_options(args, tracer=None, metrics=None) -> dict:
         resume=args.resume,
         profile=getattr(args, "_profile_doc", None),
         overrides={
-            "arena": args.arena, "transport": args.transport, "nodes": args.nodes,
+            "workers": args.workers, "arena": args.arena,
+            "transport": args.transport, "nodes": args.nodes,
         },
     )
 

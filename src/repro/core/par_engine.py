@@ -28,7 +28,7 @@ A :class:`ParEMEngine` is one *slice* of that machine: the real
 processors ``plan[worker_id]``, their disks and their virtual processors.
 By default the plan has one slice owning every real, step (d) never leaves
 the interpreter and :meth:`ParEMEngine._exchange` has nothing to do.  With
-``cfg.workers > 1`` the :mod:`repro.core.workers` coordinator builds one
+more than one worker the :mod:`repro.core.workers` coordinator builds one
 slice per worker process, hands each a transport as ``net``, and folds the
 slices' counters back into an identical :class:`CostReport` — the round
 loop (:meth:`Engine._execute_round`), the routing and the stats fold are
@@ -101,13 +101,12 @@ class ParEMEngine(Engine):
         self,
         cfg: MachineConfig,
         balanced: bool = False,
-        validate: bool = True,
         tracer=None,
         plan: "list[list[int]] | None" = None,
         worker_id: int = 0,
         net=None,
     ) -> None:
-        super().__init__(cfg, balanced=balanced, validate=validate, tracer=tracer)
+        super().__init__(cfg, balanced=balanced, tracer=tracer)
         if plan is None:
             plan = [list(range(cfg.p))]
         self.worker_id = worker_id
@@ -681,11 +680,10 @@ class SeqEMEngine(ParEMEngine):
         self,
         cfg: MachineConfig,
         balanced: bool = False,
-        validate: bool = True,
         tracer=None,
     ) -> None:
         require(cfg.p == 1, f"SeqEMEngine requires p=1, got p={cfg.p}")
-        super().__init__(cfg, balanced=balanced, validate=validate, tracer=tracer)
+        super().__init__(cfg, balanced=balanced, tracer=tracer)
 
     def _supersteps_per_round(self) -> int:
         return 1

@@ -48,11 +48,10 @@ class VMEngine(InMemoryEngine):
         self,
         cfg,
         balanced: bool = False,
-        validate: bool = True,
         page_items: int = 512,
         tracer=None,
     ):
-        super().__init__(cfg, balanced=balanced, validate=validate, tracer=tracer)
+        super().__init__(cfg, balanced=balanced, tracer=tracer)
         self.page_items = page_items
 
     def _start(self, program: CGMProgram) -> None:

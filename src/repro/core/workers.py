@@ -1,10 +1,10 @@
 """Multi-core execution of Algorithm 3: one OS process per real-processor
 group.
 
-:class:`ProcessParEngine` is the opt-in (``cfg.workers > 1``) backend that
+:class:`ProcessParEngine` is the opt-in (``workers`` knob > 1) backend that
 finally runs the p real processors of ParCompoundSuperstep concurrently:
-the coordinator partitions the reals contiguously over ``min(workers, p)``
-worker processes, and each worker builds one
+the coordinator partitions the reals contiguously over its ``n_workers``
+(at most p) worker processes, and each worker builds one
 :class:`~repro.core.par_engine.ParEMEngine` *slice* of the machine — the
 same engine the in-process run uses, constructed with the coordinator's
 ``plan``, its ``worker_id`` and a transport, so it instantiates only its
@@ -148,7 +148,6 @@ def run_worker_session(
     eng = ParEMEngine(
         cfg,
         session["balanced"],
-        validate=False,
         tracer=tracer,
         plan=session["plan"],
         worker_id=worker_id,
@@ -410,12 +409,12 @@ class ProcessParEngine(Engine):
     def __init__(
         self,
         cfg: MachineConfig,
+        n_workers: int,
         balanced: bool = False,
-        validate: bool = True,
         tracer=None,
     ) -> None:
-        super().__init__(cfg, balanced=balanced, validate=validate, tracer=tracer)
-        self.n_workers = max(1, min(cfg.workers or cfg.p, cfg.p))
+        super().__init__(cfg, balanced=balanced, tracer=tracer)
+        self.n_workers = n_workers
         self._fleet = None
         self._pending = False
         self._restarts = 0

@@ -11,7 +11,7 @@ These are the functions a downstream user calls::
 p == 1), ``"par"`` (Algorithm 3), ``"memory"`` (pure CGM reference), or
 ``"vm"`` (the Figure 3 LRU-paging baseline).  Every other run option
 (tracer, metrics, faults, checkpoint, resume, runtime, profile,
-overrides, validate) is declared once, on :func:`make_engine`;
+overrides) is declared once, on :func:`make_engine`;
 ``em_run``, the ``em_*`` helpers and the Group B/C wrappers of
 :mod:`repro.algorithms` forward them, so a knob chosen for one run is an
 argument of that run and never a write to ``os.environ``.
@@ -70,7 +70,6 @@ def make_engine(
     cfg: MachineConfig,
     engine: str | None = None,
     balanced: bool = False,
-    validate: bool = True,
     tracer: EventBus | NullRecorder | None = None,
     metrics: MetricsRegistry | None = None,
     faults: FaultPlan | str | None = None,
@@ -91,16 +90,17 @@ def make_engine(
     :class:`~repro.tune.knobs.KnobError` instead of a bare traceback.
 
     *overrides* maps knob field names to explicit values for this run
-    (the CLI's ``--arena`` / ``--transport`` / ``--nodes``; ``None``
-    entries are skipped); *runtime* pins an explicit pre-resolved snapshot
-    (the tuner's probes), with *overrides* applied on top of it; *profile*
-    applies a tuned-profile JSON document (path or loaded dict) under the
-    environment, as does ``REPRO_PROFILE`` when neither argument is given.
+    (the CLI's ``--workers`` / ``--arena`` / ``--transport`` / ``--nodes``;
+    ``None`` entries are skipped); *runtime* pins an explicit pre-resolved
+    snapshot (the tuner's probes), with *overrides* applied on top of it;
+    *profile* applies a tuned-profile JSON document (path or loaded dict)
+    under the environment, as does ``REPRO_PROFILE`` when neither argument
+    is given.
 
-    The ``par`` backend switches to the multi-core worker implementation
-    when ``cfg.workers > 1`` (or the ``REPRO_WORKERS`` knob requests it
-    and the config leaves ``workers`` unset) and there is more than one
-    real processor to parallelize over.
+    The ``par`` backend on p > 1 runs on a fleet of worker processes when
+    the resolved ``workers`` knob asks for more than one; the fleet size
+    is computed here, once: the knob capped at p, or under the tcp
+    transport with no count, one worker per node (at least two).
 
     Resilience knobs (EM backends only): *faults* is a
     :class:`~repro.faults.plan.FaultPlan` (or a path to its JSON form)
@@ -149,7 +149,7 @@ def make_engine(
         ) from None
     eng: Engine | None = None
     if engine == "par" and cfg.p > 1:
-        workers = cfg.workers or rt.workers
+        workers = rt.workers
         if rt.transport == "tcp" and workers <= 1:
             # spanning machines requires the worker coordinator; with no
             # explicit count, run one worker per configured node — but
@@ -159,18 +159,14 @@ def make_engine(
             # one node is plain co-tenancy)
             from repro.core.transport import require_nodes
 
-            workers = min(max(len(require_nodes(rt.nodes)), 2), cfg.p)
+            workers = max(len(require_nodes(rt.nodes)), 2)
+        workers = min(workers, cfg.p)
         if workers > 1:
             from repro.core.workers import ProcessParEngine
 
-            eng = ProcessParEngine(
-                cfg.with_(workers=workers),
-                balanced=balanced,
-                validate=validate,
-                tracer=tracer,
-            )
+            eng = ProcessParEngine(cfg, workers, balanced=balanced, tracer=tracer)
     if eng is None:
-        eng = cls(cfg, balanced=balanced, validate=validate, tracer=tracer)
+        eng = cls(cfg, balanced=balanced, tracer=tracer)
     eng.runtime = rt
     if isinstance(faults, str):
         faults = FaultPlan.from_json(faults)

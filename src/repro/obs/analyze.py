@@ -32,13 +32,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
+from repro.cgm.metrics import EM_ENGINES
 from repro.util.tables import format_table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.bus import EventBus
-
-#: engines whose I/O counters are meaningful PDM costs.
-_EM_ENGINES = ("seq-em", "par-em")
 
 
 @dataclass
@@ -263,7 +261,7 @@ class TraceAnalysis:
 
     @property
     def is_em(self) -> bool:
-        return self.engine in _EM_ENGINES
+        return self.engine in EM_ENGINES
 
     def violations(self) -> list[SuperstepAgg]:
         return [r for r in self.rows if not r.io_ok]

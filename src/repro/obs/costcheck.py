@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.cgm.config import MachineConfig
-from repro.cgm.metrics import CostReport
+from repro.cgm.metrics import EM_ENGINES, CostReport
 from repro.core.theory import predicted_parallel_ios
 
 #: default constant-factor envelope for the asymptotic (I/O, comm) checks.
@@ -179,7 +179,7 @@ def crosscheck_report(
         )
     )
 
-    if report.engine in ("seq-em", "par-em"):
+    if report.engine in EM_ENGINES:
         pred_io = theorem3_predicted_ios(cfg, rounds, balanced)
         lo, hi = pred_io / c, pred_io * c
         measured_max = report.io_max.parallel_ios or report.io.parallel_ios

@@ -36,6 +36,8 @@ import threading
 import weakref
 from typing import TYPE_CHECKING, Any, TextIO
 
+from repro.cgm.metrics import EM_ENGINES
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.bus import EventBus
 
@@ -307,8 +309,6 @@ _ROUND_SUMS = (
     ("repro_comm_items_total", "comm_items"),
     ("repro_cross_items_total", "cross_items"),
 )
-#: the EM engines, whose ``run_end`` block split the fold writes
-_EM_ENGINES = ("seq-em", "par-em")
 _BLOCK_SUMS = (
     ("repro_context_blocks_total", "context_blocks"),
     ("repro_message_blocks_total", "message_blocks"),
@@ -407,7 +407,7 @@ class _RunFold:
                 **self.scope, "engine": ev["engine"], "page_items": ev["page_items"]
             }
             self._update("repro_page_faults_total", pager)(ev["page_faults"])
-        if ev["engine"] in _EM_ENGINES:
+        if ev["engine"] in EM_ENGINES:
             for name, key in _BLOCK_SUMS:
                 self._update(name, self.machine)(ev[key])
         self._put("repro_runs_total", 1)

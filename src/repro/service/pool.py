@@ -93,7 +93,9 @@ def execute_spec(
     cfg = spec.machine_config()
     op = OPS[spec.op]
     raw = op.generate(make_rng(spec.seed), spec.n)
-    runtime = RuntimeConfig.resolve(overrides=dict(spec.config) or None)
+    # a spec's workers of 0 leaves the count to the server's environment
+    overrides = {**spec.config, "workers": spec.workers or None}
+    runtime = RuntimeConfig.resolve(overrides=overrides)
     engine = make_engine(
         cfg,
         spec.resolved_engine(),

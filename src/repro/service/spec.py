@@ -225,7 +225,7 @@ class JobSpec:
     def machine_config(self) -> MachineConfig:
         return MachineConfig(
             N=self.n, v=self.v, p=self.p, D=self.D, B=self.B, M=self.M,
-            seed=self.seed, workers=self.workers,
+            seed=self.seed,
         )
 
     def workload(self) -> WorkloadSpec:

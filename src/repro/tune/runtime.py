@@ -55,8 +55,9 @@ class RuntimeConfig:
         """This snapshot with explicit (CLI/API) values applied on top.
 
         ``None`` entries are ignored so callers can pass optional flags
-        straight through; strings go through the knob's parser, so a
-        malformed one raises a :class:`KnobError` naming the variable.
+        straight through; every other value goes through the knob's
+        parser, as environment input does, so a malformed one (``-1``
+        workers, say) raises a :class:`KnobError` naming the variable.
         """
         changes: dict[str, Any] = {}
         for name, val in (overrides or {}).items():
@@ -64,7 +65,7 @@ class RuntimeConfig:
             if spec is None:
                 raise KnobError(f"unknown knob override {name!r}")
             if val is not None:
-                changes[name] = spec.coerce(val) if isinstance(val, str) else val
+                changes[name] = spec.coerce(str(val))
         return self.replace(**changes) if changes else self
 
     @classmethod

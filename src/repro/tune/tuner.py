@@ -126,10 +126,7 @@ def build_workload(
 
 
 def probe_config(spec: WorkloadSpec, cand: Candidate, n: int) -> MachineConfig:
-    return MachineConfig(
-        N=n, v=cand.v, p=spec.p, D=cand.D, B=cand.B,
-        seed=spec.seed, workers=cand.workers,
-    )
+    return MachineConfig(N=n, v=cand.v, p=spec.p, D=cand.D, B=cand.B, seed=spec.seed)
 
 
 def _measure_wallclock(
@@ -257,9 +254,9 @@ def tune(
             "probe_n": n_probe,
             "reps": reps,
             "top_k": top_k,
-            # probes run in-process, so they measure the ambient
-            # transport; apply-time warns if a run uses a different one
-            "transport": RuntimeConfig.from_env().transport,
+            # the carrier the probes ran on (each is pinned to its
+            # candidate's runtime); apply-time warns if a run uses another
+            "transport": chosen.runtime().transport,
         },
     )
     if tracer is not None:

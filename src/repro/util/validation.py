@@ -28,8 +28,8 @@ class ConstraintViolation(ValueError):
     """A paper-mandated parameter constraint does not hold.
 
     The paper's theorems only apply inside a parameter region (e.g.
-    ``N = Omega(v*D*B)``, ``N >= v^2*B + v^2(v-1)/2``).  Engines raise this
-    in strict mode and warn otherwise.
+    ``N = Omega(v*D*B)``, ``N >= v^2*B + v^2(v-1)/2``).  Raised by
+    ``MachineConfig.validate(strict=True)``.
     """
 
 

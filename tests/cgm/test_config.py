@@ -57,12 +57,15 @@ class TestConstraints:
         assert any("v*D*B" in b or "Lemma 2" in b for b in bad)
 
     def test_strict_mode_raises(self):
-        cfg = MachineConfig(N=256, v=16, D=2, B=64, strict=True)
+        cfg = MachineConfig(N=256, v=16, D=2, B=64)
         with pytest.raises(ConstraintViolation):
-            cfg.validate(kappa=3.0)
+            cfg.validate(kappa=3.0, strict=True)
 
     def test_explicit_strict_overrides_config(self):
+        """The default is lenient (the violations come back as a list);
+        only an explicit ``strict=True`` raises."""
         cfg = MachineConfig(N=256, v=16, D=2, B=64)
+        assert cfg.validate(kappa=3.0)
         with pytest.raises(ConstraintViolation):
             cfg.validate(kappa=3.0, strict=True)
 

@@ -116,16 +116,18 @@ class TestProcessEngineIdentity:
     def test_sort_identical_with_workers(self):
         n = 1 << 12
         data = np.random.default_rng(7).integers(0, 2**50, n)
-        cfg = MachineConfig(N=n, v=4, p=2, D=2, B=64, workers=2)
+        cfg = MachineConfig(N=n, v=4, p=2, D=2, B=64)
         for balanced in (False, True):
-            _assert_identical(*_sort_both(cfg, data, "par", balanced=balanced))
+            _assert_identical(*_sort_both(
+                cfg, data, "par", balanced=balanced, overrides={"workers": 2}
+            ))
 
     def test_fast_process_matches_reference_inprocess(self):
         """Cross-backend too: worker run service == in-process per-op."""
         n = 1 << 12
         data = np.random.default_rng(8).integers(0, 2**50, n)
         cfg = MachineConfig(N=n, v=4, p=2, D=2, B=64)
-        proc = em_sort(data, cfg.with_(workers=2), engine="par")
+        proc = em_sort(data, cfg, engine="par", overrides={"workers": 2})
         with spec_arrays():
             inproc = em_sort(data, cfg, engine="par")
         assert np.array_equal(proc.values, inproc.values)

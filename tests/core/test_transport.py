@@ -482,7 +482,7 @@ class TestFleetValidation:
         monkeypatch.delenv("REPRO_WORKERS", raising=False)
         eng = make_engine(MachineConfig(N=N, v=V, p=4, D=D, B=B), "par")
         assert isinstance(eng, ProcessParEngine)
-        assert eng.cfg.workers == 2
+        assert eng.n_workers == 2
 
 
 class TestReaderTeardown:
@@ -547,7 +547,7 @@ class TestBitIdentity:
     """The acceptance gate: logical IOStats and outputs are identical no
     matter which transport carried the worker exchange."""
 
-    CFG = MachineConfig(N=N, v=V, p=4, D=D, B=B, workers=2)
+    CFG = MachineConfig(N=N, v=V, p=4, D=D, B=B)
 
     def run_sort(self, monkeypatch, transport, nodes=None):
         monkeypatch.setenv("REPRO_TRANSPORT", transport)
@@ -556,7 +556,8 @@ class TestBitIdentity:
         else:
             monkeypatch.delenv("REPRO_NODES", raising=False)
         return em_run(
-            SampleSort(), partition_array(make_data(), V), self.CFG, "par"
+            SampleSort(), partition_array(make_data(), V), self.CFG, "par",
+            overrides={"workers": 2},
         )
 
     @pytest.mark.slow
@@ -597,8 +598,9 @@ class TestTrafficCounters:
         else:
             monkeypatch.delenv("REPRO_NODES", raising=False)
         reg = MetricsRegistry()
-        cfg = MachineConfig(N=N, v=V, p=4, D=D, B=B, workers=workers)
-        out = em_sort(make_data(), cfg, "par", metrics=reg)
+        cfg = MachineConfig(N=N, v=V, p=4, D=D, B=B)
+        out = em_sort(make_data(), cfg, "par", metrics=reg,
+                      overrides={"workers": workers})
         assert np.array_equal(out.values, np.sort(make_data()))
         snap = reg.snapshot()
         totals = {}

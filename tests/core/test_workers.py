@@ -75,8 +75,9 @@ class TestPartition:
 
 class TestDispatch:
     def test_runner_selects_process_backend(self):
-        cfg = MachineConfig(N=N, v=V, p=2, D=D, B=B, workers=2)
-        assert isinstance(make_engine(cfg, "par"), ProcessParEngine)
+        cfg = MachineConfig(N=N, v=V, p=2, D=D, B=B)
+        eng = make_engine(cfg, "par", overrides={"workers": 2})
+        assert isinstance(eng, ProcessParEngine)
 
     def test_default_stays_in_process(self, monkeypatch):
         from repro.core.par_engine import ParEMEngine
@@ -101,8 +102,8 @@ class TestDispatch:
         assert not isinstance(make_engine(cfg, "seq"), ProcessParEngine)
 
     def test_workers_capped_at_p(self):
-        cfg = MachineConfig(N=N, v=V, p=2, D=D, B=B, workers=16)
-        eng = make_engine(cfg, "par")
+        cfg = MachineConfig(N=N, v=V, p=2, D=D, B=B)
+        eng = make_engine(cfg, "par", overrides={"workers": 16})
         assert eng.n_workers == 2
 
 
@@ -112,7 +113,7 @@ class TestBitIdentity:
         data = make_rng(0).integers(0, 2**50, N)
         cfg = MachineConfig(N=N, v=V, p=p, D=D, B=B)
         seq = em_sort(data, cfg, engine="par")
-        par = em_sort(data, cfg.with_(workers=p), engine="par")
+        par = em_sort(data, cfg, engine="par", overrides={"workers": p})
         assert np.array_equal(par.values, np.sort(data))
         assert _counters(seq.report) == _counters(par.report)
 
@@ -121,7 +122,7 @@ class TestBitIdentity:
         data = make_rng(1).integers(0, 2**50, N)
         cfg = MachineConfig(N=N, v=V, p=4, D=D, B=B)
         seq = em_sort(data, cfg, engine="par")
-        par = em_sort(data, cfg.with_(workers=2), engine="par")
+        par = em_sort(data, cfg, engine="par", overrides={"workers": 2})
         assert np.array_equal(par.values, np.sort(data))
         assert _counters(seq.report) == _counters(par.report)
 
@@ -129,7 +130,9 @@ class TestBitIdentity:
         data = make_rng(2).integers(0, 2**50, N)
         cfg = MachineConfig(N=N, v=V, p=4, D=D, B=B)
         seq = em_sort(data, cfg, engine="par", balanced=True)
-        par = em_sort(data, cfg.with_(workers=4), engine="par", balanced=True)
+        par = em_sort(
+            data, cfg, engine="par", balanced=True, overrides={"workers": 4}
+        )
         assert np.array_equal(par.values, np.sort(data))
         assert _counters(seq.report) == _counters(par.report)
 
@@ -137,7 +140,7 @@ class TestBitIdentity:
         data = make_rng(3).integers(0, 2**50, N)
         cfg = MachineConfig(N=N, v=V, p=4, D=D, B=B)
         seq = em_sort(data, cfg, engine="par")
-        par = em_sort(data, cfg.with_(workers=4), engine="par")
+        par = em_sort(data, cfg, engine="par", overrides={"workers": 4})
         for a, b in zip(seq.report.per_round, par.report.per_round):
             assert a.io.as_dict() == b.io.as_dict()
             assert (a.h_in, a.h_out, a.messages, a.comm_items) == (
@@ -154,7 +157,7 @@ class TestTraces:
         cfg = MachineConfig(N=N, v=V, p=4, D=D, B=B)
         t_seq, t_par = EventBus(monitor=False), EventBus(monitor=False)
         em_sort(data, cfg, engine="par", tracer=t_seq)
-        em_sort(data, cfg.with_(workers=4), engine="par", tracer=t_par)
+        em_sort(data, cfg, engine="par", tracer=t_par, overrides={"workers": 4})
         a, b = t_seq.counts(), t_par.counts()
         # physical fault events (the REPRO_FAULTS injection lane) are not
         # part of the logical schedule: allocation order inside a shared
@@ -177,8 +180,9 @@ class TestTraces:
 
     def test_run_begin_records_workers(self):
         tr = EventBus(monitor=False)
-        cfg = MachineConfig(N=N, v=V, p=2, D=D, B=B, workers=2)
-        em_sort(make_rng(5).integers(0, 2**40, N), cfg, engine="par", tracer=tr)
+        cfg = MachineConfig(N=N, v=V, p=2, D=D, B=B)
+        em_sort(make_rng(5).integers(0, 2**40, N), cfg, engine="par", tracer=tr,
+                overrides={"workers": 2})
         begin = [ev for ev in tr.events if ev["kind"] == "run_begin"]
         assert begin and begin[0]["workers"] == 2
 
@@ -212,15 +216,15 @@ def assert_workers_reaped(eng) -> None:
 
 class TestFailureHandling:
     def test_worker_exception_propagates_and_cleans_up(self):
-        cfg = MachineConfig(N=1 << 12, v=4, p=4, D=D, B=32, workers=4)
-        eng = make_engine(cfg, "par")
+        cfg = MachineConfig(N=1 << 12, v=4, p=4, D=D, B=32)
+        eng = make_engine(cfg, "par", overrides={"workers": 4})
         with pytest.raises(SimulationError, match="deliberate failure"):
             eng.run(_Boom(), [None] * 4)
         assert_workers_reaped(eng)
 
     def test_processes_reaped_after_success(self):
-        cfg = MachineConfig(N=1 << 12, v=4, p=2, D=D, B=32, workers=2)
-        eng = make_engine(cfg, "par")
+        cfg = MachineConfig(N=1 << 12, v=4, p=2, D=D, B=32)
+        eng = make_engine(cfg, "par", overrides={"workers": 2})
         data = make_rng(6).integers(0, 2**40, 1 << 12)
         eng.run(SampleSort(), partition_array(data, 4))
         assert_workers_reaped(eng)
@@ -263,8 +267,8 @@ class TestDelivery:
         cfg = MachineConfig(N=1 << 12, v=4, p=4, D=D, B=32)
         ref = em_run(_InboxRecorder(), [None] * 4, cfg, "par", balanced=balanced)
         got = em_run(
-            _InboxRecorder(), [None] * 4, cfg.with_(workers=4), "par",
-            balanced=balanced,
+            _InboxRecorder(), [None] * 4, cfg, "par",
+            balanced=balanced, overrides={"workers": 4},
         )
         assert got.outputs == ref.outputs
         assert got.report.io.as_dict() == ref.report.io.as_dict()
@@ -284,18 +288,20 @@ class TestSharedMemoryTransport:
         cfg = MachineConfig(N=N, v=V, p=4, D=D, B=B)
         ref = em_sort(data, cfg, engine="par")
         got = em_sort(
-            data, cfg.with_(workers=4), engine="par",
-            overrides={"transport": transport},
+            data, cfg, engine="par",
+            overrides={"workers": 4, "transport": transport},
         )
         assert np.array_equal(got.values, ref.values)
         assert _counters(got.report) == _counters(ref.report)
 
     def test_forced_shm_matches_forced_queue(self):
         data = make_rng(12).integers(0, 2**40, N)
-        cfg = MachineConfig(N=N, v=V, p=2, D=D, B=B, workers=2)
-        shm = em_sort(data, cfg, engine="par", overrides={"transport": "shm"})
+        cfg = MachineConfig(N=N, v=V, p=2, D=D, B=B)
+        shm = em_sort(
+            data, cfg, engine="par", overrides={"workers": 2, "transport": "shm"}
+        )
         queued = em_sort(
-            data, cfg, engine="par", overrides={"transport": "memory"}
+            data, cfg, engine="par", overrides={"workers": 2, "transport": "memory"}
         )
         assert np.array_equal(shm.values, queued.values)
         assert _counters(shm.report) == _counters(queued.report)
@@ -400,7 +406,7 @@ def _run_slices(program, inputs, cfg, plan, balanced):
     engines, rngs = [], []
     for w in range(len(plan)):
         eng = ParEMEngine(
-            cfg, balanced, validate=False, plan=plan, worker_id=w,
+            cfg, balanced, plan=plan, worker_id=w,
             net=QueueTransport(w, inboxes, abort),
         )
         eng._max_message_items = program.max_message_items(cfg)

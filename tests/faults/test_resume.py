@@ -34,6 +34,12 @@ def make_data() -> np.ndarray:
     return np.random.default_rng(5).integers(0, 1 << 30, N, dtype=np.int64)
 
 
+#: the worker classes' runs: two worker processes, or none, whatever
+#: REPRO_WORKERS says
+W2 = {"workers": 2}
+IN_PROCESS = {"workers": 0}
+
+
 def run_sort(cfg, program=None, **kw):
     return em_run(
         program or SampleSort(), partition_array(make_data(), cfg.v), cfg, "par", **kw
@@ -194,12 +200,12 @@ class TestResumeInProcess:
 
 
 class TestResumeWorkers:
-    CFG = MachineConfig(N=N, v=V, p=4, D=D, B=B, workers=2)
+    CFG = MachineConfig(N=N, v=V, p=4, D=D, B=B)
 
     @pytest.mark.slow
     def test_bit_identical_after_kill(self, tmp_path):
-        clean = run_sort(self.CFG)
-        resumed, tr = kill_and_resume(self.CFG, tmp_path)
+        clean = run_sort(self.CFG, overrides=W2)
+        resumed, tr = kill_and_resume(self.CFG, tmp_path, overrides=W2)
         for a, b in zip(clean.outputs, resumed.outputs):
             assert np.array_equal(a, b)
         assert counters(clean.report) == counters(resumed.report)
@@ -209,14 +215,16 @@ class TestResumeWorkers:
     def test_cross_backend_resume(self, tmp_path):
         """A checkpoint written in-process resumes under the workers
         backend: the fingerprint deliberately excludes the worker count."""
-        inproc = self.CFG.with_(workers=0)
-        clean = run_sort(inproc)
+        clean = run_sort(self.CFG, overrides=IN_PROCESS)
         ck = str(tmp_path / "ck")
         flag = str(tmp_path / "kill.flag")
         open(flag, "w").write("1")
         with pytest.raises((KeyboardInterrupt, SimulationError)):
-            run_sort(inproc, program=KillableSort(KILL_ROUND, flag), checkpoint=ck)
-        resumed = run_sort(self.CFG, checkpoint=ck, resume=True)
+            run_sort(
+                self.CFG, program=KillableSort(KILL_ROUND, flag), checkpoint=ck,
+                overrides=IN_PROCESS,
+            )
+        resumed = run_sort(self.CFG, overrides=W2, checkpoint=ck, resume=True)
         for a, b in zip(clean.outputs, resumed.outputs):
             assert np.array_equal(a, b)
         assert counters(clean.report) == counters(resumed.report)
@@ -230,13 +238,14 @@ class TestResumeWorkers:
         tracer = EventBus(monitor=False)
         healed = run_sort(
             self.CFG,
+            overrides=W2,
             program=CrashySort(KILL_ROUND, counter),
             checkpoint=str(tmp_path / "ck"),
             tracer=tracer,
         )
         assert open(counter).read() == "0"
         assert tracer.counts().get("worker_redispatch") == 2
-        clean = run_sort(self.CFG)
+        clean = run_sort(self.CFG, overrides=W2)
         for a, b in zip(clean.outputs, healed.outputs):
             assert np.array_equal(a, b)
         assert counters(clean.report) == counters(healed.report)
@@ -246,7 +255,7 @@ class TestResumeWorkers:
         counter = str(tmp_path / "crashes")
         open(counter, "w").write("1")
         with pytest.raises(SimulationError, match="died without reporting"):
-            run_sort(self.CFG, program=CrashySort(KILL_ROUND, counter))
+            run_sort(self.CFG, overrides=W2, program=CrashySort(KILL_ROUND, counter))
 
 
 class TestCrossArenaResume:
@@ -399,7 +408,7 @@ class TestCrossTransportResume:
     killed under tcp resumes under memory (and vice versa) bit-identically,
     and a node dying mid-run is redispatched over a fresh connection."""
 
-    CFG = MachineConfig(N=N, v=V, p=4, D=D, B=B, workers=2)
+    CFG = MachineConfig(N=N, v=V, p=4, D=D, B=B)
 
     @pytest.fixture
     def node_pair(self):
@@ -428,19 +437,24 @@ class TestCrossTransportResume:
         self, tmp_path, monkeypatch, node_pair, kill_transport, resume_transport
     ):
         self.set_transport(monkeypatch, "memory")
-        clean = run_sort(self.CFG)  # local baseline
+        clean = run_sort(self.CFG, overrides=W2)  # local baseline
 
         ck = str(tmp_path / "ck")
         flag = str(tmp_path / "kill.flag")
         open(flag, "w").write("1")
         self.set_transport(monkeypatch, kill_transport, node_pair)
         with pytest.raises((KeyboardInterrupt, SimulationError)):
-            run_sort(self.CFG, program=KillableSort(KILL_ROUND, flag), checkpoint=ck)
+            run_sort(
+                self.CFG, overrides=W2, program=KillableSort(KILL_ROUND, flag),
+                checkpoint=ck,
+            )
         assert not os.path.exists(flag), "the kill never fired"
 
         self.set_transport(monkeypatch, resume_transport, node_pair)
         tr = EventBus(monitor=False)
-        resumed = run_sort(self.CFG, checkpoint=ck, resume=True, tracer=tr)
+        resumed = run_sort(
+            self.CFG, overrides=W2, checkpoint=ck, resume=True, tracer=tr
+        )
         for a, b in zip(clean.outputs, resumed.outputs):
             assert np.array_equal(a, b)
         assert counters(clean.report) == counters(resumed.report)
@@ -455,7 +469,7 @@ class TestCrossTransportResume:
         checkpoint and the run self-heals bit-identically."""
         global _NODE_KILL
         self.set_transport(monkeypatch, "memory")
-        clean = run_sort(self.CFG)
+        clean = run_sort(self.CFG, overrides=W2)
 
         self.set_transport(monkeypatch, "tcp", node_pair)
         tracer = EventBus(monitor=False)
@@ -463,6 +477,7 @@ class TestCrossTransportResume:
         try:
             healed = run_sort(
                 self.CFG,
+                overrides=W2,
                 program=NodeKillerSort(KILL_ROUND),
                 checkpoint=str(tmp_path / "ck"),
                 tracer=tracer,
@@ -484,7 +499,7 @@ class TestCrossTransportResume:
         checkpoint still resumes cleanly under the memory transport."""
         global _NODE_KILL
         self.set_transport(monkeypatch, "memory")
-        clean = run_sort(self.CFG)
+        clean = run_sort(self.CFG, overrides=W2)
 
         ck = str(tmp_path / "ck")
         flag = str(tmp_path / "kill.flag")
@@ -495,6 +510,7 @@ class TestCrossTransportResume:
             with pytest.raises((KeyboardInterrupt, SimulationError)):
                 run_sort(
                     self.CFG,
+                    overrides=W2,
                     program=NodeKillerThenKillSort(KILL_ROUND - 1, flag),
                     checkpoint=ck,
                 )
@@ -503,7 +519,7 @@ class TestCrossTransportResume:
         assert not os.path.exists(flag), "the kill never fired"
 
         self.set_transport(monkeypatch, "memory")
-        resumed = run_sort(self.CFG, checkpoint=ck, resume=True)
+        resumed = run_sort(self.CFG, overrides=W2, checkpoint=ck, resume=True)
         for a, b in zip(clean.outputs, resumed.outputs):
             assert np.array_equal(a, b)
         assert counters(clean.report) == counters(resumed.report)

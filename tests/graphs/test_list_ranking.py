@@ -121,7 +121,7 @@ def _run_program(program, succ, weights, v, engine):
 
     cfg = MachineConfig(N=succ.size, v=v, B=8)
     inputs = list(zip(partition_array(succ, v), partition_array(weights, v)))
-    return em_run(program, inputs, cfg, engine, validate=False)
+    return em_run(program, inputs, cfg, engine)
 
 
 class TestFlatContext:

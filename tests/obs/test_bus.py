@@ -372,9 +372,9 @@ class TestEngineIntegration:
 
     def test_worker_events_are_parented_into_round_spans(self):
         data = make_rng(3).integers(0, 2**50, 1 << 12)
-        cfg = MachineConfig(N=1 << 12, v=4, p=2, D=2, B=64, workers=2)
+        cfg = MachineConfig(N=1 << 12, v=4, p=2, D=2, B=64)
         bus = EventBus()
-        em_sort(data, cfg, engine="par", tracer=bus)
+        em_sort(data, cfg, engine="par", tracer=bus, overrides={"workers": 2})
         by_kind: dict = {}
         for ev in bus.events:
             by_kind.setdefault(ev["kind"], []).append(ev)

@@ -146,7 +146,8 @@ class TestLiveRuns:
         drifts = []
         for workers in (0, 2):
             bus = EventBus(envelope_c=0.01)
-            em_sort(data, cfg.with_(workers=workers), engine="par", tracer=bus)
+            em_sort(data, cfg, engine="par", tracer=bus,
+                    overrides={"workers": workers})
             drifts.append([
                 (e["round"], e["parallel_ios"])
                 for e in bus.events

@@ -13,10 +13,11 @@ from repro.obs.bus import EventBus
 from repro.util.rng import make_rng
 
 
-def _traced_sort(cfg: MachineConfig, seed: int = 0):
+def _traced_sort(cfg: MachineConfig, seed: int = 0, workers: int | None = None):
     data = make_rng(seed).integers(0, 2**50, cfg.N)
     bus = EventBus()
-    res = em_sort(data, cfg, engine="par" if cfg.p > 1 else "seq", tracer=bus)
+    res = em_sort(data, cfg, engine="par" if cfg.p > 1 else "seq", tracer=bus,
+                  overrides={"workers": workers})
     assert np.array_equal(res.values, np.sort(data))
     return bus, res
 
@@ -24,10 +25,10 @@ def _traced_sort(cfg: MachineConfig, seed: int = 0):
 class TestWorkerLanes:
     """Acceptance scenario: fig5 group-A shape under ProcessParEngine."""
 
-    CFG = MachineConfig(N=1 << 14, v=8, p=2, D=2, B=64, workers=2)
+    CFG = MachineConfig(N=1 << 14, v=8, p=2, D=2, B=64)
 
     def test_per_worker_lanes_and_bit_identical_totals(self):
-        bus, res = _traced_sort(self.CFG)
+        bus, res = _traced_sort(self.CFG, workers=2)
         a = analyze_events(bus.events)
         cp = a.critical_path()
         # one lane per real processor, each labeled with its OS worker
@@ -49,7 +50,7 @@ class TestWorkerLanes:
         )
 
     def test_attribution_columns_present_per_superstep(self):
-        bus, res = _traced_sort(self.CFG, seed=1)
+        bus, res = _traced_sort(self.CFG, seed=1, workers=2)
         a = analyze_events(bus.events)
         cp = a.critical_path()
         assert len(cp["rows"]) == len(a.rows) > 0
@@ -61,7 +62,7 @@ class TestWorkerLanes:
         assert any(row["comm_s"] > 0 for row in cp["rows"])
 
     def test_render_mentions_lanes_and_tieout(self):
-        bus, res = _traced_sort(self.CFG, seed=2)
+        bus, res = _traced_sort(self.CFG, seed=2, workers=2)
         a = analyze_events(bus.events)
         out = a.render_critical_path()
         assert "r0/w0" in out and "r1/w1" in out
@@ -94,7 +95,7 @@ class TestSingleProcessLanes:
         cfg = MachineConfig(N=1 << 13, v=8, p=2, D=2, B=64)
         rows = []
         for workers in (0, 2):
-            bus, _ = _traced_sort(cfg.with_(workers=workers), seed=3)
+            bus, _ = _traced_sort(cfg, seed=3, workers=workers)
             cp = analyze_events(bus.events).critical_path()
             rows.append(
                 [

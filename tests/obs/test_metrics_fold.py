@@ -72,12 +72,18 @@ def _served(reg: MetricsRegistry) -> None:
         assert job.state == "done", job.error
 
 
+#: the par runs pin their worker count: in-process, or two workers,
+#: whatever REPRO_WORKERS says
+IN_PROCESS = {"overrides": {"workers": 0}}
+
 RUNS: dict[str, Callable[[MetricsRegistry], None]] = {
     "seq": _sort("seq"),
-    "par_p2_balanced": _sort("par", {"balanced": True}, p=2, workers=1),
-    "workers_2": _sort("par", p=2, workers=2),
+    "par_p2_balanced": _sort("par", {"balanced": True, **IN_PROCESS}, p=2),
+    "workers_2": _sort("par", {"overrides": {"workers": 2}}, p=2),
     "vm": _sort("vm"),
-    "par_faults": _sort("par", {"faults": FaultPlan.from_dict(PLAN)}, p=2, workers=1),
+    "par_faults": _sort(
+        "par", {"faults": FaultPlan.from_dict(PLAN), **IN_PROCESS}, p=2
+    ),
     "served": _served,
 }
 
@@ -145,8 +151,8 @@ def test_compute_seconds_is_the_reports_critical_path(p):
     """The timer's sum is the report's per-round max over reals of the
     callback time summed per real: every ``compute_round`` counted once."""
     reg = MetricsRegistry()
-    cfg = MachineConfig(**SHAPE, p=p, workers=1)
-    res = em_sort(_data(), cfg, metrics=reg)
+    cfg = MachineConfig(**SHAPE, p=p)
+    res = em_sort(_data(), cfg, metrics=reg, **IN_PROCESS)
     (timer,) = reg["repro_compute_seconds"].series
     assert timer.count == res.report.rounds
     assert timer.value == pytest.approx(res.report.comp_wall_s, rel=1e-9)

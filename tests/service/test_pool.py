@@ -60,6 +60,24 @@ class TestExecuteSpec:
         assert stripped == base
         assert faulty["output_sha256"] == clean["output_sha256"]
 
+    def test_spec_workers_run_a_fleet_with_the_same_document(self, monkeypatch):
+        """A spec's top-level ``workers`` reaches the run as the knob's
+        override: the job's bus shows the fleet, and the result document
+        is the one the ``workers: 0`` spec gets."""
+        # pin what a workers-0 spec defers to; a fault plan's draws may
+        # follow allocation order, which differs between the backends
+        for var in ("REPRO_WORKERS", "REPRO_TRANSPORT", "REPRO_FAULTS"):
+            monkeypatch.delenv(var, raising=False)
+        docs, fleet = [], []
+        for workers in (2, 0):
+            bus = EventBus(monitor=False)
+            spec = spec_for("sort", machine={**MACHINE, "p": 2}, workers=workers)
+            docs.append(_doc(execute_spec(spec, tracer=bus)))
+            (begin,) = [e for e in bus.events if e["kind"] == "run_begin"]
+            fleet.append(begin["workers"])
+        assert fleet == [2, 0]
+        assert docs[0] == docs[1]
+
 
 class TestPreemption:
     def test_preempt_without_checkpoint_mentions_lost_progress(self, tmp_path):

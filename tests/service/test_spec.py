@@ -45,8 +45,9 @@ class TestValidation:
         assert any("engine" in e for e in errs)
 
     def test_workers_capped(self):
-        errs = validate_spec({**GOOD, "workers": MAX_WORKERS + 1})
-        assert any("workers" in e for e in errs)
+        for bad in (MAX_WORKERS + 1, -1):
+            errs = validate_spec({**GOOD, "workers": bad})
+            assert any("workers" in e for e in errs)
 
     def test_config_unknown_knob_rejected(self):
         errs = validate_spec({**GOOD, "config": {"nope": 1}})

@@ -41,7 +41,8 @@ class TestParser:
     @pytest.mark.parametrize(
         "flag",
         [["--trace", "x.jsonl"], ["--metrics", "m.prom"], ["--faults", "p.json"],
-         ["--checkpoint", "ck"], ["--resume"], ["--crosscheck"], ["--balanced"]],
+         ["--checkpoint", "ck"], ["--resume"], ["--crosscheck"], ["--balanced"],
+         ["--workers", "2"]],
     )
     def test_commands_reject_flags_they_never_read(self, cmd, flag, capsys):
         """A command registers only the option groups it reads.  ``machine``
@@ -517,6 +518,12 @@ class TestKnobErrors:
         assert "Traceback" not in err
         assert err.count("\n") == 1  # exactly one line
 
+    def test_negative_workers_flag_exits_2_with_named_error(self, capsys):
+        assert main(self.BASE + ["--workers", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "REPRO_WORKERS" in err
+        assert err.count("\n") == 1
+
     def test_well_formed_knob_still_runs(self, monkeypatch, capsys):
         monkeypatch.setenv("REPRO_SPILL_QUOTA", str(1 << 30))
         monkeypatch.setenv("REPRO_FASTPATH", "sometimes")  # retired: ignored
@@ -586,6 +593,38 @@ class TestBackendFlagsAreArguments:
         assert {e["worker"] for e in grows} == {0, 1}
         assert {e["backend"] for e in grows} == {"mmap"}
         assert list(spill.iterdir()) == []
+
+    @staticmethod
+    def _workers_that_ran(trace) -> int:
+        (begin,) = [e for e in iter_jsonl(str(trace)) if e["kind"] == "run_begin"]
+        return begin["workers"]
+
+    def test_env_beats_the_profiles_worker_count(self, tmp_path, monkeypatch, capsys):
+        """A profile's ``config.workers`` is one level of the knob's
+        resolution, under ``REPRO_WORKERS``."""
+        from repro.tune.profile import TunedProfile
+
+        profile, trace = str(tmp_path / "p.json"), tmp_path / "t.jsonl"
+        TunedProfile(
+            workload={"op": "sort", "n": 8192, "p": 4, "seed": 0},
+            machine={"v": 8, "D": 2, "B": 64},
+            config={"workers": 2, "arena": "ram"},
+        ).save(profile)
+        monkeypatch.setenv("REPRO_WORKERS", "3")
+        monkeypatch.delenv("REPRO_TRANSPORT", raising=False)
+        argv = ["sort", "--n", "8192", "--p", "4", "--engine", "par",
+                "--profile", profile, "--trace", str(trace)]
+        assert main(argv) == 0
+        assert self._workers_that_ran(trace) == 3
+
+    def test_an_explicit_zero_runs_in_process(self, tmp_path, monkeypatch, capsys):
+        """``--workers 0`` is an override like ``--arena``: it beats
+        ``REPRO_WORKERS``."""
+        monkeypatch.setenv("REPRO_WORKERS", "2")
+        monkeypatch.delenv("REPRO_TRANSPORT", raising=False)
+        trace = tmp_path / "t.jsonl"
+        assert main(self.SORT + ["--workers", "0", "--trace", str(trace)]) == 0
+        assert self._workers_that_ran(trace) == 0
 
     def test_tcp_without_nodes_is_one_line_rc_3(self, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_NODES", raising=False)

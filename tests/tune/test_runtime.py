@@ -61,6 +61,16 @@ class TestResolve:
         with pytest.raises(KnobError, match="REPRO_ARENA"):
             RuntimeConfig.resolve(overrides={"arena": "sideways"}, environ={})
 
+    def test_non_string_overrides_are_parsed_too(self):
+        """An API override goes through the knob's parser like a flag
+        does: a negative worker count is refused, not run."""
+        assert RuntimeConfig.resolve(overrides={"workers": 3}, environ={}).workers == 3
+        with pytest.raises(KnobError, match="REPRO_WORKERS"):
+            RuntimeConfig.resolve(overrides={"workers": -1}, environ={})
+        cfg = MachineConfig(N=1 << 10, v=4, p=2, D=2, B=64)
+        with pytest.raises(KnobError, match="must be >= 0"):
+            make_engine(cfg, "par", overrides={"workers": -1})
+
     def test_unknown_keys_are_named_errors(self):
         with pytest.raises(KnobError, match="bogus"):
             RuntimeConfig.resolve(profile={"bogus": 1}, environ={})

@@ -116,6 +116,16 @@ class TestDeterminism:
         assert sorted(res.profile.config) == ["arena", "workers"]
         assert not any("fastpath" in line for line in res.profile.rationale)
 
+    def test_profile_records_the_transport_the_probes_ran_on(self, monkeypatch):
+        """Every probe is pinned to its candidate's runtime, which never
+        reads the environment: an ambient ``REPRO_TRANSPORT=tcp`` is not
+        what they measured, so the profile must not claim it."""
+        monkeypatch.setenv("REPRO_TRANSPORT", "tcp")
+        res = tune(WorkloadSpec(op="sort", n=1 << 12, p=2), probe_n=256,
+                   measure=fake_measure)
+        assert res.chosen.runtime().transport == "memory"
+        assert res.profile.search["transport"] == "memory"
+
     def test_rationale_records_every_probe(self):
         spec = WorkloadSpec(op="sort", n=1 << 12)
         res = tune(spec, probe_n=256, measure=fake_measure)
@@ -148,7 +158,7 @@ class TestProfileApplication:
 
         chosen = res.chosen
         cfg = MachineConfig(N=spec.n, v=chosen.v, p=spec.p, D=chosen.D,
-                            B=chosen.B, seed=spec.seed, workers=chosen.workers)
+                            B=chosen.B, seed=spec.seed)
         program, inputs = build_workload(spec, cfg)
 
         by_hand = make_engine(cfg, runtime=chosen.runtime()).run(program, inputs)
