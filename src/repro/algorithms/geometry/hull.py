@@ -83,10 +83,3 @@ class ConvexHullFilter(CGMProgram):
 
     def finish(self, ctx: Context) -> Any:
         return ctx["hull_ids"]
-
-
-def hull_ids_reference(points: np.ndarray) -> np.ndarray:
-    """Reference hull vertex ids via scipy on the full set."""
-    from scipy.spatial import ConvexHull
-
-    return np.sort(ConvexHull(points).vertices)

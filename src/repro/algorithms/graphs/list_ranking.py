@@ -82,10 +82,6 @@ class ListRanking(CGMProgram):
     # ---------------------------------------------------------------- helpers
 
     @staticmethod
-    def _owner(ctx: Context, node: int, v: int) -> int:
-        return int(owner_of_index(node, ctx["n_nodes"], v))
-
-    @staticmethod
     def _send_grouped(env: RoundEnv, ctx: Context, rows: np.ndarray, tag: str, key_col: int = 0) -> None:
         """Route rows to the owners of the node ids in column *key_col*."""
         if rows.size == 0:

@@ -26,13 +26,3 @@ class Message:
     def __post_init__(self) -> None:
         if self.size_items < 0:
             self.size_items = item_count(self.payload)
-
-
-def h_relation_size(messages: list[Message], v: int) -> int:
-    """The h of an h-relation: max over processors of items sent/received."""
-    sent = [0] * v
-    received = [0] * v
-    for m in messages:
-        sent[m.src] += m.size_items
-        received[m.dest] += m.size_items
-    return max(max(sent, default=0), max(received, default=0))

@@ -75,11 +75,6 @@ class RoundEnv:
             raise ValueError(f"destination {dest} out of range 0..{self.v - 1}")
         self._outbox.append(Message(self.pid, dest, payload, tag))
 
-    def send_all(self, payload_by_dest: dict[int, Any], tag: str | None = None) -> None:
-        """Queue one message per entry of *payload_by_dest*."""
-        for dest, payload in payload_by_dest.items():
-            self.send(dest, payload, tag)
-
     def messages(self, tag: str | None = None) -> list[Message]:
         """Incoming messages, optionally filtered by tag, sorted by source.
 

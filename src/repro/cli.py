@@ -513,8 +513,6 @@ def cmd_top(args) -> int:
     try:
         for ev in events:
             view.feed(ev)
-            if view.finished:
-                break  # run_end seen; a live SSE stream won't EOF on its own
             if args.once:
                 continue
             now = time.monotonic()
@@ -819,9 +817,10 @@ def cmd_tune(args) -> int:
         for line in res.profile.rationale:
             print(f"  - {line}")
         print(f"  profile          : {path}")
+        print(f"  apply with       : --profile {path}")
         print(
-            "  apply with       : --profile "
-            f"{path} (or REPRO_PROFILE={path})"
+            f"  knobs only       : REPRO_PROFILE={path} "
+            "(keeps the command's machine shape)"
         )
     if tracer is not None:
         _write_trace(args, tracer)
@@ -920,7 +919,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--follow",
         action="store_true",
-        help="tail the trace file as the engine appends to it",
+        help="tail the trace file as the engine appends to it; tailing "
+        "stops at the first run_end",
     )
     p.add_argument(
         "--once",

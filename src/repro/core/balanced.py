@@ -227,4 +227,4 @@ def lemma1_min_problem_size(v: int, b_min: int) -> int:
 
 def lemma2_feasible(N: int, v: int, B: int) -> bool:
     """Lemma 2's precondition: N >= v^2 B + v^2 (v-1) / 2."""
-    return N >= v * v * B + (v * v * (v - 1)) // 2
+    return N >= lemma1_min_problem_size(v, B)

@@ -68,10 +68,12 @@ def log_term_bound_c(N: int, v: int, B: int) -> float:
     grained regime; the paper's examples: c = 2 for v = 10^4 needs
     N ~ 100 giga-items, c = 3 needs only ~1 giga-item.
     """
-    M = N / v
-    if M <= B:
-        return math.inf
-    return max(1.0, math.log(N / B) / math.log(M / B))
+    return log_term(N, N / v, B)
+
+
+def _surface(v, B, c: float):
+    """N with N^(c-1) = v^c * B^(c-1), elementwise over arrays."""
+    return (v ** (c / (c - 1.0))) * B
 
 
 def min_problem_size(v: float, B: float, c: float) -> float:
@@ -81,7 +83,7 @@ def min_problem_size(v: float, B: float, c: float) -> float:
     """
     if c <= 1:
         return math.inf
-    return (v ** (c / (c - 1.0))) * B
+    return _surface(v, B, c)
 
 
 def constraint_surface(
@@ -89,13 +91,12 @@ def constraint_surface(
 ) -> np.ndarray:
     """Grid of minimum problem sizes over (v, B) — Figure 6's surface."""
     vv, bb = np.meshgrid(np.asarray(v_values, float), np.asarray(B_values, float))
-    return (vv ** (c / (c - 1.0))) * bb
+    return _surface(vv, bb, c)
 
 
 def fig7_slice(v_values: np.ndarray, B: float = 1e3, c: float = 2.0) -> np.ndarray:
     """Figure 7: minimum N vs v for fixed c and B (paper fixes B ~ 10^3)."""
-    v = np.asarray(v_values, float)
-    return (v ** (c / (c - 1.0))) * B
+    return _surface(np.asarray(v_values, float), B, c)
 
 
 # ------------------------------------------------- simulation cost predictions

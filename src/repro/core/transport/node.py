@@ -80,6 +80,12 @@ class NodeServer:
 
     def shutdown(self) -> None:
         self.stop_event.set()
+        try:
+            # wakes a blocked accept at once (EINVAL on Linux) instead of
+            # waiting out its poll timeout
+            self._srv.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass
         self.kill_session()
         if self._thread is not None:
             self._thread.join(timeout=5.0)
@@ -186,8 +192,7 @@ def serve_node(host: str = "127.0.0.1", port: int = 0) -> int:
     server = NodeServer(host, port)
 
     def _stop(signum, frame) -> None:
-        server.stop_event.set()
-        server.kill_session()
+        server.shutdown()
 
     if threading.current_thread() is threading.main_thread():
         signal.signal(signal.SIGTERM, _stop)

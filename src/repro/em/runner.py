@@ -107,9 +107,9 @@ def make_engine(
     injected into every disk array; *checkpoint* a
     :class:`~repro.faults.checkpoint.CheckpointManager` (or directory)
     that snapshots the run at every round boundary; *resume* restores the
-    newest snapshot instead of running setup.  When no explicit plan is
-    given, the ``REPRO_FAULTS`` knob applies one to every fault-capable
-    engine (the CI whole-suite injection lane).
+    newest snapshot instead of running setup.  A fault plan reaches a run
+    only as this argument (``--faults`` on the CLI, a job spec's
+    ``faults`` section): no knob or environment variable injects one.
 
     When no *tracer* is passed, the resolved ``trace`` knob (``REPRO_TRACE``,
     or ``overrides={"trace": ...}``) can install a live
@@ -170,8 +170,6 @@ def make_engine(
     eng.runtime = rt
     if isinstance(faults, str):
         faults = FaultPlan.from_json(faults)
-    if faults is None and eng.supports_faults and rt.faults:
-        faults = FaultPlan.from_json(rt.faults)
     eng.faults = faults
     if checkpoint is not None:
         eng.checkpoint = (

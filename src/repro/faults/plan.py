@@ -13,8 +13,8 @@ used to recover from transients.  Plans are deterministic by construction:
   ``op`` is the per-array parallel-I/O index;
 * disk deaths name ``(real, disk, after_op)``.
 
-Plans round-trip through JSON (``--faults PLAN.json`` on the CLI, or the
-``REPRO_FAULTS`` environment variable for whole-suite injection in CI).
+Plans round-trip through JSON (``--faults PLAN.json`` on the CLI,
+``make_engine(faults=...)`` in the library).
 """
 
 from __future__ import annotations

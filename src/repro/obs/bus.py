@@ -233,7 +233,8 @@ class EventBus:
     Parameters:
 
     * *sink* — optional path or file object; every event is written (and
-      flushed) as a JSON line the moment it is emitted.
+      flushed) as a JSON line the moment it is emitted.  A path is opened
+      for appending, so the runs of one multi-run call share the file.
     * *monitor* — fold every event into a
       :class:`~repro.obs.analyze.TraceAnalysis` (:attr:`monitor`) that
       raises ``model_drift`` on this bus (default on; a worker process's
@@ -267,7 +268,7 @@ class EventBus:
             if hasattr(sink, "write"):
                 self._sink = sink  # type: ignore[assignment]
             else:
-                self._sink = open(sink, "w", encoding="utf-8")  # type: ignore[arg-type]
+                self._sink = open(sink, "a", encoding="utf-8")  # type: ignore[arg-type]
                 self._own_sink = True
         self.monitor: "TraceAnalysis | None" = None
         if monitor:

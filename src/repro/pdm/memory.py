@@ -34,9 +34,6 @@ class InternalMemory:
             raise ValueError("cannot release a negative allocation")
         self.used = max(0, self.used - n_items)
 
-    def reset(self) -> None:
-        self.used = 0
-
     @property
     def overflowed(self) -> bool:
         """Did the run ever exceed capacity?"""

@@ -58,15 +58,6 @@ def _cleanup(files: "list[IO[bytes]]", path: str) -> None:
     shutil.rmtree(path, ignore_errors=True)
 
 
-def spill_quota() -> int | None:
-    """Per-arena spill byte limit from ``REPRO_SPILL_QUOTA`` (None = no cap).
-
-    Parsed by the centralized knob layer: malformed values raise a named
-    :class:`~repro.tune.knobs.KnobError` instead of being ignored.
-    """
-    return current().spill_quota
-
-
 class MmapTrackArena(TrackArena):
     """Track arena whose per-disk matrices live in spill files."""
 

@@ -182,10 +182,6 @@ class WorkerPool:
     def stopping(self) -> bool:
         return self._stop.is_set()
 
-    def running_jobs(self) -> list[Job]:
-        with self._rlock:
-            return list(self._running.values())
-
     # -- preemption policy ----------------------------------------------------
 
     def maybe_preempt(self, incoming: Job) -> Job | None:

@@ -127,10 +127,6 @@ class JobQueue:
                 self._pending, key=lambda j: (-j.spec.priority, j.enqueue_seq)
             )
 
-    def active_by_tenant(self) -> dict[str, int]:
-        with self._cond:
-            return dict(self._active)
-
     def wake_all(self) -> None:
         """Wake every blocked :meth:`pop` (pool shutdown)."""
         with self._cond:

@@ -59,9 +59,9 @@ PRIORITY_RANGE = (0, 9)
 #: knobs a spec's ``config`` section may set.  Everything here is
 #: physical-only (bit-identical logical results by the repo's core
 #: invariant).  Deliberately excluded: ``workers`` (top-level field),
-#: ``faults`` (use the ``faults`` section), ``trace`` (the server owns
-#: the tracer), ``profile`` and ``spill_dir`` (host paths are not
-#: tenant-controllable).
+#: ``trace`` (the server owns the tracer), ``profile`` and ``spill_dir``
+#: (host paths are not tenant-controllable).  A fault plan is no knob:
+#: it is the spec's ``faults`` section.
 CONFIG_KNOBS = frozenset({"arena", "spill_quota"})
 
 _TOP_KEYS = frozenset(

@@ -173,20 +173,16 @@ KNOBS: tuple[KnobSpec, ...] = (
     KnobSpec(
         "trace", "REPRO_TRACE", "bool or path", None, _parse_trace,
         "obs.bus",
-        "telemetry bus: a true token records in memory, a path streams "
-        "JSON lines there, false/unset keeps the zero-cost null recorder",
-    ),
-    KnobSpec(
-        "faults", "REPRO_FAULTS", "path to fault-plan JSON", None,
-        _parse_path, "faults",
-        "apply this fault plan to every fault-capable engine "
-        "(the CI whole-suite injection lane)",
+        "telemetry bus: a true token records in memory, a path appends "
+        "every run's JSON lines there (remove the file to start afresh), "
+        "false/unset keeps the zero-cost null recorder",
     ),
     KnobSpec(
         "profile", "REPRO_PROFILE", "path to tuned-profile JSON", None,
         _parse_path, "tune",
-        "tuned profile applied automatically by em_run/the CLI "
-        "(explicit env vars and CLI flags still win)",
+        "tuned profile whose `config` knobs every run applies; its machine "
+        "shape is applied only by `--profile` (explicit env vars and CLI "
+        "flags still win)",
     ),
 )
 

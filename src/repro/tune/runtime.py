@@ -39,7 +39,6 @@ class RuntimeConfig:
     spill_quota: "int | None" = None
     spill_dir: "str | None" = None
     trace: "str | None" = None
-    faults: "str | None" = None
     profile: "str | None" = None
 
     def replace(self, **changes: Any) -> "RuntimeConfig":

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import os
+import sys
 import tempfile
 import time
 
@@ -22,6 +23,67 @@ settings.register_profile(
 )
 settings.register_profile("repro-explore", deadline=None, max_examples=200)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "repro-deterministic"))
+
+
+# ------------------------------------------------------------ fault lane
+
+#: tests whose runs must stay clean under ``--fault-plan`` (recorded
+#: documents and counters, clean-vs-faulted comparisons)
+NO_FAULT_PLAN = "no_fault_plan"
+
+#: True while a test marked ``no_fault_plan`` runs
+_RUN_CLEAN = pytest.StashKey[bool]()
+
+
+def pytest_addoption(parser):
+    parser.addoption(
+        "--fault-plan",
+        metavar="PATH",
+        default=None,
+        help="run every fault-capable engine that make_engine builds without "
+        f"an explicit plan under this fault-plan JSON (tests marked "
+        f"{NO_FAULT_PLAN} excepted); logical counters must not move",
+    )
+
+
+def pytest_configure(config):
+    config.addinivalue_line(
+        "markers",
+        f"{NO_FAULT_PLAN}: this test's runs stay clean under --fault-plan",
+    )
+    path = config.getoption("--fault-plan")
+    if path:
+        _inject_fault_plan(path, config)
+
+
+def _inject_fault_plan(path: str, config) -> None:
+    """Wrap ``make_engine`` for the session, wherever a module holds it, so
+    an engine built with no plan of its own gets *path*'s (a frozen value,
+    loaded once: a bad plan fails the session at start-up)."""
+    from repro.em import runner
+    from repro.faults.plan import FaultPlan
+
+    plan = FaultPlan.from_json(path)
+    original = runner.make_engine
+
+    def make_engine(*args, **kwargs):
+        eng = original(*args, **kwargs)
+        clean = config.stash.get(_RUN_CLEAN, False)
+        if not clean and eng.faults is None and eng.supports_faults:
+            eng.faults = plan
+        return eng
+
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "make_engine", None) is original:
+            mod.make_engine = make_engine
+
+
+@pytest.fixture(autouse=True)
+def _fault_plan_opt_out(request):
+    stash = request.config.stash
+    stash[_RUN_CLEAN] = request.node.get_closest_marker(NO_FAULT_PLAN) is not None
+    yield
+    stash[_RUN_CLEAN] = False
 
 
 @pytest.fixture

@@ -182,6 +182,8 @@ class TestLemmas:
     def test_lemma2_feasibility(self):
         assert lemma2_feasible(10_000, 4, 64)
         assert not lemma2_feasible(100, 8, 64)
+        # exactly Lemma 1's size: 4 * 4 * 64 + 4 * 4 * 3 // 2 = 1048
+        assert lemma2_feasible(1048, 4, 64) and not lemma2_feasible(1047, 4, 64)
 
     def test_bounds_symmetry(self):
         lo, hi = balanced_message_bounds(1000, 10)

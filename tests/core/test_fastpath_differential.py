@@ -48,10 +48,8 @@ _FUZZY_TAGS = ("seq", "ts", "wall_s", "path", "backoff_s")
 _PHYSICAL_KINDS = ("arena_grow",)
 
 
-@pytest.fixture(autouse=True)
-def _no_ambient_plan(monkeypatch):
-    # under the CI injection lane the "clean" run would not be clean
-    monkeypatch.delenv("REPRO_FAULTS", raising=False)
+#: under the fault lane the "clean" run would not be clean
+pytestmark = pytest.mark.no_fault_plan
 
 
 def _normalize(events):

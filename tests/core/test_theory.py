@@ -105,6 +105,20 @@ class TestParameterSpace:
             [min_problem_size(x, 1e3, 2.0) for x in v]
         )
 
+    def test_one_surface_formula(self):
+        """``log_term_bound_c`` is ``log_term`` at M = N/v, and the grid and
+        the slice are ``min_problem_size`` elementwise, exactly."""
+        for N, v, B in [(10, 4, 16), (1 << 20, 64, 1024), (123457, 1000, 1)]:
+            assert log_term_bound_c(N, v, B) == log_term(N, N / v, B)
+        v, B = np.array([2.0, 10.0, 1e4]), np.array([16.0, 1e3])
+        for c in (1.5, 2.0, 3.0):
+            assert constraint_surface(v, B, c).tolist() == [
+                [min_problem_size(x, b, c) for x in v] for b in B
+            ]
+            assert fig7_slice(v, 1e3, c).tolist() == [
+                min_problem_size(x, 1e3, c) for x in v
+            ]
+
     def test_speedup_positive_and_grows_with_v(self):
         """With M = N/v, more virtual processors means smaller memory and
         a bigger log factor saved; at fixed v, growing N *shrinks* the

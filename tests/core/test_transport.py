@@ -325,6 +325,16 @@ class TestDial:
             dial("127.0.0.1", free_port())
 
 
+def test_a_started_node_shuts_down_at_once():
+    """``shutdown()`` wakes the blocked ``accept`` instead of waiting out
+    its 0.5 s poll, which every test that starts nodes paid in teardown."""
+    server = NodeServer().start_thread()
+    time.sleep(0.05)  # the accept loop is polling
+    t0 = time.perf_counter()
+    server.shutdown()
+    assert time.perf_counter() - t0 < 0.1
+
+
 @pytest.fixture
 def node_pair():
     servers = [NodeServer().start_thread(), NodeServer().start_thread()]

@@ -159,7 +159,7 @@ class TestTraces:
         em_sort(data, cfg, engine="par", tracer=t_seq)
         em_sort(data, cfg, engine="par", tracer=t_par, overrides={"workers": 4})
         a, b = t_seq.counts(), t_par.counts()
-        # physical fault events (the REPRO_FAULTS injection lane) are not
+        # physical fault events (the --fault-plan injection lane) are not
         # part of the logical schedule: allocation order inside a shared
         # message region differs across backends, so the per-attempt fault
         # draws — unlike every logical counter — may diverge slightly.

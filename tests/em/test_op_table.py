@@ -19,12 +19,7 @@ from repro.util.validation import ConfigurationError
 N, SEED = 4096, 9
 
 
-def _without_ambient_faults(counters: dict) -> dict:
-    counters = dict(counters)
-    counters.pop("fault_stats", None)  # ambient REPRO_FAULTS (CI faults lane)
-    return counters
-
-
+@pytest.mark.no_fault_plan
 @pytest.mark.parametrize("engine,p", [("seq", 1), ("par", 2)])
 @pytest.mark.parametrize("op", list(OPS))
 def test_cli_spec_and_direct_call_are_the_same_run(op, engine, p):
@@ -47,9 +42,7 @@ def test_cli_spec_and_direct_call_are_the_same_run(op, engine, p):
         == output_sha256(direct.values)
         == local["output_sha256"]
     )
-    want = _without_ambient_faults(local["counters"])
-    assert _without_ambient_faults(_counters(cli_report)) == want
-    assert _without_ambient_faults(_counters(direct.report)) == want
+    assert _counters(cli_report) == _counters(direct.report) == local["counters"]
 
 
 def test_every_consumer_reads_the_tables_keys():

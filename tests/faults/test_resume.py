@@ -711,7 +711,8 @@ def _listrank_fixture(name: str, tmp_path):
     return want, ck, cfg, inputs
 
 
-def test_checkpoint_written_before_the_plan_memos_resumes_identically(tmp_path, monkeypatch):
+@pytest.mark.no_fault_plan
+def test_checkpoint_written_before_the_plan_memos_resumes_identically(tmp_path):
     """``data/listrank_ckpt_pr22`` holds a checkpoint written by the commit
     that introduced item format 2 (ListRanking at a reduced
     ``rounds_listrank`` shape, preempted after round 6) and the
@@ -721,7 +722,6 @@ def test_checkpoint_written_before_the_plan_memos_resumes_identically(tmp_path, 
     recorded result.  (First recorded at 8b0477d, before the plan memos;
     re-recorded by ``scripts/rerecord_fixtures.py`` when the item format
     changed — the output hash is the 8b0477d one.)"""
-    monkeypatch.delenv("REPRO_FAULTS", raising=False)  # the recording is clean
     from repro.algorithms.graphs.list_ranking import ListRanking
     from repro.em.runner import output_sha256
 

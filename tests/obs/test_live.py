@@ -159,3 +159,44 @@ class TestIterJsonl:
         assert not t.is_alive()
         assert [e["seq"] for e in got] == [0, 1]
         assert got[1]["kind"] == "run_end"
+
+
+class TestMultiRunTraces:
+    """One ``biconnected_components`` call makes ten engine runs, each with
+    its own ``run_begin``/``run_end``; every reader keeps all of them."""
+
+    RUNS = 10
+
+    @staticmethod
+    def _call(**options):
+        import numpy as np
+
+        from repro.algorithms.graphs import biconnected_components
+
+        n = 40
+        ring = [(i, (i + 1) % n) for i in range(n)]
+        chords = [(i, (i * 7 + 3) % n) for i in range(0, n, 3)]
+        edges = np.array(sorted({tuple(sorted(e)) for e in ring + chords if e[0] != e[1]}))
+        cfg = MachineConfig(N=n, v=4, D=2, B=16)
+        return biconnected_components(edges, n, cfg, engine="seq", **options)
+
+    def test_top_shows_every_run(self, tmp_path, capsys):
+        """``top`` used to stop at the first ``run_end``: one run of ten."""
+        from repro.cli import main
+
+        path = str(tmp_path / "bcc.jsonl")
+        bus = EventBus(sink=path, monitor=False)
+        assert len(self._call(tracer=bus).reports) == self.RUNS
+        bus.close()
+        events = list(iter_jsonl(path))
+        assert main(["top", path, "--once"]) == 0
+        assert f"events: {len(events)}" in capsys.readouterr().out
+
+    def test_a_repro_trace_path_keeps_every_run(self, tmp_path, monkeypatch):
+        """Each run's ``make_engine`` used to reopen the path for writing,
+        leaving only the last run in the file."""
+        path = tmp_path / "bcc.jsonl"
+        monkeypatch.setenv("REPRO_TRACE", str(path))
+        self._call()
+        kinds = [ev["kind"] for ev in iter_jsonl(str(path))]
+        assert kinds.count("run_begin") == kinds.count("run_end") == self.RUNS

@@ -107,12 +107,13 @@ def snapshot_of(run: Callable[[MetricsRegistry], None]) -> dict[str, Any]:
 @pytest.fixture(autouse=True)
 def _no_knobs(monkeypatch):
     # the snapshots were recorded with no REPRO_* knob set; a lane that
-    # sets one (injected faults, forced workers) would change the run
+    # sets one (forced workers, say) would change the run
     for key in list(os.environ):
         if key.startswith("REPRO_"):
             monkeypatch.delenv(key)
 
 
+@pytest.mark.no_fault_plan  # recorded from clean runs
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_fold_reproduces_the_engine_written_snapshot(name):
     recorded = json.loads(DATA.read_text())[name]

@@ -49,6 +49,7 @@ def record(engine: str, arena: str) -> dict:
     }
 
 
+@pytest.mark.no_fault_plan  # recorded from clean runs
 @pytest.mark.parametrize("engine,arena", CASES)
 def test_synchronous_reads_reproduce_the_prefetched_runs(engine, arena):
     golden = json.loads(GOLDEN.read_text())[f"{engine}-{arena}"]

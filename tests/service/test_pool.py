@@ -46,6 +46,7 @@ class TestExecuteSpec:
         assert doc["counters"]["rounds"] == res.report.rounds
         assert np.array_equal(res.values, OPS["sort"].reference(data))
 
+    @pytest.mark.no_fault_plan
     def test_fault_plan_keeps_logical_counters(self):
         clean = execute_spec(spec_for("sort"))
         faulty = execute_spec(
@@ -55,18 +56,16 @@ class TestExecuteSpec:
         assert "fault_stats" in faulty["counters"]
         stripped = dict(faulty["counters"])
         stripped.pop("fault_stats")
-        base = dict(clean["counters"])
-        base.pop("fault_stats", None)  # ambient REPRO_FAULTS (CI faults lane)
-        assert stripped == base
+        assert stripped == clean["counters"]
         assert faulty["output_sha256"] == clean["output_sha256"]
 
+    @pytest.mark.no_fault_plan  # a plan's draws may follow allocation order
     def test_spec_workers_run_a_fleet_with_the_same_document(self, monkeypatch):
         """A spec's top-level ``workers`` reaches the run as the knob's
         override: the job's bus shows the fleet, and the result document
         is the one the ``workers: 0`` spec gets."""
-        # pin what a workers-0 spec defers to; a fault plan's draws may
-        # follow allocation order, which differs between the backends
-        for var in ("REPRO_WORKERS", "REPRO_TRANSPORT", "REPRO_FAULTS"):
+        # pin what a workers-0 spec defers to
+        for var in ("REPRO_WORKERS", "REPRO_TRANSPORT"):
             monkeypatch.delenv(var, raising=False)
         docs, fleet = [], []
         for workers in (2, 0):

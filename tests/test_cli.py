@@ -465,7 +465,7 @@ class TestTuneCommand:
         assert "| Variable |" in out and "`REPRO_ARENA`" in out
         assert "FASTPATH" not in out and "PREFETCH" not in out
         assert "SHM_BYTES" not in out
-        assert out.count("`REPRO_") == 9
+        assert out.count("`REPRO_") == 8
 
     def test_profile_fills_machine_args(self, tmp_path, capsys):
         path = self._tuned(tmp_path, capsys)
@@ -658,6 +658,31 @@ class TestBackendFlagsAreArguments:
         assert [rt.arena for _, rt in calls] == ["mmap", "ram", "mmap"]
         assert [rt.spill_quota for _, rt in calls] == [1 << 30] * 3
 
+    def test_the_env_profile_applies_its_knobs_not_its_machine(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``--profile`` runs the profile's machine shape and its knobs;
+        ``REPRO_PROFILE`` applies only the knobs (its ``config`` section),
+        so the shape stays the defaults' while the trace still carries
+        ``tuned_config``."""
+        from repro.tune.profile import TunedProfile
+
+        monkeypatch.delenv("REPRO_SPILL_QUOTA", raising=False)
+        calls = _spy_on_make_engine(monkeypatch)
+        profile, trace = str(tmp_path / "p.json"), str(tmp_path / "t.jsonl")
+        TunedProfile(
+            workload={"op": "sort", "n": 8192, "p": 1, "seed": 0},
+            machine={"v": 4, "D": 2, "B": 512},
+            config={"spill_quota": 1 << 30},
+        ).save(profile)
+        assert main(["sort", "--n", "8192", "--profile", profile]) == 0
+        assert "(N=8192, v=4, p=1, D=2, B=512," in capsys.readouterr().out
+        monkeypatch.setenv("REPRO_PROFILE", profile)
+        assert main(["sort", "--n", "8192", "--trace", trace]) == 0
+        assert "(N=8192, v=8, p=1, D=2, B=256," in capsys.readouterr().out
+        assert [rt.spill_quota for _, rt in calls] == [1 << 30] * 2
+        assert "tuned_config" in [e["kind"] for e in iter_jsonl(trace)]
+
 
 class TestGraphGeometryCommandsShareTheFrontDoor:
     """``delaunay`` / ``cc`` / ``listrank`` keep their generator and check
@@ -795,9 +820,8 @@ class TestSubmitCommand:
             core.drain(timeout=60)
             server.close()
 
-    def test_local_result_documents_match_the_recorded_ones(
-        self, tmp_path, capsys, monkeypatch
-    ):
+    @pytest.mark.no_fault_plan
+    def test_local_result_documents_match_the_recorded_ones(self, tmp_path, capsys):
         """``submit --local --json`` reproduces, byte for byte, the result
         documents recorded for sort / permute / transpose on seq and par —
         first at PR 14 (before the op table), again at PR 22, whose item
@@ -807,7 +831,6 @@ class TestSubmitCommand:
         dropped when recording."""
         import os
 
-        monkeypatch.delenv("REPRO_FAULTS", raising=False)  # adds fault_stats
         here = os.path.dirname(os.path.abspath(__file__))
         with open(os.path.join(here, "service", "data", "result_docs_pr22.json")) as fh:
             recorded = json.load(fh)

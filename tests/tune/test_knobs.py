@@ -10,6 +10,9 @@ from __future__ import annotations
 
 import pytest
 
+from repro.cgm.config import MachineConfig
+from repro.em.runner import OPS, em_sort, make_engine, output_sha256
+from repro.service.pool import _counters
 from repro.tune.knobs import (
     ARENA_KINDS,
     KNOB_BY_ENV,
@@ -19,7 +22,9 @@ from repro.tune.knobs import (
     read_knob,
     render_knob_table,
 )
+from repro.tune.profile import TunedProfile
 from repro.tune.runtime import RuntimeConfig, current
+from repro.util.rng import make_rng
 from repro.util.validation import ConfigurationError
 
 
@@ -74,7 +79,7 @@ def test_bool_tokens():
 def test_fastpath_grammar():
     """The retired I/O-path switch has no grammar left: it is not in the
     registry (12 knobs -> 11), so no spelling can be read or overridden."""
-    assert len(KNOBS) == 9
+    assert len(KNOBS) == 8
     assert "REPRO_FASTPATH" not in KNOB_BY_ENV and "fastpath" not in KNOB_BY_NAME
     assert "FASTPATH" not in render_knob_table()
     for name in ("fastpath", "REPRO_FASTPATH"):
@@ -93,6 +98,18 @@ def test_prefetch_knob_is_retired():
             read_knob(name, environ={"REPRO_PREFETCH": "0"})
     with pytest.raises(KnobError, match="unknown knob override 'prefetch'"):
         current().with_overrides({"prefetch": "0"})
+
+
+def test_the_fault_plan_knob_is_retired():
+    """10 -> 9 -> 8 knobs: a fault plan is an argument of the run, so an
+    override or profile entry naming one is refused in one line, and a
+    leftover ``REPRO_FAULTS`` is ignored."""
+    assert "REPRO_FAULTS" not in KNOB_BY_ENV and "faults" not in KNOB_BY_NAME
+    with pytest.raises(KnobError, match="unknown knob override 'faults'"):
+        make_engine(MachineConfig(N=1024, v=4, D=2, B=32), overrides={"faults": "p.json"})
+    with pytest.raises(KnobError, match="unknown knob 'faults' in tuned profile"):
+        RuntimeConfig.resolve(profile={"faults": "p.json"}, environ={})
+    assert RuntimeConfig.resolve(environ={"REPRO_FAULTS": "p.json"}) == RuntimeConfig()
 
 
 def test_arena_kinds():
@@ -177,3 +194,61 @@ def test_readme_knob_table_matches_registry():
         "python -c 'from repro.tune.knobs import render_knob_table; "
         "print(render_knob_table())'"
     )
+
+
+# ------------------------------------------- a knob chooses only how a run executes
+
+#: the Group-A run every row repeats: sort on the par backend, p = 2
+_ROW_CFG = MachineConfig(N=8192, v=4, p=2, D=2, B=64)
+
+
+def _knob_rows(tmp_path, nodes: str, profile: str) -> dict:
+    """One non-default value per registered knob (plus what it needs to
+    take effect), as ``make_engine`` overrides."""
+    return {
+        "workers": {"workers": 2},
+        "arena": {"arena": "mmap"},
+        "transport": {"transport": "tcp", "nodes": nodes, "workers": 2},
+        "nodes": {"transport": "tcp", "nodes": nodes},
+        "spill_quota": {"arena": "mmap", "spill_quota": 1 << 30},
+        "spill_dir": {"arena": "mmap", "spill_dir": str(tmp_path)},
+        "trace": {"trace": str(tmp_path / "run.jsonl")},
+        "profile": {"profile": profile},
+    }
+
+
+@pytest.fixture
+def two_nodes():
+    from repro.core.transport.node import NodeServer
+
+    servers = [NodeServer().start_thread(), NodeServer().start_thread()]
+    yield ",".join(s.address for s in servers)
+    for s in servers:
+        s.shutdown()
+
+
+@pytest.mark.no_fault_plan  # fault draws may follow a fleet's allocation order
+@pytest.mark.parametrize("name", [spec.name for spec in KNOBS])
+def test_a_knob_chooses_only_how_a_run_executes(name, tmp_path, two_nodes):
+    """The rule every ``REPRO_*`` knob keeps (and why neither the result
+    cache key nor the checkpoint fingerprint holds one): under any value
+    of any knob a Group-A run returns the default run's output hash and
+    counters.  A knob added to the registry without a row fails here."""
+    profile = str(tmp_path / "tuned.json")
+    TunedProfile(
+        workload={"op": "sort", "n": _ROW_CFG.N, "p": _ROW_CFG.p, "seed": 0},
+        machine={"v": 8, "D": 2, "B": 256},
+        config={"arena": "mmap", "workers": 2},
+    ).save(profile)
+    rows = _knob_rows(tmp_path, two_nodes, profile)
+    assert set(rows) == set(KNOB_BY_NAME), "every knob has exactly one row"
+    (data,) = OPS["sort"].generate(make_rng(3), _ROW_CFG.N)
+
+    def run(overrides=None):
+        out = em_sort(data, _ROW_CFG, engine="par", overrides=overrides)
+        return output_sha256(out.values), _counters(out.report)
+
+    row = rows[name]
+    assert row[name] != KNOB_BY_NAME[name].default
+    assert run(row) == run()
+

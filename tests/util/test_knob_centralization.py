@@ -123,6 +123,9 @@ _MACHINE_EXTRAS = re.compile(
 #: a config built with a worker count, in a script, a bench or a workflow
 _CONFIG_WORKERS = re.compile(r"(MachineConfig|\.with_)\([^)]*\bworkers\s*=")
 
+#: the ambient fault plan: its variable and the snapshot field it filled
+_AMBIENT_PLAN = re.compile(r"REPRO_FAULTS|\b(rt|runtime)\.faults\b")
+
 
 def _offenders(pattern: re.Pattern, skip_tune: bool) -> list[str]:
     src_root = Path(repro.__file__).resolve().parent
@@ -322,7 +325,7 @@ def test_one_definition_of_the_group_a_operations():
         holders = [p for p in files if pattern.search(p.read_text())]
         assert holders == [Path(runner.__file__).resolve()], (pattern.pattern, holders)
     # ... and the table added nothing to the configuration surface
-    assert len(KNOBS) == 9
+    assert len(KNOBS) == 8
 
 
 def test_one_front_door_for_every_figure_5_run():
@@ -395,7 +398,7 @@ def test_one_local_carrier():
         "a local worker packet has one carrier, its frame:\n" + "\n".join(offenders)
     )
     assert not {"_encode", "_decode", "release"} & set(dir(Transport))
-    assert len(KNOBS) == 9
+    assert len(KNOBS) == 8
 
 
 def test_one_telemetry_stream_out_of_the_engines():
@@ -478,4 +481,21 @@ def test_the_machine_is_the_papers():
     for fn in (make_engine, Engine, InMemoryEngine, ParEMEngine, SeqEMEngine,
                VMEngine, ProcessParEngine):
         assert "validate" not in inspect.signature(fn).parameters, fn
-    assert len(KNOBS) == 9
+    assert len(KNOBS) == 8
+
+
+def test_a_fault_plan_is_an_argument_of_the_run():
+    """A plan reaches a run only as ``make_engine(faults=...)``, ``--faults``
+    or a spec's ``faults`` section: no variable, registry entry or snapshot
+    field injects one into every run a process makes."""
+    import dataclasses
+
+    from repro.tune.knobs import KNOB_BY_NAME
+    from repro.tune.runtime import RuntimeConfig
+
+    offenders = _offenders(_AMBIENT_PLAN, skip_tune=False)
+    assert not offenders, (
+        "a fault plan is an argument of the run, not a knob:\n" + "\n".join(offenders)
+    )
+    assert "faults" not in KNOB_BY_NAME
+    assert "faults" not in {f.name for f in dataclasses.fields(RuntimeConfig)}
