@@ -33,8 +33,10 @@ Storage backends: this class keeps the track matrices as preallocated
 in-memory arrays (``REPRO_ARENA=ram``, the default);
 :class:`repro.pdm.mmap_arena.MmapTrackArena` subclasses it to back them
 with per-disk ``numpy.memmap`` spill files for out-of-core runs
-(``REPRO_ARENA=mmap``).  Only :meth:`_grow_data` differs — every batch
-operation, invariant and snapshot shape is shared.
+(``REPRO_ARENA=mmap``).  The seam is two hooks, :meth:`_grow_data` and
+:meth:`_store` (a scatter's writes): that backend writes by file
+descriptor and reads through its mapping, one page cache under both.
+Every batch operation, invariant and snapshot shape is shared.
 """
 
 from __future__ import annotations
@@ -187,9 +189,14 @@ class TrackArena:
                 for t in tt:
                     side.pop(t, None)
             where = slice(tt.start, tt.stop, tt.step)
-            self._data[d][where] = rows[sel]
+            self._store(d, where, rows[sel])
             self._used[d][where] = True
             self._nbytes[d][where] = bb
+
+    def _store(self, disk: int, tracks: slice, rows: np.ndarray) -> None:
+        """Write the full-stride *rows* to the grown track range *tracks*
+        of *disk* (the backend hook for bulk writes)."""
+        self._data[disk][tracks] = rows
 
     def gather(self, extents: Sequence[Extent], base: int, out: np.ndarray) -> bool:
         """Fill the stream ``out`` from where its planned per-disk *extents*

@@ -8,6 +8,10 @@ array.  Simulated problem size is then bounded by disk capacity, not host
 memory: the OS pages track data in and out on demand, and the arena's own
 resident footprint is the per-track bookkeeping (occupancy mask + byte
 lengths, ~9 bytes/track) plus whatever the page cache chooses to keep.
+A scatter writes through the file descriptor (``pwrite``/``pwritev``,
+:meth:`_store`), which fills a fresh stretch of file without a write
+fault per page; ``gather``, ``get``, ``snapshot`` and the single-track
+``put`` go through the mapping, which sees the same page-cache pages.
 
 Spill-directory lifecycle:
 
@@ -22,7 +26,8 @@ Spill-directory lifecycle:
   (a row is read only while its occupancy bit is set);
 * ``$REPRO_SPILL_QUOTA`` (bytes, optional) bounds the total mapped size
   per arena; growth past it raises :class:`SimulationError` instead of
-  filling the volume;
+  filling the volume, and so does a write the volume refuses (a one-line
+  error naming the disk, the track and the spill dir);
 * :meth:`close` unmaps and deletes the directory; a ``weakref.finalize``
   does the same at garbage collection, so abandoned arenas (a killed run)
   cannot leak spill files past interpreter exit.
@@ -46,6 +51,8 @@ import numpy as np
 from repro.pdm.arena import TrackArena
 from repro.tune.runtime import RuntimeConfig, current
 from repro.util.validation import SimulationError
+
+_IOV_MAX = os.sysconf("SC_IOV_MAX")  # buffers one pwritev call takes
 
 
 def _cleanup(files: "list[IO[bytes]]", path: str) -> None:
@@ -114,6 +121,38 @@ class MmapTrackArena(TrackArena):
         self._data[disk] = np.memmap(
             f, dtype=np.uint8, mode="r+", shape=(cap, self.block_bytes)
         )
+
+    # -- bulk writes -------------------------------------------------------
+
+    def _store(self, disk: int, tracks: slice, rows: np.ndarray) -> None:
+        # by descriptor: no write fault per fresh page, as an assignment
+        # into the mapping takes; the mapping reads the same pages back.
+        # A call per track of a strided range, per IOV_MAX rows of a
+        # consecutive one; short writes loop
+        per = _IOV_MAX if tracks.step == 1 else 1
+        calls = [(list(rows[i : i + per]), tracks.start + i * tracks.step)
+                 for i in range(0, len(rows), per)]
+        fd = self._files[disk].fileno()
+        for bufs, track in calls:
+            off, left = track * self.block_bytes, len(bufs) * self.block_bytes
+            while True:
+                try:
+                    n = (os.pwritev(fd, bufs, off) if len(bufs) > 1
+                         else os.pwrite(fd, bufs[0], off))
+                    why = "the write stayed short"
+                except OSError as exc:
+                    n, why = 0, exc.strerror or str(exc)
+                if n == left:
+                    break
+                if n <= 0:
+                    raise SimulationError(
+                        f"cannot write disk {disk} track {off // self.block_bytes}"
+                        f" to spill dir {self.spill_dir}: {why}"
+                    )
+                left, off = left - n, off + n
+                while n >= len(bufs[0]):
+                    n -= len(bufs.pop(0))
+                bufs[0] = bufs[0][n:]
 
     # -- inspection --------------------------------------------------------
 

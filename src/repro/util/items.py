@@ -32,7 +32,10 @@ node: the ``dtype.str`` of a plain dtype (byte order included, metadata
 not — equal dtypes give equal bytes) or the ``dtype.descr`` list of a
 structured one.  Array buffers go from the array straight into the one
 ``join`` that builds the item, and come back as a copy, so a decoded value
-never aliases the buffer it was read from.
+never aliases the buffer it was read from.  A list or tuple that opens
+with ``C`` nodes (a balanced-routing bundle) decodes that run in one loop:
+per chunk one ``unpack_from``, a ``None`` or ``str`` tag read in place and
+one aligned copy of the words, with the checks and errors of a lone node.
 
 Nothing is reconstructed by name: the decoder builds only the types above,
 so bytes read back from a disk, a snapshot or a peer cannot run code.  It
@@ -187,9 +190,14 @@ def _enc_chunk(c, parts: list, depth: int) -> None:
                            c.total_words, c.nbytes, c.size_items, words.size)
     except struct.error as exc:
         raise TypeError(f"cannot serialize Chunk fields: {exc}") from None
-    parts.append(b"C" + head)
-    _encode(c.tag, parts, depth)
+    parts.append(b"C" + head + _tag_node(c.tag))
     parts.append(_buffer(words))
+
+
+@lru_cache(maxsize=256)
+def _tag_node(tag: "str | None") -> bytes:
+    """A Chunk's tag node; a routing round repeats a handful of tags."""
+    return serialize(tag)[_HEADER.size :]
 
 
 _ENCODERS = {
@@ -219,6 +227,7 @@ def _subclass_encoder(tp: type):
     if issubclass(tp, dict):
         return _enc_dict
     if tp is _chunk_type():
+        _ENCODERS[tp] = _enc_chunk
         return _enc_chunk
     raise TypeError(
         f"cannot serialize {tp.__module__}.{tp.__qualname__}: contexts and "
@@ -345,7 +354,9 @@ def _decode(mv: memoryview, off: int, end: int, depth: int) -> tuple[Any, int]:
                     _fail(f"unhashable dict key of type {type(k).__name__}")
             return out, off
         items = []
-        for _ in range(n):
+        if n and off < end and mv[off] == _CHUNK_TAG:
+            off = _dec_chunks(mv, off, end, n, depth, items)
+        for _ in range(n - len(items)):
             x, off = _decode(mv, off, end, depth)
             items.append(x)
         return (tuple(items) if tag == _TUPLE else items), off
@@ -367,18 +378,39 @@ def _decode(mv: memoryview, off: int, end: int, depth: int) -> tuple[Any, int]:
             _fail("NumPy scalar with a shape")
         return arr[()], off
     if tag == _CHUNK_TAG:
-        if off + _CHUNK.size > end:
+        one: list = []
+        off = _dec_chunks(mv, off - 1, end, 1, depth, one)
+        return one[0], off
+    _fail(f"unknown node tag {bytes((tag,))!r}")
+
+
+def _dec_chunks(mv: memoryview, off: int, end: int, n: int, depth: int,
+                out: list) -> int:
+    """The run of at most *n* ``C`` nodes at *off* → *out*; offset past it."""
+    chunk = _chunk_type()
+    while n and off < end and mv[off] == _CHUNK_TAG:
+        n -= 1
+        if off + 1 + _CHUNK.size > end:
             _fail("truncated Chunk")
-        *fields, n_words = _CHUNK.unpack_from(mv, off)
-        ctag, off = _decode(mv, off + _CHUNK.size, end, depth)
-        if not (ctag is None or type(ctag) is str):
+        *head, size_items, n_words = _CHUNK.unpack_from(mv, off + 1)
+        off += 1 + _CHUNK.size
+        if off < end and mv[off] == _NONE:
+            ctag, off = None, off + 1
+        elif off < end and mv[off] == _STR:
+            raw, off = _dec_raw(mv, off + 1, end)
+            try:
+                ctag = str(raw, "utf-8", "surrogatepass")
+            except UnicodeDecodeError:
+                _fail("str is not UTF-8")
+        else:  # a corrupt node's own error first, as for any other node
+            _decode(mv, off, end, depth)
             _fail("Chunk tag is neither a str nor None")
         if off + 8 * n_words > end:
             _fail(f"Chunk of {n_words} words announced, {end - off} bytes left")
-        words = np.frombuffer(mv[off : off + 8 * n_words], dtype=np.uint64).copy()
-        *head, size_items = fields
-        return _chunk_type()(*head, ctag, size_items, words), off + 8 * n_words
-    _fail(f"unknown node tag {bytes((tag,))!r}")
+        words = np.frombuffer(mv, np.uint64, n_words, off).copy()
+        out.append(chunk(*head, ctag, size_items, words))
+        off += 8 * n_words
+    return off
 
 
 def deserialize(data) -> Any:

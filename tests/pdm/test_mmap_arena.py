@@ -4,8 +4,10 @@ ftruncate, quota enforcement, resident-memory accounting, and the
 
 from __future__ import annotations
 
+import errno
 import gc
 import os
+import re
 
 import numpy as np
 import pytest
@@ -110,6 +112,106 @@ class TestGrowth:
                 a.put(1, 0, b"y" * 8)  # disk 1's 64 rows would exceed
         finally:
             a.close()
+
+
+class TestOneFileTwoWriters:
+    """``put`` writes through the mapping and ``scatter`` through the
+    file descriptor; both land in one page cache, so every reader sees
+    the last write, exactly as the RAM arena does."""
+
+    BB = 16
+
+    def _calls(self):
+        bb = self.BB
+        rows = [
+            np.arange(k * 8 * bb, (k + 1) * 8 * bb, dtype=np.int64).astype(np.uint8)
+            .reshape(8, bb) for k in range(4)
+        ]
+        # disk 0: strided rows onto consecutive tracks (pwritev) and one
+        # contiguous block (one pwrite); disk 1: strided tracks (one call each)
+        mixed = (((slice(0, 8, 2), slice(0, 4, 1)),), ((slice(1, 8, 2), slice(0, 8, 2)),))
+        dense = (((slice(0, 8, 1), slice(0, 8, 1)),), ())
+        return [
+            ("put", 0, 3, b"early-put"),
+            ("scatter", mixed, 0, rows[0]),          # overwrites the put on track 3
+            ("put", 0, 2, b"late-put"),              # overwrites a scattered track
+            ("scatter", dense, 60, rows[1]),         # crosses 64 rows: the file grows
+            ("put", 0, 63, b"x" * bb),
+            ("scatter", mixed, 62, rows[2]),         # over the put and the grown rows
+            ("restore", 1, {5: b"restored", 200: b"far"}),
+            ("scatter", mixed, 4, rows[3]),          # after the restore
+            ("put", 1, 5, b"last"),           # over a restored track
+        ]
+
+    def test_every_reader_agrees_with_a_ram_arena(self, tmp_path):
+        bb = self.BB
+        ram, mm = TrackArena(2, bb), MmapTrackArena(2, bb, spill_dir=str(tmp_path))
+        try:
+            for arena in (ram, mm):
+                for op, *args in self._calls():
+                    getattr(arena, op)(*args)
+            for d in range(2):
+                assert mm.snapshot(d) == ram.snapshot(d)
+                for t in range(ram.max_track(d) + 2):
+                    assert mm.get(d, t) == ram.get(d, t)
+                with open(os.path.join(mm.spill_dir, f"disk{d}.bin"), "rb") as f:
+                    raw = f.read()
+                for t in np.flatnonzero(ram._used[d]).tolist():
+                    assert raw[t * bb : (t + 1) * bb] == bytes(ram._data[d][t]), (d, t)
+            rows = [call[-1] for call in self._calls() if call[0] == "scatter"]
+            assert mm.get(0, 3) == bytes(rows[0][6])  # the scatter beat the put
+            assert mm.get(0, 2) == b"late-put"  # the put beat the scatter
+            assert mm.get(0, 63) == bytes(rows[2][2])  # over the put, past the growth
+            assert mm.get(1, 200) == b"far" and mm.get(1, 5) == b"last"
+            assert mm.get(1, 0) is None  # the restore dropped the scattered track
+            extents = self._calls()[1][1]
+            for base in (0, 4, 62):
+                want, got = np.empty((8, bb), np.uint8), np.empty((8, bb), np.uint8)
+                ok = ram.gather(extents, base, want)
+                assert mm.gather(extents, base, got) == ok == (base == 4)
+                assert not ok or np.array_equal(want, got)
+        finally:
+            mm.close()
+
+
+class TestSpillWriteFailures:
+    """A spill write the volume refuses ends the run with one line and
+    rc 3 and leaves no spill directory, in-process or in a worker."""
+
+    ARGS = ["sort", "--n", "4096", "--v", "8", "--p", "2", "--b", "64",
+            "--engine", "par", "--balanced", "--arena", "mmap"]
+
+    @staticmethod
+    def _full(*_args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    @staticmethod
+    def _short(_fd, bufs, _off):
+        # claims half of what it was handed and writes nothing
+        return (len(bufs) if isinstance(bufs, np.ndarray) else sum(map(len, bufs))) // 2
+
+    @pytest.mark.parametrize("workers", ["0", "2"])
+    @pytest.mark.parametrize("fault", ["full", "short"])
+    def test_run_ends_with_one_line_and_no_spill_dir(
+        self, tmp_path, monkeypatch, capsys, fault, workers
+    ):
+        from repro import cli
+
+        spill = tmp_path / "spill"
+        monkeypatch.setenv("REPRO_SPILL_DIR", str(spill))
+        broken = self._full if fault == "full" else self._short
+        monkeypatch.setattr(os, "pwrite", broken)
+        monkeypatch.setattr(os, "pwritev", broken)
+        assert cli.main(self.ARGS + ["--workers", workers]) == 3
+        err = capsys.readouterr().err
+        last = err.strip().splitlines()[-1]
+        assert re.search(r"cannot write disk \d+ track \d+ to spill dir \S*spill\S*: "
+                         + ("No space left" if fault == "full" else "the write stayed short"),
+                         last), err
+        if workers == "0":
+            assert err.startswith("error: cannot write disk") and err.count("\n") == 1
+        gc.collect()
+        assert not spill.exists() or not os.listdir(spill)
 
 
 class TestSelection:

@@ -54,6 +54,33 @@ GOLDEN = {
 }
 
 
+CHUNK_A = Chunk(1, 2, 0, 3, 8, 40, 317, None, 40, np.arange(5, dtype=np.uint64))
+CHUNK_B = Chunk(7, 2, 1, 0, 8, 9, 70, "t", 9, np.array([2**64 - 1, 6], dtype=np.uint64))
+#: ``serialize(...).hex()`` of two balanced-routing bundles as printed by
+#: the commit before a run of ``C`` nodes decoded in one loop
+GOLDEN_CHUNKS = {
+    "list_then_int": (
+        [CHUNK_A, CHUNK_B, 70000],
+        "54d5000000000000005b03430100000000000000020000000000000000000000000000"
+        "000300000000000000080000000000000028000000000000003d010000000000002800"
+        "00000000000005000000000000006e0000000000000000010000000000000002000000"
+        "000000000300000000000000040000000000000043070000000000000002000000000000"
+        "000100000000000000000000000000000008000000000000000900000000000000460000"
+        "000000000009000000000000000200000000000000730174ffffffffffffffff06000000"
+        "000000003470110100",
+    ),
+    "tuple": (
+        (CHUNK_B, CHUNK_A),
+        "54d000000000000000280243070000000000000002000000000000000100000000000000"
+        "000000000000000008000000000000000900000000000000460000000000000009000000"
+        "000000000200000000000000730174ffffffffffffffff06000000000000004301000000"
+        "00000000020000000000000000000000000000000300000000000000080000000000000028"
+        "000000000000003d01000000000000280000000000000005000000000000006e00000000"
+        "000000000100000000000000020000000000000003000000000000000400000000000000",
+    ),
+}
+
+
 class TestSerializeRoundTrip:
     def test_int64_array(self):
         arr = np.arange(1000, dtype=np.int64)
@@ -120,6 +147,15 @@ class TestSerializeRoundTrip:
             out = deserialize(bytes.fromhex(GOLDEN[name]) + b"\x00" * 13)
             assert out.dtype == arr.dtype and out.shape == arr.shape
             assert out.tobytes() == np.ascontiguousarray(arr).tobytes()
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_CHUNKS))
+    def test_chunk_bundle_bytes_are_frozen(self, name):
+        value, want = GOLDEN_CHUNKS[name]
+        assert serialize(value).hex() == want
+        out = deserialize(bytes.fromhex(want) + bytes(5))
+        assert same(out, value)
+        for c in (x for x in out if isinstance(x, Chunk)):
+            assert c.words.flags.aligned and c.words.flags.owndata
 
     def test_equal_dtypes_that_pickle_differently_bypass_the_memo(self):
         """Format 2 spells a dtype as ``dtype.str``: equal dtypes give equal
@@ -293,6 +329,8 @@ hashable = (
 leaves = (
     hashable | st.floats() | st.text(max_size=300) | st.binary(max_size=300)
     | arrays | scalars | st.lists(chunks, max_size=3)
+    | st.lists(chunks | hashable, max_size=6)
+    | st.tuples(chunks, chunks, hashable)
 )
 trees = st.recursive(
     leaves,
@@ -429,6 +467,31 @@ class TestFormat2Refusals:
         with pytest.raises(ValueError) as err:
             deserialize(item(body) + bytes(7))
         assert "\n" not in str(err.value)
+
+    #: a ``C`` node's bytes up to and including its tag (the fields alone
+    #: are the first 73), then the words
+    _A = serialize(CHUNK_A)[9:]
+
+    @pytest.mark.parametrize("body, message", [
+        (b"[\x02" + _A + _A[:40], "truncated Chunk"),
+        (b"[\x02" + _A + _A[:-9], "Chunk of 5 words announced, 31 bytes left"),
+        (b"[\x03" + _A + _A + b"Z", "unknown node tag b'Z'"),
+        (b"[\x02" + _A + _A[:73] + b"\x31\x05", "Chunk tag is neither a str nor None"),
+        (b"[\x02" + _A + _A[:73] + b"s\xff" + struct.pack("<I", 1 << 20) + b"abc",
+         "1048576 bytes announced, 3 left"),
+        (b"(\xff" + struct.pack("<I", 3) + _A + _A, "truncated node"),
+        (b"[\x02" + _A + _A[:73] + b"s\x09ab", "9 bytes announced, 2 left"),
+        (b"[\x02" + _A + _A[:73] + b"s\x02\xff\xfe", "str is not UTF-8"),
+        (b"[\x02" + _A + _A[:73], "truncated node"),
+        (b"[\x02" + _A + _A[:73] + b"s", "truncated count"),
+    ], ids=["header", "words", "run-then-bad-node", "tag-int", "tag-long-count",
+            "list-long-count", "tag-short-count", "tag-utf8", "no-tag", "tag-no-count"])
+    def test_a_hostile_chunk_run_is_the_parents_error(self, body, message):
+        """Each message is what the per-node decoder said before runs of
+        ``C`` nodes were decoded in one loop."""
+        with pytest.raises(ValueError) as err:
+            deserialize(item(body) + bytes(7))
+        assert str(err.value) == f"corrupt item: {message}"
 
     def test_depth_bomb_is_a_value_error_not_a_recursion_error(self):
         with pytest.raises(ValueError, match="nested deeper"):
