@@ -16,9 +16,12 @@ Theorem 1: both rounds' messages have sizes within
 
 This module implements the transform at the word (8-byte item) level over
 *serialized* payloads, so it works for arbitrary message contents and the
-engines can run any CGM program in balanced mode.  Pure size-arithmetic
-helpers (used by property tests and the Theorem 1 bench) are provided
-alongside.
+engines can run any CGM program in balanced mode.  A bin is bytes from
+split to reassembly (:class:`ChunkBundle`): the ``C`` nodes of its
+chunks, written once, cut and joined at the intermediary, read in place
+at the destination; :class:`Chunk` is only their decoded view.  Pure
+size-arithmetic helpers (used by property tests and the Theorem 1 bench)
+are provided alongside.
 """
 
 from __future__ import annotations
@@ -29,7 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.cgm.message import Message
-from repro.util.items import ITEM_BYTES, deserialize, serialize
+from repro.util.items import (ITEM_BYTES, chunk_at, chunk_index, chunk_list, chunk_node,
+                              deserialize, serialize)
 
 #: tag marking engine-internal balanced-routing traffic.
 CHUNK_TAG = "__balanced_chunk__"
@@ -64,80 +68,88 @@ class Chunk:
         return int(self.words.size)
 
 
-def _payload_to_words(payload: object) -> tuple[np.ndarray, int]:
-    """Serialize *payload* and view it as uint64 words (zero-padded)."""
-    raw = serialize(payload)
-    nbytes = len(raw)
-    padded = raw.ljust(-(-nbytes // ITEM_BYTES) * ITEM_BYTES, b"\x00")
-    return np.frombuffer(padded, dtype=np.uint64), nbytes
+class ChunkBundle:
+    """The payload of one balanced-routing message: ``raw``, the item
+    ``serialize`` gives for its list of chunks, and ``index``, where each
+    chunk's node lies in it (:func:`repro.util.items.chunk_index`, parsed
+    on first use).  Iterating yields the chunks as :class:`Chunk` records."""
 
+    __slots__ = ("raw", "_index")
 
-def _words_to_payload(words: np.ndarray, nbytes: int) -> object:
-    return deserialize(words.tobytes()[:nbytes])
+    def __init__(self, raw: bytes, index: "list | None" = None) -> None:
+        self.raw = raw
+        self._index = index
+
+    @classmethod
+    def from_item(cls, data) -> "ChunkBundle":
+        """The bundle stored in *data*, padding ignored; bytes that are
+        not a list of chunks raise ``deserialize``'s one-line error."""
+        end, index = chunk_index(data)
+        return cls(bytes(memoryview(data)[:end]), index)
+
+    @property
+    def index(self) -> list:
+        if self._index is None:
+            self._index = chunk_index(self.raw)[1]
+        return self._index
+
+    def __iter__(self):
+        return (chunk_at(self.raw, entry) for entry in self.index)
 
 
 def split_phase_a(outbox: list[Message], v: int) -> list[Message]:
     """Superstep A: deal each message's words into v round-robin bins.
 
     Returns one Message per non-empty bin, addressed to the intermediate
-    processor; its payload is the list of chunks bound for that bin.
+    processor; its payload is the :class:`ChunkBundle` of the chunks
+    bound for that bin, written node by node.
     """
-    bins: dict[int, list[Chunk]] = defaultdict(list)
+    bins: dict[int, list] = defaultdict(list)  # bin -> its node pieces
+    srcs: dict[int, int] = {}
     for seq, m in enumerate(outbox):
-        words, nbytes = _payload_to_words(m.payload)
-        total = int(words.size)
+        raw = serialize(m.payload)
+        nbytes = len(raw)
+        total = -(-nbytes // ITEM_BYTES)
         i, j = m.src, m.dest
-        # All v strided slices words[first::v] in one pass: pad to a
-        # multiple of v, then column `first` of the (k, v) view is exactly
-        # that slice.  One contiguous transpose copy replaces v strided
-        # copies; values are bit-identical to the slice-per-bin loop.
-        if total:
-            k = -(-total // v)
-            padded = np.empty(k * v, dtype=np.uint64)
-            padded[:total] = words
-            padded[total:] = 0
-            cols = np.ascontiguousarray(padded.reshape(k, v).T)
+        # All v strided slices words[first::v] in one pass: zero-pad to a
+        # multiple of v words; row `first` of the (v, k) transpose is then
+        # exactly that slice, contiguous in `cols`.
+        k = -(-total // v)
+        padded = np.zeros(k * v, dtype=np.uint64)
+        padded.view(np.uint8)[:nbytes] = np.frombuffer(raw, np.uint8)
+        cols = memoryview(np.ascontiguousarray(padded.reshape(k, v).T)).cast("B")
         for b in range(v):
             # words l with (i + j + l) % v == b  <=>  l % v == (b - i - j) % v
             first = (b - i - j) % v
             n_piece = (total - first + v - 1) // v if total > first else 0
             if n_piece == 0 and total > 0:
                 continue
-            piece = cols[first, :n_piece] if total else words[first::v].copy()
-            bins[b].append(
-                Chunk(
-                    i, j, seq, first, v, total, nbytes, m.tag,
-                    m.size_items, piece,
-                )
-            )
-    out: list[Message] = []
-    for b, chunks in sorted(bins.items()):
-        size = sum(c.n_words for c in chunks)
-        out.append(
-            Message(
-                src=chunks[0].src,
-                dest=b,
-                payload=chunks,
-                tag=CHUNK_TAG,
-                size_items=max(1, size),
-            )
-        )
-    return out
+            fields = (i, j, seq, first, v, total, nbytes, m.size_items, n_piece)
+            words = cols[8 * k * first : 8 * (k * first + n_piece)]
+            bins[b] += (chunk_node(fields, m.tag), words)
+            srcs.setdefault(b, i)
+    return [
+        Message(srcs[b], b, ChunkBundle(chunk_list(len(parts) // 2, parts)), CHUNK_TAG,
+                max(1, sum(map(len, parts[1::2])) // ITEM_BYTES))
+        for b, parts in sorted(bins.items())
+    ]
 
 
 def regroup_phase_b(received: list[Message], me: int | None = None) -> list[Message]:
     """Superstep B: regroup chunks by final destination and forward.
 
     *received* are the phase-A messages that arrived at one intermediate
-    processor; the result is one message per final destination.  *me* is
-    that intermediate processor's pid — the source of every forwarded
+    processor; the result is one message per final destination, whose
+    bundle joins the received chunks' node bytes in arrival order.  *me*
+    is that intermediate processor's pid — the source of every forwarded
     message.  When omitted it is taken from the received messages'
     destination field, which is only possible for a non-empty *received*;
     an empty input simply forwards nothing.
     """
     if not received:
         return []
-    by_fdest: dict[int, list[Chunk]] = defaultdict(list)
+    nodes: dict[int, list] = defaultdict(list)
+    words: dict[int, int] = defaultdict(int)
     for m in received:
         if m.tag != CHUNK_TAG:
             raise ValueError("regroup_phase_b fed a non-chunk message")
@@ -148,40 +160,43 @@ def regroup_phase_b(received: list[Message], me: int | None = None) -> list[Mess
                 f"regroup_phase_b fed chunk traffic for processor {m.dest} "
                 f"while regrouping at processor {me}"
             )
-        for c in m.payload:
-            by_fdest[c.fdest].append(c)
-    out: list[Message] = []
-    for k, chunks in sorted(by_fdest.items()):
-        size = sum(c.n_words for c in chunks)
-        out.append(
-            Message(src=me, dest=k, payload=chunks, tag=CHUNK_TAG, size_items=max(1, size))
-        )
-    return out
+        raw = memoryview(m.payload.raw)
+        for start, stop, _tag, f in m.payload.index:
+            nodes[f[1]].append(raw[start:stop])
+            words[f[1]] += f[8]
+    return [
+        Message(me, k, ChunkBundle(chunk_list(len(nodes[k]), nodes[k])), CHUNK_TAG,
+                max(1, words[k]))
+        for k in sorted(nodes)
+    ]
 
 
 def reassemble(inbox: list[Message]) -> list[Message]:
     """Final destination: reconstruct the original messages from chunks.
 
-    Non-chunk messages pass through untouched, so engines can mix balanced
-    and direct traffic.
+    Each chunk's words go from its bundle's bytes straight into the
+    strided slots of its message's word buffer, and each payload is
+    decoded once.  Non-chunk messages pass through untouched, so engines
+    can mix balanced and direct traffic.
     """
     passthrough = [m for m in inbox if m.tag != CHUNK_TAG]
-    groups: dict[tuple[int, int], list[Chunk]] = defaultdict(list)
+    groups: dict[tuple[int, int], list] = defaultdict(list)
     for m in inbox:
         if m.tag != CHUNK_TAG:
             continue
-        for c in m.payload:
-            groups[(c.src, c.msg_seq)].append(c)
+        raw = m.payload.raw
+        for _start, stop, tag, f in m.payload.index:
+            groups[(f[0], f[2])].append((raw, stop, tag, f))
     rebuilt: list[Message] = []
     for (src, _seq), chunks in sorted(groups.items()):
         # each group carries its own destination and original h-relation
         # charge; other groups in the same inbox must not bleed into it
-        ref = chunks[0]
-        words = np.zeros(ref.total_words, dtype=np.uint64)
-        for c in chunks:
-            words[c.first :: c.stride] = c.words
-        payload = _words_to_payload(words, ref.nbytes)
-        rebuilt.append(Message(src, ref.fdest, payload, ref.tag, ref.size_items))
+        _raw, _stop, tag, ref = chunks[0]
+        words = np.zeros(ref[5], dtype=np.uint64)
+        for raw, stop, _tag, f in chunks:
+            words[f[3] :: f[4]] = np.frombuffer(raw, np.uint64, f[8], stop - 8 * f[8])
+        payload = deserialize(memoryview(words).cast("B")[: ref[6]])
+        rebuilt.append(Message(src, ref[1], payload, tag, ref[7]))
     return passthrough + rebuilt
 
 

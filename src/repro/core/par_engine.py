@@ -42,6 +42,7 @@ from repro.cgm.engine import Engine
 from repro.cgm.message import Message
 from repro.cgm.metrics import CostReport
 from repro.cgm.program import CGMProgram, Context
+from repro.core.balanced import CHUNK_TAG, ChunkBundle
 from repro.core.layouts import (
     MessageMatrix,
     RegionAllocator,
@@ -264,8 +265,9 @@ class ParEMEngine(Engine):
         several application messages to one destination share the slot.
         Returns ``(dest, parts, payload)`` triples in FIFO destination
         order — the payload a zero-copy :class:`BlockRun` over the
-        serialized bytes.  Serialization buffers are charged to the
-        *source* real processor's internal memory.
+        serialized bytes (a :class:`ChunkBundle`'s as they are).
+        Serialization buffers are charged to the *source* real
+        processor's internal memory.
         """
         by_dest: dict[int, list[Message]] = {}
         for m in msgs:
@@ -278,7 +280,8 @@ class ParEMEngine(Engine):
             else:
                 payload_obj = [(m.tag, m.payload) for m in group]
             parts = [(m.tag, m.size_items) for m in group]
-            raw = serialize(payload_obj)
+            bundle = type(payload_obj) is ChunkBundle
+            raw = payload_obj.raw if bundle else serialize(payload_obj)
             nblocks = blocks_for_bytes(len(raw), self.cfg.B)
             bundles.append((dest, parts, BlockRun(raw, nblocks, self._block_bytes)))
         # charged only once the whole outbox has encoded: an unsupported
@@ -410,18 +413,21 @@ class ParEMEngine(Engine):
 
         msgs: list[Message] = []
 
-        def unbundle(e: _MetaEntry, payload_obj) -> None:
+        def unbundle(e: _MetaEntry, stored) -> None:
             if len(e.parts) == 1:
                 tag, size = e.parts[0]
-                msgs.append(Message(e.src, pid, payload_obj, tag, size))
+                # balanced traffic stays bytes until it is reassembled
+                bundle = self.balanced and tag == CHUNK_TAG
+                payload = (ChunkBundle.from_item if bundle else deserialize)(stored)
+                msgs.append(Message(e.src, pid, payload, tag, size))
             else:
-                for (tag, size), (_t, payload) in zip(e.parts, payload_obj):
+                for (tag, size), (_t, payload) in zip(e.parts, deserialize(stored)):
                     msgs.append(Message(e.src, pid, payload, tag, size))
 
         cursor = 0
         bb = self._block_bytes
         for e in slot_entries:
-            unbundle(e, deserialize(flat[cursor * bb : (cursor + e.nblocks) * bb]))
+            unbundle(e, flat[cursor * bb : (cursor + e.nblocks) * bb])
             cursor += e.nblocks
             self._charge(pid, e.nblocks * cfg.B)
         self._iopool.give(buf)
@@ -446,7 +452,7 @@ class ParEMEngine(Engine):
                     layout="overflow",
                     sources=1,
                 )
-            unbundle(e, deserialize(flat))
+            unbundle(e, flat)
             self._iopool.give(buf)
             self._charge(pid, e.nblocks * cfg.B)
         msgs.sort(key=lambda m: (m.src, m.tag or ""))

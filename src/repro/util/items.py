@@ -33,9 +33,11 @@ not — equal dtypes give equal bytes) or the ``dtype.descr`` list of a
 structured one.  Array buffers go from the array straight into the one
 ``join`` that builds the item, and come back as a copy, so a decoded value
 never aliases the buffer it was read from.  A list or tuple that opens
-with ``C`` nodes (a balanced-routing bundle) decodes that run in one loop:
-per chunk one ``unpack_from``, a ``None`` or ``str`` tag read in place and
-one aligned copy of the words, with the checks and errors of a lone node.
+with ``C`` nodes (a balanced-routing bundle) indexes that run in one loop
+(:func:`_chunk_run`: per chunk one ``unpack_from`` and a ``None`` or
+``str`` tag read in place, with the checks and errors of a lone node).
+Balanced routing writes and reads bundles through the same pieces
+without building a ``Chunk`` (:func:`chunk_node`, :func:`chunk_index`).
 
 Nothing is reconstructed by name: the decoder builds only the types above,
 so bytes read back from a disk, a snapshot or a peer cannot run code.  It
@@ -182,16 +184,35 @@ def _enc_chunk(c, parts: list, depth: int) -> None:
     words = c.words
     if not (
         isinstance(words, np.ndarray) and words.dtype == np.uint64 and words.ndim == 1
-    ) or not (c.tag is None or type(c.tag) is str):
-        raise TypeError("cannot serialize a Chunk whose words are not a 1-d "
-                        "uint64 array or whose tag is not a str or None")
+    ):
+        raise TypeError(_BAD_CHUNK)
+    parts.append(chunk_node((c.src, c.fdest, c.msg_seq, c.first, c.stride,
+                             c.total_words, c.nbytes, c.size_items, words.size),
+                            c.tag))
+    parts.append(_buffer(words))
+
+
+_BAD_CHUNK = ("cannot serialize a Chunk whose words are not a 1-d uint64 array "
+              "or whose tag is not a str or None")
+
+
+def chunk_node(fields: tuple, tag: "str | None") -> bytes:
+    """A ``C`` node up to its words: *fields* are a Chunk's integers in
+    the order of ``_CHUNK``, ``n_words`` last."""
+    if not (tag is None or type(tag) is str):
+        raise TypeError(_BAD_CHUNK)
     try:
-        head = _CHUNK.pack(c.src, c.fdest, c.msg_seq, c.first, c.stride,
-                           c.total_words, c.nbytes, c.size_items, words.size)
+        return b"C" + _CHUNK.pack(*fields) + _tag_node(tag)
     except struct.error as exc:
         raise TypeError(f"cannot serialize Chunk fields: {exc}") from None
-    parts.append(b"C" + head + _tag_node(c.tag))
-    parts.append(_buffer(words))
+
+
+def chunk_list(n: int, parts: list) -> bytes:
+    """The item :func:`serialize` gives for a list of *n* chunks whose
+    nodes are the concatenation of *parts*."""
+    head = b"[" + _count(n)
+    size = len(head) + sum(map(len, parts))
+    return b"".join([_HEADER.pack(_TAG_ITEM, size), head, *parts])
 
 
 @lru_cache(maxsize=256)
@@ -355,7 +376,8 @@ def _decode(mv: memoryview, off: int, end: int, depth: int) -> tuple[Any, int]:
             return out, off
         items = []
         if n and off < end and mv[off] == _CHUNK_TAG:
-            off = _dec_chunks(mv, off, end, n, depth, items)
+            run, off = _chunk_run(mv, off, end, n, depth)
+            items = [chunk_at(mv, entry) for entry in run]
         for _ in range(n - len(items)):
             x, off = _decode(mv, off, end, depth)
             items.append(x)
@@ -378,21 +400,22 @@ def _decode(mv: memoryview, off: int, end: int, depth: int) -> tuple[Any, int]:
             _fail("NumPy scalar with a shape")
         return arr[()], off
     if tag == _CHUNK_TAG:
-        one: list = []
-        off = _dec_chunks(mv, off - 1, end, 1, depth, one)
-        return one[0], off
+        run, off = _chunk_run(mv, off - 1, end, 1, depth)
+        return chunk_at(mv, run[0]), off
     _fail(f"unknown node tag {bytes((tag,))!r}")
 
 
-def _dec_chunks(mv: memoryview, off: int, end: int, n: int, depth: int,
-                out: list) -> int:
-    """The run of at most *n* ``C`` nodes at *off* → *out*; offset past it."""
-    chunk = _chunk_type()
+def _chunk_run(mv: memoryview, off: int, end: int, n: int,
+               depth: int) -> tuple[list, int]:
+    """The run of at most *n* ``C`` nodes at *off* → its index (per node
+    ``(start, stop, tag, fields)``: the node is ``mv[start:stop]`` and ends
+    in its ``fields[8]`` words) and the offset past it."""
+    run = []
     while n and off < end and mv[off] == _CHUNK_TAG:
         n -= 1
         if off + 1 + _CHUNK.size > end:
             _fail("truncated Chunk")
-        *head, size_items, n_words = _CHUNK.unpack_from(mv, off + 1)
+        start, fields = off, _CHUNK.unpack_from(mv, off + 1)
         off += 1 + _CHUNK.size
         if off < end and mv[off] == _NONE:
             ctag, off = None, off + 1
@@ -405,12 +428,37 @@ def _dec_chunks(mv: memoryview, off: int, end: int, n: int, depth: int,
         else:  # a corrupt node's own error first, as for any other node
             _decode(mv, off, end, depth)
             _fail("Chunk tag is neither a str nor None")
-        if off + 8 * n_words > end:
-            _fail(f"Chunk of {n_words} words announced, {end - off} bytes left")
-        words = np.frombuffer(mv, np.uint64, n_words, off).copy()
-        out.append(chunk(*head, ctag, size_items, words))
-        off += 8 * n_words
-    return off
+        if off + 8 * fields[8] > end:
+            _fail(f"Chunk of {fields[8]} words announced, {end - off} bytes left")
+        off += 8 * fields[8]
+        run.append((start, off, ctag, fields))
+    return run, off
+
+
+def chunk_at(data, entry: tuple) -> Any:
+    """The ``Chunk`` an index entry of *data* describes; its words a copy."""
+    _start, stop, tag, f = entry
+    words = np.frombuffer(data, np.uint64, f[8], stop - 8 * f[8]).copy()
+    return _chunk_type()(*f[:7], tag, f[7], words)
+
+
+def chunk_index(data) -> tuple[int, list]:
+    """*data*, the item of a list of chunks (padding ignored) → (its
+    length, its :func:`_chunk_run` index).  Other bytes raise the
+    ``ValueError`` :func:`deserialize` raises for them."""
+    mv = memoryview(data)
+    if mv.nbytes >= _HEADER.size:
+        tag, length = _HEADER.unpack_from(mv, 0)
+        off, end = _HEADER.size + 1, _HEADER.size + length
+        # the checks deserialize makes before it meets the run, in its order
+        if tag == _TAG_ITEM and off <= end <= mv.nbytes and mv[off - 1] == _LIST:
+            n, off = _dec_count(mv, off, end)
+            if n <= end - off:
+                run, off = _chunk_run(mv, off, end, n, 1)
+                if len(run) == n and off == end:
+                    return end, run
+    deserialize(mv)
+    _fail("not a list of Chunks")
 
 
 def deserialize(data) -> Any:
