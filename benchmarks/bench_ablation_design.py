@@ -63,7 +63,6 @@ class TightHint:
     def __init__(self, program, items):
         self._p = program
         self._items = items
-        self.kappa = program.kappa
         self.name = program.name + "-tight"
 
     def max_message_items(self, cfg):

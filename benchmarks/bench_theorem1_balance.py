@@ -85,7 +85,6 @@ class SkewedTraffic(CGMProgram):
     """Round 0: processor 0 sends one huge message (overflow bait)."""
 
     name = "skewed"
-    kappa = 1.0
 
     def max_message_items(self, cfg):
         return max(1, cfg.N // (cfg.v * cfg.v))  # deliberately tight slots

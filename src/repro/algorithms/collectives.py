@@ -78,7 +78,6 @@ class Broadcast(CGMProgram):
     """Root sends its value to everyone.  lambda = 1."""
 
     name = "broadcast"
-    kappa = 1.0
 
     def __init__(self, root: int = 0) -> None:
         self.root = root
@@ -107,7 +106,6 @@ class AllGather(CGMProgram):
     """Everyone ends with the list of all processors' values.  lambda = 1."""
 
     name = "all-gather"
-    kappa = 1.0
 
     def setup(self, ctx: Context, pid: int, cfg: MachineConfig, local_input: Any) -> None:
         ctx["pid"] = pid
@@ -138,7 +136,6 @@ class PrefixSum(CGMProgram):
     """
 
     name = "prefix-sum"
-    kappa = 1.0
 
     def setup(self, ctx: Context, pid: int, cfg: MachineConfig, local_input: Any) -> None:
         ctx["pid"] = pid
@@ -175,7 +172,6 @@ class AllToAll(CGMProgram):
     """
 
     name = "all-to-all"
-    kappa = 1.0
 
     def __init__(self, make_payload=None) -> None:
         self.make_payload = make_payload or (lambda pid, dest: (pid, dest))

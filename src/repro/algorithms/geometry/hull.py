@@ -46,7 +46,6 @@ class ConvexHullFilter(CGMProgram):
     """Local-filter + gather hull.  Input rows: (coords..., global-id)."""
 
     name = "convex-hull"
-    kappa = 2.0
 
     def __init__(self, dim: int = 2) -> None:
         if dim not in (2, 3):

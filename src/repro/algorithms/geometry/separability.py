@@ -27,7 +27,6 @@ class UnidirectionalSeparability(CGMProgram):
     fixes the direction.  Output: (separable, gap) on every processor."""
 
     name = "unidirectional-separability"
-    kappa = 1.0
 
     def __init__(self, direction: tuple[float, float]) -> None:
         d = np.asarray(direction, dtype=np.float64)

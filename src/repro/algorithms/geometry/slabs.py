@@ -36,7 +36,6 @@ class SlabProgram(CGMProgram):
     """
 
     name = "slab-program"
-    kappa = 2.0
     key_col = 0
 
     def setup(self, ctx: Context, pid: int, cfg: MachineConfig, local_input: Any) -> None:

@@ -71,7 +71,6 @@ class ConnectedComponents(CGMProgram):
     """
 
     name = "connected-components"
-    kappa = 2.0
 
     def __init__(self, n_vertices: int, gather_threshold: int | None = None) -> None:
         self.n_vertices = n_vertices

@@ -42,7 +42,6 @@ class EulerTourBuild(CGMProgram):
     """
 
     name = "euler-tour-build"
-    kappa = 2.0
 
     def __init__(self, n_vertices: int, root: int = 0) -> None:
         self.n_vertices = n_vertices

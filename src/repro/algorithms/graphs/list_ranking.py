@@ -41,7 +41,6 @@ class ListRanking(CGMProgram):
     """Weighted list ranking (suffix sums along a linked list)."""
 
     name = "list-ranking"
-    kappa = 2.0
 
     def __init__(self, gather_threshold: int | None = None) -> None:
         #: contract until at most this many nodes remain (default N/v)

@@ -42,7 +42,6 @@ class RangeMin(CGMProgram):
     """
 
     name = "range-min"
-    kappa = 2.0
 
     def setup(self, ctx: Context, pid: int, cfg: MachineConfig, local_input: Any) -> None:
         values, payload, queries = local_input

@@ -35,7 +35,6 @@ class ScatterReduce(CGMProgram):
     """
 
     name = "scatter-reduce"
-    kappa = 1.0
 
     def __init__(self, op: str = "min") -> None:
         if op not in _OPS:

@@ -74,7 +74,6 @@ class ExpressionEval(CGMProgram):
     """
 
     name = "expression-eval"
-    kappa = 2.0
 
     def __init__(self, gather_threshold: int | None = None) -> None:
         self.gather_threshold = gather_threshold

@@ -29,7 +29,6 @@ class CGMPermute(CGMProgram):
     """One-round CGM permutation (Algorithm 4 of the paper)."""
 
     name = "cgm-permute"
-    kappa = 2.0
 
     def setup(self, ctx: Context, pid: int, cfg: MachineConfig, local_input: Any) -> None:
         values, dest_idx = local_input

@@ -40,7 +40,6 @@ class SampleSort(CGMProgram):
     """
 
     name = "sample-sort"
-    kappa = 3.0
 
     def __init__(self, key_column: int = 0) -> None:
         self.key_column = key_column

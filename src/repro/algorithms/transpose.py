@@ -32,7 +32,6 @@ class CGMTranspose(CGMProgram):
     """
 
     name = "cgm-transpose"
-    kappa = 2.0
 
     def setup(self, ctx: Context, pid: int, cfg: MachineConfig, local_input: Any) -> None:
         band, row0, k, ell = local_input

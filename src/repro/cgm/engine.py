@@ -196,12 +196,12 @@ class Engine:
         """Any messages awaiting delivery (read side, after a flip)?"""
         raise NotImplementedError
 
-    def _exchange(self, r: int, phase: int) -> None:
+    def _exchange(self, r: int, phase: int, done: bool) -> None:
         """Called immediately before each :meth:`_flip` of round *r*
         (*phase* 0 after the compound-superstep loop, 1 after the balanced
-        relay).  A machine slice with peers moves step (d)'s traffic for
-        the other slices here (:meth:`ParEMEngine._exchange`); a machine
-        held whole by one interpreter has nothing to exchange."""
+        relay; *done*: all processors run here are done).  A slice with
+        peers moves step (d)'s traffic for the others and learns the halt
+        here (:meth:`ParEMEngine._exchange`); a whole machine has none."""
 
     def _finalize(self, report: CostReport) -> None:
         """Fold backend counters into the report."""
@@ -326,19 +326,19 @@ class Engine:
         """Run one full CGM round over this interpreter's virtual
         processors: their compound supersteps -> exchange -> flip, then
         (in balanced mode) relay -> exchange -> flip.  This is the only
-        round loop: a worker process runs it over its slice, and the
-        multi-process *coordinator* overrides it only to fan the round
-        out to those workers."""
+        round loop: a worker process runs it over its slice, round after
+        round, and the multi-process *coordinator* overrides it only to
+        gather the workers' reports of the round."""
         cfg = self.cfg
         step = RoundStep.empty(cfg.v, cfg.p)
         io_before = self._io_totals()
         for pid in self._local_pids():
             self._run_vproc(program, r, pid, rngs[pid], step)
-        self._exchange(r, 0)
+        self._exchange(r, 0, step.all_done)
         self._flip()
         if self.balanced:
             self._relay_superstep()
-            self._exchange(r, 1)
+            self._exchange(r, 1, step.all_done)
             self._flip()
         io_after = self._io_totals()
         if io_after is not None:

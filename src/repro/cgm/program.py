@@ -93,13 +93,9 @@ class CGMProgram:
     """Base class for CGM algorithms.
 
     Subclasses override :meth:`setup`, :meth:`round`, :meth:`finish` and
-    may advertise a slackness exponent ``kappa`` (the paper's N >= v^kappa
-    requirement) and a bound on their largest single message for the
+    may advertise a bound on their largest single message for the
     staggered disk layout.
     """
-
-    #: paper's slackness requirement N >= v^kappa for this algorithm.
-    kappa: float = 2.0
 
     #: human-readable name used in reports.
     name: str = "cgm-program"
@@ -146,13 +142,11 @@ class FunctionalProgram(CGMProgram):
         rounds: list[Callable[[Context, RoundEnv], None]],
         finish: Callable[[Context], Any],
         name: str = "functional",
-        kappa: float = 1.0,
     ) -> None:
         self._setup = setup
         self._rounds = rounds
         self._finish = finish
         self.name = name
-        self.kappa = kappa
 
     def setup(self, ctx: Context, pid: int, cfg: "MachineConfig", local_input: Any) -> None:
         self._setup(ctx, pid, cfg, local_input)

@@ -125,6 +125,8 @@ class ParEMEngine(Engine):
         self._outgoing: dict[int, list] = {
             w: [] for w in range(len(plan)) if w != worker_id
         }
+        #: the run ends after this round (set by its last exchange)
+        self._halt = False
 
     # ----------------------------------------------------------------- set-up
 
@@ -349,17 +351,23 @@ class ParEMEngine(Engine):
         self._write_staged(self._stage_bundles(src_pid, local))
         self._release(src_pid)
 
-    def _exchange(self, r: int, phase: int) -> None:
+    def _exchange(self, r: int, phase: int, done: bool) -> None:
         """Where step (d) leaves the process: send each peer slice exactly
         one packet, tagged ``(round, phase, src_worker)`` (empty packets
         included), wait for one from each — the barrier that stands in for
-        the paper's network — and stage what arrived."""
+        the paper's network — and stage what arrived.  The packets carry
+        each slice's *done* and whether it sent a bundle this phase: every
+        round empties every inbox, so after the last exchange "none sent"
+        is "no message pending", and every slice decides the halt alike."""
         net = self.net
         if net is None:
             return
         outgoing = self._outgoing
         self._outgoing = {w: [] for w in outgoing}
-        self._stage_remote(net.exchange(outgoing, r, phase))
+        sent = any(outgoing.values()) or any(self._staged_meta.values())
+        items, done, sent = net.exchange(outgoing, r, phase, done, sent)
+        self._stage_remote(items)
+        self._halt = done and not sent
 
     def _stage_remote(self, items: list) -> None:
         """Stage bundles shipped from peer slices.

@@ -202,7 +202,7 @@ class Transport:
     Subclasses implement the two primitives (:meth:`send_packet`,
     :meth:`recv_packet`); ``exchange`` is shared and defines the
     one-packet-per-peer-per-phase semantics every implementation must
-    preserve.  A packet's wire form is its items list itself.
+    preserve.  A packet's wire form is ``(done, sent, items)``.
     """
 
     def __init__(self, worker_id: int) -> None:
@@ -223,11 +223,12 @@ class Transport:
 
     # -------------------------------------------------------------- protocol
 
-    def exchange(self, outgoing: dict[int, list], r: int, phase: int) -> list:
+    def exchange(self, outgoing: dict, r: int, phase: int, done: bool, sent: bool):
         """Send one packet to every peer, receive one from each; returns
-        the concatenated remote items in ascending-peer order."""
+        the concatenated remote items in ascending-peer order, and whether
+        every slice is *done* and any *sent* (the flags ride the packets)."""
         for w in sorted(outgoing):
-            self.send_packet(w, r, phase, outgoing[w])
+            self.send_packet(w, r, phase, (done, sent, outgoing[w]))
             self.packets_sent += 1
         expected = set(outgoing)
         got = self._buffer.pop((r, phase), {})
@@ -240,5 +241,8 @@ class Transport:
                 self._buffer.setdefault((rr, pp), {})[src] = wire
         merged: list = []
         for src in sorted(got):
-            merged.extend(got[src])
-        return merged
+            peer_done, peer_sent, items = got[src]
+            done &= peer_done
+            sent |= peer_sent
+            merged.extend(items)
+        return merged, done, sent

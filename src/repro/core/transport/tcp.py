@@ -37,8 +37,8 @@ from typing import Any
 from repro.core.transport.base import TransportError, recv_frame, send_frame
 from repro.util.validation import ConfigurationError
 
-#: bumped whenever a frame or handshake shape changes incompatibly.
-PROTOCOL_VERSION = 2
+#: bumped whenever a frame, the handshake or the command set changes.
+PROTOCOL_VERSION = 3
 
 #: connect retry policy (tests shrink these via monkeypatch).
 CONNECT_RETRIES = 6

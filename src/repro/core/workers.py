@@ -10,22 +10,16 @@ same engine the in-process run uses, constructed with the coordinator's
 ``plan``, its ``worker_id`` and a transport, so it instantiates only its
 share of the disks, memories, message matrices and allocators.
 
-Round protocol (one iteration of the driver loop):
-
-1. the coordinator broadcasts ``("round", r)`` to every worker;
-2. each worker runs :meth:`Engine._execute_round` over its slice — the one
-   round loop; its ``_exchange`` hook
-   (:meth:`ParEMEngine._exchange <repro.core.par_engine.ParEMEngine._exchange>`)
-   is where step (d) traffic for another worker's reals leaves the
-   process, once before each ``_flip()``;
-3. each worker ships its :class:`RoundStep` (I/O counters, h-relation
-   sizes, wall times) and its drained trace events to the coordinator,
-   which folds the steps with :meth:`RoundStep.merge` in ascending
-   worker order into one per-round record.
-
-The coordinator is a different *role*, not a different machine: fan-out,
-reply gathering, crash recovery and snapshot scatter/gather live here;
-everything that simulates lives in the slice.
+Self-clocked rounds: after ``setup`` or ``restore`` each worker runs
+:meth:`Engine._execute_round`, the one round loop, over its slice round
+after round with no command between (:func:`clock_rounds`).  Its
+``_exchange`` hook (:meth:`~repro.core.par_engine.ParEMEngine._exchange`)
+is where step (d) traffic leaves the process — the round's only barrier —
+and its last packets carry the flags every slice decides the halt from.
+Each worker streams one report per round (its :class:`RoundStep`, trace
+events, traffic, and under a checkpoint manager its boundary snapshot);
+the coordinator only listens: it merges the steps in ascending worker
+order, persists snapshots and recovers from crashes.
 
 Determinism: every ``CostReport`` counter the coordinator reports is
 bit-identical to the single-process simulation.  The staggered-slot
@@ -117,19 +111,35 @@ class WorkerCrashed(SimulationError):
         self.workers = workers
 
 
+def clock_rounds(eng: ParEMEngine, program: CGMProgram, r: int, rngs, boundary) -> None:
+    """Run slice *eng* from round *r* to the halt its last exchange agreed
+    (:meth:`ParEMEngine._exchange`); *boundary(step)* sees each round's
+    step, and a true return stops the slice there."""
+    while True:
+        step = eng._execute_round(program, r, rngs)
+        if boundary(step) or eng._halt:
+            return
+        r += 1
+
+
 def run_worker_session(
     worker_id: int,
     session: dict[str, Any],
     cmd_get,
+    cmd_waiting,
     reply,
     net: SessionTransport,
 ) -> None:
     """One worker's command loop (called by :func:`serve_session` only).
 
-    Commands: ``("setup", {pid: input})``, ``("round", r)``, ``("finish",)``,
-    ``("snapshot",)``, ``("restore", backend, rng_states)``, ``("stop",)``.
-    *cmd_get* blocks for the next coordinator command, *reply(kind,
-    payload)* ships a result back, and *net* is this worker's
+    Commands: ``("setup", {pid: input})``, ``("restore", backend,
+    rng_states, next_round)``, ``("finish",)``, ``("stop",)``.  After
+    ``setup`` (from round 0) or ``restore`` (from *next_round*, ``None``
+    for a finished run) the worker clocks its own rounds, one ``"round"``
+    report each, and stops at a boundary where *cmd_waiting()* — a
+    command or EOF — says the coordinator stopped listening.  *cmd_get*
+    blocks for the next command, *reply(kind, payload)* ships a result
+    back, and *net* is this worker's
     :class:`~repro.core.transport.session.SessionTransport`.
 
     ``session["runtime"]`` is the coordinator's per-run
@@ -141,7 +151,6 @@ def run_worker_session(
     """
     cfg: MachineConfig = session["cfg"]
     program: CGMProgram = session["program"]
-    runtime = session["runtime"]
     # no opener event is emitted here, so the bus ships the same flat
     # dicts the coordinator threads into its own spans
     tracer = EventBus(monitor=False) if session["trace_enabled"] else None
@@ -155,58 +164,54 @@ def run_worker_session(
     )
     eng._max_message_items = session["max_message_items"]
     eng.faults = session["faults"]
-    eng.runtime = runtime
-    eng._rt = runtime
+    eng._rt = session["runtime"]
     eng._start(program)
     rngs = spawn_rngs(cfg.seed, cfg.v)
+
+    def snapshot() -> "dict | None":
+        return {
+            "backend": eng._snapshot_backend(),
+            "rng": {pid: rngs[pid].bit_generator.state for pid in eng._local_pids()},
+        } if session["snapshots"] else None
+
+    def boundary(step: RoundStep) -> bool:
+        reply("round", {
+            "step": step,
+            "pending": eng._pending_messages(),
+            "halt": eng._halt,
+            "events": tracer.drain() if tracer else [],
+            "packets": {"sent": net.packets_sent, "recv": net.packets_received},
+            "bytes": net.bytes_received,
+            "snapshot": snapshot(),
+        })
+        net.packets_sent = net.packets_received = net.bytes_received = 0
+        return cmd_waiting()
+
     try:
         while True:
             cmd = cmd_get()
             op = cmd[0]
             if op == "setup":
                 eng._setup_contexts(program, cmd[1])
-                reply("setup", None)
-            elif op == "round":
-                # the one round loop, over this slice; its _exchange hook
-                # is where the slice meets its peers
-                sent, recv = net.packets_sent, net.packets_received
-                nbytes = net.bytes_received
-                payload = {
-                    "step": eng._execute_round(program, cmd[1], rngs),
-                    "pending": eng._pending_messages(),
-                    "events": tracer.drain() if tracer else [],
-                }
-                payload["packets"] = {
-                    "sent": net.packets_sent - sent,
-                    "recv": net.packets_received - recv,
-                }
-                payload["bytes"] = net.bytes_received - nbytes
-                reply("round", payload)
-            elif op == "finish":
-                outputs = {
-                    pid: program.finish(eng._load_context(pid))
-                    for pid in eng._local_pids()
-                }
-                payload = {
-                    "outputs": outputs,
-                    **eng._final_stats(),
-                    "events": tracer.drain() if tracer else [],
-                }
-                reply("final", payload)
-            elif op == "snapshot":
-                payload = {
-                    "backend": eng._snapshot_backend(),
-                    "rng": {
-                        pid: rngs[pid].bit_generator.state
-                        for pid in eng._local_pids()
-                    },
-                }
-                reply("snapshot", payload)
+                reply("setup", {"snapshot": snapshot()})
+                clock_rounds(eng, program, 0, rngs, boundary)
             elif op == "restore":
-                eng._restore_backend(cmd[1])
-                for pid, state in cmd[2].items():
+                _op, backend, rng_states, next_round = cmd
+                eng._restore_backend(backend)
+                for pid, state in rng_states.items():
                     rngs[pid].bit_generator.state = state
                 reply("restore", None)
+                if next_round is not None:
+                    clock_rounds(eng, program, next_round, rngs, boundary)
+            elif op == "finish":
+                reply("final", {
+                    "outputs": {
+                        pid: program.finish(eng._load_context(pid))
+                        for pid in eng._local_pids()
+                    },
+                    **eng._final_stats(),
+                    "events": tracer.drain() if tracer else [],
+                })
             elif op == "stop":
                 return
             else:  # pragma: no cover - protocol bug
@@ -272,6 +277,7 @@ def serve_session(
             worker_id,
             session,
             cmd_get=next_command,
+            cmd_waiting=lambda: not cmd_q.empty(),
             reply=lambda kind, payload: send_frame(
                 sock, ("result", worker_id, kind, payload), wlock
             ),
@@ -381,19 +387,11 @@ class LocalFleet(Fleet):
         return super().alive(w) and bool(self._procs) and self._procs[w].is_alive()
 
 
-def make_fleet(runtime, n_workers: int) -> Fleet:
-    """Fleet for the run's ``REPRO_TRANSPORT``: forked local sessions, or
-    sessions on the ``REPRO_NODES`` daemons."""
-    if getattr(runtime, "transport", None) == "tcp":
-        return TcpFleet(require_nodes(runtime.nodes), n_workers)
-    return LocalFleet(n_workers)
-
-
 class ProcessParEngine(Engine):
     """Coordinator of the multi-core Algorithm 3 backend.
 
-    Drives the shared :meth:`Engine.run` loop but delegates every round to
-    the worker processes and merges their per-round accounting; the
+    Drives the shared :meth:`Engine.run` loop over the rounds the worker
+    processes clock themselves and merges their per-round reports; the
     resulting :class:`CostReport` is bit-identical to
     :class:`ParEMEngine`'s while wall-clock scales with the core count.
     """
@@ -416,14 +414,18 @@ class ProcessParEngine(Engine):
         super().__init__(cfg, balanced=balanced, tracer=tracer)
         self.n_workers = n_workers
         self._fleet = None
-        self._pending = False
         self._restarts = 0
+        #: each worker's latest report (its boundary snapshot rides it)
+        self._reports: dict[int, Any] = {}
 
     # ------------------------------------------------------------ lifecycle
 
     def _start(self, program: CGMProgram) -> None:
         cfg = self.cfg
         self._plan = partition_reals(cfg.p, self.n_workers)
+        vpr = cfg.vprocs_per_real
+        #: the virtual processors of each worker's (contiguous) reals
+        self._pids = [range(rs[0] * vpr, (rs[-1] + 1) * vpr) for rs in self._plan]
         session = {
             "cfg": cfg,
             "balanced": self.balanced,
@@ -433,10 +435,16 @@ class ProcessParEngine(Engine):
             "max_message_items": self._max_message_items,
             "faults": self.faults,
             "runtime": self._rt,
+            "snapshots": self.checkpoint is not None,
         }
+        #: replies of workers that ran ahead, for the next gather
+        self._ahead: list[tuple] = []
         if self._fleet is None:
-            # one fleet per run: crash recovery stops and starts it again
-            self._fleet = make_fleet(self._rt, self.n_workers)
+            # one fleet per run: crash recovery stops and starts it again;
+            # forked local sessions, or sessions on the REPRO_NODES daemons
+            n, rt = self.n_workers, self._rt
+            tcp = rt.transport == "tcp"
+            self._fleet = TcpFleet(require_nodes(rt.nodes), n) if tcp else LocalFleet(n)
         self._fleet.start(session)
         if self.tracer.enabled and self._fleet.kind == "tcp":
             self.tracer.emit(
@@ -458,53 +466,83 @@ class ProcessParEngine(Engine):
     # ---------------------------------------------------------- round hooks
 
     def _gather(self, kind: str) -> dict[int, Any]:
-        """One reply of *kind* from every worker, keyed by worker id."""
+        """One reply of *kind* from every worker, keyed by worker id.
+
+        Workers clock their own rounds, so one may report again before a
+        slower peer's reply is in: that reply waits, in order, for the
+        next gather."""
         got: dict[int, Any] = {}
+        ahead, self._ahead = self._ahead, []
         dead_cycles = 0
         while len(got) < self.n_workers:
-            try:
-                w, k, payload = self._fleet.result(timeout=POLL_S)
-            except queue.Empty:
-                awaited_dead = [
-                    w
-                    for w in range(self.n_workers)
-                    if w not in got and not self._fleet.alive(w)
-                ]
-                if awaited_dead:
-                    dead_cycles += 1
-                    if dead_cycles >= _DEAD_GRACE:
-                        self._fleet.request_abort()
-                        raise WorkerCrashed(awaited_dead, kind)
-                continue
+            if ahead:
+                w, k, payload = ahead.pop(0)
+            else:
+                try:
+                    w, k, payload = self._fleet.result(timeout=POLL_S)
+                except queue.Empty:
+                    awaited_dead = [
+                        w
+                        for w in range(self.n_workers)
+                        if w not in got and not self._fleet.alive(w)
+                    ]
+                    if awaited_dead:
+                        dead_cycles += 1
+                        if dead_cycles >= _DEAD_GRACE:
+                            self._fleet.request_abort()
+                            raise WorkerCrashed(awaited_dead, kind)
+                    continue
             if k == "error":
+                # one line; the worker's traceback rides as the cause
                 self._fleet.request_abort()
-                raise SimulationError(f"worker {w} failed:\n{payload}")
+                raise SimulationError(
+                    f"worker {w} failed: {payload.strip().splitlines()[-1]}"
+                ) from SimulationError(f"worker {w} traceback:\n{payload}")
+            if w in got:
+                self._ahead.append((w, k, payload))
+                continue
             if k != kind:  # pragma: no cover - protocol bug
                 raise SimulationError(f"worker {w} sent {k!r}, expected {kind!r}")
             got[w] = payload
+        self._ahead.extend(ahead)
         return got
 
     def _setup_contexts(self, program: CGMProgram, inputs: list[Any]) -> None:
-        vpr = self.cfg.vprocs_per_real
         for w in range(self.n_workers):
-            local = {
-                pid: inputs[pid]
-                for real in self._plan[w]
-                for pid in range(real * vpr, (real + 1) * vpr)
-            }
-            self._fleet.send(w, ("setup", local))
-        self._gather("setup")
+            self._fleet.send(w, ("setup", {pid: inputs[pid] for pid in self._pids[w]}))
+        self._reports = self._gather("setup")
 
     def _execute_round(self, program: CGMProgram, r: int, rngs: list) -> RoundStep:
+        """Merge the workers' reports of round *r*, in worker order."""
         while True:
             try:
-                return self._dispatch_round(r)
+                reports = self._gather("round")
+                break
             except WorkerCrashed as exc:
                 self._recover(program, r, exc)
+        self._reports = reports
+        cfg = self.cfg
+        step = RoundStep.empty(cfg.v, cfg.p)
+        step.io = IOStats(D=cfg.D)
+        self._pending = any(report["pending"] for report in reports.values())
+        for w in sorted(reports):
+            payload = reports[w]
+            step.merge(payload["step"])
+            replay_events(
+                self.tracer, payload["events"], worker=w,
+                **self._fleet.event_tags(w),
+            )
+        finished = step.all_done and not self._pending
+        if any(report["halt"] != finished for report in reports.values()):
+            raise SimulationError(f"protocol error: a worker's halt after round {r} "
+                                  f"is not the merged one ({finished})")
+        if self.tracer.enabled:
+            step.transport = self._round_traffic(reports)
+        return step
 
     def _recover(self, program: CGMProgram, r: int, exc: WorkerCrashed) -> None:
         """Respawn the worker fleet and rewind it to the last checkpoint,
-        so the crashed round can be re-dispatched."""
+        from where the workers run the crashed round again."""
         cm = self.checkpoint
         snap = self._last_ckpt
         if cm is None or snap is None:
@@ -512,11 +550,6 @@ class ProcessParEngine(Engine):
         if self._restarts >= cm.max_restarts:
             raise SimulationError(
                 f"giving up after {self._restarts} worker restarts: {exc}"
-            ) from exc
-        if snap["round"] != r - 1:
-            raise SimulationError(
-                f"cannot re-dispatch round {r}: last checkpoint is for "
-                f"round {snap['round']}"
             ) from exc
         self._restarts += 1
         if self.tracer.enabled:
@@ -531,28 +564,8 @@ class ProcessParEngine(Engine):
         self._start(program)
         self._restore_state(snap, rngs=[])
 
-    def _dispatch_round(self, r: int) -> RoundStep:
-        cfg = self.cfg
-        self._fleet.broadcast(("round", r))
-        results = self._gather("round")
-        step = RoundStep.empty(cfg.v, cfg.p)
-        step.io = IOStats(D=cfg.D)
-        self._pending = False
-        for w in sorted(results):
-            payload = results[w]
-            step.merge(payload["step"])
-            self._pending |= payload["pending"]
-            replay_events(
-                self.tracer, payload["events"], worker=w,
-                **self._fleet.event_tags(w),
-            )
-        if self.tracer.enabled:
-            step.transport = self._round_traffic(results)
-        return step
-
     def _round_traffic(self, results: dict[int, Any]) -> dict[str, Any]:
-        """The round's packets and received packet-frame bytes per worker
-        node, as the sessions counted them."""
+        """The round's packets and received frame bytes per worker node."""
         fleet = self._fleet
         packets: dict[str, dict[str, int]] = {}
         nbytes: dict[str, int] = {}
@@ -574,31 +587,27 @@ class ProcessParEngine(Engine):
     # ---------------------------------------------------------- checkpointing
 
     def _snapshot_state(self, rngs: list) -> dict[str, Any]:
-        """Gather each worker's backend slice and RNG states and merge
-        them into the same canonical shape :class:`ParEMEngine` produces."""
-        self._fleet.broadcast(("snapshot",))
-        results = [reply for _w, reply in sorted(self._gather("snapshot").items())]
+        """Merge the backend slices and RNG states the workers shipped
+        with their latest reports into the canonical shape
+        :class:`ParEMEngine` produces."""
+        parts = [self._reports[w]["snapshot"] for w in sorted(self._reports)]
         rng_states: list = [None] * self.cfg.v
-        for reply in results:
-            for pid, state in reply["rng"].items():
+        for part in parts:
+            for pid, state in part["rng"].items():
                 rng_states[pid] = state
-        backend = ParEMEngine.merge_backends([reply["backend"] for reply in results])
+        backend = ParEMEngine.merge_backends([part["backend"] for part in parts])
         return {"backend": backend, "rng_states": rng_states}
 
     def _restore_state(self, snap: dict[str, Any], rngs: list) -> None:
-        """Scatter a merged snapshot back over the worker fleet."""
+        """Scatter a merged snapshot back over the worker fleet, which
+        runs on from the round after it."""
         backend = snap["backend"]
-        vpr = self.cfg.vprocs_per_real
+        next_round = None if snap["finished"] else snap["round"] + 1
         for w in range(self.n_workers):
             part = ParEMEngine.split_backend(backend, w)
-            local_rng = {
-                pid: snap["rng_states"][pid]
-                for real in self._plan[w]
-                for pid in range(real * vpr, (real + 1) * vpr)
-            }
-            self._fleet.send(w, ("restore", part, local_rng))
+            local_rng = {pid: snap["rng_states"][pid] for pid in self._pids[w]}
+            self._fleet.send(w, ("restore", part, local_rng, next_round))
         self._gather("restore")
-        self._pending = any(bool(v) for v in backend["ready_meta"].values())
 
     # ------------------------------------------------------------- wrap-up
 

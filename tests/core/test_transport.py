@@ -386,6 +386,13 @@ class TestHandshake:
         reply = self.hello(node_pair[0], proto=1)
         assert reply[0] == "reject" and "protocol version mismatch" in reply[1]
 
+    def test_v2_hello_rejected(self, node_pair):
+        """A coordinator of the per-round command protocol is refused."""
+        reply = self.hello(node_pair[0], proto=2)
+        assert reply == (
+            "reject", "protocol version mismatch: node speaks 3, coordinator speaks 2"
+        )
+
     def test_fingerprint_mismatch_rejected(self, node_pair):
         reply = self.hello(node_pair[0], fp="0" * 16)
         assert reply[0] == "reject" and "fingerprint" in reply[1]

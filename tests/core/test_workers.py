@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.collectives import partition_array
+from repro.algorithms.graphs.list_ranking import ListRanking
 from repro.algorithms.sorting import SampleSort
 from repro.cgm.config import MachineConfig
 from repro.cgm.metrics import CostReport
@@ -371,14 +372,15 @@ class TestSpillDirs:
 #
 # A worker is nothing but a ParEMEngine built with a plan, a worker id and
 # a transport, so the exchange code is reachable without forking: the
-# harness below plays the coordinator for slices living in threads of this
-# process, joined by a stand-in transport over plain queue.Queues — no
-# process, no socket, only Transport's two primitives.
+# harness below runs each slice's own self-clocked round loop
+# (workers.clock_rounds) in a thread of this process, joined by a stand-in
+# transport over plain queue.Queues — no process, no socket, only
+# Transport's two primitives, and no clock from the harness.
 
 
 class QueueTransport(Transport):
     """Peer-to-peer ``queue.Queue`` inboxes shared by the slices' threads;
-    a packet is the bare items list, as on a session socket."""
+    a packet is ``(done, sent, items)``, as on a session socket."""
 
     def __init__(self, worker_id, inboxes, abort):
         super().__init__(worker_id)
@@ -398,12 +400,14 @@ class QueueTransport(Transport):
 
 
 def _run_slices(program, inputs, cfg, plan, balanced):
-    """Drive one :class:`ParEMEngine` slice per *plan* entry, each round in
-    one thread per slice -> (outputs, per-round merged steps, report)."""
+    """Run one :class:`ParEMEngine` slice per *plan* entry, each in its own
+    thread through its own :func:`workers.clock_rounds` to its own halt ->
+    (outputs, per-round merged steps, report, packets).  Asserts that
+    every slice halted at the round the merged steps end the run."""
     abort = threading.Event()
     inboxes = [queue.Queue() for _ in plan]
     rt = current()
-    engines, rngs = [], []
+    engines = []
     for w in range(len(plan)):
         eng = ParEMEngine(
             cfg, balanced, plan=plan, worker_id=w,
@@ -414,49 +418,58 @@ def _run_slices(program, inputs, cfg, plan, balanced):
         eng._start(program)
         eng._setup_contexts(program, inputs)
         engines.append(eng)
-        rngs.append(spawn_rngs(cfg.seed, cfg.v))
 
-    def one_round(w, r):
+    def run_slice(w):
+        eng, steps = engines[w], []
+
+        def boundary(step):
+            steps.append((step, eng._pending_messages()))
+            return False
+
         try:
-            return engines[w]._execute_round(program, r, rngs[w])
+            workers.clock_rounds(
+                eng, program, 0, spawn_rngs(cfg.seed, cfg.v), boundary
+            )
         except BaseException:
             abort.set()  # wake the peers blocked in their exchange
             raise
+        return steps
 
-    rounds = []
     try:
         with ThreadPoolExecutor(len(plan)) as pool:
-            r = 0
-            while True:
-                futures = [pool.submit(one_round, w, r) for w in range(len(plan))]
-                try:
-                    excs = [f.exception(timeout=60) for f in futures]
-                except TimeoutError:
-                    abort.set()  # a stuck exchange: free the pool, then fail
-                    raise
-                # the root cause, not the TransportAbort it woke the peers with
-                for exc in excs:
-                    if exc is not None and not isinstance(exc, TransportAbort):
-                        raise exc
-                steps = [f.result() for f in futures]
-                io = IOStats(D=cfg.D)
-                for st in steps:
-                    io.merge(st.io)
-                recv = [sum(col) for col in zip(*(st.recv for st in steps))]
-                sent = [sum(col) for col in zip(*(st.sent for st in steps))]
-                rounds.append({
-                    "io": io.as_dict(),
-                    "h_in": max(recv),
-                    "h_out": max(sent),
-                    "messages": sum(st.messages for st in steps),
-                    "comm_items": sum(st.comm_items for st in steps),
-                    "cross_items": sum(st.cross_items for st in steps),
-                })
-                if all(st.all_done for st in steps) and not any(
-                    e._pending_messages() for e in engines
-                ):
-                    break
-                r += 1
+            futures = [pool.submit(run_slice, w) for w in range(len(plan))]
+            try:
+                excs = [f.exception(timeout=60) for f in futures]
+            except TimeoutError:
+                abort.set()  # a stuck exchange: free the pool, then fail
+                raise
+        # the root cause, not the TransportAbort it woke the peers with
+        for exc in excs:
+            if exc is not None and not isinstance(exc, TransportAbort):
+                raise exc
+        per_slice = [f.result() for f in futures]
+        rounds, halt = [], None
+        for r, reports in enumerate(zip(*per_slice)):
+            steps = [st for st, _pending in reports]
+            io = IOStats(D=cfg.D)
+            for st in steps:
+                io.merge(st.io)
+            recv = [sum(col) for col in zip(*(st.recv for st in steps))]
+            sent = [sum(col) for col in zip(*(st.sent for st in steps))]
+            rounds.append({
+                "io": io.as_dict(),
+                "h_in": max(recv),
+                "h_out": max(sent),
+                "messages": sum(st.messages for st in steps),
+                "comm_items": sum(st.comm_items for st in steps),
+                "cross_items": sum(st.cross_items for st in steps),
+            })
+            if halt is None and all(st.all_done for st in steps) and not any(
+                pending for _st, pending in reports
+            ):
+                halt = r
+        # each slice stopped on its own at the round the merged steps end
+        assert [len(steps) - 1 for steps in per_slice] == [halt] * len(plan)
         outputs = [out for e in engines for out in e._collect_outputs(program)]
         report = CostReport(engine="par-em")
         fold_final_stats(report, [e._final_stats() for e in engines])
@@ -551,6 +564,32 @@ class _AllToOne(CGMProgram):
         return ctx["inbox"]
 
 
+class _DoneWithMailInFlight(CGMProgram):
+    """Round 0: processor 0 sends to *dest* and everybody says it is done,
+    so only the message in flight keeps the run going into round 1."""
+
+    name = "done-with-mail-in-flight"
+
+    def __init__(self, dest):
+        self.dest = dest
+
+    def max_message_items(self, cfg):
+        return 8
+
+    def setup(self, ctx, pid, cfg, local_input):
+        ctx["pid"] = pid
+
+    def round(self, r, ctx, env):
+        if r == 0 and ctx["pid"] == 0:
+            env.send(self.dest, np.arange(8))
+        if r == 1:
+            ctx["got"] = [(m.src, int(m.payload.sum())) for m in env.messages()]
+        return True
+
+    def finish(self, ctx):
+        return ctx["got"]
+
+
 class TestSlicesInThreads:
     """Two slices of a p=2 machine in two threads == the one-slice run."""
 
@@ -593,6 +632,29 @@ class TestSlicesInThreads:
         assert [src for src, _tag, _raw in out[0]] == [0, 1, 2, 3]
         assert out[1:] == [[], [], []]
         assert rounds[0]["cross_items"] == 2 * 32  # pids 2, 3 live on real 1
+
+    @pytest.mark.parametrize("balanced", [False, True], ids=["direct", "balanced"])
+    def test_list_ranking(self, balanced):
+        """A data-dependent round count, and processors done at different
+        rounds while messages still fly: the halt is the flags' call."""
+        n = self.CFG.N
+        order = make_rng(17).permutation(n)
+        succ = np.full(n, -1, dtype=np.int64)
+        succ[order[:-1]] = order[1:]
+        weights = (succ >= 0).astype(np.float64)
+        inputs = list(zip(partition_array(succ, 4), partition_array(weights, 4)))
+        out, rounds = self._check(ListRanking(), inputs, balanced)
+        ranks = np.empty(n)
+        ranks[order] = np.arange(n - 1, -1, -1)
+        assert np.array_equal(np.concatenate(out), ranks)
+        assert len(rounds) > 10
+
+    @pytest.mark.parametrize("dest", [1, 2], ids=["same-slice", "other-slice"])
+    @pytest.mark.parametrize("balanced", [False, True], ids=["direct", "balanced"])
+    def test_done_with_mail_in_flight(self, balanced, dest):
+        out, rounds = self._check(_DoneWithMailInFlight(dest), [None] * 4, balanced)
+        assert len(rounds) == 2
+        assert out == [[(0, 28)] if pid == dest else [] for pid in range(4)]
 
     def test_one_slice_plan_never_touches_the_transport(self):
         """The default plan has no peers: nothing is buffered for an
@@ -810,3 +872,69 @@ class TestForkAndSockets:
         b = results["b"]
         assert _same_outputs(b.outputs, reference.outputs)
         assert _counters(b.report) == _counters(reference.report)
+
+
+# ------------------------------------------------------ an abandoned fleet
+#
+# Workers clock their own rounds, so when the coordinator stops listening
+# at a boundary — a preempt, a failure — they are already in the next
+# round; they must still stop at once and leave nothing behind.
+
+
+class _FailsInRoundTwo(ListRanking):
+    def round(self, r, ctx, env):
+        if r == 2 and env.pid == 5:  # a vproc of worker 1
+            raise RuntimeError("deliberate failure in round 2")
+        return super().round(r, ctx, env)
+
+
+class TestAbandonedFleet:
+    CFG = MachineConfig(N=1 << 12, v=8, p=4, D=D, B=32)
+
+    def inputs(self):
+        n = self.CFG.N
+        order = make_rng(23).permutation(n)
+        succ = np.full(n, -1, dtype=np.int64)
+        succ[order[:-1]] = order[1:]
+        weights = (succ >= 0).astype(np.float64)
+        return list(zip(partition_array(succ, 8), partition_array(weights, 8)))
+
+    def engine(self, spill, **options):
+        runtime = _local_runtime(arena="mmap", spill_dir=str(spill))
+        return make_engine(self.CFG, "par", runtime=runtime, **options)
+
+    def test_a_preempted_fleet_stops_and_resumes(self, tmp_path):
+        from repro.util.validation import PreemptedError
+
+        spill, ck = tmp_path / "spill", str(tmp_path / "ck")
+        clean = em_run(
+            ListRanking(), self.inputs(), self.CFG, "par",
+            runtime=_local_runtime(workers=0),
+        )
+        eng = self.engine(spill, checkpoint=ck)
+        asked = []
+        eng.preempt = lambda: asked.append(True) or len(asked) == 3
+        started = time.monotonic()
+        with pytest.raises(PreemptedError, match="after round 2"):
+            eng.run(ListRanking(), self.inputs())
+        assert time.monotonic() - started < 5.0
+        assert_workers_reaped(eng)
+        assert os.listdir(spill) == []
+        resumed = self.engine(spill, checkpoint=ck, resume=True).run(
+            ListRanking(), self.inputs()
+        )
+        assert _same_outputs(resumed.outputs, clean.outputs)
+        assert _counters(resumed.report) == _counters(clean.report)
+
+    def test_a_failing_worker_stops_the_fleet(self, tmp_path):
+        spill = tmp_path / "spill"
+        eng = self.engine(spill)
+        started = time.monotonic()
+        with pytest.raises(SimulationError) as info:
+            eng.run(_FailsInRoundTwo(), self.inputs())
+        assert time.monotonic() - started < 5.0
+        assert str(info.value) == (
+            "worker 1 failed: RuntimeError: deliberate failure in round 2"
+        )
+        assert_workers_reaped(eng)
+        assert os.listdir(spill) == []

@@ -48,10 +48,11 @@ _READ_FORK = re.compile(
     r"|_begin_superstep|_end_superstep|_prefetch_on"
 )
 
-#: the second round loop and what came with it, plus the fifth recorder class
+#: the second round loop and what came with it, the coordinator's per-round
+#: command, plus the fifth recorder class
 _ROUND_FORK = re.compile(
     r"_WorkerEngine|execute_local_round|_round_boundary|_storage_reals"
-    r"|NullBus|NULL_BUS"
+    r"|_dispatch_round|NullBus|NULL_BUS"
 )
 
 #: the per-package spellings of a Group-A operation the op table replaced
@@ -252,6 +253,12 @@ def test_one_worker_session_on_one_wire():
     assert callers == ["workers.py"]
     assert inspect.getsource(workers).count("run_worker_session(") == 2  # def + call
     assert "run_worker_session(" in inspect.getsource(workers.serve_session)
+    # ... which takes four commands: workers clock their own rounds, and a
+    # boundary snapshot rides each round's report
+    commands = re.findall(
+        r'op == "(\w+)"', inspect.getsource(workers.run_worker_session)
+    )
+    assert sorted(commands) == ["finish", "restore", "setup", "stop"]
     # ... and one fleet: the two spellings only say how a session is
     # opened (and what opening it left to collect), whether it still
     # lives, and what it is called
