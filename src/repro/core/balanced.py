@@ -18,61 +18,31 @@ This module implements the transform at the word (8-byte item) level over
 *serialized* payloads, so it works for arbitrary message contents and the
 engines can run any CGM program in balanced mode.  A bin is bytes from
 split to reassembly (:class:`ChunkBundle`): the ``C`` nodes of its
-chunks, written once, cut and joined at the intermediary, read in place
-at the destination; :class:`Chunk` is only their decoded view.  Pure
-size-arithmetic helpers (used by property tests and the Theorem 1 bench)
-are provided alongside.
+chunks (:func:`repro.util.items.chunk_node` names their fields), written
+once, cut and joined at the intermediary, read in place at the
+destination.  Pure size-arithmetic helpers (used by property tests and
+the Theorem 1 bench) are provided alongside.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 
 import numpy as np
 
 from repro.cgm.message import Message
-from repro.util.items import (ITEM_BYTES, chunk_at, chunk_index, chunk_list, chunk_node,
-                              deserialize, serialize)
+from repro.util.items import (ITEM_BYTES, chunk_index, chunk_list, chunk_node, deserialize,
+                              serialize)
 
 #: tag marking engine-internal balanced-routing traffic.
 CHUNK_TAG = "__balanced_chunk__"
 
 
-@dataclass
-class Chunk:
-    """A word-interleaved slice of one original message.
-
-    Words ``l`` of the original message with ``l % v == first % v`` —
-    i.e. the strided slice ``words[first::v]`` — plus the metadata needed
-    to reassemble: originating processor, per-source message sequence
-    number, total word count and exact byte length of the serialized
-    payload, the application tag, and the original h-relation charge
-    (``size_items``) so the rebuilt message charges the same as the
-    direct-routed one.
-    """
-
-    src: int
-    fdest: int
-    msg_seq: int
-    first: int
-    stride: int
-    total_words: int
-    nbytes: int
-    tag: str | None
-    size_items: int
-    words: np.ndarray  # uint64, the strided slice
-
-    @property
-    def n_words(self) -> int:
-        return int(self.words.size)
-
-
 class ChunkBundle:
-    """The payload of one balanced-routing message: ``raw``, the item
-    ``serialize`` gives for its list of chunks, and ``index``, where each
-    chunk's node lies in it (:func:`repro.util.items.chunk_index`, parsed
-    on first use).  Iterating yields the chunks as :class:`Chunk` records."""
+    """The payload of one balanced-routing message: ``raw``, the item of
+    its list of chunks (:func:`repro.util.items.chunk_list`), and
+    ``index``, where each chunk's node lies in it
+    (:func:`repro.util.items.chunk_index`, parsed on first use)."""
 
     __slots__ = ("raw", "_index")
 
@@ -83,7 +53,8 @@ class ChunkBundle:
     @classmethod
     def from_item(cls, data) -> "ChunkBundle":
         """The bundle stored in *data*, padding ignored; bytes that are
-        not a list of chunks raise ``deserialize``'s one-line error."""
+        not a list of chunks raise :func:`~repro.util.items.chunk_index`'s
+        one-line ``ValueError``."""
         end, index = chunk_index(data)
         return cls(bytes(memoryview(data)[:end]), index)
 
@@ -92,9 +63,6 @@ class ChunkBundle:
         if self._index is None:
             self._index = chunk_index(self.raw)[1]
         return self._index
-
-    def __iter__(self):
-        return (chunk_at(self.raw, entry) for entry in self.index)
 
 
 def split_phase_a(outbox: list[Message], v: int) -> list[Message]:
@@ -135,27 +103,20 @@ def split_phase_a(outbox: list[Message], v: int) -> list[Message]:
     ]
 
 
-def regroup_phase_b(received: list[Message], me: int | None = None) -> list[Message]:
+def regroup_phase_b(received: list[Message], me: int) -> list[Message]:
     """Superstep B: regroup chunks by final destination and forward.
 
-    *received* are the phase-A messages that arrived at one intermediate
-    processor; the result is one message per final destination, whose
-    bundle joins the received chunks' node bytes in arrival order.  *me*
-    is that intermediate processor's pid — the source of every forwarded
-    message.  When omitted it is taken from the received messages'
-    destination field, which is only possible for a non-empty *received*;
-    an empty input simply forwards nothing.
+    *received* are the phase-A messages that arrived at intermediate
+    processor *me*, the source of every forwarded message; the result is
+    one message per final destination, whose bundle joins the received
+    chunks' node bytes in arrival order.
     """
-    if not received:
-        return []
     nodes: dict[int, list] = defaultdict(list)
     words: dict[int, int] = defaultdict(int)
     for m in received:
         if m.tag != CHUNK_TAG:
             raise ValueError("regroup_phase_b fed a non-chunk message")
-        if me is None:
-            me = m.dest
-        elif m.dest != me:
+        if m.dest != me:
             raise ValueError(
                 f"regroup_phase_b fed chunk traffic for processor {m.dest} "
                 f"while regrouping at processor {me}"

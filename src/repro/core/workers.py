@@ -21,8 +21,11 @@ events, traffic, and under a checkpoint manager its boundary snapshot);
 the coordinator only listens: it merges the steps in ascending worker
 order, persists snapshots and recovers from crashes.
 
-Determinism: every ``CostReport`` counter the coordinator reports is
-bit-identical to the single-process simulation.  The staggered-slot
+Determinism: every logical ``CostReport`` counter the coordinator
+reports is bit-identical to the single-process simulation.  The physical
+fault ledger (``FaultStats``) is not: a real's array meets a peer slice's
+bundles at the exchange, not during the sender's loop, so a fault plan's
+probabilistic draws land on other accesses.  The staggered-slot
 geometry is pure arithmetic in (src, dest, nblocks, parity); overflow runs
 use consecutive format anchored on disk 0, so DiskWrite/DiskRead batching
 — and hence ``parallel_ios`` — depends only on block *counts*, never on

@@ -23,8 +23,8 @@ self-describing node.  A node is a tag byte and what the tag implies:
 ``g``   NumPy scalar: the same with ``ndim`` 0
 ``( [`` ``tuple`` / ``list``: count, that many nodes
 ``{``   ``dict``: count, that many key and value nodes
-``C``   :class:`repro.core.balanced.Chunk`: eight ``i64`` fields and
-        the word count, the tag node, the raw ``uint64`` words
+``C``   a balanced-routing chunk: eight ``i64`` fields and the word
+        count, the tag node, the raw ``uint64`` words
 ======  ==========================================================
 
 A *count* is one byte, or ``0xFF`` and a ``u32``.  A *dtype spec* is a
@@ -32,19 +32,21 @@ node: the ``dtype.str`` of a plain dtype (byte order included, metadata
 not — equal dtypes give equal bytes) or the ``dtype.descr`` list of a
 structured one.  Array buffers go from the array straight into the one
 ``join`` that builds the item, and come back as a copy, so a decoded value
-never aliases the buffer it was read from.  A list or tuple that opens
-with ``C`` nodes (a balanced-routing bundle) indexes that run in one loop
-(:func:`_chunk_run`: per chunk one ``unpack_from`` and a ``None`` or
-``str`` tag read in place, with the checks and errors of a lone node).
-Balanced routing writes and reads bundles through the same pieces
-without building a ``Chunk`` (:func:`chunk_node`, :func:`chunk_index`).
+never aliases the buffer it was read from.
 
-Nothing is reconstructed by name: the decoder builds only the types above,
-so bytes read back from a disk, a snapshot or a peer cannot run code.  It
-checks every length against the enclosing item before it reads or
-allocates, bounds the nesting depth, and answers anything else — object
-dtypes, unknown tags, truncated items, the ``P``/``N`` items written
-before format 2 — with a one-line ``ValueError``.  Encoding anything
+A ``C`` node is not a value: it exists only inside a balanced-routing
+bundle, the item of a list of ``C`` nodes, which :func:`chunk_node` and
+:func:`chunk_list` write and :func:`chunk_index` reads (per chunk one
+``unpack_from`` and a ``None`` or ``str`` tag read in place; the words
+stay where they are).  :func:`deserialize` refuses a ``C`` node as an
+unknown tag.
+
+Nothing is reconstructed by name: the decoder builds only the value types
+above, so bytes read back from a disk, a snapshot or a peer cannot run
+code.  It checks every length against the enclosing item before it reads
+or allocates, bounds the nesting depth, and answers anything else —
+object dtypes, unknown tags, truncated items, the ``P``/``N`` items
+written before format 2 — with a one-line ``ValueError``.  Encoding anything
 outside the table (a ``set``, a class instance, an object array, a
 ``tuple`` subclass) is a one-line ``TypeError`` naming the type.
 """
@@ -83,14 +85,6 @@ _CHUNK = struct.Struct("<8qQ")
 (_NONE, _TRUE, _FALSE, _INT1, _INT2, _INT4, _INT8, _BIGINT, _FLOAT, _STR, _BYTES,
  _SCALAR, _ARRAY, _TUPLE, _LIST, _DICT, _CHUNK_TAG) = b"ntf1248Idsbga([{C"
 _FIXED = {_INT2: _U16, _INT4: _I32, _INT8: _I64, _FLOAT: _F64}
-
-
-@lru_cache(maxsize=None)
-def _chunk_type() -> type:
-    # resolved on first use: core.balanced itself imports this module
-    from repro.core.balanced import Chunk
-
-    return Chunk
 
 
 # ------------------------------------------------------------------ encoding
@@ -180,27 +174,15 @@ def _enc_dict(obj: dict, parts: list, depth: int) -> None:
         _encode(x, parts, depth + 1)
 
 
-def _enc_chunk(c, parts: list, depth: int) -> None:
-    words = c.words
-    if not (
-        isinstance(words, np.ndarray) and words.dtype == np.uint64 and words.ndim == 1
-    ):
-        raise TypeError(_BAD_CHUNK)
-    parts.append(chunk_node((c.src, c.fdest, c.msg_seq, c.first, c.stride,
-                             c.total_words, c.nbytes, c.size_items, words.size),
-                            c.tag))
-    parts.append(_buffer(words))
-
-
-_BAD_CHUNK = ("cannot serialize a Chunk whose words are not a 1-d uint64 array "
-              "or whose tag is not a str or None")
-
-
 def chunk_node(fields: tuple, tag: "str | None") -> bytes:
-    """A ``C`` node up to its words: *fields* are a Chunk's integers in
-    the order of ``_CHUNK``, ``n_words`` last."""
+    """A ``C`` node up to its words.  *fields* are ``(src, fdest, msg_seq,
+    first, stride, total_words, nbytes, size_items, n_words)``: the chunk
+    holds words ``first::stride`` of message ``msg_seq`` of processor
+    ``src`` to ``fdest``, whose serialized payload is ``nbytes`` bytes in
+    ``total_words`` words and charges ``size_items``; *tag* is the
+    message's."""
     if not (tag is None or type(tag) is str):
-        raise TypeError(_BAD_CHUNK)
+        raise TypeError("cannot serialize a Chunk whose tag is not a str or None")
     try:
         return b"C" + _CHUNK.pack(*fields) + _tag_node(tag)
     except struct.error as exc:
@@ -208,8 +190,8 @@ def chunk_node(fields: tuple, tag: "str | None") -> bytes:
 
 
 def chunk_list(n: int, parts: list) -> bytes:
-    """The item :func:`serialize` gives for a list of *n* chunks whose
-    nodes are the concatenation of *parts*."""
+    """The item of a list of *n* ``C`` nodes: a list head, then *parts*
+    (each node's :func:`chunk_node` and its words) in order."""
     head = b"[" + _count(n)
     size = len(head) + sum(map(len, parts))
     return b"".join([_HEADER.pack(_TAG_ITEM, size), head, *parts])
@@ -217,7 +199,7 @@ def chunk_list(n: int, parts: list) -> bytes:
 
 @lru_cache(maxsize=256)
 def _tag_node(tag: "str | None") -> bytes:
-    """A Chunk's tag node; a routing round repeats a handful of tags."""
+    """A chunk's tag node; a routing round repeats a handful of tags."""
     return serialize(tag)[_HEADER.size :]
 
 
@@ -238,18 +220,14 @@ _ENCODERS = {
 def _subclass_encoder(tp: type):
     """Encoder of a type that is not itself a row of the table: NumPy's
     scalar and array subclasses and ``dict`` subclasses (a ``Context``)
-    encode as their base, a ``Chunk`` as its record.  Subclasses of the
-    other rows would come back as a different type, so they are refused
-    like any foreign class."""
+    encode as their base.  Subclasses of the other rows would come back as
+    a different type, so they are refused like any foreign class."""
     if issubclass(tp, np.generic):
         return _enc_scalar
     if issubclass(tp, np.ndarray):
         return _enc_array
     if issubclass(tp, dict):
         return _enc_dict
-    if tp is _chunk_type():
-        _ENCODERS[tp] = _enc_chunk
-        return _enc_chunk
     raise TypeError(
         f"cannot serialize {tp.__module__}.{tp.__qualname__}: contexts and "
         "messages hold None, bool, int, float, str, bytes, NumPy scalars and "
@@ -375,10 +353,7 @@ def _decode(mv: memoryview, off: int, end: int, depth: int) -> tuple[Any, int]:
                     _fail(f"unhashable dict key of type {type(k).__name__}")
             return out, off
         items = []
-        if n and off < end and mv[off] == _CHUNK_TAG:
-            run, off = _chunk_run(mv, off, end, n, depth)
-            items = [chunk_at(mv, entry) for entry in run]
-        for _ in range(n - len(items)):
+        for _ in range(n):
             x, off = _decode(mv, off, end, depth)
             items.append(x)
         return (tuple(items) if tag == _TUPLE else items), off
@@ -399,77 +374,12 @@ def _decode(mv: memoryview, off: int, end: int, depth: int) -> tuple[Any, int]:
         if arr.ndim:
             _fail("NumPy scalar with a shape")
         return arr[()], off
-    if tag == _CHUNK_TAG:
-        run, off = _chunk_run(mv, off - 1, end, 1, depth)
-        return chunk_at(mv, run[0]), off
     _fail(f"unknown node tag {bytes((tag,))!r}")
 
 
-def _chunk_run(mv: memoryview, off: int, end: int, n: int,
-               depth: int) -> tuple[list, int]:
-    """The run of at most *n* ``C`` nodes at *off* → its index (per node
-    ``(start, stop, tag, fields)``: the node is ``mv[start:stop]`` and ends
-    in its ``fields[8]`` words) and the offset past it."""
-    run = []
-    while n and off < end and mv[off] == _CHUNK_TAG:
-        n -= 1
-        if off + 1 + _CHUNK.size > end:
-            _fail("truncated Chunk")
-        start, fields = off, _CHUNK.unpack_from(mv, off + 1)
-        off += 1 + _CHUNK.size
-        if off < end and mv[off] == _NONE:
-            ctag, off = None, off + 1
-        elif off < end and mv[off] == _STR:
-            raw, off = _dec_raw(mv, off + 1, end)
-            try:
-                ctag = str(raw, "utf-8", "surrogatepass")
-            except UnicodeDecodeError:
-                _fail("str is not UTF-8")
-        else:  # a corrupt node's own error first, as for any other node
-            _decode(mv, off, end, depth)
-            _fail("Chunk tag is neither a str nor None")
-        if off + 8 * fields[8] > end:
-            _fail(f"Chunk of {fields[8]} words announced, {end - off} bytes left")
-        off += 8 * fields[8]
-        run.append((start, off, ctag, fields))
-    return run, off
-
-
-def chunk_at(data, entry: tuple) -> Any:
-    """The ``Chunk`` an index entry of *data* describes; its words a copy."""
-    _start, stop, tag, f = entry
-    words = np.frombuffer(data, np.uint64, f[8], stop - 8 * f[8]).copy()
-    return _chunk_type()(*f[:7], tag, f[7], words)
-
-
-def chunk_index(data) -> tuple[int, list]:
-    """*data*, the item of a list of chunks (padding ignored) → (its
-    length, its :func:`_chunk_run` index).  Other bytes raise the
-    ``ValueError`` :func:`deserialize` raises for them."""
-    mv = memoryview(data)
-    if mv.nbytes >= _HEADER.size:
-        tag, length = _HEADER.unpack_from(mv, 0)
-        off, end = _HEADER.size + 1, _HEADER.size + length
-        # the checks deserialize makes before it meets the run, in its order
-        if tag == _TAG_ITEM and off <= end <= mv.nbytes and mv[off - 1] == _LIST:
-            n, off = _dec_count(mv, off, end)
-            if n <= end - off:
-                run, off = _chunk_run(mv, off, end, n, 1)
-                if len(run) == n and off == end:
-                    return end, run
-    deserialize(mv)
-    _fail("not a list of Chunks")
-
-
-def deserialize(data) -> Any:
-    """Decode an item produced by :func:`serialize` from any bytes-like
-    *data*; every array in the result is a copy.
-
-    Trailing padding (zero bytes appended to reach a block boundary) is
-    ignored, which lets the disk engines store objects in whole blocks.
-    Anything that is not a whole, well-formed item raises ``ValueError``.
-    """
-    mv = memoryview(data)
+def _item_end(mv: memoryview) -> int:
+    """The offset where the body of the item at the start of *mv* ends; a
+    header that does not open a whole format-2 item raises."""
     if mv.nbytes < _HEADER.size:
         _fail("shorter than its header")
     tag, length = _HEADER.unpack_from(mv, 0)
@@ -483,6 +393,62 @@ def deserialize(data) -> Any:
     end = _HEADER.size + length
     if end > mv.nbytes:
         _fail(f"body of {length} bytes announced, {mv.nbytes - _HEADER.size} present")
+    return end
+
+
+def chunk_index(data) -> tuple[int, list]:
+    """*data*, the item :func:`chunk_list` writes (padding ignored) → (its
+    length, per ``C`` node ``(start, stop, tag, fields)``: the node is
+    ``data[start:stop]`` and ends in its ``fields[8]`` words).  Anything
+    else is a one-line ``ValueError``; a corrupt node's own error comes
+    before the verdict that the item is not a bundle."""
+    mv = memoryview(data)
+    end = _item_end(mv)
+    off = _HEADER.size + 1
+    if off > end or mv[off - 1] != _LIST:
+        _fail("not a list of Chunks")
+    n, off = _dec_count(mv, off, end)
+    if n > end - off:
+        _fail(f"{n} entries announced, {end - off} bytes left")
+    run = []
+    while len(run) < n and off < end and mv[off] == _CHUNK_TAG:
+        if off + 1 + _CHUNK.size > end:
+            _fail("truncated Chunk")
+        start, fields = off, _CHUNK.unpack_from(mv, off + 1)
+        off += 1 + _CHUNK.size
+        if off < end and mv[off] == _NONE:
+            ctag, off = None, off + 1
+        elif off < end and mv[off] == _STR:
+            raw, off = _dec_raw(mv, off + 1, end)
+            try:
+                ctag = str(raw, "utf-8", "surrogatepass")
+            except UnicodeDecodeError:
+                _fail("str is not UTF-8")
+        else:
+            _decode(mv, off, end, 1)
+            _fail("Chunk tag is neither a str nor None")
+        if off + 8 * fields[8] > end:
+            _fail(f"Chunk of {fields[8]} words announced, {end - off} bytes left")
+        off += 8 * fields[8]
+        run.append((start, off, ctag, fields))
+    if len(run) < n:
+        _decode(mv, off, end, 1)
+        _fail("not a list of Chunks")
+    if off != end:
+        _fail(f"{end - off} stray bytes after the value")
+    return end, run
+
+
+def deserialize(data) -> Any:
+    """Decode an item produced by :func:`serialize` from any bytes-like
+    *data*; every array in the result is a copy.
+
+    Trailing padding (zero bytes appended to reach a block boundary) is
+    ignored, which lets the disk engines store objects in whole blocks.
+    Anything that is not a whole, well-formed item raises ``ValueError``.
+    """
+    mv = memoryview(data)
+    end = _item_end(mv)
     obj, off = _decode(mv, _HEADER.size, end, 0)
     if off != end:
         _fail(f"{end - off} stray bytes after the value")

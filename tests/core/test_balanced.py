@@ -33,7 +33,7 @@ def route_end_to_end(outboxes: dict[int, list[Message]], v: int):
     final_inbox: dict[int, list[Message]] = {k: [] for k in range(v)}
     phase_b_sizes = []
     for b in range(v):
-        for fm in regroup_phase_b(phase_a_inbox[b]):
+        for fm in regroup_phase_b(phase_a_inbox[b], b):
             phase_b_sizes.append(fm.size_items)
             final_inbox[fm.dest].append(fm)
     delivered = {k: reassemble(final_inbox[k]) for k in range(v)}
@@ -100,7 +100,7 @@ class TestEndToEndDelivery:
 
     def test_regroup_rejects_non_chunk(self):
         with pytest.raises(ValueError):
-            regroup_phase_b([Message(0, 1, "not a chunk", tag="app")])
+            regroup_phase_b([Message(0, 1, "not a chunk", tag="app")], 1)
 
 
 class TestTheorem1Bounds:
@@ -213,8 +213,10 @@ class TestPhaseABinSizesExactness:
         chunks_per_bin = np.zeros(v, dtype=np.int64)
         for bm in split_phase_a(msgs, v):
             assert bm.tag == CHUNK_TAG
-            for c in bm.payload:
-                chunks_per_bin[bm.dest] += c.n_words
-                word_lengths[c.fdest] = c.total_words
+            for _start, _stop, _tag, f in bm.payload.index:
+                # f[8] the chunk's words, f[1] its message's destination,
+                # f[5] that message's words (items.chunk_node)
+                chunks_per_bin[bm.dest] += f[8]
+                word_lengths[f[1]] = f[5]
         predicted = phase_a_bin_sizes(word_lengths, src)
         assert np.array_equal(chunks_per_bin, predicted)

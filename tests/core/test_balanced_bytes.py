@@ -3,12 +3,13 @@
 The routing path cuts each message into ``C`` nodes written straight into
 its bin's item, forwards node bytes at the intermediary and reassembles
 from the bundle bytes.  The oracle is the object-based routing it
-replaced, frozen below (``ref_*``): every phase-A and phase-B bundle must
-equal ``serialize(list_of_chunks)`` of the reference byte for byte, and
-every reassembled message must match the reference's.  A second group
-feeds the hostile chunk runs of ``tests/util/test_items.py`` through the
-bundle reader the engines use, and runs balanced sorts with ``Chunk``
-construction forbidden.
+replaced, frozen below (``ref_*``, over its own chunk record): every
+phase-A and phase-B bundle must equal the reference's list of chunks,
+written node by node from the record by the format table of
+``repro.util.items``, byte for byte, and every reassembled message must
+match the reference's.  A second group feeds the hostile chunk runs of
+``tests/util/test_items.py`` through the bundle reader the engines use,
+and pins a balanced sort's output and counters to the object-based parent.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import struct
 from collections import defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -28,7 +30,6 @@ from repro.cgm.message import Message
 from repro.cgm.program import CGMProgram
 from repro.core.balanced import (
     CHUNK_TAG,
-    Chunk,
     ChunkBundle,
     reassemble,
     regroup_phase_b,
@@ -39,6 +40,50 @@ from repro.util.items import ITEM_BYTES, deserialize, serialize
 from tests.util import test_items
 
 # ---------------------------------------------- the object-based reference
+
+
+@dataclass
+class Chunk:
+    """Words ``first::stride`` of message ``msg_seq`` from ``src`` to
+    ``fdest``, with what reassembly needs: the payload's word and byte
+    lengths, the application tag and the h-relation charge."""
+
+    src: int
+    fdest: int
+    msg_seq: int
+    first: int
+    stride: int
+    total_words: int
+    nbytes: int
+    tag: str | None
+    size_items: int
+    words: np.ndarray  # uint64, the strided slice
+
+    @property
+    def n_words(self) -> int:
+        return int(self.words.size)
+
+
+def ref_bytes(chunks: list[Chunk]) -> bytes:
+    """The item of *chunks*, spelled out from the format table: a list
+    head, then per chunk ``C``, eight ``i64`` fields and the word count,
+    the tag node and the words."""
+    body = [b"[", bytes((len(chunks),)) if len(chunks) < 0xFF
+            else b"\xff" + struct.pack("<I", len(chunks))]
+    for c in chunks:
+        body += [b"C", struct.pack("<8qQ", c.src, c.fdest, c.msg_seq, c.first, c.stride,
+                                   c.total_words, c.nbytes, c.size_items, c.n_words),
+                 serialize(c.tag)[9:], c.words.tobytes()]
+    return struct.pack("<cQ", b"T", sum(map(len, body))) + b"".join(body)
+
+
+def ref_records(bundle: ChunkBundle) -> list[Chunk]:
+    """The records a bundle's index describes; the words a copy."""
+    return [
+        Chunk(*f[:7], tag, f[7],
+              np.frombuffer(bundle.raw, np.uint64, f[8], stop - 8 * f[8]).copy())
+        for _start, stop, tag, f in bundle.index
+    ]
 
 
 def _payload_to_words(payload: object) -> tuple[np.ndarray, int]:
@@ -152,7 +197,7 @@ def _stored(m: Message) -> Message:
 def _check_bundles(got: list[Message], want: list[Message]) -> None:
     assert [_head(m) for m in got] == [_head(m) for m in want]
     for g, w in zip(got, want):
-        assert g.payload.raw == serialize(w.payload)
+        assert g.payload.raw == ref_bytes(w.payload)
 
 
 def _route(msgs: list[Message], v: int) -> list[list[Message]]:
@@ -167,8 +212,8 @@ def _check_routing(v: int, outboxes: list[list[Message]]) -> None:
     for out in outboxes:
         got, want = split_phase_a(out, v), ref_split(out, v)
         _check_bundles(got, want)
-        for m in got:  # the decoded view re-encodes to the same bytes
-            assert serialize(list(m.payload)) == m.payload.raw
+        for m in got:  # the index read back re-encodes to the same bytes
+            assert ref_bytes(ref_records(m.payload)) == m.payload.raw
         phase_a += got
         ref_a += want
     mid, ref_mid = _route(phase_a, v), _route(ref_a, v)
@@ -205,7 +250,7 @@ def test_a_bin_of_255_or_more_chunks_has_a_five_byte_count():
     _check_routing(2, outboxes)
 
 
-# ------------------------------------------------ hostile bytes, no Chunks
+# ------------------------------------------------------------ hostile bytes
 
 #: the cases of ``test_a_hostile_chunk_run_is_the_parents_error``: bodies
 #: and the message the per-node decoder gave for each
@@ -227,18 +272,15 @@ def test_the_bundle_reader_gives_the_parents_error(body, message):
     assert str(err.value) == f"corrupt item: {message}"
 
 
-_CHUNK = Chunk(1, 2, 0, 3, 8, 40, 317, None, 40, np.arange(5, dtype=np.uint64))
-_A = serialize(_CHUNK)[9:]
+_A = b"".join(test_items.CHUNK_A)
 
 
 @pytest.mark.parametrize("data", [
     _item(b"[\xff" + struct.pack("<I", 1000) + _A[:40]),  # more entries than bytes
-    _item(b"[\x02" + _A),                                 # one node short
-    _item(b"[\x01" + _A + b"n"),                          # a stray byte
     _item(b"[\x01" + _A)[:-1],                            # the item cut short
     struct.pack("<cQ", b"P", 3) + b"abc",                 # format 1
     b"T\x01",
-], ids=["entries", "short", "stray", "cut", "format1", "header"])
+], ids=["entries", "cut", "format1", "header"])
 def test_the_bundle_reader_raises_what_deserialize_raises(data):
     with pytest.raises(ValueError) as want:
         deserialize(data)
@@ -247,12 +289,25 @@ def test_the_bundle_reader_raises_what_deserialize_raises(data):
     assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("data, message", [
+    (_item(b"[\x02" + _A), "truncated node"),                 # one node short
+    (_item(b"[\x01" + _A + b"n"), "1 stray bytes after the value"),
+], ids=["short", "stray"])
+def test_the_bundle_reader_names_its_own_run_faults(data, message):
+    """What ``deserialize`` said of these bytes while it still decoded
+    ``C`` nodes; it now stops at the first one as an unknown tag."""
+    with pytest.raises(ValueError) as err:
+        ChunkBundle.from_item(data)
+    assert str(err.value) == f"corrupt item: {message}"
+
+
 def test_the_bundle_reader_refuses_a_well_formed_item_of_something_else():
-    for value in ([_CHUNK, 7], (_CHUNK,), [7], "x"):
+    for data in (_item(b"[\x02" + _A + b"\x31\x07"), _item(b"(\x01" + _A),
+                 serialize([7]), serialize("x")):
         with pytest.raises(ValueError) as err:
-            ChunkBundle.from_item(serialize(value))
+            ChunkBundle.from_item(data)
         assert str(err.value) == "corrupt item: not a list of Chunks"
-    assert list(ChunkBundle.from_item(serialize([]) + bytes(3))) == []
+    assert ChunkBundle.from_item(serialize([]) + bytes(3)).index == []
 
 
 #: em_sort's output sha256 and counters at the object-based parent
@@ -270,11 +325,12 @@ PARENT_IO = {
 @pytest.mark.parametrize("engine, p, workers, supersteps", [
     ("seq", 1, 0, 8), ("par", 4, 0, 16), ("par", 4, 2, 16),
 ])
-def test_balanced_runs_build_no_chunk(monkeypatch, engine, p, workers, supersteps):
-    def forbidden(self, *args, **kw):
-        raise AssertionError("a Chunk was built on the routing path")
+def test_balanced_runs_build_no_chunk(engine, p, workers, supersteps):
+    """Routing has no chunk type to build (bundles are bytes from split to
+    reassembly), and a balanced sort still gives the parent's output."""
+    from repro.core import balanced
 
-    monkeypatch.setattr(Chunk, "__init__", forbidden)
+    assert not hasattr(balanced, "Chunk")
     data = np.random.default_rng(37).integers(0, 2**40, 1 << 13)
     cfg = MachineConfig(N=1 << 13, v=8, p=p, D=2, B=64)
     res = em_sort(data, cfg, engine=engine, balanced=True,

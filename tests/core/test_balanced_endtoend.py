@@ -2,7 +2,7 @@
 
 BalancedRouting chunks *serialized* payloads at the word level, so every
 payload class the library uses (numpy arrays, dicts of arrays, tuples,
-strings, Chunk bundles) must survive the split/regroup/reassemble cycle
+strings, chunk bundles) must survive the split/regroup/reassemble cycle
 on the EM backends.  These tests run representative algorithms from all
 three Figure 5 groups with ``balanced=True`` and require bit-identical
 outputs to the direct runs.

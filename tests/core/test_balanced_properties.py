@@ -162,7 +162,7 @@ def test_balanced_roundtrip_bit_exact(case):
     phase_a = [m for out in outboxes for m in split_phase_a(out, v)]
     mid_in = _route(phase_a, v)
     # phase B at every intermediate, deliver to final destinations
-    phase_b = [m for b in range(v) for m in regroup_phase_b(mid_in[b])]
+    phase_b = [m for b in range(v) for m in regroup_phase_b(mid_in[b], b)]
     final_in = _route(phase_b, v)
     # reassemble and compare against what was originally sent
     for k in range(v):
@@ -180,7 +180,7 @@ def test_balanced_preserves_total_words(case):
     v, outboxes = case
     phase_a = [m for out in outboxes for m in split_phase_a(out, v)]
     mid_in = _route(phase_a, v)
-    phase_b = [m for b in range(v) for m in regroup_phase_b(mid_in[b])]
+    phase_b = [m for b in range(v) for m in regroup_phase_b(mid_in[b], b)]
     final_in = _route(phase_b, v)
     got = sum(len(reassemble(final_in[k])) for k in range(v))
     want = sum(len(out) for out in outboxes)

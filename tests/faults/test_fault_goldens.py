@@ -14,6 +14,13 @@ faults, disk deaths, probabilistic faults with a death) on a small
 a ``DiskFault`` raised in the middle of a stream written through the
 array API: its message, the tracks it leaves (torn prefix included) and
 the counters of the batches that completed before it.
+
+The recording is of the in-process run (``workers`` 0 on the local
+transport, whatever ``REPRO_WORKERS`` and ``REPRO_TRANSPORT`` say).  A
+worker fleet keeps its output and its logical ``IOStats`` but not its
+``FaultStats``: there a real's array meets a peer slice's bundles at the
+exchange, not during the sender's loop, so the probabilistic draws land
+on other accesses.
 """
 
 from __future__ import annotations
@@ -78,7 +85,7 @@ PLANS = {
 RUNS = ("sort_seq", "sort_par", "list_rank_seq")
 
 
-def _observe(run: str, plan_name: str) -> dict:
+def _observe(run: str, plan_name: str, workers: int = 0) -> dict:
     plan, D = PLANS[plan_name]
     rng = np.random.default_rng(1)
     if run == "list_rank_seq":
@@ -98,16 +105,21 @@ def _observe(run: str, plan_name: str) -> dict:
         program = OPS["sort"].program()
         inputs = OPS["sort"].split(rng.integers(0, 1 << 50, n), cfg.v)
     tracer = EventBus(monitor=False)
-    eng = make_engine(cfg, engine, False, faults=plan, tracer=tracer)
+    # workers 0 is in-process only on the local transport: under tcp a
+    # fleet of one worker per node would run
+    lane = {"workers": workers} if workers else {"workers": 0, "transport": "memory"}
+    eng = make_engine(cfg, engine, False, faults=plan, tracer=tracer, overrides=lane)
     res = eng.run(program, inputs)
+    output = hashlib.sha256()
+    for out in res.outputs:
+        output.update(np.asarray(out).tobytes())
+    if workers:  # a fleet's arrays live in its workers
+        return {"output_sha256": output.hexdigest(), "io": res.report.io.as_dict()}
     events = hashlib.sha256()
     for ev in tracer.events:
         if ev["kind"] in ("io_fault", "disk_dead"):
             fields = {k: v for k, v in ev.items() if k not in ("seq", "ts")}
             events.update(json.dumps(fields, sort_keys=True).encode())
-    output = hashlib.sha256()
-    for out in res.outputs:
-        output.update(np.asarray(out).tobytes())
     return {
         "fault_stats": res.report.fault_stats.as_dict(),
         "events_sha256": events.hexdigest(),
@@ -128,6 +140,14 @@ def _observe(run: str, plan_name: str) -> dict:
 def test_fault_behaviour_matches_the_recording(run, plan_name):
     got = json.loads(json.dumps(_observe(run, plan_name)))
     assert got == GOLDENS[f"{run}/{plan_name}"]
+
+
+@pytest.mark.usefixtures("worker_leak_guard")
+@pytest.mark.parametrize("plan_name", sorted(PLANS))
+def test_a_worker_fleet_keeps_the_recorded_output_and_logical_io(plan_name):
+    got = json.loads(json.dumps(_observe("sort_par", plan_name, workers=2)))
+    want = GOLDENS[f"sort_par/{plan_name}"]
+    assert got == {"output_sha256": want["output_sha256"], "io": want["io"]}
 
 
 def _mid_stream_fault() -> dict:

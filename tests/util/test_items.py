@@ -11,11 +11,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.core.balanced import Chunk
 from repro.util.items import (
     ITEM_BYTES,
     blocks_needed,
     bytes_to_items,
+    chunk_index,
+    chunk_list,
+    chunk_node,
     deserialize,
     item_count,
     serialize,
@@ -54,13 +56,27 @@ GOLDEN = {
 }
 
 
-CHUNK_A = Chunk(1, 2, 0, 3, 8, 40, 317, None, 40, np.arange(5, dtype=np.uint64))
-CHUNK_B = Chunk(7, 2, 1, 0, 8, 9, 70, "t", 9, np.array([2**64 - 1, 6], dtype=np.uint64))
-#: ``serialize(...).hex()`` of two balanced-routing bundles as printed by
-#: the commit before a run of ``C`` nodes decoded in one loop
+def chunk(fields: tuple, tag, words: np.ndarray) -> list:
+    """The pieces of one ``C`` node: its head, then its words."""
+    return [chunk_node(fields, tag), words.tobytes()]
+
+
+#: (src, fdest, msg_seq, first, stride, total_words, nbytes, size_items,
+#: n_words), tag, words
+CHUNK_A = chunk((1, 2, 0, 3, 8, 40, 317, 40, 5), None, np.arange(5, dtype=np.uint64))
+CHUNK_B = chunk((7, 2, 1, 0, 8, 9, 70, 9, 2), "t", np.array([2**64 - 1, 6], dtype=np.uint64))
+
+
+def item(body: bytes, tag: bytes = b"T") -> bytes:
+    return struct.pack("<cQ", tag, len(body)) + body
+
+
+#: ``serialize(...).hex()`` of ``[CHUNK_A, CHUNK_B, 70000]`` and ``(CHUNK_B,
+#: CHUNK_A)`` as printed, with ``Chunk`` records, by the commit before a
+#: run of ``C`` nodes decoded in one loop; built here from the same fields
 GOLDEN_CHUNKS = {
     "list_then_int": (
-        [CHUNK_A, CHUNK_B, 70000],
+        chunk_list(3, CHUNK_A + CHUNK_B + [serialize(70000)[9:]]),
         "54d5000000000000005b03430100000000000000020000000000000000000000000000"
         "000300000000000000080000000000000028000000000000003d010000000000002800"
         "00000000000005000000000000006e0000000000000000010000000000000002000000"
@@ -70,7 +86,7 @@ GOLDEN_CHUNKS = {
         "000000003470110100",
     ),
     "tuple": (
-        (CHUNK_B, CHUNK_A),
+        item(b"(\x02" + b"".join(CHUNK_B + CHUNK_A)),
         "54d000000000000000280243070000000000000002000000000000000100000000000000"
         "000000000000000008000000000000000900000000000000460000000000000009000000"
         "000000000200000000000000730174ffffffffffffffff06000000000000004301000000"
@@ -150,12 +166,24 @@ class TestSerializeRoundTrip:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN_CHUNKS))
     def test_chunk_bundle_bytes_are_frozen(self, name):
-        value, want = GOLDEN_CHUNKS[name]
-        assert serialize(value).hex() == want
-        out = deserialize(bytes.fromhex(want) + bytes(5))
-        assert same(out, value)
-        for c in (x for x in out if isinstance(x, Chunk)):
-            assert c.words.flags.aligned and c.words.flags.owndata
+        """A ``C`` node is written only by ``chunk_node``, read only by
+        ``chunk_index``, and refused by ``deserialize`` like any unknown
+        tag: the frozen items hold two ``C`` nodes each."""
+        built, want = GOLDEN_CHUNKS[name]
+        assert built.hex() == want
+        with pytest.raises(ValueError) as err:
+            deserialize(built + bytes(5))
+        assert str(err.value) == "corrupt item: unknown node tag b'C'"
+        # the same two nodes as a bundle: the index gives back their fields
+        bundle = chunk_list(2, CHUNK_A + CHUNK_B)
+        end, index = chunk_index(bundle + bytes(5))
+        assert end == len(bundle) == 9 + 2 + len(b"".join(CHUNK_A + CHUNK_B))
+        assert [(tag, f) for _start, _stop, tag, f in index] == [
+            (None, (1, 2, 0, 3, 8, 40, 317, 40, 5)), ("t", (7, 2, 1, 0, 8, 9, 70, 9, 2))
+        ]
+        for (start, stop, _tag, f), pieces in zip(index, (CHUNK_A, CHUNK_B)):
+            assert bundle[start:stop] == b"".join(pieces)
+            assert bundle[stop - 8 * f[8] : stop] == pieces[1]
 
     def test_equal_dtypes_that_pickle_differently_bypass_the_memo(self):
         """Format 2 spells a dtype as ``dtype.str``: equal dtypes give equal
@@ -232,7 +260,7 @@ class TestBlockArithmetic:
 # --------------------------------------------------------------------------
 
 CLOSED_SET = (type(None), bool, int, float, str, bytes, np.generic, np.ndarray,
-              tuple, list, dict, Chunk)
+              tuple, list, dict)
 
 INT_EDGES = [
     e + d
@@ -265,8 +293,6 @@ def same(a, b) -> bool:
             same(ka, kb) and same(va, vb)
             for (ka, va), (kb, vb) in zip(a.items(), b.items())
         )
-    if isinstance(a, Chunk):
-        return same(list(vars(a).values()), list(vars(b).values()))
     return a == b
 
 
@@ -280,8 +306,6 @@ def footprint(obj) -> int:
         return len(obj) + sum(map(footprint, obj))
     if isinstance(obj, dict):
         return len(obj) + sum(footprint(k) + footprint(v) for k, v in obj.items())
-    if isinstance(obj, Chunk):
-        return footprint(obj.words)
     return 1
 
 
@@ -316,21 +340,13 @@ scalars = (
     st.sampled_from(DTYPES[:-2]).flatmap(hnp.from_dtype)
     .filter(lambda s: s.dtype.itemsize > 0)
 )
-words = hnp.arrays(np.uint64, st.integers(0, 5))
-small = st.integers(0, 2**62)
-chunks = st.builds(
-    Chunk, small, small, small, small, small, small, small,
-    st.none() | st.text(max_size=5), small, words,
-)
 hashable = (
     st.none() | st.booleans() | st.integers() | st.sampled_from(INT_EDGES)
     | st.floats(allow_nan=False) | st.text(max_size=8) | st.binary(max_size=8)
 )
 leaves = (
     hashable | st.floats() | st.text(max_size=300) | st.binary(max_size=300)
-    | arrays | scalars | st.lists(chunks, max_size=3)
-    | st.lists(chunks | hashable, max_size=6)
-    | st.tuples(chunks, chunks, hashable)
+    | arrays | scalars
 )
 trees = st.recursive(
     leaves,
@@ -342,21 +358,30 @@ trees = st.recursive(
     max_leaves=12,
 )
 
-#: valid items the hostile-bytes tests mutate: a ListRanking-shaped context,
-#: a multi-part bundle, a balanced-routing bundle, a deep scalar tree
+def read_bundle(data) -> list:
+    """What ``chunk_index`` finds in *data*, as closed-set values: per chunk
+    its tag, its fields and a view of its words."""
+    _end, index = chunk_index(data)
+    return [(tag, list(f), np.frombuffer(data, np.uint64, f[8], stop - 8 * f[8]))
+            for _start, stop, tag, f in index]
+
+
+#: valid items the hostile-bytes tests mutate, each with its reader: a
+#: ListRanking-shaped context, a multi-part bundle, a balanced-routing
+#: bundle, a deep scalar tree
 VICTIMS = [
-    {"pid": 3, "phase": "splice", "level": -1, "w": np.linspace(0, 1, 5),
-     "removed": np.full(5, -1, np.int16), "alive": np.ones(5, bool)},
-    [("coin", np.arange(6).reshape(3, 2)), ("count", 70000), (None, 2.5)],
-    [Chunk(1, 2, 0, 3, 8, 40, 317, None, 40, np.arange(5, dtype=np.uint64)),
-     Chunk(7, 2, 1, 0, 8, 9, 70, "pred", 9, np.zeros(2, dtype=np.uint64))],
-    {"k": [(), [], {}, b"\x00\xff", 2**70, np.float32(1.5), True, None],
-     2: GOLDEN_ARRAYS["structured"]},
+    (serialize({"pid": 3, "phase": "splice", "level": -1, "w": np.linspace(0, 1, 5),
+                "removed": np.full(5, -1, np.int16), "alive": np.ones(5, bool)}),
+     deserialize),
+    (serialize([("coin", np.arange(6).reshape(3, 2)), ("count", 70000), (None, 2.5)]),
+     deserialize),
+    (chunk_list(2, CHUNK_A + chunk((7, 2, 1, 0, 8, 9, 70, 9, 2), "pred",
+                                   np.zeros(2, dtype=np.uint64))),
+     read_bundle),
+    (serialize({"k": [(), [], {}, b"\x00\xff", 2**70, np.float32(1.5), True, None],
+                2: GOLDEN_ARRAYS["structured"]}),
+     deserialize),
 ]
-
-
-def item(body: bytes, tag: bytes = b"T") -> bytes:
-    return struct.pack("<cQ", tag, len(body)) + body
 
 
 class TestFormat2RoundTrip:
@@ -398,15 +423,21 @@ class TestFormat2Refusals:
         np.array([None, "x"], dtype=object), np.zeros(2, dtype=[("a", "O")]),
         np.zeros(2, dtype=np.dtype([("a", "i1"), ("b", "f8")], align=True)),
         np.zeros(2, dtype="V0"), type("Point", (tuple,), {})((1, 2)),
-        Chunk(0, 0, 0, 0, 1, 1, 8, None, 1, np.zeros(1, dtype=np.int64)),
-        Chunk(0, 0, 0, 0, 1, 1, 8, 5, 1, np.zeros(1, dtype=np.uint64)),
-        Chunk(0, 0, 0, 0, 1, 2**70, 8, None, 1, np.zeros(1, dtype=np.uint64)),
     ], ids=lambda b: type(b).__name__)
     def test_unsupported_values_are_one_line_type_errors(self, bad):
         for wrapped in (bad, {"ok": 1, "nested": [0, (bad,)]}):
             with pytest.raises(TypeError, match="cannot serialize") as err:
                 serialize(wrapped)
             assert "\n" not in str(err.value)
+
+    @pytest.mark.parametrize("fields, tag", [
+        ((0, 0, 0, 0, 1, 1, 8, 1, 1), 5),
+        ((0, 0, 0, 0, 1, 2**70, 8, 1, 1), None),
+    ], ids=["tag", "field"])
+    def test_a_chunk_node_refuses_what_its_format_cannot_hold(self, fields, tag):
+        with pytest.raises(TypeError, match="cannot serialize") as err:
+            chunk_node(fields, tag)
+        assert "\n" not in str(err.value)
 
     def test_the_error_names_the_type(self):
         class Point:
@@ -431,14 +462,14 @@ class TestFormat2Refusals:
 
     @pytest.mark.parametrize("victim", range(len(VICTIMS)))
     def test_every_truncation_is_a_value_error(self, victim):
-        raw = serialize(VICTIMS[victim])
+        raw, read = VICTIMS[victim]
         for cut in range(len(raw)):
             with pytest.raises(ValueError):
-                deserialize(raw[:cut])
+                read(raw[:cut])
             # ... and so is a body cut short under an honest header
             if cut >= 9:
                 with pytest.raises(ValueError):
-                    deserialize(item(raw[9:cut]))
+                    read(item(raw[9:cut]))
 
     @pytest.mark.parametrize("body", [
         b"[\xff\xff\xff\xff\xff",                         # 4 G entries, none present
@@ -470,7 +501,7 @@ class TestFormat2Refusals:
 
     #: a ``C`` node's bytes up to and including its tag (the fields alone
     #: are the first 73), then the words
-    _A = serialize(CHUNK_A)[9:]
+    _A = b"".join(CHUNK_A)
 
     @pytest.mark.parametrize("body, message", [
         (b"[\x02" + _A + _A[:40], "truncated Chunk"),
@@ -479,7 +510,7 @@ class TestFormat2Refusals:
         (b"[\x02" + _A + _A[:73] + b"\x31\x05", "Chunk tag is neither a str nor None"),
         (b"[\x02" + _A + _A[:73] + b"s\xff" + struct.pack("<I", 1 << 20) + b"abc",
          "1048576 bytes announced, 3 left"),
-        (b"(\xff" + struct.pack("<I", 3) + _A + _A, "truncated node"),
+        (b"(\xff" + struct.pack("<I", 3) + _A + _A, "not a list of Chunks"),
         (b"[\x02" + _A + _A[:73] + b"s\x09ab", "9 bytes announced, 2 left"),
         (b"[\x02" + _A + _A[:73] + b"s\x02\xff\xfe", "str is not UTF-8"),
         (b"[\x02" + _A + _A[:73], "truncated node"),
@@ -488,9 +519,11 @@ class TestFormat2Refusals:
             "list-long-count", "tag-short-count", "tag-utf8", "no-tag", "tag-no-count"])
     def test_a_hostile_chunk_run_is_the_parents_error(self, body, message):
         """Each message is what the per-node decoder said before runs of
-        ``C`` nodes were decoded in one loop."""
+        ``C`` nodes were decoded in one loop, read now by the bundle reader.
+        One moved: a tuple is no bundle, so ``list-long-count`` is refused
+        as such instead of by its third, missing node."""
         with pytest.raises(ValueError) as err:
-            deserialize(item(body) + bytes(7))
+            chunk_index(item(body) + bytes(7))
         assert str(err.value) == f"corrupt item: {message}"
 
     def test_depth_bomb_is_a_value_error_not_a_recursion_error(self):
@@ -511,13 +544,13 @@ class TestFormat2Refusals:
     @pytest.mark.filterwarnings("ignore:Data type alias:DeprecationWarning")
     @pytest.mark.parametrize("victim", range(len(VICTIMS)))
     def test_every_single_byte_flip_decodes_to_the_closed_set_or_raises(self, victim):
-        raw = serialize(VICTIMS[victim])
+        raw, read = VICTIMS[victim]
         for pos in range(len(raw)):
             for mask in (0x01, 0x02, 0x04, 0x08, 0x10, 0x20, 0x40, 0x80, 0xFF):
                 bent = bytearray(raw)
                 bent[pos] ^= mask
                 try:
-                    out = deserialize(bent)
+                    out = read(bent)
                 except ValueError:
                     continue
                 assert in_closed_set(out), (pos, mask)

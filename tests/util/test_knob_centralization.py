@@ -14,12 +14,13 @@ subscription one consumer method (a batch per wake-up), a local worker
 packet one carrier (its frame; no shared-memory segment), the trace
 one fold that every view and the drift check read, and the machine is the
 paper's (the worker count is the ``workers`` knob alone, and no engine
-runs a constraint pass nobody reads).
+runs a constraint pass nobody reads), and a balanced-routing chunk is its
+bundle bytes (no chunk value type in the codec).
 
 The tentpole's centralization contract — ad-hoc ``os.environ`` reads of
 runtime knobs are how the inconsistent-caching bug happened, so outside
-``repro.tune`` none may exist.  (CI runs the same greps as workflow
-steps; these tests keep the guarantees enforced locally too.)
+``repro.tune`` none may exist.  This file is the one home of these
+checks: the CI lint job runs it.
 """
 
 from __future__ import annotations
@@ -126,6 +127,9 @@ _CONFIG_WORKERS = re.compile(r"(MachineConfig|\.with_)\([^)]*\bworkers\s*=")
 
 #: the ambient fault plan: its variable and the snapshot field it filled
 _AMBIENT_PLAN = re.compile(r"REPRO_FAULTS|\b(rt|runtime)\.faults\b")
+
+#: the decoded chunk record, its encoder and its lazy type lookup
+_CHUNK_VALUE = re.compile(r"class Chunk\b|chunk_at|_enc_chunk|_chunk_type")
 
 
 def _offenders(pattern: re.Pattern, skip_tune: bool) -> list[str]:
@@ -485,6 +489,8 @@ def test_the_machine_is_the_papers():
     assert [f.name for f in dataclasses.fields(MachineConfig)] == [
         "N", "v", "p", "D", "B", "M", "g", "G", "L", "seed"
     ]
+    config = (root / "src" / "repro" / "cgm" / "config.py").read_text()
+    assert not re.search(r"^\s+(workers|strict)\s*:", config, re.M)
     for fn in (make_engine, Engine, InMemoryEngine, ParEMEngine, SeqEMEngine,
                VMEngine, ProcessParEngine):
         assert "validate" not in inspect.signature(fn).parameters, fn
@@ -506,3 +512,16 @@ def test_a_fault_plan_is_an_argument_of_the_run():
     )
     assert "faults" not in KNOB_BY_NAME
     assert "faults" not in {f.name for f in dataclasses.fields(RuntimeConfig)}
+    knobs = (Path(repro.__file__).resolve().parent / "tune" / "knobs.py").read_text()
+    assert not re.search(r'(KnobSpec\(|^)\s*"faults",', knobs, re.M)
+
+
+def test_a_chunk_is_its_bundle_bytes():
+    """Balanced routing writes ``C`` nodes with ``chunk_node``/``chunk_list``
+    and reads them with ``chunk_index``: no chunk record, no encoder for
+    one, and ``deserialize`` refuses the tag."""
+    offenders = _offenders(_CHUNK_VALUE, skip_tune=False)
+    assert not offenders, (
+        "a chunk is its bundle bytes, not a value of the codec:\n"
+        + "\n".join(offenders)
+    )
