@@ -199,9 +199,9 @@ class Engine:
     def _exchange(self, r: int, phase: int, done: bool) -> None:
         """Called immediately before each :meth:`_flip` of round *r*
         (*phase* 0 after the compound-superstep loop, 1 after the balanced
-        relay; *done*: all processors run here are done).  A slice with
-        peers moves step (d)'s traffic for the others and learns the halt
-        here (:meth:`ParEMEngine._exchange`); a whole machine has none."""
+        relay; *done*: all processors run here are done).  The EM backends
+        stage step (d)'s cross-real traffic here, and a slice with peers
+        moves it and learns the halt (:meth:`ParEMEngine._exchange`)."""
 
     def _finalize(self, report: CostReport) -> None:
         """Fold backend counters into the report."""

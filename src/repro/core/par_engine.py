@@ -12,7 +12,10 @@ virtual processor the engine
 (d) routes generated messages to the destination's *real* processor —
     traffic whose source and destination real processors differ is charged
     to the network at ``g`` per item — where they are written to the
-    destination's disks in the staggered format of Figure 2, and
+    destination's disks in the staggered format of Figure 2: a message for
+    the source's own real at once, any other at the round's exchange (the
+    network step), where each real's array takes its incoming bundles per
+    source pid ascending, and
 (e) writes the (possibly changed) context back (consecutive format).
 
 Messages larger than the staggered layout's fixed slot (possible only for
@@ -27,12 +30,13 @@ the reported parallel times are what a true p-machine would exhibit.
 A :class:`ParEMEngine` is one *slice* of that machine: the real
 processors ``plan[worker_id]``, their disks and their virtual processors.
 By default the plan has one slice owning every real, step (d) never leaves
-the interpreter and :meth:`ParEMEngine._exchange` has nothing to do.  With
-more than one worker the :mod:`repro.core.workers` coordinator builds one
-slice per worker process, hands each a transport as ``net``, and folds the
-slices' counters back into an identical :class:`CostReport` — the round
-loop (:meth:`Engine._execute_round`), the routing and the stats fold are
-the same code either way.
+the interpreter and :meth:`ParEMEngine._exchange` only stages the slice's
+own cross-real bundles.  With more than one worker the
+:mod:`repro.core.workers` coordinator builds one slice per worker process,
+hands each a transport as ``net``, and folds the slices' counters back
+into an identical :class:`CostReport` — the round loop
+(:meth:`Engine._execute_round`), the routing and the stats fold are the
+same code either way.
 """
 
 from __future__ import annotations
@@ -49,11 +53,7 @@ from repro.core.layouts import (
     consecutive_addresses,
     consecutive_addresses_np,
 )
-from repro.faults.injector import (
-    FaultStats,
-    FaultyDiskArray,
-    collect_fault_stats,
-)
+from repro.faults.injector import FaultStats, FaultyDiskArray
 from repro.pdm.block import BlockRun, BufferPool, blocks_for_bytes
 from repro.pdm.disk_array import DiskArray, Segment
 from repro.pdm.io_stats import IOStats
@@ -120,11 +120,9 @@ class ParEMEngine(Engine):
             pid for r in self._reals for pid in range(r * vpr, (r + 1) * vpr)
         ]
         self._real_worker = {r: w for w, reals in enumerate(plan) for r in reals}
-        #: bundles for other slices' reals buffered until the next
-        #: exchange, per peer (no peers, no entries, with one slice)
-        self._outgoing: dict[int, list] = {
-            w: [] for w in range(len(plan)) if w != worker_id
-        }
+        #: bundles for other reals buffered until the next exchange,
+        #: per slice owning the destination (this one included)
+        self._outgoing: dict[int, list] = {w: [] for w in range(len(plan))}
         #: the run ends after this round (set by its last exchange)
         self._halt = False
 
@@ -294,15 +292,17 @@ class ParEMEngine(Engine):
 
     def _stage_bundles(
         self, src_pid: int, bundles: list[tuple[int, list, BlockRun]]
-    ) -> dict[int, list[Segment]]:
-        """Address bundles on their destination's disks and record the
-        directory entries; returns the write segments grouped per owning
-        real processor (one DiskWrite stream each).
+    ) -> None:
+        """Address one source's bundles on their destination's disks,
+        record the directory entries and write them: one FIFO stream per
+        owning real processor (batching spans bundle boundaries, exactly as
+        ``write_blocks`` over the concatenated placement list does).
 
-        Runs where the destination's storage lives — in the source's
-        own slice from :meth:`_put_messages`, in the destination's slice
-        from :meth:`_exchange` — which keeps the per-owner write batching
-        (and hence ``parallel_ios``) identical under any plan.
+        Runs where the destination's storage lives — from
+        :meth:`_put_messages` for the source's own real, from
+        :meth:`_exchange` for every other — which keeps the per-owner
+        write batching (and hence ``parallel_ios``) identical under any
+        plan.
         """
         cfg = self.cfg
         by_owner: dict[int, list[Segment]] = {}
@@ -334,60 +334,52 @@ class ParEMEngine(Engine):
                     layout="overflow" if overflow else "staggered",
                     parity=self._staged_parity,
                 )
-        return by_owner
+        for owner, batch in by_owner.items():
+            self.arrays[owner].write_stream(batch)
 
     def _put_messages(self, src_pid: int, msgs: list[Message]) -> None:
-        """Step (d): bundles for this slice's reals are staged on their
-        disks now; a bundle for another slice's real — serialized here,
-        *at the source*, memory charged to the source real — waits in
-        ``_outgoing`` for the next :meth:`_exchange`."""
+        """Step (d): bundles for the source's own real are staged on its
+        disks now; a bundle for any other real — serialized here, *at the
+        source*, memory charged to the source real — waits in
+        ``_outgoing`` (keyed by the slice owning that real, this one
+        included) for the next :meth:`_exchange`."""
+        real = self._owner(src_pid)
         local = []
         for bundle in self._bundle_outbox(src_pid, msgs):
-            w = self._real_worker[self._owner(bundle[0])]
-            if w == self.worker_id:
+            owner = self._owner(bundle[0])
+            if owner == real:
                 local.append(bundle)
             else:
-                self._outgoing[w].append((src_pid, bundle))
-        self._write_staged(self._stage_bundles(src_pid, local))
+                self._outgoing[self._real_worker[owner]].append((src_pid, bundle))
+        self._stage_bundles(src_pid, local)
         self._release(src_pid)
 
     def _exchange(self, r: int, phase: int, done: bool) -> None:
-        """Where step (d) leaves the process: send each peer slice exactly
-        one packet, tagged ``(round, phase, src_worker)`` (empty packets
-        included), wait for one from each — the barrier that stands in for
-        the paper's network — and stage what arrived.  The packets carry
-        each slice's *done* and whether it sent a bundle this phase: every
-        round empties every inbox, so after the last exchange "none sent"
-        is "no message pending", and every slice decides the halt alike."""
-        net = self.net
-        if net is None:
-            return
+        """Where step (d)'s cross-real traffic reaches its real's disks —
+        the one point for it, under any plan.  With peers (``net``), send
+        each peer slice exactly one packet, tagged ``(round, phase,
+        src_worker)`` (empty packets included), and wait for one from each:
+        the barrier that stands in for the paper's network.  The packets
+        carry each slice's *done* and whether it sent a bundle this phase:
+        every round empties every inbox, so after the last exchange "none
+        sent" is "no message pending", and every slice decides the halt
+        alike.  Then this slice's own deferred bundles and the peers' are
+        staged per source pid ascending, one DiskWrite batch per
+        destination real — so each real's array meets the same accesses in
+        the same order whichever slice hosts the sender."""
         outgoing = self._outgoing
         self._outgoing = {w: [] for w in outgoing}
         sent = any(outgoing.values()) or any(self._staged_meta.values())
-        items, done, sent = net.exchange(outgoing, r, phase, done, sent)
-        self._stage_remote(items)
-        self._halt = done and not sent
-
-    def _stage_remote(self, items: list) -> None:
-        """Stage bundles shipped from peer slices.
-
-        Grouped per source pid in ascending order, one DiskWrite batch
-        per destination real — exactly the batches the one-slice machine
-        issues for that source's outbox restricted to these reals.
-        """
+        items = outgoing.pop(self.worker_id)
+        if self.net is not None:
+            remote, done, sent = self.net.exchange(outgoing, r, phase, done, sent)
+            items += remote
+            self._halt = done and not sent
         by_src: dict[int, list] = {}
         for src_pid, bundle in items:
             by_src.setdefault(src_pid, []).append(bundle)
         for src_pid in sorted(by_src):
-            self._write_staged(self._stage_bundles(src_pid, by_src[src_pid]))
-
-    def _write_staged(self, by_owner: dict[int, list[Segment]]) -> None:
-        """Commit one source's staged segments, one FIFO stream per owning
-        real processor (batching spans bundle boundaries, exactly as
-        ``write_blocks`` over the concatenated placement list does)."""
-        for owner, batch in by_owner.items():
-            self.arrays[owner].write_stream(batch)
+            self._stage_bundles(src_pid, by_src[src_pid])
 
     def _take_inbox(self, pid: int) -> list[Message]:
         cfg = self.cfg
@@ -627,9 +619,9 @@ class ParEMEngine(Engine):
 
     def _final_stats(self) -> dict:
         """This slice's end-of-run counters, the unit :func:`fold_final_stats`
-        folds: per-real ``IOStats`` and memory peaks, the block totals and
-        the merged fault statistics (``None`` on a clean run).  Call it
-        after the outputs are collected: it ends the memory accounting."""
+        folds: per-real ``IOStats``, memory peaks and fault statistics
+        (none on a clean run) and the block totals.  Call it after the
+        outputs are collected: it ends the memory accounting."""
         # release anything still charged (finish() loads contexts)
         for pid in list(self._charged):
             self._release(pid)
@@ -639,7 +631,11 @@ class ParEMEngine(Engine):
             "ctx_io": self._ctx_blocks_io,
             "msg_io": self._msg_blocks_io,
             "ovf": self._overflow_blocks,
-            "fault_stats": collect_fault_stats(self.arrays.values()),
+            "faults_by_real": {
+                r: a.injector.stats
+                for r, a in self.arrays.items()
+                if isinstance(a, FaultyDiskArray)
+            },
         }
 
     def _finalize(self, report: CostReport) -> None:
@@ -652,20 +648,22 @@ def fold_final_stats(report: CostReport, parts: list[dict]) -> None:
     one part for the in-process run, one per worker for the coordinator."""
     io_by_real: dict[int, IOStats] = {}
     mem_peaks: dict[int, int] = {}
+    faults_by_real: dict[int, FaultStats] = {}
     ctx_io = msg_io = ovf = 0
-    fstats: FaultStats | None = None
     for part in parts:
         io_by_real.update(part["io_by_real"])
         mem_peaks.update(part["mem_peaks"])
+        faults_by_real.update(part["faults_by_real"])
         ctx_io += part["ctx_io"]
         msg_io += part["msg_io"]
         ovf += part["ovf"]
-        if part["fault_stats"] is not None:
-            if fstats is None:
-                fstats = FaultStats()
-            fstats.merge(part["fault_stats"])
     # ascending real-id order, so the io_max tie-break (first strict
-    # maximum) is the same however the reals were partitioned
+    # maximum) and the float sum of backoff_s are the same however the
+    # reals were partitioned
+    if faults_by_real:
+        report.fault_stats = FaultStats()
+        for r in sorted(faults_by_real):
+            report.fault_stats.merge(faults_by_real[r])
     io_max = None
     for r in sorted(io_by_real):
         st = io_by_real[r]
@@ -677,8 +675,6 @@ def fold_final_stats(report: CostReport, parts: list[dict]) -> None:
     report.context_blocks_io = ctx_io
     report.message_blocks_io = msg_io
     report.overflow_blocks = ovf
-    if fstats is not None:
-        report.fault_stats = fstats
 
 
 class SeqEMEngine(ParEMEngine):

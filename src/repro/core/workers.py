@@ -14,27 +14,28 @@ Self-clocked rounds: after ``setup`` or ``restore`` each worker runs
 :meth:`Engine._execute_round`, the one round loop, over its slice round
 after round with no command between (:func:`clock_rounds`).  Its
 ``_exchange`` hook (:meth:`~repro.core.par_engine.ParEMEngine._exchange`)
-is where step (d) traffic leaves the process — the round's only barrier —
-and its last packets carry the flags every slice decides the halt from.
+is where step (d)'s cross-real traffic leaves the process and is staged
+— the round's only barrier — and its last packets carry the flags every
+slice decides the halt from.
 Each worker streams one report per round (its :class:`RoundStep`, trace
 events, traffic, and under a checkpoint manager its boundary snapshot);
 the coordinator only listens: it merges the steps in ascending worker
 order, persists snapshots and recovers from crashes.
 
-Determinism: every logical ``CostReport`` counter the coordinator
-reports is bit-identical to the single-process simulation.  The physical
-fault ledger (``FaultStats``) is not: a real's array meets a peer slice's
-bundles at the exchange, not during the sender's loop, so a fault plan's
-probabilistic draws land on other accesses.  The staggered-slot
-geometry is pure arithmetic in (src, dest, nblocks, parity); overflow runs
-use consecutive format anchored on disk 0, so DiskWrite/DiskRead batching
-— and hence ``parallel_ios`` — depends only on block *counts*, never on
-which track the allocator handed out; inbox delivery is sorted by source
-pid; and all remaining counters are order-independent sums or per-real
-maxima.  The different allocator interleaving across processes can move
-regions to different tracks, but no counter observes track numbers.
-Workers are forked (``fork`` is required: a platform without it gets a
-one-line :class:`~repro.util.validation.ConfigurationError`), so a
+Determinism: every ``CostReport`` counter the coordinator reports, the
+physical fault ledger (``FaultStats``) included, is bit-identical to the
+single-process simulation.  A real's array sees its own virtual
+processors' accesses in loop order, then every cross-real bundle at the
+exchange, by source pid, whichever slice hosts the sender — so a fault
+plan's draws land on the same accesses under any partition.  The
+staggered-slot geometry is pure arithmetic in (src, dest, nblocks,
+parity); overflow runs use consecutive format anchored on disk 0, so
+DiskWrite/DiskRead batching — and hence ``parallel_ios`` — depends only
+on block *counts*, never on which track the allocator handed out; inbox
+delivery is sorted by source pid; and all remaining counters are
+order-independent sums or per-real maxima, folded in ascending real
+order.  Workers are forked (``fork`` is required: a platform without it
+gets a one-line :class:`~repro.util.validation.ConfigurationError`), so a
 worker inherits the interpreter state — serialization is byte-identical
 and programs need not be picklable.
 
@@ -97,6 +98,13 @@ def partition_reals(p: int, n_workers: int) -> list[list[int]]:
         plan.append(list(range(nxt, nxt + k)))
         nxt += k
     return plan
+
+
+def _worker_failed(w: int, payload: str) -> SimulationError:
+    """A worker-reported exception in one line, its traceback the cause."""
+    err = SimulationError(f"worker {w} failed: {payload.strip().splitlines()[-1]}")
+    err.__cause__ = SimulationError(f"worker {w} traceback:\n{payload}")
+    return err
 
 
 class WorkerCrashed(SimulationError):
@@ -493,17 +501,21 @@ class ProcessParEngine(Engine):
                         dead_cycles += 1
                         if dead_cycles >= _DEAD_GRACE:
                             self._fleet.request_abort()
+                            # a failure a worker reported outranks the
+                            # crash of a peer it may have caused
+                            for a in self._ahead:
+                                if a[1] == "error":
+                                    raise _worker_failed(a[0], a[2])
                             raise WorkerCrashed(awaited_dead, kind)
                     continue
-            if k == "error":
-                # one line; the worker's traceback rides as the cause
-                self._fleet.request_abort()
-                raise SimulationError(
-                    f"worker {w} failed: {payload.strip().splitlines()[-1]}"
-                ) from SimulationError(f"worker {w} traceback:\n{payload}")
             if w in got:
+                # a later reply, an error of a later round included: the
+                # others' replies of this round are still on their way
                 self._ahead.append((w, k, payload))
                 continue
+            if k == "error":
+                self._fleet.request_abort()
+                raise _worker_failed(w, payload)
             if k != kind:  # pragma: no cover - protocol bug
                 raise SimulationError(f"worker {w} sent {k!r}, expected {kind!r}")
             got[w] = payload

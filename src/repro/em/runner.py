@@ -100,7 +100,9 @@ def make_engine(
     The ``par`` backend on p > 1 runs on a fleet of worker processes when
     the resolved ``workers`` knob asks for more than one; the fleet size
     is computed here, once: the knob capped at p, or under the tcp
-    transport with no count, one worker per node (at least two).
+    transport when *overrides* names no count and the knob is at most one,
+    one worker per node (at least two) — an explicit ``workers`` 0 runs
+    in-process whatever the transport.
 
     Resilience knobs (EM backends only): *faults* is a
     :class:`~repro.faults.plan.FaultPlan` (or a path to its JSON form)
@@ -150,7 +152,8 @@ def make_engine(
     eng: Engine | None = None
     if engine == "par" and cfg.p > 1:
         workers = rt.workers
-        if rt.transport == "tcp" and workers <= 1:
+        named = (overrides or {}).get("workers") is not None
+        if rt.transport == "tcp" and workers <= 1 and not named:
             # spanning machines requires the worker coordinator; with no
             # explicit count, run one worker per configured node — but
             # never fewer than two, or a single-node list would fall

@@ -11,7 +11,6 @@ from repro.faults.injector import (
     FaultInjector,
     FaultStats,
     FaultyDiskArray,
-    collect_fault_stats,
 )
 from repro.faults.plan import (
     FAULT_KINDS,
@@ -33,5 +32,4 @@ __all__ = [
     "FaultyDiskArray",
     "RetryPolicy",
     "ScheduledFault",
-    "collect_fault_stats",
 ]

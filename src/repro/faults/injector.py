@@ -594,16 +594,3 @@ class FaultyDiskArray(DiskArray):
             pdisk, ptrack = inj.peek(disk, track, self.D)
             self.disks[pdisk].free(ptrack)
 
-
-def collect_fault_stats(arrays) -> FaultStats | None:
-    """Merged fault statistics of the fault-injected arrays, or ``None``
-    when no array carries an injector (a clean run)."""
-    merged: FaultStats | None = None
-    for arr in arrays:
-        inj = getattr(arr, "injector", None)
-        if inj is None:
-            continue
-        if merged is None:
-            merged = FaultStats()
-        merged.merge(inj.stats)
-    return merged

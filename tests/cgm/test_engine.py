@@ -19,7 +19,6 @@ class EchoRing(CGMProgram):
     """Each proc sends its pid around a ring for `hops` rounds."""
 
     name = "echo-ring"
-    kappa = 1.0
 
     def __init__(self, hops: int = 3) -> None:
         self.hops = hops
@@ -57,7 +56,6 @@ class TestDriverSemantics:
 
         class SameRoundProbe(CGMProgram):
             name = "probe"
-            kappa = 1.0
 
             def setup(self, ctx, pid, cfg, local_input):
                 ctx["pid"] = pid
@@ -87,7 +85,6 @@ class TestDriverSemantics:
     def test_runaway_program_guarded(self):
         class Forever(CGMProgram):
             name = "forever"
-            kappa = 1.0
 
             def setup(self, ctx, pid, cfg, local_input):
                 ctx["pid"] = pid
@@ -125,7 +122,6 @@ class TestDriverSemantics:
 
         class LateSend(CGMProgram):
             name = "late-send"
-            kappa = 1.0
 
             def setup(self, ctx, pid, cfg, local_input):
                 ctx["pid"] = pid

@@ -15,7 +15,6 @@ class BigMessages(CGMProgram):
     """Sends messages far larger than the advertised slot (overflow path)."""
 
     name = "big-messages"
-    kappa = 1.0
 
     def max_message_items(self, cfg):
         return 8  # lie: tiny slots
@@ -40,7 +39,6 @@ class PingPong(CGMProgram):
     """Many rounds: exercises the alternating message-matrix parity."""
 
     name = "ping-pong"
-    kappa = 1.0
 
     def __init__(self, rounds: int) -> None:
         self.rounds = rounds
@@ -65,7 +63,6 @@ class GrowingContext(CGMProgram):
     """Context doubles every round: forces region reallocation on disk."""
 
     name = "growing-context"
-    kappa = 1.0
 
     def setup(self, ctx, pid, cfg, local_input):
         ctx["pid"] = pid
@@ -109,7 +106,6 @@ class TestOverflowPath:
 
         class OverflowEveryRound(CGMProgram):
             name = "overflow-churn"
-            kappa = 1.0
 
             def max_message_items(self, cfg):
                 return 8  # lie: every payload below spills to overflow runs

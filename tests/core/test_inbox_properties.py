@@ -46,7 +46,6 @@ def _payload(kind: str, src: int, dest: int) -> np.ndarray:
 
 class _Exchange(CGMProgram):
     name = "exchange-property"
-    kappa = 1.0
 
     def __init__(self, sends):
         self.sends = sends

@@ -123,7 +123,6 @@ class _Oversized(CGMProgram):
     """Advertises 4-item messages, sends ~N/v-item ones (overflow path)."""
 
     name = "oversized"
-    kappa = 1.0
 
     def max_message_items(self, cfg):
         return 4

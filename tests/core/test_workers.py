@@ -92,6 +92,15 @@ class TestDispatch:
         eng = make_engine(cfg, "par")
         assert type(eng) is ParEMEngine
 
+    def test_an_explicit_zero_stays_in_process_under_tcp(self, monkeypatch):
+        from repro.core.par_engine import ParEMEngine
+
+        monkeypatch.setenv("REPRO_TRANSPORT", "tcp")
+        monkeypatch.setenv("REPRO_NODES", "127.0.0.1:1,127.0.0.1:2")
+        cfg = MachineConfig(N=N, v=V, p=2, D=D, B=B)
+        eng = make_engine(cfg, "par", overrides={"workers": 0})
+        assert type(eng) is ParEMEngine
+
     def test_env_var_opt_in(self, monkeypatch):
         monkeypatch.setenv("REPRO_WORKERS", "2")
         cfg = MachineConfig(N=N, v=V, p=2, D=D, B=B)
@@ -190,7 +199,6 @@ class TestTraces:
 
 class _Boom(CGMProgram):
     name = "boom"
-    kappa = 1.0
 
     def max_message_items(self, cfg):
         return 8
@@ -215,7 +223,51 @@ def assert_workers_reaped(eng) -> None:
     assert not any(fleet.alive(w) for w in range(fleet.n_workers))
 
 
+class _ScriptedFleet:
+    """Replies in a fixed arrival order; the *dead* workers send none."""
+
+    def __init__(self, replies, dead=()):
+        self.replies, self.dead, self.aborted = list(replies), set(dead), False
+
+    def result(self, timeout):
+        if not self.replies:
+            raise queue.Empty
+        return self.replies.pop(0)
+
+    def alive(self, w):
+        return w not in self.dead
+
+    def request_abort(self):
+        self.aborted = True
+
+
 class TestFailureHandling:
+    KILL = (0, "error", "Traceback (most recent call last):\nKeyboardInterrupt: kill")
+
+    @staticmethod
+    def scripted(replies, dead=()):
+        eng = ProcessParEngine(MachineConfig(N=1 << 12, v=4, p=2, D=D, B=32), 2)
+        eng._fleet, eng._ahead = _ScriptedFleet(replies, dead), []
+        return eng
+
+    def test_a_later_rounds_error_waits_for_this_rounds_replies(self):
+        """Worker 0 reports round r, then fails in round r + 1 before
+        worker 1's report of round r is in: round r still completes (its
+        boundary snapshot is kept), and the next gather raises."""
+        eng = self.scripted([(0, "round", "r0"), self.KILL, (1, "round", "r1")])
+        assert eng._gather("round") == {0: "r0", 1: "r1"}
+        with pytest.raises(SimulationError) as info:
+            eng._gather("round")
+        assert str(info.value) == "worker 0 failed: KeyboardInterrupt: kill"
+        assert "Traceback" in str(info.value.__cause__) and eng._fleet.aborted
+
+    def test_a_reported_error_outranks_a_peers_crash(self):
+        eng = self.scripted([(0, "round", "r0"), self.KILL], dead={1})
+        with pytest.raises(SimulationError) as info:
+            eng._gather("round")
+        assert type(info.value) is SimulationError
+        assert str(info.value) == "worker 0 failed: KeyboardInterrupt: kill"
+
     def test_worker_exception_propagates_and_cleans_up(self):
         cfg = MachineConfig(N=1 << 12, v=4, p=4, D=D, B=32)
         eng = make_engine(cfg, "par", overrides={"workers": 4})
@@ -235,7 +287,6 @@ class _InboxRecorder(CGMProgram):
     """Round 0 sends a fixed tricky outbox; round 1 records the inbox."""
 
     name = "inbox-recorder"
-    kappa = 1.0
 
     def max_message_items(self, cfg):
         return 16
@@ -523,7 +574,6 @@ class _Quiet(CGMProgram):
     """Two rounds, no message ever: every exchange packet is empty."""
 
     name = "quiet"
-    kappa = 1.0
 
     def max_message_items(self, cfg):
         return 8
@@ -543,7 +593,6 @@ class _AllToOne(CGMProgram):
     """Everybody sends to virtual processor 0: one slice receives it all."""
 
     name = "all-to-one"
-    kappa = 1.0
 
     def max_message_items(self, cfg):
         return 32
@@ -657,10 +706,10 @@ class TestSlicesInThreads:
         assert out == [[(0, 28)] if pid == dest else [] for pid in range(4)]
 
     def test_one_slice_plan_never_touches_the_transport(self):
-        """The default plan has no peers: nothing is buffered for an
-        exchange, and ``net=None`` is never dereferenced."""
+        """The default plan has no peers: the exchange buffers only for
+        this slice, and ``net=None`` is never dereferenced."""
         eng = ParEMEngine(self.CFG)
-        assert (eng._reals, eng._outgoing, eng.net) == ([0, 1], {}, None)
+        assert (eng._reals, eng._outgoing, eng.net) == ([0, 1], {0: []}, None)
         assert list(eng._local_pids()) == [0, 1, 2, 3]
 
     def test_a_failing_slice_aborts_its_peers(self):

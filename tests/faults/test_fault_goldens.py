@@ -15,16 +15,19 @@ a ``DiskFault`` raised in the middle of a stream written through the
 array API: its message, the tracks it leaves (torn prefix included) and
 the counters of the batches that completed before it.
 
-The recording is of the in-process run (``workers`` 0 on the local
-transport, whatever ``REPRO_WORKERS`` and ``REPRO_TRANSPORT`` say).  A
-worker fleet keeps its output and its logical ``IOStats`` but not its
-``FaultStats``: there a real's array meets a peer slice's bundles at the
-exchange, not during the sender's loop, so the probabilistic draws land
-on other accesses.
+The recording is of the in-process run (``workers`` 0, whatever
+``REPRO_WORKERS`` and ``REPRO_TRANSPORT`` say).  A real's array sees its
+own virtual processors' accesses in loop order, then every cross-real
+bundle at the exchange, by source pid — whichever worker hosts the
+sender — so a worker fleet keeps the whole ledger: ``FaultStats``, output
+hash and logical ``IOStats`` (its arrays, and so the per-disk counters,
+live in its workers).  The partition cases check that ledger at p = 4
+over 0, 2 and 4 workers.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from pathlib import Path
@@ -85,46 +88,61 @@ PLANS = {
 RUNS = ("sort_seq", "sort_par", "list_rank_seq")
 
 
-def _observe(run: str, plan_name: str, workers: int = 0) -> dict:
+def _run(run: str, plan_name: str, workers: int = 0, p: int = 2, balanced=False):
+    """One faulted run of *run* (``{sort,list_rank}_{seq,par}``); returns
+    the result, the engine and the event bus."""
     plan, D = PLANS[plan_name]
     rng = np.random.default_rng(1)
-    if run == "list_rank_seq":
+    engine = run.rsplit("_", 1)[1]
+    if engine == "seq":
+        p = 1
+    if run.startswith("list_rank"):
         n = 1024
-        cfg = MachineConfig(N=n, v=8, D=D, B=16)
+        cfg = MachineConfig(N=n, v=8, p=p, D=D, B=16)
         order = rng.permutation(n)
         succ = np.full(n, -1, dtype=np.int64)
         succ[order[:-1]] = order[1:]
         weights = (succ >= 0).astype(np.float64)
         program = ListRanking()
         inputs = list(zip(partition_array(succ, cfg.v), partition_array(weights, cfg.v)))
-        engine = "seq"
     else:
         n = 1 << 13
-        engine = "par" if run == "sort_par" else "seq"
-        cfg = MachineConfig(N=n, v=8, p=2 if engine == "par" else 1, D=D, B=16)
+        cfg = MachineConfig(N=n, v=8, p=p, D=D, B=16)
         program = OPS["sort"].program()
         inputs = OPS["sort"].split(rng.integers(0, 1 << 50, n), cfg.v)
     tracer = EventBus(monitor=False)
-    # workers 0 is in-process only on the local transport: under tcp a
-    # fleet of one worker per node would run
-    lane = {"workers": workers} if workers else {"workers": 0, "transport": "memory"}
-    eng = make_engine(cfg, engine, False, faults=plan, tracer=tracer, overrides=lane)
-    res = eng.run(program, inputs)
+    eng = make_engine(
+        cfg, engine, balanced, faults=plan, tracer=tracer,
+        overrides={"workers": workers},
+    )
+    return eng.run(program, inputs), eng, tracer
+
+
+def _ledger(res) -> dict:
+    """What every worker partition reproduces: ``FaultStats``, the output
+    hash and the logical ``IOStats``."""
     output = hashlib.sha256()
     for out in res.outputs:
         output.update(np.asarray(out).tobytes())
-    if workers:  # a fleet's arrays live in its workers
-        return {"output_sha256": output.hexdigest(), "io": res.report.io.as_dict()}
+    return json.loads(json.dumps({
+        "fault_stats": res.report.fault_stats.as_dict(),
+        "output_sha256": output.hexdigest(),
+        "io": res.report.io.as_dict(),
+    }))
+
+
+def _observe(run: str, plan_name: str) -> dict:
+    """The recorded shape: the ledger, the fault-event hash and the
+    per-disk physical counters of the in-process run."""
+    res, eng, tracer = _run(run, plan_name)
     events = hashlib.sha256()
     for ev in tracer.events:
         if ev["kind"] in ("io_fault", "disk_dead"):
             fields = {k: v for k, v in ev.items() if k not in ("seq", "ts")}
             events.update(json.dumps(fields, sort_keys=True).encode())
     return {
-        "fault_stats": res.report.fault_stats.as_dict(),
+        **_ledger(res),
         "events_sha256": events.hexdigest(),
-        "output_sha256": output.hexdigest(),
-        "io": res.report.io.as_dict(),
         "disks": {
             str(real): {
                 "blocks_read": [d.blocks_read for d in arr.disks],
@@ -145,9 +163,27 @@ def test_fault_behaviour_matches_the_recording(run, plan_name):
 @pytest.mark.usefixtures("worker_leak_guard")
 @pytest.mark.parametrize("plan_name", sorted(PLANS))
 def test_a_worker_fleet_keeps_the_recorded_output_and_logical_io(plan_name):
-    got = json.loads(json.dumps(_observe("sort_par", plan_name, workers=2)))
+    """... and the recorded ``FaultStats``, ``backoff_s`` exactly."""
+    got = _ledger(_run("sort_par", plan_name, workers=2)[0])
     want = GOLDENS[f"sort_par/{plan_name}"]
-    assert got == {"output_sha256": want["output_sha256"], "io": want["io"]}
+    assert got == {key: want[key] for key in got}
+
+
+@functools.lru_cache(maxsize=None)
+def _in_process_ledger(run: str, plan_name: str, balanced: bool) -> dict:
+    return _ledger(_run(run, plan_name, p=4, balanced=balanced)[0])
+
+
+@pytest.mark.usefixtures("worker_leak_guard")
+@pytest.mark.parametrize("workers", [2, 4])
+@pytest.mark.parametrize("balanced", [False, True], ids=["direct", "balanced"])
+@pytest.mark.parametrize("plan_name", ["ci_transient", "probabilistic_death"])
+@pytest.mark.parametrize("run", ["sort_par", "list_rank_par"])
+def test_the_fault_ledger_does_not_depend_on_the_worker_partition(
+    run, plan_name, balanced, workers
+):
+    got = _ledger(_run(run, plan_name, workers, p=4, balanced=balanced)[0])
+    assert got == _in_process_ledger(run, plan_name, balanced)
 
 
 def _mid_stream_fault() -> dict:

@@ -11,7 +11,6 @@ from repro.faults.injector import (
     DiskFault,
     FaultStats,
     FaultyDiskArray,
-    collect_fault_stats,
 )
 from repro.faults.plan import DiskDeath, FaultPlan, RetryPolicy, ScheduledFault
 from repro.pdm.disk_array import DiskArray, IOOp
@@ -259,10 +258,3 @@ class TestFaultStats:
         st = FaultStats(retries=4, retried_accesses=3)
         assert st.any
         assert "4 retries (3 accesses)" in st.summary()
-
-    def test_collect_skips_plain_arrays(self):
-        assert collect_fault_stats([DiskArray(D, B)]) is None
-        merged = collect_fault_stats(
-            [DiskArray(D, B), make_array(TestTransients.PLAN)]
-        )
-        assert isinstance(merged, FaultStats)

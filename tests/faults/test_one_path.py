@@ -43,7 +43,6 @@ class _Oversized(CGMProgram):
     overflow run."""
 
     name = "oversized"
-    kappa = 1.0
 
     def max_message_items(self, cfg):
         return 8

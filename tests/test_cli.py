@@ -626,6 +626,18 @@ class TestBackendFlagsAreArguments:
         assert main(self.SORT + ["--workers", "0", "--trace", str(trace)]) == 0
         assert self._workers_that_ran(trace) == 0
 
+    def test_an_explicit_zero_runs_in_process_under_tcp(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """The tcp transport sizes a fleet from the node list only when no
+        count is named: ``--workers 0`` needs no ``REPRO_NODES``."""
+        monkeypatch.setenv("REPRO_TRANSPORT", "tcp")
+        monkeypatch.delenv("REPRO_NODES", raising=False)
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        trace = tmp_path / "t.jsonl"
+        assert main(self.SORT + ["--workers", "0", "--trace", str(trace)]) == 0
+        assert self._workers_that_ran(trace) == 0
+
     def test_tcp_without_nodes_is_one_line_rc_3(self, monkeypatch, capsys):
         monkeypatch.delenv("REPRO_NODES", raising=False)
         assert main(self.SORT + ["--transport", "tcp"]) == 3
