@@ -11,13 +11,16 @@ that make out-of-core simulation trustworthy:
   storage out of core changes *where* tracks live, never what the
   simulated PDM observes (the Guidesort-style invariance argument).
 * **bounded residency** — the mmap arena's host-memory footprint is
-  bookkeeping (occupancy masks + byte lengths, ~9 bytes/track) while the
+  bookkeeping (the per-row length ledger, 4 bytes a track per disk) while the
   track data itself lives in spill files: O(buffers), not O(N).
 
 ``BENCH_scale.json`` (written via the shared bench store) records I/O
-counts, wall time and the resident/spill split; the nightly workflow
-uploads it as an artifact.  It is deliberately *not* a committed baseline:
-scale and wall time vary with ``REPRO_SCALE``, so gating would be noise.
+counts, wall time and the resident/spill split.  Its point names carry N,
+so a baseline holds for one ``REPRO_SCALE``: the committed
+``benchmarks/baselines/BENCH_scale.json`` is the CI multiplier's (32), and
+the ``arena-mmap`` job gates its run against it with ``repro bench
+--compare`` — the I/O counts of both arenas, never the timings.  The
+nightly deep run (512x) is an artifact.
 """
 
 from __future__ import annotations

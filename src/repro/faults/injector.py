@@ -22,8 +22,10 @@ batch of a direct ``parallel_io``) goes first to
 which applies due deaths, scheduled faults, drawn faults and retries in
 the order one access at a time would, and answers with the dead-disk
 translations and, when retries run out, where the stream stops.  The
-bytes then move like a clean run's: one arena scatter or gather, with only
-translated positions, and a stream cut short, going one track at a time.
+bytes then move like a clean run's — one arena scatter or gather, a run
+one slice — while every disk is alive; once one has died, and for a
+stream cut short, they go one track at a time, each to the disk and track
+that serves it.
 
 Cost accounting stays honest on two separate ledgers.  The **logical**
 ledger (:class:`~repro.pdm.io_stats.IOStats`) is untouched: it records the
@@ -481,28 +483,16 @@ class FaultyDiskArray(DiskArray):
         except DiskFault:  # a death left no survivor
             self._record_prefix(plan.widths, disks, done, write)
             raise
-        if not done and dec.fault is None:
-            # the arena moves the survivors' blocks, a survivor serves the rest
-            dead = inj.dead
-            extents = tuple(() if d in dead else e for d, e in enumerate(plan.extents))
+        if not done and dec.fault is None and not inj.dead:
+            # every disk alive and no fault: the stream moves like a clean one
             if write:
-                self._arena.scatter(extents, base, rows)
-            if write or self._arena.gather(extents, base, rows):
-                moved: Iterable[int] = ()
-                if dead:
-                    moved = np.flatnonzero(np.isin(disks, list(dead)))
-                self._by_track(rows, self._homes(disks, tracks, moved), write)
-                self.stats.record_batch(plan, n, write=write, D=self.D)
-                for d, count in enumerate(plan.per_disk):
-                    if d in dead:
-                        continue
-                    if write:
-                        self.disks[d].blocks_written += count
-                    else:
-                        self.disks[d].blocks_read += count
+                self._arena.scatter(plan.pieces, base, rows)
+            if write or self._arena.gather(plan.pieces, base, rows):
+                self._record(plan, n, write=write)
                 return
-        # cut by a death or a fault, or a read of side-dict or short tracks:
-        # one track at a time, in order, under the one decision
+        # a dead disk's blocks served by survivors, a stream cut by a death
+        # or a fault, or a read of side-dict or short tracks: one track at a
+        # time, in order, under the one decision
         self._by_track(rows, self._homes(disks, tracks, range(done, dec.stop)), write)
         self._record_prefix(plan.widths, disks, dec.stop, write)
         if dec.fault is not None:

@@ -55,7 +55,13 @@ session cannot reproduce, ride on ``fault_stats``.
 or ``"paged"`` (the VM baseline's 4 KB pager).  ``arena_grow`` is a
 *physical* event (how the disk layer serviced the logical I/O), so its
 presence depends on ``REPRO_ARENA`` — like ``io_fault``, it is excluded
-from cross-backend trace-identity comparisons.  The ``fault_stats`` ..
+from cross-backend trace-identity comparisons.  It comes once per chunk a
+disk array's linear track store adds (:mod:`repro.pdm.arena`): ``disk``
+is the chunk's number in that array (the field kept its name from the
+per-disk store), ``tracks`` the tracks per disk the chunk holds and
+``nbytes`` its bytes, so the last ``nbytes`` per ``(real, disk)`` sum to
+the arena's size; ``resident_nbytes`` and ``spill_nbytes`` are the
+arena's totals after the growth.  The ``fault_stats`` ..
 ``worker_redispatch`` kinds come from the resilience subsystem
 (:mod:`repro.faults`); ``model_drift`` from the bus's own
 :class:`~repro.obs.analyze.TraceAnalysis` (``monitor=True``), the one fold

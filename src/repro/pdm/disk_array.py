@@ -9,7 +9,8 @@ batch that violates the rule, so a mis-scheduled layout fails loudly in the
 tests instead of silently undercounting I/O.
 
 Bulk streams have one storage (the shared
-:class:`~repro.pdm.arena.TrackArena`) and two spellings:
+:class:`~repro.pdm.arena.TrackArena`, one linear row space ``track·D +
+disk``) and two spellings:
 
 * :meth:`write_run` / :meth:`write_stream` / :meth:`read_run` — the run
   API the engines use.  A stream is addressed by
@@ -17,10 +18,10 @@ Bulk streams have one storage (the shared
   runs, which is all the consecutive and staggered layouts ever produce —
   so its address is arithmetic: the stream's :class:`BatchPlan` (greedy
   batch boundaries via :func:`greedy_batch_widths`, the per-disk and width
-  histograms, and each disk's share of the stream as slices) is planned
-  once per distinct run pattern and memoised on that small key, data moves
-  as one arena scatter/gather over those slices, and the plan is folded in
-  with :meth:`IOStats.record_batch`.
+  histograms, and the runs as linear pieces) is planned once per distinct
+  run pattern and memoised on that small key, data moves as one arena
+  scatter/gather — a run is one slice of the row space — and the plan is
+  folded in with :meth:`IOStats.record_batch`.
 * :meth:`write_blocks` / :meth:`read_blocks` — the PDM specification, at
   arbitrary ``(disk, track)`` placements: greedy FIFO batching into per-op
   :class:`IOOp` lists, one :meth:`parallel_io` per batch, one Python
@@ -42,7 +43,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from repro.pdm.disk import Disk
-from repro.pdm.arena import Extent, TrackArena
+from repro.pdm.arena import Piece, TrackArena
 from repro.pdm.block import BlockRun, Runs
 from repro.pdm.mmap_arena import make_arena
 from repro.pdm.io_stats import IOStats
@@ -128,15 +129,15 @@ _NO_INTS = np.zeros(0, dtype=np.int64)
 @dataclass(frozen=True)
 class BatchPlan:
     """What one run pattern costs and where it goes: the accounting delta
-    of its greedy FIFO batching plus each disk's share of the stream, both
-    pure functions of ``(D, runs)``."""
+    of its greedy FIFO batching plus the stream's runs as linear pieces,
+    both pure functions of ``(D, runs)``."""
 
     nops: int                       #: parallel I/Os
     per_disk: tuple[int, ...]       #: blocks serviced by each disk
     width_counts: tuple[int, ...]   #: batches touching exactly w disks
-    #: per disk, the stream rows and the tracks (relative to the stream's
-    #: base) they move between, for the arena; no part of a plan's identity
-    extents: tuple[Extent, ...] = field(default=(), compare=False)
+    #: the runs as ``(stream row, linear row above the base track's first,
+    #: blocks)`` in stream order, for the arena; no part of a plan's identity
+    pieces: tuple[Piece, ...] = field(default=(), compare=False)
     #: the stream in order — the ops of each parallel I/O, and each block's
     #: disk and track (relative to the base) — for a fault plan to decide over
     widths: np.ndarray = field(default_factory=lambda: _NO_INTS, compare=False)
@@ -144,43 +145,28 @@ class BatchPlan:
     tracks: np.ndarray = field(default_factory=lambda: _NO_INTS, compare=False)
 
 
-def _extent(idx: np.ndarray, tracks: np.ndarray) -> Extent:
-    """One disk's stream positions *idx* as linear pieces.  Inside a run a
-    disk's blocks sit ``D`` stream rows and one track apart, and equal
-    messages in equal slots repeat at a fixed stride too, so a piece is a
-    maximal stretch of one ``(row step, track step)``: a slice of rows and
-    an ascending slice of tracks — one piece per disk for a single run."""
-    k = idx.size
-    tt = tracks[idx]
-    steps = np.stack([np.diff(idx), np.diff(tt)], axis=1)
-    # steps[a : change[i]] are equal for the first change[i] > a
-    change = (np.flatnonzero((steps[1:] != steps[:-1]).any(axis=1)) + 1).tolist()
-    change.append(k - 1)
-    pieces, a = [], 0
-    while a < k:
-        b, rs, ts = a, 1, 1
-        if a < k - 1 and steps[a, 1] > 0:
-            b = change[bisect.bisect_right(change, a)]
-            rs, ts = steps[a].tolist()
-        pieces.append(
-            (slice(int(idx[a]), int(idx[b]) + 1, rs), slice(int(tt[a]), int(tt[b]) + 1, ts))
-        )
-        a = b + 1
-    return tuple(pieces)
-
-
 def _build_plan(D: int, runs: tuple[tuple[int, int], ...]) -> BatchPlan:
     disks, tracks = Runs(0, runs).expand(D)
     nops, widths = greedy_batch_widths(disks, D)
     per_disk = np.bincount(disks, minlength=D)
     width_counts = np.bincount(widths, minlength=D + 1)[: D + 1]
-    extents = tuple(_extent(np.flatnonzero(disks == d), tracks) for d in range(D))
+    pieces: list[Piece] = []
+    row = 0
+    for lin0, n in runs:
+        lin0, n = int(lin0), int(n)
+        if pieces and pieces[-1][1] + pieces[-1][2] == lin0:
+            # abuts the previous run (a message filling its slot): one slice
+            r, lin, m = pieces[-1]
+            pieces[-1] = (r, lin, m + n)
+        elif n:
+            pieces.append((row, lin0, n))
+        row += n
     # the memo keeps these arrays for every pattern: the narrowest dtypes
     return BatchPlan(
         nops,
         tuple(per_disk.tolist()),
         tuple(width_counts.tolist()),
-        extents,
+        tuple(pieces),
         widths.astype(np.int32),
         disks.astype(np.min_scalar_type(D - 1)),
         tracks.astype(np.int32),
@@ -207,16 +193,18 @@ def check_segments(segments: Sequence[Segment]) -> None:
 
 
 def _arena_grow_event(
-    tracer: "EventBus | NullRecorder", real: int, arena: TrackArena, disk: int,
-    cap: int,
+    tracer: "EventBus | NullRecorder", real: int, arena: TrackArena, chunk: int,
+    rows: int,
 ) -> None:
-    """Arena growth hook -> one ``arena_grow`` trace event."""
+    """Arena growth hook -> one ``arena_grow`` trace event per added chunk
+    (``disk`` carries the chunk's number: see the event table in
+    :mod:`repro.obs.bus`)."""
     tracer.emit(
         "arena_grow",
         real=real,
-        disk=disk,
-        tracks=cap,
-        nbytes=cap * arena.block_bytes,
+        disk=chunk,
+        tracks=rows // arena.D,
+        nbytes=rows * arena.block_bytes,
         resident_nbytes=arena.resident_nbytes(),
         spill_nbytes=arena.spill_nbytes(),
         backend="mmap" if getattr(arena, "spill_dir", None) else "ram",
@@ -243,7 +231,7 @@ class DiskArray:
         self._real = int(real)
         self._arena = make_arena(D, self.block_bytes, runtime=runtime)
         if tracer is not None and tracer.enabled:
-            # storage telemetry: one event per growth of a disk's rows.  The
+            # storage telemetry: one event per chunk the arena adds.  The
             # hook holds no reference to this array: an array<->arena cycle
             # would keep a traced run's tracks alive until a cyclic collection
             self._arena.on_grow = partial(_arena_grow_event, tracer, self._real)
@@ -410,8 +398,8 @@ class DiskArray:
         count it: one arena scatter or gather.  ``FaultyDiskArray`` puts
         its injector's decisions around the same two calls."""
         if write:
-            self._arena.scatter(plan.extents, base, rows)
-        elif not self._arena.gather(plan.extents, base, rows):
+            self._arena.scatter(plan.pieces, base, rows)
+        elif not self._arena.gather(plan.pieces, base, rows):
             # side-dict tracks, short rows and the canonical unwritten-track
             # error: track by track, each counted on its disk
             tracks = (base + plan.tracks.astype(np.int64)).tolist()
@@ -448,7 +436,7 @@ class DiskArray:
         n = runs.nblocks
         plan, base = self._plan([runs])
         rows = out[: n * self.block_bytes].reshape(n, self.block_bytes)
-        return self._arena.gather(plan.extents, base, rows)
+        return self._arena.gather(plan.pieces, base, rows)
 
     def finish_read(self, runs: Runs, out: np.ndarray, hit: bool) -> np.ndarray:
         """Complete a speculative gather.
@@ -466,7 +454,7 @@ class DiskArray:
 
     def _plan(self, stream: Sequence[Runs]) -> tuple[BatchPlan, int]:
         """The memoised plan of one address stream and the track its
-        extents count from.  Nothing here can fail: a :class:`Runs` was
+        pieces count from.  Nothing here can fail: a :class:`Runs` was
         checked when it was built, and its disks are ``mod D`` of this
         array's own ``D``."""
         D = self.D

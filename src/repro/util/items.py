@@ -298,6 +298,16 @@ def _array_meta(meta: bytes) -> tuple[np.dtype, tuple, int]:
     return dtype, shape, dtype.itemsize * math.prod(shape)
 
 
+@lru_cache(maxsize=256)
+def _tag_text(raw: bytes) -> str:
+    """A chunk's tag from its bytes, the decode-side twin of :func:`_tag_node`:
+    a routing round repeats a handful of tags."""
+    try:
+        return str(raw, "utf-8", "surrogatepass")
+    except UnicodeDecodeError:
+        _fail("str is not UTF-8")
+
+
 def _dec_array(mv: memoryview, off: int, end: int) -> tuple[np.ndarray, int]:
     meta, off = _dec_raw(mv, off, end)
     # only one-byte-count headers are memoised, so the memo's keys are short
@@ -420,10 +430,8 @@ def chunk_index(data) -> tuple[int, list]:
             ctag, off = None, off + 1
         elif off < end and mv[off] == _STR:
             raw, off = _dec_raw(mv, off + 1, end)
-            try:
-                ctag = str(raw, "utf-8", "surrogatepass")
-            except UnicodeDecodeError:
-                _fail("str is not UTF-8")
+            # only one-byte-count tags are memoised, so the memo's keys are short
+            ctag = (_tag_text if len(raw) < 0xFF else _tag_text.__wrapped__)(bytes(raw))
         else:
             _decode(mv, off, end, 1)
             _fail("Chunk tag is neither a str nor None")

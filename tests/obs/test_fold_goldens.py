@@ -79,5 +79,17 @@ def test_view_of_a_recorded_trace_is_unchanged(capsys, trace, view):
 # lane interleaves would shift every pinned sequence number
 @pytest.mark.no_fault_plan
 def test_in_stream_drift_events_are_unchanged():
+    """Every field but ``seq`` as recorded.  ``seq`` also counts the
+    physical ``arena_grow`` events, whose number follows the arena's
+    storage layout (one per chunk of the linear track store now, one per
+    doubling of a disk's rows when the golden was written), so where an
+    event sits is pinned instead as: right after the ``superstep_end`` it
+    reacted to."""
     want = json.loads((DATA / "biconnected_drift.json").read_text(encoding="utf-8"))
-    assert drift_events(biconnected_trace()) == want
+    bus = biconnected_trace()
+    unsequenced = [{k: v for k, v in ev.items() if k != "seq"} for ev in drift_events(bus)]
+    assert unsequenced == [{k: v for k, v in ev.items() if k != "seq"} for ev in want]
+    for before, ev in zip(bus.events, bus.events[1:]):
+        if ev["kind"] == "model_drift":
+            assert before["kind"] == "superstep_end"
+            assert (before["round"], before["superstep"]) == (ev["round"], ev["superstep"])

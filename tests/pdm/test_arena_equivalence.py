@@ -9,7 +9,9 @@ odd-sized and shadow-region tracks — is identical.  The boundary classes
 pin the exact ``MAX_DIRECT_TRACK`` edge, where a track one below must stay
 dense and a track at the constant must divert to the side dict (the
 scatter path historically skipped that check and allocated rows for the
-whole gap).
+whole gap).  Streams whose runs cross the arena's chunk boundaries — the
+ramp's first edge and the first edge between two full-size chunks — are
+part of the differential on both backends.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pdm.arena import MAX_DIRECT_TRACK, TrackArena
+from repro.pdm.arena import MAX_DIRECT_TRACK, TrackArena, chunk_tracks
 from repro.pdm.disk import Disk
 from repro.pdm.block import BlockRun, Runs
-from repro.pdm.disk_array import DiskArray, _extent, batch_plan
+from repro.pdm.disk_array import DiskArray, batch_plan
 from repro.pdm.mmap_arena import MmapTrackArena
 from repro.tune.runtime import RuntimeConfig
 from repro.util.validation import SimulationError
@@ -31,11 +33,22 @@ D = 2
 BB = 8  # block bytes
 
 
-def _extents(disks, tracks, D: int = 1):
-    """The per-disk extents the arena's bulk movers take, cut by the
-    planner's own helper from arbitrary placements (base track 0)."""
-    disks, tracks = np.asarray(disks, dtype=np.int64), np.asarray(tracks, dtype=np.int64)
-    return tuple(_extent(np.flatnonzero(disks == d), tracks) for d in range(D))
+def _pieces(disks, tracks, D: int = 1):
+    """Arbitrary placements as the linear pieces the arena's bulk movers
+    take: one one-block piece per stream row (base track 0)."""
+    return tuple((i, int(t) * D + int(d), 1) for i, (d, t) in enumerate(zip(disks, tracks)))
+
+
+def _chunk_edges(D: int, bb: int) -> list[int]:
+    """The tracks where the arena's chunks end, through the end of its
+    first full-size chunk (growing a RAM arena allocates, touches nothing)."""
+    a, edges, size = TrackArena(D, bb), [], 0
+    while size < chunk_tracks(D, bb):
+        before = a._bounds[-1]
+        a._ensure_rows(before + 1)
+        size = (a._bounds[-1] - before) // D
+        edges.append(a._bounds[-1] // D)
+    return edges
 
 
 def _single_blocks(placements, D: int = D) -> Runs:
@@ -192,14 +205,14 @@ def test_batch_scatter_gather_matches_dict_writes(addrs, payload):
     mm = MmapTrackArena(D, BB)
     try:
         for arena in (ram, mm):
-            arena.scatter(_extents(disks, tracks, D), 0, rows)
+            arena.scatter(_pieces(disks, tracks, D), 0, rows)
             for d in range(D):
                 assert arena.snapshot(d) == ref[d].snapshot_tracks()
             uniq = sorted(set(addrs))
             ud = np.asarray([a for a, _ in uniq], dtype=np.int64)
             ut = np.asarray([t for _, t in uniq], dtype=np.int64)
             out = np.empty((len(uniq), BB), dtype=np.uint8)
-            assert arena.gather(_extents(ud, ut, D), 0, out)
+            assert arena.gather(_pieces(ud, ut, D), 0, out)
             expect = b"".join(ref[d].read(t) for d, t in uniq)
             assert out.tobytes() == expect
     finally:
@@ -284,7 +297,7 @@ def test_refused_gather_leaves_out_untouched(kind):
         arena.put(1, 0, b"short")  # not full-stride: the other refusal
         out = np.zeros((2, BB), dtype=np.uint8)
         for t1 in (0, 1):  # short row, then unwritten row
-            assert not arena.gather(_extents([0, 1], [0, t1], D), 0, out)
+            assert not arena.gather(_pieces([0, 1], [0, t1], D), 0, out)
             assert not out.any()
     finally:
         arena.close()
@@ -292,16 +305,17 @@ def test_refused_gather_leaves_out_untouched(kind):
 
 def test_quota_error_stores_nothing():
     """Regression: ``scatter`` stored disk 0's rows before disk 1's growth
-    hit ``REPRO_SPILL_QUOTA``.  Every touched disk grows first now, so the
-    refused stream leaves tracks and counters as they were."""
-    rows64 = 64 * BB  # one disk's first growth
-    rt = RuntimeConfig(arena="mmap", spill_quota=rows64 + BB)
+    hit ``REPRO_SPILL_QUOTA``.  The row space grows before anything is
+    stored now, so a refused stream — here one whose last block needs the
+    second chunk — leaves tracks and counters as they were."""
+    first = 64 * D * BB  # the first chunk: 64 tracks of every disk
+    rt = RuntimeConfig(arena="mmap", spill_quota=first + BB)
     arr = DiskArray(D, 1, runtime=rt)
     try:
         arr.write_run(_single_blocks([(0, 0), (0, 1)]), BlockRun(b"x" * 16, 2, BB))
         before = [d.snapshot_tracks() for d in arr.disks], arr.stats.as_dict()
         with pytest.raises(SimulationError, match="spill quota exceeded"):
-            arr.write_run(_single_blocks([(0, 1), (1, 0), (0, 2)]), BlockRun(b"y" * 24, 3, BB))
+            arr.write_run(_single_blocks([(0, 1), (1, 0), (0, 64)]), BlockRun(b"y" * 24, 3, BB))
         assert ([d.snapshot_tracks() for d in arr.disks], arr.stats.as_dict()) == before
     finally:
         arr.close()
@@ -310,6 +324,7 @@ def test_quota_error_stores_nothing():
 # ------------------------------------- planned extents vs per-track model
 
 _FAR = MAX_DIRECT_TRACK - 2  # a run from here straddles the side-dict edge
+_EDGES = _chunk_edges(D, BB)  # runs from just below these cross a chunk edge
 
 
 @st.composite
@@ -317,13 +332,14 @@ def _segments(draw):
     """A multi-segment write stream as :class:`Runs`: consecutive runs from
     random start disks (one slice pair per disk), strided and scattered
     one-block runs, repeats of earlier addresses, runs across
-    ``MAX_DIRECT_TRACK`` and past the first growth, and now and then one
-    run far longer than the rest."""
+    ``MAX_DIRECT_TRACK``, across the first chunk edge and the first edge
+    between full-size chunks, and now and then one run far longer than the
+    rest."""
     segments = []
     for _ in range(draw(st.integers(1, 4))):
         shape = draw(st.sampled_from(["run", "run", "gaps", "random", "long"]))
         n = 4101 if shape == "long" else draw(st.integers(1, 24))
-        base = draw(st.sampled_from([0, 3, 60, 130, _FAR]))
+        base = draw(st.sampled_from([0, 3, 60, 130, _FAR, _EDGES[-2] - 3, _EDGES[-1] - 2]))
         start = draw(st.integers(0, D - 1))
         if shape == "random":
             seg = _single_blocks(draw(st.lists(
@@ -351,9 +367,10 @@ def _placements(runs: Runs) -> list[tuple[int, int]]:
 @given(segments=_segments(), seed=st.integers(0, 2**16))
 @pytest.mark.parametrize("kind", ["ram", "mmap"])
 def test_planned_extents_match_the_per_track_model(kind, segments, seed):
-    """``write_stream``/``read_run`` move a stream by its planned per-disk
-    extents; the model stores and fetches the same stream one ``put``/``get``
-    at a time.  Same tracks, same side dicts, same bytes read back."""
+    """``write_stream``/``read_run`` move a stream by its planned linear
+    pieces, a run one slice per chunk it touches; the model stores and
+    fetches the same stream one ``put``/``get`` at a time.  Same tracks, same
+    side dicts, same bytes read back."""
     rng = np.random.default_rng(seed)
     arr = DiskArray(D, 1, runtime=RuntimeConfig(arena=kind))
     model = TrackArena(D, BB)
@@ -408,7 +425,7 @@ class _Boundary:
             a.put(0, MAX_DIRECT_TRACK - 1, b"z")
             assert a.get(0, MAX_DIRECT_TRACK - 1) == b"z"
             assert not a._side[0], "track MAX-1 must not spill to the side dict"
-            assert a._data[0].shape[0] >= MAX_DIRECT_TRACK
+            assert a._bounds[-1] == MAX_DIRECT_TRACK  # the row space's end
         finally:
             self.teardown_arena(a)
 
@@ -418,7 +435,7 @@ class _Boundary:
             a.put(0, MAX_DIRECT_TRACK, b"w")
             assert a.get(0, MAX_DIRECT_TRACK) == b"w"
             assert a._side[0] == {MAX_DIRECT_TRACK: b"w"}
-            assert a._data[0].shape[0] == 0, "boundary put must not grow rows"
+            assert a._bounds[-1] == 0, "boundary put must not grow rows"
         finally:
             self.teardown_arena(a)
 
@@ -435,12 +452,12 @@ class _Boundary:
                 dtype=np.int64,
             )
             rows = np.frombuffer(b"abc", dtype=np.uint8).reshape(3, 1)
-            a.scatter(_extents(disks, tracks), 0, rows)
+            a.scatter(_pieces(disks, tracks), 0, rows)
             assert a.get(0, MAX_DIRECT_TRACK - 1) == b"a"
             assert a.get(0, MAX_DIRECT_TRACK) == b"b"
             assert a.get(0, MAX_DIRECT_TRACK + 2) == b"c"
             assert set(a._side[0]) == {MAX_DIRECT_TRACK, MAX_DIRECT_TRACK + 2}
-            assert a._data[0].shape[0] <= MAX_DIRECT_TRACK
+            assert a._bounds[-1] <= MAX_DIRECT_TRACK
             assert a.max_track(0) == MAX_DIRECT_TRACK + 2
             # a dict round-trip carries all three across backends
             snap = a.snapshot(0)
@@ -455,7 +472,7 @@ class _Boundary:
         try:
             a.put(0, MAX_DIRECT_TRACK, b"old")
             a.scatter(
-                _extents([0], [MAX_DIRECT_TRACK]),
+                _pieces([0], [MAX_DIRECT_TRACK]),
                 0,
                 np.frombuffer(b"n", dtype=np.uint8).reshape(1, 1),
             )
@@ -469,31 +486,32 @@ class _Boundary:
         try:
             a.put(0, MAX_DIRECT_TRACK, b"w")
             out = np.empty((1, 1), dtype=np.uint8)
-            assert not a.gather(_extents([0], [MAX_DIRECT_TRACK]), 0, out)
+            assert not a.gather(_pieces([0], [MAX_DIRECT_TRACK]), 0, out)
         finally:
             self.teardown_arena(a)
 
     @pytest.mark.parametrize("base", [MAX_DIRECT_TRACK - 2, 1 << 40])
     @pytest.mark.parametrize("stride", [1, 3])
     def test_a_planned_run_crossing_the_boundary_diverts_its_far_tracks(self, base, stride):
-        """One piece moved by its memoised plan — a linear run, or equal
-        messages *stride* tracks apart: the tracks below
-        ``MAX_DIRECT_TRACK`` stay dense, the rest go to the side dict (all
-        of them in the injector's shadow region at ``1 << 40``), and the
-        dense gather refuses the piece without touching *out*."""
+        """A stream moved by its memoised plan — one-block runs that abut
+        (one piece) or equal messages *stride* tracks apart (a piece
+        each): the tracks below ``MAX_DIRECT_TRACK`` stay dense, the rest go
+        to the side dict (all of them in the injector's shadow region at
+        ``1 << 40``), and the dense gather refuses the stream without
+        touching *out*."""
         a = self.make()
         try:
-            extents = batch_plan(1, tuple((q * stride, 1) for q in range(5))).extents
-            assert len(extents[0]) == 1
+            pieces = batch_plan(1, tuple((q * stride, 1) for q in range(5))).pieces
+            assert len(pieces) == (1 if stride == 1 else 5)
             tracks = [base + q * stride for q in range(5)]
             rows = np.frombuffer(b"abcde", dtype=np.uint8).reshape(5, 1)
             a.put(0, tracks[4], b"old")
-            a.scatter(extents, base, rows)
+            a.scatter(pieces, base, rows)
             assert [a.get(0, t) for t in tracks] == [b"a", b"b", b"c", b"d", b"e"]
             assert sorted(a._side[0]) == [t for t in tracks if t >= MAX_DIRECT_TRACK]
-            assert a.tracks_in_use(0) == 5 and a._data[0].shape[0] <= MAX_DIRECT_TRACK
+            assert a.tracks_in_use(0) == 5 and a._bounds[-1] <= MAX_DIRECT_TRACK
             out = np.zeros((5, 1), dtype=np.uint8)
-            assert not a.gather(extents, base, out) and not out.any()
+            assert not a.gather(pieces, base, out) and not out.any()
         finally:
             self.teardown_arena(a)
 

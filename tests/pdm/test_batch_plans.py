@@ -64,8 +64,9 @@ def _placements(D: int, runs: Runs) -> list[tuple[int, int]]:
 def test_memoised_plan_equals_a_fresh_computation(streams):
     """The old planner is the oracle: ``nops`` / ``per_disk`` /
     ``width_counts`` of a plan keyed on the runs equal the greedy packing
-    of the expanded disk stream, and its extents address exactly the
-    expanded placements."""
+    of the expanded disk stream, and its pieces address exactly the
+    expanded placements: stream rows in order, each run one contiguous
+    stretch of the linear row space ``track·D + disk``."""
     memo = lru_cache(maxsize=2)(_build_plan)  # longer lists evict
     for _pass in range(2):
         for D, runs in streams:
@@ -75,13 +76,13 @@ def test_memoised_plan_equals_a_fresh_computation(streams):
             assert memo(D, runs) == want  # the hit
             plan = batch_plan(D, runs)  # the shared memo
             assert plan == want
-            where = np.full((disks.size, 2), -1)
-            for d, pieces in enumerate(plan.extents):
-                for sel, tt in pieces:
-                    assert type(sel) is type(tt) is slice and tt.step > 0
-                    on = np.arange(tt.start, tt.stop, tt.step)
-                    where[sel] = np.stack([np.full(on.size, d), on], axis=1)
-            assert where.tolist() == [list(a) for a in zip(disks.tolist(), tracks.tolist())]
+            rows, lins = [], []
+            for row, lin, n in plan.pieces:
+                assert n > 0
+                rows += range(row, row + n)
+                lins += range(lin, lin + n)
+            assert rows == list(range(disks.size))
+            assert lins == (tracks * D + disks).tolist()
     batch_plan.cache_clear()
     for D, runs in streams:
         assert batch_plan(D, runs) == _fresh_plan(D, Runs(0, runs).expand(D)[0])
@@ -119,7 +120,7 @@ def test_runs_round_trip_like_their_expanded_placements(stream, base, seed):
 def test_the_shared_memo_is_bounded_in_entries_and_key_length():
     """256 entries, each O(runs) whatever the stream's length: a run of
     65,536 blocks is memoised like any other (no size cliff), its key two
-    integers and its extents one slice pair per disk."""
+    integers and its pieces one slice of the linear row space."""
     assert batch_plan.cache_info().maxsize == 256
     arr, ref = DiskArray(2, 1), DiskArray(2, 1)
     n = 1 << 16
@@ -134,27 +135,30 @@ def test_the_shared_memo_is_bounded_in_entries_and_key_length():
     arr.read_run(again)
     after = batch_plan.cache_info()
     assert (after.hits, after.currsize) == (before.hits + 2, 2)
-    assert [len(pieces) for pieces in batch_plan(2, ((1, n),)).extents] == [1, 1]
+    assert batch_plan(2, ((1, n),)).pieces == ((0, 1, n),)
     ref.write_blocks([(d, t, b"") for d, t in _placements(2, written)])
     for runs in (first, first, again):
         ref.read_blocks(_placements(2, runs))
     assert arr.stats.as_dict() == ref.stats.as_dict()
 
 
-def test_equal_messages_in_equal_slots_are_one_piece_per_disk():
-    """A piece is a maximal stretch of one (row step, track step), not one
-    run: eight one-block messages nine slots apart — the inbox
-    ``rounds_listrank`` reads every round — move as one strided copy per
-    disk, and an odd message out costs a piece of its own, not an index
-    array."""
+def test_an_inbox_moves_as_one_slice_per_message():
+    """A message is one run of the linear row space, so an inbox moves as
+    one slice copy per message: eight one-block messages nine slots apart
+    — the inbox ``rounds_listrank`` reads every round — are eight pieces,
+    an odd message out is still one, and messages that fill their slots
+    abut and merge into a single slice."""
     from repro.core.layouts import MessageMatrix
 
     mm = MessageMatrix(8, 8, 2, slot_blocks=9)
     equal = mm.inbox_addresses_np(3, [(src, 1) for src in range(8)], 1)
-    assert [len(p) for p in batch_plan(2, equal.runs).extents] == [1, 1]
+    assert len(batch_plan(2, equal.runs).pieces) == 8
     odd = mm.inbox_addresses_np(3, [(src, 1 + (src == 5)) for src in range(8)], 1)
-    assert [len(p) for p in batch_plan(2, odd.runs).extents] == [2, 2]
-    for runs in (equal, odd):
+    assert [n for _row, _lin, n in batch_plan(2, odd.runs).pieces] == [1] * 5 + [2] + [1] * 2
+    full = MessageMatrix(8, 8, 2, slot_blocks=1)
+    whole = full.inbox_addresses_np(3, [(src, 1) for src in range(8)], 1)
+    assert len(batch_plan(2, whole.runs).pieces) == 1
+    for runs in (equal, odd, whole):
         arr, ref = DiskArray(2, 1), DiskArray(2, 1)
         raw = bytes(range(8 * runs.nblocks))
         arr.write_run(runs, BlockRun(raw, runs.nblocks, 8))

@@ -150,12 +150,12 @@ class TestTrackArena:
         assert a.get(0, MAX_DIRECT_TRACK + 7) == b"deadbeef"
         assert a.max_track(0) == MAX_DIRECT_TRACK + 7
         out = np.empty((1, 8), dtype=np.uint8)
-        assert not a.gather(batch_plan(1, ((0, 1),)).extents, MAX_DIRECT_TRACK + 7, out)
+        assert not a.gather(batch_plan(1, ((0, 1),)).pieces, MAX_DIRECT_TRACK + 7, out)
 
     def test_scatter_last_wins_on_duplicates(self):
         a = TrackArena(D=1, block_bytes=4)
         rows = np.frombuffer(b"AAAABBBB", dtype=np.uint8).reshape(2, 4)
-        a.scatter(batch_plan(1, ((0, 1), (0, 1))).extents, 0, rows)
+        a.scatter(batch_plan(1, ((0, 1), (0, 1))).pieces, 0, rows)
         assert a.get(0, 0) == b"BBBB"
 
     def test_snapshot_restore(self):
@@ -290,7 +290,9 @@ def test_staged_scatter_matches_write_blocks(stream):
             assert per_op.disks[d].snapshot_tracks() == want
             assert fast.disks[d].blocks_written == ref.disks[d].blocks_written
             assert fast._arena._side[d] == ref._arena._side[d]
-            assert (fast._arena._nbytes[d] == ref._arena._nbytes[d]).all()
+        assert fast._arena._bounds == ref._arena._bounds
+        for mine, theirs in zip(fast._arena._lens, ref._arena._lens):
+            assert np.array_equal(mine, theirs)
 
 
 def test_read_run_unwritten_track_raises_canonical_error():
@@ -395,25 +397,34 @@ def test_clean_sort_never_enters_the_per_track_loop(
 @pytest.mark.parametrize("arena", ["ram", "mmap"])
 @pytest.mark.parametrize("engine", ["seq", "par"])
 def test_clean_sort_moves_every_context_as_slices(monkeypatch, engine, arena, balanced):
-    """Counted over the planned extents, nothing re-derived: every context
+    """Counted over the planned pieces, nothing re-derived: every context
     and every single-run stream of a clean ``em_sort`` moves as one slice
-    pair per disk, a whole inbox as at most one per source and disk — and
-    no index array exists to move anything else.  Address arrays are made
-    by ``Runs.expand`` alone, once per plan-memo miss: a second, identical
-    run (the steady state) makes none at all."""
+    of the linear row space (per chunk it touches), a whole inbox as at
+    most one per message — and no index array exists to move anything
+    else.  Address arrays are made by ``Runs.expand`` alone, once per
+    plan-memo miss: a second, identical run (the steady state) makes none
+    at all."""
     from collections import Counter
 
     monkeypatch.delenv("REPRO_TRACE", raising=False)
-    pieces = Counter()
+    pieces, copies = Counter(), []
     expands = []
     for name in ("scatter", "gather"):
-        def counted(self, extents, base, rows, _inner=getattr(TrackArena, name)):
-            for sel, tt in (p for ext in extents for p in ext):
-                assert type(sel) is type(tt) is slice
-            pieces[max(map(len, extents))] += 1
-            return _inner(self, extents, base, rows)
+        def counted(self, plan_pieces, base, rows, _inner=getattr(TrackArena, name)):
+            assert all(type(x) is int for piece in plan_pieces for x in piece)
+            pieces[len(plan_pieces)] += 1
+            return _inner(self, plan_pieces, base, rows)
 
         monkeypatch.setattr(TrackArena, name, counted)
+
+    def spans(self, lin, n, _inner=TrackArena._spans):
+        out = _inner(self, lin, n)
+        b = self._bounds
+        assert len(out) == sum(b[k] < lin + n and b[k + 1] > lin for k in range(len(b) - 1))
+        copies.append(len(out))
+        return out
+
+    monkeypatch.setattr(TrackArena, "_spans", spans)
 
     def counting_expand(self, D, _inner=Runs.expand):
         expands.append(self)
@@ -427,8 +438,11 @@ def test_clean_sort_moves_every_context_as_slices(monkeypatch, engine, arena, ba
     info = batch_plan.cache_info()
     assert 0 < info.misses == len(expands) <= info.maxsize
     # v contexts x (setup write, 4 rounds of read + write, final read): one
-    # slice pair per disk each, like every other single-run stream
+    # slice each, like every other single-run stream
     assert pieces[1] >= cfg.v * 10 and max(pieces) <= cfg.v
+    # a copy per chunk a piece touches, and few pieces touch two
+    assert len(copies) >= sum(k * c for k, c in pieces.items()) // 2
+    assert 20 * sum(c > 1 for c in copies) < len(copies)
     moves = sum(pieces.values())
     _fig5_sort(engine, arena, balanced, 1 << 14)
     assert len(expands) == info.misses and sum(pieces.values()) == 2 * moves

@@ -1,6 +1,7 @@
-"""The mmap arena's own machinery: spill-directory lifecycle, growth by
-ftruncate, quota enforcement, resident-memory accounting, and the
-``REPRO_ARENA`` selection knob end to end through :class:`DiskArray`."""
+"""The mmap arena's own machinery: spill-directory lifecycle (one spill
+file per arena), growth by ftruncate plus a mapped window per chunk, quota
+enforcement, resident-memory accounting, and the ``REPRO_ARENA`` selection
+knob end to end through :class:`DiskArray`."""
 
 from __future__ import annotations
 
@@ -23,13 +24,19 @@ from repro.util.validation import ConfigurationError, SimulationError
 
 
 class TestSpillLifecycle:
-    def test_one_file_per_disk_under_run_scoped_dir(self, tmp_path, monkeypatch):
+    def test_one_file_per_arena_under_run_scoped_dir(self, tmp_path, monkeypatch):
+        """All disks share one spill file, their tracks interleaved as the
+        linear row space ``track·D + disk``."""
         monkeypatch.setenv("REPRO_SPILL_DIR", str(tmp_path / "spill"))
         a = MmapTrackArena(3, 8)
         assert os.path.dirname(a.spill_dir) == str(tmp_path / "spill")
-        assert sorted(os.listdir(a.spill_dir)) == [
-            "disk0.bin", "disk1.bin", "disk2.bin"
-        ]
+        assert os.listdir(a.spill_dir) == ["tracks.bin"]
+        a.put(2, 5, b"d2t5....")
+        a.put(0, 6, b"d0t6....")
+        with open(os.path.join(a.spill_dir, "tracks.bin"), "rb") as f:
+            raw = f.read()
+        assert raw[(5 * 3 + 2) * 8 :][:8] == b"d2t5...."
+        assert raw[(6 * 3 + 0) * 8 :][:8] == b"d0t6...."
         a.close()
         assert not os.path.exists(a.spill_dir)
 
@@ -66,13 +73,17 @@ class TestGrowth:
         a = MmapTrackArena(1, 8)
         try:
             a.put(0, 0, b"AAAAAAAA")
-            a.put(0, 2000, b"BBBBBBBB")  # forces several doublings
+            first = a._chunks[0]
+            a.put(0, 2000, b"BBBBBBBB")  # adds several chunks
             assert a.get(0, 0) == b"AAAAAAAA"
             assert a.get(0, 2000) == b"BBBBBBBB"
             assert a.get(0, 1000) is None  # sparse hole: unoccupied
-            # file size matches the doubled capacity
-            fsize = os.path.getsize(os.path.join(a.spill_dir, "disk0.bin"))
-            assert fsize == a._data[0].shape[0] * 8 == a.spill_nbytes()
+            # the first window was neither remapped nor copied
+            assert a._chunks[0] is first and bytes(first[0]) == b"AAAAAAAA"
+            # file size matches the chunks: 64, 128, ..., 2048 tracks
+            fsize = os.path.getsize(os.path.join(a.spill_dir, "tracks.bin"))
+            assert fsize == sum(len(c) for c in a._chunks) * 8 == a.spill_nbytes()
+            assert [len(c) for c in a._chunks] == [64 << k for k in range(6)]
         finally:
             a.close()
 
@@ -95,7 +106,7 @@ class TestGrowth:
         monkeypatch.setenv("REPRO_SPILL_QUOTA", str(64 * 8))
         a = MmapTrackArena(1, 8)
         try:
-            a.put(0, 10, b"x" * 8)  # first 64-row mapping: exactly at quota
+            a.put(0, 10, b"x" * 8)  # first 64-row chunk: exactly at quota
             assert a.get(0, 10) == b"x" * 8
             with pytest.raises(SimulationError, match="spill quota exceeded"):
                 a.put(0, 100, b"y" * 8)
@@ -104,12 +115,17 @@ class TestGrowth:
             a.close()
 
     def test_quota_counts_all_disks(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SPILL_QUOTA", str(96 * 8))
+        """A chunk holds its tracks on every disk: the first one, 64 tracks
+        of 2 disks, fits a 128-row quota whichever disk is written, and the
+        second is refused whichever disk needs it."""
+        monkeypatch.setenv("REPRO_SPILL_QUOTA", str(128 * 8))
         a = MmapTrackArena(2, 8)
         try:
-            a.put(0, 0, b"x" * 8)  # disk 0 maps 64 rows
+            a.put(0, 0, b"x" * 8)
+            a.put(1, 63, b"y" * 8)  # disk 1's rows came with the chunk
             with pytest.raises(SimulationError, match="spill quota"):
-                a.put(1, 0, b"y" * 8)  # disk 1's 64 rows would exceed
+                a.put(1, 64, b"z" * 8)
+            assert a.get(1, 63) == b"y" * 8 and a.spill_nbytes() == 128 * 8
         finally:
             a.close()
 
@@ -127,15 +143,15 @@ class TestOneFileTwoWriters:
             np.arange(k * 8 * bb, (k + 1) * 8 * bb, dtype=np.int64).astype(np.uint8)
             .reshape(8, bb) for k in range(4)
         ]
-        # disk 0: strided rows onto consecutive tracks (pwritev) and one
-        # contiguous block (one pwrite); disk 1: strided tracks (one call each)
-        mixed = (((slice(0, 8, 2), slice(0, 4, 1)),), ((slice(1, 8, 2), slice(0, 8, 2)),))
-        dense = (((slice(0, 8, 1), slice(0, 8, 1)),), ())
+        # linear pieces (stream row, row track·2 + disk above the base,
+        # blocks), each one pwrite: runs over both disks and a lone block
+        mixed = ((0, 0, 3), (3, 9, 1), (4, 4, 4))
+        dense = ((0, 4, 8),)
         return [
             ("put", 0, 3, b"early-put"),
             ("scatter", mixed, 0, rows[0]),          # overwrites the put on track 3
             ("put", 0, 2, b"late-put"),              # overwrites a scattered track
-            ("scatter", dense, 60, rows[1]),         # crosses 64 rows: the file grows
+            ("scatter", dense, 60, rows[1]),         # crosses track 64: a new chunk
             ("put", 0, 63, b"x" * bb),
             ("scatter", mixed, 62, rows[2]),         # over the put and the grown rows
             ("restore", 1, {5: b"restored", 200: b"far"}),
@@ -154,21 +170,23 @@ class TestOneFileTwoWriters:
                 assert mm.snapshot(d) == ram.snapshot(d)
                 for t in range(ram.max_track(d) + 2):
                     assert mm.get(d, t) == ram.get(d, t)
-                with open(os.path.join(mm.spill_dir, f"disk{d}.bin"), "rb") as f:
-                    raw = f.read()
-                for t in np.flatnonzero(ram._used[d]).tolist():
-                    assert raw[t * bb : (t + 1) * bb] == bytes(ram._data[d][t]), (d, t)
+            with open(os.path.join(mm.spill_dir, "tracks.bin"), "rb") as f:
+                raw = f.read()
+            for k, lens in enumerate(ram._lens):
+                for i in np.flatnonzero(lens >= 0).tolist():
+                    lin = ram._bounds[k] + i
+                    assert raw[lin * bb : (lin + 1) * bb] == bytes(ram._chunks[k][i]), lin
             rows = [call[-1] for call in self._calls() if call[0] == "scatter"]
             assert mm.get(0, 3) == bytes(rows[0][6])  # the scatter beat the put
             assert mm.get(0, 2) == b"late-put"  # the put beat the scatter
             assert mm.get(0, 63) == bytes(rows[2][2])  # over the put, past the growth
             assert mm.get(1, 200) == b"far" and mm.get(1, 5) == b"last"
             assert mm.get(1, 0) is None  # the restore dropped the scattered track
-            extents = self._calls()[1][1]
+            pieces = self._calls()[1][1]
             for base in (0, 4, 62):
                 want, got = np.empty((8, bb), np.uint8), np.empty((8, bb), np.uint8)
-                ok = ram.gather(extents, base, want)
-                assert mm.gather(extents, base, got) == ok == (base == 4)
+                ok = ram.gather(pieces, base, want)
+                assert mm.gather(pieces, base, got) == ok == (base == 4)
                 assert not ok or np.array_equal(want, got)
         finally:
             mm.close()

@@ -1,9 +1,10 @@
 """Unwritten rows are unobservable.
 
-A grown track matrix comes uncleared (``np.empty`` in RAM, a sparse hole in
-a spill file): a row may be read only while its occupancy bit is set, and a
-written row carries its own padding.  So what a fresh row happens to hold
-must not matter — these tests grow every matrix with a chosen fill byte
+A new chunk of the linear track store comes uncleared (``np.empty`` in RAM,
+a sparse hole in the spill file): a row may be read only while its ledger
+entry is set, and a written row carries its own padding.  So what a fresh
+row happens to hold must not matter — these tests fill every new chunk
+with a chosen byte
 (zero is what ``np.zeros`` used to give, anything else is poison) and
 require whole engine runs to be indistinguishable: outputs, logical
 ``IOStats``, every disk's ``snapshot()`` dict and the checkpointed backend
@@ -36,23 +37,24 @@ from repro.util.validation import SimulationError
 
 @contextmanager
 def fresh_rows_hold(fill: int):
-    """Every row a track matrix gains starts as *fill* bytes."""
-    saved = {cls: cls.__dict__["_grow_data"] for cls in (TrackArena, MmapTrackArena)}
+    """Every row of every chunk an arena adds starts as *fill* bytes."""
+    saved = {cls: cls.__dict__["_new_chunk"] for cls in (TrackArena, MmapTrackArena)}
 
     def filling(inner):
-        def _grow_data(self, disk, cap, have):
-            inner(self, disk, cap, have)
-            self._data[disk][have:cap] = fill
+        def _new_chunk(self, start, rows):
+            chunk = inner(self, start, rows)
+            chunk[:] = fill
+            return chunk
 
-        return _grow_data
+        return _new_chunk
 
     try:
         for cls, inner in saved.items():
-            cls._grow_data = filling(inner)
+            cls._new_chunk = filling(inner)
         yield
     finally:
         for cls, inner in saved.items():
-            cls._grow_data = inner
+            cls._new_chunk = inner
 
 
 TORN = FaultPlan(seed=11, p_torn_write=0.05, p_transient_read=0.02)
@@ -127,15 +129,15 @@ def test_the_torn_plan_really_tears():
 
 @pytest.mark.parametrize("arena", ["ram", "mmap"])
 def test_a_never_written_track_still_raises_the_canonical_error(arena):
-    """Poison does not turn a free row into data: inside the grown matrix,
-    beyond it, after a free and on a short row, the bulk read answers as
-    the per-track loop does."""
+    """Poison does not turn a free row into data: inside the first chunk,
+    beyond the row space, after a free and on a short row, the bulk read
+    answers as the per-track loop does."""
     with fresh_rows_hold(0xA5):
         arr = DiskArray(2, 1, runtime=RuntimeConfig(arena=arena))
         try:
             arr.write_run(Runs(0, ((0, 4),)), BlockRun(b"\x07" * 32, 4, 8))
-            assert arr._arena._data[0].shape[0] >= 64  # rows 2..63 exist, unwritten
-            assert bytes(arr._arena._data[0][5]) == b"\xa5" * 8
+            assert arr._arena._bounds == [0, 128]  # tracks 2..63 exist, unwritten
+            assert bytes(arr._arena._chunks[0][5 * 2]) == b"\xa5" * 8
             for runs, text in (
                 (Runs(0, ((0, 12),)), "read of unwritten track 2 on disk 0"),
                 (Runs(5, ((1, 1),)), "read of unwritten track 5 on disk 1"),

@@ -131,6 +131,10 @@ _AMBIENT_PLAN = re.compile(r"REPRO_FAULTS|\b(rt|runtime)\.faults\b")
 #: the decoded chunk record, its encoder and its lazy type lookup
 _CHUNK_VALUE = re.compile(r"class Chunk\b|chunk_at|_enc_chunk|_chunk_type")
 
+#: the per-disk track store: its piece planner, the plan's per-disk pieces
+#: and the spill file per disk
+_PER_DISK_STORE = re.compile(r"\b_extent\b|\.extents\b|disk\{d\}\.bin")
+
 
 def _offenders(pattern: re.Pattern, skip_tune: bool) -> list[str]:
     src_root = Path(repro.__file__).resolve().parent
@@ -175,12 +179,14 @@ def test_one_synchronous_read_path_no_prefetch_thread():
 
 
 def test_the_per_disk_split_is_planned_not_recomputed():
-    """``TrackArena.scatter``/``gather`` take each disk's stream positions
-    from the memoised ``BatchPlan``; the ``flatnonzero(disks == d)`` compare
-    they used to redo on every call lives only where the plan is built."""
+    """(Named for the per-disk split the arena's movers once recomputed,
+    then took from the plan.)  A run is one slice of the linear row space,
+    so no stream is split per disk at all: ``TrackArena.scatter``/``gather``
+    take the plan's linear pieces, and the ``flatnonzero(disks == d)``
+    compare lives nowhere under ``repro.pdm``."""
     import inspect
 
-    from repro.pdm import arena, disk_array
+    from repro.pdm import arena
 
     for mover in (arena.TrackArena.scatter, arena.TrackArena.gather):
         assert "flatnonzero" not in inspect.getsource(mover), mover
@@ -189,8 +195,16 @@ def test_the_per_disk_split_is_planned_not_recomputed():
         for path in sorted(Path(arena.__file__).parent.glob("*.py"))
         if re.search(r"flatnonzero\(\s*disks\s*==", path.read_text())
     ]
-    assert holders == ["disk_array.py"]
-    assert "flatnonzero(disks ==" in inspect.getsource(disk_array._build_plan)
+    assert holders == []
+
+
+def test_one_linear_track_store():
+    offenders = _offenders(_PER_DISK_STORE, skip_tune=False)
+    assert not offenders, (
+        "a disk array's tracks are one linear row space track·D + disk, held "
+        "in chunks (one spill file per mmap arena); a stream moves as its "
+        "runs' linear pieces:\n" + "\n".join(offenders)
+    )
 
 
 def test_addresses_are_arithmetic_and_arenas_come_uncleared():
