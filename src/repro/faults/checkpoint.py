@@ -44,6 +44,19 @@ class CheckpointError(SimulationError):
     """A checkpoint cannot be written, read, or safely resumed from."""
 
 
+def write_durably(path: str, *chunks: bytes) -> None:
+    """Replace *path* with *chunks*, atomically and durably: they go to a
+    temp file beside it, which is flushed and fsynced before ``os.replace``
+    puts it in place, so a crash leaves the old file or the new one whole."""
+    tmp = path + ".tmp"
+    with open(tmp, "wb") as fh:
+        for chunk in chunks:
+            fh.write(chunk)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+
+
 class CheckpointManager:
     """Write, prune, verify and restore round-boundary snapshots.
 
@@ -76,15 +89,8 @@ class CheckpointManager:
         }
         os.makedirs(self.directory, exist_ok=True)
         path = self.path_for(round_no)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-            fh.write(b"\n")
-            fh.write(payload)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        head = json.dumps(header, sort_keys=True).encode("utf-8")
+        write_durably(path, MAGIC, head, b"\n", payload)
         self._prune()
         return path
 

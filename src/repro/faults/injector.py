@@ -15,17 +15,19 @@ whose physical track accesses can fail according to a
   answering; in *degraded mode* its blocks are migrated onto the
   survivors and all later accesses are remapped there.
 
-A fault is a decision over a stream, not a second I/O path.  Each stream
-the array moves (a planned ``write_stream`` / ``read_run``, or the one
-batch of a direct ``parallel_io``) goes first to
+A fault is a decision over a planned stream, not a second I/O path.  The
+array moves planned streams only (``write_stream`` / ``write_run`` /
+``read_run``); its per-op entry points (``parallel_io`` and the
+``write_blocks`` / ``read_blocks`` that batch into it) refuse, so nothing
+reaches the disks around a decision.  Each stream goes first to
 :meth:`FaultInjector.decide` as its batch widths and logical addresses,
 which applies due deaths, scheduled faults, drawn faults and retries in
 the order one access at a time would, and answers with the dead-disk
 translations and, when retries run out, where the stream stops.  The
-bytes then move like a clean run's — one arena scatter or gather, a run
-one slice — while every disk is alive; once one has died, and for a
-stream cut short, they go one track at a time, each to the disk and track
-that serves it.
+bytes then move as a clean run's do (:meth:`DiskArray._transfer`: one
+arena scatter or gather, a run one slice) while every disk is alive;
+once one has died, and for a stream cut short, they go one track at a
+time, each to the disk and track that serves it.
 
 Cost accounting stays honest on two separate ledgers.  The **logical**
 ledger (:class:`~repro.pdm.io_stats.IOStats`) is untouched: it records the
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, fields
-from typing import Any, Callable, Iterable, NoReturn, Sequence
+from typing import Any, Callable, Iterable, NoReturn
 
 import numpy as np
 
@@ -211,14 +213,14 @@ class FaultInjector:
         widths: np.ndarray,
         disks: np.ndarray,
         tracks: np.ndarray,
-        write: bool | Sequence[bool],
+        write: bool,
         kill: Callable[[int, int, int], None],
     ) -> Decision:
         """Decide one stream of ``len(widths)`` parallel I/Os of *arr*.
 
         The k-th I/O makes ``widths[k]`` accesses; *disks* / *tracks* are
         the logical addresses of all of them in stream order and *write*
-        says which write (one flag for the whole stream, or one each).  At
+        says whether the stream writes them or reads them.  At
         each I/O the deaths due are applied first, through ``kill(disk,
         op, position)`` (the caller stores the accesses before *position*
         before the disk's blocks migrate).  Then every access takes its
@@ -228,16 +230,14 @@ class FaultInjector:
         nb, op0, D = len(widths), self.op_index, arr.D
         ends = widths.cumsum()
         dec = Decision(stop=len(disks))
-        strides, st, tracer = self._strides, self.stats, arr._tracer
+        stride, st, tracer = self._strides[write], self.stats, arr._tracer
         if tracer is not None and not tracer.enabled:
             tracer = None
-        # one flag for a stream, one per access for a direct parallel_io
-        one, flags = (write, None) if isinstance(write, bool) else (False, write)
         draws = self._draws
         if draws is None and self.plan.probabilistic:
             draws = self._draws = _Draws(self._rng, self.plan)
 
-        def retry(pos: int, kind: str | None, w: bool) -> bool:
+        def retry(pos: int, kind: str | None) -> bool:
             """Retry the access at *pos*, whose first attempt suffered
             *kind*; ``False`` when the policy gives up first."""
             attempt, last = 0, self.retry.max_retries
@@ -248,7 +248,7 @@ class FaultInjector:
                     st.transient_write_faults += 1
                 else:
                     st.torn_writes += 1
-                    if w:  # commits a corrupt prefix, which a retry overwrites
+                    if write:  # commits a corrupt prefix, which a retry overwrites
                         pdisk = self.peek(int(disks[pos]), int(tracks[pos]), D)[0]
                         arr.disks[pdisk].blocks_written += 1
                         dec.torn = True
@@ -276,7 +276,7 @@ class FaultInjector:
                 attempt += 1
                 st.retries += 1
                 st.backoff_s += self.retry.backoff_s * attempt
-                kind = draws.attempt(w, strides[w]) if draws else None
+                kind = draws.attempt(write, stride) if draws else None
             dec.torn = False
             st.retried_accesses += 1
             return True
@@ -299,24 +299,17 @@ class FaultInjector:
                     if kind is not None:
                         marks.append((pos, kind))
             marks.append((int(ends[e - 1]), None))
-            i, w = lo, one
+            i = lo
             for mark, kind in marks:
-                while draws is not None and i < mark:
-                    if flags is None:  # skip to the stream's next drawn fault
-                        if not strides[w]:
-                            break
-                        clean, drawn = draws.skip(mark - i, w, strides[w])
-                        i += clean
-                    else:
-                        w = flags[i]
-                        drawn = draws.attempt(w, strides[w])
-                    if drawn is not None and not retry(i, drawn, w):
+                # skip to the stream's next drawn fault
+                while draws is not None and stride and i < mark:
+                    clean, drawn = draws.skip(mark - i, write, stride)
+                    i += clean
+                    if drawn is not None and not retry(i, drawn):
                         return i
                     i += 1
-                if kind is not None:
-                    w = one if flags is None else flags[mark]
-                    if not retry(mark, kind, w):
-                        return mark
+                if kind is not None and not retry(mark, kind):
+                    return mark
                 i = mark + 1
             return None
 
@@ -416,10 +409,9 @@ class FaultInjector:
 class FaultyDiskArray(DiskArray):
     """A disk array whose physical accesses obey a fault plan.
 
-    The logical PDM schedule (batch validation, :class:`IOStats`) and the
-    arena storage are inherited unchanged from :class:`DiskArray`.  Each
-    stream, and each direct :meth:`parallel_io`, is decided once by the
-    injector; its bytes then move like a clean run's.
+    The logical PDM schedule (:class:`IOStats`) and the arena storage are
+    inherited unchanged from :class:`DiskArray`.  Each planned stream is
+    decided once by the injector; its bytes then move like a clean run's.
     """
 
     def __init__(
@@ -437,35 +429,16 @@ class FaultyDiskArray(DiskArray):
     # -- core operation ------------------------------------------------------
 
     def parallel_io(self, ops: list[IOOp]) -> list[bytes]:
-        if not ops:
-            return []
-        touched = self._check_batch(ops)
-        inj, n = self.injector, len(ops)
-        dec = inj.decide(
-            self,
-            np.array([n]),
-            np.fromiter((op.disk for op in ops), np.int64, n),
-            np.fromiter((op.track for op in ops), np.int64, n),
-            [op.is_write for op in ops],
-            lambda dead, op, _pos: self._kill_disk(dead, op),
+        raise SimulationError(
+            f"the fault-injected disks of real processor {self._real} move "
+            "planned streams only (write_stream / write_run / read_run), "
+            "not a per-op parallel_io"
         )
-        out: list[bytes] = []
-        for op in ops[: dec.stop]:
-            pdisk, ptrack = inj.peek(op.disk, op.track, self.D)
-            if op.is_write:
-                self.disks[pdisk].write(ptrack, op.data)  # type: ignore[arg-type]
-            else:
-                out.append(self.disks[pdisk].read(ptrack))
-        if dec.fault is not None:
-            last = ops[dec.stop]
-            self._fail(dec, last.disk, last.track, last.data)
-        self.stats.record(len(out), n - len(out), sorted(touched), self.D)
-        return out
 
     def _transfer(
         self, plan: BatchPlan, base: int, rows: np.ndarray, *, write: bool
     ) -> None:
-        inj, n = self.injector, len(rows)
+        inj = self.injector
         if inj.quiet:
             inj.op_index += plan.nops
             super()._transfer(plan, base, rows, write=write)
@@ -483,16 +456,12 @@ class FaultyDiskArray(DiskArray):
         except DiskFault:  # a death left no survivor
             self._record_prefix(plan.widths, disks, done, write)
             raise
-        if not done and dec.fault is None and not inj.dead:
+        if dec.fault is None and not inj.dead:
             # every disk alive and no fault: the stream moves like a clean one
-            if write:
-                self._arena.scatter(plan.pieces, base, rows)
-            if write or self._arena.gather(plan.pieces, base, rows):
-                self._record(plan, n, write=write)
-                return
-        # a dead disk's blocks served by survivors, a stream cut by a death
-        # or a fault, or a read of side-dict or short tracks: one track at a
-        # time, in order, under the one decision
+            super()._transfer(plan, base, rows, write=write)
+            return
+        # a dead disk's blocks served by survivors, or a stream cut by a
+        # fault: one track at a time, in order, under the one decision
         self._by_track(rows, self._homes(disks, tracks, range(done, dec.stop)), write)
         self._record_prefix(plan.widths, disks, dec.stop, write)
         if dec.fault is not None:
@@ -510,13 +479,11 @@ class FaultyDiskArray(DiskArray):
         where = zip(at.tolist(), disks[at].tolist(), tracks[at].tolist())
         return [(i, *peek(d, t, D)) for i, d, t in where]
 
-    def _fail(
-        self, dec: Decision, disk: int, track: int, block: bytes | None
-    ) -> NoReturn:
+    def _fail(self, dec: Decision, disk: int, track: int, block: bytes) -> NoReturn:
         """Raise the decision's fault, leaving the torn prefix of *block*
         at the logical ``(disk, track)`` where the retries ran out."""
         assert dec.fault is not None
-        if dec.torn and block is not None:  # stored: the tear counted its block
+        if dec.torn:  # stored: the tear counted its block
             pdisk, ptrack = self.injector.peek(disk, track, self.D)
             self._arena.put(pdisk, ptrack, block[: max(1, len(block) // 2)])
         raise dec.fault

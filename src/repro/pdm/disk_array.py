@@ -27,10 +27,10 @@ disk``) and two spellings:
   :class:`IOOp` lists, one :meth:`parallel_io` per batch, one Python
   iteration per block.  The EM baselines call it directly, and the
   hypothesis suites hold the run API to it: counters, batch widths and
-  stored bytes are bit-identical.  A fault-injected array decides its
-  faults over a stream's plan and moves the bytes through the same
-  scatter/gather (:mod:`repro.faults.injector`): no engine path enters
-  this loop.
+  stored bytes are bit-identical.  No engine path enters this loop.  A
+  fault-injected array (:mod:`repro.faults.injector`) decides planned
+  streams only: its faults over a stream's plan, then the bytes through
+  the same scatter/gather; its ``parallel_io``, so this loop too, refuses.
 """
 
 from __future__ import annotations
@@ -395,8 +395,8 @@ class DiskArray:
         self, plan: BatchPlan, base: int, rows: np.ndarray, *, write: bool
     ) -> None:
         """Move one planned stream between its *rows* and the tracks, and
-        count it: one arena scatter or gather.  ``FaultyDiskArray`` puts
-        its injector's decisions around the same two calls."""
+        count it: one arena scatter or gather.  ``FaultyDiskArray`` calls
+        this for a stream its injector let through whole."""
         if write:
             self._arena.scatter(plan.pieces, base, rows)
         elif not self._arena.gather(plan.pieces, base, rows):

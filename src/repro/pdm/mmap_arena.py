@@ -23,7 +23,10 @@ Spill-file lifecycle:
   directories never collide across processes;
 * a chunk is a window of that file: growth extends the file by the chunk
   (``ftruncate``) and maps the new window, and the windows already mapped
-  stay valid — nothing is remapped or copied.  The extension is a sparse
+  stay valid — nothing is remapped or copied.  Each window holds one file
+  descriptor (``mmap`` dups the file's); a growth the system refuses
+  (descriptors, space, file size) is a one-line :class:`SimulationError`
+  naming the spill dir and the windows held.  The extension is a sparse
   hole, so untouched tracks cost no physical disk; what a hole holds is as
   unobservable as the RAM arena's uncleared rows (a row is read only while
   its ledger entry is set);
@@ -105,11 +108,18 @@ class MmapTrackArena(TrackArena):
                 f"{have} the arena holds, REPRO_SPILL_QUOTA={self._quota}"
             )
         # the extension is a sparse hole that nothing reads before writing
-        # it; the windows mapped before stay valid over the longer file
-        self._file.truncate(have + new)
-        return np.memmap(
-            self._file, dtype=np.uint8, mode="r+", offset=have, shape=(rows, bb)
-        )
+        # it; the windows mapped before stay valid over the longer file.
+        # Each window holds a descriptor of its own (mmap dups the file's)
+        try:
+            self._file.truncate(have + new)
+            return np.memmap(
+                self._file, dtype=np.uint8, mode="r+", offset=have, shape=(rows, bb)
+            )
+        except OSError as exc:  # EMFILE, ENOSPC, EFBIG, ...
+            raise SimulationError(
+                f"cannot map a chunk of {new} bytes in spill dir {self.spill_dir}"
+                f" ({len(self._chunks)} windows held): {exc.strerror or exc}"
+            ) from None
 
     # -- bulk writes -------------------------------------------------------
 

@@ -21,6 +21,7 @@ import os
 import threading
 from typing import Any
 
+from repro.faults.checkpoint import write_durably
 from repro.service.jobs import Job, ServiceError
 
 
@@ -141,12 +142,9 @@ class JobQueue:
         for job in self.pending() + list(extra):
             seen.setdefault(job.id, job)
         docs = [job.persist_doc() for job in seen.values()]
-        tmp = path + ".tmp"
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump({"version": 1, "jobs": docs}, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, path)
+        doc = json.dumps({"version": 1, "jobs": docs}, indent=2, sort_keys=True)
+        write_durably(path, doc.encode("utf-8"), b"\n")
         return len(docs)
 
     @staticmethod
@@ -154,9 +152,12 @@ class JobQueue:
         """The persisted job documents (empty when no state file)."""
         if not os.path.exists(path):
             return []
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-        jobs = doc.get("jobs", [])
+        try:
+            with open(path, encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as exc:  # a torn or foreign file
+            raise ServiceError(f"cannot read queue state file {path!r}: {exc}") from None
+        jobs = doc.get("jobs", []) if isinstance(doc, dict) else None
         if not isinstance(jobs, list):
             raise ServiceError(f"malformed queue state file {path!r}")
         return jobs

@@ -40,6 +40,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 from urllib.parse import urlparse
 
+from repro.faults.checkpoint import write_durably
 from repro.obs.bus import EventBus, Subscription, _jsonable
 from repro.obs.metrics import MetricsRegistry
 from repro.service.cache import ResultCache
@@ -275,11 +276,8 @@ class ServiceCore:
         docs = self.cache.to_docs()
         if not docs:
             return
-        path = os.path.join(self.state_dir, CACHE_STATE_FILE)
-        tmp = path + ".tmp"
-        with open(tmp, "w") as fh:
-            json.dump({"entries": docs}, fh, default=_jsonable)
-        os.replace(tmp, path)
+        doc = json.dumps({"entries": docs}, default=_jsonable)
+        write_durably(os.path.join(self.state_dir, CACHE_STATE_FILE), doc.encode())
 
     def _restore_cache(self) -> None:
         path = os.path.join(self.state_dir, CACHE_STATE_FILE)
@@ -300,14 +298,18 @@ class ServiceCore:
         if not docs:
             return
         for doc in docs:
-            spec = JobSpec.from_dict(doc["spec"])
-            job = Job(
-                str(doc["id"]), spec,
-                doc.get("ckpt_dir")
-                or os.path.join(self.state_dir, "ckpt", str(doc["id"])),
-            )
-            job.attempts = int(doc.get("attempts", 0))
-            job.preemptions = int(doc.get("preemptions", 0))
+            try:
+                spec, jid = JobSpec.from_dict(doc["spec"]), str(doc["id"])
+                job = Job(
+                    jid, spec,
+                    doc.get("ckpt_dir") or os.path.join(self.state_dir, "ckpt", jid),
+                )
+                job.attempts = int(doc.get("attempts", 0))
+                job.preemptions = int(doc.get("preemptions", 0))
+            except (AttributeError, KeyError, TypeError, ValueError) as exc:
+                raise ServiceError(
+                    f"malformed job in queue state file {path!r}: {exc!r}"
+                ) from None
             job.resume = bool(doc.get("resume", False))
             self._register(job)
             try:

@@ -1,5 +1,6 @@
 """FaultyDiskArray behavior: retries, torn writes, degraded mode, and the
-two-ledger invariant (logical IOStats identical to a clean run)."""
+two-ledger invariant (logical IOStats identical to a clean run).  Every
+access goes through the run API: the array's per-op entry points refuse."""
 
 from __future__ import annotations
 
@@ -13,20 +14,35 @@ from repro.faults.injector import (
     FaultyDiskArray,
 )
 from repro.faults.plan import DiskDeath, FaultPlan, RetryPolicy, ScheduledFault
+from repro.pdm.block import BlockRun, Runs
 from repro.pdm.disk_array import DiskArray, IOOp
 from repro.util.validation import SimulationError
 
-D, B = 4, 64
+D, B = 4, 8
+BB = 8 * B  #: bytes per block
 
 
 def make_array(plan: FaultPlan, real: int = 0, d: int = D) -> FaultyDiskArray:
     return FaultyDiskArray(d, B, plan.injector_for(real), real=real)
 
 
-def fill(arr, blocks=32, seed=0) -> list[bytes]:
-    rng = np.random.default_rng(seed)
-    data = [rng.bytes(B) for _ in range(blocks)]
-    arr.write_blocks([(i % arr.D, i // arr.D, data[i]) for i in range(blocks)])
+def stripe(n: int, track: int = 0, disk: int = 0) -> Runs:
+    """*n* blocks striped from ``(disk, track)``: block i on disk
+    ``(disk + i) % D``, as the consecutive layout places them."""
+    return Runs(track, ((disk, n),))
+
+
+def write(arr, runs: Runs, data: bytes) -> int:
+    return arr.write_run(runs, BlockRun(data, runs.nblocks, BB))
+
+
+def read(arr, runs: Runs) -> bytes:
+    return bytes(arr.read_run(runs))
+
+
+def fill(arr, blocks=32, seed=0) -> bytes:
+    data = np.random.default_rng(seed).bytes(blocks * BB)
+    write(arr, stripe(blocks), data)
     return data
 
 
@@ -39,16 +55,15 @@ class TestTransients:
     def test_data_survives_retries(self):
         arr = make_array(self.PLAN)
         data = fill(arr)
-        got = arr.read_blocks([(i % D, i // D) for i in range(len(data))])
-        assert got == data
+        assert read(arr, stripe(32)) == data
         assert arr.injector.stats.retries > 0
         assert arr.injector.stats.retried_accesses > 0
 
     def test_logical_ledger_matches_clean_run(self):
         faulty, clean = make_array(self.PLAN), DiskArray(D, B)
         for arr in (faulty, clean):
-            data = fill(arr)
-            arr.read_blocks([(i % D, i // D) for i in range(len(data))])
+            fill(arr)
+            read(arr, stripe(32))
         assert faulty.stats.as_dict() == clean.stats.as_dict()
         assert faulty.injector.stats.any  # the physical ledger saw the faults
 
@@ -63,7 +78,7 @@ class TestTransients:
         )
         arr = make_array(plan)
         with pytest.raises(DiskFault, match="after 2 retries"):
-            arr.parallel_io([IOOp(0, 0, b"x" * B)])
+            write(arr, stripe(1), b"x" * BB)
 
     def test_modeled_backoff_accumulates(self):
         plan = FaultPlan(
@@ -83,9 +98,9 @@ class TestScheduled:
             schedule=(ScheduledFault(real=0, op=1, disk=2, kind="transient_write"),)
         )
         arr = make_array(plan)
-        arr.parallel_io([IOOp(d, 0, bytes(B)) for d in range(D)])  # op 0: clean
+        write(arr, stripe(D), bytes(D * BB))  # op 0: clean
         assert arr.injector.stats.transient_write_faults == 0
-        arr.parallel_io([IOOp(d, 1, bytes(B)) for d in range(D)])  # op 1: fault
+        write(arr, stripe(D, track=1), bytes(D * BB))  # op 1: fault
         assert arr.injector.stats.transient_write_faults == 1
         assert arr.injector.stats.retries == 1
 
@@ -94,7 +109,7 @@ class TestScheduled:
             schedule=(ScheduledFault(real=1, op=0, disk=0, kind="transient_write"),)
         )
         arr = make_array(plan, real=0)
-        arr.parallel_io([IOOp(0, 0, bytes(B))])
+        write(arr, stripe(1), bytes(BB))
         assert not arr.injector.stats.any
 
     def test_zero_probability_plan_makes_no_rng_draws(self):
@@ -111,11 +126,10 @@ class TestTornWrites:
             schedule=(ScheduledFault(real=0, op=0, disk=0, kind="torn_write"),)
         )
         arr = make_array(plan)
-        block = bytes(range(64))
-        arr.parallel_io([IOOp(0, 0, block)])
+        block = bytes(range(BB))
+        write(arr, stripe(1), block)
         assert arr.injector.stats.torn_writes == 1
-        [got] = arr.parallel_io([IOOp(0, 0)])
-        assert got == block
+        assert read(arr, stripe(1)) == block
 
     def test_unretried_tear_leaves_corrupt_prefix(self):
         plan = FaultPlan(
@@ -123,9 +137,9 @@ class TestTornWrites:
             retry=RetryPolicy(max_retries=0),
         )
         arr = make_array(plan)
-        block = bytes(range(64))
+        block = bytes(range(BB))
         with pytest.raises(DiskFault):
-            arr.parallel_io([IOOp(0, 0, block)])
+            write(arr, stripe(1), block)
         # the half-written prefix is on the platter — the crash hazard
         # checkpoint verification exists for
         assert arr.disks[0].snapshot_tracks()[0] == block[: len(block) // 2]
@@ -137,8 +151,7 @@ class TestDiskDeath:
     def test_degraded_mode_preserves_data(self):
         arr = make_array(self.PLAN)
         data = fill(arr)  # 32 blocks in 8 parallel I/Os -> death due at op 8
-        got = arr.read_blocks([(i % D, i // D) for i in range(len(data))])
-        assert got == data
+        assert read(arr, stripe(32)) == data
         st = arr.injector.stats
         assert st.dead_disks == 1
         assert st.migrated_blocks == 8  # disk 1 held 8 of the 32 blocks
@@ -146,14 +159,14 @@ class TestDiskDeath:
 
     def test_dead_disk_holds_nothing(self):
         arr = make_array(self.PLAN)
-        data = fill(arr)
-        arr.read_blocks([(i % D, i // D) for i in range(len(data))])
+        fill(arr)
+        read(arr, stripe(32))
         assert arr.disks[1].snapshot_tracks() == {}
 
     def test_shadow_tracks_live_on_survivors(self):
         arr = make_array(self.PLAN)
         fill(arr)
-        arr.read_blocks([(1, 0)])
+        read(arr, stripe(1, disk=1))
         inj = arr.injector
         pdisk, ptrack = inj.remap[(1, 0)]
         assert pdisk != 1 and ptrack >= SHADOW_BASE
@@ -165,7 +178,7 @@ class TestDiskDeath:
         st0 = arr.injector.stats.lost_width
         # a full-stripe read must now squeeze D logical tracks onto D-1
         # survivors: at least one unit of parallelism is lost
-        arr.parallel_io([IOOp(d, 0) for d in range(D)])
+        read(arr, stripe(D))
         assert arr.injector.stats.lost_width > st0
         # logical ledger still records a full-width I/O
         assert arr.stats.width_histogram[D] > 0
@@ -179,8 +192,7 @@ class TestDiskDeath:
         )
         arr = make_array(plan)
         data = fill(arr)
-        got = arr.read_blocks([(i % D, i // D) for i in range(len(data))])
-        assert got == data
+        assert read(arr, stripe(32)) == data
         assert arr.injector.stats.dead_disks == 2
         assert arr.disks[1].snapshot_tracks() == {} and arr.disks[2].snapshot_tracks() == {}
 
@@ -190,27 +202,43 @@ class TestDiskDeath:
         )
         arr = make_array(plan, d=2)
         with pytest.raises(DiskFault, match="no\\s+survivors"):
-            arr.parallel_io([IOOp(0, 0, bytes(B))])
+            write(arr, stripe(1), bytes(BB))
 
     def test_free_blocks_follows_remap(self):
         arr = make_array(self.PLAN)
         fill(arr)
-        arr.read_blocks([(1, 0)])  # forces the remap entry
+        read(arr, stripe(1, disk=1))  # forces the remap entry
         pdisk, ptrack = arr.injector.remap[(1, 0)]
         arr.free_blocks([(1, 0)])
         assert ptrack not in arr.disks[pdisk].snapshot_tracks()
 
 
-class TestBatchRulesStillEnforced:
-    def test_two_tracks_same_disk_rejected(self):
-        arr = make_array(FaultPlan())
-        with pytest.raises(SimulationError):
-            arr.parallel_io([IOOp(0, 0, bytes(B)), IOOp(0, 1, bytes(B))])
+class TestPerOpEntryPointsRefuse:
+    """A direct call cannot move a block around the injector's plan, nor
+    can a batch that breaks the PDM rule."""
 
-    def test_disk_out_of_range_rejected(self):
-        arr = make_array(FaultPlan())
-        with pytest.raises(SimulationError):
-            arr.parallel_io([IOOp(D, 0, bytes(B))])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda a: a.parallel_io([IOOp(0, 0, bytes(BB))]),
+            lambda a: a.write_blocks([(0, 0, bytes(BB))]),
+            lambda a: a.read_blocks([(0, 0)]),
+            lambda a: a.parallel_io([IOOp(0, 0, bytes(BB)), IOOp(0, 1, bytes(BB))]),
+            lambda a: a.parallel_io([IOOp(D, 0, bytes(BB))]),
+        ],
+        ids=[
+            "parallel_io", "write_blocks", "read_blocks",
+            "two_tracks_same_disk", "disk_out_of_range",
+        ],
+    )
+    def test_one_line_naming_the_real_processor(self, call):
+        arr = make_array(FaultPlan(p_transient_read=0.5), real=3)
+        with pytest.raises(SimulationError) as err:
+            call(arr)
+        assert type(err.value) is SimulationError
+        assert "\n" not in str(err.value) and "real processor 3" in str(err.value)
+        assert arr.tracks_in_use == 0 and arr.stats.parallel_ios == 0
+        assert arr.injector.op_index == 0 and not arr.injector.stats.any
 
 
 class TestStateRoundTrip:
@@ -222,11 +250,11 @@ class TestStateRoundTrip:
 
     def test_restore_replays_identically(self):
         a = make_array(self.PLAN)
-        data = fill(a)
+        fill(a)
         saved = a.injector.state()
         tracks_before = [d.snapshot_tracks() for d in a.disks]
 
-        first = a.read_blocks([(i % D, i // D) for i in range(len(data))])
+        first = read(a, stripe(32))
         stats_first = a.injector.stats.as_dict()
 
         # rebuild the array at the snapshot and replay the same accesses
@@ -234,7 +262,7 @@ class TestStateRoundTrip:
         b.injector.restore(saved)
         for disk, tracks in zip(b.disks, tracks_before):
             disk.restore_tracks(tracks)
-        second = b.read_blocks([(i % D, i // D) for i in range(len(data))])
+        second = read(b, stripe(32))
         assert second == first
         assert b.injector.stats.as_dict() == stats_first
 

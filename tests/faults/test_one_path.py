@@ -3,12 +3,10 @@
 The injector decides a whole stream at once (``FaultInjector.decide``)
 and the bytes then move through the clean run's scatter/gather, so no
 engine path reaches the per-op ``parallel_io`` loop, with or without a
-plan.  And a stream decided at once suffers exactly what the same
-placements suffer batch by batch through ``write_blocks`` /
-``read_blocks`` — the per-op entry points, which decide one parallel
-I/O per call — and what :class:`OneAccessAtATime` makes of them: the
-injector's rules applied to one access after another, with one scalar
-draw per attempt, which shares nothing with ``decide``.
+plan (on a fault-injected array that loop refuses).  And a stream decided
+at once suffers exactly what :class:`OneAccessAtATime` makes of the same
+placements: the injector's rules applied to one access after another,
+with one scalar draw per attempt, which shares nothing with ``decide``.
 """
 
 from __future__ import annotations
@@ -237,35 +235,23 @@ def _observe(arr, plan_fn):
 
 
 def _lanes(D: int, plan: FaultPlan) -> list[FaultyDiskArray]:
-    """The run API, the per-op entry points and the one-access reference."""
-    kinds = (FaultyDiskArray, FaultyDiskArray, OneAccessAtATime)
+    """The run API and the one-access reference."""
+    kinds = (FaultyDiskArray, OneAccessAtATime)
     return [
         cls(D, 1, plan.injector_for(0), tracer=EventBus(monitor=False)) for cls in kinds
     ]
 
 
 def _agree(lanes, runs: Runs, raw: bytes) -> str | None:
-    """Write then read *raw* at *runs* on every lane; the lanes must end
-    alike.  The :class:`DiskFault` they stopped on, if any."""
-    bulk, per_op, ref = lanes
+    """Write then read *raw* at *runs* on both lanes; they must end alike.
+    The :class:`DiskFault` they stopped on, if any."""
+    bulk, ref = lanes
     run = BlockRun(raw, runs.nblocks, 8)
-    disks, tracks = runs.expand(bulk.D)
-    addresses = list(zip(disks.tolist(), tracks.tolist()))
-    placements = [(d, t, blk) for (d, t), blk in zip(addresses, run.to_blocks())]
-    steps = (
-        (lambda a: a.write_run(runs, run), lambda a: a.write_blocks(placements)),
-        (lambda a: bytes(a.read_run(runs)), lambda a: b"".join(a.read_blocks(addresses))),
-    )
-    for stream, batches in steps:
-        seen = [
-            _observe(bulk, lambda: stream(bulk)),
-            _observe(per_op, lambda: batches(per_op)),
-            _observe(ref, lambda: stream(ref)),
-        ]
-        assert seen[0] == seen[2]
-        assert seen[1] == seen[2]
-        if seen[0]["error"] is not None:
-            return seen[0]["error"]
+    for stream in (lambda a: a.write_run(runs, run), lambda a: bytes(a.read_run(runs))):
+        seen = _observe(bulk, lambda: stream(bulk))
+        assert seen == _observe(ref, lambda: stream(ref))
+        if seen["error"] is not None:
+            return seen["error"]
     return None
 
 
@@ -311,14 +297,12 @@ def test_two_scheduled_faults_in_one_io_strike_in_stream_order(second, p, max_re
 def test_the_read_fallback_is_decided_once(monkeypatch):
     """A stream that crosses into the side dict cannot be gathered, so it
     is read track by track — under the one decision already made for it,
-    which is what the batch-by-batch reads suffer too."""
+    which is what the reads one access at a time suffer too."""
     plan = FaultPlan(seed=3, p_transient_read=0.3, retry=RetryPolicy(max_retries=9))
     runs = Runs(MAX_DIRECT_TRACK - 2, ((0, 8),))  # tracks 2^20 - 2 .. 2^20 + 1
-    disks, tracks = runs.expand(2)
-    addresses = list(zip(disks.tolist(), tracks.tolist()))
     data = bytes(range(64))
     bulk = FaultyDiskArray(2, 1, plan.injector_for(0))
-    per_op = FaultyDiskArray(2, 1, plan.injector_for(0))
+    per_op = OneAccessAtATime(2, 1, plan.injector_for(0), tracer=EventBus(monitor=False))
     for arr in (bulk, per_op):
         arr.write_run(runs, BlockRun(data, 8, 8))
     decided = []
@@ -328,7 +312,7 @@ def test_the_read_fallback_is_decided_once(monkeypatch):
     )
     assert bytes(bulk.read_run(runs)) == data
     assert [w.tolist() for w in decided] == [[2, 2, 2, 2]]
-    assert b"".join(per_op.read_blocks(addresses)) == data
+    assert bytes(per_op.read_run(runs)) == data
     assert bulk.injector.stats.as_dict() == per_op.injector.stats.as_dict()
     assert bulk.injector.stats.transient_read_faults > 0
     assert bulk.stats.as_dict() == per_op.stats.as_dict()

@@ -332,7 +332,7 @@ def test_snapshot_restore_portable_across_storage_modes():
         for ref in (mm, FaultyDiskArray(2, 1, FaultPlan().injector_for(0))):
             for d in range(2):
                 ref.disks[d].restore_tracks(snap[d])
-            assert ref.read_blocks([(0, 0), (1, 0), (0, 1)]) == [b"12345678"] * 3
+            assert bytes(ref.read_run(Runs(0, ((0, 3),)))) == b"12345678" * 3
     finally:
         mm.close()
 

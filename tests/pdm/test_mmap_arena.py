@@ -232,6 +232,44 @@ class TestSpillWriteFailures:
         assert not spill.exists() or not os.listdir(spill)
 
 
+class TestChunkMapFailures:
+    """A window the system will not map (out of descriptors: each window
+    holds one) ends the run with one line naming the spill dir."""
+
+    @staticmethod
+    def _no_fds(*_args, **_kwargs):
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+    def test_arena_growth_names_spill_dir_and_windows(self, tmp_path, monkeypatch):
+        arena = MmapTrackArena(2, 64, spill_dir=str(tmp_path))
+        try:
+            arena.put(0, 0, b"x" * 64)  # the first window maps
+            held = len(arena._chunks)
+            monkeypatch.setattr(np, "memmap", self._no_fds)
+            with pytest.raises(SimulationError) as err:
+                arena.put(0, arena._bounds[-1], b"y" * 64)
+            msg = str(err.value)
+            assert "\n" not in msg and arena.spill_dir in msg
+            assert f"({held} windows held): Too many open files" in msg
+        finally:
+            arena.close()
+
+    def test_in_process_run_exits_3_with_one_line(self, tmp_path, monkeypatch, capsys):
+        from repro import cli
+
+        spill = tmp_path / "spill"
+        monkeypatch.setenv("REPRO_SPILL_DIR", str(spill))
+        monkeypatch.setattr(np, "memmap", self._no_fds)
+        assert cli.main(TestSpillWriteFailures.ARGS + ["--workers", "0"]) == 3
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            r"error: cannot map a chunk of \d+ bytes in spill dir \S*spill\S* "
+            r"\(0 windows held\): Too many open files\n", err
+        ), err
+        gc.collect()
+        assert not spill.exists() or not os.listdir(spill)
+
+
 class TestSelection:
     def test_factory_honors_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_ARENA", "mmap")

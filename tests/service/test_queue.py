@@ -1,11 +1,14 @@
 """JobQueue admission, ordering, quotas, persistence; ResultCache."""
 
+import os
+
 import pytest
 
 from repro.faults.checkpoint import CheckpointManager
 from repro.service.cache import ResultCache
-from repro.service.jobs import Job
+from repro.service.jobs import Job, ServiceError
 from repro.service.queue import BackpressureError, JobQueue
+from repro.service.server import CACHE_STATE_FILE, QUEUE_STATE_FILE, ServiceCore
 from repro.service.spec import JobSpec
 
 
@@ -122,6 +125,41 @@ class TestPersistence:
 
     def test_load_missing_file_is_empty(self, tmp_path):
         assert JobQueue.load_persisted(str(tmp_path / "nope.json")) == []
+
+    @pytest.mark.parametrize("text", ['{"version": 1, "jo', "[1, 2]", "\xff"])
+    def test_load_torn_file_is_one_line_service_error(self, tmp_path, text):
+        path = tmp_path / "queue.json"
+        path.write_bytes(text.encode("latin-1"))
+        with pytest.raises(ServiceError) as err:
+            JobQueue.load_persisted(str(path))
+        assert str(path) in str(err.value) and "\n" not in str(err.value)
+
+    def test_every_state_file_is_fsynced_before_it_replaces(self, tmp_path, monkeypatch):
+        """queue.json, result_cache.json and a checkpoint each reach the
+        disk before ``os.replace`` puts them in place, so a crash after the
+        rename cannot leave an empty or torn state file."""
+        synced: set[int] = set()
+        replaced: list[tuple[str, bool]] = []
+        fsync, replace = os.fsync, os.replace
+
+        def recording_fsync(fd):
+            fsync(fd)
+            synced.add(os.fstat(fd).st_ino)
+
+        def recording_replace(src, dst):
+            replaced.append((os.path.basename(dst), os.stat(src).st_ino in synced))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        monkeypatch.setattr(os, "replace", recording_replace)
+        JobQueue().persist(str(tmp_path / QUEUE_STATE_FILE), extra=[make_job(tmp_path, 0)])
+        core = ServiceCore(state_dir=str(tmp_path / "state"), pool_size=1, start=False)
+        core.cache.put("fp", {"result": {"hash": "0"}})
+        core._persist_cache()
+        CheckpointManager(str(tmp_path / "ckpt")).save(0, {"round": 0}, {})
+        assert replaced == [
+            (QUEUE_STATE_FILE, True), (CACHE_STATE_FILE, True), ("ckpt_000001.bin", True)
+        ]
 
 
 class TestResultCache:

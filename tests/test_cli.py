@@ -810,6 +810,29 @@ class TestServeBindErrors:
         self._assert_one_line_port_error(capsys, busy_port)
 
 
+class TestServeStateFile:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"version": 1, "jo',
+            '{"version": 1, "jobs": [{}]}',
+            '{"version": 1, "jobs": [{"id": "x", "spec": {"op": "sort"}, "attempts": "2x"}]}',
+        ],
+        ids=["torn", "no_spec", "bad_attempts"],
+    )
+    def test_serve_torn_queue_state_exits_3(self, capsys, tmp_path, text):
+        """A ``queue.json`` cut short by a crash, or holding a job it cannot
+        rebuild, is one line naming the file, not a traceback."""
+        state = tmp_path / "state"
+        state.mkdir()
+        (state / "queue.json").write_text(text)
+        rc = main(["serve", "--port", "0", "--state-dir", str(state)])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "queue state file" in err
+        assert str(state / "queue.json") in err and err.count("\n") == 1
+
+
 class TestSubmitCommand:
     SPEC = {"op": "sort", "n": 4096, "seed": 1,
             "machine": {"v": 8, "D": 2, "B": 64}}
