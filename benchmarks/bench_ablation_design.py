@@ -65,7 +65,7 @@ class TightHint:
         self._items = items
         self.name = program.name + "-tight"
 
-    def max_message_items(self, cfg):
+    def max_message_items(self, shape):
         return self._items
 
     def __getattr__(self, name):

@@ -86,15 +86,15 @@ class SkewedTraffic(CGMProgram):
 
     name = "skewed"
 
-    def max_message_items(self, cfg):
-        return max(1, cfg.N // (cfg.v * cfg.v))  # deliberately tight slots
+    def max_message_items(self, shape):
+        return max(1, shape.N // (shape.v * shape.v))  # deliberately tight slots
 
-    def setup(self, ctx, pid, cfg, local_input):
+    def setup(self, ctx, pid, shape, local_input):
         ctx["pid"] = pid
 
     def round(self, r, ctx, env):
         if r == 0 and ctx["pid"] == 0:
-            env.send(1, np.zeros(env.cfg.N // env.v, dtype=np.int64), tag="blob")
+            env.send(1, np.zeros(env.shape.N // env.v, dtype=np.int64), tag="blob")
         if r == 1:
             ctx["got"] = sum(m.payload.size for m in env.messages(tag="blob"))
         return r >= 1

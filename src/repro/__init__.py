@@ -38,7 +38,7 @@ from repro.cgm import (
     RoundEnv,
     RunResult,
 )
-from repro.core import ParEMEngine, SeqEMEngine, VMEngine
+from repro.core import ParEMEngine, VMEngine
 from repro.em.runner import em_permute, em_run, em_sort, em_transpose
 
 __version__ = "1.0.0"
@@ -52,7 +52,6 @@ __all__ = [
     "RoundEnv",
     "RunResult",
     "ParEMEngine",
-    "SeqEMEngine",
     "VMEngine",
     "em_permute",
     "em_run",

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.cgm.config import MachineConfig
 from repro.cgm.metrics import CostReport
-from repro.cgm.program import CGMProgram, Context, RoundEnv
+from repro.cgm.program import CGMProgram, Context, RoundEnv, Shape
 from repro.util.validation import ConfigurationError
 
 
@@ -82,7 +82,7 @@ class Broadcast(CGMProgram):
     def __init__(self, root: int = 0) -> None:
         self.root = root
 
-    def setup(self, ctx: Context, pid: int, cfg: MachineConfig, local_input: Any) -> None:
+    def setup(self, ctx: Context, pid: int, shape: Shape, local_input: Any) -> None:
         ctx["pid"] = pid
         ctx["value"] = local_input
 
@@ -107,7 +107,7 @@ class AllGather(CGMProgram):
 
     name = "all-gather"
 
-    def setup(self, ctx: Context, pid: int, cfg: MachineConfig, local_input: Any) -> None:
+    def setup(self, ctx: Context, pid: int, shape: Shape, local_input: Any) -> None:
         ctx["pid"] = pid
         ctx["value"] = local_input
 
@@ -137,7 +137,7 @@ class PrefixSum(CGMProgram):
 
     name = "prefix-sum"
 
-    def setup(self, ctx: Context, pid: int, cfg: MachineConfig, local_input: Any) -> None:
+    def setup(self, ctx: Context, pid: int, shape: Shape, local_input: Any) -> None:
         ctx["pid"] = pid
         ctx["value"] = local_input
 
@@ -176,7 +176,7 @@ class AllToAll(CGMProgram):
     def __init__(self, make_payload=None) -> None:
         self.make_payload = make_payload or (lambda pid, dest: (pid, dest))
 
-    def setup(self, ctx: Context, pid: int, cfg: MachineConfig, local_input: Any) -> None:
+    def setup(self, ctx: Context, pid: int, shape: Shape, local_input: Any) -> None:
         ctx["pid"] = pid
 
     def round(self, r: int, ctx: Context, env: RoundEnv) -> bool:

@@ -271,7 +271,7 @@ class DelaunayCGM(SlabProgram):
 
     # ------------------------------------------------------------------ misc
 
-    def extra_setup(self, ctx: Context, pid, cfg, local_input) -> None:
+    def extra_setup(self, ctx: Context, pid, shape, local_input) -> None:
         ctx["n_total"] = self.n_points
 
     def finish(self, ctx: Context):

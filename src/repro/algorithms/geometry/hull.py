@@ -20,8 +20,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.cgm.config import MachineConfig
-from repro.cgm.program import CGMProgram, Context, RoundEnv
+from repro.cgm.program import CGMProgram, Context, RoundEnv, Shape
 from repro.util.validation import SimulationError
 
 
@@ -52,7 +51,7 @@ class ConvexHullFilter(CGMProgram):
             raise ValueError("dim must be 2 or 3")
         self.dim = dim
 
-    def setup(self, ctx: Context, pid: int, cfg: MachineConfig, local_input: Any) -> None:
+    def setup(self, ctx: Context, pid: int, shape: Shape, local_input: Any) -> None:
         pts = np.asarray(local_input, dtype=np.float64).reshape(-1, self.dim + 1)
         ctx["pid"] = pid
         ctx["pts"] = pts

@@ -80,10 +80,10 @@ class StabbingQueries(SlabProgram):
 
     name = "stabbing-queries"
 
-    def setup(self, ctx: Context, pid, cfg, local_input) -> None:
+    def setup(self, ctx: Context, pid, shape, local_input) -> None:
         intervals, queries = local_input
         super().setup(
-            ctx, pid, cfg, np.asarray(intervals, dtype=np.float64).reshape(-1, 3)
+            ctx, pid, shape, np.asarray(intervals, dtype=np.float64).reshape(-1, 3)
         )
         ctx["queries"] = np.asarray(queries, dtype=np.float64).reshape(-1, 2)
 

@@ -18,8 +18,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.cgm.config import MachineConfig
-from repro.cgm.program import CGMProgram, Context, RoundEnv
+from repro.cgm.program import CGMProgram, Context, RoundEnv, Shape
 
 
 class UnidirectionalSeparability(CGMProgram):
@@ -32,7 +31,7 @@ class UnidirectionalSeparability(CGMProgram):
         d = np.asarray(direction, dtype=np.float64)
         self.direction = d / np.linalg.norm(d)
 
-    def setup(self, ctx: Context, pid: int, cfg: MachineConfig, local_input: Any) -> None:
+    def setup(self, ctx: Context, pid: int, shape: Shape, local_input: Any) -> None:
         A, B = local_input
         ctx["pid"] = pid
         ctx["A"] = np.asarray(A, dtype=np.float64).reshape(-1, 2)

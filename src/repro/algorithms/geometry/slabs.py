@@ -23,8 +23,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.cgm.config import MachineConfig
-from repro.cgm.program import CGMProgram, Context, RoundEnv
+from repro.cgm.program import CGMProgram, Context, RoundEnv, Shape
 
 
 class SlabProgram(CGMProgram):
@@ -38,16 +37,16 @@ class SlabProgram(CGMProgram):
     name = "slab-program"
     key_col = 0
 
-    def setup(self, ctx: Context, pid: int, cfg: MachineConfig, local_input: Any) -> None:
+    def setup(self, ctx: Context, pid: int, shape: Shape, local_input: Any) -> None:
         rows = np.asarray(local_input, dtype=np.float64)
         if rows.ndim == 1:
             rows = rows.reshape(-1, 1)
         ctx["pid"] = pid
         ctx["rows"] = rows
         ctx["phase"] = "sample"
-        self.extra_setup(ctx, pid, cfg, local_input)
+        self.extra_setup(ctx, pid, shape, local_input)
 
-    def extra_setup(self, ctx: Context, pid: int, cfg: MachineConfig, local_input: Any) -> None:
+    def extra_setup(self, ctx: Context, pid: int, shape: Shape, local_input: Any) -> None:
         """Hook for subclasses (queries, parameters...)."""
 
     # ------------------------------------------------------------ the skeleton

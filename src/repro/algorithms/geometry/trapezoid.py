@@ -99,9 +99,9 @@ class PointLocation(SlabProgram):
 
     name = "point-location"
 
-    def setup(self, ctx: Context, pid, cfg, local_input) -> None:
+    def setup(self, ctx: Context, pid, shape, local_input) -> None:
         segs, queries = local_input
-        super().setup(ctx, pid, cfg, np.asarray(segs, dtype=np.float64).reshape(-1, 5))
+        super().setup(ctx, pid, shape, np.asarray(segs, dtype=np.float64).reshape(-1, 5))
         ctx["queries"] = np.asarray(queries, dtype=np.float64).reshape(-1, 3)
 
     def sample_keys(self, ctx: Context) -> np.ndarray:

@@ -25,8 +25,7 @@ from typing import Any
 import numpy as np
 
 from repro.algorithms.collectives import owner_of_index, slice_bounds
-from repro.cgm.config import MachineConfig
-from repro.cgm.program import CGMProgram, Context, RoundEnv
+from repro.cgm.program import CGMProgram, Context, RoundEnv, Shape
 from repro.util.validation import SimulationError
 
 
@@ -47,12 +46,12 @@ class EulerTourBuild(CGMProgram):
         self.n_vertices = n_vertices
         self.root = root
 
-    def setup(self, ctx: Context, pid: int, cfg: MachineConfig, local_input: Any) -> None:
+    def setup(self, ctx: Context, pid: int, shape: Shape, local_input: Any) -> None:
         edges = np.asarray(local_input, dtype=np.int64).reshape(-1, 3)
         ctx["pid"] = pid
         ctx["edges"] = edges
-        ctx["n_dir"] = cfg.N  # 2E
-        lo, hi = slice_bounds(cfg.N, cfg.v, pid)
+        ctx["n_dir"] = shape.N  # 2E
+        lo, hi = slice_bounds(shape.N, shape.v, pid)
         ctx["lo"] = lo
         ctx["succ"] = np.full(hi - lo, -2, dtype=np.int64)  # -2 = unset
 

@@ -32,8 +32,7 @@ from typing import Any
 import numpy as np
 
 from repro.algorithms.collectives import owner_of_index, slice_bounds
-from repro.cgm.config import MachineConfig
-from repro.cgm.program import CGMProgram, Context, RoundEnv
+from repro.cgm.program import CGMProgram, Context, RoundEnv, Shape
 from repro.util.validation import SimulationError
 
 
@@ -48,11 +47,11 @@ class ListRanking(CGMProgram):
 
     # ------------------------------------------------------------------ setup
 
-    def setup(self, ctx: Context, pid: int, cfg: MachineConfig, local_input: Any) -> None:
+    def setup(self, ctx: Context, pid: int, shape: Shape, local_input: Any) -> None:
         succ, weight = local_input
         succ = np.asarray(succ, dtype=np.int64)
-        n_nodes = cfg.N
-        lo, hi = slice_bounds(n_nodes, cfg.v, pid)
+        n_nodes = shape.N
+        lo, hi = slice_bounds(n_nodes, shape.v, pid)
         if succ.size != hi - lo:
             raise SimulationError(
                 f"processor {pid} expected {hi - lo} nodes, got {succ.size}"
@@ -75,7 +74,7 @@ class ListRanking(CGMProgram):
         ctx["level"] = 0             # contraction iteration counter
         threshold = self.gather_threshold
         if threshold is None:
-            threshold = max(2, n_nodes // cfg.v)
+            threshold = max(2, n_nodes // shape.v)
         ctx["threshold"] = threshold
 
     # ---------------------------------------------------------------- helpers

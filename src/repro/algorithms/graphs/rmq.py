@@ -25,8 +25,7 @@ from typing import Any
 import numpy as np
 
 from repro.algorithms.collectives import owner_of_index, slice_bounds
-from repro.cgm.config import MachineConfig
-from repro.cgm.program import CGMProgram, Context, RoundEnv
+from repro.cgm.program import CGMProgram, Context, RoundEnv, Shape
 from repro.util.validation import SimulationError
 
 _INF = np.iinfo(np.int64).max
@@ -43,7 +42,7 @@ class RangeMin(CGMProgram):
 
     name = "range-min"
 
-    def setup(self, ctx: Context, pid: int, cfg: MachineConfig, local_input: Any) -> None:
+    def setup(self, ctx: Context, pid: int, shape: Shape, local_input: Any) -> None:
         values, payload, queries = local_input
         values = np.asarray(values, dtype=np.int64)
         payload = (
@@ -52,12 +51,12 @@ class RangeMin(CGMProgram):
             else np.zeros_like(values)
         )
         queries = np.asarray(queries, dtype=np.int64).reshape(-1, 3)
-        lo, hi = slice_bounds(cfg.N, cfg.v, pid)
+        lo, hi = slice_bounds(shape.N, shape.v, pid)
         if values.size != hi - lo:
             raise SimulationError(f"slab size mismatch on processor {pid}")
         ctx["pid"] = pid
         ctx["lo"] = lo
-        ctx["n"] = cfg.N
+        ctx["n"] = shape.N
         ctx["values"] = values
         ctx["payload"] = payload
         ctx["queries"] = queries

@@ -15,8 +15,7 @@ from typing import Any
 import numpy as np
 
 from repro.algorithms.collectives import owner_of_index, slice_bounds
-from repro.cgm.config import MachineConfig
-from repro.cgm.program import CGMProgram, Context, RoundEnv
+from repro.cgm.program import CGMProgram, Context, RoundEnv, Shape
 from repro.util.validation import ConfigurationError
 
 _OPS = {
@@ -30,7 +29,7 @@ class ScatterReduce(CGMProgram):
     """Reduce (key, value) int64 pairs by key owner. lambda = 1.
 
     Input per processor: an (k, 2) array of ``(key, value)``; keys live in
-    [0, cfg.N).  Output per processor: the reduced int64 array for its
+    [0, shape.N).  Output per processor: the reduced int64 array for its
     key slice.
     """
 
@@ -41,11 +40,11 @@ class ScatterReduce(CGMProgram):
             raise ConfigurationError(f"op must be one of {sorted(_OPS)}, got {op!r}")
         self.op = op
 
-    def setup(self, ctx: Context, pid: int, cfg: MachineConfig, local_input: Any) -> None:
+    def setup(self, ctx: Context, pid: int, shape: Shape, local_input: Any) -> None:
         rows = np.asarray(local_input, dtype=np.int64).reshape(-1, 2)
         ctx["pid"] = pid
         ctx["rows"] = rows
-        lo, hi = slice_bounds(cfg.N, cfg.v, pid)
+        lo, hi = slice_bounds(shape.N, shape.v, pid)
         ctx["lo"] = lo
         _fn, identity = _OPS[self.op]
         ctx["out"] = np.full(hi - lo, identity, dtype=np.int64)
@@ -55,7 +54,7 @@ class ScatterReduce(CGMProgram):
             rows = ctx.pop("rows")
             if rows.size:
                 owners = np.asarray(
-                    owner_of_index(rows[:, 0], env.cfg.N, env.v), dtype=np.int64
+                    owner_of_index(rows[:, 0], env.shape.N, env.v), dtype=np.int64
                 )
                 order = np.argsort(owners, kind="stable")
                 rows, owners = rows[order], owners[order]

@@ -32,8 +32,7 @@ from typing import Any
 import numpy as np
 
 from repro.algorithms.collectives import owner_of_index, slice_bounds
-from repro.cgm.config import MachineConfig
-from repro.cgm.program import CGMProgram, Context, RoundEnv
+from repro.cgm.program import CGMProgram, Context, RoundEnv, Shape
 from repro.util.validation import SimulationError
 
 OP_ADD = 0
@@ -69,7 +68,7 @@ class ExpressionEval(CGMProgram):
 
     Input per processor (for its vertex slice): ``(parent, op, value)``
     arrays — ``parent[i] = -1`` at the root, ``op`` in {OP_ADD, OP_MUL}
-    at internal nodes, ``value`` meaningful at leaves.  ``cfg.N`` is the
+    at internal nodes, ``value`` meaningful at leaves.  ``shape.N`` is the
     vertex-id space size.
     """
 
@@ -80,16 +79,16 @@ class ExpressionEval(CGMProgram):
 
     # ------------------------------------------------------------------ setup
 
-    def setup(self, ctx: Context, pid: int, cfg: MachineConfig, local_input: Any) -> None:
+    def setup(self, ctx: Context, pid: int, shape: Shape, local_input: Any) -> None:
         parent, op, value = local_input
         parent = np.asarray(parent, dtype=np.int64)
-        lo, hi = slice_bounds(cfg.N, cfg.v, pid)
+        lo, hi = slice_bounds(shape.N, shape.v, pid)
         k = hi - lo
         if parent.size != k:
             raise SimulationError(f"processor {pid}: slice size mismatch")
         ctx["pid"] = pid
         ctx["lo"] = lo
-        ctx["n"] = cfg.N
+        ctx["n"] = shape.N
         ctx["parent"] = parent.copy()
         ctx["op"] = np.asarray(op, dtype=np.int64).copy()
         ctx["val"] = np.asarray(value, dtype=np.float64).copy()
@@ -104,7 +103,7 @@ class ExpressionEval(CGMProgram):
         ctx["phase"] = "degree"
         threshold = self.gather_threshold
         if threshold is None:
-            threshold = max(2, cfg.N // cfg.v)
+            threshold = max(2, shape.N // shape.v)
         ctx["threshold"] = threshold
 
     # ---------------------------------------------------------------- helpers

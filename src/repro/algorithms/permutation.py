@@ -21,8 +21,7 @@ from typing import Any
 import numpy as np
 
 from repro.algorithms.collectives import bucket_by_dest, owner_of_index, slice_bounds
-from repro.cgm.config import MachineConfig
-from repro.cgm.program import CGMProgram, Context, RoundEnv
+from repro.cgm.program import CGMProgram, Context, RoundEnv, Shape
 
 
 class CGMPermute(CGMProgram):
@@ -30,17 +29,17 @@ class CGMPermute(CGMProgram):
 
     name = "cgm-permute"
 
-    def setup(self, ctx: Context, pid: int, cfg: MachineConfig, local_input: Any) -> None:
+    def setup(self, ctx: Context, pid: int, shape: Shape, local_input: Any) -> None:
         values, dest_idx = local_input
         ctx["pid"] = pid
         ctx["values"] = np.asarray(values)
         ctx["dest_idx"] = np.asarray(dest_idx, dtype=np.int64)
-        ctx["N"] = cfg.N
+        ctx["N"] = shape.N
 
-    def max_message_items(self, cfg: MachineConfig) -> int:
+    def max_message_items(self, shape: Shape) -> int:
         # worst case: an adversarial permutation sends a processor's whole
         # slice to one destination — 2N/v items as (index, value) pairs.
-        return 4 * max(1, -(-cfg.N // cfg.v))
+        return 4 * max(1, -(-shape.N // shape.v))
 
     def round(self, r: int, ctx: Context, env: RoundEnv) -> bool:
         pid, v, N = ctx["pid"], env.v, ctx["N"]

@@ -26,8 +26,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.cgm.config import MachineConfig
-from repro.cgm.program import CGMProgram, Context, RoundEnv
+from repro.cgm.program import CGMProgram, Context, RoundEnv, Shape
 
 
 class SampleSort(CGMProgram):
@@ -56,16 +55,16 @@ class SampleSort(CGMProgram):
             return np.sort(data)
         return data[np.argsort(self._keys(data), kind="stable")]
 
-    def setup(self, ctx: Context, pid: int, cfg: MachineConfig, local_input: Any) -> None:
+    def setup(self, ctx: Context, pid: int, shape: Shape, local_input: Any) -> None:
         data = np.asarray(local_input)
         ctx["pid"] = pid
         ctx["data"] = data
 
-    def max_message_items(self, cfg: MachineConfig) -> int:
+    def max_message_items(self, shape: Shape) -> int:
         # bucket i->j holds at most ~2N/v^2 items after regular sampling,
         # plus the v^2-sample gather at processor 0.
-        per_bucket = 4 * max(1, -(-cfg.N // (cfg.v * cfg.v)))
-        samples = cfg.v * cfg.v
+        per_bucket = 4 * max(1, -(-shape.N // (shape.v * shape.v)))
+        samples = shape.v * shape.v
         return max(per_bucket, samples, 64)
 
     def round(self, r: int, ctx: Context, env: RoundEnv) -> bool:

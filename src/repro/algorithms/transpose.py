@@ -20,8 +20,7 @@ from typing import Any
 import numpy as np
 
 from repro.algorithms.collectives import bucket_by_dest, slice_bounds
-from repro.cgm.config import MachineConfig
-from repro.cgm.program import CGMProgram, Context, RoundEnv
+from repro.cgm.program import CGMProgram, Context, RoundEnv, Shape
 
 
 class CGMTranspose(CGMProgram):
@@ -33,7 +32,7 @@ class CGMTranspose(CGMProgram):
 
     name = "cgm-transpose"
 
-    def setup(self, ctx: Context, pid: int, cfg: MachineConfig, local_input: Any) -> None:
+    def setup(self, ctx: Context, pid: int, shape: Shape, local_input: Any) -> None:
         band, row0, k, ell = local_input
         ctx["pid"] = pid
         ctx["band"] = np.asarray(band)
@@ -41,8 +40,8 @@ class CGMTranspose(CGMProgram):
         ctx["k"] = int(k)
         ctx["ell"] = int(ell)
 
-    def max_message_items(self, cfg: MachineConfig) -> int:
-        return 4 * max(1, -(-cfg.N // cfg.v))
+    def max_message_items(self, shape: Shape) -> int:
+        return 4 * max(1, -(-shape.N // shape.v))
 
     def round(self, r: int, ctx: Context, env: RoundEnv) -> bool:
         pid, v = ctx["pid"], env.v

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any
 
+from repro.cgm.program import Shape
 from repro.util.validation import ConstraintViolation, require
 
 
@@ -73,6 +74,11 @@ class MachineConfig:
         """
         mu = -(-self.N // self.v)
         return max(8 * mu + 4 * self.D * self.B, 2 * self.D * self.B, 1024)
+
+    @property
+    def shape(self) -> Shape:
+        """The simulated CGM machine's shape, all a program sees of this one."""
+        return Shape(self.N, self.v, self.seed)
 
     @property
     def mu(self) -> int:

@@ -62,7 +62,7 @@ class CostReport:
     per_round: list[RoundMetrics] = field(default_factory=list)
     context_blocks_io: int = 0      #: blocks moved for context swapping
     message_blocks_io: int = 0      #: blocks moved for message traffic
-    overflow_blocks: int = 0        #: staggered-slot overflows (see SeqEMEngine)
+    overflow_blocks: int = 0        #: staggered-slot overflows (see ParEMEngine)
     #: physical-layer fault accounting (:class:`repro.faults.FaultStats`)
     #: when the run was fault-injected, else None.  Kept separate from
     #: ``io`` on purpose: the logical PDM counters above are bit-identical

@@ -10,6 +10,12 @@ A :class:`CGMProgram` is a *superstep callback* object:
   once this processor has finished;
 * :meth:`CGMProgram.finish` extracts the processor's local output.
 
+A program sees the :class:`Shape` of the simulated CGM machine — N, v
+and the seed — and nothing of the EM-CGM machine that runs it: the same
+program on the same shape computes the same contexts and messages
+whatever p, D, B and M are (the paper's simulation of *any* v-processor
+algorithm).
+
 **All persistent state must live in the Context.**  Between rounds the
 external-memory engines genuinely serialize contexts to the simulated
 disks and reload them — state kept anywhere else will not survive.  The
@@ -23,14 +29,22 @@ finishes early must keep returning ``True`` (and tolerate empty rounds).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
 from repro.cgm.message import Message
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.cgm.config import MachineConfig
+
+@dataclass(frozen=True)
+class Shape:
+    """What a CGM program may depend on: the problem size, the number of
+    virtual processors and the seed of their random streams."""
+
+    N: int      #: problem size in items
+    v: int      #: number of virtual (CGM) processors
+    seed: int   #: RNG seed for randomized algorithms
 
 
 class Context(dict):
@@ -50,21 +64,20 @@ class Context(dict):
 class RoundEnv:
     """What a virtual processor sees during one round."""
 
-    __slots__ = ("pid", "v", "round_index", "cfg", "incoming", "_outbox", "rng")
+    __slots__ = ("pid", "v", "round_index", "shape", "incoming", "_outbox", "rng")
 
     def __init__(
         self,
         pid: int,
-        v: int,
         round_index: int,
-        cfg: "MachineConfig",
+        shape: Shape,
         incoming: list[Message],
         rng: np.random.Generator,
     ) -> None:
         self.pid = pid
-        self.v = v
+        self.v = shape.v
         self.round_index = round_index
-        self.cfg = cfg
+        self.shape = shape
         self.incoming = incoming
         self.rng = rng
         self._outbox: list[Message] = []
@@ -100,7 +113,7 @@ class CGMProgram:
     #: human-readable name used in reports.
     name: str = "cgm-program"
 
-    def setup(self, ctx: Context, pid: int, cfg: "MachineConfig", local_input: Any) -> None:
+    def setup(self, ctx: Context, pid: int, shape: Shape, local_input: Any) -> None:
         """Initialize *ctx* from this processor's slice of the input."""
         raise NotImplementedError
 
@@ -112,7 +125,7 @@ class CGMProgram:
         """Extract this processor's local output."""
         raise NotImplementedError
 
-    def max_message_items(self, cfg: "MachineConfig") -> int:
+    def max_message_items(self, shape: Shape) -> int:
         """Upper bound on any single message this program sends.
 
         Used to size the fixed message slots of the staggered disk layout
@@ -121,7 +134,7 @@ class CGMProgram:
         with balanced traffic should override with ~2*N/v^2 to get the
         paper's tight layout.
         """
-        return max(1, -(-cfg.N // cfg.v))
+        return max(1, -(-shape.N // shape.v))
 
 
 class FunctionalProgram(CGMProgram):
@@ -130,7 +143,7 @@ class FunctionalProgram(CGMProgram):
     Handy in tests and examples::
 
         prog = FunctionalProgram(
-            setup=lambda ctx, pid, cfg, x: ctx.update(data=x),
+            setup=lambda ctx, pid, shape, x: ctx.update(data=x),
             rounds=[round0, round1],
             finish=lambda ctx: ctx["data"],
         )
@@ -138,7 +151,7 @@ class FunctionalProgram(CGMProgram):
 
     def __init__(
         self,
-        setup: Callable[[Context, int, "MachineConfig", Any], None],
+        setup: Callable[[Context, int, Shape, Any], None],
         rounds: list[Callable[[Context, RoundEnv], None]],
         finish: Callable[[Context], Any],
         name: str = "functional",
@@ -148,8 +161,8 @@ class FunctionalProgram(CGMProgram):
         self._finish = finish
         self.name = name
 
-    def setup(self, ctx: Context, pid: int, cfg: "MachineConfig", local_input: Any) -> None:
-        self._setup(ctx, pid, cfg, local_input)
+    def setup(self, ctx: Context, pid: int, shape: Shape, local_input: Any) -> None:
+        self._setup(ctx, pid, shape, local_input)
 
     def round(self, r: int, ctx: Context, env: RoundEnv) -> bool:
         if r < len(self._rounds):

@@ -22,7 +22,7 @@ from repro.core.balanced import (
     regroup_phase_b,
     split_phase_a,
 )
-from repro.core.par_engine import ParEMEngine, SeqEMEngine
+from repro.core.par_engine import ParEMEngine
 from repro.core.vm_engine import VMEngine
 
 __all__ = [
@@ -33,6 +33,5 @@ __all__ = [
     "regroup_phase_b",
     "split_phase_a",
     "ParEMEngine",
-    "SeqEMEngine",
     "VMEngine",
 ]

@@ -38,7 +38,7 @@ from repro.core.transport.base import TransportError, recv_frame, send_frame
 from repro.util.validation import ConfigurationError
 
 #: bumped whenever a frame, the handshake or the command set changes.
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 
 #: connect retry policy (tests shrink these via monkeypatch).
 CONNECT_RETRIES = 6

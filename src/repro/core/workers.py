@@ -160,24 +160,22 @@ def run_worker_session(
 
     Exceptions propagate to the caller, which owns error reporting.
     """
-    cfg: MachineConfig = session["cfg"]
     program: CGMProgram = session["program"]
     # no opener event is emitted here, so the bus ships the same flat
     # dicts the coordinator threads into its own spans
     tracer = EventBus(monitor=False) if session["trace_enabled"] else None
     eng = ParEMEngine(
-        cfg,
+        session["cfg"],
         session["balanced"],
         tracer=tracer,
         plan=session["plan"],
         worker_id=worker_id,
         net=net,
     )
-    eng._max_message_items = session["max_message_items"]
     eng.faults = session["faults"]
     eng._rt = session["runtime"]
     eng._start(program)
-    rngs = spawn_rngs(cfg.seed, cfg.v)
+    rngs = spawn_rngs(eng.shape.seed, eng.shape.v)
 
     def snapshot() -> "dict | None":
         return {
@@ -216,10 +214,7 @@ def run_worker_session(
                     clock_rounds(eng, program, next_round, rngs, boundary)
             elif op == "finish":
                 reply("final", {
-                    "outputs": {
-                        pid: program.finish(eng._load_context(pid))
-                        for pid in eng._local_pids()
-                    },
+                    "outputs": dict(zip(eng._local_pids(), eng._collect_outputs(program))),
                     **eng._final_stats(),
                     "events": tracer.drain() if tracer else [],
                 })
@@ -443,7 +438,6 @@ class ProcessParEngine(Engine):
             "trace_enabled": self.tracer.enabled,
             "plan": self._plan,
             "program": program,
-            "max_message_items": self._max_message_items,
             "faults": self.faults,
             "runtime": self._rt,
             "snapshots": self.checkpoint is not None,

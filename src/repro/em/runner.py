@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Mapping
 
 import numpy as np
@@ -43,7 +44,7 @@ from repro.cgm.config import MachineConfig
 from repro.cgm.engine import Engine, InMemoryEngine, RunResult
 from repro.cgm.metrics import CostReport
 from repro.cgm.program import CGMProgram
-from repro.core.par_engine import ParEMEngine, SeqEMEngine
+from repro.core.par_engine import ParEMEngine
 from repro.core.vm_engine import VMEngine
 from repro.faults.checkpoint import CheckpointManager
 from repro.faults.plan import FaultPlan
@@ -53,7 +54,7 @@ from repro.tune.runtime import RuntimeConfig
 from repro.util.validation import ConfigurationError
 
 _ENGINES = {
-    "seq": SeqEMEngine,
+    "seq": partial(ParEMEngine, seq=True),
     "par": ParEMEngine,
     "memory": InMemoryEngine,
     "vm": VMEngine,

@@ -23,7 +23,7 @@ class EchoRing(CGMProgram):
     def __init__(self, hops: int = 3) -> None:
         self.hops = hops
 
-    def setup(self, ctx, pid, cfg, local_input):
+    def setup(self, ctx, pid, shape, local_input):
         ctx["pid"] = pid
         ctx["token"] = pid
         ctx["trace"] = []
@@ -57,7 +57,7 @@ class TestDriverSemantics:
         class SameRoundProbe(CGMProgram):
             name = "probe"
 
-            def setup(self, ctx, pid, cfg, local_input):
+            def setup(self, ctx, pid, shape, local_input):
                 ctx["pid"] = pid
                 ctx["saw_early"] = False
 
@@ -86,7 +86,7 @@ class TestDriverSemantics:
         class Forever(CGMProgram):
             name = "forever"
 
-            def setup(self, ctx, pid, cfg, local_input):
+            def setup(self, ctx, pid, shape, local_input):
                 ctx["pid"] = pid
 
             def round(self, r, ctx, env):
@@ -111,7 +111,7 @@ class TestDriverSemantics:
             env.send(99, "boom")
 
         prog = FunctionalProgram(
-            setup=lambda ctx, pid, cfg, x: None, rounds=[r0], finish=lambda ctx: None
+            setup=lambda ctx, pid, shape, x: None, rounds=[r0], finish=lambda ctx: None
         )
         with pytest.raises(ValueError, match="out of range"):
             InMemoryEngine(MachineConfig(N=1 << 10, v=2)).run(prog, [None] * 2)
@@ -123,7 +123,7 @@ class TestDriverSemantics:
         class LateSend(CGMProgram):
             name = "late-send"
 
-            def setup(self, ctx, pid, cfg, local_input):
+            def setup(self, ctx, pid, shape, local_input):
                 ctx["pid"] = pid
                 ctx["got"] = False
 
@@ -174,7 +174,7 @@ class TestDifferentialBackends:
             ctx["neighbor"] = m.payload
 
         prog = FunctionalProgram(
-            setup=lambda ctx, pid, cfg, x: ctx.update(arr=x),
+            setup=lambda ctx, pid, shape, x: ctx.update(arr=x),
             rounds=[r0, r1],
             finish=lambda ctx: (ctx["arr"].sum(), ctx["neighbor"].sum()),
             name="roundtrip",

@@ -348,7 +348,7 @@ class _ReservedTag(CGMProgram):
 
     name = "reserved-tag"
 
-    def setup(self, ctx, pid, cfg, local_input):
+    def setup(self, ctx, pid, shape, local_input):
         ctx["got"] = None
 
     def round(self, r, ctx, env):

@@ -16,10 +16,10 @@ class BigMessages(CGMProgram):
 
     name = "big-messages"
 
-    def max_message_items(self, cfg):
+    def max_message_items(self, shape):
         return 8  # lie: tiny slots
 
-    def setup(self, ctx, pid, cfg, local_input):
+    def setup(self, ctx, pid, shape, local_input):
         ctx["pid"] = pid
         ctx["data"] = local_input
 
@@ -43,7 +43,7 @@ class PingPong(CGMProgram):
     def __init__(self, rounds: int) -> None:
         self.rounds = rounds
 
-    def setup(self, ctx, pid, cfg, local_input):
+    def setup(self, ctx, pid, shape, local_input):
         ctx["pid"] = pid
         ctx["acc"] = np.zeros(16, dtype=np.int64)
 
@@ -64,7 +64,7 @@ class GrowingContext(CGMProgram):
 
     name = "growing-context"
 
-    def setup(self, ctx, pid, cfg, local_input):
+    def setup(self, ctx, pid, shape, local_input):
         ctx["pid"] = pid
         ctx["blob"] = np.arange(8)
 
@@ -107,10 +107,10 @@ class TestOverflowPath:
         class OverflowEveryRound(CGMProgram):
             name = "overflow-churn"
 
-            def max_message_items(self, cfg):
+            def max_message_items(self, shape):
                 return 8  # lie: every payload below spills to overflow runs
 
-            def setup(self, ctx, pid, cfg, local_input):
+            def setup(self, ctx, pid, shape, local_input):
                 ctx["pid"] = pid
                 ctx["data"] = local_input
 
@@ -127,9 +127,9 @@ class TestOverflowPath:
 
         # construct the in-process engine directly: the test inspects
         # allocator internals, so the worker backend must not kick in
-        from repro.core.par_engine import ParEMEngine, SeqEMEngine
+        from repro.core.par_engine import ParEMEngine
 
-        eng = (ParEMEngine if kind == "par" else SeqEMEngine)(cfg)
+        eng = ParEMEngine(cfg, seq=kind == "seq")
         inputs = [rng.integers(0, 2**40, 400) for _ in range(v)]
         res = eng.run(OverflowEveryRound(), list(inputs))
         assert res.report.overflow_blocks > 0
@@ -157,6 +157,30 @@ class TestLongRuns:
         res = eng.run(GrowingContext(), [None] * 4)
         assert res.outputs == [8 * 2**6] * 4
         assert res.report.context_blocks_io > 0
+
+
+class TestAlgorithm2:
+    """``engine="seq"`` is ``ParEMEngine`` at p = 1, named ``seq-em``: the
+    same I/O, one real superstep per CGM round where ``par`` counts v/p."""
+
+    def test_seq_is_par_em_at_p_1_with_one_superstep_per_round(self):
+        from repro.core.par_engine import ParEMEngine
+
+        cfg = MachineConfig(N=1 << 12, v=4, D=2, B=32)
+        seq, par = make_engine(cfg, "seq"), make_engine(cfg, "par")
+        assert type(seq) is type(par) is ParEMEngine
+        a = seq.run(PingPong(rounds=5), [None] * 4).report
+        b = par.run(PingPong(rounds=5), [None] * 4).report
+        assert (a.engine, b.engine) == ("seq-em", "par-em")
+        assert a.supersteps == a.rounds and b.supersteps == cfg.v * a.rounds
+        assert a.io == b.io
+
+    def test_seq_on_several_reals_is_one_line(self):
+        from repro.util.validation import ConfigurationError
+
+        with pytest.raises(ConfigurationError) as err:
+            make_engine(MachineConfig(N=64, v=4, p=2), "seq")
+        assert str(err.value) == "engine 'seq' requires p=1, got p=2"
 
 
 class TestMemoryAccounting:
@@ -224,7 +248,7 @@ class TestMixedTraffic:
             ctx["sum"] = int(ys[0].payload.sum())
 
         prog = FunctionalProgram(
-            setup=lambda ctx, pid, cfg, inp: None,
+            setup=lambda ctx, pid, shape, inp: None,
             rounds=[r0, r1],
             finish=lambda ctx: (ctx["n_x"], ctx["n_y"], ctx["sum"]),
             name="mixed-tags",
@@ -255,7 +279,7 @@ class TestUnsupportedValues:
         ids=["set", "instance", "object-array"],
     )
     def test_context_refused_at_store_time(self, kind, leaf):
-        def setup(ctx, pid, cfg, local_input):
+        def setup(ctx, pid, shape, local_input):
             ctx["ok"] = np.arange(4)
             ctx["bad"] = {"nested": [leaf]}
 
@@ -275,7 +299,7 @@ class TestUnsupportedValues:
 
         cfg = MachineConfig(N=64, v=4, p=2 if kind == "par" else 1, D=2, B=4)
         eng = make_engine(cfg, kind, overrides={"workers": 0})
-        eng.run(FunctionalProgram(lambda ctx, pid, cfg, x: None, [], lambda ctx: 0),
+        eng.run(FunctionalProgram(lambda ctx, pid, shape, x: None, [], lambda ctx: 0),
                 [None] * 4)
         before = self._io(eng)
         # size_items given, as for a payload item_count measures by length:

@@ -50,10 +50,10 @@ class _Exchange(CGMProgram):
     def __init__(self, sends):
         self.sends = sends
 
-    def max_message_items(self, cfg):
+    def max_message_items(self, shape):
         return SLOT_ITEMS
 
-    def setup(self, ctx, pid, cfg, local_input):
+    def setup(self, ctx, pid, shape, local_input):
         ctx["pid"] = pid
 
     def round(self, r, ctx, env):

@@ -124,10 +124,10 @@ class _Oversized(CGMProgram):
 
     name = "oversized"
 
-    def max_message_items(self, cfg):
+    def max_message_items(self, shape):
         return 4
 
-    def setup(self, ctx, pid, cfg, local_input):
+    def setup(self, ctx, pid, shape, local_input):
         ctx["pid"] = pid
         ctx["data"] = local_input
 

@@ -390,7 +390,15 @@ class TestHandshake:
         """A coordinator of the per-round command protocol is refused."""
         reply = self.hello(node_pair[0], proto=2)
         assert reply == (
-            "reject", "protocol version mismatch: node speaks 3, coordinator speaks 2"
+            "reject", "protocol version mismatch: node speaks 4, coordinator speaks 2"
+        )
+
+    def test_v3_hello_rejected(self, node_pair):
+        """A coordinator whose session hands the slice its message bound
+        (and its programs the whole machine) is refused."""
+        reply = self.hello(node_pair[0], proto=3)
+        assert reply == (
+            "reject", "protocol version mismatch: node speaks 4, coordinator speaks 3"
         )
 
     def test_fingerprint_mismatch_rejected(self, node_pair):

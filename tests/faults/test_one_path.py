@@ -42,10 +42,10 @@ class _Oversized(CGMProgram):
 
     name = "oversized"
 
-    def max_message_items(self, cfg):
+    def max_message_items(self, shape):
         return 8
 
-    def setup(self, ctx, pid, cfg, local_input):
+    def setup(self, ctx, pid, shape, local_input):
         ctx["data"] = local_input
 
     def round(self, r, ctx, env):

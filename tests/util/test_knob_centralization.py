@@ -14,8 +14,10 @@ subscription one consumer method (a batch per wake-up), a local worker
 packet one carrier (its frame; no shared-memory segment), the trace
 one fold that every view and the drift check read, and the machine is the
 paper's (the worker count is the ``workers`` knob alone, and no engine
-runs a constraint pass nobody reads), and a balanced-routing chunk is its
-bundle bytes (no chunk value type in the codec).
+runs a constraint pass nobody reads), a balanced-routing chunk is its
+bundle bytes (no chunk value type in the codec), and a program sees a
+``Shape`` (N, v, seed), never the machine (four engine classes; Algorithm
+2 is ``ParEMEngine`` at p = 1).
 
 The tentpole's centralization contract — ad-hoc ``os.environ`` reads of
 runtime knobs are how the inconsistent-caching bug happened, so outside
@@ -221,7 +223,7 @@ def test_addresses_are_arithmetic_and_arenas_come_uncleared():
 def test_one_disk_codec_and_nothing_on_its_path_pickles():
     offenders = _offenders(_CODEC_FORK, skip_tune=False)
     assert not offenders, (
-        "ListRanking has one grouped sender, SeqEMEngine lives in "
+        "ListRanking has one grouped sender, Algorithm 2 is ParEMEngine in "
         "core.par_engine, items have one format:\n" + "\n".join(offenders)
     )
     src_root = Path(repro.__file__).resolve().parent
@@ -432,7 +434,7 @@ def test_one_telemetry_stream_out_of_the_engines():
     import inspect
 
     from repro.cgm.engine import Engine, InMemoryEngine
-    from repro.core.par_engine import ParEMEngine, SeqEMEngine
+    from repro.core.par_engine import ParEMEngine
     from repro.core.vm_engine import VMEngine
     from repro.core.workers import ProcessParEngine
 
@@ -441,7 +443,7 @@ def test_one_telemetry_stream_out_of_the_engines():
         "engines emit one telemetry stream; metrics are a fold over the "
         "bus:\n" + "\n".join(offenders)
     )
-    for cls in (Engine, InMemoryEngine, ParEMEngine, SeqEMEngine, VMEngine,
+    for cls in (Engine, InMemoryEngine, ParEMEngine, VMEngine,
                 ProcessParEngine):
         assert "metrics" not in inspect.signature(cls).parameters, cls
 
@@ -481,7 +483,7 @@ def test_the_machine_is_the_papers():
 
     from repro.cgm.config import MachineConfig
     from repro.cgm.engine import Engine, InMemoryEngine
-    from repro.core.par_engine import ParEMEngine, SeqEMEngine
+    from repro.core.par_engine import ParEMEngine
     from repro.core.vm_engine import VMEngine
     from repro.core.workers import ProcessParEngine
     from repro.em.runner import make_engine
@@ -505,8 +507,8 @@ def test_the_machine_is_the_papers():
     ]
     config = (root / "src" / "repro" / "cgm" / "config.py").read_text()
     assert not re.search(r"^\s+(workers|strict)\s*:", config, re.M)
-    for fn in (make_engine, Engine, InMemoryEngine, ParEMEngine, SeqEMEngine,
-               VMEngine, ProcessParEngine):
+    for fn in (make_engine, Engine, InMemoryEngine, ParEMEngine, VMEngine,
+               ProcessParEngine):
         assert "validate" not in inspect.signature(fn).parameters, fn
     assert len(KNOBS) == 8
 
@@ -539,3 +541,61 @@ def test_a_chunk_is_its_bundle_bytes():
         "a chunk is its bundle bytes, not a value of the codec:\n"
         + "\n".join(offenders)
     )
+
+
+def test_a_program_sees_a_shape_not_a_machine():
+    """No program class under ``repro.algorithms`` or in ``em/runner.py``
+    takes or reads a ``MachineConfig``: its hooks get the ``Shape``, and a
+    round's ``RoundEnv`` carries the shape, not a machine."""
+    import ast
+    import importlib
+    import inspect
+
+    import repro.core.workers  # noqa: F401  (registers ProcessParEngine)
+    from repro.cgm.engine import Engine
+    from repro.cgm.program import CGMProgram, RoundEnv
+
+    src_root = Path(repro.__file__).resolve().parent
+    files = sorted((src_root / "algorithms").rglob("*.py")) + [src_root / "em" / "runner.py"]
+    offenders, programs = [], 0
+    for path in files:
+        rel = path.relative_to(src_root.parent).with_suffix("")
+        module = importlib.import_module(".".join(rel.parts).removesuffix(".__init__"))
+        for node in ast.parse(path.read_text()).body:
+            cls = getattr(module, getattr(node, "name", ""), None)
+            if not (isinstance(node, ast.ClassDef) and isinstance(cls, type)
+                    and issubclass(cls, CGMProgram)):
+                continue
+            programs += 1
+            for sub in ast.walk(node):
+                named = (
+                    (isinstance(sub, ast.Name) and sub.id in ("cfg", "MachineConfig"))
+                    or (isinstance(sub, ast.Attribute) and sub.attr == "cfg")
+                    or (isinstance(sub, ast.arg) and sub.arg == "cfg")
+                )
+                if named:
+                    offenders.append(f"{path.relative_to(src_root)}:{sub.lineno}: {node.name}")
+    assert programs >= 15
+    assert not offenders, (
+        "a program depends on (N, v, seed) only, so its hooks take the "
+        "Shape:\n" + "\n".join(offenders)
+    )
+    assert "cfg" not in RoundEnv.__slots__ and "shape" in RoundEnv.__slots__
+    for hook in (CGMProgram.setup, CGMProgram.max_message_items):
+        assert "shape" in inspect.signature(hook).parameters, hook
+    attr = "env." + "cfg"
+    root = Path(__file__).resolve().parents[2]
+    assert not [
+        p.name for top in ("src", "tests", "benchmarks", "examples", "scripts")
+        for p in sorted((root / top).rglob("*.py")) if attr in p.read_text()
+    ]
+    # the engines are the one place a machine becomes a shape; Algorithm 2
+    # is ParEMEngine at p = 1, so four engine classes remain
+    engines = set()
+    todo = [Engine]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            if sub.__module__.startswith("repro."):
+                engines.add(sub.__name__)
+                todo.append(sub)
+    assert engines == {"InMemoryEngine", "ParEMEngine", "VMEngine", "ProcessParEngine"}
