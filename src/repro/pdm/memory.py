@@ -5,6 +5,9 @@ The PDM requires that a processor can hold at least one block per disk
 ``mu`` is the largest virtual-processor context.  The engines charge every
 context, inbox and staging buffer against this budget and record the
 high-water mark, so benchmarks can report it (and whether it overflowed).
+A virtual processor's charges live for one step of it — its setup store,
+its compound superstep (``_put_messages`` releases them) or its ``finish``
+— so the peak is one processor's footprint at any worker count.
 """
 
 from __future__ import annotations
