@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 import pickle  # what format 2 replaced: the size yardstick of the last class
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -620,3 +623,42 @@ class TestFormat2IsNeverLonger:
         assert len(captured) > 50
         assert [pair for pair in captured if pair[0] > pair[1]] == []
         assert sum(new for new, _ in captured) < sum(old for _, old in captured)
+
+
+#: per e2e workload shape, what :class:`TestStoredBytesAreFrozen` hashes,
+#: recorded before the codec's fast paths went in
+STORED_DIGESTS = Path(__file__).parent / "data" / "stored_item_digests.json"
+
+
+class TestStoredBytesAreFrozen:
+    """Every item ``par_engine`` writes — each context and each message
+    bundle, in the order they are stored — for one op of each e2e workload
+    shape, against digests recorded at the commit before the codec's fast
+    paths: a faster encoder must write the same bytes."""
+
+    @staticmethod
+    def digest(workload: str, monkeypatch) -> dict:
+        from repro.core import par_engine
+
+        chain = hashlib.sha256()
+        seen = {"items": 0, "bytes": 0}
+        block_run = par_engine.BlockRun
+
+        def spy(buf, nblocks, block_bytes):
+            raw = bytes(buf)
+            chain.update(hashlib.sha256(raw).digest())
+            seen["items"] += 1
+            seen["bytes"] += len(raw)
+            return block_run(buf, nblocks, block_bytes)
+
+        monkeypatch.setattr(par_engine, "BlockRun", spy)
+        TestFormat2IsNeverLonger._one_op(workload)
+        monkeypatch.undo()
+        return {**seen, "sha256": chain.hexdigest()}
+
+    @pytest.mark.parametrize(
+        "workload", ["sort_io", "rounds_listrank", "scale_out", "service_mix"]
+    )
+    def test_every_stored_item_is_unchanged(self, monkeypatch, workload):
+        want = json.loads(STORED_DIGESTS.read_text())[workload]
+        assert self.digest(workload, monkeypatch) == want
