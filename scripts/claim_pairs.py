@@ -8,8 +8,9 @@
 Runs the frozen benchmark (the ``command`` of each checkout's own
 ``BENCHMARK.json``, ``--trace 0``) from two checkouts in alternating order
 — parent first in even pairs, change first in odd ones — and prints, for
-every end-to-end metric, both medians and quartiles, the pairs the change
-won, and two verdicts:
+every end-to-end metric, both medians and quartiles, the relative change
+of the medians ``(change - parent) / parent``, the pairs the change won,
+and two verdicts:
 
 * ``gain``: the rule for a *claimed* metric — the change wins at least nine
   tenths of the pairs (ties count for neither side) and the medians differ
@@ -91,7 +92,8 @@ def judge(spec: dict, parent: list[float], change: list[float]) -> dict:
         regression = "unresolved"
     else:
         regression = "within bound"
-    return {"parent": (p1, pm, p3), "change": (c1, cm, c3), "wins": wins,
+    return {"parent": (p1, pm, p3), "change": (c1, cm, c3),
+            "rel": (cm - pm) / abs(pm) if pm else 0.0, "wins": wins,
             "ties": ties, "gain": gain, "regression": regression}
 
 
@@ -153,16 +155,16 @@ def main(argv: list[str] | None = None) -> int:
         everything[workload] = runs
         print(f"\n{workload}, seed {args.seed}, {args.pairs} alternating pairs "
               "(q1 / median / q3)")
-        print(f"{'metric':18s} {'parent':>32s} {'change':>32s} {'wins':>5s} "
-              f"{'ties':>4s}  {'gain':4s}  regression")
+        print(f"{'metric':18s} {'parent':>32s} {'change':>32s} {'rel':>8s} "
+              f"{'wins':>5s} {'ties':>4s}  {'gain':4s}  regression")
         for spec in benches["change"]["end_to_end"]:
             name = spec["name"]
             v = table.setdefault(workload, {})[name] = judge(
                 spec, [r[name] for r in runs["parent"]],
                 [r[name] for r in runs["change"]])
             print(f"{name:18s} {show(v['parent']):>32s} {show(v['change']):>32s} "
-                  f"{v['wins']:5d} {v['ties']:4d}  {'yes' if v['gain'] else 'no':4s}  "
-                  f"{v['regression']}")
+                  f"{v['rel']:+8.2%} {v['wins']:5d} {v['ties']:4d}  "
+                  f"{'yes' if v['gain'] else 'no':4s}  {v['regression']}")
         print()
         if args.json:  # after every workload: an interrupted session keeps its runs
             with open(args.json, "w") as fh:

@@ -99,11 +99,6 @@ class MachineConfig:
         """Lemma 2's bound on message size after balancing: 2*N/v^2."""
         return 2 * max(1, -(-self.N // (self.v * self.v)))
 
-    def message_slot_blocks(self, max_message_items: int | None = None) -> int:
-        """Disk blocks reserved per message slot in the staggered layout."""
-        m = max_message_items or self.max_balanced_message_items
-        return max(1, -(-m // self.B))
-
     # -- the paper's constraints ----------------------------------------------
 
     def constraint_report(self, kappa: float = 2.0) -> dict[str, dict[str, Any]]:

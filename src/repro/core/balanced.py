@@ -31,7 +31,7 @@ from collections import defaultdict
 import numpy as np
 
 from repro.cgm.message import Message
-from repro.util.items import (ITEM_BYTES, chunk_index, chunk_list, chunk_node, deserialize,
+from repro.util.items import (ITEM_BYTES, chunk_index, chunk_list, chunk_node, decode_owned,
                               serialize)
 
 #: tag marking engine-internal balanced-routing traffic.
@@ -156,7 +156,8 @@ def reassemble(inbox: list[Message]) -> list[Message]:
         words = np.zeros(ref[5], dtype=np.uint64)
         for raw, stop, _tag, f in chunks:
             words[f[3] :: f[4]] = np.frombuffer(raw, np.uint64, f[8], stop - 8 * f[8])
-        payload = deserialize(memoryview(words).cast("B")[: ref[6]])
+        # the word buffer is this message's alone: its arrays are views of it
+        payload = decode_owned(memoryview(words).cast("B")[: ref[6]])
         rebuilt.append(Message(src, ref[1], payload, tag, ref[7]))
     return passthrough + rebuilt
 

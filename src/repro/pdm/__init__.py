@@ -18,7 +18,6 @@ oracle the vectorized forms are held bit-identical to.
 
 from repro.pdm.block import (
     BlockRun,
-    BufferPool,
     Runs,
     blocks_for_bytes,
     pack_blocks,
@@ -38,7 +37,6 @@ __all__ = [
     "IOOp",
     "greedy_batch_widths",
     "BlockRun",
-    "BufferPool",
     "Runs",
     "DiskServiceModel",
     "IOStats",

@@ -48,6 +48,7 @@ Every batch operation, invariant and snapshot shape is shared.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -62,6 +63,22 @@ _CHUNK_BYTES = 2 << 20
 #: One run of a stream as the arena moves it: ``(stream row, linear row
 #: counted from the stream's base track times D, blocks)``.
 Piece = tuple[int, int, int]
+
+
+@lru_cache(maxsize=256)
+def _stream_rows(pieces: tuple[Piece, ...]) -> "tuple[np.ndarray, int, int] | None":
+    """The linear row of every stream row of *pieces*, the lowest and the
+    highest, when the pieces fill the stream's rows in order — a stream
+    that can move as one indexed copy — else None.  Memoised like the plans
+    the pieces come from."""
+    rows, at = [], 0
+    for r, lin, n in pieces:
+        if r != at:
+            return None
+        rows.append(np.arange(lin, lin + n))
+        at += n
+    out = np.concatenate(rows)
+    return out, int(out.min()), int(out.max())
 
 
 def chunk_tracks(D: int, block_bytes: int) -> int:
@@ -238,6 +255,17 @@ class TrackArena:
         other tracks of a disk that holds side entries still gather.
         """
         bb, lo, top = self.block_bytes, base * self.D, self._bounds[-1]
+        hit = _stream_rows(tuple(pieces)) if len(pieces) > 1 else None
+        if hit is not None and hit[0].size == len(out) and lo + hit[2] < top:
+            # several pieces in one chunk (an inbox): one indexed copy, not
+            # one slice copy per message
+            k, _off = self._locate(lo + hit[1])
+            if lo + hit[2] < self._bounds[k + 1]:
+                at = hit[0] + (lo - self._bounds[k])
+                if self._lens[k][at].min() < bb:
+                    return False
+                np.take(self._chunks[k], at, axis=0, out=out, mode="clip")
+                return True
         moves = []
         for r, lin, n in pieces:
             lin += lo

@@ -8,14 +8,12 @@ header makes the padding harmless.
 
 Bulk streams move as single NumPy gather/scatter operations over the
 per-disk track arena (:mod:`repro.pdm.arena`); the engines hand data and
-addresses to that API in three small values:
+addresses to that API in two small values:
 
 * :class:`BlockRun` — a run of fixed-size blocks backed by one buffer,
   the wire and write format of every context and message bundle.
 * :class:`Runs` — where such a run goes: a base track and a short list of
   linear runs, the address of every stream the layouts produce.
-* :class:`BufferPool` — bounded reuse of gather staging buffers, so a
-  long run does not allocate per parallel I/O.
 """
 
 from __future__ import annotations
@@ -156,38 +154,3 @@ class Runs:
         first = np.cumsum(counts) - counts
         lin = np.repeat(starts - first, counts) + np.arange(self.nblocks, dtype=np.int64)
         return lin % D, self.base + lin // D
-
-
-class BufferPool:
-    """Bounded pool of reusable ``uint8`` staging buffers.
-
-    ``take`` hands out a buffer of at least the requested size (callers
-    slice to exact length); ``give`` returns it for reuse.  The pool keeps
-    at most ``max_buffers`` and grows sizes geometrically so a long run
-    converges on a handful of right-sized arenas instead of allocating per
-    parallel I/O.
-    """
-
-    __slots__ = ("_free", "max_buffers")
-
-    def __init__(self, max_buffers: int = 8) -> None:
-        self._free: list[np.ndarray] = []
-        self.max_buffers = max_buffers
-
-    def take(self, nbytes: int) -> np.ndarray:
-        best = -1
-        for i, buf in enumerate(self._free):
-            if buf.size >= nbytes and (best < 0 or buf.size < self._free[best].size):
-                best = i
-        if best >= 0:
-            return self._free.pop(best)
-        cap = 256
-        while cap < nbytes:
-            cap *= 2
-        return np.empty(cap, dtype=np.uint8)
-
-    def give(self, buf: np.ndarray) -> None:
-        if buf.base is not None:  # only whole buffers come back
-            return
-        if len(self._free) < self.max_buffers:
-            self._free.append(buf)

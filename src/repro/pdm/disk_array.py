@@ -237,8 +237,8 @@ class DiskArray:
             self._arena.on_grow = partial(_arena_grow_event, tracer, self._real)
         self.disks = [Disk(d, arena=self._arena) for d in range(D)]
         self.stats = IOStats(D=D)
-        #: write_stream's staging rows; grows to the longest stream written
-        self._stage = np.empty(0, dtype=np.uint8)
+        #: write_stream's padding: a run's implicit tail is under a block
+        self._zeros = memoryview(bytes(self.block_bytes))
 
     # -- core operation ----------------------------------------------------
 
@@ -339,32 +339,25 @@ class DiskArray:
 
         Greedy batching spans segment boundaries (the engine concatenates
         all bundles destined for one owner before batching).  The runs are
-        copied into one staging buffer — each run's implicit tail
-        zero-filled, as ``pack_blocks`` pads it — and stored with a single
-        arena scatter.  Returns parallel I/Os used.
+        joined into one buffer — each run's implicit tail zero-filled, as
+        ``pack_blocks`` pads it — and stored with a single arena scatter.
+        Returns parallel I/Os used.
         """
         check_segments(segments)
-        segments = [s for s in segments if s[1].nblocks]
-        if not segments:
-            return 0
-        plan, base = self._plan([runs for runs, _run in segments])
-
         bb = self.block_bytes
-        total = sum(run.nblocks for _runs, run in segments)
-        if self._stage.size < total * bb:
-            self._stage = np.empty(total * bb, dtype=np.uint8)
-        flat = self._stage[: total * bb]
-        pos = 0
-        for _runs, run in segments:
-            buf = run.buf
-            view = (
-                buf if isinstance(buf, np.ndarray) else np.frombuffer(buf, dtype=np.uint8)
-            ).reshape(-1)
-            end = pos + run.nblocks * bb
-            flat[pos : pos + view.size] = view
-            flat[pos + view.size : end] = 0
-            pos = end
-        self._transfer(plan, base, flat.reshape(total, bb), write=True)
+        stream, parts = [], []
+        for runs, run in segments:
+            if run.nblocks:
+                stream.append(runs)
+                parts.append(run.buf)
+                pad = run.nblocks * bb - run.nbytes
+                if pad:
+                    parts.append(self._zeros[:pad] if pad <= bb else bytes(pad))
+        if not stream:
+            return 0
+        plan, base = self._plan(stream)
+        rows = np.frombuffer(b"".join(parts), dtype=np.uint8)
+        self._transfer(plan, base, rows.reshape(-1, bb), write=True)
         return plan.nops
 
     def read_run(self, runs: Runs, out: np.ndarray | None = None) -> np.ndarray:

@@ -77,7 +77,6 @@ class TestConstraints:
     def test_balanced_slot_bound(self):
         cfg = MachineConfig(N=1 << 16, v=8, B=64)
         assert cfg.max_balanced_message_items == 2 * ((1 << 16) // 64)
-        assert cfg.message_slot_blocks() >= 1
 
     def test_kappa_dependence(self):
         # N = 4096 = 16^3: passes kappa=3 exactly, fails kappa=3.5

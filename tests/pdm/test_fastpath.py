@@ -14,6 +14,7 @@ compare everything observable.
 from __future__ import annotations
 
 import pickle
+from bisect import bisect_right
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 from repro.faults.injector import FaultyDiskArray
 from repro.faults.plan import FaultPlan
 from repro.pdm.arena import MAX_DIRECT_TRACK, TrackArena
-from repro.pdm.block import BlockRun, BufferPool, Runs, blocks_for_bytes
+from repro.pdm.block import BlockRun, Runs, blocks_for_bytes
 from repro.pdm.disk_array import DiskArray, batch_plan, greedy_batch_widths
 from repro.tune.knobs import KNOB_BY_ENV, KnobError
 from repro.tune.runtime import RuntimeConfig, current
@@ -63,21 +64,6 @@ class TestBlockRun:
 
     def test_nbytes(self):
         assert BlockRun(b"x" * 10, 2, 8).nbytes == 10
-
-
-class TestBufferPool:
-    def test_reuses_returned_buffers(self):
-        pool = BufferPool()
-        buf = pool.take(100)
-        assert buf.nbytes >= 100
-        pool.give(buf)
-        assert pool.take(50) is buf
-
-    def test_rejects_views(self):
-        pool = BufferPool()
-        buf = pool.take(64)
-        pool.give(buf[:16])  # a view must not enter the pool
-        assert pool.take(16) is not buf
 
 
 def test_blocks_for_bytes():
@@ -465,3 +451,45 @@ def test_fastpath_env_flag(monkeypatch):
     assert arr.try_gather(Runs(0, ((0, 1),)), np.empty(8, np.uint8))
     with pytest.raises(KnobError, match="fastpath"):
         before.with_overrides({"fastpath": "0"})
+
+
+@pytest.mark.parametrize("arena", ["ram", "mmap"])
+@pytest.mark.parametrize("lengths", [[1] * 8, [2, 3, 2, 3, 2, 3, 2, 3]], ids=["equal", "mixed"])
+def test_an_inbox_in_one_chunk_gathers_as_one_indexed_copy(monkeypatch, arena, lengths):
+    """An inbox — one message per source, each at its slot's offset in the
+    destination's band — is a stream of several pieces.  Inside one chunk
+    of the row space it is gathered with one indexed copy, not a slice per
+    message; across a chunk boundary, per piece.  Either way the rows, the
+    counters and a refused (unwritten) read are the per-op loop's."""
+    from repro.core.layouts import MessageMatrix
+
+    D, B, v, slot = 2, 8, 8, 4
+    bb = B * ITEM_BYTES
+    rt = RuntimeConfig.resolve(overrides={"arena": arena})
+    spans = []
+    monkeypatch.setattr(TrackArena, "_spans", lambda self, lin, n, _s=TrackArena._spans:
+                        spans.append(n) or _s(self, lin, n))
+    mm = MessageMatrix(v, v, D, slot, base_track=0)
+    arr, ref = DiskArray(D, B, runtime=rt), _per_op_array(D, B)
+    seen = set()
+    for parity in (0, 1):
+        for band in range(v):
+            payload = [bytes([s + 1]) * (n * bb - 3) for s, n in enumerate(lengths)]
+            for a in (arr, ref):
+                for s, n in enumerate(lengths):
+                    runs = mm.message_addresses_np(s, band, n, parity)
+                    a.write_run(runs, BlockRun(payload[s], n, bb))
+            runs = mm.inbox_addresses_np(band, list(enumerate(lengths)), parity)
+            spans.clear()
+            assert bytes(arr.read_run(runs)) == bytes(ref.read_run(runs))
+            assert arr.stats.snapshot() == ref.stats.snapshot()
+            first, last = runs.base * D + runs.runs[0][0], runs.base * D + runs.runs[-1][0]
+            one_chunk = bisect_right(arr._arena._bounds, first) == bisect_right(
+                arr._arena._bounds, last + lengths[-1] - 1)
+            assert (spans == []) == one_chunk
+            seen.add(one_chunk)
+    assert seen == {True, False}
+    arr.free_blocks(list(zip(*Runs(runs.base, runs.runs[3:4]).expand(D))))
+    with pytest.raises(SimulationError, match="unwritten track"):
+        arr.read_run(runs)
+    arr.close()

@@ -54,6 +54,31 @@ def test_regression_verdicts():
     assert claim_pairs.judge(COUNT, [5, 5], [5, 6])["regression"] == "DIFFERS"
 
 
+def test_every_row_carries_the_relative_change_of_the_medians():
+    """``rel`` is ``(change - parent) / parent`` of the two medians, so a
+    ratio is always read with its base; a zero parent median reads 0."""
+    v = claim_pairs.judge(TIME, [0.20, 0.21, 0.19], [0.15, 0.16, 0.17])
+    assert v["rel"] == pytest.approx((0.16 - 0.20) / 0.20)
+    higher = {**TIME, "better": "higher"}
+    assert claim_pairs.judge(higher, [2.0, 2.0], [3.0, 3.0])["rel"] == pytest.approx(0.5)
+    assert claim_pairs.judge(COUNT, [0, 0], [0, 0])["rel"] == 0.0
+    assert claim_pairs.judge(COUNT, [-4, -4], [-2, -2])["rel"] == pytest.approx(0.5)
+
+
+def test_the_table_prints_the_relative_change(tmp_path, capsys, monkeypatch):
+    bench = {"command": ["true"], "run_seconds": 1,
+             "workloads": [{"name": "sort_io"}], "end_to_end": [TIME]}
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(bench))
+    runs = iter([0.20, 0.15, 0.15, 0.20])  # pair 1 parent, change; pair 2 change, parent
+    monkeypatch.setattr(claim_pairs, "run_once",
+                        lambda *a: {"op_p50_s": next(runs)})
+    assert claim_pairs.main([str(tmp_path), str(tmp_path), "--seed", "1",
+                             "--pairs", "2"]) == 0
+    row = next(line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("op_p50_s"))
+    assert "-25.00%" in row.split()
+
+
 def test_a_count_cell_reads_identical_improved_or_differs():
     def judge(parent, change, spec=COUNT):
         return claim_pairs.judge(spec, parent, change)["regression"]

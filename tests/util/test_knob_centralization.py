@@ -15,9 +15,10 @@ packet one carrier (its frame; no shared-memory segment), the trace
 one fold that every view and the drift check read, and the machine is the
 paper's (the worker count is the ``workers`` knob alone, and no engine
 runs a constraint pass nobody reads), a balanced-routing chunk is its
-bundle bytes (no chunk value type in the codec), and a program sees a
+bundle bytes (no chunk value type in the codec), a program sees a
 ``Shape`` (N, v, seed), never the machine (four engine classes; Algorithm
-2 is ``ParEMEngine`` at p = 1).
+2 is ``ParEMEngine`` at p = 1), and a value decodes into views of its
+buffer only where the engine owns that buffer.
 
 The tentpole's centralization contract — ad-hoc ``os.environ`` reads of
 runtime knobs are how the inconsistent-caching bug happened, so outside
@@ -133,6 +134,9 @@ _AMBIENT_PLAN = re.compile(r"REPRO_FAULTS|\b(rt|runtime)\.faults\b")
 #: the decoded chunk record, its encoder and its lazy type lookup
 _CHUNK_VALUE = re.compile(r"class Chunk\b|chunk_at|_enc_chunk|_chunk_type")
 
+#: the decode whose arrays are views of the buffer it is handed
+_OWNED_DECODE = re.compile(r"\bdecode_owned\b")
+
 #: the per-disk track store: its piece planner, the plan's per-disk pieces
 #: and the spill file per disk
 _PER_DISK_STORE = re.compile(r"\b_extent\b|\.extents\b|disk\{d\}\.bin")
@@ -213,7 +217,7 @@ def test_addresses_are_arithmetic_and_arenas_come_uncleared():
     offenders = _offenders(_ADDRESS_ARRAYS, skip_tune=False)
     assert not offenders, (
         "a bulk stream is addressed by pdm.block.Runs and planned from that "
-        "small key; BlockRun/BufferPool live in pdm.block:\n" + "\n".join(offenders)
+        "small key; BlockRun lives in pdm.block:\n" + "\n".join(offenders)
     )
     pdm = Path(repro.__file__).resolve().parent / "pdm"
     cleared = [p.name for p in sorted(pdm.glob("*.py")) if "np.zeros((cap" in p.read_text()]
@@ -599,3 +603,16 @@ def test_a_program_sees_a_shape_not_a_machine():
                 engines.add(sub.__name__)
                 todo.append(sub)
     assert engines == {"InMemoryEngine", "ParEMEngine", "VMEngine", "ProcessParEngine"}
+
+
+def test_a_value_decodes_into_its_buffer_only_where_the_engine_owns_it():
+    """``decode_owned`` hands the buffer to the value it decodes (its arrays
+    are views of it), so it is called only where that buffer is fresh and
+    no one else's: a disk engine's context and inbox reads and balanced
+    reassembly's per-message word buffer."""
+    found = _offenders(_OWNED_DECODE, skip_tune=False)
+    callers = {o.split(":")[0] for o in found} - {"util/items.py"}
+    assert callers == {"core/par_engine.py", "core/balanced.py"}, (
+        "decode_owned is called only by core/par_engine.py and "
+        "core/balanced.py:\n" + "\n".join(found)
+    )
