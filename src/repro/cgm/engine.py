@@ -435,7 +435,21 @@ class Engine:
 
     # ------------------------------------------------------------------ driver
 
+    def _close(self) -> None:
+        """Release the backend's storage (an mmap arena's spill dir)."""
+
     def run(self, program: CGMProgram, inputs: list[Any]) -> RunResult:
+        """Execute *program* on *inputs*.  A run that raises releases its
+        storage before the exception leaves (a caller holding the
+        traceback holds the engine); a finished one keeps it for
+        inspection until :meth:`_close` or garbage collection."""
+        try:
+            return self._run(program, inputs)
+        except BaseException:
+            self._close()
+            raise
+
+    def _run(self, program: CGMProgram, inputs: list[Any]) -> RunResult:
         cfg = self.cfg
         v = cfg.v
         if len(inputs) != v:

@@ -123,8 +123,8 @@ def _backend_options(p: argparse.ArgumentParser) -> None:
         "--nodes",
         metavar="HOST:PORT,...",
         default=None,
-        help="node daemons the tcp transport dials, one per worker; "
-        "overrides REPRO_NODES for this run",
+        help="node daemons the tcp transport dials, one per worker "
+        "session (slice 0 runs here); overrides REPRO_NODES for this run",
     )
 
 

@@ -175,6 +175,10 @@ class ParEMEngine(Engine):
         self._msg_blocks_io = 0
         self._overflow_blocks = 0
 
+    def _close(self) -> None:
+        for array in getattr(self, "arrays", {}).values():
+            array.close()
+
     def _make_array(self, real: int) -> DiskArray:
         """The disk array of one real processor — fault-injected when a
         plan is active, plain otherwise."""
@@ -645,7 +649,7 @@ class ParEMEngine(Engine):
 
 def fold_final_stats(report: CostReport, parts: list[dict]) -> None:
     """Fold the slices' :meth:`ParEMEngine._final_stats` into *report*:
-    one part for the in-process run, one per worker for the coordinator."""
+    one part for the in-process run, one per slice for the coordinator."""
     io_by_real: dict[int, IOStats] = {}
     mem_peaks: dict[int, int] = {}
     faults_by_real: dict[int, FaultStats] = {}

@@ -151,7 +151,9 @@ def _recv_exact(sock: socket.socket, n: int, what: str) -> bytearray:
     view = memoryview(buf)
     got = 0
     while got < n:
-        k = sock.recv_into(view[got:])
+        # one wait for the rest of the frame: each return to the
+        # interpreter takes the GIL back from a computing thread
+        k = sock.recv_into(view[got:], n - got, socket.MSG_WAITALL)
         if not k:
             raise TransportError(
                 f"connection closed while reading {what}"

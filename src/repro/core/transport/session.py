@@ -2,10 +2,11 @@
 forked fleet one socket per peer.
 
 A packet of :class:`SessionTransport` leaves as a ``("pkt", r, phase,
-src, wire)`` frame on its destination's socket (a forked fleet's mesh),
-or as a ``("pkt", dest, ...)`` frame for the coordinator to relay (tcp),
-and arrives on the inbox the session's socket readers feed.  Its bulk
-payloads ride inside the frame, so nothing outlives the socket.
+src, wire)`` frame on its destination's socket — a forked fleet's mesh,
+or the coordinator's socket for slice 0, which the coordinator
+simulates — or as a ``("pkt", dest, ...)`` frame for the coordinator to
+relay (tcp).  It arrives on the inbox the session's socket readers feed.
+Its bulk payloads ride inside the frame, so nothing outlives the socket.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from repro.core.transport.base import (
 
 
 class SessionTransport(Transport):
-    """One socket to the coordinator, plus *peers* (``{worker: socket}``).
+    """One socket to the coordinator, plus *peers* (``{worker: socket}``);
+    the coordinator's socket is peer 0's.
 
     *inbox* is fed by the session's socket readers with ``(packet,
     frame bytes)`` pairs, and ``None`` when a socket ends; the bytes of
@@ -31,7 +33,7 @@ class SessionTransport(Transport):
         self.sock = sock
         self.wlock = wlock
         self.inbox = inbox
-        self.peers = peers
+        self.peers = {0: sock, **peers}
         self.bytes_received = 0
 
     def send_packet(self, dest: int, r: int, phase: int, wire: list) -> None:
@@ -41,7 +43,7 @@ class SessionTransport(Transport):
                 frame = ("pkt", dest, r, phase, self.worker_id, wire)
                 send_frame(self.sock, frame, self.wlock)
             else:
-                send_frame(peer, ("pkt", r, phase, self.worker_id, wire))
+                send_frame(peer, ("pkt", r, phase, self.worker_id, wire), self.wlock)
         except OSError as exc:
             if peer is not None:  # a dead peer: the coordinator sees a crash
                 raise TransportAbort(f"worker {dest} hung up: {exc}") from None

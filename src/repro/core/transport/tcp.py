@@ -1,14 +1,16 @@
 """The coordinator end of the worker sessions: one fleet, opened two ways.
 
-The coordinator holds one socket per worker session.  :class:`Fleet` is
-that end; what differs between fleets is only how a session's socket is
-opened: :class:`TcpFleet` (here) dials a ``repro node`` daemon and shakes
-hands, :class:`repro.core.workers.LocalFleet` forks a child onto one end
-of a ``socket.socketpair()``.  Forked workers also get one socketpair per
-pair of workers and exchange packets on it directly (a mesh); tcp
-workers have no such path, so a packet from worker *i* to worker *j*
-travels ``i -> coordinator -> j`` (a star).  The relay adds a hop but
-changes nothing the simulation can observe (DESIGN.md §12).
+The coordinator simulates slice 0 itself and holds one socket per other
+slice's session (workers 1..k-1).  :class:`Fleet` is that end, and slice
+0's transport; what differs between fleets is only how a session's socket
+is opened: :class:`TcpFleet` (here) dials a ``repro node`` daemon and
+shakes hands, :class:`repro.core.workers.LocalFleet` forks a child onto
+one end of a ``socket.socketpair()``.  Slice 0's packets ride the session
+sockets both ways.  Forked workers also get one socketpair per pair of
+workers and exchange packets on it directly (a mesh); tcp workers have no
+such path, so a packet from worker *i* to worker *j* travels ``i ->
+coordinator -> j`` (a star).  The relay adds a hop but changes nothing
+the simulation can observe (DESIGN.md §12).
 
 Frames on a session socket (:func:`~repro.core.transport.base.send_frame`)::
 
@@ -17,7 +19,11 @@ Frames on a session socket (:func:`~repro.core.transport.base.send_frame`)::
     ("cmd", command_tuple)                                      C -> W
     ("result", worker_id, kind, payload)                        W -> C
     ("pkt", dest, r, phase, src, wire)                          W -> C
-    ("pkt", r, phase, src, wire)                     C -> W, W -> W
+    ("pkt", r, phase, src, wire)             C -> W, W -> C, W -> W
+
+A ``pkt`` frame without a destination is for whoever simulates the
+receiving end's slice: on a session socket, slice 0's in the
+coordinator or the worker's own.
 
 The first two are the node handshake (a forked worker inherits its
 session instead).  It ships the coordinator's frozen per-run
@@ -34,7 +40,14 @@ import threading
 import time
 from typing import Any
 
-from repro.core.transport.base import TransportError, recv_frame, send_frame
+from repro.core.transport.base import (
+    POLL_S,
+    Transport,
+    TransportAbort,
+    TransportError,
+    recv_frame,
+    send_frame,
+)
 from repro.util.validation import ConfigurationError
 
 #: bumped whenever a frame, the handshake or the command set changes.
@@ -111,31 +124,40 @@ class _Conn:
             hang_up(sock)
 
 
-class Fleet:
-    """The coordinator's end of ``len(labels)`` worker sessions.
+class Fleet(Transport):
+    """The coordinator's end of ``len(labels)`` worker sessions — workers
+    ``1..len(labels)`` — and slice 0's :class:`Transport`.
 
     :meth:`start` opens every session socket (:meth:`_open`, the one
     thing a subclass must supply), then starts one reader thread per
-    session that funnels result frames into one queue and relays the
-    packets of workers with no direct path to their peers.  A packet
-    frame carries its payloads, so nothing a session sent outlives the
-    sockets.
+    session that funnels result frames into one queue, delivers the
+    packets addressed to slice 0 to its inbox and relays the packets of
+    workers with no direct path to their peers.  Slice 0 sends on the
+    session sockets themselves.  A packet frame carries its payloads, so
+    nothing a session sent outlives the sockets.
     """
 
     #: the ``transport`` knob value this fleet serves (metrics label)
     kind = "abstract"
 
     def __init__(self, labels: list[str]) -> None:
-        self.n_workers = len(labels)
-        self._conns = [_Conn(w, label) for w, label in enumerate(labels)]
+        super().__init__(0)
+        self.workers = range(1, len(labels) + 1)
+        self._conns = [_Conn(w, label) for w, label in zip(self.workers, labels)]
         self._results: queue.Queue = queue.Queue()
+        self._inbox: queue.Queue = queue.Queue()
         self._threads: list[threading.Thread] = []
+        #: what the sessions run: the one :meth:`start` was handed, as
+        #: :meth:`_open` adapted it
+        self.session: dict[str, Any] = {}
+        self.bytes_received = 0
 
     # ----------------------------------------------------------- lifecycle
 
-    def _open(self, session: dict[str, Any]) -> None:
+    def _open(self, session: dict[str, Any]) -> dict[str, Any]:
         """Give every ``_Conn`` a connected socket whose far end runs
-        :func:`repro.core.workers.serve_session` for *session*."""
+        :func:`repro.core.workers.serve_session` for *session*; returns
+        the session as the far ends got it."""
         raise NotImplementedError
 
     def _reap(self) -> None:
@@ -143,10 +165,12 @@ class Fleet:
 
     def start(self, session: dict[str, Any]) -> None:
         try:
-            self._open(session)
+            self.session = self._open(session)
         except BaseException:
             self.stop(force=True)
             raise
+        self._buffer.clear()
+        self.packets_sent = self.packets_received = self.bytes_received = 0
         # readers start only once every session is open: a fleet that
         # forks must not do so from a process that already runs threads
         for conn in self._conns:
@@ -159,40 +183,70 @@ class Fleet:
             self._threads.append(t)
 
     def _reader(self, conn: _Conn) -> None:
-        """Demultiplex one session's frames: results up, packets across."""
+        """Demultiplex one session's frames: results up, packets to slice
+        0 or across.  Its end is a ``None`` on slice 0's inbox."""
         # read once: stop()/request_abort() clear conn.sock under this
         # thread, and the closed socket then ends the stream with OSError
-        sock = conn.sock
+        sock, inbox = conn.sock, self._inbox
         try:
             while sock is not None:
-                frame = recv_frame(sock)
+                frame, nbytes = recv_frame(sock, sized=True)
                 tag = frame[0]
                 if tag == "result":
-                    self._results.put((frame[1], frame[2], frame[3]))
+                    self._results.put(frame[1:])
+                elif tag == "pkt" and len(frame) == 5:  # to slice 0
+                    inbox.put((frame[1:], nbytes))
                 elif tag == "pkt":
                     self._relay(frame[1], frame[2:])  # (r, phase, src, wire)
                 # anything else: a protocol bug; drop rather than wedge
         except (TransportError, OSError):
             conn.alive = False
+        finally:
+            inbox.put(None)
 
-    def _write(self, conn: _Conn, frame: tuple) -> None:
+    def _write(self, conn: _Conn, frame: tuple) -> bool:
         try:
             send_frame(conn.sock, frame, conn.wlock)
+            return True
         except (OSError, AttributeError):
             # hung up (no socket) or the worker died; the latter surfaces
             # as WorkerCrashed in the coordinator's _gather
             conn.alive = False
+            return False
 
     def _relay(self, dest: int, pkt: tuple) -> None:
-        self._write(self._conns[dest], ("pkt",) + pkt)
+        self._write(self._conns[dest - 1], ("pkt",) + pkt)
+
+    # ------------------------------------------------- slice 0's transport
+
+    def send_packet(self, dest: int, r: int, phase: int, wire: list) -> None:
+        if not self._write(self._conns[dest - 1], ("pkt", r, phase, 0, wire)):
+            raise TransportAbort(f"worker {dest} hung up")
+
+    def recv_packet(self, what: str) -> tuple:
+        """One packet for slice 0.  A session that ended, or a worker seen
+        dead while nothing arrives, aborts the wait: the coordinator then
+        learns from the results what went wrong."""
+        while True:
+            try:
+                got = self._inbox.get(timeout=POLL_S)
+            except queue.Empty:
+                if all(self.alive(w) for w in self.workers):
+                    continue
+                got = None
+            if got is None:
+                raise TransportAbort(f"a worker session ended while waiting for {what}")
+            pkt, nbytes = got
+            self.bytes_received += nbytes
+            return pkt
 
     # ------------------------------------------------------------- commands
 
     def send(self, w: int, cmd: tuple) -> None:
-        self._write(self._conns[w], ("cmd", cmd))
+        self._write(self._conns[w - 1], ("cmd", cmd))
 
     def broadcast(self, cmd: tuple) -> None:
-        for w in range(self.n_workers):
+        for w in self.workers:
             self.send(w, cmd)
 
     def result(self, timeout: float):
@@ -200,7 +254,7 @@ class Fleet:
         return self._results.get(timeout=timeout)
 
     def alive(self, w: int) -> bool:
-        return self._conns[w].alive
+        return self._conns[w - 1].alive
 
     def request_abort(self) -> None:
         """Unblock every worker: EOF on its socket trips the session's
@@ -219,12 +273,14 @@ class Fleet:
         for t in self._threads:
             t.join(timeout=5.0)
         self._threads = []
-        self._results = queue.Queue()  # a restart's _gather sees no stale reply
+        # a restart's _gather and slice 0 see no stale reply or packet
+        self._results = queue.Queue()
+        self._inbox = queue.Queue()
 
     # ------------------------------------------------------------ telemetry
 
     def node_label(self, w: int) -> str:
-        return self._conns[w].label
+        return "local/0" if w == 0 else self._conns[w - 1].label
 
     def event_tags(self, w: int) -> dict[str, Any]:
         """Extra fields for worker *w*'s replayed trace events."""
@@ -236,17 +292,17 @@ class TcpFleet(Fleet):
 
     kind = "tcp"
 
-    def __init__(self, nodes: list[tuple[str, int]], n_workers: int) -> None:
+    def __init__(self, nodes: list[tuple[str, int]], n_sessions: int) -> None:
         if not nodes:
             raise ConfigurationError(
                 "transport 'tcp' needs at least one node in REPRO_NODES"
             )
         # round-robin workers over nodes: a daemon hosts one session per
         # connection, so fewer nodes than workers just means co-tenancy
-        self._nodes = [nodes[w % len(nodes)] for w in range(n_workers)]
+        self._nodes = [nodes[i % len(nodes)] for i in range(n_sessions)]
         super().__init__([f"{host}:{port}" for host, port in self._nodes])
 
-    def _open(self, session: dict[str, Any]) -> None:
+    def _open(self, session: dict[str, Any]) -> dict[str, Any]:
         from repro import __version__
 
         fp = runtime_fingerprint(session.get("runtime"))
@@ -270,6 +326,7 @@ class TcpFleet(Fleet):
                 raise TransportError(
                     f"node {conn.label} sent an unexpected handshake reply {reply[:2]!r}"
                 )
+        return session
 
     def event_tags(self, w: int) -> dict[str, Any]:
-        return {"node": self._conns[w].label}
+        return {"node": self.node_label(w)}

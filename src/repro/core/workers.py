@@ -2,25 +2,29 @@
 group.
 
 :class:`ProcessParEngine` is the opt-in (``workers`` knob > 1) backend that
-finally runs the p real processors of ParCompoundSuperstep concurrently:
-the coordinator partitions the reals contiguously over its ``n_workers``
-(at most p) worker processes, and each worker builds one
-:class:`~repro.core.par_engine.ParEMEngine` *slice* of the machine — the
-same engine the in-process run uses, constructed with the coordinator's
-``plan``, its ``worker_id`` and a transport, so it instantiates only its
-share of the disks, memories, message matrices and allocators.
+runs the p real processors of ParCompoundSuperstep concurrently: the
+reals are partitioned contiguously into ``n_workers`` (at most p) slices,
+and each slice is one :class:`~repro.core.par_engine.ParEMEngine` — the
+same engine the in-process run uses, constructed with the plan, its
+``worker_id`` and a transport, so it instantiates only its share of the
+disks, memories, message matrices and allocators.  The coordinator
+simulates slice 0 itself, as Algorithm 3 has no master, and forks or
+dials one worker session for each other slice: ``workers=k`` is k
+processes.  Slice 0's inputs and outputs never cross a socket.
 
 Self-clocked rounds: after ``setup`` or ``restore`` each worker runs
 :meth:`Engine._execute_round`, the one round loop, over its slice round
-after round with no command between (:func:`clock_rounds`).  Its
-``_exchange`` hook (:meth:`~repro.core.par_engine.ParEMEngine._exchange`)
-is where step (d)'s cross-real traffic leaves the process and is staged
-— the round's only barrier — and its last packets carry the flags every
-slice decides the halt from.
-Each worker streams one report per round (its :class:`RoundStep`, trace
-events, traffic, and under a checkpoint manager its boundary snapshot);
-the coordinator only listens: it merges the steps in ascending worker
-order, persists snapshots and recovers from crashes.
+after round with no command between (:func:`clock_rounds`); the
+coordinator runs the same loop over slice 0 once per round of
+:meth:`Engine.run`.  A slice's ``_exchange`` hook
+(:meth:`~repro.core.par_engine.ParEMEngine._exchange`) is where step
+(d)'s cross-real traffic leaves the process and is staged — the round's
+only barrier — and its last packets carry the flags every slice decides
+the halt from.  Each worker streams one report per round (its
+:class:`RoundStep`, trace events, traffic, and under a checkpoint manager
+its boundary snapshot); the coordinator merges slice 0's step and the
+reports in ascending worker order, persists snapshots and recovers from
+crashes.
 
 Determinism: every ``CostReport`` counter the coordinator reports, the
 physical fault ledger (``FaultStats``) included, is bit-identical to the
@@ -49,11 +53,13 @@ checkpoints, fault recovery and every logical counter cannot depend on
 the ``REPRO_TRANSPORT`` spelling: ``memory`` (also spelled ``shm``) is
 the local fleet, ``tcp`` the remote.  Every packet, bulk payloads
 included, rides its frame: a forked worker's straight to its peer on
-their own socketpair, a tcp worker's through the coordinator's relay.
+their own socketpair, slice 0's on the session sockets, a tcp worker's
+to another worker through the coordinator's relay.
 """
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import multiprocessing as mp
 import os
@@ -87,6 +93,11 @@ from repro.util.validation import ConfigurationError, SimulationError
 
 #: empty poll cycles tolerated after a worker is seen dead.
 _DEAD_GRACE = 8
+
+try:  # glibc's: return the free pages of the heap to the system
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (OSError, AttributeError):  # pragma: no cover - another libc
+    _malloc_trim = None
 
 
 def partition_reals(p: int, n_workers: int) -> list[list[int]]:
@@ -133,6 +144,55 @@ def clock_rounds(eng: ParEMEngine, program: CGMProgram, r: int, rngs, boundary) 
         r += 1
 
 
+def build_slice(
+    session: dict[str, Any], worker_id: int, net, tracer
+) -> ParEMEngine:
+    """Slice *worker_id* of *session*'s machine, started: a worker's, or
+    slice 0 in the coordinator."""
+    eng = ParEMEngine(session["cfg"], session["balanced"], tracer=tracer,
+                      plan=session["plan"], worker_id=worker_id, net=net)
+    eng.faults = session["faults"]
+    eng._rt = session["runtime"]
+    eng._start(session["program"])
+    return eng
+
+
+def slice_snapshot(eng: ParEMEngine, rngs: list) -> dict[str, Any]:
+    """A slice's part of a boundary snapshot: its backend and the RNG
+    states of its virtual processors."""
+    return {
+        "backend": eng._snapshot_backend(),
+        "rng": {pid: rngs[pid].bit_generator.state for pid in eng._local_pids()},
+    }
+
+
+def round_report(eng: ParEMEngine, step: RoundStep, tracer, snapshot) -> dict:
+    """What a slice reports of a round: its step, halt and pending flags,
+    trace events and exchange traffic (counted afresh from here on)."""
+    net = eng.net
+    report = {
+        "step": step,
+        "pending": eng._pending_messages(),
+        "halt": eng._halt,
+        "events": tracer.drain() if tracer else [],
+        "packets": {"sent": net.packets_sent, "recv": net.packets_received},
+        "bytes": net.bytes_received,
+        "snapshot": snapshot,
+    }
+    net.packets_sent = net.packets_received = net.bytes_received = 0
+    return report
+
+
+def final_report(eng: ParEMEngine, program: CGMProgram, tracer) -> dict:
+    """What a slice reports at the end: its outputs, final stats and
+    trace events."""
+    return {
+        "outputs": dict(zip(eng._local_pids(), eng._collect_outputs(program))),
+        **eng._final_stats(),
+        "events": tracer.drain() if tracer else [],
+    }
+
+
 def run_worker_session(
     worker_id: int,
     session: dict[str, Any],
@@ -164,36 +224,14 @@ def run_worker_session(
     # no opener event is emitted here, so the bus ships the same flat
     # dicts the coordinator threads into its own spans
     tracer = EventBus(monitor=False) if session["trace_enabled"] else None
-    eng = ParEMEngine(
-        session["cfg"],
-        session["balanced"],
-        tracer=tracer,
-        plan=session["plan"],
-        worker_id=worker_id,
-        net=net,
-    )
-    eng.faults = session["faults"]
-    eng._rt = session["runtime"]
-    eng._start(program)
+    eng = build_slice(session, worker_id, net, tracer)
     rngs = spawn_rngs(eng.shape.seed, eng.shape.v)
 
     def snapshot() -> "dict | None":
-        return {
-            "backend": eng._snapshot_backend(),
-            "rng": {pid: rngs[pid].bit_generator.state for pid in eng._local_pids()},
-        } if session["snapshots"] else None
+        return slice_snapshot(eng, rngs) if session["snapshots"] else None
 
     def boundary(step: RoundStep) -> bool:
-        reply("round", {
-            "step": step,
-            "pending": eng._pending_messages(),
-            "halt": eng._halt,
-            "events": tracer.drain() if tracer else [],
-            "packets": {"sent": net.packets_sent, "recv": net.packets_received},
-            "bytes": net.bytes_received,
-            "snapshot": snapshot(),
-        })
-        net.packets_sent = net.packets_received = net.bytes_received = 0
+        reply("round", round_report(eng, step, tracer, snapshot()))
         return cmd_waiting()
 
     try:
@@ -213,11 +251,7 @@ def run_worker_session(
                 if next_round is not None:
                     clock_rounds(eng, program, next_round, rngs, boundary)
             elif op == "finish":
-                reply("final", {
-                    "outputs": dict(zip(eng._local_pids(), eng._collect_outputs(program))),
-                    **eng._final_stats(),
-                    "events": tracer.drain() if tracer else [],
-                })
+                reply("final", final_report(eng, program, tracer))
             elif op == "stop":
                 return
             else:  # pragma: no cover - protocol bug
@@ -226,8 +260,7 @@ def run_worker_session(
         # nobody else will: a forked child leaves through os._exit and a
         # node daemon lives on, so an mmap arena's spill dir would outlast
         # the session
-        for array in eng.arrays.values():
-            array.close()
+        eng._close()
 
 
 def serve_session(
@@ -312,10 +345,10 @@ _FORK_LOCK = threading.Lock()
 
 
 def _forked_worker(
-    worker_id: int, session: dict[str, Any], pairs: list, mesh: list
+    worker_id: int, session: dict[str, Any], pairs: dict, mesh: dict
 ) -> None:
     """Child entry point: keep only this worker's ends of its own pairs."""
-    for w, (ours, theirs) in enumerate(pairs):
+    for w, (ours, theirs) in pairs.items():
         ours.close()
         if w != worker_id:
             for end in [theirs, *mesh[w].values()]:
@@ -330,17 +363,18 @@ class LocalFleet(Fleet):
     included), so the coordinator relays nothing.
 
     Under the mmap arena the fleet owns one spill base per start, and the
-    children's spill dirs go under it: a child killed hard never removes
-    its own, so :meth:`_reap` removes the base once they are joined."""
+    children's spill dirs go under it, slice 0's too: a child killed hard
+    never removes its own, so :meth:`_reap` removes the base once they are
+    joined."""
 
     kind = "memory"
 
-    def __init__(self, n_workers: int) -> None:
-        super().__init__([f"local/{w}" for w in range(n_workers)])
+    def __init__(self, n_sessions: int) -> None:
+        super().__init__([f"local/{w}" for w in range(1, n_sessions + 1)])
         self._procs: list = []
         self._spill_base: "str | None" = None
 
-    def _open(self, session: dict[str, Any]) -> None:
+    def _open(self, session: dict[str, Any]) -> dict[str, Any]:
         try:
             ctx = mp.get_context("fork")
         except ValueError:
@@ -353,27 +387,32 @@ class LocalFleet(Fleet):
                 os.makedirs(rt.spill_dir, exist_ok=True)
             self._spill_base = tempfile.mkdtemp(prefix="repro-arena-", dir=rt.spill_dir)
             session = {**session, "runtime": rt.replace(spill_dir=self._spill_base)}
+        # a child starts with every resident page of this process's heap:
+        # what slice 0 freed in the run before goes back to the system first
+        if _malloc_trim is not None:
+            _malloc_trim(0)
         with _FORK_LOCK:
-            pairs = [socket.socketpair() for _ in self._conns]
+            pairs = {w: socket.socketpair() for w in self.workers}
             #: mesh[i][j] is worker i's end of its socketpair with worker j
-            mesh: list[dict] = [{} for _ in self._conns]
-            for i, j in itertools.combinations(range(self.n_workers), 2):
+            mesh: dict[int, dict] = {w: {} for w in self.workers}
+            for i, j in itertools.combinations(self.workers, 2):
                 mesh[i][j], mesh[j][i] = socket.socketpair()
-            for conn, (ours, _theirs) in zip(self._conns, pairs):
-                conn.sock = ours
+            for conn in self._conns:
+                conn.sock = pairs[conn.worker_id][0]
             try:
-                for conn in self._conns:
+                for w in self.workers:
                     proc = ctx.Process(
                         target=_forked_worker,
-                        args=(conn.worker_id, session, pairs, mesh),
+                        args=(w, session, pairs, mesh),
                         daemon=True,
                     )
                     proc.start()
                     self._procs.append(proc)
             finally:
-                for (_ours, theirs), ends in zip(pairs, mesh):
-                    for end in [theirs, *ends.values()]:
+                for w in self.workers:
+                    for end in [pairs[w][1], *mesh[w].values()]:
                         end.close()
+        return session
 
     def _reap(self) -> None:
         for proc in self._procs:
@@ -390,16 +429,20 @@ class LocalFleet(Fleet):
     def alive(self, w: int) -> bool:
         # the process is asked too: EOF alone cannot be trusted while any
         # other process may hold a duplicate of the worker's socket end
-        return super().alive(w) and bool(self._procs) and self._procs[w].is_alive()
+        return super().alive(w) and bool(self._procs) and self._procs[w - 1].is_alive()
 
 
 class ProcessParEngine(Engine):
-    """Coordinator of the multi-core Algorithm 3 backend.
+    """Coordinator of the multi-core Algorithm 3 backend, and its slice 0.
 
-    Drives the shared :meth:`Engine.run` loop over the rounds the worker
-    processes clock themselves and merges their per-round reports; the
-    resulting :class:`CostReport` is bit-identical to
+    Drives the shared :meth:`Engine.run` loop: each round it runs slice 0
+    (a :class:`ParEMEngine` whose transport is the fleet) and merges its
+    step with the reports of the rounds the worker sessions clock
+    themselves; the resulting :class:`CostReport` is bit-identical to
     :class:`ParEMEngine`'s while wall-clock scales with the core count.
+    Only a worker session can die (:class:`WorkerCrashed`, healed from the
+    last boundary snapshot); what slice 0 raises ends the run as a plain
+    :class:`SimulationError`.
     """
 
     #: cost cross-checks and the bench store key off the engine name, and
@@ -419,7 +462,10 @@ class ProcessParEngine(Engine):
     ) -> None:
         super().__init__(cfg, balanced=balanced, tracer=tracer)
         self.n_workers = n_workers
+        #: the slices of the worker sessions
+        self._remote = range(1, n_workers)
         self._fleet = None
+        self._local: "ParEMEngine | None" = None
         self._restarts = 0
         #: each worker's latest report (its boundary snapshot rides it)
         self._reports: dict[int, Any] = {}
@@ -427,10 +473,10 @@ class ProcessParEngine(Engine):
     # ------------------------------------------------------------ lifecycle
 
     def _start(self, program: CGMProgram) -> None:
-        cfg = self.cfg
+        cfg, rt = self.cfg, self._rt
         self._plan = partition_reals(cfg.p, self.n_workers)
         vpr = cfg.vprocs_per_real
-        #: the virtual processors of each worker's (contiguous) reals
+        #: the virtual processors of each slice's (contiguous) reals
         self._pids = [range(rs[0] * vpr, (rs[-1] + 1) * vpr) for rs in self._plan]
         session = {
             "cfg": cfg,
@@ -439,7 +485,7 @@ class ProcessParEngine(Engine):
             "plan": self._plan,
             "program": program,
             "faults": self.faults,
-            "runtime": self._rt,
+            "runtime": rt,
             "snapshots": self.checkpoint is not None,
         }
         #: replies of workers that ran ahead, for the next gather
@@ -447,15 +493,20 @@ class ProcessParEngine(Engine):
         if self._fleet is None:
             # one fleet per run: crash recovery stops and starts it again;
             # forked local sessions, or sessions on the REPRO_NODES daemons
-            n, rt = self.n_workers, self._rt
+            n = self.n_workers - 1
             tcp = rt.transport == "tcp"
             self._fleet = TcpFleet(require_nodes(rt.nodes), n) if tcp else LocalFleet(n)
-        self._fleet.start(session)
-        if self.tracer.enabled and self._fleet.kind == "tcp":
+        fleet = self._fleet
+        fleet.start(session)
+        # built after the fork, so no child inherits slice 0's arrays, and
+        # under the fleet's spill base, which its reap removes
+        self._bus = EventBus(monitor=False) if self.tracer.enabled else None
+        self._local = build_slice(fleet.session, 0, fleet, self._bus)
+        if self.tracer.enabled and fleet.kind == "tcp":
             self.tracer.emit(
                 "transport_connect",
-                transport=self._fleet.kind,
-                nodes=[self._fleet.node_label(w) for w in range(self.n_workers)],
+                transport=fleet.kind,
+                nodes=[fleet.node_label(w) for w in self._remote],
             )
 
     def run(self, program: CGMProgram, inputs: list[Any]):
@@ -465,13 +516,17 @@ class ProcessParEngine(Engine):
             self._shutdown()
 
     def _shutdown(self, force: bool = False) -> None:
+        if self._local is not None:
+            self._local._close()
+            self._local = None
         if self._fleet is not None:
             self._fleet.stop(force)
 
     # ---------------------------------------------------------- round hooks
 
     def _gather(self, kind: str) -> dict[int, Any]:
-        """One reply of *kind* from every worker, keyed by worker id.
+        """One reply of *kind* from every worker session, keyed by worker
+        id.
 
         Workers clock their own rounds, so one may report again before a
         slower peer's reply is in: that reply waits, in order, for the
@@ -479,7 +534,7 @@ class ProcessParEngine(Engine):
         got: dict[int, Any] = {}
         ahead, self._ahead = self._ahead, []
         dead_cycles = 0
-        while len(got) < self.n_workers:
+        while len(got) < len(self._remote):
             if ahead:
                 w, k, payload = ahead.pop(0)
             else:
@@ -488,7 +543,7 @@ class ProcessParEngine(Engine):
                 except queue.Empty:
                     awaited_dead = [
                         w
-                        for w in range(self.n_workers)
+                        for w in self._remote
                         if w not in got and not self._fleet.alive(w)
                     ]
                     if awaited_dead:
@@ -516,19 +571,44 @@ class ProcessParEngine(Engine):
         self._ahead.extend(ahead)
         return got
 
+    def _on_slice0(self, kind: str, fn, *args):
+        """*fn(*args)* on slice 0.  A session that ends under its exchange
+        is what the gather of *kind* finds: an error a worker reported, or
+        a crash.  Anything else slice 0 raises stops the fleet, and an
+        exception that is not a :class:`SimulationError` becomes one, as a
+        worker's does."""
+        try:
+            return fn(*args)
+        except TransportAbort:
+            self._gather(kind)
+            dead = [w for w in self._remote if not self._fleet.alive(w)]
+            raise WorkerCrashed(dead, kind) from None
+        except SimulationError:
+            self._fleet.request_abort()
+            raise
+        except Exception:
+            self._fleet.request_abort()
+            raise _worker_failed(0, traceback.format_exc())
+
     def _setup_contexts(self, program: CGMProgram, inputs: list[Any]) -> None:
-        for w in range(self.n_workers):
+        for w in self._remote:
             self._fleet.send(w, ("setup", {pid: inputs[pid] for pid in self._pids[w]}))
+        self._on_slice0("setup", self._local._setup_contexts, program, inputs)
         self._reports = self._gather("setup")
 
     def _execute_round(self, program: CGMProgram, r: int, rngs: list) -> RoundStep:
-        """Merge the workers' reports of round *r*, in worker order."""
+        """Run slice 0's round *r* and merge its step with the workers'
+        reports of it, in slice order."""
         while True:
             try:
+                step = self._on_slice0(
+                    "round", self._local._execute_round, program, r, rngs
+                )
                 reports = self._gather("round")
                 break
             except WorkerCrashed as exc:
-                self._recover(program, r, exc)
+                self._recover(program, r, rngs, exc)
+        reports[0] = round_report(self._local, step, self._bus, None)
         self._reports = reports
         cfg = self.cfg
         step = RoundStep.empty(cfg.v, cfg.p)
@@ -543,15 +623,17 @@ class ProcessParEngine(Engine):
             )
         finished = step.all_done and not self._pending
         if any(report["halt"] != finished for report in reports.values()):
-            raise SimulationError(f"protocol error: a worker's halt after round {r} "
+            raise SimulationError(f"protocol error: a slice's halt after round {r} "
                                   f"is not the merged one ({finished})")
         if self.tracer.enabled:
             step.transport = self._round_traffic(reports)
         return step
 
-    def _recover(self, program: CGMProgram, r: int, exc: WorkerCrashed) -> None:
-        """Respawn the worker fleet and rewind it to the last checkpoint,
-        from where the workers run the crashed round again."""
+    def _recover(
+        self, program: CGMProgram, r: int, rngs: list, exc: WorkerCrashed
+    ) -> None:
+        """Respawn the worker fleet, rebuild slice 0 and rewind both to the
+        last checkpoint, from where they run the crashed round again."""
         cm = self.checkpoint
         snap = self._last_ckpt
         if cm is None or snap is None:
@@ -571,10 +653,10 @@ class ProcessParEngine(Engine):
             )
         self._shutdown(force=True)
         self._start(program)
-        self._restore_state(snap, rngs=[])
+        self._restore_state(snap, rngs)
 
     def _round_traffic(self, results: dict[int, Any]) -> dict[str, Any]:
-        """The round's packets and received frame bytes per worker node."""
+        """The round's packets and received frame bytes per slice node."""
         fleet = self._fleet
         packets: dict[str, dict[str, int]] = {}
         nbytes: dict[str, int] = {}
@@ -596,10 +678,11 @@ class ProcessParEngine(Engine):
     # ---------------------------------------------------------- checkpointing
 
     def _snapshot_state(self, rngs: list) -> dict[str, Any]:
-        """Merge the backend slices and RNG states the workers shipped
-        with their latest reports into the canonical shape
+        """Merge slice 0's backend and RNG states with the slices the
+        workers shipped with their latest reports into the canonical shape
         :class:`ParEMEngine` produces."""
-        parts = [self._reports[w]["snapshot"] for w in sorted(self._reports)]
+        parts = [slice_snapshot(self._local, rngs)]
+        parts += [self._reports[w]["snapshot"] for w in self._remote]
         rng_states: list = [None] * self.cfg.v
         for part in parts:
             for pid, state in part["rng"].items():
@@ -608,23 +691,27 @@ class ProcessParEngine(Engine):
         return {"backend": backend, "rng_states": rng_states}
 
     def _restore_state(self, snap: dict[str, Any], rngs: list) -> None:
-        """Scatter a merged snapshot back over the worker fleet, which
-        runs on from the round after it."""
-        backend = snap["backend"]
+        """Scatter a merged snapshot back over slice 0 and the worker
+        fleet, which runs on from the round after it."""
+        backend, states = snap["backend"], snap["rng_states"]
         next_round = None if snap["finished"] else snap["round"] + 1
-        for w in range(self.n_workers):
+        for w in self._remote:
             part = ParEMEngine.split_backend(backend, w)
-            local_rng = {pid: snap["rng_states"][pid] for pid in self._pids[w]}
+            local_rng = {pid: states[pid] for pid in self._pids[w]}
             self._fleet.send(w, ("restore", part, local_rng, next_round))
+        self._local._restore_backend(ParEMEngine.split_backend(backend, 0))
+        for pid in self._pids[0]:
+            rngs[pid].bit_generator.state = states[pid]
         self._gather("restore")
 
     # ------------------------------------------------------------- wrap-up
 
     def _collect_outputs(self, program: CGMProgram) -> list[Any]:
         self._fleet.broadcast(("finish",))
-        finals = self._gather("final")
+        mine = self._on_slice0("final", final_report, self._local, program, self._bus)
+        finals = {0: mine, **self._gather("final")}
         outputs: dict[int, Any] = {}
-        self._finals = finals
+        self._finals = [finals[w] for w in sorted(finals)]
         for w in sorted(finals):
             outputs.update(finals[w]["outputs"])
             replay_events(
@@ -634,5 +721,4 @@ class ProcessParEngine(Engine):
         return [outputs[pid] for pid in range(self.cfg.v)]
 
     def _finalize(self, report: CostReport) -> None:
-        fold_final_stats(report, [self._finals[w] for w in sorted(self._finals)])
-
+        fold_final_stats(report, self._finals)

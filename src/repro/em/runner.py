@@ -102,8 +102,8 @@ def make_engine(
     the resolved ``workers`` knob asks for more than one; the fleet size
     is computed here, once: the knob capped at p, or under the tcp
     transport when *overrides* names no count and the knob is at most one,
-    one worker per node (at least two) — an explicit ``workers`` 0 runs
-    in-process whatever the transport.
+    one worker session per node plus slice 0 in this process — an
+    explicit ``workers`` 0 runs in-process whatever the transport.
 
     Resilience knobs (EM backends only): *faults* is a
     :class:`~repro.faults.plan.FaultPlan` (or a path to its JSON form)
@@ -156,14 +156,11 @@ def make_engine(
         named = (overrides or {}).get("workers") is not None
         if rt.transport == "tcp" and workers <= 1 and not named:
             # spanning machines requires the worker coordinator; with no
-            # explicit count, run one worker per configured node — but
-            # never fewer than two, or a single-node list would fall
-            # through to an in-process run that ignores the node entirely
-            # (daemons host one session per connection, so two workers on
-            # one node is plain co-tenancy)
+            # explicit count, run one worker session per configured node,
+            # and slice 0 here (k - 1 nodes for k workers)
             from repro.core.transport import require_nodes
 
-            workers = max(len(require_nodes(rt.nodes)), 2)
+            workers = len(require_nodes(rt.nodes)) + 1
         workers = min(workers, cfg.p)
         if workers > 1:
             from repro.core.workers import ProcessParEngine

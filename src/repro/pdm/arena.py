@@ -39,10 +39,12 @@ disk, which keeps engine checkpoints portable between storage backends.
 Storage backends: this class keeps the chunks as in-memory arrays
 (``REPRO_ARENA=ram``, the default); :class:`repro.pdm.mmap_arena.MmapTrackArena`
 subclasses it to back them with windows of one spill file for out-of-core
-runs (``REPRO_ARENA=mmap``).  The seam is two hooks, :meth:`_new_chunk`
-and :meth:`_store` (a scatter's writes): that backend writes by file
-descriptor and reads through its mapping, one page cache under both.
-Every batch operation, invariant and snapshot shape is shared.
+runs (``REPRO_ARENA=mmap``).  The seam is four hooks, :meth:`_new_chunk`,
+:meth:`_store` (a scatter's writes), :meth:`_take` and :meth:`_copy` (a
+gather's reads): that backend moves bulk streams by file descriptor both
+ways and serves single tracks through its mapping, one page cache under
+both.  Every batch operation, ledger check, invariant and snapshot shape
+is shared.
 """
 
 from __future__ import annotations
@@ -264,7 +266,7 @@ class TrackArena:
                 at = hit[0] + (lo - self._bounds[k])
                 if self._lens[k][at].min() < bb:
                     return False
-                np.take(self._chunks[k], at, axis=0, out=out, mode="clip")
+                self._take(k, at, out)
                 return True
         moves = []
         for r, lin, n in pieces:
@@ -277,9 +279,19 @@ class TrackArena:
                 if (lens[off] if m == 1 else lens[off : off + m].min()) < bb:
                     return False
                 moves.append((r + at, k, off, m))
+        self._copy(moves, out)
+        return True
+
+    def _take(self, chunk: int, at: np.ndarray, out: np.ndarray) -> None:
+        """Fill *out* with the rows *at* of *chunk*, all checked (the
+        backend hook for a one-chunk gather)."""
+        np.take(self._chunks[chunk], at, axis=0, out=out, mode="clip")
+
+    def _copy(self, moves: list[tuple[int, int, int, int]], out: np.ndarray) -> None:
+        """Fill *out* by ``(stream row, chunk, offset in it, rows)`` moves,
+        all checked (the backend hook for any other gather)."""
         for r, k, off, m in moves:
             out[r : r + m] = self._chunks[k][off : off + m]
-        return True
 
     # -- inspection / checkpointing ----------------------------------------
 

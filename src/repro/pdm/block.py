@@ -19,7 +19,6 @@ addresses to that API in two small values:
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -111,7 +110,6 @@ class BlockRun:
         )
 
 
-@dataclass(frozen=True, slots=True)
 class Runs:
     """Where a bulk stream sits on ``D`` disks: a base track and, in stream
     order, linear runs ``(lin0, nblocks)``.
@@ -122,24 +120,44 @@ class Runs:
     context or overflow run is one run at ``lin0 = 0``, a slot message one
     run at its slot's offset, an inbox one run per source.  ``D`` belongs
     to the disk array the value is handed to, so no address can name a
-    disk the array does not have; the rest is checked here, once.
+    disk the array does not have; the rest is checked here, once.  A value:
+    equal and hashed by its base and runs, never changed after it is made.
     """
 
-    base: int
-    runs: tuple[tuple[int, int], ...]
-    nblocks: int = field(init=False)  #: blocks addressed, all runs together
+    __slots__ = ("base", "runs", "nblocks")
 
-    def __post_init__(self) -> None:
-        if self.base < 0:
-            raise SimulationError(f"negative track {self.base}")
+    def __init__(self, base: int, runs: tuple[tuple[int, int], ...]) -> None:
+        if base < 0:
+            raise SimulationError(f"negative track {base}")
         total = 0
-        for lin0, n in self.runs:
+        for lin0, n in runs:
             if lin0 < 0 or n < 0:
                 raise SimulationError(
                     f"run of {n} blocks at linear offset {lin0}: both must be >= 0"
                 )
             total += n
-        object.__setattr__(self, "nblocks", total)
+        init = object.__setattr__  # the one way in: a value never changes
+        init(self, "base", base)
+        init(self, "runs", runs)
+        #: blocks addressed, all runs together
+        init(self, "nblocks", total)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"a Runs value cannot change ({name!r})")
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not Runs:
+            return NotImplemented
+        return self.base == other.base and self.runs == other.runs
+
+    def __hash__(self) -> int:
+        return hash((self.base, self.runs))
+
+    def __reduce__(self) -> tuple:
+        return (Runs, (self.base, self.runs))
+
+    def __repr__(self) -> str:
+        return f"Runs(base={self.base}, runs={self.runs})"
 
     def expand(self, D: int) -> tuple[np.ndarray, np.ndarray]:
         """``(disks, tracks)`` of every block, in stream order.

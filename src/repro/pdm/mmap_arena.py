@@ -7,11 +7,14 @@ with a window of one spill file instead of an in-memory array.  Simulated
 problem size is then bounded by disk capacity, not host memory: the OS
 pages track data in and out on demand, and the arena's own resident
 footprint is the per-row length ledger (4 bytes/row) plus whatever the
-page cache chooses to keep.  A scatter writes each contiguous slice of a
-run through the file descriptor with one ``pwrite`` (:meth:`_store`),
-which fills a fresh stretch of file without a write fault per page;
-``gather``, ``get``, ``snapshot`` and the single-track ``put`` go through
-the mapping, which sees the same page-cache pages.
+page cache chooses to keep.  Bulk streams move by file descriptor: a
+scatter writes each contiguous slice of a run with one ``pwrite``
+(:meth:`_store`), which fills a fresh stretch of file without a write
+fault per page, and a gather reads each contiguous run of the file with
+one ``preadv`` straight into the caller's buffer (:meth:`_copy`), so no
+spill page is mapped into the process to read it.  ``get``,
+``snapshot`` and the single-track ``put`` go through the mapping, which
+sees the same page-cache pages.
 
 Spill-file lifecycle:
 
@@ -57,6 +60,8 @@ import numpy as np
 from repro.pdm.arena import TrackArena
 from repro.tune.runtime import RuntimeConfig, current
 from repro.util.validation import SimulationError
+
+_IOV_MAX = os.sysconf("SC_IOV_MAX")
 
 
 def _cleanup(file: "IO[bytes]", path: str) -> None:
@@ -144,6 +149,53 @@ class MmapTrackArena(TrackArena):
                     f" to spill dir {self.spill_dir}: {why}"
                 )
             buf, pos = buf[n:], pos + n
+
+    # -- bulk reads --------------------------------------------------------
+    #
+    # by descriptor, after the ledger checks every gather makes: a copy out
+    # of the mapping would fault each spill page into this process's
+    # RssFile, a preadv only fills the caller's buffer
+
+    def _take(self, chunk: int, at: np.ndarray, out: np.ndarray) -> None:
+        self._copy([(i, chunk, off, 1) for i, off in enumerate(at.tolist())], out)
+
+    def _copy(self, moves: list[tuple[int, int, int, int]], out: np.ndarray) -> None:
+        # one preadv per contiguous run of the file, a buffer per move
+        bounds, bb = self._bounds, self.block_bytes
+        runs: list[list] = []  # [file offset, bytes, buffers]
+        for r, k, off, m in moves:
+            pos, buf = (bounds[k] + off) * bb, memoryview(out[r : r + m]).cast("B")
+            last = runs[-1] if runs else None
+            if last and last[0] + last[1] == pos and len(last[2]) < _IOV_MAX:
+                last[1] += buf.nbytes
+                last[2].append(buf)
+            else:
+                runs.append([pos, buf.nbytes, [buf]])
+        for pos, _nbytes, bufs in runs:
+            self._load(pos, bufs)
+
+    def _load(self, pos: int, bufs: list) -> None:
+        """Fill *bufs* from the file at *pos* on; short reads loop."""
+        assert self._file is not None
+        fd, i = self._file.fileno(), 0
+        while i < len(bufs):
+            try:
+                n = os.preadv(fd, bufs[i:], pos)
+                why = "the read stayed short"
+            except OSError as exc:
+                n, why = 0, exc.strerror or str(exc)
+            if n <= 0:
+                lin = pos // self.block_bytes
+                raise SimulationError(
+                    f"cannot read disk {lin % self.D} track {lin // self.D}"
+                    f" from spill dir {self.spill_dir}: {why}"
+                )
+            pos += n
+            while i < len(bufs) and n >= bufs[i].nbytes:
+                n -= bufs[i].nbytes
+                i += 1
+            if n:
+                bufs[i] = bufs[i][n:]
 
     # -- inspection --------------------------------------------------------
 

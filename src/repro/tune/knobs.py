@@ -154,8 +154,8 @@ KNOBS: tuple[KnobSpec, ...] = (
     KnobSpec(
         "nodes", "REPRO_NODES", "host:port,...", None, _parse_nodes,
         "core.transport",
-        "node daemons the tcp transport dials, one per worker "
-        "(comma-separated host:port list)",
+        "node daemons the tcp transport dials, one per worker session "
+        "(slice 0 runs in the coordinator; comma-separated host:port list)",
         invalid_example="localhost:notaport",
     ),
     KnobSpec(

@@ -492,7 +492,7 @@ class TestFleetValidation:
 
     def test_workers_round_robin_over_nodes(self):
         fleet = TcpFleet([("a", 1), ("b", 2)], 4)
-        assert [fleet.node_label(w) for w in range(4)] == [
+        assert [fleet.node_label(w) for w in fleet.workers] == [
             "a:1", "b:2", "a:1", "b:2"
         ]
 

@@ -6,6 +6,8 @@ themselves, driven in threads without any process."""
 
 from __future__ import annotations
 
+import gc
+import multiprocessing as mp
 import os
 import queue
 import signal
@@ -37,6 +39,10 @@ from repro.util.rng import make_rng, spawn_rngs
 from repro.util.validation import SimulationError
 
 pytestmark = pytest.mark.usefixtures("worker_leak_guard")
+
+CI_PLAN = os.path.join(
+    os.path.dirname(__file__), "..", "..", "benchmarks", "fault_plans", "ci_transient.json"
+)
 
 V, D, B = 8, 2, 64
 N = 1 << 14
@@ -237,7 +243,7 @@ def assert_workers_reaped(eng) -> None:
     fleet = eng._fleet
     if hasattr(fleet, "_procs"):  # local backends hold the process list
         assert fleet._procs == []
-    assert not any(fleet.alive(w) for w in range(fleet.n_workers))
+    assert not any(fleet.alive(w) for w in fleet.workers)
 
 
 class _ScriptedFleet:
@@ -259,31 +265,32 @@ class _ScriptedFleet:
 
 
 class TestFailureHandling:
-    KILL = (0, "error", "Traceback (most recent call last):\nKeyboardInterrupt: kill")
+    KILL = (1, "error", "Traceback (most recent call last):\nKeyboardInterrupt: kill")
 
     @staticmethod
     def scripted(replies, dead=()):
-        eng = ProcessParEngine(MachineConfig(N=1 << 12, v=4, p=2, D=D, B=32), 2)
+        # three slices: the coordinator's slice 0 and worker sessions 1, 2
+        eng = ProcessParEngine(MachineConfig(N=1 << 12, v=4, p=4, D=D, B=32), 3)
         eng._fleet, eng._ahead = _ScriptedFleet(replies, dead), []
         return eng
 
     def test_a_later_rounds_error_waits_for_this_rounds_replies(self):
-        """Worker 0 reports round r, then fails in round r + 1 before
-        worker 1's report of round r is in: round r still completes (its
+        """Worker 1 reports round r, then fails in round r + 1 before
+        worker 2's report of round r is in: round r still completes (its
         boundary snapshot is kept), and the next gather raises."""
-        eng = self.scripted([(0, "round", "r0"), self.KILL, (1, "round", "r1")])
-        assert eng._gather("round") == {0: "r0", 1: "r1"}
+        eng = self.scripted([(1, "round", "r1"), self.KILL, (2, "round", "r2")])
+        assert eng._gather("round") == {1: "r1", 2: "r2"}
         with pytest.raises(SimulationError) as info:
             eng._gather("round")
-        assert str(info.value) == "worker 0 failed: KeyboardInterrupt: kill"
+        assert str(info.value) == "worker 1 failed: KeyboardInterrupt: kill"
         assert "Traceback" in str(info.value.__cause__) and eng._fleet.aborted
 
     def test_a_reported_error_outranks_a_peers_crash(self):
-        eng = self.scripted([(0, "round", "r0"), self.KILL], dead={1})
+        eng = self.scripted([(1, "round", "r1"), self.KILL], dead={2})
         with pytest.raises(SimulationError) as info:
             eng._gather("round")
         assert type(info.value) is SimulationError
-        assert str(info.value) == "worker 0 failed: KeyboardInterrupt: kill"
+        assert str(info.value) == "worker 1 failed: KeyboardInterrupt: kill"
 
     def test_worker_exception_propagates_and_cleans_up(self):
         cfg = MachineConfig(N=1 << 12, v=4, p=4, D=D, B=32)
@@ -417,6 +424,29 @@ class TestSpillDirs:
                 runtime=self._runtime(tmp_path), tracer=EventBus(monitor=False),
             )
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("n_workers", [0, 2], ids=["in-process", "workers2"])
+    def test_a_failed_run_leaves_no_spill_dir_while_its_traceback_lives(
+        self, tmp_path, n_workers
+    ):
+        """A run that raises closes its arrays before the exception leaves:
+        the caller holding the traceback (and through it the engine) holds
+        no spill dir, with the garbage collector off."""
+        cfg = MachineConfig(N=1 << 12, v=4, p=2, D=D, B=32)
+        runtime = RuntimeConfig.resolve(
+            overrides={"workers": n_workers, "arena": "mmap",
+                       "spill_dir": str(tmp_path)},
+            environ={},
+        )
+        gc.collect()
+        gc.disable()
+        try:
+            with pytest.raises(Exception, match="deliberate failure") as info:
+                em_run(_BoomInRoundOne(), [None] * 4, cfg, "par", runtime=runtime)
+            assert info.tb is not None
+            assert os.listdir(tmp_path) == []
+        finally:
+            gc.enable()
 
     def test_a_killed_worker_leaves_no_spill_dir(self, tmp_path, monkeypatch):
         """A child that dies hard runs no ``finally`` and only it knew its
@@ -739,19 +769,28 @@ class TestSlicesInThreads:
 class _DiesOnce(SampleSort):
     """Sample sort whose hosting process dies hard (``os._exit``) when
     virtual processor *pid* enters round *crash_round* — once: the flag
-    file is consumed first, so the re-dispatched round runs clean."""
+    file is consumed first, so the re-dispatched round runs clean.  A pid
+    of slice 0 runs in the coordinator, which a crash would end with the
+    test: there it SIGKILLs the fleet's children instead, which then die
+    waiting for slice 0's packets of that round."""
 
     def __init__(self, crash_round: int, pid: int, flag_path: str) -> None:
         super().__init__()
         self.crash_round = crash_round
         self.pid = pid
         self.flag_path = flag_path
+        self.coordinator = os.getpid()
 
     def round(self, r, ctx, env):
         if r == self.crash_round and env.pid == self.pid:
             if os.path.exists(self.flag_path):
                 os.unlink(self.flag_path)
-                os._exit(13)
+                if os.getpid() != self.coordinator:
+                    os._exit(13)
+                children = mp.active_children()
+                assert children, "slice 0 has no worker to kill"
+                for child in children:
+                    os.kill(child.pid, signal.SIGKILL)
         return super().round(r, ctx, env)
 
 
@@ -805,18 +844,108 @@ class TestCrashLeavesNoSegments:
         assert sorted(os.listdir("/dev/shm")) == shm_before
 
 
+class _BoomInSliceZero(_Boom):
+    name = "boom-in-slice-zero"
+
+    def round(self, r, ctx, env):
+        if r == 1 and ctx["pid"] == 0:
+            raise RuntimeError("deliberate failure in slice 0")
+        return False if r == 0 else True
+
+
+class TestSliceZero:
+    """The coordinator simulates slice 0: only the worker sessions can
+    die and be healed, what slice 0 raises ends the run, and no counter
+    can tell how many processes ran the machine."""
+
+    CFG = MachineConfig(N=1 << 12, v=8, p=2, D=D, B=32)
+    DATA = make_rng(37).integers(0, 2**40, 1 << 12)
+
+    def run_sort(self, balanced, **options):
+        return em_run(
+            SampleSort(), partition_array(self.DATA, 8), self.CFG, "par",
+            balanced=balanced, runtime=_local_runtime(), **options,
+        )
+
+    @pytest.mark.parametrize("balanced", [False, True], ids=["direct", "balanced"])
+    def test_the_only_child_killed_mid_exchange_heals(
+        self, tmp_path, monkeypatch, balanced
+    ):
+        """Slice 0 SIGKILLs the fleet's one child right after its first
+        packet of round 1 left: the child dies in the exchange, slice 0
+        waits for a packet that never comes, and the run heals from its
+        checkpoint to the uninterrupted run's outputs and IOStats."""
+        from repro.core.transport.tcp import Fleet
+
+        monkeypatch.setattr(workers, "_DEAD_GRACE", 2)
+        clean = self.run_sort(balanced)
+        killed = []
+        real_send = Fleet.send_packet
+
+        def send_then_kill(self, dest, r, phase, wire):
+            real_send(self, dest, r, phase, wire)
+            if r == 1 and not killed:
+                [child] = self._procs
+                os.kill(child.pid, signal.SIGKILL)
+                killed.append(child.pid)
+
+        monkeypatch.setattr(Fleet, "send_packet", send_then_kill)
+        tracer = EventBus(monitor=False)
+        healed = self.run_sort(balanced, checkpoint=str(tmp_path / "ck"), tracer=tracer)
+        assert killed, "the kill never fired"
+        assert tracer.counts().get("worker_redispatch") == 1
+        assert _same_outputs(healed.outputs, clean.outputs)
+        assert healed.report.io.as_dict() == clean.report.io.as_dict()
+        assert _counters(healed.report) == _counters(clean.report)
+
+    def test_a_slice0_exception_is_a_plain_simulation_error(self, tmp_path):
+        tracer = EventBus(monitor=False)
+        spill = tmp_path / "spill"
+        eng = make_engine(
+            MachineConfig(N=1 << 12, v=4, p=2, D=D, B=32), "par",
+            runtime=_local_runtime(arena="mmap", spill_dir=str(spill)),
+            checkpoint=str(tmp_path / "ck"), tracer=tracer,
+        )
+        with pytest.raises(SimulationError) as info:
+            eng.run(_BoomInSliceZero(), [None] * 4)
+        assert type(info.value) is SimulationError
+        assert str(info.value) == (
+            "worker 0 failed: RuntimeError: deliberate failure in slice 0"
+        )
+        assert "Traceback" in str(info.value.__cause__)
+        assert "worker_redispatch" not in tracer.counts()
+        assert_workers_reaped(eng)
+        assert os.listdir(spill) == []
+
+    def test_fault_stats_equal_at_any_worker_count(self):
+        data = make_rng(38).integers(0, 2**40, N)
+        cfg = MachineConfig(N=N, v=V, p=4, D=D, B=B)
+        runs = {
+            w: em_sort(data, cfg, engine="par", faults=CI_PLAN,
+                       overrides={"workers": w})
+            for w in (0, 2, 4)
+        }
+        stats = {w: res.report.fault_stats.as_dict() for w, res in runs.items()}
+        assert stats[0]["retries"] > 0
+        assert stats[2] == stats[0] and stats[4] == stats[0]
+        for w in (2, 4):
+            assert np.array_equal(runs[w].values, np.sort(data))
+            assert _counters(runs[w].report) == _counters(runs[0].report)
+
+
 class _Rendezvous(SampleSort):
     """Sample sort that touches *mine* in round 0 and, from round 1 on,
-    waits (bounded) for *theirs* — two runs held alive side by side."""
+    waits (bounded) for *theirs* — two runs held alive side by side.  The
+    last virtual processor does both, in the fleet's child."""
 
     def __init__(self, mine: str, theirs: str, die: bool = False) -> None:
         super().__init__()
         self.mine, self.theirs, self.die = mine, theirs, die
 
     def round(self, r, ctx, env):
-        if r == 0 and env.pid == 0:
+        if r == 0 and env.pid == env.v - 1:
             open(self.mine, "w").close()
-        if r == 1 and env.pid == 0:
+        if r == 1 and env.pid == env.v - 1:
             deadline = time.monotonic() + 30.0
             while not os.path.exists(self.theirs) and time.monotonic() < deadline:
                 time.sleep(0.01)
@@ -859,8 +988,8 @@ class TestForkAndSockets:
                 _DiesOnce(1, 0, str(flag)), checkpoint=str(tmp_path / "ck")
             )
         assert np.array_equal(np.concatenate(healed.outputs), np.sort(self.DATA))
-        assert len(extra_at_fork) == 4  # two workers, forked twice
-        assert extra_at_fork == [set()] * 4
+        assert len(extra_at_fork) == 2  # one worker session, forked twice
+        assert extra_at_fork == [set()] * 2
         assert not [w for w in caught if "fork" in str(w.message)]
 
     def test_alive_asks_the_process(self, monkeypatch):
@@ -881,11 +1010,12 @@ class TestForkAndSockets:
         try:
             eng._start(SampleSort())
             fleet = eng._fleet
-            victim = fleet._procs[0]
+            # p = 2 over two slices: slice 0 here, worker 1 the one child
+            [victim] = fleet._procs
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=10.0)
             assert not victim.is_alive()
-            assert [fleet.alive(w) for w in range(2)] == [False, True]
+            assert list(fleet.workers) == [1] and not fleet.alive(1)
             started = time.monotonic()
             with pytest.raises(workers.WorkerCrashed):
                 eng._gather("setup")

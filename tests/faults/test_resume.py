@@ -102,8 +102,9 @@ class CrashySort(SampleSort):
         self.counter_path = counter_path
 
     def round(self, r, ctx, env):
-        # pid 0 only, so exactly one worker dies per dispatch of the round
-        if r == self.crash_round and env.pid == 0:
+        # the last pid only, so exactly one worker process dies per
+        # dispatch of the round (slice 0 runs in the coordinator)
+        if r == self.crash_round and env.pid == env.v - 1:
             with open(self.counter_path) as fh:
                 n = int(fh.read())
             if n > 0:
@@ -225,6 +226,31 @@ class TestResumeWorkers:
                 overrides=IN_PROCESS,
             )
         resumed = run_sort(self.CFG, overrides=W2, checkpoint=ck, resume=True)
+        for a, b in zip(clean.outputs, resumed.outputs):
+            assert np.array_equal(a, b)
+        assert counters(clean.report) == counters(resumed.report)
+
+    @pytest.mark.parametrize("resume_workers", [0, 3])
+    def test_a_two_worker_checkpoint_resumes_at_any_worker_count(
+        self, tmp_path, resume_workers
+    ):
+        """Slice 0 runs in the coordinator, yet the snapshot a ``workers=2``
+        run writes has the one canonical shape: it resumes in-process or
+        over three slices with the uninterrupted run's counters."""
+        clean = run_sort(self.CFG, overrides=IN_PROCESS)
+        ck = str(tmp_path / "ck")
+        flag = str(tmp_path / "kill.flag")
+        open(flag, "w").write("1")
+        with pytest.raises((KeyboardInterrupt, SimulationError)):
+            run_sort(
+                self.CFG, program=KillableSort(KILL_ROUND, flag), checkpoint=ck,
+                overrides=W2,
+            )
+        assert not os.path.exists(flag), "the kill never fired"
+        resumed = run_sort(
+            self.CFG, overrides={"workers": resume_workers}, checkpoint=ck,
+            resume=True,
+        )
         for a, b in zip(clean.outputs, resumed.outputs):
             assert np.array_equal(a, b)
         assert counters(clean.report) == counters(resumed.report)
@@ -466,7 +492,7 @@ class TestCrossTransportResume:
     def test_node_death_mid_run_redispatches(
         self, tmp_path, monkeypatch, node_pair
     ):
-        """The socket of the node hosting worker 0 is hard-closed during
+        """The socket of the node hosting worker 1 is hard-closed during
         the kill round; the coordinator respawns the session from the last
         checkpoint and the run self-heals bit-identically."""
         global _NODE_KILL
@@ -507,7 +533,8 @@ class TestCrossTransportResume:
         flag = str(tmp_path / "kill.flag")
         open(flag, "w").write("1")
         self.set_transport(monkeypatch, "tcp", node_pair)
-        _NODE_KILL = node_pair[1].kill_session
+        # the one worker session is on the first node
+        _NODE_KILL = node_pair[0].kill_session
         try:
             with pytest.raises((KeyboardInterrupt, SimulationError)):
                 run_sort(
@@ -613,7 +640,9 @@ class TestServicePath:
 
         class KilledSort(SampleSort):
             def round(self, r, ctx, env):
-                if r == KILL_ROUND and env.pid == 0 and os.path.exists(flag):
+                # the last pid: a vproc of the worker process, not of
+                # slice 0 in the coordinator
+                if r == KILL_ROUND and env.pid == env.v - 1 and os.path.exists(flag):
                     os.unlink(flag)
                     os.kill(os.getpid(), signal.SIGKILL)
                 return super().round(r, ctx, env)
