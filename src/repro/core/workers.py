@@ -96,6 +96,7 @@ _DEAD_GRACE = 8
 
 try:  # glibc's: return the free pages of the heap to the system
     _malloc_trim = ctypes.CDLL(None).malloc_trim
+    _malloc_trim.argtypes, _malloc_trim.restype = [ctypes.c_size_t], ctypes.c_int
 except (OSError, AttributeError):  # pragma: no cover - another libc
     _malloc_trim = None
 
@@ -521,6 +522,9 @@ class ProcessParEngine(Engine):
             self._local = None
         if self._fleet is not None:
             self._fleet.stop(force)
+        # what slice 0 freed goes back to the system with it
+        if _malloc_trim is not None:
+            _malloc_trim(0)
 
     # ---------------------------------------------------------- round hooks
 
