@@ -605,14 +605,14 @@ class ProcessParEngine(Engine):
         reports of it, in slice order."""
         while True:
             try:
-                step = self._on_slice0(
+                mine = self._on_slice0(
                     "round", self._local._execute_round, program, r, rngs
                 )
                 reports = self._gather("round")
                 break
             except WorkerCrashed as exc:
                 self._recover(program, r, rngs, exc)
-        reports[0] = round_report(self._local, step, self._bus, None)
+        reports[0] = round_report(self._local, mine, self._bus, None)
         self._reports = reports
         cfg = self.cfg
         step = RoundStep.empty(cfg.v, cfg.p)
