@@ -19,8 +19,8 @@ This module implements the transform at the word (8-byte item) level over
 engines can run any CGM program in balanced mode.  A bin is bytes from
 split to reassembly (:class:`ChunkBundle`): the ``C`` nodes of its
 chunks (:func:`repro.util.items.chunk_node` names their fields), written
-once, cut and joined at the intermediary, read in place at the
-destination.  Pure size-arithmetic helpers (used by property tests and
+once, forwarded as views of the intermediary's read, read in place at
+the destination.  Pure size-arithmetic helpers (used by property tests and
 the Theorem 1 bench) are provided alongside.
 """
 
@@ -31,32 +31,40 @@ from collections import defaultdict
 import numpy as np
 
 from repro.cgm.message import Message
-from repro.util.items import (ITEM_BYTES, chunk_index, chunk_list, chunk_node, decode_owned,
-                              serialize)
+from repro.util.items import ITEM_BYTES, chunk_index, chunk_list, chunk_node, decode_owned, encode
 
 #: tag marking engine-internal balanced-routing traffic.
 CHUNK_TAG = "__balanced_chunk__"
 
 
 class ChunkBundle:
-    """The payload of one balanced-routing message: ``raw``, the item of
-    its list of chunks (:func:`repro.util.items.chunk_list`), and
-    ``index``, where each chunk's node lies in it
+    """The payload of one balanced-routing message: its list of chunks as
+    *pieces* of ``nbytes`` bytes (:func:`repro.util.items.chunk_list`),
+    and ``index``, where each chunk's node lies in ``raw``, their join
     (:func:`repro.util.items.chunk_index`, parsed on first use)."""
 
-    __slots__ = ("raw", "_index")
+    __slots__ = ("pieces", "nbytes", "_index")
 
-    def __init__(self, raw: bytes, index: "list | None" = None) -> None:
-        self.raw = raw
+    def __init__(self, pieces: list, nbytes: int, index: "list | None" = None) -> None:
+        self.pieces = pieces
+        self.nbytes = nbytes
         self._index = index
 
     @classmethod
     def from_item(cls, data) -> "ChunkBundle":
-        """The bundle stored in *data*, padding ignored; bytes that are
-        not a list of chunks raise :func:`~repro.util.items.chunk_index`'s
-        one-line ``ValueError``."""
+        """The bundle stored in *data*, padding ignored, as a view of it:
+        *data* is the bundle's from here on (an engine hands over its
+        fresh read).  Bytes that are not a list of chunks raise
+        :func:`~repro.util.items.chunk_index`'s one-line ``ValueError``."""
         end, index = chunk_index(data)
-        return cls(bytes(memoryview(data)[:end]), index)
+        return cls([memoryview(data)[:end]], end, index)
+
+    @property
+    def raw(self):
+        """The bundle's bytes in one buffer (pieces are joined once)."""
+        if len(self.pieces) > 1:
+            self.pieces = [b"".join(self.pieces)]
+        return self.pieces[0]
 
     @property
     def index(self) -> list:
@@ -75,16 +83,19 @@ def split_phase_a(outbox: list[Message], v: int) -> list[Message]:
     bins: dict[int, list] = defaultdict(list)  # bin -> its node pieces
     srcs: dict[int, int] = {}
     for seq, m in enumerate(outbox):
-        raw = serialize(m.payload)
-        nbytes = len(raw)
+        pieces, nbytes = encode(m.payload)
         total = -(-nbytes // ITEM_BYTES)
         i, j = m.src, m.dest
         # All v strided slices words[first::v] in one pass: zero-pad to a
         # multiple of v words; row `first` of the (v, k) transpose is then
         # exactly that slice, contiguous in `cols`.
         k = -(-total // v)
-        padded = np.zeros(k * v, dtype=np.uint64)
-        padded.view(np.uint8)[:nbytes] = np.frombuffer(raw, np.uint8)
+        padded = np.empty(k * v, dtype=np.uint64)
+        at = padded.view(np.uint8)
+        for piece in pieces:
+            at[: len(piece)] = np.frombuffer(piece, np.uint8)
+            at = at[len(piece) :]
+        at[:] = 0
         cols = memoryview(np.ascontiguousarray(padded.reshape(k, v).T)).cast("B")
         for b in range(v):
             # words l with (i + j + l) % v == b  <=>  l % v == (b - i - j) % v
@@ -97,7 +108,7 @@ def split_phase_a(outbox: list[Message], v: int) -> list[Message]:
             bins[b] += (chunk_node(fields, m.tag), words)
             srcs.setdefault(b, i)
     return [
-        Message(srcs[b], b, ChunkBundle(chunk_list(len(parts) // 2, parts)), CHUNK_TAG,
+        Message(srcs[b], b, ChunkBundle(*chunk_list(len(parts) // 2, parts)), CHUNK_TAG,
                 max(1, sum(map(len, parts[1::2])) // ITEM_BYTES))
         for b, parts in sorted(bins.items())
     ]
@@ -126,7 +137,7 @@ def regroup_phase_b(received: list[Message], me: int) -> list[Message]:
             nodes[f[1]].append(raw[start:stop])
             words[f[1]] += f[8]
     return [
-        Message(me, k, ChunkBundle(chunk_list(len(nodes[k]), nodes[k])), CHUNK_TAG,
+        Message(me, k, ChunkBundle(*chunk_list(len(nodes[k]), nodes[k])), CHUNK_TAG,
                 max(1, words[k]))
         for k in sorted(nodes)
     ]

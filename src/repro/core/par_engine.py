@@ -60,7 +60,7 @@ from repro.pdm.block import BlockRun, blocks_for_bytes
 from repro.pdm.disk_array import DiskArray, Segment
 from repro.pdm.io_stats import IOStats
 from repro.pdm.memory import InternalMemory
-from repro.util.items import ITEM_BYTES, decode_owned, deserialize, serialize
+from repro.util.items import ITEM_BYTES, decode_owned, deserialize, encode
 from repro.util.validation import require
 
 #: serialization envelope allowance when converting an item bound to blocks.
@@ -208,8 +208,8 @@ class ParEMEngine(Engine):
         owner = self._owner(pid)
         array, alloc = self.arrays[owner], self.allocators[owner]
         # an unsupported value raises here, before a block is written
-        raw = serialize(ctx)
-        nblocks = blocks_for_bytes(len(raw), self.cfg.B)
+        pieces, nbytes = encode(ctx)
+        nblocks = blocks_for_bytes(nbytes, self.cfg.B)
         region = self._ctx_region.get(pid)
         if region is None or region[1] * self.cfg.D < nblocks:
             if region is not None:
@@ -225,7 +225,7 @@ class ParEMEngine(Engine):
         self._ctx_region[pid] = region
         array.write_run(
             consecutive_addresses_np(nblocks, region[0]),
-            BlockRun(raw, nblocks, self._block_bytes),
+            BlockRun(pieces, nblocks, self._block_bytes, nbytes),
         )
         self._ctx_blocks_io += nblocks
         self._charge(pid, nblocks * self.cfg.B)
@@ -276,8 +276,10 @@ class ParEMEngine(Engine):
         One physical slot message per destination (the paper's msg_ij):
         several application messages to one destination share the slot.
         Returns ``(dest, parts, payload)`` triples in FIFO destination
-        order — the payload a zero-copy :class:`BlockRun` over the
-        serialized bytes (a :class:`ChunkBundle`'s as they are).
+        order — the payload a :class:`BlockRun` over the encoder's pieces
+        (a :class:`ChunkBundle`'s as they are).  A bundle for another real
+        waits for the exchange, joined: it pins no buffer it would view (a
+        whole inbox read) and holds the bytes the program's arrays had.
         Serialization buffers are charged to the *source* real
         processor's internal memory.
         """
@@ -285,7 +287,7 @@ class ParEMEngine(Engine):
         for m in msgs:
             by_dest.setdefault(m.dest, []).append(m)
         bundles: list[tuple[int, list, BlockRun]] = []
-        B, bb, total = self.cfg.B, self._block_bytes, 0
+        B, bb, total, vpr = self.cfg.B, self._block_bytes, 0, self.vpr
         for dest in sorted(by_dest):
             group = by_dest[dest]
             if len(group) == 1:
@@ -293,10 +295,14 @@ class ParEMEngine(Engine):
             else:
                 payload_obj = [(m.tag, m.payload) for m in group]
             parts = [(m.tag, m.size_items) for m in group]
-            bundle = type(payload_obj) is ChunkBundle
-            raw = payload_obj.raw if bundle else serialize(payload_obj)
-            nblocks = blocks_for_bytes(len(raw), B)
-            bundles.append((dest, parts, BlockRun(raw, nblocks, bb)))
+            if type(payload_obj) is ChunkBundle:
+                pieces, nbytes = payload_obj.pieces, payload_obj.nbytes
+            else:
+                pieces, nbytes = encode(payload_obj)
+            if dest // vpr != src_pid // vpr and len(pieces) > 1:
+                pieces = [b"".join(pieces)]
+            nblocks = blocks_for_bytes(nbytes, B)
+            bundles.append((dest, parts, BlockRun(pieces, nblocks, bb, nbytes)))
             total += nblocks
         # charged once the whole outbox has encoded: an unsupported payload
         # raises above with no counter advanced

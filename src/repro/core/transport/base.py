@@ -228,11 +228,12 @@ class Transport:
     def exchange(self, outgoing: dict, r: int, phase: int, done: bool, sent: bool):
         """Send one packet to every peer, receive one from each; returns
         the concatenated remote items in ascending-peer order, and whether
-        every slice is *done* and any *sent* (the flags ride the packets)."""
-        for w in sorted(outgoing):
-            self.send_packet(w, r, phase, (done, sent, outgoing[w]))
-            self.packets_sent += 1
+        every slice is *done* and any *sent* (the flags ride the packets).
+        A peer's items leave *outgoing* once sent: none is held meanwhile."""
         expected = set(outgoing)
+        for w in sorted(expected):
+            self.send_packet(w, r, phase, (done, sent, outgoing.pop(w)))
+            self.packets_sent += 1
         got = self._buffer.pop((r, phase), {})
         while expected - set(got):
             rr, pp, src, wire = self.recv_packet(f"round {r} phase {phase} packets")

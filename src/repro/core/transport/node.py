@@ -30,15 +30,16 @@ import threading
 import traceback
 from typing import Callable
 
-from repro.core.transport.base import TransportError, recv_frame, send_frame
+from repro.core.transport.base import MAX_FRAME_BYTES, TransportError, recv_frame, send_frame
 from repro.core.transport.tcp import PROTOCOL_VERSION, hang_up, runtime_fingerprint
 
 #: seconds an accepted connection may stay silent before its ``hello``
 #: is complete; cleared once ``ready`` is sent.
 HANDSHAKE_TIMEOUT_S = 10.0
-#: largest ``hello`` frame read from a peer that has proven nothing yet
-#: (it carries the session: config, program, fault plan — no input data).
-HELLO_MAX_BYTES = 1 << 24
+#: largest ``hello`` frame read from a peer that has proven nothing yet:
+#: it carries the session — config, program, fault plan and the slice's
+#: inputs — so it is bounded like any frame.
+HELLO_MAX_BYTES = MAX_FRAME_BYTES
 
 
 class NodeServer:

@@ -26,10 +26,12 @@ receiving end's slice: on a session socket, slice 0's in the
 coordinator or the worker's own.
 
 The first two are the node handshake (a forked worker inherits its
-session instead).  It ships the coordinator's frozen per-run
-:class:`~repro.tune.runtime.RuntimeConfig`; the node re-fingerprints it
-and rejects on protocol, release, or fingerprint mismatch so two
-machines can never silently disagree on knob values mid-run.
+session instead).  A session carries its slice's inputs (protocol v5), so
+the ``("setup",)`` command carries nothing.  The hello also ships the
+coordinator's frozen per-run :class:`~repro.tune.runtime.RuntimeConfig`;
+the node re-fingerprints it and rejects on protocol, release, or
+fingerprint mismatch so two machines can never silently disagree on knob
+values mid-run.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from repro.core.transport.base import (
 from repro.util.validation import ConfigurationError
 
 #: bumped whenever a frame, the handshake or the command set changes.
-PROTOCOL_VERSION = 4
+PROTOCOL_VERSION = 5
 
 #: connect retry policy (tests shrink these via monkeypatch).
 CONNECT_RETRIES = 6
@@ -307,11 +309,12 @@ class TcpFleet(Fleet):
 
         fp = runtime_fingerprint(session.get("runtime"))
         for conn, (host, port) in zip(self._conns, self._nodes):
+            w, inputs = conn.worker_id, session.get("inputs", {})
+            # a node gets its own slice's inputs, no other's
+            mine = {**session, "inputs": {w: inputs[w]} if w in inputs else {}}
             conn.sock = dial(host, port)
             send_frame(
-                conn.sock,
-                ("hello", PROTOCOL_VERSION, __version__, fp, conn.worker_id, session),
-                conn.wlock,
+                conn.sock, ("hello", PROTOCOL_VERSION, __version__, fp, w, mine), conn.wlock
             )
         for conn in self._conns:
             try:

@@ -204,8 +204,11 @@ def run_worker_session(
 ) -> None:
     """One worker's command loop (called by :func:`serve_session` only).
 
-    Commands: ``("setup", {pid: input})``, ``("restore", backend,
-    rng_states, next_round)``, ``("finish",)``, ``("stop",)``.  After
+    Commands: ``("setup",)``, ``("restore", backend, rng_states,
+    next_round)``, ``("finish",)``, ``("stop",)``.  ``setup`` builds the
+    contexts from ``session["inputs"][worker_id]``, the slice's inputs by
+    pid, which rode the session: a forked worker inherited them, a node
+    got them in its hello.  After
     ``setup`` (from round 0) or ``restore`` (from *next_round*, ``None``
     for a finished run) the worker clocks its own rounds, one ``"round"``
     report each, and stops at a boundary where *cmd_waiting()* — a
@@ -240,7 +243,7 @@ def run_worker_session(
             cmd = cmd_get()
             op = cmd[0]
             if op == "setup":
-                eng._setup_contexts(program, cmd[1])
+                eng._setup_contexts(program, session["inputs"][worker_id])
                 reply("setup", {"snapshot": snapshot()})
                 clock_rounds(eng, program, 0, rngs, boundary)
             elif op == "restore":
@@ -467,6 +470,8 @@ class ProcessParEngine(Engine):
         self._remote = range(1, n_workers)
         self._fleet = None
         self._local: "ParEMEngine | None" = None
+        #: the run's inputs until the sessions set up from them
+        self._inputs: "list | None" = None
         self._restarts = 0
         #: each worker's latest report (its boundary snapshot rides it)
         self._reports: dict[int, Any] = {}
@@ -488,6 +493,9 @@ class ProcessParEngine(Engine):
             "faults": self.faults,
             "runtime": rt,
             "snapshots": self.checkpoint is not None,
+            # each session's slice of the inputs, by pid
+            "inputs": {w: {pid: self._inputs[pid] for pid in self._pids[w]}
+                       for w in self._remote} if self._inputs else {},
         }
         #: replies of workers that ran ahead, for the next gather
         self._ahead: list[tuple] = []
@@ -511,9 +519,11 @@ class ProcessParEngine(Engine):
             )
 
     def run(self, program: CGMProgram, inputs: list[Any]):
+        self._inputs = None if self.resume else inputs
         try:
             return super().run(program, inputs)
         finally:
+            self._inputs = None
             self._shutdown()
 
     def _shutdown(self, force: bool = False) -> None:
@@ -595,8 +605,8 @@ class ProcessParEngine(Engine):
             raise _worker_failed(0, traceback.format_exc())
 
     def _setup_contexts(self, program: CGMProgram, inputs: list[Any]) -> None:
-        for w in self._remote:
-            self._fleet.send(w, ("setup", {pid: inputs[pid] for pid in self._pids[w]}))
+        self._fleet.broadcast(("setup",))
+        self._inputs = None  # a respawned fleet restores instead
         self._on_slice0("setup", self._local._setup_contexts, program, inputs)
         self._reports = self._gather("setup")
 

@@ -428,6 +428,8 @@ class FaultyDiskArray(DiskArray):
 
     # -- core operation ------------------------------------------------------
 
+    _direct = False
+
     def parallel_io(self, ops: list[IOOp]) -> list[bytes]:
         raise SimulationError(
             f"the fault-injected disks of real processor {self._real} move "

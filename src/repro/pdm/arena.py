@@ -39,12 +39,12 @@ disk, which keeps engine checkpoints portable between storage backends.
 Storage backends: this class keeps the chunks as in-memory arrays
 (``REPRO_ARENA=ram``, the default); :class:`repro.pdm.mmap_arena.MmapTrackArena`
 subclasses it to back them with windows of one spill file for out-of-core
-runs (``REPRO_ARENA=mmap``).  The seam is four hooks, :meth:`_new_chunk`,
-:meth:`_store` (a scatter's writes), :meth:`_take` and :meth:`_copy` (a
-gather's reads): that backend moves bulk streams by file descriptor both
-ways and serves single tracks through its mapping, one page cache under
-both.  Every batch operation, ledger check, invariant and snapshot shape
-is shared.
+runs (``REPRO_ARENA=mmap``).  The seam is five hooks, :meth:`_new_chunk`,
+:meth:`_store` and :meth:`_store_run` (a scatter's writes, a run handed
+as buffers), :meth:`_take` and :meth:`_copy` (a gather's reads): that
+backend moves bulk streams by file descriptor both ways and serves single
+tracks through its mapping, one page cache under both.  Every batch
+operation, ledger check, invariant and snapshot shape is shared.
 """
 
 from __future__ import annotations
@@ -240,8 +240,36 @@ class TrackArena:
 
     def _store(self, chunk: int, off: int, rows: np.ndarray) -> None:
         """Write the full-stride *rows* from row *off* of *chunk* on (the
-        backend hook for bulk writes)."""
+        backend hook for a scatter's writes)."""
         self._chunks[chunk][off : off + len(rows)] = rows
+
+    def write_rows(self, runs: Sequence[tuple[int, int, list]]) -> bool:
+        """Store runs of whole rows handed as buffers, in order: per
+        ``(linear row, rows, buffers)`` the buffers' bytes, padding
+        included.  The row space grows first, as in :meth:`scatter`; a run
+        past its end stores nothing and answers False (scatter it)."""
+        bb, D = self.block_bytes, self.D
+        top = max(lin + n for lin, n, _bufs in runs)
+        if top > MAX_DIRECT_TRACK * D:
+            return False
+        self._ensure_rows(top)
+        for lin, n, bufs in runs:
+            if any(self._side):
+                for q in range(lin, lin + n):
+                    self._side[q % D].pop(q // D, None)
+            spans = self._spans(lin, n)
+            self._store_run(lin, spans, bufs)
+            for k, off, _at, m in spans:
+                self._lens[k][off : off + m] = bb
+        return True
+
+    def _store_run(self, lin: int, spans: list, bufs: list) -> None:
+        """Write the rows from linear row *lin* on, in chunks as *spans*,
+        from *bufs* (the backend hook for :meth:`write_rows`)."""
+        bb = self.block_bytes
+        src = np.frombuffer(bufs[0] if len(bufs) == 1 else b"".join(bufs), dtype=np.uint8)
+        for k, off, at, m in spans:
+            self._chunks[k][off : off + m] = src[at * bb : (at + m) * bb].reshape(m, bb)
 
     def gather(self, pieces: Sequence[Piece], base: int, out: np.ndarray) -> bool:
         """Fill the stream ``out`` from its planned linear *pieces*, counted

@@ -10,8 +10,9 @@ Bulk streams move as single NumPy gather/scatter operations over the
 per-disk track arena (:mod:`repro.pdm.arena`); the engines hand data and
 addresses to that API in two small values:
 
-* :class:`BlockRun` — a run of fixed-size blocks backed by one buffer,
-  the wire and write format of every context and message bundle.
+* :class:`BlockRun` — a run of fixed-size blocks backed by one buffer or
+  by the encoder's pieces, the wire and write format of every context
+  and message bundle.
 * :class:`Runs` — where such a run goes: a base track and a short list of
   linear runs, the address of every stream the layouts produce.
 """
@@ -61,22 +62,26 @@ def unpack_blocks(blocks: list[bytes]) -> bytes:
 
 
 class BlockRun:
-    """``nblocks`` fixed-size blocks backed by a single buffer.
+    """``nblocks`` fixed-size blocks backed by a single buffer, or by
+    *pieces*: a list of buffers whose concatenation is the run's bytes
+    (what :func:`repro.util.items.encode` gives, with their total as
+    *nbytes*).
 
-    The buffer may be up to one block shorter than ``nblocks *
+    The bytes may be up to one block shorter than ``nblocks *
     block_bytes``; the missing tail is implicit zero padding, exactly as
     :func:`pack_blocks` pads the last block.  Keeping the padding implicit
     is what makes the container zero-copy: a serialized payload is wrapped
-    as-is, and the scatter into the arena pads only the final track in
-    place.
+    as-is, and the write into the arena pads only the final track.
     """
 
-    __slots__ = ("buf", "nblocks", "block_bytes")
+    __slots__ = ("buf", "nblocks", "block_bytes", "nbytes")
 
     def __init__(
-        self, buf: bytes | bytearray | memoryview | np.ndarray, nblocks: int, block_bytes: int
+        self, buf: "bytes | bytearray | memoryview | np.ndarray | list", nblocks: int,
+        block_bytes: int, nbytes: "int | None" = None,
     ) -> None:
-        nbytes = len(buf) if not isinstance(buf, np.ndarray) else int(buf.nbytes)
+        if nbytes is None:
+            nbytes = sum(map(len, buf)) if isinstance(buf, list) else memoryview(buf).nbytes
         if nbytes > nblocks * block_bytes:
             raise ValueError(
                 f"buffer of {nbytes} bytes does not fit {nblocks} blocks "
@@ -85,22 +90,26 @@ class BlockRun:
         self.buf = buf
         self.nblocks = nblocks
         self.block_bytes = block_bytes
+        self.nbytes = nbytes
 
     @property
-    def nbytes(self) -> int:
-        buf = self.buf
-        return int(buf.nbytes) if isinstance(buf, np.ndarray) else len(buf)
+    def pieces(self) -> list:
+        """The run's bytes as a list of buffers, in order."""
+        return self.buf if type(self.buf) is list else [self.buf]
 
     def to_blocks(self) -> list[bytes]:
         """Materialize one ``bytes`` per block (copies; per-op callers only)."""
         bb = self.block_bytes
-        data = bytes(self.buf).ljust(self.nblocks * bb, b"\x00")
+        data = b"".join(self.pieces).ljust(self.nblocks * bb, b"\x00")
         return [data[i * bb : (i + 1) * bb] for i in range(self.nblocks)]
 
     def __reduce_ex__(self, protocol) -> tuple:
-        # A session frame (protocol 5) ships the buffer out of band and
+        # A session frame (protocol 5) ships the bytes out of band as one
+        # buffer — pieces are joined: a frame's cost is per buffer — and
         # the receiver wraps a view of its payload; older protocols copy.
-        buf = pickle.PickleBuffer(self.buf) if protocol >= 5 else bytes(self.buf)
+        pieces = self.pieces
+        buf = pieces[0] if len(pieces) == 1 else b"".join(pieces)
+        buf = pickle.PickleBuffer(buf) if protocol >= 5 else bytes(buf)
         return (BlockRun, (buf, self.nblocks, self.block_bytes))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

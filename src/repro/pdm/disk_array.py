@@ -57,6 +57,10 @@ if TYPE_CHECKING:  # pragma: no cover - layering: pdm stays engine-free
 #: One run-API write segment: where the blocks go and the run holding them.
 Segment = tuple[Runs, BlockRun]
 
+#: Bytes from which a write stream reaches the arena as its runs' pieces;
+#: a smaller one's join and scatter cost less than a move per run
+_JOIN_FLOOR = 16 << 10
+
 
 @dataclass(frozen=True)
 class IOOp:
@@ -214,6 +218,9 @@ def _arena_grow_event(
 class DiskArray:
     """D simulated disks owned by one (real) processor."""
 
+    #: large streams reach the arena as pieces (a faulted one needs rows)
+    _direct = True
+
     def __init__(
         self,
         D: int,
@@ -338,26 +345,36 @@ class DiskArray:
         """Write several runs as **one** FIFO stream.
 
         Greedy batching spans segment boundaries (the engine concatenates
-        all bundles destined for one owner before batching).  The runs are
-        joined into one buffer — each run's implicit tail zero-filled, as
-        ``pack_blocks`` pads it — and stored with a single arena scatter.
-        Returns parallel I/Os used.
+        all bundles destined for one owner before batching).  Each run's
+        implicit tail is zero-filled, as ``pack_blocks`` pads it.  A stream
+        of :data:`_JOIN_FLOOR` bytes or more whose runs are each one stretch
+        of rows hands every run's pieces to the arena as they are
+        (:meth:`TrackArena.write_rows`); a smaller one is joined into one
+        buffer and stored with a single arena scatter.  Returns parallel
+        I/Os used.
         """
         check_segments(segments)
-        bb = self.block_bytes
-        stream, parts = [], []
+        bb, D = self.block_bytes, self.D
+        stream, rows, parts, nblocks = [], [], [], 0
         for runs, run in segments:
             if run.nblocks:
-                stream.append(runs)
-                parts.append(run.buf)
-                pad = run.nblocks * bb - run.nbytes
+                bufs, pad = run.pieces, run.nblocks * bb - run.nbytes
                 if pad:
-                    parts.append(self._zeros[:pad] if pad <= bb else bytes(pad))
+                    bufs = [*bufs, self._zeros[:pad] if pad <= bb else bytes(pad)]
+                stream.append(runs)
+                rows.append((runs.base * D + runs.runs[0][0], run.nblocks, bufs))
+                parts += bufs
+                nblocks += run.nblocks
         if not stream:
             return 0
         plan, base = self._plan(stream)
-        rows = np.frombuffer(b"".join(parts), dtype=np.uint8)
-        self._transfer(plan, base, rows.reshape(-1, bb), write=True)
+        if (self._direct and nblocks * bb >= _JOIN_FLOOR
+                and all(len(runs.runs) == 1 for runs in stream)
+                and self._arena.write_rows(rows)):
+            self._record(plan, nblocks, write=True)
+        else:
+            flat = np.frombuffer(b"".join(parts), dtype=np.uint8)
+            self._transfer(plan, base, flat.reshape(-1, bb), write=True)
         return plan.nops
 
     def read_run(self, runs: Runs, out: np.ndarray | None = None) -> np.ndarray:

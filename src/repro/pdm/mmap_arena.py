@@ -8,11 +8,12 @@ problem size is then bounded by disk capacity, not host memory: the OS
 pages track data in and out on demand, and the arena's own resident
 footprint is the per-row length ledger (4 bytes/row) plus whatever the
 page cache chooses to keep.  Bulk streams move by file descriptor: a
-scatter writes each contiguous slice of a run with one ``pwrite``
-(:meth:`_store`), which fills a fresh stretch of file without a write
-fault per page, and a gather reads each contiguous run of the file with
-one ``preadv`` straight into the caller's buffer (:meth:`_copy`), so no
-spill page is mapped into the process to read it.  ``get``,
+run handed as pieces is one ``pwritev`` of them at its file offset
+(:meth:`_store_run`), a scatter's contiguous slice one too (:meth:`_store`),
+which fills a fresh stretch of file without a write fault per page, and a
+gather reads each contiguous run of the file with one ``preadv`` straight
+into the caller's buffer (:meth:`_copy`), so no spill page is mapped into
+the process to read it.  ``get``,
 ``snapshot`` and the single-track ``put`` go through the mapping, which
 sees the same page-cache pages.
 
@@ -53,7 +54,7 @@ import os
 import shutil
 import tempfile
 import weakref
-from typing import IO
+from typing import IO, Callable
 
 import numpy as np
 
@@ -126,35 +127,20 @@ class MmapTrackArena(TrackArena):
                 f" ({len(self._chunks)} windows held): {exc.strerror or exc}"
             ) from None
 
-    # -- bulk writes -------------------------------------------------------
+    # -- bulk moves: by descriptor ------------------------------------------
+    #
+    # a write takes no fault per fresh page, as an assignment into the
+    # mapping does; a read (after the ledger checks) fills only the
+    # caller's buffer, where a copy out of the mapping faults each page in
 
     def _store(self, chunk: int, off: int, rows: np.ndarray) -> None:
-        # by descriptor: no write fault per fresh page, as an assignment
-        # into the mapping takes; the mapping reads the same pages back.
-        # One call per contiguous slice; short writes loop
-        assert self._file is not None
-        bb, fd = self.block_bytes, self._file.fileno()
-        pos = (self._bounds[chunk] + off) * bb
-        buf = rows.reshape(-1)
-        while buf.size:
-            try:
-                n = os.pwrite(fd, buf, pos)
-                why = "the write stayed short"
-            except OSError as exc:
-                n, why = 0, exc.strerror or str(exc)
-            if n <= 0:
-                lin = pos // bb
-                raise SimulationError(
-                    f"cannot write disk {lin % self.D} track {lin // self.D}"
-                    f" to spill dir {self.spill_dir}: {why}"
-                )
-            buf, pos = buf[n:], pos + n
+        pos = (self._bounds[chunk] + off) * self.block_bytes
+        self._move(True, pos, [rows], rows.nbytes)
 
-    # -- bulk reads --------------------------------------------------------
-    #
-    # by descriptor, after the ledger checks every gather makes: a copy out
-    # of the mapping would fault each spill page into this process's
-    # RssFile, a preadv only fills the caller's buffer
+    def _store_run(self, lin: int, spans: list, bufs: list) -> None:
+        # the rows are one stretch of the file: one pwritev for the run
+        rows = sum(m for _k, _off, _at, m in spans)
+        self._move(True, lin * self.block_bytes, bufs, rows * self.block_bytes)
 
     def _take(self, chunk: int, at: np.ndarray, out: np.ndarray) -> None:
         self._copy([(i, chunk, off, 1) for i, off in enumerate(at.tolist())], out)
@@ -171,31 +157,34 @@ class MmapTrackArena(TrackArena):
                 last[2].append(buf)
             else:
                 runs.append([pos, buf.nbytes, [buf]])
-        for pos, _nbytes, bufs in runs:
-            self._load(pos, bufs)
+        for pos, nbytes, bufs in runs:
+            self._move(False, pos, bufs, nbytes)
 
-    def _load(self, pos: int, bufs: list) -> None:
-        """Fill *bufs* from the file at *pos* on; short reads loop."""
+    def _move(self, write: bool, pos: int, bufs: list, nbytes: int) -> None:
+        """Write the *nbytes* of *bufs* to the file from *pos* on, or read
+        them from it, ``IOV_MAX`` buffers a call; short transfers loop."""
         assert self._file is not None
-        fd, i = self._file.fileno(), 0
-        while i < len(bufs):
+        fd, what = self._file.fileno(), "write" if write else "read"
+        call: Callable[..., int] = os.pwritev if write else os.preadv
+        while True:
             try:
-                n = os.preadv(fd, bufs[i:], pos)
-                why = "the read stayed short"
+                n = call(fd, bufs[:_IOV_MAX], pos)
+                why = f"the {what} stayed short"
             except OSError as exc:
                 n, why = 0, exc.strerror or str(exc)
             if n <= 0:
                 lin = pos // self.block_bytes
                 raise SimulationError(
-                    f"cannot read disk {lin % self.D} track {lin // self.D}"
-                    f" from spill dir {self.spill_dir}: {why}"
+                    f"cannot {what} disk {lin % self.D} track {lin // self.D} "
+                    f"{'to' if write else 'from'} spill dir {self.spill_dir}: {why}"
                 )
-            pos += n
-            while i < len(bufs) and n >= bufs[i].nbytes:
-                n -= bufs[i].nbytes
-                i += 1
-            if n:
-                bufs[i] = bufs[i][n:]
+            if n == nbytes:  # the rest in one call: almost always
+                return
+            pos, nbytes = pos + n, nbytes - n
+            bufs = [memoryview(b).cast("B") for b in bufs]
+            while n >= bufs[0].nbytes:
+                n -= bufs.pop(0).nbytes
+            bufs[0] = bufs[0][n:]
 
     # -- inspection --------------------------------------------------------
 

@@ -30,20 +30,20 @@ self-describing node.  A node is a tag byte and what the tag implies:
 A *count* is one byte, or ``0xFF`` and a ``u32``.  A *dtype spec* is a
 node: the ``dtype.str`` of a plain dtype (byte order included, metadata
 not — equal dtypes give equal bytes) or the ``dtype.descr`` list of a
-structured one.  Array buffers go from the array straight into the one
-``join`` that builds the item.  :func:`deserialize` gives every array back
-as a copy, so its value never aliases the buffer it was read from;
-:func:`decode_owned` — for a buffer the caller hands over, as the disk
-engines do with each fresh read — gives writable views of that buffer.
-Counts, small ints and short ``str`` nodes (dict keys, tags) come from
-tables and memos, and the leaves of a container are read in its own loop;
-the bytes are the same either way.
+structured one.  :func:`encode` leaves array buffers in their arrays, a
+piece each, for the one copy that stores the item.  :func:`deserialize`
+gives every array back as a copy, so its value never aliases the buffer
+it was read from; :func:`decode_owned` — for a buffer the caller hands
+over, as the disk engines do with each fresh read — gives writable views
+of that buffer.  Counts, small ints and short ``str`` nodes (dict keys,
+tags) come from tables and memos, and the leaves of a container are read
+in its own loop; the bytes are the same either way.
 
 A ``C`` node is not a value: it exists only inside a balanced-routing
 bundle, the item of a list of ``C`` nodes, which :func:`chunk_node` and
-:func:`chunk_list` write and :func:`chunk_index` reads (per chunk one
-``unpack_from`` and a ``None`` or ``str`` tag read in place; the words
-stay where they are).  :func:`deserialize` refuses a ``C`` node as an
+:func:`chunk_list` write (as pieces) and :func:`chunk_index` reads (per
+chunk one ``unpack_from`` and a ``None`` or ``str`` tag; the words stay
+where they are).  :func:`deserialize` refuses a ``C`` node as an
 unknown tag.
 
 Nothing is reconstructed by name: the decoder builds only the value types
@@ -222,12 +222,13 @@ def chunk_node(fields: tuple, tag: "str | None") -> bytes:
         raise TypeError(f"cannot serialize Chunk fields: {exc}") from None
 
 
-def chunk_list(n: int, parts: list) -> bytes:
-    """The item of a list of *n* ``C`` nodes: a list head, then *parts*
-    (each node's :func:`chunk_node` and its words) in order."""
+def chunk_list(n: int, parts: list) -> tuple[list, int]:
+    """The item of a list of *n* ``C`` nodes as :func:`encode` gives one:
+    a list head, then *parts* (each node's :func:`chunk_node` and its
+    words) in order, left where they are."""
     head = b"[" + _count(n)
     size = len(head) + sum(map(len, parts))
-    return b"".join([_HEADER.pack(_TAG_ITEM, size), head, *parts])
+    return [_HEADER.pack(_TAG_ITEM, size) + head, *parts], _HEADER.size + size
 
 
 _ENCODERS = {
@@ -266,15 +267,23 @@ def _encode(obj: Any, parts: list, depth: int) -> None:
     _enc_nodes((obj,), parts, depth)
 
 
-def serialize(obj: Any) -> bytes:
-    """Encode *obj* to one self-describing item (module docstring).
+def encode(obj: Any) -> tuple[list, int]:
+    """*obj*'s item → (pieces, their length): ``b"".join(pieces)`` is
+    :func:`serialize`, and an array's buffer is a view of the array, for
+    whoever stores the item to make its one copy.
 
     Raises ``TypeError`` naming the first unsupported type met, before
     any byte is produced."""
     parts: list = [b""]
     _encode(obj, parts, 0)
-    parts[0] = _HEADER.pack(_TAG_ITEM, sum(map(len, parts)))
-    return b"".join(parts)
+    nbytes = sum(map(len, parts)) + _HEADER.size
+    parts[0] = _HEADER.pack(_TAG_ITEM, nbytes - _HEADER.size)
+    return parts, nbytes
+
+
+def serialize(obj: Any) -> bytes:
+    """Encode *obj* to one self-describing item (module docstring)."""
+    return b"".join(encode(obj)[0])
 
 
 # ------------------------------------------------------------------ decoding
@@ -478,9 +487,9 @@ def _item_end(mv: memoryview) -> int:
 def chunk_index(data) -> tuple[int, list]:
     """*data*, the item :func:`chunk_list` writes (padding ignored) → (its
     length, per ``C`` node ``(start, stop, tag, fields)``: the node is
-    ``data[start:stop]`` and ends in its ``fields[8]`` words).  Anything
-    else is a one-line ``ValueError``; a corrupt node's own error comes
-    before the verdict that the item is not a bundle."""
+    ``data[start:stop]`` and ends in its ``fields[8]`` words), in one
+    pass.  Anything else is a one-line ``ValueError``; a corrupt node's
+    own error comes before the verdict that the item is not a bundle."""
     mv = memoryview(data)
     end = _item_end(mv)
     off = _HEADER.size + 1
@@ -489,27 +498,30 @@ def chunk_index(data) -> tuple[int, list]:
     n, off = _dec_count(mv, off, end)
     if n > end - off:
         _fail(f"{n} entries announced, {end - off} bytes left")
-    run = []
-    while len(run) < n and off < end and mv[off] == _CHUNK_TAG:
-        if off + 1 + _CHUNK.size > end:
-            _fail("truncated Chunk")
-        start, fields = off, _CHUNK.unpack_from(mv, off + 1)
-        off += 1 + _CHUNK.size
-        if off < end and mv[off] == _NONE:
-            ctag, off = None, off + 1
-        elif off < end and mv[off] == _STR:
-            raw, off = _dec_raw(mv, off + 1, end)
-            ctag = _text(raw.tobytes())
-        else:
+    run, unpack, head = [], _CHUNK.unpack_from, 1 + _CHUNK.size
+    for _ in range(n):
+        if off >= end or mv[off] != _CHUNK_TAG:
             _decode(mv, off, end, 1, False)
+            _fail("not a list of Chunks")
+        at = off + head
+        if at > end:
+            _fail("truncated Chunk")
+        fields = unpack(mv, off + 1)
+        tag = mv[at] if at < end else None
+        if tag == _NONE:
+            ctag, at = None, at + 1
+        elif tag == _STR:
+            raw, at = _dec_raw(mv, at + 1, end)
+            raw = raw.tobytes()
+            ctag = _STR_TEXT.get(raw) or _text(raw)
+        else:
+            _decode(mv, at, end, 1, False)
             _fail("Chunk tag is neither a str nor None")
-        if off + 8 * fields[8] > end:
-            _fail(f"Chunk of {fields[8]} words announced, {end - off} bytes left")
-        off += 8 * fields[8]
-        run.append((start, off, ctag, fields))
-    if len(run) < n:
-        _decode(mv, off, end, 1, False)
-        _fail("not a list of Chunks")
+        stop = at + 8 * fields[8]
+        if stop > end:
+            _fail(f"Chunk of {fields[8]} words announced, {end - at} bytes left")
+        run.append((off, stop, ctag, fields))
+        off = stop
     if off != end:
         _fail(f"{end - off} stray bytes after the value")
     return end, run

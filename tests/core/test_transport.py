@@ -390,7 +390,7 @@ class TestHandshake:
         """A coordinator of the per-round command protocol is refused."""
         reply = self.hello(node_pair[0], proto=2)
         assert reply == (
-            "reject", "protocol version mismatch: node speaks 4, coordinator speaks 2"
+            "reject", "protocol version mismatch: node speaks 5, coordinator speaks 2"
         )
 
     def test_v3_hello_rejected(self, node_pair):
@@ -398,7 +398,15 @@ class TestHandshake:
         (and its programs the whole machine) is refused."""
         reply = self.hello(node_pair[0], proto=3)
         assert reply == (
-            "reject", "protocol version mismatch: node speaks 4, coordinator speaks 3"
+            "reject", "protocol version mismatch: node speaks 5, coordinator speaks 3"
+        )
+
+    def test_v4_hello_rejected(self, node_pair):
+        """A coordinator whose ``setup`` command carries the slice's
+        inputs (a session without them) is refused."""
+        reply = self.hello(node_pair[0], proto=4)
+        assert reply == (
+            "reject", "protocol version mismatch: node speaks 5, coordinator speaks 4"
         )
 
     def test_fingerprint_mismatch_rejected(self, node_pair):
@@ -610,6 +618,47 @@ class TestBitIdentity:
         second = self.run_sort(monkeypatch, "tcp", nodes)
         assert counters(first.report) == counters(second.report)
         assert node_pair[0].sessions >= 2
+
+
+class TestSessionInputs:
+    """A session carries its slice's inputs (protocol v5): each ``repro
+    node`` gets exactly its own slice's in its hello, by pid, and the
+    ``setup`` command carries nothing."""
+
+    def test_each_node_receives_exactly_its_slices_inputs(self, monkeypatch, node_pair):
+        from repro.core import workers
+
+        got, serve = {}, workers.serve_session
+
+        def recorded(sock, worker_id, session, peers=None):
+            got[worker_id] = session["inputs"]
+            return serve(sock, worker_id, session, peers)
+
+        commands = []
+        run_session = workers.run_worker_session
+
+        def logged(worker_id, session, cmd_get, **kw):
+            def get():
+                cmd = cmd_get()
+                commands.append(cmd)
+                return cmd
+
+            return run_session(worker_id, session, cmd_get=get, **kw)
+
+        monkeypatch.setattr(workers, "serve_session", recorded)
+        monkeypatch.setattr(workers, "run_worker_session", logged)
+        monkeypatch.setenv("REPRO_TRANSPORT", "tcp")
+        monkeypatch.setenv("REPRO_NODES", ",".join(s.address for s in node_pair))
+        inputs = partition_array(make_data(), V)
+        res = em_run(SampleSort(), inputs, MachineConfig(N=N, v=V, p=4, D=D, B=B), "par",
+                     overrides={"workers": 3})
+        assert np.array_equal(np.concatenate(res.outputs), np.sort(make_data()))
+        # p = 4 over three slices: reals [0, 1], [2] and [3], two pids each
+        assert sorted(got) == [1, 2]
+        for w, pids in ((1, [4, 5]), (2, [6, 7])):
+            assert list(got[w]) == [w] and sorted(got[w][w]) == pids
+            assert all(np.array_equal(got[w][w][pid], inputs[pid]) for pid in pids)
+        assert commands.count(("setup",)) == 2
 
 
 class TestTrafficCounters:

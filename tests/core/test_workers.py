@@ -9,12 +9,14 @@ from __future__ import annotations
 import gc
 import multiprocessing as mp
 import os
+import pickle
 import queue
 import signal
 import socket
 import threading
 import time
 import warnings
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -497,11 +499,12 @@ class QueueTransport(Transport):
         raise TransportAbort(f"aborted while waiting for {what}")
 
 
-def _run_slices(program, inputs, cfg, plan, balanced):
+def _run_slices(program, inputs, cfg, plan, balanced, net=QueueTransport):
     """Run one :class:`ParEMEngine` slice per *plan* entry, each in its own
     thread through its own :func:`workers.clock_rounds` to its own halt ->
-    (outputs, per-round merged steps, report, packets).  Asserts that
-    every slice halted at the round the merged steps end the run."""
+    (outputs, per-round merged steps, report, packets); *net* is the
+    transport class.  Asserts that every slice halted at the round the
+    merged steps end the run."""
     abort = threading.Event()
     inboxes = [queue.Queue() for _ in plan]
     rt = current()
@@ -509,7 +512,7 @@ def _run_slices(program, inputs, cfg, plan, balanced):
     for w in range(len(plan)):
         eng = ParEMEngine(
             cfg, balanced, plan=plan, worker_id=w,
-            net=QueueTransport(w, inboxes, abort),
+            net=net(w, inboxes, abort),
         )
         eng._rt = rt
         eng._start(program)
@@ -761,6 +764,99 @@ class TestSlicesInThreads:
     def test_a_failing_slice_aborts_its_peers(self):
         with pytest.raises(RuntimeError, match="deliberate failure"):
             _run_slices(_Boom(), [None] * 4, self.CFG, self.PLAN, False)
+
+
+class _Framed(QueueTransport):
+    """:class:`QueueTransport` whose packet leaves as a copy, as a frame
+    does, and which checks at every wait that nothing it sent is still
+    held: neither the dict the slice handed to ``exchange`` nor a payload
+    registered in ``sent``."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.sent, self.handed = [], {}
+
+    def exchange(self, outgoing, r, phase, done, sent):
+        self.handed = outgoing
+        return super().exchange(outgoing, r, phase, done, sent)
+
+    def send_packet(self, dest, r, phase, wire):
+        super().send_packet(dest, r, phase, pickle.loads(pickle.dumps(wire, protocol=5)))
+
+    def recv_packet(self, what):
+        assert not any(self.handed.values()), "a sent packet is held through the wait"
+        assert [ref() for ref in self.sent] == [None] * len(self.sent)
+        return super().recv_packet(what)
+
+
+class TestSentPacketsAreDropped:
+    """A slice drops each peer's packet once its frame is written, so the
+    payloads it sent — bundles that are views of whole inbox reads — are
+    not alive while it waits for its peers'."""
+
+    def test_exchange_drops_a_payload_once_sent(self):
+        inboxes, abort = [queue.Queue(), queue.Queue()], threading.Event()
+        net = _Framed(0, inboxes, abort)
+        payload = np.arange(4096)
+        net.sent.append(weakref.ref(payload))
+        outgoing = {1: [(0, payload)]}
+        del payload
+        inboxes[0].put((3, 0, 1, (True, False, ["theirs"])))  # the peer's, waiting
+        assert net.exchange(outgoing, 3, 0, True, True) == (["theirs"], True, True)
+        assert outgoing == {} and inboxes[1].get_nowait()[3][2][0][1].size == 4096
+
+    @pytest.mark.parametrize("balanced", [False, True], ids=["direct", "balanced"])
+    def test_slices_hold_no_sent_packet_while_they_wait(self, balanced):
+        cfg = TestSlicesInThreads.CFG
+        data = make_rng(46).integers(0, 2**40, cfg.N)
+        inputs = partition_array(data, 4)
+        ref_out, ref_rounds, _ = _reference(SampleSort(), inputs, cfg, balanced)
+        out, rounds, _report, _packets = _run_slices(
+            SampleSort(), inputs, cfg, TestSlicesInThreads.PLAN, balanced, net=_Framed
+        )
+        assert _same_outputs(out, ref_out) and rounds == ref_rounds
+
+
+class TestInputsRideTheSession:
+    """A forked worker inherits its slice's inputs with the session, so its
+    ``setup`` command carries nothing: at ``scale_out``'s shape the command
+    frames the coordinator writes to it before its first round report are
+    a few dozen bytes where the inputs were 4 MB.  With direct routing,
+    where round 0's samples all go to slice 0, that is every frame."""
+
+    @pytest.mark.parametrize("balanced", [False, True], ids=["direct", "balanced"])
+    def test_a_worker_is_sent_under_4_kib_before_its_first_report(
+        self, monkeypatch, balanced
+    ):
+        from repro.core.transport import tcp
+
+        frames, first = [], []
+        send, result = tcp.send_frame, workers.LocalFleet.result
+
+        def counted_send(sock, obj, lock=None):
+            n = send(sock, obj, lock)
+            if not first:
+                frames.append((obj[0], n))
+            return n
+
+        def noted_result(self, timeout):
+            got = result(self, timeout)
+            if got[1] == "round":
+                first.append(got[0])
+            return got
+
+        monkeypatch.setattr(tcp, "send_frame", counted_send)
+        monkeypatch.setattr(workers.LocalFleet, "result", noted_result)
+        n = 1 << 20
+        cfg = MachineConfig(N=n, v=16, p=4, D=4, B=1024)
+        data = make_rng(46).integers(0, 2**40, n)
+        res = em_run(SampleSort(), partition_array(data, 16), cfg, "par", balanced=balanced,
+                     overrides={"workers": 2, "arena": "mmap"})
+        assert np.array_equal(np.concatenate(res.outputs), np.sort(data))
+        commands = [nbytes for kind, nbytes in frames if kind == "cmd"]
+        assert first[0] == 1 and len(commands) == 1 and commands[0] < 4096
+        if not balanced:
+            assert sum(nbytes for _kind, nbytes in frames) < 4096
 
 
 # ------------------------------------------------- crashes, forks, sockets

@@ -403,6 +403,14 @@ def test_clean_sort_moves_every_context_as_slices(monkeypatch, engine, arena, ba
 
         monkeypatch.setattr(TrackArena, name, counted)
 
+    def written(self, runs, _inner=TrackArena.write_rows):
+        # a large stream's runs, each one stretch of rows, handed over as
+        # they are: one single-piece move a run
+        pieces[1] += len(runs)
+        return _inner(self, runs)
+
+    monkeypatch.setattr(TrackArena, "write_rows", written)
+
     def spans(self, lin, n, _inner=TrackArena._spans):
         out = _inner(self, lin, n)
         b = self._bounds

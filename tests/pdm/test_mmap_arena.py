@@ -19,7 +19,7 @@ from repro.pdm.disk_array import DiskArray
 from repro.pdm.block import BlockRun, Runs
 from repro.pdm.mmap_arena import MmapTrackArena, make_arena
 from repro.tune.runtime import RuntimeConfig, current
-from repro.util.items import ITEM_BYTES
+from repro.util.items import ITEM_BYTES, encode
 from repro.util.validation import ConfigurationError, SimulationError
 
 
@@ -266,6 +266,96 @@ class TestGathersReadByDescriptor:
             assert msg.startswith("cannot read disk 1 track 3 from spill dir")
         finally:
             arena.close()
+
+
+class TestLargeRunsWriteByPwritev:
+    """A write stream of at least the join floor reaches the mmap arena as
+    its pieces: one ``pwritev`` per run at the run's file offset.  Short
+    writes loop, a refused write is one line naming disk, track and spill
+    dir, and the spill quota refuses the growth before a byte is written."""
+
+    D, BB = 4, 512
+
+    def _array(self, tmp_path, **knobs):
+        rt = RuntimeConfig.resolve(
+            overrides={"arena": "mmap", "spill_dir": str(tmp_path), **knobs}, environ={}
+        )
+        return DiskArray(self.D, self.BB // ITEM_BYTES, runtime=rt)
+
+    def _run(self):
+        """An encoded context of 20 KiB as the encoder's pieces, its
+        addresses 40 blocks from linear offset 6 above track 3."""
+        pieces, nbytes = encode({"pid": 3, "a": np.arange(2500), "b": np.ones(7)})
+        n = -(-nbytes // self.BB)
+        return Runs(3, ((6, n),)), BlockRun(pieces, n, self.BB), b"".join(pieces)
+
+    def test_pieces_go_out_in_one_pwritev_and_read_back_joined(self, tmp_path, monkeypatch):
+        real, calls = os.pwritev, []
+
+        def counted(fd, bufs, pos):
+            calls.append((len(bufs), pos))
+            return real(fd, bufs, pos)
+
+        monkeypatch.setattr(os, "pwritev", counted)
+        arr = self._array(tmp_path)
+        try:
+            runs, run, raw = self._run()
+            assert arr.write_run(runs, run) == -(-run.nblocks // self.D)
+            assert calls == [(len(run.pieces) + 1, (3 * self.D + 6) * self.BB)]
+            assert bytes(arr.read_run(runs)) == raw.ljust(run.nblocks * self.BB, b"\0")
+        finally:
+            arr.close()
+
+    def test_short_writes_loop(self, tmp_path, monkeypatch):
+        real, calls = os.pwritev, []
+
+        def dribble(fd, bufs, pos):
+            calls.append(pos)
+            return real(fd, [memoryview(bufs[0]).cast("B")[:700]], pos)
+
+        monkeypatch.setattr(os, "pwritev", dribble)
+        arr = self._array(tmp_path)
+        try:
+            runs, run, raw = self._run()
+            arr.write_run(runs, run)
+            assert len(calls) > len(run.pieces)
+            assert bytes(arr.read_run(runs)) == raw.ljust(run.nblocks * self.BB, b"\0")
+        finally:
+            arr.close()
+
+    def test_a_refused_write_is_one_line(self, tmp_path, monkeypatch):
+        def full(*_args):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "pwritev", full)
+        arr = self._array(tmp_path)
+        try:
+            runs, run, _raw = self._run()
+            with pytest.raises(SimulationError) as err:
+                arr.write_run(runs, run)
+            msg, spill = str(err.value), arr._arena.spill_dir
+            assert "\n" not in msg
+            assert msg == (f"cannot write disk 2 track 4 to spill dir {spill}: "
+                           "No space left on device")
+        finally:
+            arr.close()
+
+    def test_the_quota_refuses_before_a_byte_is_written(self, tmp_path, monkeypatch):
+        """The first chunk (64 tracks) fits the quota and holds a track; the
+        run needs the second, so it is refused whole, nothing written."""
+        written = []
+        monkeypatch.setattr(os, "pwritev", lambda *args: written.append(args))
+        arr = self._array(tmp_path, spill_quota=64 * self.D * self.BB)
+        try:
+            arr.disks[1].write(2, b"k" * self.BB)
+            runs, run, _raw = self._run()
+            far = Runs(60, runs.runs)
+            with pytest.raises(SimulationError, match="spill quota exceeded"):
+                arr.write_run(far, run)
+            assert written == [] and arr.disks[1].read(2) == b"k" * self.BB
+            assert arr._arena.spill_nbytes() == 64 * self.D * self.BB
+        finally:
+            arr.close()
 
 
 class TestSpillWriteFailures:

@@ -22,6 +22,7 @@ from repro.util.items import (
     chunk_list,
     chunk_node,
     deserialize,
+    encode,
     item_count,
     serialize,
 )
@@ -74,12 +75,19 @@ def item(body: bytes, tag: bytes = b"T") -> bytes:
     return struct.pack("<cQ", tag, len(body)) + body
 
 
+def chunk_item(n: int, parts: list) -> bytes:
+    """The bytes of ``chunk_list``'s item: the join of its pieces."""
+    pieces, nbytes = chunk_list(n, parts)
+    assert nbytes == sum(map(len, pieces))
+    return b"".join(pieces)
+
+
 #: ``serialize(...).hex()`` of ``[CHUNK_A, CHUNK_B, 70000]`` and ``(CHUNK_B,
 #: CHUNK_A)`` as printed, with ``Chunk`` records, by the commit before a
 #: run of ``C`` nodes decoded in one loop; built here from the same fields
 GOLDEN_CHUNKS = {
     "list_then_int": (
-        chunk_list(3, CHUNK_A + CHUNK_B + [serialize(70000)[9:]]),
+        chunk_item(3, CHUNK_A + CHUNK_B + [serialize(70000)[9:]]),
         "54d5000000000000005b03430100000000000000020000000000000000000000000000"
         "000300000000000000080000000000000028000000000000003d010000000000002800"
         "00000000000005000000000000006e0000000000000000010000000000000002000000"
@@ -178,7 +186,7 @@ class TestSerializeRoundTrip:
             deserialize(built + bytes(5))
         assert str(err.value) == "corrupt item: unknown node tag b'C'"
         # the same two nodes as a bundle: the index gives back their fields
-        bundle = chunk_list(2, CHUNK_A + CHUNK_B)
+        bundle = chunk_item(2, CHUNK_A + CHUNK_B)
         end, index = chunk_index(bundle + bytes(5))
         assert end == len(bundle) == 9 + 2 + len(b"".join(CHUNK_A + CHUNK_B))
         assert [(tag, f) for _start, _stop, tag, f in index] == [
@@ -378,7 +386,7 @@ VICTIMS = [
      deserialize),
     (serialize([("coin", np.arange(6).reshape(3, 2)), ("count", 70000), (None, 2.5)]),
      deserialize),
-    (chunk_list(2, CHUNK_A + chunk((7, 2, 1, 0, 8, 9, 70, 9, 2), "pred",
+    (chunk_item(2, CHUNK_A + chunk((7, 2, 1, 0, 8, 9, 70, 9, 2), "pred",
                                    np.zeros(2, dtype=np.uint64))),
      read_bundle),
     (serialize({"k": [(), [], {}, b"\x00\xff", 2**70, np.float32(1.5), True, None],
@@ -395,6 +403,18 @@ class TestFormat2RoundTrip:
         out = deserialize(raw + b"\x00" * pad)
         assert same(out, tree)
         assert same(deserialize(memoryview(raw)), tree)
+
+    @given(trees)
+    def test_encode_pieces_join_to_the_item(self, tree):
+        """What a store writes piece by piece is ``serialize``'s item, and
+        an array's buffer is a piece of its own, not a copy."""
+        pieces, nbytes = encode(tree)
+        assert b"".join(pieces) == serialize(tree) and nbytes == sum(map(len, pieces))
+        arrays = [x for x in (tree if isinstance(tree, list) else [tree])
+                  if isinstance(x, np.ndarray) and x.flags.c_contiguous and x.size]
+        for arr in arrays:
+            assert any(isinstance(p, memoryview) and np.shares_memory(np.asarray(p), arr)
+                       for p in pieces)
 
     @pytest.mark.parametrize("n", INT_EDGES)
     def test_ints_at_every_width_boundary(self, n):
@@ -578,11 +598,11 @@ class TestFormat2IsNeverLonger:
         seen: list[tuple[int, int]] = []
 
         def spy(obj):
-            raw = serialize(obj)
-            seen.append((len(raw), self._parent_len(obj)))
-            return raw
+            pieces, nbytes = encode(obj)
+            seen.append((nbytes, self._parent_len(obj)))
+            return pieces, nbytes
 
-        monkeypatch.setattr(par_engine, "serialize", spy)
+        monkeypatch.setattr(par_engine, "encode", spy)
         return seen
 
     @staticmethod
@@ -644,12 +664,13 @@ class TestStoredBytesAreFrozen:
         seen = {"items": 0, "bytes": 0}
         block_run = par_engine.BlockRun
 
-        def spy(buf, nblocks, block_bytes):
-            raw = bytes(buf)
+        def spy(buf, nblocks, block_bytes, *nbytes):
+            # a run handed the encoder's pieces stores their join
+            raw = b"".join(buf) if isinstance(buf, list) else bytes(buf)
             chain.update(hashlib.sha256(raw).digest())
             seen["items"] += 1
             seen["bytes"] += len(raw)
-            return block_run(buf, nblocks, block_bytes)
+            return block_run(buf, nblocks, block_bytes, *nbytes)
 
         monkeypatch.setattr(par_engine, "BlockRun", spy)
         TestFormat2IsNeverLonger._one_op(workload)
@@ -662,3 +683,30 @@ class TestStoredBytesAreFrozen:
     def test_every_stored_item_is_unchanged(self, monkeypatch, workload):
         want = json.loads(STORED_DIGESTS.read_text())[workload]
         assert self.digest(workload, monkeypatch) == want
+
+    def test_a_fleet_stores_what_one_process_stores(self, tmp_path):
+        """``scale_out``'s machine — balanced SampleSort at v = 16, p = 4,
+        D = 4 on the mmap arena — at a reduced N: run by two workers it
+        leaves the same tracks on every real's disks in its final
+        checkpoint as run in one process, so the pieces that reach the
+        arena on either side of a frame store what the spy above hashes."""
+        from repro.algorithms.collectives import partition_array
+        from repro.algorithms.sorting import SampleSort
+        from repro.cgm.config import MachineConfig
+        from repro.em.runner import em_run
+        from repro.faults.checkpoint import CheckpointManager
+
+        n = 1 << 18
+        cfg = MachineConfig(N=n, v=16, p=4, D=4, B=64)
+        data = np.random.default_rng(46).integers(0, 2**40, n)
+        tracks = {}
+        for workers in (0, 2):
+            ck = str(tmp_path / f"ck{workers}")
+            res = em_run(SampleSort(), partition_array(data, 16), cfg, "par", balanced=True,
+                         checkpoint=ck, overrides={"workers": workers, "arena": "mmap",
+                                                   "spill_dir": str(tmp_path / "spill")})
+            assert np.array_equal(np.concatenate(res.outputs), np.sort(data))
+            _header, snap = CheckpointManager(ck).load()
+            assert snap["finished"]
+            tracks[workers] = {r: a["tracks"] for r, a in snap["backend"]["arrays"].items()}
+        assert sorted(tracks[0]) == [0, 1, 2, 3] and tracks[2] == tracks[0]
