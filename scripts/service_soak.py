@@ -20,12 +20,14 @@ Exit code 0 on success, 1 on any degenerate metric, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 import time
-import urllib.error
-import urllib.request
+
+from repro.service.client import get_job, request_json, submit_job
+
+#: seconds any one request may take
+_TIMEOUT_S = 30.0
 
 
 def _wave(count: int, offset: int = 0) -> list[dict]:
@@ -43,28 +45,10 @@ def _wave(count: int, offset: int = 0) -> list[dict]:
     ]
 
 
-def _post_json(url: str, doc: dict) -> tuple[int, dict, dict]:
-    req = urllib.request.Request(
-        url,
-        data=json.dumps(doc).encode(),
-        headers={"Content-Type": "application/json"},
-        method="POST",
-    )
-    try:
-        with urllib.request.urlopen(req, timeout=30) as resp:
-            return resp.status, dict(resp.headers), json.loads(resp.read().decode())
-    except urllib.error.HTTPError as exc:
-        return exc.code, dict(exc.headers), json.loads(exc.read().decode() or "{}")
-
-
-def _get_json(url: str) -> dict:
-    with urllib.request.urlopen(url, timeout=30) as resp:
-        return json.loads(resp.read().decode())
-
-
 def _scrape(url: str) -> str:
-    with urllib.request.urlopen(f"{url}/metrics", timeout=30) as resp:
-        return resp.read().decode()
+    """The Prometheus text, which ``request_json`` hands back as ``raw``."""
+    _, _, body = request_json("GET", f"{url}/metrics", timeout_s=_TIMEOUT_S)
+    return body.get("raw", "")
 
 
 def _metric(text: str, name: str) -> float:
@@ -77,10 +61,10 @@ def _metric(text: str, name: str) -> float:
 
 
 def _submit(url: str, spec: dict) -> tuple[int, dict, dict]:
-    status, headers, body = _post_json(f"{url}/jobs", spec)
+    status, headers, body = submit_job(url, spec, _TIMEOUT_S)
     while status == 429:  # backpressure is legitimate under load
         time.sleep(1.0)
-        status, headers, body = _post_json(f"{url}/jobs", spec)
+        status, headers, body = submit_job(url, spec, _TIMEOUT_S)
     return status, headers, body
 
 
@@ -88,7 +72,7 @@ def _await_terminal(url: str, ids: list[str], deadline: float) -> dict[str, str]
     pending, states = set(ids), {}
     while pending and time.monotonic() < deadline:
         for job_id in sorted(pending):
-            doc = _get_json(f"{url}/jobs/{job_id}")
+            doc = get_job(url, job_id, _TIMEOUT_S)
             if doc["state"] in ("done", "failed", "cancelled"):
                 states[job_id] = doc["state"]
                 pending.discard(job_id)

@@ -497,7 +497,7 @@ def cmd_top(args) -> int:
     import time
 
     from repro.obs.analyze import TraceAnalysis
-    from repro.obs.live import iter_jsonl, iter_sse
+    from repro.obs.live import ServiceClientError, iter_jsonl, iter_sse
 
     if (args.trace is None) == (args.url is None):
         print("error: give a trace file or --url (exactly one)", file=sys.stderr)
@@ -523,6 +523,9 @@ def cmd_top(args) -> int:
         pass
     except BrokenPipeError:
         raise  # main() ends the command quietly; not an I/O error to report
+    except ServiceClientError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -650,36 +653,28 @@ def cmd_submit(args) -> int:
 
     try:
         status, headers, body = submit_job(args.url, doc, timeout_s=args.timeout)
-    except ServiceClientError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    if status not in (200, 202):
-        retry = headers.get("Retry-After")
-        hint = f" (Retry-After: {retry}s)" if retry else ""
-        print(
-            f"error: server refused the job ({status}): "
-            f"{body.get('error', body)}{hint}",
-            file=sys.stderr,
-        )
-        return 2
-    cache = headers.get("X-Repro-Cache", "miss")
-    job_id = body["id"]
-    if not args.json:
-        print(f"job {job_id} {body['state']} (cache: {cache})", flush=True)
-    if args.stream:
-        try:
+        if status not in (200, 202):
+            retry = headers.get("Retry-After")
+            hint = f" (Retry-After: {retry}s)" if retry else ""
+            print(
+                f"error: server refused the job ({status}): "
+                f"{body.get('error', body)}{hint}",
+                file=sys.stderr,
+            )
+            return 2
+        cache = headers.get("X-Repro-Cache", "miss")
+        job_id = body["id"]
+        if not args.json:
+            print(f"job {job_id} {body['state']} (cache: {cache})", flush=True)
+        if args.stream:
             for ev in stream_job(args.url, job_id, timeout_s=args.timeout):
                 print(_json.dumps(ev), flush=True)
-        except ServiceClientError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-    if not (args.wait or args.stream):
-        if args.json:
-            print(_json.dumps(body, sort_keys=True))
-        return 0
-    try:
+        if not (args.wait or args.stream):
+            if args.json:
+                print(_json.dumps(body, sort_keys=True))
+            return 0
         final = wait_job(args.url, job_id, timeout_s=args.timeout)
-    except ServiceClientError as exc:
+    except ServiceClientError as exc:  # transport: refused, reset, timed out
         print(f"error: {exc}", file=sys.stderr)
         return 3
     final["cache"] = cache

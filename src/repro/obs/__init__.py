@@ -57,7 +57,7 @@ from repro.obs.metrics import MetricsRegistry
 
 # costcheck/histograms/analyze/bench_store pull in the engine
 # stack; the engines import repro.obs.bus — import these
-# lazily to keep the package cycle-free.  live is lazy to keep the urllib
+# lazily to keep the package cycle-free.  live is lazy to keep the http.client
 # machinery out of engine runs that never read a stream.
 _LAZY = {
     "CostCheck": "repro.obs.costcheck",

@@ -23,8 +23,9 @@ Layering (everything below the HTTP handler is importable on its own):
   document) and the preemptible :class:`WorkerPool`;
 * :mod:`repro.service.server` — :class:`ServiceCore` (submit / cancel /
   drain, no HTTP) and :class:`JobServer` (the ThreadingHTTPServer);
-* :mod:`repro.service.client` — urllib client helpers backing
-  ``repro submit`` and the CI service lane.
+* :mod:`repro.service.client` — client helpers backing ``repro submit``,
+  the CI service lane and the soak: one kept-alive connection per server
+  per thread.
 """
 
 from repro.service.jobs import Job, ServiceError

@@ -1,6 +1,8 @@
-"""urllib client helpers for the job server (no dependencies).
+"""Client helpers for the job server (stdlib only).
 
-Backs the ``repro submit`` subcommand and the CI service lane.
+Backs the ``repro submit`` subcommand, the CI service lane and the soak
+script.  Every request of a thread rides its one kept-alive connection
+per server (:func:`repro.obs.live.request_json`), and is sent once.
 :func:`run_spec_local` executes the same spec in-process through the
 exact executor the server uses, so callers can assert that a served
 result is bit-identical to a direct run (the service-lane acceptance
@@ -9,60 +11,15 @@ check) without shipping output arrays over HTTP.
 
 from __future__ import annotations
 
-import json
 import time
-import urllib.error
-import urllib.request
 from typing import Any, Iterator
 
-from repro.obs.live import iter_sse
+from repro.obs.live import ServiceClientError, iter_sse, request_json
 from repro.service.jobs import TERMINAL
 from repro.service.pool import execute_spec
 from repro.service.spec import JobSpec
 
 DEFAULT_TIMEOUT_S = 10.0
-
-
-class ServiceClientError(RuntimeError):
-    """A request failed at the transport or HTTP layer."""
-
-    def __init__(self, message: str, status: int | None = None) -> None:
-        super().__init__(message)
-        self.status = status
-
-
-def request_json(
-    method: str,
-    url: str,
-    body: Any = None,
-    timeout_s: float = DEFAULT_TIMEOUT_S,
-) -> tuple[int, dict[str, str], Any]:
-    """One JSON request; HTTP error codes are returned, not raised.
-
-    Returns ``(status, headers, parsed_body)``.  Only transport failures
-    (connection refused, timeout) raise :class:`ServiceClientError`.
-    """
-    data = None if body is None else json.dumps(body).encode("utf-8")
-    req = urllib.request.Request(
-        url, data=data, method=method,
-        headers={"Content-Type": "application/json"} if data else {},
-    )
-    try:
-        with urllib.request.urlopen(req, timeout=timeout_s) as resp:
-            raw = resp.read().decode("utf-8")
-            headers = {k: v for k, v in resp.headers.items()}
-            status = resp.status
-    except urllib.error.HTTPError as exc:
-        raw = exc.read().decode("utf-8", errors="replace")
-        headers = {k: v for k, v in exc.headers.items()}
-        status = exc.code
-    except urllib.error.URLError as exc:
-        raise ServiceClientError(f"cannot reach {url}: {exc.reason}") from None
-    try:
-        parsed = json.loads(raw) if raw else {}
-    except json.JSONDecodeError:
-        parsed = {"raw": raw}
-    return status, headers, parsed
 
 
 def submit_job(
@@ -85,20 +42,6 @@ def get_job(
     return doc
 
 
-def cancel_job(
-    base_url: str, job_id: str, timeout_s: float = DEFAULT_TIMEOUT_S
-) -> dict[str, Any]:
-    status, _, doc = request_json(
-        "POST", f"{base_url.rstrip('/')}/jobs/{job_id}/cancel", timeout_s=timeout_s
-    )
-    if status != 200:
-        raise ServiceClientError(
-            f"POST /jobs/{job_id}/cancel -> {status}: {doc.get('error', doc)}",
-            status,
-        )
-    return doc
-
-
 def wait_job(
     base_url: str,
     job_id: str,
@@ -117,10 +60,10 @@ def wait_job(
         for _ in stream_job(base_url, job_id, timeout_s=timeout_s):
             if time.monotonic() >= deadline:
                 break
-    except OSError:
+    except ServiceClientError:
         pass  # no stream (unknown job, server gone): the GET says why
     while True:
-        doc = get_job(base_url, job_id)
+        doc = get_job(base_url, job_id, min(timeout_s, DEFAULT_TIMEOUT_S))
         if doc.get("state") in TERMINAL:
             return doc
         if time.monotonic() >= deadline:

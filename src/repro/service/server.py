@@ -32,10 +32,13 @@ A server restarted on the same state dir re-enqueues those jobs with
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import os
+import socket
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 from urllib.parse import urlparse
@@ -64,6 +67,8 @@ _SSE_POLL_S = 0.5
 _SSE_LINGER_S = 0.005
 #: one keepalive comment roughly every this many idle polls.
 _SSE_KEEPALIVE_POLLS = 10
+#: one encoder for every frame: the bytes of ``json.dumps(ev, default=_jsonable)``
+_ENCODER = json.JSONEncoder(default=_jsonable)
 
 
 class DrainingError(ServiceError):
@@ -95,6 +100,8 @@ class ServiceCore:
         self.pool = WorkerPool(self.queue, self.cache, self.registry, size=pool_size)
         self.pool.on_terminal = self._on_terminal
         self.jobs: dict[str, Job] = {}
+        #: ids of the retained finished jobs, oldest finish first
+        self._finished: collections.deque[str] = collections.deque()
         self._jobs_lock = threading.Lock()
         self._seq = itertools.count(1)
         self._draining = threading.Event()
@@ -133,11 +140,6 @@ class ServiceCore:
     def _register(self, job: Job) -> None:
         with self._jobs_lock:
             self.jobs[job.id] = job
-            finished = [j for j in self.jobs.values() if j.terminal]
-            if len(finished) > _MAX_FINISHED:
-                finished.sort(key=lambda j: j.finished_s or 0.0)
-                for old in finished[: len(finished) - _MAX_FINISHED]:
-                    del self.jobs[old.id]
 
     def submit(self, doc: Any) -> tuple[Job, bool]:
         """Validate and admit one spec; returns ``(job, served_from_cache)``.
@@ -164,7 +166,7 @@ class ServiceCore:
                 "jobs served from the result cache", tenant=spec.tenant,
             )
             job.set_state(DONE)
-            self._record_terminal_metrics(job)
+            self._on_terminal(job)
             return job, True
         self._counter(
             "repro_service_cache_misses_total",
@@ -238,6 +240,10 @@ class ServiceCore:
     def _on_terminal(self, job: Job) -> None:
         if job.enqueue_seq >= 0:
             self.queue.release(job)
+        with self._jobs_lock:
+            self._finished.append(job.id)
+            while len(self._finished) > _MAX_FINISHED:
+                self.jobs.pop(self._finished.popleft(), None)
         self._record_terminal_metrics(job)
 
     # -- drain / restore ------------------------------------------------------
@@ -321,8 +327,34 @@ class ServiceCore:
         self._refresh_gauges()
 
 
+def _frames(events: list[dict[str, Any]]) -> bytes:
+    """*events* as SSE frames, built in one pass."""
+    encode = _ENCODER.encode
+    return "".join([
+        f"id: {ev.get('seq', 0)}\nevent: trace\ndata: {encode(ev)}\n\n"
+        for ev in events
+    ]).encode()
+
+
+def _chunk(data: bytes) -> bytes:
+    """*data* as one HTTP/1.1 chunk; nothing for no data."""
+    return b"%x\r\n%s\r\n" % (len(data), data) if data else b""
+
+
 class _Handler(BaseHTTPRequestHandler):
-    """``self.server.owner`` is the :class:`JobServer` serving the request."""
+    """``self.server.owner`` is the :class:`JobServer` serving the request;
+    a connection carries requests until its client closes it."""
+
+    protocol_version = "HTTP/1.1"
+    disable_nagle_algorithm = True
+
+    def setup(self) -> None:
+        super().setup()
+        self.server.owner._track(self.connection, threading.current_thread())
+
+    def finish(self) -> None:
+        self.server.owner._track(self.connection, None)
+        super().finish()
 
     # CI smoke and tests poll repeatedly; default request logging would
     # drown the server's own output
@@ -330,6 +362,11 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
     # -- responses -----------------------------------------------------------
+
+    def _end(self, body: bytes) -> None:
+        """``end_headers()`` with *body* in the same write."""
+        self._headers_buffer.append(b"\r\n" + body)
+        self.flush_headers()
 
     def _text(
         self,
@@ -344,23 +381,12 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(payload)))
         for name, value in (headers or {}).items():
             self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(payload)
+        self._end(payload)
 
     def _json(
         self, code: int, doc: Any, headers: "dict[str, str] | None" = None
     ) -> None:
         self._text(code, json.dumps(doc) + "\n", "application/json", headers)
-
-    def _frames(self, events: list[dict[str, Any]]) -> None:
-        """Write *events* as SSE frames in one write and one flush."""
-        if events:
-            self.wfile.write(b"".join(
-                f"id: {ev.get('seq', 0)}\nevent: trace\n"
-                f"data: {json.dumps(ev, default=_jsonable)}\n\n".encode()
-                for ev in events
-            ))
-            self.wfile.flush()
 
     def _stream(self, bus: EventBus, sub: "Subscription | None") -> None:
         """Answer with an SSE stream of *bus*: the buffered events first,
@@ -368,20 +394,26 @@ class _Handler(BaseHTTPRequestHandler):
         an ``event: end`` frame — or the server does.  ``sub=None`` is the
         replay-only stream.  The caller subscribes *before* calling, so no
         event falls between the buffer snapshot and the subscription; the
-        seq guard drops the overlap."""
+        seq guard drops the overlap.  An HTTP/1.1 request gets one chunk
+        per batch; an HTTP/1.0 one a stream its connection's close ends."""
         try:
+            chunked = self.request_version == "HTTP/1.1"
+            wire = _chunk if chunked else bytes
             self.send_response(200)
             self.send_header("Content-Type", "text/event-stream")
             self.send_header("Cache-Control", "no-store")
-            self.send_header("Connection", "close")
-            self.end_headers()
+            if chunked:
+                self.send_header("Transfer-Encoding", "chunked")
+            else:
+                self.send_header("Connection", "close")
             replay = list(bus.events)
-            self._frames(replay)
+            self._end(wire(_frames(replay)))
             last_seq = int(replay[-1].get("seq", -1)) if replay else -1
             closing = self.server.owner.closing
             idle = 0
             while sub is not None:
                 if closing.is_set():
+                    self.close_connection = True  # a cut stream has no end
                     return
                 batch = sub.take(_SSE_POLL_S, _SSE_LINGER_S)
                 if not batch:
@@ -391,15 +423,16 @@ class _Handler(BaseHTTPRequestHandler):
                     if idle >= _SSE_KEEPALIVE_POLLS:
                         # comment frame: keeps proxies open, detects a
                         # dead client via the raised BrokenPipeError
-                        self.wfile.write(b": keepalive\n\n")
-                        self.wfile.flush()
+                        self.wfile.write(wire(b": keepalive\n\n"))
                         idle = 0
                     continue
                 idle = 0
                 # the seq guard skips what the replay already carried
-                self._frames([ev for ev in batch if int(ev.get("seq", -1)) > last_seq])
-            self.wfile.write(b"event: end\ndata: {}\n\n")
-            self.wfile.flush()
+                self.wfile.write(wire(_frames(
+                    [ev for ev in batch if int(ev.get("seq", -1)) > last_seq]
+                )))
+            end = b"0\r\n\r\n" if chunked else b""  # the last chunk rides along
+            self.wfile.write(wire(b"event: end\ndata: {}\n\n") + end)
         finally:
             if sub is not None:
                 sub.close()
@@ -423,8 +456,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._json(404, {"error": f"no route {path}"})
         except UnknownJobError as exc:
             self._json(404, {"error": str(exc)})
-        except (BrokenPipeError, ConnectionResetError):
-            pass  # client went away mid-response
+        except (ConnectionError, TimeoutError):
+            self.close_connection = True  # client went away mid-response
 
     def do_POST(self) -> None:  # noqa: N802 - http.server API
         path = urlparse(self.path).path
@@ -437,8 +470,8 @@ class _Handler(BaseHTTPRequestHandler):
                 self._json(404, {"error": f"no route {path}"})
         except UnknownJobError as exc:
             self._json(404, {"error": str(exc)})
-        except (BrokenPipeError, ConnectionResetError):
-            pass
+        except (ConnectionError, TimeoutError):
+            self.close_connection = True
 
     # -- endpoints -----------------------------------------------------------
 
@@ -543,6 +576,9 @@ class JobServer:
         self._httpd.owner = self  # type: ignore[attr-defined]
         #: set by close(); streaming handlers poll it
         self.closing = threading.Event()
+        #: open connections -> the handler thread serving each
+        self._conns: dict[socket.socket, threading.Thread] = {}
+        self._conns_lock = threading.Lock()
         self.host = self._httpd.server_address[0]
         self.port = int(self._httpd.server_address[1])
         self._thread: "threading.Thread | None" = None
@@ -558,8 +594,17 @@ class JobServer:
         self._thread.start()
         return self
 
+    def _track(self, conn: socket.socket, thread: "threading.Thread | None") -> None:
+        """Note *conn* open (served by *thread*) or, with ``None``, closed."""
+        with self._conns_lock:
+            if thread is None:
+                self._conns.pop(conn, None)
+            else:
+                self._conns[conn] = thread
+
     def close(self) -> None:
-        """Stop serving: wake SSE streams, shut the listener down (idempotent)."""
+        """Stop serving: wake SSE streams, shut the listener down, end the
+        handlers parked on idle kept-alive connections (idempotent)."""
         if self.closing.is_set():
             return
         self.closing.set()
@@ -568,3 +613,15 @@ class JobServer:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
+        with self._conns_lock:
+            conns = dict(self._conns)
+        # an idle handler waits on its next request line; ending the read
+        # side answers it EOF, while a response being written still goes out
+        for conn in conns:
+            try:
+                conn.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # already closed by its client
+        deadline = time.monotonic() + 5.0
+        for thread in conns.values():
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))

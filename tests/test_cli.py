@@ -960,6 +960,62 @@ class TestSubmitCommand:
                      "--url", "http://127.0.0.1:9", "--timeout", "2"]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_server_that_never_answers_exits_3_in_one_line(
+        self, spec_file, capsys
+    ):
+        """A timeout while reading the answer is a transport failure like
+        a refused connection: one ``cannot reach`` line and rc 3, for the
+        POST itself, a stream that stalls and ``top --url``."""
+        import socket
+        import threading
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+        stalled = threading.Event()
+
+        class AdmitsThenStalls(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def do_POST(self):  # noqa: N802
+                self.rfile.read(int(self.headers["Content-Length"]))
+                body = b'{"id": "j00001", "state": "queued"}'
+                self.send_response(202)
+                self.send_header("Content-Length", str(len(body)))
+                self.end_headers()
+                self.wfile.write(body)
+
+            def do_GET(self):  # noqa: N802
+                if self.path.startswith("/drop"):
+                    self.close_connection = True  # no answer at all
+                else:
+                    stalled.wait(10)
+
+            def log_message(self, *args):
+                pass
+
+        httpd = ThreadingHTTPServer(("127.0.0.1", 0), AdmitsThenStalls)
+        threading.Thread(target=httpd.serve_forever, daemon=True).start()
+        stalls = f"http://127.0.0.1:{httpd.server_address[1]}"
+        try:
+            with socket.socket() as mute:  # accepts, never reads or answers
+                mute.bind(("127.0.0.1", 0))
+                mute.listen(4)
+                silent = f"http://127.0.0.1:{mute.getsockname()[1]}"
+                for url, flag in ((silent, "--wait"), (stalls, "--wait"),
+                                  (stalls, "--stream")):
+                    assert main(["submit", spec_file, "--url", url,
+                                 "--timeout", "0.5", flag]) == 3, (url, flag)
+                    err = capsys.readouterr().err
+                    assert err.startswith(f"error: cannot reach {url}/jobs")
+                    assert err.count("\n") == 1 and "timed out" in err
+                assert main(["top", "--once", "--url", f"{stalls}/drop"]) == 3
+                err = capsys.readouterr().err
+                assert err.startswith(f"error: cannot reach {stalls}/drop: ")
+                assert err.count("\n") == 1
+        finally:
+            stalled.set()
+            httpd.shutdown()
+            httpd.server_close()
+
     def test_retired_prefetch_knob_in_a_spec_is_refused(
         self, served, tmp_path, capsys
     ):
