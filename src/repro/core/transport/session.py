@@ -7,6 +7,10 @@ or the coordinator's socket for slice 0, which the coordinator
 simulates — or as a ``("pkt", dest, ...)`` frame for the coordinator to
 relay (tcp).  It arrives on the inbox the session's socket readers feed.
 Its bulk payloads ride inside the frame, so nothing outlives the socket.
+A round's row leaves the same way, as a packet to slice 0 tagged
+:data:`~repro.core.transport.base.ROW_PHASE`: the coordinator's socket
+carries a session's exchange with slice 0, its rows, and its one reply
+per command.
 """
 
 from __future__ import annotations

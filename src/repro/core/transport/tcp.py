@@ -20,14 +20,20 @@ Frames on a session socket (:func:`~repro.core.transport.base.send_frame`)::
     ("result", worker_id, kind, payload)                        W -> C
     ("pkt", dest, r, phase, src, wire)                          W -> C
     ("pkt", r, phase, src, wire)             C -> W, W -> C, W -> W
+    ("pkt", r, ROW_PHASE, src, row)                             W -> C
 
 A ``pkt`` frame without a destination is for whoever simulates the
 receiving end's slice: on a session socket, slice 0's in the
-coordinator or the worker's own.
+coordinator or the worker's own.  A worker's row of round *r* is such a
+packet to slice 0, sent after the round's last exchange; no exchange
+counter counts it.
 
 The first two are the node handshake (a forked worker inherits its
-session instead).  A session carries its slice's inputs (protocol v5), so
-the ``("setup",)`` command carries nothing.  The hello also ships the
+session instead).  A ``result`` is the one reply of a session to a
+command — ``kind`` ``"setup"``, ``"restore"`` or ``"final"`` — or an
+``"error"``; a round has no result (protocol v6).  A session carries its
+slice's inputs, so the ``("setup",)`` command carries nothing.  The
+hello also ships the
 coordinator's frozen per-run :class:`~repro.tune.runtime.RuntimeConfig`;
 the node re-fingerprints it and rejects on protocol, release, or
 fingerprint mismatch so two machines can never silently disagree on knob
@@ -44,6 +50,7 @@ from typing import Any
 
 from repro.core.transport.base import (
     POLL_S,
+    ROW_PHASE,
     Transport,
     TransportAbort,
     TransportError,
@@ -53,7 +60,7 @@ from repro.core.transport.base import (
 from repro.util.validation import ConfigurationError
 
 #: bumped whenever a frame, the handshake or the command set changes.
-PROTOCOL_VERSION = 5
+PROTOCOL_VERSION = 6
 
 #: connect retry policy (tests shrink these via monkeypatch).
 CONNECT_RETRIES = 6
@@ -133,10 +140,10 @@ class Fleet(Transport):
     :meth:`start` opens every session socket (:meth:`_open`, the one
     thing a subclass must supply), then starts one reader thread per
     session that funnels result frames into one queue, delivers the
-    packets addressed to slice 0 to its inbox and relays the packets of
-    workers with no direct path to their peers.  Slice 0 sends on the
-    session sockets themselves.  A packet frame carries its payloads, so
-    nothing a session sent outlives the sockets.
+    packets and rows addressed to slice 0 to its inbox and relays the
+    packets of workers with no direct path to their peers.  Slice 0
+    sends on the session sockets themselves.  A packet frame carries its
+    payloads, so nothing a session sent outlives the sockets.
     """
 
     #: the ``transport`` knob value this fleet serves (metrics label)
@@ -212,7 +219,7 @@ class Fleet(Transport):
             return True
         except (OSError, AttributeError):
             # hung up (no socket) or the worker died; the latter surfaces
-            # as WorkerCrashed in the coordinator's _gather
+            # as WorkerCrashed in the coordinator
             conn.alive = False
             return False
 
@@ -226,30 +233,27 @@ class Fleet(Transport):
             raise TransportAbort(f"worker {dest} hung up")
 
     def recv_packet(self, what: str) -> tuple:
-        """One packet for slice 0.  A session that ended, or a worker seen
-        dead while nothing arrives, aborts the wait: the coordinator then
-        learns from the results what went wrong."""
+        """One packet or row for slice 0.  A worker the wait still needs
+        (``awaiting``) that is dead aborts it — one that sent its part
+        and ended does not: the coordinator then learns from the results
+        what went wrong."""
         while True:
             try:
                 got = self._inbox.get(timeout=POLL_S)
             except queue.Empty:
-                if all(self.alive(w) for w in self.workers):
-                    continue
                 got = None
-            if got is None:
+            if got is not None:
+                pkt, nbytes = got
+                if pkt[1] != ROW_PHASE:
+                    self.bytes_received += nbytes
+                return pkt
+            if not all(self.alive(w) for w in self.awaiting):
                 raise TransportAbort(f"a worker session ended while waiting for {what}")
-            pkt, nbytes = got
-            self.bytes_received += nbytes
-            return pkt
 
     # ------------------------------------------------------------- commands
 
     def send(self, w: int, cmd: tuple) -> None:
         self._write(self._conns[w - 1], ("cmd", cmd))
-
-    def broadcast(self, cmd: tuple) -> None:
-        for w in self.workers:
-            self.send(w, cmd)
 
     def result(self, timeout: float):
         """One ``(worker, kind, payload)`` reply; raises ``queue.Empty``."""
@@ -266,7 +270,8 @@ class Fleet(Transport):
 
     def stop(self, force: bool = False) -> None:
         if not force:
-            self.broadcast(("stop",))
+            for w in self.workers:
+                self.send(w, ("stop",))
         # EOF ends a session wherever it waits — mid-exchange on a dead
         # peer's packet, say — so nobody eats a join timeout
         self.request_abort()
@@ -275,7 +280,7 @@ class Fleet(Transport):
         for t in self._threads:
             t.join(timeout=5.0)
         self._threads = []
-        # a restart's _gather and slice 0 see no stale reply or packet
+        # a restart sees no stale reply, packet or row
         self._results = queue.Queue()
         self._inbox = queue.Queue()
 

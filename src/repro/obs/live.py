@@ -47,22 +47,25 @@ def _open(method: str, url: str, body: "bytes | None", headers: dict[str, str],
     """Send one request on this thread's connection to *url*'s server;
     returns ``(conn, response, its body if read)``.
 
-    A pooled connection is reused only if a zero-timeout poll finds
-    nothing to read on it (its server's EOF or stray bytes).  A request
-    is sent once: one that failed mid-way may have been admitted, so the
-    failure is reported, not resent."""
+    A zero-timeout poll over every connection the thread pooled closes
+    those with something to read (their server's EOF or stray bytes), so
+    a server that went away leaves no socket behind.  A request is sent
+    once: one that failed mid-way may have been admitted, so the failure
+    is reported, not resent."""
     parts = urlsplit(url)
     key = (parts.hostname, parts.port or 80)
-    conn = _pool.__dict__.setdefault("conns", {}).pop(key, None)
-    if conn is not None:
-        poller = select.poll()
-        poller.register(conn.sock, select.POLLIN)
-        if poller.poll(0):
-            conn.close()
-        else:
-            conn.sock.settimeout(timeout_s)
-    if conn is None or conn.sock is None:
+    pool = _pool.__dict__.setdefault("conns", {})
+    poller = select.poll()
+    for pooled in pool.values():
+        poller.register(pooled.sock, select.POLLIN)
+    readable = {fd for fd, _event in poller.poll(0)}
+    for stale in [k for k, pooled in pool.items() if pooled.sock.fileno() in readable]:
+        pool.pop(stale).close()
+    conn = pool.pop(key, None)
+    if conn is None:
         conn = http.client.HTTPConnection(*key, timeout=timeout_s)
+    else:
+        conn.sock.settimeout(timeout_s)
     try:
         conn.request(method, url.split(parts.netloc, 1)[1] or "/", body, headers)
         resp = conn.getresponse()

@@ -390,7 +390,7 @@ class TestHandshake:
         """A coordinator of the per-round command protocol is refused."""
         reply = self.hello(node_pair[0], proto=2)
         assert reply == (
-            "reject", "protocol version mismatch: node speaks 5, coordinator speaks 2"
+            "reject", "protocol version mismatch: node speaks 6, coordinator speaks 2"
         )
 
     def test_v3_hello_rejected(self, node_pair):
@@ -398,7 +398,7 @@ class TestHandshake:
         (and its programs the whole machine) is refused."""
         reply = self.hello(node_pair[0], proto=3)
         assert reply == (
-            "reject", "protocol version mismatch: node speaks 5, coordinator speaks 3"
+            "reject", "protocol version mismatch: node speaks 6, coordinator speaks 3"
         )
 
     def test_v4_hello_rejected(self, node_pair):
@@ -406,7 +406,15 @@ class TestHandshake:
         inputs (a session without them) is refused."""
         reply = self.hello(node_pair[0], proto=4)
         assert reply == (
-            "reject", "protocol version mismatch: node speaks 5, coordinator speaks 4"
+            "reject", "protocol version mismatch: node speaks 6, coordinator speaks 4"
+        )
+
+    def test_v5_hello_rejected(self, node_pair):
+        """A coordinator that gathers one result per round from every
+        session (rows not yet riding the exchange) is refused."""
+        reply = self.hello(node_pair[0], proto=5)
+        assert reply == (
+            "reject", "protocol version mismatch: node speaks 6, coordinator speaks 5"
         )
 
     def test_fingerprint_mismatch_rejected(self, node_pair):
@@ -567,12 +575,12 @@ class TestReaderTeardown:
         fleet._results = results = CloseOnPut()
         conn, peer, thread, errors = self.reader(fleet)
         try:
-            send_frame(peer, ("result", 0, "round", {"ok": True}))
+            send_frame(peer, ("result", 0, "setup", {"ok": True}))
             thread.join(timeout=10.0)
         finally:
             peer.close()
         assert not thread.is_alive() and errors == []
-        assert results.item == (0, "round", {"ok": True})
+        assert results.item == (0, "setup", {"ok": True})
         assert conn.alive is False
 
 

@@ -2,6 +2,7 @@
 ``repro serve`` and its client, the chunked SSE stream, and the frames."""
 
 import http.client
+import os
 import socket
 import threading
 import time
@@ -134,6 +135,41 @@ class TestOneConnection:
         assert status == 202
         assert len(accepted) == 2
         assert len(server.core.jobs) == 2  # the fixture's job and this one, once
+
+
+    def test_a_closed_servers_connection_leaves_the_pool(self, tmp_path):
+        """One thread talks to four servers in turn, each closed after its
+        request, then to a fifth: the poll before that request closes the
+        four dead connections, not only a dead one for the fifth."""
+
+        def sockets():
+            fds = []
+            for fd in os.listdir("/proc/self/fd"):
+                try:
+                    fds.append(os.readlink(f"/proc/self/fd/{fd}"))
+                except OSError:
+                    pass  # closed meanwhile (the listing's own fd, say)
+            return sum(link.startswith("socket:") for link in fds)
+
+        cores = [ServiceCore(state_dir=str(tmp_path / f"s{i}"), start=False)
+                 for i in range(5)]
+        servers = [JobServer(core).start() for core in cores]
+
+        def session():
+            before = sockets()
+            for server in servers[:4]:
+                assert request_json("GET", server.url + "/healthz")[0] == 200
+                server.close()
+            assert request_json("GET", servers[4].url + "/healthz")[0] == 200
+            return before, sorted(live._pool.conns), sockets()
+
+        try:
+            before, pooled, after = _in_thread(session)
+        finally:
+            for server in servers:
+                server.close()
+        assert pooled == [(servers[4].host, servers[4].port)]
+        assert after - before <= 1
 
 
 class _DropsPost(BaseHTTPRequestHandler):
