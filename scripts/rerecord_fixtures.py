@@ -10,13 +10,17 @@ simulated disks hold (the item format, a layout).  It rewrites
 * ``tests/service/data/result_docs_<PR_TAG>.json`` (from the specs of the
   newest ``result_docs_*.json``, which it then removes), and
 * ``tests/faults/data/listrank_ckpt_<PR_TAG>/`` — a ListRanking checkpoint
-  preempted after round 6 plus the uninterrupted run's ``expected.json``,
+  preempted after round 6 plus the uninterrupted run's ``expected.json``
+  (the newest such directory is the frozen-format golden that
+  ``tests/faults/test_resume.py`` resumes; it was re-recorded as
+  ``listrank_ckpt_v2`` when checkpoints became ``REPRO-CKPT v2``),
 
 and refuses to write anything whose **output hash** differs from the old
 recording: counters may move in such a commit, outputs may not.  Rename
 the references in ``tests/test_cli.py`` / ``tests/faults/test_resume.py``
-by hand; the previous checkpoint directory is left in place (it is the
-negative fixture of the stale-snapshot test).
+by hand; the previous checkpoint directory is left in place (the older
+ones, ``listrank_ckpt_pr15`` and ``_pr22``, are v1 files: the negative
+fixtures of the refusal tests).
 """
 
 from __future__ import annotations

@@ -45,7 +45,7 @@ from repro.util.rng import spawn_rngs
 from repro.util.validation import ConfigurationError, PreemptedError, SimulationError
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
-    from repro.faults.checkpoint import CheckpointManager
+    from repro.faults.checkpoint import Checkpoint, CheckpointManager
     from repro.faults.plan import FaultPlan
     from repro.tune.runtime import RuntimeConfig
 
@@ -112,16 +112,16 @@ class Engine:
     """Template driver; subclasses provide the storage backend."""
 
     name = "abstract"
-    #: backends whose between-round state can be snapshotted/restored set
-    #: this True and implement ``_snapshot_backend``/``_restore_backend``.
+    #: backends whose between-round state can be checkpointed set this
+    #: True and implement ``_save_checkpoint``/``_restore_checkpoint``.
     supports_checkpoint = False
     #: backends whose disk arrays accept a fault plan set this True.
     supports_faults = False
-    #: backends that recover from the *previous* boundary's snapshot while
-    #: a run is live (the process backend re-dispatches a round after a
-    #: worker death) set this True: the run loop then takes the snapshot
-    #: at every boundary even when nothing asks for it on disk.
-    snapshot_every_round = False
+    #: backends that recover from the newest checkpoint while a run is
+    #: live (the process backend re-dispatches a round after a worker
+    #: death) set this True: under a checkpoint manager the run loop then
+    #: persists every boundary, whether or not a probe fires.
+    persists_every_round = False
     #: OS worker processes simulating the reals (``run_begin``'s
     #: ``workers`` tag): 0 means this interpreter holds the whole machine.
     n_workers = 0
@@ -155,8 +155,6 @@ class Engine:
         #: never half-apply.
         self.runtime: "RuntimeConfig | None" = None
         self._rt: "RuntimeConfig | None" = None
-        #: last snapshot taken this run (crash recovery re-reads it).
-        self._last_ckpt: dict[str, Any] | None = None
         #: optional preemption probe, set post-construction (the job
         #: server's worker pool).  Polled at every round boundary; a run
         #: that carries one persists a snapshot only when it fires — all
@@ -219,30 +217,16 @@ class Engine:
         """Backend-specific tags for ``run_end`` (the VM pager's page size)."""
         return {}
 
-    def _snapshot_backend(self) -> dict[str, Any]:
-        """Canonical picklable snapshot of all between-round backend state."""
+    def _save_checkpoint(self, r: int, rngs: list, boundary: dict, meta: dict) -> str:
+        """Persist the *boundary* after round *r* (whether the run
+        finished there, its report so far) with every real's section, its
+        virtual processors' RNG states among them, and the fingerprint
+        *meta*, in one ``self.checkpoint.save`` → the path."""
         raise NotImplementedError(f"{self.name} engine cannot checkpoint")
 
-    def _restore_backend(self, backend: dict[str, Any]) -> None:
-        """Inverse of :meth:`_snapshot_backend` (after :meth:`_start`)."""
+    def _restore_checkpoint(self, ckpt: "Checkpoint", rngs: list) -> None:
+        """Rewind the freshly started backend to the verified *ckpt*."""
         raise NotImplementedError(f"{self.name} engine cannot checkpoint")
-
-    def _snapshot_state(self, rngs: list) -> dict[str, Any]:
-        """Backend snapshot plus per-virtual-processor RNG states.
-
-        The multi-process backend overrides this to gather both from its
-        workers (the coordinator's own *rngs* never advance there).
-        """
-        return {
-            "backend": self._snapshot_backend(),
-            "rng_states": [g.bit_generator.state for g in rngs],
-        }
-
-    def _restore_state(self, snap: dict[str, Any], rngs: list) -> None:
-        """Re-install a snapshot produced by :meth:`_snapshot_state`."""
-        for g, state in zip(rngs, snap["rng_states"]):
-            g.bit_generator.state = state
-        self._restore_backend(snap["backend"])
 
     def _supersteps_per_round(self) -> int:
         """Real-machine supersteps consumed per CGM round."""
@@ -401,37 +385,28 @@ class Engine:
         finished: bool,
         persist: bool,
     ) -> None:
-        """Snapshot the boundary after round *r* and, when *persist*, write
-        it through the checkpoint manager.  Without *persist* only a
-        ``snapshot_every_round`` backend takes the snapshot (in memory)."""
-        cm = self.checkpoint
-        if cm is None or not (persist or self.snapshot_every_round):
+        """Write the boundary after round *r* through the checkpoint
+        manager when *persist* (or the backend persists every round)."""
+        if self.checkpoint is None or not (persist or self.persists_every_round):
             return
-        snap: dict[str, Any] = {"round": r, "finished": finished, "report": report}
-        snap.update(self._snapshot_state(rngs))
-        self._last_ckpt = snap
-        if not persist:
-            return
-        path = cm.save(r, snap, self._ckpt_meta(program))
+        boundary = {"finished": finished, "report": report}
+        path = self._save_checkpoint(r, rngs, boundary, self._ckpt_meta(program))
         if self.tracer.enabled:
             self.tracer.emit("checkpoint", round=r, finished=finished, path=path)
 
     def _resume_from_checkpoint(
         self, program: CGMProgram, rngs: list
     ) -> tuple[int, bool, CostReport]:
-        """Restore the newest snapshot → (next round, finished, report)."""
+        """Restore the newest checkpoint → (next round, finished, report)."""
         assert self.checkpoint is not None
-        header, snap = self.checkpoint.load(self._ckpt_meta(program))
-        self._restore_state(snap, rngs)
-        self._last_ckpt = snap
+        ckpt = self.checkpoint.load(self._ckpt_meta(program))
+        report = CostReport.from_dict(ckpt.report)
+        self._restore_checkpoint(ckpt, rngs)
         if self.tracer.enabled:
             self.tracer.emit(
-                "resume",
-                round=snap["round"],
-                finished=snap["finished"],
-                path=self.checkpoint.latest_path(),
+                "resume", round=ckpt.round, finished=ckpt.finished, path=ckpt.path
             )
-        return snap["round"] + 1, snap["finished"], snap["report"]
+        return ckpt.round + 1, ckpt.finished, report
 
     # ------------------------------------------------------------------ driver
 
@@ -494,7 +469,6 @@ class Engine:
                 balanced=self.balanced,
             )
 
-        self._last_ckpt = None
         finished = False
         if self.resume:
             r, finished, report = self._resume_from_checkpoint(program, rngs)

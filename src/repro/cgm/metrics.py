@@ -69,6 +69,15 @@ class CostReport:
     #: between clean and fault-injected runs.
     fault_stats: Any = None
 
+    @classmethod
+    def from_dict(cls, doc: dict[str, Any]) -> "CostReport":
+        """The report whose fields, and theirs, *doc* holds as dicts (a
+        checkpoint's)."""
+        io = {key: IOStats(**doc[key]) for key in ("io", "io_max")}
+        rounds = [RoundMetrics(**{**m, "io": IOStats(**m["io"])})
+                  for m in doc["per_round"]]
+        return cls(**{**doc, **io, "per_round": rounds})
+
     def add_round(self, m: RoundMetrics) -> None:
         self.rounds += 1
         self.comp_wall_s += m.comp_wall_s

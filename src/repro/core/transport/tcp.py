@@ -60,7 +60,7 @@ from repro.core.transport.base import (
 from repro.util.validation import ConfigurationError
 
 #: bumped whenever a frame, the handshake or the command set changes.
-PROTOCOL_VERSION = 6
+PROTOCOL_VERSION = 7
 
 #: connect retry policy (tests shrink these via monkeypatch).
 CONNECT_RETRIES = 6

@@ -33,8 +33,14 @@ Invariants that keep the arena indistinguishable from that dict:
   dict, so the arena never allocates rows for a sparse track space: the
   row space ends at track :data:`MAX_DIRECT_TRACK`.
 
-``snapshot``/``restore`` produce and accept plain ``dict[int, bytes]`` per
-disk, which keeps engine checkpoints portable between storage backends.
+A checkpoint takes the arena as it lies: :meth:`live_rows` names the
+occupied rows (the ledger), :meth:`row_buffers` hands their bytes over
+through one 1 MiB buffer as a gather reads them, and :meth:`load` fills
+a fresh arena of either backend through the same buffer as a scatter
+writes, so no track becomes a ``bytes`` on the way and checkpoints stay
+portable between backends.  ``snapshot``/``restore`` are the per-track
+``dict[int, bytes]`` reference view (the fault injector's evacuation and
+the tests read it).
 
 Storage backends: this class keeps the chunks as in-memory arrays
 (``REPRO_ARENA=ram``, the default); :class:`repro.pdm.mmap_arena.MmapTrackArena`
@@ -51,7 +57,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -61,6 +67,8 @@ MAX_DIRECT_TRACK = 1 << 20
 
 _FIRST_TRACKS = 64
 _CHUNK_BYTES = 2 << 20
+#: the most a checkpoint's rows take of the heap on their way
+_BATCH_BYTES = 1 << 20
 
 #: One run of a stream as the arena moves it: ``(stream row, linear row
 #: counted from the stream's base track times D, blocks)``.
@@ -321,7 +329,7 @@ class TrackArena:
         for r, k, off, m in moves:
             out[r : r + m] = self._chunks[k][off : off + m]
 
-    # -- inspection / checkpointing ----------------------------------------
+    # -- inspection and checkpoints ----------------------------------------
 
     def tracks_in_use(self, disk: int) -> int:
         dense = sum(int((lens[disk :: self.D] >= 0).sum()) for lens in self._lens)
@@ -361,6 +369,47 @@ class TrackArena:
                 dense = self._bounds[k] // self.D + int(used[-1])
                 break
         return max(dense, max(self._side[disk], default=-1))
+
+    def live_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """The occupied rows of the row space, ascending, and their byte
+        lengths (the side dicts hold the rest)."""
+        ledger = np.concatenate(self._lens) if self._lens else np.zeros(0, np.int32)
+        rows = np.flatnonzero(ledger >= 0)
+        return rows, ledger[rows]
+
+    def _batches(self, rows: np.ndarray) -> Iterator[tuple[list, np.ndarray]]:
+        """The ascending *rows* in batches of at most 1 MiB, each as the
+        pieces ``(batch row, linear row, rows)`` of its runs and the part
+        of the one buffer it moves through."""
+        bb = self.block_bytes
+        buf = np.empty((max(1, min(rows.size, _BATCH_BYTES // bb)), bb), dtype=np.uint8)
+        for at in range(0, rows.size, len(buf)):
+            batch = rows[at : at + len(buf)]
+            first = np.r_[0, np.flatnonzero(np.diff(batch) != 1) + 1]
+            n = np.diff(np.r_[first, batch.size])
+            pieces = list(zip(first.tolist(), batch[first].tolist(), n.tolist()))
+            yield pieces, buf[: batch.size]
+
+    def row_buffers(self, rows: np.ndarray) -> Iterator[np.ndarray]:
+        """The full-stride bytes of the occupied *rows* (ascending), in
+        order, read as a gather reads them (``preadv`` on the mmap arena,
+        so no spill page is mapped)."""
+        for pieces, buf in self._batches(rows):
+            self._copy([(r + at, k, off, m) for r, lin, n in pieces
+                        for k, off, at, m in self._spans(lin, n)], buf)
+            yield buf
+
+    def load(self, rows: np.ndarray, lens: np.ndarray, side: list, read) -> None:
+        """Fill this fresh arena: the *rows* (ascending) of byte lengths
+        *lens*, whose full-stride bytes ``read(view)`` hands over in order,
+        and the side dicts *side*."""
+        for pieces, buf in self._batches(rows):
+            read(memoryview(buf).cast("B"))
+            self.scatter(pieces, 0, buf)
+        for k, lo in enumerate(self._bounds[:-1]):
+            at = (rows >= lo) & (rows < self._bounds[k + 1])
+            self._lens[k][rows[at] - lo] = lens[at]
+        self._side = [dict(tracks) for tracks in side]
 
     def snapshot(self, disk: int) -> dict[int, bytes]:
         """The reference ``dict[int, bytes]`` view of one disk's tracks."""

@@ -42,10 +42,11 @@ Spill-file lifecycle:
   ``weakref.finalize`` does the same at garbage collection, so abandoned
   arenas (a killed run) cannot leak spill files past interpreter exit.
 
-Snapshots need no special handling: ``snapshot``/``restore`` are inherited
-and produce/accept the plain ``dict[int, bytes]`` representation, so a
-checkpoint written under ``REPRO_ARENA=mmap`` restores under ``ram``
-bit-identically, and vice versa.
+Checkpoints need no special handling: a checkpoint's rows leave through
+the gather hook and come back through the scatter hook, by descriptor,
+as full-stride bytes either backend hands over, so a checkpoint written
+under ``REPRO_ARENA=mmap`` restores under ``ram`` bit-identically, and
+vice versa.
 """
 
 from __future__ import annotations

@@ -144,7 +144,7 @@ class JobQueue:
         docs = [job.persist_doc() for job in seen.values()]
         os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
         doc = json.dumps({"version": 1, "jobs": docs}, indent=2, sort_keys=True)
-        write_durably(path, doc.encode("utf-8"), b"\n")
+        write_durably(path, [doc.encode("utf-8"), b"\n"])
         return len(docs)
 
     @staticmethod

@@ -283,7 +283,7 @@ class ServiceCore:
         if not docs:
             return
         doc = json.dumps({"entries": docs}, default=_jsonable)
-        write_durably(os.path.join(self.state_dir, CACHE_STATE_FILE), doc.encode())
+        write_durably(os.path.join(self.state_dir, CACHE_STATE_FILE), [doc.encode()])
 
     def _restore_cache(self) -> None:
         path = os.path.join(self.state_dir, CACHE_STATE_FILE)

@@ -269,8 +269,8 @@ class TestUnsupportedValues:
             sum(a.stats.parallel_ios for a in eng.arrays.values()),
             sum(d.blocks_written for a in eng.arrays.values() for d in a.disks),
             sum(m.used for m in eng.memories.values()),
-            eng._ctx_blocks_io,
-            eng._msg_blocks_io,
+            sum(eng._ctx_io.values()),
+            sum(eng._msg_io.values()),
         )
 
     @pytest.mark.parametrize("kind", ["seq", "par"])

@@ -390,7 +390,7 @@ class TestHandshake:
         """A coordinator of the per-round command protocol is refused."""
         reply = self.hello(node_pair[0], proto=2)
         assert reply == (
-            "reject", "protocol version mismatch: node speaks 6, coordinator speaks 2"
+            "reject", "protocol version mismatch: node speaks 7, coordinator speaks 2"
         )
 
     def test_v3_hello_rejected(self, node_pair):
@@ -398,7 +398,7 @@ class TestHandshake:
         (and its programs the whole machine) is refused."""
         reply = self.hello(node_pair[0], proto=3)
         assert reply == (
-            "reject", "protocol version mismatch: node speaks 6, coordinator speaks 3"
+            "reject", "protocol version mismatch: node speaks 7, coordinator speaks 3"
         )
 
     def test_v4_hello_rejected(self, node_pair):
@@ -406,7 +406,7 @@ class TestHandshake:
         inputs (a session without them) is refused."""
         reply = self.hello(node_pair[0], proto=4)
         assert reply == (
-            "reject", "protocol version mismatch: node speaks 6, coordinator speaks 4"
+            "reject", "protocol version mismatch: node speaks 7, coordinator speaks 4"
         )
 
     def test_v5_hello_rejected(self, node_pair):
@@ -414,7 +414,15 @@ class TestHandshake:
         session (rows not yet riding the exchange) is refused."""
         reply = self.hello(node_pair[0], proto=5)
         assert reply == (
-            "reject", "protocol version mismatch: node speaks 6, coordinator speaks 5"
+            "reject", "protocol version mismatch: node speaks 7, coordinator speaks 5"
+        )
+
+    def test_v6_hello_rejected(self, node_pair):
+        """A coordinator whose session asks for boundary snapshots on the
+        rows (no checkpoint directory to write parts into) is refused."""
+        reply = self.hello(node_pair[0], proto=6)
+        assert reply == (
+            "reject", "protocol version mismatch: node speaks 7, coordinator speaks 6"
         )
 
     def test_fingerprint_mismatch_rejected(self, node_pair):

@@ -7,14 +7,13 @@ row happens to hold must not matter — these tests fill every new chunk
 with a chosen byte
 (zero is what ``np.zeros`` used to give, anything else is poison) and
 require whole engine runs to be indistinguishable: outputs, logical
-``IOStats``, every disk's ``snapshot()`` dict and the checkpointed backend
-state, on both arenas, with and without a fault plan that tears writes
+``IOStats``, every disk's ``snapshot()`` dict and every real's checkpoint
+section, live rows at full stride, on both arenas, with and without a fault plan that tears writes
 (the short, zero-padded rows).
 """
 
 from __future__ import annotations
 
-import pickle
 from contextlib import contextmanager
 
 import numpy as np
@@ -84,7 +83,11 @@ def _observe(kind: str, arena: str, faults, seed: int, ckpt_dir) -> dict:
     eng = make_engine(cfg, engine, balanced, runtime=rt, faults=faults, checkpoint=ckpt)
     try:
         res = eng.run(program, inputs)
-        _header, snap = ckpt.load()
+        sections = []
+        for path, offset, nbytes in ckpt.load().sections:
+            with open(path, "rb") as fh:
+                fh.seek(offset)
+                sections.append(fh.read(nbytes))
         return {
             "outputs": [np.asarray(o).tobytes() for o in res.outputs],
             "io": res.report.io.as_dict(),
@@ -93,8 +96,9 @@ def _observe(kind: str, arena: str, faults, seed: int, ckpt_dir) -> dict:
                 for r, arr in eng.arrays.items()
             },
             # the report inside a checkpoint carries wall-clock seconds;
-            # everything a resume restores from is compared byte for byte
-            "checkpoint": pickle.dumps((snap["backend"], snap["rng_states"])),
+            # everything a resume restores from — each real's section,
+            # its live rows at full stride — is compared byte for byte
+            "checkpoint": sections,
         }
     finally:
         for arr in eng.arrays.values():

@@ -694,7 +694,7 @@ class TestStoredBytesAreFrozen:
         from repro.algorithms.sorting import SampleSort
         from repro.cgm.config import MachineConfig
         from repro.em.runner import em_run
-        from repro.faults.checkpoint import CheckpointManager
+        from tests.checkpoint_tracks import checkpoint_tracks
 
         n = 1 << 18
         cfg = MachineConfig(N=n, v=16, p=4, D=4, B=64)
@@ -706,7 +706,6 @@ class TestStoredBytesAreFrozen:
                          checkpoint=ck, overrides={"workers": workers, "arena": "mmap",
                                                    "spill_dir": str(tmp_path / "spill")})
             assert np.array_equal(np.concatenate(res.outputs), np.sort(data))
-            _header, snap = CheckpointManager(ck).load()
-            assert snap["finished"]
-            tracks[workers] = {r: a["tracks"] for r, a in snap["backend"]["arrays"].items()}
+            ckpt, tracks[workers] = checkpoint_tracks(ck, cfg.D, cfg.B * 8)
+            assert ckpt.finished
         assert sorted(tracks[0]) == [0, 1, 2, 3] and tracks[2] == tracks[0]

@@ -5,7 +5,9 @@ loop, one routing step, no worker engine class), the Figure-5 Group-A
 operations have one definition (the op table), and every Figure-5 run has
 one front door (options are ``make_engine`` arguments the wrappers forward;
 one CLI run handler), what the simulated disks hold is one tagged format
-that nothing on its path pickles, and a worker is one session on one wire
+that nothing on its path pickles, a checkpoint is each real's arena rows
+(no pickle in ``repro.faults``, no snapshot merged, split, shipped on a row
+or kept in memory), and a worker is one session on one wire
 (no multiprocessing queue or event, one ``dumps``/``loads`` pair), a
 preemption probe — which turns per-round checkpoint writes into one write
 on demand — is installed by the job service's pool alone, and telemetry
@@ -140,6 +142,14 @@ _OWNED_DECODE = re.compile(r"\bdecode_owned\b")
 #: the per-disk track store: its piece planner, the plan's per-disk pieces
 #: and the spill file per disk
 _PER_DISK_STORE = re.compile(r"\b_extent\b|\.extents\b|disk\{d\}\.bin")
+
+
+#: the second copy of a boundary: the slices' snapshot merge and split,
+#: the in-memory last snapshot and the switch that took it every round,
+#: and a snapshot riding a row (the CI lint job greps the same names)
+_SNAPSHOT_COPY = re.compile(
+    r"merge_backends|split_backend|_last_ckpt|snapshot_every_round|[\"']snapshot[\"']"
+)
 
 
 def _offenders(pattern: re.Pattern, skip_tune: bool) -> list[str]:
@@ -295,6 +305,18 @@ def test_one_worker_session_on_one_wire():
             if inspect.isfunction(member) and name != "__init__"
         }
         assert own == allowed, (fleet.__name__, own)
+
+
+def test_a_checkpoint_is_each_reals_arena_rows():
+    offenders = _offenders(_SNAPSHOT_COPY, skip_tune=False)
+    assert not offenders, (
+        "a checkpoint is one file (or a manifest and its parts) of each "
+        "real's section; nothing merges, splits, ships or keeps a second "
+        "copy:\n" + "\n".join(offenders)
+    )
+    faults = Path(repro.__file__).resolve().parent / "faults"
+    pickling = [p.name for p in sorted(faults.glob("*.py")) if "pickle" in p.read_text()]
+    assert not pickling, f"repro.faults reads and writes no pickle: {pickling}"
 
 
 def test_only_the_served_job_carries_a_preempt_probe():
